@@ -47,6 +47,11 @@
 //!   through [`crate::recover`] — eviction is never observable in results
 //!   (`tests/tests/fleet.rs` proptest), only in latency. Hubs without a
 //!   durable form trim audit caches instead of demoting.
+//! * **Carried `Adv(b′)` models** — a tenant keeps one hub-estimated
+//!   adversary per `b′` and carries it forward: the first audit of a new
+//!   version refreshes the model from the fold difference instead of
+//!   re-estimating it, and replays every group the delta left clean
+//!   ([`SessionHub::audit_against`]).
 //! * **Content-hash interning** — hub-estimated `Adv(b′)` adversaries are
 //!   interned by FNV content hash of their provenance (folded table +
 //!   bandwidth + kernel family), so a fleet of tenants serving the same
@@ -168,13 +173,7 @@ impl TenantSnapshot {
     /// signature) — the hub's hot read path. Bit-identical to a fresh
     /// [`Auditor::report`] of this version.
     pub fn audit_cached(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
-        let groups: Vec<&[usize]> = self
-            .anonymized
-            .groups()
-            .iter()
-            .map(|g| g.rows.as_slice())
-            .collect();
-        shared.report_groups(&self.table, &groups, Some(&self.stamps), t)
+        shared.report_groups(&self.table, &self.group_slices(), Some(&self.stamps), t)
     }
 
     /// Audit this version with `auditor`, uncached, on an explicit engine —
@@ -186,10 +185,28 @@ impl TenantSnapshot {
     /// Estimate the kernel prior model `P̂pri` an adversary with uniform
     /// bandwidth `b` would learn from this version — the reader-side
     /// estimation path (runs entirely against the snapshot, no hub locks).
-    pub fn estimate_prior(&self, b: f64, parallelism: Parallelism) -> PriorModel {
-        let bandwidth = Bandwidth::uniform(b, self.table.qi_count()).expect("positive bandwidth");
-        PriorEstimator::new(Arc::clone(self.table.schema()), bandwidth)
-            .estimate_with(&self.table, parallelism)
+    /// A NaN, infinite or non-positive `b` is a
+    /// [`SessionError::Bandwidth`].
+    pub fn estimate_prior(
+        &self,
+        b: f64,
+        parallelism: Parallelism,
+    ) -> Result<PriorModel, SessionError> {
+        let bandwidth = Bandwidth::uniform(b, self.table.qi_count())?;
+        Ok(
+            PriorEstimator::new(Arc::clone(self.table.schema()), bandwidth)
+                .estimate_with(&self.table, parallelism),
+        )
+    }
+
+    /// The published groups as borrowed row slices, aligned with
+    /// [`leaf_stamps`](Self::leaf_stamps).
+    fn group_slices(&self) -> Vec<&[usize]> {
+        self.anonymized
+            .groups()
+            .iter()
+            .map(|g| g.rows.as_slice())
+            .collect()
     }
 
     /// Heap bytes this snapshot pins: the published table and group list
@@ -215,18 +232,37 @@ enum ReaderKey {
     /// caller's model is frozen by definition, so stamp hits replay across
     /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
     External(usize, usize, usize),
-    /// Hub-estimated `Adv(b')`, keyed by bandwidth bits **and the version
-    /// it was estimated from**: the adversary the current table implies
-    /// changes with the table, and risks cached under one model must never
-    /// be replayed for another.
-    Bandwidth(u64, u64),
+    /// Hub-estimated `Adv(b′)`, keyed by the bandwidth bits alone: one entry
+    /// per `b′`, carried forward from version to version. The entry's
+    /// [`ReaderCache::version`] names the version its model reflects; the
+    /// first audit of a newer version refreshes that model and replaces the
+    /// entry ([`SessionHub::audit_against`]).
+    Bandwidth(u64),
 }
 
 /// One retained reader-audit configuration: the shared session whose caches
 /// all reader threads of this tenant go through.
 struct ReaderCache {
     key: ReaderKey,
+    /// The published version a hub-estimated adversary's model was
+    /// estimated or refreshed to (0 and unused for external auditors).
+    version: u64,
     session: Arc<SharedAuditSession>,
+}
+
+/// What a tenant's reader cache holds for `Adv(b′)`, relative to the
+/// version being audited.
+enum AdversaryEntry {
+    /// A session for exactly this version.
+    Current(Arc<SharedAuditSession>),
+    /// A session for an earlier version, taken out of the cache: its model
+    /// is refreshed to the new version and its clean stamps carried.
+    Earlier(Arc<SharedAuditSession>),
+    /// The cache already serves a newer version; this reader audits a
+    /// one-off session and leaves the entry alone.
+    Newer,
+    /// Nothing cached at this `b′`.
+    Missing,
 }
 
 /// Durable-apply state of one tenant: the open WAL writer plus checkpoint
@@ -308,22 +344,61 @@ impl<S: SessionStrategy> Tenant<S> {
         } {
             return found;
         }
-        let session = Arc::new(build());
+        self.install_reader(key, 0, build())
+    }
+
+    /// The `Adv(b′)` entry at bandwidth bits `bits`, judged against
+    /// `version`. An earlier version's entry is removed from the cache and
+    /// handed to the caller, who alone refreshes it; a concurrent reader of
+    /// the same version finds nothing and estimates instead.
+    fn adversary_entry(&self, bits: u64, version: u64) -> AdversaryEntry {
         let mut readers = relock(self.readers.lock());
-        // Recheck: another reader may have built it while we did.
-        if let Some(entry) = readers.iter().find(|c| c.key == key) {
-            return Arc::clone(&entry.session);
+        let key = ReaderKey::Bandwidth(bits);
+        let Some(idx) = readers.iter().position(|c| c.key == key) else {
+            return AdversaryEntry::Missing;
+        };
+        let entry = readers.remove(idx);
+        if entry.version == version {
+            let session = Arc::clone(&entry.session);
+            // Back to the end: LRU order for eviction.
+            readers.push(entry);
+            AdversaryEntry::Current(session)
+        } else if entry.version > version {
+            readers.insert(idx, entry);
+            AdversaryEntry::Newer
+        } else {
+            AdversaryEntry::Earlier(entry.session)
         }
-        // A hub-estimated adversary for a newer version supersedes every
-        // older estimate at the same bandwidth.
-        if let ReaderKey::Bandwidth(bits, _) = key {
-            readers.retain(|c| !matches!(c.key, ReaderKey::Bandwidth(b, _) if b == bits));
+    }
+
+    /// Cache `session` under `key` at `version`, unless an entry another
+    /// reader built meanwhile is at least as new — then that entry wins
+    /// for its own version, and a `session` for an older version is
+    /// returned unretained.
+    fn install_reader(
+        &self,
+        key: ReaderKey,
+        version: u64,
+        session: SharedAuditSession,
+    ) -> Arc<SharedAuditSession> {
+        let session = Arc::new(session);
+        let mut readers = relock(self.readers.lock());
+        if let Some(idx) = readers.iter().position(|c| c.key == key) {
+            let existing = &readers[idx];
+            if existing.version == version {
+                return Arc::clone(&existing.session);
+            }
+            if existing.version > version {
+                return session;
+            }
+            readers.remove(idx);
         }
         if readers.len() >= READER_CACHE_CAP {
             readers.remove(0);
         }
         readers.push(ReaderCache {
             key,
+            version,
             session: Arc::clone(&session),
         });
         session
@@ -467,7 +542,8 @@ pub struct MemoryStats {
     pub interned_bytes: usize,
     /// Intern-table lookups answered by an existing model.
     pub intern_hits: u64,
-    /// Intern-table lookups that had to estimate a fresh model.
+    /// Intern-table lookups that found no model, so one was estimated or
+    /// refreshed.
     pub intern_misses: u64,
 }
 
@@ -920,16 +996,6 @@ impl<S: SessionStrategy> SessionHub<S> {
             }
             let snapshot = Arc::new(Self::snapshot_of(&entry.name, session));
             *relock(entry.published.write()) = Some(Arc::clone(&snapshot));
-            {
-                // A hub-estimated `Adv(b′)` is pinned to the version it was
-                // estimated from; the new version supersedes every older
-                // one. Dropping them here (not at next audit) is what keeps
-                // the per-`(b′, version)` map from leaking one adversary
-                // per delta forever.
-                let mut readers = relock(entry.readers.lock());
-                let seq = snapshot.version();
-                readers.retain(|c| !matches!(c.key, ReaderKey::Bandwidth(_, v) if v != seq));
-            }
             self.charge(
                 &entry.session_bytes,
                 session.bytes_accounted() + snapshot.bytes_accounted(),
@@ -966,19 +1032,34 @@ impl<S: SessionStrategy> SessionHub<S> {
         Ok(report)
     }
 
-    /// Audit a tenant's current version against the adversary `Adv(b')`
+    /// Audit a tenant's current version against the adversary `Adv(b′)`
     /// with threshold `t`, using the paper's smoothed-JS distance. The
-    /// adversary's prior model is estimated **from the version being
-    /// audited** and cached per `(b', version)` — audits between deltas
-    /// replay it, a delta invalidates it, and the first audit of the new
-    /// version re-estimates (always measuring the adversary the current
-    /// table implies, like
-    /// [`PublishSession::audit_against`](crate::PublishSession::audit_against)).
+    /// adversary's prior model always reflects **the version being
+    /// audited** (like
+    /// [`PublishSession::audit_against`](crate::PublishSession::audit_against)),
+    /// but the tenant keeps one cache entry per `b′` and carries it from
+    /// version to version instead of re-estimating:
     ///
-    /// Estimation goes through the hub's cross-tenant intern table: two
-    /// tenants whose tables fold to identical content (and who audit at
-    /// the same `b'`) share one `Arc`-ed model — a 10k-tenant fleet with
-    /// common background knowledge pays for one estimation, not 10k.
+    /// * audits of the version the entry holds replay its caches;
+    /// * the first audit of a newer version folds that version once. If
+    ///   the hub's cross-tenant intern table holds a model of identical
+    ///   provenance, it is shared. Otherwise the entry's model is
+    ///   refreshed from the fold difference
+    ///   ([`PriorEstimator::refresh_folded`]), across any number of
+    ///   unaudited deltas — in place when no other tenant or in-flight
+    ///   reader shares it — and the groups the delta left clean (same leaf
+    ///   stamp, no row whose prior changed) keep their cached risks
+    ///   ([`SharedAuditSession::carried`]). Only a tenant with no entry at
+    ///   this `b′` estimates from scratch;
+    /// * a reader still holding an older version than the entry's audits
+    ///   through a one-off session and leaves the entry alone.
+    ///
+    /// Every path is bit-identical to a fresh [`Auditor`] of the version.
+    /// The intern table lets a fleet of tenants with common background
+    /// knowledge pay for one model, not one per tenant.
+    ///
+    /// A NaN, infinite or non-positive `b′` is a
+    /// [`SessionError::Bandwidth`].
     pub fn audit_against(
         &self,
         tenant: &str,
@@ -987,21 +1068,87 @@ impl<S: SessionStrategy> SessionHub<S> {
     ) -> Result<AuditReport, SessionError> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
-        let key = ReaderKey::Bandwidth(b_prime.to_bits(), snapshot.version());
-        let shared = entry.reader_session(key, || {
-            let table = snapshot.table();
-            let bandwidth =
-                Bandwidth::uniform(b_prime, table.qi_count()).expect("positive bandwidth");
-            let adversary = self.intern_adversary(table, bandwidth);
-            let measure = Arc::new(SmoothedJs::paper_default(
-                table.schema().sensitive_distance(),
-            ));
-            SharedAuditSession::new(Auditor::new(adversary, measure))
-        });
+        let bandwidth = Bandwidth::uniform(b_prime, snapshot.table().qi_count())?;
+        let shared = self.adversary_session(&entry, &snapshot, bandwidth);
         let report = snapshot.audit_cached(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
         Ok(report)
+    }
+
+    /// The shared `Adv(b′)` audit session for `snapshot`'s version — see
+    /// [`audit_against`](Self::audit_against) for the paths.
+    fn adversary_session(
+        &self,
+        entry: &Tenant<S>,
+        snapshot: &TenantSnapshot,
+        bandwidth: Bandwidth,
+    ) -> Arc<SharedAuditSession> {
+        let bits = bandwidth.get(0).to_bits();
+        let version = snapshot.version();
+        let found = entry.adversary_entry(bits, version);
+        let newer = matches!(found, AdversaryEntry::Newer);
+        let earlier = match found {
+            AdversaryEntry::Current(session) => return session,
+            AdversaryEntry::Earlier(session) => Some(session),
+            AdversaryEntry::Newer | AdversaryEntry::Missing => None,
+        };
+        let table = snapshot.table();
+        let family = KernelFamily::Epanechnikov;
+        let (fold, row_points) = FoldedTable::with_row_points(table);
+        let key = intern_key(&fold, &bandwidth, family);
+        let measure = Arc::new(SmoothedJs::paper_default(
+            table.schema().sensitive_distance(),
+        ));
+        let session = if let Some(shared) = self.intern_find(key, &fold, &bandwidth, family) {
+            SharedAuditSession::new(Auditor::new(shared, measure))
+        } else {
+            let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
+            let refreshable = earlier.and_then(|session| {
+                let carry = session.carry_stamps(snapshot.leaf_stamps());
+                let model = session.auditor().adversary().prior_model().map(Arc::clone);
+                // Drop the old session (and with it, unless another tenant
+                // or an in-flight reader shares them, the old adversary's
+                // handle on the model) so the refresh below mutates the
+                // model in place instead of cloning it.
+                drop(session);
+                model.map(|model| (carry, model))
+            });
+            let (model, carried) = match refreshable {
+                Some((carry, mut model)) => {
+                    let dirty = estimator.refresh_folded(
+                        Arc::make_mut(&mut model),
+                        fold,
+                        Parallelism::Auto,
+                    );
+                    (model, Some((carry, dirty)))
+                }
+                None => (
+                    Arc::new(estimator.estimate_folded(fold, Parallelism::Auto)),
+                    None,
+                ),
+            };
+            let label = format!("Adv({bandwidth})");
+            let adversary =
+                self.intern_insert(key, Adversary::from_model(&label, bandwidth, model));
+            let auditor = Auditor::new(adversary, measure);
+            match carried {
+                Some((carry, dirty)) => SharedAuditSession::carried(
+                    auditor,
+                    carry,
+                    &snapshot.group_slices(),
+                    snapshot.leaf_stamps(),
+                    &row_points,
+                    &dirty,
+                ),
+                None => SharedAuditSession::new(auditor),
+            }
+        };
+        if newer {
+            Arc::new(session)
+        } else {
+            entry.install_reader(ReaderKey::Bandwidth(bits), version, session)
+        }
     }
 
     /// The hub's memory gauges: rolled-up resident bytes, residency
@@ -1272,37 +1419,40 @@ impl<S: SessionStrategy> SessionHub<S> {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fetch-or-estimate the `Adv(b′)` adversary for `table` through the
-    /// cross-tenant intern table. The fold is computed and (on a miss) the
-    /// model estimated entirely outside the intern lock; the lock is held
-    /// only for the two lookups and the insert. First insert wins a race.
-    fn intern_adversary(&self, table: &Table, bandwidth: Bandwidth) -> Arc<Adversary> {
-        let family = KernelFamily::Epanechnikov;
-        let fold = FoldedTable::new(table);
-        let key = intern_key(&fold, &bandwidth, family);
-        {
-            let mut interned = relock(self.interned.lock());
-            if let Some(found) = interned.find(key, &fold, &bandwidth, family) {
-                interned.hits += 1;
-                return found;
-            }
+    /// A live interned adversary whose provenance is content-identical to
+    /// `(fold, bandwidth, family)`, counted as an intern hit or miss. The
+    /// intern lock is held only for the lookup; a miss is followed by an
+    /// estimate or refresh outside it and an
+    /// [`intern_insert`](Self::intern_insert).
+    fn intern_find(
+        &self,
+        key: u64,
+        fold: &FoldedTable,
+        bandwidth: &Bandwidth,
+        family: KernelFamily,
+    ) -> Option<Arc<Adversary>> {
+        let mut interned = relock(self.interned.lock());
+        let found = interned.find(key, fold, bandwidth, family);
+        if found.is_some() {
+            interned.hits += 1;
+        } else {
             interned.misses += 1;
         }
-        let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-        let model = Arc::new(estimator.estimate_folded(fold, Parallelism::Auto));
-        let adversary = Arc::new(Adversary::from_model(
-            &format!("Adv({bandwidth})"),
-            bandwidth.clone(),
-            model,
-        ));
+        found
+    }
+
+    /// Intern a freshly built adversary under `key`. First insert wins a
+    /// race: if another thread interned the same provenance meanwhile,
+    /// that adversary is returned (its priors are bit-identical) so both
+    /// callers share it.
+    fn intern_insert(&self, key: u64, adversary: Adversary) -> Arc<Adversary> {
+        let adversary = Arc::new(adversary);
         let mut interned = relock(self.interned.lock());
-        if let Some(won) = adversary
-            .prior_model()
-            .and_then(|m| m.folded())
-            .and_then(|f| interned.find(key, f, &bandwidth, family))
-        {
-            // Another thread estimated the same provenance while we did;
-            // keep the interned one so both callers share.
+        if let Some(won) = adversary.prior_model().and_then(|m| {
+            let fold = m.folded()?;
+            let bandwidth = m.bandwidth()?;
+            interned.find(key, fold, bandwidth, m.family())
+        }) {
             return won;
         }
         interned.insert(key, &adversary);
@@ -1525,7 +1675,7 @@ mod tests {
     fn snapshot_estimate_prior_matches_direct_estimation() {
         let hub = hub_with(&[("a", 3)], 150, 4);
         let snap = hub.snapshot("a").unwrap();
-        let model = snap.estimate_prior(0.3, Parallelism::Serial);
+        let model = snap.estimate_prior(0.3, Parallelism::Serial).unwrap();
         let bandwidth = Bandwidth::uniform(0.3, snap.table().qi_count()).unwrap();
         let direct = PriorEstimator::new(Arc::clone(snap.table().schema()), bandwidth)
             .estimate_with(snap.table(), Parallelism::Serial);
@@ -1652,19 +1802,159 @@ mod tests {
     }
 
     #[test]
-    fn apply_drops_superseded_adversary_caches() {
+    fn adversary_caches_carry_one_entry_per_bandwidth() {
         let hub = hub_with(&[("a", 4)], 200, 4);
         hub.audit_against("a", 0.3, 0.2).unwrap();
         hub.audit_against("a", 0.5, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        assert_eq!(relock(entry.readers.lock()).len(), 2);
+        let versions = |entry: &Tenant<AnyStrategy>| -> Vec<(ReaderKey, u64)> {
+            relock(entry.readers.lock())
+                .iter()
+                .map(|c| (c.key, c.version))
+                .collect()
+        };
+        let bits = |b: f64| ReaderKey::Bandwidth(b.to_bits());
+        assert!(versions(&entry) == vec![(bits(0.3), 0), (bits(0.5), 0)]);
+        // An apply keeps both entries: each is the predecessor the next
+        // audit at its b′ refreshes.
         let d = delta_for(hub.snapshot("a").unwrap().table(), &[1], 2, 11);
         hub.apply("a", &d).unwrap();
-        // Both Adv(b') caches were keyed to version 0; version 1 evicts
-        // them instead of letting the map grow per (b', version).
-        assert_eq!(relock(entry.readers.lock()).len(), 0);
+        assert!(versions(&entry) == vec![(bits(0.3), 0), (bits(0.5), 0)]);
+        // Auditing version 1 replaces the 0.3 entry; there is never more
+        // than one entry per b′.
         hub.audit_against("a", 0.3, 0.2).unwrap();
-        assert_eq!(relock(entry.readers.lock()).len(), 1);
+        assert!(versions(&entry) == vec![(bits(0.5), 0), (bits(0.3), 1)]);
+    }
+
+    #[test]
+    fn cohort_delta_resolves_fewer_groups_than_it_publishes() {
+        // Replace a cohort of rows inside one narrow age band: the delta
+        // dirties a local slice of the partition and of the kernel prior,
+        // so the refreshed version carries most groups' risks and solves
+        // only the rest.
+        let hub = hub_with(&[("a", 21)], 2000, 4);
+        hub.audit_against("a", 0.25, 0.2).unwrap();
+        let base = hub.snapshot("a").unwrap();
+        let table = base.table();
+        let age = table.qi(0)[0];
+        let cohort: Vec<usize> = (0..table.len())
+            .filter(|&r| table.qi(r)[0] == age)
+            .take(10)
+            .collect();
+        let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
+        for &r in &cohort {
+            b.delete(r);
+            b.insert_codes(&table.qi(r), (table.sensitive_value(r) + 1) % 2)
+                .unwrap();
+        }
+        let snap = hub.apply("a", &b.build()).unwrap();
+        let report = hub.audit_against("a", 0.25, 0.2).unwrap();
+        let entry = hub.tenant("a").unwrap();
+        let solved = relock(entry.readers.lock())
+            .iter()
+            .find(|c| c.key == ReaderKey::Bandwidth(0.25f64.to_bits()))
+            .map(|c| c.session.cached_signatures())
+            .unwrap();
+        assert!(solved > 0, "the cohort dirtied no group");
+        assert!(
+            solved < snap.group_count(),
+            "solved {solved} of {} groups",
+            snap.group_count()
+        );
+        let bandwidth = Bandwidth::uniform(0.25, snap.table().qi_count()).unwrap();
+        let fresh = Auditor::new(
+            Arc::new(Adversary::kernel(snap.table(), bandwidth)),
+            Arc::new(SmoothedJs::paper_default(
+                snap.table().schema().sensitive_distance(),
+            )),
+        )
+        .report(snap.table(), &snap.anonymized().row_groups(), 0.2);
+        for (x, y) in report.risks.iter().zip(&fresh.risks) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// Address of the prior model behind tenant `name`'s `Adv(b′)` entry.
+    fn adversary_model_addr(hub: &SessionHub, name: &str, b: f64) -> usize {
+        let entry = hub.tenant(name).unwrap();
+        let readers = relock(entry.readers.lock());
+        let cache = readers
+            .iter()
+            .find(|c| c.key == ReaderKey::Bandwidth(b.to_bits()))
+            .unwrap();
+        let model = cache.session.auditor().adversary().prior_model().unwrap();
+        Arc::as_ptr(model) as usize
+    }
+
+    #[test]
+    fn unshared_model_is_refreshed_in_place_and_shared_one_is_cloned() {
+        let hub = hub_with(&[("solo", 6), ("twin-a", 8), ("twin-b", 8)], 200, 4);
+        for name in ["solo", "twin-a", "twin-b"] {
+            hub.audit_against(name, 0.3, 0.2).unwrap();
+        }
+        let solo = adversary_model_addr(&hub, "solo", 0.3);
+        let twins = adversary_model_addr(&hub, "twin-a", 0.3);
+        assert_eq!(twins, adversary_model_addr(&hub, "twin-b", 0.3));
+        for name in ["solo", "twin-a"] {
+            let table = hub.snapshot(name).unwrap().table().clone();
+            hub.apply(name, &delta_for(&table, &[2, 9], 3, 31)).unwrap();
+            hub.audit_against(name, 0.3, 0.2).unwrap();
+        }
+        // The tenant held the only reference: same allocation, refreshed.
+        assert_eq!(adversary_model_addr(&hub, "solo", 0.3), solo);
+        // The twin's model was shared: the refresh worked on a clone and
+        // the other twin still holds the untouched original.
+        assert_ne!(adversary_model_addr(&hub, "twin-a", 0.3), twins);
+        assert_eq!(adversary_model_addr(&hub, "twin-b", 0.3), twins);
+    }
+
+    #[test]
+    fn older_snapshot_reader_does_not_roll_the_entry_back() {
+        let hub = hub_with(&[("a", 5)], 300, 4);
+        hub.audit_against("a", 0.3, 0.2).unwrap();
+        let old = hub.snapshot("a").unwrap();
+        let d = delta_for(old.table(), &[4, 80], 3, 19);
+        hub.apply("a", &d).unwrap();
+        hub.audit_against("a", 0.3, 0.2).unwrap();
+        // A reader that pinned version 0 before the apply arrives now.
+        let entry = hub.tenant("a").unwrap();
+        let bandwidth = Bandwidth::uniform(0.3, old.table().qi_count()).unwrap();
+        let stale = hub.adversary_session(&entry, &old, bandwidth.clone());
+        let report = old.audit_cached(&stale, 0.2);
+        let fresh = Auditor::new(
+            Arc::new(Adversary::kernel(old.table(), bandwidth)),
+            Arc::new(SmoothedJs::paper_default(
+                old.table().schema().sensitive_distance(),
+            )),
+        )
+        .report(old.table(), &old.anonymized().row_groups(), 0.2);
+        for (x, y) in report.risks.iter().zip(&fresh.risks) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        // The cached entry still serves version 1.
+        let cached: Vec<u64> = relock(entry.readers.lock())
+            .iter()
+            .map(|c| c.version)
+            .collect();
+        assert_eq!(cached, vec![1]);
+    }
+
+    #[test]
+    fn bad_bandwidths_are_typed_errors() {
+        let hub = hub_with(&[("a", 4)], 100, 4);
+        let snap = hub.snapshot("a").unwrap();
+        for b in [f64::NAN, 0.0, -0.3, f64::INFINITY] {
+            assert!(matches!(
+                hub.audit_against("a", b, 0.2),
+                Err(SessionError::Bandwidth(_))
+            ));
+            assert!(matches!(
+                snap.estimate_prior(b, Parallelism::Serial),
+                Err(SessionError::Bandwidth(_))
+            ));
+        }
+        // Nothing was cached for the rejected values.
+        assert!(relock(hub.tenant("a").unwrap().readers.lock()).is_empty());
     }
 
     #[test]

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use bgkanon_anon::{AnonymizedTable, AnyStrategy, StrategyState};
 use bgkanon_data::{Delta, Parallelism, Table};
+use bgkanon_knowledge::bandwidth::BandwidthError;
 use bgkanon_knowledge::{Adversary, Bandwidth, PriorEstimator, PriorModel};
 use bgkanon_privacy::{AuditReport, AuditSession, Auditor, PrivacyRequirement};
 use bgkanon_stats::SmoothedJs;
@@ -74,6 +75,8 @@ pub enum SessionError {
     /// directory. The message carries the cause (the variant keeps a
     /// `String` so `SessionError` stays `Clone`).
     Durability(String),
+    /// An adversary bandwidth `b′` was NaN, infinite or not positive.
+    Bandwidth(BandwidthError),
 }
 
 impl fmt::Display for SessionError {
@@ -84,6 +87,7 @@ impl fmt::Display for SessionError {
             SessionError::UnknownTenant(t) => write!(f, "no tenant `{t}` is registered"),
             SessionError::TenantExists(t) => write!(f, "tenant `{t}` is already registered"),
             SessionError::Durability(reason) => write!(f, "durability failure: {reason}"),
+            SessionError::Bandwidth(e) => write!(f, "invalid adversary bandwidth: {e}"),
         }
     }
 }
@@ -93,6 +97,7 @@ impl std::error::Error for SessionError {
         match self {
             SessionError::Data(e) => Some(e),
             SessionError::Publish(e) => Some(e),
+            SessionError::Bandwidth(e) => Some(e),
             SessionError::UnknownTenant(_)
             | SessionError::TenantExists(_)
             | SessionError::Durability(_) => None,
@@ -103,6 +108,12 @@ impl std::error::Error for SessionError {
 impl From<bgkanon_data::DataError> for SessionError {
     fn from(e: bgkanon_data::DataError) -> Self {
         SessionError::Data(e)
+    }
+}
+
+impl From<BandwidthError> for SessionError {
+    fn from(e: BandwidthError) -> Self {
+        SessionError::Bandwidth(e)
     }
 }
 

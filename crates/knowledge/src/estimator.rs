@@ -261,6 +261,30 @@ impl FoldedTable {
     /// points; the points come out already in lexicographic order, with no
     /// hash map and no per-point allocation.
     pub fn new(table: &Table) -> Self {
+        Self::fold(table, None)
+    }
+
+    /// [`new`](Self::new), also returning the point each row folded into:
+    /// `row_points[r]` is the sorted index of row `r`'s QI combination.
+    /// Filled during the same pass, so a per-row question about the fold
+    /// ("did this row's prior change?") is an array read, not a lookup.
+    ///
+    /// ```
+    /// use bgkanon_knowledge::FoldedTable;
+    ///
+    /// let table = bgkanon_data::toy::hospital_table();
+    /// let (folded, row_points) = FoldedTable::with_row_points(&table);
+    /// for (r, &p) in row_points.iter().enumerate() {
+    ///     assert_eq!(folded.point(p as usize).qi(), table.qi(r).as_slice());
+    /// }
+    /// ```
+    pub fn with_row_points(table: &Table) -> (Self, Vec<u32>) {
+        let mut row_points = vec![0u32; table.len()];
+        let folded = Self::fold(table, Some(&mut row_points));
+        (folded, row_points)
+    }
+
+    fn fold(table: &Table, mut row_points: Option<&mut [u32]>) -> Self {
         let d = table.qi_count();
         let m = table.schema().sensitive_domain_size();
         let n = table.len();
@@ -290,6 +314,9 @@ impl FoldedTable {
                     break;
                 }
                 hists[base + sens[r] as usize] += 1;
+                if let Some(points) = row_points.as_deref_mut() {
+                    points[r] = counts.len() as u32;
+                }
                 count += 1;
                 i += 1;
             }
@@ -602,6 +629,121 @@ impl FoldedTable {
         debug_assert_eq!(self.hists.len() - start, self.m);
         self.qi.extend_from_slice(qi);
         self.counts.push(count);
+    }
+
+    /// The QI combinations whose histogram differs between `self` and
+    /// `newer` (a point present in only one of them counts as changed),
+    /// in ascending order — the same set [`apply_delta`](Self::apply_delta)
+    /// returns for the deltas that lead from one fold to the other, found
+    /// by one merge of the two sorted point arrays.
+    fn changed_points(&self, newer: &FoldedTable) -> Vec<Box<[u32]>> {
+        use std::cmp::Ordering;
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut changed: Vec<Box<[u32]>> = Vec::new();
+        while i < self.len() || j < newer.len() {
+            let order = if i == self.len() {
+                Ordering::Greater
+            } else if j == newer.len() {
+                Ordering::Less
+            } else {
+                self.point_qi(i).cmp(newer.point_qi(j))
+            };
+            match order {
+                Ordering::Less => {
+                    changed.push(self.point_qi(i).into());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    changed.push(newer.point_qi(j).into());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    if self.point_hist(i) != newer.point_hist(j) {
+                        changed.push(newer.point_qi(j).into());
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        changed
+    }
+}
+
+/// The points whose prior a refresh recomputed, as a bitset over the sorted
+/// point indices of the refreshed model's fold
+/// ([`PriorEstimator::refresh_folded`]). Every point outside it kept its
+/// prior bit for bit; a group of rows none of which folds into a dirty point
+/// (see [`FoldedTable::with_row_points`]) therefore has the same risks under
+/// the refreshed model as under the old one.
+#[derive(Debug, Clone)]
+pub struct DirtyPoints {
+    /// Points in the fold the ids index.
+    points: usize,
+    bits: Vec<u64>,
+    count: usize,
+}
+
+impl DirtyPoints {
+    /// No point dirty, over a fold of `points` points.
+    fn none(points: usize) -> Self {
+        DirtyPoints {
+            points,
+            bits: vec![0; points.div_ceil(64)],
+            count: 0,
+        }
+    }
+
+    /// Every one of `points` points dirty.
+    fn all(points: usize) -> Self {
+        let mut bits = vec![!0u64; points / 64];
+        let tail = points % 64;
+        if tail > 0 {
+            bits.push((1u64 << tail) - 1);
+        }
+        DirtyPoints {
+            points,
+            bits,
+            count: points,
+        }
+    }
+
+    fn insert(&mut self, id: usize) {
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.count += 1;
+        }
+    }
+
+    /// Is point `id` dirty? Ids outside the fold count as dirty — a caller
+    /// holding an id the refresh never saw must not treat it as clean.
+    pub fn contains(&self, id: u32) -> bool {
+        let id = id as usize;
+        id >= self.points || self.bits[id / 64] & (1u64 << (id % 64)) != 0
+    }
+
+    /// Number of dirty points.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when the refresh changed no prior.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The dirty point ids, ascending.
+    fn ids(&self) -> Vec<u32> {
+        let mut ids = Vec::with_capacity(self.count);
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                ids.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        ids
     }
 }
 
@@ -1262,78 +1404,15 @@ impl PriorEstimator {
         if parallelism.is_serial() {
             return self.reference_from(folded);
         }
-        let mut folded = folded;
-        let mut fallback = folded.table_distribution();
+        let fallback = folded.table_distribution();
         let index = self.index(&folded);
-        let n_points = folded.len();
-        let threads = parallelism.effective_threads().min(n_points.max(1));
-        let mut results: Vec<Option<Dist>> = vec![None; n_points];
-        if threads <= 1 {
-            let mut buf = Vec::new();
-            let mut bits = Vec::new();
-            let mut numer = Vec::new();
-            for (i, slot) in results.iter_mut().enumerate() {
-                *slot = Some(self.query(
-                    &folded,
-                    &index,
-                    folded.point_qi(i),
-                    &fallback,
-                    &mut buf,
-                    &mut bits,
-                    &mut numer,
-                ));
-            }
-        } else {
-            // Worker jobs run on the process-wide pool — an estimation
-            // issued by a serving thread reuses the same workers as every
-            // other engine call instead of spawning a scope per call. Jobs
-            // are `'static`: the per-call fold/index/fallback move in
-            // behind `Arc`s (recovered after the barrier — the jobs have
-            // all dropped their handles by then) and each job carries its
-            // own estimator clone.
-            let chunk = n_points.div_ceil(threads);
-            let shared_folded = Arc::new(folded);
-            let shared_index = Arc::new(index);
-            let shared_fallback = Arc::new(fallback);
-            let jobs: Vec<_> = (0..n_points.div_ceil(chunk))
-                .map(|t| {
-                    let this = self.clone();
-                    let folded = Arc::clone(&shared_folded);
-                    let index = Arc::clone(&shared_index);
-                    let fallback = Arc::clone(&shared_fallback);
-                    move || {
-                        let mut buf = Vec::new();
-                        let mut bits = Vec::new();
-                        let mut numer = Vec::new();
-                        let start = t * chunk;
-                        (start..(start + chunk).min(folded.len()))
-                            .map(|i| {
-                                this.query(
-                                    &folded,
-                                    &index,
-                                    folded.point_qi(i),
-                                    &fallback,
-                                    &mut buf,
-                                    &mut bits,
-                                    &mut numer,
-                                )
-                            })
-                            .collect::<Vec<Dist>>()
-                    }
-                })
-                .collect();
-            let outputs = bgkanon_data::shared_pool().run(jobs);
-            for (t, chunk_out) in outputs.into_iter().enumerate() {
-                for (off, dist) in chunk_out.into_iter().enumerate() {
-                    results[t * chunk + off] = Some(dist);
-                }
-            }
-            folded = Arc::try_unwrap(shared_folded).expect("pool jobs have joined");
-            fallback = Arc::try_unwrap(shared_fallback).expect("pool jobs have joined");
-        }
-        let priors = (0..n_points)
-            .zip(results)
-            .map(|(i, d)| (folded.point_qi(i).into(), d.expect("filled above")))
+        let ids: Vec<u32> = (0..folded.len() as u32).collect();
+        let (folded, fallback, dists) =
+            self.query_points(folded, index, fallback, &ids, parallelism);
+        let priors = dists
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| (folded.point_qi(i).into(), d))
             .collect();
         PriorModel {
             priors,
@@ -1342,6 +1421,82 @@ impl PriorEstimator {
             bandwidth: Some(self.bandwidth.clone()),
             family: self.family,
         }
+    }
+
+    /// The sparse engine's priors at the points `ids` of `folded`, aligned
+    /// with `ids`, on `parallelism` workers. Worker jobs run on the
+    /// process-wide pool, so an estimation or refresh issued by a serving
+    /// thread reuses the same workers as every other engine call instead
+    /// of spawning a scope per call. Jobs are `'static`: the fold, index
+    /// and fallback move in behind one `Arc` and come back out with the
+    /// priors (the jobs have all dropped their handles once the pool
+    /// returns), and each job carries its own estimator clone.
+    fn query_points(
+        &self,
+        folded: FoldedTable,
+        index: SupportIndex,
+        fallback: Dist,
+        ids: &[u32],
+        parallelism: Parallelism,
+    ) -> (FoldedTable, Dist, Vec<Dist>) {
+        let threads = parallelism.effective_threads().min(ids.len().max(1));
+        if threads <= 1 {
+            let mut buf = Vec::new();
+            let mut bits = Vec::new();
+            let mut numer = Vec::new();
+            let dists = ids
+                .iter()
+                .map(|&id| {
+                    self.query(
+                        &folded,
+                        &index,
+                        folded.point_qi(id as usize),
+                        &fallback,
+                        &mut buf,
+                        &mut bits,
+                        &mut numer,
+                    )
+                })
+                .collect();
+            return (folded, fallback, dists);
+        }
+        let shared = Arc::new((folded, index, fallback));
+        let jobs: Vec<_> = ids
+            .chunks(ids.len().div_ceil(threads))
+            .map(|chunk| {
+                let this = self.clone();
+                let shared = Arc::clone(&shared);
+                let chunk = chunk.to_vec();
+                move || {
+                    let (folded, index, fallback) = &*shared;
+                    let mut buf = Vec::new();
+                    let mut bits = Vec::new();
+                    let mut numer = Vec::new();
+                    chunk
+                        .iter()
+                        .map(|&id| {
+                            this.query(
+                                folded,
+                                index,
+                                folded.point_qi(id as usize),
+                                fallback,
+                                &mut buf,
+                                &mut bits,
+                                &mut numer,
+                            )
+                        })
+                        .collect::<Vec<Dist>>()
+                }
+            })
+            .collect();
+        let dists = bgkanon_data::shared_pool()
+            .run(jobs)
+            .into_iter()
+            .flatten()
+            .collect();
+        let (folded, _, fallback) =
+            Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
+        (folded, fallback, dists)
     }
 
     /// The dense all-pairs **reference** engine: a direct `O(u²·(d+m))`
@@ -1440,13 +1595,13 @@ impl PriorEstimator {
     }
 
     /// Evolve `model` by one delta against its estimation table, where
-    /// `table` is the **pre-delta** table the model currently reflects.
-    /// Compact kernel support means the delta can only perturb priors
-    /// within the product-kernel neighborhood of the changed QI points, so
-    /// only that dirty neighborhood is recomputed (under `parallelism`
+    /// `table` is the **pre-delta** table the model currently reflects:
+    /// [`FoldedTable::apply_delta`] yields the changed points, then the
+    /// same dirty-neighborhood recompute as
+    /// [`refresh_folded`](Self::refresh_folded) runs (under `parallelism`
     /// worker threads; `Serial` recomputes on one thread). The result is
-    /// **bit-identical** to a from-scratch
-    /// [`estimate`](Self::estimate) of the post-delta table.
+    /// **bit-identical** to a from-scratch [`estimate`](Self::estimate) of
+    /// the post-delta table.
     ///
     /// # Panics
     ///
@@ -1462,9 +1617,8 @@ impl PriorEstimator {
         delta: &Delta,
         parallelism: Parallelism,
     ) {
-        let t0 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-                                            // Checked here, before the fold is taken out of the model, so a
-                                            // panic leaves the model fully intact.
+        // Checked here, before the fold is taken out of the model, so a
+        // panic leaves the model fully intact.
         assert!(
             table.len() + delta.insert_count() > delta.delete_count(),
             "delta would empty the table"
@@ -1474,26 +1628,104 @@ impl PriorEstimator {
             .take()
             .expect("model is not refreshable (built without a folded table)");
         let changed = folded.apply_delta(table, delta);
+        self.refresh_changed(model, folded, &changed, parallelism);
+    }
+
+    /// Refresh `model` to the table `folded` was built from, however many
+    /// deltas separate it from the table the model reflects — no delta log
+    /// needed. The model's own fold is diffed against `folded` (one merge
+    /// of two sorted point arrays), then only the kernel neighborhood of
+    /// the changed points is recomputed, exactly as
+    /// [`refresh_with`](Self::refresh_with) does. The refreshed model is
+    /// **bit-identical** to [`estimate_folded`](Self::estimate_folded) of
+    /// `folded`, and retains `folded` as its fold.
+    ///
+    /// Returns the points whose prior was recomputed, indexed like
+    /// `folded`. A model that carries no fold, or was estimated with
+    /// another bandwidth or kernel family, is re-estimated in full and
+    /// every point is reported dirty.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use bgkanon_data::{DeltaBuilder, Parallelism};
+    /// use bgkanon_knowledge::{Bandwidth, FoldedTable, PriorEstimator};
+    ///
+    /// let table = bgkanon_data::adult::generate(150, 7);
+    /// let estimator = PriorEstimator::new(
+    ///     Arc::clone(table.schema()),
+    ///     Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
+    /// );
+    /// let mut model = estimator.estimate(&table);
+    ///
+    /// // Two deltas later, refresh straight from the newest table's fold.
+    /// let mut next = table.clone();
+    /// for rows in [[3, 40], [7, 90]] {
+    ///     let mut delta = DeltaBuilder::new(Arc::clone(table.schema()));
+    ///     delta.delete(rows[0]).delete(rows[1]);
+    ///     next = next.apply_delta(&delta.build()).unwrap();
+    /// }
+    /// let dirty = estimator.refresh_folded(&mut model, FoldedTable::new(&next), Parallelism::Auto);
+    /// assert!(dirty.len() < model.len());
+    ///
+    /// let fresh = estimator.estimate(&next);
+    /// for (qi, p) in fresh.iter() {
+    ///     assert_eq!(p, model.prior(qi).unwrap());
+    /// }
+    /// ```
+    pub fn refresh_folded(
+        &self,
+        model: &mut PriorModel,
+        folded: FoldedTable,
+        parallelism: Parallelism,
+    ) -> DirtyPoints {
+        let same_provenance = model.family == self.family
+            && model.bandwidth.as_ref() == Some(&self.bandwidth)
+            && model
+                .folded
+                .as_ref()
+                .is_some_and(|old| old.qi_count == folded.qi_count && old.m == folded.m);
+        match model.folded.take() {
+            Some(old) if same_provenance => {
+                let changed = old.changed_points(&folded);
+                drop(old);
+                self.refresh_changed(model, folded, &changed, parallelism)
+            }
+            _ => {
+                *model = self.estimate_folded(folded, parallelism);
+                DirtyPoints::all(model.len())
+            }
+        }
+    }
+
+    /// The one refresh core behind [`refresh_with`](Self::refresh_with)
+    /// and [`refresh_folded`](Self::refresh_folded). `folded` is the new
+    /// fold and `changed` the QI combinations whose histogram differs from
+    /// the fold `model` was estimated on. Compact kernel support means only
+    /// priors within the (symmetric) product-kernel support of a changed
+    /// combination can move, so exactly those points are recomputed, in
+    /// ascending order; combinations deleted outright lose their prior.
+    fn refresh_changed(
+        &self,
+        model: &mut PriorModel,
+        folded: FoldedTable,
+        changed: &[Box<[u32]>],
+        parallelism: Parallelism,
+    ) -> DirtyPoints {
+        let mut dirty = DirtyPoints::none(folded.len());
         if changed.is_empty() {
             model.folded = Some(folded);
-            return;
+            return dirty;
         }
-        let t1 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-        let mut fallback = folded.table_distribution();
+        let fallback = folded.table_distribution();
         let index = self.index(&folded);
-        let t2 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-
-        // Mark the dirty neighborhood: every point within the (symmetric)
-        // product-kernel support of a changed QI combination.
-        let mut dirty = vec![false; folded.len()];
         let mut buf = Vec::new();
         let mut bits = Vec::new();
-        for key in &changed {
+        for key in changed {
             // Order is irrelevant for marking — skip the sort.
             let candidates = self.candidates(&folded, &index, key, &mut buf, &mut bits, false);
             let mut mark = |id: usize| {
-                if !dirty[id] && self.pair_weight(key, folded.point_qi(id)) > 0.0 {
-                    dirty[id] = true;
+                if self.pair_weight(key, folded.point_qi(id)) > 0.0 {
+                    dirty.insert(id);
                 }
             };
             match candidates {
@@ -1501,106 +1733,21 @@ impl PriorEstimator {
                 CandidateSet::Range(lo, hi) => (lo..hi).for_each(&mut mark),
                 CandidateSet::List(ids) => ids.iter().for_each(|&id| mark(id as usize)),
             }
-            // Combinations deleted outright no longer have a prior.
             if folded.find(key).is_none() {
                 model.priors.remove(key);
             }
         }
-        let mut dirty_ids: Vec<u32> = dirty
-            .iter()
-            .enumerate()
-            .filter_map(|(id, &d)| d.then_some(id as u32))
-            .collect();
-        let t3 = std::time::Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-
-        // Recompute exactly the dirty points, in deterministic order.
-        let threads = parallelism.effective_threads().min(dirty_ids.len().max(1));
-        let mut results: Vec<Option<Dist>> = vec![None; dirty_ids.len()];
-        if threads <= 1 {
-            let mut numer = Vec::new();
-            for (slot, &id) in results.iter_mut().zip(&dirty_ids) {
-                *slot = Some(self.query(
-                    &folded,
-                    &index,
-                    folded.point_qi(id as usize),
-                    &fallback,
-                    &mut buf,
-                    &mut bits,
-                    &mut numer,
-                ));
-            }
-        } else {
-            // Worker jobs run on the process-wide pool, same as the
-            // `estimate` path — a serving thread's refresh never opens a
-            // per-call scope. Jobs are `'static`: the fold/index/fallback
-            // and the dirty-id list move in behind `Arc`s (recovered after
-            // the barrier — the jobs have all dropped their handles by
-            // then) and each job carries its own estimator clone.
-            let chunk = dirty_ids.len().div_ceil(threads);
-            let shared_folded = Arc::new(folded);
-            let shared_index = Arc::new(index);
-            let shared_fallback = Arc::new(fallback);
-            let shared_ids = Arc::new(dirty_ids);
-            let jobs: Vec<_> = (0..shared_ids.len().div_ceil(chunk))
-                .map(|t| {
-                    let this = self.clone();
-                    let folded = Arc::clone(&shared_folded);
-                    let index = Arc::clone(&shared_index);
-                    let fallback = Arc::clone(&shared_fallback);
-                    let ids = Arc::clone(&shared_ids);
-                    move || {
-                        let mut buf = Vec::new();
-                        let mut bits = Vec::new();
-                        let mut numer = Vec::new();
-                        let start = t * chunk;
-                        ids[start..(start + chunk).min(ids.len())]
-                            .iter()
-                            .map(|&id| {
-                                this.query(
-                                    &folded,
-                                    &index,
-                                    folded.point_qi(id as usize),
-                                    &fallback,
-                                    &mut buf,
-                                    &mut bits,
-                                    &mut numer,
-                                )
-                            })
-                            .collect::<Vec<Dist>>()
-                    }
-                })
-                .collect();
-            let outputs = bgkanon_data::shared_pool().run(jobs);
-            for (t, chunk_out) in outputs.into_iter().enumerate() {
-                for (off, dist) in chunk_out.into_iter().enumerate() {
-                    results[t * chunk + off] = Some(dist);
-                }
-            }
-            folded = Arc::try_unwrap(shared_folded).expect("pool jobs have joined");
-            fallback = Arc::try_unwrap(shared_fallback).expect("pool jobs have joined");
-            dirty_ids = Arc::try_unwrap(shared_ids).expect("pool jobs have joined");
-        }
-        for (&id, dist) in dirty_ids.iter().zip(results) {
-            model.priors.insert(
-                folded.point_qi(id as usize).into(),
-                dist.expect("filled above"),
-            );
+        let ids = dirty.ids();
+        let (folded, fallback, dists) =
+            self.query_points(folded, index, fallback, &ids, parallelism);
+        for (&id, dist) in ids.iter().zip(dists) {
+            model
+                .priors
+                .insert(folded.point_qi(id as usize).into(), dist);
         }
         model.table_distribution = fallback;
-        if std::env::var("BGK_PROFILE").is_ok() {
-            eprintln!(
-                "refresh: points={} changed={} dirty={} fold={:?} index={:?} mark={:?} \
-                 recompute={:?}",
-                folded.len(),
-                changed.len(),
-                dirty_ids.len(),
-                t1 - t0,
-                t2 - t1,
-                t3 - t2,
-                t3.elapsed(),
-            );
-        }
         model.folded = Some(folded);
+        dirty
     }
 }
 

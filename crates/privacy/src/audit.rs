@@ -37,7 +37,7 @@ use bgkanon_data::{Layout, Parallelism, Table};
 use bgkanon_inference::{
     exact_posteriors, omega_column_sums, omega_posterior_into, omega_posteriors, GroupPriors,
 };
-use bgkanon_knowledge::Adversary;
+use bgkanon_knowledge::{Adversary, DirtyPoints};
 use bgkanon_stats::measure::BeliefDistance;
 use bgkanon_stats::Dist;
 
@@ -862,6 +862,16 @@ impl AuditSession {
     }
 }
 
+/// Stamp-cache entries read out of one [`SharedAuditSession`]
+/// ([`carry_stamps`](SharedAuditSession::carry_stamps)) for a successor
+/// session ([`carried`](SharedAuditSession::carried)): one optional risk
+/// vector per stamp asked for. Holding it does not keep the old session or
+/// its adversary model alive.
+#[derive(Debug)]
+pub struct StampCarry {
+    risks: Vec<Option<Arc<Vec<f64>>>>,
+}
+
 /// The caches a [`SharedAuditSession`] protects with its one mutex.
 struct SharedCaches {
     memo: HashMap<Vec<u64>, CacheEntry>,
@@ -941,6 +951,74 @@ impl SharedAuditSession {
                 generation: 0,
             }),
         }
+    }
+
+    /// Open a session for an adversary whose prior model was refreshed from
+    /// the one behind `carry`'s session, seeded with the carried stamp
+    /// entries of every **clean** group: its stamp was cached there and
+    /// none of its rows folds into a point whose prior the refresh
+    /// recomputed. Such a group has the same member tuples (the stamp
+    /// contract) and, member by member, bit-identical priors and sensitive
+    /// histogram, so its risks are exactly the cached ones. Every other
+    /// group misses and is solved on the first report. The signature memo
+    /// is never carried: it is keyed by prior identities inside the old
+    /// model, which a refresh may move or overwrite.
+    ///
+    /// `groups` and `stamps` are the new version's, `row_points[r]` is the
+    /// refreshed fold's point for row `r`
+    /// ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)),
+    /// and `dirty` is what
+    /// [`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)
+    /// returned.
+    pub fn carried(
+        auditor: Auditor,
+        carry: StampCarry,
+        groups: &[&[usize]],
+        stamps: &[u64],
+        row_points: &[u32],
+        dirty: &DirtyPoints,
+    ) -> Self {
+        let mut inherited = HashMap::new();
+        for ((rows, &stamp), risks) in groups.iter().zip(stamps).zip(carry.risks) {
+            let Some(risks) = risks else {
+                continue;
+            };
+            let clean = risks.len() == rows.len()
+                && rows
+                    .iter()
+                    .all(|&r| row_points.get(r).is_some_and(|&p| !dirty.contains(p)));
+            if clean {
+                inherited.insert(
+                    stamp,
+                    CacheEntry {
+                        generation: 0,
+                        risks,
+                    },
+                );
+            }
+        }
+        SharedAuditSession {
+            auditor,
+            caches: Mutex::new(SharedCaches {
+                memo: HashMap::new(),
+                stamps: inherited,
+                generation: 0,
+            }),
+        }
+    }
+
+    /// The risks this session has cached under each of `group_stamps`
+    /// (`Arc` clones; the session is left as it was), for
+    /// [`carried`](Self::carried) to hand to a successor session.
+    pub fn carry_stamps(&self, group_stamps: &[u64]) -> StampCarry {
+        let risks = match self.caches.lock() {
+            Ok(caches) => group_stamps
+                .iter()
+                .map(|s| caches.stamps.get(s).map(|e| Arc::clone(&e.risks)))
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        StampCarry { risks }
     }
 
     /// The wrapped auditor.

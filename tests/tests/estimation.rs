@@ -1,8 +1,9 @@
 //! Property tests of the sparse compact-support estimation engine: for any
 //! table, bandwidth and kernel family, the neighbor-bounded sparse engine
 //! must be **bit-identical** to the dense all-pairs reference, and a
-//! refreshed model must be bit-identical to a from-scratch estimate of the
-//! final table after **any** delta sequence.
+//! refreshed model — one delta at a time, or straight from the fold of a
+//! table any number of deltas later — must be bit-identical to a
+//! from-scratch estimate of the final table after **any** delta sequence.
 
 use std::sync::Arc;
 
@@ -10,7 +11,7 @@ use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
-use bgkanon::knowledge::{Bandwidth, FoldedTable, KernelFamily, PriorEstimator};
+use bgkanon::knowledge::{Bandwidth, FoldedTable, KernelFamily, PriorEstimator, PriorModel};
 use bgkanon::stats::Dist;
 
 fn family(index: usize) -> KernelFamily {
@@ -142,6 +143,175 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fold-diff refresh spans a gap of 1–4 unaudited deltas in one
+    /// step: bit-identical to `estimate_folded` of the final table, with
+    /// every point outside the reported dirty set keeping its old prior
+    /// bit for bit — and identical to stepping `refresh_with` through the
+    /// same deltas, which runs on the same core.
+    #[test]
+    fn fold_diff_refresh_is_bit_identical_across_delta_gaps(
+        rows in 40usize..220,
+        seed in 0u64..500,
+        b in 0.05f64..0.9,
+        family_index in 0usize..3,
+        gap in 1usize..5,
+        threads in 1usize..4,
+    ) {
+        let mut table = adult::generate(rows, seed);
+        let estimator = PriorEstimator::with_family(
+            Arc::clone(table.schema()),
+            Bandwidth::uniform(b, table.qi_count()).expect("positive bandwidth"),
+            family(family_index),
+        );
+        let before = estimator.estimate(&table);
+        let mut stepped = before.clone();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xf01d_d1ff);
+        for step in 0..gap {
+            let delta = random_delta(&table, &mut rng, 0.05, 1 + step);
+            let Ok(next) = table.apply_delta(&delta) else {
+                break;
+            };
+            estimator.refresh_with(&mut stepped, &table, &delta, Parallelism::threads(threads));
+            table = next;
+        }
+        let context = format!("rows={rows} seed={seed} b={b} family={family_index} gap={gap}");
+        let mut model = before.clone();
+        let dirty = estimator.refresh_folded(
+            &mut model,
+            FoldedTable::new(&table),
+            Parallelism::threads(threads),
+        );
+        let fresh = estimator.estimate_folded(FoldedTable::new(&table), Parallelism::Serial);
+        assert_bit_identical(&fresh, &model, &context)?;
+        assert_bit_identical(&stepped, &model, &context)?;
+        let folded = model.folded().expect("refreshed models keep their fold");
+        prop_assert!(folded.content_eq(&FoldedTable::new(&table)), "fold: {}", &context);
+        for (id, point) in folded.points().enumerate() {
+            if dirty.contains(id as u32) {
+                continue;
+            }
+            let old = before.prior(point.qi());
+            prop_assert!(old.is_some(), "clean point was not in the old model: {}", &context);
+            let new = model.prior(point.qi()).expect("every point has a prior");
+            for (x, y) in old.expect("checked").as_slice().iter().zip(new.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "clean prior moved: {}", &context);
+            }
+        }
+    }
+}
+
+/// A delta over `table` deleting every row of its first distinct QI
+/// combination and inserting `inserts` rows at a combination the table
+/// does not contain; returns the delta and both combinations.
+fn delete_point_insert_unseen(table: &Table, inserts: usize) -> (Delta, Box<[u32]>, Vec<u32>) {
+    let folded = FoldedTable::new(table);
+    let gone: Box<[u32]> = folded.point(0).qi().into();
+    let mut unseen = table.qi(0);
+    loop {
+        unseen[0] = (unseen[0] + 1) % table.schema().qi_attribute(0).domain_size();
+        if folded.find(&unseen).is_none() {
+            break;
+        }
+    }
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    for row in 0..table.len() {
+        if table.qi(row).as_slice() == gone.as_ref() {
+            builder.delete(row);
+        }
+    }
+    for i in 0..inserts {
+        builder
+            .insert_codes(&unseen, (i % 2) as u32)
+            .expect("codes come from the schema");
+    }
+    (builder.build(), gone, unseen)
+}
+
+#[test]
+fn fold_diff_refresh_drops_deleted_points_and_adds_unseen_ones() {
+    let table = adult::generate(300, 41);
+    let estimator = PriorEstimator::new(
+        Arc::clone(table.schema()),
+        Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
+    );
+    let mut model = estimator.estimate(&table);
+    let (delta, gone, unseen) = delete_point_insert_unseen(&table, 3);
+    let next = table.apply_delta(&delta).unwrap();
+    let (folded, row_points) = FoldedTable::with_row_points(&next);
+    let unseen_id = folded.find(&unseen).expect("inserted point is folded") as u32;
+    let dirty = estimator.refresh_folded(&mut model, folded, Parallelism::Auto);
+    assert!(model.prior(&gone).is_none(), "deleted point keeps a prior");
+    assert!(
+        model.prior(&unseen).is_some(),
+        "inserted point has no prior"
+    );
+    assert!(dirty.contains(unseen_id));
+    assert!(!dirty.is_empty() && dirty.len() < model.len());
+    // Row → point ids index the refreshed model's fold.
+    let refreshed = model.folded().unwrap();
+    for (r, &p) in row_points.iter().enumerate() {
+        assert_eq!(refreshed.point(p as usize).qi(), next.qi(r).as_slice());
+    }
+    let fresh = estimator.estimate_folded(FoldedTable::new(&next), Parallelism::Auto);
+    assert_same_model(&fresh, &model);
+}
+
+#[test]
+fn net_zero_delta_dirties_nothing_and_leaves_the_model_unchanged() {
+    // Delete a row and insert an identical one: the table's rows move, but
+    // its fold — and therefore every prior — is unchanged.
+    let table = adult::generate(200, 13);
+    let estimator = PriorEstimator::new(
+        Arc::clone(table.schema()),
+        Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
+    );
+    let before = estimator.estimate(&table);
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    builder.delete(17);
+    builder
+        .insert_codes(&table.qi(17), table.sensitive_value(17))
+        .unwrap();
+    let delta = builder.build();
+    let next = table.apply_delta(&delta).unwrap();
+    let mut folded_model = before.clone();
+    let dirty = estimator.refresh_folded(
+        &mut folded_model,
+        FoldedTable::new(&next),
+        Parallelism::Auto,
+    );
+    assert!(dirty.is_empty());
+    assert_same_model(&before, &folded_model);
+    let mut stepped = before.clone();
+    estimator.refresh_with(&mut stepped, &table, &delta, Parallelism::Auto);
+    assert_same_model(&before, &stepped);
+}
+
+#[test]
+fn fold_diff_refresh_of_a_foreign_model_re_estimates_in_full() {
+    // A model estimated at another bandwidth carries the wrong provenance:
+    // it is replaced by a full estimate, and every point is dirty.
+    let table = adult::generate(150, 5);
+    let narrow = PriorEstimator::new(
+        Arc::clone(table.schema()),
+        Bandwidth::uniform(0.2, table.qi_count()).unwrap(),
+    );
+    let wide = PriorEstimator::new(
+        Arc::clone(table.schema()),
+        Bandwidth::uniform(0.6, table.qi_count()).unwrap(),
+    );
+    let mut model = narrow.estimate(&table);
+    let dirty = wide.refresh_folded(&mut model, FoldedTable::new(&table), Parallelism::Auto);
+    assert_eq!(dirty.len(), model.len());
+    assert_same_model(&wide.estimate(&table), &model);
+}
+
+fn assert_same_model(a: &PriorModel, b: &PriorModel) {
+    assert_bit_identical(a, b, "deterministic case").expect("models are bit-identical");
 }
 
 #[test]

@@ -272,3 +272,54 @@ fn in_memory_budget_never_loses_tenants() {
     assert_eq!(stats.resident_tenants, 3);
     assert_eq!(stats.rehydrations, 0);
 }
+
+/// A fresh `Adv(b′)` audit of `snapshot`'s version through an uncached
+/// [`Auditor`] with a newly estimated adversary.
+fn fresh_adversary_report(snapshot: &TenantSnapshot, b_prime: f64, t: f64) -> AuditReport {
+    let table = snapshot.table();
+    let adversary = Arc::new(bgkanon::knowledge::Adversary::kernel(
+        table,
+        bgkanon::knowledge::Bandwidth::uniform(b_prime, table.qi_count()).unwrap(),
+    ));
+    let measure: Arc<dyn BeliefDistance> = Arc::new(SmoothedJs::paper_default(
+        table.schema().sensitive_distance(),
+    ));
+    Auditor::new(adversary, measure).report(table, &snapshot.anonymized().row_groups(), t)
+}
+
+/// Demotion drops a tenant's carried `Adv(b′)` entry with the rest of its
+/// caches: the audit after rehydration estimates afresh and still matches
+/// a fresh auditor bit for bit, before and after further deltas.
+#[test]
+fn evicted_tenant_audits_fresh_after_rehydration() {
+    let dir = tmp_dir("evict_rehydrate_audit");
+    let (hub, _) = SessionHub::open_with(&dir, lockstep_options(Some(1), 2)).unwrap();
+    let publisher = Publisher::new().k_anonymity(4);
+    for i in 0..2u64 {
+        hub.register(&format!("t{i}"), &adult::generate(140, i + 70), &publisher)
+            .unwrap();
+    }
+    let mut rng = SmallRng::seed_from_u64(71);
+    for step in 0..3 {
+        // Auditing t1 demotes t0 under the 1-byte budget; the next touch
+        // of t0 rehydrates it.
+        hub.audit_against("t0", 0.3, 0.2).unwrap();
+        hub.audit_against("t1", 0.3, 0.2).unwrap();
+        let table = hub.snapshot("t0").unwrap().table().clone();
+        hub.apply("t0", &random_delta(&table, &mut rng, 0.03, 3))
+            .unwrap();
+        hub.audit_against("t1", 0.3, 0.2).unwrap();
+        let report = hub.audit_against("t0", 0.3, 0.2).unwrap();
+        let snapshot = hub.snapshot("t0").unwrap();
+        assert_same_report(
+            &report,
+            &fresh_adversary_report(&snapshot, 0.3, 0.2),
+            &format!("t0 after rehydration, step {step}"),
+        );
+    }
+    let stats = hub.memory_stats();
+    assert!(stats.evictions > 0);
+    assert!(stats.rehydrations > 0);
+    drop(hub);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -293,3 +293,95 @@ fn hub_readers_pin_versions_while_writers_advance() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }
+
+/// A fresh `Adv(B_PRIME)` audit of `snapshot`'s version: a newly
+/// estimated adversary and an uncached [`Auditor`] — the reference every
+/// carried-forward hub audit must match bit for bit.
+fn fresh_adversary_report(snapshot: &TenantSnapshot) -> AuditReport {
+    tenant_auditor(snapshot.table()).report(
+        snapshot.table(),
+        &snapshot.anonymized().row_groups(),
+        THRESHOLD,
+    )
+}
+
+fn assert_same_risks(a: &AuditReport, b: &AuditReport, context: &str) {
+    assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits(), "{context}");
+    assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{context}");
+    assert_eq!(a.vulnerable, b.vulnerable, "{context}");
+    assert_eq!(a.risks.len(), b.risks.len(), "{context}");
+    for (x, y) in a.risks.iter().zip(&b.risks) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{context}");
+    }
+}
+
+#[test]
+fn adversary_refresh_spans_several_unaudited_applies() {
+    // The model carried from version 0 is refreshed straight to version 4:
+    // the fold difference spans all four deltas, no delta log involved.
+    let hub = SessionHub::new();
+    hub.register("gap", &tenant_table(1), &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    let first = hub.audit_against("gap", B_PRIME, THRESHOLD).expect("audit");
+    assert_same_risks(
+        &first,
+        &fresh_adversary_report(&hub.snapshot("gap").expect("registered")),
+        "version 0",
+    );
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x6a9);
+    for _ in 0..4 {
+        let current = hub.snapshot("gap").expect("registered").table().clone();
+        hub.apply("gap", &random_delta(&current, &mut rng))
+            .expect("valid delta");
+    }
+    let carried = hub.audit_against("gap", B_PRIME, THRESHOLD).expect("audit");
+    let snapshot = hub.snapshot("gap").expect("registered");
+    assert_eq!(snapshot.version(), 4);
+    assert_same_risks(&carried, &fresh_adversary_report(&snapshot), "version 4");
+    // One entry per b′ is kept and replayed until the next apply.
+    let replay = hub.audit_against("gap", B_PRIME, THRESHOLD).expect("audit");
+    assert_same_risks(&replay, &carried, "replay of version 4");
+}
+
+#[test]
+fn shared_interned_model_is_never_refreshed_in_place() {
+    // Two tenants with identical tables share one interned Adv(b′) model.
+    // When one of them moves on, its refresh must clone the shared model:
+    // the other tenant's audits stay exactly what they were.
+    let hub = SessionHub::new();
+    let publisher = Publisher::new().k_anonymity(K);
+    let table = tenant_table(2);
+    hub.register("left", &table, &publisher)
+        .expect("satisfiable");
+    hub.register("right", &table, &publisher)
+        .expect("satisfiable");
+    hub.audit_against("left", B_PRIME, THRESHOLD)
+        .expect("audit");
+    let before = hub
+        .audit_against("right", B_PRIME, THRESHOLD)
+        .expect("audit");
+    assert_eq!(hub.memory_stats().interned_models, 1);
+    assert_eq!(hub.memory_stats().intern_hits, 1);
+
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x5a4e);
+    let delta = random_delta(&table, &mut rng);
+    hub.apply("left", &delta).expect("valid delta");
+    let left = hub
+        .audit_against("left", B_PRIME, THRESHOLD)
+        .expect("audit");
+    assert_same_risks(
+        &left,
+        &fresh_adversary_report(&hub.snapshot("left").expect("registered")),
+        "left after its delta",
+    );
+    let right = hub
+        .audit_against("right", B_PRIME, THRESHOLD)
+        .expect("audit");
+    assert_same_risks(&right, &before, "right after left's delta");
+    assert_same_risks(
+        &right,
+        &fresh_adversary_report(&hub.snapshot("right").expect("registered")),
+        "right against a fresh auditor",
+    );
+    assert_eq!(hub.memory_stats().interned_models, 2);
+}
