@@ -537,11 +537,17 @@ fn rule_r2(ctx: &FileCtx<'_>, out: &mut FileAnalysis) {
     }
 }
 
+/// Print macros rule R3 (c) keeps out of library code.
+const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
+
 /// R3 — determinism. (a) Iterating a `HashMap`/`HashSet` in library code
 /// makes output depend on the hash seed; use `BTreeMap`/`BTreeSet` or sort
 /// and annotate the site `// bgk-allow: R3 <how it is sorted>`.
 /// (b) `Instant::now` / `SystemTime::now` outside `crates/bench` makes
 /// library behavior time-dependent; profile-only timers must be annotated.
+/// (c) `env::var` reads and `println!`/`eprintln!` make library behavior
+/// depend on the process environment and write to streams the caller does
+/// not own; configuration and telemetry are typed inputs and outputs.
 fn rule_r3(ctx: &FileCtx<'_>, out: &mut FileAnalysis) {
     let t = ctx.tokens;
     // Pass 1: collect identifiers declared with a hash-ordered type.
@@ -677,6 +683,49 @@ fn rule_r3(ctx: &FileCtx<'_>, out: &mut FileAnalysis) {
                 format!(
                     "fn {fn_name}: `{}::now()` in library code — timing belongs in \
                      crates/bench; profile-only timers need `bgk-allow: R3`",
+                    tok.text
+                ),
+                out,
+                &mut counts,
+            );
+        }
+        // (c) environment reads in library code.
+        if tok.is_ident("env")
+            && i + 3 < t.len()
+            && t[i + 1].is_punct(':')
+            && t[i + 2].is_punct(':')
+            && (t[i + 3].is_ident("var") || t[i + 3].is_ident("var_os"))
+            && !ctx.allowed("R3", tok.line)
+        {
+            let fn_name = ctx.fn_at(i).to_owned();
+            report(
+                format!("{fn_name}|env::{}", t[i + 3].text),
+                tok.line,
+                &fn_name,
+                format!(
+                    "fn {fn_name}: `env::{}` in library code — take configuration as a \
+                     typed parameter; only bins and crates/bench read the environment",
+                    t[i + 3].text
+                ),
+                out,
+                &mut counts,
+            );
+        }
+        // (c) print macros in library code.
+        if tok.kind == TokenKind::Ident
+            && PRINT_MACROS.contains(&tok.text.as_str())
+            && i + 1 < t.len()
+            && t[i + 1].is_punct('!')
+            && !ctx.allowed("R3", tok.line)
+        {
+            let fn_name = ctx.fn_at(i).to_owned();
+            report(
+                format!("{fn_name}|{}!", tok.text),
+                tok.line,
+                &fn_name,
+                format!(
+                    "fn {fn_name}: `{}!` in library code — return diagnostics as typed \
+                     output; only bins and crates/bench print",
                     tok.text
                 ),
                 out,
@@ -954,9 +1003,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `HashMap`/`HashSet` orders by hash seed, and wall-clock reads \
              (`Instant::now`/`SystemTime::now`) leak time into library behavior — \
              both are confined to `crates/bench` (and annotated profile timers). \
-             Fix by switching to BTree collections (as `Table::group_by_qi` and \
-             `FullDomain::partition` do) or sorting before emission, then annotate \
-             the site `// bgk-allow: R3 <how order is restored>`."
+             Environment reads (`env::var`) and print macros \
+             (`println!`/`eprintln!`) make library behavior depend on the process \
+             environment and write to streams the caller does not own; they are \
+             confined to bins, `crates/bench` and `crates/analyze` (test code is \
+             exempt). Fix by switching to BTree collections (as \
+             `Table::group_by_qi` and `FullDomain::partition` do) or sorting \
+             before emission, by passing configuration and returning telemetry as \
+             typed values, then annotate any sanctioned site \
+             `// bgk-allow: R3 <why>`."
         }
         "R4" => {
             "R4 cache growth — every `insert`/`entry` into a `*cache*`/`*memo*` \
@@ -1094,6 +1149,39 @@ mod tests {
              let t = std::time::Instant::now();\n}");
         assert_eq!(a.findings.iter().filter(|f| f.rule == "R3").count(), 1);
         assert!(a.findings[0].key.contains("Instant"));
+    }
+
+    #[test]
+    fn r3_flags_env_reads_and_prints_outside_tests() {
+        let bad = lib("fn f() {\n\
+             if std::env::var(\"X\").is_ok() { eprintln!(\"x\"); }\n\
+             let _ = env::var_os(\"Y\"); println!(\"y\");\n}");
+        let keys: Vec<&str> = bad
+            .findings
+            .iter()
+            .filter(|f| f.rule == "R3")
+            .map(|f| f.key.as_str())
+            .collect();
+        assert_eq!(keys.len(), 4, "{keys:?}");
+        assert!(keys.iter().any(|k| k.ends_with("f|env::var:0")));
+        assert!(keys.iter().any(|k| k.ends_with("f|eprintln!:0")));
+        // Test code, bins and the bench crate are exempt; so is a format
+        // macro that only builds a string.
+        let test_only = lib("fn g() -> String { format!(\"ok\") }\n\
+             #[cfg(test)]\nmod tests { fn t() { eprintln!(\"{:?}\", std::env::var(\"X\")); } }");
+        assert!(test_only.findings.iter().all(|f| f.rule != "R3"));
+        let bin = analyze_file(
+            "crates/fixture/src/bin/tool.rs",
+            "fn main() { println!(\"{:?}\", std::env::var(\"X\")); }",
+            "",
+        );
+        assert!(bin.findings.is_empty());
+        let bench = analyze_file(
+            "crates/bench/src/report.rs",
+            "fn r() { eprintln!(\"x\"); }",
+            "",
+        );
+        assert!(bench.findings.is_empty());
     }
 
     #[test]

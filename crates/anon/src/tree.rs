@@ -690,25 +690,6 @@ struct RefreshCtx<'a> {
     counts_ok: bool,
     scratch: std::cell::RefCell<DecideScratch>,
     split_scratch: std::cell::RefCell<SplitScratch>,
-    /// Collect and print refresh diagnostics (`BGK_PROFILE` env var);
-    /// checked once per refresh so the hot path pays nothing when off.
-    profile_on: bool,
-    profile: std::cell::RefCell<RefreshProfile>,
-}
-
-#[derive(Default, Debug)]
-struct RefreshProfile {
-    stats_replays: usize,
-    row_replays: usize,
-    leaf_updates: usize,
-    rebuilds: usize,
-    rebuilt_rows: usize,
-    reroutes: usize,
-    rerouted_rows: usize,
-    materialize_ns: u128,
-    stats_ns: u128,
-    ensure_ns: u128,
-    row_replay_ns: u128,
 }
 
 impl Mondrian {
@@ -789,14 +770,9 @@ impl Mondrian {
             counts_ok: self.requirement().counts_decidable(),
             scratch: std::cell::RefCell::new(DecideScratch::default()),
             split_scratch: std::cell::RefCell::new(SplitScratch::default()),
-            profile_on: std::env::var("BGK_PROFILE").is_ok(),
-            profile: std::cell::RefCell::new(RefreshProfile::default()),
         };
         let del_ids = removed.ids.clone();
         process(&ctx, tree, tree.root, ins_ids, del_ids);
-        if ctx.profile_on {
-            eprintln!("refresh: {:?}", ctx.profile.borrow());
-        }
     }
 
     /// Pre-build the per-node histograms the delta refresh replays
@@ -822,8 +798,6 @@ impl Mondrian {
             counts_ok: true,
             scratch: std::cell::RefCell::new(DecideScratch::default()),
             split_scratch: std::cell::RefCell::new(SplitScratch::default()),
-            profile_on: false,
-            profile: std::cell::RefCell::new(RefreshProfile::default()),
         };
         let mut stack = vec![tree.root];
         while let Some(node) = stack.pop() {
@@ -899,11 +873,7 @@ fn refresh_internal(
     // O(n) row path expensive, from the materialized rows otherwise.
     let use_stats = ctx.counts_ok && new_size >= STATS_THRESHOLD;
     if use_stats {
-        let t0 = ctx.profile_on.then(std::time::Instant::now); // bgk-allow: R3 profile-only timer, feeds refresh metrics
         ensure_stats(ctx, tree, node);
-        if let Some(t0) = t0 {
-            ctx.profile.borrow_mut().ensure_ns += t0.elapsed().as_nanos();
-        }
     }
     {
         let m = tree.m;
@@ -933,29 +903,14 @@ fn refresh_internal(
     // so their replay materializes the exact from-scratch order.
     let mut gathered: Option<Vec<u32>> = None;
     let replay = if use_stats {
-        let t0 = ctx.profile_on.then(std::time::Instant::now); // bgk-allow: R3 profile-only timer, feeds refresh metrics
-        let r = replay_from_stats(ctx, tree, node, new_size);
-        if let Some(t0) = t0 {
-            let mut p = ctx.profile.borrow_mut();
-            p.stats_replays += 1;
-            p.stats_ns += t0.elapsed().as_nanos();
-        }
-        r
+        replay_from_stats(ctx, tree, node, new_size)
     } else {
-        let t0 = ctx.profile_on.then(std::time::Instant::now); // bgk-allow: R3 profile-only timer, feeds refresh metrics
         let mut ids = gather_live(tree, node, &ins, &dels);
         if !ctx.counts_ok {
             let chain = tree.input_chain(node);
             tree.sort_into_input_order(ctx.table, &chain, &mut ids);
         }
-        let t1 = ctx.profile_on.then(std::time::Instant::now); // bgk-allow: R3 profile-only timer, feeds refresh metrics
         let replay = replay_from_rows(ctx, tree, &ids);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let mut p = ctx.profile.borrow_mut();
-            p.row_replays += 1;
-            p.materialize_ns += (t1 - t0).as_nanos();
-            p.row_replay_ns += t1.elapsed().as_nanos();
-        }
         gathered = Some(ids);
         replay
     };
@@ -1023,11 +978,6 @@ fn refresh_internal(
                 visit(left, &mut to_right, false);
                 visit(right, &mut to_left, true);
             }
-            if ctx.profile_on {
-                let mut p = ctx.profile.borrow_mut();
-                p.reroutes += 1;
-                p.rerouted_rows += to_left.len() + to_right.len();
-            }
             if let NodeKind::Internal(i) = &mut tree.nodes[node as usize].kind {
                 i.decision = decision.clone();
             }
@@ -1046,11 +996,6 @@ fn refresh_internal(
                 // The counts path skipped the sort; a rebuild needs it.
                 let chain = tree.input_chain(node);
                 tree.sort_into_input_order(ctx.table, &chain, &mut ids);
-            }
-            if ctx.profile_on {
-                let mut p = ctx.profile.borrow_mut();
-                p.rebuilds += 1;
-                p.rebuilt_rows += ids.len();
             }
             rebuild(ctx, tree, node, ids);
         }
@@ -1122,7 +1067,6 @@ fn refresh_leaf(
     // making the comparator a strict total order — each insert lands at
     // its exact from-scratch position). No full re-sort needed; the leaf's
     // own buffer is updated in place.
-    let t0 = ctx.profile_on.then(std::time::Instant::now); // bgk-allow: R3 profile-only timer, feeds refresh metrics
     let dels_set = live_dels_set(tree, &dels);
     let mut ids: Vec<u32> = match &mut tree.nodes[node as usize].kind {
         NodeKind::Leaf(leaf) => std::mem::take(&mut leaf.rows),
@@ -1148,11 +1092,6 @@ fn refresh_leaf(
             });
             ids.insert(pos, id);
         }
-    }
-    if let Some(t0) = t0 {
-        let mut p = ctx.profile.borrow_mut();
-        p.materialize_ns += t0.elapsed().as_nanos();
-        p.leaf_updates += 1;
     }
     debug_assert_eq!(ids.len(), new_size);
     match replay_from_rows(ctx, tree, &ids) {

@@ -49,11 +49,12 @@
 //!   durable form trim audit caches instead of demoting.
 //! * **Carried `Adv(b′)` models** — a tenant keeps one hub-estimated
 //!   adversary per `b′` and carries it forward: the first audit of a new
-//!   version refreshes the model from the fold difference instead of
+//!   version evolves the model's fold by the delta (or re-folds, after a
+//!   gap), refreshes the model from the fold difference instead of
 //!   re-estimating it, and replays every group the delta left clean
 //!   ([`SessionHub::audit_against`]).
 //! * **Content-hash interning** — hub-estimated `Adv(b′)` adversaries are
-//!   interned by FNV content hash of their provenance (folded table +
+//!   interned by a content hash of their provenance (folded table +
 //!   bandwidth + kernel family), so a fleet of tenants serving the same
 //!   background knowledge shares one `Arc`-ed prior model instead of
 //!   estimating and holding thousands.
@@ -76,7 +77,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 use bgkanon_anon::{AnonymizedTable, AnyStrategy};
 use bgkanon_data::{Delta, Parallelism, Table};
 use bgkanon_knowledge::{
-    Adversary, Bandwidth, FoldedTable, KernelFamily, PriorEstimator, PriorModel,
+    Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily, PriorEstimator, PriorModel,
 };
 use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
 use bgkanon_stats::SmoothedJs;
@@ -115,6 +116,32 @@ pub struct TenantSnapshot {
     table: Table,
     anonymized: AnonymizedTable,
     stamps: Arc<Vec<u64>>,
+    /// What changed from the previous version to this one, when this
+    /// snapshot was published by [`SessionHub::apply`]; `None` for a
+    /// registration, rehydration or recovery snapshot.
+    change: Option<Arc<VersionChange>>,
+}
+
+/// One applied delta as the content it changed: the deleted rows' codes,
+/// gathered from the pre-delta table, plus the delta itself. Recorded on
+/// the snapshot the delta produced, so an `Adv(b′)` entry exactly one
+/// version behind evolves its fold ([`FoldedTable::evolve`]) instead of
+/// re-folding the table. O(delta) to build; it copies no table.
+#[derive(Debug)]
+struct VersionChange {
+    deleted: DeletedRows,
+    delta: Delta,
+}
+
+impl VersionChange {
+    /// Heap bytes held (the hub's accounting convention).
+    fn bytes_accounted(&self) -> usize {
+        let d = self.delta.schema().qi_count();
+        self.deleted.bytes_accounted()
+            + self.delta.delete_count() * 8
+            + self.delta.insert_count() * (d + 1) * 4
+            + 64
+    }
 }
 
 impl TenantSnapshot {
@@ -209,17 +236,19 @@ impl TenantSnapshot {
             .collect()
     }
 
-    /// Heap bytes this snapshot pins: the published table and group list
-    /// plus leaf stamps. The payloads are `Arc`-shared with the session of
-    /// the same version — per the hub's accounting convention they are
-    /// charged to every holder, making the per-tenant gauge a deterministic
-    /// upper-bound RSS proxy rather than an allocator-exact count.
+    /// Heap bytes this snapshot pins: the published table and group list,
+    /// leaf stamps, and the record of the delta that produced it. The
+    /// payloads are `Arc`-shared with the session of the same version —
+    /// per the hub's accounting convention they are charged to every
+    /// holder, making the per-tenant gauge a deterministic upper-bound RSS
+    /// proxy rather than an allocator-exact count.
     pub fn bytes_accounted(&self) -> usize {
         self.tenant.len()
             + self.requirement_name.len()
             + self.table.bytes_accounted()
             + self.anonymized.bytes_accounted()
             + self.stamps.len() * 8
+            + self.change.as_ref().map_or(0, |c| c.bytes_accounted())
             + 64
     }
 }
@@ -248,6 +277,30 @@ struct ReaderCache {
     /// estimated or refreshed to (0 and unused for external auditors).
     version: u64,
     session: Arc<SharedAuditSession>,
+    /// For `Adv(b′)` entries, the point of the model's fold each row of
+    /// `version`'s table folds into ([`FoldedTable::with_row_points`]) —
+    /// carried to the next version with the fold. Empty for external
+    /// auditors.
+    row_points: Vec<u32>,
+}
+
+impl ReaderCache {
+    /// The fold and row → point array of `snapshot`'s version, carried from
+    /// this entry by the snapshot's change record ([`FoldedTable::evolve`])
+    /// — `None`, for the caller's full fold, unless the entry is exactly
+    /// one version behind and the record, the entry's fold and its row
+    /// points all agree.
+    fn evolved_fold(&self, snapshot: &TenantSnapshot) -> Option<(FoldedTable, Vec<u32>)> {
+        let change = snapshot.change.as_deref()?;
+        if self.version + 1 != snapshot.version() {
+            return None;
+        }
+        let model = self.session.auditor().adversary().prior_model()?;
+        let evolution = model.folded()?.evolve(&change.deleted, &change.delta)?;
+        let row_points = evolution.row_points(&self.row_points, &change.delta)?;
+        let fold = evolution.into_folded();
+        (fold.rows() == snapshot.len()).then_some((fold, row_points))
+    }
 }
 
 /// What a tenant's reader cache holds for `Adv(b′)`, relative to the
@@ -255,9 +308,9 @@ struct ReaderCache {
 enum AdversaryEntry {
     /// A session for exactly this version.
     Current(Arc<SharedAuditSession>),
-    /// A session for an earlier version, taken out of the cache: its model
+    /// The entry of an earlier version, taken out of the cache: its model
     /// is refreshed to the new version and its clean stamps carried.
-    Earlier(Arc<SharedAuditSession>),
+    Earlier(ReaderCache),
     /// The cache already serves a newer version; this reader audits a
     /// one-off session and leaves the entry alone.
     Newer,
@@ -344,7 +397,7 @@ impl<S: SessionStrategy> Tenant<S> {
         } {
             return found;
         }
-        self.install_reader(key, 0, build())
+        self.install_reader(key, 0, build(), Vec::new())
     }
 
     /// The `Adv(b′)` entry at bandwidth bits `bits`, judged against
@@ -367,19 +420,20 @@ impl<S: SessionStrategy> Tenant<S> {
             readers.insert(idx, entry);
             AdversaryEntry::Newer
         } else {
-            AdversaryEntry::Earlier(entry.session)
+            AdversaryEntry::Earlier(entry)
         }
     }
 
-    /// Cache `session` under `key` at `version`, unless an entry another
-    /// reader built meanwhile is at least as new — then that entry wins
-    /// for its own version, and a `session` for an older version is
-    /// returned unretained.
+    /// Cache `session` (with its `row_points`) under `key` at `version`,
+    /// unless an entry another reader built meanwhile is at least as new —
+    /// then that entry wins for its own version, and a `session` for an
+    /// older version is returned unretained.
     fn install_reader(
         &self,
         key: ReaderKey,
         version: u64,
         session: SharedAuditSession,
+        row_points: Vec<u32>,
     ) -> Arc<SharedAuditSession> {
         let session = Arc::new(session);
         let mut readers = relock(self.readers.lock());
@@ -400,6 +454,7 @@ impl<S: SessionStrategy> Tenant<S> {
             key,
             version,
             session: Arc::clone(&session),
+            row_points,
         });
         session
     }
@@ -427,9 +482,10 @@ struct Durability {
 /// once the last holder drops it — the intern table itself never pins
 /// models for tenants that no longer use them.
 struct InternEntry {
-    /// FNV-1a content hash of the provenance (folded table + bandwidth
-    /// bits + kernel family). A hash match is only a candidate: sharing
-    /// requires the full [`FoldedTable::content_eq`] check.
+    /// Content hash of the provenance ([`FoldedTable::content_hash`] mixed
+    /// with the bandwidth bits + kernel family). A hash match is only a
+    /// candidate: sharing requires the full [`FoldedTable::content_eq`]
+    /// check.
     key: u64,
     adversary: Weak<Adversary>,
 }
@@ -739,7 +795,7 @@ impl<S: SessionStrategy> SessionHub<S> {
                 truncated_tail: recovered.truncated_tail,
                 error: None,
             });
-            let snapshot = Arc::new(Self::snapshot_of(&recovered.name, &recovered.session));
+            let snapshot = Arc::new(Self::snapshot_of(&recovered.name, &recovered.session, None));
             let bytes = recovered.session.bytes_accounted() + snapshot.bytes_accounted();
             let entry = Arc::new(Tenant {
                 name: recovered.name.clone(),
@@ -860,7 +916,7 @@ impl<S: SessionStrategy> SessionHub<S> {
         } else {
             None
         };
-        let snapshot = Arc::new(Self::snapshot_of(tenant, &session));
+        let snapshot = Arc::new(Self::snapshot_of(tenant, &session, None));
         let bytes = session.bytes_accounted() + snapshot.bytes_accounted();
         let entry = Arc::new(Tenant {
             name: tenant.to_owned(),
@@ -948,6 +1004,11 @@ impl<S: SessionStrategy> SessionHub<S> {
                     "tenant `{tenant}` has no resident session to apply to"
                 )));
             };
+            // Gathered before the apply, while the session still holds the
+            // pre-delta table (O(deletes); nothing is kept if the delta is
+            // rejected).
+            let deleted = DeletedRows::gather(session.table(), delta);
+            let previous = entry.snapshot_opt();
             match (&entry.wal, &self.durability) {
                 (Some(wal), Some(durability)) => {
                     let mut wal = relock(wal.lock());
@@ -994,7 +1055,20 @@ impl<S: SessionStrategy> SessionHub<S> {
                     session.apply(delta)?;
                 }
             }
-            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session));
+            let version = session.deltas_applied() as u64;
+            let change = match previous {
+                // An empty delta publishes the same version again: the
+                // record of how that version came about still holds.
+                Some(previous) if previous.version == version => previous.change.clone(),
+                Some(previous) if previous.version + 1 == version => deleted.map(|deleted| {
+                    Arc::new(VersionChange {
+                        deleted,
+                        delta: delta.clone(),
+                    })
+                }),
+                _ => None,
+            };
+            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session, change));
             *relock(entry.published.write()) = Some(Arc::clone(&snapshot));
             self.charge(
                 &entry.session_bytes,
@@ -1041,10 +1115,15 @@ impl<S: SessionStrategy> SessionHub<S> {
     /// version to version instead of re-estimating:
     ///
     /// * audits of the version the entry holds replay its caches;
-    /// * the first audit of a newer version folds that version once. If
-    ///   the hub's cross-tenant intern table holds a model of identical
-    ///   provenance, it is shared. Otherwise the entry's model is
-    ///   refreshed from the fold difference
+    /// * the first audit of a newer version needs that version's fold.
+    ///   When the entry is exactly one version behind, the entry's fold and
+    ///   row → point array are evolved by the change record [`apply`](Self::apply)
+    ///   left on the snapshot ([`FoldedTable::evolve`], O(u) copying plus
+    ///   O(delta · log u)); after a gap of several versions, a
+    ///   rehydration or a recovery — or if the record disagrees with the
+    ///   entry — the version is folded in full. If the hub's cross-tenant
+    ///   intern table holds a model of identical provenance, it is shared.
+    ///   Otherwise the entry's model is refreshed from the fold difference
     ///   ([`PriorEstimator::refresh_folded`]), across any number of
     ///   unaudited deltas — in place when no other tenant or in-flight
     ///   reader shares it — and the groups the delta left clean (same leaf
@@ -1090,12 +1169,15 @@ impl<S: SessionStrategy> SessionHub<S> {
         let newer = matches!(found, AdversaryEntry::Newer);
         let earlier = match found {
             AdversaryEntry::Current(session) => return session,
-            AdversaryEntry::Earlier(session) => Some(session),
+            AdversaryEntry::Earlier(cache) => Some(cache),
             AdversaryEntry::Newer | AdversaryEntry::Missing => None,
         };
         let table = snapshot.table();
         let family = KernelFamily::Epanechnikov;
-        let (fold, row_points) = FoldedTable::with_row_points(table);
+        let (fold, row_points) = earlier
+            .as_ref()
+            .and_then(|cache| cache.evolved_fold(snapshot))
+            .unwrap_or_else(|| FoldedTable::with_row_points(table));
         let key = intern_key(&fold, &bandwidth, family);
         let measure = Arc::new(SmoothedJs::paper_default(
             table.schema().sensitive_distance(),
@@ -1104,14 +1186,19 @@ impl<S: SessionStrategy> SessionHub<S> {
             SharedAuditSession::new(Auditor::new(shared, measure))
         } else {
             let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-            let refreshable = earlier.and_then(|session| {
-                let carry = session.carry_stamps(snapshot.leaf_stamps());
-                let model = session.auditor().adversary().prior_model().map(Arc::clone);
-                // Drop the old session (and with it, unless another tenant
+            let refreshable = earlier.and_then(|cache| {
+                let carry = cache.session.carry_stamps(snapshot.leaf_stamps());
+                let model = cache
+                    .session
+                    .auditor()
+                    .adversary()
+                    .prior_model()
+                    .map(Arc::clone);
+                // Drop the old entry (and with it, unless another tenant
                 // or an in-flight reader shares them, the old adversary's
                 // handle on the model) so the refresh below mutates the
                 // model in place instead of cloning it.
-                drop(session);
+                drop(cache);
                 model.map(|model| (carry, model))
             });
             let (model, carried) = match refreshable {
@@ -1147,7 +1234,7 @@ impl<S: SessionStrategy> SessionHub<S> {
         if newer {
             Arc::new(session)
         } else {
-            entry.install_reader(ReaderKey::Bandwidth(bits), version, session)
+            entry.install_reader(ReaderKey::Bandwidth(bits), version, session, row_points)
         }
     }
 
@@ -1221,16 +1308,20 @@ impl<S: SessionStrategy> SessionHub<S> {
         }
     }
 
-    /// Recompute the tenant's shared reader-cache bytes. The sessions are
-    /// cloned out under the brief `readers` guard and summed outside it
+    /// Recompute the tenant's shared reader-cache bytes: each session's
+    /// caches plus the entry's row → point array (4 B/row). The sessions
+    /// are cloned out under the brief `readers` guard and summed outside it
     /// (each sum takes the session's own cache lock).
     fn recount_readers(&self, entry: &Tenant<S>) {
-        let sessions: Vec<Arc<SharedAuditSession>> = {
+        let (sessions, row_point_bytes): (Vec<Arc<SharedAuditSession>>, usize) = {
             let readers = relock(entry.readers.lock());
-            readers.iter().map(|c| Arc::clone(&c.session)).collect()
+            (
+                readers.iter().map(|c| Arc::clone(&c.session)).collect(),
+                readers.iter().map(|c| c.row_points.len() * 4).sum(),
+            )
         };
         let bytes: usize = sessions.iter().map(|s| s.bytes_accounted() + 128).sum();
-        self.charge(&entry.reader_bytes, bytes);
+        self.charge(&entry.reader_bytes, bytes + row_point_bytes);
     }
 
     /// The tenant's current snapshot, rehydrating a demoted tenant first.
@@ -1265,7 +1356,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             if let Some(snapshot) = entry.snapshot_opt() {
                 return Ok(snapshot);
             }
-            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session));
+            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session, None));
             *relock(entry.published.write()) = Some(Arc::clone(&snapshot));
             return Ok(snapshot);
         }
@@ -1296,7 +1387,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             recovered
         };
         debug_assert_eq!(recovered.name, entry.name, "tenant directory mismatch");
-        let snapshot = Arc::new(Self::snapshot_of(&entry.name, &recovered.session));
+        let snapshot = Arc::new(Self::snapshot_of(&entry.name, &recovered.session, None));
         self.charge(
             &entry.session_bytes,
             recovered.session.bytes_accounted() + snapshot.bytes_accounted(),
@@ -1459,7 +1550,11 @@ impl<S: SessionStrategy> SessionHub<S> {
         adversary
     }
 
-    fn snapshot_of(tenant: &str, session: &PublishSession<S>) -> TenantSnapshot {
+    fn snapshot_of(
+        tenant: &str,
+        session: &PublishSession<S>,
+        change: Option<Arc<VersionChange>>,
+    ) -> TenantSnapshot {
         TenantSnapshot {
             tenant: tenant.to_owned(),
             version: session.deltas_applied() as u64,
@@ -1467,6 +1562,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             table: session.table().clone(),
             anonymized: session.anonymized().clone(),
             stamps: Arc::new(session.leaf_stamps().to_vec()),
+            change,
         }
     }
 }
@@ -1978,5 +2074,123 @@ mod tests {
         assert_eq!(stats.evicted_tenants, 0);
         assert_eq!(stats.rehydrations, 0);
         assert_eq!(hub.snapshot("a").unwrap().len(), 150);
+    }
+
+    /// A copy of tenant `name`'s `Adv(b)` entry (its session shared).
+    fn adversary_entry_copy(hub: &SessionHub, name: &str, b: f64) -> ReaderCache {
+        let entry = hub.tenant(name).unwrap();
+        let readers = relock(entry.readers.lock());
+        let cache = readers
+            .iter()
+            .find(|c| c.key == ReaderKey::Bandwidth(b.to_bits()))
+            .unwrap();
+        ReaderCache {
+            key: cache.key,
+            version: cache.version,
+            session: Arc::clone(&cache.session),
+            row_points: cache.row_points.clone(),
+        }
+    }
+
+    #[test]
+    fn apply_records_each_version_step_once() {
+        let hub = hub_with(&[("a", 3)], 200, 4);
+        assert!(hub.snapshot("a").unwrap().change.is_none());
+        let d = delta_for(hub.snapshot("a").unwrap().table(), &[2, 9], 3, 5);
+        let v1 = hub.apply("a", &d).unwrap();
+        let record = v1.change.clone().expect("an apply records its change");
+        assert_eq!(record.deleted.len(), 2);
+        assert_eq!(record.delta.insert_count(), 3);
+        assert!(v1.bytes_accounted() > record.bytes_accounted());
+        // An empty delta republishes version 1: the record of how version
+        // 1 came about is kept, not replaced by the empty delta.
+        let empty = Delta::empty(Arc::clone(v1.table().schema()));
+        let again = hub.apply("a", &empty).unwrap();
+        assert_eq!(again.version(), 1);
+        assert!(Arc::ptr_eq(again.change.as_ref().unwrap(), &record));
+        // A rejected delta publishes nothing and leaves the record alone.
+        let bad = delta_for(v1.table(), &[v1.len() + 7], 0, 5);
+        assert!(hub.apply("a", &bad).is_err());
+        let current = hub.snapshot("a").unwrap();
+        assert_eq!(current.version(), 1);
+        assert!(Arc::ptr_eq(current.change.as_ref().unwrap(), &record));
+    }
+
+    #[test]
+    fn evolved_fold_needs_a_one_version_step_and_a_matching_record() {
+        let hub = hub_with(&[("a", 8), ("b", 9)], 240, 4);
+        hub.audit_against("a", 0.3, 0.2).unwrap();
+        hub.audit_against("b", 0.3, 0.2).unwrap();
+        let v0 = adversary_entry_copy(&hub, "a", 0.3);
+        assert_eq!(v0.row_points.len(), 240);
+        let d = delta_for(hub.snapshot("a").unwrap().table(), &[0, 50, 51], 4, 13);
+        let v1 = hub.apply("a", &d).unwrap();
+
+        // One version behind with a record: the evolved fold and row points
+        // equal a fresh fold of version 1.
+        let (fold, row_points) = v0.evolved_fold(&v1).expect("one step");
+        let (fresh, fresh_points) = FoldedTable::with_row_points(v1.table());
+        assert!(fold.content_eq(&fresh));
+        assert_eq!(fold.content_hash(), fresh.content_hash());
+        assert_eq!(row_points, fresh_points);
+
+        // Row points of the wrong length: no evolution, no panic.
+        let short = ReaderCache {
+            row_points: v0.row_points[..10].to_vec(),
+            session: Arc::clone(&v0.session),
+            ..v0
+        };
+        assert!(short.evolved_fold(&v1).is_none());
+
+        // A record whose deletes the entry's fold cannot account for (the
+        // entry belongs to another table): no evolution, no panic.
+        let b_table = hub.snapshot("b").unwrap().table().clone();
+        let b_fold = FoldedTable::new(&b_table);
+        let a_table = hub.snapshot("a").unwrap().table().clone();
+        let foreign_row = (0..a_table.len())
+            .find(|&r| b_fold.find(&a_table.qi(r)).is_none())
+            .expect("the tables differ");
+        let d = delta_for(&a_table, &[foreign_row], 0, 1);
+        let v2 = hub.apply("a", &d).unwrap();
+        let b_entry = adversary_entry_copy(&hub, "b", 0.3);
+        assert!(b_entry.evolved_fold(&v2).is_none());
+
+        // Two versions behind, or no record (a registration snapshot): the
+        // caller folds in full.
+        assert!(v0.evolved_fold(&v2).is_none());
+        let registered = hub.snapshot("b").unwrap();
+        assert!(b_entry.evolved_fold(&registered).is_none());
+
+        // Either way the audits match a fresh auditor.
+        let report = hub.audit_against("a", 0.3, 0.2).unwrap();
+        let snapshot = hub.snapshot("a").unwrap();
+        let fresh = Auditor::new(
+            Arc::new(Adversary::kernel(
+                snapshot.table(),
+                Bandwidth::uniform(0.3, snapshot.table().qi_count()).unwrap(),
+            )),
+            Arc::new(SmoothedJs::paper_default(
+                snapshot.table().schema().sensitive_distance(),
+            )),
+        )
+        .report(snapshot.table(), &snapshot.anonymized().row_groups(), 0.2);
+        for (x, y) in report.risks.iter().zip(&fresh.risks) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn reader_bytes_charge_the_entry_row_points() {
+        let hub = hub_with(&[("a", 2)], 300, 4);
+        hub.audit_against("a", 0.3, 0.2).unwrap();
+        let entry = hub.tenant("a").unwrap();
+        let sessions: usize = relock(entry.readers.lock())
+            .iter()
+            .map(|c| c.session.bytes_accounted() + 128)
+            .sum();
+        assert_eq!(
+            entry.reader_bytes.load(Ordering::Relaxed),
+            sessions + 300 * 4
+        );
     }
 }

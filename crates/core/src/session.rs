@@ -342,51 +342,32 @@ impl<S: SessionStrategy> PublishSession<S> {
             // Identity delta: the current publication is already the answer.
             return Ok(self.snapshot());
         }
-        let t0 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         let next = self.table.apply_delta(delta)?;
-        let t1 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         if !whole_table_satisfies(&next, &self.requirement) {
             return Err(PublishError::Unsatisfiable {
                 requirement: self.requirement.name(),
             }
             .into());
         }
-        let t1b = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
+        // The strategy refresh is the last fallible step; its contract
+        // leaves the state untouched on error, so a rejected delta (e.g.
+        // bucketization losing ℓ-eligibility) leaves the whole session
+        // unchanged — including the tracked priors below.
         let started = Instant::now(); // bgk-allow: R3 telemetry only: elapsed is reported, never branches
-                                      // The strategy refresh is the last fallible step; its contract
-                                      // leaves the state untouched on error, so a rejected delta
-                                      // (e.g. bucketization losing ℓ-eligibility) leaves the whole
-                                      // session unchanged — including the tracked priors below.
         self.strategy
             .refresh(&mut self.state, &self.table, &next, delta.deletes())
             .map_err(PublishError::from)?;
         self.last_elapsed = started.elapsed();
-        let t2 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-                                 // Session-built adversary models track the evolving table: refresh
-                                 // each one's dirty kernel neighborhood against the pre-delta table
-                                 // it currently reflects (external auditors stay caller-frozen).
+        // Session-built adversary models track the evolving table: refresh
+        // each one's dirty kernel neighborhood against the pre-delta table
+        // it currently reflects (external auditors stay caller-frozen).
         self.refresh_tracked_priors(delta);
-        let t3 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         let (anonymized, stamps) = self.state.snapshot(&next);
-        let t4 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
         self.table = next;
         self.anonymized = anonymized;
         self.stamps = stamps;
         self.deltas_applied += 1;
-        let out = Ok(self.snapshot());
-        let t5 = Instant::now(); // bgk-allow: R3 BGK_PROFILE timer, output-neutral
-        if std::env::var("BGK_PROFILE").is_ok() {
-            eprintln!(
-                "apply: delta={:?} check={:?} refresh={:?} priors={:?} snapshot={:?} clone={:?}",
-                t1 - t0,
-                t1b - t1,
-                t2 - t1b,
-                t3 - t2,
-                t4 - t3,
-                t5 - t4
-            );
-        }
-        out
+        Ok(self.snapshot())
     }
 
     /// The current publication, as a [`PublishOutcome`] (the same shape

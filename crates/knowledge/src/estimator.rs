@@ -33,7 +33,7 @@
 //!   that dirty neighborhood and is bit-identical to a from-scratch
 //!   estimate of the post-delta table.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bgkanon_data::{Delta, Parallelism, Schema, Table};
@@ -251,6 +251,175 @@ pub struct FoldedTable {
     counts: Vec<u32>,
     /// `u × m` row-major sensitive histograms.
     hists: Vec<u32>,
+    /// [`content_hash`](Self::content_hash), kept current by every
+    /// constructor and by [`evolve`](Self::evolve).
+    hash: u64,
+}
+
+/// Multiplier of the point hash's word mix (odd, so each step is a
+/// bijection of the running state).
+const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Absorb `words` into the running hash `h`, two words per multiply.
+/// Within one fold every point has `d` codes and `m` counts, so packing a
+/// trailing odd word alone is unambiguous.
+#[inline]
+fn absorb(mut h: u64, words: &[u32]) -> u64 {
+    let mut pairs = words.chunks_exact(2);
+    for pair in &mut pairs {
+        let w = u64::from(pair[0]) | u64::from(pair[1]) << 32;
+        h = (h ^ w).wrapping_mul(HASH_MUL).rotate_left(31);
+    }
+    if let [last] = pairs.remainder() {
+        h = (h ^ u64::from(*last))
+            .wrapping_mul(HASH_MUL)
+            .rotate_left(31);
+    }
+    h
+}
+
+/// The splitmix64 finalizer: spreads every input bit over the output, so
+/// a wrapping sum of finalized hashes stays well distributed.
+#[inline]
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Hash of one point: its QI codes, then its sensitive histogram (the
+/// multiplicity is the histogram's sum).
+#[inline]
+fn point_hash(qi: &[u32], hist: &[u32]) -> u64 {
+    avalanche(absorb(absorb(0x243f_6a88_85a3_08d3, qi), hist))
+}
+
+/// Hash of a fold's shape `(d, m)`, the summand every fold starts from.
+fn shape_hash(qi_count: usize, m: usize) -> u64 {
+    avalanche(absorb(0x1319_8a2e_0370_7344, &[qi_count as u32, m as u32]))
+}
+
+/// Point id [`FoldEvolution::new_point`] reports for a point the delta
+/// deleted outright.
+const GONE: u32 = u32::MAX;
+
+/// The rows one [`Delta`] deletes, as content: each deleted row's QI codes
+/// and sensitive code, gathered from the pre-delta table. With the delta's
+/// own inserts that is everything [`FoldedTable::evolve`] needs — a fold
+/// can be carried to the next version without the table it came from.
+#[derive(Debug, Clone)]
+pub struct DeletedRows {
+    /// `k × d` row-major QI codes, in ascending row order.
+    qi: Vec<u32>,
+    /// Sensitive code per deleted row.
+    sensitive: Vec<u32>,
+}
+
+impl DeletedRows {
+    /// Gather the rows `delta` deletes from `table`, the table the delta
+    /// applies to. O(deletes); `None` when a delete index is out of range.
+    pub fn gather(table: &Table, delta: &Delta) -> Option<Self> {
+        let d = table.qi_count();
+        let mut qi = Vec::with_capacity(delta.delete_count() * d);
+        let mut sensitive = Vec::with_capacity(delta.delete_count());
+        for &row in delta.deletes() {
+            if row >= table.len() {
+                return None;
+            }
+            qi.extend((0..d).map(|a| table.qi_value(row, a)));
+            sensitive.push(table.sensitive_value(row));
+        }
+        Some(DeletedRows { qi, sensitive })
+    }
+
+    /// Number of deleted rows.
+    pub fn len(&self) -> usize {
+        self.sensitive.len()
+    }
+
+    /// True when the delta deletes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.sensitive.is_empty()
+    }
+
+    /// Heap bytes held — the accounting hook for callers that retain a
+    /// change record (same convention as [`FoldedTable::bytes_accounted`]).
+    pub fn bytes_accounted(&self) -> usize {
+        self.qi.len() * 4 + self.sensitive.len() * 4 + 48
+    }
+}
+
+/// A fold carried across one delta by [`FoldedTable::evolve`]: the new
+/// fold, the QI combinations whose histogram changed, and where each old
+/// point landed.
+#[derive(Debug, Clone)]
+pub struct FoldEvolution {
+    folded: FoldedTable,
+    changed: Vec<Box<[u32]>>,
+    /// Old point id → new point id, [`GONE`] for a point deleted outright.
+    point_map: Vec<u32>,
+}
+
+impl FoldEvolution {
+    /// The post-delta fold.
+    pub fn folded(&self) -> &FoldedTable {
+        &self.folded
+    }
+
+    /// Take the post-delta fold.
+    pub fn into_folded(self) -> FoldedTable {
+        self.folded
+    }
+
+    /// The QI combinations whose multiplicity or histogram changed, in
+    /// ascending order (net-zero changes are not listed).
+    pub fn changed(&self) -> &[Box<[u32]>] {
+        &self.changed
+    }
+
+    /// The post-delta id of old point `old`, or `None` when the delta
+    /// deleted it outright (or `old` is out of range).
+    pub fn new_point(&self, old: u32) -> Option<u32> {
+        self.point_map
+            .get(old as usize)
+            .copied()
+            .filter(|&p| p != GONE)
+    }
+
+    /// Carry a row → point array across the delta: `old_row_points` is the
+    /// pre-delta table's ([`FoldedTable::with_row_points`]), and the result
+    /// is the post-delta table's — survivors keep their order, then the
+    /// inserts follow ([`Table::apply_delta`]). Equal to
+    /// `FoldedTable::with_row_points(post_delta_table).1`. `None` when
+    /// `old_row_points` or `delta` disagree with this evolution.
+    pub fn row_points(&self, old_row_points: &[u32], delta: &Delta) -> Option<Vec<u32>> {
+        let survivors = old_row_points.len().checked_sub(delta.delete_count())?;
+        if survivors + delta.insert_count() != self.folded.rows {
+            return None;
+        }
+        let mut out = Vec::with_capacity(self.folded.rows);
+        let mut start = 0usize;
+        let ends = delta.deletes().iter().copied();
+        for end in ends.chain(std::iter::once(old_row_points.len())) {
+            for &p in old_row_points.get(start..end)? {
+                out.push(self.new_point(p)?);
+            }
+            start = end + 1;
+        }
+        for i in 0..delta.insert_count() {
+            out.push(self.folded.find(delta.insert_qi(i))? as u32);
+        }
+        Some(out)
+    }
+}
+
+/// One point of [`FoldedTable::evolve`]'s net change: its codes and the
+/// signed count change per sensitive value.
+struct NetChange<'a> {
+    qi: &'a [u32],
+    hist: Vec<i64>,
 }
 
 impl FoldedTable {
@@ -298,6 +467,7 @@ impl FoldedTable {
         let mut qi = Vec::new();
         let mut counts: Vec<u32> = Vec::new();
         let mut hists: Vec<u32> = Vec::new();
+        let mut hash = shape_hash(d, m);
         let mut cur = vec![0u32; d];
         let mut i = 0usize;
         while i < n {
@@ -320,6 +490,7 @@ impl FoldedTable {
                 count += 1;
                 i += 1;
             }
+            hash = hash.wrapping_add(point_hash(&cur, &hists[base..]));
             qi.extend_from_slice(&cur);
             counts.push(count);
         }
@@ -331,12 +502,13 @@ impl FoldedTable {
             qi,
             counts,
             hists,
+            hash,
         }
     }
 
     /// Rebuild from raw `(codes, histogram)` points (the persistence
-    /// layer's path). Points are sorted; multiplicities and totals are
-    /// derived from the histograms.
+    /// layer's path). Points are sorted; multiplicities, totals and the
+    /// content hash are derived from the histograms.
     pub(crate) fn from_points(
         qi_count: usize,
         m: usize,
@@ -349,9 +521,11 @@ impl FoldedTable {
         let mut qi = Vec::with_capacity(u * qi_count);
         let mut counts = Vec::with_capacity(u);
         let mut hists = Vec::with_capacity(u * m);
+        let mut hash = shape_hash(qi_count, m);
         for (codes, hist) in &points {
             qi.extend_from_slice(codes);
             hists.extend_from_slice(hist);
+            hash = hash.wrapping_add(point_hash(codes, hist));
             let count: u32 = hist.iter().sum();
             rows += count as usize;
             counts.push(count);
@@ -367,6 +541,7 @@ impl FoldedTable {
             qi,
             counts,
             hists,
+            hash,
         }
     }
 
@@ -406,36 +581,19 @@ impl FoldedTable {
             + 64
     }
 
-    /// FNV-1a content hash over every field of the fold. Two tables with
-    /// identical row content fold to identical sorted arrays, so this hash
-    /// (plus bandwidth + kernel-family provenance) is the intern key under
-    /// which the hub shares one estimated `P̂pri` model across tenants
-    /// holding the same background knowledge. Collisions are guarded by
+    /// Content hash of the fold: a hash of its shape `(d, m)` plus the
+    /// wrapping sum of one hash per point (its QI codes and sensitive
+    /// histogram; multiplicities, row count and totals all follow from
+    /// those). A sum does not depend on point order, so every constructor
+    /// and [`evolve`](Self::evolve) keep it current point by point, and
+    /// reading it is a field read. Two tables with identical row content
+    /// fold to identical points, so this hash (plus bandwidth +
+    /// kernel-family provenance) is the intern key under which the hub
+    /// shares one estimated `P̂pri` model across tenants holding the same
+    /// background knowledge. Collisions are guarded by
     /// [`content_eq`](Self::content_eq) before any sharing happens.
     pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.qi_count as u64);
-        eat(self.m as u64);
-        eat(self.rows as u64);
-        for &v in &self.sensitive_totals {
-            eat(v);
-        }
-        for &v in &self.qi {
-            eat(u64::from(v));
-        }
-        for &v in &self.counts {
-            eat(u64::from(v));
-        }
-        for &v in &self.hists {
-            eat(u64::from(v));
-        }
-        h
+        self.hash
     }
 
     /// Field-wise equality of two folds — the collision guard behind
@@ -480,17 +638,24 @@ impl FoldedTable {
 
     /// Index of the point with QI combination `qi`, if present.
     pub fn find(&self, qi: &[u32]) -> Option<usize> {
-        let mut lo = 0usize;
-        let mut hi = self.len();
+        match self.lower_bound(qi) {
+            i if i < self.len() && self.point_qi(i) == qi => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Index of the first point whose codes are not below `qi`.
+    fn lower_bound(&self, qi: &[u32]) -> usize {
+        let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.point_qi(mid).cmp(qi) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
+            if self.point_qi(mid) < qi {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        None
+        lo
     }
 
     /// The whole-table sensitive distribution `Q` — bit-identical to
@@ -510,7 +675,9 @@ impl FoldedTable {
     /// table this fold currently represents (deletes are row indices into
     /// it). Returns the distinct QI combinations whose multiplicity or
     /// histogram actually changed — the seed of the dirty kernel
-    /// neighborhood [`PriorEstimator::refresh`] recomputes.
+    /// neighborhood [`PriorEstimator::refresh`] recomputes. Gathers the
+    /// deleted rows ([`DeletedRows::gather`]) and runs the same merge as
+    /// [`evolve`](Self::evolve).
     ///
     /// # Panics
     ///
@@ -518,8 +685,8 @@ impl FoldedTable {
     /// count, or a delete that the fold cannot account for), or when the
     /// delta would empty the table ([`Table::apply_delta`] rejects the same
     /// delta with [`DataError::EmptyTable`](bgkanon_data::DataError) — an
-    /// empty table has no sensitive distribution to estimate). The check
-    /// runs before any mutation, so a panicking fold is left intact.
+    /// empty table has no sensitive distribution to estimate). A panicking
+    /// call leaves the fold intact.
     pub fn apply_delta(&mut self, table: &Table, delta: &Delta) -> Vec<Box<[u32]>> {
         assert_eq!(
             table.len(),
@@ -530,105 +697,166 @@ impl FoldedTable {
             self.rows + delta.insert_count() > delta.delete_count(),
             "delta would empty the table"
         );
-        // Net change per touched QI combination.
-        let mut touched: BTreeMap<Box<[u32]>, Vec<i64>> = BTreeMap::new();
-        for &row in delta.deletes() {
-            assert!(row < table.len(), "delete index {row} out of range");
-            let hist = touched
-                .entry(table.qi(row).into())
-                .or_insert_with(|| vec![0i64; self.m]);
-            hist[table.sensitive_value(row) as usize] -= 1;
-        }
-        for i in 0..delta.insert_count() {
-            let hist = touched
-                .entry(delta.insert_qi(i).into())
-                .or_insert_with(|| vec![0i64; self.m]);
-            hist[delta.insert_sensitive(i) as usize] += 1;
-        }
-        touched.retain(|_, hist| hist.iter().any(|&d| d != 0));
-        if touched.is_empty() {
-            return Vec::new();
-        }
-
-        // Merge the (sorted) net changes into the sorted flat arrays.
-        let d = self.qi_count;
-        let m = self.m;
-        let u_old = self.counts.len();
-        let old_qi = std::mem::replace(
-            &mut self.qi,
-            Vec::with_capacity((u_old + touched.len()) * d),
-        );
-        let old_counts =
-            std::mem::replace(&mut self.counts, Vec::with_capacity(u_old + touched.len()));
-        let old_hists = std::mem::replace(
-            &mut self.hists,
-            Vec::with_capacity((u_old + touched.len()) * m),
-        );
-        let mut scratch = vec![0u32; m];
-        let mut changes = touched.iter().peekable();
-        for i in 0..u_old {
-            let pq = &old_qi[i * d..(i + 1) * d];
-            while let Some((qi, _)) = changes.peek() {
-                if qi.as_ref() < pq {
-                    let (qi, hist) = changes.next().expect("peeked");
-                    self.insert_fresh(qi, hist);
-                } else {
-                    break;
-                }
-            }
-            match changes.peek() {
-                Some((qi, _)) if qi.as_ref() == pq => {
-                    let (_, hist) = changes.next().expect("peeked");
-                    let mut count = 0u32;
-                    for (s, &delta_s) in hist.iter().enumerate() {
-                        let c = i64::from(old_hists[i * m + s]) + delta_s;
-                        assert!(c >= 0, "folded table is out of sync: negative count");
-                        let c = u32::try_from(c).expect("count fits u32");
-                        scratch[s] = c;
-                        count += c;
-                        self.sensitive_totals[s] =
-                            (self.sensitive_totals[s] as i64 + delta_s) as u64;
-                        self.rows = (self.rows as i64 + delta_s) as usize;
-                    }
-                    if count > 0 {
-                        self.qi.extend_from_slice(pq);
-                        self.counts.push(count);
-                        self.hists.extend_from_slice(&scratch);
-                    }
-                }
-                _ => {
-                    self.qi.extend_from_slice(pq);
-                    self.counts.push(old_counts[i]);
-                    self.hists.extend_from_slice(&old_hists[i * m..(i + 1) * m]);
-                }
-            }
-        }
-        for (qi, hist) in changes {
-            self.insert_fresh(qi, hist);
-        }
-        touched.into_keys().collect()
+        let deleted = DeletedRows::gather(table, delta).expect("delete index out of range");
+        let FoldEvolution {
+            folded, changed, ..
+        } = self
+            .evolve(&deleted, delta)
+            .expect("folded table is out of sync with the delta");
+        *self = folded;
+        changed
     }
 
-    /// Append a brand-new point from a net-change histogram (all deltas
-    /// must be non-negative — there was nothing to delete from).
-    fn insert_fresh(&mut self, qi: &[u32], hist: &[i64]) {
-        let mut count = 0u32;
-        let start = self.hists.len();
-        for (s, &delta_s) in hist.iter().enumerate() {
-            assert!(
-                delta_s >= 0,
-                "folded table is out of sync: delete of unseen point"
-            );
-            let c = u32::try_from(delta_s).expect("count fits u32");
-            self.hists.push(c);
-            count += c;
-            self.sensitive_totals[s] += u64::from(c);
-            self.rows += c as usize;
+    /// Carry the fold across one delta from content alone: `deleted` holds
+    /// the deleted rows' codes ([`DeletedRows::gather`] on the pre-delta
+    /// table) and `delta` supplies the inserts. The new sorted arrays are
+    /// built from this fold in one merge pass — unchanged runs of points
+    /// are copied in bulk, and the [content hash](Self::content_hash) is
+    /// adjusted only for the changed points — so the cost is O(u) copying
+    /// plus O(delta · log u), against a full re-fold's O(n · d).
+    ///
+    /// The result equals [`new`](Self::new) of the post-delta table:
+    /// [`content_eq`](Self::content_eq), same content hash. `None`, leaving
+    /// nothing changed, when the change disagrees with this fold: a delete
+    /// of a row content the fold does not hold, codes of the wrong arity or
+    /// out of the sensitive domain, or a delta that would empty the table.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use bgkanon_data::DeltaBuilder;
+    /// use bgkanon_knowledge::{DeletedRows, FoldedTable};
+    ///
+    /// let table = bgkanon_data::adult::generate(200, 3);
+    /// let (folded, row_points) = FoldedTable::with_row_points(&table);
+    /// let mut delta = DeltaBuilder::new(Arc::clone(table.schema()));
+    /// delta.delete(5).delete(17);
+    /// delta.insert_codes(&table.qi(9), table.sensitive_value(2)).unwrap();
+    /// let delta = delta.build();
+    ///
+    /// let deleted = DeletedRows::gather(&table, &delta).unwrap();
+    /// let evolution = folded.evolve(&deleted, &delta).unwrap();
+    /// let (fresh, fresh_points) = FoldedTable::with_row_points(&table.apply_delta(&delta).unwrap());
+    /// assert!(evolution.folded().content_eq(&fresh));
+    /// assert_eq!(evolution.folded().content_hash(), fresh.content_hash());
+    /// assert_eq!(evolution.row_points(&row_points, &delta).unwrap(), fresh_points);
+    /// ```
+    pub fn evolve(&self, deleted: &DeletedRows, delta: &Delta) -> Option<FoldEvolution> {
+        let (d, m) = (self.qi_count, self.m);
+        if deleted.qi.len() != deleted.sensitive.len() * d
+            || delta.schema().qi_count() != d
+            || self.rows + delta.insert_count() <= deleted.len()
+        {
+            return None;
         }
-        debug_assert!(count > 0, "net-zero change must have been filtered");
-        debug_assert_eq!(self.hists.len() - start, self.m);
-        self.qi.extend_from_slice(qi);
-        self.counts.push(count);
+        let touched = self.net_changes(deleted, delta)?;
+        let u_old = self.len();
+        let mut out = FoldedTable {
+            qi_count: d,
+            m,
+            rows: self.rows,
+            sensitive_totals: self.sensitive_totals.clone(),
+            qi: Vec::with_capacity((u_old + touched.len()) * d),
+            counts: Vec::with_capacity(u_old + touched.len()),
+            hists: Vec::with_capacity((u_old + touched.len()) * m),
+            hash: self.hash,
+        };
+        let mut point_map = vec![GONE; u_old];
+        let mut changed = Vec::with_capacity(touched.len());
+        let mut scratch = vec![0u32; m];
+        let mut next = 0usize;
+        for change in &touched {
+            let at = self.lower_bound(change.qi);
+            out.copy_points(self, next..at, &mut point_map);
+            next = at;
+            let existing = at < u_old && self.point_qi(at) == change.qi;
+            let old_hist = existing.then(|| self.point_hist(at));
+            let mut count = 0u32;
+            for (s, (slot, &delta_s)) in scratch.iter_mut().zip(&change.hist).enumerate() {
+                let before = old_hist.map_or(0, |h| i64::from(h[s]));
+                *slot = u32::try_from(before + delta_s).ok()?;
+                count = count.checked_add(*slot)?;
+                let total = i64::try_from(out.sensitive_totals[s]).ok()? + delta_s;
+                out.sensitive_totals[s] = u64::try_from(total).ok()?;
+            }
+            let net: i64 = change.hist.iter().sum();
+            out.rows = usize::try_from(i64::try_from(out.rows).ok()? + net).ok()?;
+            if let Some(hist) = old_hist {
+                out.hash = out.hash.wrapping_sub(point_hash(change.qi, hist));
+                next += 1;
+            }
+            if count > 0 {
+                if existing {
+                    point_map[at] = out.counts.len() as u32;
+                }
+                out.hash = out.hash.wrapping_add(point_hash(change.qi, &scratch));
+                out.qi.extend_from_slice(change.qi);
+                out.counts.push(count);
+                out.hists.extend_from_slice(&scratch);
+            }
+            changed.push(change.qi.into());
+        }
+        out.copy_points(self, next..u_old, &mut point_map);
+        Some(FoldEvolution {
+            folded: out,
+            changed,
+            point_map,
+        })
+    }
+
+    /// The net change per touched QI combination of `deleted` + `delta`'s
+    /// inserts, sorted by codes, net-zero combinations dropped. `None` on a
+    /// sensitive code outside the domain.
+    fn net_changes<'a>(
+        &self,
+        deleted: &'a DeletedRows,
+        delta: &'a Delta,
+    ) -> Option<Vec<NetChange<'a>>> {
+        let d = self.qi_count;
+        let mut rows: Vec<(&'a [u32], u32, i64)> =
+            Vec::with_capacity(deleted.len() + delta.insert_count());
+        for (k, &s) in deleted.sensitive.iter().enumerate() {
+            rows.push((&deleted.qi[k * d..(k + 1) * d], s, -1));
+        }
+        for i in 0..delta.insert_count() {
+            rows.push((delta.insert_qi(i), delta.insert_sensitive(i), 1));
+        }
+        if rows.iter().any(|&(_, s, _)| s as usize >= self.m) {
+            return None;
+        }
+        rows.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut touched: Vec<NetChange<'a>> = Vec::new();
+        for (qi, s, sign) in rows {
+            match touched.last_mut() {
+                Some(last) if last.qi == qi => last.hist[s as usize] += sign,
+                _ => {
+                    let mut hist = vec![0i64; self.m];
+                    hist[s as usize] += sign;
+                    touched.push(NetChange { qi, hist });
+                }
+            }
+        }
+        touched.retain(|c| c.hist.iter().any(|&h| h != 0));
+        Some(touched)
+    }
+
+    /// Append `old`'s points `range` unchanged (one bulk copy per array),
+    /// recording where each landed.
+    fn copy_points(
+        &mut self,
+        old: &FoldedTable,
+        range: std::ops::Range<usize>,
+        point_map: &mut [u32],
+    ) {
+        let first = self.counts.len() as u32;
+        for (k, slot) in point_map[range.clone()].iter_mut().enumerate() {
+            *slot = first + k as u32;
+        }
+        let (d, m) = (self.qi_count, self.m);
+        self.qi
+            .extend_from_slice(&old.qi[range.start * d..range.end * d]);
+        self.counts.extend_from_slice(&old.counts[range.clone()]);
+        self.hists
+            .extend_from_slice(&old.hists[range.start * m..range.end * m]);
     }
 
     /// The QI combinations whose histogram differs between `self` and

@@ -29,8 +29,8 @@ pub use adversary::Adversary;
 pub use bandwidth::Bandwidth;
 pub use calibrate::{attribute_diagnostics, suggest_skyline};
 pub use estimator::{
-    DirtyPoints, FoldedPoint, FoldedTable, KernelFamily, PriorEstimator, PriorModel, SparseWeights,
-    SupportIndex,
+    DeletedRows, DirtyPoints, FoldEvolution, FoldedPoint, FoldedTable, KernelFamily,
+    PriorEstimator, PriorModel, SparseWeights, SupportIndex,
 };
 pub use mining::{mine_negative_rules, MiningConfig, NegativeRule, Pattern};
 pub use persist::{load_model, load_model_str, save_model, save_model_string};

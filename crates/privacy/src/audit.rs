@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bgkanon_data::{Layout, Parallelism, Table};
 use bgkanon_inference::{
@@ -369,13 +369,6 @@ impl Auditor {
             })
             .collect();
         let outputs = bgkanon_data::shared_pool().run(jobs);
-        if std::env::var("BGK_PROFILE").is_ok() {
-            eprintln!(
-                "batched audit: memo peaked at ~{} bytes over {} group(s)",
-                shared.bytes_accounted(),
-                groups.len()
-            );
-        }
         let mut risks = vec![f64::NAN; table.len()];
         for (row, risk) in outputs.into_iter().flatten() {
             risks[row] = risk;
@@ -584,22 +577,6 @@ struct BatchState {
     /// sensitive histogram, which determines every member's posterior and
     /// therefore its risk.
     memo: Mutex<HashMap<Vec<u64>, Arc<Vec<f64>>>>,
-}
-
-impl BatchState {
-    /// Heap bytes resident in the batched engine's per-call signature memo
-    /// — same accounting convention as [`AuditSession::bytes_accounted`].
-    /// The memo dies with the call, so this is a peak-usage telemetry
-    /// number (reported under `BGK_PROFILE`), not a standing gauge.
-    fn bytes_accounted(&self) -> usize {
-        match self.memo.lock() {
-            Ok(memo) => memo
-                .iter() // bgk-allow: R3 order-independent byte sum
-                .map(|(sig, risks)| cache_entry_bytes(sig.len(), risks.len()))
-                .sum(),
-            Err(_) => 0,
-        }
-    }
 }
 
 /// Estimated owned heap bytes of one signature-memo entry: the boxed key,
@@ -1011,13 +988,11 @@ impl SharedAuditSession {
     /// (`Arc` clones; the session is left as it was), for
     /// [`carried`](Self::carried) to hand to a successor session.
     pub fn carry_stamps(&self, group_stamps: &[u64]) -> StampCarry {
-        let risks = match self.caches.lock() {
-            Ok(caches) => group_stamps
-                .iter()
-                .map(|s| caches.stamps.get(s).map(|e| Arc::clone(&e.risks)))
-                .collect(),
-            Err(_) => Vec::new(),
-        };
+        let caches = self.lock_caches();
+        let risks = group_stamps
+            .iter()
+            .map(|s| caches.stamps.get(s).map(|e| Arc::clone(&e.risks)))
+            .collect();
         StampCarry { risks }
     }
 
@@ -1028,12 +1003,12 @@ impl SharedAuditSession {
 
     /// Number of live signature-memo entries (diagnostics).
     pub fn cached_signatures(&self) -> usize {
-        self.caches.lock().expect("audit caches").memo.len()
+        self.lock_caches().memo.len()
     }
 
     /// Number of live stamp-cache entries (diagnostics).
     pub fn cached_stamps(&self) -> usize {
-        self.caches.lock().expect("audit caches").stamps.len()
+        self.lock_caches().stamps.len()
     }
 
     /// Heap bytes resident in the shared caches — the concurrent
@@ -1043,32 +1018,43 @@ impl SharedAuditSession {
     /// for `Adv(b')` models, the caller for external auditors), so a
     /// model shared by many tenants is accounted once.
     pub fn bytes_accounted(&self) -> usize {
-        match self.caches.lock() {
-            Ok(caches) => {
-                let memo: usize = caches
-                    .memo
-                    .iter() // bgk-allow: R3 order-independent byte sum
-                    .map(|(sig, e)| cache_entry_bytes(sig.len(), e.risks.len()))
-                    .sum();
-                let stamps: usize = caches
-                    .stamps
-                    .values() // bgk-allow: R3 order-independent byte sum
-                    .map(|e| cache_entry_bytes(1, e.risks.len()))
-                    .sum();
-                memo + stamps
-            }
-            Err(_) => 0,
-        }
+        let caches = self.lock_caches();
+        let memo: usize = caches
+            .memo
+            .iter() // bgk-allow: R3 order-independent byte sum
+            .map(|(sig, e)| cache_entry_bytes(sig.len(), e.risks.len()))
+            .sum();
+        let stamps: usize = caches
+            .stamps
+            .values() // bgk-allow: R3 order-independent byte sum
+            .map(|e| cache_entry_bytes(1, e.risks.len()))
+            .sum();
+        memo + stamps
     }
 
     /// Drop every cached entry, keeping the auditor — the demotion hook of
     /// the hub's memory budget. Safe at any time: concurrent reports
     /// rebuild evicted entries on miss, bit-identically.
     pub fn evict_caches(&self) {
-        if let Ok(mut caches) = self.caches.lock() {
+        let mut caches = self.lock_caches();
+        caches.memo.clear();
+        caches.stamps.clear();
+    }
+
+    /// The cache guard, poison-tolerant: a reader that panicked while
+    /// holding it may have left the caches half-updated, so a poisoned lock
+    /// is recovered with both caches cleared, as
+    /// [`evict_caches`](Self::evict_caches) does. Every entry is
+    /// rebuild-on-miss and replays are bit-identical, so the next report
+    /// simply recomputes — one panicked reader never wedges the tenant.
+    fn lock_caches(&self) -> MutexGuard<'_, SharedCaches> {
+        self.caches.lock().unwrap_or_else(|poisoned| {
+            self.caches.clear_poison();
+            let mut caches = poisoned.into_inner();
             caches.memo.clear();
             caches.stamps.clear();
-        }
+            caches
+        })
     }
 
     /// Audit `groups` with threshold `t` through the shared caches —
@@ -1104,7 +1090,7 @@ impl SharedAuditSession {
         let mut missed: Vec<usize> = Vec::new();
         let mut hits: Vec<(usize, Arc<Vec<f64>>)> = Vec::new();
         {
-            let mut caches = self.caches.lock().expect("audit caches");
+            let mut caches = self.lock_caches();
             caches.generation += 1;
             generation = caches.generation;
             for (gi, rows) in groups.iter().enumerate() {
@@ -1136,7 +1122,7 @@ impl SharedAuditSession {
             let rows = groups[gi];
             self.auditor.prepare_group(table, rows, &mut scratch);
             let cached = {
-                let mut caches = self.caches.lock().expect("audit caches");
+                let mut caches = self.lock_caches();
                 caches.memo.get_mut(&scratch.signature).map(|entry| {
                     entry.generation = generation;
                     Arc::clone(&entry.risks)
@@ -1146,7 +1132,7 @@ impl SharedAuditSession {
                 Some(solved) => solved,
                 None => {
                     let solved = Arc::new(self.auditor.solve_group(rows, m, &mut scratch));
-                    let mut caches = self.caches.lock().expect("audit caches");
+                    let mut caches = self.lock_caches();
                     Arc::clone(
                         &caches
                             .memo
@@ -1160,7 +1146,7 @@ impl SharedAuditSession {
                 }
             };
             if let Some(stamp) = stamps.map(|s| s[gi]) {
-                let mut caches = self.caches.lock().expect("audit caches");
+                let mut caches = self.lock_caches();
                 caches
                     .stamps
                     .entry(stamp)
@@ -1179,7 +1165,7 @@ impl SharedAuditSession {
         // dissolved groups do not accumulate, while groups a concurrent
         // reader of an adjacent version still replays survive the window.
         {
-            let mut caches = self.caches.lock().expect("audit caches");
+            let mut caches = self.lock_caches();
             let generation = caches.generation;
             caches
                 .memo
@@ -1195,7 +1181,7 @@ impl SharedAuditSession {
 impl std::fmt::Debug for SharedAuditSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (memo, stamps) = {
-            let caches = self.caches.lock().expect("audit caches");
+            let caches = self.lock_caches();
             (caches.memo.len(), caches.stamps.len())
         };
         f.debug_struct("SharedAuditSession")
@@ -1533,6 +1519,43 @@ mod tests {
         }
         assert_eq!(shared.cached_stamps(), 1);
         assert!(shared.cached_signatures() <= 1);
+    }
+
+    #[test]
+    fn poisoned_shared_caches_recover_with_fresh_reports() {
+        let t = toy::hospital_table();
+        let groups = toy::hospital_groups();
+        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+        let stamps = [4u64, 5, 6];
+        let fresh = auditor(&t, 0.3).report(&t, &groups, 0.1);
+        let shared = Arc::new(SharedAuditSession::new(auditor(&t, 0.3)));
+        let _ = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
+        assert_eq!(shared.cached_stamps(), 3);
+
+        // A pooled reader panics while holding the cache lock.
+        let poisoner = Arc::clone(&shared);
+        let job = move || {
+            let _guard = poisoner.caches.lock();
+            panic!("reader panicked while holding the audit caches");
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            bgkanon_data::shared_pool().run(vec![job])
+        }));
+        assert!(outcome.is_err());
+        assert!(shared.caches.is_poisoned());
+
+        // The next report clears the caches, recomputes, and matches a
+        // fresh auditor bit for bit; the lock is healthy again.
+        let report = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
+        assert!(!shared.caches.is_poisoned());
+        assert_eq!(report.risks.len(), fresh.risks.len());
+        for (f, r) in fresh.risks.iter().zip(&report.risks) {
+            assert_eq!(f.to_bits(), r.to_bits());
+        }
+        assert_eq!(report.worst_case.to_bits(), fresh.worst_case.to_bits());
+        assert_eq!(report.mean.to_bits(), fresh.mean.to_bits());
+        assert_eq!(report.vulnerable, fresh.vulnerable);
+        assert_eq!(shared.cached_stamps(), 3);
     }
 
     #[test]

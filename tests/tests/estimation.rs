@@ -5,13 +5,17 @@
 //! table any number of deltas later — must be bit-identical to a
 //! from-scratch estimate of the final table after **any** delta sequence.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
-use bgkanon::knowledge::{Bandwidth, FoldedTable, KernelFamily, PriorEstimator, PriorModel};
+use bgkanon::knowledge::{
+    load_model_str, save_model_string, Bandwidth, DeletedRows, FoldedTable, KernelFamily,
+    PriorEstimator, PriorModel,
+};
 use bgkanon::stats::Dist;
 
 fn family(index: usize) -> KernelFamily {
@@ -230,6 +234,142 @@ fn delete_point_insert_unseen(table: &Table, inserts: usize) -> (Delta, Box<[u32
             .expect("codes come from the schema");
     }
     (builder.build(), gone, unseen)
+}
+
+/// A delta over `table` deleting one row and inserting an identical one:
+/// the rows move, the fold does not.
+fn net_zero_delta(table: &Table, row: usize) -> Delta {
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    builder.delete(row);
+    builder
+        .insert_codes(&table.qi(row), table.sensitive_value(row))
+        .expect("codes come from the table");
+    builder.build()
+}
+
+/// The QI combinations whose histogram differs between two folds (present
+/// in only one counts as differing), ascending — read off the public point
+/// view, independently of the evolution core.
+fn changed_between(old: &FoldedTable, new: &FoldedTable) -> Vec<Box<[u32]>> {
+    let mut keys: BTreeSet<Box<[u32]>> = old.points().map(|p| p.qi().into()).collect();
+    keys.extend(new.points().map(|p| Box::<[u32]>::from(p.qi())));
+    let hist = |fold: &FoldedTable, qi: &[u32]| {
+        fold.find(qi)
+            .map(|i| fold.point(i).sensitive_counts().to_vec())
+    };
+    keys.into_iter()
+        .filter(|qi| hist(old, qi) != hist(new, qi))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A fold carried through 1–4 chained deltas by `FoldedTable::evolve`
+    /// equals `FoldedTable::with_row_points` of every post-delta table:
+    /// same content, same content hash, same row → point array (remapped
+    /// from the previous step's), and the changed-point set is exactly the
+    /// fold difference. The mix covers a point deleted outright plus an
+    /// insert at an unseen point, and a net-zero delta. The `apply_delta`
+    /// wrapper runs the same core, and a fold reloaded through persistence
+    /// hashes equal.
+    #[test]
+    fn evolved_fold_matches_a_fresh_fold_across_chained_deltas(
+        rows in 30usize..220,
+        seed in 0u64..500,
+        steps in 1usize..5,
+        del_frac in 0.0f64..0.2,
+        inserts in 0usize..6,
+        mix in 0usize..4,
+    ) {
+        let mut table = adult::generate(rows, seed);
+        let (mut fold, mut row_points) = FoldedTable::with_row_points(&table);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xe701_7e00);
+        for step in 0..steps {
+            let context = format!("rows={rows} seed={seed} step={step} mix={mix}");
+            let delta = match (step + mix) % 4 {
+                0 => delete_point_insert_unseen(&table, 1 + step % 3).0,
+                1 => net_zero_delta(&table, rng.gen_range(0..table.len())),
+                _ => random_delta(&table, &mut rng, del_frac, inserts),
+            };
+            let deleted = DeletedRows::gather(&table, &delta);
+            prop_assert!(deleted.is_some(), "deletes are in range: {}", &context);
+            let deleted = deleted.expect("checked");
+            let evolution = fold.evolve(&deleted, &delta);
+            let Ok(next) = table.apply_delta(&delta) else {
+                // The delta would empty the table: the core refuses it too.
+                prop_assert!(evolution.is_none(), "emptying delta evolved: {}", &context);
+                break;
+            };
+            prop_assert!(evolution.is_some(), "evolve refused a valid delta: {}", &context);
+            let evolution = evolution.expect("checked");
+            let (fresh, fresh_points) = FoldedTable::with_row_points(&next);
+            prop_assert!(evolution.folded().content_eq(&fresh), "fold: {}", &context);
+            prop_assert_eq!(
+                evolution.folded().content_hash(),
+                fresh.content_hash(),
+                "content hash: {}",
+                &context
+            );
+            let points = evolution.row_points(&row_points, &delta);
+            prop_assert_eq!(points.as_ref(), Some(&fresh_points), "row points: {}", &context);
+            let expected = changed_between(&fold, &fresh);
+            prop_assert_eq!(evolution.changed(), expected.as_slice(), "changed: {}", &context);
+            if (step + mix) % 4 == 1 {
+                prop_assert!(evolution.changed().is_empty(), "net-zero: {}", &context);
+            }
+
+            let mut stepped = fold.clone();
+            let changed = stepped.apply_delta(&table, &delta);
+            prop_assert!(stepped.content_eq(&fresh), "apply_delta fold: {}", &context);
+            prop_assert_eq!(stepped.content_hash(), fresh.content_hash(), "apply_delta hash: {}", &context);
+            prop_assert_eq!(&changed, &expected, "apply_delta changed: {}", &context);
+
+            fold = evolution.into_folded();
+            row_points = points.expect("checked");
+            table = next;
+        }
+        let estimator = PriorEstimator::new(
+            Arc::clone(table.schema()),
+            Bandwidth::uniform(0.3, table.qi_count()).expect("positive bandwidth"),
+        );
+        let model = estimator.estimate_folded(fold.clone(), Parallelism::Auto);
+        let reloaded = load_model_str(&save_model_string(&model));
+        prop_assert!(reloaded.is_ok(), "persisted model reloads");
+        let reloaded = reloaded.expect("checked");
+        let reloaded = reloaded.folded().expect("persisted models keep their fold");
+        prop_assert!(reloaded.content_eq(&fold), "reloaded fold");
+        prop_assert_eq!(reloaded.content_hash(), fold.content_hash(), "reloaded hash");
+    }
+}
+
+#[test]
+fn evolve_refuses_a_change_the_fold_cannot_account_for() {
+    // Rows gathered from another table: deleting content this fold does not
+    // hold is a mismatch, reported as `None` rather than a panic.
+    let table = adult::generate(120, 3);
+    let other = adult::generate(120, 4);
+    let folded = FoldedTable::new(&table);
+    let (delta, _, _) = delete_point_insert_unseen(&other, 0);
+    let foreign = DeletedRows::gather(&other, &delta).unwrap();
+    assert!(folded.evolve(&foreign, &delta).is_none());
+    // Deleting every row would empty the table.
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    for row in 0..table.len() {
+        builder.delete(row);
+    }
+    let everything = builder.build();
+    let deleted = DeletedRows::gather(&table, &everything).unwrap();
+    assert!(folded.evolve(&deleted, &everything).is_none());
+    // An out-of-range delete cannot be gathered at all.
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    builder.delete(table.len());
+    assert!(DeletedRows::gather(&table, &builder.build()).is_none());
+    // Row points of the wrong table length do not remap.
+    let (one, _, _) = delete_point_insert_unseen(&table, 1);
+    let deleted = DeletedRows::gather(&table, &one).unwrap();
+    let evolution = folded.evolve(&deleted, &one).unwrap();
+    assert!(evolution.row_points(&[0; 5], &one).is_none());
 }
 
 #[test]

@@ -323,3 +323,43 @@ fn evicted_tenant_audits_fresh_after_rehydration() {
     drop(hub);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A rehydrated snapshot carries no change record and its tenant no
+/// `Adv(b′)` entry: the first audit after rehydration folds and estimates
+/// in full, and single-step audits after it carry the fold again — every
+/// one bit-identical to a fresh auditor.
+#[test]
+fn rehydrated_tenant_folds_in_full_then_carries_its_fold() {
+    let dir = tmp_dir("rehydrate_then_carry");
+    let (hub, _) = SessionHub::open_with(&dir, lockstep_options(Some(1), 3)).unwrap();
+    let publisher = Publisher::new().k_anonymity(4);
+    hub.register("t0", &adult::generate(160, 91), &publisher)
+        .unwrap();
+    hub.register("t1", &adult::generate(160, 92), &publisher)
+        .unwrap();
+    let mut rng = SmallRng::seed_from_u64(93);
+    let check = |context: &str| {
+        let report = hub.audit_against("t0", 0.3, 0.2).unwrap();
+        let snapshot = hub.snapshot("t0").unwrap();
+        assert_same_report(
+            &report,
+            &fresh_adversary_report(&snapshot, 0.3, 0.2),
+            context,
+        );
+    };
+    for round in 0..3 {
+        // Touching t1 demotes t0 under the 1-byte budget.
+        hub.audit_against("t1", 0.3, 0.2).unwrap();
+        check(&format!("first audit after rehydration, round {round}"));
+        for step in 0..2 {
+            let table = hub.snapshot("t0").unwrap().table().clone();
+            hub.apply("t0", &random_delta(&table, &mut rng, 0.03, 2))
+                .unwrap();
+            check(&format!("carried step {step}, round {round}"));
+        }
+    }
+    let stats = hub.memory_stats();
+    assert!(stats.rehydrations >= 3);
+    drop(hub);
+    let _ = std::fs::remove_dir_all(&dir);
+}

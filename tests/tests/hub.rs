@@ -385,3 +385,105 @@ fn shared_interned_model_is_never_refreshed_in_place() {
     );
     assert_eq!(hub.memory_stats().interned_models, 2);
 }
+
+/// Audit `tenant` at `B_PRIME` and require a fresh auditor's bits.
+fn audit_matches_fresh(hub: &SessionHub, tenant: &str, context: &str) -> AuditReport {
+    let report = hub
+        .audit_against(tenant, B_PRIME, THRESHOLD)
+        .expect("audit");
+    let snapshot = hub.snapshot(tenant).expect("registered");
+    assert_same_risks(&report, &fresh_adversary_report(&snapshot), context);
+    report
+}
+
+#[test]
+fn empty_delta_between_apply_and_audit_keeps_the_fold_step() {
+    // Version 1's record must survive an empty delta (which republishes
+    // version 1): the audit then carries the version-0 fold one step.
+    let hub = SessionHub::new();
+    hub.register("idle", &tenant_table(3), &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    audit_matches_fresh(&hub, "idle", "version 0");
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0xe3);
+    let table = hub.snapshot("idle").expect("registered").table().clone();
+    hub.apply("idle", &random_delta(&table, &mut rng))
+        .expect("valid delta");
+    let schema = Arc::clone(table.schema());
+    let same = hub
+        .apply("idle", &Delta::empty(schema))
+        .expect("empty delta");
+    assert_eq!(same.version(), 1);
+    audit_matches_fresh(&hub, "idle", "version 1 after an empty delta");
+    let table = hub.snapshot("idle").expect("registered").table().clone();
+    hub.apply("idle", &random_delta(&table, &mut rng))
+        .expect("valid delta");
+    audit_matches_fresh(&hub, "idle", "version 2");
+}
+
+#[test]
+fn rejected_delta_leaves_the_fold_step_untouched() {
+    let hub = SessionHub::new();
+    hub.register("strict", &tenant_table(4), &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    audit_matches_fresh(&hub, "strict", "version 0");
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x7e);
+    let table = hub.snapshot("strict").expect("registered").table().clone();
+    hub.apply("strict", &random_delta(&table, &mut rng))
+        .expect("valid delta");
+    // A delete past the end is rejected; version 1 stays published.
+    let current = hub.snapshot("strict").expect("registered");
+    let mut bad = DeltaBuilder::new(Arc::clone(current.table().schema()));
+    bad.delete(current.len() + 3);
+    assert!(hub.apply("strict", &bad.build()).is_err());
+    assert_eq!(hub.snapshot("strict").expect("registered").version(), 1);
+    audit_matches_fresh(&hub, "strict", "version 1 after a rejected delta");
+}
+
+#[test]
+fn two_unaudited_applies_fold_in_full_then_carry_again() {
+    // Two applies between audits put the entry two versions behind (full
+    // fold); the next single-step audit carries the fold again.
+    let hub = SessionHub::new();
+    hub.register("pair", &tenant_table(5), &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    audit_matches_fresh(&hub, "pair", "version 0");
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x22);
+    for _ in 0..2 {
+        let table = hub.snapshot("pair").expect("registered").table().clone();
+        hub.apply("pair", &random_delta(&table, &mut rng))
+            .expect("valid delta");
+    }
+    audit_matches_fresh(&hub, "pair", "version 2");
+    for version in 3..6 {
+        let table = hub.snapshot("pair").expect("registered").table().clone();
+        hub.apply("pair", &random_delta(&table, &mut rng))
+            .expect("valid delta");
+        audit_matches_fresh(&hub, "pair", &format!("version {version}"));
+    }
+}
+
+#[test]
+fn evolved_and_fresh_folds_of_equal_content_share_one_model() {
+    // "moved" reaches table T1 by a delta (its audit evolves the fold of
+    // T0); "landed" registers T1 directly (its audit folds in full). The
+    // two folds must hash and compare equal, so the second audit shares
+    // the first's interned model.
+    let hub = SessionHub::new();
+    let publisher = Publisher::new().k_anonymity(K);
+    let t0 = tenant_table(6);
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x5ade);
+    let delta = random_delta(&t0, &mut rng);
+    let t1 = t0.apply_delta(&delta).expect("valid delta");
+    hub.register("moved", &t0, &publisher).expect("satisfiable");
+    hub.register("landed", &t1, &publisher)
+        .expect("satisfiable");
+    audit_matches_fresh(&hub, "moved", "moved at version 0");
+    hub.apply("moved", &delta).expect("valid delta");
+    let stats = hub.memory_stats();
+    let moved = audit_matches_fresh(&hub, "moved", "moved at version 1");
+    let landed = audit_matches_fresh(&hub, "landed", "landed at version 0");
+    assert_same_risks(&moved, &landed, "equal content, equal risks");
+    let after = hub.memory_stats();
+    assert_eq!(after.intern_hits, stats.intern_hits + 1);
+    assert_eq!(after.interned_models, 1);
+}
