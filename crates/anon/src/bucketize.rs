@@ -115,13 +115,6 @@ pub fn try_bucketize(table: &Table, l: usize) -> Result<AnonymizedTable, Infeasi
     Ok(AnonymizedTable::new(table, groups))
 }
 
-/// Bucketize `table` into ℓ-diverse buckets, discarding the infeasibility
-/// reason.
-#[deprecated(note = "use `try_bucketize`, which reports why no ℓ-diverse partition exists")]
-pub fn bucketize(table: &Table, l: usize) -> Option<AnonymizedTable> {
-    try_bucketize(table, l).ok()
-}
-
 /// Anatomy bucketization as a session strategy, parameterized by ℓ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bucketize {
@@ -269,18 +262,6 @@ mod tests {
         let err = try_bucketize(&t, 4).unwrap_err();
         assert!(err.reason.contains("4-diverse"));
         assert!(try_bucketize(&t, 3).is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_try_bucketize() {
-        let t = toy::hospital_table();
-        assert!(bucketize(&t, 4).is_none());
-        let shim = bucketize(&t, 3).unwrap();
-        let typed = try_bucketize(&t, 3).unwrap();
-        for (a, b) in shim.groups().iter().zip(typed.groups()) {
-            assert_eq!(a.rows, b.rows);
-        }
     }
 
     #[test]

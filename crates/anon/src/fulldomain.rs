@@ -216,13 +216,6 @@ impl FullDomain {
         })
     }
 
-    /// Search the lattice and return the best outcome, discarding the
-    /// infeasibility reason.
-    #[deprecated(note = "use `try_anonymize`, which reports why no level vector satisfies")]
-    pub fn anonymize(&self, table: &Table) -> Option<FullDomainOutcome> {
-        self.try_anonymize(table).ok()
-    }
-
     fn top_fails(&self) -> Infeasible {
         Infeasible::new(format!(
             "even the top of the generalization lattice (one group of all \
@@ -595,18 +588,6 @@ mod tests {
         let fd = FullDomain::new_monotone(Arc::new(KAnonymity::new(100)));
         let err = fd.try_anonymize(&t).unwrap_err();
         assert!(err.reason.contains("100-anonymity"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_try_anonymize() {
-        let t = adult::generate(150, 10);
-        let fd = FullDomain::new_monotone(Arc::new(KAnonymity::new(4)));
-        let shim = fd.anonymize(&t).unwrap();
-        let typed = fd.try_anonymize(&t).unwrap();
-        assert_eq!(shim.levels, typed.levels);
-        let unsat = FullDomain::new_monotone(Arc::new(KAnonymity::new(100_000)));
-        assert!(unsat.anonymize(&t).is_none());
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub mod strategy;
 pub mod tree;
 
 pub use anonymized::{AnonymizedTable, Group, QiRange};
-#[allow(deprecated)]
-pub use bucketize::bucketize;
 pub use bucketize::{try_bucketize, Bucketize, BucketizeState};
 pub use fulldomain::{FullDomain, FullDomainOutcome, FullDomainState};
 pub use mondrian::{Mondrian, SplitDecision};

@@ -362,7 +362,7 @@ impl PartitionTree {
     /// returning each group's **leaf stamp**, aligned with the group order.
     /// A stamp changes exactly when the leaf's membership does, so it can
     /// key caches of per-group derived values (the audit engine's
-    /// [`AuditSession`](bgkanon_privacy::AuditSession) uses it).
+    /// [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession) uses it).
     pub fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
         let mut groups: Vec<(Group, u64)> = Vec::new();
         self.visit_leaves(self.root, &mut |leaf| {

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bgkanon::data::{DeltaBuilder, Layout};
 use bgkanon::inference::{exact_posteriors, omega_posteriors, GroupPriors};
-use bgkanon::knowledge::{Adversary, Bandwidth, FoldedTable, PriorEstimator};
+use bgkanon::knowledge::{Adversary, Bandwidth, DeletedRows, FoldedTable, PriorEstimator};
 use bgkanon::prelude::*;
 use bgkanon::stats::divergence::js_divergence;
 use bgkanon::stats::permanent::{likelihood_dp, likelihood_via_permanent};
@@ -64,11 +64,15 @@ fn bench_estimator_stages(c: &mut Criterion) {
         b.iter(|| estimator.estimate_indexed(&folded, &index, &q));
     });
     group.bench_function("refresh_1pct_delta", |b| {
-        // Each iteration refreshes a fresh clone of the model (the clone is
-        // part of the measured loop; it is cheap next to the recompute).
+        // The hub's carried refresh: gather the deleted rows, evolve the
+        // model's fold by the delta, refresh from the fold difference. Each
+        // iteration refreshes a fresh clone of the model (the clone is part
+        // of the measured loop; it is cheap next to the recompute).
         b.iter(|| {
             let mut m = model.clone();
-            estimator.refresh(&mut m, &table, &delta);
+            let deleted = DeletedRows::gather(&table, &delta).unwrap();
+            let evolved = m.folded().unwrap().evolve(&deleted, &delta).unwrap();
+            estimator.refresh_folded(&mut m, evolved.into_folded(), Parallelism::Auto);
             m
         });
     });

@@ -21,10 +21,11 @@
 //!
 //! `--estimate` switches to the **P̂pri estimation** benchmark, written to
 //! `BENCH_estimate.json`: the dense all-pairs reference engine vs the
-//! sparse compact-support engine (single-threaded and `Auto`), plus
-//! [`PriorEstimator::refresh`] vs full re-estimation under the clustered /
-//! scattered 1% delta workloads — every engine pair verified bit-identical
-//! before its timing is recorded.
+//! sparse compact-support engine (single-threaded and `Auto`), plus the
+//! hub's carried refresh ([`DeletedRows::gather`], then
+//! [`FoldedTable::evolve`], then [`PriorEstimator::refresh_folded`]) vs
+//! full re-estimation under the clustered / scattered 1% delta workloads —
+//! every engine pair verified bit-identical before its timing is recorded.
 //!
 //! ```text
 //! cargo run --release -p bgkanon-bench --bin baseline -- --estimate
@@ -124,7 +125,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Layout, Parallelism, Table};
-use bgkanon::knowledge::{Adversary, Bandwidth, FoldedTable, PriorEstimator, PriorModel};
+use bgkanon::knowledge::{
+    Adversary, Bandwidth, DeletedRows, FoldedTable, PriorEstimator, PriorModel,
+};
 use bgkanon::privacy::Auditor;
 use bgkanon::stats::SmoothedJs;
 use bgkanon::{Algorithm, Publisher};
@@ -729,7 +732,8 @@ fn assert_models_identical(a: &PriorModel, b: &PriorModel, context: &str) {
 
 /// Benchmark the P̂pri estimation engines at one size: the dense all-pairs
 /// reference vs the sparse neighbor-bounded engine (single-threaded and
-/// `Auto`), plus session `refresh` vs full re-estimation under the 1% delta
+/// `Auto`), plus the hub's carried refresh (deleted-row gather + fold
+/// evolution + fold-diff refresh) vs full re-estimation under the 1% delta
 /// workloads — every comparison verified bit-identical before its timing is
 /// recorded.
 fn run_estimate(rows: usize, reps: usize) -> EstimateResult {
@@ -750,7 +754,7 @@ fn run_estimate(rows: usize, reps: usize) -> EstimateResult {
     assert_models_identical(&dense, &sparse, "dense vs sparse");
     assert_models_identical(&dense, &parallel, "dense vs sparse-parallel");
 
-    // Session refresh vs full re-estimation under 1% churn.
+    // Carried refresh vs full re-estimation under 1% churn.
     let delta_half = (rows / 200).max(1);
     let mut refresh = Vec::new();
     for workload in [
@@ -776,7 +780,14 @@ fn run_estimate(rows: usize, reps: usize) -> EstimateResult {
         let mut refreshed = None;
         for _ in 0..reps {
             let mut model = sparse.clone();
-            let (_, ms) = time_ms(|| estimator.refresh(&mut model, &table, &delta));
+            let (_, ms) = time_ms(|| {
+                let deleted = DeletedRows::gather(&table, &delta).expect("deletes in range");
+                let folded = model.folded().expect("estimated models keep their fold");
+                let evolved = folded
+                    .evolve(&deleted, &delta)
+                    .expect("delta matches the fold");
+                estimator.refresh_folded(&mut model, evolved.into_folded(), Parallelism::Auto)
+            });
             refresh_ms = refresh_ms.min(ms);
             refreshed = Some(model);
         }
@@ -895,7 +906,8 @@ fn run_estimate_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) 
     report.note(&format!(
         "{threads} worker thread(s); min over {reps} rep(s); bandwidth {B_PRIME}; density = mean \
          nonzero fraction of the per-attribute kernel tables; refresh columns = speedup of \
-         PriorEstimator::refresh over full re-estimation under one 1% delta (clustered = \
+         the carried refresh (gather + FoldedTable::evolve + refresh_folded) over full \
+         re-estimation under one 1% delta (clustered = \
          demographic cohort at few distinct QI profiles, band = BENCH_incremental's age-band \
          cohort, scattered = uniform churn); every engine pair verified bit-identical before \
          timing is recorded"

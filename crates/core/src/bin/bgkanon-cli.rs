@@ -12,8 +12,7 @@
 //! `publish` and `audit` run through a retained [`PublishSession`]: the
 //! table is partitioned once, optional `--delete-rows` / `--insert-rows`
 //! deltas are applied incrementally through the session, and the audit
-//! replays its group-risk cache. `anonymize` is kept as a legacy alias of
-//! the one-shot pipeline.
+//! replays its group-risk cache.
 //!
 //! Input files use the 7-column Adult layout produced by `generate`
 //! (`Age,Workclass,Education,Marital-status,Race,Gender,Occupation`), or the
@@ -66,7 +65,6 @@ const USAGE: &str = "usage:
                          --max-resident-mb bounds the hub's accounted resident
                          bytes — cold tenants are demoted to their durable form
                          and rehydrated transparently on the next touch)
-  bgkanon-cli anonymize (legacy one-shot alias of publish, without deltas)
   bgkanon-cli mine      --input FILE [--min-support N] [--pairwise]";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -75,7 +73,6 @@ fn run(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "generate" => generate(&flags),
         "publish" => publish(&flags),
-        "anonymize" => anonymize(&flags),
         "audit" => audit(&flags),
         "serve" => serve(&flags),
         "mine" => mine(&flags),
@@ -350,39 +347,13 @@ fn explain_if_asked(
     Ok(())
 }
 
-fn anonymize(flags: &HashMap<String, String>) -> Result<(), String> {
-    let table = load_table(flags)?;
-    let publisher = build_publisher(flags)?;
-    explain_if_asked(flags, &publisher, &table)?;
-    let outcome = publisher.publish(&table).map_err(|e| e.to_string())?;
-    eprintln!(
-        "requirement: {}\ngroups: {} (avg size {:.1}) in {:?}",
-        outcome.requirement_name,
-        outcome.anonymized.group_count(),
-        outcome.anonymized.average_group_size(),
-        outcome.elapsed
-    );
-    eprintln!(
-        "utility: DM {}  GCP {:.1}",
-        utility::discernibility(&outcome.anonymized),
-        utility::global_certainty_penalty(&outcome.anonymized)
-    );
-    if let Some(out) = flags.get("out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        outcome
-            .anonymized
-            .write_csv(&table, BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
-        eprintln!("published table written to {out}");
-    }
-    Ok(())
-}
-
 fn audit(flags: &HashMap<String, String>) -> Result<(), String> {
     let (_, mut session) = open_session(flags)?;
     let b_prime: f64 = parse(flags, "b-prime")?.unwrap_or(0.3);
     let t: f64 = parse(flags, "t")?.unwrap_or(0.25);
-    let report = session.audit_against(b_prime, t);
+    let report = session
+        .audit_against(b_prime, t)
+        .map_err(|e| e.to_string())?;
     println!("requirement : {}", session.requirement_name());
     println!("adversary   : Adv(b'={b_prime}) with threshold t={t}");
     println!("worst-case  : {:.4}", report.worst_case);
@@ -1024,6 +995,39 @@ mod tests {
             "0.2".into(),
         ])
         .unwrap();
+        std::fs::remove_file(&base).ok();
+    }
+
+    #[test]
+    fn bad_b_prime_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join("bgkanon_cli_bad_b_prime_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("base.csv");
+        run(&[
+            "generate".into(),
+            "--rows".into(),
+            "60".into(),
+            "--seed".into(),
+            "5".into(),
+            "--out".into(),
+            base.to_string_lossy().into_owned(),
+        ])
+        .unwrap();
+        for b_prime in ["0", "-1", "NaN", "inf"] {
+            let err = run(&[
+                "audit".into(),
+                "--input".into(),
+                base.to_string_lossy().into_owned(),
+                "--model".into(),
+                "kanon".into(),
+                "--k".into(),
+                "3".into(),
+                "--b-prime".into(),
+                b_prime.into(),
+            ])
+            .unwrap_err();
+            assert!(err.contains("bandwidth"), "{b_prime}: {err}");
+        }
         std::fs::remove_file(&base).ok();
     }
 

@@ -72,7 +72,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use bgkanon_anon::{AnonymizedTable, AnyStrategy};
 use bgkanon_data::{Delta, Parallelism, Table};
@@ -80,9 +80,9 @@ use bgkanon_knowledge::{
     Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily, PriorEstimator, PriorModel,
 };
 use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
-use bgkanon_stats::SmoothedJs;
 
 use crate::publisher::Publisher;
+use crate::readers::{relock, AdversaryIntern, AuditTarget, ReaderCaches, READER_CACHE_CAP};
 use crate::recover::{self, RecoveryReport, TenantRecovery};
 use crate::session::{PublishSession, SessionError};
 use crate::strategy::SessionStrategy;
@@ -90,18 +90,6 @@ use crate::wal::{encode_record, DurabilityOptions, WalWriter};
 
 /// Default registry shard count ([`SessionHub::DEFAULT_SHARDS`]).
 const DEFAULT_SHARD_COUNT: usize = 16;
-
-/// Per-tenant reader-cache cap ([`SessionHub::MAX_READER_CACHES`]).
-const READER_CACHE_CAP: usize = 8;
-
-/// Recover a lock from a poisoned peer. The hub's guarded state is kept
-/// consistent at every await-free step (a panicking writer leaves either
-/// the old or the new published state, never a torn one), so continuing
-/// past a poison flag is safe — and a serving hub must not let one
-/// panicked worker wedge every other tenant.
-fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}
 
 /// An immutable published version of one tenant's table: what hub readers
 /// audit against. Snapshots are handed out as `Arc`s and everything inside
@@ -200,7 +188,7 @@ impl TenantSnapshot {
     /// signature) — the hub's hot read path. Bit-identical to a fresh
     /// [`Auditor::report`] of this version.
     pub fn audit_cached(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
-        shared.report_groups(&self.table, &self.group_slices(), Some(&self.stamps), t)
+        self.target().audit(shared, t)
     }
 
     /// Audit this version with `auditor`, uncached, on an explicit engine —
@@ -226,14 +214,16 @@ impl TenantSnapshot {
         )
     }
 
-    /// The published groups as borrowed row slices, aligned with
-    /// [`leaf_stamps`](Self::leaf_stamps).
-    fn group_slices(&self) -> Vec<&[usize]> {
-        self.anonymized
-            .groups()
-            .iter()
-            .map(|g| g.rows.as_slice())
-            .collect()
+    /// This version as the reader caches audit it, with the record of the
+    /// delta that produced it.
+    fn target(&self) -> AuditTarget<'_> {
+        AuditTarget {
+            table: &self.table,
+            anonymized: &self.anonymized,
+            stamps: &self.stamps,
+            version: self.version,
+            change: self.change.as_deref().map(|c| (&c.deleted, &c.delta)),
+        }
     }
 
     /// Heap bytes this snapshot pins: the published table and group list,
@@ -251,71 +241,6 @@ impl TenantSnapshot {
             + self.change.as_ref().map_or(0, |c| c.bytes_accounted())
             + 64
     }
-}
-
-/// Key of one retained reader-audit configuration of a tenant.
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum ReaderKey {
-    /// Externally supplied auditor: adversary + measure instance addresses
-    /// plus the exact-inference cutoff. Valid across versions — the
-    /// caller's model is frozen by definition, so stamp hits replay across
-    /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
-    External(usize, usize, usize),
-    /// Hub-estimated `Adv(b′)`, keyed by the bandwidth bits alone: one entry
-    /// per `b′`, carried forward from version to version. The entry's
-    /// [`ReaderCache::version`] names the version its model reflects; the
-    /// first audit of a newer version refreshes that model and replaces the
-    /// entry ([`SessionHub::audit_against`]).
-    Bandwidth(u64),
-}
-
-/// One retained reader-audit configuration: the shared session whose caches
-/// all reader threads of this tenant go through.
-struct ReaderCache {
-    key: ReaderKey,
-    /// The published version a hub-estimated adversary's model was
-    /// estimated or refreshed to (0 and unused for external auditors).
-    version: u64,
-    session: Arc<SharedAuditSession>,
-    /// For `Adv(b′)` entries, the point of the model's fold each row of
-    /// `version`'s table folds into ([`FoldedTable::with_row_points`]) —
-    /// carried to the next version with the fold. Empty for external
-    /// auditors.
-    row_points: Vec<u32>,
-}
-
-impl ReaderCache {
-    /// The fold and row → point array of `snapshot`'s version, carried from
-    /// this entry by the snapshot's change record ([`FoldedTable::evolve`])
-    /// — `None`, for the caller's full fold, unless the entry is exactly
-    /// one version behind and the record, the entry's fold and its row
-    /// points all agree.
-    fn evolved_fold(&self, snapshot: &TenantSnapshot) -> Option<(FoldedTable, Vec<u32>)> {
-        let change = snapshot.change.as_deref()?;
-        if self.version + 1 != snapshot.version() {
-            return None;
-        }
-        let model = self.session.auditor().adversary().prior_model()?;
-        let evolution = model.folded()?.evolve(&change.deleted, &change.delta)?;
-        let row_points = evolution.row_points(&self.row_points, &change.delta)?;
-        let fold = evolution.into_folded();
-        (fold.rows() == snapshot.len()).then_some((fold, row_points))
-    }
-}
-
-/// What a tenant's reader cache holds for `Adv(b′)`, relative to the
-/// version being audited.
-enum AdversaryEntry {
-    /// A session for exactly this version.
-    Current(Arc<SharedAuditSession>),
-    /// The entry of an earlier version, taken out of the cache: its model
-    /// is refreshed to the new version and its clean stamps carried.
-    Earlier(ReaderCache),
-    /// The cache already serves a newer version; this reader audits a
-    /// one-off session and leaves the entry alone.
-    Newer,
-    /// Nothing cached at this `b′`.
-    Missing,
 }
 
 /// Durable-apply state of one tenant: the open WAL writer plus checkpoint
@@ -360,7 +285,7 @@ struct Tenant<S: SessionStrategy> {
     /// `Arc` clone.
     published: RwLock<Option<Arc<TenantSnapshot>>>,
     /// Reader-audit configurations, LRU-bounded like a session's caches.
-    readers: Mutex<Vec<ReaderCache>>,
+    readers: ReaderCaches,
     /// Logical LRU stamp: the hub's touch clock at this tenant's last
     /// apply/audit/snapshot. Drives eviction order — no wall clock.
     last_touch: AtomicU64,
@@ -373,90 +298,6 @@ struct Tenant<S: SessionStrategy> {
 impl<S: SessionStrategy> Tenant<S> {
     fn snapshot_opt(&self) -> Option<Arc<TenantSnapshot>> {
         relock(self.published.read()).as_ref().map(Arc::clone)
-    }
-
-    /// Fetch or build the shared audit session for `key`; `build` runs
-    /// outside the lock (it may estimate a prior model).
-    fn reader_session(
-        &self,
-        key: ReaderKey,
-        build: impl FnOnce() -> SharedAuditSession,
-    ) -> Arc<SharedAuditSession> {
-        if let Some(found) = {
-            let mut readers = relock(self.readers.lock());
-            match readers.iter().position(|c| c.key == key) {
-                Some(idx) => {
-                    // Move to the back: LRU order for eviction.
-                    let entry = readers.remove(idx);
-                    let session = Arc::clone(&entry.session);
-                    readers.push(entry);
-                    Some(session)
-                }
-                None => None,
-            }
-        } {
-            return found;
-        }
-        self.install_reader(key, 0, build(), Vec::new())
-    }
-
-    /// The `Adv(b′)` entry at bandwidth bits `bits`, judged against
-    /// `version`. An earlier version's entry is removed from the cache and
-    /// handed to the caller, who alone refreshes it; a concurrent reader of
-    /// the same version finds nothing and estimates instead.
-    fn adversary_entry(&self, bits: u64, version: u64) -> AdversaryEntry {
-        let mut readers = relock(self.readers.lock());
-        let key = ReaderKey::Bandwidth(bits);
-        let Some(idx) = readers.iter().position(|c| c.key == key) else {
-            return AdversaryEntry::Missing;
-        };
-        let entry = readers.remove(idx);
-        if entry.version == version {
-            let session = Arc::clone(&entry.session);
-            // Back to the end: LRU order for eviction.
-            readers.push(entry);
-            AdversaryEntry::Current(session)
-        } else if entry.version > version {
-            readers.insert(idx, entry);
-            AdversaryEntry::Newer
-        } else {
-            AdversaryEntry::Earlier(entry)
-        }
-    }
-
-    /// Cache `session` (with its `row_points`) under `key` at `version`,
-    /// unless an entry another reader built meanwhile is at least as new —
-    /// then that entry wins for its own version, and a `session` for an
-    /// older version is returned unretained.
-    fn install_reader(
-        &self,
-        key: ReaderKey,
-        version: u64,
-        session: SharedAuditSession,
-        row_points: Vec<u32>,
-    ) -> Arc<SharedAuditSession> {
-        let session = Arc::new(session);
-        let mut readers = relock(self.readers.lock());
-        if let Some(idx) = readers.iter().position(|c| c.key == key) {
-            let existing = &readers[idx];
-            if existing.version == version {
-                return Arc::clone(&existing.session);
-            }
-            if existing.version > version {
-                return session;
-            }
-            readers.remove(idx);
-        }
-        if readers.len() >= READER_CACHE_CAP {
-            readers.remove(0);
-        }
-        readers.push(ReaderCache {
-            key,
-            version,
-            session: Arc::clone(&session),
-            row_points,
-        });
-        session
     }
 }
 
@@ -807,7 +648,7 @@ impl<S: SessionStrategy> SessionHub<S> {
                     healthy: true,
                 })),
                 published: RwLock::new(Some(snapshot)),
-                readers: Mutex::new(Vec::new()),
+                readers: ReaderCaches::default(),
                 last_touch: AtomicU64::new(hub.touch_clock.fetch_add(1, Ordering::Relaxed)),
                 session_bytes: AtomicUsize::new(bytes),
                 reader_bytes: AtomicUsize::new(0),
@@ -923,7 +764,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             writer: Mutex::new(TenantState::Resident(Box::new(session))),
             wal,
             published: RwLock::new(Some(Arc::clone(&snapshot))),
-            readers: Mutex::new(Vec::new()),
+            readers: ReaderCaches::default(),
             last_touch: AtomicU64::new(self.touch_clock.fetch_add(1, Ordering::Relaxed)),
             session_bytes: AtomicUsize::new(bytes),
             reader_bytes: AtomicUsize::new(0),
@@ -1094,12 +935,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     ) -> Result<AuditReport, SessionError> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
-        let key = ReaderKey::External(
-            Arc::as_ptr(auditor.adversary()) as usize,
-            Arc::as_ptr(auditor.measure()) as *const () as usize,
-            auditor.exact_below(),
-        );
-        let shared = entry.reader_session(key, || SharedAuditSession::new(auditor.clone()));
+        let shared = entry.readers.external(auditor);
         let report = snapshot.audit_cached(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
@@ -1148,94 +984,14 @@ impl<S: SessionStrategy> SessionHub<S> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
         let bandwidth = Bandwidth::uniform(b_prime, snapshot.table().qi_count())?;
-        let shared = self.adversary_session(&entry, &snapshot, bandwidth);
+        let shared =
+            entry
+                .readers
+                .adversary(&snapshot.target(), bandwidth, Some(self), Parallelism::Auto);
         let report = snapshot.audit_cached(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
         Ok(report)
-    }
-
-    /// The shared `Adv(b′)` audit session for `snapshot`'s version — see
-    /// [`audit_against`](Self::audit_against) for the paths.
-    fn adversary_session(
-        &self,
-        entry: &Tenant<S>,
-        snapshot: &TenantSnapshot,
-        bandwidth: Bandwidth,
-    ) -> Arc<SharedAuditSession> {
-        let bits = bandwidth.get(0).to_bits();
-        let version = snapshot.version();
-        let found = entry.adversary_entry(bits, version);
-        let newer = matches!(found, AdversaryEntry::Newer);
-        let earlier = match found {
-            AdversaryEntry::Current(session) => return session,
-            AdversaryEntry::Earlier(cache) => Some(cache),
-            AdversaryEntry::Newer | AdversaryEntry::Missing => None,
-        };
-        let table = snapshot.table();
-        let family = KernelFamily::Epanechnikov;
-        let (fold, row_points) = earlier
-            .as_ref()
-            .and_then(|cache| cache.evolved_fold(snapshot))
-            .unwrap_or_else(|| FoldedTable::with_row_points(table));
-        let key = intern_key(&fold, &bandwidth, family);
-        let measure = Arc::new(SmoothedJs::paper_default(
-            table.schema().sensitive_distance(),
-        ));
-        let session = if let Some(shared) = self.intern_find(key, &fold, &bandwidth, family) {
-            SharedAuditSession::new(Auditor::new(shared, measure))
-        } else {
-            let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-            let refreshable = earlier.and_then(|cache| {
-                let carry = cache.session.carry_stamps(snapshot.leaf_stamps());
-                let model = cache
-                    .session
-                    .auditor()
-                    .adversary()
-                    .prior_model()
-                    .map(Arc::clone);
-                // Drop the old entry (and with it, unless another tenant
-                // or an in-flight reader shares them, the old adversary's
-                // handle on the model) so the refresh below mutates the
-                // model in place instead of cloning it.
-                drop(cache);
-                model.map(|model| (carry, model))
-            });
-            let (model, carried) = match refreshable {
-                Some((carry, mut model)) => {
-                    let dirty = estimator.refresh_folded(
-                        Arc::make_mut(&mut model),
-                        fold,
-                        Parallelism::Auto,
-                    );
-                    (model, Some((carry, dirty)))
-                }
-                None => (
-                    Arc::new(estimator.estimate_folded(fold, Parallelism::Auto)),
-                    None,
-                ),
-            };
-            let label = format!("Adv({bandwidth})");
-            let adversary =
-                self.intern_insert(key, Adversary::from_model(&label, bandwidth, model));
-            let auditor = Auditor::new(adversary, measure);
-            match carried {
-                Some((carry, dirty)) => SharedAuditSession::carried(
-                    auditor,
-                    carry,
-                    &snapshot.group_slices(),
-                    snapshot.leaf_stamps(),
-                    &row_points,
-                    &dirty,
-                ),
-                None => SharedAuditSession::new(auditor),
-            }
-        };
-        if newer {
-            Arc::new(session)
-        } else {
-            entry.install_reader(ReaderKey::Bandwidth(bits), version, session, row_points)
-        }
     }
 
     /// The hub's memory gauges: rolled-up resident bytes, residency
@@ -1308,20 +1064,10 @@ impl<S: SessionStrategy> SessionHub<S> {
         }
     }
 
-    /// Recompute the tenant's shared reader-cache bytes: each session's
-    /// caches plus the entry's row → point array (4 B/row). The sessions
-    /// are cloned out under the brief `readers` guard and summed outside it
-    /// (each sum takes the session's own cache lock).
+    /// Recompute the tenant's shared reader-cache bytes
+    /// ([`ReaderCaches::bytes_accounted`]).
     fn recount_readers(&self, entry: &Tenant<S>) {
-        let (sessions, row_point_bytes): (Vec<Arc<SharedAuditSession>>, usize) = {
-            let readers = relock(entry.readers.lock());
-            (
-                readers.iter().map(|c| Arc::clone(&c.session)).collect(),
-                readers.iter().map(|c| c.row_points.len() * 4).sum(),
-            )
-        };
-        let bytes: usize = sessions.iter().map(|s| s.bytes_accounted() + 128).sum();
-        self.charge(&entry.reader_bytes, bytes + row_point_bytes);
+        self.charge(&entry.reader_bytes, entry.readers.bytes_accounted());
     }
 
     /// The tenant's current snapshot, rehydrating a demoted tenant first.
@@ -1505,49 +1251,9 @@ impl<S: SessionStrategy> SessionHub<S> {
                 session.bytes_accounted() + snapshot_bytes,
             );
         }
-        relock(entry.readers.lock()).clear();
+        entry.readers.clear();
         self.charge(&entry.reader_bytes, 0);
         self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A live interned adversary whose provenance is content-identical to
-    /// `(fold, bandwidth, family)`, counted as an intern hit or miss. The
-    /// intern lock is held only for the lookup; a miss is followed by an
-    /// estimate or refresh outside it and an
-    /// [`intern_insert`](Self::intern_insert).
-    fn intern_find(
-        &self,
-        key: u64,
-        fold: &FoldedTable,
-        bandwidth: &Bandwidth,
-        family: KernelFamily,
-    ) -> Option<Arc<Adversary>> {
-        let mut interned = relock(self.interned.lock());
-        let found = interned.find(key, fold, bandwidth, family);
-        if found.is_some() {
-            interned.hits += 1;
-        } else {
-            interned.misses += 1;
-        }
-        found
-    }
-
-    /// Intern a freshly built adversary under `key`. First insert wins a
-    /// race: if another thread interned the same provenance meanwhile,
-    /// that adversary is returned (its priors are bit-identical) so both
-    /// callers share it.
-    fn intern_insert(&self, key: u64, adversary: Adversary) -> Arc<Adversary> {
-        let adversary = Arc::new(adversary);
-        let mut interned = relock(self.interned.lock());
-        if let Some(won) = adversary.prior_model().and_then(|m| {
-            let fold = m.folded()?;
-            let bandwidth = m.bandwidth()?;
-            interned.find(key, fold, bandwidth, m.family())
-        }) {
-            return won;
-        }
-        interned.insert(key, &adversary);
-        adversary
     }
 
     fn snapshot_of(
@@ -1564,6 +1270,50 @@ impl<S: SessionStrategy> SessionHub<S> {
             stamps: Arc::new(session.leaf_stamps().to_vec()),
             change,
         }
+    }
+}
+
+impl<S: SessionStrategy> AdversaryIntern for SessionHub<S> {
+    /// A live interned adversary whose provenance is content-identical to
+    /// `(fold, bandwidth, family)`, counted as an intern hit or miss. The
+    /// intern lock is held only for the lookup; a miss is followed by an
+    /// estimate or refresh outside it and an [`insert`](Self::insert).
+    fn find(
+        &self,
+        fold: &FoldedTable,
+        bandwidth: &Bandwidth,
+        family: KernelFamily,
+    ) -> Option<Arc<Adversary>> {
+        let key = intern_key(fold, bandwidth, family);
+        let mut interned = relock(self.interned.lock());
+        let found = interned.find(key, fold, bandwidth, family);
+        if found.is_some() {
+            interned.hits += 1;
+        } else {
+            interned.misses += 1;
+        }
+        found
+    }
+
+    /// Intern a freshly built adversary. First insert wins a race: if
+    /// another thread interned the same provenance meanwhile, that
+    /// adversary is returned (its priors are bit-identical) so both callers
+    /// share it.
+    fn insert(&self, adversary: Adversary) -> Arc<Adversary> {
+        let adversary = Arc::new(adversary);
+        let Some((fold, bandwidth, family)) = adversary
+            .prior_model()
+            .and_then(|m| Some((m.folded()?, m.bandwidth()?, m.family())))
+        else {
+            return adversary;
+        };
+        let key = intern_key(fold, bandwidth, family);
+        let mut interned = relock(self.interned.lock());
+        if let Some(won) = interned.find(key, fold, bandwidth, family) {
+            return won;
+        }
+        interned.insert(key, &adversary);
+        adversary
     }
 }
 
@@ -1586,7 +1336,9 @@ impl<S: SessionStrategy> std::fmt::Debug for SessionHub<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::readers::{ReaderCache, ReaderKey};
     use bgkanon_data::{adult, DeltaBuilder};
+    use bgkanon_stats::SmoothedJs;
 
     fn hub_with(tenants: &[(&str, u64)], rows: usize, k: usize) -> SessionHub {
         let hub = SessionHub::new();
@@ -1755,7 +1507,7 @@ mod tests {
             .k_anonymity(4)
             .open(hub.snapshot("a").unwrap().table())
             .unwrap();
-        let reference = reference_session.audit_against(0.3, 0.2);
+        let reference = reference_session.audit_against(0.3, 0.2).unwrap();
         assert_eq!(after.worst_case.to_bits(), reference.worst_case.to_bits());
         assert_eq!(after.mean.to_bits(), reference.mean.to_bits());
         for (a, b) in after.risks.iter().zip(&reference.risks) {
@@ -1793,7 +1545,7 @@ mod tests {
         }
         // Writers and readers run as shared-pool jobs (R2: no per-call
         // scopes). The jobs must stay pool leaves: `apply` here never
-        // reaches a parallel engine (no tracked priors on these sessions),
+        // reaches a parallel engine (it never touches an adversary model),
         // and snapshot reads are pure — neither submits pool work.
         let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         // One writer per tenant, three deltas each.
@@ -1904,7 +1656,9 @@ mod tests {
         hub.audit_against("a", 0.5, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
         let versions = |entry: &Tenant<AnyStrategy>| -> Vec<(ReaderKey, u64)> {
-            relock(entry.readers.lock())
+            entry
+                .readers
+                .entries()
                 .iter()
                 .map(|c| (c.key, c.version))
                 .collect()
@@ -1946,7 +1700,9 @@ mod tests {
         let snap = hub.apply("a", &b.build()).unwrap();
         let report = hub.audit_against("a", 0.25, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        let solved = relock(entry.readers.lock())
+        let solved = entry
+            .readers
+            .entries()
             .iter()
             .find(|c| c.key == ReaderKey::Bandwidth(0.25f64.to_bits()))
             .map(|c| c.session.cached_signatures())
@@ -1973,7 +1729,7 @@ mod tests {
     /// Address of the prior model behind tenant `name`'s `Adv(b′)` entry.
     fn adversary_model_addr(hub: &SessionHub, name: &str, b: f64) -> usize {
         let entry = hub.tenant(name).unwrap();
-        let readers = relock(entry.readers.lock());
+        let readers = entry.readers.entries();
         let cache = readers
             .iter()
             .find(|c| c.key == ReaderKey::Bandwidth(b.to_bits()))
@@ -2015,7 +1771,12 @@ mod tests {
         // A reader that pinned version 0 before the apply arrives now.
         let entry = hub.tenant("a").unwrap();
         let bandwidth = Bandwidth::uniform(0.3, old.table().qi_count()).unwrap();
-        let stale = hub.adversary_session(&entry, &old, bandwidth.clone());
+        let stale = entry.readers.adversary(
+            &old.target(),
+            bandwidth.clone(),
+            Some(&hub),
+            Parallelism::Auto,
+        );
         let report = old.audit_cached(&stale, 0.2);
         let fresh = Auditor::new(
             Arc::new(Adversary::kernel(old.table(), bandwidth)),
@@ -2028,10 +1789,7 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // The cached entry still serves version 1.
-        let cached: Vec<u64> = relock(entry.readers.lock())
-            .iter()
-            .map(|c| c.version)
-            .collect();
+        let cached: Vec<u64> = entry.readers.entries().iter().map(|c| c.version).collect();
         assert_eq!(cached, vec![1]);
     }
 
@@ -2050,7 +1808,7 @@ mod tests {
             ));
         }
         // Nothing was cached for the rejected values.
-        assert!(relock(hub.tenant("a").unwrap().readers.lock()).is_empty());
+        assert!(hub.tenant("a").unwrap().readers.entries().is_empty());
     }
 
     #[test]
@@ -2079,7 +1837,7 @@ mod tests {
     /// A copy of tenant `name`'s `Adv(b)` entry (its session shared).
     fn adversary_entry_copy(hub: &SessionHub, name: &str, b: f64) -> ReaderCache {
         let entry = hub.tenant(name).unwrap();
-        let readers = relock(entry.readers.lock());
+        let readers = entry.readers.entries();
         let cache = readers
             .iter()
             .find(|c| c.key == ReaderKey::Bandwidth(b.to_bits()))
@@ -2128,7 +1886,7 @@ mod tests {
 
         // One version behind with a record: the evolved fold and row points
         // equal a fresh fold of version 1.
-        let (fold, row_points) = v0.evolved_fold(&v1).expect("one step");
+        let (fold, row_points) = v0.evolved_fold(&v1.target()).expect("one step");
         let (fresh, fresh_points) = FoldedTable::with_row_points(v1.table());
         assert!(fold.content_eq(&fresh));
         assert_eq!(fold.content_hash(), fresh.content_hash());
@@ -2140,7 +1898,7 @@ mod tests {
             session: Arc::clone(&v0.session),
             ..v0
         };
-        assert!(short.evolved_fold(&v1).is_none());
+        assert!(short.evolved_fold(&v1.target()).is_none());
 
         // A record whose deletes the entry's fold cannot account for (the
         // entry belongs to another table): no evolution, no panic.
@@ -2153,13 +1911,13 @@ mod tests {
         let d = delta_for(&a_table, &[foreign_row], 0, 1);
         let v2 = hub.apply("a", &d).unwrap();
         let b_entry = adversary_entry_copy(&hub, "b", 0.3);
-        assert!(b_entry.evolved_fold(&v2).is_none());
+        assert!(b_entry.evolved_fold(&v2.target()).is_none());
 
         // Two versions behind, or no record (a registration snapshot): the
         // caller folds in full.
-        assert!(v0.evolved_fold(&v2).is_none());
+        assert!(v0.evolved_fold(&v2.target()).is_none());
         let registered = hub.snapshot("b").unwrap();
-        assert!(b_entry.evolved_fold(&registered).is_none());
+        assert!(b_entry.evolved_fold(&registered.target()).is_none());
 
         // Either way the audits match a fresh auditor.
         let report = hub.audit_against("a", 0.3, 0.2).unwrap();
@@ -2184,7 +1942,9 @@ mod tests {
         let hub = hub_with(&[("a", 2)], 300, 4);
         hub.audit_against("a", 0.3, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        let sessions: usize = relock(entry.readers.lock())
+        let sessions: usize = entry
+            .readers
+            .entries()
             .iter()
             .map(|c| c.session.bytes_accounted() + 128)
             .sum();

@@ -52,6 +52,7 @@ pub use bgkanon_utility as utility;
 pub mod hub;
 pub mod params;
 pub mod publisher;
+mod readers;
 pub mod recover;
 pub mod session;
 pub mod strategy;
@@ -78,9 +79,8 @@ pub mod prelude {
     pub use crate::knowledge::{Adversary, Bandwidth};
     pub use crate::params::PaperParams;
     pub use crate::privacy::{
-        AuditReport, AuditSession, Auditor, BTPrivacy, DistinctLDiversity, KAnonymity,
-        PrivacyRequirement, ProbabilisticLDiversity, SharedAuditSession, SkylineBTPrivacy,
-        TCloseness,
+        AuditReport, Auditor, BTPrivacy, DistinctLDiversity, KAnonymity, PrivacyRequirement,
+        ProbabilisticLDiversity, SharedAuditSession, SkylineBTPrivacy, TCloseness,
     };
     pub use crate::publisher::{Algorithm, PublishOutcome, Publisher};
     pub use crate::session::{PublishSession, SessionError};

@@ -15,12 +15,14 @@
 //!   applied deltas: the version-`K` table, a `strategy <name>` tag, the
 //!   strategy's exported state block
 //!   ([`SessionStrategy::export_state`](crate::strategy::SessionStrategy)),
-//!   and every session-built tracked adversary model (serialized with the
-//!   versioned `bgkanon-knowledge::persist` format — `save_model`/
-//!   `load_model` generalized from "the whole file" to "a block inside a
-//!   larger checkpoint"). Untagged v1/v2 checkpoints predate the strategy
-//!   layer; their tree block is byte-identical to the Mondrian strategy's
-//!   state encoding, so they still load — as Mondrian sessions.
+//!   and a `priors 0` line. Files written before audit adversaries were
+//!   re-derived on demand may carry `prior-model` blocks after that line
+//!   (the versioned `bgkanon-knowledge::persist` format); recovery still
+//!   parses and validates them, then drops them — the first audit at each
+//!   `b′` re-estimates `Adv(b′)` from the recovered table, bit-identically.
+//!   Untagged v1/v2 checkpoints predate the strategy layer; their tree block
+//!   is byte-identical to the Mondrian strategy's state encoding, so they
+//!   still load — as Mondrian sessions.
 //! * `wal.log` — the append-only delta log ([`crate::wal`]).
 //!
 //! Both text files end with a `checksum <fnv1a64>` line over everything
@@ -45,7 +47,7 @@ use bgkanon_data::hierarchy::HierarchyBuilder;
 use bgkanon_data::{
     Attribute, AttributeKind, DistanceMatrix, Hierarchy, Parallelism, Schema, Table, TableBuilder,
 };
-use bgkanon_knowledge::{load_model_str, save_model_string, PriorModel};
+use bgkanon_knowledge::load_model_str;
 
 use crate::publisher::Publisher;
 use crate::session::PublishSession;
@@ -579,9 +581,8 @@ fn parse_genesis(text: &str) -> Result<Genesis, String> {
 // ---------------------------------------------------------------------------
 
 /// Serialize and atomically write a tenant checkpoint at `version`: the
-/// current table, the session strategy's tag and exported state block, and
-/// every tracked adversary model (via the knowledge crate's versioned
-/// persist format).
+/// current table and the session strategy's tag and exported state block.
+/// No adversary model is persisted (`priors 0`): audits re-derive them.
 pub(crate) fn write_checkpoint<S: SessionStrategy>(
     dir: &Path,
     version: u64,
@@ -598,16 +599,7 @@ pub(crate) fn write_checkpoint<S: SessionStrategy>(
         out.push_str(line);
         out.push('\n');
     }
-    let priors = session.tracked_priors();
-    let _ = writeln!(out, "priors {}", priors.len());
-    for (b_prime, model) in &priors {
-        let block = save_model_string(model);
-        let _ = writeln!(out, "prior-model {b_prime:.17e} {}", block.lines().count());
-        out.push_str(&block);
-        if !block.ends_with('\n') {
-            out.push('\n');
-        }
-    }
+    let _ = writeln!(out, "priors 0");
     push_trailer(&mut out);
     write_atomic(dir, "checkpoint.tbl", &out)
 }
@@ -624,7 +616,6 @@ struct Checkpoint {
     /// its `tree <n>` head line), which is byte-identical to the Mondrian
     /// strategy's encoding.
     state_lines: Vec<String>,
-    priors: Vec<(f64, PriorModel)>,
 }
 
 fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, String> {
@@ -664,27 +655,24 @@ fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, Stri
         }
     }
     let head = cur.record("priors")?;
+    // Prior-model blocks an older writer persisted: validated, then dropped.
     let n_priors: usize = parse_num(head.get(1).copied(), "prior count")?;
-    let mut priors = Vec::with_capacity(n_priors);
     for _ in 0..n_priors {
         let toks = cur.record("prior-model")?;
-        let b_prime: f64 = parse_num(toks.get(1).copied(), "prior bandwidth")?;
+        let _: f64 = parse_num(toks.get(1).copied(), "prior bandwidth")?;
         let n_lines: usize = parse_num(toks.get(2).copied(), "prior line count")?;
         let mut block = String::new();
         for _ in 0..n_lines {
             block.push_str(cur.next("a prior-model line")?);
             block.push('\n');
         }
-        let model =
-            load_model_str(&block).map_err(|e| format!("checkpoint: embedded prior: {e}"))?;
-        priors.push((b_prime, model));
+        load_model_str(&block).map_err(|e| format!("checkpoint: embedded prior: {e}"))?;
     }
     Ok(Checkpoint {
         version,
         strategy,
         table,
         state_lines,
-        priors,
     })
 }
 
@@ -775,7 +763,7 @@ pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
             let state = strategy
                 .import_state(&ck.table, &ck.state_lines)
                 .map_err(|e| format!("checkpoint: {e}"))?;
-            let mut session = PublishSession::resume(
+            let session = PublishSession::resume(
                 ck.table,
                 requirement,
                 Parallelism::Auto,
@@ -783,11 +771,6 @@ pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
                 state,
                 ck.version as usize,
             );
-            for (b_prime, model) in ck.priors {
-                if !session.restore_tracked_prior(b_prime, model) {
-                    return Err("checkpoint: persisted prior model is not refreshable".into());
-                }
-            }
             (session, ck.version, Some(ck.version))
         }
         None => {
@@ -999,7 +982,7 @@ mod tests {
         let table = adult::generate(120, 7);
         let publisher = Publisher::new().k_anonymity(4);
         let mut session = publisher.open(&table).unwrap();
-        let _ = session.audit_against(0.3, 0.2);
+        session.audit_against(0.3, 0.2).unwrap();
         let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
         b.delete(3).delete(57);
         b.insert_codes(&table.qi(8), table.sensitive_value(8))
@@ -1011,15 +994,13 @@ mod tests {
         let ck = parse_checkpoint(&text, table.schema()).unwrap();
         assert_eq!(ck.version, 1);
         assert_eq!(ck.strategy.as_deref(), Some("mondrian"));
-        assert_eq!(ck.priors.len(), 1);
+        // An audited session still persists no adversary model.
+        assert!(text.contains("\npriors 0\n"));
         let requirement = publisher.instantiate(&table).unwrap();
         let strategy = AnyStrategy::from_publisher(&publisher, &requirement).unwrap();
         let state = strategy.import_state(&ck.table, &ck.state_lines).unwrap();
         let mut resumed =
             PublishSession::resume(ck.table, requirement, Parallelism::Auto, strategy, state, 1);
-        for (bp, model) in ck.priors {
-            assert!(resumed.restore_tracked_prior(bp, model));
-        }
         // Publication bit-identical…
         for (x, y) in session
             .anonymized()
@@ -1031,14 +1012,15 @@ mod tests {
             assert_eq!(x.ranges, y.ranges);
             assert_eq!(x.sensitive_counts, y.sensitive_counts);
         }
-        // …and the restored tracked prior audits and refreshes identically.
+        // …and `Adv(b′)`, re-derived on the resumed session's first audit,
+        // audits identically to the writer's carried entry.
         let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
         b.delete(10);
         let delta = b.build();
         session.apply(&delta).unwrap();
         resumed.apply(&delta).unwrap();
-        let ra = session.audit_against(0.3, 0.2);
-        let rb = resumed.audit_against(0.3, 0.2);
+        let ra = session.audit_against(0.3, 0.2).unwrap();
+        let rb = resumed.audit_against(0.3, 0.2).unwrap();
         assert_eq!(ra.worst_case.to_bits(), rb.worst_case.to_bits());
         assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
         for (x, y) in ra.risks.iter().zip(&rb.risks) {
@@ -1325,6 +1307,108 @@ mod tests {
         let broken = rewrap(&body.replacen("strategy mondrian", "strategy bucketize", 1));
         let ck = parse_checkpoint(&broken, table.schema()).unwrap();
         assert_eq!(ck.strategy.as_deref(), Some("bucketize"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Splice a `priors 1` block — the persisted `Adv(b′)` model an older
+    /// writer emitted — into a v3 checkpoint, with a fresh checksum.
+    fn splice_prior_block(path: &Path, b_prime: f64, block: &str) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let body = check_trailer(&text, "checkpoint").unwrap();
+        assert!(body.ends_with("priors 0\n"), "writers emit no prior blocks");
+        let mut out = body[..body.len() - "priors 0\n".len()].to_owned();
+        let _ = writeln!(out, "priors 1");
+        let _ = writeln!(out, "prior-model {b_prime:.17e} {}", block.lines().count());
+        out.push_str(block);
+        if !block.ends_with('\n') {
+            out.push('\n');
+        }
+        push_trailer(&mut out);
+        std::fs::write(path, out).unwrap();
+    }
+
+    #[test]
+    fn v3_checkpoint_with_a_persisted_prior_recovers_and_audits_identically() {
+        use crate::SessionHub;
+        use bgkanon_knowledge::{save_model_string, Adversary, Bandwidth, PriorEstimator};
+        use bgkanon_privacy::Auditor;
+        use bgkanon_stats::SmoothedJs;
+        let opts = DurabilityOptions {
+            checkpoint_every: 2,
+            ..DurabilityOptions::default()
+        };
+        let table = adult::generate(160, 13);
+        let publisher = Publisher::new().k_anonymity(4);
+        let b_prime = 0.3;
+        let write = |dir: &Path| {
+            let (hub, report) = SessionHub::<AnyStrategy>::open_with(dir, opts).unwrap();
+            assert!(report.is_clean());
+            hub.register("t", &table, &publisher).unwrap();
+            for step in 0..3u64 {
+                let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
+                b.delete(step as usize * 11);
+                let donors = adult::generate(2, 300 + step);
+                for r in 0..2 {
+                    b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
+                        .unwrap();
+                }
+                hub.apply("t", &b.build()).unwrap();
+            }
+            hub.audit_against("t", b_prime, 0.2).unwrap()
+        };
+
+        // The checkpoint (version 2) gains the model an older writer would
+        // have persisted: `Adv(b′)` estimated from the checkpointed table.
+        let dir = tmp_dir("v3prior");
+        let written = write(&dir);
+        let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let ck = parse_checkpoint(&text, table.schema()).unwrap();
+        assert_eq!(ck.version, 2);
+        let bandwidth = Bandwidth::uniform(b_prime, table.qi_count()).unwrap();
+        let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
+        let model = estimator.estimate(&ck.table);
+        splice_prior_block(&path, b_prime, &save_model_string(&model));
+        assert!(parse_checkpoint(&std::fs::read_to_string(&path).unwrap(), table.schema()).is_ok());
+
+        // Recovery drops the block; the first audit re-derives `Adv(b′)`
+        // and matches the writing hub and a fresh auditor bit for bit.
+        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        assert!(report.is_clean(), "{:?}", report.unrecoverable());
+        assert_eq!(report.tenants[0].from_checkpoint, Some(2));
+        let recovered = hub.audit_against("t", b_prime, 0.2).unwrap();
+        let snap = hub.snapshot("t").unwrap();
+        let fresh = Auditor::new(
+            Arc::new(Adversary::kernel(snap.table(), bandwidth)),
+            Arc::new(SmoothedJs::paper_default(
+                snap.table().schema().sensitive_distance(),
+            )),
+        )
+        .report(snap.table(), &snap.anonymized().row_groups(), 0.2);
+        for reference in [&written, &fresh] {
+            assert_eq!(recovered.risks.len(), reference.risks.len());
+            for (x, y) in recovered.risks.iter().zip(&reference.risks) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            assert_eq!(
+                recovered.worst_case.to_bits(),
+                reference.worst_case.to_bits()
+            );
+            assert_eq!(recovered.vulnerable, reference.vulnerable);
+        }
+        drop(hub);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // The block is still validated: a damaged model line makes the
+        // checkpoint — and with it the tenant — unrecoverable.
+        let dir = tmp_dir("v3badprior");
+        write(&dir);
+        let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
+        let block = save_model_string(&model).replacen("prior ", "prior x", 1);
+        splice_prior_block(&path, b_prime, &block);
+        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        assert_eq!(report.unrecoverable().len(), 1);
+        assert!(!hub.contains("t"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,24 +11,27 @@
 //!   generalization-lattice frontier — the session is generic over
 //!   [`SessionStrategy`]), so a [`Delta`] reworks only what it dirties
 //!   through [`AnonymizationStrategy::refresh`](bgkanon_anon::AnonymizationStrategy::refresh);
-//! * per-adversary [`AuditSession`]s whose group-risk caches are
-//!   invalidated by leaf stamp — an audit after a delta recomputes Ω only
-//!   for the groups the delta touched;
-//! * session-built adversary models
-//!   ([`audit_against`](PublishSession::audit_against)) that **track the
-//!   evolving table**: each applied delta refreshes their kernel-estimated
-//!   priors in place ([`PriorEstimator::refresh_with`]), recomputing only
-//!   the compact-support neighborhood the delta dirtied — the adversary is
-//!   never silently frozen at the table the session opened on. Externally
-//!   supplied auditors ([`audit_with`](PublishSession::audit_with)) embody
-//!   the caller's chosen prior model and are left untouched (the paper's
-//!   Fig. 1 "reuse the prior across releases" accounting).
+//! * retained audit caches, one per audit configuration, invalidated by
+//!   leaf stamp — an audit after a delta recomputes Ω only for the groups
+//!   the delta touched. Externally supplied auditors
+//!   ([`audit_with`](PublishSession::audit_with)) embody the caller's
+//!   chosen prior model and are never refreshed (the paper's Fig. 1
+//!   "reuse the prior across releases" accounting). Session-built
+//!   adversaries `Adv(b′)` ([`audit_against`](PublishSession::audit_against))
+//!   always reflect the audited table: the first audit after any number of
+//!   deltas folds the current table, refreshes the cached prior model from
+//!   the fold difference ([`PriorEstimator::refresh_folded`]) and replays
+//!   every group the deltas left clean. `apply` never touches an adversary;
+//!   the caches are the ones [`SessionHub`](crate::SessionHub) readers go
+//!   through, so both share one implementation.
 //!
 //! The correctness bar, enforced by `tests/tests/incremental.rs`: after
 //! **any** sequence of deltas, [`PublishSession::snapshot`] is bit-identical
 //! to a from-scratch [`Publisher::publish`] of the final table, and
 //! [`PublishSession::audit_with`] is bit-identical to a fresh audit of that
 //! from-scratch publication.
+//!
+//! [`PriorEstimator::refresh_folded`]: bgkanon_knowledge::PriorEstimator::refresh_folded
 
 use std::fmt;
 use std::sync::Arc;
@@ -37,11 +40,11 @@ use std::time::{Duration, Instant};
 use bgkanon_anon::{AnonymizedTable, AnyStrategy, StrategyState};
 use bgkanon_data::{Delta, Parallelism, Table};
 use bgkanon_knowledge::bandwidth::BandwidthError;
-use bgkanon_knowledge::{Adversary, Bandwidth, PriorEstimator, PriorModel};
-use bgkanon_privacy::{AuditReport, AuditSession, Auditor, PrivacyRequirement};
-use bgkanon_stats::SmoothedJs;
+use bgkanon_knowledge::Bandwidth;
+use bgkanon_privacy::{AuditReport, Auditor, PrivacyRequirement};
 
 use crate::publisher::{whole_table_satisfies, PublishError, PublishOutcome, Publisher};
+use crate::readers::{AuditTarget, ReaderCaches, READER_CACHE_CAP};
 use crate::strategy::SessionStrategy;
 
 /// Errors from [`PublishSession::apply`] and the
@@ -123,42 +126,6 @@ impl From<PublishError> for SessionError {
     }
 }
 
-/// Key identifying one audit configuration inside a session. Prior
-/// identities (and therefore every cached risk) are tied to a concrete
-/// adversary model instance, so the cache is keyed by the instances in
-/// play, not by their parameters.
-/// (Addresses are stored as `usize`, not raw pointers: the key is only ever
-/// compared, and a raw-pointer field would make the whole session `!Send` —
-/// it has to live behind a hub tenant's mutex.)
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum AuditKey {
-    /// An externally supplied auditor: adversary + measure instance
-    /// addresses plus the exact-inference cutoff.
-    External(usize, usize, usize),
-    /// A session-built `Adv(b')` auditor, keyed by the bandwidth bits.
-    Bandwidth(u64),
-}
-
-/// A session-owned adversary whose prior model **tracks** the evolving
-/// table: every [`PublishSession::apply`] routes the delta through
-/// [`PriorEstimator::refresh_with`], recomputing only the kernel
-/// neighborhood the delta dirtied.
-struct TrackedPrior {
-    bandwidth: Bandwidth,
-    estimator: PriorEstimator,
-    model: Arc<PriorModel>,
-}
-
-/// One retained audit configuration: its risk caches, plus the tracked
-/// prior state when the adversary is session-built (the
-/// [`audit_against`](PublishSession::audit_against) path — external
-/// auditors embody the *caller's* frozen model and are never refreshed).
-struct AuditCache {
-    key: AuditKey,
-    session: AuditSession,
-    tracked: Option<TrackedPrior>,
-}
-
 /// A retained publish → audit pipeline over an evolving table.
 ///
 /// ```
@@ -200,7 +167,7 @@ pub struct PublishSession<S: SessionStrategy = AnyStrategy> {
     state: S::State,
     anonymized: AnonymizedTable,
     stamps: Vec<u64>,
-    audits: Vec<AuditCache>,
+    readers: ReaderCaches,
     last_elapsed: Duration,
     deltas_applied: usize,
 }
@@ -235,7 +202,7 @@ impl<S: SessionStrategy> PublishSession<S> {
             state,
             anonymized,
             stamps,
-            audits: Vec::new(),
+            readers: ReaderCaches::default(),
             last_elapsed,
             deltas_applied: 0,
         })
@@ -248,8 +215,9 @@ impl<S: SessionStrategy> PublishSession<S> {
     /// the one the checkpoint captured; [`AnonymizationStrategy::warm`]
     /// only rebuilds derived refresh caches.
     ///
-    /// Audit caches start empty; tracked priors are restored separately via
-    /// [`restore_tracked_prior`](Self::restore_tracked_prior).
+    /// Audit caches start empty: the first audit at each `b′` estimates
+    /// `Adv(b′)` from the resumed table, bit-identically to the session
+    /// that wrote the checkpoint.
     pub(crate) fn resume(
         table: Table,
         requirement: Arc<dyn PrivacyRequirement>,
@@ -269,68 +237,10 @@ impl<S: SessionStrategy> PublishSession<S> {
             state,
             anonymized,
             stamps,
-            audits: Vec::new(),
+            readers: ReaderCaches::default(),
             last_elapsed: Duration::ZERO,
             deltas_applied,
         }
-    }
-
-    /// The session-built tracked adversary models, as `(b', model)` pairs —
-    /// what a checkpoint persists so recovered sessions audit identically.
-    pub(crate) fn tracked_priors(&self) -> Vec<(f64, Arc<PriorModel>)> {
-        self.audits
-            .iter()
-            .filter_map(|cache| match (&cache.key, &cache.tracked) {
-                (AuditKey::Bandwidth(bits), Some(tracked)) => {
-                    Some((f64::from_bits(*bits), Arc::clone(&tracked.model)))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Reinstall a persisted tracked adversary model for `Adv(b')`,
-    /// mirroring [`audit_against`](Self::audit_against)'s construction
-    /// exactly (estimator rebuilt from the model's own provenance, fresh
-    /// risk caches) so subsequent applies refresh it and audits replay it
-    /// bit-identically to a never-persisted session. Returns `false` —
-    /// installing nothing — when the model carries no refresh provenance or
-    /// its bandwidth is unusable; recovery treats that as corruption.
-    pub(crate) fn restore_tracked_prior(&mut self, b_prime: f64, model: PriorModel) -> bool {
-        let Some(bandwidth) = model.bandwidth().cloned() else {
-            return false;
-        };
-        if self
-            .audits
-            .iter()
-            .any(|c| c.key == AuditKey::Bandwidth(b_prime.to_bits()))
-        {
-            return false;
-        }
-        let estimator = PriorEstimator::with_family(
-            Arc::clone(self.table.schema()),
-            bandwidth.clone(),
-            model.family(),
-        );
-        let model = Arc::new(model);
-        let adversary = Arc::new(Adversary::from_model(
-            &format!("Adv({bandwidth})"),
-            bandwidth.clone(),
-            Arc::clone(&model),
-        ));
-        let measure = Arc::new(SmoothedJs::paper_default(
-            self.table.schema().sensitive_distance(),
-        ));
-        self.insert_audit_cache(
-            AuditKey::Bandwidth(b_prime.to_bits()),
-            AuditSession::new(Auditor::new(adversary, measure)),
-            Some(TrackedPrior {
-                bandwidth,
-                estimator,
-                model,
-            }),
-        );
-        true
     }
 
     /// Apply one delta: evolve the table, route the changes through the
@@ -352,16 +262,12 @@ impl<S: SessionStrategy> PublishSession<S> {
         // The strategy refresh is the last fallible step; its contract
         // leaves the state untouched on error, so a rejected delta (e.g.
         // bucketization losing ℓ-eligibility) leaves the whole session
-        // unchanged — including the tracked priors below.
+        // unchanged.
         let started = Instant::now(); // bgk-allow: R3 telemetry only: elapsed is reported, never branches
         self.strategy
             .refresh(&mut self.state, &self.table, &next, delta.deletes())
             .map_err(PublishError::from)?;
         self.last_elapsed = started.elapsed();
-        // Session-built adversary models track the evolving table: refresh
-        // each one's dirty kernel neighborhood against the pre-delta table
-        // it currently reflects (external auditors stay caller-frozen).
-        self.refresh_tracked_priors(delta);
         let (anonymized, stamps) = self.state.snapshot(&next);
         self.table = next;
         self.anonymized = anonymized;
@@ -408,7 +314,6 @@ impl<S: SessionStrategy> PublishSession<S> {
     /// [`anonymized()`](Self::anonymized)`.groups()`. A group's stamp
     /// changes whenever its membership changes and never collides between
     /// distinct memberships, which makes the stamps valid cache tokens for
-    /// [`AuditSession::report_groups`] /
     /// [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession) — across
     /// deltas, only dirtied groups miss the cache.
     pub fn leaf_stamps(&self) -> &[u64] {
@@ -455,199 +360,75 @@ impl<S: SessionStrategy> PublishSession<S> {
     /// retains at most [`MAX_AUDIT_CACHES`](Self::MAX_AUDIT_CACHES)
     /// configurations, evicting the least recently used.
     pub fn audit_with(&mut self, auditor: &Auditor, t: f64) -> AuditReport {
-        let key = AuditKey::External(
-            Arc::as_ptr(auditor.adversary()) as usize,
-            Arc::as_ptr(auditor.measure()) as *const () as usize,
-            auditor.exact_below(),
-        );
-        if !self.audits.iter().any(|c| c.key == key) {
-            self.insert_audit_cache(key, AuditSession::new(auditor.clone()), None);
-        }
-        self.audit_keyed(key, t)
+        let shared = self.readers.external(auditor);
+        self.target().audit(&shared, t)
     }
 
-    /// Audit against the adversary `Adv(b')` with threshold `t`, using the
+    /// Audit against the adversary `Adv(b′)` with threshold `t`, using the
     /// paper's smoothed-JS distance — the session counterpart of
-    /// [`PublishOutcome::audit_against`]. The adversary's prior model is
-    /// estimated from the session table at the **first** call for each `b'`
-    /// and from then on **tracks the evolving table**: every
-    /// [`apply`](Self::apply) refreshes it in place
-    /// ([`PriorEstimator::refresh_with`]), recomputing only the kernel
-    /// neighborhood the delta dirtied — so a delta audit always measures
-    /// the adversary the *current* table implies, bit-identical to opening
-    /// a fresh session on that table, at a fraction of the re-estimation
-    /// cost.
-    pub fn audit_against(&mut self, b_prime: f64, t: f64) -> AuditReport {
-        let key = AuditKey::Bandwidth(b_prime.to_bits());
-        if !self.audits.iter().any(|c| c.key == key) {
-            let bandwidth =
-                Bandwidth::uniform(b_prime, self.table.qi_count()).expect("positive bandwidth");
-            let estimator = PriorEstimator::new(Arc::clone(self.table.schema()), bandwidth.clone());
-            let model = Arc::new(estimator.estimate_with(&self.table, self.parallelism));
-            let adversary = Arc::new(Adversary::from_model(
-                &format!("Adv({bandwidth})"),
-                bandwidth.clone(),
-                Arc::clone(&model),
-            ));
-            let measure = Arc::new(SmoothedJs::paper_default(
-                self.table.schema().sensitive_distance(),
-            ));
-            self.insert_audit_cache(
-                key,
-                AuditSession::new(Auditor::new(adversary, measure)),
-                Some(TrackedPrior {
-                    bandwidth,
-                    estimator,
-                    model,
-                }),
-            );
-        }
-        self.audit_keyed(key, t)
+    /// [`PublishOutcome::audit_against`]. The adversary's prior model always
+    /// reflects the **current** table: it is estimated at the first call for
+    /// each `b′`, and the first call after any number of deltas folds the
+    /// current table, refreshes the model from the fold difference and
+    /// replays every group the deltas left clean — the same carried entry
+    /// [`SessionHub::audit_against`](crate::SessionHub::audit_against)
+    /// keeps per tenant. Bit-identical to a fresh auditor of the current
+    /// table and publication.
+    ///
+    /// A NaN, infinite or non-positive `b′` is a [`SessionError::Bandwidth`].
+    pub fn audit_against(&mut self, b_prime: f64, t: f64) -> Result<AuditReport, SessionError> {
+        let bandwidth = Bandwidth::uniform(b_prime, self.table.qi_count())?;
+        let target = self.target();
+        let shared = self
+            .readers
+            .adversary(&target, bandwidth, None, self.parallelism);
+        Ok(target.audit(&shared, t))
     }
 
     /// Most audit configurations retained at once; beyond this the least
     /// recently used cache (and its memos) is dropped, bounding memory for
     /// callers that construct a fresh auditor per call.
-    pub const MAX_AUDIT_CACHES: usize = 8;
+    pub const MAX_AUDIT_CACHES: usize = READER_CACHE_CAP;
 
     /// Number of distinct audit configurations this session caches.
     pub fn audit_cache_count(&self) -> usize {
-        self.audits.len()
+        self.readers.len()
     }
 
     /// Heap bytes this session holds resident: the working table, the
-    /// strategy state, the current publication, group stamps, and every
-    /// retained audit configuration (risk caches plus, for session-built
-    /// `Adv(b')` adversaries, the tracked estimator and prior model — they
-    /// are owned here, so they are charged here). The serving hub rolls
-    /// this into per-tenant gauges; shared `Arc` payloads are charged to
-    /// every holder, making it a deterministic RSS proxy rather than an
+    /// strategy state, the current publication, group stamps, and the
+    /// retained audit caches (risk caches and row → point arrays; the
+    /// `Adv(b′)` prior models behind them are not counted). The serving hub
+    /// rolls this into per-tenant gauges; shared `Arc` payloads are charged
+    /// to every holder, making it a deterministic RSS proxy rather than an
     /// allocator-exact figure.
     pub fn bytes_accounted(&self) -> usize {
-        let audits: usize = self
-            .audits
-            .iter()
-            .map(|c| {
-                c.session.bytes_accounted()
-                    + c.tracked.as_ref().map_or(0, |t| {
-                        t.estimator.bytes_accounted() + t.model.bytes_accounted() + 64
-                    })
-            })
-            .sum();
         self.table.bytes_accounted()
             + self.state.bytes_accounted()
             + self.anonymized.bytes_accounted()
             + self.stamps.len() * 8
-            + audits
+            + self.readers.bytes_accounted()
     }
 
-    /// Drop every retained audit configuration — risk caches, tracked
-    /// priors and all. The demotion hook behind the serving hub's memory
-    /// budget: every cache is rebuild-on-miss (tracked priors re-estimate
-    /// from the current table), so subsequent audits are bit-identical,
-    /// just cold.
+    /// Drop every retained audit configuration. The demotion hook behind
+    /// the serving hub's memory budget: every cache is rebuild-on-miss
+    /// (`Adv(b′)` re-estimates from the current table), so subsequent
+    /// audits are bit-identical, just cold.
     pub fn evict_audit_caches(&mut self) {
-        self.audits.clear();
+        self.readers.clear();
     }
 
-    fn insert_audit_cache(
-        &mut self,
-        key: AuditKey,
-        session: AuditSession,
-        tracked: Option<TrackedPrior>,
-    ) {
-        if self.audits.len() >= Self::MAX_AUDIT_CACHES {
-            // The vec is kept in least-recently-used-first order by
-            // `audit_keyed`, so the front is the eviction victim.
-            self.audits.remove(0);
+    /// The current publication as the audit caches see it. The session
+    /// keeps no change record, so a carried `Adv(b′)` entry re-folds the
+    /// table in full.
+    fn target(&self) -> AuditTarget<'_> {
+        AuditTarget {
+            table: &self.table,
+            anonymized: &self.anonymized,
+            stamps: &self.stamps,
+            version: self.deltas_applied as u64,
+            change: None,
         }
-        self.audits.push(AuditCache {
-            key,
-            session,
-            tracked,
-        });
-    }
-
-    fn audit_keyed(&mut self, key: AuditKey, t: f64) -> AuditReport {
-        let idx = self
-            .audits
-            .iter()
-            .position(|c| c.key == key)
-            .expect("inserted by the caller");
-        // Move the used entry to the back: LRU order for eviction.
-        let entry = self.audits.remove(idx);
-        self.audits.push(entry);
-        let idx = self.audits.len() - 1;
-        let groups: Vec<&[usize]> = self
-            .anonymized
-            .groups()
-            .iter()
-            .map(|g| g.rows.as_slice())
-            .collect();
-        self.audits[idx]
-            .session
-            .report_groups(&self.table, &groups, Some(&self.stamps), t)
-    }
-
-    /// Route `delta` through every tracked adversary model — called by
-    /// [`apply`](Self::apply) while `self.table` is still the pre-delta
-    /// table the models reflect. Each refreshed model gets a rebuilt
-    /// adversary + audit session: the risk caches key on prior *identities*
-    /// inside the model, and a refresh frees the dirty priors' allocations
-    /// (a later allocation could reuse an address and alias a cached
-    /// identity), so the caches must not survive the mutation.
-    ///
-    /// The refresh is **eager** — the models track the table even through
-    /// applies that are never audited. That keeps every audit's cost
-    /// audit-shaped (no deferred estimation debt suddenly coming due) at
-    /// the price of dirty-neighborhood recomputation per apply per tracked
-    /// bandwidth; sessions that audit rarely and want apply at its minimum
-    /// cost should use externally supplied auditors instead.
-    fn refresh_tracked_priors(&mut self, delta: &Delta) {
-        if !self.audits.iter().any(|c| c.tracked.is_some()) {
-            return;
-        }
-        let old = std::mem::take(&mut self.audits);
-        self.audits = old
-            .into_iter()
-            .map(|cache| {
-                let AuditCache {
-                    key,
-                    session,
-                    tracked,
-                } = cache;
-                let Some(mut tracked) = tracked else {
-                    return AuditCache {
-                        key,
-                        session,
-                        tracked: None,
-                    };
-                };
-                let measure = Arc::clone(session.auditor().measure());
-                let exact_below = session.auditor().exact_below();
-                // Drop the old session (and with it the old adversary's
-                // model handle) so the refresh mutates in place instead of
-                // cloning the model.
-                drop(session);
-                tracked.estimator.refresh_with(
-                    Arc::make_mut(&mut tracked.model),
-                    &self.table,
-                    delta,
-                    self.parallelism,
-                );
-                let adversary = Arc::new(Adversary::from_model(
-                    &format!("Adv({})", tracked.bandwidth),
-                    tracked.bandwidth.clone(),
-                    Arc::clone(&tracked.model),
-                ));
-                let auditor = Auditor::new(adversary, measure).use_exact_below(exact_below);
-                AuditCache {
-                    key,
-                    session: AuditSession::new(auditor),
-                    tracked: Some(tracked),
-                }
-            })
-            .collect();
     }
 }
 
@@ -659,7 +440,7 @@ impl<S: SessionStrategy> fmt::Debug for PublishSession<S> {
             .field("rows", &self.table.len())
             .field("groups", &self.anonymized.group_count())
             .field("deltas_applied", &self.deltas_applied)
-            .field("audit_caches", &self.audits.len())
+            .field("audit_caches", &self.readers.len())
             .finish()
     }
 }
@@ -668,6 +449,8 @@ impl<S: SessionStrategy> fmt::Debug for PublishSession<S> {
 mod tests {
     use super::*;
     use bgkanon_data::{adult, toy, DeltaBuilder};
+    use bgkanon_knowledge::Adversary;
+    use bgkanon_stats::SmoothedJs;
 
     fn delta(table: &Table, deletes: &[usize], inserts: usize, donor_seed: u64) -> Delta {
         let donors = adult::generate(inserts.max(1), donor_seed);
@@ -835,11 +618,11 @@ mod tests {
             .bt_privacy(0.3, 0.25)
             .open(&t)
             .unwrap();
-        let a = session.audit_against(0.3, 0.25);
+        let a = session.audit_against(0.3, 0.25).unwrap();
         assert!(a.worst_case <= 0.25 + 1e-9);
-        let b = session.audit_against(0.3, 0.25);
+        let b = session.audit_against(0.3, 0.25).unwrap();
         assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
-        let _other = session.audit_against(0.5, 0.25);
+        session.audit_against(0.5, 0.25).unwrap();
         assert_eq!(session.audit_cache_count(), 2);
     }
 
@@ -851,22 +634,22 @@ mod tests {
         let t = adult::generate(300, 12);
         let publisher = Publisher::new().k_anonymity(4);
         let mut session = publisher.open(&t).unwrap();
-        let before = session.audit_against(0.3, 0.2);
+        let before = session.audit_against(0.3, 0.2).unwrap();
         assert!(before.worst_case >= before.mean);
 
         let d = delta(&t, &[5, 42, 77, 130], 8, 99);
         session.apply(&d).unwrap();
-        let tracked = session.audit_against(0.3, 0.2);
+        let tracked = session.audit_against(0.3, 0.2).unwrap();
 
         let mut fresh = publisher.open(session.table()).unwrap();
-        let reference = fresh.audit_against(0.3, 0.2);
+        let reference = fresh.audit_against(0.3, 0.2).unwrap();
         assert_eq!(tracked.worst_case.to_bits(), reference.worst_case.to_bits());
         assert_eq!(tracked.mean.to_bits(), reference.mean.to_bits());
         assert_eq!(tracked.vulnerable, reference.vulnerable);
         for (a, b) in tracked.risks.iter().zip(&reference.risks) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // The tracked entry is still a single cache slot.
+        // The carried entry is still a single cache slot.
         assert_eq!(session.audit_cache_count(), 1);
     }
 
@@ -894,13 +677,29 @@ mod tests {
     }
 
     #[test]
+    fn bad_bandwidths_are_typed_errors() {
+        let t = adult::generate(80, 4);
+        let mut session = Publisher::new().k_anonymity(4).open(&t).unwrap();
+        for b in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = session.audit_against(b, 0.2).unwrap_err();
+            assert!(matches!(err, SessionError::Bandwidth(_)), "{err}");
+            assert!(err.to_string().contains("bandwidth"));
+        }
+        // Nothing was cached for the rejected values, and a valid b′ still
+        // audits.
+        assert_eq!(session.audit_cache_count(), 0);
+        session.audit_against(0.3, 0.2).unwrap();
+        assert_eq!(session.audit_cache_count(), 1);
+    }
+
+    #[test]
     fn audit_cache_is_bounded_lru() {
         let t = adult::generate(80, 3);
         let mut session = Publisher::new().k_anonymity(3).open(&t).unwrap();
         // Distinct bandwidths force distinct cache entries.
         for i in 0..(PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES + 3) {
             let b = 0.2 + 0.01 * i as f64;
-            let _ = session.audit_against(b, 0.2);
+            session.audit_against(b, 0.2).unwrap();
         }
         assert_eq!(
             session.audit_cache_count(),
@@ -908,8 +707,8 @@ mod tests {
         );
         // The most recent entry survived and replays bit-identically.
         let b_last = 0.2 + 0.01 * (PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES + 2) as f64;
-        let a = session.audit_against(b_last, 0.2);
-        let b = session.audit_against(b_last, 0.2);
+        let a = session.audit_against(b_last, 0.2).unwrap();
+        let b = session.audit_against(b_last, 0.2).unwrap();
         assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
         assert_eq!(
             session.audit_cache_count(),

@@ -27,11 +27,12 @@
 //!   ([`PriorEstimator::estimate_reference`], also selected by
 //!   [`Parallelism::Serial`]), which `tests/tests/estimation.rs`
 //!   property-tests across kernel families and bandwidths;
-//! * compact support also makes the model **session-refreshable**: a
-//!   [`Delta`] can only perturb priors inside the kernel neighborhood of
-//!   the changed points, so [`PriorEstimator::refresh`] recomputes exactly
-//!   that dirty neighborhood and is bit-identical to a from-scratch
-//!   estimate of the post-delta table.
+//! * compact support also makes the model **refreshable**: a [`Delta`] can
+//!   only perturb priors inside the kernel neighborhood of the changed
+//!   points, so [`PriorEstimator::refresh_folded`] recomputes exactly that
+//!   dirty neighborhood of the new table's fold (carried across the delta
+//!   by [`FoldedTable::evolve`], or folded afresh) and is bit-identical to
+//!   a from-scratch estimate of the post-delta table.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -225,7 +226,7 @@ impl<'a> FoldedPoint<'a> {
 /// histograms in three contiguous arrays), so the accumulation hot loops
 /// scan linearly instead of chasing per-point allocations. This is the
 /// substrate every estimation path shares — fold once, then estimate, query
-/// ([`PriorEstimator::estimate_many`]) and refresh against it without
+/// ([`PriorEstimator::estimate_indexed`]) and refresh against it without
 /// re-scanning the table.
 ///
 /// ```
@@ -352,12 +353,10 @@ impl DeletedRows {
 }
 
 /// A fold carried across one delta by [`FoldedTable::evolve`]: the new
-/// fold, the QI combinations whose histogram changed, and where each old
-/// point landed.
+/// fold and where each old point landed.
 #[derive(Debug, Clone)]
 pub struct FoldEvolution {
     folded: FoldedTable,
-    changed: Vec<Box<[u32]>>,
     /// Old point id → new point id, [`GONE`] for a point deleted outright.
     point_map: Vec<u32>,
 }
@@ -371,12 +370,6 @@ impl FoldEvolution {
     /// Take the post-delta fold.
     pub fn into_folded(self) -> FoldedTable {
         self.folded
-    }
-
-    /// The QI combinations whose multiplicity or histogram changed, in
-    /// ascending order (net-zero changes are not listed).
-    pub fn changed(&self) -> &[Box<[u32]>] {
-        &self.changed
     }
 
     /// The post-delta id of old point `old`, or `None` when the delta
@@ -671,42 +664,6 @@ impl FoldedTable {
         .expect("table distribution is valid")
     }
 
-    /// Evolve the fold by one [`Delta`]. `table` must be the **pre-delta**
-    /// table this fold currently represents (deletes are row indices into
-    /// it). Returns the distinct QI combinations whose multiplicity or
-    /// histogram actually changed — the seed of the dirty kernel
-    /// neighborhood [`PriorEstimator::refresh`] recomputes. Gathers the
-    /// deleted rows ([`DeletedRows::gather`]) and runs the same merge as
-    /// [`evolve`](Self::evolve).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `table` is out of sync with the fold (different row
-    /// count, or a delete that the fold cannot account for), or when the
-    /// delta would empty the table ([`Table::apply_delta`] rejects the same
-    /// delta with [`DataError::EmptyTable`](bgkanon_data::DataError) — an
-    /// empty table has no sensitive distribution to estimate). A panicking
-    /// call leaves the fold intact.
-    pub fn apply_delta(&mut self, table: &Table, delta: &Delta) -> Vec<Box<[u32]>> {
-        assert_eq!(
-            table.len(),
-            self.rows,
-            "folded table is out of sync with the pre-delta table"
-        );
-        assert!(
-            self.rows + delta.insert_count() > delta.delete_count(),
-            "delta would empty the table"
-        );
-        let deleted = DeletedRows::gather(table, delta).expect("delete index out of range");
-        let FoldEvolution {
-            folded, changed, ..
-        } = self
-            .evolve(&deleted, delta)
-            .expect("folded table is out of sync with the delta");
-        *self = folded;
-        changed
-    }
-
     /// Carry the fold across one delta from content alone: `deleted` holds
     /// the deleted rows' codes ([`DeletedRows::gather`] on the pre-delta
     /// table) and `delta` supplies the inserts. The new sorted arrays are
@@ -761,7 +718,6 @@ impl FoldedTable {
             hash: self.hash,
         };
         let mut point_map = vec![GONE; u_old];
-        let mut changed = Vec::with_capacity(touched.len());
         let mut scratch = vec![0u32; m];
         let mut next = 0usize;
         for change in &touched {
@@ -793,12 +749,10 @@ impl FoldedTable {
                 out.counts.push(count);
                 out.hists.extend_from_slice(&scratch);
             }
-            changed.push(change.qi.into());
         }
         out.copy_points(self, next..u_old, &mut point_map);
         Some(FoldEvolution {
             folded: out,
-            changed,
             point_map,
         })
     }
@@ -861,9 +815,8 @@ impl FoldedTable {
 
     /// The QI combinations whose histogram differs between `self` and
     /// `newer` (a point present in only one of them counts as changed),
-    /// in ascending order — the same set [`apply_delta`](Self::apply_delta)
-    /// returns for the deltas that lead from one fold to the other, found
-    /// by one merge of the two sorted point arrays.
+    /// in ascending order, found by one merge of the two sorted point
+    /// arrays.
     fn changed_points(&self, newer: &FoldedTable) -> Vec<Box<[u32]>> {
         use std::cmp::Ordering;
         let (mut i, mut j) = (0usize, 0usize);
@@ -1056,9 +1009,9 @@ enum CandidateSet<'a> {
 ///
 /// Holds a distribution for every distinct QI combination of the estimation
 /// table, the [`FoldedTable`] it was estimated from (making the model
-/// [refreshable](PriorModel::refresh) under table deltas), and the
-/// bandwidth/family provenance; unseen combinations can be estimated on
-/// demand with [`PriorEstimator::estimate_at`].
+/// refreshable under table deltas — [`PriorEstimator::refresh_folded`]),
+/// and the bandwidth/family provenance; unseen combinations can be
+/// estimated on demand with [`PriorEstimator::estimate_indexed`].
 #[derive(Debug, Clone)]
 pub struct PriorModel {
     priors: HashMap<Box<[u32]>, Dist>,
@@ -1078,8 +1031,8 @@ pub struct PriorModel {
 impl PriorModel {
     /// Assemble a model from raw parts (the legacy persistence format and
     /// tests use this; prefer [`PriorEstimator::estimate`]). The result has
-    /// no folded table and therefore cannot
-    /// [`refresh`](PriorModel::refresh).
+    /// no folded table, so [`PriorEstimator::refresh_folded`] re-estimates
+    /// it in full.
     pub fn from_parts(priors: HashMap<Box<[u32]>, Dist>, table_distribution: Dist) -> Self {
         PriorModel {
             priors,
@@ -1139,42 +1092,11 @@ impl PriorModel {
         self.family
     }
 
-    /// True when the model carries its folded table and can therefore
-    /// [`refresh`](Self::refresh) under deltas.
+    /// True when the model carries its folded table, so
+    /// [`PriorEstimator::refresh_folded`] recomputes only the priors a
+    /// change dirtied instead of re-estimating in full.
     pub fn is_refreshable(&self) -> bool {
         self.folded.is_some()
-    }
-
-    /// Evolve the model by one table delta, recomputing only the priors
-    /// inside the kernel neighborhood of the changed points — see
-    /// [`PriorEstimator::refresh_with`], which this delegates to with
-    /// [`Parallelism::Auto`].
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use bgkanon_data::DeltaBuilder;
-    /// use bgkanon_knowledge::{Bandwidth, PriorEstimator};
-    ///
-    /// let table = bgkanon_data::adult::generate(120, 7);
-    /// let estimator = PriorEstimator::new(
-    ///     Arc::clone(table.schema()),
-    ///     Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
-    /// );
-    /// let mut model = estimator.estimate(&table);
-    ///
-    /// let mut delta = DeltaBuilder::new(Arc::clone(table.schema()));
-    /// delta.delete(3).delete(40);
-    /// let delta = delta.build();
-    /// model.refresh(&estimator, &table, &delta);
-    ///
-    /// // Bit-identical to estimating the post-delta table from scratch.
-    /// let fresh = estimator.estimate(&table.apply_delta(&delta).unwrap());
-    /// for (qi, p) in fresh.iter() {
-    ///     assert_eq!(p, model.prior(qi).unwrap());
-    /// }
-    /// ```
-    pub fn refresh(&mut self, estimator: &PriorEstimator, table: &Table, delta: &Delta) {
-        estimator.refresh(self, table, delta);
     }
 
     /// Number of distinct QI combinations covered.
@@ -1760,50 +1682,6 @@ impl PriorEstimator {
         }
     }
 
-    /// Estimate the prior at one (possibly unseen) QI point `q` against
-    /// `table`. Folds the table on every call — batch repeated queries
-    /// through [`FoldedTable::new`] + [`estimate_many`](Self::estimate_many)
-    /// (or [`estimate_indexed`](Self::estimate_indexed)) instead.
-    pub fn estimate_at(&self, table: &Table, q: &[u32]) -> Dist {
-        let folded = FoldedTable::new(table);
-        let index = self.index(&folded);
-        self.estimate_indexed(&folded, &index, q)
-    }
-
-    /// Estimate the priors at many (possibly unseen) QI points against one
-    /// fold, building the support index once.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use bgkanon_knowledge::{Bandwidth, FoldedTable, PriorEstimator};
-    ///
-    /// let table = bgkanon_data::toy::hospital_table();
-    /// let estimator = PriorEstimator::new(
-    ///     Arc::clone(table.schema()),
-    ///     Bandwidth::uniform(0.5, 2).unwrap(),
-    /// );
-    /// let folded = FoldedTable::new(&table);
-    /// let queries: Vec<&[u32]> = vec![&[20, 1], &[0, 0]];
-    /// let priors = estimator.estimate_many(&folded, &queries);
-    /// assert_eq!(priors.len(), 2);
-    /// ```
-    pub fn estimate_many(&self, folded: &FoldedTable, queries: &[&[u32]]) -> Vec<Dist> {
-        let index = self.index(folded);
-        let fallback = folded.table_distribution();
-        let mut buf = Vec::new();
-        let mut bits = Vec::new();
-        let mut numer = Vec::new();
-        queries
-            .iter()
-            .map(|q| {
-                assert_eq!(q.len(), self.schema.qi_count(), "QI arity mismatch");
-                self.query(
-                    folded, &index, q, &fallback, &mut buf, &mut bits, &mut numer,
-                )
-            })
-            .collect()
-    }
-
     /// Single-query form against a prepared fold + index (the micro-bench
     /// and hot-loop entry point; `index` must have been built from `folded`
     /// by [`index`](Self::index)).
@@ -1817,54 +1695,11 @@ impl PriorEstimator {
         self.query(folded, index, q, &fallback, &mut buf, &mut bits, &mut numer)
     }
 
-    /// [`refresh_with`](Self::refresh_with) under [`Parallelism::Auto`].
-    pub fn refresh(&self, model: &mut PriorModel, table: &Table, delta: &Delta) {
-        self.refresh_with(model, table, delta, Parallelism::Auto);
-    }
-
-    /// Evolve `model` by one delta against its estimation table, where
-    /// `table` is the **pre-delta** table the model currently reflects:
-    /// [`FoldedTable::apply_delta`] yields the changed points, then the
-    /// same dirty-neighborhood recompute as
-    /// [`refresh_folded`](Self::refresh_folded) runs (under `parallelism`
-    /// worker threads; `Serial` recomputes on one thread). The result is
-    /// **bit-identical** to a from-scratch [`estimate`](Self::estimate) of
-    /// the post-delta table.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `model` was not built by this estimator's `estimate*`
-    /// path (no folded table — see [`PriorModel::is_refreshable`]), when
-    /// `table`/`delta` are inconsistent with the model's fold, or when the
-    /// delta would empty the table (checked before any mutation — see
-    /// [`FoldedTable::apply_delta`]).
-    pub fn refresh_with(
-        &self,
-        model: &mut PriorModel,
-        table: &Table,
-        delta: &Delta,
-        parallelism: Parallelism,
-    ) {
-        // Checked here, before the fold is taken out of the model, so a
-        // panic leaves the model fully intact.
-        assert!(
-            table.len() + delta.insert_count() > delta.delete_count(),
-            "delta would empty the table"
-        );
-        let mut folded = model
-            .folded
-            .take()
-            .expect("model is not refreshable (built without a folded table)");
-        let changed = folded.apply_delta(table, delta);
-        self.refresh_changed(model, folded, &changed, parallelism);
-    }
-
     /// Refresh `model` to the table `folded` was built from, however many
     /// deltas separate it from the table the model reflects — no delta log
     /// needed. The model's own fold is diffed against `folded` (one merge
     /// of two sorted point arrays), then only the kernel neighborhood of
-    /// the changed points is recomputed, exactly as
-    /// [`refresh_with`](Self::refresh_with) does. The refreshed model is
+    /// the changed points is recomputed. The refreshed model is
     /// **bit-identical** to [`estimate_folded`](Self::estimate_folded) of
     /// `folded`, and retains `folded` as its fold.
     ///
@@ -1925,13 +1760,13 @@ impl PriorEstimator {
         }
     }
 
-    /// The one refresh core behind [`refresh_with`](Self::refresh_with)
-    /// and [`refresh_folded`](Self::refresh_folded). `folded` is the new
-    /// fold and `changed` the QI combinations whose histogram differs from
-    /// the fold `model` was estimated on. Compact kernel support means only
-    /// priors within the (symmetric) product-kernel support of a changed
-    /// combination can move, so exactly those points are recomputed, in
-    /// ascending order; combinations deleted outright lose their prior.
+    /// The refresh core behind [`refresh_folded`](Self::refresh_folded).
+    /// `folded` is the new fold and `changed` the QI combinations whose
+    /// histogram differs from the fold `model` was estimated on. Compact
+    /// kernel support means only priors within the (symmetric)
+    /// product-kernel support of a changed combination can move, so exactly
+    /// those points are recomputed, in ascending order; combinations deleted
+    /// outright lose their prior.
     fn refresh_changed(
         &self,
         model: &mut PriorModel,
@@ -2114,7 +1949,10 @@ mod tests {
                 .unwrap();
         }
         let delta = b.build();
-        est.refresh_with(&mut model, &t, &delta, Parallelism::threads(2));
+        let deleted = DeletedRows::gather(&t, &delta).unwrap();
+        let evolved = model.folded().unwrap().evolve(&deleted, &delta).unwrap();
+        let dirty = est.refresh_folded(&mut model, evolved.into_folded(), Parallelism::threads(2));
+        assert!(!dirty.is_empty());
 
         let next = t.apply_delta(&delta).unwrap();
         let fresh = est.estimate(&next);
@@ -2144,7 +1982,11 @@ mod tests {
         );
         let mut model = est.estimate(&t);
         let before = model.clone();
-        est.refresh(&mut model, &t, &Delta::empty(Arc::clone(t.schema())));
+        let empty = Delta::empty(Arc::clone(t.schema()));
+        let deleted = DeletedRows::gather(&t, &empty).unwrap();
+        let evolved = model.folded().unwrap().evolve(&deleted, &empty).unwrap();
+        let dirty = est.refresh_folded(&mut model, evolved.into_folded(), Parallelism::Auto);
+        assert!(dirty.is_empty());
         assert_eq!(model.len(), before.len());
         for (qi, p) in before.iter() {
             assert_eq!(p.as_slice(), model.prior(qi).unwrap().as_slice());
@@ -2152,49 +1994,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "delta would empty the table")]
-    fn refresh_rejects_table_emptying_delta_before_mutation() {
+    fn evolve_rejects_table_emptying_delta_before_mutation() {
         let t = adult::generate(20, 3);
         let est = PriorEstimator::new(
             Arc::clone(t.schema()),
             Bandwidth::uniform(0.3, t.qi_count()).unwrap(),
         );
-        let mut model = est.estimate(&t);
+        let model = est.estimate(&t);
         let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
         for r in 0..t.len() {
             b.delete(r);
         }
+        let delta = b.build();
         // Table::apply_delta rejects the same delta with EmptyTable.
-        assert!(t.apply_delta(&b.build()).is_err());
-        let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
-        for r in 0..t.len() {
-            b.delete(r);
-        }
-        est.refresh(&mut model, &t, &b.build());
+        assert!(t.apply_delta(&delta).is_err());
+        let deleted = DeletedRows::gather(&t, &delta).unwrap();
+        let folded = model.folded().unwrap();
+        assert!(folded.evolve(&deleted, &delta).is_none());
+        assert_eq!(folded.rows(), t.len());
     }
 
     #[test]
-    #[should_panic(expected = "not refreshable")]
-    fn from_parts_model_cannot_refresh() {
+    fn from_parts_model_is_re_estimated_in_full() {
         let t = hospital();
         let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(0.3, 2).unwrap());
         let built = est.estimate(&t);
         let mut bare =
             PriorModel::from_parts(built.priors.clone(), built.table_distribution().clone());
         assert!(!bare.is_refreshable());
-        est.refresh(&mut bare, &t, &Delta::empty(Arc::clone(t.schema())));
+        let dirty = est.refresh_folded(&mut bare, FoldedTable::new(&t), Parallelism::Auto);
+        assert_eq!(dirty.len(), built.len());
+        assert!(bare.is_refreshable());
+        for (qi, p) in built.iter() {
+            assert_eq!(p.as_slice(), bare.prior(qi).unwrap().as_slice());
+        }
     }
 
     #[test]
     fn folded_table_tracks_delta() {
         let t = adult::generate(120, 4);
-        let mut folded = FoldedTable::new(&t);
+        let folded = FoldedTable::new(&t);
         let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
         b.delete(0).delete(5);
         b.insert_codes(&t.qi(1), t.sensitive_value(1)).unwrap();
         let delta = b.build();
-        let changed = folded.apply_delta(&t, &delta);
-        assert!(!changed.is_empty());
+        let deleted = DeletedRows::gather(&t, &delta).unwrap();
+        let folded = folded.evolve(&deleted, &delta).unwrap().into_folded();
         let next = t.apply_delta(&delta).unwrap();
         let fresh = FoldedTable::new(&next);
         assert_eq!(folded.rows(), next.len());
@@ -2298,8 +2143,10 @@ mod tests {
     fn estimate_at_unseen_point_works() {
         let t = hospital();
         let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(0.5, 2).unwrap());
+        let folded = FoldedTable::new(&t);
         // Age 60 (code 20), M (code 1) is not in the table.
-        let p = est.estimate_at(&t, &[20, 1]);
+        assert!(folded.find(&[20, 1]).is_none());
+        let p = est.estimate_indexed(&folded, &est.index(&folded), &[20, 1]);
         let sum: f64 = p.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -2308,26 +2155,14 @@ mod tests {
     fn unseen_point_outside_support_falls_back() {
         let t = hospital();
         let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(1e-6, 2).unwrap());
-        let p = est.estimate_at(&t, &[0, 1]); // age 40, M — nothing within 1e-6
+        let folded = FoldedTable::new(&t);
+        let index = est.index(&folded);
+        let p = est.estimate_indexed(&folded, &index, &[0, 1]); // age 40, M — nothing within 1e-6
         assert!(p.max_abs_diff(&model_table_dist(&t)) < 1e-12);
     }
 
     fn model_table_dist(t: &Table) -> Dist {
         Dist::new(t.sensitive_distribution()).unwrap()
-    }
-
-    #[test]
-    fn estimate_many_matches_estimate_at() {
-        let t = hospital();
-        let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(0.4, 2).unwrap());
-        let folded = FoldedTable::new(&t);
-        let q0 = t.qi(0);
-        let queries: Vec<&[u32]> = vec![&[20, 1], &[0, 0], &q0];
-        let many = est.estimate_many(&folded, &queries);
-        for (q, p) in queries.iter().zip(&many) {
-            let single = est.estimate_at(&t, q);
-            assert_eq!(p.as_slice(), single.as_slice());
-        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! line-oriented text file. Models that carry their folded estimation table
 //! (anything built by `PriorEstimator::estimate*`) are written in the **v2**
 //! format, which also records the bandwidth, kernel family and folded
-//! points — so a reloaded model is [refreshable](PriorModel::refresh) under
-//! table deltas *without re-folding*:
+//! points — so a reloaded model is refreshable under table deltas *without
+//! re-folding* (its fold is evolved by the delta, [`FoldedTable::evolve`],
+//! and the model refreshed from it,
+//! [`PriorEstimator::refresh_folded`](crate::PriorEstimator::refresh_folded)):
 //!
 //! ```text
 //! bgkanon-prior-model v2
@@ -374,8 +376,8 @@ where
 mod tests {
     use super::*;
     use crate::bandwidth::Bandwidth;
-    use crate::estimator::PriorEstimator;
-    use bgkanon_data::DeltaBuilder;
+    use crate::estimator::{DeletedRows, PriorEstimator};
+    use bgkanon_data::{DeltaBuilder, Parallelism};
     use std::sync::Arc;
 
     fn model() -> PriorModel {
@@ -441,8 +443,8 @@ mod tests {
     #[test]
     fn reloaded_model_refreshes_without_refolding() {
         // The round-trip contract of the sparse engine: save → load →
-        // refresh(delta) must equal a from-scratch estimate of the
-        // post-delta table, bit for bit.
+        // evolve the loaded fold by a delta → refresh must equal a
+        // from-scratch estimate of the post-delta table, bit for bit.
         let t = bgkanon_data::adult::generate(250, 4);
         let est = PriorEstimator::new(
             Arc::clone(t.schema()),
@@ -467,7 +469,9 @@ mod tests {
                 .unwrap();
         }
         let delta = b.build();
-        loaded.refresh(&est2, &t, &delta);
+        let deleted = DeletedRows::gather(&t, &delta).unwrap();
+        let evolved = loaded.folded().unwrap().evolve(&deleted, &delta).unwrap();
+        est2.refresh_folded(&mut loaded, evolved.into_folded(), Parallelism::Auto);
 
         let fresh = est.estimate(&t.apply_delta(&delta).unwrap());
         assert_eq!(loaded.len(), fresh.len());

@@ -611,232 +611,11 @@ struct AuditScratch<'a> {
     qi_buf: Vec<u32>,
 }
 
-/// One entry of an [`AuditSession`] cache, tagged with the generation of
-/// the report that last used it so stale entries can be evicted.
+/// One entry of a [`SharedAuditSession`] cache, tagged with the generation
+/// of the report that last used it so stale entries can be evicted.
 struct CacheEntry {
     generation: u64,
     risks: Arc<Vec<f64>>,
-}
-
-/// A retained audit state for repeated publications of an evolving table:
-/// an [`Auditor`] plus caches that survive across
-/// [`report`](AuditSession::report) calls.
-///
-/// Two cache levels, both producing risks **bit-identical** to a fresh
-/// audit (the values cached are exactly the ones a fresh run computes):
-///
-/// * a **signature memo** — group signature (prior-identity sequence +
-///   sensitive histogram) → per-member risks, the same memo the batched
-///   engine builds per call, here kept alive between calls;
-/// * a **stamp cache** — an opaque caller-supplied token per group (the
-///   publishing engine uses the partition-tree leaf stamp, which changes
-///   whenever a leaf's membership changes) → risks, letting unchanged
-///   groups skip even the signature computation.
-///
-/// Invalidation is explicit and keyed by the dirty partitions: after each
-/// report, entries not used by that report are dropped, so dissolved groups
-/// do not accumulate.
-///
-/// ```
-/// use std::sync::Arc;
-/// use bgkanon_knowledge::{Adversary, Bandwidth};
-/// use bgkanon_privacy::{AuditSession, Auditor};
-/// use bgkanon_stats::SmoothedJs;
-///
-/// let table = bgkanon_data::toy::hospital_table();
-/// let auditor = Auditor::new(
-///     Arc::new(Adversary::kernel(&table, Bandwidth::uniform(0.3, 2).unwrap())),
-///     Arc::new(SmoothedJs::paper_default(table.schema().sensitive_distance())),
-/// );
-/// let groups = bgkanon_data::toy::hospital_groups();
-/// let fresh = auditor.report(&table, &groups, 0.25);
-///
-/// let mut session = AuditSession::new(auditor);
-/// let first = session.report(&table, &groups, 0.25);
-/// let replay = session.report(&table, &groups, 0.25); // served from the memo
-/// assert_eq!(first.worst_case.to_bits(), fresh.worst_case.to_bits());
-/// assert_eq!(replay.worst_case.to_bits(), fresh.worst_case.to_bits());
-/// ```
-pub struct AuditSession {
-    auditor: Auditor,
-    memo: HashMap<Vec<u64>, CacheEntry>,
-    stamps: HashMap<u64, CacheEntry>,
-    prepared: HashMap<u64, Option<Dist>>,
-    generation: u64,
-}
-
-impl AuditSession {
-    /// Open a session around `auditor`. The auditor's adversary model is
-    /// pinned for the session's lifetime — prior identities (and therefore
-    /// cached signatures) stay valid across reports.
-    pub fn new(auditor: Auditor) -> Self {
-        AuditSession {
-            auditor,
-            memo: HashMap::new(),
-            stamps: HashMap::new(),
-            prepared: HashMap::new(),
-            generation: 0,
-        }
-    }
-
-    /// The wrapped auditor.
-    pub fn auditor(&self) -> &Auditor {
-        &self.auditor
-    }
-
-    /// Number of live signature-memo entries (diagnostics).
-    pub fn cached_signatures(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Number of live stamp-cache entries (diagnostics).
-    pub fn cached_stamps(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Heap bytes resident in this session's caches — signature memo,
-    /// stamp cache, and the retained prepared-prior cache. This is the
-    /// accounting hook the serving hub's memory budget rolls up per
-    /// tenant: a deterministic owned-payload estimate (shared `Arc`s are
-    /// charged to every holder), not an allocator-exact RSS.
-    pub fn bytes_accounted(&self) -> usize {
-        let memo: usize = self
-            .memo
-            .iter() // bgk-allow: R3 order-independent byte sum
-            .map(|(sig, e)| cache_entry_bytes(sig.len(), e.risks.len()))
-            .sum();
-        let stamps: usize = self
-            .stamps
-            .values() // bgk-allow: R3 order-independent byte sum
-            .map(|e| cache_entry_bytes(1, e.risks.len()))
-            .sum();
-        let prepared: usize = self
-            .prepared
-            .values() // bgk-allow: R3 order-independent byte sum
-            .map(|d| cache_entry_bytes(1, d.as_ref().map_or(0, |d| d.len())))
-            .sum();
-        memo + stamps + prepared
-    }
-
-    /// Drop every cached entry, keeping the auditor: the demotion hook of
-    /// the hub's memory budget. A later report rebuilds the caches on miss
-    /// — bit-identically, since every cache is rebuild-on-miss.
-    pub fn evict_caches(&mut self) {
-        self.memo.clear();
-        self.stamps.clear();
-        self.prepared.clear();
-    }
-
-    /// Audit `groups` with threshold `t`, replaying cached group risks and
-    /// computing only the groups whose signature is new. Bit-identical to
-    /// [`Auditor::report`] on the same inputs.
-    pub fn report(&mut self, table: &Table, groups: &[Vec<usize>], t: f64) -> AuditReport {
-        self.report_stamped(table, groups, None, t)
-    }
-
-    /// Like [`report`](AuditSession::report), with an optional stamp per
-    /// group: a caller-chosen token that must change whenever the group's
-    /// membership (row set or order) changes and must never collide between
-    /// distinct memberships audited by this session. Stamp hits bypass the
-    /// signature computation entirely — the fast path for partitions where
-    /// most groups survived the last delta untouched.
-    pub fn report_stamped(
-        &mut self,
-        table: &Table,
-        groups: &[Vec<usize>],
-        stamps: Option<&[u64]>,
-        t: f64,
-    ) -> AuditReport {
-        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-        self.report_groups(table, &slices, stamps, t)
-    }
-
-    /// The borrowed-slice form of [`report_stamped`](Self::report_stamped)
-    /// — callers holding groups inside a larger structure (a published
-    /// partition) can audit without deep-copying the row lists.
-    ///
-    /// NOTE: [`SharedAuditSession::report_groups`] implements the same
-    /// two-level stamp/signature replay for the concurrent read path; the
-    /// cache *lookup/solve* logic must stay equivalent between the two
-    /// (the eviction policies intentionally differ — single-owner evicts
-    /// stamps exactly, the shared form needs a grace window for
-    /// interleaved readers). Both are pinned by bit-identity tests against
-    /// [`Auditor::report`]; a change here needs its mirror there.
-    pub fn report_groups(
-        &mut self,
-        table: &Table,
-        groups: &[&[usize]],
-        stamps: Option<&[u64]>,
-        t: f64,
-    ) -> AuditReport {
-        if let Some(stamps) = stamps {
-            assert_eq!(stamps.len(), groups.len(), "one stamp per group");
-        }
-        self.generation += 1;
-        let generation = self.generation;
-        let m = table.schema().sensitive_domain_size();
-        let mut risks = vec![f64::NAN; table.len()];
-        let auditor = &self.auditor;
-        let mut scratch = AuditScratch {
-            prepared: std::mem::take(&mut self.prepared),
-            ..AuditScratch::default()
-        };
-        for (gi, rows) in groups.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let stamp = stamps.map(|s| s[gi]);
-            let solved = if let Some(entry) = stamp.and_then(|s| self.stamps.get_mut(&s)) {
-                entry.generation = generation;
-                Arc::clone(&entry.risks)
-            } else {
-                auditor.prepare_group(table, rows, &mut scratch);
-                let solved = match self.memo.get_mut(&scratch.signature) {
-                    Some(entry) => {
-                        entry.generation = generation;
-                        Arc::clone(&entry.risks)
-                    }
-                    None => {
-                        let solved = Arc::new(auditor.solve_group(rows, m, &mut scratch));
-                        self.memo.insert(
-                            scratch.signature.clone(),
-                            CacheEntry {
-                                generation,
-                                risks: Arc::clone(&solved),
-                            },
-                        );
-                        solved
-                    }
-                };
-                if let Some(s) = stamp {
-                    self.stamps.insert(
-                        s,
-                        CacheEntry {
-                            generation,
-                            risks: Arc::clone(&solved),
-                        },
-                    );
-                }
-                solved
-            };
-            for (&row, &risk) in rows.iter().zip(solved.iter()) {
-                risks[row] = risk;
-            }
-        }
-        self.prepared = std::mem::take(&mut scratch.prepared);
-        // Explicit invalidation, keyed by the dirty partitions. Stamps are
-        // dropped as soon as the partition stops producing them (the leaf
-        // was dissolved or re-stamped). Signature entries get a small grace
-        // window: a stamp-served group never touches its memo entry, yet
-        // its signature comes straight back when a later delta rebuilds an
-        // equal-content group — evicting eagerly would turn that replay
-        // into a full Ω recomputation.
-        const MEMO_GRACE: u64 = 8;
-        self.memo
-            .retain(|_, e| e.generation + MEMO_GRACE >= generation);
-        self.stamps.retain(|_, e| e.generation == generation);
-        self.auditor.assemble_report(risks, t)
-    }
 }
 
 /// Stamp-cache entries read out of one [`SharedAuditSession`]
@@ -856,22 +635,31 @@ struct SharedCaches {
     generation: u64,
 }
 
-/// The `Send + Sync` form of [`AuditSession`]: a retained audit state that
-/// **any number of reader threads share through `&self`** — the read path
-/// of the serving hub, where audits run concurrently against immutable
-/// published snapshots while a writer keeps applying deltas.
+/// A retained audit state for repeated publications of an evolving table,
+/// which **any number of reader threads share through `&self`** — the read
+/// path of the serving hub, where audits run concurrently against immutable
+/// published snapshots while a writer keeps applying deltas, and the audit
+/// cache of a single-owner publishing session.
 ///
-/// Semantics match [`AuditSession`]: the wrapped [`Auditor`] embodies one
-/// fixed adversary model (prior identities stay valid for the session's
-/// lifetime), and two cache levels replay group risks **bit-identically**
-/// to a fresh audit — a signature memo and a caller-stamped fast path. The
-/// stamp contract carries over unchanged: a stamp must change whenever the
-/// group's membership changes and never collide between distinct
-/// memberships audited by this session. Partition-tree leaf stamps satisfy
-/// it *across versions of an evolving table*, which is exactly what makes
-/// the hub's read path fast — after a delta, only the groups the delta
-/// dirtied miss the cache, no matter which reader thread audited the
-/// previous version.
+/// The wrapped [`Auditor`] embodies one fixed adversary model (prior
+/// identities stay valid for the session's lifetime), and two cache levels
+/// replay group risks **bit-identically** to a fresh audit (the values
+/// cached are exactly the ones a fresh run computes):
+///
+/// * a **signature memo** — group signature (prior-identity sequence +
+///   sensitive histogram) → per-member risks, the same memo the batched
+///   engine builds per call, here kept alive between calls;
+/// * a **stamp cache** — an opaque caller-supplied token per group →
+///   risks, letting unchanged groups skip even the signature computation.
+///   A stamp must change whenever the group's membership (row set or
+///   order) changes and never collide between distinct memberships
+///   audited by this session. Partition-tree leaf stamps satisfy this
+///   *across versions of an evolving table*, so after a delta only the
+///   groups the delta dirtied miss the cache, no matter which reader
+///   thread audited the previous version.
+///
+/// Entries no recent report used are dropped after a grace window, so
+/// dissolved groups do not accumulate.
 ///
 /// Group solving runs outside the lock; the mutex only guards cache
 /// lookups and inserts, so concurrent readers contend for microseconds,
@@ -906,15 +694,15 @@ pub struct SharedAuditSession {
 }
 
 impl SharedAuditSession {
-    /// Generations a signature-memo entry survives unused — the same grace
-    /// window [`AuditSession`] uses, so an equal-content group rebuilt by a
-    /// later delta replays instead of recomputing.
+    /// Generations a signature-memo entry survives unused: a stamp-served
+    /// group never touches its memo entry, yet its signature comes straight
+    /// back when a later delta rebuilds an equal-content group — evicting
+    /// eagerly would turn that replay into a full Ω recomputation.
     const MEMO_GRACE: u64 = 8;
-    /// Generations a stamp entry survives unused. Unlike the single-owner
-    /// session (which drops stamps the current report didn't produce),
-    /// concurrent readers may interleave reports of adjacent versions, so
-    /// a stamp another in-flight reader is about to hit again must not be
-    /// evicted the moment one report skips it.
+    /// Generations a stamp entry survives unused. Concurrent readers may
+    /// interleave reports of adjacent versions, so a stamp another
+    /// in-flight reader is about to hit again must not be evicted the
+    /// moment one report skips it.
     const STAMP_GRACE: u64 = 4;
 
     /// Open a shared session around `auditor`. The auditor's adversary
@@ -1011,9 +799,9 @@ impl SharedAuditSession {
         self.lock_caches().stamps.len()
     }
 
-    /// Heap bytes resident in the shared caches — the concurrent
-    /// counterpart of [`AuditSession::bytes_accounted`], taken under one
-    /// brief lock. The adversary model behind the auditor is **not**
+    /// Heap bytes resident in the shared caches — signature memo and stamp
+    /// cache, a deterministic owned-payload estimate taken under one brief
+    /// lock. The adversary model behind the auditor is **not**
     /// counted here: it is charged to its owner (the hub's intern table
     /// for `Adv(b')` models, the caller for external auditors), so a
     /// model shared by many tenants is accounted once.
@@ -1059,15 +847,11 @@ impl SharedAuditSession {
 
     /// Audit `groups` with threshold `t` through the shared caches —
     /// bit-identical to [`Auditor::report`] on the same inputs, callable
-    /// from any number of threads concurrently. `stamps` follows the
-    /// [`AuditSession::report_stamped`] contract (one per group; hits skip
-    /// even the signature computation).
-    ///
-    /// NOTE: this mirrors [`AuditSession::report_groups`]'s stamp/signature
-    /// replay (see the note there); keep the lookup/solve logic equivalent
-    /// when changing either. Differences by design: graced stamp eviction
-    /// (interleaved readers), and no persistent prepared-prior cache (it
-    /// would serialize readers on the mutex; preparation is per-call).
+    /// from any number of threads concurrently. `stamps`, when given, holds
+    /// one token per group under the stamp contract above; hits skip even
+    /// the signature computation. Measure preparation of priors is per
+    /// call: a persistent prepared-prior cache would serialize readers on
+    /// the mutex.
     pub fn report_groups(
         &self,
         table: &Table,
@@ -1188,16 +972,6 @@ impl std::fmt::Debug for SharedAuditSession {
             .field("auditor", &self.auditor)
             .field("cached_signatures", &memo)
             .field("cached_stamps", &stamps)
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for AuditSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AuditSession")
-            .field("auditor", &self.auditor)
-            .field("cached_signatures", &self.memo.len())
-            .field("cached_stamps", &self.stamps.len())
             .finish()
     }
 }
@@ -1392,12 +1166,14 @@ mod tests {
     fn audit_session_replays_bit_identically() {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
+        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         let a = auditor(&t, 0.3);
         let fresh = a.report(&t, &groups, 0.1);
-        let mut session = AuditSession::new(a);
-        let first = session.report(&t, &groups, 0.1);
+        let session = SharedAuditSession::new(a);
+        let first = session.report_groups(&t, &slices, None, 0.1);
         assert!(session.cached_signatures() > 0);
-        let replay = session.report(&t, &groups, 0.1);
+        assert_eq!(session.cached_stamps(), 0);
+        let replay = session.report_groups(&t, &slices, None, 0.1);
         for ((f, a), b) in fresh.risks.iter().zip(&first.risks).zip(&replay.risks) {
             assert_eq!(f.to_bits(), a.to_bits());
             assert_eq!(f.to_bits(), b.to_bits());
@@ -1408,34 +1184,46 @@ mod tests {
     fn audit_session_stamps_bypass_and_invalidate() {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
-        let mut session = AuditSession::new(auditor(&t, 0.3));
+        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+        let session = SharedAuditSession::new(auditor(&t, 0.3));
         let stamps = [11u64, 22, 33];
-        let first = session.report_stamped(&t, &groups, Some(&stamps), 0.1);
+        let first = session.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert_eq!(session.cached_stamps(), 3);
         // Same stamps: served from the stamp cache, same bits.
-        let hit = session.report_stamped(&t, &groups, Some(&stamps), 0.1);
+        let hit = session.report_groups(&t, &slices, Some(&stamps), 0.1);
         for (a, b) in first.risks.iter().zip(&hit.risks) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // Dropping one group evicts its stamp (and eventually its
-        // signature) from the caches.
+        // Dropping one group evicts its stamp once the grace window has
+        // passed; the partial reports stay bit-identical to a fresh audit.
         let fewer = [groups[0].clone(), groups[1].clone()];
-        let partial = session.report_stamped(&t, &fewer, Some(&stamps[..2]), 0.1);
-        assert_eq!(session.cached_stamps(), 2);
-        assert!(partial.risks[groups[2][0]].is_nan());
         let reference = auditor(&t, 0.3).report(&t, &fewer, 0.1);
-        assert_eq!(partial.worst_case.to_bits(), reference.worst_case.to_bits());
+        for _ in 0..=SharedAuditSession::STAMP_GRACE {
+            let partial = session.report_groups(&t, &slices[..2], Some(&stamps[..2]), 0.1);
+            assert!(partial.risks[groups[2][0]].is_nan());
+            assert_eq!(partial.worst_case.to_bits(), reference.worst_case.to_bits());
+        }
+        assert_eq!(session.cached_stamps(), 2);
+        // A changed stamp misses the stamp cache but still replays the
+        // group's signature, bit for bit.
+        let solved = session.cached_signatures();
+        let restamped = session.report_groups(&t, &slices, Some(&[11, 22, 44]), 0.1);
+        assert_eq!(session.cached_signatures(), solved);
+        for (a, b) in first.risks.iter().zip(&restamped.risks) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
     fn audit_session_matches_reference_with_exact_inference() {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
+        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         let a = auditor(&t, 0.3).use_exact_below(16);
         let fresh = a.report(&t, &groups, 0.1);
-        let mut session = AuditSession::new(a);
-        for _ in 0..2 {
-            let rep = session.report(&t, &groups, 0.1);
+        let session = SharedAuditSession::new(a);
+        for stamps in [None, Some(&[1u64, 2, 3][..]), Some(&[1u64, 2, 3][..])] {
+            let rep = session.report_groups(&t, &slices, stamps, 0.1);
             for (f, s) in fresh.risks.iter().zip(&rep.risks) {
                 assert_eq!(f.to_bits(), s.to_bits());
             }

@@ -28,7 +28,7 @@ pub mod requirement;
 pub mod skyline;
 pub mod tclose;
 
-pub use audit::{AuditReport, AuditSession, Auditor, SharedAuditSession, StampCarry};
+pub use audit::{AuditReport, Auditor, SharedAuditSession, StampCarry};
 pub use bt::BTPrivacy;
 pub use kanon::KAnonymity;
 pub use ldiv::{DistinctLDiversity, ProbabilisticLDiversity};

@@ -5,7 +5,6 @@
 //! table any number of deltas later — must be bit-identical to a
 //! from-scratch estimate of the final table after **any** delta sequence.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -74,6 +73,24 @@ fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize
     builder.build()
 }
 
+/// Refresh `model` across one `delta` to `table` the way the serving hub
+/// carries an `Adv(b′)` entry: gather the deleted rows, evolve the model's
+/// fold by the delta, refresh from the fold difference.
+fn refresh_across(
+    estimator: &PriorEstimator,
+    model: &mut PriorModel,
+    table: &Table,
+    delta: &Delta,
+    parallelism: Parallelism,
+) {
+    let deleted = DeletedRows::gather(table, delta).expect("deletes are in range");
+    let folded = model.folded().expect("estimated models keep their fold");
+    let evolved = folded
+        .evolve(&deleted, delta)
+        .expect("the delta matches the fold");
+    estimator.refresh_folded(model, evolved.into_folded(), parallelism);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -123,7 +140,7 @@ proptest! {
                 // The delta emptied the table — nothing left to estimate.
                 break;
             };
-            estimator.refresh_with(&mut model, &table, &delta, Parallelism::threads(2));
+            refresh_across(&estimator, &mut model, &table, &delta, Parallelism::threads(2));
             table = next;
             let fresh = estimator.estimate(&table);
             let context = format!(
@@ -155,8 +172,8 @@ proptest! {
     /// The fold-diff refresh spans a gap of 1–4 unaudited deltas in one
     /// step: bit-identical to `estimate_folded` of the final table, with
     /// every point outside the reported dirty set keeping its old prior
-    /// bit for bit — and identical to stepping `refresh_with` through the
-    /// same deltas, which runs on the same core.
+    /// bit for bit — and identical to stepping the refresh through the same
+    /// deltas one at a time, which runs on the same core.
     #[test]
     fn fold_diff_refresh_is_bit_identical_across_delta_gaps(
         rows in 40usize..220,
@@ -180,7 +197,7 @@ proptest! {
             let Ok(next) = table.apply_delta(&delta) else {
                 break;
             };
-            estimator.refresh_with(&mut stepped, &table, &delta, Parallelism::threads(threads));
+            refresh_across(&estimator, &mut stepped, &table, &delta, Parallelism::threads(threads));
             table = next;
         }
         let context = format!("rows={rows} seed={seed} b={b} family={family_index} gap={gap}");
@@ -247,31 +264,15 @@ fn net_zero_delta(table: &Table, row: usize) -> Delta {
     builder.build()
 }
 
-/// The QI combinations whose histogram differs between two folds (present
-/// in only one counts as differing), ascending — read off the public point
-/// view, independently of the evolution core.
-fn changed_between(old: &FoldedTable, new: &FoldedTable) -> Vec<Box<[u32]>> {
-    let mut keys: BTreeSet<Box<[u32]>> = old.points().map(|p| p.qi().into()).collect();
-    keys.extend(new.points().map(|p| Box::<[u32]>::from(p.qi())));
-    let hist = |fold: &FoldedTable, qi: &[u32]| {
-        fold.find(qi)
-            .map(|i| fold.point(i).sensitive_counts().to_vec())
-    };
-    keys.into_iter()
-        .filter(|qi| hist(old, qi) != hist(new, qi))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A fold carried through 1–4 chained deltas by `FoldedTable::evolve`
     /// equals `FoldedTable::with_row_points` of every post-delta table:
     /// same content, same content hash, same row → point array (remapped
-    /// from the previous step's), and the changed-point set is exactly the
-    /// fold difference. The mix covers a point deleted outright plus an
-    /// insert at an unseen point, and a net-zero delta. The `apply_delta`
-    /// wrapper runs the same core, and a fold reloaded through persistence
+    /// from the previous step's). The mix covers a point deleted outright
+    /// plus an insert at an unseen point, and a net-zero delta, which
+    /// leaves the fold unchanged. A fold reloaded through persistence
     /// hashes equal.
     #[test]
     fn evolved_fold_matches_a_fresh_fold_across_chained_deltas(
@@ -313,17 +314,9 @@ proptest! {
             );
             let points = evolution.row_points(&row_points, &delta);
             prop_assert_eq!(points.as_ref(), Some(&fresh_points), "row points: {}", &context);
-            let expected = changed_between(&fold, &fresh);
-            prop_assert_eq!(evolution.changed(), expected.as_slice(), "changed: {}", &context);
             if (step + mix) % 4 == 1 {
-                prop_assert!(evolution.changed().is_empty(), "net-zero: {}", &context);
+                prop_assert!(evolution.folded().content_eq(&fold), "net-zero: {}", &context);
             }
-
-            let mut stepped = fold.clone();
-            let changed = stepped.apply_delta(&table, &delta);
-            prop_assert!(stepped.content_eq(&fresh), "apply_delta fold: {}", &context);
-            prop_assert_eq!(stepped.content_hash(), fresh.content_hash(), "apply_delta hash: {}", &context);
-            prop_assert_eq!(&changed, &expected, "apply_delta changed: {}", &context);
 
             fold = evolution.into_folded();
             row_points = points.expect("checked");
@@ -427,7 +420,7 @@ fn net_zero_delta_dirties_nothing_and_leaves_the_model_unchanged() {
     assert!(dirty.is_empty());
     assert_same_model(&before, &folded_model);
     let mut stepped = before.clone();
-    estimator.refresh_with(&mut stepped, &table, &delta, Parallelism::Auto);
+    refresh_across(&estimator, &mut stepped, &table, &delta, Parallelism::Auto);
     assert_same_model(&before, &stepped);
 }
 
@@ -521,27 +514,7 @@ fn zero_neighbor_query_falls_back_to_table_distribution() {
             break;
         }
     }
-    let p = estimator.estimate_many(&folded, &[&q]);
+    let p = estimator.estimate_indexed(&folded, &estimator.index(&folded), &q);
     let expected = Dist::new(table.sensitive_distribution()).unwrap();
-    assert!(p[0].max_abs_diff(&expected) < 1e-15);
-}
-
-#[test]
-fn estimate_many_is_consistent_with_model_priors() {
-    let table = adult::generate(300, 77);
-    let estimator = PriorEstimator::new(
-        Arc::clone(table.schema()),
-        Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
-    );
-    let model = estimator.estimate(&table);
-    let folded = FoldedTable::new(&table);
-    let owned: Vec<Vec<u32>> = (0..20).map(|r| table.qi(r * 7)).collect();
-    let queries: Vec<&[u32]> = owned.iter().map(Vec::as_slice).collect();
-    let many = estimator.estimate_many(&folded, &queries);
-    for (q, p) in queries.iter().zip(&many) {
-        let from_model = model.prior(q).expect("in-table point");
-        for (x, y) in p.as_slice().iter().zip(from_model.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
+    assert!(p.max_abs_diff(&expected) < 1e-15);
 }

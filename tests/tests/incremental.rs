@@ -1,7 +1,9 @@
 //! Property tests of the incremental republication engine: for any base
 //! table and any sequence of deltas, a [`PublishSession`] must be
 //! **bit-identical** — groups, ranges, histograms, audit risks — to a
-//! from-scratch publish of the final table, on every parallelism knob.
+//! from-scratch publish of the final table, on every parallelism knob. Its
+//! `Adv(b′)` audits, taken after any gap of unaudited deltas, must equal a
+//! fresh auditor of the current table.
 
 use std::sync::Arc;
 
@@ -146,43 +148,85 @@ proptest! {
         seed in 0u64..200,
         k in 3usize..6,
         bandwidth in 0.2f64..0.5,
+        steps in 2usize..6,
+        audit_mask in 0u32..64,
+        replay_mask in 0u32..64,
     ) {
         let base = adult::generate(rows, seed);
         let publisher = Publisher::new().k_anonymity(k);
         let mut session = publisher.open(&base).expect("satisfiable base");
-        // The auditor is fixed up front (the paper's Fig. 1 accounting:
-        // one prior model reused across releases).
+        let measure: Arc<dyn BeliefDistance> =
+            Arc::new(SmoothedJs::paper_default(base.schema().sensitive_distance()));
+        // The external auditor is fixed up front (the paper's Fig. 1
+        // accounting: one prior model reused across releases).
         let auditor = Auditor::new(
             Arc::new(Adversary::kernel(
                 &base,
                 Bandwidth::uniform(bandwidth, base.qi_count()).unwrap(),
             )),
-            Arc::new(SmoothedJs::paper_default(base.schema().sensitive_distance())),
+            Arc::clone(&measure),
         );
-        // Warm the caches, then evolve and re-audit incrementally.
+        // Warm the caches, then evolve and re-audit incrementally. The
+        // session-built `Adv(b′)` is audited only on the steps `audit_mask`
+        // picks, so consecutive audits are 0, 1 or several deltas apart;
+        // `replay_mask` re-audits an unchanged version (a gap of 0).
         let _ = session.audit_with(&auditor, 0.2);
+        let _ = session.audit_against(bandwidth, 0.2).expect("valid bandwidth");
         let mut rng = SmallRng::seed_from_u64(seed + 13);
-        for _ in 0..2 {
+        for step in 0..steps {
+            let context = format!("rows={rows} seed={seed} k={k} step={step}");
             let delta = random_delta(session.table(), &mut rng, 0.05, 4);
             if session.apply(&delta).is_err() {
                 continue;
             }
-            let incremental = session.audit_with(&auditor, 0.2);
             let fresh = publisher.publish(session.table()).expect("satisfiable");
+            let incremental = session.audit_with(&auditor, 0.2);
             let reference = fresh.audit_with(session.table(), &auditor, 0.2);
-            prop_assert!(incremental.risks.len() == reference.risks.len());
-            for (row, (a, b)) in incremental.risks.iter().zip(&reference.risks).enumerate() {
-                prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "risk diverges at row {} (rows={} seed={} k={})",
-                    row, rows, seed, k
-                );
+            assert_same_report(&incremental, &reference, &context)?;
+
+            if audit_mask >> step & 1 == 0 {
+                continue;
             }
-            prop_assert!(incremental.worst_case.to_bits() == reference.worst_case.to_bits());
-            prop_assert!(incremental.mean.to_bits() == reference.mean.to_bits());
-            prop_assert!(incremental.vulnerable == reference.vulnerable);
+            let current = Auditor::new(
+                Arc::new(Adversary::kernel(
+                    session.table(),
+                    Bandwidth::uniform(bandwidth, base.qi_count()).unwrap(),
+                )),
+                Arc::clone(&measure),
+            );
+            let reference = fresh.audit_with(session.table(), &current, 0.2);
+            let tracked = session.audit_against(bandwidth, 0.2).expect("valid bandwidth");
+            assert_same_report(&tracked, &reference, &context)?;
+            if replay_mask >> step & 1 == 1 {
+                let replay = session.audit_against(bandwidth, 0.2).expect("valid bandwidth");
+                assert_same_report(&replay, &reference, &context)?;
+            }
         }
     }
+}
+
+fn assert_same_report(
+    a: &AuditReport,
+    b: &AuditReport,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert!(a.risks.len() == b.risks.len(), "risk count: {}", context);
+    for (row, (x, y)) in a.risks.iter().zip(&b.risks).enumerate() {
+        prop_assert!(
+            x.to_bits() == y.to_bits(),
+            "risk diverges at row {}: {}",
+            row,
+            context
+        );
+    }
+    prop_assert!(
+        a.worst_case.to_bits() == b.worst_case.to_bits(),
+        "worst case: {}",
+        context
+    );
+    prop_assert!(a.mean.to_bits() == b.mean.to_bits(), "mean: {}", context);
+    prop_assert!(a.vulnerable == b.vulnerable, "vulnerable: {}", context);
+    Ok(())
 }
 
 #[test]
@@ -291,7 +335,7 @@ fn audit_against_verdict_flip_is_tracked() {
     let base = adult::generate(300, 29);
     let publisher = Publisher::new().k_anonymity(3);
     let mut session = publisher.open(&base).unwrap();
-    let before = session.audit_against(0.25, 0.15);
+    let before = session.audit_against(0.25, 0.15).unwrap();
 
     // Delete a slice of rows spread over the table.
     let mut builder = DeltaBuilder::new(Arc::clone(base.schema()));
@@ -299,12 +343,11 @@ fn audit_against_verdict_flip_is_tracked() {
         builder.delete(r);
     }
     session.apply(&builder.build()).unwrap();
-    let after = session.audit_against(0.25, 0.15);
+    let after = session.audit_against(0.25, 0.15).unwrap();
     assert_eq!(after.risks.len(), session.len());
     assert!(after.risks.iter().all(|r| !r.is_nan()));
-    // The session adversary is pinned at first audit; a second call on the
-    // same state replays bit-identically.
-    let replay = session.audit_against(0.25, 0.15);
+    // A second call on the same state replays bit-identically.
+    let replay = session.audit_against(0.25, 0.15).unwrap();
     assert_eq!(after.worst_case.to_bits(), replay.worst_case.to_bits());
     assert_eq!(after.vulnerable, replay.vulnerable);
     // And the pre-delta report stays a valid, distinct artifact.

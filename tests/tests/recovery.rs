@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
-use bgkanon::knowledge::{load_model_str, save_model_string, PriorEstimator};
+use bgkanon::knowledge::{load_model_str, save_model_string, FoldedTable, PriorEstimator};
 use bgkanon::prelude::*;
 use bgkanon::wal;
 
@@ -325,15 +325,14 @@ fn reloaded_prior_refreshes_identically_inside_a_recovered_hub() {
         "v2 persist must keep the bandwidth, or refresh goes silently stale"
     );
 
-    let before = snap.table().clone();
     let delta = random_delta(snap.table(), &mut rng, 0.05, 4);
-    hub.apply("tenant", &delta).unwrap();
-    in_memory.refresh(&estimator, &before, &delta);
-    reloaded.refresh(&estimator, &before, &delta);
+    let after = hub.apply("tenant", &delta).unwrap();
+    let folded = FoldedTable::new(after.table());
+    estimator.refresh_folded(&mut in_memory, folded.clone(), Parallelism::Auto);
+    estimator.refresh_folded(&mut reloaded, folded, Parallelism::Auto);
 
     // Both refreshed models must audit the recovered post-delta release
     // bit-identically.
-    let after = hub.snapshot("tenant").unwrap();
     let audit = |model: bgkanon::knowledge::PriorModel| {
         let adversary = Arc::new(bgkanon::knowledge::Adversary::from_model(
             "Adv",
