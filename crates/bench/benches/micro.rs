@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bgkanon::data::{DeltaBuilder, Layout};
+use bgkanon::data::DeltaBuilder;
 use bgkanon::inference::{exact_posteriors, omega_posteriors, GroupPriors};
 use bgkanon::knowledge::{Adversary, Bandwidth, DeletedRows, FoldedTable, PriorEstimator};
 use bgkanon::prelude::*;
@@ -97,32 +97,28 @@ fn bench_inference(c: &mut Criterion) {
 }
 
 fn bench_layout(c: &mut Criterion) {
-    // Column-scan vs row-stride in isolation: the attribute-wise hot
-    // passes — the group-by-QI signature pass (and its counting-sort
-    // spine `qi_sorted_rows`), Mondrian's counting-sort split, and the
-    // estimator's fold — on the same 100k-row table in both physical
-    // layouts. Engine code is identical; only the stride differs.
-    let columnar = bgkanon::data::adult::generate(100_000, 42);
-    let rowmajor = columnar.to_layout(Layout::RowMajor);
+    // The attribute-wise column scans in isolation: the group-by-QI
+    // signature pass (and its counting-sort spine `qi_sorted_rows`),
+    // Mondrian's counting-sort split, and the estimator's fold, on one
+    // 100k-row table.
+    let table = bgkanon::data::adult::generate(100_000, 42);
     let mut group = c.benchmark_group("layout");
     group.sample_size(10);
-    for (name, table) in [("columnar", &columnar), ("rowmajor", &rowmajor)] {
-        group.bench_function(BenchmarkId::new("group_by_qi", name), |b| {
-            b.iter(|| table.group_by_qi());
+    group.bench_function("group_by_qi", |b| {
+        b.iter(|| table.group_by_qi());
+    });
+    group.bench_function("qi_sorted_rows", |b| {
+        b.iter(|| table.qi_sorted_rows());
+    });
+    group.bench_function("mondrian_split_k10", |b| {
+        b.iter(|| {
+            let m = Mondrian::new(Arc::new(KAnonymity::new(10)));
+            m.anonymize(&table)
         });
-        group.bench_function(BenchmarkId::new("qi_sorted_rows", name), |b| {
-            b.iter(|| table.qi_sorted_rows());
-        });
-        group.bench_function(BenchmarkId::new("mondrian_split_k10", name), |b| {
-            b.iter(|| {
-                let m = Mondrian::new(Arc::new(KAnonymity::new(10)));
-                m.anonymize(table)
-            });
-        });
-        group.bench_function(BenchmarkId::new("fold", name), |b| {
-            b.iter(|| FoldedTable::new(table));
-        });
-    }
+    });
+    group.bench_function("fold", |b| {
+        b.iter(|| FoldedTable::new(&table));
+    });
     group.finish();
 }
 

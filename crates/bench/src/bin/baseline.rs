@@ -59,15 +59,14 @@
 //! cargo run --release -p bgkanon-bench --bin baseline -- --recovery --smoke
 //! ```
 //!
-//! `--scale` switches to the **layout A/B scale** benchmark, written to
+//! `--scale` switches to the **scale** benchmark, written to
 //! `BENCH_scale.json`: the full serial publish → prior-estimate → audit
 //! pipeline (plus isolated group-by-QI and estimator-fold passes) at 1M
-//! and 10M rows, run once on the columnar table and once on
-//! [`Table::to_layout(RowMajor)`](bgkanon::data::Table::to_layout) of the
-//! *same* table — identical engine code, equal thread count, only the
-//! physical layout differs. Partitions, risks, group-by maps and folds are
-//! verified bit-identical between the two lanes before any number is
-//! recorded.
+//! and 10M rows. Before any number is recorded, both audits are verified
+//! bit-identical to the row-at-a-time
+//! [`Auditor::tuple_risks_reference`] (timed as `audit_reference_ms`) and
+//! the estimator fold to [`Table::group_by_qi`] (codes, counts and
+//! sensitive histograms).
 //!
 //! ```text
 //! cargo run --release -p bgkanon-bench --bin baseline -- --scale
@@ -124,7 +123,7 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bgkanon::data::{adult, Delta, DeltaBuilder, Layout, Parallelism, Table};
+use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
 use bgkanon::knowledge::{
     Adversary, Bandwidth, DeletedRows, FoldedTable, PriorEstimator, PriorModel,
 };
@@ -921,186 +920,122 @@ fn run_estimate_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) 
     println!("wrote {out_path}");
 }
 
-/// Serial wall-clock of one physical layout through the identical engine
-/// code — the layout A/B lane of the `--scale` benchmark.
-struct LayoutLane {
+/// One size point of the scale benchmark: serial wall-clock of each
+/// pipeline stage, plus the reference audit it is verified against.
+struct ScaleResult {
+    rows: usize,
+    groups: usize,
+    distinct_points: usize,
+    vulnerable: usize,
     publish_ms: f64,
     estimate_ms: f64,
     audit_kernel_ms: f64,
     audit_tcloseness_ms: f64,
+    /// Both adversaries' audits through `tuple_risks_reference`.
+    audit_reference_ms: f64,
     group_by_ms: f64,
     fold_ms: f64,
 }
 
-impl LayoutLane {
-    /// The end-to-end publish+audit path the acceptance criterion names:
-    /// partition the table, estimate the auditing adversary's prior model,
-    /// audit against both reference adversaries.
+impl ScaleResult {
+    /// The end-to-end publish+audit path: partition the table, estimate
+    /// the auditing adversary's prior model, audit against both reference
+    /// adversaries.
     fn pipeline_ms(&self) -> f64 {
         self.publish_ms + self.estimate_ms + self.audit_kernel_ms + self.audit_tcloseness_ms
     }
+
+    /// Reference audit time over flat-scan audit time, both adversaries.
+    fn reference_speedup(&self) -> f64 {
+        self.audit_reference_ms / (self.audit_kernel_ms + self.audit_tcloseness_ms)
+    }
 }
 
-/// Everything one lane produced, kept long enough for the cross-layout
-/// identity checks.
-struct LaneOutput {
-    lane: LayoutLane,
-    groups: Vec<Vec<usize>>,
-    kernel_risks: Vec<f64>,
-    tcl_risks: Vec<f64>,
-    group_map: std::collections::BTreeMap<Box<[u32]>, Vec<usize>>,
-    folded: FoldedTable,
+/// Audit `groups` with the serial flat-scan engine and with the reference
+/// transcription, asserting bit-identical risks. Returns (risks, flat_ms,
+/// reference_ms).
+fn audit_against_reference(
+    auditor: &Auditor,
+    table: &Table,
+    groups: &[Vec<usize>],
+    reps: usize,
+    name: &str,
+) -> (Vec<f64>, f64, f64) {
+    let (risks, flat_ms) = best_ms(reps, || {
+        auditor.tuple_risks_with(table, groups, Parallelism::Serial)
+    });
+    let (reference, reference_ms) = best_ms(reps, || auditor.tuple_risks_reference(table, groups));
+    for (row, (a, b)) in risks.iter().zip(&reference).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{name} audit diverges from the reference at row {row}"
+        );
+    }
+    (risks, flat_ms, reference_ms)
 }
 
 /// Run the full serial publish→estimate→audit pipeline (plus the isolated
-/// group-by-QI and fold passes) on one table, whatever its layout.
-fn run_scale_lane(table: &Table, reps: usize) -> LaneOutput {
+/// group-by-QI and fold passes) on one generated table, verifying every
+/// audit and the fold against their references.
+fn run_scale(rows: usize, reps: usize) -> ScaleResult {
+    let table = adult::generate(rows, SEED);
     let publisher = Publisher::new()
         .k_anonymity(K)
         .parallelism(Parallelism::Serial);
-    let (outcome, publish_ms) = best_ms(reps, || publisher.publish(table).expect("satisfiable"));
+    let (outcome, publish_ms) = best_ms(reps, || publisher.publish(&table).expect("satisfiable"));
     let groups = outcome.anonymized.row_groups();
 
     let (group_map, group_by_ms) = best_ms(reps, || table.group_by_qi());
-    let (folded, fold_ms) = best_ms(reps, || FoldedTable::new(table));
+    let (folded, fold_ms) = best_ms(reps, || FoldedTable::new(&table));
+    assert_eq!(folded.len(), group_map.len(), "fold size diverges");
+    assert_eq!(folded.rows(), table.len(), "fold row total diverges");
+    for (point, (codes, members)) in folded.points().zip(&group_map) {
+        assert_eq!(point.qi(), codes.as_ref(), "fold key diverges");
+        assert_eq!(point.count() as usize, members.len(), "fold count diverges");
+        assert_eq!(
+            point.sensitive_counts(),
+            table.sensitive_counts_in(members).as_slice(),
+            "fold histogram diverges"
+        );
+    }
 
     let measure: Arc<dyn bgkanon::stats::BeliefDistance> = Arc::new(SmoothedJs::paper_default(
         table.schema().sensitive_distance(),
     ));
     let (kernel_auditor, estimate_ms) = best_ms(reps, || {
         let adversary = Arc::new(Adversary::kernel(
-            table,
+            &table,
             Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth"),
         ));
         Auditor::new(adversary, Arc::clone(&measure))
     });
-    let (kernel_risks, audit_kernel_ms) = best_ms(reps, || {
-        kernel_auditor.tuple_risks_with(table, &groups, Parallelism::Serial)
-    });
+    let (kernel_risks, audit_kernel_ms, kernel_reference_ms) =
+        audit_against_reference(&kernel_auditor, &table, &groups, reps, "kernel");
+    let tcl_auditor = Auditor::new(Arc::new(Adversary::t_closeness(&table)), measure);
+    let (_, audit_tcloseness_ms, tcl_reference_ms) =
+        audit_against_reference(&tcl_auditor, &table, &groups, reps, "t-closeness");
 
-    let tcl_auditor = Auditor::new(Arc::new(Adversary::t_closeness(table)), measure);
-    let (tcl_risks, audit_tcloseness_ms) = best_ms(reps, || {
-        tcl_auditor.tuple_risks_with(table, &groups, Parallelism::Serial)
-    });
-
-    LaneOutput {
-        lane: LayoutLane {
-            publish_ms,
-            estimate_ms,
-            audit_kernel_ms,
-            audit_tcloseness_ms,
-            group_by_ms,
-            fold_ms,
-        },
-        groups,
-        kernel_risks,
-        tcl_risks,
-        group_map,
-        folded,
-    }
-}
-
-/// One size point of the layout A/B scale benchmark.
-struct ScaleResult {
-    rows: usize,
-    groups: usize,
-    distinct_points: usize,
-    vulnerable: usize,
-    columnar: LayoutLane,
-    rowmajor: LayoutLane,
-}
-
-impl ScaleResult {
-    /// Row-major over columnar on the publish+audit pipeline — the number
-    /// the acceptance criterion gates (≥1.5× at 1M rows).
-    fn layout_speedup(&self) -> f64 {
-        self.rowmajor.pipeline_ms() / self.columnar.pipeline_ms()
-    }
-}
-
-fn run_scale(rows: usize, reps: usize) -> ScaleResult {
-    let columnar = adult::generate(rows, SEED);
-    assert_eq!(
-        columnar.layout(),
-        Layout::Columnar,
-        "generator emits columnar"
-    );
-    let rowmajor = columnar.to_layout(Layout::RowMajor);
-
-    let c = run_scale_lane(&columnar, reps);
-    let r = run_scale_lane(&rowmajor, reps);
-
-    // The recorded layout speedup must never be bought with drift: both
-    // lanes ran the identical engine code, so every artifact — partition,
-    // audits, group-by fold, estimator fold — must agree bit-for-bit.
-    assert_eq!(
-        c.groups.len(),
-        r.groups.len(),
-        "layouts disagree on group count"
-    );
-    for (a, b) in c.groups.iter().zip(&r.groups) {
-        assert_eq!(a, b, "layouts disagree on a group's rows");
-    }
-    for (row, (a, b)) in c.kernel_risks.iter().zip(&r.kernel_risks).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "kernel audit diverges between layouts at row {row}"
-        );
-    }
-    for (row, (a, b)) in c.tcl_risks.iter().zip(&r.tcl_risks).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "t-closeness audit diverges between layouts at row {row}"
-        );
-    }
-    assert!(
-        c.group_map == r.group_map,
-        "group_by_qi diverges between layouts"
-    );
-    assert_eq!(c.folded.len(), r.folded.len(), "fold sizes diverge");
-    assert_eq!(c.folded.rows(), r.folded.rows(), "fold row totals diverge");
-    for (a, b) in c.folded.points().zip(r.folded.points()) {
-        assert_eq!(a.qi(), b.qi(), "fold keys diverge between layouts");
-        assert_eq!(a.count(), b.count(), "fold counts diverge between layouts");
-        assert_eq!(
-            a.sensitive_counts(),
-            b.sensitive_counts(),
-            "fold histograms diverge between layouts"
-        );
-    }
-
-    let vulnerable = c
-        .kernel_risks
+    let vulnerable = kernel_risks
         .iter()
         .filter(|x| !x.is_nan() && **x > THRESHOLD)
         .count();
     ScaleResult {
         rows,
-        groups: c.groups.len(),
-        distinct_points: c.folded.len(),
+        groups: groups.len(),
+        distinct_points: folded.len(),
         vulnerable,
-        columnar: c.lane,
-        rowmajor: r.lane,
+        publish_ms,
+        estimate_ms,
+        audit_kernel_ms,
+        audit_tcloseness_ms,
+        audit_reference_ms: kernel_reference_ms + tcl_reference_ms,
+        group_by_ms,
+        fold_ms,
     }
 }
 
 fn scale_json(results: &[ScaleResult], smoke: bool, reps: usize) -> String {
-    let lane = |l: &LayoutLane| {
-        format!(
-            "{{\"publish_ms\": {:.3}, \"estimate_ms\": {:.3}, \
-             \"audit_kernel_ms\": {:.3}, \"audit_tcloseness_ms\": {:.3}, \
-             \"group_by_ms\": {:.3}, \"fold_ms\": {:.3}, \"pipeline_ms\": {:.3}}}",
-            l.publish_ms,
-            l.estimate_ms,
-            l.audit_kernel_ms,
-            l.audit_tcloseness_ms,
-            l.group_by_ms,
-            l.fold_ms,
-            l.pipeline_ms(),
-        )
-    };
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"scale\",\n");
     out.push_str(&format!("  \"requirement\": \"{K}-anonymity\",\n"));
@@ -1114,24 +1049,24 @@ fn scale_json(results: &[ScaleResult], smoke: bool, reps: usize) -> String {
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"rows\": {}, \"groups\": {}, \"distinct_points\": {}, \
-             \"vulnerable\": {},\n     \"columnar\": {},\n     \"rowmajor\": {},\n     \
-             \"publish_speedup\": {:.3}, \"estimate_speedup\": {:.3}, \
-             \"audit_speedup\": {:.3}, \"group_by_speedup\": {:.3}, \
-             \"fold_speedup\": {:.3}, \"layout_speedup\": {:.3}, \
+             \"vulnerable\": {},\n     \"publish_ms\": {:.3}, \"estimate_ms\": {:.3}, \
+             \"audit_kernel_ms\": {:.3}, \"audit_tcloseness_ms\": {:.3}, \
+             \"audit_reference_ms\": {:.3}, \"group_by_ms\": {:.3}, \"fold_ms\": {:.3}, \
+             \"pipeline_ms\": {:.3},\n     \"reference_speedup\": {:.3}, \
              \"identical_output\": true}}{}\n",
             r.rows,
             r.groups,
             r.distinct_points,
             r.vulnerable,
-            lane(&r.columnar),
-            lane(&r.rowmajor),
-            r.rowmajor.publish_ms / r.columnar.publish_ms,
-            r.rowmajor.estimate_ms / r.columnar.estimate_ms,
-            (r.rowmajor.audit_kernel_ms + r.rowmajor.audit_tcloseness_ms)
-                / (r.columnar.audit_kernel_ms + r.columnar.audit_tcloseness_ms),
-            r.rowmajor.group_by_ms / r.columnar.group_by_ms,
-            r.rowmajor.fold_ms / r.columnar.fold_ms,
-            r.layout_speedup(),
+            r.publish_ms,
+            r.estimate_ms,
+            r.audit_kernel_ms,
+            r.audit_tcloseness_ms,
+            r.audit_reference_ms,
+            r.group_by_ms,
+            r.fold_ms,
+            r.pipeline_ms(),
+            r.reference_speedup(),
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
@@ -1141,16 +1076,16 @@ fn scale_json(results: &[ScaleResult], smoke: bool, reps: usize) -> String {
 
 fn run_scale_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) {
     let mut report = Report::new(
-        "Scale: columnar vs row-major layout through the serial engine",
+        "Scale: serial publish + estimate + audit, verified against the reference audit",
         &[
             "groups",
-            "col pub",
-            "rm pub",
-            "col est",
-            "rm est",
-            "col audit",
-            "rm audit",
-            "speedup",
+            "publish",
+            "estimate",
+            "audit",
+            "ref audit",
+            "fold",
+            "pipeline",
+            "ref speedup",
         ],
     );
     let mut results = Vec::new();
@@ -1160,29 +1095,22 @@ fn run_scale_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) {
             &format!("{rows} rows"),
             vec![
                 format!("{}", r.groups),
-                format!("{:.1}ms", r.columnar.publish_ms),
-                format!("{:.1}ms", r.rowmajor.publish_ms),
-                format!("{:.1}ms", r.columnar.estimate_ms),
-                format!("{:.1}ms", r.rowmajor.estimate_ms),
-                format!(
-                    "{:.1}ms",
-                    r.columnar.audit_kernel_ms + r.columnar.audit_tcloseness_ms
-                ),
-                format!(
-                    "{:.1}ms",
-                    r.rowmajor.audit_kernel_ms + r.rowmajor.audit_tcloseness_ms
-                ),
-                format!("{:.2}x", r.layout_speedup()),
+                format!("{:.1}ms", r.publish_ms),
+                format!("{:.1}ms", r.estimate_ms),
+                format!("{:.1}ms", r.audit_kernel_ms + r.audit_tcloseness_ms),
+                format!("{:.1}ms", r.audit_reference_ms),
+                format!("{:.1}ms", r.fold_ms),
+                format!("{:.1}ms", r.pipeline_ms()),
+                format!("{:.2}x", r.reference_speedup()),
             ],
         );
         results.push(r);
     }
     report.note(&format!(
-        "serial engine on both layouts (equal thread count); min over {reps} rep(s); the \
-         row-major lane is Table::to_layout(RowMajor) of the same generated table, run through \
-         identical engine code; speedup = row-major / columnar on the publish + estimate + \
-         audit pipeline; partitions, risks, group-by and estimator folds verified bit-identical \
-         between layouts before any number is recorded"
+        "serial engine; min over {reps} rep(s); audit = kernel + t-closeness adversaries \
+         through the flat-scan engine, ref audit = the same two through \
+         tuple_risks_reference; both audits verified bit-identical to the reference and the \
+         estimator fold to group_by_qi before any number is recorded"
     ));
     println!("{}", report.render());
 

@@ -22,7 +22,9 @@
 //!     .expect("the toy table satisfies the requirement");
 //!
 //! // 3. Audit the release against an adversary with background knowledge.
-//! let report = outcome.audit_against(&table, 0.3, 0.25);
+//! let report = outcome
+//!     .audit_against(&table, 0.3, 0.25)
+//!     .expect("b′ = 0.3 is a valid bandwidth");
 //! assert!(report.worst_case <= 0.25 + 1e-9);
 //! ```
 //!

@@ -16,6 +16,7 @@ use bgkanon_anon::{
     Mondrian, StrategyState,
 };
 use bgkanon_data::{Parallelism, Table};
+use bgkanon_knowledge::bandwidth::BandwidthError;
 use bgkanon_knowledge::{Adversary, Bandwidth};
 use bgkanon_privacy::{
     And, AuditReport, Auditor, BTPrivacy, DistinctLDiversity, GroupView, KAnonymity,
@@ -563,20 +564,26 @@ impl PublishOutcome {
     /// Audit this release against the adversary `Adv(b′)` (uniform bandwidth
     /// `b'`) with vulnerability threshold `t`, using the paper's smoothed-JS
     /// distance.
-    pub fn audit_against(&self, table: &Table, b_prime: f64, t: f64) -> AuditReport {
-        let adversary = Arc::new(Adversary::kernel(
-            table,
-            Bandwidth::uniform(b_prime, table.qi_count()).expect("positive bandwidth"),
-        ));
+    ///
+    /// Fails with a [`BandwidthError`] when `b'` is not positive and
+    /// finite (0, negative, NaN or ∞).
+    pub fn audit_against(
+        &self,
+        table: &Table,
+        b_prime: f64,
+        t: f64,
+    ) -> Result<AuditReport, BandwidthError> {
+        let bandwidth = Bandwidth::uniform(b_prime, table.qi_count())?;
+        let adversary = Arc::new(Adversary::kernel(table, bandwidth));
         let measure = Arc::new(SmoothedJs::paper_default(
             table.schema().sensitive_distance(),
         ));
-        Auditor::new(adversary, measure).report_with(
+        Ok(Auditor::new(adversary, measure).report_with(
             table,
             &self.anonymized.row_groups(),
             t,
             self.parallelism,
-        )
+        ))
     }
 
     /// Audit with a prebuilt auditor (reuse the adversary's prior model
@@ -602,9 +609,19 @@ mod tests {
         assert!(outcome.requirement_name.contains("3-anonymity"));
         assert!(outcome.requirement_name.contains("privacy"));
         // Audit against the same adversary: within threshold by construction.
-        let report = outcome.audit_against(&t, 0.3, 0.25);
+        let report = outcome.audit_against(&t, 0.3, 0.25).unwrap();
         assert!(report.worst_case <= 0.25 + 1e-9);
         assert_eq!(report.vulnerable, 0);
+    }
+
+    #[test]
+    fn audit_against_rejects_bad_bandwidths() {
+        let t = toy::hospital_table();
+        let outcome = Publisher::new().k_anonymity(3).publish(&t).unwrap();
+        for b in [0.0, -0.3, f64::NAN, f64::INFINITY] {
+            let err = outcome.audit_against(&t, b, 0.25).unwrap_err();
+            assert!(matches!(err, BandwidthError::NonPositive(_)), "b′={b}");
+        }
     }
 
     #[test]
@@ -668,7 +685,7 @@ mod tests {
             .expect("satisfiable");
         // Each skyline point individually holds on the published table.
         for (b, thr) in [(0.2, 0.4), (0.4, 0.3)] {
-            let rep = outcome.audit_against(&t, b, thr);
+            let rep = outcome.audit_against(&t, b, thr).unwrap();
             assert!(rep.worst_case <= thr + 1e-9, "b={b}: {}", rep.worst_case);
         }
     }

@@ -263,18 +263,8 @@ fn push_table_block(out: &mut String, table: &Table) {
     let _ = writeln!(out, "rows {n}");
     for a in 0..table.qi_count() {
         out.push_str("col");
-        let col = table.qi_col(a);
-        match col.as_contiguous() {
-            Some(codes) => {
-                for &q in codes {
-                    let _ = write!(out, " {q}");
-                }
-            }
-            None => {
-                for r in 0..n {
-                    let _ = write!(out, " {}", col.get(r));
-                }
-            }
+        for &q in table.qi_col(a).as_slice() {
+            let _ = write!(out, " {q}");
         }
         out.push('\n');
     }
@@ -1110,7 +1100,6 @@ mod tests {
 
     #[test]
     fn v2_table_block_is_columnar_and_v1_still_parses() {
-        use bgkanon_data::Layout;
         let dir = tmp_dir("v1fmt");
         let table = adult::generate(80, 9);
         let publisher = Publisher::new().k_anonymity(3).bt_privacy(0.3, 0.25);
@@ -1127,10 +1116,10 @@ mod tests {
         assert_eq!(text.lines().filter(|l| l.starts_with("sens ")).count(), 1);
         assert!(!text.lines().any(|l| l.starts_with("r ")));
         let v2 = parse_genesis(&text).unwrap();
-        assert_eq!(v2.table.layout(), Layout::Columnar);
+        assert_eq!(v2.table.len(), table.len());
 
-        // The same content downgraded to the per-row v1 shape still loads —
-        // into a columnar table — and decodes identical codes.
+        // The same content downgraded to the per-row v1 shape still loads
+        // and decodes identical codes.
         downgrade_to_v1(&path);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(GENESIS_MAGIC_V1));
@@ -1140,7 +1129,6 @@ mod tests {
             table.len()
         );
         let v1 = parse_genesis(&text).unwrap();
-        assert_eq!(v1.table.layout(), Layout::Columnar);
         assert_eq!(v1.table.len(), table.len());
         for r in 0..table.len() {
             assert_eq!(v1.table.qi(r), table.qi(r));
@@ -1153,7 +1141,6 @@ mod tests {
     #[test]
     fn v1_checkpoint_recovers_into_columnar_hub() {
         use crate::SessionHub;
-        use bgkanon_data::Layout;
         let dir = tmp_dir("v1hub");
         let opts = DurabilityOptions {
             checkpoint_every: 2,
@@ -1201,9 +1188,8 @@ mod tests {
         assert_eq!(report.tenants[0].replayed, 1);
         let snap = hub.snapshot("t").unwrap();
         assert_eq!(snap.version(), expected_version);
-        // The recovered session serves columnar tables and the exact
-        // publication the pre-downgrade hub served.
-        assert_eq!(snap.table().layout(), Layout::Columnar);
+        // The recovered session serves the exact publication the
+        // pre-downgrade hub served.
         let groups = snap.anonymized().groups();
         assert_eq!(groups.len(), expected_groups.len());
         for (g, (rows, ranges, counts)) in groups.iter().zip(&expected_groups) {

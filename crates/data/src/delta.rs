@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use crate::error::DataError;
 use crate::schema::Schema;
-use crate::table::{Layout, Table};
+use crate::table::Table;
 
 /// A validated batch of row deletions and insertions against one schema.
 ///
@@ -241,61 +241,32 @@ impl Table {
                 .sensitive_attribute()
                 .check_code(delta.insert_sensitive(i))?;
         }
-        // Survivors are copied block-wise between deletes — they came from
-        // this table, so no re-validation is needed. The result keeps this
-        // table's layout (the fast path is a per-column `extend_from_slice`
-        // either way).
-        let mut sensitive = Vec::with_capacity(final_rows);
-        let mut start = 0usize;
-        for &del in delta.deletes() {
-            sensitive.extend_from_slice(&self.raw_sensitive()[start..del]);
-            start = del + 1;
-        }
-        sensitive.extend_from_slice(&self.raw_sensitive()[start..]);
+        // Survivors are copied block-wise between deletes, one column at a
+        // time — they came from this table, so no re-validation is needed.
+        let survivors_of = |src: &[u32]| {
+            let mut col = Vec::with_capacity(final_rows);
+            let mut start = 0usize;
+            for &del in delta.deletes() {
+                col.extend_from_slice(&src[start..del]);
+                start = del + 1;
+            }
+            col.extend_from_slice(&src[start..]);
+            col
+        };
+        let cols = (0..d)
+            .map(|a| {
+                let mut col = survivors_of(self.qi_col(a).as_slice());
+                col.extend((0..delta.insert_count()).map(|i| delta.insert_qi(i)[a]));
+                col
+            })
+            .collect();
+        let mut sensitive = survivors_of(self.sensitive_col());
         sensitive.extend((0..delta.insert_count()).map(|i| delta.insert_sensitive(i)));
-        match self.layout() {
-            Layout::Columnar => {
-                let mut cols: Vec<Vec<u32>> = Vec::with_capacity(d);
-                for a in 0..d {
-                    let src = self
-                        .qi_col(a)
-                        .as_contiguous()
-                        .expect("columnar layout has contiguous columns"); // bgk-allow: R6 structural invariant — the Columnar match arm guarantees stride-1 columns
-                    let mut col = Vec::with_capacity(final_rows);
-                    let mut start = 0usize;
-                    for &del in delta.deletes() {
-                        col.extend_from_slice(&src[start..del]);
-                        start = del + 1;
-                    }
-                    col.extend_from_slice(&src[start..]);
-                    col.extend((0..delta.insert_count()).map(|i| delta.insert_qi(i)[a]));
-                    cols.push(col);
-                }
-                Ok(Table::from_raw_columns(
-                    Arc::clone(self.schema()),
-                    cols,
-                    sensitive,
-                ))
-            }
-            Layout::RowMajor => {
-                let src = self.raw_qi_data();
-                let mut qi_data = Vec::with_capacity(final_rows * d);
-                let mut start = 0usize;
-                for &del in delta.deletes() {
-                    qi_data.extend_from_slice(&src[start * d..del * d]);
-                    start = del + 1;
-                }
-                qi_data.extend_from_slice(&src[start * d..]);
-                for i in 0..delta.insert_count() {
-                    qi_data.extend_from_slice(delta.insert_qi(i));
-                }
-                Ok(Table::from_raw(
-                    Arc::clone(self.schema()),
-                    qi_data,
-                    sensitive,
-                ))
-            }
-        }
+        Ok(Table::from_raw_columns(
+            Arc::clone(self.schema()),
+            cols,
+            sensitive,
+        ))
     }
 }
 

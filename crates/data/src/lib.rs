@@ -37,4 +37,4 @@ pub use error::DataError;
 pub use exec::{shared_pool, Parallelism, ThreadPool};
 pub use hierarchy::Hierarchy;
 pub use schema::Schema;
-pub use table::{Layout, QiCol, Table, TableBuilder, TupleRef};
+pub use table::{QiCol, Table, TableBuilder, TupleRef};

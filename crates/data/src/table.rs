@@ -9,35 +9,12 @@
 //! immutable once built, so cloning one is O(d) pointer bumps — the serving
 //! layer hands every reader thread its own `Table` handle of the version it
 //! is auditing without copying row data.
-//!
-//! A table can also hold the legacy **row-major** layout
-//! (`qi_data[row * d + attr]`), kept as the measured reference the scale
-//! benches compare against; [`Table::to_layout`] converts between the two
-//! and every accessor reads either through [`QiCol`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::DataError;
 use crate::schema::Schema;
-
-/// Physical memory layout of a [`Table`]'s QI codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// One contiguous `Vec<u32>` per QI attribute (the default).
-    Columnar,
-    /// One flat row-major buffer, `qi_data[row * d + attr]` — the
-    /// pre-columnar reference layout, retained for A/B benchmarks.
-    RowMajor,
-}
-
-#[derive(Debug, Clone)]
-enum Storage {
-    /// `cols[attr][row]`; each column shared independently.
-    Columnar(Vec<Arc<Vec<u32>>>),
-    /// `qi_data[row * d + attr]`, shared as one buffer.
-    RowMajor(Arc<Vec<u32>>),
-}
 
 /// An immutable, validated microdata table.
 ///
@@ -59,41 +36,37 @@ enum Storage {
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<Schema>,
-    storage: Storage,
-    /// Sensitive code per row. Shared like the QI storage.
+    /// `cols[attr][row]`; each column shared independently.
+    cols: Vec<Arc<Vec<u32>>>,
+    /// Sensitive code per row. Shared like the QI columns.
     sensitive: Arc<Vec<u32>>,
 }
 
-/// A borrowed, zero-cost accessor for one QI attribute's codes, valid for
-/// either [`Layout`]: `stride == 1` over a contiguous column, `stride == d`
-/// over the row-major buffer. Hot loops hoist one `QiCol` per dimension and
-/// call [`get`](Self::get) per row; flat kernels specialize on
-/// [`as_contiguous`](Self::as_contiguous).
+/// A borrowed, zero-cost accessor for one QI attribute's contiguous code
+/// column. Hot loops hoist one `QiCol` per dimension and call
+/// [`get`](Self::get) per row; flat kernels scan
+/// [`as_slice`](Self::as_slice).
 #[derive(Debug, Clone, Copy)]
 pub struct QiCol<'a> {
     data: &'a [u32],
-    stride: usize,
-    offset: usize,
 }
 
 impl<'a> QiCol<'a> {
     /// Code of `row` on this attribute.
     #[inline(always)]
     pub fn get(&self, row: usize) -> u32 {
-        self.data[row * self.stride + self.offset]
+        self.data[row]
     }
 
-    /// The whole column as one contiguous slice — `Some` exactly when the
-    /// table is [`Layout::Columnar`], letting flat kernels drop the stride
-    /// arithmetic (and the compiler vectorize).
+    /// The whole column as one contiguous slice.
     #[inline]
-    pub fn as_contiguous(&self) -> Option<&'a [u32]> {
-        (self.stride == 1).then_some(self.data)
+    pub fn as_slice(&self) -> &'a [u32] {
+        self.data
     }
 }
 
 /// A lightweight handle on one tuple: its row index plus the table it lives
-/// in. With columnar storage a row is no longer one contiguous slice, so
+/// in. Codes are stored per column, so a row is not one contiguous slice;
 /// the tuple view resolves codes on demand instead of borrowing them.
 #[derive(Clone, Copy)]
 pub struct TupleRef<'a> {
@@ -156,81 +129,21 @@ impl Table {
         self.schema.qi_count()
     }
 
-    /// The physical layout of this table's QI codes.
-    pub fn layout(&self) -> Layout {
-        match self.storage {
-            Storage::Columnar(_) => Layout::Columnar,
-            Storage::RowMajor(_) => Layout::RowMajor,
-        }
-    }
-
-    /// Heap bytes of this table's code storage (QI buffers + sensitive
+    /// Heap bytes of this table's code storage (QI columns + sensitive
     /// column). The buffers are `Arc`-shared — an O(1)-cloned table charges
     /// the same payload to every holder — so this is an accounting proxy
     /// the serving hub rolls into per-tenant memory gauges, not an
     /// allocator-exact RSS measurement.
     pub fn bytes_accounted(&self) -> usize {
-        let qi = match &self.storage {
-            Storage::Columnar(cols) => cols.iter().map(|c| c.len() * 4 + 32).sum(),
-            Storage::RowMajor(buf) => buf.len() * 4 + 32,
-        };
+        let qi: usize = self.cols.iter().map(|c| c.len() * 4 + 32).sum();
         qi + self.sensitive.len() * 4 + 32
     }
 
-    /// This table's codes in `layout`: an O(1) clone when the layout
-    /// already matches, otherwise one transposing copy. Every accessor and
-    /// kernel produces bit-identical results on either layout; the
-    /// row-major form exists so the scale benches can measure the layouts
-    /// against each other through the same engine code.
-    pub fn to_layout(&self, layout: Layout) -> Table {
-        if self.layout() == layout {
-            return self.clone();
-        }
-        let d = self.qi_count();
-        let n = self.len();
-        let storage = match (&self.storage, layout) {
-            (Storage::Columnar(cols), Layout::RowMajor) => {
-                let mut qi_data = vec![0u32; n * d];
-                for (a, col) in cols.iter().enumerate() {
-                    for (r, &v) in col.iter().enumerate() {
-                        qi_data[r * d + a] = v;
-                    }
-                }
-                Storage::RowMajor(Arc::new(qi_data))
-            }
-            (Storage::RowMajor(qi_data), Layout::Columnar) => {
-                let cols = (0..d)
-                    .map(|a| {
-                        let mut col = Vec::with_capacity(n);
-                        col.extend(qi_data[a..].iter().step_by(d).copied());
-                        Arc::new(col)
-                    })
-                    .collect();
-                Storage::Columnar(cols)
-            }
-            _ => unreachable!("layout mismatch handled above"),
-        };
-        Table {
-            schema: Arc::clone(&self.schema),
-            storage,
-            sensitive: Arc::clone(&self.sensitive),
-        }
-    }
-
-    /// Accessor for attribute `attr`'s codes, layout-independent.
+    /// Accessor for attribute `attr`'s codes.
     #[inline]
     pub fn qi_col(&self, attr: usize) -> QiCol<'_> {
-        match &self.storage {
-            Storage::Columnar(cols) => QiCol {
-                data: &cols[attr],
-                stride: 1,
-                offset: 0,
-            },
-            Storage::RowMajor(qi_data) => QiCol {
-                data: qi_data,
-                stride: self.schema.qi_count(),
-                offset: attr,
-            },
+        QiCol {
+            data: &self.cols[attr],
         }
     }
 
@@ -247,22 +160,13 @@ impl Table {
     #[inline]
     pub fn qi_into(&self, row: usize, buf: &mut Vec<u32>) {
         buf.clear();
-        match &self.storage {
-            Storage::Columnar(cols) => buf.extend(cols.iter().map(|c| c[row])),
-            Storage::RowMajor(qi_data) => {
-                let d = self.schema.qi_count();
-                buf.extend_from_slice(&qi_data[row * d..(row + 1) * d]);
-            }
-        }
+        buf.extend(self.cols.iter().map(|c| c[row]));
     }
 
     /// QI code of row `row` on attribute `attr`.
     #[inline]
     pub fn qi_value(&self, row: usize, attr: usize) -> u32 {
-        match &self.storage {
-            Storage::Columnar(cols) => cols[attr][row],
-            Storage::RowMajor(qi_data) => qi_data[row * self.schema.qi_count() + attr],
-        }
+        self.cols[attr][row]
     }
 
     /// Sensitive code of row `row`.
@@ -271,7 +175,7 @@ impl Table {
         self.sensitive[row]
     }
 
-    /// The sensitive-code column (contiguous in both layouts).
+    /// The sensitive-code column.
     #[inline]
     pub fn sensitive_col(&self) -> &[u32] {
         &self.sensitive
@@ -328,9 +232,9 @@ impl Table {
     /// Row indices `0..n` sorted lexicographically by their QI codes,
     /// stably (equal rows keep ascending index order). Implemented as one
     /// stable counting-sort pass per attribute, last attribute first — each
-    /// pass is a flat scan of one column, which is what the columnar layout
-    /// makes sequential. This is the shared spine of
-    /// [`group_by_qi`](Self::group_by_qi) and the kernel estimator's fold.
+    /// pass is a flat scan of one contiguous column. This is the shared
+    /// spine of [`group_by_qi`](Self::group_by_qi) and the kernel
+    /// estimator's fold.
     pub fn qi_sorted_rows(&self) -> Vec<u32> {
         let n = self.len();
         let d = self.schema.qi_count();
@@ -341,26 +245,20 @@ impl Table {
         let mut tmp = vec![0u32; n];
         let mut starts: Vec<u32> = Vec::new();
         for attr in (0..d).rev() {
-            let col = self.qi_col(attr);
+            let col: &[u32] = &self.cols[attr];
             let dom = self.schema.qi_attribute(attr).domain_size() as usize;
             // Histogram, then exclusive prefix sum into per-value cursors.
             starts.clear();
             starts.resize(dom + 1, 0);
-            if let Some(flat) = col.as_contiguous() {
-                for &v in flat {
-                    starts[v as usize + 1] += 1;
-                }
-            } else {
-                for r in 0..n {
-                    starts[col.get(r) as usize + 1] += 1;
-                }
+            for &v in col {
+                starts[v as usize + 1] += 1;
             }
             for v in 1..=dom {
                 starts[v] += starts[v - 1];
             }
             // Stable scatter of the current order.
             for &r in &perm {
-                let v = col.get(r as usize) as usize;
+                let v = col[r as usize] as usize;
                 tmp[starts[v] as usize] = r;
                 starts[v] += 1;
             }
@@ -402,27 +300,15 @@ impl Table {
     }
 
     /// Restrict the table to `rows` (in the given order), producing a new
-    /// table sharing the schema. Useful for sampled experiments. The
-    /// subset keeps this table's layout.
+    /// table sharing the schema. Useful for sampled experiments.
     pub fn subset(&self, rows: &[usize]) -> Table {
-        let storage = match &self.storage {
-            Storage::Columnar(cols) => Storage::Columnar(
-                cols.iter()
-                    .map(|col| Arc::new(rows.iter().map(|&r| col[r]).collect()))
-                    .collect(),
-            ),
-            Storage::RowMajor(qi_data) => {
-                let d = self.schema.qi_count();
-                let mut out = Vec::with_capacity(rows.len() * d);
-                for &r in rows {
-                    out.extend_from_slice(&qi_data[r * d..(r + 1) * d]);
-                }
-                Storage::RowMajor(Arc::new(out))
-            }
-        };
         Table {
             schema: Arc::clone(&self.schema),
-            storage,
+            cols: self
+                .cols
+                .iter()
+                .map(|col| Arc::new(rows.iter().map(|&r| col[r]).collect()))
+                .collect(),
             sensitive: Arc::new(rows.iter().map(|&r| self.sensitive[r]).collect()),
         }
     }
@@ -433,20 +319,8 @@ impl Table {
         self.subset(&rows)
     }
 
-    /// Assemble from a raw, already-validated **row-major** buffer (the
-    /// row-major delta fast path — survivors of an existing table need no
-    /// re-validation).
-    pub(crate) fn from_raw(schema: Arc<Schema>, qi_data: Vec<u32>, sensitive: Vec<u32>) -> Table {
-        debug_assert_eq!(qi_data.len(), sensitive.len() * schema.qi_count());
-        Table {
-            schema,
-            storage: Storage::RowMajor(Arc::new(qi_data)),
-            sensitive: Arc::new(sensitive),
-        }
-    }
-
-    /// Assemble from raw, already-validated **columnar** buffers (the
-    /// synthetic generator and the columnar delta fast path).
+    /// Assemble from raw, already-validated column buffers (the synthetic
+    /// generator and the delta block-copy path).
     pub(crate) fn from_raw_columns(
         schema: Arc<Schema>,
         cols: Vec<Vec<u32>>,
@@ -456,35 +330,19 @@ impl Table {
         debug_assert!(cols.iter().all(|c| c.len() == sensitive.len()));
         Table {
             schema,
-            storage: Storage::Columnar(cols.into_iter().map(Arc::new).collect()),
+            cols: cols.into_iter().map(Arc::new).collect(),
             sensitive: Arc::new(sensitive),
         }
-    }
-
-    /// The raw row-major QI buffer. Only meaningful — and only called —
-    /// on the row-major layout's block-copy paths.
-    pub(crate) fn raw_qi_data(&self) -> &[u32] {
-        match &self.storage {
-            Storage::RowMajor(qi_data) => qi_data,
-            Storage::Columnar(_) => unreachable!("raw_qi_data on a columnar table"),
-        }
-    }
-
-    /// The raw sensitive-code buffer (for whole-table copies).
-    pub(crate) fn raw_sensitive(&self) -> &[u32] {
-        &self.sensitive
     }
 }
 
 /// Row-by-row (or chunk-by-chunk) builder for [`Table`], validating codes
-/// against the schema. Codes accumulate columnar; [`build`](Self::build)
-/// emits the requested [`Layout`] (columnar by default).
+/// against the schema. Codes accumulate column by column.
 #[derive(Debug)]
 pub struct TableBuilder {
     schema: Arc<Schema>,
     cols: Vec<Vec<u32>>,
     sensitive: Vec<u32>,
-    layout: Layout,
 }
 
 impl TableBuilder {
@@ -495,7 +353,6 @@ impl TableBuilder {
             schema,
             cols,
             sensitive: Vec::new(),
-            layout: Layout::Columnar,
         }
     }
 
@@ -508,33 +365,14 @@ impl TableBuilder {
         self
     }
 
-    /// Emit the given layout from [`build`](Self::build) (columnar by
-    /// default).
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// Start from the rows of an existing table — the append path used by
     /// publishing sessions to evolve a table without re-encoding it. The
-    /// codes are already validated, so this is a set of buffer copies; the
-    /// built table keeps `table`'s layout.
+    /// codes are already validated, so this is one buffer copy per column.
     pub fn from_table(table: &Table) -> Self {
-        let d = table.qi_count();
-        let n = table.len();
-        let mut cols: Vec<Vec<u32>> = Vec::with_capacity(d);
-        for a in 0..d {
-            let col = table.qi_col(a);
-            match col.as_contiguous() {
-                Some(flat) => cols.push(flat.to_vec()),
-                None => cols.push((0..n).map(|r| col.get(r)).collect()),
-            }
-        }
         TableBuilder {
             schema: Arc::clone(table.schema()),
-            cols,
-            sensitive: table.raw_sensitive().to_vec(),
-            layout: table.layout(),
+            cols: table.cols.iter().map(|c| c.to_vec()).collect(),
+            sensitive: table.sensitive.to_vec(),
         }
     }
 
@@ -624,11 +462,11 @@ impl TableBuilder {
         if self.sensitive.is_empty() {
             return Err(DataError::EmptyTable);
         }
-        let table = Table::from_raw_columns(self.schema, self.cols, self.sensitive);
-        Ok(match self.layout {
-            Layout::Columnar => table,
-            Layout::RowMajor => table.to_layout(Layout::RowMajor),
-        })
+        Ok(Table::from_raw_columns(
+            self.schema,
+            self.cols,
+            self.sensitive,
+        ))
     }
 }
 
@@ -664,7 +502,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.len(), 4);
         assert_eq!(t.qi_count(), 2);
-        assert_eq!(t.layout(), Layout::Columnar);
         assert_eq!(t.qi(0), &[5, 0]);
         assert_eq!(t.sensitive_value(2), 2);
         assert_eq!(t.tuple(3).qi(), &[40, 1]);
@@ -674,36 +511,19 @@ mod tests {
     }
 
     #[test]
-    fn layouts_agree_on_every_accessor() {
-        let c = sample();
-        let r = c.to_layout(Layout::RowMajor);
-        assert_eq!(r.layout(), Layout::RowMajor);
-        assert_eq!(c.len(), r.len());
+    fn accessors_agree() {
+        let t = sample();
         let mut buf = Vec::new();
-        for row in 0..c.len() {
-            assert_eq!(c.qi(row), r.qi(row));
-            r.qi_into(row, &mut buf);
-            assert_eq!(c.qi(row), buf);
-            for a in 0..c.qi_count() {
-                assert_eq!(c.qi_value(row, a), r.qi_value(row, a));
-                assert_eq!(c.qi_col(a).get(row), r.qi_col(a).get(row));
+        for row in 0..t.len() {
+            let qi = t.qi(row);
+            t.qi_into(row, &mut buf);
+            assert_eq!(qi, buf);
+            for (a, &code) in qi.iter().enumerate() {
+                assert_eq!(t.qi_value(row, a), code);
+                assert_eq!(t.qi_col(a).get(row), code);
+                assert_eq!(t.qi_col(a).as_slice()[row], code);
             }
-            assert_eq!(c.sensitive_value(row), r.sensitive_value(row));
         }
-        // Contiguity is a columnar property only.
-        assert!(c.qi_col(0).as_contiguous().is_some());
-        assert!(r.qi_col(0).as_contiguous().is_none());
-        // Round-trip back to columnar restores contiguous columns.
-        let back = r.to_layout(Layout::Columnar);
-        for row in 0..c.len() {
-            assert_eq!(back.qi(row), c.qi(row));
-        }
-        // Same-layout conversion is a cheap clone, aliasing storage.
-        let same = c.to_layout(Layout::Columnar);
-        assert_eq!(
-            c.qi_col(0).as_contiguous().unwrap().as_ptr(),
-            same.qi_col(0).as_contiguous().unwrap().as_ptr()
-        );
     }
 
     #[test]
@@ -725,11 +545,6 @@ mod tests {
         b.push_text(&["25", "M", "HIV"]).unwrap(); // (5, 1) — ties row 1
         let t = b.build().unwrap();
         assert_eq!(t.qi_sorted_rows(), vec![2, 1, 3, 0]);
-        // Both layouts sort identically.
-        assert_eq!(
-            t.to_layout(Layout::RowMajor).qi_sorted_rows(),
-            t.qi_sorted_rows()
-        );
     }
 
     #[test]
@@ -743,8 +558,6 @@ mod tests {
         let keys: Vec<&Box<[u32]>> = g.keys().collect();
         assert_eq!(keys[0].as_ref(), &[5u32, 0u32]);
         assert_eq!(keys[1].as_ref(), &[40u32, 1u32]);
-        // The row-major reference layout folds identically.
-        assert_eq!(t.to_layout(Layout::RowMajor).group_by_qi(), g);
     }
 
     #[test]
@@ -758,11 +571,6 @@ mod tests {
         assert_eq!(u.qi(0), t.qi(0));
         assert_eq!(u.qi(4), &[10, 0]);
         assert_eq!(u.sensitive_value(4), 2);
-        // The builder preserves the seed table's layout.
-        let rm = TableBuilder::from_table(&t.to_layout(Layout::RowMajor))
-            .build()
-            .unwrap();
-        assert_eq!(rm.layout(), Layout::RowMajor);
     }
 
     #[test]
@@ -791,10 +599,6 @@ mod tests {
         assert_eq!(s.qi(1), &[5, 0]);
         assert_eq!(t.head(3).len(), 3);
         assert_eq!(t.head(100).len(), 4);
-        // Subsetting preserves the layout.
-        let rm = t.to_layout(Layout::RowMajor).subset(&[2, 0]);
-        assert_eq!(rm.layout(), Layout::RowMajor);
-        assert_eq!(rm.qi(0), s.qi(0));
     }
 
     #[test]
@@ -817,18 +621,18 @@ mod tests {
         let c = t.clone();
         for a in 0..t.qi_count() {
             assert_eq!(
-                t.qi_col(a).as_contiguous().unwrap().as_ptr(),
-                c.qi_col(a).as_contiguous().unwrap().as_ptr()
+                t.qi_col(a).as_slice().as_ptr(),
+                c.qi_col(a).as_slice().as_ptr()
             );
         }
-        assert_eq!(t.raw_sensitive().as_ptr(), c.raw_sensitive().as_ptr());
+        assert_eq!(t.sensitive_col().as_ptr(), c.sensitive_col().as_ptr());
         // A builder seeded from the table gets its own buffers.
         let mut b = TableBuilder::from_table(&t);
         b.push_text(&["30", "F", "HIV"]).unwrap();
         let u = b.build().unwrap();
         assert_ne!(
-            t.qi_col(0).as_contiguous().unwrap().as_ptr(),
-            u.qi_col(0).as_contiguous().unwrap().as_ptr()
+            t.qi_col(0).as_slice().as_ptr(),
+            u.qi_col(0).as_slice().as_ptr()
         );
         assert_eq!(t.len(), 4);
         assert_eq!(u.len(), 5);

@@ -12,12 +12,10 @@
 //! * [`Auditor::tuple_risks_reference`] — the per-group **reference**
 //!   path, a direct transcription of §V.A: one prior lookup and one
 //!   posterior per row;
-//! * [`Auditor::tuple_risks`] / [`Auditor::report`] — the layout-native
-//!   serial engine: on columnar tables a **flat-scan** path that
-//!   enumerates the distinct QI points once with the counting-sort spine,
-//!   resolves each point's prior once, and reuses the batched engine's
-//!   allocation-free kernels and signature memo; on row-major tables the
-//!   reference path;
+//! * [`Auditor::tuple_risks`] / [`Auditor::report`] — the **flat-scan**
+//!   serial engine: it enumerates the distinct QI points once with the
+//!   counting-sort spine, resolves each point's prior once, and reuses the
+//!   batched engine's allocation-free kernels and signature memo;
 //! * [`Auditor::tuple_risks_with`] / [`Auditor::report_with`] — the
 //!   **batched** engine: groups are distributed over worker jobs on the
 //!   process-wide [`shared_pool`](bgkanon_data::shared_pool)
@@ -33,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bgkanon_data::{Layout, Parallelism, Table};
+use bgkanon_data::{Parallelism, Table};
 use bgkanon_inference::{
     exact_posteriors, omega_column_sums, omega_posterior_into, omega_posteriors, GroupPriors,
 };
@@ -161,27 +159,9 @@ impl Auditor {
         self.exact_below
     }
 
-    /// Disclosure risk of every tuple under the published `groups`
-    /// (disjoint row-index sets covering the table).
-    ///
-    /// Dispatches on the table's physical layout: columnar tables run the
-    /// flat-scan serial engine (radix row→point resolution over contiguous
-    /// columns, allocation-free Ω kernels, signature memo), row-major
-    /// tables the retained row-at-a-time reference path. Both are
-    /// bit-identical — [`tuple_risks_reference`](Self::tuple_risks_reference)
-    /// is always available as the ground truth.
-    pub fn tuple_risks(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
-        if table.layout() == Layout::Columnar {
-            self.tuple_risks_flat(table, groups)
-        } else {
-            self.tuple_risks_reference(table, groups)
-        }
-    }
-
     /// The row-at-a-time reference path — a direct transcription of §V.A:
-    /// one prior lookup and one posterior per row, no memoization. Kept
-    /// callable on any layout as the ground truth the faster engines are
-    /// verified against.
+    /// one prior lookup and one posterior per row, no memoization. Kept as
+    /// the ground truth the faster engines are verified against.
     pub fn tuple_risks_reference(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
         let mut risks = vec![f64::NAN; table.len()];
         for rows in groups {
@@ -202,15 +182,20 @@ impl Auditor {
         risks
     }
 
-    /// The columnar flat-scan serial engine. Instead of one hash lookup
-    /// per *row*, the table's distinct QI points are enumerated once with
-    /// the counting-sort spine (`qi_sorted_rows`, sequential passes over
-    /// the contiguous code vectors) and each distinct point's prior is
-    /// resolved exactly once; groups then read their priors by point id.
-    /// Posteriors run through the allocation-free Ω kernels and the group
-    /// signature memo of the batched engine — identical inputs, identical
-    /// arithmetic, so risks are bit-identical to the reference path.
-    fn tuple_risks_flat(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
+    /// Disclosure risk of every tuple under the published `groups`
+    /// (disjoint row-index sets covering the table), by the flat-scan
+    /// serial engine.
+    ///
+    /// Instead of one hash lookup per *row*, the table's distinct QI
+    /// points are enumerated once with the counting-sort spine
+    /// (`qi_sorted_rows`, sequential passes over the code columns) and
+    /// each distinct point's prior is resolved exactly once; groups then
+    /// read their priors by point id. Posteriors run through the
+    /// allocation-free Ω kernels and the group signature memo of the
+    /// batched engine — identical inputs, identical arithmetic, so risks
+    /// are bit-identical to
+    /// [`tuple_risks_reference`](Self::tuple_risks_reference).
+    pub fn tuple_risks(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
         let n = table.len();
         let d = table.qi_count();
         let m = table.schema().sensitive_domain_size();
@@ -277,9 +262,8 @@ impl Auditor {
 
     /// Disclosure risks with an explicit execution engine.
     ///
-    /// [`Parallelism::Serial`] runs the layout-native serial engine (the
-    /// columnar flat-scan path on columnar tables, the row-at-a-time
-    /// reference on row-major ones); any other knob runs the batched
+    /// [`Parallelism::Serial`] runs the flat-scan serial engine
+    /// ([`tuple_risks`](Self::tuple_risks)); any other knob runs the batched
     /// engine with that many workers, sharing this auditor's
     /// `Arc<Adversary>` across them and memoizing posterior computations by
     /// group signature. All paths produce bit-identical risks.
@@ -443,7 +427,7 @@ impl Auditor {
 
     /// Memo lookup + solve + emit for a group whose scratch (priors,
     /// counts, signature) is already prepared — shared by the batched
-    /// workers and the columnar flat-scan serial engine.
+    /// workers and the flat-scan serial engine.
     fn audit_prepared(
         &self,
         rows: &[usize],
@@ -1014,12 +998,11 @@ mod tests {
 
     #[test]
     fn flat_scan_engine_is_bit_identical_to_reference() {
-        // The columnar flat-scan serial path vs the row-at-a-time §V.A
+        // The flat-scan serial path vs the row-at-a-time §V.A
         // transcription — same table, same groups, bit-identical risks.
         // Both the Ω-estimate and the exact-inference (small-group) routes.
         for (seed, exact_below) in [(3u64, 0usize), (11, 8)] {
             let t = bgkanon_data::adult::generate(400, seed);
-            assert_eq!(t.layout(), Layout::Columnar);
             let groups: Vec<Vec<usize>> = (0..t.len())
                 .step_by(7)
                 .map(|start| (start..(start + 7).min(t.len())).collect())

@@ -42,7 +42,9 @@ fn main() {
     }
 
     // Audit: replay the background-knowledge attack with the same adversary.
-    let report = outcome.audit_against(&table, 0.3, 0.25);
+    let report = outcome
+        .audit_against(&table, 0.3, 0.25)
+        .expect("valid bandwidth");
     println!(
         "\naudit vs Adv(b'=0.3): worst-case risk {:.4}, mean {:.4}, vulnerable {}/{}",
         report.worst_case,

@@ -44,7 +44,9 @@ fn main() {
     // Verify each skyline point by an independent audit.
     println!("audits of the skyline release:");
     for &(b, t) in &skyline {
-        let report = protected.audit_against(&table, b, t);
+        let report = protected
+            .audit_against(&table, b, t)
+            .expect("valid bandwidth");
         println!(
             "  Adv(b'={b}): worst-case {:.4} ≤ t={t}  vulnerable={}",
             report.worst_case, report.vulnerable
@@ -55,7 +57,9 @@ fn main() {
     // The k-anonymous baseline is exposed to the same adversaries.
     println!("\naudits of the k-anonymity-only release:");
     for &(b, t) in &skyline {
-        let report = baseline.audit_against(&table, b, t);
+        let report = baseline
+            .audit_against(&table, b, t)
+            .expect("valid bandwidth");
         println!(
             "  Adv(b'={b}): worst-case {:.4} (t={t})  vulnerable={}",
             report.worst_case, report.vulnerable

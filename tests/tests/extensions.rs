@@ -19,7 +19,9 @@ fn calibrated_skyline_publishes_and_audits_clean() {
         .publish(&table)
         .expect("suggested skyline must be enforceable");
     for (b, t) in skyline {
-        let report = outcome.audit_against(&table, b, t);
+        let report = outcome
+            .audit_against(&table, b, t)
+            .expect("valid bandwidth");
         assert!(
             report.worst_case <= t + 1e-9,
             "point (b={b}, t={t}): worst case {}",

@@ -54,7 +54,9 @@ fn joint_pipeline_end_to_end() {
         .publish(&table)
         .expect("satisfiable");
     // Enforcement is honored by the audit with the same profile.
-    let report = outcome.audit_against(&table, 0.3, 0.3);
+    let report = outcome
+        .audit_against(&table, 0.3, 0.3)
+        .expect("valid bandwidth");
     assert_eq!(report.vulnerable, 0, "worst case {}", report.worst_case);
 
     // Utility machinery works on the product domain.

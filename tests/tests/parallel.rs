@@ -231,8 +231,12 @@ fn publisher_parallelism_knob_is_transparent_end_to_end() {
     {
         assert_eq!(a.rows, b.rows);
     }
-    let rs = serial.audit_against(&table, 0.3, 0.2);
-    let rp = parallel.audit_against(&table, 0.3, 0.2);
+    let rs = serial
+        .audit_against(&table, 0.3, 0.2)
+        .expect("valid bandwidth");
+    let rp = parallel
+        .audit_against(&table, 0.3, 0.2)
+        .expect("valid bandwidth");
     assert_eq!(rs.worst_case.to_bits(), rp.worst_case.to_bits());
     assert_eq!(rs.mean.to_bits(), rp.mean.to_bits());
     assert_eq!(rs.vulnerable, rp.vulnerable);

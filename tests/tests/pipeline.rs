@@ -44,7 +44,9 @@ fn publish_and_audit_all_models_end_to_end() {
             assert!(g.len() >= p.k);
         }
         // Audit terminates with finite risks.
-        let report = outcome.audit_against(&table, 0.3, p.t);
+        let report = outcome
+            .audit_against(&table, 0.3, p.t)
+            .expect("valid bandwidth");
         assert!(report.worst_case.is_finite());
         assert!(report.mean <= report.worst_case + 1e-12);
         // Utility metrics are consistent.
@@ -66,7 +68,9 @@ fn bt_privacy_enforcement_implies_clean_audit() {
             .bt_privacy(b, t)
             .publish(&table)
             .unwrap();
-        let report = outcome.audit_against(&table, b, t);
+        let report = outcome
+            .audit_against(&table, b, t)
+            .expect("valid bandwidth");
         assert_eq!(
             report.vulnerable, 0,
             "b={b}, t={t}: worst case {}",
@@ -86,7 +90,9 @@ fn skyline_implies_every_component_point() {
         .publish(&table)
         .unwrap();
     for (b, t) in pairs {
-        let report = outcome.audit_against(&table, b, t);
+        let report = outcome
+            .audit_against(&table, b, t)
+            .expect("valid bandwidth");
         assert!(
             report.worst_case <= t + 1e-9,
             "skyline point (b={b}, t={t}) violated: {}",

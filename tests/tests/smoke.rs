@@ -37,7 +37,9 @@ fn hospital_table_publishes_and_audits_within_t() {
 
     // Definition 1 honoured in the released table: the Adv(B) adversary's
     // prior → posterior distance stays within t for every tuple.
-    let report = outcome.audit_against(&table, B, T);
+    let report = outcome
+        .audit_against(&table, B, T)
+        .expect("valid bandwidth");
     assert!(
         report.worst_case <= T + 1e-9,
         "worst-case disclosure {} exceeds t={T}",

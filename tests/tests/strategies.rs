@@ -218,7 +218,9 @@ fn skyline_publishers_flow_through_session_and_hub() {
 
     // The genesis publication itself must audit clean on a skyline point.
     let outcome = publisher.publish(&table).unwrap();
-    let report = outcome.audit_against(&table, 0.2, 0.45);
+    let report = outcome
+        .audit_against(&table, 0.2, 0.45)
+        .expect("valid bandwidth");
     assert!(report.worst_case <= 0.45 + 1e-9, "{}", report.worst_case);
 
     let hub: SessionHub = SessionHub::new();
