@@ -1019,6 +1019,73 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Pins the on-disk bytes of each strategy's durable tenant: genesis
+    /// plus the checkpoint taken after two deltas. A codec or writer change
+    /// that alters a single byte of either file fails here, so format
+    /// changes are deliberate (and come with a magic bump).
+    #[test]
+    fn checkpoint_and_genesis_bytes_are_pinned_per_strategy() {
+        use crate::publisher::Algorithm;
+        use crate::SessionHub;
+        let opts = DurabilityOptions {
+            checkpoint_every: 2,
+            ..DurabilityOptions::default()
+        };
+        let cases = [
+            (
+                Publisher::new().k_anonymity(4).bt_privacy(0.3, 0.25),
+                0xea59_1843_c1a5_b3b6_u64,
+                0x66e6_3191_a617_f68f_u64,
+            ),
+            (
+                Publisher::new()
+                    .distinct_l_diversity(3)
+                    .algorithm(Algorithm::Bucketize),
+                0xbc6c_4721_eb3f_24d1,
+                0x33d0_ef67_89c1_38b1,
+            ),
+            (
+                Publisher::new()
+                    .k_anonymity(4)
+                    .algorithm(Algorithm::FullDomain),
+                0x9e56_0ada_0766_42e9,
+                0x0deb_b2f1_c141_a289,
+            ),
+        ];
+        let table = adult::generate(150, 17);
+        for (publisher, genesis_digest, checkpoint_digest) in cases {
+            let dir = tmp_dir("pinned");
+            let (hub, report): (SessionHub, _) = SessionHub::open_with(&dir, opts).unwrap();
+            assert!(report.is_clean());
+            hub.register("t", &table, &publisher).unwrap();
+            for step in 0..2u64 {
+                let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
+                b.delete(step as usize * 13).delete(40 + step as usize);
+                let donors = adult::generate(3, 400 + step);
+                for r in 0..3 {
+                    b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
+                        .unwrap();
+                }
+                hub.apply("t", &b.build()).unwrap();
+            }
+            drop(hub);
+            let tenant_dir = dir.join(dir_name_for("t"));
+            let genesis = std::fs::read(tenant_dir.join("genesis.tbl")).unwrap();
+            let checkpoint = std::fs::read(tenant_dir.join("checkpoint.tbl")).unwrap();
+            let name = publisher.algorithm_knob().name();
+            assert!(
+                checkpoint.starts_with(format!("{CHECKPOINT_MAGIC_V3}\nversion 2\n").as_bytes())
+            );
+            assert_eq!(fnv1a64(&genesis), genesis_digest, "{name} genesis bytes");
+            assert_eq!(
+                fnv1a64(&checkpoint),
+                checkpoint_digest,
+                "{name} checkpoint bytes"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     /// Rewrite a current-format persistence file into the pre-columnar v1
     /// format: v1 magic line, one `r` line per row instead of the
     /// `col`/`sens` block, no strategy tag or `state` head (checkpoints),
