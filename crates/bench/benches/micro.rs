@@ -30,15 +30,12 @@ fn bench_prior_estimation(c: &mut Criterion) {
 }
 
 fn bench_estimator_stages(c: &mut Criterion) {
-    // The sparse engine's individual stages: fold, support-index build,
-    // one neighbor-bounded point query, and a 1%-delta refresh.
+    // The sparse engine's individual stages: fold and a 1%-delta refresh.
     let table = bgkanon::data::adult::generate(5_000, 42);
     let estimator = PriorEstimator::new(
         Arc::clone(table.schema()),
         Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
     );
-    let folded = FoldedTable::new(&table);
-    let index = estimator.index(&folded);
     let model = estimator.estimate(&table);
 
     let mut delta = DeltaBuilder::new(Arc::clone(table.schema()));
@@ -55,13 +52,6 @@ fn bench_estimator_stages(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("fold_5k", |b| {
         b.iter(|| FoldedTable::new(&table));
-    });
-    group.bench_function("index_build_5k", |b| {
-        b.iter(|| estimator.index(&folded));
-    });
-    group.bench_function("single_point_query", |b| {
-        let q = table.qi(0);
-        b.iter(|| estimator.estimate_indexed(&folded, &index, &q));
     });
     group.bench_function("refresh_1pct_delta", |b| {
         // The hub's carried refresh: gather the deleted rows, evolve the

@@ -1767,8 +1767,7 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
             verify_on_open: false,
             max_resident_bytes: budget,
         };
-        let (hub, _) = SessionHub::<bgkanon::anon::AnyStrategy>::open_with(&dir, options)
-            .expect("create fleet hub");
+        let (hub, _) = SessionHub::open_with(&dir, options).expect("create fleet hub");
         for i in 0..tenants {
             let table = adult::generate(rows, SEED + (i % distinct) as u64);
             hub.register(&name_of(i), &table, &publisher)

@@ -416,8 +416,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 max_resident_bytes,
                 ..Default::default()
             };
-            let (hub, report) = SessionHub::<bgkanon::anon::AnyStrategy>::open_with(dir, options)
-                .map_err(|e| e.to_string())?;
+            let (hub, report) = SessionHub::open_with(dir, options).map_err(|e| e.to_string())?;
             for tenant in &report.tenants {
                 match &tenant.error {
                     None => eprintln!(
@@ -622,8 +621,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // Durable mode: re-open the data directory cold and prove that the
     // recovered hub publishes exactly what the live hub was serving.
     if let Some(dir) = &data_dir {
-        let (reopened, report) =
-            SessionHub::<bgkanon::anon::AnyStrategy>::open(dir).map_err(|e| e.to_string())?;
+        let (reopened, report) = SessionHub::open(dir).map_err(|e| e.to_string())?;
         if !report.is_clean() {
             return Err(format!(
                 "reopen left {} tenant(s) unrecoverable",
@@ -1029,6 +1027,40 @@ mod tests {
             assert!(err.contains("bandwidth"), "{b_prime}: {err}");
         }
         std::fs::remove_file(&base).ok();
+    }
+
+    #[test]
+    fn bad_publish_bandwidth_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join("bgkanon_cli_bad_publish_b_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("base.csv").to_string_lossy().into_owned();
+        let out = dir.join("out.csv").to_string_lossy().into_owned();
+        let args = |extra: &[&str]| -> Vec<String> {
+            let mut args: Vec<String> = ["publish", "--input", &base, "--out", &out, "--k", "3"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            args.extend(extra.iter().map(|s| s.to_string()));
+            args
+        };
+        run(&[
+            "generate".into(),
+            "--rows".into(),
+            "60".into(),
+            "--seed".into(),
+            "5".into(),
+            "--out".into(),
+            base.clone(),
+        ])
+        .unwrap();
+        for b in ["0", "-0.3", "NaN", "inf"] {
+            let err = run(&args(&["--model", "bt", "--b", b, "--t", "0.3"])).unwrap_err();
+            assert!(err.contains("bandwidth"), "bt {b}: {err}");
+            let skyline = format!("0.3:0.3,{b}:0.4");
+            let err = run(&args(&["--model", "skyline", "--skyline", &skyline])).unwrap_err();
+            assert!(err.contains("bandwidth"), "skyline {b}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -70,6 +70,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
@@ -85,7 +86,6 @@ use crate::publisher::Publisher;
 use crate::readers::{relock, AdversaryIntern, AuditTarget, ReaderCaches, READER_CACHE_CAP};
 use crate::recover::{self, RecoveryReport, TenantRecovery};
 use crate::session::{PublishSession, SessionError};
-use crate::strategy::SessionStrategy;
 use crate::wal::{encode_record, DurabilityOptions, WalWriter};
 
 /// Default registry shard count ([`SessionHub::DEFAULT_SHARDS`]).
@@ -260,9 +260,9 @@ struct TenantWal {
 }
 
 /// Residency of one tenant's in-memory session.
-enum TenantState<S: SessionStrategy> {
+enum TenantState {
     /// Session in memory, serving applies and audits.
-    Resident(Box<PublishSession<S>>),
+    Resident(Box<PublishSession>),
     /// Demoted to the durable form under the tenant's directory: no
     /// session, no snapshot, no caches, no open WAL descriptor. The next
     /// touch rehydrates through [`crate::recover`] — bit-identical to
@@ -271,12 +271,12 @@ enum TenantState<S: SessionStrategy> {
 }
 
 /// One hosted tenant.
-struct Tenant<S: SessionStrategy> {
+struct Tenant {
     name: String,
     /// The single-writer evolving session (or its evicted placeholder).
     /// Held by [`SessionHub::apply`] for the duration of one delta and by
     /// rehydration/demotion for the duration of the state swap.
-    writer: Mutex<TenantState<S>>,
+    writer: Mutex<TenantState>,
     /// Durable-apply state; `None` on in-memory hubs. Nests inside the
     /// `writer` lock and is released before `published` is written.
     wal: Option<Mutex<TenantWal>>,
@@ -295,15 +295,15 @@ struct Tenant<S: SessionStrategy> {
     reader_bytes: AtomicUsize,
 }
 
-impl<S: SessionStrategy> Tenant<S> {
+impl Tenant {
     fn snapshot_opt(&self) -> Option<Arc<TenantSnapshot>> {
         relock(self.published.read()).as_ref().map(Arc::clone)
     }
 }
 
 /// One registry shard.
-struct Shard<S: SessionStrategy> {
-    tenants: Mutex<HashMap<String, Arc<Tenant<S>>>>,
+struct Shard {
+    tenants: Mutex<HashMap<String, Arc<Tenant>>>,
 }
 
 /// Hub-level durability configuration (present only on hubs opened with
@@ -449,12 +449,15 @@ pub struct MemoryStats {
 /// The hub is `Send + Sync` — wrap it in an `Arc` and hand it to as many
 /// writer and reader threads as the workload needs.
 ///
-/// Like [`PublishSession`], the hub is generic over its tenants'
-/// [`SessionStrategy`]. The default, [`AnyStrategy`], dispatches on each
-/// tenant's [`Publisher::algorithm`](crate::Publisher::algorithm) knob, so
+/// Like [`PublishSession`], every tenant runs the [`AnyStrategy`] its
+/// [`Publisher::algorithm`](crate::Publisher::algorithm) knob selects, so
 /// one hub hosts Mondrian, bucketization and full-domain tenants side by
-/// side; a concrete parameter (`SessionHub<Mondrian>`) pins every tenant to
-/// one algorithm and rejects mismatched publishers at registration.
+/// side.
+///
+/// The type parameter is an unused marker whose only value is its default,
+/// [`AnyStrategy`]. It exists only so that code naming that default
+/// explicitly (the `perfbench` package does) keeps compiling; write plain
+/// `SessionHub`.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -486,8 +489,8 @@ pub struct MemoryStats {
 /// assert!(report.worst_case >= report.mean);
 /// # Ok::<(), bgkanon::SessionError>(())
 /// ```
-pub struct SessionHub<S: SessionStrategy = AnyStrategy> {
-    shards: Vec<Shard<S>>,
+pub struct SessionHub<S = AnyStrategy> {
+    shards: Vec<Shard>,
     durability: Option<Durability>,
     /// In-memory budget ([`with_budget`](Self::with_budget)); durable hubs
     /// configure theirs via [`DurabilityOptions::max_resident_bytes`].
@@ -500,9 +503,11 @@ pub struct SessionHub<S: SessionStrategy = AnyStrategy> {
     rehydrations: AtomicU64,
     /// Cross-tenant `Adv(b′)` intern table (rank-7 lock, acquired last).
     interned: Mutex<InternTable>,
+    /// The spelling-only type parameter (see the type's docs).
+    marker: PhantomData<fn() -> S>,
 }
 
-impl<S: SessionStrategy> SessionHub<S> {
+impl SessionHub {
     /// Default number of registry shards.
     pub const DEFAULT_SHARDS: usize = DEFAULT_SHARD_COUNT;
 
@@ -537,6 +542,7 @@ impl<S: SessionStrategy> SessionHub<S> {
                 hits: 0,
                 misses: 0,
             }),
+            marker: PhantomData,
         }
     }
 
@@ -675,13 +681,13 @@ impl<S: SessionStrategy> SessionHub<S> {
         self.shards.len()
     }
 
-    fn shard(&self, tenant: &str) -> &Shard<S> {
+    fn shard(&self, tenant: &str) -> &Shard {
         let mut hasher = DefaultHasher::new();
         tenant.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
-    fn tenant(&self, name: &str) -> Result<Arc<Tenant<S>>, SessionError> {
+    fn tenant(&self, name: &str) -> Result<Arc<Tenant>, SessionError> {
         relock(self.shard(name).tenants.lock())
             .get(name)
             .cloned()
@@ -1047,7 +1053,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     }
 
     /// Stamp the tenant's last-touch clock (LRU eviction order).
-    fn touch(&self, entry: &Tenant<S>) {
+    fn touch(&self, entry: &Tenant) {
         entry.last_touch.store(
             self.touch_clock.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
@@ -1066,15 +1072,12 @@ impl<S: SessionStrategy> SessionHub<S> {
 
     /// Recompute the tenant's shared reader-cache bytes
     /// ([`ReaderCaches::bytes_accounted`]).
-    fn recount_readers(&self, entry: &Tenant<S>) {
+    fn recount_readers(&self, entry: &Tenant) {
         self.charge(&entry.reader_bytes, entry.readers.bytes_accounted());
     }
 
     /// The tenant's current snapshot, rehydrating a demoted tenant first.
-    fn resident_snapshot(
-        &self,
-        entry: &Arc<Tenant<S>>,
-    ) -> Result<Arc<TenantSnapshot>, SessionError> {
+    fn resident_snapshot(&self, entry: &Arc<Tenant>) -> Result<Arc<TenantSnapshot>, SessionError> {
         self.touch(entry);
         if let Some(snapshot) = entry.snapshot_opt() {
             return Ok(snapshot);
@@ -1095,8 +1098,8 @@ impl<S: SessionStrategy> SessionHub<S> {
     /// to one that was never demoted.
     fn rehydrate_locked(
         &self,
-        entry: &Tenant<S>,
-        state: &mut TenantState<S>,
+        entry: &Tenant,
+        state: &mut TenantState,
     ) -> Result<Arc<TenantSnapshot>, SessionError> {
         if let TenantState::Resident(session) = state {
             if let Some(snapshot) = entry.snapshot_opt() {
@@ -1158,7 +1161,7 @@ impl<S: SessionStrategy> SessionHub<S> {
             return;
         }
         let low = budget - budget / 8;
-        let mut candidates: Vec<(u64, String, Arc<Tenant<S>>)> = Vec::new();
+        let mut candidates: Vec<(u64, String, Arc<Tenant>)> = Vec::new();
         for s in &self.shards {
             let tenants = relock(s.tenants.lock());
             // bgk-allow: R3 candidates are sorted by (touch, name) below
@@ -1187,7 +1190,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     /// caches instead — there is no durable form to fall back to). Best
     /// effort: a contended writer, an unhealthy WAL, or a failed
     /// checkpoint flush leaves the tenant resident.
-    fn demote(&self, entry: &Tenant<S>) {
+    fn demote(&self, entry: &Tenant) {
         // try_lock, never lock: a tenant whose writer is held is mid-apply
         // — the opposite of cold — and eviction must not stall it.
         let Ok(mut state) = entry.writer.try_lock() else {
@@ -1258,7 +1261,7 @@ impl<S: SessionStrategy> SessionHub<S> {
 
     fn snapshot_of(
         tenant: &str,
-        session: &PublishSession<S>,
+        session: &PublishSession,
         change: Option<Arc<VersionChange>>,
     ) -> TenantSnapshot {
         TenantSnapshot {
@@ -1273,7 +1276,7 @@ impl<S: SessionStrategy> SessionHub<S> {
     }
 }
 
-impl<S: SessionStrategy> AdversaryIntern for SessionHub<S> {
+impl AdversaryIntern for SessionHub {
     /// A live interned adversary whose provenance is content-identical to
     /// `(fold, bandwidth, family)`, counted as an intern hit or miss. The
     /// intern lock is held only for the lookup; a miss is followed by an
@@ -1317,13 +1320,13 @@ impl<S: SessionStrategy> AdversaryIntern for SessionHub<S> {
     }
 }
 
-impl<S: SessionStrategy> Default for SessionHub<S> {
+impl Default for SessionHub {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: SessionStrategy> std::fmt::Debug for SessionHub<S> {
+impl std::fmt::Debug for SessionHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionHub")
             .field("shards", &self.shards.len())
@@ -1655,7 +1658,7 @@ mod tests {
         hub.audit_against("a", 0.3, 0.2).unwrap();
         hub.audit_against("a", 0.5, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        let versions = |entry: &Tenant<AnyStrategy>| -> Vec<(ReaderKey, u64)> {
+        let versions = |entry: &Tenant| -> Vec<(ReaderKey, u64)> {
             entry
                 .readers
                 .entries()

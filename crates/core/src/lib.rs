@@ -57,7 +57,7 @@ pub mod publisher;
 mod readers;
 pub mod recover;
 pub mod session;
-pub mod strategy;
+mod strategy;
 pub mod wal;
 
 pub use data::Parallelism;
@@ -65,7 +65,6 @@ pub use hub::{MemoryStats, SessionHub, TenantSnapshot};
 pub use publisher::{Algorithm, PublishError, PublishOutcome, Publisher};
 pub use recover::{RecoveryReport, TenantRecovery};
 pub use session::{PublishSession, SessionError};
-pub use strategy::SessionStrategy;
 pub use wal::{DurabilityOptions, SyncPolicy, WalError};
 
 /// Convenient glob-import surface: the types most programs need.
@@ -87,5 +86,4 @@ pub mod prelude {
     pub use crate::publisher::{Algorithm, PublishOutcome, Publisher};
     pub use crate::session::{PublishSession, SessionError};
     pub use crate::stats::{BeliefDistance, Dist, Kernel, SmoothedJs};
-    pub use crate::strategy::SessionStrategy;
 }

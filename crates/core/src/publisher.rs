@@ -20,7 +20,7 @@ use bgkanon_knowledge::bandwidth::BandwidthError;
 use bgkanon_knowledge::{Adversary, Bandwidth};
 use bgkanon_privacy::{
     And, AuditReport, Auditor, BTPrivacy, DistinctLDiversity, GroupView, KAnonymity,
-    PrivacyRequirement, ProbabilisticLDiversity, SkylineBTPrivacy, TCloseness,
+    PrivacyRequirement, ProbabilisticLDiversity, SkylineBTPrivacy, SkylineError, TCloseness,
 };
 use bgkanon_stats::SmoothedJs;
 
@@ -108,6 +108,11 @@ pub enum PublishError {
         /// Name of the violated requirement.
         requirement: String,
     },
+    /// A (B,t)-privacy or skyline bandwidth `b` is zero, negative, NaN or
+    /// infinite.
+    Bandwidth(BandwidthError),
+    /// A skyline spec declares no `(b, t)` point.
+    EmptySkyline,
     /// A bandwidth vector's dimension does not match the table.
     BandwidthDimension {
         /// Provided dimension.
@@ -130,6 +135,15 @@ impl From<Infeasible> for PublishError {
     }
 }
 
+impl From<SkylineError> for PublishError {
+    fn from(e: SkylineError) -> Self {
+        match e {
+            SkylineError::NoPoints => PublishError::EmptySkyline,
+            SkylineError::Bandwidth(e) => PublishError::Bandwidth(e),
+        }
+    }
+}
+
 impl fmt::Display for PublishError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -138,6 +152,10 @@ impl fmt::Display for PublishError {
                 f,
                 "the whole table violates `{requirement}`; no anonymization exists"
             ),
+            PublishError::Bandwidth(e) => write!(f, "invalid bandwidth: {e}"),
+            PublishError::EmptySkyline => {
+                write!(f, "a skyline needs at least one (b, t) point")
+            }
             PublishError::BandwidthDimension { got, expected } => {
                 write!(
                     f,
@@ -149,7 +167,14 @@ impl fmt::Display for PublishError {
     }
 }
 
-impl std::error::Error for PublishError {}
+impl std::error::Error for PublishError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PublishError::Bandwidth(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Builder for a publishing run.
 ///
@@ -371,9 +396,7 @@ impl Publisher {
                 Spec::TCloseness(t) => Box::new(TCloseness::new(*t, table)),
                 Spec::Bt { bandwidth, t } => {
                     let bw = match bandwidth {
-                        BandwidthSpec::Uniform(b) => {
-                            Bandwidth::uniform(*b, d).expect("validated by constructor")
-                        }
+                        BandwidthSpec::Uniform(b) => Bandwidth::uniform(*b, d),
                         BandwidthSpec::Vector(v) => {
                             if v.len() != d {
                                 return Err(PublishError::BandwidthDimension {
@@ -381,21 +404,21 @@ impl Publisher {
                                     expected: d,
                                 });
                             }
-                            Bandwidth::new(v.clone()).expect("validated by constructor")
+                            Bandwidth::new(v.clone())
                         }
-                    };
+                    }
+                    .map_err(PublishError::Bandwidth)?;
                     Box::new(BTPrivacy::new(table, bw, *t))
                 }
-                Spec::Skyline(pairs) => Box::new(SkylineBTPrivacy::from_pairs(table, pairs)),
+                Spec::Skyline(pairs) => Box::new(SkylineBTPrivacy::from_pairs(table, pairs)?),
             };
             parts.push(part);
         }
-        let requirement: Arc<dyn PrivacyRequirement> = if parts.len() == 1 {
-            parts.pop().expect("length checked").into()
-        } else {
-            Arc::new(And::new(parts))
-        };
-        Ok(requirement)
+        // One spec stands alone; several form a conjunction.
+        Ok(match <[_; 1]>::try_from(parts) {
+            Ok([only]) => only.into(),
+            Err(parts) => Arc::new(And::new(parts)),
+        })
     }
 
     /// The parallelism knob this publisher was configured with.
@@ -622,6 +645,29 @@ mod tests {
             let err = outcome.audit_against(&t, b, 0.25).unwrap_err();
             assert!(matches!(err, BandwidthError::NonPositive(_)), "b′={b}");
         }
+    }
+
+    #[test]
+    fn bad_spec_bandwidths_are_typed_errors() {
+        let t = toy::hospital_table(); // two QI attributes
+        for b in [0.0, -0.3, f64::NAN, f64::INFINITY] {
+            for publisher in [
+                Publisher::new().k_anonymity(3).bt_privacy(b, 0.25),
+                Publisher::new().bt_privacy_vector(vec![0.3, b], 0.25),
+                Publisher::new().skyline(vec![(0.3, 0.25), (b, 0.4)]),
+            ] {
+                let err = publisher.instantiate(&t).err().unwrap();
+                assert!(
+                    matches!(err, PublishError::Bandwidth(BandwidthError::NonPositive(_))),
+                    "b={b}: {err}"
+                );
+                assert!(err.to_string().contains("bandwidth"), "{err}");
+                assert!(publisher.publish(&t).is_err());
+                assert!(publisher.open(&t).is_err());
+            }
+        }
+        let err = Publisher::new().skyline(Vec::new()).instantiate(&t).err();
+        assert!(matches!(err, Some(PublishError::EmptySkyline)), "{err:?}");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * `checkpoint.tbl` — rewritten atomically (tmp + fsync + rename + dir
 //!   fsync) every [`checkpoint_every`](crate::wal::DurabilityOptions::checkpoint_every)
 //!   applied deltas: the version-`K` table, a `strategy <name>` tag, the
-//!   strategy's exported state block
-//!   ([`SessionStrategy::export_state`](crate::strategy::SessionStrategy)),
-//!   and a `priors 0` line. Files written before audit adversaries were
+//!   strategy's exported state block (one codec per algorithm, dispatched
+//!   on the session's [`AnyStrategy`](bgkanon_anon::AnyStrategy)), and a
+//!   `priors 0` line. Files written before audit adversaries were
 //!   re-derived on demand may carry `prior-model` blocks after that line
 //!   (the versioned `bgkanon-knowledge::persist` format); recovery still
 //!   parses and validates them, then drops them — the first audit at each
@@ -43,6 +43,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
+use bgkanon_anon::AnonymizationStrategy;
 use bgkanon_data::hierarchy::HierarchyBuilder;
 use bgkanon_data::{
     Attribute, AttributeKind, DistanceMatrix, Hierarchy, Parallelism, Schema, Table, TableBuilder,
@@ -51,7 +52,7 @@ use bgkanon_knowledge::load_model_str;
 
 use crate::publisher::Publisher;
 use crate::session::PublishSession;
-use crate::strategy::SessionStrategy;
+use crate::strategy;
 use crate::wal::{self, fnv1a64, DurabilityOptions, SyncPolicy, WalError};
 
 /// Genesis-file magic line (v2: columnar table block, one line per
@@ -114,9 +115,9 @@ pub struct TenantRecovery {
 }
 
 /// A successfully recovered tenant, ready for the hub to install.
-pub(crate) struct RecoveredTenant<S: SessionStrategy> {
+pub(crate) struct RecoveredTenant {
     pub(crate) name: String,
-    pub(crate) session: PublishSession<S>,
+    pub(crate) session: PublishSession,
     pub(crate) version: u64,
     pub(crate) from_checkpoint: Option<u64>,
     pub(crate) replayed: usize,
@@ -573,17 +574,17 @@ fn parse_genesis(text: &str) -> Result<Genesis, String> {
 /// Serialize and atomically write a tenant checkpoint at `version`: the
 /// current table and the session strategy's tag and exported state block.
 /// No adversary model is persisted (`priors 0`): audits re-derive them.
-pub(crate) fn write_checkpoint<S: SessionStrategy>(
+pub(crate) fn write_checkpoint(
     dir: &Path,
     version: u64,
-    session: &PublishSession<S>,
+    session: &PublishSession,
 ) -> std::io::Result<()> {
     let mut out = String::new();
     let _ = writeln!(out, "{CHECKPOINT_MAGIC_V3}");
     let _ = writeln!(out, "version {version}");
     let _ = writeln!(out, "strategy {}", session.strategy().name());
     push_table_block(&mut out, session.table());
-    let state_lines = S::export_state(session.strategy_state());
+    let state_lines = strategy::export_state(session.strategy_state());
     let _ = writeln!(out, "state {}", state_lines.len());
     for line in &state_lines {
         out.push_str(line);
@@ -601,7 +602,7 @@ struct Checkpoint {
     strategy: Option<String>,
     table: Table,
     /// The strategy's state block, verbatim — decoded and validated by
-    /// [`SessionStrategy::import_state`] against the concrete strategy, not
+    /// [`strategy::import_state`] against the session's strategy, not
     /// here. For untagged files this is the legacy tree block (including
     /// its `tree <n>` head line), which is byte-identical to the Mondrian
     /// strategy's encoding.
@@ -672,10 +673,10 @@ fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, Stri
 
 /// Recover one tenant directory. `Err(reason)` means the tenant is
 /// unrecoverable: the hub reports it and serves nothing for it.
-pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
+pub(crate) fn recover_tenant_dir(
     dir: &Path,
     options: &DurabilityOptions,
-) -> Result<RecoveredTenant<S>, String> {
+) -> Result<RecoveredTenant, String> {
     let genesis_text = std::fs::read_to_string(dir.join("genesis.tbl"))
         .map_err(|e| format!("unreadable genesis.tbl: {e}"))?;
     let genesis = parse_genesis(&genesis_text)?;
@@ -728,7 +729,9 @@ pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
                 .publisher
                 .instantiate(&genesis.table)
                 .map_err(|e| format!("could not re-instantiate the requirement: {e}"))?;
-            let strategy = S::from_publisher(&genesis.publisher, &requirement)
+            let strategy = genesis
+                .publisher
+                .strategy(&requirement)
                 .map_err(|e| format!("could not rebuild the strategy: {e}"))?;
             match ck.strategy.as_deref() {
                 Some(tag) if tag != strategy.name() => {
@@ -750,8 +753,7 @@ pub(crate) fn recover_tenant_dir<S: SessionStrategy>(
                 }
                 _ => {}
             }
-            let state = strategy
-                .import_state(&ck.table, &ck.state_lines)
+            let state = strategy::import_state(&strategy, &ck.table, &ck.state_lines)
                 .map_err(|e| format!("checkpoint: {e}"))?;
             let session = PublishSession::resume(
                 ck.table,
@@ -856,7 +858,6 @@ pub(crate) fn reopen_wal(dir: &Path, sync: SyncPolicy) -> std::io::Result<wal::W
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgkanon_anon::AnyStrategy;
     use bgkanon_data::{adult, toy, DeltaBuilder};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -987,8 +988,8 @@ mod tests {
         // An audited session still persists no adversary model.
         assert!(text.contains("\npriors 0\n"));
         let requirement = publisher.instantiate(&table).unwrap();
-        let strategy = AnyStrategy::from_publisher(&publisher, &requirement).unwrap();
-        let state = strategy.import_state(&ck.table, &ck.state_lines).unwrap();
+        let strategy = publisher.strategy(&requirement).unwrap();
+        let state = strategy::import_state(&strategy, &ck.table, &ck.state_lines).unwrap();
         let mut resumed =
             PublishSession::resume(ck.table, requirement, Parallelism::Auto, strategy, state, 1);
         // Publication bit-identical…
@@ -1216,7 +1217,7 @@ mod tests {
         let table = adult::generate(150, 11);
         let publisher = Publisher::new().k_anonymity(4);
         let (expected_groups, expected_version) = {
-            let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
             assert!(report.is_clean());
             hub.register("t", &table, &publisher).unwrap();
             // Three deltas: the checkpoint lands at version 2, the WAL
@@ -1248,7 +1249,7 @@ mod tests {
         downgrade_to_v1(&tenant_dir.join("genesis.tbl"));
         downgrade_to_v1(&tenant_dir.join("checkpoint.tbl"));
 
-        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
         assert!(report.is_clean(), "{:?}", report.unrecoverable());
         assert_eq!(report.tenants.len(), 1);
         assert_eq!(report.tenants[0].from_checkpoint, Some(2));
@@ -1278,7 +1279,7 @@ mod tests {
         let table = adult::generate(150, 12);
         let publisher = Publisher::new().k_anonymity(4);
         let expected_groups = {
-            let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
             assert!(report.is_clean());
             hub.register("t", &table, &publisher).unwrap();
             let mut snap = hub.snapshot("t").unwrap();
@@ -1305,7 +1306,7 @@ mod tests {
         let tenant_dir = dir.join(dir_name_for("t"));
         downgrade_checkpoint_to_v2(&tenant_dir.join("checkpoint.tbl"));
 
-        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
         assert!(report.is_clean(), "{:?}", report.unrecoverable());
         assert_eq!(report.tenants[0].from_checkpoint, Some(2));
         assert_eq!(report.tenants[0].replayed, 1);
@@ -1320,6 +1321,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Re-checksum helper: corrupt a file body semantically but keep the
+    /// trailer valid, proving the *semantic* validation rejects it.
+    fn rewrap(body: &str) -> String {
+        let mut s = body.to_owned();
+        push_trailer(&mut s);
+        s
+    }
+
     #[test]
     fn malformed_checkpoint_trees_are_rejected_not_panicking() {
         let dir = tmp_dir("badtree");
@@ -1328,20 +1337,13 @@ mod tests {
         let session = publisher.open(&table).unwrap();
         write_checkpoint(&dir, 0, &session).unwrap();
         let good = std::fs::read_to_string(dir.join("checkpoint.tbl")).unwrap();
-        // Re-checksum helper: corrupt the body semantically but keep the
-        // trailer valid, proving the *semantic* validation rejects it.
-        let rewrap = |body: &str| {
-            let mut s = body.to_owned();
-            push_trailer(&mut s);
-            s
-        };
         // Parsing captures the state block verbatim; the import step is
         // what must reject it, without panicking.
         let import = |text: &str| -> Result<(), String> {
             let ck = parse_checkpoint(text, table.schema())?;
             let requirement = publisher.instantiate(&table).unwrap();
-            let strategy = AnyStrategy::from_publisher(&publisher, &requirement).unwrap();
-            strategy.import_state(&ck.table, &ck.state_lines).map(drop)
+            let strategy = publisher.strategy(&requirement).unwrap();
+            strategy::import_state(&strategy, &ck.table, &ck.state_lines).map(drop)
         };
         assert!(import(&good).is_ok());
         let body = check_trailer(&good, "checkpoint").unwrap();
@@ -1360,6 +1362,44 @@ mod tests {
         let broken = rewrap(&body.replacen("strategy mondrian", "strategy bucketize", 1));
         let ck = parse_checkpoint(&broken, table.schema()).unwrap();
         assert_eq!(ck.strategy.as_deref(), Some("bucketize"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn genesis_with_an_invalid_bandwidth_is_unrecoverable_not_panicking() {
+        use crate::SessionHub;
+        let dir = tmp_dir("badspec");
+        let opts = DurabilityOptions::default();
+        let table = adult::generate(60, 14);
+        {
+            let (hub, _) = SessionHub::open_with(&dir, opts).unwrap();
+            let publisher = Publisher::new().k_anonymity(3).bt_privacy(0.3, 0.25);
+            hub.register("t", &table, &publisher).unwrap();
+        }
+        // Swap the spec's bandwidth for zero, with a valid checksum: the
+        // spec line parses, and re-instantiating it must fail typed.
+        let path = dir.join(dir_name_for("t")).join("genesis.tbl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let body = check_trailer(&text, "genesis").unwrap();
+        let body: String = body
+            .lines()
+            .map(|line| match line.strip_prefix("spec bt-uniform ") {
+                Some(rest) => {
+                    let t = rest.split_whitespace().nth(1).unwrap();
+                    format!("spec bt-uniform 0e0 {t}\n")
+                }
+                None => format!("{line}\n"),
+            })
+            .collect();
+        assert!(body.contains("\nspec bt-uniform 0e0 "));
+        std::fs::write(&path, rewrap(&body)).unwrap();
+
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
+        let failed = report.unrecoverable();
+        assert_eq!(failed.len(), 1);
+        let reason = failed[0].error.as_deref().unwrap();
+        assert!(reason.contains("bandwidth"), "{reason}");
+        assert!(!hub.contains("t"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1394,7 +1434,7 @@ mod tests {
         let publisher = Publisher::new().k_anonymity(4);
         let b_prime = 0.3;
         let write = |dir: &Path| {
-            let (hub, report) = SessionHub::<AnyStrategy>::open_with(dir, opts).unwrap();
+            let (hub, report) = SessionHub::open_with(dir, opts).unwrap();
             assert!(report.is_clean());
             hub.register("t", &table, &publisher).unwrap();
             for step in 0..3u64 {
@@ -1426,7 +1466,7 @@ mod tests {
 
         // Recovery drops the block; the first audit re-derives `Adv(b′)`
         // and matches the writing hub and a fresh auditor bit for bit.
-        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
         assert!(report.is_clean(), "{:?}", report.unrecoverable());
         assert_eq!(report.tenants[0].from_checkpoint, Some(2));
         let recovered = hub.audit_against("t", b_prime, 0.2).unwrap();
@@ -1459,7 +1499,7 @@ mod tests {
         let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
         let block = save_model_string(&model).replacen("prior ", "prior x", 1);
         splice_prior_block(&path, b_prime, &block);
-        let (hub, report) = SessionHub::<AnyStrategy>::open_with(&dir, opts).unwrap();
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
         assert_eq!(report.unrecoverable().len(), 1);
         assert!(!hub.contains("t"));
         std::fs::remove_dir_all(&dir).ok();

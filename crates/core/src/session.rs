@@ -8,9 +8,9 @@
 //!   the publisher's threat model holds still while the data moves);
 //! * the retained strategy state (Mondrian's
 //!   [`PartitionTree`](bgkanon_anon::PartitionTree), a bucket list, a
-//!   generalization-lattice frontier — the session is generic over
-//!   [`SessionStrategy`]), so a [`Delta`] reworks only what it dirties
-//!   through [`AnonymizationStrategy::refresh`](bgkanon_anon::AnonymizationStrategy::refresh);
+//!   generalization-lattice frontier — whichever [`AnyStrategy`] the
+//!   publisher's algorithm selects), so a [`Delta`] reworks only what it
+//!   dirties through [`AnonymizationStrategy::refresh`];
 //! * retained audit caches, one per audit configuration, invalidated by
 //!   leaf stamp — an audit after a delta recomputes Ω only for the groups
 //!   the delta touched. Externally supplied auditors
@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bgkanon_anon::{AnonymizedTable, AnyStrategy, StrategyState};
+use bgkanon_anon::{AnonymizationStrategy, AnonymizedTable, AnyState, AnyStrategy, StrategyState};
 use bgkanon_data::{Delta, Parallelism, Table};
 use bgkanon_knowledge::bandwidth::BandwidthError;
 use bgkanon_knowledge::Bandwidth;
@@ -45,7 +45,6 @@ use bgkanon_privacy::{AuditReport, Auditor, PrivacyRequirement};
 
 use crate::publisher::{whole_table_satisfies, PublishError, PublishOutcome, Publisher};
 use crate::readers::{AuditTarget, ReaderCaches, READER_CACHE_CAP};
-use crate::strategy::SessionStrategy;
 
 /// Errors from [`PublishSession::apply`] and the
 /// [`SessionHub`](crate::SessionHub) operations built on top of it.
@@ -153,18 +152,16 @@ impl From<PublishError> for SessionError {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// The session is generic over its [`SessionStrategy`]; the default
-/// [`AnyStrategy`] dispatches at runtime on the publisher's
-/// [`Algorithm`](crate::publisher::Algorithm) selection, while a concrete
-/// parameter (`PublishSession<Mondrian>`, `PublishSession<Bucketize>`,
-/// `PublishSession<FullDomain>`) fixes it at compile time.
-pub struct PublishSession<S: SessionStrategy = AnyStrategy> {
+/// The session runs the [`AnyStrategy`] its publisher's
+/// [`Algorithm`](crate::publisher::Algorithm) selects, dispatching at
+/// runtime.
+pub struct PublishSession {
     requirement: Arc<dyn PrivacyRequirement>,
     requirement_name: String,
-    strategy: S,
+    strategy: AnyStrategy,
     parallelism: Parallelism,
     table: Table,
-    state: S::State,
+    state: AnyState,
     anonymized: AnonymizedTable,
     stamps: Vec<u64>,
     readers: ReaderCaches,
@@ -172,7 +169,7 @@ pub struct PublishSession<S: SessionStrategy = AnyStrategy> {
     deltas_applied: usize,
 }
 
-impl<S: SessionStrategy> PublishSession<S> {
+impl PublishSession {
     /// Open a session: instantiate `publisher`'s requirements against
     /// `table` (they stay fixed for the session's lifetime), plant the
     /// strategy state and derive the first publication.
@@ -184,7 +181,7 @@ impl<S: SessionStrategy> PublishSession<S> {
             });
         }
         let parallelism = publisher.parallelism_knob();
-        let strategy = S::from_publisher(publisher, &requirement)?;
+        let strategy = publisher.strategy(&requirement)?;
         let started = Instant::now(); // bgk-allow: R3 telemetry only: elapsed is reported, never branches
         let mut state = strategy.plant_with(table, parallelism)?;
         let last_elapsed = started.elapsed();
@@ -222,8 +219,8 @@ impl<S: SessionStrategy> PublishSession<S> {
         table: Table,
         requirement: Arc<dyn PrivacyRequirement>,
         parallelism: Parallelism,
-        strategy: S,
-        mut state: S::State,
+        strategy: AnyStrategy,
+        mut state: AnyState,
         deltas_applied: usize,
     ) -> Self {
         strategy.warm(&mut state, &table);
@@ -300,13 +297,13 @@ impl<S: SessionStrategy> PublishSession<S> {
 
     /// The session's strategy (for checkpointing: its
     /// [`name()`](AnonymizationStrategy::name) tags the file).
-    pub(crate) fn strategy(&self) -> &S {
+    pub(crate) fn strategy(&self) -> &AnyStrategy {
         &self.strategy
     }
 
     /// The retained strategy state (for checkpointing via
-    /// [`SessionStrategy::export_state`]).
-    pub(crate) fn strategy_state(&self) -> &S::State {
+    /// `strategy::export_state`).
+    pub(crate) fn strategy_state(&self) -> &AnyState {
         &self.state
     }
 
@@ -432,7 +429,7 @@ impl<S: SessionStrategy> PublishSession<S> {
     }
 }
 
-impl<S: SessionStrategy> fmt::Debug for PublishSession<S> {
+impl fmt::Debug for PublishSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PublishSession")
             .field("strategy", &self.strategy.name())
@@ -697,22 +694,22 @@ mod tests {
         let t = adult::generate(80, 3);
         let mut session = Publisher::new().k_anonymity(3).open(&t).unwrap();
         // Distinct bandwidths force distinct cache entries.
-        for i in 0..(PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES + 3) {
+        for i in 0..(PublishSession::MAX_AUDIT_CACHES + 3) {
             let b = 0.2 + 0.01 * i as f64;
             session.audit_against(b, 0.2).unwrap();
         }
         assert_eq!(
             session.audit_cache_count(),
-            PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES
+            PublishSession::MAX_AUDIT_CACHES
         );
         // The most recent entry survived and replays bit-identically.
-        let b_last = 0.2 + 0.01 * (PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES + 2) as f64;
+        let b_last = 0.2 + 0.01 * (PublishSession::MAX_AUDIT_CACHES + 2) as f64;
         let a = session.audit_against(b_last, 0.2).unwrap();
         let b = session.audit_against(b_last, 0.2).unwrap();
         assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
         assert_eq!(
             session.audit_cache_count(),
-            PublishSession::<AnyStrategy>::MAX_AUDIT_CACHES
+            PublishSession::MAX_AUDIT_CACHES
         );
     }
 
@@ -729,17 +726,17 @@ mod tests {
     #[test]
     fn concrete_strategy_sessions_match_their_publishers() {
         use crate::publisher::Algorithm;
-        use bgkanon_anon::{Bucketize, FullDomain, Mondrian};
         let t = adult::generate(250, 21);
         let d = delta(&t, &[3, 40, 99], 5, 7);
-
-        fn check<S: crate::strategy::SessionStrategy>(
-            table: &Table,
-            d: &Delta,
-            publisher: &Publisher,
-        ) {
-            let mut session: PublishSession<S> = PublishSession::open(table, publisher).unwrap();
-            session.apply(d).unwrap();
+        for algorithm in [
+            Algorithm::Mondrian,
+            Algorithm::Bucketize,
+            Algorithm::FullDomain,
+        ] {
+            let publisher = Publisher::new().k_anonymity(3).algorithm(algorithm);
+            let mut session = PublishSession::open(&t, &publisher).unwrap();
+            assert_eq!(session.strategy().name(), algorithm.name());
+            session.apply(&d).unwrap();
             let fresh = publisher.publish(session.table()).unwrap();
             assert_eq!(
                 session.anonymized().group_count(),
@@ -756,54 +753,17 @@ mod tests {
                 assert_eq!(a.sensitive_counts, b.sensitive_counts);
             }
         }
-
-        check::<Mondrian>(&t, &d, &Publisher::new().k_anonymity(3));
-        check::<Bucketize>(
-            &t,
-            &d,
-            &Publisher::new()
-                .k_anonymity(3)
-                .algorithm(Algorithm::Bucketize),
-        );
-        check::<FullDomain>(
-            &t,
-            &d,
-            &Publisher::new()
-                .k_anonymity(3)
-                .algorithm(Algorithm::FullDomain),
-        );
-        // The default runtime-dispatched parameter follows the publisher's
-        // algorithm selection.
-        check::<AnyStrategy>(
-            &t,
-            &d,
-            &Publisher::new()
-                .k_anonymity(3)
-                .algorithm(Algorithm::Bucketize),
-        );
-    }
-
-    #[test]
-    fn concrete_session_rejects_a_mismatched_publisher() {
-        use crate::publisher::Algorithm;
-        use bgkanon_anon::Bucketize;
-        let t = adult::generate(80, 23);
-        let publisher = Publisher::new()
-            .k_anonymity(3)
-            .algorithm(Algorithm::FullDomain);
-        let err = PublishSession::<Bucketize>::open(&t, &publisher).unwrap_err();
-        assert!(matches!(err, PublishError::Infeasible { .. }), "{err}");
     }
 
     #[test]
     fn infeasible_strategy_refresh_leaves_the_session_unchanged() {
         use crate::publisher::Algorithm;
-        use bgkanon_anon::Bucketize;
         let t = adult::generate(60, 22);
         let publisher = Publisher::new()
             .k_anonymity(3)
             .algorithm(Algorithm::Bucketize);
-        let mut session: PublishSession<Bucketize> = PublishSession::open(&t, &publisher).unwrap();
+        let mut session = PublishSession::open(&t, &publisher).unwrap();
+        assert_eq!(session.strategy().name(), "bucketize");
         let before: Vec<Vec<usize>> = session
             .anonymized()
             .groups()

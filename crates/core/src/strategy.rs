@@ -1,22 +1,16 @@
-//! The session-facing strategy contract: how an anonymization algorithm
-//! plugs into [`PublishSession`](crate::PublishSession), the
-//! [`SessionHub`](crate::SessionHub) and the durable checkpoint format.
+//! The checkpoint codec for a session's strategy state: what a durable
+//! checkpoint persists between the table block and the prior models.
 //!
-//! [`bgkanon_anon::AnonymizationStrategy`] covers the *computation*
-//! (plant / refresh / snapshot, bit-identical to from-scratch).
-//! [`SessionStrategy`] adds the two capabilities the serving stack needs
-//! on top:
-//!
-//! * **construction from a [`Publisher`]** — the declarative spec list plus
-//!   the [`Algorithm`](crate::publisher::Algorithm) selection determine the
-//!   strategy's parameters (Mondrian's requirement, bucketization's ℓ,
-//!   full-domain's monotonicity);
-//! * **a line-oriented state codec** — what a checkpoint persists between
-//!   the table block and the prior models, tagged with
-//!   [`name()`](bgkanon_anon::AnonymizationStrategy::name) so recovery
-//!   rebuilds the right state type. Mondrian's encoding is byte-identical
-//!   to the pre-strategy v2 checkpoint tree block, which is how untagged
-//!   v1/v2 files keep loading (as Mondrian) after the format bump.
+//! [`export_state`] writes an [`AnyState`] as whitespace-tokenized lines
+//! (one logical record per line, no newlines inside a line);
+//! [`import_state`] reads them back against the checkpointed table for the
+//! session's [`AnyStrategy`]. Both dispatch to one private codec per
+//! algorithm: Mondrian's tree, bucketization's bucket list and full
+//! domain's level frontier. The checkpoint tags the block with the
+//! strategy's [`name()`](bgkanon_anon::AnonymizationStrategy::name) so
+//! recovery rebuilds the right state. Mondrian's encoding is byte-identical
+//! to the pre-strategy v2 checkpoint tree block, which is how untagged
+//! v1/v2 files keep loading (as Mondrian) after the format bump.
 //!
 //! Import is **validating**: a checkpoint is external input, so each
 //! decoder proves the decoded state is a partition of the checkpointed
@@ -24,44 +18,39 @@
 //! invariant) before handing it to the session — corruption surfaces as a
 //! tenant's recovery error, never as a panic or a wrong publication.
 
-use std::sync::Arc;
-
 use bgkanon_anon::{
-    AnonymizationStrategy, AnyState, AnyStrategy, Bucketize, BucketizeState, FullDomain,
-    FullDomainState, Mondrian, PartitionTree, SplitDecision, TreeNodeRecord,
+    AnyState, AnyStrategy, BucketizeState, FullDomainState, PartitionTree, SplitDecision,
+    TreeNodeRecord,
 };
 use bgkanon_data::Table;
-use bgkanon_privacy::PrivacyRequirement;
 
-use crate::publisher::{PublishError, Publisher};
+/// Serialize `state` as checkpoint lines.
+pub(crate) fn export_state(state: &AnyState) -> Vec<String> {
+    match state {
+        AnyState::Mondrian(tree) => export_tree(tree),
+        AnyState::Bucketize(buckets) => export_buckets(buckets),
+        AnyState::FullDomain(frontier) => export_frontier(frontier),
+    }
+}
 
-/// An [`AnonymizationStrategy`] a [`PublishSession`](crate::PublishSession)
-/// can be generic over: constructible from a [`Publisher`]'s declarative
-/// specs and serializable into the strategy-tagged checkpoint format.
-pub trait SessionStrategy: AnonymizationStrategy + Sized {
-    /// Build the strategy `publisher` declares, against the requirement it
-    /// already instantiated (shared so audits and the whole-table check use
-    /// the same instance). Errors when the publisher selects a different
-    /// algorithm than this strategy type, or when its specs don't map onto
-    /// this algorithm's guarantee.
-    fn from_publisher(
-        publisher: &Publisher,
-        requirement: &Arc<dyn PrivacyRequirement>,
-    ) -> Result<Self, PublishError>;
-
-    /// Serialize `state` as checkpoint lines (whitespace-tokenized, one
-    /// logical record per line, no newlines inside a line).
-    fn export_state(state: &Self::State) -> Vec<String>;
-
-    /// Rebuild a state from [`export_state`](Self::export_state) lines
-    /// against the checkpointed `table`, validating that the lines encode a
-    /// well-formed state *for that table*. Errors describe the corruption;
-    /// recovery surfaces them as the tenant's unrecoverability cause.
-    fn import_state(&self, table: &Table, lines: &[String]) -> Result<Self::State, String>;
+/// Rebuild `strategy`'s state from [`export_state`] lines against the
+/// checkpointed `table`, validating that the lines encode a well-formed
+/// state *for that table*. Errors describe the corruption; recovery
+/// surfaces them as the tenant's unrecoverability cause.
+pub(crate) fn import_state(
+    strategy: &AnyStrategy,
+    table: &Table,
+    lines: &[String],
+) -> Result<AnyState, String> {
+    match strategy {
+        AnyStrategy::Mondrian(_) => import_tree(table, lines).map(AnyState::Mondrian),
+        AnyStrategy::Bucketize(b) => import_buckets(b.l(), table, lines).map(AnyState::Bucketize),
+        AnyStrategy::FullDomain(_) => import_frontier(table, lines).map(AnyState::FullDomain),
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Line-codec helpers shared by the implementations.
+// Line-codec helpers shared by the per-algorithm codecs.
 // ---------------------------------------------------------------------------
 
 fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
@@ -166,275 +155,197 @@ fn validate_tree_records(records: &[TreeNodeRecord], table: &Table) -> Result<()
     Ok(())
 }
 
-impl SessionStrategy for Mondrian {
-    fn from_publisher(
-        publisher: &Publisher,
-        requirement: &Arc<dyn PrivacyRequirement>,
-    ) -> Result<Self, PublishError> {
-        match publisher.strategy(requirement)? {
-            AnyStrategy::Mondrian(m) => Ok(m),
-            other => Err(PublishError::Infeasible {
-                reason: format!(
-                    "the publisher selects algorithm `{}`, but this session type is mondrian",
-                    other.name()
-                ),
-            }),
-        }
-    }
-
-    fn export_state(state: &PartitionTree) -> Vec<String> {
-        let records = state.export_records();
-        let mut lines = Vec::with_capacity(records.len() + 1);
-        lines.push(format!("tree {}", records.len()));
-        for record in &records {
-            match record {
-                TreeNodeRecord::Internal {
-                    decision,
-                    left,
-                    right,
-                    size,
-                } => {
-                    let mut line = format!(
-                        "tnode internal {left} {right} {size} {} {} {}",
-                        decision.dim,
-                        decision.median,
-                        u8::from(decision.le_mode)
-                    );
-                    for &dim in &decision.attempts {
-                        line.push_str(&format!(" {dim}"));
-                    }
-                    lines.push(line);
+fn export_tree(state: &PartitionTree) -> Vec<String> {
+    let records = state.export_records();
+    let mut lines = Vec::with_capacity(records.len() + 1);
+    lines.push(format!("tree {}", records.len()));
+    for record in &records {
+        match record {
+            TreeNodeRecord::Internal {
+                decision,
+                left,
+                right,
+                size,
+            } => {
+                let mut line = format!(
+                    "tnode internal {left} {right} {size} {} {} {}",
+                    decision.dim,
+                    decision.median,
+                    u8::from(decision.le_mode)
+                );
+                for &dim in &decision.attempts {
+                    line.push_str(&format!(" {dim}"));
                 }
-                TreeNodeRecord::Leaf { rows } => {
-                    let mut line = String::from("tnode leaf");
-                    for &row in rows {
-                        line.push_str(&format!(" {row}"));
-                    }
-                    lines.push(line);
+                lines.push(line);
+            }
+            TreeNodeRecord::Leaf { rows } => {
+                let mut line = String::from("tnode leaf");
+                for &row in rows {
+                    line.push_str(&format!(" {row}"));
                 }
+                lines.push(line);
             }
         }
-        lines
     }
+    lines
+}
 
-    fn import_state(&self, table: &Table, lines: &[String]) -> Result<PartitionTree, String> {
-        let head = record(lines, 0, "tree")?;
-        let node_count: usize = parse_num(head.get(1).copied(), "tree node count")?;
-        let mut records = Vec::with_capacity(node_count);
-        for i in 0..node_count {
-            let toks = record(lines, 1 + i, "tnode")?;
-            match toks.get(1).copied() {
-                Some("internal") => {
-                    if toks.len() < 8 {
-                        return Err(format!("state line {}: internal node too short", i + 2));
-                    }
-                    records.push(TreeNodeRecord::Internal {
-                        left: parse_num(Some(toks[2]), "left child")?,
-                        right: parse_num(Some(toks[3]), "right child")?,
-                        size: parse_num(Some(toks[4]), "node size")?,
-                        decision: SplitDecision {
-                            dim: parse_num(Some(toks[5]), "split dim")?,
-                            median: parse_num(Some(toks[6]), "split median")?,
-                            le_mode: match toks[7] {
-                                "0" => false,
-                                "1" => true,
-                                _ => return Err(format!("state line {}: bad le_mode", i + 2)),
-                            },
-                            attempts: toks[8..]
-                                .iter()
-                                .map(|tok| parse_num(Some(tok), "attempt dim"))
-                                .collect::<Result<Vec<usize>, String>>()?,
+fn import_tree(table: &Table, lines: &[String]) -> Result<PartitionTree, String> {
+    let head = record(lines, 0, "tree")?;
+    let node_count: usize = parse_num(head.get(1).copied(), "tree node count")?;
+    let mut records = Vec::with_capacity(node_count);
+    for i in 0..node_count {
+        let toks = record(lines, 1 + i, "tnode")?;
+        match toks.get(1).copied() {
+            Some("internal") => {
+                if toks.len() < 8 {
+                    return Err(format!("state line {}: internal node too short", i + 2));
+                }
+                records.push(TreeNodeRecord::Internal {
+                    left: parse_num(Some(toks[2]), "left child")?,
+                    right: parse_num(Some(toks[3]), "right child")?,
+                    size: parse_num(Some(toks[4]), "node size")?,
+                    decision: SplitDecision {
+                        dim: parse_num(Some(toks[5]), "split dim")?,
+                        median: parse_num(Some(toks[6]), "split median")?,
+                        le_mode: match toks[7] {
+                            "0" => false,
+                            "1" => true,
+                            _ => return Err(format!("state line {}: bad le_mode", i + 2)),
                         },
-                    });
-                }
-                Some("leaf") => {
-                    records.push(TreeNodeRecord::Leaf {
-                        rows: toks[2..]
+                        attempts: toks[8..]
                             .iter()
-                            .map(|tok| parse_num(Some(tok), "leaf row"))
+                            .map(|tok| parse_num(Some(tok), "attempt dim"))
                             .collect::<Result<Vec<usize>, String>>()?,
-                    });
-                }
-                other => {
-                    return Err(format!(
-                        "state line {}: unknown tnode kind {other:?}",
-                        i + 2
-                    ))
-                }
+                    },
+                });
+            }
+            Some("leaf") => {
+                records.push(TreeNodeRecord::Leaf {
+                    rows: toks[2..]
+                        .iter()
+                        .map(|tok| parse_num(Some(tok), "leaf row"))
+                        .collect::<Result<Vec<usize>, String>>()?,
+                });
+            }
+            other => {
+                return Err(format!(
+                    "state line {}: unknown tnode kind {other:?}",
+                    i + 2
+                ))
             }
         }
-        expect_consumed(lines, 1 + node_count)?;
-        validate_tree_records(&records, table)?;
-        Ok(PartitionTree::from_exported(table, records))
     }
+    expect_consumed(lines, 1 + node_count)?;
+    validate_tree_records(&records, table)?;
+    Ok(PartitionTree::from_exported(table, records))
 }
 
 // ---------------------------------------------------------------------------
 // Bucketize: `buckets N` + one `bucket <rows…>` line per bucket.
 // ---------------------------------------------------------------------------
 
-impl SessionStrategy for Bucketize {
-    fn from_publisher(
-        publisher: &Publisher,
-        requirement: &Arc<dyn PrivacyRequirement>,
-    ) -> Result<Self, PublishError> {
-        match publisher.strategy(requirement)? {
-            AnyStrategy::Bucketize(b) => Ok(b),
-            other => Err(PublishError::Infeasible {
-                reason: format!(
-                    "the publisher selects algorithm `{}`, but this session type is bucketize",
-                    other.name()
-                ),
-            }),
+fn export_buckets(state: &BucketizeState) -> Vec<String> {
+    let buckets = state.buckets();
+    let mut lines = Vec::with_capacity(buckets.len() + 1);
+    lines.push(format!("buckets {}", buckets.len()));
+    for rows in buckets {
+        let mut line = String::from("bucket");
+        for &row in rows {
+            line.push_str(&format!(" {row}"));
         }
+        lines.push(line);
     }
+    lines
+}
 
-    fn export_state(state: &BucketizeState) -> Vec<String> {
-        let buckets = state.buckets();
-        let mut lines = Vec::with_capacity(buckets.len() + 1);
-        lines.push(format!("buckets {}", buckets.len()));
-        for rows in buckets {
-            let mut line = String::from("bucket");
-            for &row in rows {
-                line.push_str(&format!(" {row}"));
-            }
-            lines.push(line);
-        }
-        lines
+/// `l` is the tenant's ℓ: every imported bucket must still carry ℓ
+/// distinct sensitive values.
+fn import_buckets(l: usize, table: &Table, lines: &[String]) -> Result<BucketizeState, String> {
+    let head = record(lines, 0, "buckets")?;
+    let count: usize = parse_num(head.get(1).copied(), "bucket count")?;
+    let mut buckets = Vec::with_capacity(count);
+    for i in 0..count {
+        let toks = record(lines, 1 + i, "bucket")?;
+        buckets.push(
+            toks[1..]
+                .iter()
+                .map(|tok| parse_num(Some(tok), "bucket row"))
+                .collect::<Result<Vec<usize>, String>>()?,
+        );
     }
-
-    fn import_state(&self, table: &Table, lines: &[String]) -> Result<BucketizeState, String> {
-        let head = record(lines, 0, "buckets")?;
-        let count: usize = parse_num(head.get(1).copied(), "bucket count")?;
-        let mut buckets = Vec::with_capacity(count);
-        for i in 0..count {
-            let toks = record(lines, 1 + i, "bucket")?;
-            buckets.push(
-                toks[1..]
-                    .iter()
-                    .map(|tok| parse_num(Some(tok), "bucket row"))
-                    .collect::<Result<Vec<usize>, String>>()?,
-            );
+    expect_consumed(lines, 1 + count)?;
+    check_partition(&buckets, table, "buckets")?;
+    // The strategy's own invariant: every bucket carries at least ℓ
+    // distinct sensitive values — a cheap full check, so a corrupted
+    // (but well-formed) bucket list cannot resurrect as a publication
+    // that silently violates the tenant's requirement.
+    for (i, rows) in buckets.iter().enumerate() {
+        let mut values: Vec<u32> = rows.iter().map(|&r| table.sensitive_value(r)).collect();
+        values.sort_unstable();
+        values.dedup();
+        if values.len() < l {
+            return Err(format!(
+                "bucket {i} has {} distinct sensitive values, ℓ = {}",
+                values.len(),
+                l
+            ));
         }
-        expect_consumed(lines, 1 + count)?;
-        check_partition(&buckets, table, "buckets")?;
-        // The strategy's own invariant: every bucket carries at least ℓ
-        // distinct sensitive values — a cheap full check, so a corrupted
-        // (but well-formed) bucket list cannot resurrect as a publication
-        // that silently violates the tenant's requirement.
-        for (i, rows) in buckets.iter().enumerate() {
-            let mut values: Vec<u32> = rows.iter().map(|&r| table.sensitive_value(r)).collect();
-            values.sort_unstable();
-            values.dedup();
-            if values.len() < self.l() {
-                return Err(format!(
-                    "bucket {i} has {} distinct sensitive values, ℓ = {}",
-                    values.len(),
-                    self.l()
-                ));
-            }
-        }
-        Ok(BucketizeState::from_buckets(buckets))
     }
+    Ok(BucketizeState::from_buckets(buckets))
 }
 
 // ---------------------------------------------------------------------------
 // FullDomain: chosen level vector + the satisfying frontier.
 // ---------------------------------------------------------------------------
 
-impl SessionStrategy for FullDomain {
-    fn from_publisher(
-        publisher: &Publisher,
-        requirement: &Arc<dyn PrivacyRequirement>,
-    ) -> Result<Self, PublishError> {
-        match publisher.strategy(requirement)? {
-            AnyStrategy::FullDomain(f) => Ok(f),
-            other => Err(PublishError::Infeasible {
-                reason: format!(
-                    "the publisher selects algorithm `{}`, but this session type is fulldomain",
-                    other.name()
-                ),
-            }),
-        }
+fn export_frontier(state: &FullDomainState) -> Vec<String> {
+    let mut lines = Vec::with_capacity(state.frontier().len() + 2);
+    let mut levels = String::from("levels");
+    for &l in state.levels() {
+        levels.push_str(&format!(" {l}"));
     }
-
-    fn export_state(state: &FullDomainState) -> Vec<String> {
-        let mut lines = Vec::with_capacity(state.frontier().len() + 2);
-        let mut levels = String::from("levels");
-        for &l in state.levels() {
-            levels.push_str(&format!(" {l}"));
+    lines.push(levels);
+    lines.push(format!("frontier {}", state.frontier().len()));
+    for vector in state.frontier() {
+        let mut line = String::from("f");
+        for &l in vector {
+            line.push_str(&format!(" {l}"));
         }
-        lines.push(levels);
-        lines.push(format!("frontier {}", state.frontier().len()));
-        for vector in state.frontier() {
-            let mut line = String::from("f");
-            for &l in vector {
-                line.push_str(&format!(" {l}"));
-            }
-            lines.push(line);
-        }
-        lines
+        lines.push(line);
     }
-
-    fn import_state(&self, table: &Table, lines: &[String]) -> Result<FullDomainState, String> {
-        let toks = record(lines, 0, "levels")?;
-        let levels = toks[1..]
-            .iter()
-            .map(|tok| parse_num(Some(tok), "level"))
-            .collect::<Result<Vec<u32>, String>>()?;
-        let head = record(lines, 1, "frontier")?;
-        let count: usize = parse_num(head.get(1).copied(), "frontier size")?;
-        let mut frontier = Vec::with_capacity(count);
-        for i in 0..count {
-            let toks = record(lines, 2 + i, "f")?;
-            frontier.push(
-                toks[1..]
-                    .iter()
-                    .map(|tok| parse_num(Some(tok), "frontier level"))
-                    .collect::<Result<Vec<u32>, String>>()?,
-            );
-        }
-        expect_consumed(lines, 2 + count)?;
-        // `rehydrate` validates arity, level bounds and DM-optimality of
-        // the claimed choice, and recomputes the partition (derived state).
-        FullDomainState::rehydrate(table, levels, frontier)
-    }
+    lines
 }
 
-// ---------------------------------------------------------------------------
-// AnyStrategy: dispatch on the live variant.
-// ---------------------------------------------------------------------------
-
-impl SessionStrategy for AnyStrategy {
-    fn from_publisher(
-        publisher: &Publisher,
-        requirement: &Arc<dyn PrivacyRequirement>,
-    ) -> Result<Self, PublishError> {
-        publisher.strategy(requirement)
+fn import_frontier(table: &Table, lines: &[String]) -> Result<FullDomainState, String> {
+    let toks = record(lines, 0, "levels")?;
+    let levels = toks[1..]
+        .iter()
+        .map(|tok| parse_num(Some(tok), "level"))
+        .collect::<Result<Vec<u32>, String>>()?;
+    let head = record(lines, 1, "frontier")?;
+    let count: usize = parse_num(head.get(1).copied(), "frontier size")?;
+    let mut frontier = Vec::with_capacity(count);
+    for i in 0..count {
+        let toks = record(lines, 2 + i, "f")?;
+        frontier.push(
+            toks[1..]
+                .iter()
+                .map(|tok| parse_num(Some(tok), "frontier level"))
+                .collect::<Result<Vec<u32>, String>>()?,
+        );
     }
-
-    fn export_state(state: &AnyState) -> Vec<String> {
-        match state {
-            AnyState::Mondrian(s) => Mondrian::export_state(s),
-            AnyState::Bucketize(s) => Bucketize::export_state(s),
-            AnyState::FullDomain(s) => FullDomain::export_state(s),
-        }
-    }
-
-    fn import_state(&self, table: &Table, lines: &[String]) -> Result<AnyState, String> {
-        match self {
-            AnyStrategy::Mondrian(s) => s.import_state(table, lines).map(AnyState::Mondrian),
-            AnyStrategy::Bucketize(s) => s.import_state(table, lines).map(AnyState::Bucketize),
-            AnyStrategy::FullDomain(s) => s.import_state(table, lines).map(AnyState::FullDomain),
-        }
-    }
+    expect_consumed(lines, 2 + count)?;
+    // `rehydrate` validates arity, level bounds and DM-optimality of
+    // the claimed choice, and recomputes the partition (derived state).
+    FullDomainState::rehydrate(table, levels, frontier)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::publisher::Algorithm;
-    use bgkanon_anon::StrategyState;
+    use crate::publisher::{Algorithm, Publisher};
+    use bgkanon_anon::{AnonymizationStrategy, StrategyState};
     use bgkanon_data::adult;
 
     fn groups_match(a: &bgkanon_anon::AnonymizedTable, b: &bgkanon_anon::AnonymizedTable) {
@@ -446,6 +357,12 @@ mod tests {
         }
     }
 
+    /// The strategy `publisher` selects for `table`.
+    fn strategy_for(publisher: &Publisher, table: &Table) -> AnyStrategy {
+        let requirement = publisher.instantiate(table).unwrap();
+        publisher.strategy(&requirement).unwrap()
+    }
+
     #[test]
     fn each_strategy_roundtrips_its_state_through_the_codec() {
         let table = adult::generate(200, 31);
@@ -455,12 +372,10 @@ mod tests {
             Algorithm::FullDomain,
         ] {
             let publisher = Publisher::new().k_anonymity(3).algorithm(algorithm);
-            let requirement = publisher.instantiate(&table).unwrap();
-            let strategy = AnyStrategy::from_publisher(&publisher, &requirement).unwrap();
+            let strategy = strategy_for(&publisher, &table);
             let state = strategy.plant(&table).expect("satisfiable");
-            let lines = AnyStrategy::export_state(&state);
-            let rebuilt = strategy
-                .import_state(&table, &lines)
+            let lines = export_state(&state);
+            let rebuilt = import_state(&strategy, &table, &lines)
                 .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
             let (a, _) = state.snapshot(&table);
             let (b, _) = rebuilt.snapshot(&table);
@@ -469,27 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn concrete_strategies_reject_mismatched_publishers() {
-        let table = adult::generate(100, 32);
-        let publisher = Publisher::new()
-            .k_anonymity(3)
-            .algorithm(Algorithm::Bucketize);
-        let requirement = publisher.instantiate(&table).unwrap();
-        let err = Mondrian::from_publisher(&publisher, &requirement)
-            .err()
-            .unwrap();
-        assert!(err.to_string().contains("bucketize"));
-        assert!(Bucketize::from_publisher(&publisher, &requirement).is_ok());
-    }
-
-    #[test]
     fn corrupt_state_lines_are_rejected_not_panicking() {
         let table = adult::generate(120, 33);
-        let publisher = Publisher::new().k_anonymity(3);
-        let requirement = publisher.instantiate(&table).unwrap();
-        let mondrian = Mondrian::from_publisher(&publisher, &requirement).unwrap();
-        let state = AnonymizationStrategy::plant(&mondrian, &table).unwrap();
-        let good = Mondrian::export_state(&state);
+        let mondrian = strategy_for(&Publisher::new().k_anonymity(3), &table);
+        let state = mondrian.plant(&table).unwrap();
+        let good = export_state(&state);
 
         // Duplicate a leaf row: leaves stop partitioning the table.
         let mut broken = good.clone();
@@ -498,7 +397,7 @@ mod tests {
             .position(|l| l.starts_with("tnode leaf "))
             .unwrap();
         broken[leaf] = broken[leaf].replacen("tnode leaf ", "tnode leaf 0 0 ", 1);
-        let reason = mondrian.import_state(&table, &broken).err().unwrap();
+        let reason = import_state(&mondrian, &table, &broken).err().unwrap();
         assert!(reason.contains("partition"), "{reason}");
 
         // Out-of-range child link.
@@ -508,25 +407,25 @@ mod tests {
             .position(|l| l.starts_with("tnode internal "))
             .unwrap();
         broken[internal] = broken[internal].replacen("tnode internal ", "tnode internal 9999 ", 1);
-        assert!(mondrian.import_state(&table, &broken).is_err());
+        assert!(import_state(&mondrian, &table, &broken).is_err());
 
         // Trailing garbage after the declared node count.
         let mut broken = good.clone();
         broken.push("tnode leaf 0".into());
-        assert!(mondrian
-            .import_state(&table, &broken)
+        assert!(import_state(&mondrian, &table, &broken)
             .err()
             .unwrap()
             .contains("trailing"));
 
         // A bucket list that no longer carries ℓ distinct values.
-        let publisher = Publisher::new()
-            .distinct_l_diversity(3)
-            .algorithm(Algorithm::Bucketize);
-        let requirement = publisher.instantiate(&table).unwrap();
-        let bucketize = Bucketize::from_publisher(&publisher, &requirement).unwrap();
+        let bucketize = strategy_for(
+            &Publisher::new()
+                .distinct_l_diversity(3)
+                .algorithm(Algorithm::Bucketize),
+            &table,
+        );
         let state = bucketize.plant(&table).expect("3-eligible on adult");
-        let lines = Bucketize::export_state(&state);
+        let lines = export_state(&state);
         // Merge every row into one line claiming a single bucket: still a
         // partition, but ℓ-diversity of *that* bucket is fine — so instead
         // drop one bucket's rows entirely (not a partition).
@@ -539,9 +438,9 @@ mod tests {
             .parse()
             .unwrap();
         broken[0] = format!("buckets {}", n - 1);
-        assert!(bucketize
-            .import_state(&table, &broken)
-            .unwrap_err()
+        assert!(import_state(&bucketize, &table, &broken)
+            .err()
+            .unwrap()
             .contains("partition"));
     }
 }

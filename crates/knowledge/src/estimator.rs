@@ -17,7 +17,7 @@
 //!   `r × r` weight table is stored **sparse** ([`SparseWeights`], CSR: per
 //!   value `a` only the values `b` with nonzero weight);
 //! * rows with identical QI combinations are folded into a reusable
-//!   [`FoldedTable`] (weight = multiplicity), and a [`SupportIndex`] over
+//!   [`FoldedTable`] (weight = multiplicity), and a support index over
 //!   the folded points (lexicographically sorted order + per-attribute
 //!   inverted postings) lets a query enumerate **only the candidates inside
 //!   the product-kernel support** — seeded from the most selective
@@ -225,8 +225,8 @@ impl<'a> FoldedPoint<'a> {
 /// totals. Storage is flat and row-major (codes, multiplicities and
 /// histograms in three contiguous arrays), so the accumulation hot loops
 /// scan linearly instead of chasing per-point allocations. This is the
-/// substrate every estimation path shares — fold once, then estimate, query
-/// ([`PriorEstimator::estimate_indexed`]) and refresh against it without
+/// substrate every estimation path shares — fold once, then estimate
+/// ([`PriorEstimator::estimate_folded`]) and refresh against it without
 /// re-scanning the table.
 ///
 /// ```
@@ -940,7 +940,7 @@ impl DirtyPoints {
 ///   attribute across the most selective attribute's id window — a few
 ///   hundred word operations instead of thousands of candidate probes.
 #[derive(Debug, Clone)]
-pub struct SupportIndex {
+struct SupportIndex {
     /// Per attribute: (`offsets` of length `r + 1`, point `ids`).
     postings: Vec<(Vec<u32>, Vec<u32>)>,
     /// Bits per point-id word (`u.div_ceil(64)`).
@@ -985,16 +985,6 @@ impl SupportIndex {
             value_bits,
         }
     }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.postings.first().map_or(0, |(_, ids)| ids.len())
-    }
-
-    /// True when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// How a query enumerates the folded points: everything, a contiguous range
@@ -1010,8 +1000,8 @@ enum CandidateSet<'a> {
 /// Holds a distribution for every distinct QI combination of the estimation
 /// table, the [`FoldedTable`] it was estimated from (making the model
 /// refreshable under table deltas — [`PriorEstimator::refresh_folded`]),
-/// and the bandwidth/family provenance; unseen combinations can be
-/// estimated on demand with [`PriorEstimator::estimate_indexed`].
+/// and the bandwidth/family provenance; unseen combinations fall back to
+/// the whole-table distribution ([`prior_or_fallback`](Self::prior_or_fallback)).
 #[derive(Debug, Clone)]
 pub struct PriorModel {
     priors: HashMap<Box<[u32]>, Dist>,
@@ -1241,7 +1231,7 @@ impl PriorEstimator {
     }
 
     /// Build the [`SupportIndex`] over `folded`'s points.
-    pub fn index(&self, folded: &FoldedTable) -> SupportIndex {
+    fn index(&self, folded: &FoldedTable) -> SupportIndex {
         assert_eq!(
             folded.qi_count(),
             self.schema.qi_count(),
@@ -1682,19 +1672,6 @@ impl PriorEstimator {
         }
     }
 
-    /// Single-query form against a prepared fold + index (the micro-bench
-    /// and hot-loop entry point; `index` must have been built from `folded`
-    /// by [`index`](Self::index)).
-    pub fn estimate_indexed(&self, folded: &FoldedTable, index: &SupportIndex, q: &[u32]) -> Dist {
-        assert_eq!(q.len(), self.schema.qi_count(), "QI arity mismatch");
-        debug_assert_eq!(index.len(), folded.len(), "index built from another fold");
-        let fallback = folded.table_distribution();
-        let mut buf = Vec::new();
-        let mut bits = Vec::new();
-        let mut numer = Vec::new();
-        self.query(folded, index, q, &fallback, &mut buf, &mut bits, &mut numer)
-    }
-
     /// Refresh `model` to the table `folded` was built from, however many
     /// deltas separate it from the table the model reflects — no delta log
     /// needed. The model's own fold is diffed against `folded` (one merge
@@ -1821,6 +1798,22 @@ mod tests {
 
     fn hospital() -> Table {
         toy::hospital_table()
+    }
+
+    /// The sparse engine's prior at an arbitrary query point `q`, through
+    /// the same private query path the estimator runs per folded point.
+    fn query_one(est: &PriorEstimator, folded: &FoldedTable, q: &[u32]) -> Dist {
+        let fallback = folded.table_distribution();
+        let (mut buf, mut bits, mut numer) = (Vec::new(), Vec::new(), Vec::new());
+        est.query(
+            folded,
+            &est.index(folded),
+            q,
+            &fallback,
+            &mut buf,
+            &mut bits,
+            &mut numer,
+        )
     }
 
     #[test]
@@ -2146,7 +2139,7 @@ mod tests {
         let folded = FoldedTable::new(&t);
         // Age 60 (code 20), M (code 1) is not in the table.
         assert!(folded.find(&[20, 1]).is_none());
-        let p = est.estimate_indexed(&folded, &est.index(&folded), &[20, 1]);
+        let p = query_one(&est, &folded, &[20, 1]);
         let sum: f64 = p.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -2156,9 +2149,32 @@ mod tests {
         let t = hospital();
         let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(1e-6, 2).unwrap());
         let folded = FoldedTable::new(&t);
-        let index = est.index(&folded);
-        let p = est.estimate_indexed(&folded, &index, &[0, 1]); // age 40, M — nothing within 1e-6
+        let p = query_one(&est, &folded, &[0, 1]); // age 40, M — nothing within 1e-6
         assert!(p.max_abs_diff(&model_table_dist(&t)) < 1e-12);
+    }
+
+    #[test]
+    fn zero_neighbor_query_falls_back_to_table_distribution() {
+        // A query outside every kernel support has an empty candidate set; the
+        // estimate degrades to the whole-table distribution.
+        let table = adult::generate(200, 8);
+        let estimator = PriorEstimator::new(
+            Arc::clone(table.schema()),
+            Bandwidth::uniform(1e-9, table.qi_count()).unwrap(),
+        );
+        let folded = FoldedTable::new(&table);
+        // Synthesize a QI combination absent from the table: flip the gender
+        // code of an existing row and bump the age by one until unseen.
+        let mut q: Vec<u32> = table.qi(0).to_vec();
+        loop {
+            q[0] = (q[0] + 1) % table.schema().qi_attribute(0).domain_size();
+            if folded.find(&q).is_none() {
+                break;
+            }
+        }
+        let p = query_one(&estimator, &folded, &q);
+        let expected = Dist::new(table.sensitive_distribution()).unwrap();
+        assert!(p.max_abs_diff(&expected) < 1e-15);
     }
 
     fn model_table_dist(t: &Table) -> Dist {

@@ -30,7 +30,7 @@ pub use bandwidth::Bandwidth;
 pub use calibrate::{attribute_diagnostics, suggest_skyline};
 pub use estimator::{
     DeletedRows, DirtyPoints, FoldEvolution, FoldedPoint, FoldedTable, KernelFamily,
-    PriorEstimator, PriorModel, SparseWeights, SupportIndex,
+    PriorEstimator, PriorModel, SparseWeights,
 };
 pub use mining::{mine_negative_rules, MiningConfig, NegativeRule, Pattern};
 pub use persist::{load_model, load_model_str, save_model, save_model_string};

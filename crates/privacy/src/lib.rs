@@ -33,5 +33,5 @@ pub use bt::BTPrivacy;
 pub use kanon::KAnonymity;
 pub use ldiv::{DistinctLDiversity, ProbabilisticLDiversity};
 pub use requirement::{And, GroupView, PrivacyRequirement};
-pub use skyline::SkylineBTPrivacy;
+pub use skyline::{SkylineBTPrivacy, SkylineError};
 pub use tclose::TCloseness;

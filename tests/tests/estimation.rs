@@ -494,27 +494,3 @@ fn tiny_bandwidth_recovers_the_group_mle() {
         );
     }
 }
-
-#[test]
-fn zero_neighbor_query_falls_back_to_table_distribution() {
-    // A query outside every kernel support has an empty candidate set; the
-    // estimate degrades to the whole-table distribution.
-    let table = adult::generate(200, 8);
-    let estimator = PriorEstimator::new(
-        Arc::clone(table.schema()),
-        Bandwidth::uniform(1e-9, table.qi_count()).unwrap(),
-    );
-    let folded = FoldedTable::new(&table);
-    // Synthesize a QI combination absent from the table: flip the gender
-    // code of an existing row and bump the age by one until unseen.
-    let mut q: Vec<u32> = table.qi(0).to_vec();
-    loop {
-        q[0] = (q[0] + 1) % table.schema().qi_attribute(0).domain_size();
-        if folded.find(&q).is_none() {
-            break;
-        }
-    }
-    let p = estimator.estimate_indexed(&folded, &estimator.index(&folded), &q);
-    let expected = Dist::new(table.sensitive_distribution()).unwrap();
-    assert!(p.max_abs_diff(&expected) < 1e-15);
-}
