@@ -1008,9 +1008,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              environment and write to streams the caller does not own; they are \
              confined to bins, `crates/bench` and `crates/analyze` (test code is \
              exempt). Fix by switching to BTree collections (as \
-             `Table::group_by_qi` and `FullDomain::partition` do) or sorting \
-             before emission, by passing configuration and returning telemetry as \
-             typed values, then annotate any sanctioned site \
+             `Table::group_by_qi` does) or sorting before emission (as the \
+             full-domain lattice engine's grouping does), by passing configuration \
+             and returning telemetry as typed values, then annotate any sanctioned site \
              `// bgk-allow: R3 <why>`."
         }
         "R4" => {

@@ -27,7 +27,7 @@ pub fn run_a(cfg: &ExperimentConfig) -> String {
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut report = Report::new(
         &format!(
-            "Fig 6(a): aggregate query relative error %% vs qd (n={}, sel=0.07)",
+            "Fig 6(a): aggregate query relative error % vs qd (n={}, sel=0.07)",
             table.len()
         ),
         &header_refs,
@@ -63,7 +63,7 @@ pub fn run_b(cfg: &ExperimentConfig) -> String {
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut report = Report::new(
         &format!(
-            "Fig 6(b): aggregate query relative error %% vs selectivity (n={}, qd=3)",
+            "Fig 6(b): aggregate query relative error % vs selectivity (n={}, qd=3)",
             table.len()
         ),
         &header_refs,

@@ -14,6 +14,10 @@
 //!    `ratio` (throughput/speedup) metric fails when it drops below
 //!    **half** of it. The 2× band absorbs runner-to-runner noise while
 //!    still catching the step changes that matter.
+//! 3. **Hard ceilings** — a `ceiling` metric fails as soon as it exceeds
+//!    its expectation, with no band: for contracts that are exact by
+//!    construction (a deterministic byte count against a configured
+//!    budget), where any excess is a bug rather than noise.
 //!
 //! The workspace vendors no JSON dependency, so this module carries a
 //! minimal recursive-descent parser for the subset the benchmarks emit
@@ -286,6 +290,8 @@ pub enum MetricKind {
     TimeMs,
     /// Throughput or speedup ratio: fails when it drops below expected/2.
     Ratio,
+    /// A hard upper bound: fails as soon as it exceeds expected, no band.
+    Ceiling,
 }
 
 /// One committed threshold rule.
@@ -308,13 +314,14 @@ impl Rule {
         match self.kind {
             MetricKind::TimeMs => self.expected * 2.0,
             MetricKind::Ratio => self.expected / 2.0,
+            MetricKind::Ceiling => self.expected,
         }
     }
 
     /// Does `value` violate the rule?
     pub fn violated_by(&self, value: f64) -> bool {
         match self.kind {
-            MetricKind::TimeMs => value > self.limit(),
+            MetricKind::TimeMs | MetricKind::Ceiling => value > self.limit(),
             MetricKind::Ratio => value < self.limit(),
         }
     }
@@ -337,6 +344,7 @@ pub fn parse_rules(thresholds: &Json) -> Result<Vec<Rule>, String> {
             let kind = match field("kind")?.as_str() {
                 Some("time_ms") => MetricKind::TimeMs,
                 Some("ratio") => MetricKind::Ratio,
+                Some("ceiling") => MetricKind::Ceiling,
                 other => return Err(format!("rule {i}: bad kind {other:?}")),
             };
             Ok(Rule {
@@ -435,7 +443,7 @@ pub fn run_gate(rules: &[Rule], docs: &[(String, Json)]) -> Vec<Check> {
                 Some(value) => {
                     let passed = !rule.violated_by(value);
                     let relation = match rule.kind {
-                        MetricKind::TimeMs => "≤",
+                        MetricKind::TimeMs | MetricKind::Ceiling => "≤",
                         MetricKind::Ratio => "≥",
                     };
                     Check {
@@ -526,6 +534,37 @@ mod tests {
         assert_eq!(rules[1].limit(), 2.0);
         assert!(!rules[1].violated_by(2.1));
         assert!(rules[1].violated_by(1.9));
+    }
+
+    #[test]
+    fn ceiling_rules_have_no_band() {
+        let rules = parse_rules(
+            &parse(
+                r#"{"rules": [{"bench": "fleet", "metric": "lanes[0].peak_over_budget",
+                     "kind": "ceiling", "expected": 1.0}]}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(rules[0].kind, MetricKind::Ceiling);
+        assert_eq!(rules[0].limit(), 1.0);
+        assert!(!rules[0].violated_by(0.5));
+        assert!(!rules[0].violated_by(1.0));
+        assert!(rules[0].violated_by(1.0001));
+        // Through the gate: at the ceiling passes, above it fails.
+        let doc = |v: f64| {
+            parse(&format!(
+                r#"{{"bench": "fleet", "lanes": [{{"peak_over_budget": {v}}}],
+                    "identical_output": true}}"#
+            ))
+            .unwrap()
+        };
+        let at = run_gate(&rules, &[("f.json".to_owned(), doc(1.0))]);
+        assert!(at.iter().all(|c| c.passed), "{at:#?}");
+        let above = run_gate(&rules, &[("f.json".to_owned(), doc(1.01))]);
+        assert!(above
+            .iter()
+            .any(|c| !c.passed && c.detail.contains("≤ 1.000")));
     }
 
     #[test]

@@ -316,7 +316,7 @@ impl Publisher {
     /// every bucket carries ≥ ℓ distinct sensitive values and ≥ ℓ rows, so
     /// ℓ is the max over the declared k and ℓ values; any other spec kind
     /// is infeasible for it. Full-domain generalization searches the level
-    /// lattice with the monotone frontier walk when every spec is monotone
+    /// lattice with the two-way tagging search when every spec is monotone
     /// in levels (k-anonymity, distinct ℓ-diversity), exhaustively
     /// otherwise.
     pub(crate) fn strategy(
