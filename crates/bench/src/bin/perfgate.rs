@@ -10,7 +10,8 @@
 //! Exits non-zero when any `identical_output` flag in any supplied
 //! benchmark document is false, when a gated `time_ms` metric exceeds 2×
 //! its committed expectation, when a gated `ratio` metric drops below half
-//! of it, when a gated `ceiling` metric exceeds its expectation at all, or
+//! of it, when a gated `ceiling` metric exceeds its expectation at all,
+//! when a gated `count` metric differs from its expectation at all, or
 //! when a rule's benchmark document was not supplied at all (so
 //! deleting a bench step cannot silently disable its gate). See
 //! [`bgkanon_bench::gate`] for the rule format.

@@ -1,7 +1,7 @@
 //! The CI performance-regression gate: machine-readable checks over the
 //! `BENCH_*.json` files the smoke benchmarks emit.
 //!
-//! Two invariants are enforced on every gated run:
+//! These invariants are enforced on every gated run:
 //!
 //! 1. **No drift, ever** — every `identical_output` flag anywhere in any
 //!    benchmark document must be `true`. A speedup bought with divergent
@@ -18,6 +18,10 @@
 //!    its expectation, with no band: for contracts that are exact by
 //!    construction (a deterministic byte count against a configured
 //!    budget), where any excess is a bug rather than noise.
+//! 4. **Exact counts** — a `count` metric fails unless it equals its
+//!    expectation: for deterministic work counters (records replayed by a
+//!    seeded recovery script), where any difference in either direction
+//!    means the system did different work.
 //!
 //! The workspace vendors no JSON dependency, so this module carries a
 //! minimal recursive-descent parser for the subset the benchmarks emit
@@ -292,6 +296,8 @@ pub enum MetricKind {
     Ratio,
     /// A hard upper bound: fails as soon as it exceeds expected, no band.
     Ceiling,
+    /// A deterministic work counter: fails unless it equals expected.
+    Count,
 }
 
 /// One committed threshold rule.
@@ -314,7 +320,7 @@ impl Rule {
         match self.kind {
             MetricKind::TimeMs => self.expected * 2.0,
             MetricKind::Ratio => self.expected / 2.0,
-            MetricKind::Ceiling => self.expected,
+            MetricKind::Ceiling | MetricKind::Count => self.expected,
         }
     }
 
@@ -323,6 +329,7 @@ impl Rule {
         match self.kind {
             MetricKind::TimeMs | MetricKind::Ceiling => value > self.limit(),
             MetricKind::Ratio => value < self.limit(),
+            MetricKind::Count => value != self.limit(),
         }
     }
 }
@@ -345,6 +352,7 @@ pub fn parse_rules(thresholds: &Json) -> Result<Vec<Rule>, String> {
                 Some("time_ms") => MetricKind::TimeMs,
                 Some("ratio") => MetricKind::Ratio,
                 Some("ceiling") => MetricKind::Ceiling,
+                Some("count") => MetricKind::Count,
                 other => return Err(format!("rule {i}: bad kind {other:?}")),
             };
             Ok(Rule {
@@ -445,6 +453,7 @@ pub fn run_gate(rules: &[Rule], docs: &[(String, Json)]) -> Vec<Check> {
                     let relation = match rule.kind {
                         MetricKind::TimeMs | MetricKind::Ceiling => "≤",
                         MetricKind::Ratio => "≥",
+                        MetricKind::Count => "=",
                     };
                     Check {
                         label: format!("{source}: {}", rule.metric),
@@ -565,6 +574,40 @@ mod tests {
         assert!(above
             .iter()
             .any(|c| !c.passed && c.detail.contains("≤ 1.000")));
+    }
+
+    #[test]
+    fn count_rules_fail_on_any_difference() {
+        let rules = parse_rules(
+            &parse(
+                r#"{"rules": [{"bench": "recovery", "metric": "sizes[0].wal_replayed",
+                     "kind": "count", "expected": 16}]}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(rules[0].kind, MetricKind::Count);
+        assert_eq!(rules[0].limit(), 16.0);
+        assert!(!rules[0].violated_by(16.0));
+        assert!(rules[0].violated_by(15.0));
+        assert!(rules[0].violated_by(17.0));
+        assert!(rules[0].violated_by(f64::NAN));
+        // Through the gate: equal passes; fewer or more fails.
+        let doc = |v: u32| {
+            parse(&format!(
+                r#"{{"bench": "recovery", "sizes": [{{"wal_replayed": {v}}}],
+                    "identical_output": true}}"#
+            ))
+            .unwrap()
+        };
+        let equal = run_gate(&rules, &[("r.json".to_owned(), doc(16))]);
+        assert!(equal.iter().all(|c| c.passed), "{equal:#?}");
+        for off in [15, 17] {
+            let checks = run_gate(&rules, &[("r.json".to_owned(), doc(off))]);
+            assert!(checks
+                .iter()
+                .any(|c| !c.passed && c.detail.contains("= 16.000")));
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@ mod readers;
 pub mod recover;
 pub mod session;
 mod strategy;
+mod tokens;
 pub mod wal;
 
 pub use data::Parallelism;

@@ -53,6 +53,7 @@ use bgkanon_knowledge::load_model_str;
 use crate::publisher::Publisher;
 use crate::session::PublishSession;
 use crate::strategy;
+use crate::tokens::{push_spaced, scan_ints, strip_tag};
 use crate::wal::{self, fnv1a64, DurabilityOptions, SyncPolicy, WalError};
 
 /// Genesis-file magic line (v2: columnar table block, one line per
@@ -144,8 +145,13 @@ fn unhex_str(tok: &str) -> Result<String, String> {
         return Err("odd-length hex string".into());
     }
     let mut bytes = Vec::with_capacity(tok.len() / 2);
-    for i in (0..tok.len()).step_by(2) {
-        let b = u8::from_str_radix(&tok[i..i + 2], 16).map_err(|_| "bad hex digit".to_owned())?;
+    // Pairs are taken as bytes: a pair splitting a non-ASCII character is
+    // not UTF-8 on its own, so it is a bad digit, not a slicing panic.
+    for pair in tok.as_bytes().chunks_exact(2) {
+        let b = std::str::from_utf8(pair)
+            .ok()
+            .and_then(|p| u8::from_str_radix(p, 16).ok())
+            .ok_or_else(|| "bad hex digit".to_owned())?;
         bytes.push(b);
     }
     String::from_utf8(bytes).map_err(|_| "hex string is not UTF-8".into())
@@ -178,17 +184,43 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| format!("unexpected end of file, expected {what}"))
     }
 
-    /// Next line, already split on whitespace, with its first token checked.
-    fn record(&mut self, tag: &str) -> Result<Vec<&'a str>, String> {
+    /// Next line, whose first token must be `tag`; returns the rest.
+    fn tagged(&mut self, tag: &str) -> Result<&'a str, String> {
         let line = self.next(&format!("a `{tag}` line"))?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.first() != Some(&tag) {
+        strip_tag(line, tag)
+            .ok_or_else(|| format!("line {}: expected `{tag}`, got `{line}`", self.line_no))
+    }
+
+    /// Next line, already split on whitespace, with its first token checked.
+    fn record(&mut self, tag: &'a str) -> Result<Vec<&'a str>, String> {
+        let rest = self.tagged(tag)?;
+        Ok(std::iter::once(tag)
+            .chain(rest.split_whitespace())
+            .collect())
+    }
+
+    /// Next `tag` line of exactly `n` codes. `describe` names the line in
+    /// the count error; `what` names a code in the parse error.
+    fn codes(
+        &mut self,
+        tag: &str,
+        n: usize,
+        describe: &str,
+        what: &str,
+    ) -> Result<Vec<u32>, String> {
+        let rest = self.tagged(tag)?;
+        let mut codes = Vec::with_capacity(n.min(rest.len()));
+        let (count, parsed) = scan_ints(rest, &mut codes);
+        if count != n {
             return Err(format!(
-                "line {}: expected `{tag}`, got `{line}`",
+                "line {}: {describe} has {count} codes, expected {n}",
                 self.line_no
             ));
         }
-        Ok(toks)
+        if !parsed {
+            return Err(format!("unparseable {what}"));
+        }
+        Ok(codes)
     }
 }
 
@@ -265,13 +297,13 @@ fn push_table_block(out: &mut String, table: &Table) {
     for a in 0..table.qi_count() {
         out.push_str("col");
         for &q in table.qi_col(a).as_slice() {
-            let _ = write!(out, " {q}");
+            push_spaced(out, u64::from(q));
         }
         out.push('\n');
     }
     out.push_str("sens");
     for &s in table.sensitive_col() {
-        let _ = write!(out, " {s}");
+        push_spaced(out, u64::from(s));
     }
     out.push('\n');
 }
@@ -291,32 +323,9 @@ fn parse_table_block(
     if v2 {
         let mut cols: Vec<Vec<u32>> = Vec::with_capacity(d);
         for a in 0..d {
-            let toks = cur.record("col")?;
-            if toks.len() != n + 1 {
-                return Err(format!(
-                    "line {}: column {a} has {} codes, expected {n}",
-                    cur.line_no,
-                    toks.len() - 1
-                ));
-            }
-            let mut col = Vec::with_capacity(n);
-            for tok in &toks[1..] {
-                col.push(parse_num(Some(tok), "qi code")?);
-            }
-            cols.push(col);
+            cols.push(cur.codes("col", n, &format!("column {a}"), "qi code")?);
         }
-        let toks = cur.record("sens")?;
-        if toks.len() != n + 1 {
-            return Err(format!(
-                "line {}: sensitive column has {} codes, expected {n}",
-                cur.line_no,
-                toks.len() - 1
-            ));
-        }
-        let mut sens = Vec::with_capacity(n);
-        for tok in &toks[1..] {
-            sens.push(parse_num(Some(tok), "sensitive code")?);
-        }
+        let sens = cur.codes("sens", n, "sensitive column", "sensitive code")?;
         builder
             .push_chunk(&cols, &sens)
             .map_err(|e| format!("line {}: invalid table: {e}", cur.line_no))?;
@@ -346,8 +355,8 @@ fn push_hierarchy_block(out: &mut String, h: &Hierarchy) {
         h.node_count(),
         hex_str(h.label(h.root()))
     );
-    for node in 1..h.node_count() {
-        let parent = h.parent(node).expect("non-root node has a parent");
+    // Every node but the root (node 0) has a parent: ids `1..n` in order.
+    for (node, parent) in (0..h.node_count()).filter_map(|node| Some((node, h.parent(node)?))) {
         let kind = if h.leaf_code(node).is_some() {
             "leaf"
         } else {
@@ -481,14 +490,14 @@ fn push_schema_block(out: &mut String, schema: &Schema) {
 fn parse_schema_block(cur: &mut Cursor<'_>) -> Result<Arc<Schema>, String> {
     let head = cur.record("schema")?;
     let d: usize = parse_num(head.get(1).copied(), "qi count")?;
-    let mut qi = Vec::with_capacity(d);
+    let mut qi = Vec::new();
     for _ in 0..d {
         qi.push(parse_attr_block(cur)?);
     }
     let sensitive = parse_attr_block(cur)?;
     let sdist_head = cur.record("sdist")?;
     let size: usize = parse_num(sdist_head.get(1).copied(), "distance size")?;
-    let mut rows = Vec::with_capacity(size);
+    let mut rows = Vec::new();
     for _ in 0..size {
         let toks = cur.record("sdrow")?;
         if toks.len() != size + 1 {
@@ -553,7 +562,7 @@ fn parse_genesis(text: &str) -> Result<Genesis, String> {
     let tenant = unhex_str(toks.get(1).copied().ok_or("missing tenant name")?)?;
     let toks = cur.record("specs")?;
     let n_specs: usize = parse_num(toks.get(1).copied(), "spec count")?;
-    let mut spec_lines = Vec::with_capacity(n_specs);
+    let mut spec_lines = Vec::new();
     for _ in 0..n_specs {
         spec_lines.push(cur.next("a spec line")?);
     }
@@ -858,6 +867,7 @@ pub(crate) fn reopen_wal(dir: &Path, sync: SyncPolicy) -> std::io::Result<wal::W
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgkanon_anon::AnyStrategy;
     use bgkanon_data::{adult, toy, DeltaBuilder};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -878,6 +888,7 @@ mod tests {
         }
         assert!(unhex_str("abc").is_err());
         assert!(unhex_str("zz").is_err());
+        assert!(unhex_str("4é5").is_err());
     }
 
     #[test]
@@ -1503,5 +1514,174 @@ mod tests {
         assert_eq!(report.unrecoverable().len(), 1);
         assert!(!hub.contains("t"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Valid files the fuzz properties mutate: for each strategy a genesis
+    /// and a v3 checkpoint (with the strategy that imports its state), plus
+    /// the legacy shapes — a v1 genesis, v1 and v2 checkpoints and a v3
+    /// checkpoint carrying a `prior-model` block.
+    struct FuzzSeeds {
+        schema: Arc<Schema>,
+        genesis: Vec<String>,
+        checkpoints: Vec<(String, AnyStrategy)>,
+    }
+
+    fn fuzz_seeds() -> &'static FuzzSeeds {
+        use crate::publisher::Algorithm;
+        use bgkanon_knowledge::{save_model_string, Bandwidth, PriorEstimator};
+        static SEEDS: std::sync::OnceLock<FuzzSeeds> = std::sync::OnceLock::new();
+        SEEDS.get_or_init(|| {
+            let table = adult::generate(60, 21);
+            let publishers = [
+                Publisher::new().k_anonymity(4).bt_privacy(0.3, 0.25),
+                Publisher::new()
+                    .distinct_l_diversity(3)
+                    .algorithm(Algorithm::Bucketize),
+                Publisher::new()
+                    .k_anonymity(4)
+                    .algorithm(Algorithm::FullDomain),
+            ];
+            let mut genesis = Vec::new();
+            let mut checkpoints = Vec::new();
+            for (i, publisher) in publishers.iter().enumerate() {
+                let dir = tmp_dir("fuzzseed");
+                write_genesis(&dir, "t", publisher, &table).unwrap();
+                let session = publisher.open(&table).unwrap();
+                write_checkpoint(&dir, 3, &session).unwrap();
+                let strategy = || {
+                    let requirement = publisher.instantiate(&table).unwrap();
+                    publisher.strategy(&requirement).unwrap()
+                };
+                let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+                genesis.push(read("genesis.tbl"));
+                checkpoints.push((read("checkpoint.tbl"), strategy()));
+                if i == 0 {
+                    let model = PriorEstimator::new(
+                        Arc::clone(table.schema()),
+                        Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
+                    )
+                    .estimate(&table);
+                    splice_prior_block(
+                        &dir.join("checkpoint.tbl"),
+                        0.3,
+                        &save_model_string(&model),
+                    );
+                    checkpoints.push((read("checkpoint.tbl"), strategy()));
+                    write_checkpoint(&dir, 3, &session).unwrap();
+                    downgrade_checkpoint_to_v2(&dir.join("checkpoint.tbl"));
+                    checkpoints.push((read("checkpoint.tbl"), strategy()));
+                    write_checkpoint(&dir, 3, &session).unwrap();
+                    downgrade_to_v1(&dir.join("checkpoint.tbl"));
+                    checkpoints.push((read("checkpoint.tbl"), strategy()));
+                    downgrade_to_v1(&dir.join("genesis.tbl"));
+                    genesis.push(read("genesis.tbl"));
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+            for text in &genesis {
+                parse_genesis(text).unwrap();
+            }
+            for (text, strategy) in &checkpoints {
+                let ck = parse_checkpoint(text, table.schema()).unwrap();
+                strategy::import_state(strategy, &ck.table, &ck.state_lines).unwrap();
+            }
+            FuzzSeeds {
+                schema: Arc::clone(table.schema()),
+                genesis,
+                checkpoints,
+            }
+        })
+    }
+
+    /// Apply byte edits to `text`: each `(at, byte, op)` overwrites,
+    /// deletes or inserts at `at % len`. Bytes are drawn mostly from the
+    /// formats' own alphabet (digits, separators, signs), so edits reach
+    /// the number and token parsers rather than only the magic line.
+    fn mutate(text: &str, edits: &[(usize, u8, u8)]) -> String {
+        const ALPHABET: &[u8] = b"0123456789 \n\t-+.ex";
+        let mut bytes = text.as_bytes().to_vec();
+        for &(at, byte, op) in edits {
+            let byte = if byte < 192 {
+                ALPHABET[usize::from(byte) % ALPHABET.len()]
+            } else {
+                byte
+            };
+            let at = at % bytes.len().max(1);
+            match op {
+                0 if !bytes.is_empty() => bytes[at] = byte,
+                1 if !bytes.is_empty() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, byte),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Feed `text` to every parser a durable tenant's files go through.
+    fn parse_everything(text: &str, seeds: &FuzzSeeds, strategy: &AnyStrategy) {
+        let _ = parse_genesis(text);
+        if let Ok(ck) = parse_checkpoint(text, &seeds.schema) {
+            let _ = strategy::import_state(strategy, &ck.table, &ck.state_lines);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
+
+        /// Byte edits of valid genesis and checkpoint files (v1–v3, every
+        /// strategy, a persisted prior block), re-checksummed so the edits
+        /// reach the block parsers, give a value or an error — never a panic.
+        #[test]
+        fn mutated_durable_files_never_panic(
+            pick in 0usize..64,
+            edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..3), 1..6),
+            rechecksum in 0u8..4,
+        ) {
+            let seeds = fuzz_seeds();
+            let files: Vec<(&str, &AnyStrategy)> = seeds
+                .genesis
+                .iter()
+                .map(|g| (g.as_str(), &seeds.checkpoints[0].1))
+                .chain(seeds.checkpoints.iter().map(|(c, s)| (c.as_str(), s)))
+                .collect();
+            let (text, strategy) = files[pick % files.len()];
+            let body = check_trailer(text, "seed").unwrap();
+            let mutated = mutate(body, &edits);
+            let text = if rechecksum == 0 { mutated } else { rewrap(&mutated) };
+            parse_everything(&text, seeds, strategy);
+        }
+
+        /// Byte edits of a valid state block, fed straight to every
+        /// strategy's importer against the checkpointed table.
+        #[test]
+        fn mutated_state_blocks_never_panic(
+            pick in 0usize..64,
+            edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..3), 1..6),
+        ) {
+            let seeds = fuzz_seeds();
+            let (text, _) = &seeds.checkpoints[pick % seeds.checkpoints.len()];
+            let ck = parse_checkpoint(text, &seeds.schema).unwrap();
+            let block = ck.state_lines.join("\n");
+            let lines: Vec<String> = mutate(&block, &edits).lines().map(str::to_owned).collect();
+            for (_, strategy) in &seeds.checkpoints {
+                let _ = strategy::import_state(strategy, &ck.table, &lines);
+            }
+        }
+
+        /// Arbitrary bytes, with and without a valid checksum trailer.
+        #[test]
+        fn arbitrary_bytes_never_panic(noise in proptest::collection::vec(0u8..=255, 0..256)) {
+            let seeds = fuzz_seeds();
+            let text = String::from_utf8_lossy(&noise).into_owned();
+            for text in [text.clone(), rewrap(&text)] {
+                parse_everything(&text, seeds, &seeds.checkpoints[0].1);
+                let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+                for (text, strategy) in &seeds.checkpoints {
+                    let ck = parse_checkpoint(text, &seeds.schema).unwrap();
+                    let _ = strategy::import_state(strategy, &ck.table, &lines);
+                }
+            }
+        }
     }
 }

@@ -24,6 +24,8 @@ use bgkanon_anon::{
 };
 use bgkanon_data::Table;
 
+use crate::tokens::{push_spaced, scan_ints, strip_tag};
+
 /// Serialize `state` as checkpoint lines.
 pub(crate) fn export_state(state: &AnyState) -> Vec<String> {
     match state {
@@ -59,19 +61,33 @@ fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, S
         .map_err(|_| format!("unparseable {what}"))
 }
 
-/// Split `lines[idx]` on whitespace and check its tag token.
-fn record<'a>(lines: &'a [String], idx: usize, tag: &str) -> Result<Vec<&'a str>, String> {
+/// Check `lines[idx]`'s tag token and return the rest of the line.
+fn tagged<'a>(lines: &'a [String], idx: usize, tag: &str) -> Result<&'a str, String> {
     let line = lines
         .get(idx)
         .ok_or_else(|| format!("state block ended early, expected a `{tag}` line"))?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    if toks.first() != Some(&tag) {
-        return Err(format!(
-            "state line {}: expected `{tag}`, got `{line}`",
-            idx + 1
-        ));
+    strip_tag(line, tag)
+        .ok_or_else(|| format!("state line {}: expected `{tag}`, got `{line}`", idx + 1))
+}
+
+/// Split `lines[idx]` on whitespace and check its tag token.
+fn record<'a>(lines: &'a [String], idx: usize, tag: &'a str) -> Result<Vec<&'a str>, String> {
+    let rest = tagged(lines, idx, tag)?;
+    Ok(std::iter::once(tag)
+        .chain(rest.split_whitespace())
+        .collect())
+}
+
+/// Every whitespace-separated token of `text`, parsed as a `T`.
+fn parse_all<T>(text: &str, what: &str) -> Result<Vec<T>, String>
+where
+    T: std::str::FromStr + TryFrom<u64>,
+{
+    let mut out = Vec::new();
+    match scan_ints(text, &mut out) {
+        (_, true) => Ok(out),
+        (_, false) => Err(format!("unparseable {what}")),
     }
-    Ok(toks)
 }
 
 /// Check that `groups` is a partition of `0..table.len()` with no empty
@@ -174,14 +190,14 @@ fn export_tree(state: &PartitionTree) -> Vec<String> {
                     u8::from(decision.le_mode)
                 );
                 for &dim in &decision.attempts {
-                    line.push_str(&format!(" {dim}"));
+                    push_spaced(&mut line, dim as u64);
                 }
                 lines.push(line);
             }
             TreeNodeRecord::Leaf { rows } => {
                 let mut line = String::from("tnode leaf");
                 for &row in rows {
-                    line.push_str(&format!(" {row}"));
+                    push_spaced(&mut line, row as u64);
                 }
                 lines.push(line);
             }
@@ -193,8 +209,14 @@ fn export_tree(state: &PartitionTree) -> Vec<String> {
 fn import_tree(table: &Table, lines: &[String]) -> Result<PartitionTree, String> {
     let head = record(lines, 0, "tree")?;
     let node_count: usize = parse_num(head.get(1).copied(), "tree node count")?;
-    let mut records = Vec::with_capacity(node_count);
+    let mut records = Vec::with_capacity(node_count.min(lines.len()));
     for i in 0..node_count {
+        if let Some(rows) = strip_tag(tagged(lines, 1 + i, "tnode")?, "leaf") {
+            records.push(TreeNodeRecord::Leaf {
+                rows: parse_all(rows, "leaf row")?,
+            });
+            continue;
+        }
         let toks = record(lines, 1 + i, "tnode")?;
         match toks.get(1).copied() {
             Some("internal") => {
@@ -218,14 +240,6 @@ fn import_tree(table: &Table, lines: &[String]) -> Result<PartitionTree, String>
                             .map(|tok| parse_num(Some(tok), "attempt dim"))
                             .collect::<Result<Vec<usize>, String>>()?,
                     },
-                });
-            }
-            Some("leaf") => {
-                records.push(TreeNodeRecord::Leaf {
-                    rows: toks[2..]
-                        .iter()
-                        .map(|tok| parse_num(Some(tok), "leaf row"))
-                        .collect::<Result<Vec<usize>, String>>()?,
                 });
             }
             other => {
@@ -252,7 +266,7 @@ fn export_buckets(state: &BucketizeState) -> Vec<String> {
     for rows in buckets {
         let mut line = String::from("bucket");
         for &row in rows {
-            line.push_str(&format!(" {row}"));
+            push_spaced(&mut line, row as u64);
         }
         lines.push(line);
     }
@@ -264,15 +278,9 @@ fn export_buckets(state: &BucketizeState) -> Vec<String> {
 fn import_buckets(l: usize, table: &Table, lines: &[String]) -> Result<BucketizeState, String> {
     let head = record(lines, 0, "buckets")?;
     let count: usize = parse_num(head.get(1).copied(), "bucket count")?;
-    let mut buckets = Vec::with_capacity(count);
+    let mut buckets = Vec::with_capacity(count.min(lines.len()));
     for i in 0..count {
-        let toks = record(lines, 1 + i, "bucket")?;
-        buckets.push(
-            toks[1..]
-                .iter()
-                .map(|tok| parse_num(Some(tok), "bucket row"))
-                .collect::<Result<Vec<usize>, String>>()?,
-        );
+        buckets.push(parse_all(tagged(lines, 1 + i, "bucket")?, "bucket row")?);
     }
     expect_consumed(lines, 1 + count)?;
     check_partition(&buckets, table, "buckets")?;
@@ -303,14 +311,14 @@ fn export_frontier(state: &FullDomainState) -> Vec<String> {
     let mut lines = Vec::with_capacity(state.frontier().len() + 2);
     let mut levels = String::from("levels");
     for &l in state.levels() {
-        levels.push_str(&format!(" {l}"));
+        push_spaced(&mut levels, u64::from(l));
     }
     lines.push(levels);
     lines.push(format!("frontier {}", state.frontier().len()));
     for vector in state.frontier() {
         let mut line = String::from("f");
         for &l in vector {
-            line.push_str(&format!(" {l}"));
+            push_spaced(&mut line, u64::from(l));
         }
         lines.push(line);
     }
@@ -318,22 +326,12 @@ fn export_frontier(state: &FullDomainState) -> Vec<String> {
 }
 
 fn import_frontier(table: &Table, lines: &[String]) -> Result<FullDomainState, String> {
-    let toks = record(lines, 0, "levels")?;
-    let levels = toks[1..]
-        .iter()
-        .map(|tok| parse_num(Some(tok), "level"))
-        .collect::<Result<Vec<u32>, String>>()?;
+    let levels = parse_all(tagged(lines, 0, "levels")?, "level")?;
     let head = record(lines, 1, "frontier")?;
     let count: usize = parse_num(head.get(1).copied(), "frontier size")?;
-    let mut frontier = Vec::with_capacity(count);
+    let mut frontier = Vec::with_capacity(count.min(lines.len()));
     for i in 0..count {
-        let toks = record(lines, 2 + i, "f")?;
-        frontier.push(
-            toks[1..]
-                .iter()
-                .map(|tok| parse_num(Some(tok), "frontier level"))
-                .collect::<Result<Vec<u32>, String>>()?,
-        );
+        frontier.push(parse_all(tagged(lines, 2 + i, "f")?, "frontier level")?);
     }
     expect_consumed(lines, 2 + count)?;
     // `rehydrate` validates arity, level bounds and DM-optimality of

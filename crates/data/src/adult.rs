@@ -676,20 +676,42 @@ mod tests {
 
     #[test]
     fn load_real_adult_format() {
-        // Two genuine lines from adult.data (with extra columns), one line
-        // with a missing workclass.
+        // Genuine `adult.data` lines: 15 columns joined by ", ", `?` for a
+        // missing value. A `?` in a projected column (workclass, then
+        // occupation) skips the row; one in an unprojected column
+        // (native-country) does not. CRLF endings, `adult.test`'s trailing
+        // `.` and the file's final blank line are all accepted.
         let text = "\
 39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K
 50, Self-emp-not-inc, 83311, Bachelors, 13, Married-civ-spouse, Exec-managerial, Husband, White, Male, 0, 0, 13, United-States, <=50K
 23, ?, 12345, HS-grad, 9, Never-married, Sales, Own-child, Black, Female, 0, 0, 30, United-States, <=50K
+38, Private, 215646, HS-grad, 9, Divorced, Handlers-cleaners, Not-in-family, White, Male, 0, 0, 40, ?, <=50K\r
+54, Private, 180211, Some-college, 10, Married-civ-spouse, ?, Husband, Asian-Pac-Islander, Male, 0, 0, 60, South, >50K.
+90, Local-gov, 227032, Doctorate, 16, Widowed, Prof-specialty, Unmarried, Amer-Indian-Eskimo, Female, 0, 0, 20, United-States, >50K
+
 ";
         let (t, rep) = load_adult_csv(text.as_bytes()).unwrap();
-        assert_eq!(rep.loaded, 2);
-        assert_eq!(rep.skipped_missing, 1);
-        assert_eq!(t.len(), 2);
+        assert_eq!(rep.loaded, 4);
+        assert_eq!(rep.skipped_missing, 2);
+        assert_eq!(t.len(), 4);
         assert_eq!(t.qi_value(0, qi_index::AGE), 39 - 17);
         assert_eq!(t.qi_value(0, qi_index::WORKCLASS), 5); // State-gov
         assert_eq!(t.sensitive_value(1), 4); // Exec-managerial
+                                             // Age, Workclass, Education, Marital, Race, Gender; Occupation.
+        assert_eq!(t.qi(2), vec![38 - 17, 0, 8, 1, 0, 1]);
+        assert_eq!(t.sensitive_value(2), 6); // Handlers-cleaners
+        assert_eq!(t.qi(3), vec![90 - 17, 4, 15, 4, 3, 0]);
+        assert_eq!(t.sensitive_value(3), 5); // Prof-specialty
+                                             // A short line is an arity error naming its 1-based line.
+        let short = "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical\n";
+        assert_eq!(
+            load_adult_csv(short.as_bytes()).unwrap_err(),
+            DataError::ArityMismatch {
+                expected: 9,
+                found: 7,
+                line: 1
+            }
+        );
     }
 
     #[test]
