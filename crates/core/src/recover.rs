@@ -53,7 +53,7 @@ use bgkanon_knowledge::load_model_str;
 use crate::publisher::Publisher;
 use crate::session::PublishSession;
 use crate::strategy;
-use crate::tokens::{push_spaced, scan_ints, strip_tag};
+use crate::tokens::{expect_tag, push_spaced, scan_ints};
 use crate::wal::{self, fnv1a64, DurabilityOptions, SyncPolicy, WalError};
 
 /// Genesis-file magic line (v2: columnar table block, one line per
@@ -184,19 +184,17 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| format!("unexpected end of file, expected {what}"))
     }
 
-    /// Next line, whose first token must be `tag`; returns the rest.
-    fn tagged(&mut self, tag: &str) -> Result<&'a str, String> {
-        let line = self.next(&format!("a `{tag}` line"))?;
-        strip_tag(line, tag)
-            .ok_or_else(|| format!("line {}: expected `{tag}`, got `{line}`", self.line_no))
-    }
-
     /// Next line, already split on whitespace, with its first token checked.
-    fn record(&mut self, tag: &'a str) -> Result<Vec<&'a str>, String> {
-        let rest = self.tagged(tag)?;
-        Ok(std::iter::once(tag)
-            .chain(rest.split_whitespace())
-            .collect())
+    fn record(&mut self, tag: &str) -> Result<Vec<&'a str>, String> {
+        let line = self.next(&format!("a `{tag}` line"))?;
+        let toks: Vec<&str> = line.split_whitespace().collect();
+        if toks.first() != Some(&tag) {
+            return Err(format!(
+                "line {}: expected `{tag}`, got `{line}`",
+                self.line_no
+            ));
+        }
+        Ok(toks)
     }
 
     /// Next `tag` line of exactly `n` codes. `describe` names the line in
@@ -208,7 +206,8 @@ impl<'a> Cursor<'a> {
         describe: &str,
         what: &str,
     ) -> Result<Vec<u32>, String> {
-        let rest = self.tagged(tag)?;
+        let line = self.next(&format!("a `{tag}` line"))?;
+        let rest = expect_tag(line, tag, format_args!("line {}", self.line_no))?;
         let mut codes = Vec::with_capacity(n.min(rest.len()));
         let (count, parsed) = scan_ints(rest, &mut codes);
         if count != n {

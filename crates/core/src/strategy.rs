@@ -24,7 +24,7 @@ use bgkanon_anon::{
 };
 use bgkanon_data::Table;
 
-use crate::tokens::{push_spaced, scan_ints, strip_tag};
+use crate::tokens::{expect_tag, push_spaced, scan_ints, strip_tag};
 
 /// Serialize `state` as checkpoint lines.
 pub(crate) fn export_state(state: &AnyState) -> Vec<String> {
@@ -61,21 +61,27 @@ fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, S
         .map_err(|_| format!("unparseable {what}"))
 }
 
-/// Check `lines[idx]`'s tag token and return the rest of the line.
+/// Split `lines[idx]` on whitespace and check its tag token.
+fn record<'a>(lines: &'a [String], idx: usize, tag: &str) -> Result<Vec<&'a str>, String> {
+    let line = lines
+        .get(idx)
+        .ok_or_else(|| format!("state block ended early, expected a `{tag}` line"))?;
+    let toks: Vec<&str> = line.split_whitespace().collect();
+    if toks.first() != Some(&tag) {
+        return Err(format!(
+            "state line {}: expected `{tag}`, got `{line}`",
+            idx + 1
+        ));
+    }
+    Ok(toks)
+}
+
+/// The rest of `lines[idx]` after its tag token.
 fn tagged<'a>(lines: &'a [String], idx: usize, tag: &str) -> Result<&'a str, String> {
     let line = lines
         .get(idx)
         .ok_or_else(|| format!("state block ended early, expected a `{tag}` line"))?;
-    strip_tag(line, tag)
-        .ok_or_else(|| format!("state line {}: expected `{tag}`, got `{line}`", idx + 1))
-}
-
-/// Split `lines[idx]` on whitespace and check its tag token.
-fn record<'a>(lines: &'a [String], idx: usize, tag: &'a str) -> Result<Vec<&'a str>, String> {
-    let rest = tagged(lines, idx, tag)?;
-    Ok(std::iter::once(tag)
-        .chain(rest.split_whitespace())
-        .collect())
+    expect_tag(line, tag, format_args!("state line {}", idx + 1))
 }
 
 /// Every whitespace-separated token of `text`, parsed as a `T`.

@@ -2,6 +2,7 @@
 //! integers of the table block and the strategy state lines, written and
 //! read without a `fmt` call or an allocation per number.
 
+use std::fmt::Display;
 use std::str::FromStr;
 
 /// The rest of `line` after its first whitespace-separated token, when
@@ -11,6 +12,16 @@ pub(crate) fn strip_tag<'a>(line: &'a str, tag: &str) -> Option<&'a str> {
     line.trim_start()
         .strip_prefix(tag)
         .filter(|rest| rest.chars().next().is_none_or(char::is_whitespace))
+}
+
+/// The rest of `line` after its first token, which must be `tag`. The
+/// error names the line by `at` ("line 7", "state line 3").
+pub(crate) fn expect_tag<'a>(
+    line: &'a str,
+    tag: &str,
+    at: impl Display,
+) -> Result<&'a str, String> {
+    strip_tag(line, tag).ok_or_else(|| format!("{at}: expected `{tag}`, got `{line}`"))
 }
 
 /// Append a space and the decimal digits of `v` to `out` — the bytes

@@ -697,12 +697,14 @@ mod tests {
         assert_eq!(t.qi_value(0, qi_index::AGE), 39 - 17);
         assert_eq!(t.qi_value(0, qi_index::WORKCLASS), 5); // State-gov
         assert_eq!(t.sensitive_value(1), 4); // Exec-managerial
-                                             // Age, Workclass, Education, Marital, Race, Gender; Occupation.
+
+        // Age, Workclass, Education, Marital, Race, Gender; Occupation.
         assert_eq!(t.qi(2), vec![38 - 17, 0, 8, 1, 0, 1]);
         assert_eq!(t.sensitive_value(2), 6); // Handlers-cleaners
         assert_eq!(t.qi(3), vec![90 - 17, 4, 15, 4, 3, 0]);
         assert_eq!(t.sensitive_value(3), 5); // Prof-specialty
-                                             // A short line is an arity error naming its 1-based line.
+
+        // A short line is an arity error naming its 1-based line.
         let short = "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical\n";
         assert_eq!(
             load_adult_csv(short.as_bytes()).unwrap_err(),

@@ -171,32 +171,28 @@ impl Attribute {
     /// Encode a textual value into its domain code.
     ///
     /// Numeric attributes parse the text as `f64` and require an exact domain
-    /// match; categorical attributes match labels exactly.
+    /// match; categorical attributes match labels exactly. Surrounding
+    /// whitespace is ignored.
     pub fn encode(&self, text: &str) -> Result<u32, DataError> {
-        match &self.kind {
+        let unknown = || DataError::UnknownValue {
+            attribute: self.name.clone(),
+            value: text.to_owned(),
+        };
+        let key = text.trim();
+        let code = match &self.kind {
             AttributeKind::Numeric { values } => {
-                let v: f64 = text.trim().parse().map_err(|_| DataError::UnknownValue {
-                    attribute: self.name.clone(),
-                    value: text.to_owned(),
-                })?;
-                values
-                    .iter()
-                    .position(|&x| x == v)
-                    .map(|i| i as u32)
-                    .ok_or_else(|| DataError::UnknownValue {
-                        attribute: self.name.clone(),
-                        value: text.to_owned(),
-                    })
+                let v: f64 = match plain_integer(key) {
+                    Some(v) => v,
+                    None => key.parse().map_err(|_| unknown())?,
+                };
+                // The values are strictly increasing: the one equal to `v`,
+                // if any, is where the values below `v` end.
+                let i = values.partition_point(|&x| x < v);
+                (values.get(i) == Some(&v)).then_some(i)
             }
-            AttributeKind::Categorical { labels, .. } => labels
-                .iter()
-                .position(|l| l == text.trim())
-                .map(|i| i as u32)
-                .ok_or_else(|| DataError::UnknownValue {
-                    attribute: self.name.clone(),
-                    value: text.to_owned(),
-                }),
-        }
+            AttributeKind::Categorical { labels, .. } => labels.iter().position(|l| l == key),
+        };
+        code.map(|i| i as u32).ok_or_else(unknown)
     }
 
     /// Range `R = max - min` for numeric attributes; `None` for categorical.
@@ -219,6 +215,19 @@ impl Attribute {
             })
         }
     }
+}
+
+/// The value of 1–15 ASCII digits: every such number is an exact `f64`,
+/// so it equals what `str::parse::<f64>` returns for the same text.
+fn plain_integer(text: &str) -> Option<f64> {
+    let bytes = text.as_bytes();
+    if bytes.is_empty() || bytes.len() > 15 || !bytes.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let value = bytes
+        .iter()
+        .fold(0u64, |acc, &b| acc * 10 + u64::from(b - b'0'));
+    Some(value as f64)
 }
 
 #[cfg(test)]

@@ -8,14 +8,12 @@
 //! Both directions work on bytes, with no allocation or `fmt` call per
 //! value. [`read_csv`] streams its input through one reused line buffer, so
 //! it never holds more than one line of the file however long the file is.
-//! It finds a line's commas eight bytes at a time, keeps each field as a
-//! byte range of the line, and decodes the field in place. [`write_csv`]
-//! renders each attribute's labels once and copies label bytes per row.
+//! It keeps each field as a byte range of the line and hands the field to
+//! [`Attribute::encode`] in place. [`write_csv`] renders each attribute's
+//! labels once and copies label bytes per row.
 //!
-//! The fast paths cover ASCII whitespace, plain-digit numbers and exact
-//! label hits. Anything else — non-ASCII whitespace at a field's edge, a
-//! number such as `+25` or `2.5e1`, an unknown value — goes through
-//! `str::trim` and [`Attribute::encode`] themselves. So every input yields
+//! Trimming strips ASCII whitespace byte by byte and leaves a field with
+//! non-ASCII characters at its edges to `str::trim`. So every input yields
 //! the same table, report or error (variant and line number) as a plain
 //! `str`-per-line reader, and the writer's bytes are those of
 //! [`Attribute::display_value`].
@@ -25,7 +23,7 @@ use std::iter::once;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::attribute::{Attribute, AttributeKind};
+use crate::attribute::Attribute;
 use crate::error::DataError;
 use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
@@ -144,7 +142,7 @@ pub fn read_csv<R: Read>(
             }
         }
         for ((&c, attribute), chunk) in selected.iter().zip(&attributes).zip(&mut chunks) {
-            chunk.push(decode(attribute, field(c))?);
+            chunk.push(attribute.encode(field(c))?);
         }
         report.loaded += 1;
         if chunks[d].len() == CHUNK_ROWS {
@@ -169,32 +167,16 @@ fn not_utf8() -> DataError {
 }
 
 /// Replace `spans` with the trimmed byte range of each comma-separated
-/// field of `line`. Commas are found eight bytes at a time.
+/// field of `line`.
 fn split_fields(line: &str, spans: &mut Vec<Range<usize>>) {
-    const COMMAS: u64 = u64::from_ne_bytes([b','; 8]);
-    const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
     spans.clear();
     let mut start = 0;
-    let mut field_end = |end: usize| {
+    let commas = line.bytes().enumerate().filter(|&(_, b)| b == b',');
+    for end in commas.map(|(i, _)| i).chain(once(line.len())) {
         let span = trim_span(&line[start..end]);
         spans.push(start + span.start..start + span.end);
         start = end + 1;
-    };
-    let (words, tail) = line.as_bytes().as_chunks::<8>();
-    for (w, word) in words.iter().enumerate() {
-        let x = u64::from_le_bytes(*word) ^ COMMAS;
-        // Bit 7 of each byte is set exactly where `x` is zero (a comma).
-        let mut hits = !(((x & LOW7) + LOW7) | x | LOW7);
-        while hits != 0 {
-            field_end(8 * w + hits.trailing_zeros() as usize / 8);
-            hits &= hits - 1;
-        }
     }
-    let tail_start = 8 * words.len();
-    for (i, _) in tail.iter().enumerate().filter(|&(_, &b)| b == b',') {
-        field_end(tail_start + i);
-    }
-    field_end(line.len());
 }
 
 /// Byte range of `s.trim()`. ASCII whitespace is stripped byte by byte;
@@ -217,37 +199,6 @@ fn trim_span(s: &str) -> Range<usize> {
         return (s.len() - s.trim_start().len()).min(end)..end;
     }
     lo..hi
-}
-
-/// [`Attribute::encode`] of a trimmed field, with fast paths for an exact
-/// label and for a plain-digit number in the domain. Every miss goes to
-/// `encode` itself, which also builds the error.
-fn decode(attribute: &Attribute, text: &str) -> Result<u32, DataError> {
-    let hit = match attribute.kind() {
-        // Strictly increasing values: the one equal to `v`, if any, is
-        // where the values below `v` end.
-        AttributeKind::Numeric { values } => plain_integer(text).and_then(|v| {
-            let i = values.partition_point(|&x| x < v);
-            (values.get(i) == Some(&v)).then_some(i as u32)
-        }),
-        AttributeKind::Categorical { labels, .. } => {
-            labels.iter().position(|l| l == text).map(|i| i as u32)
-        }
-    };
-    hit.map_or_else(|| attribute.encode(text), Ok)
-}
-
-/// The value of a field of 1–15 ASCII digits: every such number is an
-/// exact `f64`, so it equals what `str::parse::<f64>` returns for it.
-fn plain_integer(text: &str) -> Option<f64> {
-    let bytes = text.as_bytes();
-    if bytes.is_empty() || bytes.len() > 15 || !bytes.iter().all(u8::is_ascii_digit) {
-        return None;
-    }
-    let value = bytes
-        .iter()
-        .fold(0u64, |acc, &b| acc * 10 + u64::from(b - b'0'));
-    Some(value as f64)
 }
 
 /// Write a table as CSV text with a header line.
@@ -388,10 +339,12 @@ mod tests {
         ));
     }
 
-    /// The `str`-per-line codec the byte-level one replaced, kept verbatim
-    /// as the reference the equivalence properties compare against.
+    /// The `str`-per-line codec the byte-level one replaced, with the
+    /// `Attribute::encode` it called, kept verbatim as the reference the
+    /// equivalence properties compare against.
     mod reference {
         use super::super::*;
+        use crate::attribute::AttributeKind;
 
         pub fn read_csv<R: Read>(
             reader: R,
@@ -455,10 +408,10 @@ mod tests {
                 }
                 let row_result: Result<(), DataError> = (|| {
                     for (a, f) in fields[..d].iter().enumerate() {
-                        let code = schema.qi_attribute(a).encode(f)?;
+                        let code = encode(schema.qi_attribute(a), f)?;
                         chunk_qi[a].push(code);
                     }
-                    chunk_sensitive.push(schema.sensitive_attribute().encode(fields[d])?);
+                    chunk_sensitive.push(encode(schema.sensitive_attribute(), fields[d])?);
                     Ok(())
                 })();
                 if let Err(e) = row_result {
@@ -481,6 +434,30 @@ mod tests {
             }
             let table = builder.build()?;
             Ok((table, report))
+        }
+
+        /// `Attribute::encode` as it was: a parse per numeric field and a
+        /// linear scan of the domain.
+        fn encode(attribute: &Attribute, text: &str) -> Result<u32, DataError> {
+            let unknown = || DataError::UnknownValue {
+                attribute: attribute.name().to_owned(),
+                value: text.to_owned(),
+            };
+            match attribute.kind() {
+                AttributeKind::Numeric { values } => {
+                    let v: f64 = text.trim().parse().map_err(|_| unknown())?;
+                    values
+                        .iter()
+                        .position(|&x| x == v)
+                        .map(|i| i as u32)
+                        .ok_or_else(unknown)
+                }
+                AttributeKind::Categorical { labels, .. } => labels
+                    .iter()
+                    .position(|l| l == text.trim())
+                    .map(|i| i as u32)
+                    .ok_or_else(unknown),
+            }
         }
 
         pub fn write_csv<W: Write>(table: &Table, mut writer: W) -> Result<(), DataError> {
