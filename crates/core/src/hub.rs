@@ -1849,7 +1849,6 @@ mod tests {
             key: cache.key,
             version: cache.version,
             session: Arc::clone(&cache.session),
-            row_points: cache.row_points.clone(),
         }
     }
 
@@ -1883,7 +1882,7 @@ mod tests {
         hub.audit_against("a", 0.3, 0.2).unwrap();
         hub.audit_against("b", 0.3, 0.2).unwrap();
         let v0 = adversary_entry_copy(&hub, "a", 0.3);
-        assert_eq!(v0.row_points.len(), 240);
+        assert_eq!(v0.session.row_points().len(), 240);
         let d = delta_for(hub.snapshot("a").unwrap().table(), &[0, 50, 51], 4, 13);
         let v1 = hub.apply("a", &d).unwrap();
 
@@ -1897,8 +1896,10 @@ mod tests {
 
         // Row points of the wrong length: no evolution, no panic.
         let short = ReaderCache {
-            row_points: v0.row_points[..10].to_vec(),
-            session: Arc::clone(&v0.session),
+            session: Arc::new(SharedAuditSession::with_row_points(
+                v0.session.auditor().clone(),
+                v0.session.row_points()[..10].to_vec(),
+            )),
             ..v0
         };
         assert!(short.evolved_fold(&v1.target()).is_none());
@@ -1940,20 +1941,96 @@ mod tests {
         }
     }
 
+    /// After a durable tenant is demoted and rehydrated, its first audit
+    /// folds the version in full and binds the entry's session to that
+    /// fold's row points. The bound session, an unbound one around the same
+    /// auditor and a plain `Auditor::report` all give the same bits.
+    #[test]
+    fn bound_session_after_rehydration_matches_unbound_and_fresh_reports() {
+        let dir = std::env::temp_dir().join(format!(
+            "bgkhub-{}-bound-after-rehydration",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DurabilityOptions {
+            sync: crate::wal::SyncPolicy::Never,
+            checkpoint_every: 2,
+            verify_on_open: false,
+            max_resident_bytes: Some(1),
+        };
+        let (hub, _) = SessionHub::open_with(&dir, options).unwrap();
+        let publisher = Publisher::new().k_anonymity(4);
+        hub.register("t0", &adult::generate(220, 41), &publisher)
+            .unwrap();
+        hub.register("t1", &adult::generate(220, 42), &publisher)
+            .unwrap();
+        hub.audit_against("t0", 0.3, 0.2).unwrap();
+        let table = hub.snapshot("t0").unwrap().table().clone();
+        hub.apply("t0", &delta_for(&table, &[3, 70, 71], 4, 43))
+            .unwrap();
+        // Touching t1 demotes t0 under the 1-byte budget; auditing t0 then
+        // rehydrates it with no change record and no `Adv(b′)` entry.
+        hub.audit_against("t1", 0.3, 0.2).unwrap();
+        let rehydrations = hub.memory_stats().rehydrations;
+        let report = hub.audit_against("t0", 0.3, 0.2).unwrap();
+        assert!(hub.memory_stats().rehydrations > rehydrations);
+
+        let snapshot = hub.snapshot("t0").unwrap();
+        let table = snapshot.table();
+        let entry = adversary_entry_copy(&hub, "t0", 0.3);
+        assert_eq!(entry.version, 1);
+        let (_, full_fold_points) = FoldedTable::with_row_points(table);
+        assert_eq!(entry.session.row_points(), full_fold_points.as_slice());
+
+        let auditor = entry.session.auditor().clone();
+        let groups = snapshot.anonymized().row_groups();
+        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+        let bound = SharedAuditSession::with_row_points(auditor.clone(), full_fold_points)
+            .report_groups(table, &slices, Some(snapshot.leaf_stamps()), 0.2);
+        let unbound = SharedAuditSession::new(auditor.clone()).report_groups(
+            table,
+            &slices,
+            Some(snapshot.leaf_stamps()),
+            0.2,
+        );
+        let plain = auditor.report(table, &groups, 0.2);
+        let fresh = Auditor::new(
+            Arc::new(Adversary::kernel(
+                table,
+                Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
+            )),
+            Arc::new(SmoothedJs::paper_default(
+                table.schema().sensitive_distance(),
+            )),
+        )
+        .report(table, &groups, 0.2);
+        for other in [&bound, &unbound, &plain, &fresh] {
+            for (x, y) in report.risks.iter().zip(&other.risks) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            assert_eq!(report.worst_case.to_bits(), other.worst_case.to_bits());
+            assert_eq!(report.vulnerable, other.vulnerable);
+        }
+        drop(hub);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn reader_bytes_charge_the_entry_row_points() {
         let hub = hub_with(&[("a", 2)], 300, 4);
         hub.audit_against("a", 0.3, 0.2).unwrap();
         let entry = hub.tenant("a").unwrap();
-        let sessions: usize = entry
-            .readers
-            .entries()
-            .iter()
-            .map(|c| c.session.bytes_accounted() + 128)
-            .sum();
-        assert_eq!(
-            entry.reader_bytes.load(Ordering::Relaxed),
-            sessions + 300 * 4
-        );
+        let readers = entry.readers.entries();
+        let [cache] = readers.as_slice() else {
+            panic!("one Adv(b′) entry");
+        };
+        // The entry's session owns the row → point array and charges it.
+        assert_eq!(cache.session.row_points().len(), 300);
+        let unbound = SharedAuditSession::new(cache.session.auditor().clone());
+        assert_eq!(unbound.bytes_accounted(), 0);
+        let sessions = cache.session.bytes_accounted() + 128;
+        assert!(sessions >= 300 * 4 + 128);
+        drop(readers);
+        assert_eq!(entry.reader_bytes.load(Ordering::Relaxed), sessions);
     }
 }

@@ -63,18 +63,16 @@ pub(crate) enum ReaderKey {
 }
 
 /// One retained audit configuration: the shared session whose caches every
-/// audit of this configuration goes through.
+/// audit of this configuration goes through. An `Adv(b′)` entry's session
+/// is bound to the row → point array of `version`'s table
+/// ([`SharedAuditSession::row_points`]), which is carried to the next
+/// version with the fold.
 pub(crate) struct ReaderCache {
     pub(crate) key: ReaderKey,
     /// The version an `Adv(b′)` entry's model was estimated or refreshed to
     /// (0 and unused for external auditors).
     pub(crate) version: u64,
     pub(crate) session: Arc<SharedAuditSession>,
-    /// For `Adv(b′)` entries, the point of the model's fold each row of
-    /// `version`'s table folds into ([`FoldedTable::with_row_points`]) —
-    /// carried to the next version with the fold. Empty for external
-    /// auditors.
-    pub(crate) row_points: Vec<u32>,
 }
 
 impl ReaderCache {
@@ -90,7 +88,7 @@ impl ReaderCache {
         }
         let model = self.session.auditor().adversary().prior_model()?;
         let evolution = model.folded()?.evolve(deleted, delta)?;
-        let row_points = evolution.row_points(&self.row_points, delta)?;
+        let row_points = evolution.row_points(self.session.row_points(), delta)?;
         let fold = evolution.into_folded();
         (fold.rows() == target.table.len()).then_some((fold, row_points))
     }
@@ -187,7 +185,7 @@ impl ReaderCaches {
                 return session;
             }
         }
-        self.install(key, 0, SharedAuditSession::new(auditor.clone()), Vec::new())
+        self.install(key, 0, SharedAuditSession::new(auditor.clone()))
     }
 
     /// The shared `Adv(b′)` session for `target`'s version, with the
@@ -204,7 +202,9 @@ impl ReaderCaches {
     ///   nothing else shares it — and the groups left clean (same leaf
     ///   stamp, no row whose prior changed) keep their cached risks
     ///   ([`SharedAuditSession::carried`]). Only a list with no entry at
-    ///   this `b′` estimates from scratch;
+    ///   this `b′` estimates from scratch. Every session built here takes
+    ///   the version's row → point array, so a re-solved group reads its
+    ///   priors by point;
     /// * an audit of an older version than the entry's runs a one-off
     ///   session and leaves the entry alone.
     ///
@@ -236,7 +236,7 @@ impl ReaderCaches {
         let session = if let Some(shared) =
             intern.and_then(|intern| intern.find(&fold, &bandwidth, family))
         {
-            SharedAuditSession::new(Auditor::new(shared, measure))
+            SharedAuditSession::with_row_points(Auditor::new(shared, measure), row_points)
         } else {
             let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
             let refreshable = earlier.and_then(|cache| {
@@ -275,21 +275,16 @@ impl ReaderCaches {
                     carry,
                     &target.groups(),
                     target.stamps,
-                    &row_points,
+                    row_points,
                     &dirty,
                 ),
-                None => SharedAuditSession::new(auditor),
+                None => SharedAuditSession::with_row_points(auditor, row_points),
             }
         };
         if newer {
             Arc::new(session)
         } else {
-            self.install(
-                ReaderKey::Bandwidth(bits),
-                target.version,
-                session,
-                row_points,
-            )
+            self.install(ReaderKey::Bandwidth(bits), target.version, session)
         }
     }
 
@@ -317,7 +312,7 @@ impl ReaderCaches {
         }
     }
 
-    /// Cache `session` (with its `row_points`) under `key` at `version`,
+    /// Cache `session` under `key` at `version`,
     /// unless an entry another reader built meanwhile is at least as new —
     /// then that entry wins for its own version, and a `session` for an
     /// older version is returned unretained.
@@ -326,7 +321,6 @@ impl ReaderCaches {
         key: ReaderKey,
         version: u64,
         session: SharedAuditSession,
-        row_points: Vec<u32>,
     ) -> Arc<SharedAuditSession> {
         let session = Arc::new(session);
         let mut readers = relock(self.readers.lock());
@@ -347,7 +341,6 @@ impl ReaderCaches {
             key,
             version,
             session: Arc::clone(&session),
-            row_points,
         });
         session
     }
@@ -363,21 +356,17 @@ impl ReaderCaches {
         relock(self.readers.lock()).clear();
     }
 
-    /// Heap bytes held: each session's caches plus the entry's row → point
-    /// array (4 B/row). The `Adv(b′)` models are not counted here — the
-    /// hub charges them to its intern table. The sessions are cloned out
-    /// under the brief list guard and summed outside it (each sum takes the
+    /// Heap bytes held: each session's caches and row → point array
+    /// (4 B/row). The `Adv(b′)` models are not counted here — the hub
+    /// charges them to its intern table. The sessions are cloned out under
+    /// the brief list guard and summed outside it (each sum takes the
     /// session's own cache lock).
     pub(crate) fn bytes_accounted(&self) -> usize {
-        let (sessions, row_point_bytes): (Vec<Arc<SharedAuditSession>>, usize) = {
-            let readers = relock(self.readers.lock());
-            (
-                readers.iter().map(|c| Arc::clone(&c.session)).collect(),
-                readers.iter().map(|c| c.row_points.len() * 4).sum(),
-            )
-        };
-        let bytes: usize = sessions.iter().map(|s| s.bytes_accounted() + 128).sum();
-        bytes + row_point_bytes
+        let sessions: Vec<Arc<SharedAuditSession>> = relock(self.readers.lock())
+            .iter()
+            .map(|c| Arc::clone(&c.session))
+            .collect();
+        sessions.iter().map(|s| s.bytes_accounted() + 128).sum()
     }
 
     /// The retained entries, for tests that inspect them.

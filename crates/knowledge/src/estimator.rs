@@ -34,8 +34,7 @@
 //!   by [`FoldedTable::evolve`], or folded afresh) and is bit-identical to
 //!   a from-scratch estimate of the post-delta table.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bgkanon_data::{Delta, Parallelism, Schema, Table};
 use bgkanon_stats::{Dist, Kernel};
@@ -501,12 +500,13 @@ impl FoldedTable {
 
     /// Rebuild from raw `(codes, histogram)` points (the persistence
     /// layer's path). Points are sorted; multiplicities, totals and the
-    /// content hash are derived from the histograms.
+    /// content hash are derived from the histograms. `None` when a point's
+    /// multiplicity or the row count overflows.
     pub(crate) fn from_points(
         qi_count: usize,
         m: usize,
         mut points: Vec<(Box<[u32]>, Vec<u32>)>,
-    ) -> Self {
+    ) -> Option<Self> {
         points.sort_by(|a, b| a.0.cmp(&b.0));
         let u = points.len();
         let mut sensitive_totals = vec![0u64; m];
@@ -519,14 +519,14 @@ impl FoldedTable {
             qi.extend_from_slice(codes);
             hists.extend_from_slice(hist);
             hash = hash.wrapping_add(point_hash(codes, hist));
-            let count: u32 = hist.iter().sum();
-            rows += count as usize;
+            let count = hist.iter().try_fold(0u32, |sum, &c| sum.checked_add(c))?;
+            rows = rows.checked_add(count as usize)?;
             counts.push(count);
             for (s, &c) in hist.iter().enumerate() {
                 sensitive_totals[s] += u64::from(c);
             }
         }
-        FoldedTable {
+        Some(FoldedTable {
             qi_count,
             m,
             rows,
@@ -535,7 +535,7 @@ impl FoldedTable {
             counts,
             hists,
             hash,
-        }
+        })
     }
 
     /// Number of distinct QI points `u`.
@@ -813,14 +813,22 @@ impl FoldedTable {
             .extend_from_slice(&old.hists[range.start * m..range.end * m]);
     }
 
-    /// The QI combinations whose histogram differs between `self` and
-    /// `newer` (a point present in only one of them counts as changed),
-    /// in ascending order, found by one merge of the two sorted point
-    /// arrays.
-    fn changed_points(&self, newer: &FoldedTable) -> Vec<Box<[u32]>> {
+    /// One merge of this fold's sorted points with `newer`'s. Returns the
+    /// QI combinations whose histogram differs between the two (a point
+    /// present in only one of them counts as changed), in ascending order,
+    /// and `priors` — aligned with this fold's points — moved to the point
+    /// ids of `newer`: a point `newer` shares with this fold takes its
+    /// prior, a point new in `newer` gets `None`.
+    fn merge_priors<'a>(
+        &'a self,
+        newer: &'a FoldedTable,
+        priors: Vec<Dist>,
+    ) -> (Vec<&'a [u32]>, Vec<Option<Dist>>) {
         use std::cmp::Ordering;
         let (mut i, mut j) = (0usize, 0usize);
-        let mut changed: Vec<Box<[u32]>> = Vec::new();
+        let mut changed: Vec<&'a [u32]> = Vec::new();
+        let mut moved: Vec<Option<Dist>> = Vec::with_capacity(newer.len());
+        let mut priors = priors.into_iter();
         while i < self.len() || j < newer.len() {
             let order = if i == self.len() {
                 Ordering::Greater
@@ -831,23 +839,26 @@ impl FoldedTable {
             };
             match order {
                 Ordering::Less => {
-                    changed.push(self.point_qi(i).into());
+                    changed.push(self.point_qi(i));
+                    priors.next();
                     i += 1;
                 }
                 Ordering::Greater => {
-                    changed.push(newer.point_qi(j).into());
+                    changed.push(newer.point_qi(j));
+                    moved.push(None);
                     j += 1;
                 }
                 Ordering::Equal => {
                     if self.point_hist(i) != newer.point_hist(j) {
-                        changed.push(newer.point_qi(j).into());
+                        changed.push(newer.point_qi(j));
                     }
+                    moved.push(priors.next());
                     i += 1;
                     j += 1;
                 }
             }
         }
-        changed
+        (changed, moved)
     }
 }
 
@@ -998,13 +1009,26 @@ enum CandidateSet<'a> {
 /// The estimated prior belief function `P̂pri` of one adversary.
 ///
 /// Holds a distribution for every distinct QI combination of the estimation
-/// table, the [`FoldedTable`] it was estimated from (making the model
-/// refreshable under table deltas — [`PriorEstimator::refresh_folded`]),
-/// and the bandwidth/family provenance; unseen combinations fall back to
-/// the whole-table distribution ([`prior_or_fallback`](Self::prior_or_fallback)).
+/// table, stored as one vector aligned with the sorted points of the
+/// [`FoldedTable`] it was estimated from: point `i`'s prior is
+/// [`point_prior(i)`](Self::point_prior). The fold also makes the model
+/// refreshable under table deltas ([`PriorEstimator::refresh_folded`]),
+/// and the bandwidth/family provenance is kept with it; unseen
+/// combinations fall back to the whole-table distribution
+/// ([`prior_or_fallback`](Self::prior_or_fallback)). A QI lookup goes
+/// through an open-addressing table of point ids, built on the first one.
 #[derive(Debug, Clone)]
 pub struct PriorModel {
-    priors: HashMap<Box<[u32]>, Dist>,
+    /// One prior per point, in ascending QI order: aligned with the points
+    /// of `folded`, or with `keys` on a fold-less model.
+    priors: Vec<Dist>,
+    /// A fold-less model's sorted QI codes, `len × qi_count` row-major.
+    /// Empty when the model carries its fold, whose points are the keys.
+    keys: Vec<u32>,
+    /// Number of codes per key.
+    qi_count: usize,
+    /// QI → point id table, built on the first QI lookup.
+    index: OnceLock<PointIndex>,
     /// The whole-table sensitive distribution, used as the zero-weight
     /// fallback (it is also what Eq. 2 degrades to with maximal bandwidth).
     table_distribution: Dist,
@@ -1018,47 +1042,169 @@ pub struct PriorModel {
     family: KernelFamily,
 }
 
+/// Slot of a [`PointIndex`] that holds no point.
+const VACANT: u32 = u32::MAX;
+
+/// Open-addressing hash table from QI codes to a model's point ids, with
+/// linear probing. The slot count is a power of two and at least twice the
+/// point count, so every probe sequence reaches a vacant slot.
+#[derive(Debug, Clone)]
+struct PointIndex {
+    slots: Vec<u32>,
+}
+
+/// Hash of one QI combination, for [`PointIndex`] slots.
+#[inline]
+fn qi_hash(qi: &[u32]) -> u64 {
+    avalanche(absorb(0xa409_3822_299f_31d0, qi))
+}
+
 impl PriorModel {
-    /// Assemble a model from raw parts (the legacy persistence format and
-    /// tests use this; prefer [`PriorEstimator::estimate`]). The result has
+    /// Assemble a model from `(QI codes, prior)` entries and the table
+    /// distribution (the legacy persistence format and tests use this;
+    /// prefer [`PriorEstimator::estimate`]). Entries are sorted by codes;
+    /// of two entries with equal codes the later one wins. The result has
     /// no folded table, so [`PriorEstimator::refresh_folded`] re-estimates
-    /// it in full.
-    pub fn from_parts(priors: HashMap<Box<[u32]>, Dist>, table_distribution: Dist) -> Self {
-        PriorModel {
+    /// it in full. `None` when the entries' codes differ in length.
+    pub fn from_parts(
+        mut entries: Vec<(Vec<u32>, Dist)>,
+        table_distribution: Dist,
+    ) -> Option<Self> {
+        let qi_count = entries.first().map_or(0, |(qi, _)| qi.len());
+        if entries.iter().any(|(qi, _)| qi.len() != qi_count) {
+            return None;
+        }
+        // Stable: equal codes keep their input order, so the last wins.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut keys: Vec<u32> = Vec::with_capacity(entries.len() * qi_count);
+        let mut priors: Vec<Dist> = Vec::with_capacity(entries.len());
+        for (qi, prior) in entries {
+            match priors.last_mut() {
+                Some(last) if keys[keys.len() - qi_count..] == qi[..] => *last = prior,
+                _ => {
+                    keys.extend_from_slice(&qi);
+                    priors.push(prior);
+                }
+            }
+        }
+        Some(PriorModel {
             priors,
+            keys,
+            qi_count,
+            index: OnceLock::new(),
             table_distribution,
             folded: None,
             bandwidth: None,
             family: KernelFamily::default(),
-        }
+        })
     }
 
-    /// Assemble a refreshable model (the v2 persistence path).
-    pub(crate) fn from_parts_folded(
-        priors: HashMap<Box<[u32]>, Dist>,
+    /// A refreshable model from priors aligned with `folded`'s points.
+    fn with_fold(
+        priors: Vec<Dist>,
+        table_distribution: Dist,
         folded: FoldedTable,
         bandwidth: Bandwidth,
         family: KernelFamily,
     ) -> Self {
         PriorModel {
             priors,
-            table_distribution: folded.table_distribution(),
+            keys: Vec::new(),
+            qi_count: folded.qi_count(),
+            index: OnceLock::new(),
+            table_distribution,
             folded: Some(folded),
             bandwidth: Some(bandwidth),
             family,
         }
     }
 
+    /// Assemble a refreshable model from `(QI codes, prior)` entries (the
+    /// v2 persistence path). `None` unless the entries' codes are exactly
+    /// the points of `folded`, one entry per point.
+    pub(crate) fn from_parts_folded(
+        mut entries: Vec<(Vec<u32>, Dist)>,
+        folded: FoldedTable,
+        bandwidth: Bandwidth,
+        family: KernelFamily,
+    ) -> Option<Self> {
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let aligned = entries.len() == folded.len()
+            && entries
+                .iter()
+                .enumerate()
+                .all(|(i, (qi, _))| folded.point_qi(i) == qi.as_slice());
+        if !aligned {
+            return None;
+        }
+        let priors = entries.into_iter().map(|(_, prior)| prior).collect();
+        let table_distribution = folded.table_distribution();
+        Some(Self::with_fold(
+            priors,
+            table_distribution,
+            folded,
+            bandwidth,
+            family,
+        ))
+    }
+
+    /// QI codes of point `id`.
+    #[inline]
+    fn key(&self, id: usize) -> &[u32] {
+        match &self.folded {
+            Some(folded) => folded.point_qi(id),
+            None => &self.keys[id * self.qi_count..(id + 1) * self.qi_count],
+        }
+    }
+
+    fn build_index(&self) -> PointIndex {
+        let mut slots = vec![VACANT; (2 * self.priors.len()).next_power_of_two()];
+        let mask = slots.len() - 1;
+        for id in 0..self.priors.len() {
+            let mut s = qi_hash(self.key(id)) as usize & mask;
+            while slots[s] != VACANT {
+                s = (s + 1) & mask;
+            }
+            slots[s] = id as u32;
+        }
+        PointIndex { slots }
+    }
+
+    /// The point id of QI combination `qi`, if the model covers it.
+    fn point_id(&self, qi: &[u32]) -> Option<usize> {
+        let slots = &self.index.get_or_init(|| self.build_index()).slots;
+        let mask = slots.len() - 1;
+        let mut s = qi_hash(qi) as usize & mask;
+        loop {
+            let id = slots[s];
+            if id == VACANT {
+                return None;
+            }
+            if self.key(id as usize) == qi {
+                return Some(id as usize);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
     /// Prior belief for the QI combination `qi`, if it appeared in the
     /// estimation table.
     pub fn prior(&self, qi: &[u32]) -> Option<&Dist> {
-        self.priors.get(qi)
+        self.point_id(qi).map(|id| &self.priors[id])
     }
 
     /// Prior belief for `qi`, falling back to the whole-table distribution
     /// for combinations outside the estimation table.
     pub fn prior_or_fallback(&self, qi: &[u32]) -> &Dist {
-        self.priors.get(qi).unwrap_or(&self.table_distribution)
+        self.prior(qi).unwrap_or(&self.table_distribution)
+    }
+
+    /// Prior belief at point `id` of the model's fold (sorted index, as in
+    /// [`FoldedTable::point`] and [`FoldedTable::with_row_points`]) — the
+    /// very `Dist` [`prior`](Self::prior) returns for that point's codes,
+    /// found without hashing them. `None` when `id` is out of range.
+    pub fn point_prior(&self, id: u32) -> Option<&Dist> {
+        self.priors.get(id as usize)
     }
 
     /// The whole-table sensitive distribution `Q`.
@@ -1099,30 +1245,30 @@ impl PriorModel {
         self.priors.is_empty()
     }
 
-    /// Iterate over `(qi, prior)` pairs in unspecified order.
+    /// Iterate over `(qi, prior)` pairs in ascending QI order — for a
+    /// model with a fold, point by point.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &Dist)> {
-        self.priors.iter().map(|(k, v)| (k.as_ref(), v)) // bgk-allow: R3 callers sort before emission (persist::save_model)
+        self.priors
+            .iter()
+            .enumerate()
+            .map(|(id, prior)| (self.key(id), prior))
     }
 
-    /// Heap bytes resident in this model: the prior map (every entry holds
-    /// a boxed QI key and an `m`-ary distribution — uniform shapes, so the
-    /// sum needs no hash-ordered iteration), the table distribution, and
-    /// the retained fold. The accounting hook the serving hub's memory
-    /// budget rolls up per tenant (and the intern table reports once per
-    /// *shared* model); a deterministic owned-payload estimate, not an
-    /// allocator-exact RSS.
+    /// Heap bytes resident in this model: one `m`-ary distribution per
+    /// point (keys are the fold's points, or a flat code array on a
+    /// fold-less model), the table distribution, the retained fold and,
+    /// once a QI lookup has built it, the point index. The accounting hook
+    /// the serving hub's memory budget rolls up per tenant (and the intern
+    /// table reports once per *shared* model); a deterministic
+    /// owned-payload estimate, not an allocator-exact RSS.
     pub fn bytes_accounted(&self) -> usize {
         let m = self.table_distribution.len();
-        let d = self
-            .bandwidth
-            .as_ref()
-            .map(Bandwidth::len)
-            .or_else(|| self.folded.as_ref().map(FoldedTable::qi_count))
-            .unwrap_or(8);
-        let per_entry = d * 4 + m * 8 + 96;
-        self.priors.len() * per_entry
+        let per_prior = m * 8 + std::mem::size_of::<Dist>();
+        self.priors.len() * per_prior
+            + self.keys.len() * 4
             + m * 8
             + self.folded.as_ref().map_or(0, FoldedTable::bytes_accounted)
+            + self.index.get().map_or(0, |index| index.slots.len() * 4)
             + 64
     }
 }
@@ -1549,20 +1695,15 @@ impl PriorEstimator {
         let fallback = folded.table_distribution();
         let index = self.index(&folded);
         let ids: Vec<u32> = (0..folded.len() as u32).collect();
-        let (folded, fallback, dists) =
+        let (folded, fallback, priors) =
             self.query_points(folded, index, fallback, &ids, parallelism);
-        let priors = dists
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| (folded.point_qi(i).into(), d))
-            .collect();
-        PriorModel {
+        PriorModel::with_fold(
             priors,
-            table_distribution: fallback,
-            folded: Some(folded),
-            bandwidth: Some(self.bandwidth.clone()),
-            family: self.family,
-        }
+            fallback,
+            folded,
+            self.bandwidth.clone(),
+            self.family,
+        )
     }
 
     /// The sparse engine's priors at the points `ids` of `folded`, aligned
@@ -1657,21 +1798,20 @@ impl PriorEstimator {
         );
         let fallback = folded.table_distribution();
         let mut numer = Vec::new();
-        let mut priors = HashMap::with_capacity(folded.len());
-        for i in 0..folded.len() {
-            let denom = self.accumulate(folded.point_qi(i), &folded, CandidateSet::All, &mut numer);
-            priors.insert(
-                folded.point_qi(i).into(),
-                self.finalize(&numer, denom, &fallback),
-            );
-        }
-        PriorModel {
+        let priors = (0..folded.len())
+            .map(|i| {
+                let denom =
+                    self.accumulate(folded.point_qi(i), &folded, CandidateSet::All, &mut numer);
+                self.finalize(&numer, denom, &fallback)
+            })
+            .collect();
+        PriorModel::with_fold(
             priors,
-            table_distribution: fallback,
-            folded: Some(folded),
-            bandwidth: Some(self.bandwidth.clone()),
-            family: self.family,
-        }
+            fallback,
+            folded,
+            self.bandwidth.clone(),
+            self.family,
+        )
     }
 
     /// Refresh `model` to the table `folded` was built from, however many
@@ -1727,11 +1867,7 @@ impl PriorEstimator {
                 .as_ref()
                 .is_some_and(|old| old.qi_count == folded.qi_count && old.m == folded.m);
         match model.folded.take() {
-            Some(old) if same_provenance => {
-                let changed = old.changed_points(&folded);
-                drop(old);
-                self.refresh_changed(model, folded, &changed, parallelism)
-            }
+            Some(old) if same_provenance => self.refresh_changed(model, old, folded, parallelism),
             _ => {
                 *model = self.estimate_folded(folded, parallelism);
                 DirtyPoints::all(model.len())
@@ -1739,57 +1875,67 @@ impl PriorEstimator {
         }
     }
 
-    /// The refresh core behind [`refresh_folded`](Self::refresh_folded).
-    /// `folded` is the new fold and `changed` the QI combinations whose
-    /// histogram differs from the fold `model` was estimated on. Compact
-    /// kernel support means only priors within the (symmetric)
-    /// product-kernel support of a changed combination can move, so exactly
-    /// those points are recomputed, in ascending order; combinations deleted
-    /// outright lose their prior.
+    /// The refresh core behind [`refresh_folded`](Self::refresh_folded):
+    /// `old` is the fold `model` was estimated on and `folded` the new one.
+    /// One merge of the two point arrays finds the changed QI combinations
+    /// and moves every surviving prior to its new point id. Compact kernel
+    /// support means only priors within the (symmetric) product-kernel
+    /// support of a changed combination can move, so exactly those points
+    /// are recomputed, in ascending order, and overwrite their slots;
+    /// combinations deleted outright lose their prior.
     fn refresh_changed(
         &self,
         model: &mut PriorModel,
-        folded: FoldedTable,
-        changed: &[Box<[u32]>],
+        old: FoldedTable,
+        mut folded: FoldedTable,
         parallelism: Parallelism,
     ) -> DirtyPoints {
+        model.index = OnceLock::new();
+        let (changed, mut priors) = old.merge_priors(&folded, std::mem::take(&mut model.priors));
         let mut dirty = DirtyPoints::none(folded.len());
-        if changed.is_empty() {
-            model.folded = Some(folded);
-            return dirty;
-        }
-        let fallback = folded.table_distribution();
-        let index = self.index(&folded);
-        let mut buf = Vec::new();
-        let mut bits = Vec::new();
-        for key in changed {
-            // Order is irrelevant for marking — skip the sort.
-            let candidates = self.candidates(&folded, &index, key, &mut buf, &mut bits, false);
-            let mut mark = |id: usize| {
-                if self.pair_weight(key, folded.point_qi(id)) > 0.0 {
-                    dirty.insert(id);
+        if !changed.is_empty() {
+            let index = self.index(&folded);
+            let mut buf = Vec::new();
+            let mut bits = Vec::new();
+            for &key in &changed {
+                // Order is irrelevant for marking — skip the sort.
+                let candidates = self.candidates(&folded, &index, key, &mut buf, &mut bits, false);
+                let mut mark = |id: usize| {
+                    if self.pair_weight(key, folded.point_qi(id)) > 0.0 {
+                        dirty.insert(id);
+                    }
+                };
+                match candidates {
+                    CandidateSet::All => (0..folded.len()).for_each(&mut mark),
+                    CandidateSet::Range(lo, hi) => (lo..hi).for_each(&mut mark),
+                    CandidateSet::List(ids) => ids.iter().for_each(|&id| mark(id as usize)),
                 }
-            };
-            match candidates {
-                CandidateSet::All => (0..folded.len()).for_each(&mut mark),
-                CandidateSet::Range(lo, hi) => (lo..hi).for_each(&mut mark),
-                CandidateSet::List(ids) => ids.iter().for_each(|&id| mark(id as usize)),
             }
-            if folded.find(key).is_none() {
-                model.priors.remove(key);
+            drop(old);
+            let ids = dirty.ids();
+            let fallback = folded.table_distribution();
+            let (back, fallback, dists) =
+                self.query_points(folded, index, fallback, &ids, parallelism);
+            for (&id, dist) in ids.iter().zip(dists) {
+                priors[id as usize] = Some(dist);
+            }
+            folded = back;
+            model.table_distribution = fallback;
+        }
+        // Every point the merge found no prior for is a changed point, and
+        // a point always lies in its own kernel support, so each slot is
+        // filled; re-estimate in full should that ever not hold.
+        match priors.into_iter().collect::<Option<Vec<Dist>>>() {
+            Some(priors) => {
+                model.priors = priors;
+                model.folded = Some(folded);
+                dirty
+            }
+            None => {
+                *model = self.estimate_folded(folded, parallelism);
+                DirtyPoints::all(model.len())
             }
         }
-        let ids = dirty.ids();
-        let (folded, fallback, dists) =
-            self.query_points(folded, index, fallback, &ids, parallelism);
-        for (&id, dist) in ids.iter().zip(dists) {
-            model
-                .priors
-                .insert(folded.point_qi(id as usize).into(), dist);
-        }
-        model.table_distribution = fallback;
-        model.folded = Some(folded);
-        dirty
     }
 }
 
@@ -2014,8 +2160,11 @@ mod tests {
         let t = hospital();
         let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(0.3, 2).unwrap());
         let built = est.estimate(&t);
-        let mut bare =
-            PriorModel::from_parts(built.priors.clone(), built.table_distribution().clone());
+        let entries = built
+            .iter()
+            .map(|(qi, p)| (qi.to_vec(), p.clone()))
+            .collect();
+        let mut bare = PriorModel::from_parts(entries, built.table_distribution().clone()).unwrap();
         assert!(!bare.is_refreshable());
         let dirty = est.refresh_folded(&mut bare, FoldedTable::new(&t), Parallelism::Auto);
         assert_eq!(dirty.len(), built.len());

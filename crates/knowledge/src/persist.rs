@@ -27,7 +27,6 @@
 //! Entries are written in sorted QI order, so files are byte-stable for a
 //! given model.
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
 use bgkanon_stats::Dist;
@@ -88,9 +87,8 @@ fn fmt_codes(qi: &[u32]) -> String {
 /// Write `model` to `writer` — v2 when the model carries its folded table
 /// (refreshable after reload), v1 otherwise.
 pub fn save_model<W: Write>(model: &PriorModel, mut writer: W) -> std::io::Result<()> {
-    // Sort entries for byte-stable output.
-    let mut entries: Vec<(&[u32], &Dist)> = model.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
+    // `iter` runs in ascending QI order, so output is byte-stable.
+    let entries = model.iter();
     let m = model.table_distribution().len();
     if let (Some(folded), Some(bandwidth)) = (model.folded(), model.bandwidth()) {
         let d = folded.qi_count();
@@ -119,7 +117,7 @@ pub fn save_model<W: Write>(model: &PriorModel, mut writer: W) -> std::io::Resul
             )?;
         }
     } else {
-        let d = entries.first().map(|(qi, _)| qi.len()).unwrap_or(0);
+        let d = model.iter().next().map_or(0, |(qi, _)| qi.len());
         writeln!(writer, "{MAGIC}")?;
         writeln!(writer, "dims {d} {m}")?;
         writeln!(
@@ -218,6 +216,13 @@ pub fn load_model<R: BufRead>(reader: R) -> Result<PriorModel, PersistError> {
     };
     let d = parse_usize(it.next(), 2)?;
     let m = parse_usize(it.next(), 2)?;
+    // Every line width below is at most `1 + d + m`.
+    if d.checked_add(m).and_then(|w| w.checked_add(1)).is_none() {
+        return Err(PersistError::Format {
+            line: 2,
+            reason: "dims out of range".into(),
+        });
+    }
 
     if v2 {
         return load_v2_body(lines, d, m);
@@ -237,7 +242,7 @@ pub fn load_model<R: BufRead>(reader: R) -> Result<PriorModel, PersistError> {
     }
     let table_distribution = parse_dist(&toks[1..], 3)?;
 
-    let mut priors = HashMap::new();
+    let mut priors = Vec::new();
     for (idx, line) in lines {
         let line_no = idx + 1;
         let line = line?;
@@ -253,9 +258,14 @@ pub fn load_model<R: BufRead>(reader: R) -> Result<PriorModel, PersistError> {
         }
         let codes = parse_codes(&toks[1..=d], line_no)?;
         let dist = parse_dist(&toks[1 + d..], line_no)?;
-        priors.insert(codes.into_boxed_slice(), dist);
+        priors.push((codes, dist));
     }
-    Ok(PriorModel::from_parts(priors, table_distribution))
+    // Every key has `d` codes (checked above), so assembly cannot fail;
+    // a repeated key keeps its last prior.
+    PriorModel::from_parts(priors, table_distribution).ok_or(PersistError::Format {
+        line: 2,
+        reason: "prior keys of differing arity".into(),
+    })
 }
 
 /// Parse everything after the `dims` line of a v2 file.
@@ -303,7 +313,7 @@ where
 
     let mut points: Vec<(Box<[u32]>, Vec<u32>)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    let mut priors = HashMap::new();
+    let mut priors = Vec::new();
     for (idx, line) in lines {
         let line_no = idx + 1;
         let line = line?;
@@ -350,7 +360,7 @@ where
                 }
                 let codes = parse_codes(&toks[1..=d], line_no)?;
                 let dist = parse_dist(&toks[1 + d..], line_no)?;
-                priors.insert(codes.into_boxed_slice(), dist);
+                priors.push((codes, dist));
             }
             _ => {
                 return Err(PersistError::Format {
@@ -366,10 +376,14 @@ where
             reason: "v2 model has no folded points".into(),
         });
     }
-    let folded = FoldedTable::from_points(d, m, points);
-    Ok(PriorModel::from_parts_folded(
-        priors, folded, bandwidth, family,
-    ))
+    let folded = FoldedTable::from_points(d, m, points).ok_or(PersistError::Format {
+        line: 5,
+        reason: "folded point counts overflow".into(),
+    })?;
+    PriorModel::from_parts_folded(priors, folded, bandwidth, family).ok_or(PersistError::Format {
+        line: 5,
+        reason: "v2 model needs exactly one `prior` per `point`".into(),
+    })
 }
 
 #[cfg(test)]
@@ -508,9 +522,10 @@ mod tests {
     fn legacy_v1_files_still_load() {
         let m = model();
         let bare = PriorModel::from_parts(
-            m.iter().map(|(qi, p)| (qi.into(), p.clone())).collect(),
+            m.iter().map(|(qi, p)| (qi.to_vec(), p.clone())).collect(),
             m.table_distribution().clone(),
-        );
+        )
+        .unwrap();
         let mut buf = Vec::new();
         save_model(&bare, &mut buf).unwrap();
         assert!(buf.starts_with(MAGIC.as_bytes()));

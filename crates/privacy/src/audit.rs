@@ -28,6 +28,7 @@
 //!   path; `tests/tests/parallel.rs` asserts this.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -35,7 +36,7 @@ use bgkanon_data::{Parallelism, Table};
 use bgkanon_inference::{
     exact_posteriors, omega_column_sums, omega_posterior_into, omega_posteriors, GroupPriors,
 };
-use bgkanon_knowledge::{Adversary, DirtyPoints};
+use bgkanon_knowledge::{Adversary, DirtyPoints, PriorModel};
 use bgkanon_stats::measure::BeliefDistance;
 use bgkanon_stats::Dist;
 
@@ -43,6 +44,81 @@ use bgkanon_stats::Dist;
 /// to amortize the atomic increment, small enough to balance uneven group
 /// sizes.
 const GROUP_BATCH: usize = 64;
+
+/// Hasher of the audit caches, whose keys are stamps, prior identities and
+/// signatures built from them — counters and addresses, never caller
+/// text, so no flooding defence is needed. One multiply-rotate per word,
+/// finished with the splitmix64 finalizer: prior identities are 8-aligned
+/// addresses, and the finalizer spreads every word bit over the hash.
+#[derive(Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x517c_c1b7_2722_0a95)
+            .rotate_left(31);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.mix(word as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The splitmix64 finalizer.
+        let mut h = self.0;
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+}
+
+/// A map keyed by audit words, hashed with [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Group signature → per-member risks, the memo one audit call builds.
+type SignatureMemo = WordMap<Vec<u64>, Arc<Vec<f64>>>;
+
+/// The guard of a per-call signature memo. A worker that panicked while
+/// holding it may have left the memo half-updated, so a poisoned lock is
+/// recovered with the memo cleared: every entry is rebuild-on-miss, and a
+/// replay is bit-identical to a solve.
+fn lock_memo(memo: &Mutex<SignatureMemo>) -> MutexGuard<'_, SignatureMemo> {
+    memo.lock().unwrap_or_else(|poisoned| {
+        memo.clear_poison();
+        let mut guard = poisoned.into_inner();
+        guard.clear();
+        guard
+    })
+}
 
 /// Result of auditing one published table against one adversary.
 ///
@@ -84,7 +160,8 @@ impl AuditReport {
         if covered.is_empty() {
             return 0.0;
         }
-        covered.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
+        // No NaN is left, so every pair compares.
+        covered.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let idx = ((covered.len() - 1) as f64 * q).round() as usize;
         covered[idx]
     }
@@ -226,7 +303,7 @@ impl Auditor {
             })
             .collect();
 
-        let memo: Mutex<HashMap<Vec<u64>, Arc<Vec<f64>>>> = Mutex::new(HashMap::new());
+        let memo: Mutex<SignatureMemo> = Mutex::default();
         let mut scratch = AuditScratch::default();
         let mut out: Vec<(usize, f64)> = Vec::new();
         for rows in groups {
@@ -343,7 +420,7 @@ impl Auditor {
             // `row_groups()` callers already materialize per audit.
             groups: groups.to_vec(),
             cursor: AtomicUsize::new(0),
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::default(),
         });
         let jobs: Vec<_> = (0..workers)
             .map(|_| {
@@ -383,21 +460,36 @@ impl Auditor {
     /// Resolve a group's priors, prior identities, sensitive histogram and
     /// memo signature into `scratch`.
     ///
-    /// Each member's prior is resolved once, against the shared model. The
-    /// model is immutable for the duration of the audit, so a prior's
-    /// address identifies it: equal addresses ⇒ the very same `Dist`.
+    /// Each member's prior is resolved once, against the shared model:
+    /// through `points` — the model and the point of its fold each table
+    /// row folds into — when given, by the row's QI codes otherwise. Both
+    /// find the very same `Dist`. The model is immutable for the duration
+    /// of the audit, so a prior's address identifies it: equal addresses ⇒
+    /// the very same `Dist`.
     ///
     /// The group signature is the *sequence* of prior identities plus the
     /// sensitive histogram. The sequence (not just the multiset) matters
     /// because the reference path accumulates column sums — and the exact
     /// path its permanent DP — in row order, so only an order-preserving
     /// replay is guaranteed bit-identical.
-    fn prepare_group<'a>(&'a self, table: &Table, rows: &[usize], scratch: &mut AuditScratch<'a>) {
+    fn prepare_group<'a>(
+        &'a self,
+        table: &Table,
+        rows: &[usize],
+        points: Option<(&'a PriorModel, &[u32])>,
+        scratch: &mut AuditScratch<'a>,
+    ) {
         scratch.priors.clear();
         scratch.prior_ids.clear();
         for &r in rows {
-            table.qi_into(r, &mut scratch.qi_buf);
-            let p = self.adversary.prior(&scratch.qi_buf);
+            let by_point = points.and_then(|(model, points)| model.point_prior(*points.get(r)?));
+            let p = match by_point {
+                Some(p) => p,
+                None => {
+                    table.qi_into(r, &mut scratch.qi_buf);
+                    self.adversary.prior(&scratch.qi_buf)
+                }
+            };
             scratch.priors.push(p);
             scratch.prior_ids.push(std::ptr::from_ref(p) as u64);
         }
@@ -417,11 +509,11 @@ impl Auditor {
         table: &Table,
         rows: &[usize],
         m: usize,
-        memo: &Mutex<HashMap<Vec<u64>, Arc<Vec<f64>>>>,
+        memo: &Mutex<SignatureMemo>,
         scratch: &mut AuditScratch<'a>,
         out: &mut Vec<(usize, f64)>,
     ) {
-        self.prepare_group(table, rows, scratch);
+        self.prepare_group(table, rows, None, scratch);
         self.audit_prepared(rows, m, memo, scratch, out);
     }
 
@@ -432,22 +524,16 @@ impl Auditor {
         &self,
         rows: &[usize],
         m: usize,
-        memo: &Mutex<HashMap<Vec<u64>, Arc<Vec<f64>>>>,
+        memo: &Mutex<SignatureMemo>,
         scratch: &mut AuditScratch<'_>,
         out: &mut Vec<(usize, f64)>,
     ) {
-        let cached = memo
-            .lock()
-            .expect("audit memo lock")
-            .get(&scratch.signature)
-            .cloned();
+        let cached = lock_memo(memo).get(&scratch.signature).cloned();
         let solved = match cached {
             Some(solved) => solved,
             None => {
                 let solved = Arc::new(self.solve_group(rows, m, scratch));
-                memo.lock()
-                    .expect("audit memo lock")
-                    .insert(scratch.signature.clone(), Arc::clone(&solved));
+                lock_memo(memo).insert(scratch.signature.clone(), Arc::clone(&solved));
                 solved
             }
         };
@@ -489,7 +575,7 @@ impl Auditor {
         let by_scan = rows.len() <= LINEAR_DEDUP_MAX;
         let mut bucket: Option<Dist> = None;
         let mut distinct: Vec<(u64, f64)> = Vec::new();
-        let mut distinct_map: HashMap<u64, f64> = HashMap::new();
+        let mut distinct_map: WordMap<u64, f64> = WordMap::default();
         let mut solved = Vec::with_capacity(rows.len());
         for (j, &id) in scratch.prior_ids.iter().enumerate() {
             let cached = if by_scan {
@@ -506,16 +592,23 @@ impl Auditor {
             }
             let prior = scratch.priors[j];
             let mut w = vec![0.0f64; m];
-            let posterior =
-                if omega_posterior_into(prior, &scratch.counts, &scratch.col_sums, &mut w) {
-                    Dist::new(w).expect("normalized")
-                } else {
-                    bucket
-                        .get_or_insert_with(|| {
-                            Dist::from_counts(&scratch.counts).expect("group is non-empty")
-                        })
-                        .clone()
-                };
+            // `omega_posterior_into` leaves `w` normalized when it returns
+            // true, and a non-empty group's counts have positive mass, so
+            // neither fallback below is taken on well-formed priors; they
+            // keep a malformed one from panicking the audit.
+            let normalized =
+                omega_posterior_into(prior, &scratch.counts, &scratch.col_sums, &mut w)
+                    .then(|| Dist::new(w).ok())
+                    .flatten();
+            let posterior = match normalized {
+                Some(posterior) => posterior,
+                None => bucket
+                    .get_or_insert_with(|| {
+                        Dist::from_counts(&scratch.counts)
+                            .unwrap_or_else(|_| Dist::uniform(prior.len()))
+                    })
+                    .clone(),
+            };
             let risk = self.prior_distance(id, prior, &posterior, &mut scratch.prepared);
             if by_scan {
                 distinct.push((id, risk));
@@ -537,7 +630,7 @@ impl Auditor {
         id: u64,
         prior: &Dist,
         posterior: &Dist,
-        prepared_cache: &mut HashMap<u64, Option<Dist>>,
+        prepared_cache: &mut WordMap<u64, Option<Dist>>,
     ) -> f64 {
         let prepared = prepared_cache
             .entry(id)
@@ -560,7 +653,7 @@ struct BatchState {
     /// exactly when they have the same multiset of priors and the same
     /// sensitive histogram, which determines every member's posterior and
     /// therefore its risk.
-    memo: Mutex<HashMap<Vec<u64>, Arc<Vec<f64>>>>,
+    memo: Mutex<SignatureMemo>,
 }
 
 /// Estimated owned heap bytes of one signature-memo entry: the boxed key,
@@ -590,7 +683,7 @@ struct AuditScratch<'a> {
     col_sums: Vec<f64>,
     /// Prepared-prior cache of the measure's fast path, keyed by prior
     /// identity and kept for the worker's lifetime.
-    prepared: HashMap<u64, Option<Dist>>,
+    prepared: WordMap<u64, Option<Dist>>,
     /// Reused QI gather buffer for per-row prior lookups.
     qi_buf: Vec<u32>,
 }
@@ -614,8 +707,8 @@ pub struct StampCarry {
 
 /// The caches a [`SharedAuditSession`] protects with its one mutex.
 struct SharedCaches {
-    memo: HashMap<Vec<u64>, CacheEntry>,
-    stamps: HashMap<u64, CacheEntry>,
+    memo: WordMap<Vec<u64>, CacheEntry>,
+    stamps: WordMap<u64, CacheEntry>,
     generation: u64,
 }
 
@@ -644,6 +737,13 @@ struct SharedCaches {
 ///
 /// Entries no recent report used are dropped after a grace window, so
 /// dissolved groups do not accumulate.
+///
+/// A session that audits one fixed table version can be bound to the row →
+/// point array of its model's fold
+/// ([`with_row_points`](Self::with_row_points), [`carried`](Self::carried)):
+/// a re-solved group then reads each member's prior at its row's point,
+/// with no QI gather and no hashing. It finds the same `Dist` the QI lookup
+/// would, so reports do not change.
 ///
 /// Group solving runs outside the lock; the mutex only guards cache
 /// lookups and inserts, so concurrent readers contend for microseconds,
@@ -674,6 +774,9 @@ struct SharedCaches {
 /// ```
 pub struct SharedAuditSession {
     auditor: Auditor,
+    /// For a bound session, the point of the model's fold each row of the
+    /// audited table folds into; empty otherwise.
+    row_points: Vec<u32>,
     caches: Mutex<SharedCaches>,
 }
 
@@ -692,11 +795,23 @@ impl SharedAuditSession {
     /// Open a shared session around `auditor`. The auditor's adversary
     /// model is pinned for the session's lifetime.
     pub fn new(auditor: Auditor) -> Self {
+        Self::with_row_points(auditor, Vec::new())
+    }
+
+    /// Open a session bound to one table version: `row_points[r]` is the
+    /// point of the adversary model's fold that row `r` of that table folds
+    /// into ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)
+    /// of the table the model was estimated or refreshed to). Reports
+    /// resolve priors through it whenever the table has one row per entry
+    /// and the model a fold of as many rows; audit only that table version
+    /// through a bound session.
+    pub fn with_row_points(auditor: Auditor, row_points: Vec<u32>) -> Self {
         SharedAuditSession {
             auditor,
+            row_points,
             caches: Mutex::new(SharedCaches {
-                memo: HashMap::new(),
-                stamps: HashMap::new(),
+                memo: WordMap::default(),
+                stamps: WordMap::default(),
                 generation: 0,
             }),
         }
@@ -718,16 +833,17 @@ impl SharedAuditSession {
     /// ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)),
     /// and `dirty` is what
     /// [`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)
-    /// returned.
+    /// returned. The session keeps `row_points` and is bound to the new
+    /// version ([`with_row_points`](Self::with_row_points)).
     pub fn carried(
         auditor: Auditor,
         carry: StampCarry,
         groups: &[&[usize]],
         stamps: &[u64],
-        row_points: &[u32],
+        row_points: Vec<u32>,
         dirty: &DirtyPoints,
     ) -> Self {
-        let mut inherited = HashMap::new();
+        let mut inherited = WordMap::with_capacity_and_hasher(groups.len(), Default::default());
         for ((rows, &stamp), risks) in groups.iter().zip(stamps).zip(carry.risks) {
             let Some(risks) = risks else {
                 continue;
@@ -748,12 +864,28 @@ impl SharedAuditSession {
         }
         SharedAuditSession {
             auditor,
+            row_points,
             caches: Mutex::new(SharedCaches {
-                memo: HashMap::new(),
+                memo: WordMap::default(),
                 stamps: inherited,
                 generation: 0,
             }),
         }
+    }
+
+    /// The row → point array this session is bound to (empty when
+    /// unbound).
+    pub fn row_points(&self) -> &[u32] {
+        &self.row_points
+    }
+
+    /// The model and row → point array to resolve `table`'s priors
+    /// through, when this session is bound to a table of its length.
+    fn point_priors(&self, table: &Table) -> Option<(&PriorModel, &[u32])> {
+        let model = self.auditor.adversary.prior_model()?;
+        let rows = self.row_points.len();
+        let bound = rows == table.len() && model.folded().is_some_and(|f| f.rows() == rows);
+        bound.then_some((model.as_ref(), self.row_points.as_slice()))
     }
 
     /// The risks this session has cached under each of `group_stamps`
@@ -783,9 +915,9 @@ impl SharedAuditSession {
         self.lock_caches().stamps.len()
     }
 
-    /// Heap bytes resident in the shared caches — signature memo and stamp
-    /// cache, a deterministic owned-payload estimate taken under one brief
-    /// lock. The adversary model behind the auditor is **not**
+    /// Heap bytes resident in the session — signature memo, stamp cache
+    /// and row → point array, a deterministic owned-payload estimate taken
+    /// under one brief lock. The adversary model behind the auditor is **not**
     /// counted here: it is charged to its owner (the hub's intern table
     /// for `Adv(b')` models, the caller for external auditors), so a
     /// model shared by many tenants is accounted once.
@@ -801,7 +933,7 @@ impl SharedAuditSession {
             .values() // bgk-allow: R3 order-independent byte sum
             .map(|e| cache_entry_bytes(1, e.risks.len()))
             .sum();
-        memo + stamps
+        memo + stamps + self.row_points.len() * 4
     }
 
     /// Drop every cached entry, keeping the auditor — the demotion hook of
@@ -848,6 +980,7 @@ impl SharedAuditSession {
         }
         let m = table.schema().sensitive_domain_size();
         let mut risks = vec![f64::NAN; table.len()];
+        let points = self.point_priors(table);
 
         // Pass 1 (one short lock): bump the generation and collect every
         // stamp hit as an `Arc` clone. Only pointer bumps happen under the
@@ -888,7 +1021,8 @@ impl SharedAuditSession {
         let mut scratch = AuditScratch::default();
         for gi in missed {
             let rows = groups[gi];
-            self.auditor.prepare_group(table, rows, &mut scratch);
+            self.auditor
+                .prepare_group(table, rows, points, &mut scratch);
             let cached = {
                 let mut caches = self.lock_caches();
                 caches.memo.get_mut(&scratch.signature).map(|entry| {
@@ -1327,6 +1461,58 @@ mod tests {
         assert_eq!(report.mean.to_bits(), fresh.mean.to_bits());
         assert_eq!(report.vulnerable, fresh.vulnerable);
         assert_eq!(shared.cached_stamps(), 3);
+    }
+
+    #[test]
+    fn bound_and_unbound_sessions_match_a_fresh_report() {
+        use bgkanon_data::Parallelism;
+        use bgkanon_knowledge::{FoldedTable, PriorEstimator};
+        for (seed, exact_below) in [(5u64, 0usize), (13, 6)] {
+            let t = bgkanon_data::adult::generate(300, seed);
+            let bandwidth = Bandwidth::uniform(0.3, t.qi_count()).unwrap();
+            let (fold, row_points) = FoldedTable::with_row_points(&t);
+            let model = PriorEstimator::new(Arc::clone(t.schema()), bandwidth.clone())
+                .estimate_folded(fold, Parallelism::Auto);
+            let adversary = Arc::new(Adversary::from_model("Adv", bandwidth, Arc::new(model)));
+            let measure = Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
+            let auditor = Auditor::new(adversary, measure).use_exact_below(exact_below);
+            let groups: Vec<Vec<usize>> = (0..t.len())
+                .step_by(5)
+                .map(|start| (start..(start + 5).min(t.len())).collect())
+                .collect();
+            let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+            let fresh = auditor.report(&t, &groups, 0.2);
+
+            let bound = SharedAuditSession::with_row_points(auditor.clone(), row_points.clone());
+            assert!(bound.point_priors(&t).is_some());
+            let unbound = SharedAuditSession::new(auditor.clone());
+            assert!(unbound.point_priors(&t).is_none());
+            // Row points of another length leave the session on the QI path.
+            let short = SharedAuditSession::with_row_points(
+                auditor.clone(),
+                row_points[..t.len() - 1].to_vec(),
+            );
+            assert!(short.point_priors(&t).is_none());
+            for session in [&bound, &unbound, &short] {
+                for stamps in [
+                    None,
+                    Some(&(0..groups.len() as u64).collect::<Vec<_>>()[..]),
+                ] {
+                    let report = session.report_groups(&t, &slices, stamps, 0.2);
+                    for (x, y) in fresh.risks.iter().zip(&report.risks) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
+                    }
+                    assert_eq!(report.worst_case.to_bits(), fresh.worst_case.to_bits());
+                    assert_eq!(report.vulnerable, fresh.vulnerable);
+                }
+            }
+            // Both paths memoize under the same prior identities.
+            assert_eq!(bound.cached_signatures(), unbound.cached_signatures());
+            assert_eq!(
+                bound.bytes_accounted(),
+                unbound.bytes_accounted() + row_points.len() * 4
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! table any number of deltas later — must be bit-identical to a
 //! from-scratch estimate of the final table after **any** delta sequence.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -12,8 +13,8 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
 use bgkanon::knowledge::{
-    load_model_str, save_model_string, Bandwidth, DeletedRows, FoldedTable, KernelFamily,
-    PriorEstimator, PriorModel,
+    load_model_str, save_model_string, Adversary, Bandwidth, DeletedRows, FoldedTable,
+    KernelFamily, PriorEstimator, PriorModel,
 };
 use bgkanon::stats::Dist;
 
@@ -334,6 +335,141 @@ proptest! {
         prop_assert!(reloaded.content_eq(&fold), "reloaded fold");
         prop_assert_eq!(reloaded.content_hash(), fold.content_hash(), "reloaded hash");
     }
+}
+
+/// A delta over `table` that churns whole points: every row of one or two
+/// random distinct QI combinations is deleted, a few more rows go at
+/// random, and rows land at one or two combinations the table does not
+/// hold plus a few donor rows. Returns the delta and the deleted points'
+/// codes.
+fn point_churn_delta(table: &Table, rng: &mut SmallRng) -> (Delta, Vec<Vec<u32>>) {
+    let folded = FoldedTable::new(table);
+    let gone: Vec<Vec<u32>> = (0..rng.gen_range(1usize..3))
+        .map(|_| folded.point(rng.gen_range(0..folded.len())).qi().to_vec())
+        .collect();
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    for row in 0..table.len() {
+        if gone.iter().any(|g| table.qi(row) == *g) || rng.gen_bool(0.02) {
+            builder.delete(row);
+        }
+    }
+    for _ in 0..rng.gen_range(1usize..3) {
+        let mut unseen = table.qi(rng.gen_range(0..table.len()));
+        loop {
+            let a = rng.gen_range(0..unseen.len());
+            let size = table.schema().qi_attribute(a).domain_size();
+            unseen[a] = rng.gen_range(0..size);
+            if folded.find(&unseen).is_none() {
+                break;
+            }
+        }
+        let m = table.schema().sensitive_domain_size() as u32;
+        for _ in 0..rng.gen_range(1usize..3) {
+            builder
+                .insert_codes(&unseen, rng.gen_range(0..m))
+                .expect("codes come from the schema");
+        }
+    }
+    let donors = adult::generate(3, rng.gen::<u64>());
+    for r in 0..donors.len() {
+        builder
+            .insert_codes(&donors.qi(r), donors.sensitive_value(r))
+            .expect("donor rows share the schema");
+    }
+    (builder.build(), gone)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Priors stored by point survive point churn: across 1–8 deltas that
+    /// delete whole points and create new ones, refreshed in gaps of 1–3
+    /// deltas, the refreshed model equals `estimate_folded` of the table
+    /// bit for bit. `Adversary::prior` agrees with a reference map built
+    /// from that estimate — the very prior at each present QI (and the one
+    /// the row's fold point names), the table distribution at an absent
+    /// one, deleted points included.
+    #[test]
+    fn point_indexed_priors_match_a_reference_map_across_point_churn(
+        rows in 40usize..200,
+        seed in 0u64..500,
+        b in 0.05f64..0.9,
+        family_index in 0usize..3,
+        deltas in 1usize..9,
+        gap in 1usize..4,
+        threads in 1usize..3,
+    ) {
+        let mut table = adult::generate(rows, seed);
+        let bandwidth = Bandwidth::uniform(b, table.qi_count()).expect("positive bandwidth");
+        let estimator = PriorEstimator::with_family(
+            Arc::clone(table.schema()),
+            bandwidth.clone(),
+            family(family_index),
+        );
+        let mut model = estimator.estimate(&table);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9017_c0de);
+        let mut gone: Vec<Vec<u32>> = Vec::new();
+        for step in 0..deltas {
+            let (delta, deleted) = point_churn_delta(&table, &mut rng);
+            let Ok(next) = table.apply_delta(&delta) else {
+                break;
+            };
+            table = next;
+            gone.extend(deleted);
+            if (step + 1) % gap != 0 && step + 1 != deltas {
+                continue;
+            }
+            let context = format!(
+                "rows={rows} seed={seed} b={b} family={family_index} step={step} gap={gap}"
+            );
+            let (fold, row_points) = FoldedTable::with_row_points(&table);
+            estimator.refresh_folded(&mut model, fold, Parallelism::threads(threads));
+            let fresh = estimator.estimate_folded(FoldedTable::new(&table), Parallelism::Serial);
+            assert_bit_identical(&fresh, &model, &context)?;
+
+            let reference: BTreeMap<Vec<u32>, &Dist> =
+                fresh.iter().map(|(qi, p)| (qi.to_vec(), p)).collect();
+            let shared = Arc::new(model.clone());
+            let adversary = Adversary::from_model("Adv", bandwidth.clone(), Arc::clone(&shared));
+            for (r, &point) in row_points.iter().enumerate() {
+                let qi = table.qi(r);
+                let prior = adversary.prior(&qi);
+                let expected = reference.get(&qi).copied();
+                prop_assert!(expected.is_some(), "row {} not in the reference: {}", r, &context);
+                prop_assert_eq!(
+                    bits(prior),
+                    bits(expected.expect("checked")),
+                    "prior at row {}: {}",
+                    r,
+                    &context
+                );
+                prop_assert!(
+                    shared.point_prior(point).is_some_and(|p| std::ptr::eq(p, prior)),
+                    "row {} resolves to another prior by point: {}",
+                    r,
+                    &context
+                );
+            }
+            let fallback = bits(shared.table_distribution());
+            let mut absent: Vec<Vec<u32>> = gone.clone();
+            for _ in 0..8 {
+                let mut qi = table.qi(rng.gen_range(0..table.len()));
+                let a = rng.gen_range(0..qi.len());
+                qi[a] = rng.gen_range(0..table.schema().qi_attribute(a).domain_size());
+                absent.push(qi);
+            }
+            for qi in absent.iter().filter(|qi| !reference.contains_key(*qi)) {
+                prop_assert!(shared.prior(qi).is_none(), "absent {:?} found: {}", qi, &context);
+                prop_assert_eq!(bits(adversary.prior(qi)), fallback.clone(), "fallback: {}", &context);
+            }
+            // Lookups of the wrong arity miss instead of matching a prefix.
+            prop_assert!(shared.prior(&table.qi(0)[1..]).is_none(), "short key: {}", &context);
+        }
+    }
+}
+
+fn bits(p: &Dist) -> Vec<u64> {
+    p.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
