@@ -312,10 +312,10 @@ impl ReaderCaches {
         }
     }
 
-    /// Cache `session` under `key` at `version`,
-    /// unless an entry another reader built meanwhile is at least as new —
-    /// then that entry wins for its own version, and a `session` for an
-    /// older version is returned unretained.
+    /// Cache `session` under `key` at `version`, unless an entry another
+    /// reader built meanwhile is at least as new — then that entry wins for
+    /// its own version, and a `session` for an older version is returned
+    /// unretained.
     fn install(
         &self,
         key: ReaderKey,

@@ -24,6 +24,7 @@ pub mod delta;
 pub mod distance;
 pub mod error;
 pub mod exec;
+pub mod hash;
 pub mod hierarchy;
 pub mod joint;
 pub mod schema;

@@ -36,6 +36,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use bgkanon_data::hash::{absorb, avalanche};
 use bgkanon_data::{Delta, Parallelism, Schema, Table};
 use bgkanon_stats::{Dist, Kernel};
 
@@ -254,39 +255,6 @@ pub struct FoldedTable {
     /// [`content_hash`](Self::content_hash), kept current by every
     /// constructor and by [`evolve`](Self::evolve).
     hash: u64,
-}
-
-/// Multiplier of the point hash's word mix (odd, so each step is a
-/// bijection of the running state).
-const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
-
-/// Absorb `words` into the running hash `h`, two words per multiply.
-/// Within one fold every point has `d` codes and `m` counts, so packing a
-/// trailing odd word alone is unambiguous.
-#[inline]
-fn absorb(mut h: u64, words: &[u32]) -> u64 {
-    let mut pairs = words.chunks_exact(2);
-    for pair in &mut pairs {
-        let w = u64::from(pair[0]) | u64::from(pair[1]) << 32;
-        h = (h ^ w).wrapping_mul(HASH_MUL).rotate_left(31);
-    }
-    if let [last] = pairs.remainder() {
-        h = (h ^ u64::from(*last))
-            .wrapping_mul(HASH_MUL)
-            .rotate_left(31);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: spreads every input bit over the output, so
-/// a wrapping sum of finalized hashes stays well distributed.
-#[inline]
-fn avalanche(mut h: u64) -> u64 {
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
 }
 
 /// Hash of one point: its QI codes, then its sensitive histogram (the

@@ -22,8 +22,12 @@
 //! …
 //! ```
 //!
+//! A v2 file carries exactly one `prior` line per `point` line, in any
+//! order; any other set of `prior` keys is a [`PersistError`].
+//!
 //! Bare [`PriorModel::from_parts`] models fall back to the legacy **v1**
-//! format (`table` line + `prior` lines), which [`load_model`] still reads.
+//! format (`table` line + `prior` lines), which [`load_model`] still reads;
+//! of two v1 `prior` lines with the same codes, the later one wins.
 //! Entries are written in sorted QI order, so files are byte-stable for a
 //! given model.
 

@@ -27,11 +27,10 @@
 //!   per-worker scratch buffers. Risks are bit-identical to the reference
 //!   path; `tests/tests/parallel.rs` asserts this.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use bgkanon_data::hash::WordMap;
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_inference::{
     exact_posteriors, omega_column_sums, omega_posterior_into, omega_posteriors, GroupPriors,
@@ -44,65 +43,6 @@ use bgkanon_stats::Dist;
 /// to amortize the atomic increment, small enough to balance uneven group
 /// sizes.
 const GROUP_BATCH: usize = 64;
-
-/// Hasher of the audit caches, whose keys are stamps, prior identities and
-/// signatures built from them — counters and addresses, never caller
-/// text, so no flooding defence is needed. One multiply-rotate per word,
-/// finished with the splitmix64 finalizer: prior identities are 8-aligned
-/// addresses, and the finalizer spreads every word bit over the hash.
-#[derive(Default, Clone, Copy)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0 ^ word)
-            .wrapping_mul(0x517c_c1b7_2722_0a95)
-            .rotate_left(31);
-    }
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for chunk in &mut words {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.mix(word);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, word: usize) {
-        self.mix(word as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The splitmix64 finalizer.
-        let mut h = self.0;
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
-    }
-}
-
-/// A map keyed by audit words, hashed with [`WordHasher`].
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Group signature → per-member risks, the memo one audit call builds.
 type SignatureMemo = WordMap<Vec<u64>, Arc<Vec<f64>>>;
