@@ -20,7 +20,7 @@
 
 use bgkanon_data::{Parallelism, Table};
 
-use crate::anonymized::{AnonymizedTable, Group};
+use crate::anonymized::{AnonymizedTable, PartitionBuilder};
 use crate::strategy::{reuse_stamps, AnonymizationStrategy, Infeasible, StrategyState};
 
 /// Compute the ℓ-diverse bucket membership of `table`, or report why none
@@ -98,7 +98,7 @@ pub(crate) fn bucketize_rows(table: &Table, l: usize) -> Result<Vec<Vec<usize>>,
 /// ```
 /// let table = bgkanon_data::adult::generate(300, 42);
 /// let published = bgkanon_anon::try_bucketize(&table, 3).expect("3-eligible");
-/// for group in published.groups() {
+/// for group in published.iter() {
 ///     let distinct = group.sensitive_counts.iter().filter(|&&c| c > 0).count();
 ///     assert!(distinct >= 3);
 /// }
@@ -108,11 +108,8 @@ pub(crate) fn bucketize_rows(table: &Table, l: usize) -> Result<Vec<Vec<usize>>,
 /// frequent sensitive value accounts for more than `1/ℓ` of all tuples
 /// (Anatomy's eligibility condition).
 pub fn try_bucketize(table: &Table, l: usize) -> Result<AnonymizedTable, Infeasible> {
-    let groups = bucketize_rows(table, l)?
-        .into_iter()
-        .map(|rows| Group::from_rows(table, rows))
-        .collect();
-    Ok(AnonymizedTable::new(table, groups))
+    let buckets = bucketize_rows(table, l)?;
+    Ok(PartitionBuilder::from_row_lists(table, &buckets))
 }
 
 /// Anatomy bucketization as a session strategy, parameterized by ℓ.
@@ -149,7 +146,10 @@ impl BucketizeState {
     /// same restart-from-zero policy as
     /// [`PartitionTree::from_exported`](crate::PartitionTree::from_exported):
     /// stamps are cache tokens, not durable state, so a rehydrated state
-    /// restamps and downstream caches start cold.
+    /// restamps and downstream caches start cold. The buckets must
+    /// partition the rows of the table the state is snapshotted against
+    /// (checkpoint import checks this; debug builds re-check at every
+    /// snapshot).
     pub fn from_buckets(buckets: Vec<Vec<usize>>) -> Self {
         let stamps = (0..buckets.len() as u64).collect();
         let next_stamp = buckets.len() as u64;
@@ -169,12 +169,10 @@ impl BucketizeState {
 
 impl StrategyState for BucketizeState {
     fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
-        let groups = self
-            .buckets
-            .iter()
-            .map(|rows| Group::from_rows(table, rows.clone()))
-            .collect();
-        (AnonymizedTable::new(table, groups), self.stamps.clone())
+        (
+            PartitionBuilder::from_row_lists(table, &self.buckets),
+            self.stamps.clone(),
+        )
     }
 
     fn bytes_accounted(&self) -> usize {
@@ -251,7 +249,7 @@ mod tests {
     fn partition_is_complete() {
         let t = adult::generate(237, 12);
         let at = try_bucketize(&t, 3).unwrap();
-        let covered: usize = at.groups().iter().map(Group::len).sum();
+        let covered: usize = at.iter().map(|g| g.len()).sum();
         assert_eq!(covered, t.len());
     }
 
@@ -270,7 +268,7 @@ mod tests {
         let at = try_bucketize(&t, 1).unwrap();
         // ℓ = 1: every bucket has ≥ 1 distinct value (trivially true);
         // the partition must still be complete.
-        let covered: usize = at.groups().iter().map(Group::len).sum();
+        let covered: usize = at.iter().map(|g| g.len()).sum();
         assert_eq!(covered, 9);
     }
 

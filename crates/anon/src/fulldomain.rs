@@ -38,7 +38,7 @@ use std::sync::Arc;
 use bgkanon_data::{AttributeKind, Parallelism, Table};
 use bgkanon_privacy::{GroupView, PrivacyRequirement};
 
-use crate::anonymized::{AnonymizedTable, Group};
+use crate::anonymized::{AnonymizedTable, PartitionBuilder};
 use crate::strategy::{reuse_stamps, AnonymizationStrategy, Infeasible, StrategyState};
 
 /// One point of the generalization lattice: a level per QI attribute.
@@ -245,14 +245,9 @@ impl FullDomain {
     /// the table is empty.
     pub fn try_anonymize(&self, table: &Table) -> Result<FullDomainOutcome, Infeasible> {
         let solution = self.solve(table, None)?;
-        let groups = solution
-            .groups
-            .into_iter()
-            .map(|rows| Group::from_rows(table, rows))
-            .collect();
         Ok(FullDomainOutcome {
             levels: solution.levels,
-            anonymized: AnonymizedTable::new(table, groups),
+            anonymized: PartitionBuilder::from_row_lists(table, &solution.groups),
             nodes_checked: solution.calls,
         })
     }
@@ -971,12 +966,10 @@ impl FullDomainState {
 
 impl StrategyState for FullDomainState {
     fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
-        let groups = self
-            .groups
-            .iter()
-            .map(|rows| Group::from_rows(table, rows.clone()))
-            .collect();
-        (AnonymizedTable::new(table, groups), self.stamps.clone())
+        (
+            PartitionBuilder::from_row_lists(table, &self.groups),
+            self.stamps.clone(),
+        )
     }
 
     fn bytes_accounted(&self) -> usize {

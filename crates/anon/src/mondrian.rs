@@ -50,7 +50,7 @@ const STEAL_THRESHOLD: usize = 2048;
 /// let table = bgkanon_data::adult::generate(200, 42);
 /// let mondrian = Mondrian::new(Arc::new(KAnonymity::new(5)));
 /// let published = mondrian.anonymize(&table);
-/// assert!(published.groups().iter().all(|g| g.len() >= 5));
+/// assert!(published.iter().all(|g| g.len() >= 5));
 ///
 /// // The parallel engine yields the identical partition.
 /// let parallel = mondrian.anonymize_with(&table, Parallelism::threads(2));
@@ -399,7 +399,11 @@ impl Mondrian {
             })
             .collect();
         // Widest first; ties broken by attribute index for determinism.
-        widths.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        widths.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
 
         let mut sorted = rows.to_vec();
         let mut attempts = Vec::new();
@@ -498,9 +502,11 @@ impl Mondrian {
                 }
             }
         }
-        scratch
-            .widths
-            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        scratch.widths.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
         table.sensitive_counts_into(rows, &mut scratch.counts_total);
         let mut attempts = Vec::new();
         for wi in 0..scratch.widths.len() {
@@ -634,9 +640,11 @@ impl Mondrian {
         // Widest first; ties broken by attribute index — the reference's
         // comparator restricted to the positive-width dimensions it would
         // have visited before breaking on the first zero width.
-        scratch
-            .widths
-            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        scratch.widths.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
 
         scratch.sorted.clear();
         scratch.sorted.extend_from_slice(rows);

@@ -74,7 +74,7 @@ impl std::error::Error for Infeasible {}
 pub trait StrategyState: Send + Sync + 'static {
     /// Derive the current publication and its per-group stamps from the
     /// state and the table it reflects. Stamps are aligned with
-    /// `AnonymizedTable::groups()` (see the module docs for their
+    /// `AnonymizedTable::iter()` (see the module docs for their
     /// contract).
     fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>);
 

@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bgkanon_data::Table;
 
-use crate::anonymized::{AnonymizedTable, Group, QiRange};
+use crate::anonymized::{AnonymizedTable, PartitionBuilder, QiRange};
 use crate::mondrian::{DecideScratch, Mondrian, Region, SplitDecision, SplitScratch};
 
 /// Sentinel for "no node" / "no parent".
@@ -364,48 +364,37 @@ impl PartitionTree {
     /// key caches of per-group derived values (the audit engine's
     /// [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession) uses it).
     pub fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
-        let mut groups: Vec<(Group, u64)> = Vec::new();
-        self.visit_leaves(self.root, &mut |leaf| {
-            let rows: Vec<usize> = leaf
-                .rows
-                .iter()
-                .map(|&id| self.row_of[id as usize])
-                .collect();
-            let ranges: Vec<QiRange> = (0..self.d)
-                .map(|i| QiRange {
-                    min: leaf.lo[i],
-                    max: leaf.hi[i],
-                })
-                .collect();
-            groups.push((
-                Group {
-                    rows,
-                    ranges,
-                    sensitive_counts: leaf.counts.clone(),
-                },
-                leaf.stamp,
-            ));
-        });
-        // Deterministic group order: by first row index (groups partition
-        // the rows, so first-row indices are unique).
-        groups.sort_by_key(|(g, _)| g.rows[0]);
-        let stamps = groups.iter().map(|&(_, s)| s).collect();
-        let groups: Vec<Group> = groups.into_iter().map(|(g, _)| g).collect();
-        // The tree's own invariants guarantee the leaves partition the
-        // table (checked in debug builds), so the release hot path skips
-        // the O(n) partition validation.
-        #[cfg(debug_assertions)]
-        {
-            (AnonymizedTable::new(table, groups), stamps)
+        let mut leaves: Vec<&LeafNode> = Vec::new();
+        self.visit_leaves(self.root, &mut |leaf| leaves.push(leaf));
+        // Deterministic group order: by first row index. The leaves
+        // partition the rows, so first rows are unique and sorting one
+        // packed `(first row, leaf slot)` key per leaf orders them.
+        let mut order: Vec<u64> = leaves
+            .iter()
+            .enumerate()
+            .map(|(slot, leaf)| ((self.row_of[leaf.rows[0] as usize] as u64) << 32) | slot as u64)
+            .collect();
+        order.sort_unstable();
+        let mut builder = PartitionBuilder::new(table, leaves.len());
+        let mut stamps = Vec::with_capacity(leaves.len());
+        for key in order {
+            let leaf = leaves[(key & u64::from(u32::MAX)) as usize];
+            builder.push(
+                leaf.rows.iter().map(|&id| self.row_of[id as usize]),
+                leaf.lo
+                    .iter()
+                    .zip(&leaf.hi)
+                    .map(|(&min, &max)| QiRange { min, max }),
+                &leaf.counts,
+            );
+            stamps.push(leaf.stamp);
         }
-        #[cfg(not(debug_assertions))]
-        (
-            AnonymizedTable::trusted(std::sync::Arc::clone(table.schema()), groups, table.len()),
-            stamps,
-        )
+        // The tree's own invariants guarantee the leaves partition the
+        // table; `finish` re-checks that in debug builds only.
+        (builder.finish(), stamps)
     }
 
-    fn visit_leaves(&self, from: u32, f: &mut impl FnMut(&LeafNode)) {
+    fn visit_leaves<'a>(&'a self, from: u32, f: &mut impl FnMut(&'a LeafNode)) {
         let mut stack = vec![from];
         while let Some(node) = stack.pop() {
             match &self.nodes[node as usize].kind {
@@ -1393,7 +1382,11 @@ fn replay_from_stats(ctx: &RefreshCtx<'_>, tree: &PartitionTree, node: u32, n: u
             }
         }
     }
-    widths.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    widths.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
 
     let requirement = ctx.mondrian.requirement();
     let mut attempts = Vec::new();

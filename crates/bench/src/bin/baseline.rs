@@ -229,12 +229,10 @@ fn run_size(rows: usize, reps: usize) -> SizeResult {
     });
 
     // The recorded speedup must never be bought with drift.
-    let sg = serial_outcome.anonymized.groups();
-    let pg = parallel_outcome.anonymized.groups();
-    assert_eq!(sg.len(), pg.len(), "engines disagree on group count");
-    for (a, b) in sg.iter().zip(pg) {
-        assert_eq!(a.rows, b.rows, "engines disagree on a group's rows");
-    }
+    assert!(
+        serial_outcome.anonymized == parallel_outcome.anonymized,
+        "engines disagree on the publication"
+    );
     let groups = serial_outcome.anonymized.row_groups();
 
     let measure: Arc<dyn bgkanon::stats::BeliefDistance> = Arc::new(SmoothedJs::paper_default(
@@ -264,7 +262,7 @@ fn run_size(rows: usize, reps: usize) -> SizeResult {
 
     SizeResult {
         rows,
-        groups: sg.len(),
+        groups: groups.len(),
         serial_publish_ms,
         parallel_publish_ms,
         estimate_ms,
@@ -514,13 +512,10 @@ fn run_incremental(rows: usize, reps: usize, workload: Workload) -> IncrementalR
             time_ms(|| full_outcome.audit_with(session.table(), &auditor, THRESHOLD));
 
         // The recorded speedup must never be bought with drift.
-        let inc_groups = outcome.anonymized.groups();
-        let full_groups = full_outcome.anonymized.groups();
-        assert_eq!(inc_groups.len(), full_groups.len(), "group count drift");
-        for (a, b) in inc_groups.iter().zip(full_groups) {
-            assert_eq!(a.rows, b.rows, "group membership drift");
-            assert_eq!(a.ranges, b.ranges, "range drift");
-        }
+        assert!(
+            outcome.anonymized == full_outcome.anonymized,
+            "publication drift"
+        );
         for (row, (a, b)) in inc_report.risks.iter().zip(&full_report.risks).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "risk drift at row {row}");
         }
@@ -1355,20 +1350,7 @@ fn run_concurrent_mode(smoke: bool, out_path: &str) {
         }
         // (b) The published partition matches a from-scratch publish.
         let fresh = serial_publisher.publish(snap.table()).expect("satisfiable");
-        identical &= snap.anonymized().group_count() == fresh.anonymized.group_count();
-        if identical {
-            for (a, b) in snap
-                .anonymized()
-                .groups()
-                .iter()
-                .zip(fresh.anonymized.groups())
-            {
-                if a.rows != b.rows || a.ranges != b.ranges {
-                    identical = false;
-                    break;
-                }
-            }
-        }
+        identical &= *snap.anonymized() == fresh.anonymized;
         // (c) A final cached hub audit is bit-identical to the serial
         // loop's final fresh audit of the same release.
         let hub_report = hub
@@ -1525,21 +1507,12 @@ fn run_recovery_mode(smoke: bool, out_path: &str) {
         identical: bool,
     }
 
-    // Captured publication of one tenant: (version, per-group rows/ranges/
-    // sensitive counts) — enough to assert bit-identity after a cold open.
-    type Captured = (
-        u64,
-        Vec<(Vec<usize>, Vec<bgkanon::anon::QiRange>, Vec<u32>)>,
-    );
+    // Captured publication of one tenant: (version, publication) — enough
+    // to assert bit-identity after a cold open.
+    type Captured = (u64, bgkanon::anon::AnonymizedTable);
     let capture = |hub: &SessionHub, name: &str| -> Captured {
         let snap = hub.snapshot(name).expect("registered");
-        let groups = snap
-            .anonymized()
-            .groups()
-            .iter()
-            .map(|g| (g.rows.clone(), g.ranges.clone(), g.sensitive_counts.clone()))
-            .collect();
-        (snap.version(), groups)
+        (snap.version(), snap.anonymized().clone())
     };
 
     let publisher = Publisher::new().k_anonymity(K);
@@ -1716,14 +1689,14 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
     }
     fn digest_snapshot(snap: &TenantSnapshot) -> u64 {
         let mut h = fold(0xcbf2_9ce4_8422_2325, snap.version());
-        for g in snap.anonymized().groups() {
-            for &r in &g.rows {
+        for g in snap.anonymized().iter() {
+            for &r in g.rows {
                 h = fold(h, r as u64);
             }
-            for q in &g.ranges {
+            for q in g.ranges {
                 h = fold(h, (u64::from(q.min) << 32) | u64::from(q.max));
             }
-            for &c in &g.sensitive_counts {
+            for &c in g.sensitive_counts {
                 h = fold(h, u64::from(c));
             }
         }
@@ -2040,14 +2013,10 @@ fn run_strategies(
         let (scratch, scratch_ms) =
             time_ms(|| publisher.publish(session.table()).expect("satisfiable"));
         // The recorded speedup must never be bought with drift.
-        let inc = outcome.anonymized.groups();
-        let full = scratch.anonymized.groups();
-        assert_eq!(inc.len(), full.len(), "group count drift");
-        for (a, b) in inc.iter().zip(full) {
-            assert_eq!(a.rows, b.rows, "group membership drift");
-            assert_eq!(a.ranges, b.ranges, "range drift");
-            assert_eq!(a.sensitive_counts, b.sensitive_counts, "histogram drift");
-        }
+        assert!(
+            outcome.anonymized == scratch.anonymized,
+            "publication drift"
+        );
         steps.push(StrategyStep {
             refresh_ms,
             scratch_ms,

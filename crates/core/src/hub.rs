@@ -161,7 +161,7 @@ impl TenantSnapshot {
     }
 
     /// Partition-tree leaf stamps, aligned with
-    /// [`anonymized()`](Self::anonymized)`.groups()` — the cache tokens
+    /// [`anonymized()`](Self::anonymized)`.iter()` — the cache tokens
     /// [`audit_cached`](Self::audit_cached) passes to the shared session.
     pub fn leaf_stamps(&self) -> &[u64] {
         &self.stamps

@@ -186,7 +186,7 @@ impl std::error::Error for PublishError {
 ///     .k_anonymity(5)
 ///     .parallelism(Parallelism::threads(2))
 ///     .publish(&table)?;
-/// assert!(outcome.anonymized.groups().iter().all(|g| g.len() >= 5));
+/// assert!(outcome.anonymized.iter().all(|g| g.len() >= 5));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default)]

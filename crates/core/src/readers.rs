@@ -98,7 +98,7 @@ impl ReaderCache {
 pub(crate) struct AuditTarget<'a> {
     pub(crate) table: &'a Table,
     pub(crate) anonymized: &'a AnonymizedTable,
-    /// Leaf stamps, aligned with `anonymized.groups()`.
+    /// Leaf stamps, aligned with `anonymized.iter()`.
     pub(crate) stamps: &'a [u64],
     /// Number of deltas applied before this version.
     pub(crate) version: u64,
@@ -109,18 +109,14 @@ pub(crate) struct AuditTarget<'a> {
 
 impl AuditTarget<'_> {
     /// The published groups as borrowed row slices, aligned with `stamps`.
-    pub(crate) fn groups(&self) -> Vec<&[usize]> {
-        self.anonymized
-            .groups()
-            .iter()
-            .map(|g| g.rows.as_slice())
-            .collect()
+    pub(crate) fn group_rows(&self) -> Vec<&[usize]> {
+        self.anonymized.iter().map(|g| g.rows).collect()
     }
 
     /// Audit this version through `shared`, replaying every group it has
     /// already solved — bit-identical to a fresh [`Auditor::report`].
     pub(crate) fn audit(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
-        shared.report_groups(self.table, &self.groups(), Some(self.stamps), t)
+        shared.report_groups(self.table, &self.group_rows(), Some(self.stamps), t)
     }
 }
 
@@ -273,7 +269,7 @@ impl ReaderCaches {
                 Some((carry, dirty)) => SharedAuditSession::carried(
                     auditor,
                     carry,
-                    &target.groups(),
+                    &target.group_rows(),
                     target.stamps,
                     row_points,
                     &dirty,

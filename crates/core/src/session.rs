@@ -308,7 +308,7 @@ impl PublishSession {
     }
 
     /// The per-group stamps of the current publication, aligned with
-    /// [`anonymized()`](Self::anonymized)`.groups()`. A group's stamp
+    /// [`anonymized()`](Self::anonymized)`.iter()`. A group's stamp
     /// changes whenever its membership changes and never collides between
     /// distinct memberships, which makes the stamps valid cache tokens for
     /// [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession) — across

@@ -10,7 +10,6 @@ use bgkanon_anon::AnonymizedTable;
 /// DM cost of a published partition.
 pub fn discernibility(table: &AnonymizedTable) -> u64 {
     table
-        .groups()
         .iter()
         .map(|g| {
             let s = g.len() as u64;

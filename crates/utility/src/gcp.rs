@@ -10,11 +10,11 @@
 //! A tuple's penalty is the sum of its group's per-attribute NCPs, and
 //! `GCP = Σ_G |G| · Σ_i NCP_i(G)`.
 
-use bgkanon_anon::{AnonymizedTable, Group};
+use bgkanon_anon::{AnonymizedTable, GroupRef};
 use bgkanon_data::{AttributeKind, Schema};
 
 /// Sum of per-attribute NCPs for one group (between 0 and `d`).
-pub fn ncp_of_group(schema: &Schema, group: &Group) -> f64 {
+pub fn ncp_of_group(schema: &Schema, group: GroupRef<'_>) -> f64 {
     group
         .ranges
         .iter()
@@ -48,7 +48,6 @@ pub fn ncp_of_group(schema: &Schema, group: &Group) -> f64 {
 pub fn global_certainty_penalty(table: &AnonymizedTable) -> f64 {
     let schema = table.schema();
     table
-        .groups()
         .iter()
         .map(|g| g.len() as f64 * ncp_of_group(schema, g))
         .sum()
@@ -57,7 +56,7 @@ pub fn global_certainty_penalty(table: &AnonymizedTable) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgkanon_anon::Mondrian;
+    use bgkanon_anon::{Group, Mondrian};
     use bgkanon_data::{adult, toy};
     use bgkanon_privacy::KAnonymity;
     use std::sync::Arc;
@@ -68,7 +67,7 @@ mod tests {
         // Rows 2 and 8 share age 52 but differ in sex; rows {2} alone is
         // fully specific.
         let g = Group::from_rows(&t, vec![2]);
-        assert_eq!(ncp_of_group(t.schema(), &g), 0.0);
+        assert_eq!(ncp_of_group(t.schema(), g.view()), 0.0);
     }
 
     #[test]
@@ -77,7 +76,7 @@ mod tests {
         // Rows 0..3: ages 45–69 over range 40–70 → 24/30; sexes {F, M} →
         // full flat hierarchy → 2/2 = 1.
         let g = Group::from_rows(&t, vec![0, 1, 2]);
-        let ncp = ncp_of_group(t.schema(), &g);
+        let ncp = ncp_of_group(t.schema(), g.view());
         assert!((ncp - (24.0 / 30.0 + 1.0)).abs() < 1e-12, "ncp = {ncp}");
     }
 

@@ -127,7 +127,7 @@ pub fn answer_exact(table: &Table, query: &Query) -> u64 {
 /// the query's QI ranges.
 pub fn answer_estimated(anonymized: &AnonymizedTable, query: &Query) -> f64 {
     let mut total = 0.0;
-    for g in anonymized.groups() {
+    for g in anonymized.iter() {
         let s_count: u32 = (query.sensitive.min..=query.sensitive.max)
             .map(|s| g.sensitive_counts[s as usize])
             .sum();
