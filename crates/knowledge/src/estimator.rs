@@ -1138,8 +1138,12 @@ impl PriorModel {
         PointIndex { slots }
     }
 
-    /// The point id of QI combination `qi`, if the model covers it.
-    fn point_id(&self, qi: &[u32]) -> Option<usize> {
+    /// The point id of QI combination `qi`, if the model covers it: the
+    /// index [`point_prior`](Self::point_prior) reads, below
+    /// [`len`](Self::len). Callers that keep per-point tables of their own
+    /// resolve rows through it; an uncovered `qi` gets the whole-table
+    /// fallback ([`prior_or_fallback`](Self::prior_or_fallback)).
+    pub fn point_id(&self, qi: &[u32]) -> Option<usize> {
         let slots = &self.index.get_or_init(|| self.build_index()).slots;
         let mask = slots.len() - 1;
         let mut s = qi_hash(qi) as usize & mask;

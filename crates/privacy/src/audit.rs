@@ -22,22 +22,23 @@
 //!   that share the one `Arc<Adversary>` prior model, posterior/permanent
 //!   evaluations are memoized under a *group signature* (the sequence of
 //!   prior identities plus the sensitive histogram — two groups with the
-//!   same signature provably have the same risks), and the Ω-estimate runs
-//!   through the allocation-free kernels of `bgkanon_inference::omega` with
-//!   per-worker scratch buffers. Risks are bit-identical to the reference
-//!   path; `tests/tests/parallel.rs` asserts this.
+//!   same signature provably have the same risks), and the Ω-estimate and
+//!   the distance run through the group-risk kernel the (B,t) checks share,
+//!   with per-worker scratch buffers. Risks are bit-identical to the
+//!   reference path; `tests/tests/parallel.rs` asserts this.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bgkanon_data::hash::WordMap;
 use bgkanon_data::{Parallelism, Table};
-use bgkanon_inference::{
-    exact_posteriors, omega_column_sums, omega_posterior_into, omega_posteriors, GroupPriors,
-};
+use bgkanon_inference::{exact_posteriors, omega_posteriors, GroupPriors};
 use bgkanon_knowledge::{Adversary, DirtyPoints, PriorModel};
 use bgkanon_stats::measure::BeliefDistance;
 use bgkanon_stats::Dist;
+
+use crate::risk::{scan_group_risks, GroupMembers, RiskScratch};
 
 /// How many groups a batch worker claims per scheduling step: large enough
 /// to amortize the atomic increment, small enough to balance uneven group
@@ -215,7 +216,6 @@ impl Auditor {
     pub fn tuple_risks(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
         let n = table.len();
         let d = table.qi_count();
-        let m = table.schema().sensitive_domain_size();
 
         // Row → distinct-point id via one radix pass; `reps[p]` is a
         // representative row of point `p`.
@@ -263,7 +263,7 @@ impl Auditor {
             scratch
                 .signature
                 .extend(scratch.counts.iter().map(|&c| u64::from(c)));
-            self.audit_prepared(rows, m, &memo, &mut scratch, &mut out);
+            self.audit_prepared(rows, &memo, &mut scratch, &mut out);
         }
         let mut risks = vec![f64::NAN; n];
         for (row, risk) in out {
@@ -380,7 +380,6 @@ impl Auditor {
     /// One worker of the batched engine: claims group batches and returns
     /// `(row, risk)` pairs for the rows it audited.
     fn audit_worker(&self, state: &BatchState) -> Vec<(usize, f64)> {
-        let m = state.table.schema().sensitive_domain_size();
         let mut out: Vec<(usize, f64)> = Vec::new();
         let mut scratch = AuditScratch::default();
         loop {
@@ -392,7 +391,7 @@ impl Auditor {
                 if rows.is_empty() {
                     continue;
                 }
-                self.audit_group(&state.table, rows, m, &state.memo, &mut scratch, &mut out);
+                self.audit_group(&state.table, rows, &state.memo, &mut scratch, &mut out);
             }
         }
     }
@@ -448,13 +447,12 @@ impl Auditor {
         &'a self,
         table: &Table,
         rows: &[usize],
-        m: usize,
         memo: &Mutex<SignatureMemo>,
         scratch: &mut AuditScratch<'a>,
         out: &mut Vec<(usize, f64)>,
     ) {
         self.prepare_group(table, rows, None, scratch);
-        self.audit_prepared(rows, m, memo, scratch, out);
+        self.audit_prepared(rows, memo, scratch, out);
     }
 
     /// Memo lookup + solve + emit for a group whose scratch (priors,
@@ -463,7 +461,6 @@ impl Auditor {
     fn audit_prepared(
         &self,
         rows: &[usize],
-        m: usize,
         memo: &Mutex<SignatureMemo>,
         scratch: &mut AuditScratch<'_>,
         out: &mut Vec<(usize, f64)>,
@@ -472,7 +469,7 @@ impl Auditor {
         let solved = match cached {
             Some(solved) => solved,
             None => {
-                let solved = Arc::new(self.solve_group(rows, m, scratch));
+                let solved = Arc::new(self.solve_group(rows, scratch));
                 lock_memo(memo).insert(scratch.signature.clone(), Arc::clone(&solved));
                 solved
             }
@@ -484,101 +481,85 @@ impl Auditor {
 
     /// Compute one group's risks, positionally aligned with its rows — the
     /// value the memo caches. Arithmetic mirrors the reference path exactly.
-    fn solve_group(&self, rows: &[usize], m: usize, scratch: &mut AuditScratch<'_>) -> Vec<f64> {
+    fn solve_group(&self, rows: &[usize], scratch: &mut AuditScratch<'_>) -> Vec<f64> {
+        let AuditScratch {
+            priors,
+            prior_ids,
+            counts,
+            prepared_at,
+            prepared,
+            risk,
+            ..
+        } = scratch;
+        let mut members = AuditMembers {
+            measure: self.measure.as_ref(),
+            priors,
+            ids: prior_ids,
+            prepared_at,
+            prepared,
+        };
+        let mut solved = Vec::with_capacity(rows.len());
         if rows.len() <= self.exact_below {
             // Exact inference (with its §III.C permanent evaluations) is
             // priced per group; memoization is what saves it from being
             // recomputed for repeated signatures.
-            let priors: Vec<Dist> = scratch.priors.iter().map(|&p| (*p).clone()).collect();
-            let group = GroupPriors::from_counts(priors, scratch.counts.clone());
-            let posteriors = exact_posteriors(&group);
-            return (0..rows.len())
-                .map(|j| {
-                    self.prior_distance(
-                        scratch.prior_ids[j],
-                        group.prior(j),
-                        &posteriors[j],
-                        &mut scratch.prepared,
-                    )
-                })
-                .collect();
-        }
-        // Ω-estimate through the allocation-free kernels, evaluated once per
-        // distinct prior in the group (identical inputs give identical
-        // floats, so skipping the re-evaluation preserves bit-identity).
-        // Small groups dedup with a linear scan (cheaper than hashing);
-        // large ones use a map so a degenerate giant group stays O(k).
-        scratch.col_sums.clear();
-        scratch.col_sums.resize(m, 0.0);
-        omega_column_sums(scratch.priors.iter().copied(), &mut scratch.col_sums);
-        const LINEAR_DEDUP_MAX: usize = 64;
-        let by_scan = rows.len() <= LINEAR_DEDUP_MAX;
-        let mut bucket: Option<Dist> = None;
-        let mut distinct: Vec<(u64, f64)> = Vec::new();
-        let mut distinct_map: WordMap<u64, f64> = WordMap::default();
-        let mut solved = Vec::with_capacity(rows.len());
-        for (j, &id) in scratch.prior_ids.iter().enumerate() {
-            let cached = if by_scan {
-                distinct
-                    .iter()
-                    .find(|&&(did, _)| did == id)
-                    .map(|&(_, risk)| risk)
-            } else {
-                distinct_map.get(&id).copied()
-            };
-            if let Some(risk) = cached {
-                solved.push(risk);
-                continue;
+            let owned: Vec<Dist> = members.priors.iter().map(|&p| p.clone()).collect();
+            let posteriors = exact_posteriors(&GroupPriors::from_counts(owned, counts.clone()));
+            let mut work = Vec::new();
+            for (j, posterior) in posteriors.iter().enumerate() {
+                let prepared = members.prepared(j);
+                solved.push(self.measure.prepared_distance_into(
+                    prepared,
+                    posterior.as_slice(),
+                    &mut work,
+                ));
             }
-            let prior = scratch.priors[j];
-            let mut w = vec![0.0f64; m];
-            // `omega_posterior_into` leaves `w` normalized when it returns
-            // true, and a non-empty group's counts have positive mass, so
-            // neither fallback below is taken on well-formed priors; they
-            // keep a malformed one from panicking the audit.
-            let normalized =
-                omega_posterior_into(prior, &scratch.counts, &scratch.col_sums, &mut w)
-                    .then(|| Dist::new(w).ok())
-                    .flatten();
-            let posterior = match normalized {
-                Some(posterior) => posterior,
-                None => bucket
-                    .get_or_insert_with(|| {
-                        Dist::from_counts(&scratch.counts)
-                            .unwrap_or_else(|_| Dist::uniform(prior.len()))
-                    })
-                    .clone(),
-            };
-            let risk = self.prior_distance(id, prior, &posterior, &mut scratch.prepared);
-            if by_scan {
-                distinct.push((id, risk));
-            } else {
-                distinct_map.insert(id, risk);
-            }
-            solved.push(risk);
+            return solved;
         }
+        let _ = scan_group_risks(self.measure.as_ref(), &mut members, counts, risk, |r| {
+            solved.push(r);
+            ControlFlow::Continue(())
+        });
         solved
     }
+}
 
-    /// Distance from a prior (identified by `id`) to `posterior`, routing
-    /// through the measure's prepared-prior fast path when it has one. The
-    /// prepared value is cached per prior identity for the worker's
-    /// lifetime; [`BeliefDistance::prepare_prior`]'s contract guarantees the
-    /// result is bit-identical to a plain `distance` call.
-    fn prior_distance(
-        &self,
-        id: u64,
-        prior: &Dist,
-        posterior: &Dist,
-        prepared_cache: &mut WordMap<u64, Option<Dist>>,
-    ) -> f64 {
-        let prepared = prepared_cache
-            .entry(id)
-            .or_insert_with(|| self.measure.prepare_prior(prior));
-        match prepared {
-            Some(prep) => self.measure.prepared_distance(prep, posterior),
-            None => self.measure.distance(prior, posterior),
-        }
+/// One audited group's members: its borrowed priors and their address
+/// identities, with the measure's prepared priors cached per identity for
+/// the scratch's lifetime in one flat array.
+struct AuditMembers<'s, 'a> {
+    measure: &'s dyn BeliefDistance,
+    priors: &'s [&'a Dist],
+    ids: &'s [u64],
+    prepared_at: &'s mut WordMap<u64, usize>,
+    prepared: &'s mut Vec<f64>,
+}
+
+impl GroupMembers for AuditMembers<'_, '_> {
+    fn len(&self) -> usize {
+        self.priors.len()
+    }
+
+    fn id(&self, j: usize) -> u64 {
+        self.ids[j]
+    }
+
+    fn prior(&self, j: usize) -> &Dist {
+        self.priors[j]
+    }
+
+    fn prepared(&mut self, j: usize) -> &[f64] {
+        let prior = self.priors[j].as_slice();
+        let m = prior.len();
+        let prepared = &mut *self.prepared;
+        let measure = self.measure;
+        let at = *self.prepared_at.entry(self.ids[j]).or_insert_with(|| {
+            let at = prepared.len();
+            prepared.resize(at + m, 0.0);
+            measure.prepare_prior_into(prior, &mut prepared[at..]);
+            at
+        });
+        &self.prepared[at..at + m]
     }
 }
 
@@ -619,11 +600,13 @@ struct AuditScratch<'a> {
     counts: Vec<u32>,
     /// Memo key under construction.
     signature: Vec<u64>,
-    /// Ω column sums.
-    col_sums: Vec<f64>,
-    /// Prepared-prior cache of the measure's fast path, keyed by prior
-    /// identity and kept for the worker's lifetime.
-    prepared: WordMap<u64, Option<Dist>>,
+    /// Offset in `prepared` of each prior identity's prepared prior.
+    prepared_at: WordMap<u64, usize>,
+    /// The measure's prepared priors, `m` values each, kept for the
+    /// scratch's lifetime.
+    prepared: Vec<f64>,
+    /// The group-risk kernel's buffers.
+    risk: RiskScratch,
     /// Reused QI gather buffer for per-row prior lookups.
     qi_buf: Vec<u32>,
 }
@@ -918,7 +901,6 @@ impl SharedAuditSession {
         if let Some(stamps) = stamps {
             assert_eq!(stamps.len(), groups.len(), "one stamp per group");
         }
-        let m = table.schema().sensitive_domain_size();
         let mut risks = vec![f64::NAN; table.len()];
         let points = self.point_priors(table);
 
@@ -973,7 +955,7 @@ impl SharedAuditSession {
             let solved = match cached {
                 Some(solved) => solved,
                 None => {
-                    let solved = Arc::new(self.auditor.solve_group(rows, m, &mut scratch));
+                    let solved = Arc::new(self.auditor.solve_group(rows, &mut scratch));
                     let mut caches = self.lock_caches();
                     Arc::clone(
                         &caches

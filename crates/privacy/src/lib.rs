@@ -25,6 +25,7 @@ pub mod bt;
 pub mod kanon;
 pub mod ldiv;
 pub mod requirement;
+mod risk;
 pub mod skyline;
 pub mod tclose;
 

@@ -51,15 +51,6 @@ impl SkylineBTPrivacy {
     pub fn points(&self) -> &[BTPrivacy] {
         &self.points
     }
-
-    /// The worst slack across points: `max_i (risk_i − t_i)`. Negative when
-    /// the group satisfies every point.
-    pub fn worst_slack(&self, group: &GroupView<'_>) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.group_risk(group) - p.t())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// Why [`SkylineBTPrivacy::from_pairs`] rejected its pairs.
@@ -125,14 +116,24 @@ mod tests {
     }
 
     #[test]
-    fn worst_slack_sign_matches_satisfaction() {
-        let table = toy::hospital_table();
-        let sky = SkylineBTPrivacy::from_pairs(&table, &[(0.3, 0.9)]).unwrap();
-        let rows = vec![0usize, 1, 2];
-        let mut buf = Vec::new();
-        let g = GroupView::compute(&table, &rows, &mut buf);
-        let slack = sky.worst_slack(&g);
-        assert_eq!(slack <= 0.0, sky.is_satisfied(&g));
+    fn three_point_skyline_holds_iff_every_point_does() {
+        let table = bgkanon_data::adult::generate(300, 21);
+        let pairs = [(0.2, 0.35), (0.3, 0.25), (0.5, 0.2)];
+        let sky = SkylineBTPrivacy::from_pairs(&table, &pairs).unwrap();
+        assert_eq!(sky.points().len(), 3);
+        let mut verdicts = [0usize; 2];
+        for start in (0..240).step_by(12) {
+            for len in [3usize, 8, 20, 60] {
+                let rows: Vec<usize> = (start..start + len).collect();
+                let mut buf = Vec::new();
+                let g = GroupView::compute(&table, &rows, &mut buf);
+                let each = sky.points().iter().all(|p| p.group_risk(&g) <= p.t());
+                assert_eq!(sky.is_satisfied(&g), each, "rows {start}+{len}");
+                verdicts[usize::from(each)] += 1;
+            }
+        }
+        // The sweep sees both verdicts, so the conjunction is exercised.
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
     }
 
     #[test]

@@ -17,6 +17,14 @@ impl Dist {
     /// Build from raw probabilities; validates non-negativity and
     /// normalization within [`NORMALIZATION_EPS`].
     pub fn new(p: Vec<f64>) -> Result<Self, DistError> {
+        Dist::validate(&p)?;
+        Ok(Dist(p))
+    }
+
+    /// The checks [`new`](Self::new) makes, on a borrowed slice: `Ok` when
+    /// `p` is non-empty, every entry is finite and non-negative, and the
+    /// entries sum to one within [`NORMALIZATION_EPS`].
+    pub fn validate(p: &[f64]) -> Result<(), DistError> {
         if p.is_empty() {
             return Err(DistError::Empty);
         }
@@ -27,7 +35,7 @@ impl Dist {
         if (sum - 1.0).abs() > NORMALIZATION_EPS {
             return Err(DistError::NotNormalized(sum));
         }
-        Ok(Dist(p))
+        Ok(())
     }
 
     /// Build from non-negative weights, normalizing them. Fails if the
@@ -44,6 +52,13 @@ impl Dist {
             return Err(DistError::ZeroMass);
         }
         Ok(Dist(w.iter().map(|&x| x / sum).collect()))
+    }
+
+    /// Wrap probabilities that already form a distribution, without
+    /// re-validating them: the smoother's renormalized output and the
+    /// prepared-distance fallback, whose inputs were validated upstream.
+    pub(crate) fn from_vec_unchecked(p: Vec<f64>) -> Self {
+        Dist(p)
     }
 
     /// Build from integer counts (e.g. a group's sensitive-value histogram).

@@ -33,11 +33,38 @@ pub fn kl_divergence(p: &Dist, q: &Dist) -> Option<f64> {
 /// `JS[P,Q] = ½·KL[P‖M] + ½·KL[Q‖M]` with `M = (P+Q)/2` (Eq. 6), in bits.
 ///
 /// Always defined: whenever `p_i > 0`, `m_i ≥ p_i/2 > 0`. Bounded by 1.
+/// Computed over the probability slices, with no allocation.
 pub fn js_divergence(p: &Dist, q: &Dist) -> f64 {
     assert_eq!(p.len(), q.len(), "dimension mismatch");
-    let m = p.average(q);
-    let half = |a: &Dist| kl_divergence(a, &m).expect("average has support wherever a does");
-    0.5 * (half(p) + half(q))
+    js_divergence_slices(p.as_slice(), q.as_slice())
+}
+
+/// [`js_divergence`] over raw probability slices of equal length, with no
+/// allocation. Each half is [`kl_divergence`] against the average
+/// `m_i = 0.5 · (p_i + q_i)`, accumulated from `0.0` in ascending `i`, and
+/// the result is `0.5 · (KL[P‖M] + KL[Q‖M])` — the same operations in the
+/// same order as building the average as a [`Dist`], so the two forms agree
+/// bit for bit.
+///
+/// Total: a term whose average underflows to zero (`p_i` a subnormal,
+/// `q_i = 0`) is skipped. Its exact value, `p_i · log₂(2p_i / p_i) = p_i`,
+/// is below the resolution of any non-zero sum.
+pub(crate) fn js_divergence_slices(p: &[f64], q: &[f64]) -> f64 {
+    let mut kl_p = 0.0;
+    let mut kl_q = 0.0;
+    for (&pi, &qi) in p.iter().zip(q) {
+        let mi = 0.5 * (pi + qi);
+        if mi == 0.0 {
+            continue;
+        }
+        if pi > 0.0 {
+            kl_p += pi * (pi / mi).log2();
+        }
+        if qi > 0.0 {
+            kl_q += qi * (qi / mi).log2();
+        }
+    }
+    0.5 * (kl_p + kl_q)
 }
 
 #[cfg(test)]
@@ -99,6 +126,29 @@ mod tests {
         for (a, b) in [(&p, &q), (&q, &p)] {
             assert!(js_divergence(a, b) <= 1.0 + 1e-12);
         }
+    }
+
+    #[test]
+    fn js_slices_match_the_dist_form_bit_for_bit() {
+        let cases = [
+            (d(&[0.2, 0.3, 0.5]), d(&[0.5, 0.25, 0.25])),
+            (d(&[1.0, 0.0, 0.0]), d(&[0.0, 0.0, 1.0])),
+            (d(&[0.1, 0.0, 0.9]), d(&[0.1, 0.0, 0.9])),
+        ];
+        for (p, q) in &cases {
+            let m = p.average(q);
+            let half = |a: &Dist| kl_divergence(a, &m).unwrap();
+            let expect = 0.5 * (half(p) + half(q));
+            let got = js_divergence_slices(p.as_slice(), q.as_slice());
+            assert_eq!(got.to_bits(), expect.to_bits(), "{p} vs {q}");
+        }
+    }
+
+    #[test]
+    fn js_is_total_when_the_average_underflows() {
+        let tiny = f64::from_bits(1);
+        let v = js_divergence_slices(&[tiny, 1.0 - tiny], &[0.0, 1.0]);
+        assert!(v.is_finite() && v >= 0.0, "{v}");
     }
 
     #[test]

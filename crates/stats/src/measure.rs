@@ -18,7 +18,7 @@
 use bgkanon_data::{DistanceMatrix, Hierarchy};
 
 use crate::dist::Dist;
-use crate::divergence::{js_divergence, kl_divergence};
+use crate::divergence::{js_divergence, js_divergence_slices, kl_divergence};
 use crate::emd::{hierarchical_emd, ordered_emd};
 use crate::kernel::Kernel;
 
@@ -33,25 +33,34 @@ pub trait BeliefDistance: Send + Sync {
     /// Short human-readable name for reports.
     fn name(&self) -> &'static str;
 
-    /// Fold the prior-dependent half of the computation into a reusable
-    /// value, such that
-    /// `prepared_distance(&prepare_prior(p).unwrap(), q)` equals
-    /// `distance(p, q)` **bit-for-bit**. Batch auditors cache the prepared
-    /// value per distinct prior, which pays off when many tuples share a
-    /// prior. Measures without a separable prior stage return `None` (the
-    /// default) and are always evaluated through [`distance`](Self::distance).
-    fn prepare_prior(&self, p: &Dist) -> Option<Dist> {
-        let _ = p;
-        None
+    /// Write the prior-dependent half of the computation for prior `p`
+    /// into `out` (of `p`'s length), such that
+    /// `prepared_distance_into(out, q, _)` equals `distance(p, q)` **bit
+    /// for bit**. Batch checkers prepare each distinct prior once and keep
+    /// the result, which pays off when many tuples share a prior.
+    ///
+    /// The default copies `p`: a measure without a separable prior stage
+    /// is "prepared" by its raw prior.
+    fn prepare_prior_into(&self, p: &[f64], out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(p) {
+            *o = x;
+        }
     }
 
     /// Distance from a prior prepared by
-    /// [`prepare_prior`](Self::prepare_prior) to posterior `q`. Measures
-    /// returning `Some` from `prepare_prior` must override this; the
-    /// default is unreachable for measures that keep the `None` default.
-    fn prepared_distance(&self, prepared: &Dist, q: &Dist) -> f64 {
-        let _ = (prepared, q);
-        unreachable!("prepared_distance requires an override when prepare_prior returns Some")
+    /// [`prepare_prior_into`](Self::prepare_prior_into) to posterior `q`,
+    /// with `scratch` as working space (resized as needed, so one buffer
+    /// serves every call). Measures that override `prepare_prior_into`
+    /// must override this too.
+    ///
+    /// The default allocates and calls [`distance`](Self::distance) on the
+    /// raw prior the default preparation copied.
+    fn prepared_distance_into(&self, prepared: &[f64], q: &[f64], scratch: &mut Vec<f64>) -> f64 {
+        let _ = scratch;
+        self.distance(
+            &Dist::from_vec_unchecked(prepared.to_vec()),
+            &Dist::from_vec_unchecked(q.to_vec()),
+        )
     }
 }
 
@@ -168,15 +177,43 @@ impl Smoother {
         Smoother { weights, m }
     }
 
-    /// Smooth a distribution (and renormalize).
+    /// Smooth a distribution (and renormalize). A thin wrapper over the
+    /// slice form the prepared distance uses, so both agree bit for bit.
     pub fn smooth(&self, p: &Dist) -> Dist {
         assert_eq!(p.len(), self.m, "dimension mismatch");
         let mut out = vec![0.0; self.m];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.weights[i * self.m..(i + 1) * self.m];
-            *o = row.iter().zip(p.as_slice()).map(|(&w, &pj)| w * pj).sum();
+        self.smooth_into(p.as_slice(), &mut out);
+        Dist::from_vec_unchecked(out)
+    }
+
+    /// Smooth the probabilities `p` into `out` (both of the domain's size)
+    /// and renormalize, with no allocation. Entry `i` is the weighted sum
+    /// `Σ_j w_ij p_j` by `Iterator::sum` (which starts from −0.0; a
+    /// hand-written accumulator would have to as well), and the
+    /// renormalization validates and divides exactly as
+    /// [`Dist::from_weights`] does, so the result is bit-identical to
+    /// normalizing the sums through a `Dist`.
+    ///
+    /// Total: when the sums cannot be normalized (a kernel that gives some
+    /// value no weight at all, or a malformed `p`), `out` is `p` itself —
+    /// the distribution is left unsmoothed.
+    pub(crate) fn smooth_into(&self, p: &[f64], out: &mut [f64]) {
+        for (o, row) in out.iter_mut().zip(self.weights.chunks_exact(self.m.max(1))) {
+            *o = row.iter().zip(p).map(|(&w, &pj)| w * pj).sum();
         }
-        Dist::from_weights(&out).expect("smoothing preserves positive mass")
+        let valid = out
+            .iter()
+            .all(|&x| !(x.is_nan() || x < 0.0 || !x.is_finite()));
+        let sum: f64 = out.iter().sum();
+        if valid && sum > 0.0 {
+            for x in out.iter_mut() {
+                *x /= sum;
+            }
+        } else {
+            for (o, &x) in out.iter_mut().zip(p) {
+                *o = x;
+            }
+        }
     }
 }
 
@@ -236,12 +273,15 @@ impl BeliefDistance for SmoothedJs {
         "smoothed-JS"
     }
 
-    fn prepare_prior(&self, p: &Dist) -> Option<Dist> {
-        Some(self.smoother.smooth(p))
+    fn prepare_prior_into(&self, p: &[f64], out: &mut [f64]) {
+        self.smoother.smooth_into(p, out);
     }
 
-    fn prepared_distance(&self, prepared: &Dist, q: &Dist) -> f64 {
-        js_divergence(prepared, &self.smoother.smooth(q))
+    fn prepared_distance_into(&self, prepared: &[f64], q: &[f64], scratch: &mut Vec<f64>) -> f64 {
+        scratch.clear();
+        scratch.resize(q.len(), 0.0);
+        self.smoother.smooth_into(q, scratch);
+        js_divergence_slices(prepared, scratch)
     }
 }
 
@@ -285,6 +325,35 @@ mod tests {
         let s = Smoother::identity(3);
         let p = d(&[0.2, 0.3, 0.5]);
         assert!(s.smooth(&p).max_abs_diff(&p) < 1e-15);
+    }
+
+    #[test]
+    fn degenerate_smoother_leaves_the_distribution_unsmoothed() {
+        // A kernel that gave the second value no weight at all.
+        let s = Smoother {
+            weights: vec![1.0, 0.0, f64::NAN, f64::NAN],
+            m: 2,
+        };
+        let p = d(&[0.25, 0.75]);
+        assert_eq!(s.smooth(&p), p);
+    }
+
+    #[test]
+    fn smoothed_js_slice_form_matches_the_dist_form() {
+        let m = SmoothedJs::paper_default(&salary_like_matrix());
+        let p = d(&[0.7, 0.0, 0.3, 0.0]);
+        let q = d(&[0.0, 0.0, 0.0, 1.0]);
+        let mut prepared = vec![0.0; 4];
+        m.prepare_prior_into(p.as_slice(), &mut prepared);
+        assert_eq!(prepared.as_slice(), m.smoother().smooth(&p).as_slice());
+        let mut scratch = Vec::new();
+        let slice = m.prepared_distance_into(&prepared, q.as_slice(), &mut scratch);
+        assert_eq!(slice.to_bits(), m.distance(&p, &q).to_bits());
+        // The default preparation is the raw prior.
+        let js = JsDivergence;
+        js.prepare_prior_into(p.as_slice(), &mut prepared);
+        let slice = js.prepared_distance_into(&prepared, q.as_slice(), &mut scratch);
+        assert_eq!(slice.to_bits(), js.distance(&p, &q).to_bits());
     }
 
     #[test]
