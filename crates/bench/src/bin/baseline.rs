@@ -1,125 +1,49 @@
-//! The recorded performance baseline: publish + audit wall-clock on the
-//! synthetic Adult table, serial reference engine vs. the parallel batched
-//! engine, written to `BENCH_baseline.json`.
+//! The recorded performance baselines: one harness over eight named
+//! scenarios, each writing `BENCH_<scenario>.json` in one schema.
 //!
 //! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline            # 10k + 100k rows
-//! cargo run --release -p bgkanon-bench --bin baseline -- --smoke # 1k rows (CI)
+//! cargo run --release -p bgkanon-bench --bin baseline                  # all eight, full size
+//! cargo run --release -p bgkanon-bench --bin baseline -- fleet scale   # a subset
+//! cargo run --release -p bgkanon-bench --bin baseline -- --smoke --out-dir /tmp/bench
 //! ```
 //!
-//! `--incremental` switches to the **incremental republication** benchmark,
-//! written to `BENCH_incremental.json`: a [`PublishSession`](bgkanon::PublishSession) absorbs
-//! repeated 1% deltas (½% deletes + ½% inserts) and each `session.apply` +
-//! cached re-audit is timed against a from-scratch publish + audit of the
-//! identical final table, with both sides verified bit-identical before
-//! any number is recorded.
+//! `--smoke` runs the small sizes CI gates; `--out-dir` (default `.`) is
+//! where the documents go. Any other argument must name a scenario; with
+//! no names every scenario runs.
+//!
+//! | scenario | what it measures |
+//! |---|---|
+//! | `baseline` | Mondrian publish (Fig. 4(a)) and the §V.A audit against the kernel `Adv(0.25·1)` and the t-closeness adversary, serial reference engines vs the parallel batched engines |
+//! | `incremental` | a [`PublishSession`] absorbing 1% deltas plus its cached re-audit, vs a from-scratch publish + audit of the same table |
+//! | `estimate` | P̂pri estimation (Fig. 4(b)): dense all-pairs reference vs the sparse engine, and the hub's carried refresh ([`DeletedRows::gather`], [`FoldedTable::evolve`], [`PriorEstimator::refresh_folded`]) vs re-estimation |
+//! | `concurrent` | tenants × reader/writer threads through a [`SessionHub`](bgkanon::SessionHub) vs the serial one-session loop |
+//! | `recovery` | cold `SessionHub::open`: WAL-only replay vs checkpoint + WAL-tail resume |
+//! | `scale` | the serial publish → estimate → audit pipeline at 1M and 10M rows, audits checked against [`Auditor::tuple_risks_reference`] |
+//! | `fleet` | 10k Zipfian tenants replayed under resident-memory budgets of ½, ¼ and ⅛ of the unbounded peak |
+//! | `strategies` | Mondrian, bucketization and full-domain refresh through 1% deltas vs a from-scratch publish |
+//!
+//! Every document has this shape:
 //!
 //! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --incremental
-//! cargo run --release -p bgkanon-bench --bin baseline -- --incremental --smoke
+//! {"bench": "<scenario>", "smoke": …, "seed": 42, "threads": …,
+//!  "config": {…scenario constants…},
+//!  "rows": [{"label": "…", …values…, "identical_output": true}, …],
+//!  "identical_output": <all rows>}
 //! ```
 //!
-//! `--estimate` switches to the **P̂pri estimation** benchmark, written to
-//! `BENCH_estimate.json`: the dense all-pairs reference engine vs the
-//! sparse compact-support engine (single-threaded and `Auto`), plus the
-//! hub's carried refresh ([`DeletedRows::gather`], then
-//! [`FoldedTable::evolve`], then [`PriorEstimator::refresh_folded`]) vs
-//! full re-estimation under the clustered / scattered 1% delta workloads —
-//! every engine pair verified bit-identical before its timing is recorded.
-//!
-//! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --estimate
-//! cargo run --release -p bgkanon-bench --bin baseline -- --estimate --smoke
-//! ```
-//!
-//! `--concurrent` switches to the **multi-tenant serving** benchmark,
-//! written to `BENCH_concurrent.json`: N tenants × M reader/writer threads
-//! through a [`SessionHub`](bgkanon::SessionHub) (writers applying scripted
-//! churn deltas, readers serving audit requests through the hub's shared
-//! stamp caches) against the serial one-session loop — one thread, serial
-//! reference engines, a fresh audit per release. Every tenant's final
-//! table, publication and audit report are verified bit-identical between
-//! the two phases before any throughput number is recorded.
-//!
-//! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --concurrent
-//! cargo run --release -p bgkanon-bench --bin baseline -- --concurrent --smoke
-//! ```
-//!
-//! `--recovery` switches to the **durable cold-start** benchmark, written
-//! to `BENCH_recovery.json`: durable [`SessionHub`](bgkanon::SessionHub)s
-//! absorb scripted churn, are dropped, and re-opened cold — timing
-//! `SessionHub::open` under WAL-only replay vs checkpoint + WAL-tail
-//! resume across tenant-count × WAL-length size points. Every re-opened
-//! tenant must publish bit-identically to the hub that was dropped before
-//! any number is recorded.
-//!
-//! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --recovery
-//! cargo run --release -p bgkanon-bench --bin baseline -- --recovery --smoke
-//! ```
-//!
-//! `--scale` switches to the **scale** benchmark, written to
-//! `BENCH_scale.json`: the full serial publish → prior-estimate → audit
-//! pipeline (plus isolated group-by-QI and estimator-fold passes) at 1M
-//! and 10M rows. Before any number is recorded, both audits are verified
-//! bit-identical to the row-at-a-time
-//! [`Auditor::tuple_risks_reference`] (timed as `audit_reference_ms`) and
-//! the estimator fold to [`Table::group_by_qi`] (codes, counts and
-//! sensitive histograms).
-//!
-//! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --scale
-//! cargo run --release -p bgkanon-bench --bin baseline -- --scale --smoke
-//! ```
-//!
-//! `--fleet` switches to the **bounded-memory fleet** benchmark, written
-//! to `BENCH_fleet.json`: 10k small tenants (400 under `--smoke`) in a
-//! durable hub, driven by a seeded Zipfian access script of interleaved
-//! audits and deltas. One unbounded reference lane establishes the
-//! operation-by-operation output digests and the unbounded resident-byte
-//! peak; budget lanes then replay the *identical* script under
-//! `max_resident_bytes` ceilings of ½, ¼ and ⅛ of that peak, recording
-//! peak resident bytes, hit rates, eviction/rehydration counts and audit
-//! throughput. Every lane's digests must match the reference bit-for-bit
-//! — eviction is a memory policy, never a semantics.
-//!
-//! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --fleet
-//! cargo run --release -p bgkanon-bench --bin baseline -- --fleet --smoke
-//! ```
-//!
-//! With `--strategies` it benchmarks every anonymization strategy behind
-//! the session API — Mondrian, bucketization, full-domain generalization —
-//! refreshing through 1% deltas vs a from-scratch publish of the same
-//! post-delta table, written to `BENCH_strategies.json`. Serial engines on
-//! both sides, so the speedup isolates the retained-state advantage; every
-//! step is verified bit-identical before its timing is recorded.
-//!
-//! ```text
-//! cargo run --release -p bgkanon-bench --bin baseline -- --strategies
-//! cargo run --release -p bgkanon-bench --bin baseline -- --strategies --smoke
-//! ```
-//!
-//! Methodology:
-//!
-//! * **publish** — Mondrian under 10-anonymity (the partitioning cost the
-//!   paper's Fig. 4(a) measures); the serial column runs the reference
-//!   engine, the parallel column the work-stealing engine;
-//! * **audit** — the full §V.A disclosure-risk audit of the published
-//!   partition against the paper's two reference adversaries: the kernel
-//!   `Adv(0.25·1)` (its prior model estimated once, outside the timed
-//!   regions, and shared by both engines — the paper's Fig. 4 accounting
-//!   excludes estimation, and it is identical work either way; the cost is
-//!   still recorded in `estimate_ms`) and the constant-prior t-closeness
-//!   adversary of §II.D, whose audit the batched engine collapses from one
-//!   posterior per *row* to one per *group signature*;
-//! * every timed section is the **minimum over `--reps N`** (default 3)
-//!   runs, and both engines must produce bit-identical groups and risks —
-//!   the run aborts otherwise, so the recorded speedup is never bought with
-//!   drift.
+//! A scenario reads each constant through its [`Config`], which records
+//! the value in the document's `config`, and returns labelled rows of
+//! named values. The harness writes the document through
+//! [`Json::render`], prints a table of the scenario's display columns from
+//! the same rows, and exits non-zero when `identical_output` is false.
+//! Before any number is recorded, each scenario checks its fast path
+//! bit-identical to a reference: most abort on drift, and the serving
+//! scenarios (`concurrent`, `recovery`, `fleet`) record it per row. A
+//! timed section is the minimum over the scenario's `reps` runs, except
+//! the `_mean` values, which average the delta steps.
 
-use std::io::Write as _;
+use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,8 +52,9 @@ use bgkanon::knowledge::{
     Adversary, Bandwidth, DeletedRows, FoldedTable, PriorEstimator, PriorModel,
 };
 use bgkanon::privacy::Auditor;
-use bgkanon::stats::SmoothedJs;
-use bgkanon::{Algorithm, Publisher};
+use bgkanon::stats::{BeliefDistance, SmoothedJs};
+use bgkanon::{Algorithm, PublishSession, Publisher};
+use bgkanon_bench::gate::Json;
 use bgkanon_bench::report::Report;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -139,35 +64,145 @@ const K: usize = 10;
 const B_PRIME: f64 = 0.25;
 /// Vulnerability threshold of the audit.
 const THRESHOLD: f64 = 0.2;
-/// Generator seed — the baseline must be reproducible.
+/// Generator seed — every run must be reproducible.
 const SEED: u64 = 42;
 
-struct SizeResult {
-    rows: usize,
-    groups: usize,
-    serial_publish_ms: f64,
-    parallel_publish_ms: f64,
-    estimate_ms: f64,
-    serial_audit_kernel_ms: f64,
-    parallel_audit_kernel_ms: f64,
-    serial_audit_tcloseness_ms: f64,
-    parallel_audit_tcloseness_ms: f64,
-    vulnerable: usize,
+/// Named values, in display order.
+type Values = Vec<(&'static str, Json)>;
+
+/// One named benchmark scenario.
+struct Scenario {
+    name: &'static str,
+    title: &'static str,
+    /// The workload: one labelled row of named values per measurement.
+    run: fn(&mut Config) -> Vec<Json>,
+    /// The row keys shown as table columns, space-separated.
+    columns: &'static str,
 }
 
-impl SizeResult {
-    fn serial_total_ms(&self) -> f64 {
-        self.serial_publish_ms + self.serial_audit_kernel_ms + self.serial_audit_tcloseness_ms
+/// A scenario's constants at smoke or full size. Reading one records it
+/// under its key, so the document's `config` is exactly what ran.
+struct Config {
+    smoke: bool,
+    values: Vec<(String, Json)>,
+}
+
+impl Config {
+    fn set(&mut self, key: &str, value: impl Into<Json>) {
+        self.values.push((key.to_owned(), value.into()));
     }
 
-    fn parallel_total_ms(&self) -> f64 {
-        self.parallel_publish_ms + self.parallel_audit_kernel_ms + self.parallel_audit_tcloseness_ms
+    /// `small` at smoke size, `full` otherwise.
+    fn pick<T: Into<Json> + Copy>(&mut self, key: &str, small: T, full: T) -> T {
+        let value = if self.smoke { small } else { full };
+        self.set(key, value);
+        value
     }
 
-    fn speedup(&self) -> f64 {
-        self.serial_total_ms() / self.parallel_total_ms()
+    /// The list `small` at smoke size, `full` otherwise.
+    fn picks<T: Into<Json> + Copy>(&mut self, key: &str, small: &[T], full: &[T]) -> Vec<T> {
+        let items = if self.smoke { small } else { full };
+        self.set(key, Json::Arr(items.iter().map(|&x| x.into()).collect()));
+        items.to_vec()
+    }
+
+    /// The constants of the scenarios that publish `K`-anonymous tables and
+    /// audit them against `Adv(B_PRIME)`.
+    fn audited(&mut self) {
+        self.set("requirement", format!("{K}-anonymity"));
+        self.set("adversary_bandwidth", B_PRIME);
+        self.set("audit_threshold", THRESHOLD);
     }
 }
+
+/// A result row: `label`, the named values, then whether this row's output
+/// matched its reference bit for bit.
+fn row<K: Into<String>>(
+    label: impl Into<String>,
+    identical: bool,
+    values: impl IntoIterator<Item = (K, Json)>,
+) -> Json {
+    let mut members = vec![("label".to_owned(), Json::Str(label.into()))];
+    members.extend(values.into_iter().map(|(k, v)| (k.into(), v)));
+    members.push(("identical_output".to_owned(), identical.into()));
+    Json::Obj(members)
+}
+
+fn keyed(values: Values) -> Vec<(String, Json)> {
+    values.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
+}
+
+fn identical(row: &Json) -> bool {
+    row.get("identical_output") == Some(&Json::Bool(true))
+}
+
+/// `x` rounded to `places` decimals, so the document stays readable.
+fn round(x: f64, places: usize) -> Json {
+    let text = format!("{x:.places$}");
+    Json::Num(text.parse().expect("a formatted f64 parses"))
+}
+
+fn r3(x: f64) -> Json {
+    round(x, 3)
+}
+
+static SCENARIOS: [Scenario; 8] = [
+    Scenario {
+        name: "baseline",
+        title: "Baseline: publish + audit, serial vs parallel",
+        run: run_baseline_mode,
+        columns: "groups serial_publish_ms parallel_publish_ms serial_audit_kernel_ms \
+                  parallel_audit_kernel_ms serial_audit_tcloseness_ms \
+                  parallel_audit_tcloseness_ms speedup",
+    },
+    Scenario {
+        name: "incremental",
+        title: "Incremental republication: 1% delta apply vs full publish+audit",
+        run: run_incremental_mode,
+        columns: "groups open_ms apply_ms_mean inc_audit_ms_mean full_publish_ms_mean \
+                  full_audit_ms_mean speedup_mean",
+    },
+    Scenario {
+        name: "estimate",
+        title: "P̂pri estimation: dense reference vs sparse engine vs carried refresh",
+        run: run_estimate_mode,
+        columns: "distinct_points support_density dense_reference_ms sparse_ms \
+                  sparse_parallel_ms sparse_parallel_speedup refresh_speedup_clustered \
+                  refresh_speedup_age_band refresh_speedup_scattered",
+    },
+    Scenario {
+        name: "concurrent",
+        title: "Concurrent serving: SessionHub vs the serial one-session loop",
+        run: run_concurrent_mode,
+        columns: "elapsed_ms deltas_per_s audits_per_s audit_speedup groups",
+    },
+    Scenario {
+        name: "recovery",
+        title: "Recovery: cold-start SessionHub::open, WAL replay vs checkpoint resume",
+        run: run_recovery_mode,
+        columns: "deltas_per_tenant wal_open_ms wal_replayed checkpoint_open_ms \
+                  checkpoint_replayed",
+    },
+    Scenario {
+        name: "scale",
+        title: "Scale: serial publish + estimate + audit, verified against the reference audit",
+        run: run_scale_mode,
+        columns: "groups publish_ms estimate_ms audit_ms audit_reference_ms fold_ms pipeline_ms \
+                  reference_speedup",
+    },
+    Scenario {
+        name: "fleet",
+        title: "Fleet: Zipfian multi-tenant serving under resident-memory budgets",
+        run: run_fleet_mode,
+        columns: "budget_bytes peak_resident_bytes hit_rate evictions rehydrations audits_per_s",
+    },
+    Scenario {
+        name: "strategies",
+        title: "Strategy refresh: 1% delta apply vs from-scratch publish, per algorithm",
+        run: run_strategies_mode,
+        columns: "groups open_ms refresh_ms_mean scratch_publish_ms_mean speedup_mean",
+    },
+];
 
 /// Wall-clock of `f`, in milliseconds.
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -187,145 +222,192 @@ fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (value, best)
 }
 
-/// Audit with one adversary on both engines, asserting bit-identical risks.
-/// Returns (serial_ms, parallel_ms, serial risks).
-fn audit_both_engines(
-    auditor: &Auditor,
-    table: &Table,
-    groups: &[Vec<usize>],
-    reps: usize,
-) -> (f64, f64, Vec<f64>) {
-    let (serial_risks, serial_ms) = best_ms(reps, || {
-        auditor.tuple_risks_with(table, groups, Parallelism::Serial)
-    });
-    let (parallel_risks, parallel_ms) = best_ms(reps, || {
-        auditor.tuple_risks_with(table, groups, Parallelism::Auto)
-    });
-    for (row, (s, p)) in serial_risks.iter().zip(&parallel_risks).enumerate() {
-        assert_eq!(
-            s.to_bits(),
-            p.to_bits(),
-            "audit engines diverge at row {row}"
-        );
-    }
-    (serial_ms, parallel_ms, serial_risks)
+/// Do two risk vectors agree bit for bit?
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn run_size(rows: usize, reps: usize) -> SizeResult {
+/// Rows whose kernel risk exceeds the audit threshold.
+fn vulnerable(risks: &[f64]) -> usize {
+    risks.iter().filter(|&&r| r > THRESHOLD).count()
+}
+
+fn measure(table: &Table) -> Arc<dyn BeliefDistance> {
+    let distances = table.schema().sensitive_distance();
+    Arc::new(SmoothedJs::paper_default(distances))
+}
+
+fn bandwidth(table: &Table) -> Bandwidth {
+    Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth")
+}
+
+/// An auditor against the kernel adversary `Adv(B_PRIME)` of `table`;
+/// building it estimates the adversary's prior model.
+fn kernel_auditor(table: &Table, measure: Arc<dyn BeliefDistance>) -> Auditor {
+    let adversary = Adversary::kernel(table, bandwidth(table));
+    Auditor::new(Arc::new(adversary), measure)
+}
+
+/// A `baseline` or `scale` table run through the first half of the Fig. 4
+/// pipeline.
+struct Pipeline {
+    table: Table,
+    groups: Vec<Vec<usize>>,
+    /// Publish time per engine.
+    publish_ms: Vec<f64>,
+    estimate_ms: f64,
+    /// The kernel `Adv(B_PRIME)` and the constant-prior t-closeness
+    /// adversary (§II.D), the paper's two reference auditors.
+    auditors: [Auditor; 2],
+}
+
+/// Generate `rows` rows, publish them under `K`-anonymity on each engine
+/// (min over `reps`; every engine must publish the same partition), and
+/// estimate the kernel prior (min over `estimate_reps`).
+fn pipeline(rows: usize, engines: &[Parallelism], reps: usize, estimate_reps: usize) -> Pipeline {
     let table = adult::generate(rows, SEED);
-
-    let serial_publisher = Publisher::new()
-        .k_anonymity(K)
-        .parallelism(Parallelism::Serial);
-    let parallel_publisher = Publisher::new()
-        .k_anonymity(K)
-        .parallelism(Parallelism::Auto);
-
-    let (serial_outcome, serial_publish_ms) = best_ms(reps, || {
-        serial_publisher.publish(&table).expect("satisfiable")
-    });
-    let (parallel_outcome, parallel_publish_ms) = best_ms(reps, || {
-        parallel_publisher.publish(&table).expect("satisfiable")
-    });
-
+    let mut publications = Vec::new();
+    let mut publish_ms = Vec::new();
+    for &engine in engines {
+        let publisher = Publisher::new().k_anonymity(K).parallelism(engine);
+        let (outcome, ms) = best_ms(reps, || publisher.publish(&table).expect("satisfiable"));
+        publications.push(outcome.anonymized);
+        publish_ms.push(ms);
+    }
     // The recorded speedup must never be bought with drift.
     assert!(
-        serial_outcome.anonymized == parallel_outcome.anonymized,
+        publications.windows(2).all(|w| w[0] == w[1]),
         "engines disagree on the publication"
     );
-    let groups = serial_outcome.anonymized.row_groups();
-
-    let measure: Arc<dyn bgkanon::stats::BeliefDistance> = Arc::new(SmoothedJs::paper_default(
-        table.schema().sensitive_distance(),
-    ));
-
-    // Kernel adversary: one shared prior model, estimated outside the timed
-    // regions.
-    let (kernel_auditor, estimate_ms) = time_ms(|| {
-        let adversary = Arc::new(Adversary::kernel(
-            &table,
-            Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth"),
-        ));
-        Auditor::new(adversary, Arc::clone(&measure))
+    let groups = publications[0].row_groups();
+    let measure = measure(&table);
+    let (kernel, estimate_ms) = best_ms(estimate_reps, || {
+        kernel_auditor(&table, Arc::clone(&measure))
     });
-    let (serial_audit_kernel_ms, parallel_audit_kernel_ms, kernel_risks) =
-        audit_both_engines(&kernel_auditor, &table, &groups, reps);
-    let vulnerable = kernel_risks
-        .iter()
-        .filter(|r| !r.is_nan() && **r > THRESHOLD)
-        .count();
-
-    // Constant-prior t-closeness adversary (§II.D).
-    let tcl_auditor = Auditor::new(Arc::new(Adversary::t_closeness(&table)), measure);
-    let (serial_audit_tcloseness_ms, parallel_audit_tcloseness_ms, _) =
-        audit_both_engines(&tcl_auditor, &table, &groups, reps);
-
-    SizeResult {
-        rows,
-        groups: groups.len(),
-        serial_publish_ms,
-        parallel_publish_ms,
+    let tcloseness = Auditor::new(Arc::new(Adversary::t_closeness(&table)), measure);
+    Pipeline {
+        table,
+        groups,
+        publish_ms,
         estimate_ms,
-        serial_audit_kernel_ms,
-        parallel_audit_kernel_ms,
-        serial_audit_tcloseness_ms,
-        parallel_audit_tcloseness_ms,
-        vulnerable,
+        auditors: [kernel, tcloseness],
     }
 }
 
-fn json(results: &[SizeResult], threads: usize, smoke: bool, reps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"baseline\",\n");
-    out.push_str(&format!("  \"requirement\": \"{K}-anonymity\",\n"));
-    out.push_str(&format!("  \"adversary_bandwidth\": {B_PRIME},\n"));
-    out.push_str(&format!("  \"audit_threshold\": {THRESHOLD},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"groups\": {}, \"vulnerable\": {}, \
-             \"serial_publish_ms\": {:.3}, \"parallel_publish_ms\": {:.3}, \
-             \"estimate_ms\": {:.3}, \
-             \"serial_audit_kernel_ms\": {:.3}, \"parallel_audit_kernel_ms\": {:.3}, \
-             \"serial_audit_tcloseness_ms\": {:.3}, \"parallel_audit_tcloseness_ms\": {:.3}, \
-             \"serial_total_ms\": {:.3}, \"parallel_total_ms\": {:.3}, \
-             \"speedup\": {:.3}, \"identical_output\": true}}{}\n",
-            r.rows,
-            r.groups,
-            r.vulnerable,
-            r.serial_publish_ms,
-            r.parallel_publish_ms,
-            r.estimate_ms,
-            r.serial_audit_kernel_ms,
-            r.parallel_audit_kernel_ms,
-            r.serial_audit_tcloseness_ms,
-            r.parallel_audit_tcloseness_ms,
-            r.serial_total_ms(),
-            r.parallel_total_ms(),
-            r.speedup(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Time two audit engines (min over `reps` each) and assert bit-identical
+/// risks. Returns (risks, first ms, second ms).
+fn audit_pair(
+    reps: usize,
+    what: &str,
+    first: impl FnMut() -> Vec<f64>,
+    second: impl FnMut() -> Vec<f64>,
+) -> (Vec<f64>, f64, f64) {
+    let (risks, first_ms) = best_ms(reps, first);
+    let (check, second_ms) = best_ms(reps, second);
+    assert!(same_bits(&risks, &check), "{what} audit engines diverge");
+    (risks, first_ms, second_ms)
 }
 
-/// One measured delta step of the incremental benchmark.
-struct DeltaStep {
-    apply_ms: f64,
-    inc_audit_ms: f64,
-    full_publish_ms: f64,
-    full_audit_ms: f64,
+fn run_baseline_mode(cfg: &mut Config) -> Vec<Json> {
+    cfg.audited();
+    let sizes = cfg.picks("sizes", &[1_000], &[10_000, 100_000]);
+    let reps = cfg.pick("reps", 1, 3);
+    let engines = [Parallelism::Serial, Parallelism::Auto];
+    sizes
+        .into_iter()
+        .map(|rows| {
+            // The kernel prior is estimated once, outside the timed audits:
+            // the paper's Fig. 4 accounting excludes it.
+            let p = pipeline(rows, &engines, reps, 1);
+            let audit = |auditor: &Auditor, what| {
+                let (table, groups) = (&p.table, &p.groups);
+                let engine = |e| move || auditor.tuple_risks_with(table, groups, e);
+                audit_pair(reps, what, engine(engines[0]), engine(engines[1]))
+            };
+            let (risks, serial_kernel, parallel_kernel) = audit(&p.auditors[0], "kernel");
+            let (_, serial_tcl, parallel_tcl) = audit(&p.auditors[1], "t-closeness");
+            let serial_total = p.publish_ms[0] + serial_kernel + serial_tcl;
+            let parallel_total = p.publish_ms[1] + parallel_kernel + parallel_tcl;
+            row(
+                format!("{rows} rows"),
+                true,
+                vec![
+                    ("rows", rows.into()),
+                    ("groups", p.groups.len().into()),
+                    ("vulnerable", vulnerable(&risks).into()),
+                    ("serial_publish_ms", r3(p.publish_ms[0])),
+                    ("parallel_publish_ms", r3(p.publish_ms[1])),
+                    ("estimate_ms", r3(p.estimate_ms)),
+                    ("serial_audit_kernel_ms", r3(serial_kernel)),
+                    ("parallel_audit_kernel_ms", r3(parallel_kernel)),
+                    ("serial_audit_tcloseness_ms", r3(serial_tcl)),
+                    ("parallel_audit_tcloseness_ms", r3(parallel_tcl)),
+                    ("serial_total_ms", r3(serial_total)),
+                    ("parallel_total_ms", r3(parallel_total)),
+                    ("speedup", r3(serial_total / parallel_total)),
+                ],
+            )
+        })
+        .collect()
 }
 
-impl DeltaStep {
-    fn speedup(&self) -> f64 {
-        (self.full_publish_ms + self.full_audit_ms) / (self.apply_ms + self.inc_audit_ms)
-    }
+fn run_scale_mode(cfg: &mut Config) -> Vec<Json> {
+    cfg.audited();
+    let sizes = cfg.picks("sizes", &[2_000], &[1_000_000, 10_000_000]);
+    let reps = cfg.pick("reps", 2, 2);
+    sizes
+        .into_iter()
+        .map(|rows| {
+            let p = pipeline(rows, &[Parallelism::Serial], reps, reps);
+            let table = &p.table;
+            let (group_map, group_by_ms) = best_ms(reps, || table.group_by_qi());
+            let (folded, fold_ms) = best_ms(reps, || FoldedTable::new(table));
+            assert_eq!(folded.len(), group_map.len(), "fold size diverges");
+            assert_eq!(folded.rows(), table.len(), "fold row total diverges");
+            for (point, (codes, members)) in folded.points().zip(&group_map) {
+                assert_eq!(point.qi(), codes.as_ref(), "fold key diverges");
+                assert_eq!(point.count() as usize, members.len(), "fold count diverges");
+                assert_eq!(
+                    point.sensitive_counts(),
+                    table.sensitive_counts_in(members).as_slice(),
+                    "fold histogram diverges"
+                );
+            }
+            let audit = |auditor: &Auditor, what| {
+                let flat = || auditor.tuple_risks_with(table, &p.groups, Parallelism::Serial);
+                audit_pair(reps, what, flat, || {
+                    auditor.tuple_risks_reference(table, &p.groups)
+                })
+            };
+            let (risks, kernel_ms, kernel_reference_ms) = audit(&p.auditors[0], "kernel");
+            let (_, tcl_ms, tcl_reference_ms) = audit(&p.auditors[1], "t-closeness");
+            let (audit_ms, reference_ms) =
+                (kernel_ms + tcl_ms, kernel_reference_ms + tcl_reference_ms);
+            row(
+                format!("{rows} rows"),
+                true,
+                vec![
+                    ("rows", rows.into()),
+                    ("groups", p.groups.len().into()),
+                    ("distinct_points", folded.len().into()),
+                    ("vulnerable", vulnerable(&risks).into()),
+                    ("publish_ms", r3(p.publish_ms[0])),
+                    ("estimate_ms", r3(p.estimate_ms)),
+                    ("audit_kernel_ms", r3(kernel_ms)),
+                    ("audit_tcloseness_ms", r3(tcl_ms)),
+                    ("audit_ms", r3(audit_ms)),
+                    ("audit_reference_ms", r3(reference_ms)),
+                    ("group_by_ms", r3(group_by_ms)),
+                    ("fold_ms", r3(fold_ms)),
+                    (
+                        "pipeline_ms",
+                        r3(p.publish_ms[0] + p.estimate_ms + audit_ms),
+                    ),
+                    ("reference_speedup", r3(reference_ms / audit_ms)),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// How a delta's rows are distributed over the QI space.
@@ -344,17 +426,14 @@ enum Workload {
 
 impl Workload {
     fn name(self) -> &'static str {
-        match self {
-            Workload::Scattered => "scattered",
-            Workload::Clustered => "clustered",
-        }
+        ["scattered", "clustered"][self as usize]
     }
 }
 
 /// Build one 1%-churn delta over `table` (`delta_half` deletes + an equal
 /// number of inserts, so the table size stays stable as in a steady-state
-/// replacement workload). Shared by the incremental and estimation
-/// benchmarks so both measure the same churn patterns.
+/// replacement workload). Every delta-driven scenario draws from it, so
+/// they all measure the same churn patterns.
 fn workload_delta(
     table: &Table,
     rng: &mut SmallRng,
@@ -425,201 +504,179 @@ fn workload_delta(
     builder.build()
 }
 
-/// Incremental results for one table size and workload.
-struct IncrementalResult {
-    rows: usize,
+/// The scripted churn of the serving scenarios: tenant `tenant`'s delta at
+/// `step`, clustered and scattered 1% deltas in turn. It depends only on
+/// the tenant's current table, so every replay of the script derives the
+/// same deltas from the same tables.
+fn scripted_delta(table: &Table, tenant: usize, step: usize) -> Delta {
+    let mut rng = SmallRng::seed_from_u64(SEED ^ ((tenant as u64) << 24) ^ ((step as u64) << 8));
+    let workload = [Workload::Clustered, Workload::Scattered][(tenant + step) % 2];
+    workload_delta(
+        table,
+        &mut rng,
+        workload,
+        (table.len() / 200).max(1),
+        SEED + (tenant * 1_000 + step) as u64,
+    )
+}
+
+/// One delta step's wall-clock: [apply, incremental audit, from-scratch
+/// publish, from-scratch audit] in ms. The audits are 0 without an auditor.
+type Step = [f64; 4];
+
+/// Drive `reps` successive 1% deltas through `session`. Each step applies
+/// the delta, then publishes the same table from scratch, both timed, and
+/// asserts the two publications bit-identical; with an `auditor`, each side
+/// is also audited and the risks must match. Returns the mean delta size
+/// and the steps.
+fn delta_steps(
+    session: &mut PublishSession,
+    publisher: &Publisher,
+    auditor: Option<&Auditor>,
     workload: Workload,
-    /// Mean rows actually churned per delta (deletes + inserts); the
-    /// clustered workload can fall short of the nominal 1% when the chosen
-    /// band is sparsely populated.
-    delta_rows: usize,
-    groups: usize,
-    open_ms: f64,
-    estimate_ms: f64,
-    first_audit_ms: f64,
-    steps: Vec<DeltaStep>,
-}
-
-impl IncrementalResult {
-    fn mean(&self, f: impl Fn(&DeltaStep) -> f64) -> f64 {
-        self.steps.iter().map(f).sum::<f64>() / self.steps.len() as f64
-    }
-
-    /// Speedup of the mean incremental step over the mean full republish.
-    fn speedup_mean(&self) -> f64 {
-        (self.mean(|s| s.full_publish_ms) + self.mean(|s| s.full_audit_ms))
-            / (self.mean(|s| s.apply_ms) + self.mean(|s| s.inc_audit_ms))
-    }
-
-    fn speedup_best(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(DeltaStep::speedup)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Run the incremental republication benchmark at one size and workload:
-/// `reps` successive 1% deltas through one session, each checked
-/// bit-identical against a from-scratch publish + audit of the same final
-/// table.
-fn run_incremental(rows: usize, reps: usize, workload: Workload) -> IncrementalResult {
-    let table = adult::generate(rows, SEED);
-    let publisher = Publisher::new()
-        .k_anonymity(K)
-        .parallelism(Parallelism::Auto);
-    let measure: Arc<dyn bgkanon::stats::BeliefDistance> = Arc::new(SmoothedJs::paper_default(
-        table.schema().sensitive_distance(),
-    ));
-    // One kernel adversary, estimated once from the base table and reused
-    // across every release on both sides (the paper's Fig. 1 accounting).
-    let (auditor, estimate_ms) = time_ms(|| {
-        Auditor::new(
-            Arc::new(Adversary::kernel(
-                &table,
-                Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth"),
-            )),
-            measure,
-        )
-    });
-    let (mut session, open_ms) = time_ms(|| publisher.open(&table).expect("satisfiable"));
-    let (_, first_audit_ms) = time_ms(|| session.audit_with(&auditor, THRESHOLD));
-
-    // 1% churn per delta: exactly 0.5% deletes + an equal number of
-    // inserts, so the table size — and with it the median positions the
-    // retained splits hinge on — stays stable, as in a steady-state
-    // replacement workload.
-    let delta_half = (rows / 200).max(1);
-    let mut rng = SmallRng::seed_from_u64(SEED ^ 0xdead_beef);
+    reps: usize,
+    (rng_seed, donor_base): (u64, u64),
+) -> (usize, Vec<Step>) {
+    let delta_half = (session.table().len() / 200).max(1);
+    let mut rng = SmallRng::seed_from_u64(rng_seed);
+    let mut churned = 0;
     let mut steps = Vec::with_capacity(reps);
-    let mut churned = 0usize;
     for rep in 0..reps {
-        let delta = workload_delta(
-            session.table(),
-            &mut rng,
-            workload,
-            delta_half,
-            SEED + 1000 + rep as u64,
-        );
+        let donors = donor_base + rep as u64;
+        let delta = workload_delta(session.table(), &mut rng, workload, delta_half, donors);
         churned += delta.len();
-
-        let (outcome, apply_ms) = time_ms(|| session.apply(&delta).expect("satisfiable delta"));
-        let (inc_report, inc_audit_ms) = time_ms(|| session.audit_with(&auditor, THRESHOLD));
-
-        let (full_outcome, full_publish_ms) =
+        let (inc, apply_ms) = time_ms(|| session.apply(&delta).expect("satisfiable delta"));
+        let (inc_report, inc_audit_ms) =
+            time_ms(|| auditor.map(|a| session.audit_with(a, THRESHOLD)));
+        let (scratch, scratch_ms) =
             time_ms(|| publisher.publish(session.table()).expect("satisfiable"));
         let (full_report, full_audit_ms) =
-            time_ms(|| full_outcome.audit_with(session.table(), &auditor, THRESHOLD));
-
+            time_ms(|| auditor.map(|a| scratch.audit_with(session.table(), a, THRESHOLD)));
         // The recorded speedup must never be bought with drift.
-        assert!(
-            outcome.anonymized == full_outcome.anonymized,
-            "publication drift"
-        );
-        for (row, (a, b)) in inc_report.risks.iter().zip(&full_report.risks).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "risk drift at row {row}");
+        assert!(inc.anonymized == scratch.anonymized, "publication drift");
+        if let (Some(inc), Some(full)) = (inc_report, full_report) {
+            assert!(same_bits(&inc.risks, &full.risks), "risk drift");
         }
-
-        steps.push(DeltaStep {
-            apply_ms,
-            inc_audit_ms,
-            full_publish_ms,
-            full_audit_ms,
-        });
+        steps.push([apply_ms, inc_audit_ms, scratch_ms, full_audit_ms]);
     }
-    IncrementalResult {
-        rows,
-        workload,
-        delta_rows: churned / reps,
-        groups: session.group_count(),
-        open_ms,
-        estimate_ms,
-        first_audit_ms,
-        steps,
-    }
+    (churned / reps, steps)
 }
 
-fn incremental_json(
-    results: &[IncrementalResult],
-    threads: usize,
-    smoke: bool,
-    reps: usize,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"incremental\",\n");
-    out.push_str(&format!("  \"requirement\": \"{K}-anonymity\",\n"));
-    out.push_str(&format!("  \"adversary_bandwidth\": {B_PRIME},\n"));
-    out.push_str(&format!("  \"audit_threshold\": {THRESHOLD},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"workload\": \"{}\", \"delta_rows\": {}, \"groups\": {}, \
-             \"open_ms\": {:.3}, \"estimate_ms\": {:.3}, \"first_audit_ms\": {:.3}, \
-             \"apply_ms_mean\": {:.3}, \"inc_audit_ms_mean\": {:.3}, \
-             \"full_publish_ms_mean\": {:.3}, \"full_audit_ms_mean\": {:.3}, \
-             \"incremental_total_ms_mean\": {:.3}, \"full_total_ms_mean\": {:.3}, \
-             \"speedup_mean\": {:.3}, \"speedup_best\": {:.3}, \
-             \"identical_output\": true}}{}\n",
-            r.rows,
-            r.workload.name(),
-            r.delta_rows,
-            r.groups,
-            r.open_ms,
-            r.estimate_ms,
-            r.first_audit_ms,
-            r.mean(|s| s.apply_ms),
-            r.mean(|s| s.inc_audit_ms),
-            r.mean(|s| s.full_publish_ms),
-            r.mean(|s| s.full_audit_ms),
-            r.mean(|s| s.apply_ms + s.inc_audit_ms),
-            r.mean(|s| s.full_publish_ms + s.full_audit_ms),
-            r.speedup_mean(),
-            r.speedup_best(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn mean(steps: &[Step], f: impl Fn(&Step) -> f64) -> f64 {
+    steps.iter().map(f).sum::<f64>() / steps.len() as f64
 }
 
-/// How the estimation benchmark's 1% delta is distributed over the QI
-/// space. The kernel engine cares about locality in **kernel-support**
-/// space, which is not the same as the partition tree's notion:
-///
-/// * `Clustered` — a demographic cohort: rows churned at a **small set of
-///   distinct QI profiles** inside one narrow age band (bulk
-///   arrival/departure of records sharing coarse demographics). The
-///   kernel-support analogue of the incremental bench's cohort: the delta
-///   touches few distinct points, so the dirty kernel neighborhood stays
-///   small — the case `refresh` is built for;
-/// * `AgeBand` — `BENCH_incremental.json`'s "clustered" workload (narrow
-///   age band, fresh random demographics). Tree-local but **not**
-///   kernel-local: hundreds of distinct QI points change, so their united
-///   kernel neighborhoods cover a large share of the table;
-/// * `Scattered` — uniform random churn, the worst case for both engines.
-#[derive(Clone, Copy, PartialEq)]
-enum EstimateWorkload {
-    Clustered,
-    AgeBand,
-    Scattered,
-}
-
-impl EstimateWorkload {
-    fn name(self) -> &'static str {
-        match self {
-            EstimateWorkload::Clustered => "clustered",
-            EstimateWorkload::AgeBand => "age_band",
-            EstimateWorkload::Scattered => "scattered",
+fn run_incremental_mode(cfg: &mut Config) -> Vec<Json> {
+    cfg.audited();
+    let sizes = cfg.picks("sizes", &[1_000], &[10_000, 100_000]);
+    let reps = cfg.pick("reps", 2, 8);
+    let mut rows_out = Vec::new();
+    for rows in sizes {
+        for workload in [Workload::Clustered, Workload::Scattered] {
+            let table = adult::generate(rows, SEED);
+            let publisher = Publisher::new()
+                .k_anonymity(K)
+                .parallelism(Parallelism::Auto);
+            // One kernel adversary, estimated once from the base table and
+            // reused across every release on both sides (the paper's Fig. 1
+            // accounting).
+            let measure = measure(&table);
+            let (auditor, estimate_ms) = time_ms(|| kernel_auditor(&table, measure));
+            let (mut session, open_ms) = time_ms(|| publisher.open(&table).expect("satisfiable"));
+            let (_, first_audit_ms) = time_ms(|| session.audit_with(&auditor, THRESHOLD));
+            let seeds = (SEED ^ 0xdead_beef, SEED + 1000);
+            let (delta_rows, steps) = delta_steps(
+                &mut session,
+                &publisher,
+                Some(&auditor),
+                workload,
+                reps,
+                seeds,
+            );
+            let [apply, inc_audit, full_publish, full_audit] =
+                [0, 1, 2, 3].map(|i| mean(&steps, |s| s[i]));
+            let speedup_best = steps
+                .iter()
+                .map(|s| (s[2] + s[3]) / (s[0] + s[1]))
+                .fold(0.0, f64::max);
+            rows_out.push(row(
+                format!("{rows} rows, {}", workload.name()),
+                true,
+                vec![
+                    ("rows", rows.into()),
+                    ("workload", workload.name().into()),
+                    ("delta_rows", delta_rows.into()),
+                    ("groups", session.group_count().into()),
+                    ("open_ms", r3(open_ms)),
+                    ("estimate_ms", r3(estimate_ms)),
+                    ("first_audit_ms", r3(first_audit_ms)),
+                    ("apply_ms_mean", r3(apply)),
+                    ("inc_audit_ms_mean", r3(inc_audit)),
+                    ("full_publish_ms_mean", r3(full_publish)),
+                    ("full_audit_ms_mean", r3(full_audit)),
+                    ("incremental_total_ms_mean", r3(apply + inc_audit)),
+                    ("full_total_ms_mean", r3(full_publish + full_audit)),
+                    (
+                        "speedup_mean",
+                        r3((full_publish + full_audit) / (apply + inc_audit)),
+                    ),
+                    ("speedup_best", r3(speedup_best)),
+                ],
+            ));
         }
     }
+    rows_out
 }
 
-/// Build the estimation bench's `Clustered` delta: retire **every** row of
-/// the highest-multiplicity QI profiles inside the most populated narrow
+/// Every [`Algorithm`] behind the session API refreshing through 1% deltas
+/// vs a from-scratch publish of the same table, serial engines on both
+/// sides so the comparison isolates the retained-state advantage.
+fn run_strategies_mode(cfg: &mut Config) -> Vec<Json> {
+    cfg.set("requirement", "4-anonymity ∧ distinct 3-diversity");
+    let sizes = cfg.picks("sizes", &[1_000], &[10_000, 100_000]);
+    let reps = cfg.pick("reps", 2, 8);
+    use Algorithm::{Bucketize, FullDomain, Mondrian};
+    let mut rows_out = Vec::new();
+    for rows in sizes {
+        for algorithm in [Mondrian, Bucketize, FullDomain] {
+            for workload in [Workload::Clustered, Workload::Scattered] {
+                let table = adult::generate(rows, SEED);
+                let publisher = Publisher::new()
+                    .k_anonymity(4)
+                    .distinct_l_diversity(3)
+                    .algorithm(algorithm)
+                    .parallelism(Parallelism::Serial);
+                let (mut session, open_ms) =
+                    time_ms(|| publisher.open(&table).expect("satisfiable"));
+                let seeds = (SEED ^ 0x5747_4759, SEED + 2000);
+                let (delta_rows, steps) =
+                    delta_steps(&mut session, &publisher, None, workload, reps, seeds);
+                let (refresh, scratch) = (mean(&steps, |s| s[0]), mean(&steps, |s| s[2]));
+                let speedup_best = steps.iter().map(|s| s[2] / s[0]).fold(0.0, f64::max);
+                rows_out.push(row(
+                    format!("{rows} rows, {}, {}", algorithm.name(), workload.name()),
+                    true,
+                    vec![
+                        ("rows", rows.into()),
+                        ("algorithm", algorithm.name().into()),
+                        ("workload", workload.name().into()),
+                        ("delta_rows", delta_rows.into()),
+                        ("groups", session.group_count().into()),
+                        ("open_ms", r3(open_ms)),
+                        ("refresh_ms_mean", r3(refresh)),
+                        ("scratch_publish_ms_mean", r3(scratch)),
+                        ("speedup_mean", r3(scratch / refresh)),
+                        ("speedup_best", r3(speedup_best)),
+                    ],
+                ));
+            }
+        }
+    }
+    rows_out
+}
+
+/// Build the estimation scenario's `clustered` delta: retire **every** row
+/// of the highest-multiplicity QI profiles inside the most populated narrow
 /// age band (until ½% of the table is deleted) and admit the same number
 /// of rows at those same profiles with fresh sensitive values. The churn
 /// is 1% of the rows but touches only a handful of distinct QI points.
@@ -667,554 +724,139 @@ fn cohort_delta(table: &Table, delta_half: usize, donor_seed: u64) -> Delta {
     builder.build()
 }
 
-/// Estimation results for one refresh workload.
-struct RefreshResult {
-    workload: EstimateWorkload,
-    delta_rows: usize,
-    refresh_ms: f64,
-    reestimate_ms: f64,
-}
-
-/// Estimation engine results for one table size.
-struct EstimateResult {
-    rows: usize,
-    distinct_points: usize,
-    /// Mean per-attribute kernel-table density (fraction of nonzero
-    /// weights) at the bench bandwidth.
-    support_density: f64,
-    dense_reference_ms: f64,
-    sparse_ms: f64,
-    sparse_parallel_ms: f64,
-    refresh: Vec<RefreshResult>,
-}
-
-impl EstimateResult {
-    fn sparse_speedup(&self) -> f64 {
-        self.dense_reference_ms / self.sparse_ms
-    }
-
-    fn sparse_parallel_speedup(&self) -> f64 {
-        self.dense_reference_ms / self.sparse_parallel_ms
-    }
-}
-
 /// Assert two prior models are bit-identical (the recorded speedups must
 /// never be bought with drift).
 fn assert_models_identical(a: &PriorModel, b: &PriorModel, context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: model size drift");
-    for (qi, p) in a.iter() {
-        let q = b
-            .prior(qi)
-            .unwrap_or_else(|| panic!("{context}: missing prior"));
-        for (x, y) in p.as_slice().iter().zip(q.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{context}: prior drift at {qi:?}");
-        }
-    }
-    for (x, y) in a
-        .table_distribution()
-        .as_slice()
-        .iter()
-        .zip(b.table_distribution().as_slice())
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{context}: table distribution drift"
-        );
-    }
-}
-
-/// Benchmark the P̂pri estimation engines at one size: the dense all-pairs
-/// reference vs the sparse neighbor-bounded engine (single-threaded and
-/// `Auto`), plus the hub's carried refresh (deleted-row gather + fold
-/// evolution + fold-diff refresh) vs full re-estimation under the 1% delta
-/// workloads — every comparison verified bit-identical before its timing is
-/// recorded.
-fn run_estimate(rows: usize, reps: usize) -> EstimateResult {
-    let table = adult::generate(rows, SEED);
-    let estimator = PriorEstimator::new(
-        Arc::clone(table.schema()),
-        Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth"),
-    );
-    let density = estimator.support_density();
-    let support_density = density.iter().sum::<f64>() / density.len() as f64;
-
-    let (dense, dense_reference_ms) = best_ms(reps, || estimator.estimate_reference(&table));
-    let (sparse, sparse_ms) = best_ms(reps, || {
-        estimator.estimate_with(&table, Parallelism::threads(1))
-    });
-    let (parallel, sparse_parallel_ms) =
-        best_ms(reps, || estimator.estimate_with(&table, Parallelism::Auto));
-    assert_models_identical(&dense, &sparse, "dense vs sparse");
-    assert_models_identical(&dense, &parallel, "dense vs sparse-parallel");
-
-    // Carried refresh vs full re-estimation under 1% churn.
-    let delta_half = (rows / 200).max(1);
-    let mut refresh = Vec::new();
-    for workload in [
-        EstimateWorkload::Clustered,
-        EstimateWorkload::AgeBand,
-        EstimateWorkload::Scattered,
-    ] {
-        let mut rng = SmallRng::seed_from_u64(SEED ^ 0xe571_ae11);
-        let delta = match workload {
-            EstimateWorkload::Clustered => cohort_delta(&table, delta_half, SEED + 77),
-            EstimateWorkload::AgeBand => {
-                workload_delta(&table, &mut rng, Workload::Clustered, delta_half, SEED + 77)
-            }
-            EstimateWorkload::Scattered => {
-                workload_delta(&table, &mut rng, Workload::Scattered, delta_half, SEED + 77)
-            }
-        };
-        let next = table.apply_delta(&delta).expect("valid delta");
-
-        let (fresh, reestimate_ms) =
-            best_ms(reps, || estimator.estimate_with(&next, Parallelism::Auto));
-        let mut refresh_ms = f64::INFINITY;
-        let mut refreshed = None;
-        for _ in 0..reps {
-            let mut model = sparse.clone();
-            let (_, ms) = time_ms(|| {
-                let deleted = DeletedRows::gather(&table, &delta).expect("deletes in range");
-                let folded = model.folded().expect("estimated models keep their fold");
-                let evolved = folded
-                    .evolve(&deleted, &delta)
-                    .expect("delta matches the fold");
-                estimator.refresh_folded(&mut model, evolved.into_folded(), Parallelism::Auto)
-            });
-            refresh_ms = refresh_ms.min(ms);
-            refreshed = Some(model);
-        }
-        let refreshed = refreshed.expect("reps >= 1");
-        assert_models_identical(
-            &fresh,
-            &refreshed,
-            &format!("refresh vs re-estimate ({})", workload.name()),
-        );
-        refresh.push(RefreshResult {
-            workload,
-            delta_rows: delta.len(),
-            refresh_ms,
-            reestimate_ms,
+    let same_priors = a.len() == b.len()
+        && a.iter().all(|(qi, p)| {
+            b.prior(qi)
+                .is_some_and(|q| same_bits(p.as_slice(), q.as_slice()))
         });
-    }
-
-    EstimateResult {
-        rows,
-        distinct_points: dense.len(),
-        support_density,
-        dense_reference_ms,
-        sparse_ms,
-        sparse_parallel_ms,
-        refresh,
-    }
-}
-
-fn estimate_json(results: &[EstimateResult], threads: usize, smoke: bool, reps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"estimate\",\n");
-    out.push_str(&format!("  \"adversary_bandwidth\": {B_PRIME},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"distinct_points\": {}, \"support_density\": {:.4}, \
-             \"dense_reference_ms\": {:.3}, \"sparse_ms\": {:.3}, \"sparse_parallel_ms\": {:.3}, \
-             \"sparse_speedup\": {:.3}, \"sparse_parallel_speedup\": {:.3}, \
-             \"workloads\": [",
-            r.rows,
-            r.distinct_points,
-            r.support_density,
-            r.dense_reference_ms,
-            r.sparse_ms,
-            r.sparse_parallel_ms,
-            r.sparse_speedup(),
-            r.sparse_parallel_speedup(),
-        ));
-        for (j, w) in r.refresh.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"workload\": \"{}\", \"delta_rows\": {}, \"refresh_ms\": {:.3}, \
-                 \"reestimate_ms\": {:.3}, \"refresh_speedup\": {:.3}}}{}",
-                w.workload.name(),
-                w.delta_rows,
-                w.refresh_ms,
-                w.reestimate_ms,
-                w.reestimate_ms / w.refresh_ms,
-                if j + 1 < r.refresh.len() { ", " } else { "" },
-            ));
-        }
-        out.push_str(&format!(
-            "], \"identical_output\": true}}{}\n",
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_estimate_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) {
-    let threads = Parallelism::Auto.effective_threads();
-    let mut report = Report::new(
-        "P̂pri estimation: dense reference vs sparse engine vs session refresh",
-        &[
-            "distinct",
-            "density",
-            "dense",
-            "sparse",
-            "sparse-par",
-            "speedup",
-            "refresh(clu)",
-            "refresh(band)",
-            "refresh(sca)",
-        ],
+    let (x, y) = (a.table_distribution(), b.table_distribution());
+    assert!(
+        same_priors && same_bits(x.as_slice(), y.as_slice()),
+        "{context}: prior models drift"
     );
-    let mut results = Vec::new();
-    for &rows in sizes {
-        let r = run_estimate(rows, reps);
-        let per_workload = |w: EstimateWorkload| {
-            r.refresh
-                .iter()
-                .find(|x| x.workload == w)
-                .map(|x| format!("{:.1}x", x.reestimate_ms / x.refresh_ms))
-                .unwrap_or_default()
-        };
-        report.row(
-            &format!("{rows} rows"),
-            vec![
-                format!("{}", r.distinct_points),
-                format!("{:.1}%", 100.0 * r.support_density),
-                format!("{:.1}ms", r.dense_reference_ms),
-                format!("{:.1}ms", r.sparse_ms),
-                format!("{:.1}ms", r.sparse_parallel_ms),
-                format!("{:.1}x", r.sparse_parallel_speedup()),
-                per_workload(EstimateWorkload::Clustered),
-                per_workload(EstimateWorkload::AgeBand),
-                per_workload(EstimateWorkload::Scattered),
-            ],
-        );
-        results.push(r);
-    }
-    report.note(&format!(
-        "{threads} worker thread(s); min over {reps} rep(s); bandwidth {B_PRIME}; density = mean \
-         nonzero fraction of the per-attribute kernel tables; refresh columns = speedup of \
-         the carried refresh (gather + FoldedTable::evolve + refresh_folded) over full \
-         re-estimation under one 1% delta (clustered = \
-         demographic cohort at few distinct QI profiles, band = BENCH_incremental's age-band \
-         cohort, scattered = uniform churn); every engine pair verified bit-identical before \
-         timing is recorded"
-    ));
-    println!("{}", report.render());
-
-    let payload = estimate_json(&results, threads, smoke, reps);
-    let mut file = std::fs::File::create(out_path).expect("create estimate json");
-    file.write_all(payload.as_bytes())
-        .expect("write estimate json");
-    println!("wrote {out_path}");
 }
 
-/// One size point of the scale benchmark: serial wall-clock of each
-/// pipeline stage, plus the reference audit it is verified against.
-struct ScaleResult {
-    rows: usize,
-    groups: usize,
-    distinct_points: usize,
-    vulnerable: usize,
-    publish_ms: f64,
-    estimate_ms: f64,
-    audit_kernel_ms: f64,
-    audit_tcloseness_ms: f64,
-    /// Both adversaries' audits through `tuple_risks_reference`.
-    audit_reference_ms: f64,
-    group_by_ms: f64,
-    fold_ms: f64,
+/// The P̂pri engines at each size: the dense all-pairs reference vs the
+/// sparse engine (one thread and `Auto`), then the carried refresh vs full
+/// re-estimation under three 1% delta workloads. The kernel engine cares
+/// about locality in kernel-support space, which differs from the
+/// partition tree's:
+///
+/// * `clustered` — a demographic cohort churned at a few distinct QI
+///   profiles ([`cohort_delta`]), so the dirty kernel neighborhood stays
+///   small — the case the refresh is built for;
+/// * `age_band` — `incremental`'s clustered workload: tree-local but not
+///   kernel-local, since hundreds of distinct QI points change;
+/// * `scattered` — uniform random churn, the worst case for both engines.
+fn run_estimate_mode(cfg: &mut Config) -> Vec<Json> {
+    cfg.audited();
+    let sizes = cfg.picks("sizes", &[1_000], &[10_000, 100_000]);
+    let reps = cfg.pick("reps", 1, 3);
+    sizes
+        .into_iter()
+        .map(|rows| {
+            let table = adult::generate(rows, SEED);
+            let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth(&table));
+            let density = estimator.support_density();
+            let (dense, dense_ms) = best_ms(reps, || estimator.estimate_reference(&table));
+            let (sparse, sparse_ms) = best_ms(reps, || {
+                estimator.estimate_with(&table, Parallelism::threads(1))
+            });
+            let (parallel, parallel_ms) =
+                best_ms(reps, || estimator.estimate_with(&table, Parallelism::Auto));
+            assert_models_identical(&dense, &sparse, "dense vs sparse");
+            assert_models_identical(&dense, &parallel, "dense vs sparse-parallel");
+            let mut values = keyed(vec![
+                ("rows", rows.into()),
+                ("distinct_points", dense.len().into()),
+                (
+                    "support_density",
+                    round(density.iter().sum::<f64>() / density.len() as f64, 4),
+                ),
+                ("dense_reference_ms", r3(dense_ms)),
+                ("sparse_ms", r3(sparse_ms)),
+                ("sparse_parallel_ms", r3(parallel_ms)),
+                ("sparse_speedup", r3(dense_ms / sparse_ms)),
+                ("sparse_parallel_speedup", r3(dense_ms / parallel_ms)),
+            ]);
+            let delta_half = (rows / 200).max(1);
+            let workloads = [
+                ("clustered", None),
+                ("age_band", Some(Workload::Clustered)),
+                ("scattered", Some(Workload::Scattered)),
+            ];
+            for (workload, churn) in workloads {
+                let mut rng = SmallRng::seed_from_u64(SEED ^ 0xe571_ae11);
+                let delta = match churn {
+                    None => cohort_delta(&table, delta_half, SEED + 77),
+                    Some(w) => workload_delta(&table, &mut rng, w, delta_half, SEED + 77),
+                };
+                let next = table.apply_delta(&delta).expect("valid delta");
+                let (fresh, reestimate_ms) =
+                    best_ms(reps, || estimator.estimate_with(&next, Parallelism::Auto));
+                let (mut refreshed, mut refresh_ms) = (None, f64::INFINITY);
+                for _ in 0..reps {
+                    let mut model = sparse.clone();
+                    let (_, ms) = time_ms(|| {
+                        let deleted =
+                            DeletedRows::gather(&table, &delta).expect("deletes in range");
+                        let folded = model.folded().expect("estimated models keep their fold");
+                        let evolved = folded
+                            .evolve(&deleted, &delta)
+                            .expect("delta matches the fold");
+                        estimator.refresh_folded(
+                            &mut model,
+                            evolved.into_folded(),
+                            Parallelism::Auto,
+                        )
+                    });
+                    refresh_ms = refresh_ms.min(ms);
+                    refreshed = Some(model);
+                }
+                assert_models_identical(
+                    &fresh,
+                    &refreshed.expect("reps >= 1"),
+                    &format!("refresh vs re-estimate ({workload})"),
+                );
+                values.extend([
+                    (format!("delta_rows_{workload}"), delta.len().into()),
+                    (format!("refresh_ms_{workload}"), r3(refresh_ms)),
+                    (format!("reestimate_ms_{workload}"), r3(reestimate_ms)),
+                    (
+                        format!("refresh_speedup_{workload}"),
+                        r3(reestimate_ms / refresh_ms),
+                    ),
+                ]);
+            }
+            row(format!("{rows} rows"), true, values)
+        })
+        .collect()
 }
 
-impl ScaleResult {
-    /// The end-to-end publish+audit path: partition the table, estimate
-    /// the auditing adversary's prior model, audit against both reference
-    /// adversaries.
-    fn pipeline_ms(&self) -> f64 {
-        self.publish_ms + self.estimate_ms + self.audit_kernel_ms + self.audit_tcloseness_ms
-    }
-
-    /// Reference audit time over flat-scan audit time, both adversaries.
-    fn reference_speedup(&self) -> f64 {
-        self.audit_reference_ms / (self.audit_kernel_ms + self.audit_tcloseness_ms)
-    }
-}
-
-/// Audit `groups` with the serial flat-scan engine and with the reference
-/// transcription, asserting bit-identical risks. Returns (risks, flat_ms,
-/// reference_ms).
-fn audit_against_reference(
-    auditor: &Auditor,
-    table: &Table,
-    groups: &[Vec<usize>],
-    reps: usize,
-    name: &str,
-) -> (Vec<f64>, f64, f64) {
-    let (risks, flat_ms) = best_ms(reps, || {
-        auditor.tuple_risks_with(table, groups, Parallelism::Serial)
-    });
-    let (reference, reference_ms) = best_ms(reps, || auditor.tuple_risks_reference(table, groups));
-    for (row, (a, b)) in risks.iter().zip(&reference).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{name} audit diverges from the reference at row {row}"
-        );
-    }
-    (risks, flat_ms, reference_ms)
-}
-
-/// Run the full serial publish→estimate→audit pipeline (plus the isolated
-/// group-by-QI and fold passes) on one generated table, verifying every
-/// audit and the fold against their references.
-fn run_scale(rows: usize, reps: usize) -> ScaleResult {
-    let table = adult::generate(rows, SEED);
-    let publisher = Publisher::new()
-        .k_anonymity(K)
-        .parallelism(Parallelism::Serial);
-    let (outcome, publish_ms) = best_ms(reps, || publisher.publish(&table).expect("satisfiable"));
-    let groups = outcome.anonymized.row_groups();
-
-    let (group_map, group_by_ms) = best_ms(reps, || table.group_by_qi());
-    let (folded, fold_ms) = best_ms(reps, || FoldedTable::new(&table));
-    assert_eq!(folded.len(), group_map.len(), "fold size diverges");
-    assert_eq!(folded.rows(), table.len(), "fold row total diverges");
-    for (point, (codes, members)) in folded.points().zip(&group_map) {
-        assert_eq!(point.qi(), codes.as_ref(), "fold key diverges");
-        assert_eq!(point.count() as usize, members.len(), "fold count diverges");
-        assert_eq!(
-            point.sensitive_counts(),
-            table.sensitive_counts_in(members).as_slice(),
-            "fold histogram diverges"
-        );
-    }
-
-    let measure: Arc<dyn bgkanon::stats::BeliefDistance> = Arc::new(SmoothedJs::paper_default(
-        table.schema().sensitive_distance(),
-    ));
-    let (kernel_auditor, estimate_ms) = best_ms(reps, || {
-        let adversary = Arc::new(Adversary::kernel(
-            &table,
-            Bandwidth::uniform(B_PRIME, table.qi_count()).expect("positive bandwidth"),
-        ));
-        Auditor::new(adversary, Arc::clone(&measure))
-    });
-    let (kernel_risks, audit_kernel_ms, kernel_reference_ms) =
-        audit_against_reference(&kernel_auditor, &table, &groups, reps, "kernel");
-    let tcl_auditor = Auditor::new(Arc::new(Adversary::t_closeness(&table)), measure);
-    let (_, audit_tcloseness_ms, tcl_reference_ms) =
-        audit_against_reference(&tcl_auditor, &table, &groups, reps, "t-closeness");
-
-    let vulnerable = kernel_risks
-        .iter()
-        .filter(|x| !x.is_nan() && **x > THRESHOLD)
-        .count();
-    ScaleResult {
-        rows,
-        groups: groups.len(),
-        distinct_points: folded.len(),
-        vulnerable,
-        publish_ms,
-        estimate_ms,
-        audit_kernel_ms,
-        audit_tcloseness_ms,
-        audit_reference_ms: kernel_reference_ms + tcl_reference_ms,
-        group_by_ms,
-        fold_ms,
-    }
-}
-
-fn scale_json(results: &[ScaleResult], smoke: bool, reps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"scale\",\n");
-    out.push_str(&format!("  \"requirement\": \"{K}-anonymity\",\n"));
-    out.push_str(&format!("  \"adversary_bandwidth\": {B_PRIME},\n"));
-    out.push_str(&format!("  \"audit_threshold\": {THRESHOLD},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"groups\": {}, \"distinct_points\": {}, \
-             \"vulnerable\": {},\n     \"publish_ms\": {:.3}, \"estimate_ms\": {:.3}, \
-             \"audit_kernel_ms\": {:.3}, \"audit_tcloseness_ms\": {:.3}, \
-             \"audit_reference_ms\": {:.3}, \"group_by_ms\": {:.3}, \"fold_ms\": {:.3}, \
-             \"pipeline_ms\": {:.3},\n     \"reference_speedup\": {:.3}, \
-             \"identical_output\": true}}{}\n",
-            r.rows,
-            r.groups,
-            r.distinct_points,
-            r.vulnerable,
-            r.publish_ms,
-            r.estimate_ms,
-            r.audit_kernel_ms,
-            r.audit_tcloseness_ms,
-            r.audit_reference_ms,
-            r.group_by_ms,
-            r.fold_ms,
-            r.pipeline_ms(),
-            r.reference_speedup(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_scale_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) {
-    let mut report = Report::new(
-        "Scale: serial publish + estimate + audit, verified against the reference audit",
-        &[
-            "groups",
-            "publish",
-            "estimate",
-            "audit",
-            "ref audit",
-            "fold",
-            "pipeline",
-            "ref speedup",
-        ],
-    );
-    let mut results = Vec::new();
-    for &rows in sizes {
-        let r = run_scale(rows, reps);
-        report.row(
-            &format!("{rows} rows"),
-            vec![
-                format!("{}", r.groups),
-                format!("{:.1}ms", r.publish_ms),
-                format!("{:.1}ms", r.estimate_ms),
-                format!("{:.1}ms", r.audit_kernel_ms + r.audit_tcloseness_ms),
-                format!("{:.1}ms", r.audit_reference_ms),
-                format!("{:.1}ms", r.fold_ms),
-                format!("{:.1}ms", r.pipeline_ms()),
-                format!("{:.2}x", r.reference_speedup()),
-            ],
-        );
-        results.push(r);
-    }
-    report.note(&format!(
-        "serial engine; min over {reps} rep(s); audit = kernel + t-closeness adversaries \
-         through the flat-scan engine, ref audit = the same two through \
-         tuple_risks_reference; both audits verified bit-identical to the reference and the \
-         estimator fold to group_by_qi before any number is recorded"
-    ));
-    println!("{}", report.render());
-
-    let payload = scale_json(&results, smoke, reps);
-    let mut file = std::fs::File::create(out_path).expect("create scale json");
-    file.write_all(payload.as_bytes())
-        .expect("write scale json");
-    println!("wrote {out_path}");
-}
-
-fn run_incremental_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) {
-    let threads = Parallelism::Auto.effective_threads();
-    let mut report = Report::new(
-        "Incremental republication: 1% delta apply vs full publish+audit",
-        &[
-            "groups",
-            "open",
-            "apply",
-            "inc audit",
-            "full pub",
-            "full audit",
-            "speedup",
-        ],
-    );
-    let mut results = Vec::new();
-    for &rows in sizes {
-        for workload in [Workload::Clustered, Workload::Scattered] {
-            let r = run_incremental(rows, reps, workload);
-            report.row(
-                &format!("{rows} rows, {}", workload.name()),
-                vec![
-                    format!("{}", r.groups),
-                    format!("{:.1}ms", r.open_ms),
-                    format!("{:.2}ms", r.mean(|s| s.apply_ms)),
-                    format!("{:.2}ms", r.mean(|s| s.inc_audit_ms)),
-                    format!("{:.1}ms", r.mean(|s| s.full_publish_ms)),
-                    format!("{:.1}ms", r.mean(|s| s.full_audit_ms)),
-                    format!("{:.2}x", r.speedup_mean()),
-                ],
-            );
-            results.push(r);
-        }
-    }
-    report.note(&format!(
-        "{threads} worker thread(s); {reps} delta(s) per size/workload, each ½% deletes + ½% \
-         inserts (clustered = one narrow age-band cohort, scattered = uniform churn); one kernel \
-         prior model estimated once (estimate_ms) and shared by both sides; every step's groups \
-         and risks verified bit-identical before timing is recorded"
-    ));
-    println!("{}", report.render());
-
-    let payload = incremental_json(&results, threads, smoke, reps);
-    let mut file = std::fs::File::create(out_path).expect("create incremental json");
-    file.write_all(payload.as_bytes())
-        .expect("write incremental json");
-    println!("wrote {out_path}");
-}
-
-/// Outcome of verifying one tenant of the concurrent benchmark.
-struct TenantVerdict {
-    name: String,
-    rows: usize,
-    groups: usize,
-    identical: bool,
-}
-
-/// The concurrent serving benchmark: N tenants × M reader/writer threads
-/// through a [`SessionHub`](bgkanon::SessionHub), against the **serial one-session loop** — one
-/// thread processing every tenant sequentially through the single-owner
-/// session engine with the serial reference engines and a fresh (uncached)
-/// audit per release, the pre-hub way of serving the same workload. Both
-/// sides apply the identical per-tenant delta sequences and serve the same
-/// number of audit requests; every tenant's final publication and final
-/// audit report are verified bit-identical across the two before any
-/// throughput number is recorded.
-fn run_concurrent_mode(smoke: bool, out_path: &str) {
+/// N tenants × M reader/writer threads through a [`SessionHub`](bgkanon::SessionHub), against
+/// the **serial one-session loop** — one thread processing every tenant
+/// sequentially through the single-owner session engine with the serial
+/// reference engines and a fresh (uncached) audit per release, the pre-hub
+/// way of serving the same workload. Both sides apply the identical
+/// per-tenant delta sequences; every tenant's final table, publication and
+/// final audit report are compared bit for bit across the two. Rows: the
+/// serial loop, the hub, then one verdict per tenant.
+fn run_concurrent_mode(cfg: &mut Config) -> Vec<Json> {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-    let (tenants, readers, writers, rows, deltas) = if smoke {
-        (3usize, 2usize, 1usize, 3_000usize, 5usize)
-    } else {
-        (8, 4, 2, 10_000, 6)
-    };
+    cfg.audited();
+    let tenants = cfg.pick("tenants", 3, 8);
+    let rows = cfg.pick("rows_per_tenant", 3_000, 10_000);
+    let deltas = cfg.pick("deltas_per_tenant", 5, 6);
+    let readers = cfg.pick("reader_threads", 2, 4);
+    let writers = cfg.pick("writer_threads", 1, 2);
     // Audit requests served per phase: the serial loop audits once per
     // release; the hub's readers serve this many times more (a serving
     // layer exists to answer many queries per release).
-    let quota_mult = 4usize;
-    let audit_quota = tenants * (deltas + 1) * quota_mult;
-    let threads = Parallelism::Auto.effective_threads();
-
-    // Deterministic per-tenant delta sequences, replayed identically by
-    // both phases (the delta for a step depends only on the tenant's
-    // current table, which evolves identically on both sides).
-    let delta_for = |table: &Table, tenant: usize, step: usize| -> Delta {
-        let mut rng =
-            SmallRng::seed_from_u64(SEED ^ ((tenant as u64) << 24) ^ ((step as u64) << 8));
-        let workload = if (tenant + step).is_multiple_of(2) {
-            Workload::Clustered
-        } else {
-            Workload::Scattered
-        };
-        workload_delta(
-            table,
-            &mut rng,
-            workload,
-            (rows / 200).max(1),
-            SEED + (tenant * 1_000 + step) as u64,
-        )
-    };
+    let audit_quota = tenants * (deltas + 1) * cfg.pick("quota_mult", 4, 4);
 
     let tables: Vec<Table> = (0..tenants)
         .map(|i| adult::generate(rows, SEED + i as u64))
@@ -1224,15 +866,7 @@ fn run_concurrent_mode(smoke: bool, out_path: &str) {
     // phases and shared by both so the audits compare exactly.
     let auditors: Vec<Auditor> = tables
         .iter()
-        .map(|t| {
-            let adversary = Arc::new(Adversary::kernel(
-                t,
-                Bandwidth::uniform(B_PRIME, t.qi_count()).expect("positive bandwidth"),
-            ));
-            let measure: Arc<dyn bgkanon::stats::BeliefDistance> =
-                Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
-            Auditor::new(adversary, measure)
-        })
+        .map(|t| kernel_auditor(t, measure(t)))
         .collect();
 
     // ---- Phase 1: the serial one-session loop. --------------------------
@@ -1245,30 +879,24 @@ fn run_concurrent_mode(smoke: bool, out_path: &str) {
     let mut serial_audits = 0usize;
     for i in 0..tenants {
         let mut session = serial_publisher.open(&tables[i]).expect("satisfiable");
-        let mut last = auditors[i].report(
-            session.table(),
-            &session.anonymized().row_groups(),
-            THRESHOLD,
-        );
-        serial_audits += 1;
-        for step in 0..deltas {
-            let d = delta_for(session.table(), i, step);
-            session.apply(&d).expect("valid scripted delta");
-            last = auditors[i].report(
-                session.table(),
-                &session.anonymized().row_groups(),
-                THRESHOLD,
-            );
+        let mut last = None;
+        for step in 0..=deltas {
+            if step > 0 {
+                let d = scripted_delta(session.table(), i, step - 1);
+                session.apply(&d).expect("valid scripted delta");
+            }
+            let groups = session.anonymized().row_groups();
+            last = Some(auditors[i].report(session.table(), &groups, THRESHOLD));
             serial_audits += 1;
         }
         serial_tables.push(session.table().clone());
-        serial_reports.push(last);
+        serial_reports.push(last.expect("one audit per release"));
     }
     let serial_elapsed = serial_started.elapsed().as_secs_f64();
     let serial_deltas = tenants * deltas;
 
     // ---- Phase 2: the hub, writers + readers concurrent. ----------------
-    let hub: Arc<bgkanon::SessionHub> = Arc::new(bgkanon::SessionHub::new());
+    let hub = bgkanon::SessionHub::new();
     let hub_publisher = Publisher::new().k_anonymity(K);
     let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
     for (i, name) in names.iter().enumerate() {
@@ -1279,18 +907,18 @@ fn run_concurrent_mode(smoke: bool, out_path: &str) {
     let writers_done = AtomicBool::new(false);
     let hub_started = Instant::now();
     let hub_window = std::thread::scope(|scope| {
+        // Shared by reference: every spawned closure copies these in.
+        let (hub, names, auditors) = (&hub, &names, &auditors);
+        let (served, writers_done) = (&served, &writers_done);
         let writer_handles: Vec<_> = (0..writers)
             .map(|w| {
-                let hub = Arc::clone(&hub);
-                let names = &names;
-                let delta_for = &delta_for;
                 scope.spawn(move || {
                     // Tenants are partitioned over writers; each tenant's
                     // delta sequence stays ordered within its one writer.
                     for i in (w..tenants).step_by(writers.max(1)) {
                         for step in 0..deltas {
                             let snap = hub.snapshot(&names[i]).expect("registered");
-                            let d = delta_for(snap.table(), i, step);
+                            let d = scripted_delta(snap.table(), i, step);
                             hub.apply(&names[i], &d).expect("valid scripted delta");
                         }
                     }
@@ -1298,11 +926,6 @@ fn run_concurrent_mode(smoke: bool, out_path: &str) {
             })
             .collect();
         for r in 0..readers {
-            let hub = Arc::clone(&hub);
-            let names = &names;
-            let auditors = &auditors;
-            let served = &served;
-            let writers_done = &writers_done;
             scope.spawn(move || {
                 let mut round = r;
                 // Serve the shared audit quota; keep serving while writers
@@ -1332,198 +955,106 @@ fn run_concurrent_mode(smoke: bool, out_path: &str) {
     let hub_audits = served.load(Ordering::Relaxed);
 
     // ---- Verification: concurrency must never buy throughput with drift.
-    let mut verdicts: Vec<TenantVerdict> = Vec::with_capacity(tenants);
-    for (i, name) in names.iter().enumerate() {
-        let snap = hub.snapshot(name).expect("registered");
-        let mut identical = true;
-        // (a) The hub's evolved table is the serial loop's evolved table.
-        identical &= snap.table().len() == serial_tables[i].len();
-        if identical {
-            for r in 0..snap.table().len() {
-                if snap.table().qi(r) != serial_tables[i].qi(r)
-                    || snap.table().sensitive_value(r) != serial_tables[i].sensitive_value(r)
-                {
-                    identical = false;
-                    break;
-                }
-            }
-        }
-        // (b) The published partition matches a from-scratch publish.
-        let fresh = serial_publisher.publish(snap.table()).expect("satisfiable");
-        identical &= *snap.anonymized() == fresh.anonymized;
-        // (c) A final cached hub audit is bit-identical to the serial
-        // loop's final fresh audit of the same release.
-        let hub_report = hub
-            .audit_with(name, &auditors[i], THRESHOLD)
-            .expect("registered");
-        identical &= hub_report.risks.len() == serial_reports[i].risks.len();
-        if identical {
-            for (a, b) in hub_report.risks.iter().zip(&serial_reports[i].risks) {
-                if a.to_bits() != b.to_bits() {
-                    identical = false;
-                    break;
-                }
-            }
-        }
-        verdicts.push(TenantVerdict {
-            name: name.clone(),
-            rows: snap.len(),
-            groups: snap.group_count(),
-            identical,
-        });
-    }
-    let all_identical = verdicts.iter().all(|v| v.identical);
+    let verdicts: Vec<Json> = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let snap = hub.snapshot(name).expect("registered");
+            let (table, serial_table) = (snap.table(), &serial_tables[i]);
+            // (a) The hub's evolved table is the serial loop's evolved table.
+            let same_table = table.len() == serial_table.len()
+                && (0..table.len()).all(|r| {
+                    table.qi(r) == serial_table.qi(r)
+                        && table.sensitive_value(r) == serial_table.sensitive_value(r)
+                });
+            // (b) The published partition matches a from-scratch publish.
+            let fresh = serial_publisher.publish(table).expect("satisfiable");
+            // (c) A final cached hub audit is bit-identical to the serial
+            // loop's final fresh audit of the same release.
+            let hub_report = hub
+                .audit_with(name, &auditors[i], THRESHOLD)
+                .expect("registered");
+            let identical = same_table
+                && *snap.anonymized() == fresh.anonymized
+                && same_bits(&hub_report.risks, &serial_reports[i].risks);
+            row(
+                name.as_str(),
+                identical,
+                vec![
+                    ("rows", snap.len().into()),
+                    ("groups", snap.group_count().into()),
+                ],
+            )
+        })
+        .collect();
+    let all_identical = verdicts.iter().all(identical);
 
-    let serial_audits_per_s = serial_audits as f64 / serial_elapsed;
-    let serial_deltas_per_s = serial_deltas as f64 / serial_elapsed;
-    let hub_audits_per_s = hub_audits as f64 / hub_elapsed;
-    let hub_deltas_per_s = serial_deltas as f64 / hub_window;
-    let audit_speedup = hub_audits_per_s / serial_audits_per_s;
-    let delta_speedup = hub_deltas_per_s / serial_deltas_per_s;
-
-    let mut report = Report::new(
-        "Concurrent serving: SessionHub vs the serial one-session loop",
-        &["elapsed", "deltas/s", "audits/s"],
-    );
-    report.row(
-        "serial loop",
-        vec![
-            format!("{:.0}ms", serial_elapsed * 1e3),
-            format!("{serial_deltas_per_s:.1}"),
-            format!("{serial_audits_per_s:.1}"),
-        ],
-    );
-    report.row(
-        "hub",
-        vec![
-            format!("{:.0}ms", hub_elapsed * 1e3),
-            format!("{hub_deltas_per_s:.1}"),
-            format!("{hub_audits_per_s:.1}"),
-        ],
-    );
-    report.note(&format!(
-        "{tenants} tenants × {rows} rows; {deltas} deltas/tenant; {readers} reader + \
-         {writers} writer thread(s) on {threads} core(s); hub served {hub_audits} audit \
-         requests ({quota_mult}× the serial loop's {serial_audits}); audit speedup \
-         {audit_speedup:.2}x, delta speedup {delta_speedup:.2}x; every tenant verified \
-         bit-identical: {all_identical}"
-    ));
-    println!("{}", report.render());
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"concurrent\",\n");
-    out.push_str(&format!("  \"requirement\": \"{K}-anonymity\",\n"));
-    out.push_str(&format!("  \"adversary_bandwidth\": {B_PRIME},\n"));
-    out.push_str(&format!("  \"audit_threshold\": {THRESHOLD},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"tenants\": {tenants},\n"));
-    out.push_str(&format!("  \"rows_per_tenant\": {rows},\n"));
-    out.push_str(&format!("  \"deltas_per_tenant\": {deltas},\n"));
-    out.push_str(&format!("  \"reader_threads\": {readers},\n"));
-    out.push_str(&format!("  \"writer_threads\": {writers},\n"));
-    out.push_str(&format!(
-        "  \"serial\": {{\"elapsed_ms\": {:.3}, \"audits\": {serial_audits}, \
-         \"deltas_per_s\": {serial_deltas_per_s:.3}, \"audits_per_s\": \
-         {serial_audits_per_s:.3}}},\n",
-        serial_elapsed * 1e3
-    ));
-    out.push_str(&format!(
-        "  \"hub\": {{\"elapsed_ms\": {:.3}, \"audits\": {hub_audits}, \
-         \"deltas_per_s\": {hub_deltas_per_s:.3}, \"audits_per_s\": \
-         {hub_audits_per_s:.3}}},\n",
-        hub_elapsed * 1e3
-    ));
-    out.push_str(&format!("  \"delta_speedup\": {delta_speedup:.3},\n"));
-    out.push_str(&format!("  \"audit_speedup\": {audit_speedup:.3},\n"));
-    out.push_str("  \"tenant_verdicts\": [\n");
-    for (i, v) in verdicts.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tenant\": \"{}\", \"rows\": {}, \"groups\": {}, \
-             \"identical_output\": {}}}{}\n",
-            v.name,
-            v.rows,
-            v.groups,
-            v.identical,
-            if i + 1 < verdicts.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"identical_output\": {all_identical}\n"));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(out_path).expect("create concurrent json");
-    file.write_all(out.as_bytes())
-        .expect("write concurrent json");
-    println!("wrote {out_path}");
-    assert!(
-        all_identical,
-        "concurrent serving drifted from the serial replay — see {out_path}"
-    );
+    // Each phase's wall-clock, audits served, and deltas and audits per
+    // second; the hub's delta rate is over its writers' window.
+    let rates = |elapsed: f64, delta_window: f64, audits: usize| {
+        let rates = [serial_deltas as f64 / delta_window, audits as f64 / elapsed];
+        let values = vec![
+            ("elapsed_ms", r3(elapsed * 1e3)),
+            ("audits", audits.into()),
+            ("deltas_per_s", r3(rates[0])),
+            ("audits_per_s", r3(rates[1])),
+        ];
+        (values, rates)
+    };
+    let (serial, [serial_deltas_per_s, serial_audits_per_s]) =
+        rates(serial_elapsed, serial_elapsed, serial_audits);
+    let (mut hub_values, [hub_deltas_per_s, hub_audits_per_s]) =
+        rates(hub_elapsed, hub_window, hub_audits);
+    hub_values.extend([
+        ("audit_speedup", r3(hub_audits_per_s / serial_audits_per_s)),
+        ("delta_speedup", r3(hub_deltas_per_s / serial_deltas_per_s)),
+    ]);
+    let phases = [("serial loop", serial), ("hub", hub_values)];
+    let phases = phases.map(|(label, values)| row(label, all_identical, values));
+    phases.into_iter().chain(verdicts).collect()
 }
 
 /// Cold-start recovery cost: durable hubs are written once per size point
-/// (same scripted churn as the concurrent bench), dropped, and re-opened
-/// cold under two durability configurations — WAL-only (every delta
-/// replayed through the incremental engine) and checkpoint+WAL-tail (the
-/// partition tree resumes from the latest checkpoint). Every re-opened
-/// tenant must publish bit-identically to the hub that was dropped.
-fn run_recovery_mode(smoke: bool, out_path: &str) {
+/// (the serving scenarios' scripted churn), dropped, and re-opened cold
+/// under two durability configurations — WAL-only (every delta replayed
+/// through the incremental engine) and checkpoint+WAL-tail (the partition
+/// tree resumes from the latest checkpoint). Every re-opened tenant must
+/// publish bit-identically to the hub that was dropped.
+fn run_recovery_mode(cfg: &mut Config) -> Vec<Json> {
     use bgkanon::{DurabilityOptions, SessionHub, SyncPolicy};
 
-    let rows = if smoke { 1_000usize } else { 5_000usize };
-    let size_points: &[(usize, usize)] = if smoke {
-        &[(1, 4), (2, 8)]
-    } else {
-        &[(2, 8), (4, 16), (8, 32)]
-    };
-    let checkpoint_every = 4u64;
-    let delta_half = (rows / 200).max(1);
-
-    let delta_for = |table: &Table, tenant: usize, step: usize| -> Delta {
-        let mut rng =
-            SmallRng::seed_from_u64(SEED ^ ((tenant as u64) << 24) ^ ((step as u64) << 8));
-        let workload = if (tenant + step).is_multiple_of(2) {
-            Workload::Clustered
-        } else {
-            Workload::Scattered
-        };
-        workload_delta(
-            table,
-            &mut rng,
-            workload,
-            delta_half,
-            SEED + (tenant * 1_000 + step) as u64,
-        )
-    };
-
-    struct RecoveryPoint {
-        tenants: usize,
-        deltas: usize,
-        wal_open_ms: f64,
-        wal_replayed: usize,
-        checkpoint_open_ms: f64,
-        checkpoint_replayed: usize,
-        identical: bool,
-    }
-
-    // Captured publication of one tenant: (version, publication) — enough
-    // to assert bit-identity after a cold open.
-    type Captured = (u64, bgkanon::anon::AnonymizedTable);
-    let capture = |hub: &SessionHub, name: &str| -> Captured {
+    cfg.set("requirement", format!("{K}-anonymity"));
+    cfg.set("sync", "always");
+    let checkpoint_every = cfg.pick("checkpoint_every", 4u64, 4);
+    let rows = cfg.pick("rows_per_tenant", 1_000, 5_000);
+    let tenants = cfg.picks::<usize>("tenants", &[1, 2], &[2, 4, 8]);
+    let deltas = cfg.picks::<usize>("deltas_per_tenant", &[4, 8], &[8, 16, 32]);
+    // One tenant's publication: (version, publication) — enough to assert
+    // bit-identity after a cold open.
+    let capture = |hub: &SessionHub, name: &str| {
         let snap = hub.snapshot(name).expect("registered");
         (snap.version(), snap.anonymized().clone())
     };
-
     let publisher = Publisher::new().k_anonymity(K);
-    let mut points: Vec<RecoveryPoint> = Vec::with_capacity(size_points.len());
-    for (point, &(tenants, deltas)) in size_points.iter().enumerate() {
-        let mut open_ms = [0.0f64; 2];
-        let mut replayed = [0usize; 2];
+    let points = tenants.into_iter().zip(deltas);
+    let mut out = Vec::new();
+    for (point, (tenants, deltas)) in points.enumerate() {
+        let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
+        let mut values = vec![
+            ("tenants", tenants.into()),
+            ("deltas_per_tenant", deltas.into()),
+        ];
         let mut identical = true;
-        for (cfg, every) in [0u64, checkpoint_every].into_iter().enumerate() {
+        let lanes = [
+            (["wal_open_ms", "wal_replayed"], 0),
+            (
+                ["checkpoint_open_ms", "checkpoint_replayed"],
+                checkpoint_every,
+            ),
+        ];
+        for ([open_key, replayed_key], every) in lanes {
             let dir = std::env::temp_dir().join(format!(
-                "bgkanon_bench_recovery_{}_{point}_{cfg}",
+                "bgkanon_bench_recovery_{}_{point}_{every}",
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
@@ -1534,9 +1065,8 @@ fn run_recovery_mode(smoke: bool, out_path: &str) {
                 max_resident_bytes: None,
             };
             // Write phase: register + scripted churn, then capture and drop.
-            let expected: Vec<Captured> = {
+            let expected: Vec<_> = {
                 let (hub, _) = SessionHub::open_with(&dir, options).expect("create durable hub");
-                let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
                 for (i, name) in names.iter().enumerate() {
                     let table = adult::generate(rows, SEED + i as u64);
                     hub.register(name, &table, &publisher).expect("satisfiable");
@@ -1544,114 +1074,55 @@ fn run_recovery_mode(smoke: bool, out_path: &str) {
                 for (i, name) in names.iter().enumerate() {
                     for step in 0..deltas {
                         let snap = hub.snapshot(name).expect("registered");
-                        let d = delta_for(snap.table(), i, step);
+                        let d = scripted_delta(snap.table(), i, step);
                         hub.apply(name, &d).expect("valid scripted delta");
                     }
                 }
                 names.iter().map(|n| capture(&hub, n)).collect()
             };
             // Cold open: the only timed region.
-            let ((hub, report), ms) =
+            let ((hub, report), open_ms) =
                 time_ms(|| SessionHub::open_with(&dir, options).expect("recover"));
             assert!(report.is_clean(), "recovery bench hit unrecoverable state");
-            open_ms[cfg] = ms;
-            replayed[cfg] = report.tenants.iter().map(|t| t.replayed).sum();
-            for (i, want) in expected.iter().enumerate() {
-                let got = capture(&hub, &format!("tenant-{i}"));
-                identical &= *want == got;
-            }
+            let replayed: usize = report.tenants.iter().map(|t| t.replayed).sum();
+            identical &= names
+                .iter()
+                .zip(&expected)
+                .all(|(name, want)| capture(&hub, name) == *want);
+            values.extend([(open_key, r3(open_ms)), (replayed_key, replayed.into())]);
             drop(hub);
             let _ = std::fs::remove_dir_all(&dir);
         }
-        points.push(RecoveryPoint {
-            tenants,
-            deltas,
-            wal_open_ms: open_ms[0],
-            wal_replayed: replayed[0],
-            checkpoint_open_ms: open_ms[1],
-            checkpoint_replayed: replayed[1],
-            identical,
-        });
+        out.push(row(format!("{tenants} tenant(s)"), identical, values));
     }
-    let all_identical = points.iter().all(|p| p.identical);
-
-    let mut report = Report::new(
-        "Recovery: cold-start SessionHub::open, WAL replay vs checkpoint resume",
-        &[
-            "deltas/tenant",
-            "WAL-only open",
-            "ckpt+tail open",
-            "replayed",
-        ],
-    );
-    for p in &points {
-        report.row(
-            &format!("{} tenant(s)", p.tenants),
-            vec![
-                format!("{}", p.deltas),
-                format!("{:.1}ms", p.wal_open_ms),
-                format!("{:.1}ms", p.checkpoint_open_ms),
-                format!("{} vs {}", p.wal_replayed, p.checkpoint_replayed),
-            ],
-        );
-    }
-    report.note(&format!(
-        "{rows} rows/tenant, fsync always, checkpoint every {checkpoint_every} deltas; \
-         every re-opened tenant verified bit-identical to the dropped hub: {all_identical}"
-    ));
-    println!("{}", report.render());
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"recovery\",\n");
-    out.push_str(&format!("  \"requirement\": \"{K}-anonymity\",\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"rows_per_tenant\": {rows},\n"));
-    out.push_str("  \"sync\": \"always\",\n");
-    out.push_str(&format!("  \"checkpoint_every\": {checkpoint_every},\n"));
-    out.push_str("  \"sizes\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tenants\": {}, \"deltas_per_tenant\": {}, \"wal_open_ms\": {:.3}, \
-             \"wal_replayed\": {}, \"checkpoint_open_ms\": {:.3}, \
-             \"checkpoint_replayed\": {}, \"identical_output\": {}}}{}\n",
-            p.tenants,
-            p.deltas,
-            p.wal_open_ms,
-            p.wal_replayed,
-            p.checkpoint_open_ms,
-            p.checkpoint_replayed,
-            p.identical,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"identical_output\": {all_identical}\n"));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(out_path).expect("create recovery json");
-    file.write_all(out.as_bytes()).expect("write recovery json");
-    println!("wrote {out_path}");
-    assert!(
-        all_identical,
-        "recovered state drifted from the dropped hub — see {out_path}"
-    );
+    out
 }
 
-fn run_fleet_mode(smoke: bool, out_path: &str) {
+/// Bounded-memory multi-tenancy: many small tenants in a durable hub,
+/// driven by one seeded Zipfian script of interleaved audits and deltas.
+/// The unbounded lane (row 0) establishes the operation-by-operation
+/// output digests and the resident-byte peak; each budget lane then
+/// replays the identical script under `max_resident_bytes` = peak /
+/// fraction, and must reproduce every digest — eviction is a memory
+/// policy, never a semantics.
+fn run_fleet_mode(cfg: &mut Config) -> Vec<Json> {
+    use bgkanon::data::hash::mix;
     use bgkanon::privacy::AuditReport;
     use bgkanon::{DurabilityOptions, SessionHub, SyncPolicy, TenantSnapshot};
 
-    let tenants: usize = if smoke { 400 } else { 10_000 };
-    let rows = 64usize;
-    let distinct = 32usize;
-    let ops = tenants * 4;
-    let zipf_s = 1.3f64;
-    let fleet_k = 4usize;
-    let b_primes = [0.3f64, 0.5];
-    let apply_fraction = 0.15f64;
-    let checkpoint_every = 8u64;
+    cfg.set("requirement", "4-anonymity");
+    cfg.set("sync", "never");
+    let checkpoint_every = cfg.pick("checkpoint_every", 8u64, 8);
+    let tenants = cfg.pick("tenants", 400, 10_000);
+    let rows = cfg.pick("rows_per_tenant", 64, 64);
+    let distinct = cfg.pick("distinct_contents", 32, 32);
+    let ops = cfg.pick("ops", 4 * 400, 4 * 10_000);
+    let apply_fraction = cfg.pick("apply_fraction", 0.15, 0.15);
+    let b_primes = cfg.picks("b_primes", &[0.3, 0.5], &[0.3, 0.5]);
+    let budget_fractions = cfg.picks("budget_fractions", &[2, 4, 8], &[2, 4, 8]);
 
     // Deterministic Zipfian CDF over tenant ranks (rank 0 hottest).
+    let zipf_s = cfg.pick("zipf_s", 1.3, 1.3);
     let weights: Vec<f64> = (0..tenants)
         .map(|r| 1.0 / ((r + 1) as f64).powf(zipf_s))
         .collect();
@@ -1665,72 +1136,49 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
         .collect();
 
     // The access script is drawn once and replayed verbatim by every
-    // lane, so budgeted and unbounded hubs see the same operations.
-    enum Op {
-        Apply(usize),
-        Audit(usize, f64),
-    }
+    // lane, so budgeted and unbounded hubs see the same operations: a
+    // tenant, then `None` to apply a delta or `Some(b′)` to audit it
+    // against `Adv(b′)`.
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0x00f1_ee70);
-    let script: Vec<Op> = (0..ops)
+    let script: Vec<(usize, Option<f64>)> = (0..ops)
         .map(|_| {
             let x: f64 = rng.gen_range(0.0..1.0);
             let tenant = cdf.partition_point(|c| *c < x).min(tenants - 1);
             if rng.gen_bool(apply_fraction) {
-                Op::Apply(tenant)
+                (tenant, None)
             } else {
                 let b = b_primes[(rng.gen::<u64>() % b_primes.len() as u64) as usize];
-                Op::Audit(tenant, b)
+                (tenant, Some(b))
             }
         })
         .collect();
 
-    fn fold(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-    }
     fn digest_snapshot(snap: &TenantSnapshot) -> u64 {
-        let mut h = fold(0xcbf2_9ce4_8422_2325, snap.version());
-        for g in snap.anonymized().iter() {
-            for &r in g.rows {
-                h = fold(h, r as u64);
-            }
-            for q in g.ranges {
-                h = fold(h, (u64::from(q.min) << 32) | u64::from(q.max));
-            }
-            for &c in g.sensitive_counts {
-                h = fold(h, u64::from(c));
-            }
-        }
-        h
+        let groups = snap.anonymized().iter().flat_map(|g| {
+            let rows = g.rows.iter().map(|&r| r as u64);
+            let ranges = g
+                .ranges
+                .iter()
+                .map(|q| (u64::from(q.min) << 32) | u64::from(q.max));
+            rows.chain(ranges)
+                .chain(g.sensitive_counts.iter().map(|&c| u64::from(c)))
+        });
+        std::iter::once(snap.version()).chain(groups).fold(0, mix)
     }
     fn digest_report(report: &AuditReport) -> u64 {
-        let mut h = fold(0xcbf2_9ce4_8422_2325, report.worst_case.to_bits());
-        h = fold(h, report.mean.to_bits());
-        h = fold(h, report.vulnerable as u64);
-        for r in &report.risks {
-            h = fold(h, r.to_bits());
-        }
-        h
+        let (worst, mean) = (report.worst_case.to_bits(), report.mean.to_bits());
+        let risks = report.risks.iter().map(|r| r.to_bits());
+        [worst, mean, report.vulnerable as u64]
+            .into_iter()
+            .chain(risks)
+            .fold(0, mix)
     }
 
-    struct Lane {
-        budget_bytes: Option<usize>,
-        peak_resident_bytes: usize,
-        elapsed_ms: f64,
-        audits: usize,
-        hit_rate: f64,
-        hit_rate_total: f64,
-        evictions: u64,
-        rehydrations: u64,
-        interned_models: usize,
-        intern_hits: u64,
-        intern_misses: u64,
-        digests: Vec<u64>,
-        final_digest: u64,
-    }
-
-    let publisher = Publisher::new().k_anonymity(fleet_k);
+    let publisher = Publisher::new().k_anonymity(4);
     let name_of = |i: usize| format!("tenant-{i:05}");
-    let run_lane = |tag: &str, budget: Option<usize>| -> Lane {
+    // One lane: its row values, resident peak, and output digests (one per
+    // operation, then one over every tenant's final snapshot).
+    let run_lane = |tag: &str, budget: Option<usize>| -> (Values, usize, Vec<u64>) {
         let dir =
             std::env::temp_dir().join(format!("bgkanon_bench_fleet_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1746,14 +1194,14 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
             hub.register(&name_of(i), &table, &publisher)
                 .expect("small tenant is satisfiable");
         }
-        let mut digests = Vec::with_capacity(ops);
+        let mut digests = Vec::with_capacity(ops + 1);
         let mut peak = hub.memory_stats().resident_bytes;
         let mut audits = 0usize;
         let mut rehydrations_mid = 0u64;
         let (_, elapsed_ms) = time_ms(|| {
-            for (idx, op) in script.iter().enumerate() {
-                match *op {
-                    Op::Apply(t) => {
+            for (idx, &(t, audit)) in script.iter().enumerate() {
+                match audit {
+                    None => {
                         let name = name_of(t);
                         let delta = {
                             let snap = hub.snapshot(&name).expect("registered");
@@ -1771,7 +1219,7 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
                         let snap = hub.apply(&name, &delta).expect("scripted delta");
                         digests.push(digest_snapshot(&snap));
                     }
-                    Op::Audit(t, b) => {
+                    Some(b) => {
                         let report = hub
                             .audit_against(&name_of(t), b, THRESHOLD)
                             .expect("registered");
@@ -1780,14 +1228,7 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
                     }
                 }
                 if idx % 64 == 0 {
-                    let s = hub.memory_stats();
-                    peak = peak.max(s.resident_bytes);
-                    if std::env::var_os("FLEET_DEBUG").is_some() {
-                        eprintln!(
-                            "op {idx}: resident {} evicted {} bytes {} rehy {}",
-                            s.resident_tenants, s.evicted_tenants, s.resident_bytes, s.rehydrations
-                        );
-                    }
+                    peak = peak.max(hub.memory_stats().resident_bytes);
                 }
                 if idx + 1 == ops / 2 {
                     rehydrations_mid = hub.memory_stats().rehydrations;
@@ -1798,465 +1239,211 @@ fn run_fleet_mode(smoke: bool, out_path: &str) {
         // rehydrates every evicted tenant and must not pollute them.
         let stats = hub.memory_stats();
         peak = peak.max(stats.resident_bytes);
-        let mut final_digest = 0xcbf2_9ce4_8422_2325u64;
-        for i in 0..tenants {
-            let snap = hub.snapshot(&name_of(i)).expect("registered");
-            final_digest = fold(final_digest, digest_snapshot(&snap));
-        }
-        let warm_ops = (ops - ops / 2) as f64;
+        let final_snapshots = (0..tenants).map(|i| hub.snapshot(&name_of(i)).expect("registered"));
+        digests.push(final_snapshots.fold(0, |h, snap| mix(h, digest_snapshot(&snap))));
         let warm_misses = (stats.rehydrations - rehydrations_mid) as f64;
         drop(hub);
         let _ = std::fs::remove_dir_all(&dir);
-        Lane {
-            budget_bytes: budget,
-            peak_resident_bytes: peak,
-            elapsed_ms,
-            audits,
-            hit_rate: 1.0 - warm_misses / warm_ops,
-            hit_rate_total: 1.0 - stats.rehydrations as f64 / ops as f64,
-            evictions: stats.evictions,
-            rehydrations: stats.rehydrations,
-            interned_models: stats.interned_models,
-            intern_hits: stats.intern_hits,
-            intern_misses: stats.intern_misses,
-            digests,
-            final_digest,
-        }
-    };
-
-    let unbounded = run_lane("unbounded", None);
-    let fractions = [2usize, 4, 8];
-    let lanes: Vec<(usize, Lane)> = fractions
-        .iter()
-        .map(|&f| {
-            let budget = unbounded.peak_resident_bytes / f;
-            (f, run_lane(&format!("budget_{f}"), Some(budget)))
-        })
-        .collect();
-    let identical_of = |lane: &Lane| -> bool {
-        lane.digests == unbounded.digests && lane.final_digest == unbounded.final_digest
-    };
-    let all_identical = lanes.iter().all(|(_, l)| identical_of(l));
-
-    let mb = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
-    let mut report = Report::new(
-        "Fleet: Zipfian multi-tenant serving under resident-memory budgets",
-        &[
-            "budget",
-            "peak resident",
-            "hit rate",
-            "evict/rehydrate",
-            "audits/s",
-        ],
-    );
-    report.row(
-        "unbounded",
-        vec![
-            "-".to_owned(),
-            format!("{:.1}MB", mb(unbounded.peak_resident_bytes)),
-            "1.000".to_owned(),
-            "0 / 0".to_owned(),
-            format!(
-                "{:.0}",
-                unbounded.audits as f64 / (unbounded.elapsed_ms / 1e3)
-            ),
-        ],
-    );
-    for (f, lane) in &lanes {
-        report.row(
-            &format!("peak/{f}"),
-            vec![
-                format!("{:.1}MB", mb(lane.budget_bytes.unwrap_or(0))),
-                format!("{:.1}MB", mb(lane.peak_resident_bytes)),
-                format!("{:.3}", lane.hit_rate),
-                format!("{} / {}", lane.evictions, lane.rehydrations),
-                format!("{:.0}", lane.audits as f64 / (lane.elapsed_ms / 1e3)),
+        let mut values: Values = match budget {
+            Some(budget) => vec![
+                ("budget_bytes", budget.into()),
+                // Unrounded: the gate's ceiling on it has no band.
+                ("peak_over_budget", (peak as f64 / budget as f64).into()),
             ],
-        );
-    }
-    report.note(&format!(
-        "{tenants} tenants × {rows} rows ({distinct} distinct contents), {ops} Zipf(s={zipf_s}) \
-         ops ({:.0}% deltas), {fleet_k}-anonymity, sync=never, checkpoint every {checkpoint_every}; \
-         {} prior models interned ({} hits / {} misses); hit rate = warm-window fraction of \
-         operations served without rehydration; every budget lane's outputs bit-identical to the \
-         unbounded lane: {all_identical}",
-        apply_fraction * 100.0,
-        unbounded.interned_models,
-        unbounded.intern_hits,
-        unbounded.intern_misses,
-    ));
-    println!("{}", report.render());
+            None => Vec::new(),
+        };
+        values.extend([
+            ("peak_resident_bytes", peak.into()),
+            (
+                "hit_rate",
+                round(1.0 - warm_misses / (ops - ops / 2) as f64, 4),
+            ),
+            (
+                "hit_rate_total",
+                round(1.0 - stats.rehydrations as f64 / ops as f64, 4),
+            ),
+            ("evictions", stats.evictions.into()),
+            ("rehydrations", stats.rehydrations.into()),
+            ("elapsed_ms", r3(elapsed_ms)),
+            ("audits_per_s", round(audits as f64 / (elapsed_ms / 1e3), 1)),
+            ("interned_models", stats.interned_models.into()),
+            ("intern_hits", stats.intern_hits.into()),
+            ("intern_misses", stats.intern_misses.into()),
+        ]);
+        (values, peak, digests)
+    };
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"fleet\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"tenants\": {tenants},\n"));
-    out.push_str(&format!("  \"rows_per_tenant\": {rows},\n"));
-    out.push_str(&format!("  \"distinct_contents\": {distinct},\n"));
-    out.push_str(&format!("  \"ops\": {ops},\n"));
-    out.push_str(&format!("  \"zipf_s\": {zipf_s},\n"));
-    out.push_str(&format!("  \"apply_fraction\": {apply_fraction},\n"));
-    out.push_str(&format!("  \"requirement\": \"{fleet_k}-anonymity\",\n"));
-    out.push_str(&format!(
-        "  \"unbounded\": {{\"peak_resident_bytes\": {}, \"elapsed_ms\": {:.3}, \
-         \"audits_per_s\": {:.1}, \"evictions\": {}, \"interned_models\": {}, \
-         \"intern_hits\": {}, \"intern_misses\": {}}},\n",
-        unbounded.peak_resident_bytes,
-        unbounded.elapsed_ms,
-        unbounded.audits as f64 / (unbounded.elapsed_ms / 1e3),
-        unbounded.evictions,
-        unbounded.interned_models,
-        unbounded.intern_hits,
-        unbounded.intern_misses,
-    ));
-    out.push_str("  \"lanes\": [\n");
-    for (i, (f, lane)) in lanes.iter().enumerate() {
-        let budget = lane.budget_bytes.unwrap_or(0);
-        out.push_str(&format!(
-            "    {{\"budget_fraction\": {f}, \"budget_bytes\": {budget}, \
-             \"peak_resident_bytes\": {}, \"peak_over_budget\": {:.4}, \
-             \"hit_rate\": {:.4}, \"hit_rate_total\": {:.4}, \"evictions\": {}, \
-             \"rehydrations\": {}, \"elapsed_ms\": {:.3}, \"audits_per_s\": {:.1}, \
-             \"identical_output\": {}}}{}\n",
-            lane.peak_resident_bytes,
-            lane.peak_resident_bytes as f64 / budget as f64,
-            lane.hit_rate,
-            lane.hit_rate_total,
-            lane.evictions,
-            lane.rehydrations,
-            lane.elapsed_ms,
-            lane.audits as f64 / (lane.elapsed_ms / 1e3),
-            identical_of(lane),
-            if i + 1 < lanes.len() { "," } else { "" },
+    let (values, peak, reference) = run_lane("unbounded", None);
+    let mut out = vec![row("unbounded", true, values)];
+    for fraction in budget_fractions {
+        let budget = peak / fraction;
+        let (mut values, _, digests) = run_lane(&format!("budget_{fraction}"), Some(budget));
+        values.insert(0, ("budget_fraction", fraction.into()));
+        out.push(row(
+            format!("peak/{fraction}"),
+            digests == reference,
+            values,
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"identical_output\": {all_identical}\n"));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(out_path).expect("create fleet json");
-    file.write_all(out.as_bytes()).expect("write fleet json");
-    println!("wrote {out_path}");
-    assert!(
-        all_identical,
-        "a budgeted lane's outputs drifted from the unbounded lane — see {out_path}"
-    );
-}
-
-/// One measured delta step of the strategies benchmark.
-struct StrategyStep {
-    refresh_ms: f64,
-    scratch_ms: f64,
-}
-
-/// Strategies results for one (size, algorithm, workload) cell.
-struct StrategyResult {
-    rows: usize,
-    algorithm: Algorithm,
-    workload: Workload,
-    delta_rows: usize,
-    groups: usize,
-    open_ms: f64,
-    steps: Vec<StrategyStep>,
-}
-
-impl StrategyResult {
-    fn mean(&self, f: impl Fn(&StrategyStep) -> f64) -> f64 {
-        self.steps.iter().map(f).sum::<f64>() / self.steps.len() as f64
-    }
-
-    /// Speedup of the mean incremental refresh over the mean from-scratch
-    /// publish of the same post-delta table.
-    fn speedup_mean(&self) -> f64 {
-        self.mean(|s| s.scratch_ms) / self.mean(|s| s.refresh_ms)
-    }
-
-    fn speedup_best(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(|s| s.scratch_ms / s.refresh_ms)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Run the strategy-refresh benchmark for one cell: `reps` successive 1%
-/// deltas through one session of `algorithm`, each step timed against a
-/// from-scratch publish of the same post-delta table and checked
-/// bit-identical before any number is recorded.
-fn run_strategies(
-    rows: usize,
-    reps: usize,
-    algorithm: Algorithm,
-    workload: Workload,
-) -> StrategyResult {
-    let table = adult::generate(rows, SEED);
-    let publisher = Publisher::new()
-        .k_anonymity(4)
-        .distinct_l_diversity(3)
-        .algorithm(algorithm)
-        .parallelism(Parallelism::Serial);
-    let (mut session, open_ms) = time_ms(|| publisher.open(&table).expect("satisfiable"));
-    let delta_half = (rows / 200).max(1);
-    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x5747_4759);
-    let mut steps = Vec::with_capacity(reps);
-    let mut churned = 0usize;
-    for rep in 0..reps {
-        let delta = workload_delta(
-            session.table(),
-            &mut rng,
-            workload,
-            delta_half,
-            SEED + 2000 + rep as u64,
-        );
-        churned += delta.len();
-        let (outcome, refresh_ms) = time_ms(|| session.apply(&delta).expect("satisfiable delta"));
-        let (scratch, scratch_ms) =
-            time_ms(|| publisher.publish(session.table()).expect("satisfiable"));
-        // The recorded speedup must never be bought with drift.
-        assert!(
-            outcome.anonymized == scratch.anonymized,
-            "publication drift"
-        );
-        steps.push(StrategyStep {
-            refresh_ms,
-            scratch_ms,
-        });
-    }
-    StrategyResult {
-        rows,
-        algorithm,
-        workload,
-        delta_rows: churned / reps,
-        groups: session.group_count(),
-        open_ms,
-        steps,
-    }
-}
-
-fn strategies_json(results: &[StrategyResult], smoke: bool, reps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"strategies\",\n");
-    out.push_str("  \"requirement\": \"4-anonymity ∧ distinct 3-diversity\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"algorithm\": \"{}\", \"workload\": \"{}\", \
-             \"delta_rows\": {}, \"groups\": {}, \"open_ms\": {:.3}, \
-             \"refresh_ms_mean\": {:.3}, \"scratch_publish_ms_mean\": {:.3}, \
-             \"speedup_mean\": {:.3}, \"speedup_best\": {:.3}, \
-             \"identical_output\": true}}{}\n",
-            r.rows,
-            r.algorithm.name(),
-            r.workload.name(),
-            r.delta_rows,
-            r.groups,
-            r.open_ms,
-            r.mean(|s| s.refresh_ms),
-            r.mean(|s| s.scratch_ms),
-            r.speedup_mean(),
-            r.speedup_best(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 
-/// The strategies benchmark: every [`Algorithm`] behind the session API —
-/// Mondrian, bucketization, full-domain generalization — refreshing through
-/// 1% deltas vs a from-scratch publish of the same table, serial engines on
-/// both sides so the comparison isolates the retained-state advantage.
-fn run_strategies_mode(sizes: &[usize], reps: usize, out_path: &str, smoke: bool) {
-    let mut report = Report::new(
-        "Strategy refresh: 1% delta apply vs from-scratch publish, per algorithm",
-        &["groups", "open", "refresh", "scratch", "speedup"],
-    );
-    let mut results = Vec::new();
-    for &rows in sizes {
-        for algorithm in [
-            Algorithm::Mondrian,
-            Algorithm::Bucketize,
-            Algorithm::FullDomain,
-        ] {
-            for workload in [Workload::Clustered, Workload::Scattered] {
-                let r = run_strategies(rows, reps, algorithm, workload);
-                report.row(
-                    &format!("{rows} rows, {}, {}", algorithm.name(), workload.name()),
-                    vec![
-                        format!("{}", r.groups),
-                        format!("{:.1}ms", r.open_ms),
-                        format!("{:.2}ms", r.mean(|s| s.refresh_ms)),
-                        format!("{:.2}ms", r.mean(|s| s.scratch_ms)),
-                        format!("{:.2}x", r.speedup_mean()),
-                    ],
-                );
-                results.push(r);
-            }
-        }
+/// Run one scenario, print its table, write its document to
+/// `out_dir/BENCH_<name>.json`, and fail if any row drifted.
+fn run_scenario(scenario: &Scenario, smoke: bool, out_dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
+    let mut config = Config {
+        smoke,
+        values: Vec::new(),
+    };
+    let rows = (scenario.run)(&mut config);
+    let config = Json::Obj(config.values);
+    let all_identical = rows.iter().all(identical);
+
+    let columns: Vec<&str> = scenario.columns.split_whitespace().collect();
+    let mut report = Report::new(scenario.title, &columns);
+    for row in &rows {
+        let label = row.get("label").and_then(Json::as_str).unwrap_or_default();
+        report.row(label, columns.iter().map(|k| cell(k, row.get(k))).collect());
     }
-    report.note(&format!(
-        "{reps} delta(s) per cell, each ½% deletes + ½% inserts (clustered = one narrow \
-         age-band cohort, scattered = uniform churn); serial engines on both sides; every \
-         step's groups, ranges and histograms verified bit-identical before timing is recorded"
-    ));
+    report.note(&format!("config {}", config.render().trim_end()));
     println!("{}", report.render());
 
-    let payload = strategies_json(&results, smoke, reps);
-    let mut file = std::fs::File::create(out_path).expect("create strategies json");
-    file.write_all(payload.as_bytes())
-        .expect("write strategies json");
-    println!("wrote {out_path}");
+    let doc = Json::Obj(keyed(vec![
+        ("bench", scenario.name.into()),
+        ("smoke", smoke.into()),
+        ("seed", SEED.into()),
+        ("threads", Parallelism::Auto.effective_threads().into()),
+        ("config", config),
+        ("rows", Json::Arr(rows)),
+        ("identical_output", all_identical.into()),
+    ]));
+    let path = out_dir.join(format!("BENCH_{}.json", scenario.name));
+    std::fs::write(&path, doc.render())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    if !all_identical {
+        return Err(format!(
+            "{} drifted from its reference — see {}",
+            scenario.name,
+            path.display()
+        ));
+    }
+    Ok(())
 }
 
-fn main() {
+/// A table cell: times in ms, speedups as `x`, byte counts in MB.
+fn cell(key: &str, value: Option<&Json>) -> String {
+    match value {
+        None => "-".to_owned(),
+        Some(Json::Num(x)) if key.contains("_ms") => format!("{x:.2}ms"),
+        Some(Json::Num(x)) if key.contains("speedup") => format!("{x:.2}x"),
+        Some(Json::Num(x)) if key.ends_with("_bytes") => format!("{:.1}MB", x / 1048576.0),
+        Some(Json::Str(s)) => s.clone(),
+        Some(other) => other.render().trim_end().to_owned(),
+    }
+}
+
+/// Parse `[--smoke] [--out-dir DIR] [SCENARIO…]`; no names means every
+/// scenario.
+fn parse_args(args: &[String]) -> Result<(bool, &str, Vec<&'static Scenario>), String> {
+    let (mut smoke, mut out_dir, mut picked) = (false, ".", Vec::new());
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--smoke" => smoke = true,
+            "--out-dir" => out_dir = it.next().ok_or("--out-dir needs a directory")?,
+            name => match SCENARIOS.iter().find(|s| s.name == name) {
+                Some(scenario) => picked.push(scenario),
+                None => return Err(format!("unknown argument `{name}`")),
+            },
+        }
+    }
+    if picked.is_empty() {
+        picked = SCENARIOS.iter().collect();
+    }
+    Ok((smoke, out_dir, picked))
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let incremental = args.iter().any(|a| a == "--incremental");
-    let estimate = args.iter().any(|a| a == "--estimate");
-    let concurrent = args.iter().any(|a| a == "--concurrent");
-    let recovery = args.iter().any(|a| a == "--recovery");
-    let scale = args.iter().any(|a| a == "--scale");
-    let fleet = args.iter().any(|a| a == "--fleet");
-    let strategies = args.iter().any(|a| a == "--strategies");
-    assert!(
-        [
-            incremental,
-            estimate,
-            concurrent,
-            recovery,
-            scale,
-            fleet,
-            strategies
-        ]
+    let (smoke, out_dir, picked) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(problem) => {
+            let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+            eprintln!(
+                "baseline: {problem}\nusage: baseline [--smoke] [--out-dir DIR] [SCENARIO...]\n\
+                 scenarios: {}",
+                names.join(" ")
+            );
+            return ExitCode::from(2);
+        }
+    };
+    let out_dir = Path::new(out_dir);
+    if let Err(msg) = picked
         .iter()
-        .filter(|b| **b)
-        .count()
-            <= 1,
-        "--incremental, --estimate, --concurrent, --recovery, --scale, --fleet and \
-         --strategies are mutually exclusive"
-    );
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| {
-        if incremental {
-            "BENCH_incremental.json".to_owned()
-        } else if estimate {
-            "BENCH_estimate.json".to_owned()
-        } else if concurrent {
-            "BENCH_concurrent.json".to_owned()
-        } else if recovery {
-            "BENCH_recovery.json".to_owned()
-        } else if scale {
-            "BENCH_scale.json".to_owned()
-        } else if fleet {
-            "BENCH_fleet.json".to_owned()
-        } else if strategies {
-            "BENCH_strategies.json".to_owned()
-        } else {
-            "BENCH_baseline.json".to_owned()
-        }
-    });
-    if concurrent {
-        run_concurrent_mode(smoke, &out_path);
-        return;
+        .try_for_each(|s| run_scenario(s, smoke, out_dir))
+    {
+        eprintln!("baseline: {msg}");
+        return ExitCode::FAILURE;
     }
-    if recovery {
-        run_recovery_mode(smoke, &out_path);
-        return;
-    }
-    if fleet {
-        run_fleet_mode(smoke, &out_path);
-        return;
-    }
-    let reps: usize = arg_after("--reps")
-        .map(|v| v.parse().expect("--reps takes a positive integer"))
-        .unwrap_or(if scale {
-            2
-        } else {
-            match (incremental || strategies, smoke) {
-                (true, true) => 2,
-                (true, false) => 8,
-                (false, true) => 1,
-                (false, false) => 3,
-            }
-        });
-    assert!(reps >= 1, "--reps takes a positive integer");
-    let sizes: Vec<usize> = if scale {
-        if smoke {
-            vec![2_000]
-        } else {
-            vec![1_000_000, 10_000_000]
-        }
-    } else if smoke {
-        vec![1_000]
-    } else {
-        vec![10_000, 100_000]
-    };
-    if scale {
-        run_scale_mode(&sizes, reps, &out_path, smoke);
-        return;
-    }
-    if incremental {
-        run_incremental_mode(&sizes, reps, &out_path, smoke);
-        return;
-    }
-    if strategies {
-        run_strategies_mode(&sizes, reps, &out_path, smoke);
-        return;
-    }
-    if estimate {
-        run_estimate_mode(&sizes, reps, &out_path, smoke);
-        return;
-    }
-    let threads = Parallelism::Auto.effective_threads();
+    ExitCode::SUCCESS
+}
 
-    let mut report = Report::new(
-        "Baseline: publish + audit, serial vs parallel",
-        &[
-            "groups",
-            "ser pub",
-            "par pub",
-            "ser Adv(b')",
-            "par Adv(b')",
-            "ser tcl",
-            "par tcl",
-            "speedup",
-        ],
-    );
-    let mut results = Vec::new();
-    for &rows in &sizes {
-        let r = run_size(rows, reps);
-        report.row(
-            &format!("{rows} rows"),
-            vec![
-                format!("{}", r.groups),
-                format!("{:.1}ms", r.serial_publish_ms),
-                format!("{:.1}ms", r.parallel_publish_ms),
-                format!("{:.1}ms", r.serial_audit_kernel_ms),
-                format!("{:.1}ms", r.parallel_audit_kernel_ms),
-                format!("{:.1}ms", r.serial_audit_tcloseness_ms),
-                format!("{:.1}ms", r.parallel_audit_tcloseness_ms),
-                format!("{:.2}x", r.speedup()),
-            ],
-        );
-        results.push(r);
-    }
-    report.note(&format!(
-        "{threads} worker thread(s); min over {reps} rep(s); kernel prior estimated once \
-         (estimate_ms) and shared by both engines; outputs verified bit-identical"
-    ));
-    println!("{}", report.render());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgkanon_bench::gate::{parse, parse_rules};
+    use std::collections::BTreeSet;
 
-    let payload = json(&results, threads, smoke, reps);
-    let mut file = std::fs::File::create(&out_path).expect("create baseline json");
-    file.write_all(payload.as_bytes())
-        .expect("write baseline json");
-    println!("wrote {out_path}");
+    #[test]
+    fn thresholds_gate_exactly_the_scenarios() {
+        let thresholds = parse(include_str!("../../thresholds.json")).unwrap();
+        let rules = parse_rules(&thresholds).unwrap();
+        let gated: BTreeSet<&str> = rules.iter().map(|r| r.bench.as_str()).collect();
+        let scenarios: BTreeSet<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        assert_eq!(gated, scenarios);
+    }
+
+    #[test]
+    fn arguments_pick_scenarios_and_reject_unknowns() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let all = args(&["--smoke"]);
+        let (smoke, out_dir, picked) = parse_args(&all).unwrap();
+        assert!(smoke);
+        assert_eq!(out_dir, ".");
+        assert_eq!(picked.len(), SCENARIOS.len());
+        let some = args(&["--out-dir", "/tmp/x", "fleet", "scale"]);
+        let (smoke, out_dir, picked) = parse_args(&some).unwrap();
+        assert!(!smoke);
+        assert_eq!(out_dir, "/tmp/x");
+        let names: Vec<&str> = picked.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["fleet", "scale"]);
+        for bad in [
+            &["--fleet"][..],
+            &["--reps", "3"],
+            &["--out-dir"],
+            &["nope"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn config_records_what_the_run_reads() {
+        for (smoke, want) in [(true, 1_000usize), (false, 10_000)] {
+            let mut cfg = Config {
+                smoke,
+                values: Vec::new(),
+            };
+            assert_eq!(cfg.pick("rows", 1_000, 10_000), want);
+            assert_eq!(
+                cfg.picks("sizes", &[0.5], &[0.5, 2.0]).len(),
+                2 - usize::from(smoke)
+            );
+            let doc = Json::Obj(cfg.values);
+            assert_eq!(doc.get("rows").and_then(Json::as_f64), Some(want as f64));
+            assert_eq!(parse(&doc.render()).unwrap(), doc);
+        }
+    }
 }

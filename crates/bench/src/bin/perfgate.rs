@@ -1,11 +1,14 @@
 //! `perfgate` — the CI performance-regression gate.
 //!
 //! ```text
+//! cargo run --release -p bgkanon-bench --bin baseline -- --smoke --out-dir /tmp/bench
 //! cargo run --release -p bgkanon-bench --bin perfgate -- \
-//!     --thresholds crates/bench/thresholds.json \
-//!     /tmp/BENCH_smoke.json /tmp/BENCH_incremental_smoke.json \
-//!     /tmp/BENCH_estimate_smoke.json /tmp/BENCH_concurrent_smoke.json
+//!     --thresholds crates/bench/thresholds.json /tmp/bench/BENCH_*.json
 //! ```
+//!
+//! Every document the `baseline` harness writes has one schema, so a rule
+//! names its value as `rows[i].<key>` of the document whose `bench` field
+//! matches the rule's.
 //!
 //! Exits non-zero when any `identical_output` flag in any supplied
 //! benchmark document is false, when a gated `time_ms` metric exceeds 2×

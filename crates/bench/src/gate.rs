@@ -23,10 +23,12 @@
 //!    seeded recovery script), where any difference in either direction
 //!    means the system did different work.
 //!
-//! The workspace vendors no JSON dependency, so this module carries a
-//! minimal recursive-descent parser for the subset the benchmarks emit
-//! (objects, arrays, strings without escapes beyond `\"`/`\\`, numbers,
-//! booleans, null) — enough to read back what `baseline.rs` writes.
+//! The workspace vendors no JSON dependency, so this module carries one
+//! minimal writer ([`Json::render`]) and one recursive-descent reader
+//! ([`parse`]) for the subset the benchmarks emit: objects, arrays,
+//! strings, finite numbers, booleans and null. The benchmark harness
+//! (`baseline.rs`) builds a [`Json`] value and renders it, so the gate
+//! reads back exactly the value the harness built.
 
 use std::fmt;
 
@@ -89,7 +91,7 @@ impl Json {
     }
 
     /// Resolve a dotted metric path with optional `[i]` indexing, e.g.
-    /// `sizes[0].parallel_total_ms` or `hub.audits_per_s`.
+    /// `rows[0].parallel_total_ms` or `config.sizes[1]`.
     pub fn lookup(&self, path: &str) -> Option<&Json> {
         let mut current = self;
         for part in path.split('.') {
@@ -117,6 +119,58 @@ impl Json {
         found
     }
 
+    /// Render as JSON text that [`parse`] reads back to an equal value.
+    /// A container holding an object puts each child on its own indented
+    /// line; every other container renders on one line. Numbers use the
+    /// shortest text that parses back to the same `f64`; a non-finite
+    /// number, which JSON cannot express, renders as `null`. Strings
+    /// escape `"`, `\\`, newline and tab, the escapes [`parse`] reads;
+    /// every other character is written as it is.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn render_into(&self, out: &mut String, depth: usize) {
+        let (open, close, children): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(&b.to_string()),
+            Json::Num(x) if x.is_finite() => return out.push_str(&x.to_string()),
+            Json::Num(_) => return out.push_str("null"),
+            Json::Str(s) => return render_str(s, out),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(members) => {
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+                ('{', '}', members.collect())
+            }
+        };
+        // A container holding an object breaks before each child and
+        // before its close; the others stay on one line.
+        let broken = children.iter().any(|(_, v)| matches!(v, Json::Obj(_)));
+        let (sep, newline, step) = if broken {
+            (",", "\n", "  ")
+        } else {
+            (", ", "", "")
+        };
+        let indent = |depth: usize| format!("{newline}{}", step.repeat(depth));
+        out.push(open);
+        for (i, (key, value)) in children.iter().enumerate() {
+            if i > 0 {
+                out.push_str(sep);
+            }
+            out.push_str(&indent(depth + 1));
+            if let Some(key) = key {
+                render_str(key, out);
+                out.push_str(": ");
+            }
+            value.render_into(out, depth + 1);
+        }
+        out.push_str(&indent(depth));
+        out.push(close);
+    }
+
     fn find_all_into<'a>(&'a self, key: &str, prefix: &str, out: &mut Vec<(String, &'a Json)>) {
         match self {
             Json::Obj(members) => {
@@ -141,6 +195,35 @@ impl Json {
         }
     }
 }
+
+fn render_str(s: &str, out: &mut String) {
+    let escaped = s
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+        .replace('\t', "\\t");
+    out.push_str(&format!("\"{escaped}\""));
+}
+
+/// `From` conversions into the matching variant, for building documents.
+macro_rules! json_from {
+    ($($ty:ty => $variant:ident $(as $cast:ty)?),*) => {$(
+        impl From<$ty> for Json {
+            fn from(x: $ty) -> Self {
+                Json::$variant((x $(as $cast)?).into())
+            }
+        }
+    )*};
+}
+
+json_from!(
+    f64 => Num,
+    usize => Num as f64,
+    u64 => Num as f64,
+    bool => Bool,
+    &str => Str,
+    String => Str
+);
 
 /// Parse a JSON document.
 pub fn parse(text: &str) -> Result<Json, String> {
@@ -508,6 +591,57 @@ mod tests {
             parse("[-1.5e2, null]").unwrap().at(0).unwrap().as_f64(),
             Some(-150.0)
         );
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        let row = |label: &str, x: f64| {
+            Json::Obj(vec![
+                ("label".into(), label.into()),
+                ("x".into(), x.into()),
+                ("identical_output".into(), true.into()),
+            ])
+        };
+        let doc = Json::Obj(vec![
+            ("bench".into(), "baseline".into()),
+            ("none".into(), Json::Null),
+            ("smoke".into(), false.into()),
+            ("seed".into(), 42u64.into()),
+            ("rows".into(), 1_000_000usize.into()),
+            ("tiny".into(), 1.5e-7.into()),
+            ("big".into(), 1.25e21.into()),
+            ("negative".into(), (-0.1).into()),
+            ("third".into(), (1.0 / 3.0).into()),
+            ("quoted".into(), "a \"quoted\" \\ path\n\twith tab".into()),
+            ("unicode".into(), "P̂pri ∧ ½ — 🦀".into()),
+            ("empty".into(), Json::Arr(vec![])),
+            ("empty_obj".into(), Json::Obj(vec![])),
+            (
+                "nested".into(),
+                Json::Arr(vec![
+                    Json::Arr(vec![1.0.into(), 2.5.into()]),
+                    Json::Arr(vec![]),
+                ]),
+            ),
+            (
+                "config".into(),
+                Json::Obj(vec![("sizes".into(), Json::Arr(vec![1e3.into()]))]),
+            ),
+            (
+                "rows_list".into(),
+                Json::Arr(vec![row("1000 rows", 0.125), row("ä", 3.0)]),
+            ),
+        ]);
+        let text = doc.render();
+        assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        // Integer-valued numbers print without a fraction; a row of
+        // scalars stays on one line inside the broken rows array.
+        assert!(text.contains("\"rows\": 1000000,"), "{text}");
+        assert!(text.contains(
+            "\n    {\"label\": \"1000 rows\", \"x\": 0.125, \"identical_output\": true},"
+        ));
+        // A non-finite number has no JSON spelling and renders as null.
+        assert_eq!(Json::Num(f64::NAN).render(), "null\n");
     }
 
     #[test]

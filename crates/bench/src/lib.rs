@@ -18,7 +18,9 @@
 //!
 //! [`gate`] is not an experiment: it implements the CI perf-regression gate
 //! (`--bin perfgate`) that checks the smoke benchmarks' JSON against the
-//! committed thresholds in `crates/bench/thresholds.json`.
+//! committed thresholds in `crates/bench/thresholds.json`, and the one JSON
+//! writer ([`gate::Json::render`]) the benchmark harness (`--bin baseline`)
+//! writes those documents with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,6 +51,8 @@ pub use bgkanon_privacy as privacy;
 pub use bgkanon_stats as stats;
 pub use bgkanon_utility as utility;
 
+#[cfg(test)]
+mod fuzz;
 pub mod hub;
 pub mod params;
 pub mod publisher;

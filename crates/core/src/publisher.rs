@@ -482,15 +482,30 @@ impl Publisher {
 
     /// Rebuild a publisher from [`spec_lines`](Self::spec_lines) output.
     /// Errors carry a human-readable reason; recovery surfaces them as the
-    /// tenant's unrecoverability cause.
+    /// tenant's unrecoverability cause. A value the requirement
+    /// constructors would reject with a panic (k or ℓ of 0, a t-closeness
+    /// threshold outside [0, 1], a negative or non-finite (B,t) threshold)
+    /// is an error here. Bandwidths are checked when the publisher is
+    /// instantiated, which reports a bad one as a typed [`PublishError`].
     pub(crate) fn from_spec_lines<'a>(
         lines: impl IntoIterator<Item = &'a str>,
     ) -> Result<Publisher, String> {
-        fn num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
-            tok.ok_or_else(|| format!("missing {what}"))?
+        fn num<T: std::str::FromStr + PartialOrd>(
+            tok: Option<&str>,
+            what: &str,
+            range: impl std::ops::RangeBounds<T>,
+        ) -> Result<T, String> {
+            let value = tok
+                .ok_or_else(|| format!("missing {what}"))?
                 .parse::<T>()
-                .map_err(|_| format!("unparseable {what}"))
+                .map_err(|_| format!("unparseable {what}"))?;
+            if !range.contains(&value) {
+                return Err(format!("{what} out of range"));
+            }
+            Ok(value)
         }
+        // Group sizes and thresholds the requirement constructors accept.
+        let (size, unit, threshold) = (1usize.., 0.0..=1.0, 0.0..=f64::MAX);
         let mut publisher = Publisher::new();
         for line in lines {
             let toks: Vec<&str> = line.split_whitespace().collect();
@@ -519,31 +534,35 @@ impl Publisher {
             if !arity_ok {
                 return Err(format!("wrong number of values on `{line}`"));
             }
+            let first = rest.first().copied();
             publisher = match kind {
-                "k" => publisher.k_anonymity(num(rest.first().copied(), "k")?),
-                "distinct-l" => publisher.distinct_l_diversity(num(rest.first().copied(), "l")?),
+                "k" => publisher.k_anonymity(num(first, "k", size.clone())?),
+                "distinct-l" => publisher.distinct_l_diversity(num(first, "l", size.clone())?),
                 "probabilistic-l" => {
-                    publisher.probabilistic_l_diversity(num(rest.first().copied(), "l")?)
+                    publisher.probabilistic_l_diversity(num(first, "l", size.clone())?)
                 }
-                "t-closeness" => publisher.t_closeness(num(rest.first().copied(), "t")?),
+                "t-closeness" => publisher.t_closeness(num(first, "t", unit.clone())?),
                 "bt-uniform" => {
-                    let b = num(Some(rest[0]), "bandwidth")?;
-                    publisher.bt_privacy(b, num(Some(rest[1]), "t")?)
+                    let b = num(Some(rest[0]), "bandwidth", ..)?;
+                    publisher.bt_privacy(b, num(Some(rest[1]), "t", threshold.clone())?)
                 }
                 "bt-vector" => {
-                    let t = num(Some(rest[0]), "t")?;
+                    let t = num(Some(rest[0]), "t", threshold.clone())?;
                     let v = rest[1..]
                         .iter()
-                        .map(|tok| num(Some(tok), "bandwidth component"))
+                        .map(|tok| num(Some(tok), "bandwidth component", ..))
                         .collect::<Result<Vec<f64>, String>>()?;
                     publisher.bt_privacy_vector(v, t)
                 }
                 "skyline" => {
-                    let flat = rest
-                        .iter()
-                        .map(|tok| num(Some(tok), "skyline value"))
-                        .collect::<Result<Vec<f64>, String>>()?;
-                    publisher.skyline(flat.chunks_exact(2).map(|p| (p[0], p[1])).collect())
+                    let pairs = rest
+                        .chunks_exact(2)
+                        .map(|p| {
+                            let b = num(Some(p[0]), "skyline bandwidth", ..)?;
+                            Ok((b, num(Some(p[1]), "skyline t", threshold.clone())?))
+                        })
+                        .collect::<Result<Vec<(f64, f64)>, String>>()?;
+                    publisher.skyline(pairs)
                 }
                 _ => unreachable!("kind validated above"),
             };
@@ -824,6 +843,78 @@ mod tests {
             Publisher::from_spec_lines(std::iter::empty::<&str>()).is_err(),
             "empty spec list should be rejected"
         );
+    }
+
+    /// Parameters the requirement constructors would reject with a panic
+    /// are parse errors, so a damaged genesis file cannot crash recovery.
+    #[test]
+    fn out_of_range_spec_values_are_rejected() {
+        for bad in [
+            "spec k 0",
+            "spec distinct-l 0",
+            "spec probabilistic-l 0",
+            "spec t-closeness 1.5",
+            "spec t-closeness -0.1",
+            "spec t-closeness NaN",
+            "spec bt-uniform 0.3 -1",
+            "spec bt-uniform 0.3 inf",
+            "spec bt-vector NaN 0.3 0.3",
+            "spec skyline 0.3 0.2 0.4 -0.5",
+        ] {
+            let err = Publisher::from_spec_lines([bad]).expect_err(bad);
+            assert!(err.contains("out of range"), "`{bad}`: {err}");
+        }
+        // The edges of each range still parse.
+        let edges = ["spec k 1", "spec t-closeness 0", "spec t-closeness 1"];
+        let publisher = Publisher::from_spec_lines(edges).unwrap();
+        publisher.instantiate(&adult::generate(40, 3)).unwrap();
+    }
+
+    /// Valid spec lines of every spec kind and algorithm selector: the
+    /// seeds the fuzz property mutates.
+    fn spec_seeds() -> Vec<String> {
+        [
+            Publisher::new().k_anonymity(4).bt_privacy(0.3, 0.25),
+            Publisher::new()
+                .distinct_l_diversity(3)
+                .probabilistic_l_diversity(2)
+                .t_closeness(0.2),
+            Publisher::new()
+                .k_anonymity(2)
+                .bt_privacy_vector(vec![0.3, 0.5, 0.25, 0.75, 0.3, 0.6], 0.4)
+                .algorithm(Algorithm::FullDomain),
+            Publisher::new()
+                .skyline(vec![(0.2, 0.5), (0.4, 0.3)])
+                .algorithm(Algorithm::Bucketize),
+        ]
+        .iter()
+        .map(|p| p.spec_lines().join("\n"))
+        .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Byte edits of valid spec lines give an error, or a publisher whose
+        /// lines round-trip and which instantiates against a table or
+        /// refuses with a `PublishError` — never a panic.
+        #[test]
+        fn mutated_spec_lines_never_panic(
+            pick in 0usize..64,
+            edits in proptest::collection::vec((0usize..1 << 16, 0u8..=255, 0u8..3), 1..6),
+        ) {
+            let seeds = spec_seeds();
+            let text = crate::fuzz::mutate(&seeds[pick % seeds.len()], &edits);
+            if let Ok(publisher) = Publisher::from_spec_lines(text.lines()) {
+                let lines = publisher.spec_lines();
+                let again = Publisher::from_spec_lines(lines.iter().map(String::as_str));
+                proptest::prop_assert_eq!(again.map(|p| p.spec_lines()), Ok(lines));
+                let table = adult::generate(40, 3);
+                if let Ok(requirement) = publisher.instantiate(&table) {
+                    let _ = publisher.strategy(&requirement);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1586,37 +1586,27 @@ mod tests {
         })
     }
 
-    /// Apply byte edits to `text`: each `(at, byte, op)` overwrites,
-    /// deletes or inserts at `at % len`. Bytes are drawn mostly from the
-    /// formats' own alphabet (digits, separators, signs), so edits reach
-    /// the number and token parsers rather than only the magic line.
-    fn mutate(text: &str, edits: &[(usize, u8, u8)]) -> String {
-        const ALPHABET: &[u8] = b"0123456789 \n\t-+.ex";
-        let mut bytes = text.as_bytes().to_vec();
-        for &(at, byte, op) in edits {
-            let byte = if byte < 192 {
-                ALPHABET[usize::from(byte) % ALPHABET.len()]
-            } else {
-                byte
-            };
-            let at = at % bytes.len().max(1);
-            match op {
-                0 if !bytes.is_empty() => bytes[at] = byte,
-                1 if !bytes.is_empty() => {
-                    bytes.remove(at);
-                }
-                _ => bytes.insert(at, byte),
-            }
-        }
-        String::from_utf8_lossy(&bytes).into_owned()
-    }
-
     /// Feed `text` to every parser a durable tenant's files go through.
     fn parse_everything(text: &str, seeds: &FuzzSeeds, strategy: &AnyStrategy) {
         let _ = parse_genesis(text);
         if let Ok(ck) = parse_checkpoint(text, &seeds.schema) {
             let _ = strategy::import_state(strategy, &ck.table, &ck.state_lines);
         }
+    }
+
+    /// Regression: a genesis spec the requirement constructors reject with
+    /// a panic (`k 0`, found by the spec-line fuzz property) is a parse
+    /// error, so recovery reports the tenant instead of crashing.
+    #[test]
+    fn genesis_with_out_of_range_spec_is_rejected() {
+        let dir = tmp_dir("kzero");
+        let table = adult::generate(60, 21);
+        write_genesis(&dir, "t", &Publisher::new().k_anonymity(4), &table).unwrap();
+        let text = std::fs::read_to_string(dir.join("genesis.tbl")).unwrap();
+        let body = check_trailer(&text, "genesis").unwrap();
+        let err = parse_genesis(&rewrap(&body.replace("spec k 4", "spec k 0"))).unwrap_err();
+        assert!(err.contains("k out of range"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     proptest::proptest! {
@@ -1640,7 +1630,7 @@ mod tests {
                 .collect();
             let (text, strategy) = files[pick % files.len()];
             let body = check_trailer(text, "seed").unwrap();
-            let mutated = mutate(body, &edits);
+            let mutated = crate::fuzz::mutate(body, &edits);
             let text = if rechecksum == 0 { mutated } else { rewrap(&mutated) };
             parse_everything(&text, seeds, strategy);
         }
@@ -1656,7 +1646,8 @@ mod tests {
             let (text, _) = &seeds.checkpoints[pick % seeds.checkpoints.len()];
             let ck = parse_checkpoint(text, &seeds.schema).unwrap();
             let block = ck.state_lines.join("\n");
-            let lines: Vec<String> = mutate(&block, &edits).lines().map(str::to_owned).collect();
+            let lines: Vec<String> =
+                crate::fuzz::mutate(&block, &edits).lines().map(str::to_owned).collect();
             for (_, strategy) in &seeds.checkpoints {
                 let _ = strategy::import_state(strategy, &ck.table, &lines);
             }

@@ -447,6 +447,65 @@ mod tests {
         ));
     }
 
+    /// Valid record payloads the fuzz property mutates: a mixed delta,
+    /// deletes only, inserts only, and the empty delta.
+    fn record_seeds() -> Vec<Vec<u8>> {
+        let mixed = sample_delta();
+        let schema = Arc::clone(mixed.schema());
+        let t = adult::generate(30, 5);
+        let mut deletes = DeltaBuilder::new(Arc::clone(&schema));
+        deletes.delete(0).delete(29);
+        let mut inserts = DeltaBuilder::new(Arc::clone(&schema));
+        inserts
+            .insert_codes(&t.qi(4), t.sensitive_value(4))
+            .unwrap();
+        let empty = DeltaBuilder::new(schema);
+        [mixed, deletes.build(), inserts.build(), empty.build()]
+            .iter()
+            .enumerate()
+            .map(|(seq, delta)| encode_record(seq as u64 + 1, delta))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Mutated valid records — a count field set near `u64::MAX`, bit
+        /// flips, truncation — decode to a `WalError` or to a delta whose
+        /// canonical re-encoding decodes back to itself; never a panic.
+        #[test]
+        fn mutated_records_decode_or_fail_cleanly(
+            pick in 0usize..64,
+            count_field in 0u8..3,
+            below_max in 0u64..4,
+            flips in proptest::collection::vec((0usize..1 << 16, 0u8..8), 0..4),
+            cut in 0usize..1 << 16,
+            truncate in 0u8..2,
+        ) {
+            let seeds = record_seeds();
+            let schema = Arc::clone(sample_delta().schema());
+            let mut bytes = seeds[pick % seeds.len()].clone();
+            let n_deletes = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+            let count_at = [None, Some(8), Some(16 + 8 * n_deletes)][usize::from(count_field)];
+            if let Some(at) = count_at {
+                bytes[at..at + 8].copy_from_slice(&(u64::MAX - below_max).to_le_bytes());
+            }
+            for (at, bit) in flips {
+                let at = at % bytes.len();
+                bytes[at] ^= 1 << bit;
+            }
+            if truncate == 1 {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            if let Ok((seq, delta)) = decode_record(&bytes, &schema, 0) {
+                let canonical = encode_record(seq, &delta);
+                let (again_seq, again) = decode_record(&canonical, &schema, 0).unwrap();
+                proptest::prop_assert_eq!(again_seq, seq);
+                proptest::prop_assert_eq!(encode_record(again_seq, &again), canonical);
+            }
+        }
+    }
+
     #[test]
     fn writer_scan_roundtrip() {
         let path = tmp_path("roundtrip");
