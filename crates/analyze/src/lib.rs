@@ -2,7 +2,7 @@
 //!
 //! Walks every `crates/*/src/**.rs` file in the workspace with a lightweight
 //! comment/string-aware Rust lexer and a brace-scope tracker, and enforces
-//! six rules (see [`rules::explain`] or `cargo run -p bgkanon-analyze --
+//! seven rules (see [`rules::explain`] or `cargo run -p bgkanon-analyze --
 //! --explain R1`):
 //!
 //! - **R1 lock discipline** — classified `SessionHub`/`SharedAuditSession`
@@ -20,6 +20,9 @@
 //!   bit-identity suites.
 //! - **R6 panic audit** — `.unwrap()`/`.expect(`/`panic!` inventory may only
 //!   ratchet down against the committed baseline.
+//! - **R7 public surface** — every library `pub fn` has a non-test caller
+//!   outside its own file (another crate file, a bin, a bench target,
+//!   `examples/` or `perfbench/src`), or a `// bgk-allow: R7 <reason>` note.
 //!
 //! Findings diff against `crates/analyze/baseline.json` the same way the
 //! bench perfgate diffs against its floor: **new findings fail the gate, and
@@ -35,7 +38,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use json::Json;
-pub use rules::{analyze_file, explain, FileAnalysis, Finding, LockSite};
+pub use rules::{analyze_file, explain, Corpus, FileAnalysis, Finding, LockSite};
 
 /// Everything the gate learned about one workspace tree.
 #[derive(Debug, Default)]
@@ -49,41 +52,44 @@ pub struct Analysis {
 }
 
 /// Analyze a workspace rooted at `root`: every `.rs` file under
-/// `crates/*/src/`, with `tests/tests/*.rs` read as the R5 suite corpus.
+/// `crates/*/src/`, with `tests/tests/*.rs` read as the R5 suite corpus and
+/// `crates/*/benches/`, `examples/` and `perfbench/src/` read as R7 callers.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    let mut suite_text = String::new();
-    let suites_dir = root.join("tests").join("tests");
-    if suites_dir.is_dir() {
-        for path in sorted_entries(&suites_dir)? {
-            if path.extension().is_some_and(|e| e == "rs") {
-                suite_text.push_str(&fs::read_to_string(&path)?);
-                suite_text.push('\n');
-            }
-        }
+    let mut library = Vec::new();
+    let mut others = Vec::new();
+    for crate_dir in sorted_entries(&root.join("crates"))? {
+        collect_rs_files(&crate_dir.join("src"), &mut library)?;
+        collect_rs_files(&crate_dir.join("benches"), &mut others)?;
+    }
+    library.sort();
+    for dir in ["tests/tests", "examples", "perfbench/src"] {
+        collect_rs_files(&root.join(dir), &mut others)?;
+    }
+
+    let read = |path: &PathBuf| -> io::Result<(String, String)> {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        Ok((rel, fs::read_to_string(path)?))
+    };
+    let library = library.iter().map(read).collect::<io::Result<Vec<_>>>()?;
+    let mut corpus = Corpus::default();
+    for (rel, source) in library.iter() {
+        corpus.add(rel, source);
+    }
+    for path in &others {
+        let (rel, source) = read(path)?;
+        corpus.add(&rel, &source);
     }
 
     let mut analysis = Analysis::default();
-    let crates_dir = root.join("crates");
-    for crate_dir in sorted_entries(&crates_dir)? {
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        files.sort();
-        for path in files {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let source = fs::read_to_string(&path)?;
-            let file_analysis = analyze_file(&rel, &source, &suite_text);
-            analysis.findings.extend(file_analysis.findings);
-            analysis.lock_sites.extend(file_analysis.lock_sites);
-            analysis.files.push(rel);
-        }
+    for (rel, source) in library {
+        let file_analysis = analyze_file(&rel, &source, &corpus);
+        analysis.findings.extend(file_analysis.findings);
+        analysis.lock_sites.extend(file_analysis.lock_sites);
+        analysis.files.push(rel);
     }
     analysis.findings.sort();
     analysis
@@ -102,7 +108,12 @@ fn sorted_entries(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(entries)
 }
 
+/// Every `.rs` file under `dir`, recursively and in sorted order; a missing
+/// directory adds nothing.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     for path in sorted_entries(dir)? {
         if path.is_dir() {
             collect_rs_files(&path, out)?;

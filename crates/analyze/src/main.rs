@@ -31,9 +31,9 @@ fn usage() -> &'static str {
     "usage: analyze [--root DIR] [--baseline PATH] [--json] [--locks] \
      [--update-baseline] [--explain RULE]\n\
      \n\
-     Walks crates/*/src/**.rs and enforces the six repo invariants \
+     Walks crates/*/src/**.rs and enforces the seven repo invariants \
      (R1 lock discipline, R2 pool usage, R3 determinism, R4 cache growth, \
-     R5 bit-identity pairing, R6 panic audit), diffing findings against \
+     R5 bit-identity pairing, R6 panic audit, R7 public surface), diffing findings against \
      the committed baseline: new findings fail, fixed findings must be \
      removed from the baseline."
 }
@@ -60,7 +60,7 @@ fn parse_args() -> Result<Options, String> {
             "--locks" => opts.locks = true,
             "--update-baseline" => opts.update = true,
             "--explain" => {
-                opts.explain = Some(args.next().ok_or("--explain needs a rule (R1..R6)")?);
+                opts.explain = Some(args.next().ok_or("--explain needs a rule (R1..R7)")?);
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -101,7 +101,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("analyze: no such rule `{rule}` (R1..R6)");
+                eprintln!("analyze: no such rule `{rule}` (R1..R7)");
                 ExitCode::from(2)
             }
         };

@@ -1,17 +1,17 @@
-//! The six repo-invariant rules, evaluated over a lexed token stream with a
+//! The seven repo-invariant rules, evaluated over a lexed token stream with a
 //! brace-scope tracker. Everything here is heuristic lexical analysis — no
 //! type information — tuned to this workspace's idioms; the committed
 //! baseline absorbs accepted debt and `// bgk-allow: Rn reason` comments
 //! absorb sanctioned sites (see each rule's `explain` text).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 
 /// One rule violation (or inventoried debt item, for R6).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// `R1`…`R6`.
+    /// `R1`…`R7`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -112,7 +112,7 @@ const TYPE_WRAPPERS: &[&str] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileScope {
     /// Library code: `crates/<x>/src/**` excluding `src/bin/**`,
-    /// `crates/bench` and `crates/analyze`. R1/R3/R4/R5/R6 apply here.
+    /// `crates/bench` and `crates/analyze`. R1/R3/R4/R5/R6/R7 apply here.
     pub library: bool,
     /// R2 applies (everything scanned except the pool layer itself).
     pub r2: bool,
@@ -131,9 +131,49 @@ pub fn scope_of(rel_path: &str) -> FileScope {
     }
 }
 
-/// Analyze one source file. `suite_text` is the concatenated text of the
-/// workspace bit-identity suites (`tests/tests/*.rs`), consulted by R5.
-pub fn analyze_file(rel_path: &str, source: &str, suite_text: &str) -> FileAnalysis {
+/// What the rules read from outside the file under analysis.
+#[derive(Debug, Default)]
+pub struct Corpus {
+    /// Concatenated text of the bit-identity suites (`tests/tests/*.rs`),
+    /// consulted by R5.
+    pub suites: String,
+    /// Identifier → files whose non-test code names it, consulted by R7.
+    pub callers: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl Corpus {
+    /// Read one workspace file: a `tests/tests/` suite feeds R5's coverage
+    /// scan, and the non-test code of `crates/*/src`, `crates/*/benches`,
+    /// `examples/` and `perfbench/src` feeds R7's caller index. Other paths
+    /// are ignored, so a caller that lives only in tests never counts.
+    pub fn add(&mut self, rel_path: &str, source: &str) {
+        if rel_path.starts_with("tests/tests/") {
+            self.suites.push_str(source);
+            self.suites.push('\n');
+            return;
+        }
+        let caller = (rel_path.starts_with("crates/")
+            && (rel_path.contains("/src/") || rel_path.contains("/benches/")))
+            || rel_path.starts_with("examples/")
+            || rel_path.starts_with("perfbench/src/");
+        if !caller {
+            return;
+        }
+        let lexed = lex(source);
+        let ctx = FileCtx::build(rel_path, &lexed);
+        for (tok, in_test) in lexed.tokens.iter().zip(&ctx.in_test) {
+            if tok.kind == TokenKind::Ident && !in_test {
+                self.callers
+                    .entry(tok.text.clone())
+                    .or_default()
+                    .insert(rel_path.to_owned());
+            }
+        }
+    }
+}
+
+/// Analyze one source file against the workspace `corpus`.
+pub fn analyze_file(rel_path: &str, source: &str, corpus: &Corpus) -> FileAnalysis {
     let scope = scope_of(rel_path);
     let lexed = lex(source);
     let ctx = FileCtx::build(rel_path, &lexed);
@@ -145,8 +185,9 @@ pub fn analyze_file(rel_path: &str, source: &str, suite_text: &str) -> FileAnaly
         rule_r1(&ctx, &mut out);
         rule_r3(&ctx, &mut out);
         rule_r4(&ctx, &mut out);
-        rule_r5(&ctx, suite_text, &mut out);
+        rule_r5(&ctx, &corpus.suites, &mut out);
         rule_r6(&ctx, &mut out);
+        rule_r7(&ctx, corpus, &mut out);
     }
     out.findings.sort();
     out
@@ -818,13 +859,11 @@ fn rule_r4(ctx: &FileCtx<'_>, out: &mut FileAnalysis) {
     }
 }
 
-/// R5 — bit-identity pairing. Every public `*_with(…, Parallelism…)` engine
-/// entry point — a `pub fn`, or a method declared inside a `pub trait`
-/// block (strategy contracts route engine selection through traits) — must
-/// (a) have a serial reference symbol (`<stem>` or `<stem>_reference`) in
-/// the same file, and (b) be exercised by name in the workspace
-/// bit-identity suites under `tests/tests/`.
-fn rule_r5(ctx: &FileCtx<'_>, suite_text: &str, out: &mut FileAnalysis) {
+/// Token indices of the names of every public `*_with(…, Parallelism…)`
+/// engine entry point in the file: a `pub fn`, or a method declared inside
+/// a `pub trait` block (strategy contracts route engine selection through
+/// traits).
+fn parallel_entry_points(ctx: &FileCtx<'_>) -> Vec<usize> {
     let t = ctx.tokens;
     // Token ranges of `pub trait { … }` bodies: their methods are engine
     // entry points too, but carry no `pub` of their own.
@@ -855,6 +894,7 @@ fn rule_r5(ctx: &FileCtx<'_>, suite_text: &str, out: &mut FileAnalysis) {
         i += 1;
     }
     let in_pub_trait = |idx: usize| trait_bodies.iter().any(|&(a, b)| idx > a && idx < b);
+    let mut entries = Vec::new();
     for i in 1..t.len() {
         if ctx.in_test[i] || !t[i].is_ident("fn") {
             continue;
@@ -868,14 +908,12 @@ fn rule_r5(ctx: &FileCtx<'_>, suite_text: &str, out: &mut FileAnalysis) {
         if name_tok.kind != TokenKind::Ident || !name_tok.text.ends_with("_with") {
             continue;
         }
-        let name = &name_tok.text;
         // Scan the parameter list for a `Parallelism` knob.
         let mut j = i + 2;
         while j < t.len() && !t[j].is_punct('(') {
             j += 1;
         }
         let mut depth = 0i32;
-        let mut has_knob = false;
         while j < t.len() {
             if t[j].is_punct('(') {
                 depth += 1;
@@ -885,13 +923,24 @@ fn rule_r5(ctx: &FileCtx<'_>, suite_text: &str, out: &mut FileAnalysis) {
                     break;
                 }
             } else if t[j].is_ident("Parallelism") {
-                has_knob = true;
+                entries.push(i + 1);
+                break;
             }
             j += 1;
         }
-        if !has_knob {
-            continue;
-        }
+    }
+    entries
+}
+
+/// R5 — bit-identity pairing. Every public `*_with(…, Parallelism…)` engine
+/// entry point must (a) have a serial reference symbol (`<stem>` or
+/// `<stem>_reference`) in the same file, and (b) be exercised by name in
+/// the workspace bit-identity suites under `tests/tests/`.
+fn rule_r5(ctx: &FileCtx<'_>, suite_text: &str, out: &mut FileAnalysis) {
+    let t = ctx.tokens;
+    for idx in parallel_entry_points(ctx) {
+        let name_tok = &t[idx];
+        let name = &name_tok.text;
         let stem = name.trim_end_matches("_with");
         let reference = format!("{stem}_reference");
         let has_serial = t
@@ -969,6 +1018,53 @@ fn rule_r6(ctx: &FileCtx<'_>, out: &mut FileAnalysis) {
     }
 }
 
+/// R7 — public surface. A `pub fn` in library code needs a non-test caller
+/// outside its own file: an identifier of that name in another file of
+/// `crates/*/src` (bins and `crates/bench` included), `crates/*/benches`,
+/// `examples/` or `perfbench/src`. Tests, `#[cfg(test)]` modules and doctests do not
+/// count. The serial twin (`<stem>`/`<stem>_reference`) of an R5 entry
+/// point is exempt: R5 already requires it.
+fn rule_r7(ctx: &FileCtx<'_>, corpus: &Corpus, out: &mut FileAnalysis) {
+    let t = ctx.tokens;
+    let mut twins = BTreeSet::new();
+    for idx in parallel_entry_points(ctx) {
+        let stem = t[idx].text.trim_end_matches("_with");
+        twins.insert(stem.to_owned());
+        twins.insert(format!("{stem}_reference"));
+    }
+    let mut counts: BTreeMap<String, u32> = BTreeMap::new();
+    for i in 1..t.len().saturating_sub(1) {
+        if ctx.in_test[i] || !t[i].is_ident("fn") || !t[i - 1].is_ident("pub") {
+            continue;
+        }
+        let name = &t[i + 1];
+        let called_elsewhere = corpus
+            .callers
+            .get(&name.text)
+            .is_some_and(|files| files.iter().any(|f| f != ctx.rel_path));
+        if name.kind != TokenKind::Ident
+            || called_elsewhere
+            || twins.contains(&name.text)
+            || ctx.allowed("R7", t[i - 1].line)
+        {
+            continue;
+        }
+        let n = counts.entry(name.text.clone()).or_default();
+        out.findings.push(Finding {
+            rule: "R7",
+            file: ctx.rel_path.to_owned(),
+            line: name.line,
+            key: format!("R7|{}|{}|pub-fn:{}", ctx.rel_path, name.text, n),
+            message: format!(
+                "pub fn {}: no non-test caller outside this file — delete it, narrow \
+                 it to private or `pub(crate)`, or annotate `bgk-allow: R7 <reason>`",
+                name.text
+            ),
+        });
+        *n += 1;
+    }
+}
+
 /// One paragraph of rationale per rule, for `--explain`.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
@@ -1037,6 +1133,19 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (`-W clippy::unwrap_used` on crates/core + crates/privacy) when \
              burning down."
         }
+        "R7" => {
+            "R7 public surface — a `pub fn` in a library crate needs a non-test \
+             caller outside its own file: the same identifier in the non-test code \
+             of another `crates/*/src` file (bins and crates/bench included), of \
+             a `crates/*/benches` target, of `examples/` or of `perfbench/src`. Callers in `tests/`, in \
+             `#[cfg(test)]` modules or in doctests do not count, and neither does \
+             the defining file. The match is by name, so a common name hides an \
+             unused function; a dead item \
+             can hide behind a live namesake. The serial twin of an R5 entry point is exempt. Fix by deleting \
+             the item with its tests, or by narrowing it to private or \
+             `pub(crate)`; a test-only item that checks a paper claim keeps a \
+             `// bgk-allow: R7 <reason>` note on the line above its `pub fn`."
+        }
         _ => return None,
     })
 }
@@ -1045,8 +1154,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 mod tests {
     use super::*;
 
+    fn suite(text: &str) -> Corpus {
+        let mut corpus = Corpus::default();
+        corpus.add("tests/tests/suite.rs", text);
+        corpus
+    }
+
     fn lib(source: &str) -> FileAnalysis {
-        analyze_file("crates/fixture/src/lib.rs", source, "")
+        analyze_file("crates/fixture/src/lib.rs", source, &Corpus::default())
     }
 
     #[test]
@@ -1058,7 +1173,7 @@ mod tests {
         let pool = analyze_file(
             "crates/data/src/exec.rs",
             "fn f() { std::thread::spawn(|| {}); }",
-            "",
+            &Corpus::default(),
         );
         assert!(pool.findings.is_empty());
     }
@@ -1173,13 +1288,13 @@ mod tests {
         let bin = analyze_file(
             "crates/fixture/src/bin/tool.rs",
             "fn main() { println!(\"{:?}\", std::env::var(\"X\")); }",
-            "",
+            &Corpus::default(),
         );
         assert!(bin.findings.is_empty());
         let bench = analyze_file(
             "crates/bench/src/report.rs",
             "fn r() { eprintln!(\"x\"); }",
-            "",
+            &Corpus::default(),
         );
         assert!(bench.findings.is_empty());
     }
@@ -1198,7 +1313,7 @@ mod tests {
     #[test]
     fn r5_requires_serial_twin_and_suite_coverage() {
         let src = "impl E { pub fn solve_with(&self, p: Parallelism) -> u32 { 0 } }";
-        let uncovered = analyze_file("crates/fixture/src/lib.rs", src, "");
+        let uncovered = analyze_file("crates/fixture/src/lib.rs", src, &Corpus::default());
         assert_eq!(
             uncovered.findings.iter().filter(|f| f.rule == "R5").count(),
             2
@@ -1207,7 +1322,7 @@ mod tests {
             "crates/fixture/src/lib.rs",
             "impl E { pub fn solve(&self) -> u32 { 0 }\n\
              pub fn solve_with(&self, p: Parallelism) -> u32 { 0 } }",
-            "assert_eq!(e.solve_with(Parallelism::Serial), e.solve_with(par));",
+            &suite("assert_eq!(e.solve_with(Parallelism::Serial), e.solve_with(par));"),
         );
         assert!(paired.findings.iter().all(|f| f.rule != "R5"));
     }
@@ -1219,7 +1334,7 @@ mod tests {
         let uncovered = analyze_file(
             "crates/fixture/src/lib.rs",
             "pub trait S { fn grow_with(&self, p: Parallelism) -> u32; }",
-            "",
+            &Corpus::default(),
         );
         assert_eq!(
             uncovered.findings.iter().filter(|f| f.rule == "R5").count(),
@@ -1230,14 +1345,14 @@ mod tests {
             "crates/fixture/src/lib.rs",
             "pub trait S { fn grow(&self) -> u32 { self.grow_with(Parallelism::Serial) }\n\
              fn grow_with(&self, p: Parallelism) -> u32; }",
-            "assert_eq!(s.grow_with(Parallelism::Serial), s.grow_with(par));",
+            &suite("assert_eq!(s.grow_with(Parallelism::Serial), s.grow_with(par));"),
         );
         assert!(paired.findings.iter().all(|f| f.rule != "R5"));
         // Private trait methods stay out of scope.
         let private = analyze_file(
             "crates/fixture/src/lib.rs",
             "trait S { fn grow_with(&self, p: Parallelism) -> u32; }",
-            "",
+            &Corpus::default(),
         );
         assert!(private.findings.iter().all(|f| f.rule != "R5"));
     }
@@ -1256,7 +1371,7 @@ mod tests {
         let a = analyze_file(
             "crates/core/src/bin/bgkanon-cli.rs",
             "fn main() { let x = Some(1).unwrap(); std::thread::scope(|s| {}); }",
-            "",
+            &Corpus::default(),
         );
         assert!(a.findings.iter().all(|f| f.rule != "R6"));
         assert_eq!(a.findings.iter().filter(|f| f.rule == "R2").count(), 1);
@@ -1264,7 +1379,7 @@ mod tests {
 
     #[test]
     fn explain_covers_all_rules() {
-        for rule in ["R1", "R2", "R3", "R4", "R5", "R6"] {
+        for rule in ["R1", "R2", "R3", "R4", "R5", "R6", "R7"] {
             assert!(explain(rule).is_some());
         }
         assert!(explain("R9").is_none());
