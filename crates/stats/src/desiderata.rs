@@ -36,7 +36,7 @@ fn pad2(a: f64, m: usize) -> Dist {
 }
 
 /// Desideratum 1: `D[P, P] = 0` for a sweep of distributions.
-pub fn check_identity(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
+fn check_identity(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
     let mut worst: f64 = 0.0;
     for i in 0..m {
         let p = Dist::point_mass(i, m);
@@ -52,7 +52,7 @@ pub fn check_identity(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
 }
 
 /// Desideratum 2: `D[P, Q] ≥ 0` on a deterministic grid of pairs.
-pub fn check_non_negativity(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
+fn check_non_negativity(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
     assert!(m >= 2, "probe needs at least two values");
     let mut min = f64::INFINITY;
     for i in 0..=10 {
@@ -76,7 +76,7 @@ pub fn check_non_negativity(measure: &dyn BeliefDistance, m: usize) -> CheckResu
 
 /// Desideratum 3: the paper's probability-scaling probe — a `γ = 0.1`
 /// increase from `α = 0.01` must count strictly more than from `β = 0.4`.
-pub fn check_probability_scaling(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
+fn check_probability_scaling(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
     assert!(m >= 2, "probe needs at least two values");
     let small = measure.distance(&pad2(0.01, m), &pad2(0.11, m));
     let large = measure.distance(&pad2(0.4, m), &pad2(0.5, m));
@@ -89,7 +89,7 @@ pub fn check_probability_scaling(measure: &dyn BeliefDistance, m: usize) -> Chec
 
 /// Desideratum 4: finite on distributions with zero entries in either
 /// argument.
-pub fn check_zero_probability(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
+fn check_zero_probability(measure: &dyn BeliefDistance, m: usize) -> CheckResult {
     assert!(m >= 2, "probe needs at least two values");
     let cases = [
         (pad2(0.5, m), pad2(1.0, m)),
@@ -122,7 +122,7 @@ pub fn check_zero_probability(measure: &dyn BeliefDistance, m: usize) -> CheckRe
 ///
 /// `distances` must describe a 6-value ordered domain (30K..90K analogue);
 /// pass [`DistanceMatrix::numeric`] of `[30, 40, 50, 60, 80, 90]`.
-pub fn check_semantic_awareness(
+fn check_semantic_awareness(
     measure: &dyn BeliefDistance,
     distances: &DistanceMatrix,
 ) -> CheckResult {
@@ -142,6 +142,7 @@ pub fn check_semantic_awareness(
 /// Run all five checks. `m` is the sensitive domain size for the identity
 /// sweep; `salary_distances` the 6-value probe matrix for semantic
 /// awareness.
+// bgk-allow: R7 checks the paper's five desiderata (§IV-B.1) in tests/tests/paper_examples.rs
 pub fn check_all(
     measure: &dyn BeliefDistance,
     m: usize,
@@ -157,6 +158,7 @@ pub fn check_all(
 }
 
 /// The 6-value salary-style probe matrix used throughout the tests.
+// bgk-allow: R7 the semantic-awareness probe of the desiderata check in tests/
 pub fn salary_probe_matrix() -> DistanceMatrix {
     DistanceMatrix::numeric(&[30.0, 40.0, 50.0, 60.0, 80.0, 90.0])
 }

@@ -103,17 +103,6 @@ impl Dist {
         &self.0
     }
 
-    /// Index and probability of the most likely value.
-    pub fn argmax(&self) -> (usize, f64) {
-        let mut best = (0usize, f64::MIN);
-        for (i, &p) in self.0.iter().enumerate() {
-            if p > best.1 {
-                best = (i, p);
-            }
-        }
-        best
-    }
-
     /// Shannon entropy in nats.
     pub fn entropy(&self) -> f64 {
         self.0
@@ -121,19 +110,6 @@ impl Dist {
             .filter(|&&p| p > 0.0)
             .map(|&p| -p * p.ln())
             .sum()
-    }
-
-    /// Pointwise average of two distributions, `(P + Q) / 2` — the mixture
-    /// used by the JS divergence.
-    pub fn average(&self, other: &Dist) -> Dist {
-        assert_eq!(self.len(), other.len(), "dimension mismatch");
-        Dist(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(&a, &b)| 0.5 * (a + b))
-                .collect(),
-        )
     }
 
     /// L∞ distance to `other`, handy in tests.
@@ -210,7 +186,6 @@ mod tests {
         assert_eq!(u.get(2), 0.25);
         let p = Dist::point_mass(1, 3);
         assert_eq!(p.as_slice(), &[0.0, 1.0, 0.0]);
-        assert_eq!(p.argmax(), (1, 1.0));
     }
 
     #[test]
@@ -224,14 +199,6 @@ mod tests {
         assert_eq!(Dist::point_mass(0, 5).entropy(), 0.0);
         let u = Dist::uniform(4);
         assert!((u.entropy() - 4.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_is_mixture() {
-        let p = Dist::new(vec![1.0, 0.0]).unwrap();
-        let q = Dist::new(vec![0.0, 1.0]).unwrap();
-        let avg = p.average(&q);
-        assert_eq!(avg.as_slice(), &[0.5, 0.5]);
     }
 
     #[test]

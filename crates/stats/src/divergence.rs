@@ -136,7 +136,13 @@ mod tests {
             (d(&[0.1, 0.0, 0.9]), d(&[0.1, 0.0, 0.9])),
         ];
         for (p, q) in &cases {
-            let m = p.average(q);
+            let m = Dist::from_vec_unchecked(
+                p.as_slice()
+                    .iter()
+                    .zip(q.as_slice())
+                    .map(|(&a, &b)| 0.5 * (a + b))
+                    .collect(),
+            );
             let half = |a: &Dist| kl_divergence(a, &m).unwrap();
             let expect = 0.5 * (half(p) + half(q));
             let got = js_divergence_slices(p.as_slice(), q.as_slice());

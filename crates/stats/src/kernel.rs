@@ -101,27 +101,13 @@ impl Kernel {
         distances.iter().map(|&d| self.weight(d)).collect()
     }
 
-    /// Radius of the kernel's **compact support**: weights vanish at
-    /// distances beyond the bandwidth `B`. Every kernel family shipped here
-    /// has compact support — the property the sparse estimation engine
-    /// exploits. Whether the boundary itself carries weight depends on the
-    /// family ([`support_is_closed`](Self::support_is_closed)).
-    pub fn support_radius(&self) -> f64 {
-        self.bandwidth()
-    }
-
-    /// True when the support boundary `x = B` itself carries weight (the
-    /// uniform kernel); the Epanechnikov and triangular kernels vanish at
-    /// the boundary (open support).
-    pub fn support_is_closed(&self) -> bool {
-        matches!(self, Kernel::Uniform { .. })
-    }
-
-    /// True exactly when [`weight`](Self::weight)`(x) > 0` — the membership
-    /// test the sparse weight tables are built from. Defined via `weight`
-    /// itself so the two can never disagree at the support boundary.
+    /// True exactly when [`weight`](Self::weight)`(x) > 0`. Weights vanish
+    /// beyond the bandwidth `B` (every kernel family shipped here has
+    /// compact support); whether the boundary `x = B` itself carries weight
+    /// depends on the family, so membership is defined via `weight` and the
+    /// two can never disagree there.
     #[inline]
-    pub fn in_support(&self, x: f64) -> bool {
+    fn in_support(&self, x: f64) -> bool {
         self.weight(x) > 0.0
     }
 
@@ -227,13 +213,12 @@ mod tests {
                 let x = i as f64 / 1000.0;
                 assert_eq!(k.in_support(x), k.weight(x) > 0.0, "{k:?} at {x}");
             }
-            assert_eq!(k.support_radius(), 0.25);
+            assert!(!k.in_support(0.25 + 1e-9), "{k:?}: support ends at B");
         }
         // The boundary: closed for uniform, open for the others.
         assert!(Kernel::uniform(0.25).in_support(0.25));
-        assert!(Kernel::uniform(0.25).support_is_closed());
         assert!(!Kernel::epanechnikov(0.25).in_support(0.25));
-        assert!(!Kernel::triangular(0.25).support_is_closed());
+        assert!(!Kernel::triangular(0.25).in_support(0.25));
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl Smoother {
 
     /// Smooth a distribution (and renormalize). A thin wrapper over the
     /// slice form the prepared distance uses, so both agree bit for bit.
-    pub fn smooth(&self, p: &Dist) -> Dist {
+    fn smooth(&self, p: &Dist) -> Dist {
         assert_eq!(p.len(), self.m, "dimension mismatch");
         let mut out = vec![0.0; self.m];
         self.smooth_into(p.as_slice(), &mut out);
@@ -256,11 +256,6 @@ impl SmoothedJs {
     /// smoothing would wash out.)
     pub fn paper_default(distances: &DistanceMatrix) -> Self {
         SmoothedJs::new(distances, Kernel::epanechnikov(0.55))
-    }
-
-    /// Access the underlying smoother.
-    pub fn smoother(&self) -> &Smoother {
-        &self.smoother
     }
 }
 
@@ -345,7 +340,7 @@ mod tests {
         let q = d(&[0.0, 0.0, 0.0, 1.0]);
         let mut prepared = vec![0.0; 4];
         m.prepare_prior_into(p.as_slice(), &mut prepared);
-        assert_eq!(prepared.as_slice(), m.smoother().smooth(&p).as_slice());
+        assert_eq!(prepared.as_slice(), m.smoother.smooth(&p).as_slice());
         let mut scratch = Vec::new();
         let slice = m.prepared_distance_into(&prepared, q.as_slice(), &mut scratch);
         assert_eq!(slice.to_bits(), m.distance(&p, &q).to_bits());

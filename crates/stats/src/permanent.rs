@@ -5,14 +5,13 @@
 //! tuples of the product of prior probabilities — the permanent of the
 //! `k × k` prior matrix divided by `Π n_i!` for value multiplicities `n_i`.
 //! Computing the permanent is #P-complete, so exact inference is only viable
-//! for small groups; three mutually validating backends are provided:
+//! for small groups. Two backends are provided, and the unit tests check
+//! both against a brute-force enumeration of the distinct assignments:
 //!
-//! * [`likelihood_enumerate`] — brute-force recursion over distinct
-//!   assignments (reference implementation, exponential);
 //! * [`likelihood_dp`] — dynamic programming over remaining-count vectors,
 //!   `O(k · q · Π(n_i + 1))` for `q` distinct values (the workhorse);
-//! * [`permanent_ryser`] — Ryser's inclusion–exclusion formula for raw
-//!   `k × k` permanents, `O(2^k · k)`.
+//! * [`likelihood_via_permanent`] — the raw `k × k` permanent by Ryser's
+//!   inclusion–exclusion formula, `O(2^k · k)`.
 
 use crate::dist::Dist;
 
@@ -36,7 +35,8 @@ pub fn present_values(counts: &[u32]) -> Vec<usize> {
 ///
 /// `priors[j]` is tuple `t_j`'s prior distribution over the full sensitive
 /// domain; `counts[s]` is the multiplicity of value `s` in the group.
-pub fn likelihood_enumerate(priors: &[Dist], counts: &[u32]) -> f64 {
+#[cfg(test)]
+fn likelihood_enumerate(priors: &[Dist], counts: &[u32]) -> f64 {
     let k: u32 = counts.iter().sum();
     assert_eq!(
         k as usize,
@@ -135,7 +135,7 @@ pub fn likelihood_dp(priors: &[Dist], counts: &[u32]) -> f64 {
 ///
 /// Iterates subsets in Gray-code order so each step updates the row sums in
 /// `O(k)`.
-pub fn permanent_ryser(data: &[f64], k: usize) -> f64 {
+fn permanent_ryser(data: &[f64], k: usize) -> f64 {
     assert_eq!(data.len(), k * k, "matrix must be k × k");
     assert!(
         k <= MAX_EXACT_GROUP,
@@ -176,7 +176,7 @@ pub fn permanent_ryser(data: &[f64], k: usize) -> f64 {
 }
 
 /// Factorial as `f64` (exact for `n ≤ 20`).
-pub fn factorial(n: u32) -> f64 {
+fn factorial(n: u32) -> f64 {
     (1..=n).map(f64::from).product()
 }
 
