@@ -826,7 +826,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgkanon_data::{adult, toy};
+    use bgkanon_data::{adult, toy, TableBuilder};
     use bgkanon_privacy::{And, DistinctLDiversity, KAnonymity};
 
     fn mondrian_k(k: usize) -> Mondrian {
@@ -858,7 +858,11 @@ mod tests {
         let m = mondrian_k(5);
         let at = m.anonymize(&t);
         for g in at.groups().iter().take(5) {
-            let sub = t.subset(&g.rows);
+            let mut rows = TableBuilder::new(Arc::clone(t.schema()));
+            for &r in g.rows.iter() {
+                rows.push_codes(&t.qi(r), t.sensitive_value(r)).unwrap();
+            }
+            let sub = rows.build().unwrap();
             let sub_at = mondrian_k(5).anonymize(&sub);
             assert_eq!(sub_at.group_count(), 1);
         }

@@ -1462,7 +1462,10 @@ mod tests {
         ));
         assert_eq!(hub.snapshot("a").unwrap().version(), 0);
         assert!(matches!(
-            hub.apply("missing", &Delta::empty(Arc::clone(base.table().schema()))),
+            hub.apply(
+                "missing",
+                &DeltaBuilder::new(Arc::clone(base.table().schema())).build()
+            ),
             Err(SessionError::UnknownTenant(_))
         ));
     }
@@ -1864,7 +1867,7 @@ mod tests {
         assert!(v1.bytes_accounted() > record.bytes_accounted());
         // An empty delta republishes version 1: the record of how version
         // 1 came about is kept, not replaced by the empty delta.
-        let empty = Delta::empty(Arc::clone(v1.table().schema()));
+        let empty = DeltaBuilder::new(Arc::clone(v1.table().schema())).build();
         let again = hub.apply("a", &empty).unwrap();
         assert_eq!(again.version(), 1);
         assert!(Arc::ptr_eq(again.change.as_ref().unwrap(), &record));

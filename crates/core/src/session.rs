@@ -513,7 +513,7 @@ mod tests {
         let mut session = Publisher::new().k_anonymity(4).open(&t).unwrap();
         let before = session.snapshot();
         let outcome = session
-            .apply(&Delta::empty(Arc::clone(t.schema())))
+            .apply(&DeltaBuilder::new(Arc::clone(t.schema())).build())
             .unwrap();
         assert_eq!(
             before.anonymized.group_count(),

@@ -552,11 +552,6 @@ pub fn generate(rows: usize, seed: u64) -> Table {
     Table::from_raw_columns(schema, cols, sensitive)
 }
 
-/// Generate the paper-sized dataset (≈30K tuples) with the default seed.
-pub fn generate_default() -> Table {
-    generate(ADULT_DEFAULT_ROWS, 42)
-}
-
 /// Load the genuine UCI `adult.data` file, projecting the seven attributes
 /// of Table IV. Column indices in `adult.data`:
 /// age 0, workclass 1, education 3, marital-status 5, occupation 6, race 8,

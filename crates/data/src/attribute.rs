@@ -127,24 +127,11 @@ impl Attribute {
         }
     }
 
-    /// True if this attribute is numeric.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self.kind, AttributeKind::Numeric { .. })
-    }
-
     /// The generalization hierarchy, if categorical.
     pub fn hierarchy(&self) -> Option<&Hierarchy> {
         match &self.kind {
             AttributeKind::Categorical { hierarchy, .. } => Some(hierarchy),
             AttributeKind::Numeric { .. } => None,
-        }
-    }
-
-    /// Numeric value of `code` for numeric attributes.
-    pub fn numeric_value(&self, code: u32) -> Option<f64> {
-        match &self.kind {
-            AttributeKind::Numeric { values } => values.get(code as usize).copied(),
-            AttributeKind::Categorical { .. } => None,
         }
     }
 
@@ -195,14 +182,6 @@ impl Attribute {
         code.map(|i| i as u32).ok_or_else(unknown)
     }
 
-    /// Range `R = max - min` for numeric attributes; `None` for categorical.
-    pub fn numeric_range_width(&self) -> Option<f64> {
-        match &self.kind {
-            AttributeKind::Numeric { values } => Some(values[values.len() - 1] - values[0]),
-            AttributeKind::Categorical { .. } => None,
-        }
-    }
-
     /// Validate that `code` is inside this attribute's domain.
     pub fn check_code(&self, code: u32) -> Result<(), DataError> {
         if code < self.domain_size() {
@@ -240,10 +219,8 @@ mod tests {
         assert_eq!(a.domain_size(), 74);
         assert_eq!(a.encode("17").unwrap(), 0);
         assert_eq!(a.encode("90").unwrap(), 73);
-        assert_eq!(a.numeric_value(0), Some(17.0));
+        assert_eq!(a.display_value(0), "17");
         assert_eq!(a.display_value(5), "22");
-        assert_eq!(a.numeric_range_width(), Some(73.0));
-        assert!(a.is_numeric());
         assert!(a.hierarchy().is_none());
     }
 
@@ -264,7 +241,6 @@ mod tests {
         assert_eq!(a.encode(" Female ").unwrap(), 0);
         assert!(a.encode("Other").is_err());
         assert_eq!(a.display_value(1), "Male");
-        assert!(!a.is_numeric());
         assert_eq!(a.hierarchy().unwrap().height(), 1);
     }
 

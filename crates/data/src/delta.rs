@@ -26,7 +26,7 @@
 //! // Delete row 0, insert a 55-year-old with Flu.
 //! let mut delta = DeltaBuilder::new(Arc::clone(&schema));
 //! delta.delete(0);
-//! delta.insert_text(&["55", "Flu"]).unwrap();
+//! delta.insert_codes(&[35], 0).unwrap(); // age 55 over 20..=60, Flu
 //! let delta = delta.build();
 //! assert_eq!(delta.delete_count(), 1);
 //! assert_eq!(delta.insert_count(), 1);
@@ -61,11 +61,6 @@ pub struct Delta {
 }
 
 impl Delta {
-    /// An empty delta over `schema` (applying it is the identity).
-    pub fn empty(schema: Arc<Schema>) -> Self {
-        DeltaBuilder::new(schema).build()
-    }
-
     /// The schema the inserted rows were validated against.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -153,25 +148,6 @@ impl DeltaBuilder {
         self.insert_qi.extend_from_slice(qi);
         self.insert_sensitive.push(sensitive);
         Ok(self)
-    }
-
-    /// Append a row of textual values (QI values then the sensitive value)
-    /// to the insert batch.
-    pub fn insert_text(&mut self, fields: &[&str]) -> Result<&mut Self, DataError> {
-        let d = self.schema.qi_count();
-        if fields.len() != d + 1 {
-            return Err(DataError::ArityMismatch {
-                expected: d + 1,
-                found: fields.len(),
-                line: 0,
-            });
-        }
-        let mut qi = Vec::with_capacity(d);
-        for (i, f) in fields[..d].iter().enumerate() {
-            qi.push(self.schema.qi_attribute(i).encode(f)?);
-        }
-        let s = self.schema.sensitive_attribute().encode(fields[d])?;
-        self.insert_codes(&qi, s)
     }
 
     /// Number of deletes marked so far (before deduplication).
@@ -301,7 +277,7 @@ mod tests {
     #[test]
     fn empty_delta_is_identity() {
         let t = sample();
-        let d = Delta::empty(Arc::clone(t.schema()));
+        let d = DeltaBuilder::new(Arc::clone(t.schema())).build();
         assert!(d.is_empty());
         assert_eq!(d.len(), 0);
         let u = t.apply_delta(&d).unwrap();
@@ -330,7 +306,7 @@ mod tests {
         let t = sample();
         let mut b = DeltaBuilder::new(schema());
         b.delete(3);
-        b.insert_text(&["45", "F", "HIV"]).unwrap();
+        b.insert_codes(&[25, 0], 2).unwrap();
         b.insert_codes(&[0, 1], 0).unwrap();
         let d = b.build();
         assert_eq!(d.insert_count(), 2);
@@ -368,8 +344,6 @@ mod tests {
     #[test]
     fn builder_validates_inserts() {
         let mut b = DeltaBuilder::new(schema());
-        assert!(b.insert_text(&["25", "F"]).is_err());
-        assert!(b.insert_text(&["25", "X", "Flu"]).is_err());
         assert!(b.insert_codes(&[0], 0).is_err());
         assert!(b.insert_codes(&[0, 5], 0).is_err());
         assert!(b.insert_codes(&[0, 0], 9).is_err());

@@ -125,11 +125,6 @@ impl DistanceMatrix {
         let start = a as usize * self.n;
         &self.data[start..start + self.n]
     }
-
-    /// Maximum entry of the matrix.
-    pub fn max_distance(&self) -> f64 {
-        self.data.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +191,6 @@ mod tests {
         // Valid.
         let m = DistanceMatrix::from_rows(vec![vec![0.0, 0.5], vec![0.5, 0.0]]).unwrap();
         assert_eq!(m.get(0, 1), 0.5);
-        assert_eq!(m.max_distance(), 0.5);
     }
 
     #[test]

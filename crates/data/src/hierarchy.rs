@@ -252,7 +252,7 @@ impl HierarchyBuilder {
     }
 
     /// Convenience: add a leaf directly under the root.
-    pub fn leaf_under_root(&mut self, label: &str) -> u32 {
+    fn leaf_under_root(&mut self, label: &str) -> u32 {
         self.leaf(0, label)
     }
 

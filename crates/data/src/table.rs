@@ -65,49 +65,6 @@ impl<'a> QiCol<'a> {
     }
 }
 
-/// A lightweight handle on one tuple: its row index plus the table it lives
-/// in. Codes are stored per column, so a row is not one contiguous slice;
-/// the tuple view resolves codes on demand instead of borrowing them.
-#[derive(Clone, Copy)]
-pub struct TupleRef<'a> {
-    table: &'a Table,
-    row: usize,
-}
-
-impl TupleRef<'_> {
-    /// The row index this tuple views.
-    pub fn row(&self) -> usize {
-        self.row
-    }
-
-    /// QI codes in attribute order (gathered).
-    pub fn qi(&self) -> Vec<u32> {
-        self.table.qi(self.row)
-    }
-
-    /// QI code on attribute `attr`.
-    #[inline]
-    pub fn qi_value(&self, attr: usize) -> u32 {
-        self.table.qi_value(self.row, attr)
-    }
-
-    /// Sensitive attribute code.
-    #[inline]
-    pub fn sensitive(&self) -> u32 {
-        self.table.sensitive_value(self.row)
-    }
-}
-
-impl std::fmt::Debug for TupleRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TupleRef")
-            .field("row", &self.row)
-            .field("qi", &self.qi())
-            .field("sensitive", &self.sensitive())
-            .finish()
-    }
-}
-
 impl Table {
     /// Number of rows `n`.
     pub fn len(&self) -> usize {
@@ -179,17 +136,6 @@ impl Table {
     #[inline]
     pub fn sensitive_col(&self) -> &[u32] {
         &self.sensitive
-    }
-
-    /// Lightweight view of row `row`.
-    pub fn tuple(&self, row: usize) -> TupleRef<'_> {
-        debug_assert!(row < self.len());
-        TupleRef { table: self, row }
-    }
-
-    /// Iterate over all tuples in row order.
-    pub fn tuples(&self) -> impl Iterator<Item = TupleRef<'_>> + '_ {
-        (0..self.len()).map(move |r| self.tuple(r))
     }
 
     /// Counts of each sensitive value over the whole table
@@ -300,8 +246,8 @@ impl Table {
     }
 
     /// Restrict the table to `rows` (in the given order), producing a new
-    /// table sharing the schema. Useful for sampled experiments.
-    pub fn subset(&self, rows: &[usize]) -> Table {
+    /// table sharing the schema.
+    fn subset(&self, rows: &[usize]) -> Table {
         Table {
             schema: Arc::clone(&self.schema),
             cols: self
@@ -354,15 +300,6 @@ impl TableBuilder {
             cols,
             sensitive: Vec::new(),
         }
-    }
-
-    /// Pre-allocate room for `rows` rows in every column.
-    pub fn reserve(&mut self, rows: usize) -> &mut Self {
-        for col in &mut self.cols {
-            col.reserve(rows);
-        }
-        self.sensitive.reserve(rows);
-        self
     }
 
     /// Start from the rows of an existing table — the append path used by
@@ -504,10 +441,8 @@ mod tests {
         assert_eq!(t.qi_count(), 2);
         assert_eq!(t.qi(0), &[5, 0]);
         assert_eq!(t.sensitive_value(2), 2);
-        assert_eq!(t.tuple(3).qi(), &[40, 1]);
-        assert_eq!(t.tuple(3).qi_value(0), 40);
-        assert_eq!(t.tuple(2).sensitive(), 2);
-        assert_eq!(t.tuples().count(), 4);
+        assert_eq!(t.qi(3), &[40, 1]);
+        assert_eq!(t.qi_value(3, 0), 40);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
 
 /// Schema of the paper's Table I: QI = (Age, Sex), sensitive = Disease.
-pub fn hospital_schema() -> Arc<Schema> {
+fn hospital_schema() -> Arc<Schema> {
     let age = Attribute::numeric_range("Age", 40, 70).expect("static domain");
     let sex = Attribute::categorical_flat("Sex", &["F", "M"]).expect("static domain");
     let disease =

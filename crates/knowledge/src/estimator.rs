@@ -2095,7 +2095,7 @@ mod tests {
         );
         let mut model = est.estimate(&t);
         let before = model.clone();
-        let empty = Delta::empty(Arc::clone(t.schema()));
+        let empty = DeltaBuilder::new(Arc::clone(t.schema())).build();
         let deleted = DeletedRows::gather(&t, &empty).unwrap();
         let evolved = model.folded().unwrap().evolve(&deleted, &empty).unwrap();
         let dirty = est.refresh_folded(&mut model, evolved.into_folded(), Parallelism::Auto);

@@ -415,7 +415,7 @@ mod tests {
         let x = b.internal(b.root(), "X");
         b.leaf(x, "a");
         b.leaf(x, "b");
-        b.leaf_under_root("c");
+        b.leaf(0, "c");
         let m = HierarchicalEmd::new(b.build().unwrap());
         let p = d(&[1.0, 0.0, 0.0]);
         let q = d(&[0.0, 1.0, 0.0]);

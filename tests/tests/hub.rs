@@ -410,7 +410,7 @@ fn empty_delta_between_apply_and_audit_keeps_the_fold_step() {
         .expect("valid delta");
     let schema = Arc::clone(table.schema());
     let same = hub
-        .apply("idle", &Delta::empty(schema))
+        .apply("idle", &DeltaBuilder::new(schema).build())
         .expect("empty delta");
     assert_eq!(same.version(), 1);
     audit_matches_fresh(&hub, "idle", "version 1 after an empty delta");

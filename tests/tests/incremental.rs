@@ -236,7 +236,7 @@ fn empty_delta_republishes_identically() {
     let mut session = publisher.open(&base).unwrap();
     let before = session.snapshot();
     let outcome = session
-        .apply(&Delta::empty(Arc::clone(base.schema())))
+        .apply(&DeltaBuilder::new(Arc::clone(base.schema())).build())
         .unwrap();
     assert_eq!(
         before.anonymized.group_count(),
