@@ -33,22 +33,6 @@ pub fn average_distance_error(group: &GroupPriors, measure: &dyn BeliefDistance)
         / n
 }
 
-/// Maximum per-tuple distance error on one group (a stricter diagnostic than
-/// the paper's average).
-pub fn max_distance_error(group: &GroupPriors, measure: &dyn BeliefDistance) -> f64 {
-    let exact = exact_posteriors(group);
-    let omega = omega_posteriors(group);
-    exact
-        .iter()
-        .zip(&omega)
-        .enumerate()
-        .map(|(j, (e, o))| {
-            let prior = group.prior(j);
-            (measure.distance(prior, e) - measure.distance(prior, o)).abs()
-        })
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +48,6 @@ mod tests {
         let priors = vec![Dist::uniform(3); 4];
         let group = GroupPriors::new(priors, &[0, 1, 2, 2]);
         assert!(average_distance_error(&group, &JsDivergence).abs() < 1e-12);
-        assert!(max_distance_error(&group, &JsDivergence).abs() < 1e-12);
     }
 
     #[test]
@@ -74,7 +57,6 @@ mod tests {
         let group = GroupPriors::new(priors, &codes);
         let rho = average_distance_error(&group, &JsDivergence);
         assert!(rho > 0.01, "Table III is the canonical inexact case: {rho}");
-        assert!(max_distance_error(&group, &JsDivergence) >= rho);
     }
 
     #[test]

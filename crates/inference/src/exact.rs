@@ -91,12 +91,6 @@ pub fn exact_posteriors(group: &GroupPriors) -> Vec<Dist> {
     out
 }
 
-/// The likelihood `P(S|E)` of the whole group (distinct-assignment
-/// convention) — exposed for tests and diagnostics.
-pub fn group_likelihood(group: &GroupPriors) -> f64 {
-    likelihood_dp(group.priors(), group.counts())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +115,7 @@ mod tests {
             "got {p_t3_hiv}, expect {expect}"
         );
         // And the likelihood matches the worked value.
-        assert!((group_likelihood(&group) - 0.33725).abs() < 1e-12);
+        assert!((likelihood_dp(group.priors(), group.counts()) - 0.33725).abs() < 1e-12);
     }
 
     #[test]

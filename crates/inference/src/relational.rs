@@ -55,7 +55,7 @@ impl RelationalKnowledge {
     }
 
     /// The declared edges.
-    pub fn edges(&self) -> &[(usize, usize, f64)] {
+    fn edges(&self) -> &[(usize, usize, f64)] {
         &self.edges
     }
 

@@ -27,7 +27,7 @@ fn section_iii_b_worked_posterior() {
     let (priors, codes) = bgkanon::data::toy::hiv_example_priors();
     let priors: Vec<Dist> = priors.into_iter().map(|p| Dist::new(p).unwrap()).collect();
     let group = GroupPriors::new(priors, &codes);
-    let likelihood = bgkanon::inference::exact::group_likelihood(&group);
+    let likelihood = bgkanon::stats::permanent::likelihood_dp(group.priors(), group.counts());
     assert!((likelihood - 0.33725).abs() < 1e-12);
     let posts = exact_posteriors(&group);
     assert!((posts[2].get(0) - 0.8029).abs() < 1e-3);
