@@ -142,17 +142,6 @@ impl Adversary {
             AdversaryModel::Constant(d) => d,
         }
     }
-
-    /// Prior beliefs for every row of `table`, in row order.
-    pub fn priors_for_table(&self, table: &Table) -> Vec<Dist> {
-        let mut qi = Vec::with_capacity(table.qi_count());
-        (0..table.len())
-            .map(|r| {
-                table.qi_into(r, &mut qi);
-                self.prior(&qi).clone()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +176,6 @@ mod tests {
         let adv = Adversary::ignorant(&t);
         let p = adv.prior(&t.qi(3));
         assert_eq!(p.as_slice(), &[0.25, 0.25, 0.25, 0.25]);
-    }
-
-    #[test]
-    fn priors_for_table_covers_every_row() {
-        let t = toy::hospital_table();
-        let adv = Adversary::kernel(&t, Bandwidth::uniform(0.4, 2).unwrap());
-        let priors = adv.priors_for_table(&t);
-        assert_eq!(priors.len(), t.len());
     }
 
     #[test]

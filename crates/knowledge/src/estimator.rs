@@ -173,11 +173,6 @@ impl SparseWeights {
         }
     }
 
-    /// Number of stored (nonzero) entries.
-    pub fn nonzero(&self) -> usize {
-        self.cols.len()
-    }
-
     /// Fraction of the dense `r × r` table that is nonzero — the
     /// support-density diagnostic ([`Kernel::support_density`] over the
     /// attribute's distance matrix gives the same number).
@@ -186,7 +181,7 @@ impl SparseWeights {
     }
 
     /// True when every row's support is one contiguous code range.
-    pub fn is_contiguous(&self) -> bool {
+    fn is_contiguous(&self) -> bool {
         self.contiguous
     }
 }
@@ -341,7 +336,7 @@ impl FoldEvolution {
 
     /// The post-delta id of old point `old`, or `None` when the delta
     /// deleted it outright (or `old` is out of range).
-    pub fn new_point(&self, old: u32) -> Option<u32> {
+    fn new_point(&self, old: u32) -> Option<u32> {
         self.point_map
             .get(old as usize)
             .copied()
@@ -1200,13 +1195,6 @@ impl PriorModel {
         self.family
     }
 
-    /// True when the model carries its folded table, so
-    /// [`PriorEstimator::refresh_folded`] recomputes only the priors a
-    /// change dirtied instead of re-estimating in full.
-    pub fn is_refreshable(&self) -> bool {
-        self.folded.is_some()
-    }
-
     /// Number of distinct QI combinations covered.
     pub fn len(&self) -> usize {
         self.priors.len()
@@ -1308,11 +1296,6 @@ impl PriorEstimator {
     /// The kernel family in use.
     pub fn family(&self) -> KernelFamily {
         self.family
-    }
-
-    /// The sparse kernel weight table of attribute `i`.
-    pub fn sparse_weights(&self, i: usize) -> &SparseWeights {
-        &self.weights[i]
     }
 
     /// Heap bytes of the CSR kernel weight tables — the estimator's only
@@ -1996,7 +1979,7 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9);
             assert!(p.as_slice().iter().all(|&x| x >= 0.0));
         }
-        assert!(model.is_refreshable());
+        assert!(model.folded().is_some());
         assert_eq!(model.bandwidth().unwrap().get(0), 0.3);
     }
 
@@ -2137,10 +2120,10 @@ mod tests {
             .map(|(qi, p)| (qi.to_vec(), p.clone()))
             .collect();
         let mut bare = PriorModel::from_parts(entries, built.table_distribution().clone()).unwrap();
-        assert!(!bare.is_refreshable());
+        assert!(!bare.folded().is_some());
         let dirty = est.refresh_folded(&mut bare, FoldedTable::new(&t), Parallelism::Auto);
         assert_eq!(dirty.len(), built.len());
-        assert!(bare.is_refreshable());
+        assert!(bare.folded().is_some());
         for (qi, p) in built.iter() {
             assert_eq!(p.as_slice(), bare.prior(qi).unwrap().as_slice());
         }
@@ -2175,7 +2158,7 @@ mod tests {
             Bandwidth::uniform(0.25, t.qi_count()).unwrap(),
         );
         for i in 0..t.qi_count() {
-            let sw = est.sparse_weights(i);
+            let sw = &est.weights[i];
             let kernel = KernelFamily::Epanechnikov.kernel(0.25);
             let dist = t.schema().qi_distance(i);
             let mut nnz = 0;
@@ -2189,7 +2172,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(sw.nonzero(), nnz);
+            assert_eq!(sw.cols.len(), nnz);
             let density = sw.density();
             assert!((0.0..=1.0).contains(&density));
             // The diagnostic agrees with the Kernel-side computation.

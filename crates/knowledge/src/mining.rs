@@ -32,7 +32,7 @@ pub struct Pattern {
 
 impl Pattern {
     /// Single-attribute pattern `A_i = v`.
-    pub fn single(attr: usize, value: u32) -> Self {
+    fn single(attr: usize, value: u32) -> Self {
         Pattern {
             terms: vec![(attr, value)],
         }
@@ -55,7 +55,7 @@ impl Pattern {
 
     /// Does a bare QI code combination match the pattern? This is the form
     /// the folded (distinct-QI) paths use.
-    pub fn matches_qi(&self, qi: &[u32]) -> bool {
+    fn matches_qi(&self, qi: &[u32]) -> bool {
         self.terms.iter().all(|&(attr, value)| qi[attr] == value)
     }
 

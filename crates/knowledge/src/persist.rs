@@ -430,7 +430,7 @@ mod tests {
         save_model(&m, &mut buf).unwrap();
         assert!(buf.starts_with(MAGIC_V2.as_bytes()));
         let loaded = load_model(buf.as_slice()).unwrap();
-        assert!(loaded.is_refreshable());
+        assert!(loaded.folded().is_some());
         assert_eq!(loaded.bandwidth(), m.bandwidth());
         assert_eq!(loaded.family(), m.family());
         let (a, b) = (m.folded().unwrap(), loaded.folded().unwrap());
@@ -512,7 +512,7 @@ mod tests {
         let text = save_model_string(&m);
         assert_eq!(text.as_bytes(), buf.as_slice());
         let loaded = load_model_str(&text).unwrap();
-        assert!(loaded.is_refreshable());
+        assert!(loaded.folded().is_some());
         assert_eq!(loaded.len(), m.len());
         for (qi, p) in m.iter() {
             let q = loaded.prior(qi).unwrap();
@@ -535,7 +535,7 @@ mod tests {
         assert!(buf.starts_with(MAGIC.as_bytes()));
         let loaded = load_model(buf.as_slice()).unwrap();
         assert_eq!(loaded.len(), bare.len());
-        assert!(!loaded.is_refreshable());
+        assert!(!loaded.folded().is_some());
     }
 
     #[test]
@@ -594,7 +594,7 @@ mod tests {
         assert!(load_model(head.as_bytes()).is_err());
         // Minimal valid file.
         let ok = load_model(format!("{head}point 0 1 1\nprior 0 5e-1 5e-1\n").as_bytes()).unwrap();
-        assert!(ok.is_refreshable());
+        assert!(ok.folded().is_some());
         assert_eq!(ok.folded().unwrap().rows(), 2);
     }
 }
