@@ -47,13 +47,13 @@ pub(crate) fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
 /// Key of one retained audit configuration.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 pub(crate) enum ReaderKey {
-    /// Externally supplied auditor: adversary + measure instance addresses
-    /// plus the exact-inference cutoff. Valid across versions — the
+    /// Externally supplied auditor: adversary + measure instance
+    /// addresses. Valid across versions — the
     /// caller's model is frozen by definition, so stamp hits replay across
     /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
     /// (Addresses are stored as `usize`, not raw pointers: the key is only
     /// ever compared, and a raw-pointer field would make the cache `!Send`.)
-    External(usize, usize, usize),
+    External(usize, usize),
     /// `Adv(b′)`, keyed by the bandwidth bits alone: one entry per `b′`,
     /// carried forward from version to version. The entry's
     /// [`ReaderCache::version`] names the version its model reflects; the
@@ -169,7 +169,6 @@ impl ReaderCaches {
         let key = ReaderKey::External(
             Arc::as_ptr(auditor.adversary()) as usize,
             Arc::as_ptr(auditor.measure()) as *const () as usize,
-            auditor.exact_below(),
         );
         {
             let mut readers = relock(self.readers.lock());

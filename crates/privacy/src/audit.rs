@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use bgkanon_data::hash::WordMap;
 use bgkanon_data::{Parallelism, Table};
-use bgkanon_inference::{exact_posteriors, omega_posteriors, GroupPriors};
+use bgkanon_inference::{omega_posteriors, GroupPriors};
 use bgkanon_knowledge::{Adversary, DirtyPoints, PriorModel};
 use bgkanon_stats::measure::BeliefDistance;
 use bgkanon_stats::Dist;
@@ -76,7 +76,6 @@ fn lock_memo(memo: &Mutex<SignatureMemo>) -> MutexGuard<'_, SignatureMemo> {
 /// );
 /// let report = auditor.report(&table, &bgkanon_data::toy::hospital_groups(), 0.1);
 /// assert!(report.worst_case >= report.mean);
-/// assert!(report.risk_quantile(1.0) >= report.risk_quantile(0.5));
 /// ```
 #[derive(Debug, Clone)]
 pub struct AuditReport {
@@ -92,25 +91,9 @@ pub struct AuditReport {
     pub threshold: f64,
 }
 
-impl AuditReport {
-    /// Risk quantile over the audited tuples (`q ∈ [0, 1]`; `q = 0.5` is
-    /// the median, `q = 1.0` the worst case). Ignores uncovered rows.
-    pub fn risk_quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let mut covered: Vec<f64> = self.risks.iter().copied().filter(|r| !r.is_nan()).collect();
-        if covered.is_empty() {
-            return 0.0;
-        }
-        // No NaN is left, so every pair compares.
-        covered.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let idx = ((covered.len() - 1) as f64 * q).round() as usize;
-        covered[idx]
-    }
-}
-
 /// Replays the attack: prior from the adversary, posterior via the
-/// Ω-estimate over each published group (optionally exact Bayesian
-/// inference for small groups).
+/// Ω-estimate over each published group (§III.C: exact inference needs
+/// matrix permanents and does not scale, so the audit never uses it).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -137,28 +120,12 @@ impl AuditReport {
 pub struct Auditor {
     adversary: Arc<Adversary>,
     measure: Arc<dyn BeliefDistance>,
-    /// Groups of at most this size are audited with exact inference instead
-    /// of the Ω-estimate. 0 disables exact inference.
-    exact_below: usize,
 }
 
 impl Auditor {
     /// Build from an adversary profile and a belief-distance measure.
     pub fn new(adversary: Arc<Adversary>, measure: Arc<dyn BeliefDistance>) -> Self {
-        Auditor {
-            adversary,
-            measure,
-            exact_below: 0,
-        }
-    }
-
-    /// Use exact Bayesian inference (instead of the Ω-estimate) for groups
-    /// of at most `k` tuples — slower but removes the approximation error
-    /// quantified in Fig. 2. Keep `k` modest (≤ 16): the exact computation
-    /// is exponential in the number of distinct sensitive values.
-    pub fn use_exact_below(mut self, k: usize) -> Self {
-        self.exact_below = k;
-        self
+        Auditor { adversary, measure }
     }
 
     /// The adversary being simulated.
@@ -169,12 +136,6 @@ impl Auditor {
     /// The belief-distance measure in use.
     pub fn measure(&self) -> &Arc<dyn BeliefDistance> {
         &self.measure
-    }
-
-    /// The exact-inference cutoff set by
-    /// [`use_exact_below`](Self::use_exact_below) (0 when disabled).
-    pub fn exact_below(&self) -> usize {
-        self.exact_below
     }
 
     /// The row-at-a-time reference path — a direct transcription of §V.A:
@@ -188,11 +149,7 @@ impl Auditor {
             }
             let priors =
                 GroupPriors::from_table_rows(table, rows, |qi| self.adversary.prior(qi).clone());
-            let posteriors = if rows.len() <= self.exact_below {
-                exact_posteriors(&priors)
-            } else {
-                omega_posteriors(&priors)
-            };
+            let posteriors = omega_posteriors(&priors);
             for (j, &row) in rows.iter().enumerate() {
                 risks[row] = self.measure.distance(priors.prior(j), &posteriors[j]);
             }
@@ -499,23 +456,6 @@ impl Auditor {
             prepared,
         };
         let mut solved = Vec::with_capacity(rows.len());
-        if rows.len() <= self.exact_below {
-            // Exact inference (with its §III.C permanent evaluations) is
-            // priced per group; memoization is what saves it from being
-            // recomputed for repeated signatures.
-            let owned: Vec<Dist> = members.priors.iter().map(|&p| p.clone()).collect();
-            let posteriors = exact_posteriors(&GroupPriors::from_counts(owned, counts.clone()));
-            let mut work = Vec::new();
-            for (j, posterior) in posteriors.iter().enumerate() {
-                let prepared = members.prepared(j);
-                solved.push(self.measure.prepared_distance_into(
-                    prepared,
-                    posterior.as_slice(),
-                    &mut work,
-                ));
-            }
-            return solved;
-        }
         let _ = scan_group_risks(self.measure.as_ref(), &mut members, counts, risk, |r| {
             solved.push(r);
             ControlFlow::Continue(())
@@ -833,8 +773,9 @@ impl SharedAuditSession {
         self.lock_caches().memo.len()
     }
 
-    /// Number of live stamp-cache entries (diagnostics).
-    pub fn cached_stamps(&self) -> usize {
+    /// Number of live stamp-cache entries.
+    #[cfg(test)]
+    fn cached_stamps(&self) -> usize {
         self.lock_caches().stamps.len()
     }
 
@@ -859,19 +800,9 @@ impl SharedAuditSession {
         memo + stamps + self.row_points.len() * 4
     }
 
-    /// Drop every cached entry, keeping the auditor — the demotion hook of
-    /// the hub's memory budget. Safe at any time: concurrent reports
-    /// rebuild evicted entries on miss, bit-identically.
-    pub fn evict_caches(&self) {
-        let mut caches = self.lock_caches();
-        caches.memo.clear();
-        caches.stamps.clear();
-    }
-
     /// The cache guard, poison-tolerant: a reader that panicked while
     /// holding it may have left the caches half-updated, so a poisoned lock
-    /// is recovered with both caches cleared, as
-    /// [`evict_caches`](Self::evict_caches) does. Every entry is
+    /// is recovered with both caches cleared. Every entry is
     /// rebuild-on-miss and replays are bit-identical, so the next report
     /// simply recomputes — one panicked reader never wedges the tenant.
     fn lock_caches(&self) -> MutexGuard<'_, SharedCaches> {
@@ -1056,20 +987,18 @@ mod tests {
     fn flat_scan_engine_is_bit_identical_to_reference() {
         // The flat-scan serial path vs the row-at-a-time §V.A
         // transcription — same table, same groups, bit-identical risks.
-        // Both the Ω-estimate and the exact-inference (small-group) routes.
-        for (seed, exact_below) in [(3u64, 0usize), (11, 8)] {
+        for seed in [3u64, 11] {
             let t = bgkanon_data::adult::generate(400, seed);
             let groups: Vec<Vec<usize>> = (0..t.len())
                 .step_by(7)
                 .map(|start| (start..(start + 7).min(t.len())).collect())
                 .collect();
             for a in [
-                auditor(&t, 0.3).use_exact_below(exact_below),
+                auditor(&t, 0.3),
                 Auditor::new(
                     Arc::new(Adversary::t_closeness(&t)),
                     Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance())),
-                )
-                .use_exact_below(exact_below),
+                ),
             ] {
                 let flat = a.tuple_risks(&t, &groups);
                 let reference = a.tuple_risks_reference(&t, &groups);
@@ -1082,37 +1011,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn exact_inference_option_changes_small_group_audits() {
-        let t = toy::hospital_table();
-        let a_omega = auditor(&t, 0.3);
-        let a_exact = auditor(&t, 0.3).use_exact_below(16);
-        let groups = toy::hospital_groups();
-        let omega_risks = a_omega.tuple_risks(&t, &groups);
-        let exact_risks = a_exact.tuple_risks(&t, &groups);
-        // Same shape, finite everywhere; generally not identical.
-        assert_eq!(omega_risks.len(), exact_risks.len());
-        assert!(exact_risks.iter().all(|r| r.is_finite()));
-        let max_gap = omega_risks
-            .iter()
-            .zip(&exact_risks)
-            .map(|(o, e)| (o - e).abs())
-            .fold(0.0f64, f64::max);
-        // Fig. 2's bound: the Ω approximation is close to exact.
-        assert!(max_gap < 0.35, "gap {max_gap}");
-    }
-
-    #[test]
-    fn risk_quantiles_are_monotone() {
-        let t = toy::hospital_table();
-        let rep = auditor(&t, 0.3).report(&t, &toy::hospital_groups(), 0.1);
-        let q25 = rep.risk_quantile(0.25);
-        let q50 = rep.risk_quantile(0.5);
-        let q100 = rep.risk_quantile(1.0);
-        assert!(q25 <= q50 && q50 <= q100);
-        assert!((q100 - rep.worst_case).abs() < 1e-12);
     }
 
     #[test]
@@ -1158,17 +1056,16 @@ mod tests {
     fn batched_engine_is_bit_identical_to_reference() {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
-        for auditor in [auditor(&t, 0.3), auditor(&t, 0.3).use_exact_below(16)] {
-            let serial = auditor.tuple_risks_with(&t, &groups, Parallelism::Serial);
-            for workers in [1usize, 2, 4] {
-                let batched = auditor.tuple_risks_with(&t, &groups, Parallelism::threads(workers));
-                assert_eq!(serial.len(), batched.len());
-                for (row, (s, b)) in serial.iter().zip(&batched).enumerate() {
-                    assert!(
-                        s.to_bits() == b.to_bits(),
-                        "row {row} diverges at {workers} workers: {s} vs {b}"
-                    );
-                }
+        let a = auditor(&t, 0.3);
+        let serial = a.tuple_risks_with(&t, &groups, Parallelism::Serial);
+        for workers in [1usize, 2, 4] {
+            let batched = a.tuple_risks_with(&t, &groups, Parallelism::threads(workers));
+            assert_eq!(serial.len(), batched.len());
+            for (row, (s, b)) in serial.iter().zip(&batched).enumerate() {
+                assert!(
+                    s.to_bits() == b.to_bits(),
+                    "row {row} diverges at {workers} workers: {s} vs {b}"
+                );
             }
         }
     }
@@ -1250,22 +1147,6 @@ mod tests {
         assert_eq!(session.cached_signatures(), solved);
         for (a, b) in first.risks.iter().zip(&restamped.risks) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn audit_session_matches_reference_with_exact_inference() {
-        let t = toy::hospital_table();
-        let groups = toy::hospital_groups();
-        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-        let a = auditor(&t, 0.3).use_exact_below(16);
-        let fresh = a.report(&t, &groups, 0.1);
-        let session = SharedAuditSession::new(a);
-        for stamps in [None, Some(&[1u64, 2, 3][..]), Some(&[1u64, 2, 3][..])] {
-            let rep = session.report_groups(&t, &slices, stamps, 0.1);
-            for (f, s) in fresh.risks.iter().zip(&rep.risks) {
-                assert_eq!(f.to_bits(), s.to_bits());
-            }
         }
     }
 
@@ -1389,7 +1270,7 @@ mod tests {
     fn bound_and_unbound_sessions_match_a_fresh_report() {
         use bgkanon_data::Parallelism;
         use bgkanon_knowledge::{FoldedTable, PriorEstimator};
-        for (seed, exact_below) in [(5u64, 0usize), (13, 6)] {
+        for seed in [5u64, 13] {
             let t = bgkanon_data::adult::generate(300, seed);
             let bandwidth = Bandwidth::uniform(0.3, t.qi_count()).unwrap();
             let (fold, row_points) = FoldedTable::with_row_points(&t);
@@ -1397,7 +1278,7 @@ mod tests {
                 .estimate_folded(fold, Parallelism::Auto);
             let adversary = Arc::new(Adversary::from_model("Adv", bandwidth, Arc::new(model)));
             let measure = Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
-            let auditor = Auditor::new(adversary, measure).use_exact_below(exact_below);
+            let auditor = Auditor::new(adversary, measure);
             let groups: Vec<Vec<usize>> = (0..t.len())
                 .step_by(5)
                 .map(|start| (start..(start + 5).min(t.len())).collect())

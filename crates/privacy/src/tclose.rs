@@ -52,7 +52,7 @@ impl TCloseness {
     }
 
     /// EMD between a group distribution and the table distribution.
-    pub fn emd_to_table(&self, group_dist: &Dist) -> f64 {
+    fn emd_to_table(&self, group_dist: &Dist) -> f64 {
         match &self.ground {
             Ground::Ordered => ordered_emd(group_dist, &self.table_distribution),
             Ground::Hierarchical(h) => hierarchical_emd(h, group_dist, &self.table_distribution),

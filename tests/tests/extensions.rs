@@ -104,9 +104,15 @@ fn exact_audit_agrees_with_omega_within_fig2_bound() {
     }
     let omega = Auditor::new(Arc::clone(&adversary), Arc::clone(&measure) as _)
         .tuple_risks(&table, &groups);
-    let exact = Auditor::new(adversary, measure as _)
-        .use_exact_below(16)
-        .tuple_risks(&table, &groups);
+    // The exact side by its §III.C definition: each member's exact
+    // posterior (matrix-permanent likelihoods), measured against its prior.
+    let mut exact = vec![f64::NAN; table.len()];
+    for rows in &groups {
+        let priors = GroupPriors::from_table_rows(&table, rows, |qi| adversary.prior(qi).clone());
+        for (j, post) in exact_posteriors(&priors).iter().enumerate() {
+            exact[rows[j]] = measure.distance(priors.prior(j), post);
+        }
+    }
     let mean_gap: f64 = omega
         .iter()
         .zip(&exact)

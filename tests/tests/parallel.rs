@@ -174,34 +174,6 @@ proptest! {
             prop_assert!(s.to_bits() == b.to_bits());
         }
     }
-
-    #[test]
-    fn audit_memoization_equals_unmemoized_with_exact_inference(
-        rows in 40usize..160,
-        seed in 0u64..300,
-        workers in 1usize..4,
-    ) {
-        // Small k keeps some groups under the exact-inference cutoff, so the
-        // memo also covers the §III.C permanent evaluations.
-        let table = adult::generate(rows, seed);
-        let outcome = Publisher::new()
-            .k_anonymity(3)
-            .parallelism(Parallelism::Serial)
-            .publish(&table)
-            .expect("satisfiable");
-        let groups = outcome.anonymized.row_groups();
-        let adversary = Arc::new(Adversary::t_closeness(&table));
-        let measure = Arc::new(SmoothedJs::paper_default(
-            table.schema().sensitive_distance(),
-        ));
-        let auditor = Auditor::new(adversary, measure).use_exact_below(8);
-        let serial = auditor.tuple_risks_with(&table, &groups, Parallelism::Serial);
-        let batched =
-            auditor.tuple_risks_with(&table, &groups, Parallelism::threads(workers));
-        for (s, b) in serial.iter().zip(&batched) {
-            prop_assert!(s.to_bits() == b.to_bits());
-        }
-    }
 }
 
 #[test]
