@@ -76,15 +76,6 @@ impl Group {
         }
     }
 
-    /// The group as a borrowed view.
-    pub fn view(&self) -> GroupRef<'_> {
-        GroupRef {
-            rows: &self.rows,
-            ranges: &self.ranges,
-            sensitive_counts: &self.sensitive_counts,
-        }
-    }
-
     /// Group size.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -93,12 +84,6 @@ impl Group {
     /// True when the group has no rows (never after construction).
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Human-readable generalized QI labels; see
-    /// [`GroupRef::generalized_labels`].
-    pub fn generalized_labels(&self, schema: &Schema) -> Vec<String> {
-        self.view().generalized_labels(schema)
     }
 }
 
@@ -144,7 +129,7 @@ impl GroupRef<'_> {
     }
 
     /// An owned copy.
-    pub fn to_group(&self) -> Group {
+    fn to_group(&self) -> Group {
         Group {
             rows: self.rows.to_vec(),
             ranges: self.ranges.to_vec(),
@@ -157,6 +142,7 @@ impl GroupRef<'_> {
     /// ancestor in the hierarchy (or the single value). A range with no
     /// codes (`min > max`, only a caller-built [`Group`] can carry one) has
     /// no ancestor and is labelled `[lo,hi]` too.
+    // bgk-allow: R7 the paper's Table I(b) generalized values, checked in tests/tests/paper_examples.rs
     pub fn generalized_labels(&self, schema: &Schema) -> Vec<String> {
         self.ranges
             .iter()
@@ -498,6 +484,14 @@ impl AnonymizedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn view(g: &Group) -> GroupRef<'_> {
+        GroupRef {
+            rows: &g.rows,
+            ranges: &g.ranges,
+            sensitive_counts: &g.sensitive_counts,
+        }
+    }
     use bgkanon_data::toy;
 
     #[test]
@@ -517,11 +511,11 @@ mod tests {
         let t = toy::hospital_table();
         let schema = t.schema();
         let g1 = Group::from_rows(&t, vec![0, 1, 2]);
-        assert_eq!(g1.generalized_labels(schema), vec!["[45,69]", "Sex"]);
+        assert_eq!(view(&g1).generalized_labels(schema), vec!["[45,69]", "Sex"]);
         let g2 = Group::from_rows(&t, vec![3, 4, 5]);
-        assert_eq!(g2.generalized_labels(schema), vec!["[42,47]", "F"]);
+        assert_eq!(view(&g2).generalized_labels(schema), vec!["[42,47]", "F"]);
         let g3 = Group::from_rows(&t, vec![6, 7, 8]);
-        assert_eq!(g3.generalized_labels(schema), vec!["[50,56]", "M"]);
+        assert_eq!(view(&g3).generalized_labels(schema), vec!["[50,56]", "M"]);
     }
 
     #[test]
@@ -591,8 +585,8 @@ mod tests {
         assert_eq!(first.sensitive_counts, &[1, 1, 1, 0]);
         let sizes: Vec<usize> = at.iter().map(|g| g.len()).collect();
         assert_eq!(sizes, vec![3, 3, 3]);
-        for (view, owned) in at.iter().zip(at.groups()) {
-            assert_eq!(view, owned.view());
+        for (got, owned) in at.iter().zip(at.groups()) {
+            assert_eq!(got, view(owned));
         }
     }
 
@@ -633,7 +627,10 @@ mod tests {
         // no code, so it has no common ancestor.
         let mut g = Group::from_rows(&t, vec![0, 1, 2]);
         g.ranges[1] = QiRange { min: 1, max: 0 };
-        assert_eq!(g.generalized_labels(schema), vec!["[45,69]", "[M,F]"]);
+        assert_eq!(
+            view(&g).generalized_labels(schema),
+            vec!["[45,69]", "[M,F]"]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`Mondrian::anonymize`] — the single-threaded **reference** path: a
 //!   direct transcription of the algorithm, kept simple on purpose so the
 //!   optimized engine can be property-tested against it;
-//! * [`Mondrian::anonymize_with`] — the **parallel** engine: worker jobs on
+//! * [`Mondrian::plant_with`] — the **parallel** engine: worker jobs on
 //!   the process-wide [`shared_pool`](bgkanon_data::shared_pool) steal
 //!   regions from a shared deque, split them
 //!   with a stable counting sort (QI domains are small dense codes), derive
@@ -53,7 +53,7 @@ const STEAL_THRESHOLD: usize = 2048;
 /// assert!(published.iter().all(|g| g.len() >= 5));
 ///
 /// // The parallel engine yields the identical partition.
-/// let parallel = mondrian.anonymize_with(&table, Parallelism::threads(2));
+/// let parallel = mondrian.plant_with(&table, Parallelism::threads(2)).to_anonymized(&table);
 /// assert_eq!(published.group_count(), parallel.group_count());
 /// ```
 pub struct Mondrian {
@@ -169,30 +169,16 @@ impl Mondrian {
     }
 
     /// Partition `table` into the finest groups Mondrian can certify, on the
-    /// single-threaded reference path (equivalent to
-    /// [`anonymize_with`](Self::anonymize_with) with
-    /// [`Parallelism::Serial`]).
+    /// single-threaded reference path: the view of the [`PartitionTree`]
+    /// built by [`plant`](Self::plant). Any engine of
+    /// [`plant_with`](Self::plant_with) yields the identical partition.
     ///
     /// # Panics
     ///
     /// Panics if the whole table itself does not satisfy the requirement —
     /// no anonymization can then exist under this algorithm.
     pub fn anonymize(&self, table: &Table) -> AnonymizedTable {
-        self.anonymize_with(table, Parallelism::Serial)
-    }
-
-    /// Partition `table` with an explicit execution engine.
-    ///
-    /// [`Parallelism::Serial`] runs the reference implementation; any other
-    /// knob runs the work-stealing engine with that many workers. Both
-    /// produce the identical partition. The output is derived as a view of
-    /// the [`PartitionTree`] built by [`plant_with`](Self::plant_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the whole table itself does not satisfy the requirement.
-    pub fn anonymize_with(&self, table: &Table, parallelism: Parallelism) -> AnonymizedTable {
-        self.plant_with(table, parallelism).to_anonymized(table)
+        self.plant(table).to_anonymized(table)
     }
 
     /// Partition `table` into a persistent [`PartitionTree`] on the
@@ -895,9 +881,11 @@ mod tests {
     fn parallel_engine_matches_reference_bitwise() {
         let t = adult::generate(1200, 9);
         let m = mondrian_k(6);
-        let serial = m.anonymize_with(&t, Parallelism::Serial);
+        let serial = m.plant_with(&t, Parallelism::Serial).to_anonymized(&t);
         for workers in [1usize, 2, 4] {
-            let parallel = m.anonymize_with(&t, Parallelism::threads(workers));
+            let parallel = m
+                .plant_with(&t, Parallelism::threads(workers))
+                .to_anonymized(&t);
             assert_eq!(serial.group_count(), parallel.group_count());
             for (ga, gb) in serial.groups().iter().zip(parallel.groups()) {
                 assert_eq!(ga.rows, gb.rows, "row sets diverge at {workers} workers");
@@ -912,8 +900,8 @@ mod tests {
         let t = adult::generate(700, 11);
         let req = And::pair(KAnonymity::new(4), DistinctLDiversity::new(3));
         let m = Mondrian::new(Arc::new(req));
-        let serial = m.anonymize_with(&t, Parallelism::Serial);
-        let parallel = m.anonymize_with(&t, Parallelism::threads(3));
+        let serial = m.plant_with(&t, Parallelism::Serial).to_anonymized(&t);
+        let parallel = m.plant_with(&t, Parallelism::threads(3)).to_anonymized(&t);
         assert_eq!(serial.group_count(), parallel.group_count());
         for (ga, gb) in serial.groups().iter().zip(parallel.groups()) {
             assert_eq!(ga.rows, gb.rows);
@@ -953,8 +941,12 @@ mod tests {
     #[test]
     fn parallel_k1_matches_reference_on_toy_table() {
         let t = toy::hospital_table();
-        let serial = mondrian_k(1).anonymize_with(&t, Parallelism::Serial);
-        let parallel = mondrian_k(1).anonymize_with(&t, Parallelism::threads(2));
+        let serial = mondrian_k(1)
+            .plant_with(&t, Parallelism::Serial)
+            .to_anonymized(&t);
+        let parallel = mondrian_k(1)
+            .plant_with(&t, Parallelism::threads(2))
+            .to_anonymized(&t);
         assert_eq!(serial.group_count(), parallel.group_count());
         for (ga, gb) in serial.groups().iter().zip(parallel.groups()) {
             assert_eq!(ga.rows, gb.rows);
@@ -974,7 +966,7 @@ mod tests {
     fn impossible_requirement_panics_in_parallel_mode_too() {
         let t = toy::hospital_table();
         let m = mondrian_k(100);
-        let _ = m.anonymize_with(&t, Parallelism::threads(2));
+        let _ = m.plant_with(&t, Parallelism::threads(2)).to_anonymized(&t);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl PartitionTree {
     }
 
     /// Project the tree to the published [`AnonymizedTable`] — the same
-    /// output (bit for bit) the one-shot `anonymize_with` API returns.
+    /// output (bit for bit) the one-shot [`Mondrian::anonymize`] returns.
     /// `table` must be the table the tree currently describes.
     pub fn to_anonymized(&self, table: &Table) -> AnonymizedTable {
         self.snapshot(table).0
@@ -1482,7 +1482,7 @@ mod tests {
     fn plant_matches_anonymize_for_both_engines() {
         let t = adult::generate(600, 3);
         let m = mondrian_k(5);
-        let direct = m.anonymize_with(&t, Parallelism::Serial);
+        let direct = m.anonymize(&t);
         for par in [Parallelism::Serial, Parallelism::threads(3)] {
             let tree = m.plant_with(&t, par);
             let viewed = tree.to_anonymized(&t);

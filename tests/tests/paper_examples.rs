@@ -14,9 +14,13 @@ fn table_i_generalization_matches_paper() {
         (vec![3, 4, 5], vec!["[42,47]", "F"]),
         (vec![6, 7, 8], vec!["[50,56]", "M"]),
     ];
-    for (rows, labels) in expected {
-        let g = bgkanon::anon::Group::from_rows(&table, rows);
-        assert_eq!(g.generalized_labels(schema), labels);
+    let groups = expected
+        .iter()
+        .map(|(rows, _)| bgkanon::anon::Group::from_rows(&table, rows.clone()))
+        .collect();
+    let published = bgkanon::anon::AnonymizedTable::new(&table, groups);
+    for (group, (_, labels)) in published.iter().zip(expected) {
+        assert_eq!(group.generalized_labels(schema), labels);
     }
 }
 

@@ -47,8 +47,8 @@ proptest! {
     ) {
         let table = adult::generate(rows, seed);
         let mondrian = Mondrian::new(Arc::new(KAnonymity::new(k)));
-        let serial = mondrian.anonymize_with(&table, Parallelism::Serial);
-        let parallel = mondrian.anonymize_with(&table, Parallelism::threads(workers));
+        let serial = mondrian.plant_with(&table, Parallelism::Serial).to_anonymized(&table);
+        let parallel = mondrian.plant_with(&table, Parallelism::threads(workers)).to_anonymized(&table);
         assert_same_partition(
             &serial,
             &parallel,
@@ -65,8 +65,8 @@ proptest! {
         let table = adult::generate(rows, seed);
         let req = And::pair(KAnonymity::new(4), DistinctLDiversity::new(2));
         let mondrian = Mondrian::new(Arc::new(req));
-        let serial = mondrian.anonymize_with(&table, Parallelism::Serial);
-        let parallel = mondrian.anonymize_with(&table, Parallelism::threads(workers));
+        let serial = mondrian.plant_with(&table, Parallelism::Serial).to_anonymized(&table);
+        let parallel = mondrian.plant_with(&table, Parallelism::threads(workers)).to_anonymized(&table);
         assert_same_partition(
             &serial,
             &parallel,
@@ -117,8 +117,8 @@ proptest! {
         k in 2usize..8,
         workers in 1usize..5,
     ) {
-        // `plant_with` is the retained-state sibling of `anonymize_with`:
-        // the persistent trees both engines grow must induce the identical
+        // `plant_with` grows the retained tree a session keeps: the
+        // persistent trees both engines grow must induce the identical
         // partition. (Leaf stamps are per-tree cache tokens in allocation
         // order — engine-specific by design — so only their shape is
         // asserted: one unique stamp per group.)
