@@ -733,19 +733,27 @@ mod tests {
 
     #[test]
     fn algorithm_flag_selects_the_strategy() {
+        let table = bgkanon::data::adult::generate(100, 5);
         for (name, algorithm) in [
             ("mondrian", Algorithm::Mondrian),
             ("bucketize", Algorithm::Bucketize),
             ("fulldomain", Algorithm::FullDomain),
         ] {
             let f = flags(&[("model", "kanon"), ("k", "3"), ("algorithm", name)]);
-            assert_eq!(build_publisher(&f).unwrap().algorithm_knob(), algorithm);
+            assert_eq!(
+                build_publisher(&f).unwrap().explain(&table).unwrap(),
+                Publisher::new()
+                    .k_anonymity(3)
+                    .algorithm(algorithm)
+                    .explain(&table)
+                    .unwrap()
+            );
         }
         // Legacy invocations (no flag) stay Mondrian.
         let f = flags(&[("model", "kanon"), ("k", "3")]);
         assert_eq!(
-            build_publisher(&f).unwrap().algorithm_knob(),
-            Algorithm::Mondrian
+            build_publisher(&f).unwrap().explain(&table).unwrap(),
+            Publisher::new().k_anonymity(3).explain(&table).unwrap()
         );
         let bad = flags(&[("model", "kanon"), ("algorithm", "warp")]);
         assert!(build_publisher(&bad).unwrap_err().contains("--algorithm"));

@@ -23,7 +23,7 @@
 //!   against pinned versions while the writer re-partitions the next one —
 //!   readers never wait on a delta, writers never wait on an audit.
 //! * **Shared audit caches** — reader audits go through
-//!   [`SharedAuditSession`]s (one per tenant × auditor configuration),
+//!   [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession)s (one per tenant × auditor configuration),
 //!   whose stamp caches are keyed by partition-tree leaf stamps. Stamps
 //!   survive deltas for every group the delta did not dirty, so a
 //!   steady-state audit recomputes Ω only for the churned slice of the
@@ -77,10 +77,8 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use bgkanon_anon::{AnonymizedTable, AnyStrategy};
 use bgkanon_data::{Delta, Parallelism, Table};
-use bgkanon_knowledge::{
-    Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily, PriorEstimator, PriorModel,
-};
-use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
+use bgkanon_knowledge::{Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily};
+use bgkanon_privacy::{AuditReport, Auditor};
 
 use crate::publisher::Publisher;
 use crate::readers::{relock, AdversaryIntern, AuditTarget, ReaderCaches, READER_CACHE_CAP};
@@ -88,7 +86,7 @@ use crate::recover::{self, RecoveryReport, TenantRecovery};
 use crate::session::{PublishSession, SessionError};
 use crate::wal::{encode_record, DurabilityOptions, WalWriter};
 
-/// Default registry shard count ([`SessionHub::DEFAULT_SHARDS`]).
+/// Registry shard count of every hub.
 const DEFAULT_SHARD_COUNT: usize = 16;
 
 /// An immutable published version of one tenant's table: what hub readers
@@ -161,8 +159,8 @@ impl TenantSnapshot {
     }
 
     /// Partition-tree leaf stamps, aligned with
-    /// [`anonymized()`](Self::anonymized)`.iter()` — the cache tokens
-    /// [`audit_cached`](Self::audit_cached) passes to the shared session.
+    /// [`anonymized()`](Self::anonymized)`.iter()` — the cache tokens the
+    /// hub's audits pass to the shared session.
     pub fn leaf_stamps(&self) -> &[u64] {
         &self.stamps
     }
@@ -181,37 +179,6 @@ impl TenantSnapshot {
     /// Groups in this version's publication.
     pub fn group_count(&self) -> usize {
         self.anonymized.group_count()
-    }
-
-    /// Audit this version through a [`SharedAuditSession`], replaying every
-    /// group the session has already solved (by leaf stamp, then by group
-    /// signature) — the hub's hot read path. Bit-identical to a fresh
-    /// [`Auditor::report`] of this version.
-    pub fn audit_cached(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
-        self.target().audit(shared, t)
-    }
-
-    /// Audit this version with `auditor`, uncached, on an explicit engine —
-    /// for one-off audits where retaining a cache is not worth it.
-    pub fn audit_fresh(&self, auditor: &Auditor, t: f64, parallelism: Parallelism) -> AuditReport {
-        auditor.report_with(&self.table, &self.anonymized.row_groups(), t, parallelism)
-    }
-
-    /// Estimate the kernel prior model `P̂pri` an adversary with uniform
-    /// bandwidth `b` would learn from this version — the reader-side
-    /// estimation path (runs entirely against the snapshot, no hub locks).
-    /// A NaN, infinite or non-positive `b` is a
-    /// [`SessionError::Bandwidth`].
-    pub fn estimate_prior(
-        &self,
-        b: f64,
-        parallelism: Parallelism,
-    ) -> Result<PriorModel, SessionError> {
-        let bandwidth = Bandwidth::uniform(b, self.table.qi_count())?;
-        Ok(
-            PriorEstimator::new(Arc::clone(self.table.schema()), bandwidth)
-                .estimate_with(&self.table, parallelism),
-        )
     }
 
     /// This version as the reader caches audit it, with the record of the
@@ -508,25 +475,14 @@ pub struct SessionHub<S = AnyStrategy> {
 }
 
 impl SessionHub {
-    /// Default number of registry shards.
-    pub const DEFAULT_SHARDS: usize = DEFAULT_SHARD_COUNT;
-
     /// Reader-audit configurations retained per tenant; beyond this the
     /// least recently used shared session (and its caches) is dropped.
     pub const MAX_READER_CACHES: usize = READER_CACHE_CAP;
 
-    /// An empty hub with [`DEFAULT_SHARDS`](Self::DEFAULT_SHARDS) registry
-    /// shards.
+    /// An empty in-memory hub.
     pub fn new() -> Self {
-        Self::with_shards(Self::DEFAULT_SHARDS)
-    }
-
-    /// An empty hub with an explicit shard count (minimum 1). More shards
-    /// means less registry contention between tenants that hash together;
-    /// the per-tenant locks are unaffected.
-    pub fn with_shards(shards: usize) -> Self {
         SessionHub {
-            shards: (0..shards.max(1))
+            shards: (0..DEFAULT_SHARD_COUNT)
                 .map(|_| Shard {
                     tenants: Mutex::new(HashMap::new()),
                 })
@@ -582,7 +538,7 @@ impl SessionHub {
         std::fs::create_dir_all(&root).map_err(|e| {
             SessionError::Durability(format!("could not create data dir {root:?}: {e}"))
         })?;
-        let mut hub = Self::with_shards(Self::DEFAULT_SHARDS);
+        let mut hub = Self::new();
         hub.durability = Some(Durability {
             root: root.clone(),
             options,
@@ -671,11 +627,6 @@ impl SessionHub {
         Ok((hub, report))
     }
 
-    /// Is this a durable hub (opened via [`open`](Self::open))?
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Number of registry shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -710,17 +661,6 @@ impl SessionHub {
     /// Is a tenant with this id registered?
     pub fn contains(&self, tenant: &str) -> bool {
         relock(self.shard(tenant).tenants.lock()).contains_key(tenant)
-    }
-
-    /// All registered tenant ids, sorted.
-    pub fn tenant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| relock(s.tenants.lock()).keys().cloned().collect::<Vec<_>>())
-            .collect();
-        names.sort();
-        names
     }
 
     /// Register a tenant: open a [`PublishSession`] on `table` with
@@ -942,7 +882,7 @@ impl SessionHub {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
         let shared = entry.readers.external(auditor);
-        let report = snapshot.audit_cached(&shared, t);
+        let report = snapshot.target().audit(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
         Ok(report)
@@ -966,11 +906,11 @@ impl SessionHub {
     ///   entry — the version is folded in full. If the hub's cross-tenant
     ///   intern table holds a model of identical provenance, it is shared.
     ///   Otherwise the entry's model is refreshed from the fold difference
-    ///   ([`PriorEstimator::refresh_folded`]), across any number of
+    ///   ([`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)), across any number of
     ///   unaudited deltas — in place when no other tenant or in-flight
     ///   reader shares it — and the groups the delta left clean (same leaf
     ///   stamp, no row whose prior changed) keep their cached risks
-    ///   ([`SharedAuditSession::carried`]). Only a tenant with no entry at
+    ///   ([`SharedAuditSession::carried`](bgkanon_privacy::SharedAuditSession::carried)). Only a tenant with no entry at
     ///   this `b′` estimates from scratch;
     /// * a reader still holding an older version than the entry's audits
     ///   through a one-off session and leaves the entry alone.
@@ -994,7 +934,7 @@ impl SessionHub {
             entry
                 .readers
                 .adversary(&snapshot.target(), bandwidth, Some(self), Parallelism::Auto);
-        let report = snapshot.audit_cached(&shared, t);
+        let report = snapshot.target().audit(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
         Ok(report)
@@ -1341,6 +1281,7 @@ mod tests {
     use super::*;
     use crate::readers::{ReaderCache, ReaderKey};
     use bgkanon_data::{adult, DeltaBuilder};
+    use bgkanon_privacy::SharedAuditSession;
     use bgkanon_stats::SmoothedJs;
 
     fn hub_with(tenants: &[(&str, u64)], rows: usize, k: usize) -> SessionHub {
@@ -1381,7 +1322,6 @@ mod tests {
         assert!(!hub.is_empty());
         assert!(hub.contains("a"));
         assert!(!hub.contains("c"));
-        assert_eq!(hub.tenant_names(), vec!["a".to_owned(), "b".to_owned()]);
         let snap = hub.snapshot("a").unwrap();
         assert_eq!(snap.tenant(), "a");
         assert_eq!(snap.version(), 0);
@@ -1526,24 +1466,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_estimate_prior_matches_direct_estimation() {
-        let hub = hub_with(&[("a", 3)], 150, 4);
-        let snap = hub.snapshot("a").unwrap();
-        let model = snap.estimate_prior(0.3, Parallelism::Serial).unwrap();
-        let bandwidth = Bandwidth::uniform(0.3, snap.table().qi_count()).unwrap();
-        let direct = PriorEstimator::new(Arc::clone(snap.table().schema()), bandwidth)
-            .estimate_with(snap.table(), Parallelism::Serial);
-        let q = snap.table().qi(0);
-        assert_eq!(
-            model.prior(&q).unwrap().as_slice(),
-            direct.prior(&q).unwrap().as_slice()
-        );
-    }
-
-    #[test]
     fn concurrent_writers_and_readers_stay_consistent() {
         let tenants: Vec<(String, u64)> = (0..4).map(|i| (format!("t{i}"), i as u64)).collect();
-        let hub: Arc<SessionHub> = Arc::new(SessionHub::with_shards(4));
+        let hub: Arc<SessionHub> = Arc::new(SessionHub::new());
         let publisher = Publisher::new().k_anonymity(4);
         for (name, seed) in &tenants {
             hub.register(name, &adult::generate(150, *seed), &publisher)
@@ -1783,7 +1708,7 @@ mod tests {
             Some(&hub),
             Parallelism::Auto,
         );
-        let report = old.audit_cached(&stale, 0.2);
+        let report = old.target().audit(&stale, 0.2);
         let fresh = Auditor::new(
             Arc::new(Adversary::kernel(old.table(), bandwidth)),
             Arc::new(SmoothedJs::paper_default(
@@ -1802,14 +1727,9 @@ mod tests {
     #[test]
     fn bad_bandwidths_are_typed_errors() {
         let hub = hub_with(&[("a", 4)], 100, 4);
-        let snap = hub.snapshot("a").unwrap();
         for b in [f64::NAN, 0.0, -0.3, f64::INFINITY] {
             assert!(matches!(
                 hub.audit_against("a", b, 0.2),
-                Err(SessionError::Bandwidth(_))
-            ));
-            assert!(matches!(
-                snap.estimate_prior(b, Parallelism::Serial),
                 Err(SessionError::Bandwidth(_))
             ));
         }

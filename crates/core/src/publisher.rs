@@ -426,11 +426,6 @@ impl Publisher {
         self.parallelism
     }
 
-    /// The algorithm this publisher was configured with.
-    pub fn algorithm_knob(&self) -> Algorithm {
-        self.algorithm
-    }
-
     /// Serialize the declarative specs as one text line each — preceded by
     /// an `algorithm <name>` selector line when the algorithm is not the
     /// Mondrian default — for the durable hub's genesis file
@@ -960,14 +955,13 @@ mod tests {
         assert_eq!(lines[0], "algorithm bucketize");
         let rebuilt =
             Publisher::from_spec_lines(lines.iter().map(String::as_str)).expect("roundtrip");
-        assert_eq!(rebuilt.algorithm_knob(), Algorithm::Bucketize);
         assert_eq!(rebuilt.spec_lines(), lines);
         // Mondrian publishers serialize without the selector line (the
         // legacy byte shape), and legacy lines parse back as Mondrian.
         let legacy = Publisher::new().k_anonymity(3).spec_lines();
         assert!(legacy.iter().all(|l| l.starts_with("spec ")));
         let parsed = Publisher::from_spec_lines(legacy.iter().map(String::as_str)).unwrap();
-        assert_eq!(parsed.algorithm_knob(), Algorithm::Mondrian);
+        assert_eq!(parsed.spec_lines(), legacy);
         for bad in ["algorithm warp", "algorithm", "algorithm mondrian extra"] {
             assert!(
                 Publisher::from_spec_lines([bad, "spec k 3"]).is_err(),

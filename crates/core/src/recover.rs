@@ -1077,7 +1077,7 @@ mod tests {
             let tenant_dir = dir.join(dir_name_for("t"));
             let genesis = std::fs::read(tenant_dir.join("genesis.tbl")).unwrap();
             let checkpoint = std::fs::read(tenant_dir.join("checkpoint.tbl")).unwrap();
-            let name = publisher.algorithm_knob().name();
+            let name = publisher.spec_lines().join("; ");
             assert!(
                 checkpoint.starts_with(format!("{CHECKPOINT_MAGIC_V3}\nversion 2\n").as_bytes())
             );

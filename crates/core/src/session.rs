@@ -387,11 +387,6 @@ impl PublishSession {
     /// callers that construct a fresh auditor per call.
     pub const MAX_AUDIT_CACHES: usize = READER_CACHE_CAP;
 
-    /// Number of distinct audit configurations this session caches.
-    pub fn audit_cache_count(&self) -> usize {
-        self.readers.len()
-    }
-
     /// Heap bytes this session holds resident: the working table, the
     /// strategy state, the current publication, group stamps, and the
     /// retained audit caches (risk caches and row → point arrays; the
@@ -590,7 +585,7 @@ mod tests {
         let d = delta(&t, &[5, 42], 4, 77);
         session.apply(&d).unwrap();
         let incremental = session.audit_with(&auditor, 0.2);
-        assert_eq!(session.audit_cache_count(), 1);
+        assert_eq!(session.readers.len(), 1);
 
         let fresh = publisher.publish(session.table()).unwrap();
         let reference = fresh.audit_with(session.table(), &auditor, 0.2);
@@ -620,7 +615,7 @@ mod tests {
         let b = session.audit_against(0.3, 0.25).unwrap();
         assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
         session.audit_against(0.5, 0.25).unwrap();
-        assert_eq!(session.audit_cache_count(), 2);
+        assert_eq!(session.readers.len(), 2);
     }
 
     #[test]
@@ -647,7 +642,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // The carried entry is still a single cache slot.
-        assert_eq!(session.audit_cache_count(), 1);
+        assert_eq!(session.readers.len(), 1);
     }
 
     #[test]
@@ -684,9 +679,9 @@ mod tests {
         }
         // Nothing was cached for the rejected values, and a valid b′ still
         // audits.
-        assert_eq!(session.audit_cache_count(), 0);
+        assert_eq!(session.readers.len(), 0);
         session.audit_against(0.3, 0.2).unwrap();
-        assert_eq!(session.audit_cache_count(), 1);
+        assert_eq!(session.readers.len(), 1);
     }
 
     #[test]
@@ -698,19 +693,13 @@ mod tests {
             let b = 0.2 + 0.01 * i as f64;
             session.audit_against(b, 0.2).unwrap();
         }
-        assert_eq!(
-            session.audit_cache_count(),
-            PublishSession::MAX_AUDIT_CACHES
-        );
+        assert_eq!(session.readers.len(), PublishSession::MAX_AUDIT_CACHES);
         // The most recent entry survived and replays bit-identically.
         let b_last = 0.2 + 0.01 * (PublishSession::MAX_AUDIT_CACHES + 2) as f64;
         let a = session.audit_against(b_last, 0.2).unwrap();
         let b = session.audit_against(b_last, 0.2).unwrap();
         assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
-        assert_eq!(
-            session.audit_cache_count(),
-            PublishSession::MAX_AUDIT_CACHES
-        );
+        assert_eq!(session.readers.len(), PublishSession::MAX_AUDIT_CACHES);
     }
 
     #[test]

@@ -265,9 +265,8 @@ pub fn scan(path: &Path) -> Result<WalScan, WalError> {
     scan_bytes(&data)
 }
 
-/// [`scan`] over an in-memory image of the file (exposed for tests and
-/// tools that already hold the bytes).
-pub fn scan_bytes(data: &[u8]) -> Result<WalScan, WalError> {
+/// [`scan`] over an in-memory image of the file.
+fn scan_bytes(data: &[u8]) -> Result<WalScan, WalError> {
     if data.len() < HEADER_LEN as usize || &data[..8] != WAL_MAGIC {
         return Err(WalError::Corrupt {
             offset: 0,

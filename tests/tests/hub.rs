@@ -85,7 +85,7 @@ struct Observation {
 
 #[test]
 fn hub_stress_interleaved_deltas_and_audits_match_serial_replay() {
-    let hub = Arc::new(SessionHub::with_shards(4));
+    let hub = Arc::new(SessionHub::new());
     let publisher = Publisher::new().k_anonymity(K);
     let names: Vec<String> = (0..TENANTS).map(|i| format!("tenant-{i}")).collect();
     let tables: Vec<Table> = (0..TENANTS).map(tenant_table).collect();
@@ -133,11 +133,23 @@ fn hub_stress_interleaved_deltas_and_audits_match_serial_replay() {
                     let snap = hub.snapshot(&names[i]).expect("registered");
                     let report = if rng.gen_bool(0.5) {
                         // The shared-cache read path, against the pinned
-                        // snapshot.
+                        // snapshot and its leaf stamps.
                         let shared = SharedAuditSession::new(auditors[i].clone());
-                        snap.audit_cached(&shared, THRESHOLD)
+                        let groups: Vec<&[usize]> =
+                            snap.anonymized().iter().map(|g| g.rows).collect();
+                        shared.report_groups(
+                            snap.table(),
+                            &groups,
+                            Some(snap.leaf_stamps()),
+                            THRESHOLD,
+                        )
                     } else {
-                        snap.audit_fresh(&auditors[i], THRESHOLD, Parallelism::Auto)
+                        auditors[i].report_with(
+                            snap.table(),
+                            &snap.anonymized().row_groups(),
+                            THRESHOLD,
+                            Parallelism::Auto,
+                        )
                     };
                     local.push(Observation {
                         tenant: i,
@@ -287,7 +299,7 @@ fn hub_readers_pin_versions_while_writers_advance() {
     assert_eq!(pinned.version(), 0);
     assert_eq!(pinned.anonymized().row_groups(), pinned_groups);
     let auditor = tenant_auditor(&table);
-    let of_pinned = pinned.audit_fresh(&auditor, THRESHOLD, Parallelism::Serial);
+    let of_pinned = auditor.report(pinned.table(), &pinned.anonymized().row_groups(), THRESHOLD);
     let of_original = auditor.report(&table, &pinned_groups, THRESHOLD);
     for (a, b) in of_pinned.risks.iter().zip(&of_original.risks) {
         assert_eq!(a.to_bits(), b.to_bits());

@@ -82,7 +82,6 @@ fn reopened_hub_serves_bit_identical_state() {
     let publisher = Publisher::new().k_anonymity(4);
     let (hub, report) = SessionHub::open(&dir).unwrap();
     assert!(report.tenants.is_empty());
-    assert!(hub.is_durable());
     let mut rng = SmallRng::seed_from_u64(7);
     for i in 0..2u64 {
         let table = adult::generate(160, 11 + i);
@@ -342,7 +341,12 @@ fn reloaded_prior_refreshes_identically_inside_a_recovered_hub() {
         let measure = Arc::new(SmoothedJs::paper_default(
             after.table().schema().sensitive_distance(),
         ));
-        after.audit_fresh(&Auditor::new(adversary, measure), 0.2, Parallelism::Auto)
+        Auditor::new(adversary, measure).report_with(
+            after.table(),
+            &after.anonymized().row_groups(),
+            0.2,
+            Parallelism::Auto,
+        )
     };
     let (a, b) = (audit(in_memory), audit(reloaded));
     assert_eq!(a.risks.len(), b.risks.len());
