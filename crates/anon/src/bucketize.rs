@@ -314,7 +314,7 @@ mod tests {
         let t = adult::generate(400, 16);
         let strategy = Bucketize::new(3);
         let mut state = strategy.plant(&t).unwrap();
-        let (_, before) = state.snapshot(&t);
+        let (before_at, before) = state.snapshot(&t);
 
         let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
         b.delete(7).delete(123);
@@ -335,11 +335,18 @@ mod tests {
         for (a, b) in at.groups().iter().zip(reference.groups()) {
             assert_eq!(a.rows, b.rows);
         }
-        // A reused stamp implies the identical remapped membership; fresh
+        // A reused stamp labels the identical remapped membership; fresh
         // stamps never collide with previously issued ones.
         for (&s, g) in after.iter().zip(at.groups()) {
-            if before.contains(&s) {
-                continue; // reused: membership match is asserted by reuse_stamps itself
+            if let Some(old) = before.iter().position(|&b| b == s) {
+                let remapped: Vec<usize> = before_at
+                    .group(old)
+                    .rows
+                    .iter()
+                    .map(|&r| crate::strategy::remap_row(r, delta.deletes()).unwrap())
+                    .collect();
+                assert_eq!(g.rows, remapped, "stamp {s} carried to another membership");
+                continue;
             }
             assert!(
                 s >= before.len() as u64,

@@ -1,15 +1,17 @@
 //! Strategy-trait contract tests: every [`AnonymizationStrategy`] behind the
 //! redesigned session API — Mondrian, bucketization, full-domain
 //! generalization — must produce incremental refreshes bit-identical to a
-//! from-scratch publish, plant identically under any engine, and coexist
-//! inside one [`SessionHub`].
+//! from-scratch publish, plant identically under any engine, keep the
+//! group-stamp contract across refreshes, and coexist inside one
+//! [`SessionHub`].
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use bgkanon::anon::{AnonymizationStrategy, StrategyState};
+use bgkanon::anon::{AnonymizationStrategy, FullDomain, StrategyState};
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
 use bgkanon::prelude::*;
 use bgkanon::PublishError;
@@ -124,6 +126,104 @@ proptest! {
                     &format!("{} step {step} applied={applied}", algorithm.name()),
                 );
             }
+        }
+    }
+}
+
+/// Check the stamp contract of [`StrategyState::snapshot`] over six random
+/// deltas: stamps are unique within a snapshot, a stamp carried across a
+/// refresh labels exactly its old row list remapped through the deletes (in
+/// the same order), and a retired stamp is never issued again. Returns how
+/// many stamps the run carried.
+fn check_stamp_contract<S: AnonymizationStrategy>(
+    strategy: &S,
+    table: &Table,
+    rng: &mut SmallRng,
+) -> Result<usize, TestCaseError> {
+    let name = strategy.name();
+    let Ok(mut state) = strategy.plant(table) else {
+        return Ok(0);
+    };
+    let mut table = table.clone();
+    let (mut published, mut stamps) = state.snapshot(&table);
+    let mut issued: BTreeSet<u64> = stamps.iter().copied().collect();
+    prop_assert_eq!(issued.len(), stamps.len());
+    let mut carried = 0;
+    for step in 0..6 {
+        let delta = random_delta(&table, rng, 0.01, 3);
+        let next = table
+            .apply_delta(&delta)
+            .expect("scripted deltas are valid");
+        if strategy
+            .refresh(&mut state, &table, &next, delta.deletes())
+            .is_err()
+        {
+            continue;
+        }
+        let (next_published, next_stamps) = state.snapshot(&next);
+        let unique: BTreeSet<u64> = next_stamps.iter().copied().collect();
+        prop_assert!(
+            unique.len() == next_stamps.len(),
+            "{name} step {step}: a stamp labels two groups"
+        );
+        let old: BTreeMap<u64, &[usize]> = stamps
+            .iter()
+            .copied()
+            .zip(published.iter().map(|g| g.rows))
+            .collect();
+        for (stamp, group) in next_stamps.iter().zip(next_published.iter()) {
+            match old.get(stamp) {
+                Some(rows) => {
+                    let remapped: Vec<Option<usize>> = rows
+                        .iter()
+                        .map(|&r| match delta.deletes().binary_search(&r) {
+                            Ok(_) => None,
+                            Err(below) => Some(r - below),
+                        })
+                        .collect();
+                    let members: Vec<Option<usize>> =
+                        group.rows.iter().copied().map(Some).collect();
+                    prop_assert!(
+                        members == remapped,
+                        "{name} step {step}: stamp {stamp} carried to another membership"
+                    );
+                    carried += 1;
+                }
+                None => prop_assert!(
+                    !issued.contains(stamp),
+                    "{name} step {step}: retired stamp {stamp} issued again"
+                ),
+            }
+        }
+        issued.extend(unique);
+        table = next;
+        published = next_published;
+        stamps = next_stamps;
+    }
+    Ok(carried)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The stamp contract of `crates/anon/src/strategy.rs`, for every
+    /// strategy, over random delta sequences; each strategy must carry at
+    /// least one stamp over a run (or the contract is vacuous).
+    #[test]
+    fn stamps_follow_the_contract_across_refreshes(
+        rows in 300usize..600,
+        seed in 0u64..1u64 << 48,
+    ) {
+        let table = adult::generate(rows, seed ^ 0x57a3);
+        let requirement: Arc<dyn PrivacyRequirement> = Arc::new(KAnonymity::new(4));
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let carried = [
+            check_stamp_contract(&Mondrian::new(Arc::clone(&requirement)), &table, &mut rng)?,
+            check_stamp_contract(&Bucketize::new(3), &table, &mut rng)?,
+            check_stamp_contract(&FullDomain::new_monotone(requirement), &table, &mut rng)?,
+        ];
+        for (count, algorithm) in carried.iter().zip(ALGORITHMS) {
+            prop_assert!(*count > 0, "{}: no stamp carried over the run", algorithm.name());
         }
     }
 }
