@@ -129,7 +129,7 @@ impl GroupRef<'_> {
     }
 
     /// An owned copy.
-    fn to_group(&self) -> Group {
+    fn to_group(self) -> Group {
         Group {
             rows: self.rows.to_vec(),
             ranges: self.ranges.to_vec(),

@@ -2120,7 +2120,7 @@ mod tests {
             .map(|(qi, p)| (qi.to_vec(), p.clone()))
             .collect();
         let mut bare = PriorModel::from_parts(entries, built.table_distribution().clone()).unwrap();
-        assert!(!bare.folded().is_some());
+        assert!(bare.folded().is_none());
         let dirty = est.refresh_folded(&mut bare, FoldedTable::new(&t), Parallelism::Auto);
         assert_eq!(dirty.len(), built.len());
         assert!(bare.folded().is_some());

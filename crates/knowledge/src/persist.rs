@@ -535,7 +535,7 @@ mod tests {
         assert!(buf.starts_with(MAGIC.as_bytes()));
         let loaded = load_model(buf.as_slice()).unwrap();
         assert_eq!(loaded.len(), bare.len());
-        assert!(!loaded.folded().is_some());
+        assert!(loaded.folded().is_none());
     }
 
     #[test]
