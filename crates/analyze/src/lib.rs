@@ -76,7 +76,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     };
     let library = library.iter().map(read).collect::<io::Result<Vec<_>>>()?;
     let mut corpus = Corpus::default();
-    for (rel, source) in library.iter() {
+    for (rel, source) in &library {
         corpus.add(rel, source);
     }
     for path in &others {
