@@ -1137,14 +1137,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "R7 public surface — a `pub fn` in a library crate needs a non-test \
              caller outside its own file: the same identifier in the non-test code \
              of another `crates/*/src` file (bins and crates/bench included), of \
-             a `crates/*/benches` target, of `examples/` or of `perfbench/src`. Callers in `tests/`, in \
-             `#[cfg(test)]` modules or in doctests do not count, and neither does \
-             the defining file. The match is by name, so a common name hides an \
-             unused function; a dead item \
-             can hide behind a live namesake. The serial twin of an R5 entry point is exempt. Fix by deleting \
-             the item with its tests, or by narrowing it to private or \
-             `pub(crate)`; a test-only item that checks a paper claim keeps a \
-             `// bgk-allow: R7 <reason>` note on the line above its `pub fn`."
+             a `crates/*/benches` target, of `examples/` or of `perfbench/src`. \
+             Callers in `tests/`, in `#[cfg(test)]` modules or in doctests do not \
+             count, and neither does the defining file. The match is by name, so a \
+             dead item can hide behind a live namesake. The serial twin of an R5 \
+             entry point is exempt. Fix by deleting the item with its tests, or by \
+             narrowing it to private or `pub(crate)`; a test-only item that checks \
+             a paper claim keeps a `// bgk-allow: R7 <reason>` note on the line \
+             above its `pub fn`."
         }
         _ => return None,
     })

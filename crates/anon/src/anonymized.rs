@@ -142,7 +142,7 @@ impl GroupRef<'_> {
     /// ancestor in the hierarchy (or the single value). A range with no
     /// codes (`min > max`, only a caller-built [`Group`] can carry one) has
     /// no ancestor and is labelled `[lo,hi]` too.
-    // bgk-allow: R7 the paper's Table I(b) generalized values, checked in tests/tests/paper_examples.rs
+    // bgk-allow: R7 the paper's Table I(b) labels, checked in tests/tests/paper_examples.rs
     pub fn generalized_labels(&self, schema: &Schema) -> Vec<String> {
         self.ranges
             .iter()

@@ -23,12 +23,12 @@
 //!   against pinned versions while the writer re-partitions the next one —
 //!   readers never wait on a delta, writers never wait on an audit.
 //! * **Shared audit caches** — reader audits go through
-//!   [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession)s (one per tenant × auditor configuration),
-//!   whose stamp caches are keyed by partition-tree leaf stamps. Stamps
-//!   survive deltas for every group the delta did not dirty, so a
-//!   steady-state audit recomputes Ω only for the churned slice of the
-//!   partition — the same incremental-audit economics PR 3 built for one
-//!   session, now shared by all readers of a tenant.
+//!   [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession)s (one
+//!   per tenant × auditor configuration), whose stamp caches are keyed by
+//!   partition-tree leaf stamps. Stamps survive deltas for every group the
+//!   delta did not dirty, so a steady-state audit recomputes Ω only for the
+//!   churned slice of the partition — the same incremental-audit economics
+//!   PR 3 built for one session, now shared by all readers of a tenant.
 //!
 //! * **Optional durability** — a hub opened with [`SessionHub::open`] gives
 //!   each tenant a directory under its data root: a genesis file, periodic
@@ -906,12 +906,12 @@ impl SessionHub {
     ///   entry — the version is folded in full. If the hub's cross-tenant
     ///   intern table holds a model of identical provenance, it is shared.
     ///   Otherwise the entry's model is refreshed from the fold difference
-    ///   ([`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)), across any number of
-    ///   unaudited deltas — in place when no other tenant or in-flight
-    ///   reader shares it — and the groups the delta left clean (same leaf
+    ///   ([`refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)),
+    ///   across any number of unaudited deltas — in place when no other
+    ///   tenant or in-flight reader shares it — and the groups the delta left clean (same leaf
     ///   stamp, no row whose prior changed) keep their cached risks
-    ///   ([`SharedAuditSession::carried`](bgkanon_privacy::SharedAuditSession::carried)). Only a tenant with no entry at
-    ///   this `b′` estimates from scratch;
+    ///   ([`carried`](bgkanon_privacy::SharedAuditSession::carried)). Only a
+    ///   tenant with no entry at this `b′` estimates from scratch;
     /// * a reader still holding an older version than the entry's audits
     ///   through a one-off session and leaves the entry alone.
     ///

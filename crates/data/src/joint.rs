@@ -49,7 +49,7 @@ fn decode(code: u32, r2: u32) -> (u32, u32) {
 }
 
 /// Build the product of two sensitive attributes.
-// bgk-allow: R7 the paper's joint treatment of several sensitive attributes (§II.A), shown in this module's example
+// bgk-allow: R7 the paper's joint sensitive attribute (§II.A), this module's example
 pub fn joint_attribute(first: &Attribute, second: &Attribute) -> Result<JointAttribute, DataError> {
     let r1 = first.domain_size();
     let r2 = second.domain_size();
@@ -102,7 +102,7 @@ pub fn joint_attribute(first: &Attribute, second: &Attribute) -> Result<JointAtt
 /// Build a schema whose sensitive attribute is the product of two
 /// attributes, overriding the flat product hierarchy's distance matrix with
 /// the joint semantic distance.
-// bgk-allow: R7 tests/tests/multi_sensitive.rs checks the paper's joint-distribution route (§II.A) end to end
+// bgk-allow: R7 §II.A's joint route, checked end to end in tests/tests/multi_sensitive.rs
 pub fn joint_schema(
     qi: Vec<Attribute>,
     first: &Attribute,

@@ -142,7 +142,7 @@ fn check_semantic_awareness(
 /// Run all five checks. `m` is the sensitive domain size for the identity
 /// sweep; `salary_distances` the 6-value probe matrix for semantic
 /// awareness.
-// bgk-allow: R7 checks the paper's five desiderata (§IV-B.1) in tests/tests/paper_examples.rs
+// bgk-allow: R7 the paper's five desiderata (§IV-B.1), checked in tests/tests/paper_examples.rs
 pub fn check_all(
     measure: &dyn BeliefDistance,
     m: usize,
