@@ -11,7 +11,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
+use bgkanon::data::{
+    adult, Attribute, Delta, DeltaBuilder, Parallelism, Schema, Table, TableBuilder,
+};
 use bgkanon::knowledge::{
     load_model_str, save_model_string, Adversary, Bandwidth, DeletedRows, FoldedTable,
     KernelFamily, PriorEstimator, PriorModel,
@@ -97,7 +99,10 @@ proptest! {
 
     #[test]
     fn sparse_engine_is_bit_identical_to_dense_reference(
-        rows in 30usize..260,
+        // One case in four draws a 1k–3k-row table: enough distinct points
+        // that one estimate mixes grid cells, bitset and posting queries.
+        rows in (0usize..4, 0usize..2000)
+            .prop_map(|(draw, k)| if draw == 0 { 1000 + k } else { 30 + k % 230 }),
         seed in 0u64..1000,
         b in 0.02f64..1.4,
         family_index in 0usize..3,
@@ -581,6 +586,103 @@ fn fold_diff_refresh_of_a_foreign_model_re_estimates_in_full() {
 
 fn assert_same_model(a: &PriorModel, b: &PriorModel) {
     assert_bit_identical(a, b, "deterministic case").expect("models are bit-identical");
+}
+
+#[test]
+fn an_estimate_mixing_grid_and_fallback_queries_is_bit_identical() {
+    // At b = 0.6 the 2,127 points of this table take every neighbour path
+    // in one estimate: 2,109 queries are served by the rest-key grid, 17
+    // by value bitsets and 1 by posting lists. Both the estimate and a
+    // refresh (whose dirty marking asks unordered queries) must match the
+    // dense reference bit for bit.
+    let table = adult::generate(3_000, 42);
+    let mut rng = SmallRng::seed_from_u64(42);
+    let delta = random_delta(&table, &mut rng, 0.01, 20);
+    let next = table.apply_delta(&delta).expect("valid delta");
+    let estimator = PriorEstimator::new(
+        Arc::clone(table.schema()),
+        Bandwidth::uniform(0.6, table.qi_count()).unwrap(),
+    );
+    let dense = estimator.estimate_reference(&table);
+    let dense_next = estimator.estimate_reference(&next);
+    for threads in [1, 3] {
+        let mut model = estimator.estimate_with(&table, Parallelism::threads(threads));
+        assert_same_model(&dense, &model);
+        refresh_across(
+            &estimator,
+            &mut model,
+            &table,
+            &delta,
+            Parallelism::threads(threads),
+        );
+        assert_same_model(&dense_next, &model);
+    }
+}
+
+/// A table whose attribute-`1..d` key space, 50³ = 125,000 keys, is over
+/// the estimator's rest-key grid bound: every query of an estimate over it
+/// takes the inverted index.
+fn wide_key_table(rows: usize, seed: u64) -> Table {
+    let qi = (0..4)
+        .map(|a| Attribute::numeric_range(&format!("A{a}"), 0, if a == 0 { 39 } else { 49 }))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    let sensitive = Attribute::categorical_flat("S", &["s0", "s1", "s2", "s3"]).unwrap();
+    let schema = Arc::new(Schema::new(qi, sensitive).unwrap());
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut builder = TableBuilder::new(Arc::clone(&schema));
+    for _ in 0..rows {
+        let codes = [
+            rng.gen_range(0..40u32),
+            rng.gen_range(0..50u32),
+            rng.gen_range(0..50u32),
+            rng.gen_range(0..50u32),
+        ];
+        // The sensitive value leans on the first two codes.
+        let s = if rng.gen_bool(0.6) {
+            (codes[0] / 10 + codes[1] / 25) % 4
+        } else {
+            rng.gen_range(0..4u32)
+        };
+        builder.push_codes(&codes, s).unwrap();
+    }
+    builder.build().unwrap()
+}
+
+#[test]
+fn a_key_space_over_the_grid_bound_estimates_bit_identically() {
+    let table = wide_key_table(1_500, 3);
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+    for row in 0..table.len() {
+        if rng.gen_bool(0.02) {
+            builder.delete(row);
+        }
+    }
+    for row in 0..10 {
+        builder
+            .insert_codes(&table.qi(row), (table.sensitive_value(row) + 1) % 4)
+            .unwrap();
+    }
+    let delta = builder.build();
+    let next = table.apply_delta(&delta).expect("valid delta");
+    for (family_index, b) in [0.03, 0.2, 0.6].into_iter().enumerate() {
+        let estimator = PriorEstimator::with_family(
+            Arc::clone(table.schema()),
+            Bandwidth::uniform(b, table.qi_count()).unwrap(),
+            family(family_index),
+        );
+        let mut model = estimator.estimate_with(&table, Parallelism::threads(2));
+        assert_same_model(&estimator.estimate_reference(&table), &model);
+        refresh_across(
+            &estimator,
+            &mut model,
+            &table,
+            &delta,
+            Parallelism::threads(2),
+        );
+        assert_same_model(&estimator.estimate_reference(&next), &model);
+    }
 }
 
 #[test]
