@@ -15,7 +15,7 @@
 //! |---|---|
 //! | `baseline` | Mondrian publish (Fig. 4(a)) and the §V.A audit against the kernel `Adv(0.25·1)` and the t-closeness adversary, serial reference engines vs the parallel batched engines |
 //! | `incremental` | a [`PublishSession`] absorbing 1% deltas plus its cached re-audit, vs a from-scratch publish + audit of the same table |
-//! | `estimate` | P̂pri estimation (Fig. 4(b)): dense all-pairs reference vs the sparse engine, and the hub's carried refresh ([`DeletedRows::gather`], [`FoldedTable::evolve`], [`PriorEstimator::refresh_folded`]) vs re-estimation |
+//! | `estimate` | P̂pri estimation (Fig. 4(b)): dense all-pairs reference vs the sparse engine — at `Adv(0.25·1)` and at a bandwidth whose queries take the estimator's inverted-index fallback — and the hub's carried refresh ([`DeletedRows::gather`], [`FoldedTable::evolve`], [`PriorEstimator::refresh_folded`]) vs re-estimation |
 //! | `concurrent` | tenants × reader/writer threads through a [`SessionHub`](bgkanon::SessionHub) vs the serial one-session loop |
 //! | `recovery` | cold `SessionHub::open`: WAL-only replay vs checkpoint + WAL-tail resume |
 //! | `scale` | the serial publish → estimate → audit pipeline at 1M and 10M rows, audits checked against [`Auditor::tuple_risks_reference`] |
@@ -166,7 +166,7 @@ static SCENARIOS: [Scenario; 8] = [
         name: "estimate",
         title: "P̂pri estimation: dense reference vs sparse engine vs carried refresh",
         run: run_estimate_mode,
-        columns: "distinct_points support_density dense_reference_ms sparse_ms \
+        columns: "distinct_points support_density dense_reference_ms sparse_ms sparse_speedup \
                   sparse_parallel_ms sparse_parallel_speedup refresh_speedup_clustered \
                   refresh_speedup_age_band refresh_speedup_scattered",
     },
@@ -751,13 +751,17 @@ fn assert_models_identical(a: &PriorModel, b: &PriorModel, context: &str) {
 /// * `age_band` — `incremental`'s clustered workload: tree-local but not
 ///   kernel-local, since hundreds of distinct QI points change;
 /// * `scattered` — uniform random churn, the worst case for both engines.
+///
+/// After those rows, one row per size times the dense reference against
+/// the one-thread sparse engine at [`FALLBACK_B`].
 fn run_estimate_mode(cfg: &mut Config) -> Vec<Json> {
     cfg.audited();
     let sizes = cfg.picks("sizes", &[1_000], &[10_000, 100_000]);
     let reps = cfg.pick("reps", 1, 3);
-    sizes
-        .into_iter()
-        .map(|rows| {
+    cfg.set("fallback_bandwidth", FALLBACK_B);
+    let mut rows: Vec<Json> = sizes
+        .iter()
+        .map(|&rows| {
             let table = adult::generate(rows, SEED);
             let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth(&table));
             let density = estimator.support_density();
@@ -833,7 +837,37 @@ fn run_estimate_mode(cfg: &mut Config) -> Vec<Json> {
             }
             row(format!("{rows} rows"), true, values)
         })
-        .collect()
+        .collect();
+    rows.extend(sizes.iter().map(|&rows| fallback_row(rows, reps)));
+    rows
+}
+
+/// A bandwidth wide enough that nearly every query of an Adult estimate
+/// takes the estimator's inverted-index fallback instead of its rest-key
+/// grid (at 1k–100k rows, all but 0.1–0.8% of the queries).
+const FALLBACK_B: f64 = 0.7;
+
+/// The dense reference vs the one-thread sparse engine at [`FALLBACK_B`].
+fn fallback_row(rows: usize, reps: usize) -> Json {
+    let table = adult::generate(rows, SEED);
+    let estimator = PriorEstimator::new(
+        Arc::clone(table.schema()),
+        Bandwidth::uniform(FALLBACK_B, table.qi_count()).expect("positive bandwidth"),
+    );
+    let (dense, dense_ms) = best_ms(reps, || estimator.estimate_reference(&table));
+    let (sparse, sparse_ms) = best_ms(reps, || {
+        estimator.estimate_with(&table, Parallelism::threads(1))
+    });
+    assert_models_identical(&dense, &sparse, "dense vs sparse (fallback bandwidth)");
+    let values = keyed(vec![
+        ("rows", rows.into()),
+        ("bandwidth", FALLBACK_B.into()),
+        ("distinct_points", dense.len().into()),
+        ("dense_reference_ms", r3(dense_ms)),
+        ("sparse_ms", r3(sparse_ms)),
+        ("sparse_speedup", r3(dense_ms / sparse_ms)),
+    ]);
+    row(format!("{rows} rows, b' {FALLBACK_B}"), true, values)
 }
 
 /// N tenants × M reader/writer threads through a [`SessionHub`](bgkanon::SessionHub), against
