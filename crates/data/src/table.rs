@@ -245,26 +245,6 @@ impl Table {
         map
     }
 
-    /// Restrict the table to `rows` (in the given order), producing a new
-    /// table sharing the schema.
-    fn subset(&self, rows: &[usize]) -> Table {
-        Table {
-            schema: Arc::clone(&self.schema),
-            cols: self
-                .cols
-                .iter()
-                .map(|col| Arc::new(rows.iter().map(|&r| col[r]).collect()))
-                .collect(),
-            sensitive: Arc::new(rows.iter().map(|&r| self.sensitive[r]).collect()),
-        }
-    }
-
-    /// Take the first `n` rows (or all rows if fewer).
-    pub fn head(&self, n: usize) -> Table {
-        let rows: Vec<usize> = (0..self.len().min(n)).collect();
-        self.subset(&rows)
-    }
-
     /// Assemble from raw, already-validated column buffers (the synthetic
     /// generator and the delta block-copy path).
     pub(crate) fn from_raw_columns(
@@ -523,17 +503,6 @@ mod tests {
         assert!(b.push_chunk(&[vec![5], vec![7]], &[0]).is_err());
         assert!(b.push_chunk(&[vec![5], vec![1]], &[9]).is_err());
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn subset_and_head() {
-        let t = sample();
-        let s = t.subset(&[2, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.sensitive_value(0), 2);
-        assert_eq!(s.qi(1), &[5, 0]);
-        assert_eq!(t.head(3).len(), 3);
-        assert_eq!(t.head(100).len(), 4);
     }
 
     #[test]

@@ -168,15 +168,6 @@ impl Smoother {
         Smoother { weights, m }
     }
 
-    /// Identity smoother (no smoothing); useful to recover plain JS.
-    pub fn identity(m: usize) -> Self {
-        let mut weights = vec![0.0; m * m];
-        for i in 0..m {
-            weights[i * m + i] = 1.0;
-        }
-        Smoother { weights, m }
-    }
-
     /// Smooth a distribution (and renormalize). A thin wrapper over the
     /// slice form the prepared distance uses, so both agree bit for bit.
     fn smooth(&self, p: &Dist) -> Dist {
@@ -313,13 +304,6 @@ mod tests {
             // Self-weight dominates.
             assert!(row[i] >= *row.iter().fold(&0.0, |a, b| if b > a { b } else { a }) - 1e-12);
         }
-    }
-
-    #[test]
-    fn identity_smoother_is_noop() {
-        let s = Smoother::identity(3);
-        let p = d(&[0.2, 0.3, 0.5]);
-        assert!(s.smooth(&p).max_abs_diff(&p) < 1e-15);
     }
 
     #[test]
