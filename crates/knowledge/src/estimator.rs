@@ -929,9 +929,9 @@ struct SupportIndex {
 }
 
 impl SupportIndex {
-    fn build(folded: &FoldedTable, sizes: &[usize]) -> Self {
+    fn build(folded: &FoldedTable, weights: &[SparseWeights]) -> Self {
         SupportIndex {
-            grid: RestGrid::build(folded, sizes),
+            grid: RestGrid::build(folded, weights),
             inverted: OnceLock::new(),
         }
     }
@@ -988,15 +988,16 @@ struct RestGrid {
 }
 
 impl RestGrid {
-    /// The grid over `folded`'s points for attribute domain `sizes`;
-    /// `None` when the key space is over [`GRID_MAX_KEYS`].
-    fn build(folded: &FoldedTable, sizes: &[usize]) -> Option<Self> {
-        let mut strides = vec![0usize; sizes.len()];
+    /// The grid over `folded`'s points, whose attribute domains are those
+    /// of `weights`; `None` when the key space is over [`GRID_MAX_KEYS`].
+    fn build(folded: &FoldedTable, weights: &[SparseWeights]) -> Option<Self> {
+        let mut strides = vec![0usize; weights.len()];
         let mut keys = 1usize;
-        for (stride, &r) in strides.iter_mut().zip(sizes).skip(1).rev() {
+        for (stride, w) in strides.iter_mut().zip(weights).skip(1).rev() {
             *stride = keys;
-            keys = keys.checked_mul(r).filter(|&k| k <= GRID_MAX_KEYS)?;
+            keys = keys.checked_mul(w.size()).filter(|&k| k <= GRID_MAX_KEYS)?;
         }
+        let r0 = weights[0].size();
         let u = folded.len();
         let key_of = |id: usize| -> usize {
             let qi = folded.point_qi(id);
@@ -1008,7 +1009,7 @@ impl RestGrid {
                 .sum()
         };
         let mut offsets = vec![0u32; keys + 1];
-        let mut starts0 = vec![0u32; sizes[0] + 1];
+        let mut starts0 = vec![0u32; r0 + 1];
         for id in 0..u {
             offsets[key_of(id) + 1] += 1;
             starts0[folded.point_qi(id)[0] as usize + 1] += 1;
@@ -1016,7 +1017,7 @@ impl RestGrid {
         for k in 0..keys {
             offsets[k + 1] += offsets[k];
         }
-        for v in 0..sizes[0] {
+        for v in 0..r0 {
             starts0[v + 1] += starts0[v];
         }
         let mut cursor = offsets.clone();
@@ -1561,8 +1562,7 @@ impl PriorEstimator {
             self.schema.qi_count(),
             "QI arity mismatch"
         );
-        let sizes: Vec<usize> = self.weights.iter().map(SparseWeights::size).collect();
-        SupportIndex::build(folded, &sizes)
+        SupportIndex::build(folded, &self.weights)
     }
 
     /// Enumerate the candidate points for query `q` (`buf` and `bits` are
