@@ -35,7 +35,7 @@ pub struct LockSite {
     /// Enclosing function.
     pub function: String,
     /// Lock-class name (`shard`, `tenant-writer`, `published`,
-    /// `reader-caches`, `audit-caches`).
+    /// `reader-caches`, `audit-caches`, `report-memo`, …).
     pub class: &'static str,
     /// Rank in the sanctioned acquisition order (ascending only).
     pub rank: u8,
@@ -69,6 +69,7 @@ pub const LOCK_CLASSES: &[(&str, &str, u8)] = &[
     ("readers", "reader-caches", 6),
     ("caches", "audit-caches", 6),
     ("memo", "audit-caches", 6),
+    ("report_memo", "report-memo", 6),
     ("interned", "intern-table", 7),
 ];
 

@@ -871,8 +871,11 @@ impl SessionHub {
     /// Audit a tenant's current version with an externally supplied
     /// (caller-frozen) auditor, through the tenant's shared reader caches:
     /// any number of threads call this concurrently, and across deltas only
-    /// dirtied groups recompute Ω. Pass the same `Auditor` (or clones
-    /// sharing its `Arc`s) to hit the cache.
+    /// dirtied groups recompute Ω. From the second audit of one version at
+    /// one `t` on, the entry keeps that report, and later audits of the
+    /// version return a copy of it (ARCHITECTURE.md, "The report memo").
+    /// Pass the same `Auditor` (or clones sharing its `Arc`s) to hit the
+    /// cache.
     pub fn audit_with(
         &self,
         tenant: &str,
@@ -896,7 +899,8 @@ impl SessionHub {
     /// but the tenant keeps one cache entry per `b′` and carries it from
     /// version to version instead of re-estimating:
     ///
-    /// * audits of the version the entry holds replay its caches;
+    /// * audits of the version the entry holds replay its caches, and from
+    ///   the second audit at one `t` on, copy the report the entry keeps;
     /// * the first audit of a newer version needs that version's fold.
     ///   When the entry is exactly one version behind, the entry's fold and
     ///   row → point array are evolved by the change record [`apply`](Self::apply)
@@ -1010,8 +1014,9 @@ impl SessionHub {
         }
     }
 
-    /// Recompute the tenant's shared reader-cache bytes
-    /// ([`ReaderCaches::bytes_accounted`]).
+    /// Re-read the tenant's shared reader-cache bytes
+    /// ([`ReaderCaches::bytes_accounted`]: a sum of per-session running
+    /// totals, no walk over cache entries).
     fn recount_readers(&self, entry: &Tenant) {
         self.charge(&entry.reader_bytes, entry.readers.bytes_accounted());
     }

@@ -113,10 +113,19 @@ impl AuditTarget<'_> {
         self.anonymized.iter().map(|g| g.rows).collect()
     }
 
-    /// Audit this version through `shared`, replaying every group it has
-    /// already solved — bit-identical to a fresh [`Auditor::report`].
+    /// Audit this version through `shared`: from the session's report memo
+    /// when this `(version, t)` was audited through it twice already,
+    /// otherwise replaying every group it has already solved
+    /// ([`SharedAuditSession::report_version`]) — bit-identical to a fresh
+    /// [`Auditor::report`].
     pub(crate) fn audit(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
-        shared.report_groups(self.table, &self.group_rows(), Some(self.stamps), t)
+        shared.report_version(
+            self.version,
+            self.table,
+            || self.group_rows(),
+            Some(self.stamps),
+            t,
+        )
     }
 }
 
@@ -351,17 +360,17 @@ impl ReaderCaches {
         relock(self.readers.lock()).clear();
     }
 
-    /// Heap bytes held: each session's caches and row → point array
-    /// (4 B/row). The `Adv(b′)` models are not counted here — the hub
-    /// charges them to its intern table. The sessions are cloned out under
-    /// the brief list guard and summed outside it (each sum takes the
-    /// session's own cache lock).
+    /// Heap bytes held: each session's caches, kept report and row → point
+    /// array (4 B/row). The `Adv(b′)` models are not counted here — the hub
+    /// charges them to its intern table. Each of the at most
+    /// [`READER_CACHE_CAP`] sessions keeps its own running total
+    /// ([`SharedAuditSession::bytes_accounted`]), read under the brief list
+    /// guard without taking the session's locks.
     pub(crate) fn bytes_accounted(&self) -> usize {
-        let sessions: Vec<Arc<SharedAuditSession>> = relock(self.readers.lock())
+        relock(self.readers.lock())
             .iter()
-            .map(|c| Arc::clone(&c.session))
-            .collect();
-        sessions.iter().map(|s| s.bytes_accounted() + 128).sum()
+            .map(|c| c.session.bytes_accounted() + 128)
+            .sum()
     }
 
     /// The retained entries, for tests that inspect them.

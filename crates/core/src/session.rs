@@ -23,7 +23,11 @@
 //!   the fold difference ([`PriorEstimator::refresh_folded`]) and replays
 //!   every group the deltas left clean. `apply` never touches an adversary;
 //!   the caches are the ones [`SessionHub`](crate::SessionHub) readers go
-//!   through, so both share one implementation.
+//!   through, so both share one implementation. Each configuration also
+//!   keeps a one-slot report memo keyed by the session's version (deltas
+//!   applied) and `t`: from the second audit of one version at one `t`
+//!   on, the report is a copy of the kept one
+//!   ([`SharedAuditSession::report_version`](bgkanon_privacy::SharedAuditSession::report_version)).
 //!
 //! The correctness bar, enforced by `tests/tests/incremental.rs`: after
 //! **any** sequence of deltas, [`PublishSession::snapshot`] is bit-identical
@@ -345,8 +349,9 @@ impl PublishSession {
 
     /// Audit the current publication with `auditor`, through this session's
     /// retained audit cache: groups untouched since the last audit with the
-    /// same auditor replay their risks, only dirty groups recompute Ω.
-    /// Bit-identical to a fresh
+    /// same auditor replay their risks, only dirty groups recompute Ω, and
+    /// a third or later audit of one version at one `t` copies the report
+    /// the second kept. Bit-identical to a fresh
     /// [`Auditor::report`](bgkanon_privacy::Auditor::report) on the current
     /// table and groups.
     ///
@@ -389,7 +394,8 @@ impl PublishSession {
 
     /// Heap bytes this session holds resident: the working table, the
     /// strategy state, the current publication, group stamps, and the
-    /// retained audit caches (risk caches and row → point arrays; the
+    /// retained audit caches (risk caches, kept reports and row → point
+    /// arrays, each read from a running total; the
     /// `Adv(b′)` prior models behind them are not counted). The serving hub
     /// rolls this into per-tenant gauges; shared `Arc` payloads are charged
     /// to every holder, making it a deterministic RSS proxy rather than an

@@ -282,17 +282,6 @@ impl TableBuilder {
         }
     }
 
-    /// Start from the rows of an existing table — the append path used by
-    /// publishing sessions to evolve a table without re-encoding it. The
-    /// codes are already validated, so this is one buffer copy per column.
-    pub fn from_table(table: &Table) -> Self {
-        TableBuilder {
-            schema: Arc::clone(table.schema()),
-            cols: table.cols.iter().map(|c| c.to_vec()).collect(),
-            sensitive: table.sensitive.to_vec(),
-        }
-    }
-
     /// Append a row of already-encoded codes.
     pub fn push_codes(&mut self, qi: &[u32], sensitive: u32) -> Result<(), DataError> {
         if qi.len() != self.schema.qi_count() {
@@ -476,19 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_from_table_appends() {
-        let t = sample();
-        let mut b = TableBuilder::from_table(&t);
-        assert_eq!(b.len(), 4);
-        b.push_text(&["30", "F", "HIV"]).unwrap();
-        let u = b.build().unwrap();
-        assert_eq!(u.len(), 5);
-        assert_eq!(u.qi(0), t.qi(0));
-        assert_eq!(u.qi(4), &[10, 0]);
-        assert_eq!(u.sensitive_value(4), 2);
-    }
-
-    #[test]
     fn push_chunk_appends_and_validates() {
         let mut b = TableBuilder::new(schema());
         b.push_chunk(&[vec![5, 40], vec![0, 1]], &[0, 2]).unwrap();
@@ -530,16 +506,6 @@ mod tests {
             );
         }
         assert_eq!(t.sensitive_col().as_ptr(), c.sensitive_col().as_ptr());
-        // A builder seeded from the table gets its own buffers.
-        let mut b = TableBuilder::from_table(&t);
-        b.push_text(&["30", "F", "HIV"]).unwrap();
-        let u = b.build().unwrap();
-        assert_ne!(
-            t.qi_col(0).as_slice().as_ptr(),
-            u.qi_col(0).as_slice().as_ptr()
-        );
-        assert_eq!(t.len(), 4);
-        assert_eq!(u.len(), 5);
     }
 
     #[test]

@@ -151,6 +151,12 @@ impl SparseWeights {
         &self.cols[self.row_ptr[a as usize]..self.row_ptr[a as usize + 1]]
     }
 
+    /// The support list of value `a` with the weight of each entry.
+    fn row(&self, a: u32) -> (&[u32], &[f64]) {
+        let range = self.row_ptr[a as usize]..self.row_ptr[a as usize + 1];
+        (&self.cols[range.clone()], &self.weights[range])
+    }
+
     /// Kernel weight `W[a][b]`, 0.0 outside the support.
     #[inline]
     pub fn weight(&self, a: u32, b: u32) -> f64 {
@@ -1035,25 +1041,27 @@ impl RestGrid {
         })
     }
 
-    /// Collect into `buf` every point whose attribute-`1..d` codes lie in
-    /// `q`'s supports and whose attribute-0 code lies in the hull of `q`'s
-    /// attribute-0 support — every point with nonzero product weight, and
-    /// maybe some more — in ascending id order when `ordered`. `false`,
-    /// with `buf` untouched, when that takes more than [`GRID_MAX_CELLS`]
-    /// cells.
+    /// Collect into `scratch.ids` every point whose attribute-`1..d` codes
+    /// lie in `q`'s supports and whose attribute-0 code lies in the hull of
+    /// `q`'s attribute-0 support — every point with nonzero product weight,
+    /// and maybe some more — in ascending id order when `ordered`, and
+    /// return how many cells were non-empty. `scratch.cell` then holds the
+    /// attribute-`1..d` weights against `q` of the last non-empty cell,
+    /// which are every collected point's when there is one such cell.
+    /// `None`, with `scratch.ids` untouched, when that takes more than
+    /// [`GRID_MAX_CELLS`] cells.
     fn gather(
         &self,
         weights: &[SparseWeights],
         q: &[u32],
-        buf: &mut Vec<u32>,
-        bits: &mut Vec<u64>,
+        scratch: &mut QueryScratch,
         ordered: bool,
-    ) -> bool {
+    ) -> Option<usize> {
         let mut cells = 1usize;
         for (w, &v) in weights.iter().zip(q).skip(1) {
             cells *= w.support(v).len();
             if cells > GRID_MAX_CELLS {
-                return false;
+                return None;
             }
         }
         let (first, last) = weights[0].hull(q[0]);
@@ -1061,17 +1069,19 @@ impl RestGrid {
             self.starts0[first as usize],
             self.starts0[last as usize + 1],
         );
-        buf.clear();
-        let runs = self.walk(weights, q, 1, 0, window, buf);
+        scratch.ids.clear();
+        scratch.path.clear();
+        let runs = self.walk(weights, q, 1, 0, window, scratch);
         if ordered && runs > 1 {
-            sort_ids(buf, bits);
+            sort_ids(&mut scratch.ids, &mut scratch.bits);
         }
-        true
+        Some(runs)
     }
 
     /// Append the cells of `q`'s support product from attribute `attr` on,
-    /// under the partial key `key`, each cut to the id `window`; returns
-    /// the number of non-empty cuts.
+    /// under the partial key `key` and with the weights `scratch.path` of
+    /// attributes `1..attr`, each cut to the id `window`; returns the
+    /// number of non-empty cuts.
     fn walk(
         &self,
         weights: &[SparseWeights],
@@ -1079,24 +1089,45 @@ impl RestGrid {
         attr: usize,
         key: usize,
         window: (u32, u32),
-        buf: &mut Vec<u32>,
+        scratch: &mut QueryScratch,
     ) -> usize {
         if attr == weights.len() {
             let run = &self.ids[self.offsets[key] as usize..self.offsets[key + 1] as usize];
             let start = run.partition_point(|&id| id < window.0);
             let end = run.partition_point(|&id| id < window.1);
-            buf.extend_from_slice(&run[start..end]);
-            return usize::from(end > start);
+            if end == start {
+                return 0;
+            }
+            scratch.ids.extend_from_slice(&run[start..end]);
+            scratch.cell.clone_from(&scratch.path);
+            return 1;
         }
-        weights[attr]
-            .support(q[attr])
-            .iter()
-            .map(|&v| {
-                let key = key + v as usize * self.strides[attr];
-                self.walk(weights, q, attr + 1, key, window, buf)
-            })
-            .sum()
+        let (support, row) = weights[attr].row(q[attr]);
+        let mut runs = 0;
+        for (&v, &w) in support.iter().zip(row) {
+            scratch.path.push(w);
+            let key = key + v as usize * self.strides[attr];
+            runs += self.walk(weights, q, attr + 1, key, window, scratch);
+            scratch.path.pop();
+        }
+        runs
     }
+}
+
+/// One thread's reusable buffers for candidate queries
+/// ([`PriorEstimator::candidates`]).
+#[derive(Default)]
+struct QueryScratch {
+    /// The gathered point ids.
+    ids: Vec<u32>,
+    /// A point-id bitset, all zero between uses ([`sort_ids`], the bitset
+    /// AND pass).
+    bits: Vec<u64>,
+    /// The grid walk's attribute-`1..attr` weights against the query.
+    path: Vec<f64>,
+    /// The attribute-`1..d` weights against the query of the last
+    /// non-empty grid cell.
+    cell: Vec<f64>,
 }
 
 /// Sort the distinct point ids in `buf` ascending by setting them in the
@@ -1186,11 +1217,13 @@ impl Inverted {
     }
 }
 
-/// How a query enumerates the folded points: everything, or an explicitly
-/// gathered id list.
+/// How a query enumerates the folded points: everything, an explicitly
+/// gathered id list, or the ids of one rest-key grid cell with the cell's
+/// attribute-`1..d` weights against the query, in attribute order.
 enum CandidateSet<'a> {
     All,
     List(&'a [u32]),
+    Cell(&'a [u32], &'a [f64]),
 }
 
 /// The estimated prior belief function `P̂pri` of one adversary.
@@ -1555,6 +1588,51 @@ impl PriorEstimator {
         w
     }
 
+    /// [`pair_weight`](Self::pair_weight) of query `q` and point `p` when
+    /// their attribute-`1..d` weights are `cell`: the same factors
+    /// multiplied in the same order, hence the same bits whenever the
+    /// weight is nonzero, and zero exactly when `pair_weight` is.
+    fn cell_weight(&self, q: &[u32], p: &[u32], cell: &[f64]) -> f64 {
+        let mut w = self.weights[0].weight(q[0], p[0]);
+        if w == 0.0 {
+            return 0.0;
+        }
+        for &f in cell {
+            w *= f;
+        }
+        w
+    }
+
+    /// The product weight of `q` and each of `candidates`, in their order,
+    /// handed to `visit` with the point id.
+    fn for_each_weight(
+        &self,
+        q: &[u32],
+        folded: &FoldedTable,
+        candidates: CandidateSet<'_>,
+        mut visit: impl FnMut(usize, f64),
+    ) {
+        match candidates {
+            CandidateSet::All => {
+                for id in 0..folded.len() {
+                    visit(id, self.pair_weight(q, folded.point_qi(id)));
+                }
+            }
+            CandidateSet::List(ids) => {
+                for &id in ids {
+                    let id = id as usize;
+                    visit(id, self.pair_weight(q, folded.point_qi(id)));
+                }
+            }
+            CandidateSet::Cell(ids, cell) => {
+                for &id in ids {
+                    let id = id as usize;
+                    visit(id, self.cell_weight(q, folded.point_qi(id), cell));
+                }
+            }
+        }
+    }
+
     /// Build the [`SupportIndex`] over `folded`'s points.
     fn index(&self, folded: &FoldedTable) -> SupportIndex {
         assert_eq!(
@@ -1565,8 +1643,8 @@ impl PriorEstimator {
         SupportIndex::build(folded, &self.weights)
     }
 
-    /// Enumerate the candidate points for query `q` (`buf` and `bits` are
-    /// reusable scratch). Every point with nonzero product weight is in
+    /// Enumerate the candidate points for query `q` into `scratch`. Every
+    /// point with nonzero product weight is in
     /// the set, and maybe some zero-weight points, which accumulation
     /// skips; with `ordered` the set comes out in ascending point order
     /// (required for bit-identical accumulation — dirty-marking passes
@@ -1574,24 +1652,35 @@ impl PriorEstimator {
     ///
     /// The rest-key grid serves a query whose attribute-`1..d` supports
     /// span at most [`GRID_MAX_CELLS`] cells: every Adult query at
-    /// b ≤ 0.5, and 0.1–0.8% of them at b = 0.7. The rest take the
-    /// inverted index ([`inverted_candidates`](Self::inverted_candidates)).
+    /// b ≤ 0.5, and 0.1–0.8% of them at b = 0.7. When one cell holds every
+    /// candidate (each Adult query at b ≤ 0.3), the set carries the cell's
+    /// attribute-`1..d` weights, so no candidate looks them up again. The
+    /// rest take the inverted index
+    /// ([`inverted_candidates`](Self::inverted_candidates)).
     fn candidates<'a>(
         &self,
         folded: &FoldedTable,
         index: &SupportIndex,
         q: &[u32],
-        buf: &'a mut Vec<u32>,
-        bits: &mut Vec<u64>,
+        scratch: &'a mut QueryScratch,
         ordered: bool,
     ) -> CandidateSet<'a> {
         if let Some(grid) = &index.grid {
-            if grid.gather(&self.weights, q, buf, bits, ordered) {
-                return CandidateSet::List(buf);
+            match grid.gather(&self.weights, q, scratch, ordered) {
+                Some(1) => return CandidateSet::Cell(&scratch.ids, &scratch.cell),
+                Some(_) => return CandidateSet::List(&scratch.ids),
+                None => {}
             }
         }
         let inverted = index.inverted(folded, &self.weights);
-        self.inverted_candidates(folded, inverted, q, buf, bits, ordered)
+        self.inverted_candidates(
+            folded,
+            inverted,
+            q,
+            &mut scratch.ids,
+            &mut scratch.bits,
+            ordered,
+        )
     }
 
     /// The inverted index's side of [`candidates`](Self::candidates):
@@ -1744,8 +1833,7 @@ impl PriorEstimator {
         numer.clear();
         numer.resize(m, 0.0);
         let mut denom = 0.0f64;
-        let mut visit = |id: usize| {
-            let w = self.pair_weight(q, folded.point_qi(id));
+        self.for_each_weight(q, folded, candidates, |id, w| {
             if w > 0.0 {
                 denom += w * f64::from(folded.counts[id]);
                 // Branch-free so the m-wide loop vectorizes. Bit-identical
@@ -1756,11 +1844,7 @@ impl PriorEstimator {
                     *n += w * f64::from(c);
                 }
             }
-        };
-        match candidates {
-            CandidateSet::All => (0..folded.len()).for_each(&mut visit),
-            CandidateSet::List(ids) => ids.iter().for_each(|&id| visit(id as usize)),
-        }
+        });
         denom
     }
 
@@ -1777,18 +1861,16 @@ impl PriorEstimator {
     }
 
     /// One sparse query against a prepared fold + index.
-    #[allow(clippy::too_many_arguments)]
     fn query(
         &self,
         folded: &FoldedTable,
         index: &SupportIndex,
         q: &[u32],
         fallback: &Dist,
-        buf: &mut Vec<u32>,
-        bits: &mut Vec<u64>,
+        scratch: &mut QueryScratch,
         numer: &mut Vec<f64>,
     ) -> Dist {
-        let candidates = self.candidates(folded, index, q, buf, bits, true);
+        let candidates = self.candidates(folded, index, q, scratch, true);
         let denom = self.accumulate(q, folded, candidates, numer);
         self.finalize(numer, denom, fallback)
     }
@@ -1870,8 +1952,7 @@ impl PriorEstimator {
     ) -> (FoldedTable, Dist, Vec<Dist>) {
         let threads = parallelism.effective_threads().min(ids.len().max(1));
         if threads <= 1 {
-            let mut buf = Vec::new();
-            let mut bits = Vec::new();
+            let mut scratch = QueryScratch::default();
             let mut numer = Vec::new();
             let dists = ids
                 .iter()
@@ -1881,8 +1962,7 @@ impl PriorEstimator {
                         &index,
                         folded.point_qi(id as usize),
                         &fallback,
-                        &mut buf,
-                        &mut bits,
+                        &mut scratch,
                         &mut numer,
                     )
                 })
@@ -1898,8 +1978,7 @@ impl PriorEstimator {
                 let chunk = chunk.to_vec();
                 move || {
                     let (folded, index, fallback) = &*shared;
-                    let mut buf = Vec::new();
-                    let mut bits = Vec::new();
+                    let mut scratch = QueryScratch::default();
                     let mut numer = Vec::new();
                     chunk
                         .iter()
@@ -1909,8 +1988,7 @@ impl PriorEstimator {
                                 index,
                                 folded.point_qi(id as usize),
                                 fallback,
-                                &mut buf,
-                                &mut bits,
+                                &mut scratch,
                                 &mut numer,
                             )
                         })
@@ -2041,20 +2119,15 @@ impl PriorEstimator {
         let mut dirty = DirtyPoints::none(folded.len());
         if !changed.is_empty() {
             let index = self.index(&folded);
-            let mut buf = Vec::new();
-            let mut bits = Vec::new();
+            let mut scratch = QueryScratch::default();
             for &key in &changed {
                 // Order is irrelevant for marking — skip the sort.
-                let candidates = self.candidates(&folded, &index, key, &mut buf, &mut bits, false);
-                let mut mark = |id: usize| {
-                    if self.pair_weight(key, folded.point_qi(id)) > 0.0 {
+                let candidates = self.candidates(&folded, &index, key, &mut scratch, false);
+                self.for_each_weight(key, &folded, candidates, |id, w| {
+                    if w > 0.0 {
                         dirty.insert(id);
                     }
-                };
-                match candidates {
-                    CandidateSet::All => (0..folded.len()).for_each(&mut mark),
-                    CandidateSet::List(ids) => ids.iter().for_each(|&id| mark(id as usize)),
-                }
+                });
             }
             drop(old);
             let ids = dirty.ids();
@@ -2097,14 +2170,13 @@ mod tests {
     /// the same private query path the estimator runs per folded point.
     fn query_one(est: &PriorEstimator, folded: &FoldedTable, q: &[u32]) -> Dist {
         let fallback = folded.table_distribution();
-        let (mut buf, mut bits, mut numer) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut scratch, mut numer) = (QueryScratch::default(), Vec::new());
         est.query(
             folded,
             &est.index(folded),
             q,
             &fallback,
-            &mut buf,
-            &mut bits,
+            &mut scratch,
             &mut numer,
         )
     }
@@ -2131,25 +2203,38 @@ mod tests {
             let index = est.index(&folded);
             let grid = index.grid.as_ref().expect("Adult's key space holds a grid");
             let inverted = index.inverted(&folded, &est.weights);
-            let (mut from_grid, mut buf, mut bits) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut grid_scratch, mut buf, mut bits) =
+                (QueryScratch::default(), Vec::new(), Vec::new());
             for id in 0..folded.len() {
                 let q = folded.point_qi(id);
-                if !grid.gather(&est.weights, q, &mut from_grid, &mut bits, true) {
+                let Some(runs) = grid.gather(&est.weights, q, &mut grid_scratch, true) else {
                     continue;
-                }
+                };
                 served += 1;
+                let from_grid = &grid_scratch.ids;
                 assert!(
                     from_grid.windows(2).all(|w| w[0] < w[1]),
                     "b={b}: unordered"
                 );
+                if runs == 1 {
+                    // One cell: its cached weights are every candidate's.
+                    for &p in from_grid {
+                        let p = folded.point_qi(p as usize);
+                        assert_eq!(
+                            est.cell_weight(q, p, &grid_scratch.cell).to_bits(),
+                            est.pair_weight(q, p).to_bits(),
+                            "b={b}, point {id}"
+                        );
+                    }
+                }
                 let from_inverted = match est
                     .inverted_candidates(&folded, inverted, q, &mut buf, &mut bits, true)
                 {
                     CandidateSet::All => (0..u).collect(),
-                    CandidateSet::List(ids) => ids.to_vec(),
+                    CandidateSet::List(ids) | CandidateSet::Cell(ids, _) => ids.to_vec(),
                 };
                 assert_eq!(
-                    survivors(&est, &folded, q, &from_grid),
+                    survivors(&est, &folded, q, from_grid),
                     survivors(&est, &folded, q, &from_inverted),
                     "b={b}, point {id}"
                 );
@@ -2169,21 +2254,15 @@ mod tests {
             );
             let index = est.index(&folded);
             let grid = index.grid.as_ref().expect("Adult's key space holds a grid");
-            let (mut buf, mut bits) = (Vec::new(), Vec::new());
+            let mut scratch = QueryScratch::default();
             let declined = (0..folded.len())
                 .filter(|&id| {
-                    !grid.gather(&est.weights, folded.point_qi(id), &mut buf, &mut bits, true)
+                    grid.gather(&est.weights, folded.point_qi(id), &mut scratch, true)
+                        .is_none()
                 })
                 .count();
             for id in 0..folded.len() {
-                est.candidates(
-                    &folded,
-                    &index,
-                    folded.point_qi(id),
-                    &mut buf,
-                    &mut bits,
-                    true,
-                );
+                est.candidates(&folded, &index, folded.point_qi(id), &mut scratch, true);
             }
             assert_eq!(index.inverted.get().is_some(), declined > 0, "b={b}");
             declined

@@ -27,6 +27,7 @@
 //!   with per-worker scratch buffers. Risks are bit-identical to the
 //!   reference path; `tests/tests/parallel.rs` asserts this.
 
+use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -528,6 +529,12 @@ fn cache_entry_bytes(key_words: usize, risk_count: usize) -> usize {
     key_words * 8 + risk_count * 8 + CACHE_ENTRY_OVERHEAD
 }
 
+/// Estimated owned heap bytes of a report kept in a [`ReportMemo`]: its risk
+/// vector plus the same fixed bookkeeping as a cache entry.
+fn report_bytes(report: &AuditReport) -> usize {
+    cache_entry_bytes(0, report.risks.len())
+}
+
 /// Per-worker scratch buffers of the batched audit engine, borrowing priors
 /// from the shared adversary model for the duration of one audit.
 #[derive(Default)]
@@ -568,11 +575,37 @@ pub struct StampCarry {
     risks: Vec<Option<Arc<Vec<f64>>>>,
 }
 
-/// The caches a [`SharedAuditSession`] protects with its one mutex.
+/// The caches a [`SharedAuditSession`] protects with its `caches` mutex.
 struct SharedCaches {
     memo: WordMap<Vec<u64>, CacheEntry>,
     stamps: WordMap<u64, CacheEntry>,
     generation: u64,
+}
+
+/// The bytes of every entry in `caches`, walked one by one: what the
+/// session's running `cache_bytes` total must equal.
+fn walked_bytes(caches: &SharedCaches) -> usize {
+    let memo: usize = caches
+        .memo
+        .iter() // bgk-allow: R3 order-independent byte sum
+        .map(|(sig, e)| cache_entry_bytes(sig.len(), e.risks.len()))
+        .sum();
+    let stamps: usize = caches
+        .stamps
+        .values() // bgk-allow: R3 order-independent byte sum
+        .map(|e| cache_entry_bytes(1, e.risks.len()))
+        .sum();
+    memo + stamps
+}
+
+/// The one-slot report memo of a [`SharedAuditSession`]
+/// ([`report_version`](SharedAuditSession::report_version)).
+#[derive(Default)]
+struct ReportMemo {
+    /// `(version, t.to_bits())` of the last audit that claimed the slot.
+    key: Option<(u64, u64)>,
+    /// The report of `key`, kept from that key's second audit on.
+    report: Option<Arc<AuditReport>>,
 }
 
 /// A retained audit state for repeated publications of an evolving table,
@@ -599,7 +632,16 @@ struct SharedCaches {
 ///   thread audited the previous version.
 ///
 /// Entries no recent report used are dropped after a grace window, so
-/// dissolved groups do not accumulate.
+/// dissolved groups do not accumulate. The session keeps a running total of
+/// the bytes its entries hold, added at each insert and subtracted in the
+/// sweep, so [`bytes_accounted`](Self::bytes_accounted) reads two counters
+/// instead of walking the caches.
+///
+/// On top of the caches sits a one-slot **report memo** for callers that
+/// audit numbered table versions
+/// ([`report_version`](Self::report_version)): the second audit of one
+/// `(version, t)` keeps its report, and every later one returns a copy of it
+/// without touching the caches.
 ///
 /// A session that audits one fixed table version can be bound to the row →
 /// point array of its model's fold
@@ -641,6 +683,13 @@ pub struct SharedAuditSession {
     /// audited table folds into; empty otherwise.
     row_points: Vec<u32>,
     caches: Mutex<SharedCaches>,
+    /// Bytes of every `caches` entry ([`cache_entry_bytes`]), changed only
+    /// under the `caches` lock.
+    cache_bytes: AtomicUsize,
+    report_memo: Mutex<ReportMemo>,
+    /// Bytes of the report `report_memo` keeps ([`report_bytes`]), changed
+    /// only under the `report_memo` lock.
+    memo_bytes: AtomicUsize,
 }
 
 impl SharedAuditSession {
@@ -669,14 +718,27 @@ impl SharedAuditSession {
     /// and the model a fold of as many rows; audit only that table version
     /// through a bound session.
     pub fn with_row_points(auditor: Auditor, row_points: Vec<u32>) -> Self {
+        Self::with_stamps(auditor, row_points, WordMap::default(), 0)
+    }
+
+    /// A session whose stamp cache starts as `stamps`, holding `bytes`.
+    fn with_stamps(
+        auditor: Auditor,
+        row_points: Vec<u32>,
+        stamps: WordMap<u64, CacheEntry>,
+        bytes: usize,
+    ) -> Self {
         SharedAuditSession {
             auditor,
             row_points,
             caches: Mutex::new(SharedCaches {
                 memo: WordMap::default(),
-                stamps: WordMap::default(),
+                stamps,
                 generation: 0,
             }),
+            cache_bytes: AtomicUsize::new(bytes),
+            report_memo: Mutex::default(),
+            memo_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -707,6 +769,7 @@ impl SharedAuditSession {
         dirty: &DirtyPoints,
     ) -> Self {
         let mut inherited = WordMap::with_capacity_and_hasher(groups.len(), Default::default());
+        let mut bytes = 0;
         for ((rows, &stamp), risks) in groups.iter().zip(stamps).zip(carry.risks) {
             let Some(risks) = risks else {
                 continue;
@@ -716,24 +779,16 @@ impl SharedAuditSession {
                     .iter()
                     .all(|&r| row_points.get(r).is_some_and(|&p| !dirty.contains(p)));
             if clean {
-                inherited.insert(
-                    stamp,
-                    CacheEntry {
+                if let Entry::Vacant(slot) = inherited.entry(stamp) {
+                    bytes += cache_entry_bytes(1, risks.len());
+                    slot.insert(CacheEntry {
                         generation: 0,
                         risks,
-                    },
-                );
+                    });
+                }
             }
         }
-        SharedAuditSession {
-            auditor,
-            row_points,
-            caches: Mutex::new(SharedCaches {
-                memo: WordMap::default(),
-                stamps: inherited,
-                generation: 0,
-            }),
-        }
+        Self::with_stamps(auditor, row_points, inherited, bytes)
     }
 
     /// The row → point array this session is bound to (empty when
@@ -779,40 +834,101 @@ impl SharedAuditSession {
         self.lock_caches().stamps.len()
     }
 
-    /// Heap bytes resident in the session — signature memo, stamp cache
-    /// and row → point array, a deterministic owned-payload estimate taken
-    /// under one brief lock. The adversary model behind the auditor is **not**
-    /// counted here: it is charged to its owner (the hub's intern table
-    /// for `Adv(b')` models, the caller for external auditors), so a
-    /// model shared by many tenants is accounted once.
+    /// Heap bytes resident in the session — signature memo, stamp cache,
+    /// kept report and row → point array, a deterministic owned-payload
+    /// estimate read from the running totals without a lock. The adversary
+    /// model behind the auditor is **not** counted here: it is charged to
+    /// its owner (the hub's intern table for `Adv(b')` models, the caller
+    /// for external auditors), so a model shared by many tenants is
+    /// accounted once.
     pub fn bytes_accounted(&self) -> usize {
-        let caches = self.lock_caches();
-        let memo: usize = caches
-            .memo
-            .iter() // bgk-allow: R3 order-independent byte sum
-            .map(|(sig, e)| cache_entry_bytes(sig.len(), e.risks.len()))
-            .sum();
-        let stamps: usize = caches
-            .stamps
-            .values() // bgk-allow: R3 order-independent byte sum
-            .map(|e| cache_entry_bytes(1, e.risks.len()))
-            .sum();
-        memo + stamps + self.row_points.len() * 4
+        self.cache_bytes.load(Ordering::Relaxed)
+            + self.memo_bytes.load(Ordering::Relaxed)
+            + self.row_points.len() * 4
     }
 
     /// The cache guard, poison-tolerant: a reader that panicked while
     /// holding it may have left the caches half-updated, so a poisoned lock
-    /// is recovered with both caches cleared. Every entry is
-    /// rebuild-on-miss and replays are bit-identical, so the next report
-    /// simply recomputes — one panicked reader never wedges the tenant.
+    /// is recovered with both caches cleared and their byte total reset.
+    /// Every entry is rebuild-on-miss and replays are bit-identical, so the
+    /// next report simply recomputes — one panicked reader never wedges the
+    /// tenant.
     fn lock_caches(&self) -> MutexGuard<'_, SharedCaches> {
         self.caches.lock().unwrap_or_else(|poisoned| {
             self.caches.clear_poison();
             let mut caches = poisoned.into_inner();
             caches.memo.clear();
             caches.stamps.clear();
+            self.cache_bytes.store(0, Ordering::Relaxed);
             caches
         })
+    }
+
+    /// The report-memo guard, recovered from a poisoned lock with the slot
+    /// emptied, like [`lock_caches`](Self::lock_caches).
+    fn lock_report_memo(&self) -> MutexGuard<'_, ReportMemo> {
+        self.report_memo.lock().unwrap_or_else(|poisoned| {
+            self.report_memo.clear_poison();
+            let mut memo = poisoned.into_inner();
+            *memo = ReportMemo::default();
+            self.memo_bytes.store(0, Ordering::Relaxed);
+            memo
+        })
+    }
+
+    /// [`report_groups`](Self::report_groups) of one numbered table
+    /// version, through the session's one-slot report memo. `version`
+    /// names the audited table, groups and stamps: every call with one
+    /// `version` must pass the same inputs. `groups` is only called when
+    /// the memo misses. The slot is keyed by `(version, t.to_bits())`:
+    ///
+    /// * the first audit of a key claims the slot and keeps nothing, so a
+    ///   caller that audits each version once never copies a report;
+    /// * the second audit of the key keeps a copy of its report;
+    /// * every later audit of the key returns a copy of the kept report
+    ///   (the `Arc` is cloned under the lock, the risks copied outside it)
+    ///   and leaves the caches untouched.
+    ///
+    /// A key of a newer version, or of another `t`, claims the slot and
+    /// drops the kept report; an audit of an older version than the slot's
+    /// leaves the slot alone. Every report is bit-identical to
+    /// [`Auditor::report`] of the version.
+    pub fn report_version<'g>(
+        &self,
+        version: u64,
+        table: &Table,
+        groups: impl FnOnce() -> Vec<&'g [usize]>,
+        stamps: Option<&[u64]>,
+        t: f64,
+    ) -> AuditReport {
+        let key = (version, t.to_bits());
+        let (kept, second, dropped) = {
+            let mut memo = self.lock_report_memo();
+            if memo.key == Some(key) {
+                (memo.report.clone(), true, None)
+            } else if memo.key.is_some_and(|(v, _)| v > version) {
+                (None, false, None)
+            } else {
+                memo.key = Some(key);
+                self.memo_bytes.store(0, Ordering::Relaxed);
+                (None, false, memo.report.take())
+            }
+        };
+        drop(dropped);
+        if let Some(kept) = kept {
+            return AuditReport::clone(&kept);
+        }
+        let report = self.report_groups(table, &groups(), stamps, t);
+        if second {
+            let copy = Arc::new(report.clone());
+            let mut memo = self.lock_report_memo();
+            if memo.key == Some(key) && memo.report.is_none() {
+                self.memo_bytes
+                    .store(report_bytes(&copy), Ordering::Relaxed);
+                memo.report = Some(copy);
+            }
+        }
+        report
     }
 
     /// Audit `groups` with threshold `t` through the shared caches —
@@ -888,28 +1004,38 @@ impl SharedAuditSession {
                 None => {
                     let solved = Arc::new(self.auditor.solve_group(rows, &mut scratch));
                     let mut caches = self.lock_caches();
-                    Arc::clone(
-                        &caches
-                            .memo
-                            .entry(scratch.signature.clone())
-                            .or_insert(CacheEntry {
-                                generation,
-                                risks: solved,
-                            })
-                            .risks,
-                    )
+                    match caches.memo.entry(scratch.signature.clone()) {
+                        Entry::Occupied(entry) => Arc::clone(&entry.get().risks),
+                        Entry::Vacant(slot) => {
+                            self.cache_bytes.fetch_add(
+                                cache_entry_bytes(slot.key().len(), solved.len()),
+                                Ordering::Relaxed,
+                            );
+                            Arc::clone(
+                                &slot
+                                    .insert(CacheEntry {
+                                        generation,
+                                        risks: solved,
+                                    })
+                                    .risks,
+                            )
+                        }
+                    }
                 }
             };
             if let Some(stamp) = stamps.map(|s| s[gi]) {
                 let mut caches = self.lock_caches();
-                caches
-                    .stamps
-                    .entry(stamp)
-                    .and_modify(|e| e.generation = generation)
-                    .or_insert(CacheEntry {
-                        generation,
-                        risks: Arc::clone(&solved),
-                    });
+                match caches.stamps.entry(stamp) {
+                    Entry::Occupied(mut entry) => entry.get_mut().generation = generation,
+                    Entry::Vacant(slot) => {
+                        self.cache_bytes
+                            .fetch_add(cache_entry_bytes(1, solved.len()), Ordering::Relaxed);
+                        slot.insert(CacheEntry {
+                            generation,
+                            risks: Arc::clone(&solved),
+                        });
+                    }
+                }
             }
             for (&row, &risk) in rows.iter().zip(solved.iter()) {
                 risks[row] = risk;
@@ -922,12 +1048,27 @@ impl SharedAuditSession {
         {
             let mut caches = self.lock_caches();
             let generation = caches.generation;
-            caches
-                .memo
-                .retain(|_, e| e.generation + Self::MEMO_GRACE >= generation);
-            caches
-                .stamps
-                .retain(|_, e| e.generation + Self::STAMP_GRACE >= generation);
+            let mut freed = 0;
+            caches.memo.retain(|sig, e| {
+                let keep = e.generation + Self::MEMO_GRACE >= generation;
+                if !keep {
+                    freed += cache_entry_bytes(sig.len(), e.risks.len());
+                }
+                keep
+            });
+            caches.stamps.retain(|_, e| {
+                let keep = e.generation + Self::STAMP_GRACE >= generation;
+                if !keep {
+                    freed += cache_entry_bytes(1, e.risks.len());
+                }
+                keep
+            });
+            self.cache_bytes.fetch_sub(freed, Ordering::Relaxed);
+            debug_assert_eq!(
+                self.cache_bytes.load(Ordering::Relaxed),
+                walked_bytes(&caches),
+                "the running cache byte total drifted from its entries"
+            );
         }
         self.auditor.assemble_report(risks, t)
     }
@@ -1315,6 +1456,104 @@ mod tests {
                 bound.bytes_accounted(),
                 unbound.bytes_accounted() + row_points.len() * 4
             );
+        }
+    }
+
+    #[test]
+    fn running_byte_total_matches_a_walk_of_the_entries() {
+        use bgkanon_data::Parallelism;
+        use bgkanon_knowledge::{FoldedTable, PriorEstimator};
+        let t = bgkanon_data::adult::generate(240, 3);
+        let auditor = auditor(&t, 0.3);
+        // A refresh to the same fold: no point dirty, so `carried` keeps
+        // every cached stamp of a group whose rows all have a point.
+        let (fold, row_points) = FoldedTable::with_row_points(&t);
+        let estimator = PriorEstimator::new(
+            Arc::clone(t.schema()),
+            Bandwidth::uniform(0.3, t.qi_count()).unwrap(),
+        );
+        let mut model = estimator.estimate_folded(fold.clone(), Parallelism::Auto);
+        let clean = estimator.refresh_folded(&mut model, fold, Parallelism::Auto);
+        let walk = |session: &SharedAuditSession| {
+            walked_bytes(&session.lock_caches()) + session.row_points.len() * 4
+        };
+        // xorshift64: the draws only pick the sequence.
+        let mut state = 0x6a09_e667_f3bc_c908u64;
+        let mut draw = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        let mut session = Arc::new(SharedAuditSession::new(auditor.clone()));
+        let (mut version, mut groups, mut stamps) = (0u64, Vec::new(), Vec::new());
+        let mut next_stamp = 0u64;
+        for step in 0..160 {
+            // Half the time the same version again; otherwise a new one:
+            // random groups over a random prefix of the rows, some under
+            // stamps seen before and some under fresh ones.
+            if groups.is_empty() || draw(2) == 0 {
+                version += 1;
+                let rows = 20 + draw(t.len() - 20);
+                let size = 2 + draw(6);
+                groups = (0..rows)
+                    .step_by(size)
+                    .map(|start| (start..(start + size).min(rows)).collect::<Vec<usize>>())
+                    .collect();
+                stamps = (0..groups.len())
+                    .map(|g| {
+                        // Only a full group's stamp recurs: equal stamps
+                        // must mean equal members.
+                        if draw(2) == 0 && groups[g].len() == size {
+                            (size * 1_000 + g) as u64
+                        } else {
+                            next_stamp += 1;
+                            1 << 40 | next_stamp
+                        }
+                    })
+                    .collect();
+            }
+            let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+            match draw(10) {
+                // Carry every cached stamp into a successor session.
+                0 => {
+                    let carry = session.carry_stamps(&stamps);
+                    session = Arc::new(SharedAuditSession::carried(
+                        auditor.clone(),
+                        carry,
+                        &slices,
+                        &stamps,
+                        row_points.clone(),
+                        &clean,
+                    ));
+                }
+                // A reader panics holding the caches: the next lock clears
+                // them and resets the total.
+                1 => {
+                    let poisoner = Arc::clone(&session);
+                    let job = move || {
+                        let _guard = poisoner.caches.lock();
+                        panic!("reader panicked while holding the audit caches");
+                    };
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        bgkanon_data::shared_pool().run(vec![job])
+                    }));
+                    assert!(outcome.is_err());
+                }
+                _ => {
+                    let _ =
+                        session.report_version(version, &t, || slices.clone(), Some(&stamps), 0.2);
+                }
+            }
+            // The walk locks first: a poisoned lock is recovered (caches
+            // cleared, total reset) before the total is read.
+            let memo = session
+                .lock_report_memo()
+                .report
+                .as_deref()
+                .map_or(0, report_bytes);
+            let walked = walk(&session) + memo;
+            assert_eq!(session.bytes_accounted(), walked, "step {step}");
         }
     }
 

@@ -103,15 +103,6 @@ impl Dist {
         &self.0
     }
 
-    /// Shannon entropy in nats.
-    pub fn entropy(&self) -> f64 {
-        self.0
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.ln())
-            .sum()
-    }
-
     /// L∞ distance to `other`, handy in tests.
     pub fn max_abs_diff(&self, other: &Dist) -> f64 {
         assert_eq!(self.len(), other.len(), "dimension mismatch");
@@ -192,13 +183,6 @@ mod tests {
     #[should_panic(expected = "point mass index")]
     fn point_mass_bounds_checked() {
         let _ = Dist::point_mass(3, 3);
-    }
-
-    #[test]
-    fn entropy_extremes() {
-        assert_eq!(Dist::point_mass(0, 5).entropy(), 0.0);
-        let u = Dist::uniform(4);
-        assert!((u.entropy() - 4.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -499,3 +499,276 @@ fn evolved_and_fresh_folds_of_equal_content_share_one_model() {
     assert_eq!(after.intern_hits, stats.intern_hits + 1);
     assert_eq!(after.interned_models, 1);
 }
+
+/// The bytes a report memo charges for a kept report of `rows` risks.
+fn memo_bytes(rows: usize) -> usize {
+    rows * 8 + 48
+}
+
+/// `auditor`'s fresh report of `snapshot`'s version at threshold `t`.
+fn fresh_report(auditor: &Auditor, snapshot: &TenantSnapshot, t: f64) -> AuditReport {
+    auditor.report(snapshot.table(), &snapshot.anonymized().row_groups(), t)
+}
+
+#[test]
+fn repeated_audits_of_one_version_are_served_from_the_memo_bit_identically() {
+    // Audits 1, 2 and 3+ of one (version, t) take the three memo paths:
+    // claim the slot, keep the report, serve the kept copy. Each is a
+    // fresh auditor's report, bit for bit; only the second charges bytes.
+    let hub = SessionHub::new();
+    let table = tenant_table(7);
+    hub.register("memo", &table, &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    let snapshot = hub.snapshot("memo").expect("registered");
+    let auditor = tenant_auditor(&table);
+    let fresh = fresh_report(&auditor, &snapshot, THRESHOLD);
+    let mut bytes = Vec::new();
+    for round in 0..4 {
+        let report = hub.audit_with("memo", &auditor, THRESHOLD).expect("audit");
+        assert_same_risks(&report, &fresh, &format!("audit_with #{round}"));
+        assert_eq!(report.threshold.to_bits(), THRESHOLD.to_bits());
+        bytes.push(hub.memory_stats().resident_bytes);
+    }
+    assert_eq!(
+        bytes[1],
+        bytes[0] + memo_bytes(table.len()),
+        "kept on the 2nd"
+    );
+    assert_eq!(bytes[2], bytes[1], "a hit charges nothing");
+    assert_eq!(bytes[3], bytes[1]);
+    let fresh_against = fresh_adversary_report(&snapshot);
+    for round in 0..4 {
+        let report = hub
+            .audit_against("memo", B_PRIME, THRESHOLD)
+            .expect("audit");
+        assert_same_risks(&report, &fresh_against, &format!("audit_against #{round}"));
+    }
+}
+
+#[test]
+fn a_new_threshold_or_version_misses_the_memo() {
+    let hub = SessionHub::new();
+    let table = tenant_table(8);
+    hub.register("keys", &table, &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    let auditor = tenant_auditor(&table);
+    for _ in 0..3 {
+        hub.audit_with("keys", &auditor, THRESHOLD).expect("audit");
+        hub.audit_against("keys", B_PRIME, THRESHOLD)
+            .expect("audit");
+    }
+    // Another t at the same version claims the slot: the kept reports are
+    // dropped, and the reports carry the new threshold's counts.
+    let kept = hub.memory_stats().resident_bytes;
+    let other_t = THRESHOLD / 2.0;
+    let snapshot = hub.snapshot("keys").expect("registered");
+    let with = hub.audit_with("keys", &auditor, other_t).expect("audit");
+    let against = hub.audit_against("keys", B_PRIME, other_t).expect("audit");
+    assert_eq!(
+        hub.memory_stats().resident_bytes,
+        kept - 2 * memo_bytes(table.len()),
+        "both kept reports dropped"
+    );
+    let fresh_with = fresh_report(&auditor, &snapshot, other_t);
+    let fresh_against = fresh_report(&tenant_auditor(snapshot.table()), &snapshot, other_t);
+    for (report, fresh, path) in [
+        (&with, &fresh_with, "audit_with"),
+        (&against, &fresh_against, "audit_against"),
+    ] {
+        assert_same_risks(report, fresh, path);
+        assert_eq!(report.threshold.to_bits(), other_t.to_bits(), "{path}");
+        assert_eq!(report.vulnerable, fresh.vulnerable, "{path}");
+    }
+    // A new version misses both paths, however often the old one was read.
+    for _ in 0..2 {
+        hub.audit_with("keys", &auditor, other_t).expect("audit");
+        hub.audit_against("keys", B_PRIME, other_t).expect("audit");
+    }
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x3e3);
+    hub.apply("keys", &random_delta(&table, &mut rng))
+        .expect("valid delta");
+    let next = hub.snapshot("keys").expect("registered");
+    assert_eq!(next.version(), 1);
+    for round in 0..3 {
+        let with = hub.audit_with("keys", &auditor, other_t).expect("audit");
+        assert_same_risks(
+            &with,
+            &fresh_report(&auditor, &next, other_t),
+            &format!("audit_with of version 1, #{round}"),
+        );
+        let against = hub.audit_against("keys", B_PRIME, other_t).expect("audit");
+        assert_same_risks(
+            &against,
+            &fresh_report(&tenant_auditor(next.table()), &next, other_t),
+            &format!("audit_against of version 1, #{round}"),
+        );
+    }
+}
+
+#[test]
+fn a_one_byte_budget_eviction_clears_the_memo() {
+    // Under a 1-byte budget every request demotes the other tenant, which
+    // on an in-memory hub drops its reader entries, memo slots included.
+    // "cold" has no reader entries, so its demotions move no bytes.
+    let hub = SessionHub::with_budget(1);
+    let publisher = Publisher::new().k_anonymity(K);
+    let table = tenant_table(9);
+    hub.register("hot", &table, &publisher)
+        .expect("satisfiable");
+    hub.register("cold", &tenant_table(10), &publisher)
+        .expect("satisfiable");
+    let auditor = tenant_auditor(&table);
+    let fresh = fresh_report(
+        &auditor,
+        &hub.snapshot("hot").expect("registered"),
+        THRESHOLD,
+    );
+    let audit = |context: &str| {
+        let report = hub.audit_with("hot", &auditor, THRESHOLD).expect("audit");
+        assert_same_risks(&report, &fresh, context);
+        hub.memory_stats().resident_bytes
+    };
+    let claimed = audit("first audit");
+    let kept = audit("second audit");
+    assert_eq!(kept, claimed + memo_bytes(table.len()));
+    assert_eq!(audit("memo hit"), kept);
+    // A request on "cold" demotes "hot": its entry and memo are gone.
+    let evictions = hub.memory_stats().evictions;
+    let cold_auditor = tenant_auditor(&tenant_table(10));
+    hub.audit_with("cold", &cold_auditor, THRESHOLD)
+        .expect("audit");
+    assert!(hub.memory_stats().evictions > evictions);
+    // The slot starts over: claimed again, then kept again, at the same
+    // byte counts as before the eviction.
+    assert_eq!(audit("first audit after eviction"), claimed);
+    assert_eq!(audit("second audit after eviction"), kept);
+    assert_eq!(audit("memo hit after eviction"), kept);
+}
+
+#[test]
+fn readers_of_adjacent_versions_sharing_one_auditor_get_their_own_reports() {
+    // Two pinned versions audited in turn through one external auditor's
+    // session: a key of the older version never rolls the slot back, and
+    // no reader is served the other version's report.
+    let hub = SessionHub::new();
+    let table = tenant_table(11);
+    hub.register("adjacent", &table, &Publisher::new().k_anonymity(K))
+        .expect("satisfiable");
+    let v0 = hub.snapshot("adjacent").expect("registered");
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0xad1);
+    hub.apply("adjacent", &random_delta(&table, &mut rng))
+        .expect("valid delta");
+    let v1 = hub.snapshot("adjacent").expect("registered");
+    let auditor = tenant_auditor(&table);
+    let shared = SharedAuditSession::new(auditor.clone());
+    let audit = |snapshot: &TenantSnapshot| {
+        shared.report_version(
+            snapshot.version(),
+            snapshot.table(),
+            || snapshot.anonymized().iter().map(|g| g.rows).collect(),
+            Some(snapshot.leaf_stamps()),
+            THRESHOLD,
+        )
+    };
+    let fresh = [
+        fresh_report(&auditor, &v0, THRESHOLD),
+        fresh_report(&auditor, &v1, THRESHOLD),
+    ];
+    for (round, order) in [[0, 1], [1, 0], [0, 1], [1, 1], [0, 0], [1, 0]]
+        .iter()
+        .enumerate()
+    {
+        for &version in order {
+            let snapshot = if version == 0 { &v0 } else { &v1 };
+            assert_same_risks(
+                &audit(snapshot),
+                &fresh[version],
+                &format!("round {round}, version {version}"),
+            );
+        }
+    }
+    // Through the hub, concurrent readers of v0 and v1 share this shape:
+    // the hub's own session for the auditor serves each its version.
+    assert_same_risks(
+        &hub.audit_with("adjacent", &auditor, THRESHOLD)
+            .expect("audit"),
+        &fresh[1],
+        "hub audit of version 1",
+    );
+}
+
+#[test]
+fn running_byte_totals_survive_random_insert_sweep_carry_and_clear_sequences() {
+    // A 1-byte budget: every request trims the other tenants' reader
+    // entries (clears), so only the tenant last served holds any. Random
+    // applies (new stamps: inserts; old ones age out: sweeps), audit_with
+    // and audit_against at two thresholds (memo claims, fills and drops;
+    // carried Adv(b′) entries) churn "r0" between trims. In a debug build
+    // every report also checks each session's running total against a
+    // walk of its entries.
+    let hub = SessionHub::with_budget(1);
+    let publisher = Publisher::new().k_anonymity(K);
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0xb17e5);
+    let names = ["r0", "r1", "r2"];
+    let tables: Vec<Table> = (12..15).map(tenant_table).collect();
+    let auditors: Vec<Auditor> = tables.iter().map(tenant_auditor).collect();
+    for (name, table) in names.iter().zip(&tables) {
+        hub.register(name, table, &publisher).expect("satisfiable");
+    }
+    let thresholds = [THRESHOLD, THRESHOLD / 2.0];
+    let audit = |tenant: usize, against: bool, t: f64, context: &str| {
+        let name = names[tenant];
+        let snapshot = hub.snapshot(name).expect("registered");
+        let (report, auditor) = if against {
+            let report = hub.audit_against(name, B_PRIME, t).expect("audit");
+            (report, tenant_auditor(snapshot.table()))
+        } else {
+            let report = hub.audit_with(name, &auditors[tenant], t).expect("audit");
+            (report, auditors[tenant].clone())
+        };
+        assert_same_risks(&report, &fresh_report(&auditor, &snapshot, t), context);
+    };
+    for step in 0..60 {
+        let tenant = if rng.gen_bool(0.8) {
+            0
+        } else {
+            rng.gen_range(1usize..3)
+        };
+        let t = thresholds[usize::from(rng.gen_bool(0.3))];
+        if rng.gen_bool(0.2) {
+            let table = hub
+                .snapshot(names[tenant])
+                .expect("registered")
+                .table()
+                .clone();
+            hub.apply(names[tenant], &random_delta(&table, &mut rng))
+                .expect("valid delta");
+        } else {
+            audit(tenant, rng.gen_bool(0.3), t, &format!("step {step}"));
+        }
+    }
+    // A fixed script on r0: alternating thresholds run a full report each
+    // time, so every entry older than the grace windows is swept; then one
+    // threshold twice keeps a report per configuration. Run once on r0's
+    // churned entries and once on entries a trim has just cleared, the
+    // script must end on the same bytes — which a running total that
+    // drifted anywhere in the churn would not.
+    let script = |context: &str| {
+        for round in 0..12 {
+            for against in [false, true] {
+                audit(0, against, thresholds[round % 2], context);
+            }
+        }
+        for _ in 0..2 {
+            for against in [false, true] {
+                audit(0, against, THRESHOLD, context);
+            }
+        }
+        hub.memory_stats().resident_bytes
+    };
+    let churned = script("script on churned entries");
+    audit(1, false, THRESHOLD, "trim r0");
+    audit(2, false, THRESHOLD, "trim r1");
+    let cleared = script("script on cleared entries");
+    assert_eq!(churned, cleared);
+}
