@@ -61,7 +61,7 @@ fn bench_estimator_stages(c: &mut Criterion) {
         b.iter(|| {
             let mut m = model.clone();
             let deleted = DeletedRows::gather(&table, &delta).unwrap();
-            let evolved = m.folded().unwrap().evolve(&deleted, &delta).unwrap();
+            let evolved = m.folded().evolve(&deleted, &delta).unwrap();
             estimator.refresh_folded(&mut m, evolved.into_folded(), Parallelism::Auto);
             m
         });

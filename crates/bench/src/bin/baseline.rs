@@ -807,7 +807,7 @@ fn run_estimate_mode(cfg: &mut Config) -> Vec<Json> {
                     let (_, ms) = time_ms(|| {
                         let deleted =
                             DeletedRows::gather(&table, &delta).expect("deletes in range");
-                        let folded = model.folded().expect("estimated models keep their fold");
+                        let folded = model.folded();
                         let evolved = folded
                             .evolve(&deleted, &delta)
                             .expect("delta matches the fold");

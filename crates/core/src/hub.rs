@@ -328,10 +328,8 @@ impl InternTable {
                 continue;
             };
             let same = model.family() == family
-                && model
-                    .bandwidth()
-                    .is_some_and(|b| bandwidth_eq(b, bandwidth))
-                && model.folded().is_some_and(|f| f.content_eq(fold));
+                && bandwidth_eq(model.bandwidth(), bandwidth)
+                && model.folded().content_eq(fold);
             if same {
                 return Some(adversary);
             }
@@ -1249,12 +1247,10 @@ impl AdversaryIntern for SessionHub {
     /// share it.
     fn insert(&self, adversary: Adversary) -> Arc<Adversary> {
         let adversary = Arc::new(adversary);
-        let Some((fold, bandwidth, family)) = adversary
-            .prior_model()
-            .and_then(|m| Some((m.folded()?, m.bandwidth()?, m.family())))
-        else {
+        let Some(model) = adversary.prior_model() else {
             return adversary;
         };
+        let (fold, bandwidth, family) = (model.folded(), model.bandwidth(), model.family());
         let key = intern_key(fold, bandwidth, family);
         let mut interned = relock(self.interned.lock());
         if let Some(won) = interned.find(key, fold, bandwidth, family) {

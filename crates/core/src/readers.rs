@@ -87,7 +87,7 @@ impl ReaderCache {
             return None;
         }
         let model = self.session.auditor().adversary().prior_model()?;
-        let evolution = model.folded()?.evolve(deleted, delta)?;
+        let evolution = model.folded().evolve(deleted, delta)?;
         let row_points = evolution.row_points(self.session.row_points(), delta)?;
         let fold = evolution.into_folded();
         (fold.rows() == target.table.len()).then_some((fold, row_points))

@@ -15,15 +15,16 @@
 //!   applied deltas: the version-`K` table, a `strategy <name>` tag, the
 //!   strategy's exported state block (one codec per algorithm, dispatched
 //!   on the session's [`AnyStrategy`](bgkanon_anon::AnyStrategy)), and a
-//!   `priors 0` line. Files written before audit adversaries were
-//!   re-derived on demand may carry `prior-model` blocks after that line
-//!   (the versioned `bgkanon-knowledge::persist` format); recovery still
-//!   parses and validates them, then drops them — the first audit at each
-//!   `b′` re-estimates `Adv(b′)` from the recovered table, bit-identically.
-//!   Untagged v1/v2 checkpoints predate the strategy layer; their tree block
-//!   is byte-identical to the Mondrian strategy's state encoding, so they
-//!   still load — as Mondrian sessions.
+//!   `priors 0` line. No adversary model is stored: the first audit at
+//!   each `b′` re-estimates `Adv(b′)` from the recovered table,
+//!   bit-identically.
 //! * `wal.log` — the append-only delta log ([`crate::wal`]).
+//!
+//! Each text file kind has exactly one format, named by its magic first
+//! line: `bgkanon-genesis v2` and `bgkanon-checkpoint v3`. Any other magic
+//! line — the per-row v1 formats, the untagged v2 checkpoint — and a
+//! checkpoint whose `priors` count is not `0` mark the tenant
+//! unrecoverable with a reason that names the format.
 //!
 //! Both text files end with a `checksum <fnv1a64>` line over everything
 //! before it; a checksum mismatch marks the tenant unrecoverable (a
@@ -48,7 +49,6 @@ use bgkanon_data::hierarchy::HierarchyBuilder;
 use bgkanon_data::{
     Attribute, AttributeKind, DistanceMatrix, Hierarchy, Parallelism, Schema, Table, TableBuilder,
 };
-use bgkanon_knowledge::load_model_str;
 
 use crate::publisher::Publisher;
 use crate::session::PublishSession;
@@ -59,16 +59,9 @@ use crate::wal::{self, fnv1a64, DurabilityOptions, SyncPolicy, WalError};
 /// Genesis-file magic line (v2: columnar table block, one line per
 /// attribute code vector).
 const GENESIS_MAGIC: &str = "bgkanon-genesis v2";
-/// Checkpoint-file magic line (v3: strategy-tagged state block).
-const CHECKPOINT_MAGIC_V3: &str = "bgkanon-checkpoint v3";
-/// Pre-strategy checkpoint magic (v2: columnar table block, untagged
-/// Mondrian tree block) — still loads, as a Mondrian session.
-const CHECKPOINT_MAGIC: &str = "bgkanon-checkpoint v2";
-/// Pre-columnar genesis magic — files in this format still load (their
-/// table block is one `r` line per row).
-const GENESIS_MAGIC_V1: &str = "bgkanon-genesis v1";
-/// Pre-columnar checkpoint magic — still loads.
-const CHECKPOINT_MAGIC_V1: &str = "bgkanon-checkpoint v1";
+/// Checkpoint-file magic line (v3: columnar table block, strategy-tagged
+/// state block).
+const CHECKPOINT_MAGIC: &str = "bgkanon-checkpoint v3";
 
 /// What [`SessionHub::open`](crate::SessionHub::open) found on disk: one
 /// entry per tenant directory, recovered or not.
@@ -285,7 +278,7 @@ pub(crate) fn dir_name_for(tenant: &str) -> String {
 // Table and schema blocks.
 // ---------------------------------------------------------------------------
 
-/// The v2 (columnar) table block: `rows n`, then one `col` line per QI
+/// The columnar table block: `rows n`, then one `col` line per QI
 /// attribute carrying that attribute's whole code vector, then one `sens`
 /// line. Serialization order matches the in-memory columnar layout, so a
 /// checkpoint of a 10M-row table streams each code vector sequentially
@@ -307,44 +300,32 @@ fn push_table_block(out: &mut String, table: &Table) {
     out.push('\n');
 }
 
-/// Parse a table block; `v2` selects the columnar block, `false` the
-/// pre-columnar one-`r`-line-per-row form. Both validate every code against
-/// the schema through the [`TableBuilder`].
-fn parse_table_block(
-    cur: &mut Cursor<'_>,
-    schema: &Arc<Schema>,
-    v2: bool,
-) -> Result<Table, String> {
+/// Parse a columnar table block, validating every code against the schema
+/// through the [`TableBuilder`].
+fn parse_table_block(cur: &mut Cursor<'_>, schema: &Arc<Schema>) -> Result<Table, String> {
     let head = cur.record("rows")?;
     let n: usize = parse_num(head.get(1).copied(), "row count")?;
     let d = schema.qi_count();
     let mut builder = TableBuilder::new(Arc::clone(schema));
-    if v2 {
-        let mut cols: Vec<Vec<u32>> = Vec::with_capacity(d);
-        for a in 0..d {
-            cols.push(cur.codes("col", n, &format!("column {a}"), "qi code")?);
-        }
-        let sens = cur.codes("sens", n, "sensitive column", "sensitive code")?;
-        builder
-            .push_chunk(&cols, &sens)
-            .map_err(|e| format!("line {}: invalid table: {e}", cur.line_no))?;
-    } else {
-        let mut qi = vec![0u32; d];
-        for _ in 0..n {
-            let toks = cur.record("r")?;
-            if toks.len() != d + 2 {
-                return Err(format!("line {}: row has wrong arity", cur.line_no));
-            }
-            for (slot, tok) in qi.iter_mut().zip(&toks[1..=d]) {
-                *slot = parse_num(Some(tok), "qi code")?;
-            }
-            let sensitive = parse_num(Some(toks[d + 1]), "sensitive code")?;
-            builder
-                .push_codes(&qi, sensitive)
-                .map_err(|e| format!("line {}: invalid row: {e}", cur.line_no))?;
-        }
+    let mut cols: Vec<Vec<u32>> = Vec::with_capacity(d);
+    for a in 0..d {
+        cols.push(cur.codes("col", n, &format!("column {a}"), "qi code")?);
     }
+    let sens = cur.codes("sens", n, "sensitive column", "sensitive code")?;
+    builder
+        .push_chunk(&cols, &sens)
+        .map_err(|e| format!("line {}: invalid table: {e}", cur.line_no))?;
     builder.build().map_err(|e| format!("invalid table: {e}"))
+}
+
+/// Check a file's magic first line against the one format its kind has.
+fn expect_magic(cur: &mut Cursor<'_>, kind: &str, magic: &str) -> Result<(), String> {
+    match cur.next(&format!("the {kind} magic"))? {
+        line if line == magic => Ok(()),
+        line => Err(format!(
+            "{kind}: unsupported format `{line}` (only `{magic}` is read)"
+        )),
+    }
 }
 
 fn push_hierarchy_block(out: &mut String, h: &Hierarchy) {
@@ -552,11 +533,7 @@ struct Genesis {
 fn parse_genesis(text: &str) -> Result<Genesis, String> {
     let body = check_trailer(text, "genesis")?;
     let mut cur = Cursor::new(body);
-    let v2 = match cur.next("the genesis magic")? {
-        GENESIS_MAGIC => true,
-        GENESIS_MAGIC_V1 => false,
-        _ => return Err("genesis: unknown format/version".into()),
-    };
+    expect_magic(&mut cur, "genesis", GENESIS_MAGIC)?;
     let toks = cur.record("tenant")?;
     let tenant = unhex_str(toks.get(1).copied().ok_or("missing tenant name")?)?;
     let toks = cur.record("specs")?;
@@ -567,7 +544,7 @@ fn parse_genesis(text: &str) -> Result<Genesis, String> {
     }
     let publisher = Publisher::from_spec_lines(spec_lines).map_err(|e| format!("genesis: {e}"))?;
     let schema = parse_schema_block(&mut cur)?;
-    let table = parse_table_block(&mut cur, &schema, v2)?;
+    let table = parse_table_block(&mut cur, &schema)?;
     Ok(Genesis {
         tenant,
         publisher,
@@ -588,7 +565,7 @@ pub(crate) fn write_checkpoint(
     session: &PublishSession,
 ) -> std::io::Result<()> {
     let mut out = String::new();
-    let _ = writeln!(out, "{CHECKPOINT_MAGIC_V3}");
+    let _ = writeln!(out, "{CHECKPOINT_MAGIC}");
     let _ = writeln!(out, "version {version}");
     let _ = writeln!(out, "strategy {}", session.strategy().name());
     push_table_block(&mut out, session.table());
@@ -605,67 +582,40 @@ pub(crate) fn write_checkpoint(
 
 struct Checkpoint {
     version: u64,
-    /// The strategy tag (v3 files); `None` for untagged v1/v2 files, which
-    /// can only resume Mondrian sessions.
-    strategy: Option<String>,
+    /// The strategy tag.
+    strategy: String,
     table: Table,
     /// The strategy's state block, verbatim — decoded and validated by
     /// [`strategy::import_state`] against the session's strategy, not
-    /// here. For untagged files this is the legacy tree block (including
-    /// its `tree <n>` head line), which is byte-identical to the Mondrian
-    /// strategy's encoding.
+    /// here.
     state_lines: Vec<String>,
 }
 
 fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, String> {
     let body = check_trailer(text, "checkpoint")?;
     let mut cur = Cursor::new(body);
-    let (columnar, tagged) = match cur.next("the checkpoint magic")? {
-        CHECKPOINT_MAGIC_V3 => (true, true),
-        CHECKPOINT_MAGIC => (true, false),
-        CHECKPOINT_MAGIC_V1 => (false, false),
-        _ => return Err("checkpoint: unknown format/version".into()),
-    };
+    expect_magic(&mut cur, "checkpoint", CHECKPOINT_MAGIC)?;
     let toks = cur.record("version")?;
     let version: u64 = parse_num(toks.get(1).copied(), "checkpoint version")?;
-    let strategy = if tagged {
-        let toks = cur.record("strategy")?;
-        match toks.as_slice() {
-            [_, name] => Some((*name).to_owned()),
-            _ => return Err("checkpoint: malformed strategy line".into()),
-        }
-    } else {
-        None
+    let toks = cur.record("strategy")?;
+    let strategy = match toks.as_slice() {
+        [_, name] => (*name).to_owned(),
+        _ => return Err("checkpoint: malformed strategy line".into()),
     };
-    let table = parse_table_block(&mut cur, schema, columnar)?;
+    let table = parse_table_block(&mut cur, schema)?;
+    let head = cur.record("state")?;
+    let n: usize = parse_num(head.get(1).copied(), "state line count")?;
     let mut state_lines = Vec::new();
-    if tagged {
-        let head = cur.record("state")?;
-        let n: usize = parse_num(head.get(1).copied(), "state line count")?;
-        for _ in 0..n {
-            state_lines.push(cur.next("a state line")?.to_owned());
-        }
-    } else {
-        let head = cur.record("tree")?;
-        let n: usize = parse_num(head.get(1).copied(), "tree node count")?;
-        state_lines.push(format!("tree {n}"));
-        for _ in 0..n {
-            state_lines.push(cur.next("a tnode line")?.to_owned());
-        }
+    for _ in 0..n {
+        state_lines.push(cur.next("a state line")?.to_owned());
     }
     let head = cur.record("priors")?;
-    // Prior-model blocks an older writer persisted: validated, then dropped.
     let n_priors: usize = parse_num(head.get(1).copied(), "prior count")?;
-    for _ in 0..n_priors {
-        let toks = cur.record("prior-model")?;
-        let _: f64 = parse_num(toks.get(1).copied(), "prior bandwidth")?;
-        let n_lines: usize = parse_num(toks.get(2).copied(), "prior line count")?;
-        let mut block = String::new();
-        for _ in 0..n_lines {
-            block.push_str(cur.next("a prior-model line")?);
-            block.push('\n');
-        }
-        load_model_str(&block).map_err(|e| format!("checkpoint: embedded prior: {e}"))?;
+    if n_priors != 0 {
+        return Err(format!(
+            "checkpoint: unsupported format: `{CHECKPOINT_MAGIC}` with {n_priors} stored \
+             prior-model block(s) (only `priors 0` is read)"
+        ));
     }
     Ok(Checkpoint {
         version,
@@ -741,25 +691,12 @@ pub(crate) fn recover_tenant_dir(
                 .publisher
                 .strategy(&requirement)
                 .map_err(|e| format!("could not rebuild the strategy: {e}"))?;
-            match ck.strategy.as_deref() {
-                Some(tag) if tag != strategy.name() => {
-                    return Err(format!(
-                        "checkpoint is tagged strategy `{tag}` but the genesis publisher \
-                         selects `{}`",
-                        strategy.name()
-                    ));
-                }
-                // Untagged (pre-v3) checkpoints were written by the
-                // Mondrian-only engine; their tree block only decodes as a
-                // Mondrian state.
-                None if strategy.name() != "mondrian" => {
-                    return Err(format!(
-                        "untagged (pre-v3) checkpoint can only resume a mondrian session, \
-                         but the genesis publisher selects `{}`",
-                        strategy.name()
-                    ));
-                }
-                _ => {}
+            if ck.strategy != strategy.name() {
+                return Err(format!(
+                    "checkpoint is tagged strategy `{}` but the genesis publisher selects `{}`",
+                    ck.strategy,
+                    strategy.name()
+                ));
             }
             let state = strategy::import_state(&strategy, &ck.table, &ck.state_lines)
                 .map_err(|e| format!("checkpoint: {e}"))?;
@@ -988,7 +925,7 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("checkpoint.tbl")).unwrap();
         let ck = parse_checkpoint(&text, table.schema()).unwrap();
         assert_eq!(ck.version, 1);
-        assert_eq!(ck.strategy.as_deref(), Some("mondrian"));
+        assert_eq!(ck.strategy, "mondrian");
         // An audited session still persists no adversary model.
         assert!(text.contains("\npriors 0\n"));
         let requirement = publisher.instantiate(&table).unwrap();
@@ -1078,9 +1015,7 @@ mod tests {
             let genesis = std::fs::read(tenant_dir.join("genesis.tbl")).unwrap();
             let checkpoint = std::fs::read(tenant_dir.join("checkpoint.tbl")).unwrap();
             let name = publisher.spec_lines().join("; ");
-            assert!(
-                checkpoint.starts_with(format!("{CHECKPOINT_MAGIC_V3}\nversion 2\n").as_bytes())
-            );
+            assert!(checkpoint.starts_with(format!("{CHECKPOINT_MAGIC}\nversion 2\n").as_bytes()));
             assert_eq!(fnv1a64(&genesis), genesis_digest, "{name} genesis bytes");
             assert_eq!(
                 fnv1a64(&checkpoint),
@@ -1091,246 +1026,139 @@ mod tests {
         }
     }
 
-    /// Rewrite a current-format persistence file into the pre-columnar v1
-    /// format: v1 magic line, one `r` line per row instead of the
-    /// `col`/`sens` block, no strategy tag or `state` head (checkpoints),
-    /// fresh checksum trailer. This is exactly the file shape the format
-    /// bumps promise to keep loading.
-    fn downgrade_to_v1(path: &Path) {
-        let text = std::fs::read_to_string(path).unwrap();
-        let body = check_trailer(&text, "file").unwrap();
-        let mut lines = body.lines();
-        let mut out = String::new();
-        match lines.next().unwrap() {
-            m if m == GENESIS_MAGIC => out.push_str(GENESIS_MAGIC_V1),
-            m if m == CHECKPOINT_MAGIC_V3 => out.push_str(CHECKPOINT_MAGIC_V1),
-            other => panic!("not a current-format file: magic `{other}`"),
-        }
-        out.push('\n');
-        while let Some(line) = lines.next() {
-            // Strategy tag and state-block head are v3-only records; the
-            // Mondrian state lines they frame are the legacy tree block.
-            if line.starts_with("strategy ") || line.starts_with("state ") {
-                continue;
-            }
-            out.push_str(line);
-            out.push('\n');
-            if let Some(rest) = line.strip_prefix("rows ") {
-                let n: usize = rest.trim().parse().unwrap();
-                // The columnar block: d `col` lines then one `sens` line.
-                let mut cols: Vec<Vec<u32>> = Vec::new();
-                let sens: Vec<u32> = loop {
-                    let l = lines.next().unwrap();
-                    let codes = |body: &str| -> Vec<u32> {
-                        body.split_whitespace()
-                            .map(|t| t.parse().unwrap())
-                            .collect()
-                    };
-                    if let Some(c) = l.strip_prefix("col") {
-                        cols.push(codes(c));
-                    } else if let Some(s) = l.strip_prefix("sens") {
-                        break codes(s);
-                    } else {
-                        panic!("unexpected line inside table block: `{l}`");
-                    }
-                };
-                assert_eq!(sens.len(), n);
-                for r in 0..n {
-                    out.push('r');
-                    for col in &cols {
-                        let _ = write!(out, " {}", col[r]);
-                    }
-                    let _ = writeln!(out, " {}", sens[r]);
-                }
-            }
-        }
-        push_trailer(&mut out);
-        std::fs::write(path, out).unwrap();
-    }
-
-    /// Rewrite a v3 checkpoint into the pre-strategy v2 format: v2 magic,
-    /// no `strategy` tag, no `state` head — the columnar table block and
-    /// the raw tree block as the Mondrian-only engine wrote them.
-    fn downgrade_checkpoint_to_v2(path: &Path) {
-        let text = std::fs::read_to_string(path).unwrap();
-        let body = check_trailer(&text, "file").unwrap();
-        let mut lines = body.lines();
-        let mut out = String::new();
-        assert_eq!(lines.next().unwrap(), CHECKPOINT_MAGIC_V3);
-        out.push_str(CHECKPOINT_MAGIC);
-        out.push('\n');
-        for line in lines {
-            if line.starts_with("strategy ") || line.starts_with("state ") {
-                continue;
-            }
-            out.push_str(line);
-            out.push('\n');
-        }
-        push_trailer(&mut out);
-        std::fs::write(path, out).unwrap();
-    }
-
-    #[test]
-    fn v2_table_block_is_columnar_and_v1_still_parses() {
-        let dir = tmp_dir("v1fmt");
-        let table = adult::generate(80, 9);
-        let publisher = Publisher::new().k_anonymity(3).bt_privacy(0.3, 0.25);
-        write_genesis(&dir, "t", &publisher, &table).unwrap();
-        let path = dir.join("genesis.tbl");
-
-        // The v2 file serializes one line per attribute code vector.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(GENESIS_MAGIC));
-        assert_eq!(
-            text.lines().filter(|l| l.starts_with("col ")).count(),
-            table.qi_count()
-        );
-        assert_eq!(text.lines().filter(|l| l.starts_with("sens ")).count(), 1);
-        assert!(!text.lines().any(|l| l.starts_with("r ")));
-        let v2 = parse_genesis(&text).unwrap();
-        assert_eq!(v2.table.len(), table.len());
-
-        // The same content downgraded to the per-row v1 shape still loads
-        // and decodes identical codes.
-        downgrade_to_v1(&path);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(GENESIS_MAGIC_V1));
-        assert!(!text.lines().any(|l| l.starts_with("col ")));
-        assert_eq!(
-            text.lines().filter(|l| l.starts_with("r ")).count(),
-            table.len()
-        );
-        let v1 = parse_genesis(&text).unwrap();
-        assert_eq!(v1.table.len(), table.len());
-        for r in 0..table.len() {
-            assert_eq!(v1.table.qi(r), table.qi(r));
-            assert_eq!(v1.table.sensitive_value(r), table.sensitive_value(r));
-        }
-        assert_eq!(v1.publisher.spec_lines(), publisher.spec_lines());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_checkpoint_recovers_into_columnar_hub() {
-        use crate::SessionHub;
-        let dir = tmp_dir("v1hub");
-        let opts = DurabilityOptions {
-            checkpoint_every: 2,
-            ..DurabilityOptions::default()
-        };
-        let table = adult::generate(150, 11);
-        let publisher = Publisher::new().k_anonymity(4);
-        let (expected_groups, expected_version) = {
-            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
-            assert!(report.is_clean());
-            hub.register("t", &table, &publisher).unwrap();
-            // Three deltas: the checkpoint lands at version 2, the WAL
-            // keeps version 3 — recovery exercises checkpoint + replay.
-            let mut snap = hub.snapshot("t").unwrap();
-            for step in 0..3u64 {
-                let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
-                b.delete(step as usize * 7);
-                let donors = adult::generate(2, 100 + step);
-                for r in 0..2 {
-                    b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
-                        .unwrap();
-                }
-                snap = hub.apply("t", &b.build()).unwrap();
-            }
-            assert_eq!(snap.version(), 3);
-            let groups: Vec<_> = snap
-                .anonymized()
-                .groups()
-                .iter()
-                .map(|g| (g.rows.clone(), g.ranges.clone(), g.sensitive_counts.clone()))
-                .collect();
-            (groups, snap.version())
-        };
-
-        // Rewrite the tenant's files into the pre-columnar v1 format, as a
-        // hub shut down before the format bump would have left them.
-        let tenant_dir = dir.join(dir_name_for("t"));
-        downgrade_to_v1(&tenant_dir.join("genesis.tbl"));
-        downgrade_to_v1(&tenant_dir.join("checkpoint.tbl"));
-
-        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
-        assert!(report.is_clean(), "{:?}", report.unrecoverable());
-        assert_eq!(report.tenants.len(), 1);
-        assert_eq!(report.tenants[0].from_checkpoint, Some(2));
-        assert_eq!(report.tenants[0].replayed, 1);
-        let snap = hub.snapshot("t").unwrap();
-        assert_eq!(snap.version(), expected_version);
-        // The recovered session serves the exact publication the
-        // pre-downgrade hub served.
-        let groups = snap.anonymized().groups();
-        assert_eq!(groups.len(), expected_groups.len());
-        for (g, (rows, ranges, counts)) in groups.iter().zip(&expected_groups) {
-            assert_eq!(&g.rows, rows);
-            assert_eq!(&g.ranges, ranges);
-            assert_eq!(&g.sensitive_counts, counts);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v2_checkpoint_loads_as_an_untagged_mondrian_session() {
-        use crate::SessionHub;
-        let dir = tmp_dir("v2ckpt");
-        let opts = DurabilityOptions {
-            checkpoint_every: 2,
-            ..DurabilityOptions::default()
-        };
-        let table = adult::generate(150, 12);
-        let publisher = Publisher::new().k_anonymity(4);
-        let expected_groups = {
-            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
-            assert!(report.is_clean());
-            hub.register("t", &table, &publisher).unwrap();
-            let mut snap = hub.snapshot("t").unwrap();
-            for step in 0..3u64 {
-                let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
-                b.delete(step as usize * 5);
-                let donors = adult::generate(2, 200 + step);
-                for r in 0..2 {
-                    b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
-                        .unwrap();
-                }
-                snap = hub.apply("t", &b.build()).unwrap();
-            }
-            assert_eq!(snap.version(), 3);
-            snap.anonymized()
-                .groups()
-                .iter()
-                .map(|g| (g.rows.clone(), g.ranges.clone(), g.sensitive_counts.clone()))
-                .collect::<Vec<_>>()
-        };
-
-        // Strip the checkpoint back to the pre-strategy v2 shape (the
-        // genesis file stays as-is — its format did not change).
-        let tenant_dir = dir.join(dir_name_for("t"));
-        downgrade_checkpoint_to_v2(&tenant_dir.join("checkpoint.tbl"));
-
-        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
-        assert!(report.is_clean(), "{:?}", report.unrecoverable());
-        assert_eq!(report.tenants[0].from_checkpoint, Some(2));
-        assert_eq!(report.tenants[0].replayed, 1);
-        let snap = hub.snapshot("t").unwrap();
-        let groups = snap.anonymized().groups();
-        assert_eq!(groups.len(), expected_groups.len());
-        for (g, (rows, ranges, counts)) in groups.iter().zip(&expected_groups) {
-            assert_eq!(&g.rows, rows);
-            assert_eq!(&g.ranges, ranges);
-            assert_eq!(&g.sensitive_counts, counts);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Re-checksum helper: corrupt a file body semantically but keep the
     /// trailer valid, proving the *semantic* validation rejects it.
     fn rewrap(body: &str) -> String {
         let mut s = body.to_owned();
         push_trailer(&mut s);
         s
+    }
+
+    /// A file in a shape this reader no longer loads, derived from a
+    /// current one and re-checksummed.
+    struct Retired {
+        /// The tenant file it replaces.
+        file: &'static str,
+        text: String,
+        /// What the unrecoverable reason must name.
+        reason: &'static str,
+    }
+
+    /// The retired shapes, from a current genesis and checkpoint: a v1
+    /// genesis, v1 and v2 checkpoints (no strategy tag or state head, as
+    /// the pre-strategy writer left them), and a v3 checkpoint carrying a
+    /// stored `prior-model` block. Recovery stops at the magic line or the
+    /// `priors` count, so the table blocks keep their current layout.
+    fn retired_shapes(genesis: &str, checkpoint: &str) -> Vec<Retired> {
+        let reshape = |text: &str, magic: &str, untag: bool| -> String {
+            let body = check_trailer(text, "file").unwrap();
+            let (_, rest) = body.split_once('\n').unwrap();
+            let mut out = format!("{magic}\n");
+            for line in rest.lines() {
+                if !(untag && (line.starts_with("strategy ") || line.starts_with("state "))) {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+            rewrap(&out)
+        };
+        let body = check_trailer(checkpoint, "checkpoint").unwrap();
+        let with_prior = format!(
+            "{}priors 1\nprior-model 3e-1 1\nbgkanon-prior-model v2\n",
+            body.strip_suffix("priors 0\n").unwrap()
+        );
+        vec![
+            Retired {
+                file: "genesis.tbl",
+                text: reshape(genesis, "bgkanon-genesis v1", false),
+                reason: "unsupported format `bgkanon-genesis v1`",
+            },
+            Retired {
+                file: "checkpoint.tbl",
+                text: reshape(checkpoint, "bgkanon-checkpoint v1", true),
+                reason: "unsupported format `bgkanon-checkpoint v1`",
+            },
+            Retired {
+                file: "checkpoint.tbl",
+                text: reshape(checkpoint, "bgkanon-checkpoint v2", true),
+                reason: "unsupported format `bgkanon-checkpoint v2`",
+            },
+            Retired {
+                file: "checkpoint.tbl",
+                text: rewrap(&with_prior),
+                reason: "1 stored prior-model block",
+            },
+        ]
+    }
+
+    /// Two durable tenants, each checkpointed at version 2 with one WAL
+    /// record above it; then `old`'s file is replaced by retired shape
+    /// `shape`. The reopened hub reports `old` unrecoverable with a reason
+    /// naming the format, and still serves `new` as it was written.
+    fn assert_retired_shape_is_unrecoverable(shape: usize) {
+        use crate::SessionHub;
+        let dir = tmp_dir("retired");
+        let opts = DurabilityOptions {
+            checkpoint_every: 2,
+            ..DurabilityOptions::default()
+        };
+        let publisher = Publisher::new().k_anonymity(4);
+        let written = {
+            let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
+            assert!(report.is_clean());
+            for (i, name) in ["old", "new"].into_iter().enumerate() {
+                let table = adult::generate(120, 30 + i as u64);
+                hub.register(name, &table, &publisher).unwrap();
+                for step in 0..3u64 {
+                    let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
+                    b.delete(step as usize * 7);
+                    let donors = adult::generate(2, 500 + step);
+                    for r in 0..2 {
+                        b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
+                            .unwrap();
+                    }
+                    hub.apply(name, &b.build()).unwrap();
+                }
+            }
+            hub.snapshot("new").unwrap()
+        };
+        let old = dir.join(dir_name_for("old"));
+        let read = |name: &str| std::fs::read_to_string(old.join(name)).unwrap();
+        let retired =
+            retired_shapes(&read("genesis.tbl"), &read("checkpoint.tbl")).swap_remove(shape);
+        std::fs::write(old.join(retired.file), &retired.text).unwrap();
+
+        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
+        let failed = report.unrecoverable();
+        assert_eq!(failed.len(), 1, "{:?}", report.tenants);
+        let reason = failed[0].error.as_deref().unwrap();
+        assert!(reason.contains(retired.reason), "{reason}");
+        assert!(!hub.contains("old"));
+        assert_eq!(report.recovered(), 1);
+        let snap = hub.snapshot("new").unwrap();
+        assert_eq!(snap.version(), written.version());
+        assert_eq!(snap.anonymized(), written.anonymized());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v1_genesis_is_unrecoverable() {
+        assert_retired_shape_is_unrecoverable(0);
+    }
+
+    #[test]
+    fn v1_checkpoint_is_unrecoverable() {
+        assert_retired_shape_is_unrecoverable(1);
+    }
+
+    #[test]
+    fn untagged_v2_checkpoint_is_unrecoverable() {
+        assert_retired_shape_is_unrecoverable(2);
+    }
+
+    #[test]
+    fn checkpoint_with_a_stored_prior_is_unrecoverable() {
+        assert_retired_shape_is_unrecoverable(3);
     }
 
     #[test]
@@ -1365,7 +1193,7 @@ mod tests {
         // path in the recovery integration tests).
         let broken = rewrap(&body.replacen("strategy mondrian", "strategy bucketize", 1));
         let ck = parse_checkpoint(&broken, table.schema()).unwrap();
-        assert_eq!(ck.strategy.as_deref(), Some("bucketize"));
+        assert_eq!(ck.strategy, "bucketize");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1407,121 +1235,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Splice a `priors 1` block — the persisted `Adv(b′)` model an older
-    /// writer emitted — into a v3 checkpoint, with a fresh checksum.
-    fn splice_prior_block(path: &Path, b_prime: f64, block: &str) {
-        let text = std::fs::read_to_string(path).unwrap();
-        let body = check_trailer(&text, "checkpoint").unwrap();
-        assert!(body.ends_with("priors 0\n"), "writers emit no prior blocks");
-        let mut out = body[..body.len() - "priors 0\n".len()].to_owned();
-        let _ = writeln!(out, "priors 1");
-        let _ = writeln!(out, "prior-model {b_prime:.17e} {}", block.lines().count());
-        out.push_str(block);
-        if !block.ends_with('\n') {
-            out.push('\n');
-        }
-        push_trailer(&mut out);
-        std::fs::write(path, out).unwrap();
-    }
-
-    #[test]
-    fn v3_checkpoint_with_a_persisted_prior_recovers_and_audits_identically() {
-        use crate::SessionHub;
-        use bgkanon_knowledge::{save_model_string, Adversary, Bandwidth, PriorEstimator};
-        use bgkanon_privacy::Auditor;
-        use bgkanon_stats::SmoothedJs;
-        let opts = DurabilityOptions {
-            checkpoint_every: 2,
-            ..DurabilityOptions::default()
-        };
-        let table = adult::generate(160, 13);
-        let publisher = Publisher::new().k_anonymity(4);
-        let b_prime = 0.3;
-        let write = |dir: &Path| {
-            let (hub, report) = SessionHub::open_with(dir, opts).unwrap();
-            assert!(report.is_clean());
-            hub.register("t", &table, &publisher).unwrap();
-            for step in 0..3u64 {
-                let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
-                b.delete(step as usize * 11);
-                let donors = adult::generate(2, 300 + step);
-                for r in 0..2 {
-                    b.insert_codes(&donors.qi(r), donors.sensitive_value(r))
-                        .unwrap();
-                }
-                hub.apply("t", &b.build()).unwrap();
-            }
-            hub.audit_against("t", b_prime, 0.2).unwrap()
-        };
-
-        // The checkpoint (version 2) gains the model an older writer would
-        // have persisted: `Adv(b′)` estimated from the checkpointed table.
-        let dir = tmp_dir("v3prior");
-        let written = write(&dir);
-        let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let ck = parse_checkpoint(&text, table.schema()).unwrap();
-        assert_eq!(ck.version, 2);
-        let bandwidth = Bandwidth::uniform(b_prime, table.qi_count()).unwrap();
-        let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-        let model = estimator.estimate(&ck.table);
-        splice_prior_block(&path, b_prime, &save_model_string(&model));
-        assert!(parse_checkpoint(&std::fs::read_to_string(&path).unwrap(), table.schema()).is_ok());
-
-        // Recovery drops the block; the first audit re-derives `Adv(b′)`
-        // and matches the writing hub and a fresh auditor bit for bit.
-        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
-        assert!(report.is_clean(), "{:?}", report.unrecoverable());
-        assert_eq!(report.tenants[0].from_checkpoint, Some(2));
-        let recovered = hub.audit_against("t", b_prime, 0.2).unwrap();
-        let snap = hub.snapshot("t").unwrap();
-        let fresh = Auditor::new(
-            Arc::new(Adversary::kernel(snap.table(), bandwidth)),
-            Arc::new(SmoothedJs::paper_default(
-                snap.table().schema().sensitive_distance(),
-            )),
-        )
-        .report(snap.table(), &snap.anonymized().row_groups(), 0.2);
-        for reference in [&written, &fresh] {
-            assert_eq!(recovered.risks.len(), reference.risks.len());
-            for (x, y) in recovered.risks.iter().zip(&reference.risks) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(
-                recovered.worst_case.to_bits(),
-                reference.worst_case.to_bits()
-            );
-            assert_eq!(recovered.vulnerable, reference.vulnerable);
-        }
-        drop(hub);
-        std::fs::remove_dir_all(&dir).ok();
-
-        // The block is still validated: a damaged model line makes the
-        // checkpoint — and with it the tenant — unrecoverable.
-        let dir = tmp_dir("v3badprior");
-        write(&dir);
-        let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
-        let block = save_model_string(&model).replacen("prior ", "prior x", 1);
-        splice_prior_block(&path, b_prime, &block);
-        let (hub, report) = SessionHub::open_with(&dir, opts).unwrap();
-        assert_eq!(report.unrecoverable().len(), 1);
-        assert!(!hub.contains("t"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Valid files the fuzz properties mutate: for each strategy a genesis
-    /// and a v3 checkpoint (with the strategy that imports its state), plus
-    /// the legacy shapes — a v1 genesis, v1 and v2 checkpoints and a v3
-    /// checkpoint carrying a `prior-model` block.
+    /// Files the fuzz properties mutate: for each strategy a genesis and a
+    /// checkpoint (with the strategy that imports its state), plus the
+    /// retired shapes, which parse to an error.
     struct FuzzSeeds {
         schema: Arc<Schema>,
         genesis: Vec<String>,
         checkpoints: Vec<(String, AnyStrategy)>,
+        retired: Vec<String>,
     }
 
     fn fuzz_seeds() -> &'static FuzzSeeds {
         use crate::publisher::Algorithm;
-        use bgkanon_knowledge::{save_model_string, Bandwidth, PriorEstimator};
         static SEEDS: std::sync::OnceLock<FuzzSeeds> = std::sync::OnceLock::new();
         SEEDS.get_or_init(|| {
             let table = adult::generate(60, 21);
@@ -1536,7 +1261,7 @@ mod tests {
             ];
             let mut genesis = Vec::new();
             let mut checkpoints = Vec::new();
-            for (i, publisher) in publishers.iter().enumerate() {
+            for publisher in &publishers {
                 let dir = tmp_dir("fuzzseed");
                 write_genesis(&dir, "t", publisher, &table).unwrap();
                 let session = publisher.open(&table).unwrap();
@@ -1548,27 +1273,6 @@ mod tests {
                 let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
                 genesis.push(read("genesis.tbl"));
                 checkpoints.push((read("checkpoint.tbl"), strategy()));
-                if i == 0 {
-                    let model = PriorEstimator::new(
-                        Arc::clone(table.schema()),
-                        Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
-                    )
-                    .estimate(&table);
-                    splice_prior_block(
-                        &dir.join("checkpoint.tbl"),
-                        0.3,
-                        &save_model_string(&model),
-                    );
-                    checkpoints.push((read("checkpoint.tbl"), strategy()));
-                    write_checkpoint(&dir, 3, &session).unwrap();
-                    downgrade_checkpoint_to_v2(&dir.join("checkpoint.tbl"));
-                    checkpoints.push((read("checkpoint.tbl"), strategy()));
-                    write_checkpoint(&dir, 3, &session).unwrap();
-                    downgrade_to_v1(&dir.join("checkpoint.tbl"));
-                    checkpoints.push((read("checkpoint.tbl"), strategy()));
-                    downgrade_to_v1(&dir.join("genesis.tbl"));
-                    genesis.push(read("genesis.tbl"));
-                }
                 std::fs::remove_dir_all(&dir).ok();
             }
             for text in &genesis {
@@ -1578,10 +1282,19 @@ mod tests {
                 let ck = parse_checkpoint(text, table.schema()).unwrap();
                 strategy::import_state(strategy, &ck.table, &ck.state_lines).unwrap();
             }
+            let retired: Vec<String> = retired_shapes(&genesis[0], &checkpoints[0].0)
+                .into_iter()
+                .map(|r| r.text)
+                .collect();
+            for text in &retired {
+                assert!(parse_genesis(text).is_err());
+                assert!(parse_checkpoint(text, table.schema()).is_err());
+            }
             FuzzSeeds {
                 schema: Arc::clone(table.schema()),
                 genesis,
                 checkpoints,
+                retired,
             }
         })
     }
@@ -1612,9 +1325,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
 
-        /// Byte edits of valid genesis and checkpoint files (v1–v3, every
-        /// strategy, a persisted prior block), re-checksummed so the edits
-        /// reach the block parsers, give a value or an error — never a panic.
+        /// Byte edits of genesis and checkpoint files (every strategy, and
+        /// every retired shape), re-checksummed so the edits reach the
+        /// block parsers, give a value or an error — never a panic.
         #[test]
         fn mutated_durable_files_never_panic(
             pick in 0usize..64,
@@ -1625,6 +1338,7 @@ mod tests {
             let files: Vec<(&str, &AnyStrategy)> = seeds
                 .genesis
                 .iter()
+                .chain(&seeds.retired)
                 .map(|g| (g.as_str(), &seeds.checkpoints[0].1))
                 .chain(seeds.checkpoints.iter().map(|(c, s)| (c.as_str(), s)))
                 .collect();

@@ -1,5 +1,5 @@
 //! The checkpoint codec for a session's strategy state: what a durable
-//! checkpoint persists between the table block and the prior models.
+//! checkpoint persists between the table block and its `priors 0` line.
 //!
 //! [`export_state`] writes an [`AnyState`] as whitespace-tokenized lines
 //! (one logical record per line, no newlines inside a line);
@@ -8,9 +8,7 @@
 //! algorithm: Mondrian's tree, bucketization's bucket list and full
 //! domain's level frontier. The checkpoint tags the block with the
 //! strategy's [`name()`](bgkanon_anon::AnonymizationStrategy::name) so
-//! recovery rebuilds the right state. Mondrian's encoding is byte-identical
-//! to the pre-strategy v2 checkpoint tree block, which is how untagged
-//! v1/v2 files keep loading (as Mondrian) after the format bump.
+//! recovery rebuilds the right state.
 //!
 //! Import is **validating**: a checkpoint is external input, so each
 //! decoder proves the decoded state is a partition of the checkpointed
@@ -129,7 +127,7 @@ fn expect_consumed(lines: &[String], consumed: usize) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Mondrian: the tree codec (byte-identical to the v2 checkpoint block).
+// Mondrian: the tree codec.
 // ---------------------------------------------------------------------------
 
 /// Semantic validation of an exported tree against its table, so malformed

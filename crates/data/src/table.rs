@@ -283,6 +283,7 @@ impl TableBuilder {
     }
 
     /// Append a row of already-encoded codes.
+    // bgk-allow: R7 §II.A's joint sensitive codes enter a table through it, in tests/tests/multi_sensitive.rs
     pub fn push_codes(&mut self, qi: &[u32], sensitive: u32) -> Result<(), DataError> {
         if qi.len() != self.schema.qi_count() {
             return Err(DataError::ArityMismatch {

@@ -64,28 +64,6 @@ impl KernelFamily {
             KernelFamily::Triangular => Kernel::triangular(b),
         }
     }
-
-    /// Stable lowercase name (used by the persistence format).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelFamily::Epanechnikov => "epanechnikov",
-            KernelFamily::Uniform => "uniform",
-            KernelFamily::Triangular => "triangular",
-        }
-    }
-}
-
-impl std::str::FromStr for KernelFamily {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "epanechnikov" => Ok(KernelFamily::Epanechnikov),
-            "uniform" => Ok(KernelFamily::Uniform),
-            "triangular" => Ok(KernelFamily::Triangular),
-            other => Err(format!("unknown kernel family `{other}`")),
-        }
-    }
 }
 
 /// One attribute's kernel weight table `W[a][b] = K(d(a, b))` in CSR form:
@@ -473,46 +451,6 @@ impl FoldedTable {
             hists,
             hash,
         }
-    }
-
-    /// Rebuild from raw `(codes, histogram)` points (the persistence
-    /// layer's path). Points are sorted; multiplicities, totals and the
-    /// content hash are derived from the histograms. `None` when a point's
-    /// multiplicity or the row count overflows.
-    pub(crate) fn from_points(
-        qi_count: usize,
-        m: usize,
-        mut points: Vec<(Box<[u32]>, Vec<u32>)>,
-    ) -> Option<Self> {
-        points.sort_by(|a, b| a.0.cmp(&b.0));
-        let u = points.len();
-        let mut sensitive_totals = vec![0u64; m];
-        let mut rows = 0usize;
-        let mut qi = Vec::with_capacity(u * qi_count);
-        let mut counts = Vec::with_capacity(u);
-        let mut hists = Vec::with_capacity(u * m);
-        let mut hash = shape_hash(qi_count, m);
-        for (codes, hist) in &points {
-            qi.extend_from_slice(codes);
-            hists.extend_from_slice(hist);
-            hash = hash.wrapping_add(point_hash(codes, hist));
-            let count = hist.iter().try_fold(0u32, |sum, &c| sum.checked_add(c))?;
-            rows = rows.checked_add(count as usize)?;
-            counts.push(count);
-            for (s, &c) in hist.iter().enumerate() {
-                sensitive_totals[s] += u64::from(c);
-            }
-        }
-        Some(FoldedTable {
-            qi_count,
-            m,
-            rows,
-            sensitive_totals,
-            qi,
-            counts,
-            hists,
-            hash,
-        })
     }
 
     /// Number of distinct QI points `u`.
@@ -1239,25 +1177,17 @@ enum CandidateSet<'a> {
 /// through an open-addressing table of point ids, built on the first one.
 #[derive(Debug, Clone)]
 pub struct PriorModel {
-    /// One prior per point, in ascending QI order: aligned with the points
-    /// of `folded`, or with `keys` on a fold-less model.
+    /// One prior per point of `folded`, in ascending QI order.
     priors: Vec<Dist>,
-    /// A fold-less model's sorted QI codes, `len × qi_count` row-major.
-    /// Empty when the model carries its fold, whose points are the keys.
-    keys: Vec<u32>,
-    /// Number of codes per key.
-    qi_count: usize,
     /// QI → point id table, built on the first QI lookup.
     index: OnceLock<PointIndex>,
     /// The whole-table sensitive distribution, used as the zero-weight
     /// fallback (it is also what Eq. 2 degrades to with maximal bandwidth).
     table_distribution: Dist,
-    /// The folded estimation table — present on models built by the
-    /// estimator (and reloaded v2 persisted models), absent on bare
-    /// [`from_parts`](Self::from_parts) models.
-    folded: Option<FoldedTable>,
-    /// Bandwidth the model was estimated with, when known.
-    bandwidth: Option<Bandwidth>,
+    /// The folded estimation table; its points are the model's keys.
+    folded: FoldedTable,
+    /// Bandwidth the model was estimated with.
+    bandwidth: Bandwidth,
     /// Kernel family the model was estimated with.
     family: KernelFamily,
 }
@@ -1280,45 +1210,6 @@ fn qi_hash(qi: &[u32]) -> u64 {
 }
 
 impl PriorModel {
-    /// Assemble a model from `(QI codes, prior)` entries and the table
-    /// distribution (the legacy persistence format and tests use this;
-    /// prefer [`PriorEstimator::estimate`]). Entries are sorted by codes;
-    /// of two entries with equal codes the later one wins. The result has
-    /// no folded table, so [`PriorEstimator::refresh_folded`] re-estimates
-    /// it in full. `None` when the entries' codes differ in length.
-    pub fn from_parts(
-        mut entries: Vec<(Vec<u32>, Dist)>,
-        table_distribution: Dist,
-    ) -> Option<Self> {
-        let qi_count = entries.first().map_or(0, |(qi, _)| qi.len());
-        if entries.iter().any(|(qi, _)| qi.len() != qi_count) {
-            return None;
-        }
-        // Stable: equal codes keep their input order, so the last wins.
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut keys: Vec<u32> = Vec::with_capacity(entries.len() * qi_count);
-        let mut priors: Vec<Dist> = Vec::with_capacity(entries.len());
-        for (qi, prior) in entries {
-            match priors.last_mut() {
-                Some(last) if keys[keys.len() - qi_count..] == qi[..] => *last = prior,
-                _ => {
-                    keys.extend_from_slice(&qi);
-                    priors.push(prior);
-                }
-            }
-        }
-        Some(PriorModel {
-            priors,
-            keys,
-            qi_count,
-            index: OnceLock::new(),
-            table_distribution,
-            folded: None,
-            bandwidth: None,
-            family: KernelFamily::default(),
-        })
-    }
-
     /// A refreshable model from priors aligned with `folded`'s points.
     fn with_fold(
         priors: Vec<Dist>,
@@ -1329,51 +1220,11 @@ impl PriorModel {
     ) -> Self {
         PriorModel {
             priors,
-            keys: Vec::new(),
-            qi_count: folded.qi_count(),
             index: OnceLock::new(),
-            table_distribution,
-            folded: Some(folded),
-            bandwidth: Some(bandwidth),
-            family,
-        }
-    }
-
-    /// Assemble a refreshable model from `(QI codes, prior)` entries (the
-    /// v2 persistence path). `None` unless the entries' codes are exactly
-    /// the points of `folded`, one entry per point.
-    pub(crate) fn from_parts_folded(
-        mut entries: Vec<(Vec<u32>, Dist)>,
-        folded: FoldedTable,
-        bandwidth: Bandwidth,
-        family: KernelFamily,
-    ) -> Option<Self> {
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let aligned = entries.len() == folded.len()
-            && entries
-                .iter()
-                .enumerate()
-                .all(|(i, (qi, _))| folded.point_qi(i) == qi.as_slice());
-        if !aligned {
-            return None;
-        }
-        let priors = entries.into_iter().map(|(_, prior)| prior).collect();
-        let table_distribution = folded.table_distribution();
-        Some(Self::with_fold(
-            priors,
             table_distribution,
             folded,
             bandwidth,
             family,
-        ))
-    }
-
-    /// QI codes of point `id`.
-    #[inline]
-    fn key(&self, id: usize) -> &[u32] {
-        match &self.folded {
-            Some(folded) => folded.point_qi(id),
-            None => &self.keys[id * self.qi_count..(id + 1) * self.qi_count],
         }
     }
 
@@ -1381,7 +1232,7 @@ impl PriorModel {
         let mut slots = vec![VACANT; (2 * self.priors.len()).next_power_of_two()];
         let mask = slots.len() - 1;
         for id in 0..self.priors.len() {
-            let mut s = qi_hash(self.key(id)) as usize & mask;
+            let mut s = qi_hash(self.folded.point_qi(id)) as usize & mask;
             while slots[s] != VACANT {
                 s = (s + 1) & mask;
             }
@@ -1404,7 +1255,7 @@ impl PriorModel {
             if id == VACANT {
                 return None;
             }
-            if self.key(id as usize) == qi {
+            if self.folded.point_qi(id as usize) == qi {
                 return Some(id as usize);
             }
             s = (s + 1) & mask;
@@ -1436,18 +1287,17 @@ impl PriorModel {
         &self.table_distribution
     }
 
-    /// The folded estimation table, when the model carries one.
-    pub fn folded(&self) -> Option<&FoldedTable> {
-        self.folded.as_ref()
+    /// The folded estimation table the model was estimated from.
+    pub fn folded(&self) -> &FoldedTable {
+        &self.folded
     }
 
-    /// Bandwidth provenance, when known.
-    pub fn bandwidth(&self) -> Option<&Bandwidth> {
-        self.bandwidth.as_ref()
+    /// Bandwidth provenance.
+    pub fn bandwidth(&self) -> &Bandwidth {
+        &self.bandwidth
     }
 
-    /// Kernel-family provenance ([`KernelFamily::Epanechnikov`] when
-    /// unknown).
+    /// Kernel-family provenance.
     pub fn family(&self) -> KernelFamily {
         self.family
     }
@@ -1462,18 +1312,18 @@ impl PriorModel {
         self.priors.is_empty()
     }
 
-    /// Iterate over `(qi, prior)` pairs in ascending QI order — for a
-    /// model with a fold, point by point.
+    /// Iterate over `(qi, prior)` pairs in ascending QI order, point by
+    /// point of the fold.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &Dist)> {
         self.priors
             .iter()
             .enumerate()
-            .map(|(id, prior)| (self.key(id), prior))
+            .map(|(id, prior)| (self.folded.point_qi(id), prior))
     }
 
     /// Heap bytes resident in this model: one `m`-ary distribution per
-    /// point (keys are the fold's points, or a flat code array on a
-    /// fold-less model), the table distribution, the retained fold and,
+    /// point, the table distribution, the retained fold (whose points are
+    /// the keys) and,
     /// once a QI lookup has built it, the point index. The accounting hook
     /// the serving hub's memory budget rolls up per tenant (and the intern
     /// table reports once per *shared* model); a deterministic
@@ -1482,9 +1332,8 @@ impl PriorModel {
         let m = self.table_distribution.len();
         let per_prior = m * 8 + std::mem::size_of::<Dist>();
         self.priors.len() * per_prior
-            + self.keys.len() * 4
             + m * 8
-            + self.folded.as_ref().map_or(0, FoldedTable::bytes_accounted)
+            + self.folded.bytes_accounted()
             + self.index.get().map_or(0, |index| index.slots.len() * 4)
             + 64
     }
@@ -1543,16 +1392,6 @@ impl PriorEstimator {
             family,
             weights,
         }
-    }
-
-    /// The bandwidth vector `B`.
-    pub fn bandwidth(&self) -> &Bandwidth {
-        &self.bandwidth
-    }
-
-    /// The kernel family in use.
-    pub fn family(&self) -> KernelFamily {
-        self.family
     }
 
     /// Heap bytes of the CSR kernel weight tables — the estimator's only
@@ -2047,9 +1886,9 @@ impl PriorEstimator {
     /// `folded`, and retains `folded` as its fold.
     ///
     /// Returns the points whose prior was recomputed, indexed like
-    /// `folded`. A model that carries no fold, or was estimated with
-    /// another bandwidth or kernel family, is re-estimated in full and
-    /// every point is reported dirty.
+    /// `folded`. A model estimated with another bandwidth or kernel family,
+    /// or over another schema shape, is re-estimated in full and every
+    /// point is reported dirty.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -2084,23 +1923,21 @@ impl PriorEstimator {
         folded: FoldedTable,
         parallelism: Parallelism,
     ) -> DirtyPoints {
+        let old = &model.folded;
         let same_provenance = model.family == self.family
-            && model.bandwidth.as_ref() == Some(&self.bandwidth)
-            && model
-                .folded
-                .as_ref()
-                .is_some_and(|old| old.qi_count == folded.qi_count && old.m == folded.m);
-        match model.folded.take() {
-            Some(old) if same_provenance => self.refresh_changed(model, old, folded, parallelism),
-            _ => {
-                *model = self.estimate_folded(folded, parallelism);
-                DirtyPoints::all(model.len())
-            }
+            && model.bandwidth == self.bandwidth
+            && old.qi_count == folded.qi_count
+            && old.m == folded.m;
+        if same_provenance {
+            self.refresh_changed(model, folded, parallelism)
+        } else {
+            *model = self.estimate_folded(folded, parallelism);
+            DirtyPoints::all(model.len())
         }
     }
 
     /// The refresh core behind [`refresh_folded`](Self::refresh_folded):
-    /// `old` is the fold `model` was estimated on and `folded` the new one.
+    /// `folded` replaces the fold `model` was estimated on.
     /// One merge of the two point arrays finds the changed QI combinations
     /// and moves every surviving prior to its new point id. Compact kernel
     /// support means only priors within the (symmetric) product-kernel
@@ -2110,12 +1947,12 @@ impl PriorEstimator {
     fn refresh_changed(
         &self,
         model: &mut PriorModel,
-        old: FoldedTable,
         mut folded: FoldedTable,
         parallelism: Parallelism,
     ) -> DirtyPoints {
         model.index = OnceLock::new();
-        let (changed, mut priors) = old.merge_priors(&folded, std::mem::take(&mut model.priors));
+        let priors = std::mem::take(&mut model.priors);
+        let (changed, mut priors) = model.folded.merge_priors(&folded, priors);
         let mut dirty = DirtyPoints::none(folded.len());
         if !changed.is_empty() {
             let index = self.index(&folded);
@@ -2129,7 +1966,6 @@ impl PriorEstimator {
                     }
                 });
             }
-            drop(old);
             let ids = dirty.ids();
             let fallback = folded.table_distribution();
             let (back, fallback, dists) =
@@ -2146,7 +1982,7 @@ impl PriorEstimator {
         match priors.into_iter().collect::<Option<Vec<Dist>>>() {
             Some(priors) => {
                 model.priors = priors;
-                model.folded = Some(folded);
+                model.folded = folded;
                 dirty
             }
             None => {
@@ -2306,8 +2142,8 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9);
             assert!(p.as_slice().iter().all(|&x| x >= 0.0));
         }
-        assert!(model.folded().is_some());
-        assert_eq!(model.bandwidth().unwrap().get(0), 0.3);
+        assert_eq!(model.folded().rows(), t.len());
+        assert_eq!(model.bandwidth().get(0), 0.3);
     }
 
     #[test]
@@ -2373,7 +2209,7 @@ mod tests {
         }
         let delta = b.build();
         let deleted = DeletedRows::gather(&t, &delta).unwrap();
-        let evolved = model.folded().unwrap().evolve(&deleted, &delta).unwrap();
+        let evolved = model.folded().evolve(&deleted, &delta).unwrap();
         let dirty = est.refresh_folded(&mut model, evolved.into_folded(), Parallelism::threads(2));
         assert!(!dirty.is_empty());
 
@@ -2407,7 +2243,7 @@ mod tests {
         let before = model.clone();
         let empty = DeltaBuilder::new(Arc::clone(t.schema())).build();
         let deleted = DeletedRows::gather(&t, &empty).unwrap();
-        let evolved = model.folded().unwrap().evolve(&deleted, &empty).unwrap();
+        let evolved = model.folded().evolve(&deleted, &empty).unwrap();
         let dirty = est.refresh_folded(&mut model, evolved.into_folded(), Parallelism::Auto);
         assert!(dirty.is_empty());
         assert_eq!(model.len(), before.len());
@@ -2432,28 +2268,9 @@ mod tests {
         // Table::apply_delta rejects the same delta with EmptyTable.
         assert!(t.apply_delta(&delta).is_err());
         let deleted = DeletedRows::gather(&t, &delta).unwrap();
-        let folded = model.folded().unwrap();
+        let folded = model.folded();
         assert!(folded.evolve(&deleted, &delta).is_none());
         assert_eq!(folded.rows(), t.len());
-    }
-
-    #[test]
-    fn from_parts_model_is_re_estimated_in_full() {
-        let t = hospital();
-        let est = PriorEstimator::new(Arc::clone(t.schema()), Bandwidth::uniform(0.3, 2).unwrap());
-        let built = est.estimate(&t);
-        let entries = built
-            .iter()
-            .map(|(qi, p)| (qi.to_vec(), p.clone()))
-            .collect();
-        let mut bare = PriorModel::from_parts(entries, built.table_distribution().clone()).unwrap();
-        assert!(bare.folded().is_none());
-        let dirty = est.refresh_folded(&mut bare, FoldedTable::new(&t), Parallelism::Auto);
-        assert_eq!(dirty.len(), built.len());
-        assert!(bare.folded().is_some());
-        for (qi, p) in built.iter() {
-            assert_eq!(p.as_slice(), bare.prior(qi).unwrap().as_slice());
-        }
     }
 
     #[test]
@@ -2656,14 +2473,6 @@ mod tests {
             KernelFamily::Triangular.kernel(0.5),
             Kernel::triangular(0.5)
         );
-        for f in [
-            KernelFamily::Epanechnikov,
-            KernelFamily::Uniform,
-            KernelFamily::Triangular,
-        ] {
-            assert_eq!(f.as_str().parse::<KernelFamily>().unwrap(), f);
-        }
-        assert!("gaussian".parse::<KernelFamily>().is_err());
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub mod bandwidth;
 pub mod calibrate;
 pub mod estimator;
 pub mod mining;
-pub mod persist;
 
 pub use adversary::Adversary;
 pub use bandwidth::Bandwidth;
@@ -33,4 +32,3 @@ pub use estimator::{
     PriorEstimator, PriorModel, SparseWeights,
 };
 pub use mining::{mine_negative_rules, MiningConfig, NegativeRule, Pattern};
-pub use persist::{load_model, load_model_str, save_model, save_model_string};

@@ -802,7 +802,7 @@ impl SharedAuditSession {
     fn point_priors(&self, table: &Table) -> Option<(&PriorModel, &[u32])> {
         let model = self.auditor.adversary.prior_model()?;
         let rows = self.row_points.len();
-        let bound = rows == table.len() && model.folded().is_some_and(|f| f.rows() == rows);
+        let bound = rows == table.len() && model.folded().rows() == rows;
         bound.then_some((model.as_ref(), self.row_points.as_slice()))
     }
 

@@ -1,5 +1,5 @@
-//! Advanced knowledge modeling: rule mining, relational adversaries,
-//! bandwidth calibration and prior-model caching.
+//! Advanced knowledge modeling: rule mining, relational adversaries and
+//! bandwidth calibration.
 //!
 //! Demonstrates the extensions the paper's text motivates beyond the core
 //! evaluation: Injector-style negative association rules (§II.B), the
@@ -13,9 +13,7 @@
 use bgkanon::inference::{relational_posteriors, RelationalKnowledge};
 use bgkanon::knowledge::calibrate::{attribute_diagnostics, suggest_skyline};
 use bgkanon::knowledge::mining::{mine_negative_rules, verify_subsumption, MiningConfig};
-use bgkanon::knowledge::{load_model, save_model, PriorEstimator};
 use bgkanon::prelude::*;
-use std::sync::Arc;
 
 fn main() {
     let table = bgkanon::data::adult::generate(5_000, 42);
@@ -66,25 +64,5 @@ fn main() {
         "P(value0 | t2): independent tuples {:.3} → with 'not both' constraint {:.3}",
         plain[2].get(0),
         constrained[2].get(0)
-    );
-
-    // 4. Cache an estimated prior model and reload it.
-    println!("\n=== prior-model persistence ===");
-    let estimator = PriorEstimator::new(
-        Arc::clone(table.schema()),
-        Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
-    );
-    let model = estimator.estimate(&table);
-    let mut cache = Vec::new();
-    save_model(&model, &mut cache).expect("in-memory write");
-    let reloaded = load_model(cache.as_slice()).expect("roundtrip");
-    println!(
-        "saved {} priors ({} KiB), reloaded {} priors — identical: {}",
-        model.len(),
-        cache.len() / 1024,
-        reloaded.len(),
-        model.iter().all(|(qi, p)| reloaded
-            .prior(qi)
-            .is_some_and(|q| p.max_abs_diff(q) < 1e-15))
     );
 }

@@ -15,8 +15,7 @@ use bgkanon::data::{
     adult, Attribute, Delta, DeltaBuilder, Parallelism, Schema, Table, TableBuilder,
 };
 use bgkanon::knowledge::{
-    load_model_str, save_model_string, Adversary, Bandwidth, DeletedRows, FoldedTable,
-    KernelFamily, PriorEstimator, PriorModel,
+    Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily, PriorEstimator, PriorModel,
 };
 use bgkanon::stats::Dist;
 
@@ -87,7 +86,7 @@ fn refresh_across(
     parallelism: Parallelism,
 ) {
     let deleted = DeletedRows::gather(table, delta).expect("deletes are in range");
-    let folded = model.folded().expect("estimated models keep their fold");
+    let folded = model.folded();
     let evolved = folded
         .evolve(&deleted, delta)
         .expect("the delta matches the fold");
@@ -154,7 +153,7 @@ proptest! {
             );
             assert_bit_identical(&fresh, &model, &context)?;
             // The maintained fold matches a from-scratch fold of the table.
-            let folded = model.folded().expect("estimate-built models refresh");
+            let folded = model.folded();
             let scratch = FoldedTable::new(&table);
             prop_assert_eq!(folded.len(), scratch.len(), "fold size: {}", &context);
             prop_assert_eq!(folded.rows(), scratch.rows(), "fold rows: {}", &context);
@@ -216,7 +215,7 @@ proptest! {
         let fresh = estimator.estimate_folded(FoldedTable::new(&table), Parallelism::Serial);
         assert_bit_identical(&fresh, &model, &context)?;
         assert_bit_identical(&stepped, &model, &context)?;
-        let folded = model.folded().expect("refreshed models keep their fold");
+        let folded = model.folded();
         prop_assert!(folded.content_eq(&FoldedTable::new(&table)), "fold: {}", &context);
         for (id, point) in folded.points().enumerate() {
             if dirty.contains(id as u32) {
@@ -278,8 +277,7 @@ proptest! {
     /// same content, same content hash, same row → point array (remapped
     /// from the previous step's). The mix covers a point deleted outright
     /// plus an insert at an unseen point, and a net-zero delta, which
-    /// leaves the fold unchanged. A fold reloaded through persistence
-    /// hashes equal.
+    /// leaves the fold unchanged.
     #[test]
     fn evolved_fold_matches_a_fresh_fold_across_chained_deltas(
         rows in 30usize..220,
@@ -328,17 +326,6 @@ proptest! {
             row_points = points.expect("checked");
             table = next;
         }
-        let estimator = PriorEstimator::new(
-            Arc::clone(table.schema()),
-            Bandwidth::uniform(0.3, table.qi_count()).expect("positive bandwidth"),
-        );
-        let model = estimator.estimate_folded(fold.clone(), Parallelism::Auto);
-        let reloaded = load_model_str(&save_model_string(&model));
-        prop_assert!(reloaded.is_ok(), "persisted model reloads");
-        let reloaded = reloaded.expect("checked");
-        let reloaded = reloaded.folded().expect("persisted models keep their fold");
-        prop_assert!(reloaded.content_eq(&fold), "reloaded fold");
-        prop_assert_eq!(reloaded.content_hash(), fold.content_hash(), "reloaded hash");
     }
 }
 
@@ -527,7 +514,7 @@ fn fold_diff_refresh_drops_deleted_points_and_adds_unseen_ones() {
     assert!(dirty.contains(unseen_id));
     assert!(!dirty.is_empty() && dirty.len() < model.len());
     // Row → point ids index the refreshed model's fold.
-    let refreshed = model.folded().unwrap();
+    let refreshed = model.folded();
     for (r, &p) in row_points.iter().enumerate() {
         assert_eq!(refreshed.point(p as usize).qi(), next.qi(r).as_slice());
     }

@@ -1,12 +1,11 @@
 //! Integration tests for the extension features: calibration → skyline →
-//! publish, prior-model persistence feeding a reusable adversary, and the
-//! full-domain generalizer under audit.
+//! publish, and the full-domain generalizer under audit.
 
 use std::sync::Arc;
 
 use bgkanon::anon::FullDomain;
 use bgkanon::knowledge::calibrate::suggest_skyline;
-use bgkanon::knowledge::{load_model, save_model, Adversary, PriorEstimator};
+use bgkanon::knowledge::Adversary;
 use bgkanon::prelude::*;
 
 #[test]
@@ -27,34 +26,6 @@ fn calibrated_skyline_publishes_and_audits_clean() {
             "point (b={b}, t={t}): worst case {}",
             report.worst_case
         );
-    }
-}
-
-#[test]
-fn persisted_model_drives_identical_audits() {
-    let table = bgkanon::data::adult::generate(500, 22);
-    let bandwidth = Bandwidth::uniform(0.3, table.qi_count()).unwrap();
-    let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-    let model = estimator.estimate(&table);
-
-    // Roundtrip the model through the persistence format.
-    let mut buf = Vec::new();
-    save_model(&model, &mut buf).unwrap();
-    let reloaded = load_model(buf.as_slice()).unwrap();
-
-    let measure = Arc::new(SmoothedJs::paper_default(
-        table.schema().sensitive_distance(),
-    ));
-    let fresh = Adversary::from_model("fresh", bandwidth.clone(), Arc::new(model));
-    let cached = Adversary::from_model("cached", bandwidth, Arc::new(reloaded));
-
-    let outcome = Publisher::new().k_anonymity(4).publish(&table).unwrap();
-    let groups = outcome.anonymized.row_groups();
-    let risks_fresh =
-        Auditor::new(Arc::new(fresh), Arc::clone(&measure) as _).tuple_risks(&table, &groups);
-    let risks_cached = Auditor::new(Arc::new(cached), measure as _).tuple_risks(&table, &groups);
-    for (a, b) in risks_fresh.iter().zip(&risks_cached) {
-        assert!((a - b).abs() < 1e-12, "fresh {a} vs cached {b}");
     }
 }
 
