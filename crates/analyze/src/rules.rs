@@ -68,7 +68,6 @@ pub const LOCK_CLASSES: &[(&str, &str, u8)] = &[
     ("published", "published", 5),
     ("readers", "reader-caches", 6),
     ("caches", "audit-caches", 6),
-    ("memo", "audit-caches", 6),
     ("report_memo", "report-memo", 6),
     ("interned", "intern-table", 7),
 ];
@@ -1220,12 +1219,13 @@ mod tests {
 
     #[test]
     fn r1_chained_guard_is_consumed_within_its_statement() {
-        // `let cached = memo.lock().expect(…).get(…).cloned();` drops the
-        // guard at the `;` — the binding holds the clone, not the guard —
-        // so a second same-class lock in the next statement is fine.
+        // `let cached = caches.lock().expect(…).get(…).cloned();` drops
+        // the guard at the `;` — the binding holds the clone, not the
+        // guard — so a second same-class lock in the next statement is
+        // fine.
         let a = lib(
-            "fn f(&self) { let cached = memo.lock().expect(\"m\").get(&k).cloned(); \
-             memo.lock().expect(\"m\").insert(k, v); }",
+            "fn f(&self) { let cached = caches.lock().expect(\"m\").get(&k).cloned(); \
+             caches.lock().expect(\"m\").insert(k, v); }",
         );
         assert!(a.findings.iter().all(|f| f.rule != "R1"));
         assert_eq!(a.lock_sites.iter().filter(|s| s.bound).count(), 0);

@@ -1613,9 +1613,23 @@ mod tests {
         // Replace a cohort of rows inside one narrow age band: the delta
         // dirties a local slice of the partition and of the kernel prior,
         // so the refreshed version carries most groups' risks and solves
-        // only the rest.
+        // exactly the rest.
+        use bgkanon_knowledge::{PriorEstimator, PriorModel};
         let hub = hub_with(&[("a", 21)], 2000, 4);
         hub.audit_against("a", 0.25, 0.2).unwrap();
+        let key = ReaderKey::Bandwidth(0.25f64.to_bits());
+        let entry = hub.tenant("a").unwrap();
+        let session = |entry: &Tenant| {
+            entry
+                .readers
+                .entries()
+                .iter()
+                .find(|c| c.key == key)
+                .map(|c| Arc::clone(&c.session))
+                .unwrap()
+        };
+        let mut model =
+            PriorModel::clone(session(&entry).auditor().adversary().prior_model().unwrap());
         let base = hub.snapshot("a").unwrap();
         let table = base.table();
         let age = table.qi(0)[0];
@@ -1631,21 +1645,34 @@ mod tests {
         }
         let snap = hub.apply("a", &b.build()).unwrap();
         let report = hub.audit_against("a", 0.25, 0.2).unwrap();
-        let entry = hub.tenant("a").unwrap();
-        let solved = entry
-            .readers
-            .entries()
+        let solved = session(&entry).cached_signatures();
+
+        // Independently: the points whose prior a refresh of the previous
+        // model recomputes, and the groups that carry a new leaf stamp or
+        // hold a row on such a point. Exactly those are solved.
+        let bandwidth = Bandwidth::uniform(0.25, snap.table().qi_count()).unwrap();
+        let (fold, row_points) = FoldedTable::with_row_points(snap.table());
+        let dirty = PriorEstimator::new(Arc::clone(snap.table().schema()), bandwidth.clone())
+            .refresh_folded(&mut model, fold, Parallelism::Auto);
+        let old_stamps: std::collections::HashSet<u64> =
+            base.leaf_stamps().iter().copied().collect();
+        let expected = snap
+            .anonymized()
+            .groups()
             .iter()
-            .find(|c| c.key == ReaderKey::Bandwidth(0.25f64.to_bits()))
-            .map(|c| c.session.cached_signatures())
-            .unwrap();
-        assert!(solved > 0, "the cohort dirtied no group");
+            .zip(snap.leaf_stamps())
+            .filter(|(group, stamp)| {
+                !old_stamps.contains(stamp)
+                    || group.rows.iter().any(|&r| dirty.contains(row_points[r]))
+            })
+            .count();
+        assert!(expected > 0, "the cohort dirtied no group");
         assert!(
-            solved < snap.group_count(),
-            "solved {solved} of {} groups",
+            expected < snap.group_count(),
+            "{expected} of {} groups dirty",
             snap.group_count()
         );
-        let bandwidth = Bandwidth::uniform(0.25, snap.table().qi_count()).unwrap();
+        assert_eq!(solved, expected);
         let fresh = Auditor::new(
             Arc::new(Adversary::kernel(snap.table(), bandwidth)),
             Arc::new(SmoothedJs::paper_default(

@@ -1762,8 +1762,8 @@ impl PriorEstimator {
         let fallback = folded.table_distribution();
         let index = self.index(&folded);
         let ids: Vec<u32> = (0..folded.len() as u32).collect();
-        let (folded, fallback, priors) =
-            self.query_points(folded, index, fallback, &ids, parallelism);
+        let (folded, fallback, _, priors) =
+            self.query_points(folded, index, fallback, ids, parallelism);
         PriorModel::with_fold(
             priors,
             fallback,
@@ -1777,61 +1777,34 @@ impl PriorEstimator {
     /// with `ids`, on `parallelism` workers. Worker jobs run on the
     /// process-wide pool, so an estimation or refresh issued by a serving
     /// thread reuses the same workers as every other engine call instead
-    /// of spawning a scope per call. Jobs are `'static`: the fold, index
-    /// and fallback move in behind one `Arc` and come back out with the
-    /// priors (the jobs have all dropped their handles once the pool
-    /// returns), and each job carries its own estimator clone.
+    /// of spawning a scope per call. Jobs are `'static`: one estimator
+    /// clone, the fold, index, fallback and `ids` move in behind one `Arc`,
+    /// each job queries its own range of `ids`, and the inputs come back
+    /// out with the priors (the jobs have all dropped their handles once
+    /// the pool returns).
     fn query_points(
         &self,
         folded: FoldedTable,
         index: SupportIndex,
         fallback: Dist,
-        ids: &[u32],
+        ids: Vec<u32>,
         parallelism: Parallelism,
-    ) -> (FoldedTable, Dist, Vec<Dist>) {
+    ) -> (FoldedTable, Dist, Vec<u32>, Vec<Dist>) {
         let threads = parallelism.effective_threads().min(ids.len().max(1));
         if threads <= 1 {
-            let mut scratch = QueryScratch::default();
-            let mut numer = Vec::new();
-            let dists = ids
-                .iter()
-                .map(|&id| {
-                    self.query(
-                        &folded,
-                        &index,
-                        folded.point_qi(id as usize),
-                        &fallback,
-                        &mut scratch,
-                        &mut numer,
-                    )
-                })
-                .collect();
-            return (folded, fallback, dists);
+            let dists = self.query_ids(&folded, &index, &fallback, &ids);
+            return (folded, fallback, ids, dists);
         }
-        let shared = Arc::new((folded, index, fallback));
-        let jobs: Vec<_> = ids
-            .chunks(ids.len().div_ceil(threads))
-            .map(|chunk| {
-                let this = self.clone();
+        let chunk = ids.len().div_ceil(threads);
+        let starts = (0..ids.len()).step_by(chunk);
+        let shared = Arc::new((self.clone(), folded, index, fallback, ids));
+        let jobs: Vec<_> = starts
+            .map(|start| {
                 let shared = Arc::clone(&shared);
-                let chunk = chunk.to_vec();
                 move || {
-                    let (folded, index, fallback) = &*shared;
-                    let mut scratch = QueryScratch::default();
-                    let mut numer = Vec::new();
-                    chunk
-                        .iter()
-                        .map(|&id| {
-                            this.query(
-                                folded,
-                                index,
-                                folded.point_qi(id as usize),
-                                fallback,
-                                &mut scratch,
-                                &mut numer,
-                            )
-                        })
-                        .collect::<Vec<Dist>>()
+                    let (estimator, folded, index, fallback, ids) = &*shared;
+                    let range = start..(start + chunk).min(ids.len());
+                    estimator.query_ids(folded, index, fallback, &ids[range])
                 }
             })
             .collect();
@@ -1840,9 +1813,33 @@ impl PriorEstimator {
             .into_iter()
             .flatten()
             .collect();
-        let (folded, _, fallback) =
+        let (_, folded, _, fallback, ids) =
             Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
-        (folded, fallback, dists)
+        (folded, fallback, ids, dists)
+    }
+
+    /// The sparse engine's priors at the points `ids` of `folded`, in order.
+    fn query_ids(
+        &self,
+        folded: &FoldedTable,
+        index: &SupportIndex,
+        fallback: &Dist,
+        ids: &[u32],
+    ) -> Vec<Dist> {
+        let mut scratch = QueryScratch::default();
+        let mut numer = Vec::new();
+        ids.iter()
+            .map(|&id| {
+                self.query(
+                    folded,
+                    index,
+                    folded.point_qi(id as usize),
+                    fallback,
+                    &mut scratch,
+                    &mut numer,
+                )
+            })
+            .collect()
     }
 
     /// The dense all-pairs **reference** engine: a direct `O(u²·(d+m))`
@@ -1966,10 +1963,9 @@ impl PriorEstimator {
                     }
                 });
             }
-            let ids = dirty.ids();
             let fallback = folded.table_distribution();
-            let (back, fallback, dists) =
-                self.query_points(folded, index, fallback, &ids, parallelism);
+            let (back, fallback, ids, dists) =
+                self.query_points(folded, index, fallback, dirty.ids(), parallelism);
             for (&id, dist) in ids.iter().zip(dists) {
                 priors[id as usize] = Some(dist);
             }

@@ -14,18 +14,29 @@
 //!   posterior per row;
 //! * [`Auditor::tuple_risks`] / [`Auditor::report`] — the **flat-scan**
 //!   serial engine: it enumerates the distinct QI points once with the
-//!   counting-sort spine, resolves each point's prior once, and reuses the
-//!   batched engine's allocation-free kernels and signature memo;
+//!   counting-sort spine, resolves each point's prior once, and solves
+//!   every group through the batched engine's allocation-free kernels;
 //! * [`Auditor::tuple_risks_with`] / [`Auditor::report_with`] — the
 //!   **batched** engine: groups are distributed over worker jobs on the
 //!   process-wide [`shared_pool`](bgkanon_data::shared_pool)
-//!   that share the one `Arc<Adversary>` prior model, posterior/permanent
-//!   evaluations are memoized under a *group signature* (the sequence of
-//!   prior identities plus the sensitive histogram — two groups with the
-//!   same signature provably have the same risks), and the Ω-estimate and
-//!   the distance run through the group-risk kernel the (B,t) checks share,
-//!   with per-worker scratch buffers. Risks are bit-identical to the
+//!   that share the one `Arc<Adversary>` prior model, and the Ω-estimate
+//!   and the distance run through the group-risk kernel the (B,t) checks
+//!   share, with per-worker scratch buffers. Risks are bit-identical to the
 //!   reference path; `tests/tests/parallel.rs` asserts this.
+//!
+//! Every engine handles a group the same way: **prepare** (resolve each
+//! member's prior and the sensitive histogram), **solve** (the group-risk
+//! kernel, which evaluates each distinct prior of the group once) and emit.
+//! No cache spans groups. Mondrian and full-domain releases split and
+//! generalise on QI values only, so all rows of one QI point — and with
+//! them every use of its prior — sit in one group: a cache of solved group
+//! contents or of prepared priors never hits there. Only bucketization can
+//! split a point across groups; measured on a mixed-strategy serving
+//! workload, such caches replayed no `Adv(b′)` group, 6.8% of
+//! external-auditor groups and 11% of prepared priors, which did not pay
+//! for their hashing, locking and memory.
+//! [`SharedAuditSession`]'s stamp cache is the one group-level cache: it is
+//! keyed by the published group itself, not by its contents.
 
 use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
@@ -45,22 +56,6 @@ use crate::risk::{scan_group_risks, GroupMembers, RiskScratch};
 /// to amortize the atomic increment, small enough to balance uneven group
 /// sizes.
 const GROUP_BATCH: usize = 64;
-
-/// Group signature → per-member risks, the memo one audit call builds.
-type SignatureMemo = WordMap<Vec<u64>, Arc<Vec<f64>>>;
-
-/// The guard of a per-call signature memo. A worker that panicked while
-/// holding it may have left the memo half-updated, so a poisoned lock is
-/// recovered with the memo cleared: every entry is rebuild-on-miss, and a
-/// replay is bit-identical to a solve.
-fn lock_memo(memo: &Mutex<SignatureMemo>) -> MutexGuard<'_, SignatureMemo> {
-    memo.lock().unwrap_or_else(|poisoned| {
-        memo.clear_poison();
-        let mut guard = poisoned.into_inner();
-        guard.clear();
-        guard
-    })
-}
 
 /// Result of auditing one published table against one adversary.
 ///
@@ -166,10 +161,10 @@ impl Auditor {
     /// points are enumerated once with the counting-sort spine
     /// (`qi_sorted_rows`, sequential passes over the code columns) and
     /// each distinct point's prior is resolved exactly once; groups then
-    /// read their priors by point id. Posteriors run through the
-    /// allocation-free Ω kernels and the group signature memo of the
-    /// batched engine — identical inputs, identical arithmetic, so risks
-    /// are bit-identical to
+    /// read their priors by point id. Each group is then prepared, solved
+    /// by the allocation-free Ω kernels of the batched engine and written
+    /// out — identical inputs, identical arithmetic, so risks are
+    /// bit-identical to
     /// [`tuple_risks_reference`](Self::tuple_risks_reference).
     pub fn tuple_risks(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
         let n = table.len();
@@ -201,9 +196,8 @@ impl Auditor {
             })
             .collect();
 
-        let memo: Mutex<SignatureMemo> = Mutex::default();
         let mut scratch = AuditScratch::default();
-        let mut out: Vec<(usize, f64)> = Vec::new();
+        let mut risks = vec![f64::NAN; n];
         for rows in groups {
             if rows.is_empty() {
                 continue;
@@ -216,16 +210,7 @@ impl Auditor {
                 scratch.prior_ids.push(std::ptr::from_ref(p) as u64);
             }
             table.sensitive_counts_into(rows, &mut scratch.counts);
-            scratch.signature.clear();
-            scratch.signature.extend_from_slice(&scratch.prior_ids);
-            scratch
-                .signature
-                .extend(scratch.counts.iter().map(|&c| u64::from(c)));
-            self.audit_prepared(rows, &memo, &mut scratch, &mut out);
-        }
-        let mut risks = vec![f64::NAN; n];
-        for (row, risk) in out {
-            risks[row] = risk;
+            self.solve_group(rows, &mut scratch, |row, risk| risks[row] = risk);
         }
         risks
     }
@@ -240,8 +225,8 @@ impl Auditor {
     /// [`Parallelism::Serial`] runs the flat-scan serial engine
     /// ([`tuple_risks`](Self::tuple_risks)); any other knob runs the batched
     /// engine with that many workers, sharing this auditor's
-    /// `Arc<Adversary>` across them and memoizing posterior computations by
-    /// group signature. All paths produce bit-identical risks.
+    /// `Arc<Adversary>` across them; each worker prepares and solves whole
+    /// groups. All paths produce bit-identical risks.
     pub fn tuple_risks_with(
         &self,
         table: &Table,
@@ -299,8 +284,8 @@ impl Auditor {
 
     /// The batched engine. Worker jobs on the process-wide
     /// [`shared_pool`](bgkanon_data::shared_pool) claim batches of groups
-    /// from an atomic cursor; each group's risks are either replayed from
-    /// the signature memo or computed once and published to it. Running on
+    /// from an atomic cursor and prepare, solve and emit each group in
+    /// their own scratch, sharing nothing but the cursor. Running on
     /// the persistent pool (instead of a per-call `std::thread::scope`)
     /// means a serving process that audits continuously across many
     /// sessions pays thread spawns once, and concurrent audits interleave
@@ -318,7 +303,6 @@ impl Auditor {
             // `row_groups()` callers already materialize per audit.
             groups: groups.to_vec(),
             cursor: AtomicUsize::new(0),
-            memo: Mutex::default(),
         });
         let jobs: Vec<_> = (0..workers)
             .map(|_| {
@@ -349,26 +333,20 @@ impl Auditor {
                 if rows.is_empty() {
                     continue;
                 }
-                self.audit_group(&state.table, rows, &state.memo, &mut scratch, &mut out);
+                self.audit_group(&state.table, rows, &mut scratch, &mut out);
             }
         }
     }
 
-    /// Resolve a group's priors, prior identities, sensitive histogram and
-    /// memo signature into `scratch`.
+    /// Resolve a group's priors, prior identities and sensitive histogram
+    /// into `scratch`.
     ///
     /// Each member's prior is resolved once, against the shared model:
     /// through `points` — the model and the point of its fold each table
     /// row folds into — when given, by the row's QI codes otherwise. Both
     /// find the very same `Dist`. The model is immutable for the duration
     /// of the audit, so a prior's address identifies it: equal addresses ⇒
-    /// the very same `Dist`.
-    ///
-    /// The group signature is the *sequence* of prior identities plus the
-    /// sensitive histogram. The sequence (not just the multiset) matters
-    /// because the reference path accumulates column sums — and the exact
-    /// path its permanent DP — in row order, so only an order-preserving
-    /// replay is guaranteed bit-identical.
+    /// the very same `Dist`, which the kernel evaluates once per group.
     fn prepare_group<'a>(
         &'a self,
         table: &Table,
@@ -391,60 +369,34 @@ impl Auditor {
             scratch.prior_ids.push(std::ptr::from_ref(p) as u64);
         }
         table.sensitive_counts_into(rows, &mut scratch.counts);
-
-        scratch.signature.clear();
-        scratch.signature.extend_from_slice(&scratch.prior_ids);
-        scratch
-            .signature
-            .extend(scratch.counts.iter().map(|&c| u64::from(c)));
     }
 
-    /// Audit one group, replaying the memo when its signature was already
-    /// solved.
+    /// Prepare, solve and emit one group of the batched engine as
+    /// `(row, risk)` pairs.
     fn audit_group<'a>(
         &'a self,
         table: &Table,
         rows: &[usize],
-        memo: &Mutex<SignatureMemo>,
         scratch: &mut AuditScratch<'a>,
         out: &mut Vec<(usize, f64)>,
     ) {
         self.prepare_group(table, rows, None, scratch);
-        self.audit_prepared(rows, memo, scratch, out);
+        self.solve_group(rows, scratch, |row, risk| out.push((row, risk)));
     }
 
-    /// Memo lookup + solve + emit for a group whose scratch (priors,
-    /// counts, signature) is already prepared — shared by the batched
-    /// workers and the flat-scan serial engine.
-    fn audit_prepared(
+    /// Solve the group of `rows` prepared in `scratch` and hand each
+    /// `(row, risk)` to `emit`, in row order. Arithmetic mirrors the
+    /// reference path exactly.
+    fn solve_group(
         &self,
         rows: &[usize],
-        memo: &Mutex<SignatureMemo>,
         scratch: &mut AuditScratch<'_>,
-        out: &mut Vec<(usize, f64)>,
+        mut emit: impl FnMut(usize, f64),
     ) {
-        let cached = lock_memo(memo).get(&scratch.signature).cloned();
-        let solved = match cached {
-            Some(solved) => solved,
-            None => {
-                let solved = Arc::new(self.solve_group(rows, scratch));
-                lock_memo(memo).insert(scratch.signature.clone(), Arc::clone(&solved));
-                solved
-            }
-        };
-        for (&row, &risk) in rows.iter().zip(solved.iter()) {
-            out.push((row, risk));
-        }
-    }
-
-    /// Compute one group's risks, positionally aligned with its rows — the
-    /// value the memo caches. Arithmetic mirrors the reference path exactly.
-    fn solve_group(&self, rows: &[usize], scratch: &mut AuditScratch<'_>) -> Vec<f64> {
         let AuditScratch {
             priors,
             prior_ids,
             counts,
-            prepared_at,
             prepared,
             risk,
             ..
@@ -453,26 +405,26 @@ impl Auditor {
             measure: self.measure.as_ref(),
             priors,
             ids: prior_ids,
-            prepared_at,
             prepared,
         };
-        let mut solved = Vec::with_capacity(rows.len());
+        let mut rows = rows.iter();
         let _ = scan_group_risks(self.measure.as_ref(), &mut members, counts, risk, |r| {
-            solved.push(r);
+            if let Some(&row) = rows.next() {
+                emit(row, r);
+            }
             ControlFlow::Continue(())
         });
-        solved
     }
 }
 
-/// One audited group's members: its borrowed priors and their address
-/// identities, with the measure's prepared priors cached per identity for
-/// the scratch's lifetime in one flat array.
+/// One audited group's members: its borrowed priors, their address
+/// identities, and one buffer the measure prepares a prior into on demand.
+/// The kernel asks once per distinct prior of the group, so nothing is
+/// prepared twice within a group, and no group reuses another's.
 struct AuditMembers<'s, 'a> {
     measure: &'s dyn BeliefDistance,
     priors: &'s [&'a Dist],
     ids: &'s [u64],
-    prepared_at: &'s mut WordMap<u64, usize>,
     prepared: &'s mut Vec<f64>,
 }
 
@@ -491,16 +443,10 @@ impl GroupMembers for AuditMembers<'_, '_> {
 
     fn prepared(&mut self, j: usize) -> &[f64] {
         let prior = self.priors[j].as_slice();
-        let m = prior.len();
-        let prepared = &mut *self.prepared;
-        let measure = self.measure;
-        let at = *self.prepared_at.entry(self.ids[j]).or_insert_with(|| {
-            let at = prepared.len();
-            prepared.resize(at + m, 0.0);
-            measure.prepare_prior_into(prior, &mut prepared[at..]);
-            at
-        });
-        &self.prepared[at..at + m]
+        self.prepared.clear();
+        self.prepared.resize(prior.len(), 0.0);
+        self.measure.prepare_prior_into(prior, self.prepared);
+        self.prepared
     }
 }
 
@@ -511,15 +457,10 @@ struct BatchState {
     table: Table,
     groups: Vec<Vec<usize>>,
     cursor: AtomicUsize,
-    /// Signature → per-prior-identity risks. Two groups share a signature
-    /// exactly when they have the same multiset of priors and the same
-    /// sensitive histogram, which determines every member's posterior and
-    /// therefore its risk.
-    memo: Mutex<SignatureMemo>,
 }
 
-/// Estimated owned heap bytes of one signature-memo entry: the boxed key,
-/// the shared risk vector payload, and fixed map-entry bookkeeping. An
+/// Estimated owned heap bytes of one stamp-cache entry: the key word, the
+/// shared risk vector payload, and fixed map-entry bookkeeping. An
 /// accounting proxy (shared `Arc`s are charged to every holder), not an
 /// allocator-exact measurement — the hub's memory budget only needs a
 /// consistent, deterministic upper bound.
@@ -545,12 +486,7 @@ struct AuditScratch<'a> {
     prior_ids: Vec<u64>,
     /// Sensitive histogram of the current group.
     counts: Vec<u32>,
-    /// Memo key under construction.
-    signature: Vec<u64>,
-    /// Offset in `prepared` of each prior identity's prepared prior.
-    prepared_at: WordMap<u64, usize>,
-    /// The measure's prepared priors, `m` values each, kept for the
-    /// scratch's lifetime.
+    /// The measure's preparation of the prior under evaluation, `m` values.
     prepared: Vec<f64>,
     /// The group-risk kernel's buffers.
     risk: RiskScratch,
@@ -575,9 +511,9 @@ pub struct StampCarry {
     risks: Vec<Option<Arc<Vec<f64>>>>,
 }
 
-/// The caches a [`SharedAuditSession`] protects with its `caches` mutex.
+/// The stamp cache a [`SharedAuditSession`] protects with its `caches`
+/// mutex.
 struct SharedCaches {
-    memo: WordMap<Vec<u64>, CacheEntry>,
     stamps: WordMap<u64, CacheEntry>,
     generation: u64,
 }
@@ -585,17 +521,11 @@ struct SharedCaches {
 /// The bytes of every entry in `caches`, walked one by one: what the
 /// session's running `cache_bytes` total must equal.
 fn walked_bytes(caches: &SharedCaches) -> usize {
-    let memo: usize = caches
-        .memo
-        .iter() // bgk-allow: R3 order-independent byte sum
-        .map(|(sig, e)| cache_entry_bytes(sig.len(), e.risks.len()))
-        .sum();
-    let stamps: usize = caches
+    caches
         .stamps
         .values() // bgk-allow: R3 order-independent byte sum
         .map(|e| cache_entry_bytes(1, e.risks.len()))
-        .sum();
-    memo + stamps
+        .sum()
 }
 
 /// The one-slot report memo of a [`SharedAuditSession`]
@@ -614,22 +544,17 @@ struct ReportMemo {
 /// published snapshots while a writer keeps applying deltas, and the audit
 /// cache of a single-owner publishing session.
 ///
-/// The wrapped [`Auditor`] embodies one fixed adversary model (prior
-/// identities stay valid for the session's lifetime), and two cache levels
-/// replay group risks **bit-identically** to a fresh audit (the values
-/// cached are exactly the ones a fresh run computes):
-///
-/// * a **signature memo** — group signature (prior-identity sequence +
-///   sensitive histogram) → per-member risks, the same memo the batched
-///   engine builds per call, here kept alive between calls;
-/// * a **stamp cache** — an opaque caller-supplied token per group →
-///   risks, letting unchanged groups skip even the signature computation.
-///   A stamp must change whenever the group's membership (row set or
-///   order) changes and never collide between distinct memberships
-///   audited by this session. Partition-tree leaf stamps satisfy this
-///   *across versions of an evolving table*, so after a delta only the
-///   groups the delta dirtied miss the cache, no matter which reader
-///   thread audited the previous version.
+/// The wrapped [`Auditor`] embodies one fixed adversary model, and a
+/// **stamp cache** replays group risks **bit-identically** to a fresh audit
+/// (the values cached are exactly the ones a fresh run computes): an opaque
+/// caller-supplied token per group → the group's risks. A stamp must change
+/// whenever the group's membership (row set or order) changes and never
+/// collide between distinct memberships audited by this session.
+/// Partition-tree leaf stamps satisfy this *across versions of an evolving
+/// table*, so after a delta only the groups the delta dirtied miss the
+/// cache, no matter which reader thread audited the previous version. A
+/// missed group is prepared, solved and stamped: no cache keyed by group
+/// contents sits behind the stamps (see the [module docs](self) for why).
 ///
 /// Entries no recent report used are dropped after a grace window, so
 /// dissolved groups do not accumulate. The session keeps a running total of
@@ -650,7 +575,7 @@ struct ReportMemo {
 /// with no QI gather and no hashing. It finds the same `Dist` the QI lookup
 /// would, so reports do not change.
 ///
-/// Group solving runs outside the lock; the mutex only guards cache
+/// Group solving runs outside the lock; the mutex only guards stamp
 /// lookups and inserts, so concurrent readers contend for microseconds,
 /// not for the Ω computation. Two readers racing on the same cold group
 /// may both solve it — they produce identical bits, and the first insert
@@ -686,6 +611,8 @@ pub struct SharedAuditSession {
     /// Bytes of every `caches` entry ([`cache_entry_bytes`]), changed only
     /// under the `caches` lock.
     cache_bytes: AtomicUsize,
+    /// Groups this session has solved, over its lifetime.
+    solved: AtomicUsize,
     report_memo: Mutex<ReportMemo>,
     /// Bytes of the report `report_memo` keeps ([`report_bytes`]), changed
     /// only under the `report_memo` lock.
@@ -693,11 +620,6 @@ pub struct SharedAuditSession {
 }
 
 impl SharedAuditSession {
-    /// Generations a signature-memo entry survives unused: a stamp-served
-    /// group never touches its memo entry, yet its signature comes straight
-    /// back when a later delta rebuilds an equal-content group — evicting
-    /// eagerly would turn that replay into a full Ω recomputation.
-    const MEMO_GRACE: u64 = 8;
     /// Generations a stamp entry survives unused. Concurrent readers may
     /// interleave reports of adjacent versions, so a stamp another
     /// in-flight reader is about to hit again must not be evicted the
@@ -732,11 +654,11 @@ impl SharedAuditSession {
             auditor,
             row_points,
             caches: Mutex::new(SharedCaches {
-                memo: WordMap::default(),
                 stamps,
                 generation: 0,
             }),
             cache_bytes: AtomicUsize::new(bytes),
+            solved: AtomicUsize::new(0),
             report_memo: Mutex::default(),
             memo_bytes: AtomicUsize::new(0),
         }
@@ -749,9 +671,7 @@ impl SharedAuditSession {
     /// recomputed. Such a group has the same member tuples (the stamp
     /// contract) and, member by member, bit-identical priors and sensitive
     /// histogram, so its risks are exactly the cached ones. Every other
-    /// group misses and is solved on the first report. The signature memo
-    /// is never carried: it is keyed by prior identities inside the old
-    /// model, which a refresh may move or overwrite.
+    /// group misses, and the first report prepares, solves and stamps it.
     ///
     /// `groups` and `stamps` are the new version's, `row_points[r]` is the
     /// refreshed fold's point for row `r`
@@ -823,9 +743,12 @@ impl SharedAuditSession {
         &self.auditor
     }
 
-    /// Number of live signature-memo entries (diagnostics).
+    /// Number of groups this session has solved so far — one per group a
+    /// report found neither in the report memo nor under its stamp. The
+    /// count only grows; the difference across a report is that report's
+    /// Ω solves (diagnostics).
     pub fn cached_signatures(&self) -> usize {
-        self.lock_caches().memo.len()
+        self.solved.load(Ordering::Relaxed)
     }
 
     /// Number of live stamp-cache entries.
@@ -834,8 +757,8 @@ impl SharedAuditSession {
         self.lock_caches().stamps.len()
     }
 
-    /// Heap bytes resident in the session — signature memo, stamp cache,
-    /// kept report and row → point array, a deterministic owned-payload
+    /// Heap bytes resident in the session — stamp cache, kept report and
+    /// row → point array, a deterministic owned-payload
     /// estimate read from the running totals without a lock. The adversary
     /// model behind the auditor is **not** counted here: it is charged to
     /// its owner (the hub's intern table for `Adv(b')` models, the caller
@@ -849,7 +772,7 @@ impl SharedAuditSession {
 
     /// The cache guard, poison-tolerant: a reader that panicked while
     /// holding it may have left the caches half-updated, so a poisoned lock
-    /// is recovered with both caches cleared and their byte total reset.
+    /// is recovered with the stamp cache cleared and its byte total reset.
     /// Every entry is rebuild-on-miss and replays are bit-identical, so the
     /// next report simply recomputes — one panicked reader never wedges the
     /// tenant.
@@ -857,7 +780,6 @@ impl SharedAuditSession {
         self.caches.lock().unwrap_or_else(|poisoned| {
             self.caches.clear_poison();
             let mut caches = poisoned.into_inner();
-            caches.memo.clear();
             caches.stamps.clear();
             self.cache_bytes.store(0, Ordering::Relaxed);
             caches
@@ -934,10 +856,9 @@ impl SharedAuditSession {
     /// Audit `groups` with threshold `t` through the shared caches —
     /// bit-identical to [`Auditor::report`] on the same inputs, callable
     /// from any number of threads concurrently. `stamps`, when given, holds
-    /// one token per group under the stamp contract above; hits skip even
-    /// the signature computation. Measure preparation of priors is per
-    /// call: a persistent prepared-prior cache would serialize readers on
-    /// the mutex.
+    /// one token per group under the stamp contract above; a hit skips the
+    /// group's preparation and solve. A missed group is prepared, solved
+    /// and stamped, taking the lock once, for its stamp insert.
     pub fn report_groups(
         &self,
         table: &Table,
@@ -985,44 +906,19 @@ impl SharedAuditSession {
             }
         }
 
-        // Pass 2: solve the misses outside the lock, consulting the
-        // signature memo under brief locks.
+        // Pass 2: prepare and solve the misses outside the lock; only the
+        // stamp insert takes it.
         let mut scratch = AuditScratch::default();
+        self.solved.fetch_add(missed.len(), Ordering::Relaxed);
         for gi in missed {
             let rows = groups[gi];
             self.auditor
                 .prepare_group(table, rows, points, &mut scratch);
-            let cached = {
-                let mut caches = self.lock_caches();
-                caches.memo.get_mut(&scratch.signature).map(|entry| {
-                    entry.generation = generation;
-                    Arc::clone(&entry.risks)
-                })
-            };
-            let solved = match cached {
-                Some(solved) => solved,
-                None => {
-                    let solved = Arc::new(self.auditor.solve_group(rows, &mut scratch));
-                    let mut caches = self.lock_caches();
-                    match caches.memo.entry(scratch.signature.clone()) {
-                        Entry::Occupied(entry) => Arc::clone(&entry.get().risks),
-                        Entry::Vacant(slot) => {
-                            self.cache_bytes.fetch_add(
-                                cache_entry_bytes(slot.key().len(), solved.len()),
-                                Ordering::Relaxed,
-                            );
-                            Arc::clone(
-                                &slot
-                                    .insert(CacheEntry {
-                                        generation,
-                                        risks: solved,
-                                    })
-                                    .risks,
-                            )
-                        }
-                    }
-                }
-            };
+            let mut solved = Vec::with_capacity(rows.len());
+            self.auditor.solve_group(rows, &mut scratch, |row, risk| {
+                risks[row] = risk;
+                solved.push(risk);
+            });
             if let Some(stamp) = stamps.map(|s| s[gi]) {
                 let mut caches = self.lock_caches();
                 match caches.stamps.entry(stamp) {
@@ -1032,30 +928,20 @@ impl SharedAuditSession {
                             .fetch_add(cache_entry_bytes(1, solved.len()), Ordering::Relaxed);
                         slot.insert(CacheEntry {
                             generation,
-                            risks: Arc::clone(&solved),
+                            risks: Arc::new(solved),
                         });
                     }
                 }
             }
-            for (&row, &risk) in rows.iter().zip(solved.iter()) {
-                risks[row] = risk;
-            }
         }
 
-        // Graced invalidation: entries no recent report touched are gone —
+        // Graced invalidation: stamps no recent report touched are gone —
         // dissolved groups do not accumulate, while groups a concurrent
         // reader of an adjacent version still replays survive the window.
         {
             let mut caches = self.lock_caches();
             let generation = caches.generation;
             let mut freed = 0;
-            caches.memo.retain(|sig, e| {
-                let keep = e.generation + Self::MEMO_GRACE >= generation;
-                if !keep {
-                    freed += cache_entry_bytes(sig.len(), e.risks.len());
-                }
-                keep
-            });
             caches.stamps.retain(|_, e| {
                 let keep = e.generation + Self::STAMP_GRACE >= generation;
                 if !keep {
@@ -1076,13 +962,10 @@ impl SharedAuditSession {
 
 impl std::fmt::Debug for SharedAuditSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (memo, stamps) = {
-            let caches = self.lock_caches();
-            (caches.memo.len(), caches.stamps.len())
-        };
+        let stamps = self.lock_caches().stamps.len();
         f.debug_struct("SharedAuditSession")
             .field("auditor", &self.auditor)
-            .field("cached_signatures", &memo)
+            .field("solved_groups", &self.cached_signatures())
             .field("cached_stamps", &stamps)
             .finish()
     }
@@ -1213,8 +1096,9 @@ mod tests {
 
     #[test]
     fn batched_engine_handles_constant_prior_adversaries() {
-        // A constant-prior adversary makes every group share one prior
-        // object — the memo's best case; results must still match.
+        // A constant-prior adversary makes every member of every group
+        // share one prior object, which the kernel evaluates once per
+        // group; results must still match.
         let t = toy::hospital_table();
         let adv = Arc::new(Adversary::t_closeness(&t));
         let measure = Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
@@ -1248,9 +1132,12 @@ mod tests {
         let fresh = a.report(&t, &groups, 0.1);
         let session = SharedAuditSession::new(a);
         let first = session.report_groups(&t, &slices, None, 0.1);
-        assert!(session.cached_signatures() > 0);
+        assert_eq!(session.cached_signatures(), groups.len());
         assert_eq!(session.cached_stamps(), 0);
+        // Without stamps nothing is kept: the replay solves every group
+        // again, to the same bits.
         let replay = session.report_groups(&t, &slices, None, 0.1);
+        assert_eq!(session.cached_signatures(), 2 * groups.len());
         for ((f, a), b) in fresh.risks.iter().zip(&first.risks).zip(&replay.risks) {
             assert_eq!(f.to_bits(), a.to_bits());
             assert_eq!(f.to_bits(), b.to_bits());
@@ -1266,8 +1153,10 @@ mod tests {
         let stamps = [11u64, 22, 33];
         let first = session.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert_eq!(session.cached_stamps(), 3);
-        // Same stamps: served from the stamp cache, same bits.
+        assert_eq!(session.cached_signatures(), 3);
+        // Same stamps: served from the stamp cache, same bits, no solve.
         let hit = session.report_groups(&t, &slices, Some(&stamps), 0.1);
+        assert_eq!(session.cached_signatures(), 3);
         for (a, b) in first.risks.iter().zip(&hit.risks) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1281,11 +1170,11 @@ mod tests {
             assert_eq!(partial.worst_case.to_bits(), reference.worst_case.to_bits());
         }
         assert_eq!(session.cached_stamps(), 2);
-        // A changed stamp misses the stamp cache but still replays the
-        // group's signature, bit for bit.
-        let solved = session.cached_signatures();
+        assert_eq!(session.cached_signatures(), 3);
+        // A changed stamp misses the stamp cache: the group is solved once
+        // more, to the same bits.
         let restamped = session.report_groups(&t, &slices, Some(&[11, 22, 44]), 0.1);
-        assert_eq!(session.cached_signatures(), solved);
+        assert_eq!(session.cached_signatures(), 4);
         for (a, b) in first.risks.iter().zip(&restamped.risks) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1305,8 +1194,9 @@ mod tests {
         let stamps = [7u64, 8, 9];
         let first = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert_eq!(shared.cached_stamps(), 3);
-        assert!(shared.cached_signatures() > 0);
+        assert_eq!(shared.cached_signatures(), 3);
         let replay = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
+        assert_eq!(shared.cached_signatures(), 3);
         for ((f, a), b) in fresh.risks.iter().zip(&first.risks).zip(&replay.risks) {
             assert_eq!(f.to_bits(), a.to_bits());
             assert_eq!(f.to_bits(), b.to_bits());
@@ -1361,13 +1251,17 @@ mod tests {
         let full_stamps = shared.cached_stamps();
         assert_eq!(full_stamps, 3);
         // Keep auditing only the first group; the other two groups' stamps
-        // (and eventually signatures) age out of the grace windows.
-        for _ in 0..(SharedAuditSession::MEMO_GRACE + SharedAuditSession::STAMP_GRACE) {
+        // age out of the grace window, and the first group never re-solves.
+        for _ in 0..=SharedAuditSession::STAMP_GRACE {
             let partial = shared.report_groups(&t, &slices[..1], Some(&[1]), 0.1);
             assert!(partial.risks[groups[0][0]].is_finite());
         }
         assert_eq!(shared.cached_stamps(), 1);
-        assert!(shared.cached_signatures() <= 1);
+        assert_eq!(shared.cached_signatures(), 3);
+        // The evicted groups are solved again, exactly once each.
+        let _ = shared.report_groups(&t, &slices, Some(&[1, 2, 3]), 0.1);
+        assert_eq!(shared.cached_stamps(), 3);
+        assert_eq!(shared.cached_signatures(), 5);
     }
 
     #[test]
@@ -1450,8 +1344,11 @@ mod tests {
                     assert_eq!(report.vulnerable, fresh.vulnerable);
                 }
             }
-            // Both paths memoize under the same prior identities.
-            assert_eq!(bound.cached_signatures(), unbound.cached_signatures());
+            // Both paths solve every group on the unstamped report and again
+            // on the first stamped one.
+            for session in [&bound, &unbound, &short] {
+                assert_eq!(session.cached_signatures(), 2 * groups.len());
+            }
             assert_eq!(
                 bound.bytes_accounted(),
                 unbound.bytes_accounted() + row_points.len() * 4
