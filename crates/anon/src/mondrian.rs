@@ -86,6 +86,33 @@ impl SplitDecision {
     /// Does a row with code `value` on the split dimension go to the left
     /// child?
     pub fn goes_left(&self, value: u32) -> bool {
+        self.cut().goes_left(value)
+    }
+
+    /// The decision's threshold, without its attempt sequence.
+    pub(crate) fn cut(&self) -> Cut {
+        Cut {
+            dim: self.dim,
+            median: self.median,
+            le_mode: self.le_mode,
+        }
+    }
+}
+
+/// The threshold of a replayed split: the winning dimension, its median
+/// code and the median mode. A replay leaves its attempt sequence in
+/// [`DecideScratch::attempts`], so a replay that reproduces the retained
+/// [`SplitDecision`] is compared field by field and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cut {
+    pub(crate) dim: usize,
+    pub(crate) median: u32,
+    pub(crate) le_mode: bool,
+}
+
+impl Cut {
+    /// Does a row with code `value` on `dim` go to the left child?
+    pub(crate) fn goes_left(self, value: u32) -> bool {
         if self.le_mode {
             value <= self.median
         } else {
@@ -109,18 +136,27 @@ pub(crate) struct Region {
     pub(crate) live_dims: u64,
 }
 
-/// Reusable buffers for [`Mondrian::decide_only_counts`].
+/// Reusable buffers for [`Mondrian::decide_only_counts`] and the partition
+/// tree's histogram replay.
 #[derive(Default)]
 pub(crate) struct DecideScratch {
     /// Row indices of the node under replay (translated from ids).
     pub(crate) rows: Vec<usize>,
-    widths: Vec<(usize, f64)>,
+    /// Dimensions tried by the last replay, in order.
+    pub(crate) attempts: Vec<usize>,
+    /// `(dimension, normalized width)` candidates, widest first.
+    pub(crate) widths: Vec<(usize, f64)>,
     lo: Vec<u32>,
     hi: Vec<u32>,
-    value_counts: Vec<u32>,
-    counts_total: Vec<u32>,
-    counts_left: Vec<u32>,
-    counts_right: Vec<u32>,
+    /// Value counts over one QI domain (the histogram replay keeps every
+    /// dimension's, concatenated at the tree's domain offsets).
+    pub(crate) value_counts: Vec<u32>,
+    /// The node's sensitive histogram.
+    pub(crate) counts_total: Vec<u32>,
+    /// Left half's sensitive histogram.
+    pub(crate) counts_left: Vec<u32>,
+    /// Right half's sensitive histogram (total minus left).
+    pub(crate) counts_right: Vec<u32>,
 }
 
 /// Per-worker scratch buffers for the optimized splitter.
@@ -447,14 +483,15 @@ impl Mondrian {
     /// same medians, same requirement booleans — but since neither the
     /// decision nor a counts-decidable check depends on row order, no
     /// sorting, no half materialization and no allocation beyond the
-    /// reusable `scratch`. The incremental refresh calls this once per
-    /// dirty node, so the constant matters.
+    /// reusable `scratch`, which keeps the attempt sequence of a split
+    /// found. The incremental refresh calls this once per dirty node, so
+    /// the constant matters.
     pub(crate) fn decide_only_counts(
         &self,
         table: &Table,
         rows: &[usize],
         scratch: &mut DecideScratch,
-    ) -> Option<SplitDecision> {
+    ) -> Option<Cut> {
         if rows.len() < 2 {
             return None;
         }
@@ -494,10 +531,10 @@ impl Mondrian {
                 .then(a.0.cmp(&b.0))
         });
         table.sensitive_counts_into(rows, &mut scratch.counts_total);
-        let mut attempts = Vec::new();
+        scratch.attempts.clear();
         for wi in 0..scratch.widths.len() {
             let (dim, _) = scratch.widths[wi];
-            attempts.push(dim);
+            scratch.attempts.push(dim);
             let dom = schema.qi_attribute(dim).domain_size() as usize;
             let col = table.qi_col(dim);
             scratch.value_counts.clear();
@@ -551,8 +588,7 @@ impl Mondrian {
             if requirement.is_satisfied_by_counts(split_at, &scratch.counts_left)
                 && requirement.is_satisfied_by_counts(n - split_at, &scratch.counts_right)
             {
-                return Some(SplitDecision {
-                    attempts,
+                return Some(Cut {
                     dim,
                     median: median as u32,
                     le_mode,

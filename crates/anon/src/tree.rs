@@ -39,17 +39,17 @@
 //! requirement checks on both halves) is replayed in `O(domain · m)` time,
 //! without touching the node's `O(n)` rows at all.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use bgkanon_data::Table;
 
 use crate::anonymized::{AnonymizedTable, PartitionBuilder, QiRange};
-use crate::mondrian::{DecideScratch, Mondrian, Region, SplitDecision, SplitScratch};
+use crate::mondrian::{Cut, DecideScratch, Mondrian, Region, SplitDecision, SplitScratch};
 
 /// Sentinel for "no node" / "no parent".
 const NONE: u32 = u32::MAX;
 /// Sentinel in `row_of` for a deleted id.
-const DEAD_ROW: usize = usize::MAX;
+const DEAD_ROW: u32 = u32::MAX;
 /// Nodes with at least this many rows get the histogram replay fast path
 /// (when the requirement is counts-decidable); smaller nodes replay on
 /// their materialized rows, which is cheap at this size.
@@ -102,7 +102,8 @@ impl NodeRec {
 
     /// Leaf record with ranges and histogram computed by scanning `rows`.
     pub(crate) fn leaf_from_rows(table: &Table, rows: Vec<usize>) -> Self {
-        let (lo, hi) = scan_ranges(table, &rows);
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        ranges_into(table, rows.iter().copied(), &mut lo, &mut hi);
         let counts = table.sensitive_counts_in(&rows);
         NodeRec::Leaf {
             rows,
@@ -113,20 +114,25 @@ impl NodeRec {
     }
 }
 
-/// Per-dimension min/max codes over `rows`.
-fn scan_ranges(table: &Table, rows: &[usize]) -> (Vec<u32>, Vec<u32>) {
-    let d = table.qi_count();
-    let first = table.qi(rows[0]);
-    let mut lo = first.to_vec();
-    let mut hi = first.to_vec();
-    for &r in &rows[1..] {
-        let q = table.qi(r);
-        for i in 0..d {
-            lo[i] = lo[i].min(q[i]);
-            hi[i] = hi[i].max(q[i]);
-        }
+/// Per-dimension min/max codes over the (non-empty) `rows`, into `lo` and
+/// `hi` (cleared first): one pass down each QI column, no per-row buffer.
+fn ranges_into(
+    table: &Table,
+    rows: impl Iterator<Item = usize> + Clone,
+    lo: &mut Vec<u32>,
+    hi: &mut Vec<u32>,
+) {
+    lo.clear();
+    hi.clear();
+    for dim in 0..table.qi_count() {
+        let col = table.qi_col(dim);
+        let (min, max) = rows.clone().fold((u32::MAX, 0), |(lo, hi), r| {
+            let v = col.get(r);
+            (lo.min(v), hi.max(v))
+        });
+        lo.push(min);
+        hi.push(max);
     }
-    (lo, hi)
 }
 
 /// Per-node value × sensitive histogram over the concatenated QI domains:
@@ -175,6 +181,14 @@ struct Node {
 /// [`Mondrian::refresh`], and projected to the published
 /// [`AnonymizedTable`] by [`to_anonymized`](PartitionTree::to_anonymized).
 ///
+/// Row ids and row indices are both `u32` (the id space is capped at
+/// `u32::MAX`). Ids are never reused within a run of refreshes; when dead
+/// ids come to outnumber live rows, a refresh renumbers the ids to the
+/// current row indices in one pass, so the id maps stay within twice the
+/// table plus one delta. The tree keeps running counts of its leaves and
+/// histogram-carrying nodes, so
+/// [`bytes_accounted`](PartitionTree::bytes_accounted) is O(1).
+///
 /// ```
 /// use std::sync::Arc;
 /// use bgkanon_anon::Mondrian;
@@ -193,10 +207,10 @@ pub struct PartitionTree {
     m: usize,
     root: u32,
     nodes: Vec<Node>,
-    /// Recycled node slots.
+    /// Recycled node slots (their payloads dropped).
     free: Vec<u32>,
     /// id → current row index ([`DEAD_ROW`] once deleted).
-    row_of: Vec<usize>,
+    row_of: Vec<u32>,
     /// current row index → id.
     id_of: Vec<u32>,
     /// Source of fresh leaf stamps.
@@ -205,6 +219,10 @@ pub struct PartitionTree {
     dim_off: Vec<usize>,
     /// Sum of all QI domain sizes.
     total_domain: usize,
+    /// Number of live leaves.
+    leaves: usize,
+    /// Number of live internal nodes holding a replay histogram.
+    stats_nodes: usize,
 }
 
 impl PartitionTree {
@@ -227,6 +245,7 @@ impl PartitionTree {
         let mut nodes: Vec<Option<Node>> = Vec::with_capacity(slots);
         nodes.resize_with(slots, || None);
         let mut stamp_counter = 0u64;
+        let mut leaves = 0usize;
         for (slot, rec) in records {
             let node = match rec {
                 NodeRec::Internal {
@@ -252,6 +271,7 @@ impl PartitionTree {
                 } => {
                     let stamp = stamp_counter;
                     stamp_counter += 1;
+                    leaves += 1;
                     Node {
                         parent: NONE,
                         size: rows.len(),
@@ -285,11 +305,13 @@ impl PartitionTree {
             root: 0,
             nodes,
             free: Vec::new(),
-            row_of: (0..n).collect(),
+            row_of: (0..n as u32).collect(),
             id_of: (0..n as u32).collect(),
             stamp_counter,
             dim_off,
             total_domain,
+            leaves,
+            stats_nodes: 0,
         }
     }
 
@@ -305,9 +327,7 @@ impl PartitionTree {
 
     /// Number of leaves — the published group count.
     pub fn leaf_count(&self) -> usize {
-        let mut count = 0;
-        self.visit_leaves(self.root, &mut |_| count += 1);
-        count
+        self.leaves
     }
 
     /// Number of live nodes.
@@ -318,21 +338,44 @@ impl PartitionTree {
     /// Heap bytes of the retained tree: per-node payloads (leaf row lists,
     /// range bounds, histograms; internal split stats) plus the id↔row
     /// maps. A deterministic accounting proxy for the serving hub's
-    /// per-tenant memory gauges, not an allocator-exact figure.
+    /// per-tenant memory gauges, not an allocator-exact figure. O(1): the
+    /// leaves' row lists sum to [`len`](Self::len), every leaf carries `d`
+    /// bounds each way and `m` counts, and every replay histogram spans the
+    /// concatenated QI domains × `m`.
     pub fn bytes_accounted(&self) -> usize {
-        let nodes: usize = self
-            .nodes
-            .iter()
-            .map(|n| {
-                96 + match &n.kind {
-                    NodeKind::Leaf(l) => {
-                        l.rows.len() * 4 + (l.lo.len() + l.hi.len() + l.counts.len()) * 4
-                    }
-                    NodeKind::Internal(i) => i.stats.as_ref().map_or(0, |s| s.joint.len() * 4 + 32),
+        let leaf = (2 * self.d + self.m) * 4;
+        let stats = self.total_domain * self.m * 4 + 32;
+        let bytes = self.nodes.len() * 96
+            + self.len() * 4
+            + self.leaves * leaf
+            + self.stats_nodes * stats
+            + self.free.len() * 4
+            + (self.row_of.len() + self.id_of.len()) * 4
+            + 128;
+        debug_assert_eq!(bytes, self.bytes_walked(), "running tree gauge drifted");
+        bytes
+    }
+
+    /// [`bytes_accounted`](Self::bytes_accounted) by walking every live
+    /// node: the reference the running counts are checked against.
+    fn bytes_walked(&self) -> usize {
+        let mut payload = 0usize;
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            payload += match &self.nodes[node as usize].kind {
+                NodeKind::Leaf(l) => (l.rows.len() + l.lo.len() + l.hi.len() + l.counts.len()) * 4,
+                NodeKind::Internal(i) => {
+                    stack.push(i.left);
+                    stack.push(i.right);
+                    i.stats.as_ref().map_or(0, |s| s.joint.len() * 4 + 32)
                 }
-            })
-            .sum();
-        nodes + self.free.len() * 4 + self.row_of.len() * 8 + self.id_of.len() * 4 + 128
+            };
+        }
+        self.nodes.len() * 96
+            + payload
+            + self.free.len() * 4
+            + (self.row_of.len() + self.id_of.len()) * 4
+            + 128
     }
 
     /// Maximum root-to-leaf depth (root = 0).
@@ -364,15 +407,15 @@ impl PartitionTree {
     /// key caches of per-group derived values (the audit engine's
     /// [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession) uses it).
     pub fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>) {
-        let mut leaves: Vec<&LeafNode> = Vec::new();
-        self.visit_leaves(self.root, &mut |leaf| leaves.push(leaf));
+        let mut leaves: Vec<&LeafNode> = Vec::with_capacity(self.leaves);
+        self.visit_leaves(&mut Vec::new(), self.root, &mut |leaf| leaves.push(leaf));
         // Deterministic group order: by first row index. The leaves
         // partition the rows, so first rows are unique and sorting one
         // packed `(first row, leaf slot)` key per leaf orders them.
         let mut order: Vec<u64> = leaves
             .iter()
             .enumerate()
-            .map(|(slot, leaf)| ((self.row_of[leaf.rows[0] as usize] as u64) << 32) | slot as u64)
+            .map(|(slot, leaf)| (u64::from(self.row_of[leaf.rows[0] as usize]) << 32) | slot as u64)
             .collect();
         order.sort_unstable();
         let mut builder = PartitionBuilder::new(table, leaves.len());
@@ -380,7 +423,9 @@ impl PartitionTree {
         for key in order {
             let leaf = leaves[(key & u64::from(u32::MAX)) as usize];
             builder.push(
-                leaf.rows.iter().map(|&id| self.row_of[id as usize]),
+                leaf.rows
+                    .iter()
+                    .map(|&id| self.row_of[id as usize] as usize),
                 leaf.lo
                     .iter()
                     .zip(&leaf.hi)
@@ -394,8 +439,16 @@ impl PartitionTree {
         (builder.finish(), stamps)
     }
 
-    fn visit_leaves<'a>(&'a self, from: u32, f: &mut impl FnMut(&'a LeafNode)) {
-        let mut stack = vec![from];
+    /// Visit the leaves under `from` in emission order (left before
+    /// right), walking on the caller-owned node `stack`.
+    fn visit_leaves<'a>(
+        &'a self,
+        stack: &mut Vec<u32>,
+        from: u32,
+        f: &mut impl FnMut(&'a LeafNode),
+    ) {
+        stack.clear();
+        stack.push(from);
         while let Some(node) = stack.pop() {
             match &self.nodes[node as usize].kind {
                 NodeKind::Leaf(leaf) => f(leaf),
@@ -405,12 +458,6 @@ impl PartitionTree {
                 }
             }
         }
-    }
-
-    /// Collect the ids of every row under `from` (leaf emission order —
-    /// callers sort when they need the node's input order).
-    fn collect_ids(&self, from: u32, out: &mut Vec<u32>) {
-        self.visit_leaves(from, &mut |leaf| out.extend_from_slice(&leaf.rows));
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -432,19 +479,50 @@ impl PartitionTree {
         }
     }
 
-    /// Recycle every node strictly below `node`.
-    fn free_subtree(&mut self, node: u32) {
-        let mut stack = match &self.nodes[node as usize].kind {
-            NodeKind::Leaf(_) => return,
-            NodeKind::Internal(i) => vec![i.left, i.right],
-        };
+    /// Release the subtree at `node` for a rebuild: recycle every node
+    /// strictly below it (dropping their payloads) and take the whole
+    /// subtree's leaves and histograms off the running counts. `node`
+    /// itself stays allocated, to be overwritten.
+    fn release_subtree(&mut self, node: u32) {
+        let mut stack = vec![node];
         while let Some(slot) = stack.pop() {
-            if let NodeKind::Internal(i) = &self.nodes[slot as usize].kind {
-                stack.push(i.left);
-                stack.push(i.right);
+            match &self.nodes[slot as usize].kind {
+                NodeKind::Leaf(_) => self.leaves -= 1,
+                NodeKind::Internal(i) => {
+                    stack.push(i.left);
+                    stack.push(i.right);
+                    self.stats_nodes -= usize::from(i.stats.is_some());
+                }
             }
-            self.free.push(slot);
+            if slot != node {
+                self.nodes[slot as usize].kind = NodeKind::Leaf(LeafNode::default());
+                self.free.push(slot);
+            }
         }
+    }
+
+    /// Renumber the ids to the current row indices once dead ids outnumber
+    /// live rows, bounding the id maps by twice the table. Id order is row
+    /// order before and after, so every comparison a refresh makes — and
+    /// so every output and stamp — is unchanged; a checkpoint round trip
+    /// ([`from_exported`](Self::from_exported)) renumbers the same way.
+    fn compact_ids(&mut self) {
+        let live = self.id_of.len();
+        if self.row_of.len() - live <= live {
+            return;
+        }
+        let row_of = &self.row_of;
+        for node in &mut self.nodes {
+            if let NodeKind::Leaf(leaf) = &mut node.kind {
+                for id in &mut leaf.rows {
+                    *id = row_of[*id as usize];
+                }
+            }
+        }
+        self.row_of.clear();
+        self.row_of.extend(0..live as u32);
+        self.id_of.clear();
+        self.id_of.extend(0..live as u32);
     }
 
     /// The dimension sequence that orders a node's *input* rows, highest
@@ -452,31 +530,32 @@ impl PartitionTree {
     /// ancestor's attempted dimensions in reverse. (Stable sorts compose so
     /// the most recent sort dominates; the final tiebreak is the row id.)
     /// Duplicate dimensions keep only their first (highest-priority)
-    /// occurrence — repeats can no longer change the order.
-    fn input_chain(&self, node: u32) -> Vec<usize> {
-        let mut chain = Vec::new();
-        let mut seen = vec![false; self.d];
+    /// occurrence — repeats can no longer change the order. Written into
+    /// `chain`.
+    fn input_chain(&self, node: u32, chain: &mut Vec<usize>) {
+        chain.clear();
         let mut current = self.nodes[node as usize].parent;
         while current != NONE {
             let parent = &self.nodes[current as usize];
             if let NodeKind::Internal(i) = &parent.kind {
                 for &dim in i.decision.attempts.iter().rev() {
-                    if !seen[dim] {
-                        seen[dim] = true;
+                    if !chain.contains(&dim) {
                         chain.push(dim);
                     }
                 }
             }
             current = parent.parent;
         }
-        chain
     }
 
     /// Sort `ids` into the node's from-scratch input order: by the chain
     /// dimensions in priority order, then by id (id order ≡ row order).
     fn sort_into_input_order(&self, table: &Table, chain: &[usize], ids: &mut [u32]) {
         ids.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (self.row_of[a as usize], self.row_of[b as usize]);
+            let (ra, rb) = (
+                self.row_of[a as usize] as usize,
+                self.row_of[b as usize] as usize,
+            );
             for &dim in chain {
                 let ord = table.qi_value(ra, dim).cmp(&table.qi_value(rb, dim));
                 if ord != std::cmp::Ordering::Equal {
@@ -553,7 +632,7 @@ impl PartitionTree {
                         rows: leaf
                             .rows
                             .iter()
-                            .map(|&id| self.row_of[id as usize])
+                            .map(|&id| self.row_of[id as usize] as usize)
                             .collect(),
                     },
                 }
@@ -598,13 +677,15 @@ impl PartitionTree {
 
 /// The QI codes and sensitive codes of the rows a delta removed, captured
 /// from the pre-delta table so the refresh can route the removals down the
-/// retained tree after the table itself has moved on.
+/// retained tree after the table itself has moved on. Deletes arrive sorted
+/// and id order is row order, so `ids` is ascending and a deleted id's
+/// capture is found by binary search.
+#[derive(Default)]
 struct Removed {
     d: usize,
     ids: Vec<u32>,
     qi: Vec<u32>,
     sensitive: Vec<u32>,
-    index_of: BTreeMap<u32, usize>,
 }
 
 impl Removed {
@@ -615,18 +696,24 @@ impl Removed {
             ids: Vec::with_capacity(deletes.len()),
             qi: Vec::with_capacity(deletes.len() * d),
             sensitive: Vec::with_capacity(deletes.len()),
-            index_of: BTreeMap::new(),
         };
         for &row in deletes {
-            let id = tree.id_of[row];
-            removed.index_of.insert(id, removed.ids.len());
-            removed.ids.push(id);
+            removed.ids.push(tree.id_of[row]);
             for a in 0..d {
                 removed.qi.push(old_table.qi_value(row, a));
             }
             removed.sensitive.push(old_table.sensitive_value(row));
         }
+        debug_assert!(removed.ids.windows(2).all(|w| w[0] < w[1]));
         removed
+    }
+
+    /// Position of the deleted `id` in the capture.
+    fn index_of(&self, id: u32) -> usize {
+        match self.ids.binary_search(&id) {
+            Ok(idx) => idx,
+            Err(_) => unreachable!("every dead id was removed by this delta"),
+        }
     }
 
     fn qi(&self, idx: usize) -> &[u32] {
@@ -634,40 +721,50 @@ impl Removed {
     }
 }
 
-impl<'a> RefreshCtx<'a> {
-    /// The QI codes and sensitive code of `id`: live rows read from the
-    /// post-delta table, deleted rows from the captured values. (An id in a
-    /// `dels` list can be *alive* — a row migrating to a sibling subtree
-    /// after a threshold drift — so both cases are routine here.)
-    fn values_into(&self, row_of: &[usize], id: u32, buf: &mut Vec<u32>) -> u32 {
+impl RefreshCtx<'_> {
+    /// Add `id`'s row to (`add`) or take it from the node histogram
+    /// `joint`: live rows read from the post-delta table, deleted rows from
+    /// the captured values. (An id in a `dels` list can be *alive* — a row
+    /// migrating to a sibling subtree after a threshold drift — so both
+    /// cases are routine here.)
+    fn tally(
+        &self,
+        joint: &mut [u32],
+        row_of: &[u32],
+        dim_off: &[usize],
+        m: usize,
+        id: u32,
+        add: bool,
+    ) {
         let row = row_of[id as usize];
-        if row == DEAD_ROW {
-            let di = self.removed.index_of[&id];
-            buf.clear();
-            buf.extend_from_slice(self.removed.qi(di));
-            self.removed.sensitive[di]
-        } else {
-            self.table.qi_into(row, buf);
-            self.table.sensitive_value(row)
+        let dead = (row == DEAD_ROW).then(|| self.removed.index_of(id));
+        let s = match dead {
+            Some(di) => self.removed.sensitive[di],
+            None => self.table.sensitive_value(row as usize),
+        } as usize;
+        for (dim, &off) in dim_off.iter().enumerate() {
+            let v = match dead {
+                Some(di) => self.removed.qi(di)[dim],
+                None => self.table.qi_value(row as usize, dim),
+            };
+            let cell = &mut joint[(off + v as usize) * m + s];
+            if add {
+                *cell += 1;
+            } else {
+                *cell -= 1;
+            }
         }
     }
 
     /// Code of `id` on `dim` (for threshold routing).
-    fn value_on(&self, row_of: &[usize], id: u32, dim: usize) -> u32 {
+    fn value_on(&self, row_of: &[u32], id: u32, dim: usize) -> u32 {
         let row = row_of[id as usize];
         if row == DEAD_ROW {
-            let di = self.removed.index_of[&id];
-            self.removed.qi(di)[dim]
+            self.removed.qi(self.removed.index_of(id))[dim]
         } else {
-            self.table.qi_value(row, dim)
+            self.table.qi_value(row as usize, dim)
         }
     }
-}
-
-/// The replayed decision outcome at one node.
-enum Replay {
-    Split(SplitDecision),
-    NoSplit,
 }
 
 struct RefreshCtx<'a> {
@@ -677,8 +774,30 @@ struct RefreshCtx<'a> {
     removed: &'a Removed,
     /// Whether the requirement can be decided from (size, histogram) alone.
     counts_ok: bool,
-    scratch: std::cell::RefCell<DecideScratch>,
-    split_scratch: std::cell::RefCell<SplitScratch>,
+}
+
+/// The buffers one refresh reuses at every node it visits, so a refresh
+/// allocates per call (and per rebuilt node), not per visited node or per
+/// row.
+#[derive(Default)]
+struct RefreshScratch {
+    /// The routed id lists of the open recursion frames. A frame's `ins`
+    /// and `dels` are ranges into it; the frame pushes its children's lists
+    /// (and any threshold migrants) above them and truncates back when the
+    /// children are done.
+    ids: Vec<u32>,
+    /// The current node's gathered membership (replay and rebuild input).
+    members: Vec<u32>,
+    /// The current node's outgoing live ids (rows migrating out), sorted.
+    live_dels: Vec<u32>,
+    /// Node stack of leaf walks.
+    stack: Vec<u32>,
+    /// The current node's input-order sort chain.
+    chain: Vec<usize>,
+    /// Replay buffers; every replay leaves its attempt sequence here.
+    decide: DecideScratch,
+    /// The rebuild splitter's buffers.
+    split: SplitScratch,
 }
 
 impl Mondrian {
@@ -698,6 +817,15 @@ impl Mondrian {
     /// same structure, same leaf row order, same ranges and histograms.
     /// Leaves untouched by the delta keep their stamps; every leaf whose
     /// membership changed gets a fresh one.
+    ///
+    /// The walk serves every visited node from one set of buffers owned by
+    /// the call: routed id lists are ranges of one stack-disciplined id
+    /// buffer, replays leave their attempt sequence in scratch so the
+    /// retained [`SplitDecision`] is compared (and a drifted threshold
+    /// written into it) in place, and a leaf that stays a leaf is
+    /// recomputed in its own buffers. What allocates is new state: rebuilt
+    /// subtrees, first-touch histograms and growth of the id maps (which a
+    /// refresh renumbers in one pass once dead ids outnumber live rows).
     pub fn refresh(
         &self,
         tree: &mut PartitionTree,
@@ -713,55 +841,59 @@ impl Mondrian {
         let survivors = old_table.len() - deletes.len();
         let inserts = new_table.len() - survivors;
         assert!(!new_table.is_empty(), "cannot refresh onto an empty table");
-        // Ids are never reused (reuse would break the id-order ≡ row-order
-        // invariant), so the id space grows by the insert count on every
-        // refresh; a session would need 2^32 cumulative inserts to exhaust
-        // it. Guard rather than silently wrap.
+        // Ids are never reused between compactions (reuse would break the
+        // id-order ≡ row-order invariant), so the id space grows by the
+        // insert count on every refresh until dead ids outnumber live rows
+        // and `compact_ids` renumbers. Only a table of about 2^31 rows can
+        // still exhaust it: guard rather than silently wrap.
+        tree.compact_ids();
         assert!(
             tree.row_of.len() + inserts <= u32::MAX as usize,
             "row-id space exhausted ({} historical ids); re-plant the tree",
             tree.row_of.len()
         );
 
-        // Capture the removed rows' values, then advance the id maps: the
-        // id order of survivors equals their new row order, and fresh ids
-        // (larger than every existing id) are appended for the inserts.
+        // Capture the removed rows' values, then advance the id maps in
+        // place: from the first deleted row on, survivors' ids shift down to
+        // their new row indices (id order of survivors equals their new row
+        // order), and fresh ids — larger than every existing id — are
+        // appended for the inserts.
         let removed = Removed::capture(tree, old_table, deletes);
         for &id in &removed.ids {
             tree.row_of[id as usize] = DEAD_ROW;
         }
-        let mut new_id_of = Vec::with_capacity(new_table.len());
-        {
-            let mut dels = deletes.iter().copied().peekable();
-            for row in 0..old_table.len() {
-                if dels.peek() == Some(&row) {
-                    dels.next();
-                } else {
-                    new_id_of.push(tree.id_of[row]);
-                }
+        let first_moved = deletes.first().copied().unwrap_or(old_table.len());
+        let mut kept = first_moved;
+        let mut dels = deletes.iter().peekable();
+        for row in first_moved..old_table.len() {
+            if dels.peek() == Some(&&row) {
+                dels.next();
+            } else {
+                tree.id_of[kept] = tree.id_of[row];
+                kept += 1;
             }
         }
+        tree.id_of.truncate(kept);
         let first_fresh = tree.row_of.len() as u32;
-        let ins_ids: Vec<u32> = (0..inserts).map(|k| first_fresh + k as u32).collect();
-        for _ in 0..inserts {
-            tree.row_of.push(DEAD_ROW);
+        let fresh = first_fresh..first_fresh + inserts as u32;
+        tree.id_of.extend(fresh.clone());
+        tree.row_of.resize(tree.row_of.len() + inserts, DEAD_ROW);
+        for (row, &id) in tree.id_of.iter().enumerate().skip(first_moved) {
+            tree.row_of[id as usize] = row as u32;
         }
-        new_id_of.extend_from_slice(&ins_ids);
-        for (row, &id) in new_id_of.iter().enumerate() {
-            tree.row_of[id as usize] = row;
-        }
-        tree.id_of = new_id_of;
 
         let ctx = RefreshCtx {
             mondrian: self,
             table: new_table,
             removed: &removed,
             counts_ok: self.requirement().counts_decidable(),
-            scratch: std::cell::RefCell::new(DecideScratch::default()),
-            split_scratch: std::cell::RefCell::new(SplitScratch::default()),
         };
-        let del_ids = removed.ids.clone();
-        process(&ctx, tree, tree.root, ins_ids, del_ids);
+        let mut scratch = RefreshScratch::default();
+        scratch.ids.extend(fresh);
+        scratch.ids.extend_from_slice(&removed.ids);
+        let dels = inserts..scratch.ids.len();
+        let root = tree.root;
+        process(&ctx, tree, &mut scratch, root, 0..inserts, dels);
     }
 
     /// Pre-build the per-node histograms the delta refresh replays
@@ -773,21 +905,13 @@ impl Mondrian {
         if !self.requirement().counts_decidable() {
             return;
         }
-        let removed = Removed {
-            d: tree.d,
-            ids: Vec::new(),
-            qi: Vec::new(),
-            sensitive: Vec::new(),
-            index_of: BTreeMap::new(),
-        };
         let ctx = RefreshCtx {
             mondrian: self,
             table,
-            removed: &removed,
+            removed: &Removed::default(),
             counts_ok: true,
-            scratch: std::cell::RefCell::new(DecideScratch::default()),
-            split_scratch: std::cell::RefCell::new(SplitScratch::default()),
         };
+        let mut walk = Vec::new();
         let mut stack = vec![tree.root];
         while let Some(node) = stack.pop() {
             if tree.nodes[node as usize].size < STATS_THRESHOLD {
@@ -795,7 +919,7 @@ impl Mondrian {
             }
             if let NodeKind::Internal(i) = &tree.nodes[node as usize].kind {
                 let (l, r) = (i.left, i.right);
-                ensure_stats(&ctx, tree, node);
+                ensure_stats(&ctx, tree, &mut walk, node);
                 stack.push(l);
                 stack.push(r);
             }
@@ -806,7 +930,8 @@ impl Mondrian {
 /// Refresh one node. `ins` are ids entering the node's membership (fresh
 /// inserts, or live rows migrating in after an ancestor's threshold
 /// drifted); `dels` are ids leaving it (deleted rows, or live rows
-/// migrating out). Both lists are already known to belong to this node.
+/// migrating out). Both are ranges of `s.ids`, already known to belong to
+/// this node.
 ///
 /// Recursion depth equals the tree depth along dirty paths. Median splits
 /// keep that logarithmic on real data; a pathologically skewed table could
@@ -815,9 +940,10 @@ impl Mondrian {
 fn process(
     ctx: &RefreshCtx<'_>,
     tree: &mut PartitionTree,
+    s: &mut RefreshScratch,
     node: u32,
-    ins: Vec<u32>,
-    dels: Vec<u32>,
+    ins: Range<usize>,
+    dels: Range<usize>,
 ) {
     if ins.is_empty() && dels.is_empty() {
         return; // Clean subtree: nothing to recompute, stamps survive.
@@ -825,60 +951,67 @@ fn process(
     let new_size = tree.nodes[node as usize].size + ins.len() - dels.len();
     debug_assert!(new_size > 0, "a node can only empty out via its parent");
     match &tree.nodes[node as usize].kind {
-        NodeKind::Leaf(_) => refresh_leaf(ctx, tree, node, ins, dels, new_size),
-        NodeKind::Internal(_) => refresh_internal(ctx, tree, node, ins, dels, new_size),
+        NodeKind::Leaf(_) => refresh_leaf(ctx, tree, s, node, ins, dels, new_size),
+        NodeKind::Internal(_) => refresh_internal(ctx, tree, s, node, ins, dels, new_size),
     }
 }
 
-/// Is `id` gone from a gathered membership — deleted outright, or listed
-/// in the subtree's outgoing `dels`?
-fn is_gone(row_of: &[usize], dels: &BTreeSet<u32>, id: u32) -> bool {
-    row_of[id as usize] == DEAD_ROW || dels.contains(&id)
+/// Index the *live* ids of `dels` into `s.live_dels`, sorted (deleted ids
+/// are recognized by `row_of` directly; only migrating live rows need the
+/// lookup).
+fn index_live_dels(row_of: &[u32], s: &mut RefreshScratch, dels: Range<usize>) {
+    let RefreshScratch { ids, live_dels, .. } = s;
+    live_dels.clear();
+    live_dels.extend(
+        ids[dels]
+            .iter()
+            .copied()
+            .filter(|&id| row_of[id as usize] != DEAD_ROW),
+    );
+    live_dels.sort_unstable();
 }
 
-/// Index the *live* ids of `dels` (deleted ids are recognized by
-/// `row_of` directly; only migrating live rows need the lookup).
-fn live_dels_set(tree: &PartitionTree, dels: &[u32]) -> BTreeSet<u32> {
-    let mut set = BTreeSet::new();
-    for &id in dels {
-        if tree.row_of[id as usize] != DEAD_ROW {
-            set.insert(id);
-        }
-    }
-    set
+/// Is `id` gone from a gathered membership — deleted outright, or among
+/// the subtree's outgoing live ids?
+fn is_gone(row_of: &[u32], live_dels: &[u32], id: u32) -> bool {
+    row_of[id as usize] == DEAD_ROW || live_dels.binary_search(&id).is_ok()
 }
 
 fn refresh_internal(
     ctx: &RefreshCtx<'_>,
     tree: &mut PartitionTree,
+    s: &mut RefreshScratch,
     node: u32,
-    ins: Vec<u32>,
-    dels: Vec<u32>,
+    ins: Range<usize>,
+    dels: Range<usize>,
     new_size: usize,
 ) {
     // Keep the node's histogram current (building it lazily on first
-    // touch), then replay the decision procedure — from the histogram when
-    // the requirement allows it and the node is large enough to make the
-    // O(n) row path expensive, from the materialized rows otherwise.
+    // touch; a node that shrank under the threshold keeps updating the one
+    // it has, for when it grows back), then replay the decision procedure
+    // — from the histogram when the requirement allows it and the node is
+    // large enough to make the O(n) row path expensive, from the
+    // materialized rows otherwise.
     let use_stats = ctx.counts_ok && new_size >= STATS_THRESHOLD;
     if use_stats {
-        ensure_stats(ctx, tree, node);
+        ensure_stats(ctx, tree, &mut s.stack, node);
     }
+    let PartitionTree {
+        nodes,
+        row_of,
+        dim_off,
+        m,
+        ..
+    } = &mut *tree;
+    if let NodeKind::Internal(InternalNode {
+        stats: Some(stats), ..
+    }) = &mut nodes[node as usize].kind
     {
-        let m = tree.m;
-        let (nodes, row_of, dim_off) = (&mut tree.nodes, &tree.row_of, &tree.dim_off);
-        if let NodeKind::Internal(internal) = &mut nodes[node as usize].kind {
-            if let Some(stats) = internal.stats.as_deref_mut() {
-                let mut qi = Vec::new();
-                for &id in &ins {
-                    let s = ctx.values_into(row_of, id, &mut qi);
-                    update_stats(stats, dim_off, m, &qi, s, true);
-                }
-                for &id in &dels {
-                    let s = ctx.values_into(row_of, id, &mut qi);
-                    update_stats(stats, dim_off, m, &qi, s, false);
-                }
-            }
+        for &id in &s.ids[ins.clone()] {
+            ctx.tally(&mut stats.joint, row_of, dim_off, *m, id, true);
+        }
+        for &id in &s.ids[dels.clone()] {
+            ctx.tally(&mut stats.joint, row_of, dim_off, *m, id, false);
         }
     }
 
@@ -890,42 +1023,40 @@ fn refresh_internal(
     // deferred until a rebuild actually needs it. Row-dependent
     // requirements ((B,t)-privacy) evaluate the adversary over the rows,
     // so their replay materializes the exact from-scratch order.
-    let mut gathered: Option<Vec<u32>> = None;
-    let replay = if use_stats {
-        replay_from_stats(ctx, tree, node, new_size)
+    let cut = if use_stats {
+        replay_from_stats(ctx, tree, &mut s.decide, node, new_size)
     } else {
-        let mut ids = gather_live(tree, node, &ins, &dels);
+        gather_live(tree, s, node, ins.clone(), dels.clone());
         if !ctx.counts_ok {
-            let chain = tree.input_chain(node);
-            tree.sort_into_input_order(ctx.table, &chain, &mut ids);
+            tree.input_chain(node, &mut s.chain);
+            tree.sort_into_input_order(ctx.table, &s.chain, &mut s.members);
         }
-        let replay = replay_from_rows(ctx, tree, &ids);
-        gathered = Some(ids);
-        replay
+        replay_from_rows(ctx, tree, &mut s.decide, &s.members)
     };
 
-    let stored = match &tree.nodes[node as usize].kind {
-        NodeKind::Internal(i) => i.decision.clone(),
-        NodeKind::Leaf(_) => unreachable!("refresh_internal on a leaf"),
+    let NodeKind::Internal(internal) = &tree.nodes[node as usize].kind else {
+        unreachable!("refresh_internal on a leaf");
     };
-    match replay {
-        Replay::Split(decision) if decision == stored => {
+    let stored = internal.decision.cut();
+    let children = (internal.left, internal.right);
+    let same_attempts = s.decide.attempts == internal.decision.attempts;
+    match cut {
+        Some(cut) if same_attempts && cut == stored => {
             tree.nodes[node as usize].size = new_size;
             route_children(
                 ctx,
                 tree,
-                node,
-                &stored,
-                &stored,
+                s,
+                children,
+                stored,
+                stored,
                 ins,
                 dels,
-                Vec::new(),
-                Vec::new(),
+                0..0,
+                0..0,
             );
         }
-        Replay::Split(decision)
-            if decision.dim == stored.dim && decision.attempts == stored.attempts =>
-        {
+        Some(cut) if same_attempts && cut.dim == stored.dim => {
             // Only the threshold drifted. The children's sort chains are
             // unchanged (same attempt sequence), so instead of rebuilding
             // the subtree the boundary rows are *migrated* between the two
@@ -933,121 +1064,124 @@ fn refresh_internal(
             // plain ins/dels. This is what keeps a shifting root median —
             // inevitable under sustained churn — an O(moved · depth)
             // event instead of an O(n log n) rebuild.
-            let (left, right) = match &tree.nodes[node as usize].kind {
-                NodeKind::Internal(i) => (i.left, i.right),
-                NodeKind::Leaf(_) => unreachable!(),
-            };
-            let dels_set = live_dels_set(tree, &dels);
-            let mut to_left = Vec::new(); // rows leaving the right child
-            let mut to_right = Vec::new(); // rows leaving the left child
-            {
-                let (row_of, nodes) = (&tree.row_of, &tree.nodes);
-                let visit = |from: u32, out: &mut Vec<u32>, want_left: bool| {
-                    let mut stack = vec![from];
-                    while let Some(slot) = stack.pop() {
-                        match &nodes[slot as usize].kind {
-                            NodeKind::Leaf(leaf) => {
-                                for &id in &leaf.rows {
-                                    if is_gone(row_of, &dels_set, id) {
-                                        continue;
-                                    }
-                                    let v = ctx.table.qi_value(row_of[id as usize], decision.dim);
-                                    if decision.goes_left(v) == want_left {
-                                        out.push(id);
-                                    }
-                                }
-                            }
-                            NodeKind::Internal(i) => {
-                                stack.push(i.right);
-                                stack.push(i.left);
-                            }
-                        }
-                    }
-                };
-                visit(left, &mut to_right, false);
-                visit(right, &mut to_left, true);
+            index_live_dels(&tree.row_of, s, dels.clone());
+            let base = s.ids.len();
+            collect_migrants(ctx, tree, s, children.0, cut, false);
+            let to_right = base..s.ids.len(); // rows leaving the left child
+            collect_migrants(ctx, tree, s, children.1, cut, true);
+            let to_left = to_right.end..s.ids.len(); // rows leaving the right child
+            let n = &mut tree.nodes[node as usize];
+            n.size = new_size;
+            if let NodeKind::Internal(i) = &mut n.kind {
+                i.decision.median = cut.median;
+                i.decision.le_mode = cut.le_mode;
             }
-            if let NodeKind::Internal(i) = &mut tree.nodes[node as usize].kind {
-                i.decision = decision.clone();
-            }
-            tree.nodes[node as usize].size = new_size;
             route_children(
-                ctx, tree, node, &stored, &decision, ins, dels, to_left, to_right,
+                ctx, tree, s, children, stored, cut, ins, dels, to_left, to_right,
             );
+            s.ids.truncate(base);
         }
         _ => {
             // The decision drifted structurally (different attempt order or
             // winning dimension, or no valid split left — the collapse
             // case): rebuild the subtree from scratch on the node's rows,
             // now in true input order.
-            let mut ids = gathered.unwrap_or_else(|| gather_live(tree, node, &ins, &dels));
+            if use_stats {
+                gather_live(tree, s, node, ins, dels);
+            }
             if ctx.counts_ok {
                 // The counts path skipped the sort; a rebuild needs it.
-                let chain = tree.input_chain(node);
-                tree.sort_into_input_order(ctx.table, &chain, &mut ids);
+                tree.input_chain(node, &mut s.chain);
+                tree.sort_into_input_order(ctx.table, &s.chain, &mut s.members);
             }
-            rebuild(ctx, tree, node, ids);
+            rebuild(ctx, tree, &mut s.split, node, &s.members);
         }
     }
+}
+
+/// Push onto `s.ids` the surviving ids under `from` that the drifted `cut`
+/// sends to the other child: with `want_left`, the rows a right child
+/// loses; without, the rows a left child loses. `s.live_dels` must index
+/// the node's outgoing ids.
+fn collect_migrants(
+    ctx: &RefreshCtx<'_>,
+    tree: &PartitionTree,
+    s: &mut RefreshScratch,
+    from: u32,
+    cut: Cut,
+    want_left: bool,
+) {
+    let RefreshScratch {
+        ids,
+        live_dels,
+        stack,
+        ..
+    } = s;
+    let row_of = &tree.row_of;
+    let col = ctx.table.qi_col(cut.dim);
+    tree.visit_leaves(stack, from, &mut |leaf| {
+        for &id in &leaf.rows {
+            if !is_gone(row_of, live_dels, id)
+                && cut.goes_left(col.get(row_of[id as usize] as usize)) == want_left
+            {
+                ids.push(id);
+            }
+        }
+    });
 }
 
 /// Split a confirmed node's incoming `ins`/`dels` between its children,
 /// fold in the rows migrating across a drifted threshold, and recurse into
 /// the dirty children. Inserts are *new* members, placed where the **new**
-/// decision says; deletes are *existing* members, located where the **old**
-/// decision put them.
+/// cut says; deletes are *existing* members, located where the **old** cut
+/// put them. The children's lists are pushed onto `s.ids` above the
+/// caller's ranges and popped once both children are done.
 #[allow(clippy::too_many_arguments)]
 fn route_children(
     ctx: &RefreshCtx<'_>,
     tree: &mut PartitionTree,
-    node: u32,
-    old_decision: &SplitDecision,
-    new_decision: &SplitDecision,
-    ins: Vec<u32>,
-    dels: Vec<u32>,
-    to_left: Vec<u32>,
-    to_right: Vec<u32>,
+    s: &mut RefreshScratch,
+    (left, right): (u32, u32),
+    old_cut: Cut,
+    new_cut: Cut,
+    ins: Range<usize>,
+    dels: Range<usize>,
+    to_left: Range<usize>,
+    to_right: Range<usize>,
 ) {
-    let mut ins_l = Vec::new();
-    let mut ins_r = Vec::new();
-    for id in ins {
-        let v = ctx.value_on(&tree.row_of, id, new_decision.dim);
-        if new_decision.goes_left(v) {
-            ins_l.push(id);
-        } else {
-            ins_r.push(id);
+    let base = s.ids.len();
+    let row_of = &tree.row_of;
+    let ids = &mut s.ids;
+    // One child's list: the ids of `from` that `cut` sends its way, then
+    // the migrants `extra` (a row moving left is an insert for the left
+    // child and a delete for the right child, and vice versa).
+    let mut route = |from: Range<usize>, cut: Cut, want_left: bool, extra: Range<usize>| {
+        let start = ids.len();
+        for i in from {
+            let id = ids[i];
+            if cut.goes_left(ctx.value_on(row_of, id, cut.dim)) == want_left {
+                ids.push(id);
+            }
         }
-    }
-    let mut dels_l = Vec::new();
-    let mut dels_r = Vec::new();
-    for id in dels {
-        let v = ctx.value_on(&tree.row_of, id, old_decision.dim);
-        if old_decision.goes_left(v) {
-            dels_l.push(id);
-        } else {
-            dels_r.push(id);
-        }
-    }
-    // Fold the migrations in: a row moving left is an insert for the left
-    // child and a delete for the right child, and vice versa.
-    dels_r.extend_from_slice(&to_left);
-    ins_l.extend(to_left);
-    dels_l.extend_from_slice(&to_right);
-    ins_r.extend(to_right);
-    let (left, right) = match &tree.nodes[node as usize].kind {
-        NodeKind::Internal(i) => (i.left, i.right),
-        NodeKind::Leaf(_) => unreachable!(),
+        ids.extend_from_within(extra);
+        start..ids.len()
     };
-    process(ctx, tree, left, ins_l, dels_l);
-    process(ctx, tree, right, ins_r, dels_r);
+    let ins_l = route(ins.clone(), new_cut, true, to_left.clone());
+    let dels_l = route(dels.clone(), old_cut, true, to_right.clone());
+    let ins_r = route(ins, new_cut, false, to_right);
+    let dels_r = route(dels, old_cut, false, to_left);
+    process(ctx, tree, s, left, ins_l, dels_l);
+    process(ctx, tree, s, right, ins_r, dels_r);
+    s.ids.truncate(base);
 }
 
 fn refresh_leaf(
     ctx: &RefreshCtx<'_>,
     tree: &mut PartitionTree,
+    s: &mut RefreshScratch,
     node: u32,
-    ins: Vec<u32>,
-    dels: Vec<u32>,
+    ins: Range<usize>,
+    dels: Range<usize>,
     new_size: usize,
 ) {
     // The leaf's stored rows are already in input order, so the merged
@@ -1056,19 +1190,19 @@ fn refresh_leaf(
     // making the comparator a strict total order — each insert lands at
     // its exact from-scratch position). No full re-sort needed; the leaf's
     // own buffer is updated in place.
-    let dels_set = live_dels_set(tree, &dels);
+    index_live_dels(&tree.row_of, s, dels);
     let mut ids: Vec<u32> = match &mut tree.nodes[node as usize].kind {
         NodeKind::Leaf(leaf) => std::mem::take(&mut leaf.rows),
         NodeKind::Internal(_) => unreachable!("refresh_leaf on an internal node"),
     };
-    ids.retain(|&id| !is_gone(&tree.row_of, &dels_set, id));
+    ids.retain(|&id| !is_gone(&tree.row_of, &s.live_dels, id));
     if !ins.is_empty() {
-        let chain = tree.input_chain(node);
-        for &id in &ins {
-            let row = tree.row_of[id as usize];
+        tree.input_chain(node, &mut s.chain);
+        for &id in &s.ids[ins] {
+            let row = tree.row_of[id as usize] as usize;
             let pos = ids.partition_point(|&other| {
-                let other_row = tree.row_of[other as usize];
-                for &dim in &chain {
+                let other_row = tree.row_of[other as usize] as usize;
+                for &dim in &s.chain {
                     let ord = ctx
                         .table
                         .qi_value(other_row, dim)
@@ -1083,87 +1217,109 @@ fn refresh_leaf(
         }
     }
     debug_assert_eq!(ids.len(), new_size);
-    match replay_from_rows(ctx, tree, &ids) {
-        Replay::NoSplit => {
+    match replay_from_rows(ctx, tree, &mut s.decide, &ids) {
+        None => {
             // Still a leaf: update membership, ranges, histogram, stamp —
-            // all in the leaf's existing buffers.
-            let d = tree.d;
-            let m = tree.m;
-            let first = ctx.table.qi(tree.row_of[ids[0] as usize]);
-            let mut lo = first.to_vec();
-            let mut hi = first.to_vec();
-            let mut counts = vec![0u32; m];
-            for &id in &ids {
-                let row = tree.row_of[id as usize];
-                let q = ctx.table.qi(row);
-                for i in 0..d {
-                    lo[i] = lo[i].min(q[i]);
-                    hi[i] = hi[i].max(q[i]);
-                }
-                counts[ctx.table.sensitive_value(row) as usize] += 1;
-            }
+            // all in the leaf's existing buffers, one column pass per
+            // dimension.
             let stamp = tree.next_stamp();
-            let n = &mut tree.nodes[node as usize];
+            let (nodes, row_of) = (&mut tree.nodes, &tree.row_of);
+            let n = &mut nodes[node as usize];
             n.size = new_size;
-            n.kind = NodeKind::Leaf(LeafNode {
-                rows: ids,
-                lo,
-                hi,
-                counts,
-                stamp,
-            });
+            let NodeKind::Leaf(leaf) = &mut n.kind else {
+                unreachable!("refresh_leaf on an internal node");
+            };
+            leaf.rows = ids;
+            leaf.stamp = stamp;
+            let rows = leaf.rows.iter().map(|&id| row_of[id as usize] as usize);
+            ranges_into(ctx.table, rows.clone(), &mut leaf.lo, &mut leaf.hi);
+            leaf.counts.fill(0);
+            let sensitive = ctx.table.sensitive_col();
+            for row in rows {
+                leaf.counts[sensitive[row] as usize] += 1;
+            }
         }
-        Replay::Split(_) => rebuild(ctx, tree, node, ids),
+        Some(_) => rebuild(ctx, tree, &mut s.split, node, &ids),
     }
 }
 
-/// A node's new membership as an id list in leaf-emission order (NOT input
-/// order): surviving ids from its leaves, minus the outgoing `dels`, plus
-/// the routed inserts. Callers needing the from-scratch input order sort
-/// afterwards with [`PartitionTree::sort_into_input_order`].
-fn gather_live(tree: &PartitionTree, node: u32, ins: &[u32], dels: &[u32]) -> Vec<u32> {
-    let dels_set = live_dels_set(tree, dels);
-    let mut ids = Vec::with_capacity(tree.nodes[node as usize].size + ins.len());
-    tree.collect_ids(node, &mut ids);
-    ids.retain(|&id| !is_gone(&tree.row_of, &dels_set, id));
-    ids.extend_from_slice(ins);
-    ids
+/// Fill `s.members` with a node's new membership in leaf-emission order
+/// (NOT input order): surviving ids from its leaves, minus the outgoing
+/// `dels`, plus the routed `ins`. Callers needing the from-scratch input
+/// order sort afterwards with [`PartitionTree::sort_into_input_order`].
+fn gather_live(
+    tree: &PartitionTree,
+    s: &mut RefreshScratch,
+    node: u32,
+    ins: Range<usize>,
+    dels: Range<usize>,
+) {
+    index_live_dels(&tree.row_of, s, dels);
+    let RefreshScratch {
+        ids,
+        members,
+        live_dels,
+        stack,
+        ..
+    } = s;
+    let row_of = &tree.row_of;
+    members.clear();
+    tree.visit_leaves(stack, node, &mut |leaf| {
+        members.extend(
+            leaf.rows
+                .iter()
+                .copied()
+                .filter(|&id| !is_gone(row_of, live_dels, id)),
+        );
+    });
+    members.extend_from_slice(&ids[ins]);
 }
 
 /// Replay the reference decision procedure on materialized rows:
 /// allocation-free and sort-free for counts-decidable requirements, the
 /// full reference splitter (whose checks see the exact from-scratch row
-/// order) otherwise.
-fn replay_from_rows(ctx: &RefreshCtx<'_>, tree: &PartitionTree, ids: &[u32]) -> Replay {
-    let mut scratch = ctx.scratch.borrow_mut();
+/// order) otherwise. A split's attempt sequence is left in
+/// `scratch.attempts`.
+fn replay_from_rows(
+    ctx: &RefreshCtx<'_>,
+    tree: &PartitionTree,
+    scratch: &mut DecideScratch,
+    ids: &[u32],
+) -> Option<Cut> {
     let mut rows = std::mem::take(&mut scratch.rows);
     rows.clear();
-    rows.extend(ids.iter().map(|&id| tree.row_of[id as usize]));
-    let replay = if ctx.counts_ok {
-        match ctx
-            .mondrian
-            .decide_only_counts(ctx.table, &rows, &mut scratch)
-        {
-            Some(decision) => Replay::Split(decision),
-            None => Replay::NoSplit,
-        }
+    rows.extend(ids.iter().map(|&id| tree.row_of[id as usize] as usize));
+    let cut = if ctx.counts_ok {
+        ctx.mondrian.decide_only_counts(ctx.table, &rows, scratch)
     } else {
-        match ctx.mondrian.decide_split(ctx.table, &rows) {
-            Some((decision, _, _)) => Replay::Split(decision),
-            None => Replay::NoSplit,
-        }
+        ctx.mondrian
+            .decide_split(ctx.table, &rows)
+            .map(|(decision, _, _)| {
+                scratch.attempts.clear();
+                scratch.attempts.extend_from_slice(&decision.attempts);
+                decision.cut()
+            })
     };
     scratch.rows = rows;
-    replay
+    cut
 }
 
 /// Rebuild the subtree rooted at `slot` from scratch over `ids` (already in
 /// from-scratch input order) with the reference engine, recycling the old
 /// subtree's slots. Bit-identical to what planting the final table would
 /// put here, because Mondrian's recursion is local to a region's rows.
-fn rebuild(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, ids: Vec<u32>) {
-    tree.free_subtree(slot);
-    let rows: Vec<usize> = ids.iter().map(|&id| tree.row_of[id as usize]).collect();
+fn rebuild(
+    ctx: &RefreshCtx<'_>,
+    tree: &mut PartitionTree,
+    scratch: &mut SplitScratch,
+    slot: u32,
+    ids: &[u32],
+) {
+    tree.release_subtree(slot);
+    let rows: Vec<usize> = ids
+        .iter()
+        .map(|&id| tree.row_of[id as usize] as usize)
+        .collect();
     if tree.d > 64 {
         // The optimized splitter tracks live dimensions in a u64 bitmask;
         // wider schemas rebuild on the reference path (as planting does).
@@ -1171,7 +1327,6 @@ fn rebuild(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, ids: Vec<u
         return;
     }
     let counts = ctx.table.sensitive_counts_in(&rows);
-    let mut scratch = ctx.split_scratch.borrow_mut();
     // Run the optimized work-stealing splitter single-threaded over the
     // region — bit-identical to the reference engine (the property
     // `tests/tests/parallel.rs` maintains), and to what planting the final
@@ -1186,10 +1341,7 @@ fn rebuild(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, ids: Vec<u
     while let Some(region) = stack.pop() {
         let slot = region.slot as u32;
         let size = region.rows.len();
-        match ctx
-            .mondrian
-            .try_split_fast(ctx.table, &region, &mut scratch)
-        {
+        match ctx.mondrian.try_split_fast(ctx.table, &region, scratch) {
             Some((decision, mut left, mut right)) => {
                 let l = tree.alloc_node();
                 let r = tree.alloc_node();
@@ -1214,6 +1366,7 @@ fn rebuild(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, ids: Vec<u
                 let (lo, hi) = scratch.ranges();
                 let leaf_ids: Vec<u32> = region.rows.iter().map(|&r| tree.id_of[r]).collect();
                 let stamp = tree.next_stamp();
+                tree.leaves += 1;
                 let n = &mut tree.nodes[slot as usize];
                 n.size = size;
                 n.kind = NodeKind::Leaf(LeafNode {
@@ -1251,10 +1404,12 @@ fn rebuild_reference(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, 
                 stack.push((r, right));
             }
             None => {
-                let (lo, hi) = scan_ranges(ctx.table, &rows);
+                let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                ranges_into(ctx.table, rows.iter().copied(), &mut lo, &mut hi);
                 let counts = ctx.table.sensitive_counts_in(&rows);
                 let leaf_ids: Vec<u32> = rows.iter().map(|&r| tree.id_of[r]).collect();
                 let stamp = tree.next_stamp();
+                tree.leaves += 1;
                 let n = &mut tree.nodes[slot as usize];
                 n.size = size;
                 n.kind = NodeKind::Leaf(LeafNode {
@@ -1269,17 +1424,6 @@ fn rebuild_reference(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, 
     }
 }
 
-fn update_stats(stats: &mut NodeStats, dim_off: &[usize], m: usize, qi: &[u32], s: u32, add: bool) {
-    for (dim, &v) in qi.iter().enumerate() {
-        let idx = (dim_off[dim] + v as usize) * m + s as usize;
-        if add {
-            stats.joint[idx] += 1;
-        } else {
-            stats.joint[idx] -= 1;
-        }
-    }
-}
-
 /// Build the node's histogram from its current (pre-delta) membership —
 /// survivors read from the new table, pending removals from the captured
 /// values — so the caller can then apply the delta to it.
@@ -1288,7 +1432,7 @@ fn update_stats(stats: &mut NodeStats, dim_off: &[usize], m: usize, qi: &[u32], 
 /// children's, so materializing stats for a whole dirty region costs one
 /// row scan at the lowest stats level plus `O(domain · m)` per node above
 /// it, instead of re-scanning every node's full subtree.
-fn ensure_stats(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, node: u32) {
+fn ensure_stats(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, stack: &mut Vec<u32>, node: u32) {
     if matches!(
         &tree.nodes[node as usize].kind,
         NodeKind::Internal(i) if i.stats.is_some()
@@ -1304,7 +1448,7 @@ fn ensure_stats(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, node: u32) {
         let big_internal = matches!(&tree.nodes[child as usize].kind, NodeKind::Internal(_))
             && tree.nodes[child as usize].size >= STATS_THRESHOLD;
         if big_internal {
-            ensure_stats(ctx, tree, child);
+            ensure_stats(ctx, tree, stack, child);
             if let NodeKind::Internal(i) = &tree.nodes[child as usize].kind {
                 let child_joint = &i.stats.as_deref().expect("just ensured").joint;
                 for (acc, &c) in joint.iter_mut().zip(child_joint) {
@@ -1313,64 +1457,86 @@ fn ensure_stats(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, node: u32) {
             }
         } else {
             // Small or leaf child: count its rows directly.
-            let mut ids = Vec::with_capacity(tree.nodes[child as usize].size);
-            tree.collect_ids(child, &mut ids);
-            let mut stats = NodeStats { joint };
-            let mut qi = Vec::new();
-            for &id in &ids {
-                let s = ctx.values_into(&tree.row_of, id, &mut qi);
-                update_stats(&mut stats, &tree.dim_off, tree.m, &qi, s, true);
-            }
-            joint = stats.joint;
+            let tree = &*tree;
+            tree.visit_leaves(stack, child, &mut |leaf| {
+                for &id in &leaf.rows {
+                    ctx.tally(&mut joint, &tree.row_of, &tree.dim_off, tree.m, id, true);
+                }
+            });
         }
     }
     if let NodeKind::Internal(internal) = &mut tree.nodes[node as usize].kind {
         internal.stats = Some(Box::new(NodeStats { joint }));
     }
+    tree.stats_nodes += 1;
 }
 
 /// Replay the full decision procedure from the node's histogram: widths
 /// and candidate order from per-dimension ranges, medians and half sizes
 /// from prefix sums, requirement checks from the derived half histograms.
 /// Mirrors the reference `decide_split` decision-for-decision; only valid
-/// when the requirement is counts-decidable.
-fn replay_from_stats(ctx: &RefreshCtx<'_>, tree: &PartitionTree, node: u32, n: usize) -> Replay {
+/// when the requirement is counts-decidable. Works in `scratch` (whose
+/// `value_counts` holds every dimension's marginal at the tree's domain
+/// offsets) and leaves a split's attempt sequence in `scratch.attempts`.
+fn replay_from_stats(
+    ctx: &RefreshCtx<'_>,
+    tree: &PartitionTree,
+    scratch: &mut DecideScratch,
+    node: u32,
+    n: usize,
+) -> Option<Cut> {
     if n < 2 {
-        return Replay::NoSplit;
+        return None;
     }
     let stats = match &tree.nodes[node as usize].kind {
         NodeKind::Internal(i) => i.stats.as_deref().expect("ensured by caller"),
         NodeKind::Leaf(_) => unreachable!("stats replay on a leaf"),
     };
+    let DecideScratch {
+        attempts,
+        widths,
+        value_counts: marginals,
+        counts_total: node_counts,
+        counts_left,
+        counts_right,
+        ..
+    } = scratch;
     let schema = ctx.table.schema();
     let m = tree.m;
-    // Per-dimension value marginals and the node's sensitive histogram.
-    let mut marginals: Vec<Vec<u32>> = Vec::with_capacity(tree.d);
-    let mut node_counts = vec![0u32; m];
-    for dim in 0..tree.d {
-        let dom = schema.qi_attribute(dim).domain_size() as usize;
-        let mut marg = vec![0u32; dom];
-        for (v, slot) in marg.iter_mut().enumerate() {
-            let base = (tree.dim_off[dim] + v) * m;
-            let sens = &stats.joint[base..base + m];
-            let mut c = 0u32;
-            for &x in sens {
-                c += x;
-            }
-            *slot = c;
-            if dim == 0 {
-                for (acc, &x) in node_counts.iter_mut().zip(sens) {
-                    *acc += x;
-                }
+    let span = |dim: usize| {
+        tree.dim_off[dim]
+            ..tree
+                .dim_off
+                .get(dim + 1)
+                .copied()
+                .unwrap_or(tree.total_domain)
+    };
+    // Per-dimension value marginals, concatenated like the histogram, and
+    // the node's sensitive histogram (every row has one value on dimension
+    // 0, so summing its slice counts each row once).
+    marginals.clear();
+    marginals.extend(
+        stats
+            .joint
+            .chunks_exact(m)
+            .map(|sens| sens.iter().sum::<u32>()),
+    );
+    node_counts.clear();
+    node_counts.resize(m, 0);
+    if tree.d > 0 {
+        let first = span(0);
+        for sens in stats.joint[first.start * m..first.end * m].chunks_exact(m) {
+            for (acc, &x) in node_counts.iter_mut().zip(sens) {
+                *acc += x;
             }
         }
-        marginals.push(marg);
     }
     // Candidate dimensions: positive normalized width, widest first, ties
     // by index — the reference comparator restricted to the dimensions it
     // would try before stopping at the first zero width.
-    let mut widths: Vec<(usize, f64)> = Vec::new();
-    for (dim, marg) in marginals.iter().enumerate() {
+    widths.clear();
+    for dim in 0..tree.d {
+        let marg = &marginals[span(dim)];
         let lo = marg.iter().position(|&c| c > 0);
         let hi = marg.iter().rposition(|&c| c > 0);
         if let (Some(lo), Some(hi)) = (lo, hi) {
@@ -1389,12 +1555,14 @@ fn replay_from_stats(ctx: &RefreshCtx<'_>, tree: &PartitionTree, node: u32, n: u
     });
 
     let requirement = ctx.mondrian.requirement();
-    let mut attempts = Vec::new();
-    let mut counts_l = vec![0u32; m];
-    let mut counts_r = vec![0u32; m];
-    for &(dim, _) in &widths {
+    attempts.clear();
+    counts_left.clear();
+    counts_left.resize(m, 0);
+    counts_right.clear();
+    counts_right.resize(m, 0);
+    for &(dim, _) in widths.iter() {
         attempts.push(dim);
-        let marg = &marginals[dim];
+        let marg = &marginals[span(dim)];
         // The value at sorted position n/2 — the reference's median row.
         let target = n / 2;
         let mut acc = 0usize;
@@ -1418,28 +1586,31 @@ fn replay_from_stats(ctx: &RefreshCtx<'_>, tree: &PartitionTree, node: u32, n: u
         };
         // Sensitive histograms of both halves from the joint histogram.
         let bound = if le_mode { median + 1 } else { median };
-        counts_l.iter_mut().for_each(|c| *c = 0);
+        counts_left.fill(0);
         for v in 0..bound {
             let base = (tree.dim_off[dim] + v) * m;
-            for (acc, &x) in counts_l.iter_mut().zip(&stats.joint[base..base + m]) {
+            for (acc, &x) in counts_left.iter_mut().zip(&stats.joint[base..base + m]) {
                 *acc += x;
             }
         }
-        for ((r, &total), &l) in counts_r.iter_mut().zip(&node_counts).zip(&*counts_l) {
+        for ((r, &total), &l) in counts_right
+            .iter_mut()
+            .zip(&*node_counts)
+            .zip(&*counts_left)
+        {
             *r = total - l;
         }
-        let ok_l = requirement.is_satisfied_by_counts(split_at, &counts_l);
-        let ok_r = ok_l && requirement.is_satisfied_by_counts(n - split_at, &counts_r);
+        let ok_l = requirement.is_satisfied_by_counts(split_at, counts_left);
+        let ok_r = ok_l && requirement.is_satisfied_by_counts(n - split_at, counts_right);
         if ok_l && ok_r {
-            return Replay::Split(SplitDecision {
-                attempts,
+            return Some(Cut {
                 dim,
                 median: median as u32,
                 le_mode,
             });
         }
     }
-    Replay::NoSplit
+    None
 }
 
 #[cfg(test)]
@@ -1646,6 +1817,73 @@ mod tests {
         m.warm_stats(&mut rebuilt, &table);
         m.refresh(&mut rebuilt, &table, &next, delta.deletes());
         assert_trees_agree(&m, &rebuilt, &next);
+    }
+
+    #[test]
+    fn sustained_churn_keeps_the_id_space_bounded() {
+        // Every delta retires 10% of the ids and issues as many fresh ones;
+        // without renumbering, the id maps would grow by the insert count
+        // forever. Compaction keeps them within twice the table plus one
+        // delta, and must not change a single refresh outcome.
+        let mut table = adult::generate(200, 41);
+        let donors = adult::generate(400, 43);
+        let m = mondrian_k(5);
+        let mut tree = m.plant(&table);
+        let mut donor_row = 0usize;
+        let mut compactions = 0;
+        for step in 0..40 {
+            let deletes: Vec<usize> = (step % 10..table.len()).step_by(10).collect();
+            let inserts: Vec<(Vec<u32>, u32)> = (0..deletes.len())
+                .map(|_| {
+                    let r = donor_row % donors.len();
+                    donor_row += 1;
+                    (donors.qi(r).to_vec(), donors.sensitive_value(r))
+                })
+                .collect();
+            let delta = delta_of(&table, &deletes, &inserts);
+            let next = table.apply_delta(&delta).unwrap();
+            let ids_before = tree.row_of.len();
+            m.refresh(&mut tree, &table, &next, delta.deletes());
+            compactions += usize::from(tree.row_of.len() < ids_before);
+            assert!(
+                tree.row_of.len() <= 2 * tree.len() + inserts.len(),
+                "step {step}: {} ids for {} rows",
+                tree.row_of.len(),
+                tree.len()
+            );
+            assert!(tree.bytes_accounted() > 0);
+            assert_trees_agree(&m, &tree, &next);
+            table = next;
+        }
+        assert!(compactions >= 2, "the id space was never renumbered");
+    }
+
+    #[test]
+    fn cohort_churn_keeps_histograms_current() {
+        // Each delta retires one age band and admits donors from another,
+        // so histogram-carrying nodes shrink under the threshold and grow
+        // back over it, where the next replay reads the histogram they kept
+        // current in between.
+        let mut table = adult::generate(2000, 51);
+        let donors = adult::generate(2000, 53);
+        let m = mondrian_k(4);
+        let mut tree = m.plant(&table);
+        m.warm_stats(&mut tree, &table);
+        let band = |t: &Table, r: usize, lo: u32| (lo..lo + 6).contains(&t.qi_value(r, 0));
+        for step in 0..12u32 {
+            let lo = (step * 7) % 60;
+            let deletes: Vec<usize> = (0..table.len()).filter(|&r| band(&table, r, lo)).collect();
+            let inserts: Vec<(Vec<u32>, u32)> = (0..donors.len())
+                .filter(|&r| band(&donors, r, (lo + 30) % 60))
+                .take(deletes.len())
+                .map(|r| (donors.qi(r).to_vec(), donors.sensitive_value(r)))
+                .collect();
+            let delta = delta_of(&table, &deletes, &inserts);
+            let next = table.apply_delta(&delta).unwrap();
+            m.refresh(&mut tree, &table, &next, delta.deletes());
+            assert_trees_agree(&m, &tree, &next);
+            table = next;
+        }
     }
 
     #[test]

@@ -571,10 +571,22 @@ impl Publisher {
 
 /// Does the whole `table` satisfy `requirement`? The pre-check sessions run
 /// so callers get a `PublishError` instead of the Mondrian panic.
+///
+/// A counts-decidable requirement is answered from the table's size and
+/// sensitive histogram, one pass over the sensitive column (the trait
+/// contract makes that agree with the row-level check); row-dependent
+/// requirements ((B,t), skyline) evaluate the whole-table group view.
 pub(crate) fn whole_table_satisfies(
     table: &Table,
     requirement: &Arc<dyn PrivacyRequirement>,
 ) -> bool {
+    if requirement.counts_decidable() {
+        let mut counts = vec![0u32; table.schema().sensitive_domain_size()];
+        for &s in table.sensitive_col() {
+            counts[s as usize] += 1;
+        }
+        return requirement.is_satisfied_by_counts(table.len(), &counts);
+    }
     let all_rows: Vec<usize> = (0..table.len()).collect();
     let mut buf = Vec::new();
     let root = GroupView::compute(table, &all_rows, &mut buf);
