@@ -190,15 +190,6 @@ struct Partition {
     owned: OnceLock<Vec<Group>>,
 }
 
-impl PartialEq for Partition {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets
-            && self.rows == other.rows
-            && self.ranges == other.ranges
-            && self.sensitive_counts == other.sensitive_counts
-    }
-}
-
 /// Why `groups` (row lists) do not partition `0..n_rows`, if they do not.
 fn partition_defect<'a>(
     n_rows: usize,
@@ -305,7 +296,9 @@ impl PartitionBuilder {
 /// threat model both reveal the same group structure.)
 ///
 /// Two publications are equal when they hold the same groups in the same
-/// order — rows, ranges and sensitive counts — over the same row count.
+/// order — rows, ranges and sensitive counts — over the same row count;
+/// [`first_difference`](AnonymizedTable::first_difference) says where two
+/// publications part.
 ///
 /// ```
 /// use bgkanon_anon::{AnonymizedTable, Group};
@@ -331,8 +324,39 @@ pub struct AnonymizedTable {
 
 impl PartialEq for AnonymizedTable {
     fn eq(&self, other: &Self) -> bool {
-        self.n_rows == other.n_rows
-            && (Arc::ptr_eq(&self.partition, &other.partition) || self.partition == other.partition)
+        self.first_difference(other).is_none()
+    }
+}
+
+/// Where two publications first differ — the verdict of
+/// [`AnonymizedTable::first_difference`]. Counts read (receiver,
+/// argument); the per-group variants carry the first differing group's
+/// index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PublicationDrift {
+    /// The underlying tables have different row counts.
+    RowCount(usize, usize),
+    /// The partitions have different group counts.
+    GroupCount(usize, usize),
+    /// The group holds other member rows, or the same rows in another order.
+    Rows(usize),
+    /// The group has the same rows but another QI box.
+    Ranges(usize),
+    /// The group has the same rows and box but another sensitive histogram.
+    SensitiveCounts(usize),
+}
+
+impl std::fmt::Display for PublicationDrift {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PublicationDrift::RowCount(a, b) => write!(f, "{a} rows vs {b}"),
+            PublicationDrift::GroupCount(a, b) => write!(f, "{a} groups vs {b}"),
+            PublicationDrift::Rows(g) => write!(f, "group {g} differs in its rows"),
+            PublicationDrift::Ranges(g) => write!(f, "group {g} differs in its QI ranges"),
+            PublicationDrift::SensitiveCounts(g) => {
+                write!(f, "group {g} differs in its sensitive counts")
+            }
+        }
     }
 }
 
@@ -355,6 +379,55 @@ impl AnonymizedTable {
             builder.push(g.rows, g.ranges, &g.sensitive_counts);
         }
         builder.finish()
+    }
+
+    /// Where `self` and `other` first differ, or `None` when they are the
+    /// same publication: the row count, then the group count, then group
+    /// by group in publication order its rows (order included), ranges
+    /// and sensitive counts. This is the one definition of "bit-identical
+    /// publication" — `==` is `first_difference(..).is_none()`.
+    ///
+    /// ```
+    /// use bgkanon_anon::{AnonymizedTable, Group, PublicationDrift};
+    ///
+    /// let table = bgkanon_data::toy::hospital_table();
+    /// let publish = |lists: Vec<Vec<usize>>| {
+    ///     let groups = lists.into_iter().map(|rows| Group::from_rows(&table, rows));
+    ///     AnonymizedTable::new(&table, groups.collect())
+    /// };
+    /// let published = publish(bgkanon_data::toy::hospital_groups());
+    /// assert_eq!(published.first_difference(&published.clone()), None);
+    /// let mut lists = bgkanon_data::toy::hospital_groups();
+    /// lists[1].swap(0, 1);
+    /// assert_eq!(
+    ///     published.first_difference(&publish(lists)),
+    ///     Some(PublicationDrift::Rows(1))
+    /// );
+    /// ```
+    pub fn first_difference(&self, other: &AnonymizedTable) -> Option<PublicationDrift> {
+        if self.n_rows != other.n_rows {
+            return Some(PublicationDrift::RowCount(self.n_rows, other.n_rows));
+        }
+        if Arc::ptr_eq(&self.partition, &other.partition) {
+            return None;
+        }
+        let (left, right) = (self.group_count(), other.group_count());
+        if left != right {
+            return Some(PublicationDrift::GroupCount(left, right));
+        }
+        self.iter()
+            .zip(other.iter())
+            .enumerate()
+            .find_map(|(g, (a, b))| {
+                if a.rows != b.rows {
+                    Some(PublicationDrift::Rows(g))
+                } else if a.ranges != b.ranges {
+                    Some(PublicationDrift::Ranges(g))
+                } else {
+                    (a.sensitive_counts != b.sensitive_counts)
+                        .then_some(PublicationDrift::SensitiveCounts(g))
+                }
+            })
     }
 
     /// The schema shared with the original table.
@@ -617,6 +690,45 @@ mod tests {
         assert!(at != AnonymizedTable::new(&t, reordered));
         let whole = AnonymizedTable::new(&t, vec![Group::from_rows(&t, (0..9).collect())]);
         assert!(at != whole);
+    }
+
+    #[test]
+    fn first_difference_names_the_first_differing_part() {
+        let (t, at) = hospital_published();
+        let (_, again) = hospital_published();
+        assert_eq!(at.first_difference(&at.clone()), None);
+        assert_eq!(at.first_difference(&again), None);
+        type Edit = fn(&mut Vec<Group>);
+        let cases: [(Edit, PublicationDrift); 4] = [
+            (|g| g[1].rows.swap(0, 2), PublicationDrift::Rows(1)),
+            (|g| g[2].ranges[0].max += 1, PublicationDrift::Ranges(2)),
+            (
+                |g| g[0].sensitive_counts[3] += 1,
+                PublicationDrift::SensitiveCounts(0),
+            ),
+            (
+                |g| *g = vec![Group::from_rows(&toy::hospital_table(), (0..9).collect())],
+                PublicationDrift::GroupCount(3, 1),
+            ),
+        ];
+        for (edit, expected) in cases {
+            let mut groups = at.groups().to_vec();
+            edit(&mut groups);
+            let other = AnonymizedTable::new(&t, groups);
+            assert_eq!(at.first_difference(&other), Some(expected));
+            assert!(at != other, "`==` is the same verdict");
+        }
+        let bigger = bgkanon_data::adult::generate(12, 1);
+        let whole =
+            AnonymizedTable::new(&bigger, vec![Group::from_rows(&bigger, (0..12).collect())]);
+        assert_eq!(
+            at.first_difference(&whole),
+            Some(PublicationDrift::RowCount(9, 12))
+        );
+        assert_eq!(
+            PublicationDrift::Rows(1).to_string(),
+            "group 1 differs in its rows"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod mondrian;
 pub mod strategy;
 pub mod tree;
 
-pub use anonymized::{AnonymizedTable, Group, GroupRef, QiRange};
+pub use anonymized::{AnonymizedTable, Group, GroupRef, PublicationDrift, QiRange};
 pub use bucketize::{try_bucketize, Bucketize, BucketizeState};
 pub use fulldomain::{FullDomain, FullDomainOutcome, FullDomainState};
 pub use mondrian::{Mondrian, SplitDecision};

@@ -54,7 +54,7 @@ const STEAL_THRESHOLD: usize = 2048;
 ///
 /// // The parallel engine yields the identical partition.
 /// let parallel = mondrian.plant_with(&table, Parallelism::threads(2)).to_anonymized(&table);
-/// assert_eq!(published.group_count(), parallel.group_count());
+/// assert_eq!(published.first_difference(&parallel), None);
 /// ```
 pub struct Mondrian {
     requirement: Arc<dyn PrivacyRequirement>,
@@ -907,10 +907,7 @@ mod tests {
         let t = adult::generate(400, 6);
         let a = mondrian_k(5).anonymize(&t);
         let b = mondrian_k(5).anonymize(&t);
-        assert_eq!(a.group_count(), b.group_count());
-        for (ga, gb) in a.groups().iter().zip(b.groups()) {
-            assert_eq!(ga.rows, gb.rows);
-        }
+        assert_eq!(a.first_difference(&b), None);
     }
 
     #[test]
@@ -922,12 +919,7 @@ mod tests {
             let parallel = m
                 .plant_with(&t, Parallelism::threads(workers))
                 .to_anonymized(&t);
-            assert_eq!(serial.group_count(), parallel.group_count());
-            for (ga, gb) in serial.groups().iter().zip(parallel.groups()) {
-                assert_eq!(ga.rows, gb.rows, "row sets diverge at {workers} workers");
-                assert_eq!(ga.ranges, gb.ranges);
-                assert_eq!(ga.sensitive_counts, gb.sensitive_counts);
-            }
+            assert_eq!(serial.first_difference(&parallel), None);
         }
     }
 
@@ -938,10 +930,7 @@ mod tests {
         let m = Mondrian::new(Arc::new(req));
         let serial = m.plant_with(&t, Parallelism::Serial).to_anonymized(&t);
         let parallel = m.plant_with(&t, Parallelism::threads(3)).to_anonymized(&t);
-        assert_eq!(serial.group_count(), parallel.group_count());
-        for (ga, gb) in serial.groups().iter().zip(parallel.groups()) {
-            assert_eq!(ga.rows, gb.rows);
-        }
+        assert_eq!(serial.first_difference(&parallel), None);
     }
 
     #[test]
@@ -983,10 +972,7 @@ mod tests {
         let parallel = mondrian_k(1)
             .plant_with(&t, Parallelism::threads(2))
             .to_anonymized(&t);
-        assert_eq!(serial.group_count(), parallel.group_count());
-        for (ga, gb) in serial.groups().iter().zip(parallel.groups()) {
-            assert_eq!(ga.rows, gb.rows);
-        }
+        assert_eq!(serial.first_difference(&parallel), None);
     }
 
     #[test]

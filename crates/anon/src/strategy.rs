@@ -374,9 +374,7 @@ mod tests {
         let (a, stamps_a) = StrategyState::snapshot(&via_trait, &t);
         let (b, stamps_b) = direct.snapshot(&t);
         assert_eq!(stamps_a, stamps_b);
-        for (ga, gb) in a.groups().iter().zip(b.groups()) {
-            assert_eq!(ga.rows, gb.rows);
-        }
+        assert_eq!(a.first_difference(&b), None);
     }
 
     #[test]

@@ -1630,12 +1630,7 @@ mod tests {
         let fresh = m.plant(table);
         let (a, _) = refreshed.snapshot(table);
         let (b, _) = fresh.snapshot(table);
-        assert_eq!(a.group_count(), b.group_count(), "group count diverges");
-        for (ga, gb) in a.groups().iter().zip(b.groups()) {
-            assert_eq!(ga.rows, gb.rows, "rows diverge");
-            assert_eq!(ga.ranges, gb.ranges, "ranges diverge");
-            assert_eq!(ga.sensitive_counts, gb.sensitive_counts);
-        }
+        assert_eq!(a.first_difference(&b), None);
     }
 
     fn delta_of(table: &Table, deletes: &[usize], inserts: &[(Vec<u32>, u32)]) -> Delta {
@@ -1657,12 +1652,7 @@ mod tests {
         for par in [Parallelism::Serial, Parallelism::threads(3)] {
             let tree = m.plant_with(&t, par);
             let viewed = tree.to_anonymized(&t);
-            assert_eq!(direct.group_count(), viewed.group_count());
-            for (a, b) in direct.groups().iter().zip(viewed.groups()) {
-                assert_eq!(a.rows, b.rows);
-                assert_eq!(a.ranges, b.ranges);
-                assert_eq!(a.sensitive_counts, b.sensitive_counts);
-            }
+            assert_eq!(direct.first_difference(&viewed), None);
             assert_eq!(tree.len(), t.len());
             assert!(tree.depth() >= 1);
             assert!(tree.node_count() >= 2 * tree.leaf_count() - 1);
@@ -1803,12 +1793,7 @@ mod tests {
         let mut rebuilt = PartitionTree::from_exported(&table, records);
         let (a, _) = tree.snapshot(&table);
         let (b, _) = rebuilt.snapshot(&table);
-        assert_eq!(a.group_count(), b.group_count());
-        for (ga, gb) in a.groups().iter().zip(b.groups()) {
-            assert_eq!(ga.rows, gb.rows);
-            assert_eq!(ga.ranges, gb.ranges);
-            assert_eq!(ga.sensitive_counts, gb.sensitive_counts);
-        }
+        assert_eq!(a.first_difference(&b), None);
         // A further delta refreshes the rebuilt tree exactly like a
         // from-scratch plant of the final table.
         let deletes: Vec<usize> = (0..table.len()).step_by(29).collect();

@@ -139,7 +139,7 @@ fn load_table(flags: &HashMap<String, String>) -> Result<Table, String> {
 }
 
 /// Parse the `--threads` flag into the engine [`Parallelism`] knob:
-/// `serial` selects the single-threaded reference engines, `auto` (or the
+/// `serial` runs every engine on the calling thread, `auto` (or the
 /// flag's absence) one worker per core, and a number an explicit count.
 fn parse_parallelism(flags: &HashMap<String, String>) -> Result<Parallelism, String> {
     match flags.get("threads").map(String::as_str) {
@@ -593,14 +593,9 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // to a from-scratch publish of its final table.
     for name in &names {
         let snap = hub.snapshot(name).map_err(|e| e.to_string())?;
-        let fresh = publisher
-            .publish(snap.table())
-            .map_err(|e| format!("{name}: {e}"))?;
-        if *snap.anonymized() != fresh.anonymized {
-            return Err(format!(
-                "{name}: publication drifted from a from-scratch publish"
-            ));
-        }
+        publisher
+            .verify(snap.table(), snap.anonymized())
+            .map_err(|e| format!("{name}: version {}: {e}", snap.version()))?;
         eprintln!(
             "  {name}: version {} · {} rows · {} groups · identical to from-scratch ✓",
             snap.version(),
@@ -628,8 +623,11 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                     live.version()
                 ));
             }
-            if live.anonymized() != cold.anonymized() {
-                return Err(format!("{name}: recovered publication drifted"));
+            if let Some(drift) = cold.anonymized().first_difference(live.anonymized()) {
+                return Err(format!(
+                    "{name}: version {}: recovered publication drifted: {drift}",
+                    live.version()
+                ));
             }
         }
         eprintln!(

@@ -1295,6 +1295,17 @@ mod tests {
         hub
     }
 
+    /// The from-scratch reference for a k = 4 tenant's `snap`: its
+    /// publication must equal a fresh publish, whose `Adv(b′)` audit at
+    /// t = 0.2 is returned.
+    fn fresh_audit(snap: &TenantSnapshot, b_prime: f64) -> AuditReport {
+        let fresh = Publisher::new()
+            .k_anonymity(4)
+            .verify(snap.table(), snap.anonymized())
+            .unwrap();
+        fresh.audit_against(snap.table(), b_prime, 0.2).unwrap()
+    }
+
     fn delta_for(table: &Table, deletes: &[usize], inserts: usize, donor_seed: u64) -> Delta {
         let donors = adult::generate(inserts.max(1), donor_seed);
         let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
@@ -1372,23 +1383,10 @@ mod tests {
         // Old snapshot is still the old version, pinned.
         assert_eq!(base.version(), 0);
         assert_eq!(base.len(), 300);
-        let fresh = Publisher::new()
+        Publisher::new()
             .k_anonymity(4)
-            .publish(snap.table())
+            .verify(snap.table(), snap.anonymized())
             .unwrap();
-        assert_eq!(
-            snap.anonymized().group_count(),
-            fresh.anonymized.group_count()
-        );
-        for (a, b) in snap
-            .anonymized()
-            .groups()
-            .iter()
-            .zip(fresh.anonymized.groups())
-        {
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.ranges, b.ranges);
-        }
     }
 
     #[test]
@@ -1429,12 +1427,7 @@ mod tests {
         let cached = hub.audit_with("a", &auditor, 0.2).unwrap();
         let snap = hub.snapshot("a").unwrap();
         let reference = auditor.report(snap.table(), &snap.anonymized().row_groups(), 0.2);
-        assert_eq!(cached.worst_case.to_bits(), reference.worst_case.to_bits());
-        assert_eq!(cached.mean.to_bits(), reference.mean.to_bits());
-        assert_eq!(cached.vulnerable, reference.vulnerable);
-        for (a, b) in cached.risks.iter().zip(&reference.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(cached.first_difference(&reference), None);
         assert!(first.worst_case >= first.mean);
     }
 
@@ -1443,23 +1436,15 @@ mod tests {
         let hub = hub_with(&[("a", 12)], 250, 4);
         let before = hub.audit_against("a", 0.3, 0.2).unwrap();
         let replay = hub.audit_against("a", 0.3, 0.2).unwrap();
-        assert_eq!(before.worst_case.to_bits(), replay.worst_case.to_bits());
+        assert_eq!(before.first_difference(&replay), None);
 
         let base = hub.snapshot("a").unwrap();
         let d = delta_for(base.table(), &[5, 42, 77], 8, 99);
         hub.apply("a", &d).unwrap();
         let after = hub.audit_against("a", 0.3, 0.2).unwrap();
-        // Reference: what a fresh session on the evolved table measures.
-        let mut reference_session = Publisher::new()
-            .k_anonymity(4)
-            .open(hub.snapshot("a").unwrap().table())
-            .unwrap();
-        let reference = reference_session.audit_against(0.3, 0.2).unwrap();
-        assert_eq!(after.worst_case.to_bits(), reference.worst_case.to_bits());
-        assert_eq!(after.mean.to_bits(), reference.mean.to_bits());
-        for (a, b) in after.risks.iter().zip(&reference.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        // Reference: a from-scratch publish of the evolved table, audited.
+        let reference = fresh_audit(&hub.snapshot("a").unwrap(), 0.3);
+        assert_eq!(after.first_difference(&reference), None);
         assert!(matches!(
             hub.audit_against("missing", 0.3, 0.2),
             Err(SessionError::UnknownTenant(_))
@@ -1511,18 +1496,10 @@ mod tests {
         for (name, _) in &tenants {
             let snap = hub.snapshot(name).unwrap();
             assert_eq!(snap.version(), 3);
-            let fresh = Publisher::new()
+            Publisher::new()
                 .k_anonymity(4)
-                .publish(snap.table())
+                .verify(snap.table(), snap.anonymized())
                 .unwrap();
-            for (a, b) in snap
-                .anonymized()
-                .groups()
-                .iter()
-                .zip(fresh.anonymized.groups())
-            {
-                assert_eq!(a.rows, b.rows);
-            }
         }
     }
 
@@ -1560,10 +1537,7 @@ mod tests {
         let hub = hub_with(&[("a", 9), ("b", 9)], 200, 4);
         let ra = hub.audit_against("a", 0.3, 0.2).unwrap();
         let rb = hub.audit_against("b", 0.3, 0.2).unwrap();
-        assert_eq!(ra.worst_case.to_bits(), rb.worst_case.to_bits());
-        for (x, y) in ra.risks.iter().zip(&rb.risks) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(ra.first_difference(&rb), None);
         let stats = hub.memory_stats();
         assert_eq!(stats.interned_models, 1);
         assert_eq!(stats.intern_misses, 1);
@@ -1652,7 +1626,7 @@ mod tests {
         // hold a row on such a point. Exactly those are solved.
         let bandwidth = Bandwidth::uniform(0.25, snap.table().qi_count()).unwrap();
         let (fold, row_points) = FoldedTable::with_row_points(snap.table());
-        let dirty = PriorEstimator::new(Arc::clone(snap.table().schema()), bandwidth.clone())
+        let dirty = PriorEstimator::new(Arc::clone(snap.table().schema()), bandwidth)
             .refresh_folded(&mut model, fold, Parallelism::Auto);
         let old_stamps: std::collections::HashSet<u64> =
             base.leaf_stamps().iter().copied().collect();
@@ -1673,16 +1647,7 @@ mod tests {
             snap.group_count()
         );
         assert_eq!(solved, expected);
-        let fresh = Auditor::new(
-            Arc::new(Adversary::kernel(snap.table(), bandwidth)),
-            Arc::new(SmoothedJs::paper_default(
-                snap.table().schema().sensitive_distance(),
-            )),
-        )
-        .report(snap.table(), &snap.anonymized().row_groups(), 0.2);
-        for (x, y) in report.risks.iter().zip(&fresh.risks) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(report.first_difference(&fresh_audit(&snap, 0.25)), None);
     }
 
     /// Address of the prior model behind tenant `name`'s `Adv(b′)` entry.
@@ -1730,23 +1695,12 @@ mod tests {
         // A reader that pinned version 0 before the apply arrives now.
         let entry = hub.tenant("a").unwrap();
         let bandwidth = Bandwidth::uniform(0.3, old.table().qi_count()).unwrap();
-        let stale = entry.readers.adversary(
-            &old.target(),
-            bandwidth.clone(),
-            Some(&hub),
-            Parallelism::Auto,
-        );
+        let stale =
+            entry
+                .readers
+                .adversary(&old.target(), bandwidth, Some(&hub), Parallelism::Auto);
         let report = old.target().audit(&stale, 0.2);
-        let fresh = Auditor::new(
-            Arc::new(Adversary::kernel(old.table(), bandwidth)),
-            Arc::new(SmoothedJs::paper_default(
-                old.table().schema().sensitive_distance(),
-            )),
-        )
-        .report(old.table(), &old.anonymized().row_groups(), 0.2);
-        for (x, y) in report.risks.iter().zip(&fresh.risks) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(report.first_difference(&fresh_audit(&old, 0.3)), None);
         // The cached entry still serves version 1.
         let cached: Vec<u64> = entry.readers.entries().iter().map(|c| c.version).collect();
         assert_eq!(cached, vec![1]);
@@ -1778,7 +1732,7 @@ mod tests {
         // tenants stay resident, and results stay bit-identical.
         let first = hub.audit_against("a", 0.3, 0.2).unwrap();
         let again = hub.audit_against("a", 0.3, 0.2).unwrap();
-        assert_eq!(first.worst_case.to_bits(), again.worst_case.to_bits());
+        assert_eq!(first.first_difference(&again), None);
         let stats = hub.memory_stats();
         assert_eq!(stats.budget_bytes, Some(1));
         assert!(stats.evictions > 0);
@@ -1876,20 +1830,8 @@ mod tests {
 
         // Either way the audits match a fresh auditor.
         let report = hub.audit_against("a", 0.3, 0.2).unwrap();
-        let snapshot = hub.snapshot("a").unwrap();
-        let fresh = Auditor::new(
-            Arc::new(Adversary::kernel(
-                snapshot.table(),
-                Bandwidth::uniform(0.3, snapshot.table().qi_count()).unwrap(),
-            )),
-            Arc::new(SmoothedJs::paper_default(
-                snapshot.table().schema().sensitive_distance(),
-            )),
-        )
-        .report(snapshot.table(), &snapshot.anonymized().row_groups(), 0.2);
-        for (x, y) in report.risks.iter().zip(&fresh.risks) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        let fresh = fresh_audit(&hub.snapshot("a").unwrap(), 0.3);
+        assert_eq!(report.first_difference(&fresh), None);
     }
 
     /// After a durable tenant is demoted and rehydrated, its first audit
@@ -1945,22 +1887,8 @@ mod tests {
             0.2,
         );
         let plain = auditor.report(table, &groups, 0.2);
-        let fresh = Auditor::new(
-            Arc::new(Adversary::kernel(
-                table,
-                Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
-            )),
-            Arc::new(SmoothedJs::paper_default(
-                table.schema().sensitive_distance(),
-            )),
-        )
-        .report(table, &groups, 0.2);
-        for other in [&bound, &unbound, &plain, &fresh] {
-            for (x, y) in report.risks.iter().zip(&other.risks) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(report.worst_case.to_bits(), other.worst_case.to_bits());
-            assert_eq!(report.vulnerable, other.vulnerable);
+        for other in [bound, unbound, plain, fresh_audit(&snapshot, 0.3)] {
+            assert_eq!(report.first_difference(&other), None);
         }
         drop(hub);
         let _ = std::fs::remove_dir_all(&dir);

@@ -65,7 +65,7 @@ pub mod wal;
 
 pub use data::Parallelism;
 pub use hub::{MemoryStats, SessionHub, TenantSnapshot};
-pub use publisher::{Algorithm, PublishError, PublishOutcome, Publisher};
+pub use publisher::{Algorithm, Drift, PublishError, PublishOutcome, Publisher};
 pub use recover::{RecoveryReport, TenantRecovery};
 pub use session::{PublishSession, SessionError};
 pub use wal::{DurabilityOptions, SyncPolicy, WalError};

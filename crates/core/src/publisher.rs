@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use bgkanon_anon::{
     AnonymizationStrategy, AnonymizedTable, AnyStrategy, Bucketize, FullDomain, Infeasible,
-    Mondrian, StrategyState,
+    Mondrian, PublicationDrift, StrategyState,
 };
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_knowledge::bandwidth::BandwidthError;
@@ -176,6 +176,38 @@ impl std::error::Error for PublishError {
     }
 }
 
+/// Why a release is not what a from-scratch publish of its table gives —
+/// the verdict of [`Publisher::verify`].
+#[derive(Debug, Clone)]
+pub enum Drift {
+    /// The from-scratch reference could not be published at all.
+    Republish(PublishError),
+    /// The release differs from the from-scratch publication; the drift
+    /// names the first differing part (release on the left, reference on
+    /// the right).
+    Publication(PublicationDrift),
+}
+
+impl fmt::Display for Drift {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Drift::Republish(e) => write!(f, "from-scratch republish failed: {e}"),
+            Drift::Publication(d) => {
+                write!(f, "publication drifted from a from-scratch publish: {d}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for Drift {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Drift::Republish(e) => Some(e),
+            Drift::Publication(_) => None,
+        }
+    }
+}
+
 /// Builder for a publishing run.
 ///
 /// ```
@@ -213,8 +245,8 @@ impl Publisher {
     }
 
     /// Select the execution engine for anonymization and the audits run off
-    /// this publisher's outcome. [`Parallelism::Serial`] selects the
-    /// single-threaded reference paths; the default [`Parallelism::Auto`]
+    /// this publisher's outcome. [`Parallelism::Serial`] runs every stage
+    /// on the calling thread; the default [`Parallelism::Auto`]
     /// runs the batched engines with one worker per core. Output is
     /// bit-identical either way.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
@@ -298,6 +330,39 @@ impl Publisher {
             elapsed,
             parallelism: self.parallelism,
         })
+    }
+
+    /// Check that `published` is exactly what [`publish`](Self::publish)
+    /// of `table` gives — the requirement re-instantiated against `table`,
+    /// compared with [`AnonymizedTable::first_difference`]. This is the
+    /// drift oracle for incremental releases: a session's, a hub
+    /// snapshot's or a recovered tenant's publication must pass it. On
+    /// success it returns the fresh outcome, so a caller that also checks
+    /// an audit compares its report with the outcome's
+    /// [`audit_against`](PublishOutcome::audit_against) through
+    /// [`AuditReport::first_difference`].
+    ///
+    /// ```
+    /// use bgkanon::Publisher;
+    ///
+    /// let table = bgkanon::data::adult::generate(200, 3);
+    /// let publisher = Publisher::new().k_anonymity(4);
+    /// let mut session = publisher.open(&table)?;
+    /// let fresh = publisher.verify(session.table(), session.anonymized())?;
+    /// let audit = session.audit_against(0.3, 0.2)?;
+    /// assert_eq!(audit.first_difference(&fresh.audit_against(&table, 0.3, 0.2)?), None);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn verify(
+        &self,
+        table: &Table,
+        published: &AnonymizedTable,
+    ) -> Result<PublishOutcome, Drift> {
+        let fresh = self.publish(table).map_err(Drift::Republish)?;
+        match published.first_difference(&fresh.anonymized) {
+            None => Ok(fresh),
+            Some(drift) => Err(Drift::Publication(drift)),
+        }
     }
 
     /// Describe the strategy this publisher would run on `table` — the
@@ -793,14 +858,7 @@ mod tests {
         assert_eq!(outcome.parallelism, Parallelism::Serial);
         let auto = Publisher::new().k_anonymity(5).publish(&t).unwrap();
         assert_eq!(auto.parallelism, Parallelism::Auto);
-        for (a, b) in outcome
-            .anonymized
-            .groups()
-            .iter()
-            .zip(auto.anonymized.groups())
-        {
-            assert_eq!(a.rows, b.rows);
-        }
+        assert_eq!(outcome.anonymized.first_difference(&auto.anonymized), None);
     }
 
     #[test]
@@ -822,9 +880,7 @@ mod tests {
         let a = original.publish(&t).expect("satisfiable");
         let b = rebuilt.publish(&t).expect("satisfiable");
         assert_eq!(a.requirement_name, b.requirement_name);
-        for (ga, gb) in a.anonymized.groups().iter().zip(b.anonymized.groups()) {
-            assert_eq!(ga.rows, gb.rows);
-        }
+        assert_eq!(a.anonymized.first_difference(&b.anonymized), None);
     }
 
     #[test]

@@ -740,13 +740,10 @@ pub(crate) fn recover_tenant_dir(
     }
 
     if options.verify_on_open {
-        let fresh = genesis
+        genesis
             .publisher
-            .publish(session.table())
-            .map_err(|e| format!("verification republish failed: {e}"))?;
-        if *session.anonymized() != fresh.anonymized {
-            return Err("recovered state differs from a from-scratch publication".into());
-        }
+            .verify(session.table(), session.anonymized())
+            .map_err(|e| format!("recovered version {version}: {e}"))?;
     }
 
     Ok(RecoveredTenant {
@@ -864,11 +861,7 @@ mod tests {
         // And the rebuilt pair publishes bit-identically.
         let pa = publisher.publish(&table).unwrap();
         let pb = genesis.publisher.publish(&genesis.table).unwrap();
-        for (x, y) in pa.anonymized.groups().iter().zip(pb.anonymized.groups()) {
-            assert_eq!(x.rows, y.rows);
-            assert_eq!(x.ranges, y.ranges);
-            assert_eq!(x.sensitive_counts, y.sensitive_counts);
-        }
+        assert_eq!(pa.anonymized.first_difference(&pb.anonymized), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -883,10 +876,7 @@ mod tests {
         let genesis = parse_genesis(&text).unwrap();
         let pa = publisher.publish(&table).unwrap();
         let pb = genesis.publisher.publish(&genesis.table).unwrap();
-        for (x, y) in pa.anonymized.groups().iter().zip(pb.anonymized.groups()) {
-            assert_eq!(x.rows, y.rows);
-            assert_eq!(x.ranges, y.ranges);
-        }
+        assert_eq!(pa.anonymized.first_difference(&pb.anonymized), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -934,16 +924,10 @@ mod tests {
         let mut resumed =
             PublishSession::resume(ck.table, requirement, Parallelism::Auto, strategy, state, 1);
         // Publication bit-identical…
-        for (x, y) in session
-            .anonymized()
-            .groups()
-            .iter()
-            .zip(resumed.anonymized().groups())
-        {
-            assert_eq!(x.rows, y.rows);
-            assert_eq!(x.ranges, y.ranges);
-            assert_eq!(x.sensitive_counts, y.sensitive_counts);
-        }
+        assert_eq!(
+            session.anonymized().first_difference(resumed.anonymized()),
+            None
+        );
         // …and `Adv(b′)`, re-derived on the resumed session's first audit,
         // audits identically to the writer's carried entry.
         let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
@@ -953,11 +937,7 @@ mod tests {
         resumed.apply(&delta).unwrap();
         let ra = session.audit_against(0.3, 0.2).unwrap();
         let rb = resumed.audit_against(0.3, 0.2).unwrap();
-        assert_eq!(ra.worst_case.to_bits(), rb.worst_case.to_bits());
-        assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
-        for (x, y) in ra.risks.iter().zip(&rb.risks) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(ra.first_difference(&rb), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1137,7 +1117,10 @@ mod tests {
         assert_eq!(report.recovered(), 1);
         let snap = hub.snapshot("new").unwrap();
         assert_eq!(snap.version(), written.version());
-        assert_eq!(snap.anonymized(), written.anonymized());
+        assert_eq!(
+            snap.anonymized().first_difference(written.anonymized()),
+            None
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1194,6 +1177,61 @@ mod tests {
         let broken = rewrap(&body.replacen("strategy mondrian", "strategy bucketize", 1));
         let ck = parse_checkpoint(&broken, table.schema()).unwrap();
         assert_eq!(ck.strategy, "bucketize");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `verify_on_open` catches a checkpoint that imports cleanly but does
+    /// not reproduce the from-scratch publication: two bucket lines
+    /// swapped still make a valid ℓ-diverse partition, in another order.
+    #[test]
+    fn verify_on_open_names_the_first_drifted_group() {
+        use crate::publisher::Algorithm;
+        use crate::SessionHub;
+        let dir = tmp_dir("drift");
+        let opts = DurabilityOptions {
+            checkpoint_every: 2,
+            verify_on_open: true,
+            ..DurabilityOptions::default()
+        };
+        let table = adult::generate(150, 17);
+        let publisher = Publisher::new()
+            .distinct_l_diversity(3)
+            .algorithm(Algorithm::Bucketize);
+        {
+            let (hub, _) = SessionHub::open_with(&dir, opts).unwrap();
+            hub.register("t", &table, &publisher).unwrap();
+            for step in 0..2 {
+                let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
+                b.delete(step * 13);
+                hub.apply("t", &b.build()).unwrap();
+            }
+        }
+        let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = check_trailer(&text, "checkpoint")
+            .unwrap()
+            .lines()
+            .collect();
+        let first = lines.iter().position(|l| l.starts_with("bucket ")).unwrap();
+        assert!(lines[first + 1].starts_with("bucket "));
+        lines.swap(first, first + 1);
+        std::fs::write(&path, rewrap(&(lines.join("\n") + "\n"))).unwrap();
+
+        // Without the check the swapped checkpoint imports cleanly.
+        let unchecked = DurabilityOptions {
+            verify_on_open: false,
+            ..opts
+        };
+        let (hub, report) = SessionHub::open_with(&dir, unchecked).unwrap();
+        assert!(report.is_clean(), "{:?}", report.tenants);
+        drop(hub);
+
+        let (_hub, report) = SessionHub::open_with(&dir, opts).unwrap();
+        let failed = report.unrecoverable();
+        assert_eq!(failed.len(), 1);
+        let reason = failed[0].error.as_deref().unwrap();
+        assert!(reason.contains("version 2"), "{reason}");
+        assert!(reason.contains("group 0 differs in its rows"), "{reason}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -467,17 +467,8 @@ mod tests {
     fn open_matches_publish() {
         let t = adult::generate(400, 3);
         let publisher = Publisher::new().k_anonymity(5);
-        let outcome = publisher.publish(&t).unwrap();
         let session = publisher.open(&t).unwrap();
-        assert_eq!(outcome.anonymized.group_count(), session.group_count());
-        for (a, b) in outcome
-            .anonymized
-            .groups()
-            .iter()
-            .zip(session.anonymized().groups())
-        {
-            assert_eq!(a.rows, b.rows);
-        }
+        let outcome = publisher.verify(&t, session.anonymized()).unwrap();
         assert_eq!(session.requirement_name(), outcome.requirement_name);
         assert_eq!(session.deltas_applied(), 0);
         assert!(!session.is_empty());
@@ -490,21 +481,9 @@ mod tests {
         let mut session = publisher.open(&t).unwrap();
         let d = delta(&t, &[3, 77, 141, 298], 10, 42);
         let outcome = session.apply(&d).unwrap();
-        let fresh = publisher.publish(session.table()).unwrap();
-        assert_eq!(
-            outcome.anonymized.group_count(),
-            fresh.anonymized.group_count()
-        );
-        for (a, b) in outcome
-            .anonymized
-            .groups()
-            .iter()
-            .zip(fresh.anonymized.groups())
-        {
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.ranges, b.ranges);
-            assert_eq!(a.sensitive_counts, b.sensitive_counts);
-        }
+        publisher
+            .verify(session.table(), &outcome.anonymized)
+            .unwrap();
         assert_eq!(session.deltas_applied(), 1);
     }
 
@@ -517,17 +496,9 @@ mod tests {
             .apply(&DeltaBuilder::new(Arc::clone(t.schema())).build())
             .unwrap();
         assert_eq!(
-            before.anonymized.group_count(),
-            outcome.anonymized.group_count()
+            before.anonymized.first_difference(&outcome.anonymized),
+            None
         );
-        for (a, b) in before
-            .anonymized
-            .groups()
-            .iter()
-            .zip(outcome.anonymized.groups())
-        {
-            assert_eq!(a.rows, b.rows);
-        }
     }
 
     #[test]
@@ -595,15 +566,7 @@ mod tests {
 
         let fresh = publisher.publish(session.table()).unwrap();
         let reference = fresh.audit_with(session.table(), &auditor, 0.2);
-        assert_eq!(
-            incremental.worst_case.to_bits(),
-            reference.worst_case.to_bits()
-        );
-        assert_eq!(incremental.mean.to_bits(), reference.mean.to_bits());
-        assert_eq!(incremental.vulnerable, reference.vulnerable);
-        for (a, b) in incremental.risks.iter().zip(&reference.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(incremental.first_difference(&reference), None);
         // And the pre-delta report was a valid report too.
         assert!(first.worst_case >= first.mean);
     }
@@ -619,7 +582,7 @@ mod tests {
         let a = session.audit_against(0.3, 0.25).unwrap();
         assert!(a.worst_case <= 0.25 + 1e-9);
         let b = session.audit_against(0.3, 0.25).unwrap();
-        assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
+        assert_eq!(a.first_difference(&b), None);
         session.audit_against(0.5, 0.25).unwrap();
         assert_eq!(session.readers.len(), 2);
     }
@@ -628,7 +591,7 @@ mod tests {
     fn audit_against_tracks_the_evolving_table() {
         // The staleness fix: after deltas, audit_against must measure the
         // adversary the *current* table implies — bit-identical to a fresh
-        // session opened on that table — not the model frozen at open.
+        // publish of that table, audited — not the model frozen at open.
         let t = adult::generate(300, 12);
         let publisher = Publisher::new().k_anonymity(4);
         let mut session = publisher.open(&t).unwrap();
@@ -639,14 +602,11 @@ mod tests {
         session.apply(&d).unwrap();
         let tracked = session.audit_against(0.3, 0.2).unwrap();
 
-        let mut fresh = publisher.open(session.table()).unwrap();
-        let reference = fresh.audit_against(0.3, 0.2).unwrap();
-        assert_eq!(tracked.worst_case.to_bits(), reference.worst_case.to_bits());
-        assert_eq!(tracked.mean.to_bits(), reference.mean.to_bits());
-        assert_eq!(tracked.vulnerable, reference.vulnerable);
-        for (a, b) in tracked.risks.iter().zip(&reference.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let fresh = publisher
+            .verify(session.table(), session.anonymized())
+            .unwrap();
+        let reference = fresh.audit_against(session.table(), 0.3, 0.2).unwrap();
+        assert_eq!(tracked.first_difference(&reference), None);
         // The carried entry is still a single cache slot.
         assert_eq!(session.readers.len(), 1);
     }
@@ -669,9 +629,7 @@ mod tests {
         let incremental = session.audit_with(&auditor, 0.2);
         let fresh = publisher.publish(session.table()).unwrap();
         let reference = fresh.audit_with(session.table(), &auditor, 0.2);
-        for (a, b) in incremental.risks.iter().zip(&reference.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(incremental.first_difference(&reference), None);
     }
 
     #[test]
@@ -704,7 +662,7 @@ mod tests {
         let b_last = 0.2 + 0.01 * (PublishSession::MAX_AUDIT_CACHES + 2) as f64;
         let a = session.audit_against(b_last, 0.2).unwrap();
         let b = session.audit_against(b_last, 0.2).unwrap();
-        assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits());
+        assert_eq!(a.first_difference(&b), None);
         assert_eq!(session.readers.len(), PublishSession::MAX_AUDIT_CACHES);
     }
 
@@ -732,21 +690,9 @@ mod tests {
             let mut session = PublishSession::open(&t, &publisher).unwrap();
             assert_eq!(session.strategy().name(), algorithm.name());
             session.apply(&d).unwrap();
-            let fresh = publisher.publish(session.table()).unwrap();
-            assert_eq!(
-                session.anonymized().group_count(),
-                fresh.anonymized.group_count()
-            );
-            for (a, b) in session
-                .anonymized()
-                .groups()
-                .iter()
-                .zip(fresh.anonymized.groups())
-            {
-                assert_eq!(a.rows, b.rows);
-                assert_eq!(a.ranges, b.ranges);
-                assert_eq!(a.sensitive_counts, b.sensitive_counts);
-            }
+            publisher
+                .verify(session.table(), session.anonymized())
+                .unwrap();
         }
     }
 
@@ -759,12 +705,7 @@ mod tests {
             .algorithm(Algorithm::Bucketize);
         let mut session = PublishSession::open(&t, &publisher).unwrap();
         assert_eq!(session.strategy().name(), "bucketize");
-        let before: Vec<Vec<usize>> = session
-            .anonymized()
-            .groups()
-            .iter()
-            .map(|g| g.rows.clone())
-            .collect();
+        let before = session.snapshot();
         // Flood the table with one sensitive value: 3-anonymity still holds
         // on the whole table (the pre-check passes), but no 3-diverse
         // bucket partition exists any more — the strategy refresh is what
@@ -781,13 +722,10 @@ mod tests {
         );
         assert_eq!(session.len(), 60);
         assert_eq!(session.deltas_applied(), 0);
-        let after: Vec<Vec<usize>> = session
-            .anonymized()
-            .groups()
-            .iter()
-            .map(|g| g.rows.clone())
-            .collect();
-        assert_eq!(before, after);
+        assert_eq!(
+            before.anonymized.first_difference(session.anonymized()),
+            None
+        );
         // The session survives and keeps accepting feasible deltas.
         session.apply(&delta(&t, &[0], 0, 5)).unwrap();
     }

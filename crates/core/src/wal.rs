@@ -78,11 +78,12 @@ pub struct DurabilityOptions {
     /// deltas; `0` disables checkpointing, leaving recovery to replay the
     /// whole log from the genesis table.
     pub checkpoint_every: u64,
-    /// After recovering a tenant, re-publish its table from scratch and
-    /// verify the recovered partition is bit-identical, reporting the
-    /// tenant unrecoverable on any mismatch. Costs a full publish per
-    /// tenant at open, so it is opt-in (the crash-injection suite runs
-    /// with it on).
+    /// After recovering a tenant, check its publication with
+    /// [`Publisher::verify`](crate::Publisher::verify) against a
+    /// from-scratch publish of the recovered table. A drift reports the
+    /// tenant unrecoverable, with a reason that names the version and the
+    /// first differing part. Costs a full publish per tenant at open, so
+    /// it is opt-in (the crash-injection suite runs with it on).
     pub verify_on_open: bool,
     /// Soft ceiling on the hub's accounted resident bytes. When the
     /// rolled-up gauge crosses it, the hub demotes the coldest tenants to

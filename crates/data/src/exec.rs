@@ -39,10 +39,11 @@ use std::thread::JoinHandle;
 
 /// Degree of parallelism for a publishing or auditing run.
 ///
-/// `Serial` always selects the single-threaded *reference* implementation of
-/// a stage — the simple, auditable code path the optimized engines are
-/// property-tested against. `Auto` and `Threads` select the batched engine;
-/// both are guaranteed to produce output bit-identical to `Serial`.
+/// `Serial` runs a stage on the calling thread: Mondrian's single-threaded
+/// reference implementation, the auditor's flat-scan engine, the prior
+/// estimator's sparse engine on one worker. `Auto` and `Threads` select the
+/// batched engines; every knob is guaranteed to produce bit-identical
+/// output.
 ///
 /// ```
 /// use bgkanon_data::Parallelism;
@@ -55,7 +56,7 @@ use std::thread::JoinHandle;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded reference path.
+    /// Single-threaded, on the calling thread.
     Serial,
     /// The batched engine with one worker per available core.
     #[default]
@@ -87,7 +88,7 @@ impl Parallelism {
         }
     }
 
-    /// True when this knob selects the single-threaded reference path.
+    /// True when this knob runs single-threaded, on the calling thread.
     pub fn is_serial(self) -> bool {
         matches!(self, Parallelism::Serial)
     }

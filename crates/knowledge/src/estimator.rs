@@ -24,8 +24,8 @@
 //!   product-kernel support** instead of scanning all `u` distinct points;
 //! * candidates are accumulated in ascending sorted-point order, so the
 //!   sparse result is **bit-identical** to the dense all-pairs reference
-//!   ([`PriorEstimator::estimate_reference`], also selected by
-//!   [`Parallelism::Serial`]), which `tests/tests/estimation.rs`
+//!   ([`PriorEstimator::estimate_reference`]) on every thread count,
+//!   [`Parallelism::Serial`] included, which `tests/tests/estimation.rs`
 //!   property-tests across kernel families and bandwidths;
 //! * compact support also makes the model **refreshable**: a [`Delta`] can
 //!   only perturb priors inside the kernel neighborhood of the changed
@@ -1721,12 +1721,11 @@ impl PriorEstimator {
         self.estimate_with(table, Parallelism::Auto)
     }
 
-    /// Estimate with an explicit parallelism knob, consistent with the
-    /// Mondrian and audit engines: [`Parallelism::Serial`] selects the
-    /// **dense all-pairs reference** path
-    /// ([`estimate_reference`](Self::estimate_reference)), `Auto`/
-    /// `Threads(n)` the sparse neighbor-bounded engine. All knobs produce
-    /// bit-identical models.
+    /// Estimate with an explicit parallelism knob: the sparse
+    /// neighbor-bounded engine on that many workers
+    /// ([`Parallelism::Serial`] is one, on the calling thread). Every knob
+    /// produces a model bit-identical to the dense all-pairs
+    /// [`estimate_reference`](Self::estimate_reference).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -1738,7 +1737,7 @@ impl PriorEstimator {
     ///     Arc::clone(table.schema()),
     ///     Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
     /// );
-    /// let dense = estimator.estimate_with(&table, Parallelism::Serial);
+    /// let dense = estimator.estimate_reference(&table);
     /// let sparse = estimator.estimate_with(&table, Parallelism::threads(2));
     /// for (qi, p) in dense.iter() {
     ///     assert_eq!(p, sparse.prior(qi).unwrap()); // bit-identical
@@ -1756,9 +1755,6 @@ impl PriorEstimator {
             self.schema.qi_count(),
             "QI arity mismatch"
         );
-        if parallelism.is_serial() {
-            return self.reference_from(folded);
-        }
         let fallback = folded.table_distribution();
         let index = self.index(&folded);
         let ids: Vec<u32> = (0..folded.len() as u32).collect();
@@ -1845,12 +1841,9 @@ impl PriorEstimator {
     /// The dense all-pairs **reference** engine: a direct `O(u²·(d+m))`
     /// transcription of Eq. 1–2 over the folded points, single-threaded.
     /// This is the simple, auditable path the sparse engine is
-    /// property-tested against — and what [`Parallelism::Serial`] selects.
+    /// property-tested against.
     pub fn estimate_reference(&self, table: &Table) -> PriorModel {
-        self.reference_from(FoldedTable::new(table))
-    }
-
-    fn reference_from(&self, folded: FoldedTable) -> PriorModel {
+        let folded = FoldedTable::new(table);
         assert_eq!(
             folded.qi_count(),
             self.schema.qi_count(),
@@ -2170,7 +2163,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_knob_selects_the_reference_path() {
+    fn serial_knob_runs_the_sparse_engine_bit_identically() {
         let t = adult::generate(150, 5);
         let est = PriorEstimator::new(
             Arc::clone(t.schema()),
@@ -2182,7 +2175,7 @@ mod tests {
             assert_eq!(
                 p.as_slice(),
                 serial.prior(qi).unwrap().as_slice(),
-                "Serial must run the reference engine"
+                "one-thread sparse estimate diverges from the reference"
             );
         }
     }

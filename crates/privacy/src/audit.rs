@@ -87,6 +87,93 @@ pub struct AuditReport {
     pub threshold: f64,
 }
 
+impl AuditReport {
+    /// Where `self` and `other` first differ, or `None` when they are the
+    /// same report bit for bit: the risk count, then the first row whose
+    /// risk bits differ, then `worst_case`, `mean`, `vulnerable` and
+    /// `threshold`. Floats compare by bits, so an uncovered row's NaN
+    /// equals another NaN and `0.0` differs from `-0.0`. This is the one
+    /// definition of "bit-identical audit".
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use bgkanon_knowledge::Adversary;
+    /// use bgkanon_privacy::{Auditor, RiskDrift};
+    /// use bgkanon_stats::SmoothedJs;
+    ///
+    /// let table = bgkanon_data::toy::hospital_table();
+    /// let auditor = Auditor::new(
+    ///     Arc::new(Adversary::t_closeness(&table)),
+    ///     Arc::new(SmoothedJs::paper_default(table.schema().sensitive_distance())),
+    /// );
+    /// let report = auditor.report(&table, &bgkanon_data::toy::hospital_groups(), 0.1);
+    /// assert_eq!(report.first_difference(&report.clone()), None);
+    /// let stricter = auditor.report(&table, &bgkanon_data::toy::hospital_groups(), 0.05);
+    /// assert!(matches!(
+    ///     report.first_difference(&stricter),
+    ///     Some(RiskDrift::Vulnerable(..) | RiskDrift::Threshold(..))
+    /// ));
+    /// ```
+    pub fn first_difference(&self, other: &AuditReport) -> Option<RiskDrift> {
+        let (a, b) = (self, other);
+        if a.risks.len() != b.risks.len() {
+            return Some(RiskDrift::RiskCount(a.risks.len(), b.risks.len()));
+        }
+        let differs = |x: f64, y: f64| x.to_bits() != y.to_bits();
+        if let Some(row) = (0..a.risks.len()).find(|&r| differs(a.risks[r], b.risks[r])) {
+            return Some(RiskDrift::Risk(row, a.risks[row], b.risks[row]));
+        }
+        [
+            (
+                differs(a.worst_case, b.worst_case),
+                RiskDrift::WorstCase(a.worst_case, b.worst_case),
+            ),
+            (differs(a.mean, b.mean), RiskDrift::Mean(a.mean, b.mean)),
+            (
+                a.vulnerable != b.vulnerable,
+                RiskDrift::Vulnerable(a.vulnerable, b.vulnerable),
+            ),
+            (
+                differs(a.threshold, b.threshold),
+                RiskDrift::Threshold(a.threshold, b.threshold),
+            ),
+        ]
+        .into_iter()
+        .find_map(|(differ, drift)| differ.then_some(drift))
+    }
+}
+
+/// Where two audit reports first differ — the verdict of
+/// [`AuditReport::first_difference`]. Values read (receiver, argument).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RiskDrift {
+    /// The reports cover different row counts.
+    RiskCount(usize, usize),
+    /// The first row whose risk bits differ: its index, then the risks.
+    Risk(usize, f64, f64),
+    /// The worst-case risks differ.
+    WorstCase(f64, f64),
+    /// The mean risks differ.
+    Mean(f64, f64),
+    /// The vulnerable-tuple counts differ.
+    Vulnerable(usize, usize),
+    /// The audit thresholds differ.
+    Threshold(f64, f64),
+}
+
+impl std::fmt::Display for RiskDrift {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RiskDrift::RiskCount(a, b) => write!(f, "{a} risks vs {b}"),
+            RiskDrift::Risk(row, a, b) => write!(f, "row {row} risk {a:e} vs {b:e}"),
+            RiskDrift::WorstCase(a, b) => write!(f, "worst case {a:e} vs {b:e}"),
+            RiskDrift::Mean(a, b) => write!(f, "mean {a:e} vs {b:e}"),
+            RiskDrift::Vulnerable(a, b) => write!(f, "{a} vulnerable vs {b}"),
+            RiskDrift::Threshold(a, b) => write!(f, "threshold {a:e} vs {b:e}"),
+        }
+    }
+}
+
 /// Replays the attack: prior from the adversary, posterior via the
 /// Ω-estimate over each published group (§III.C: exact inference needs
 /// matrix permanents and does not scale, so the audit never uses it).
@@ -110,7 +197,7 @@ pub struct AuditReport {
 /// // bit for bit.
 /// let reference = auditor.report(&table, &groups, 0.25);
 /// let batched = auditor.report_with(&table, &groups, 0.25, Parallelism::Auto);
-/// assert_eq!(reference.worst_case.to_bits(), batched.worst_case.to_bits());
+/// assert_eq!(reference.first_difference(&batched), None);
 /// ```
 #[derive(Clone)]
 pub struct Auditor {
@@ -600,7 +687,7 @@ struct ReportMemo {
 /// // `report_groups` takes `&self`: clone the Arc into as many reader
 /// // threads as you like.
 /// let replay = shared.report_groups(&table, &slices, None, 0.25);
-/// assert_eq!(replay.worst_case.to_bits(), fresh.worst_case.to_bits());
+/// assert_eq!(replay.first_difference(&fresh), None);
 /// ```
 pub struct SharedAuditSession {
     auditor: Auditor,
@@ -999,6 +1086,49 @@ mod tests {
     }
 
     #[test]
+    fn first_difference_compares_every_field_by_bits() {
+        let report = AuditReport {
+            risks: vec![0.1, f64::NAN, 0.0, 0.3],
+            worst_case: 0.3,
+            mean: 0.2,
+            vulnerable: 1,
+            threshold: 0.25,
+        };
+        // A clone matches, uncovered (NaN) rows included.
+        assert_eq!(report.first_difference(&report.clone()), None);
+        let flipped = f64::from_bits(0.3f64.to_bits() ^ 1);
+        type Edit = fn(&mut AuditReport);
+        let cases: [(Edit, RiskDrift); 8] = [
+            (
+                |r| r.risks[3] = f64::from_bits(0.3f64.to_bits() ^ 1),
+                RiskDrift::Risk(3, 0.3, flipped),
+            ),
+            (|r| r.risks[2] = -0.0, RiskDrift::Risk(2, 0.0, -0.0)),
+            (|r| r.risks.push(0.0), RiskDrift::RiskCount(4, 5)),
+            (|r| r.worst_case = 0.4, RiskDrift::WorstCase(0.3, 0.4)),
+            (|r| r.mean = 0.21, RiskDrift::Mean(0.2, 0.21)),
+            (|r| r.vulnerable = 2, RiskDrift::Vulnerable(1, 2)),
+            (|r| r.threshold = 0.2, RiskDrift::Threshold(0.25, 0.2)),
+            // The first differing field wins: rows before the summary.
+            (
+                |r| (r.mean, r.risks[0]) = (0.0, 0.0),
+                RiskDrift::Risk(0, 0.1, 0.0),
+            ),
+        ];
+        for (edit, expected) in cases {
+            let mut other = report.clone();
+            edit(&mut other);
+            assert_eq!(report.first_difference(&other), Some(expected));
+        }
+        let covered = AuditReport {
+            risks: vec![0.1, 0.5, 0.0, 0.3],
+            ..report.clone()
+        };
+        let drift = report.first_difference(&covered);
+        assert!(matches!(drift, Some(RiskDrift::Risk(1, ..))), "{drift:?}");
+    }
+
+    #[test]
     fn risks_cover_all_rows() {
         let t = toy::hospital_table();
         let a = auditor(&t, 0.3);
@@ -1118,9 +1248,7 @@ mod tests {
         let groups = toy::hospital_groups();
         let serial = a.report(&t, &groups, 0.1);
         let batched = a.report_with(&t, &groups, 0.1, Parallelism::Auto);
-        assert_eq!(serial.worst_case.to_bits(), batched.worst_case.to_bits());
-        assert_eq!(serial.mean.to_bits(), batched.mean.to_bits());
-        assert_eq!(serial.vulnerable, batched.vulnerable);
+        assert_eq!(serial.first_difference(&batched), None);
     }
 
     #[test]
@@ -1138,10 +1266,8 @@ mod tests {
         // again, to the same bits.
         let replay = session.report_groups(&t, &slices, None, 0.1);
         assert_eq!(session.cached_signatures(), 2 * groups.len());
-        for ((f, a), b) in fresh.risks.iter().zip(&first.risks).zip(&replay.risks) {
-            assert_eq!(f.to_bits(), a.to_bits());
-            assert_eq!(f.to_bits(), b.to_bits());
-        }
+        assert_eq!(fresh.first_difference(&first), None);
+        assert_eq!(fresh.first_difference(&replay), None);
     }
 
     #[test]
@@ -1157,9 +1283,7 @@ mod tests {
         // Same stamps: served from the stamp cache, same bits, no solve.
         let hit = session.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert_eq!(session.cached_signatures(), 3);
-        for (a, b) in first.risks.iter().zip(&hit.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(first.first_difference(&hit), None);
         // Dropping one group evicts its stamp once the grace window has
         // passed; the partial reports stay bit-identical to a fresh audit.
         let fewer = [groups[0].clone(), groups[1].clone()];
@@ -1167,7 +1291,7 @@ mod tests {
         for _ in 0..=SharedAuditSession::STAMP_GRACE {
             let partial = session.report_groups(&t, &slices[..2], Some(&stamps[..2]), 0.1);
             assert!(partial.risks[groups[2][0]].is_nan());
-            assert_eq!(partial.worst_case.to_bits(), reference.worst_case.to_bits());
+            assert_eq!(partial.first_difference(&reference), None);
         }
         assert_eq!(session.cached_stamps(), 2);
         assert_eq!(session.cached_signatures(), 3);
@@ -1175,9 +1299,7 @@ mod tests {
         // more, to the same bits.
         let restamped = session.report_groups(&t, &slices, Some(&[11, 22, 44]), 0.1);
         assert_eq!(session.cached_signatures(), 4);
-        for (a, b) in first.risks.iter().zip(&restamped.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(first.first_difference(&restamped), None);
     }
 
     #[test]
@@ -1197,10 +1319,8 @@ mod tests {
         assert_eq!(shared.cached_signatures(), 3);
         let replay = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert_eq!(shared.cached_signatures(), 3);
-        for ((f, a), b) in fresh.risks.iter().zip(&first.risks).zip(&replay.risks) {
-            assert_eq!(f.to_bits(), a.to_bits());
-            assert_eq!(f.to_bits(), b.to_bits());
-        }
+        assert_eq!(fresh.first_difference(&first), None);
+        assert_eq!(fresh.first_difference(&replay), None);
         assert!(format!("{shared:?}").contains("SharedAuditSession"));
     }
 
@@ -1235,9 +1355,7 @@ mod tests {
             .collect();
         assert_eq!(reports.len(), 32);
         for rep in &reports {
-            for (f, r) in fresh.risks.iter().zip(&rep.risks) {
-                assert_eq!(f.to_bits(), r.to_bits());
-            }
+            assert_eq!(fresh.first_difference(rep), None);
         }
     }
 
@@ -1291,13 +1409,7 @@ mod tests {
         // fresh auditor bit for bit; the lock is healthy again.
         let report = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert!(!shared.caches.is_poisoned());
-        assert_eq!(report.risks.len(), fresh.risks.len());
-        for (f, r) in fresh.risks.iter().zip(&report.risks) {
-            assert_eq!(f.to_bits(), r.to_bits());
-        }
-        assert_eq!(report.worst_case.to_bits(), fresh.worst_case.to_bits());
-        assert_eq!(report.mean.to_bits(), fresh.mean.to_bits());
-        assert_eq!(report.vulnerable, fresh.vulnerable);
+        assert_eq!(report.first_difference(&fresh), None);
         assert_eq!(shared.cached_stamps(), 3);
     }
 
@@ -1337,11 +1449,7 @@ mod tests {
                     Some(&(0..groups.len() as u64).collect::<Vec<_>>()[..]),
                 ] {
                     let report = session.report_groups(&t, &slices, stamps, 0.2);
-                    for (x, y) in fresh.risks.iter().zip(&report.risks) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
-                    }
-                    assert_eq!(report.worst_case.to_bits(), fresh.worst_case.to_bits());
-                    assert_eq!(report.vulnerable, fresh.vulnerable);
+                    assert_eq!(fresh.first_difference(&report), None, "seed {seed}");
                 }
             }
             // Both paths solve every group on the unstamped report and again

@@ -117,7 +117,8 @@ proptest! {
         let sparse = estimator.estimate_with(&table, Parallelism::threads(threads));
         let context = format!("rows={rows} seed={seed} b={b} family={family_index}");
         assert_bit_identical(&dense, &sparse, &context)?;
-        // The Serial knob selects the same reference path.
+        // The Serial knob runs the sparse engine on one thread, to the
+        // same bits.
         let serial = estimator.estimate_with(&table, Parallelism::Serial);
         assert_bit_identical(&dense, &serial, &context)?;
     }

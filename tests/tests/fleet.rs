@@ -47,32 +47,6 @@ fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize
     builder.build()
 }
 
-fn assert_same_publication(a: &AnonymizedTable, b: &AnonymizedTable, context: &str) {
-    assert_eq!(a.group_count(), b.group_count(), "group count: {context}");
-    for (ga, gb) in a.groups().iter().zip(b.groups()) {
-        assert_eq!(ga.rows, gb.rows, "rows: {context}");
-        assert_eq!(ga.ranges, gb.ranges, "ranges: {context}");
-        assert_eq!(
-            ga.sensitive_counts, gb.sensitive_counts,
-            "histogram: {context}"
-        );
-    }
-}
-
-fn assert_same_report(a: &AuditReport, b: &AuditReport, context: &str) {
-    assert_eq!(
-        a.worst_case.to_bits(),
-        b.worst_case.to_bits(),
-        "worst case: {context}"
-    );
-    assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "mean: {context}");
-    assert_eq!(a.vulnerable, b.vulnerable, "vulnerable: {context}");
-    assert_eq!(a.risks.len(), b.risks.len(), "risk count: {context}");
-    for (x, y) in a.risks.iter().zip(&b.risks) {
-        assert_eq!(x.to_bits(), y.to_bits(), "risk bits: {context}");
-    }
-}
-
 /// An evicting hub and its never-evicting reference, driven in lockstep.
 fn lockstep_options(budget: Option<usize>, checkpoint_every: u64) -> DurabilityOptions {
     DurabilityOptions {
@@ -120,20 +94,20 @@ proptest! {
                     let a = evicting.apply(&name, &d).unwrap();
                     let b = reference.apply(&name, &d).unwrap();
                     prop_assert_eq!(a.version(), b.version());
-                    assert_same_publication(
-                        a.anonymized(),
-                        b.anonymized(),
-                        &format!("apply {name} step {step} seed {seed}"),
+                    assert_eq!(
+                        a.anonymized().first_difference(b.anonymized()),
+                        None,
+                        "apply {name} step {step} seed {seed}"
                     );
                 }
                 1 => {
                     let b_prime = [0.2, 0.3, 0.5][rng.gen_range(0..3usize)];
                     let a = evicting.audit_against(&name, b_prime, 0.2).unwrap();
                     let b = reference.audit_against(&name, b_prime, 0.2).unwrap();
-                    assert_same_report(
-                        &a,
-                        &b,
-                        &format!("audit {name} b'={b_prime} step {step} seed {seed}"),
+                    assert_eq!(
+                        a.first_difference(&b),
+                        None,
+                        "audit {name} b'={b_prime} step {step} seed {seed}"
                     );
                 }
                 _ => {
@@ -143,10 +117,10 @@ proptest! {
                     // Stamps are per-hub cache identity, not output — only
                     // their arity is part of the snapshot contract.
                     prop_assert_eq!(a.leaf_stamps().len(), b.leaf_stamps().len());
-                    assert_same_publication(
-                        a.anonymized(),
-                        b.anonymized(),
-                        &format!("snapshot {name} step {step} seed {seed}"),
+                    assert_eq!(
+                        a.anonymized().first_difference(b.anonymized()),
+                        None,
+                        "snapshot {name} step {step} seed {seed}"
                     );
                 }
             }
@@ -157,7 +131,7 @@ proptest! {
             let name = format!("t{i}");
             let a = evicting.snapshot(&name).unwrap();
             let b = reference.snapshot(&name).unwrap();
-            assert_same_publication(a.anonymized(), b.anonymized(), &name);
+            assert_eq!(a.anonymized().first_difference(b.anonymized()), None, "{name}");
         }
         // The budget actually bit: the evicting hub demoted and came back.
         let stats = evicting.memory_stats();
@@ -173,7 +147,7 @@ proptest! {
             let a = cold.snapshot(&name).unwrap();
             let b = reference.snapshot(&name).unwrap();
             prop_assert_eq!(a.version(), b.version());
-            assert_same_publication(a.anonymized(), b.anonymized(), &name);
+            assert_eq!(a.anonymized().first_difference(b.anonymized()), None, "{name}");
         }
         let _ = std::fs::remove_dir_all(&dir_evicting);
         let _ = std::fs::remove_dir_all(&dir_reference);
@@ -220,8 +194,9 @@ fn eviction_with_unflushed_wal_tail_roundtrips_through_recovery() {
     // from-scratch publish of the same table produces.
     let snap = hub.snapshot("cold").unwrap();
     assert_eq!(snap.version(), expected_version);
-    let fresh = publisher.publish(snap.table()).unwrap();
-    assert_same_publication(snap.anonymized(), &fresh.anonymized, "rehydrated cold");
+    publisher
+        .verify(snap.table(), snap.anonymized())
+        .unwrap_or_else(|e| panic!("rehydrated cold: {e}"));
     assert!(hub.memory_stats().rehydrations > 0);
     // Audits on the rehydrated session keep working.
     let audit = hub.audit_against("cold", 0.3, 0.2).unwrap();
@@ -232,7 +207,11 @@ fn eviction_with_unflushed_wal_tail_roundtrips_through_recovery() {
     assert!(report.is_clean(), "{:?}", report.tenants);
     let reopened = cold.snapshot("cold").unwrap();
     assert_eq!(reopened.version(), expected_version);
-    assert_same_publication(reopened.anonymized(), snap.anonymized(), "cold reopen");
+    assert_eq!(
+        reopened.anonymized().first_difference(snap.anonymized()),
+        None,
+        "cold reopen"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -261,10 +240,14 @@ fn in_memory_budget_never_loses_tenants() {
         );
         let a = hub.apply(&name, &d).unwrap();
         let b = unbounded.apply(&name, &d).unwrap();
-        assert_same_publication(a.anonymized(), b.anonymized(), &name);
+        assert_eq!(
+            a.anonymized().first_difference(b.anonymized()),
+            None,
+            "{name}"
+        );
         let ra = hub.audit_against(&name, 0.3, 0.2).unwrap();
         let rb = unbounded.audit_against(&name, 0.3, 0.2).unwrap();
-        assert_same_report(&ra, &rb, &name);
+        assert_eq!(ra.first_difference(&rb), None, "{name}");
     }
     let stats = hub.memory_stats();
     assert!(stats.evictions > 0);
@@ -273,18 +256,18 @@ fn in_memory_budget_never_loses_tenants() {
     assert_eq!(stats.rehydrations, 0);
 }
 
-/// A fresh `Adv(b′)` audit of `snapshot`'s version through an uncached
-/// [`Auditor`] with a newly estimated adversary.
-fn fresh_adversary_report(snapshot: &TenantSnapshot, b_prime: f64, t: f64) -> AuditReport {
+/// A fresh `Adv(b′)` audit of `snapshot`'s version: its publication must
+/// equal a from-scratch publish, whose outcome is audited against a newly
+/// estimated adversary.
+fn fresh_adversary_report(
+    publisher: &Publisher,
+    snapshot: &TenantSnapshot,
+    b_prime: f64,
+    t: f64,
+) -> AuditReport {
     let table = snapshot.table();
-    let adversary = Arc::new(bgkanon::knowledge::Adversary::kernel(
-        table,
-        bgkanon::knowledge::Bandwidth::uniform(b_prime, table.qi_count()).unwrap(),
-    ));
-    let measure: Arc<dyn BeliefDistance> = Arc::new(SmoothedJs::paper_default(
-        table.schema().sensitive_distance(),
-    ));
-    Auditor::new(adversary, measure).report(table, &snapshot.anonymized().row_groups(), t)
+    let fresh = publisher.verify(table, snapshot.anonymized()).unwrap();
+    fresh.audit_against(table, b_prime, t).unwrap()
 }
 
 /// Demotion drops a tenant's carried `Adv(b′)` entry with the rest of its
@@ -311,10 +294,10 @@ fn evicted_tenant_audits_fresh_after_rehydration() {
         hub.audit_against("t1", 0.3, 0.2).unwrap();
         let report = hub.audit_against("t0", 0.3, 0.2).unwrap();
         let snapshot = hub.snapshot("t0").unwrap();
-        assert_same_report(
-            &report,
-            &fresh_adversary_report(&snapshot, 0.3, 0.2),
-            &format!("t0 after rehydration, step {step}"),
+        assert_eq!(
+            report.first_difference(&fresh_adversary_report(&publisher, &snapshot, 0.3, 0.2)),
+            None,
+            "t0 after rehydration, step {step}"
         );
     }
     let stats = hub.memory_stats();
@@ -341,10 +324,10 @@ fn rehydrated_tenant_folds_in_full_then_carries_its_fold() {
     let check = |context: &str| {
         let report = hub.audit_against("t0", 0.3, 0.2).unwrap();
         let snapshot = hub.snapshot("t0").unwrap();
-        assert_same_report(
-            &report,
-            &fresh_adversary_report(&snapshot, 0.3, 0.2),
-            context,
+        assert_eq!(
+            report.first_difference(&fresh_adversary_report(&publisher, &snapshot, 0.3, 0.2)),
+            None,
+            "{context}"
         );
     };
     for round in 0..3 {

@@ -230,22 +230,9 @@ fn hub_stress_interleaved_deltas_and_audits_match_serial_replay() {
                 "tenant {i} row {r}"
             );
         }
-        let fresh = publisher.publish(session.table()).expect("satisfiable");
-        assert_eq!(
-            snap.anonymized().group_count(),
-            fresh.anonymized.group_count(),
-            "tenant {i}"
-        );
-        for (a, b) in snap
-            .anonymized()
-            .groups()
-            .iter()
-            .zip(fresh.anonymized.groups())
-        {
-            assert_eq!(a.rows, b.rows, "tenant {i}");
-            assert_eq!(a.ranges, b.ranges, "tenant {i}");
-            assert_eq!(a.sensitive_counts, b.sensitive_counts, "tenant {i}");
-        }
+        publisher
+            .verify(session.table(), snap.anonymized())
+            .unwrap_or_else(|e| panic!("tenant {i}: {e}"));
         reference_risks.push(by_version);
     }
 
@@ -301,30 +288,22 @@ fn hub_readers_pin_versions_while_writers_advance() {
     let auditor = tenant_auditor(&table);
     let of_pinned = auditor.report(pinned.table(), &pinned.anonymized().row_groups(), THRESHOLD);
     let of_original = auditor.report(&table, &pinned_groups, THRESHOLD);
-    for (a, b) in of_pinned.risks.iter().zip(&of_original.risks) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
+    assert_eq!(of_pinned.first_difference(&of_original), None);
 }
 
-/// A fresh `Adv(B_PRIME)` audit of `snapshot`'s version: a newly
-/// estimated adversary and an uncached [`Auditor`] — the reference every
+/// A fresh `Adv(B_PRIME)` audit of `snapshot`'s version at threshold `t`:
+/// its publication must equal a from-scratch publish, whose outcome is
+/// audited against a newly estimated adversary — the reference every
 /// carried-forward hub audit must match bit for bit.
-fn fresh_adversary_report(snapshot: &TenantSnapshot) -> AuditReport {
-    tenant_auditor(snapshot.table()).report(
-        snapshot.table(),
-        &snapshot.anonymized().row_groups(),
-        THRESHOLD,
-    )
-}
-
-fn assert_same_risks(a: &AuditReport, b: &AuditReport, context: &str) {
-    assert_eq!(a.worst_case.to_bits(), b.worst_case.to_bits(), "{context}");
-    assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{context}");
-    assert_eq!(a.vulnerable, b.vulnerable, "{context}");
-    assert_eq!(a.risks.len(), b.risks.len(), "{context}");
-    for (x, y) in a.risks.iter().zip(&b.risks) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{context}");
-    }
+fn fresh_adversary_report(snapshot: &TenantSnapshot, t: f64) -> AuditReport {
+    let table = snapshot.table();
+    let fresh = Publisher::new()
+        .k_anonymity(K)
+        .verify(table, snapshot.anonymized())
+        .unwrap_or_else(|e| panic!("version {}: {e}", snapshot.version()));
+    fresh
+        .audit_against(table, B_PRIME, t)
+        .expect("valid bandwidth")
 }
 
 #[test]
@@ -334,25 +313,18 @@ fn adversary_refresh_spans_several_unaudited_applies() {
     let hub = SessionHub::new();
     hub.register("gap", &tenant_table(1), &Publisher::new().k_anonymity(K))
         .expect("satisfiable");
-    let first = hub.audit_against("gap", B_PRIME, THRESHOLD).expect("audit");
-    assert_same_risks(
-        &first,
-        &fresh_adversary_report(&hub.snapshot("gap").expect("registered")),
-        "version 0",
-    );
+    audit_matches_fresh(&hub, "gap", "version 0");
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0x6a9);
     for _ in 0..4 {
         let current = hub.snapshot("gap").expect("registered").table().clone();
         hub.apply("gap", &random_delta(&current, &mut rng))
             .expect("valid delta");
     }
-    let carried = hub.audit_against("gap", B_PRIME, THRESHOLD).expect("audit");
-    let snapshot = hub.snapshot("gap").expect("registered");
-    assert_eq!(snapshot.version(), 4);
-    assert_same_risks(&carried, &fresh_adversary_report(&snapshot), "version 4");
+    assert_eq!(hub.snapshot("gap").expect("registered").version(), 4);
+    let carried = audit_matches_fresh(&hub, "gap", "version 4");
     // One entry per b′ is kept and replayed until the next apply.
     let replay = hub.audit_against("gap", B_PRIME, THRESHOLD).expect("audit");
-    assert_same_risks(&replay, &carried, "replay of version 4");
+    assert_eq!(replay.first_difference(&carried), None, "replay");
 }
 
 #[test]
@@ -378,23 +350,9 @@ fn shared_interned_model_is_never_refreshed_in_place() {
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0x5a4e);
     let delta = random_delta(&table, &mut rng);
     hub.apply("left", &delta).expect("valid delta");
-    let left = hub
-        .audit_against("left", B_PRIME, THRESHOLD)
-        .expect("audit");
-    assert_same_risks(
-        &left,
-        &fresh_adversary_report(&hub.snapshot("left").expect("registered")),
-        "left after its delta",
-    );
-    let right = hub
-        .audit_against("right", B_PRIME, THRESHOLD)
-        .expect("audit");
-    assert_same_risks(&right, &before, "right after left's delta");
-    assert_same_risks(
-        &right,
-        &fresh_adversary_report(&hub.snapshot("right").expect("registered")),
-        "right against a fresh auditor",
-    );
+    audit_matches_fresh(&hub, "left", "left after its delta");
+    let right = audit_matches_fresh(&hub, "right", "right against a fresh auditor");
+    assert_eq!(right.first_difference(&before), None, "right unchanged");
     assert_eq!(hub.memory_stats().interned_models, 2);
 }
 
@@ -404,7 +362,11 @@ fn audit_matches_fresh(hub: &SessionHub, tenant: &str, context: &str) -> AuditRe
         .audit_against(tenant, B_PRIME, THRESHOLD)
         .expect("audit");
     let snapshot = hub.snapshot(tenant).expect("registered");
-    assert_same_risks(&report, &fresh_adversary_report(&snapshot), context);
+    assert_eq!(
+        report.first_difference(&fresh_adversary_report(&snapshot, THRESHOLD)),
+        None,
+        "{context}"
+    );
     report
 }
 
@@ -494,7 +456,11 @@ fn evolved_and_fresh_folds_of_equal_content_share_one_model() {
     let stats = hub.memory_stats();
     let moved = audit_matches_fresh(&hub, "moved", "moved at version 1");
     let landed = audit_matches_fresh(&hub, "landed", "landed at version 0");
-    assert_same_risks(&moved, &landed, "equal content, equal risks");
+    assert_eq!(
+        moved.first_difference(&landed),
+        None,
+        "equal content, equal risks"
+    );
     let after = hub.memory_stats();
     assert_eq!(after.intern_hits, stats.intern_hits + 1);
     assert_eq!(after.interned_models, 1);
@@ -525,7 +491,7 @@ fn repeated_audits_of_one_version_are_served_from_the_memo_bit_identically() {
     let mut bytes = Vec::new();
     for round in 0..4 {
         let report = hub.audit_with("memo", &auditor, THRESHOLD).expect("audit");
-        assert_same_risks(&report, &fresh, &format!("audit_with #{round}"));
+        assert_eq!(report.first_difference(&fresh), None, "audit_with #{round}");
         assert_eq!(report.threshold.to_bits(), THRESHOLD.to_bits());
         bytes.push(hub.memory_stats().resident_bytes);
     }
@@ -536,12 +502,16 @@ fn repeated_audits_of_one_version_are_served_from_the_memo_bit_identically() {
     );
     assert_eq!(bytes[2], bytes[1], "a hit charges nothing");
     assert_eq!(bytes[3], bytes[1]);
-    let fresh_against = fresh_adversary_report(&snapshot);
+    let fresh_against = fresh_adversary_report(&snapshot, THRESHOLD);
     for round in 0..4 {
         let report = hub
             .audit_against("memo", B_PRIME, THRESHOLD)
             .expect("audit");
-        assert_same_risks(&report, &fresh_against, &format!("audit_against #{round}"));
+        assert_eq!(
+            report.first_difference(&fresh_against),
+            None,
+            "audit_against #{round}"
+        );
     }
 }
 
@@ -570,14 +540,13 @@ fn a_new_threshold_or_version_misses_the_memo() {
         "both kept reports dropped"
     );
     let fresh_with = fresh_report(&auditor, &snapshot, other_t);
-    let fresh_against = fresh_report(&tenant_auditor(snapshot.table()), &snapshot, other_t);
+    let fresh_against = fresh_adversary_report(&snapshot, other_t);
     for (report, fresh, path) in [
         (&with, &fresh_with, "audit_with"),
         (&against, &fresh_against, "audit_against"),
     ] {
-        assert_same_risks(report, fresh, path);
+        assert_eq!(report.first_difference(fresh), None, "{path}");
         assert_eq!(report.threshold.to_bits(), other_t.to_bits(), "{path}");
-        assert_eq!(report.vulnerable, fresh.vulnerable, "{path}");
     }
     // A new version misses both paths, however often the old one was read.
     for _ in 0..2 {
@@ -591,16 +560,16 @@ fn a_new_threshold_or_version_misses_the_memo() {
     assert_eq!(next.version(), 1);
     for round in 0..3 {
         let with = hub.audit_with("keys", &auditor, other_t).expect("audit");
-        assert_same_risks(
-            &with,
-            &fresh_report(&auditor, &next, other_t),
-            &format!("audit_with of version 1, #{round}"),
+        assert_eq!(
+            with.first_difference(&fresh_report(&auditor, &next, other_t)),
+            None,
+            "audit_with of version 1, #{round}"
         );
         let against = hub.audit_against("keys", B_PRIME, other_t).expect("audit");
-        assert_same_risks(
-            &against,
-            &fresh_report(&tenant_auditor(next.table()), &next, other_t),
-            &format!("audit_against of version 1, #{round}"),
+        assert_eq!(
+            against.first_difference(&fresh_adversary_report(&next, other_t)),
+            None,
+            "audit_against of version 1, #{round}"
         );
     }
 }
@@ -625,7 +594,7 @@ fn a_one_byte_budget_eviction_clears_the_memo() {
     );
     let audit = |context: &str| {
         let report = hub.audit_with("hot", &auditor, THRESHOLD).expect("audit");
-        assert_same_risks(&report, &fresh, context);
+        assert_eq!(report.first_difference(&fresh), None, "{context}");
         hub.memory_stats().resident_bytes
     };
     let claimed = audit("first audit");
@@ -680,20 +649,21 @@ fn readers_of_adjacent_versions_sharing_one_auditor_get_their_own_reports() {
     {
         for &version in order {
             let snapshot = if version == 0 { &v0 } else { &v1 };
-            assert_same_risks(
-                &audit(snapshot),
-                &fresh[version],
-                &format!("round {round}, version {version}"),
+            assert_eq!(
+                audit(snapshot).first_difference(&fresh[version]),
+                None,
+                "round {round}, version {version}"
             );
         }
     }
     // Through the hub, concurrent readers of v0 and v1 share this shape:
     // the hub's own session for the auditor serves each its version.
-    assert_same_risks(
-        &hub.audit_with("adjacent", &auditor, THRESHOLD)
-            .expect("audit"),
-        &fresh[1],
-        "hub audit of version 1",
+    assert_eq!(
+        hub.audit_with("adjacent", &auditor, THRESHOLD)
+            .expect("audit")
+            .first_difference(&fresh[1]),
+        None,
+        "hub audit of version 1"
     );
 }
 
@@ -719,14 +689,14 @@ fn running_byte_totals_survive_random_insert_sweep_carry_and_clear_sequences() {
     let audit = |tenant: usize, against: bool, t: f64, context: &str| {
         let name = names[tenant];
         let snapshot = hub.snapshot(name).expect("registered");
-        let (report, auditor) = if against {
+        let (report, fresh) = if against {
             let report = hub.audit_against(name, B_PRIME, t).expect("audit");
-            (report, tenant_auditor(snapshot.table()))
+            (report, fresh_adversary_report(&snapshot, t))
         } else {
             let report = hub.audit_with(name, &auditors[tenant], t).expect("audit");
-            (report, auditors[tenant].clone())
+            (report, fresh_report(&auditors[tenant], &snapshot, t))
         };
-        assert_same_risks(&report, &fresh_report(&auditor, &snapshot, t), context);
+        assert_eq!(report.first_difference(&fresh), None, "{context}");
     };
     for step in 0..60 {
         let tenant = if rng.gen_bool(0.8) {

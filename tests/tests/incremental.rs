@@ -33,28 +33,6 @@ fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize
     builder.build()
 }
 
-fn assert_same_publication(
-    a: &AnonymizedTable,
-    b: &AnonymizedTable,
-    context: &str,
-) -> Result<(), TestCaseError> {
-    prop_assert!(
-        a.group_count() == b.group_count(),
-        "group count diverges: {}",
-        context
-    );
-    for (ga, gb) in a.groups().iter().zip(b.groups()) {
-        prop_assert!(ga.rows == gb.rows, "rows diverge: {}", context);
-        prop_assert!(ga.ranges == gb.ranges, "ranges diverge: {}", context);
-        prop_assert!(
-            ga.sensitive_counts == gb.sensitive_counts,
-            "histogram diverges: {}",
-            context
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -79,14 +57,12 @@ proptest! {
             let delta = random_delta(session.table(), &mut rng, 0.04, 3 + step);
             match session.apply(&delta) {
                 Ok(outcome) => {
-                    let fresh = publisher
-                        .publish(session.table())
-                        .expect("session accepted the delta");
-                    assert_same_publication(
-                        &outcome.anonymized,
-                        &fresh.anonymized,
-                        &format!("rows={rows} seed={seed} k={k} step={step} {parallelism:?}"),
-                    )?;
+                    let verdict = publisher.verify(session.table(), &outcome.anonymized);
+                    prop_assert!(
+                        verdict.is_ok(),
+                        "rows={rows} seed={seed} k={k} step={step} {parallelism:?}: {}",
+                        verdict.unwrap_err()
+                    );
                     prop_assert!(outcome.anonymized.len() == session.len());
                 }
                 Err(SessionError::Publish(_)) => {
@@ -133,12 +109,12 @@ proptest! {
             if session.apply(&delta).is_err() {
                 continue;
             }
-            let fresh = publisher.publish(session.table()).expect("satisfiable");
-            assert_same_publication(
-                session.anonymized(),
-                &fresh.anonymized,
-                &format!("rows={rows} seed={seed} step={step}"),
-            )?;
+            let verdict = publisher.verify(session.table(), session.anonymized());
+            prop_assert!(
+                verdict.is_ok(),
+                "rows={rows} seed={seed} step={step}: {}",
+                verdict.unwrap_err()
+            );
         }
     }
 
@@ -155,8 +131,6 @@ proptest! {
         let base = adult::generate(rows, seed);
         let publisher = Publisher::new().k_anonymity(k);
         let mut session = publisher.open(&base).expect("satisfiable base");
-        let measure: Arc<dyn BeliefDistance> =
-            Arc::new(SmoothedJs::paper_default(base.schema().sensitive_distance()));
         // The external auditor is fixed up front (the paper's Fig. 1
         // accounting: one prior model reused across releases).
         let auditor = Auditor::new(
@@ -164,7 +138,7 @@ proptest! {
                 &base,
                 Bandwidth::uniform(bandwidth, base.qi_count()).unwrap(),
             )),
-            Arc::clone(&measure),
+            Arc::new(SmoothedJs::paper_default(base.schema().sensitive_distance())),
         );
         // Warm the caches, then evolve and re-audit incrementally. The
         // session-built `Adv(b′)` is audited only on the steps `audit_mask`
@@ -182,51 +156,20 @@ proptest! {
             let fresh = publisher.publish(session.table()).expect("satisfiable");
             let incremental = session.audit_with(&auditor, 0.2);
             let reference = fresh.audit_with(session.table(), &auditor, 0.2);
-            assert_same_report(&incremental, &reference, &context)?;
+            prop_assert_eq!(incremental.first_difference(&reference), None, "{}", context);
 
             if audit_mask >> step & 1 == 0 {
                 continue;
             }
-            let current = Auditor::new(
-                Arc::new(Adversary::kernel(
-                    session.table(),
-                    Bandwidth::uniform(bandwidth, base.qi_count()).unwrap(),
-                )),
-                Arc::clone(&measure),
-            );
-            let reference = fresh.audit_with(session.table(), &current, 0.2);
+            let reference = fresh.audit_against(session.table(), bandwidth, 0.2).unwrap();
             let tracked = session.audit_against(bandwidth, 0.2).expect("valid bandwidth");
-            assert_same_report(&tracked, &reference, &context)?;
+            prop_assert_eq!(tracked.first_difference(&reference), None, "{}", context);
             if replay_mask >> step & 1 == 1 {
                 let replay = session.audit_against(bandwidth, 0.2).expect("valid bandwidth");
-                assert_same_report(&replay, &reference, &context)?;
+                prop_assert_eq!(replay.first_difference(&reference), None, "{}", context);
             }
         }
     }
-}
-
-fn assert_same_report(
-    a: &AuditReport,
-    b: &AuditReport,
-    context: &str,
-) -> Result<(), TestCaseError> {
-    prop_assert!(a.risks.len() == b.risks.len(), "risk count: {}", context);
-    for (row, (x, y)) in a.risks.iter().zip(&b.risks).enumerate() {
-        prop_assert!(
-            x.to_bits() == y.to_bits(),
-            "risk diverges at row {}: {}",
-            row,
-            context
-        );
-    }
-    prop_assert!(
-        a.worst_case.to_bits() == b.worst_case.to_bits(),
-        "worst case: {}",
-        context
-    );
-    prop_assert!(a.mean.to_bits() == b.mean.to_bits(), "mean: {}", context);
-    prop_assert!(a.vulnerable == b.vulnerable, "vulnerable: {}", context);
-    Ok(())
 }
 
 #[test]
@@ -239,18 +182,9 @@ fn empty_delta_republishes_identically() {
         .apply(&DeltaBuilder::new(Arc::clone(base.schema())).build())
         .unwrap();
     assert_eq!(
-        before.anonymized.group_count(),
-        outcome.anonymized.group_count()
+        before.anonymized.first_difference(&outcome.anonymized),
+        None
     );
-    for (a, b) in before
-        .anonymized
-        .groups()
-        .iter()
-        .zip(outcome.anonymized.groups())
-    {
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.ranges, b.ranges);
-    }
 }
 
 #[test]
@@ -267,8 +201,9 @@ fn delete_all_is_rejected_without_corrupting_the_session() {
         Err(SessionError::Data(bgkanon::data::DataError::EmptyTable))
     ));
     // Still consistent with from-scratch on the unchanged table.
-    let fresh = publisher.publish(&base).unwrap();
-    assert_eq!(session.group_count(), fresh.anonymized.group_count());
+    publisher
+        .verify(session.table(), session.anonymized())
+        .unwrap();
 }
 
 #[test]
@@ -288,16 +223,9 @@ fn verdict_flip_collapses_and_rebuilds_like_from_scratch() {
         builder.delete(r);
     }
     session.apply(&builder.build()).unwrap();
-    let fresh = publisher.publish(session.table()).unwrap();
-    assert_eq!(session.group_count(), fresh.anonymized.group_count());
-    for (a, b) in session
-        .anonymized()
-        .groups()
-        .iter()
-        .zip(fresh.anonymized.groups())
-    {
-        assert_eq!(a.rows, b.rows);
-    }
+    publisher
+        .verify(session.table(), session.anonymized())
+        .unwrap();
     assert!(
         session.group_count() <= groups_before,
         "losing a group's rows cannot create more groups here"
@@ -313,17 +241,9 @@ fn verdict_flip_collapses_and_rebuilds_like_from_scratch() {
             .unwrap();
     }
     session.apply(&builder.build()).unwrap();
-    let fresh = publisher.publish(session.table()).unwrap();
-    assert_eq!(session.group_count(), fresh.anonymized.group_count());
-    for (a, b) in session
-        .anonymized()
-        .groups()
-        .iter()
-        .zip(fresh.anonymized.groups())
-    {
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.sensitive_counts, b.sensitive_counts);
-    }
+    publisher
+        .verify(session.table(), session.anonymized())
+        .unwrap();
 }
 
 #[test]
@@ -346,10 +266,14 @@ fn audit_against_verdict_flip_is_tracked() {
     let after = session.audit_against(0.25, 0.15).unwrap();
     assert_eq!(after.risks.len(), session.len());
     assert!(after.risks.iter().all(|r| !r.is_nan()));
+    let fresh = publisher
+        .verify(session.table(), session.anonymized())
+        .unwrap();
+    let reference = fresh.audit_against(session.table(), 0.25, 0.15).unwrap();
+    assert_eq!(after.first_difference(&reference), None);
     // A second call on the same state replays bit-identically.
     let replay = session.audit_against(0.25, 0.15).unwrap();
-    assert_eq!(after.worst_case.to_bits(), replay.worst_case.to_bits());
-    assert_eq!(after.vulnerable, replay.vulnerable);
+    assert_eq!(after.first_difference(&replay), None);
     // And the pre-delta report stays a valid, distinct artifact.
     assert_eq!(before.risks.len(), base.len());
 }

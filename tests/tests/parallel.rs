@@ -11,30 +11,6 @@ use bgkanon::knowledge::{Adversary, Bandwidth};
 use bgkanon::prelude::*;
 use bgkanon::privacy::{And, DistinctLDiversity};
 
-/// Assert two partitions are identical down to row order, ranges and
-/// histograms.
-fn assert_same_partition(
-    a: &AnonymizedTable,
-    b: &AnonymizedTable,
-    context: &str,
-) -> Result<(), TestCaseError> {
-    prop_assert!(
-        a.group_count() == b.group_count(),
-        "group count diverges: {}",
-        context
-    );
-    for (ga, gb) in a.groups().iter().zip(b.groups()) {
-        prop_assert!(ga.rows == gb.rows, "rows diverge: {}", context);
-        prop_assert!(ga.ranges == gb.ranges, "ranges diverge: {}", context);
-        prop_assert!(
-            ga.sensitive_counts == gb.sensitive_counts,
-            "histogram diverges: {}",
-            context
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -49,11 +25,11 @@ proptest! {
         let mondrian = Mondrian::new(Arc::new(KAnonymity::new(k)));
         let serial = mondrian.plant_with(&table, Parallelism::Serial).to_anonymized(&table);
         let parallel = mondrian.plant_with(&table, Parallelism::threads(workers)).to_anonymized(&table);
-        assert_same_partition(
-            &serial,
-            &parallel,
-            &format!("rows={rows} seed={seed} k={k} workers={workers}"),
-        )?;
+        prop_assert_eq!(
+            serial.first_difference(&parallel),
+            None,
+            "rows={rows} seed={seed} k={k} workers={workers}"
+        );
     }
 
     #[test]
@@ -67,11 +43,11 @@ proptest! {
         let mondrian = Mondrian::new(Arc::new(req));
         let serial = mondrian.plant_with(&table, Parallelism::Serial).to_anonymized(&table);
         let parallel = mondrian.plant_with(&table, Parallelism::threads(workers)).to_anonymized(&table);
-        assert_same_partition(
-            &serial,
-            &parallel,
-            &format!("rows={rows} seed={seed} workers={workers}"),
-        )?;
+        prop_assert_eq!(
+            serial.first_difference(&parallel),
+            None,
+            "rows={rows} seed={seed} workers={workers}"
+        );
     }
 
     #[test]
@@ -128,11 +104,11 @@ proptest! {
         let parallel = mondrian.plant_with(&table, Parallelism::threads(workers));
         let (sa, s_stamps) = serial.snapshot(&table);
         let (pa, p_stamps) = parallel.snapshot(&table);
-        assert_same_partition(
-            &sa,
-            &pa,
-            &format!("rows={rows} seed={seed} k={k} workers={workers}"),
-        )?;
+        prop_assert_eq!(
+            sa.first_difference(&pa),
+            None,
+            "rows={rows} seed={seed} k={k} workers={workers}"
+        );
         prop_assert_eq!(s_stamps.len(), sa.group_count());
         prop_assert_eq!(p_stamps.len(), pa.group_count());
         let mut unique: Vec<u64> = p_stamps.clone();
@@ -167,12 +143,7 @@ proptest! {
         let auditor = Auditor::new(adversary, measure);
         let serial = auditor.report_with(&table, &groups, 0.2, Parallelism::Serial);
         let batched = auditor.report_with(&table, &groups, 0.2, Parallelism::threads(workers));
-        prop_assert_eq!(serial.worst_case.to_bits(), batched.worst_case.to_bits());
-        prop_assert_eq!(serial.mean.to_bits(), batched.mean.to_bits());
-        prop_assert_eq!(serial.vulnerable, batched.vulnerable);
-        for (s, b) in serial.risks.iter().zip(&batched.risks) {
-            prop_assert!(s.to_bits() == b.to_bits());
-        }
+        prop_assert_eq!(serial.first_difference(&batched), None);
     }
 }
 
@@ -192,24 +163,14 @@ fn publisher_parallelism_knob_is_transparent_end_to_end() {
         .publish(&table)
         .expect("satisfiable");
     assert_eq!(
-        serial.anonymized.group_count(),
-        parallel.anonymized.group_count()
+        serial.anonymized.first_difference(&parallel.anonymized),
+        None
     );
-    for (a, b) in serial
-        .anonymized
-        .groups()
-        .iter()
-        .zip(parallel.anonymized.groups())
-    {
-        assert_eq!(a.rows, b.rows);
-    }
     let rs = serial
         .audit_against(&table, 0.3, 0.2)
         .expect("valid bandwidth");
     let rp = parallel
         .audit_against(&table, 0.3, 0.2)
         .expect("valid bandwidth");
-    assert_eq!(rs.worst_case.to_bits(), rp.worst_case.to_bits());
-    assert_eq!(rs.mean.to_bits(), rp.mean.to_bits());
-    assert_eq!(rs.vulnerable, rp.vulnerable);
+    assert_eq!(rs.first_difference(&rp), None);
 }

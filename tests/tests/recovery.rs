@@ -63,18 +63,6 @@ fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize
     builder.build()
 }
 
-fn assert_same_publication(a: &AnonymizedTable, b: &AnonymizedTable, context: &str) {
-    assert_eq!(a.group_count(), b.group_count(), "group count: {context}");
-    for (ga, gb) in a.groups().iter().zip(b.groups()) {
-        assert_eq!(ga.rows, gb.rows, "rows: {context}");
-        assert_eq!(ga.ranges, gb.ranges, "ranges: {context}");
-        assert_eq!(
-            ga.sensitive_counts, gb.sensitive_counts,
-            "histogram: {context}"
-        );
-    }
-}
-
 #[test]
 fn reopened_hub_serves_bit_identical_state() {
     let dir = tmp_dir("roundtrip");
@@ -101,10 +89,15 @@ fn reopened_hub_serves_bit_identical_state() {
         let live = hub.snapshot(&name).unwrap();
         let recovered = cold.snapshot(&name).unwrap();
         assert_eq!(live.version(), recovered.version());
-        assert_same_publication(live.anonymized(), recovered.anonymized(), &name);
+        assert_eq!(
+            live.anonymized().first_difference(recovered.anonymized()),
+            None,
+            "{name}"
+        );
         // And identical to a from-scratch publish of the recovered table.
-        let fresh = publisher.publish(recovered.table()).unwrap();
-        assert_same_publication(recovered.anonymized(), &fresh.anonymized, &name);
+        publisher
+            .verify(recovered.table(), recovered.anonymized())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -172,10 +165,10 @@ fn crash_injection_recovers_every_acked_prefix() {
         let snap = cold.snapshot("alpha").unwrap();
         assert_eq!(snap.version(), k as u64, "boundary {k}");
         let reference = prefix_state(k);
-        assert_same_publication(
-            snap.anonymized(),
-            reference.anonymized(),
-            &format!("boundary {k}"),
+        assert_eq!(
+            snap.anonymized().first_difference(reference.anonymized()),
+            None,
+            "boundary {k}"
         );
         let _ = std::fs::remove_dir_all(&copy);
     }
@@ -193,10 +186,11 @@ fn crash_injection_recovers_every_acked_prefix() {
             assert!(report.tenants[0].truncated_tail, "torn {k}@{cut}");
             let snap = cold.snapshot("alpha").unwrap();
             assert_eq!(snap.version(), k as u64, "torn {k}@{cut}");
-            assert_same_publication(
-                snap.anonymized(),
-                prefix_state(k).anonymized(),
-                &format!("torn {k}@{cut}"),
+            assert_eq!(
+                snap.anonymized()
+                    .first_difference(prefix_state(k).anonymized()),
+                None,
+                "torn {k}@{cut}"
             );
             let _ = std::fs::remove_dir_all(&copy);
         }
@@ -217,10 +211,11 @@ fn crash_injection_recovers_every_acked_prefix() {
         assert!(report.tenants[0].truncated_tail);
         let snap = cold.snapshot("alpha").unwrap();
         assert_eq!(snap.version(), (deltas_total - 1) as u64);
-        assert_same_publication(
-            snap.anonymized(),
-            prefix_state(deltas_total - 1).anonymized(),
-            "flipped tail",
+        assert_eq!(
+            snap.anonymized()
+                .first_difference(prefix_state(deltas_total - 1).anonymized()),
+            None,
+            "flipped tail"
         );
         let _ = std::fs::remove_dir_all(&copy);
     }
@@ -289,7 +284,11 @@ fn corrupt_checkpoint_is_never_served() {
     // The healthy tenant is unaffected by its neighbor's corruption.
     let snap = cold.snapshot("good").unwrap();
     assert_eq!(snap.version(), good.version());
-    assert_same_publication(snap.anonymized(), good.anonymized(), "good");
+    assert_eq!(
+        snap.anonymized().first_difference(good.anonymized()),
+        None,
+        "good"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -335,22 +334,15 @@ proptest! {
         let recovered = cold.snapshot("tenant").unwrap();
         prop_assert_eq!(live.version(), recovered.version());
         prop_assert_eq!(live.len(), recovered.len());
-        assert_same_publication(
-            live.anonymized(),
-            recovered.anonymized(),
-            &format!("rows={rows} seed={seed} steps={steps} every={every}"),
+        let context = format!("rows={rows} seed={seed} steps={steps} every={every}");
+        prop_assert_eq!(
+            live.anonymized().first_difference(recovered.anonymized()),
+            None,
+            "{}",
+            context
         );
         let cold_audit = cold.audit_against("tenant", 0.3, 0.2).unwrap();
-        prop_assert_eq!(live_audit.risks.len(), cold_audit.risks.len());
-        for (row, (a, b)) in live_audit.risks.iter().zip(&cold_audit.risks).enumerate() {
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "audit risk diverges at row {} (rows={} seed={} every={})",
-                row, rows, seed, every
-            );
-        }
-        prop_assert_eq!(live_audit.worst_case.to_bits(), cold_audit.worst_case.to_bits());
-        prop_assert_eq!(live_audit.vulnerable, cold_audit.vulnerable);
+        prop_assert_eq!(live_audit.first_difference(&cold_audit), None, "{}", context);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -407,10 +399,16 @@ fn strategy_tagged_checkpoints_recover_every_algorithm() {
         );
         let recovered = cold.snapshot("tenant").unwrap();
         assert_eq!(live.version(), recovered.version(), "{}", algorithm.name());
-        assert_same_publication(live.anonymized(), recovered.anonymized(), algorithm.name());
+        assert_eq!(
+            live.anonymized().first_difference(recovered.anonymized()),
+            None,
+            "{}",
+            algorithm.name()
+        );
         // And identical to a from-scratch publish of the recovered table.
-        let fresh = publisher.publish(recovered.table()).unwrap();
-        assert_same_publication(recovered.anonymized(), &fresh.anonymized, algorithm.name());
+        publisher
+            .verify(recovered.table(), recovered.anonymized())
+            .unwrap_or_else(|e| panic!("{}: {e}", algorithm.name()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -469,10 +467,11 @@ fn bucketize_and_fulldomain_tenants_survive_torn_tails() {
         for d in &applied[..2] {
             reference.apply(d).unwrap();
         }
-        assert_same_publication(
-            snap.anonymized(),
-            reference.anonymized(),
-            &format!("{} torn tail", algorithm.name()),
+        assert_eq!(
+            snap.anonymized().first_difference(reference.anonymized()),
+            None,
+            "{} torn tail",
+            algorithm.name()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -33,18 +33,6 @@ fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize
     builder.build()
 }
 
-fn assert_same_publication(a: &AnonymizedTable, b: &AnonymizedTable, context: &str) {
-    assert_eq!(a.group_count(), b.group_count(), "group count: {context}");
-    for (ga, gb) in a.groups().iter().zip(b.groups()) {
-        assert_eq!(ga.rows, gb.rows, "rows: {context}");
-        assert_eq!(ga.ranges, gb.ranges, "ranges: {context}");
-        assert_eq!(
-            ga.sensitive_counts, gb.sensitive_counts,
-            "histogram: {context}"
-        );
-    }
-}
-
 /// A publisher whose specs every strategy can enforce, pinned to `algorithm`.
 fn publisher_for(algorithm: Algorithm) -> Publisher {
     Publisher::new()
@@ -81,7 +69,7 @@ fn plant_with_any_engine_matches_the_serial_plant() {
             // publication; only the published groups must be identical.
             let (a, _) = serial.snapshot(table);
             let (b, _) = planted.snapshot(table);
-            assert_same_publication(&a, &b, strategy.name());
+            assert_eq!(a.first_difference(&b), None, "{}", strategy.name());
         }
     }
 
@@ -117,14 +105,12 @@ proptest! {
             for step in 0..steps {
                 let delta = random_delta(session.table(), &mut rng, 0.05, 4);
                 let applied = session.apply(&delta).is_ok();
-                let fresh = publisher
-                    .publish(session.table())
-                    .expect("the session's resident table is always publishable");
-                assert_same_publication(
-                    session.anonymized(),
-                    &fresh.anonymized,
-                    &format!("{} step {step} applied={applied}", algorithm.name()),
-                );
+                // The session's resident table is always publishable.
+                publisher
+                    .verify(session.table(), session.anonymized())
+                    .unwrap_or_else(|e| {
+                        panic!("{} step {step} applied={applied}: {e}", algorithm.name())
+                    });
             }
         }
     }
@@ -248,12 +234,9 @@ fn one_hub_hosts_every_algorithm_side_by_side() {
             // must not disturb the tenant (checked below either way).
             let _ = hub.apply(algorithm.name(), &delta);
             let snap = hub.snapshot(algorithm.name()).unwrap();
-            let fresh = publisher_for(algorithm).publish(snap.table()).unwrap();
-            assert_same_publication(
-                snap.anonymized(),
-                &fresh.anonymized,
-                &format!("{} step {step}", algorithm.name()),
-            );
+            publisher_for(algorithm)
+                .verify(snap.table(), snap.anonymized())
+                .unwrap_or_else(|e| panic!("{} step {step}: {e}", algorithm.name()));
         }
     }
 }
@@ -268,10 +251,9 @@ fn bucketize_session_matches_a_from_scratch_publish_after_a_delta() {
     let mut rng = SmallRng::seed_from_u64(11);
     let delta = random_delta(session.table(), &mut rng, 0.03, 3);
     let _ = session.apply(&delta);
-    let fresh = publisher_for(Algorithm::Bucketize)
-        .publish(session.table())
+    publisher_for(Algorithm::Bucketize)
+        .verify(session.table(), session.anonymized())
         .unwrap();
-    assert_same_publication(session.anonymized(), &fresh.anonymized, "bucketize");
 }
 
 /// Skyline (B,t)-privacy flows through the redesigned API end to end: a
@@ -310,10 +292,10 @@ fn skyline_publishers_flow_through_session_and_hub() {
         let replay_applied = replay.apply(&delta).is_ok();
         assert_eq!(hub_applied, replay_applied, "step {step}: feasibility");
         let snap = hub.snapshot("sky").unwrap();
-        assert_same_publication(
-            snap.anonymized(),
-            replay.anonymized(),
-            &format!("skyline step {step}"),
+        assert_eq!(
+            snap.anonymized().first_difference(replay.anonymized()),
+            None,
+            "skyline step {step}"
         );
     }
 }
@@ -361,5 +343,9 @@ fn strategies_reject_specs_they_cannot_enforce() {
     );
     let after = hub.snapshot("t").unwrap();
     assert_eq!(before.version(), after.version());
-    assert_same_publication(before.anonymized(), after.anonymized(), "refused delta");
+    assert_eq!(
+        before.anonymized().first_difference(after.anonymized()),
+        None,
+        "refused delta"
+    );
 }
