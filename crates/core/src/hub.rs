@@ -1297,10 +1297,12 @@ mod tests {
 
     /// The from-scratch reference for a k = 4 tenant's `snap`: its
     /// publication must equal a fresh publish, whose `Adv(b′)` audit at
-    /// t = 0.2 is returned.
+    /// t = 0.2 is returned. Serial engines, so the reference does not run
+    /// the batched audit engine the hub serves with.
     fn fresh_audit(snap: &TenantSnapshot, b_prime: f64) -> AuditReport {
         let fresh = Publisher::new()
             .k_anonymity(4)
+            .parallelism(Parallelism::Serial)
             .verify(snap.table(), snap.anonymized())
             .unwrap();
         fresh.audit_against(snap.table(), b_prime, 0.2).unwrap()

@@ -161,19 +161,6 @@ pub enum RiskDrift {
     Threshold(f64, f64),
 }
 
-impl std::fmt::Display for RiskDrift {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RiskDrift::RiskCount(a, b) => write!(f, "{a} risks vs {b}"),
-            RiskDrift::Risk(row, a, b) => write!(f, "row {row} risk {a:e} vs {b:e}"),
-            RiskDrift::WorstCase(a, b) => write!(f, "worst case {a:e} vs {b:e}"),
-            RiskDrift::Mean(a, b) => write!(f, "mean {a:e} vs {b:e}"),
-            RiskDrift::Vulnerable(a, b) => write!(f, "{a} vulnerable vs {b}"),
-            RiskDrift::Threshold(a, b) => write!(f, "threshold {a:e} vs {b:e}"),
-        }
-    }
-}
-
 /// Replays the attack: prior from the adversary, posterior via the
 /// Ω-estimate over each published group (§III.C: exact inference needs
 /// matrix permanents and does not scale, so the audit never uses it).

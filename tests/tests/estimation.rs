@@ -213,7 +213,7 @@ proptest! {
             FoldedTable::new(&table),
             Parallelism::threads(threads),
         );
-        let fresh = estimator.estimate_folded(FoldedTable::new(&table), Parallelism::Serial);
+        let fresh = estimator.estimate_reference(&table);
         assert_bit_identical(&fresh, &model, &context)?;
         assert_bit_identical(&stepped, &model, &context)?;
         let folded = model.folded();
@@ -417,7 +417,7 @@ proptest! {
             );
             let (fold, row_points) = FoldedTable::with_row_points(&table);
             estimator.refresh_folded(&mut model, fold, Parallelism::threads(threads));
-            let fresh = estimator.estimate_folded(FoldedTable::new(&table), Parallelism::Serial);
+            let fresh = estimator.estimate_reference(&table);
             assert_bit_identical(&fresh, &model, &context)?;
 
             let reference: BTreeMap<Vec<u32>, &Dist> =

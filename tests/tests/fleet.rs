@@ -258,7 +258,7 @@ fn in_memory_budget_never_loses_tenants() {
 
 /// A fresh `Adv(b′)` audit of `snapshot`'s version: its publication must
 /// equal a from-scratch publish, whose outcome is audited against a newly
-/// estimated adversary.
+/// estimated adversary on the serial engines.
 fn fresh_adversary_report(
     publisher: &Publisher,
     snapshot: &TenantSnapshot,
@@ -266,7 +266,8 @@ fn fresh_adversary_report(
     t: f64,
 ) -> AuditReport {
     let table = snapshot.table();
-    let fresh = publisher.verify(table, snapshot.anonymized()).unwrap();
+    let serial = publisher.clone().parallelism(Parallelism::Serial);
+    let fresh = serial.verify(table, snapshot.anonymized()).unwrap();
     fresh.audit_against(table, b_prime, t).unwrap()
 }
 

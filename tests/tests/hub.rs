@@ -293,12 +293,13 @@ fn hub_readers_pin_versions_while_writers_advance() {
 
 /// A fresh `Adv(B_PRIME)` audit of `snapshot`'s version at threshold `t`:
 /// its publication must equal a from-scratch publish, whose outcome is
-/// audited against a newly estimated adversary — the reference every
-/// carried-forward hub audit must match bit for bit.
+/// audited against a newly estimated adversary on the serial engines — the
+/// reference every carried-forward hub audit must match bit for bit.
 fn fresh_adversary_report(snapshot: &TenantSnapshot, t: f64) -> AuditReport {
     let table = snapshot.table();
     let fresh = Publisher::new()
         .k_anonymity(K)
+        .parallelism(Parallelism::Serial)
         .verify(table, snapshot.anonymized())
         .unwrap_or_else(|e| panic!("version {}: {e}", snapshot.version()));
     fresh

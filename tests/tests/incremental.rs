@@ -267,6 +267,8 @@ fn audit_against_verdict_flip_is_tracked() {
     assert_eq!(after.risks.len(), session.len());
     assert!(after.risks.iter().all(|r| !r.is_nan()));
     let fresh = publisher
+        .clone()
+        .parallelism(Parallelism::Serial)
         .verify(session.table(), session.anonymized())
         .unwrap();
     let reference = fresh.audit_against(session.table(), 0.25, 0.15).unwrap();
