@@ -10,20 +10,24 @@
 //! median split heuristics, and check if the specific privacy requirement is
 //! satisfied" (§V).
 //!
-//! Two execution engines produce the same partition:
+//! One engine plants, and one reference checks it:
 //!
-//! * [`Mondrian::anonymize`] — the single-threaded **reference** path: a
-//!   direct transcription of the algorithm, kept simple on purpose so the
-//!   optimized engine can be property-tested against it;
-//! * [`Mondrian::plant_with`] — the **parallel** engine: worker jobs on
+//! * [`Mondrian::plant_with`] — the **production** engine: worker jobs on
 //!   the process-wide [`shared_pool`](bgkanon_data::shared_pool) steal
 //!   regions from a shared deque, split them
 //!   with a stable counting sort (QI domains are small dense codes), derive
 //!   the right half's sensitive histogram by subtraction from the parent's,
-//!   and reuse per-worker scratch buffers. Because every region is split by
-//!   the same deterministic rule and the final groups are ordered by their
-//!   first row, the output is bit-identical to the reference path regardless
-//!   of scheduling — `tests/tests/parallel.rs` proves this property.
+//!   and reuse per-worker scratch buffers. One worker
+//!   ([`Parallelism::Serial`]) runs on the calling thread. Because every
+//!   region is split by the same deterministic rule and the final groups
+//!   are ordered by their first row, the output is bit-identical for every
+//!   worker count;
+//! * [`Mondrian::plant_reference`] — the **reference**: a direct
+//!   transcription of the algorithm over `decide_split`, kept simple on
+//!   purpose so the engine can be property-tested against it
+//!   (`tests/tests/parallel.rs`). Schemas wider than 64 QI attributes,
+//!   which the engine's live-dimension bitmask cannot track, plant and
+//!   rebuild on it too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,9 +56,11 @@ const STEAL_THRESHOLD: usize = 2048;
 /// let published = mondrian.anonymize(&table);
 /// assert!(published.iter().all(|g| g.len() >= 5));
 ///
-/// // The parallel engine yields the identical partition.
+/// // Every worker count yields the reference's partition.
+/// let reference = mondrian.plant_reference(&table).to_anonymized(&table);
 /// let parallel = mondrian.plant_with(&table, Parallelism::threads(2)).to_anonymized(&table);
-/// assert_eq!(published.first_difference(&parallel), None);
+/// assert_eq!(published.first_difference(&reference), None);
+/// assert_eq!(parallel.first_difference(&reference), None);
 /// ```
 pub struct Mondrian {
     requirement: Arc<dyn PrivacyRequirement>,
@@ -129,11 +135,11 @@ impl Cut {
 /// Normalized width is monotone under taking subsets (numeric ranges shrink;
 /// a sub-range's LCA in a hierarchy is a descendant-or-self of the range's),
 /// so a dimension observed at zero width never needs to be scanned again.
-pub(crate) struct Region {
-    pub(crate) slot: usize,
-    pub(crate) rows: Vec<usize>,
-    pub(crate) counts: Vec<u32>,
-    pub(crate) live_dims: u64,
+struct Region {
+    slot: usize,
+    rows: Vec<usize>,
+    counts: Vec<u32>,
+    live_dims: u64,
 }
 
 /// Reusable buffers for [`Mondrian::decide_only_counts`] and the partition
@@ -184,14 +190,6 @@ pub(crate) struct SplitScratch {
     counts_right: Vec<u32>,
 }
 
-impl SplitScratch {
-    /// The per-dimension min/max the last [`Mondrian::try_split_fast`] call
-    /// left behind — the finished region's published ranges.
-    pub(crate) fn ranges(&self) -> (Vec<u32>, Vec<u32>) {
-        (self.lo.clone(), self.hi.clone())
-    }
-}
-
 impl Mondrian {
     /// Build with the privacy requirement every published group must
     /// satisfy.
@@ -204,10 +202,8 @@ impl Mondrian {
         &self.requirement
     }
 
-    /// Partition `table` into the finest groups Mondrian can certify, on the
-    /// single-threaded reference path: the view of the [`PartitionTree`]
-    /// built by [`plant`](Self::plant). Any engine of
-    /// [`plant_with`](Self::plant_with) yields the identical partition.
+    /// Partition `table` into the finest groups Mondrian can certify: the
+    /// view of the [`PartitionTree`] built by [`plant`](Self::plant).
     ///
     /// # Panics
     ///
@@ -217,9 +213,9 @@ impl Mondrian {
         self.plant(table).to_anonymized(table)
     }
 
-    /// Partition `table` into a persistent [`PartitionTree`] on the
-    /// single-threaded reference path (equivalent to
-    /// [`plant_with`](Self::plant_with) with [`Parallelism::Serial`]).
+    /// Partition `table` into a persistent [`PartitionTree`] on one worker,
+    /// on the calling thread ([`plant_with`](Self::plant_with) with
+    /// [`Parallelism::Serial`]).
     ///
     /// # Panics
     ///
@@ -231,13 +227,42 @@ impl Mondrian {
     /// Partition `table` into a persistent [`PartitionTree`] — the
     /// retained-state form of the partition, recording every committed
     /// split's [`SplitDecision`] so later deltas can be routed through it
-    /// by [`Mondrian::refresh`](Self::refresh). Both engines produce the
-    /// identical tree.
+    /// by [`Mondrian::refresh`](Self::refresh). Every worker count produces
+    /// the tree of [`plant_reference`](Self::plant_reference).
     ///
     /// # Panics
     ///
     /// Panics if the whole table itself does not satisfy the requirement.
     pub fn plant_with(&self, table: &Table, parallelism: Parallelism) -> PartitionTree {
+        let (all_rows, root_counts) = self.root(table);
+        let (slots, records) = self.records(
+            table,
+            all_rows,
+            root_counts,
+            parallelism.effective_threads(),
+            &mut SplitScratch::default(),
+        );
+        PartitionTree::from_records(table, slots, records)
+    }
+
+    /// The reference plant: the tree a direct transcription of the
+    /// algorithm grows, one `decide_split` per region
+    /// (full sorts, materialized halves, every check on a fresh
+    /// [`GroupView`]). The engine of [`plant_with`](Self::plant_with) is
+    /// tested bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the whole table itself does not satisfy the requirement.
+    pub fn plant_reference(&self, table: &Table) -> PartitionTree {
+        let (all_rows, _) = self.root(table);
+        let (slots, records) = self.records_reference(table, all_rows);
+        PartitionTree::from_records(table, slots, records)
+    }
+
+    /// Every row of `table` with its sensitive histogram — the root region —
+    /// after checking that the whole table satisfies the requirement.
+    fn root(&self, table: &Table) -> (Vec<usize>, Vec<u32>) {
         assert!(!table.is_empty(), "cannot anonymize an empty table");
         let all_rows: Vec<usize> = (0..table.len()).collect();
         let root_counts = table.sensitive_counts_in(&all_rows);
@@ -251,36 +276,19 @@ impl Mondrian {
             "the whole table does not satisfy `{}`; no Mondrian output exists",
             self.requirement.name()
         );
-        // The optimized engine tracks live dimensions in a u64 bitmask;
-        // wider schemas (>64 QI attributes) fall back to the reference
-        // engine rather than fail.
-        let (slots, records) = if parallelism.is_serial() || table.qi_count() > 64 {
-            self.records_serial(table, all_rows)
-        } else {
-            self.records_parallel(
-                table,
-                Region {
-                    slot: 0,
-                    rows: all_rows,
-                    counts: root_counts,
-                    live_dims: live_mask(table.qi_count()),
-                },
-                parallelism.effective_threads(),
-            )
-        };
-        PartitionTree::from_records(table, slots, records)
+        (all_rows, root_counts)
     }
 
-    /// The reference engine: a plain explicit-stack depth-first expansion
-    /// emitting one node record per region.
-    fn records_serial(
-        &self,
-        table: &Table,
-        all_rows: Vec<usize>,
-    ) -> (usize, Vec<(usize, NodeRec)>) {
+    /// The reference expansion loop: a plain explicit-stack depth-first
+    /// walk over [`decide_split`](Self::decide_split) from the region of
+    /// `rows` (slot 0), emitting one node record per region in the order it
+    /// is decided. It serves [`plant_reference`](Self::plant_reference) and,
+    /// through [`records`](Self::records), the plants and refresh rebuilds
+    /// of schemas wider than 64 QI attributes.
+    fn records_reference(&self, table: &Table, rows: Vec<usize>) -> (usize, Vec<(usize, NodeRec)>) {
         let mut records = Vec::new();
         let mut slots = 1usize;
-        let mut stack = vec![(0usize, all_rows)];
+        let mut stack = vec![(0usize, rows)];
         while let Some((slot, rows)) = stack.pop() {
             match self.decide_split(table, &rows) {
                 Some((decision, left, right)) => {
@@ -296,26 +304,49 @@ impl Mondrian {
         (slots, records)
     }
 
-    /// The parallel engine: `workers` threads steal regions from a shared
+    /// Expand the region of `rows` (whose sensitive histogram is `counts`)
+    /// into node records, the region's own at slot 0, on `workers`
+    /// workers: the one place a plant or a refresh rebuild picks its loop.
+    ///
+    /// The production engine: `workers` threads steal regions from a shared
     /// LIFO deque; each worker keeps a local stack of small regions and its
     /// own scratch buffers, and emits node records into a local vector
-    /// merged after the scope joins. Tree slots are handed out by an atomic
+    /// merged after the jobs join. Tree slots are handed out by an atomic
     /// counter, so slot *numbers* depend on scheduling while the tree
-    /// *content* does not.
-    fn records_parallel(
+    /// *content* does not. One worker runs on the calling thread, in
+    /// `scratch`. The engine tracks live dimensions in a u64 bitmask, so
+    /// wider schemas (>64 QI attributes) expand on the reference loop
+    /// rather than fail.
+    pub(crate) fn records(
         &self,
         table: &Table,
-        root: Region,
+        rows: Vec<usize>,
+        counts: Vec<u32>,
         workers: usize,
+        scratch: &mut SplitScratch,
     ) -> (usize, Vec<(usize, NodeRec)>) {
-        let engine = Arc::new(Engine {
+        if table.qi_count() > 64 {
+            return self.records_reference(table, rows);
+        }
+        let root = Region {
+            slot: 0,
+            rows,
+            counts,
+            live_dims: live_mask(table.qi_count()),
+        };
+        let engine = Engine {
             state: Mutex::new(EngineState {
                 deque: vec![root],
                 active: 0,
             }),
             available: Condvar::new(),
             slots: AtomicUsize::new(1),
-        });
+        };
+        if workers <= 1 {
+            let records = self.worker(table, &engine, scratch);
+            return (engine.slots.into_inner(), records);
+        }
+        let engine = Arc::new(engine);
         // Worker jobs run on the process-wide pool — a serving process
         // planting and re-planting trees across many sessions reuses the
         // same threads instead of spawning a scope per call. Jobs are
@@ -328,7 +359,7 @@ impl Mondrian {
                 let mondrian = Mondrian::new(Arc::clone(&self.requirement));
                 let table = table.clone();
                 let engine = Arc::clone(&engine);
-                move || mondrian.worker(&table, &engine)
+                move || mondrian.worker(&table, &engine, &mut SplitScratch::default())
             })
             .collect();
         let outputs = bgkanon_data::shared_pool().run(jobs);
@@ -338,9 +369,13 @@ impl Mondrian {
         )
     }
 
-    /// One worker of the parallel engine.
-    fn worker(&self, table: &Table, engine: &Engine) -> Vec<(usize, NodeRec)> {
-        let mut scratch = SplitScratch::default();
+    /// One worker of the production engine.
+    fn worker(
+        &self,
+        table: &Table,
+        engine: &Engine,
+        scratch: &mut SplitScratch,
+    ) -> Vec<(usize, NodeRec)> {
         let mut local: Vec<Region> = Vec::new();
         let mut records: Vec<(usize, NodeRec)> = Vec::new();
         loop {
@@ -352,7 +387,7 @@ impl Mondrian {
                     None => return records,
                 },
             };
-            match self.try_split_fast(table, &region, &mut scratch) {
+            match self.try_split_fast(table, &region, scratch) {
                 Some((decision, mut left, mut right)) => {
                     let l = engine.slots.fetch_add(2, Ordering::Relaxed);
                     left.slot = l;
@@ -598,7 +633,8 @@ impl Mondrian {
         None
     }
 
-    /// The optimized splitter: identical decisions to [`try_split`] (same
+    /// The optimized splitter: identical decisions to
+    /// [`decide_split`](Self::decide_split) (same
     /// dimension order, same median rule, same tie-breaking — counting sort
     /// is stable exactly like the reference's stable sort), but with a fused
     /// width scan over live dimensions only, O(|rows| + domain) sorting,
@@ -607,9 +643,9 @@ impl Mondrian {
     /// failure paths.
     ///
     /// On return — `Some` or `None` — `scratch.lo`/`scratch.hi` hold the
-    /// region's per-dimension min/max, which [`leaf_group`] turns into the
-    /// published ranges without rescanning.
-    pub(crate) fn try_split_fast(
+    /// region's per-dimension min/max, which the engine's worker turns into
+    /// a leaf's published ranges without rescanning.
+    fn try_split_fast(
         &self,
         table: &Table,
         region: &Region,
@@ -777,7 +813,7 @@ impl Mondrian {
 }
 
 /// Bitmask with the lowest `d` bits set — all dimensions live.
-pub(crate) fn live_mask(d: usize) -> u64 {
+fn live_mask(d: usize) -> u64 {
     assert!(d <= 64, "at most 64 QI dimensions supported");
     if d == 64 {
         u64::MAX
@@ -914,12 +950,15 @@ mod tests {
     fn parallel_engine_matches_reference_bitwise() {
         let t = adult::generate(1200, 9);
         let m = mondrian_k(6);
-        let serial = m.plant_with(&t, Parallelism::Serial).to_anonymized(&t);
-        for workers in [1usize, 2, 4] {
-            let parallel = m
-                .plant_with(&t, Parallelism::threads(workers))
-                .to_anonymized(&t);
-            assert_eq!(serial.first_difference(&parallel), None);
+        let reference = m.plant_reference(&t).to_anonymized(&t);
+        for par in [
+            Parallelism::Serial,
+            Parallelism::threads(1),
+            Parallelism::threads(2),
+            Parallelism::threads(4),
+        ] {
+            let planted = m.plant_with(&t, par).to_anonymized(&t);
+            assert_eq!(reference.first_difference(&planted), None, "{par:?}");
         }
     }
 
@@ -928,9 +967,11 @@ mod tests {
         let t = adult::generate(700, 11);
         let req = And::pair(KAnonymity::new(4), DistinctLDiversity::new(3));
         let m = Mondrian::new(Arc::new(req));
-        let serial = m.plant_with(&t, Parallelism::Serial).to_anonymized(&t);
-        let parallel = m.plant_with(&t, Parallelism::threads(3)).to_anonymized(&t);
-        assert_eq!(serial.first_difference(&parallel), None);
+        let reference = m.plant_reference(&t).to_anonymized(&t);
+        for par in [Parallelism::Serial, Parallelism::threads(3)] {
+            let planted = m.plant_with(&t, par).to_anonymized(&t);
+            assert_eq!(reference.first_difference(&planted), None, "{par:?}");
+        }
     }
 
     #[test]
@@ -966,13 +1007,11 @@ mod tests {
     #[test]
     fn parallel_k1_matches_reference_on_toy_table() {
         let t = toy::hospital_table();
-        let serial = mondrian_k(1)
-            .plant_with(&t, Parallelism::Serial)
-            .to_anonymized(&t);
-        let parallel = mondrian_k(1)
-            .plant_with(&t, Parallelism::threads(2))
-            .to_anonymized(&t);
-        assert_eq!(serial.first_difference(&parallel), None);
+        let reference = mondrian_k(1).plant_reference(&t).to_anonymized(&t);
+        for par in [Parallelism::Serial, Parallelism::threads(2)] {
+            let planted = mondrian_k(1).plant_with(&t, par).to_anonymized(&t);
+            assert_eq!(reference.first_difference(&planted), None, "{par:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   [`plant`](AnonymizationStrategy::plant)ing on the final table from
 //!   scratch — incremental maintenance is an optimization, never a
 //!   different answer. `plant_with` under any [`Parallelism`] is
-//!   bit-identical to the serial `plant`.
+//!   bit-identical to the strategy's reference: Mondrian's is
+//!   [`Mondrian::plant_reference`]; bucketization and full-domain
+//!   generalization have one engine each, which ignores the knob.
 //! * **Error atomicity.** A [`refresh`] that returns [`Infeasible`] leaves
 //!   the state untouched and usable.
 //! * **Stamp semantics.** The `Vec<u64>` half of a snapshot carries one
@@ -101,17 +103,18 @@ pub trait AnonymizationStrategy: Send + Sync + 'static {
     /// for the CLI's `--explain`.
     fn describe(&self) -> String;
 
-    /// Build the state for `table` from scratch with the chosen execution
-    /// engine. Output is bit-identical across every [`Parallelism`]
-    /// (serial twin: [`plant`](Self::plant)); strategies without a
-    /// parallel engine run serially regardless.
+    /// Build the state for `table` from scratch on `parallelism`'s worker
+    /// count. Output is bit-identical across every [`Parallelism`];
+    /// strategies without a parallel engine run on the calling thread
+    /// regardless.
     fn plant_with(
         &self,
         table: &Table,
         parallelism: Parallelism,
     ) -> Result<Self::State, Infeasible>;
 
-    /// Serial reference twin of [`plant_with`](Self::plant_with).
+    /// [`plant_with`](Self::plant_with) on one worker, on the calling
+    /// thread.
     fn plant(&self, table: &Table) -> Result<Self::State, Infeasible> {
         self.plant_with(table, Parallelism::Serial)
     }

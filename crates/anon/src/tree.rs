@@ -4,7 +4,7 @@
 //! forgets them, keeping only the leaf groups. The tree keeps the whole
 //! recursion — every committed split decision, each
 //! node's row membership (stored at the leaves, in the exact order the
-//! reference engine would emit) and per-leaf QI ranges and sensitive
+//! reference plant would emit) and per-leaf QI ranges and sensitive
 //! histograms — so a later batch of inserts and deletes can be routed
 //! *through* it instead of triggering a from-scratch re-partition.
 //!
@@ -44,7 +44,7 @@ use std::ops::Range;
 use bgkanon_data::Table;
 
 use crate::anonymized::{AnonymizedTable, PartitionBuilder, QiRange};
-use crate::mondrian::{Cut, DecideScratch, Mondrian, Region, SplitDecision, SplitScratch};
+use crate::mondrian::{Cut, DecideScratch, Mondrian, SplitDecision, SplitScratch};
 
 /// Sentinel for "no node" / "no parent".
 const NONE: u32 = u32::MAX;
@@ -145,7 +145,7 @@ struct NodeStats {
     joint: Vec<u32>,
 }
 
-/// A leaf: its member row ids in the reference engine's emission order,
+/// A leaf: its member row ids in the reference plant's emission order,
 /// the published QI ranges, the sensitive histogram, and a stamp that
 /// changes whenever the membership does (the audit cache key).
 #[derive(Default)]
@@ -234,84 +234,81 @@ impl PartitionTree {
         records: Vec<(usize, NodeRec)>,
     ) -> Self {
         let d = table.qi_count();
-        let m = table.schema().sensitive_domain_size();
         let mut dim_off = Vec::with_capacity(d);
         let mut total_domain = 0usize;
         for i in 0..d {
             dim_off.push(total_domain);
             total_domain += table.schema().qi_attribute(i).domain_size() as usize;
         }
-        let n = table.len();
-        let mut nodes: Vec<Option<Node>> = Vec::with_capacity(slots);
-        nodes.resize_with(slots, || None);
-        let mut stamp_counter = 0u64;
-        let mut leaves = 0usize;
+        let n = table.len() as u32;
+        let mut tree = PartitionTree {
+            d,
+            m: table.schema().sensitive_domain_size(),
+            root: 0,
+            nodes: Vec::with_capacity(slots),
+            free: Vec::new(),
+            row_of: (0..n).collect(),
+            id_of: (0..n).collect(),
+            stamp_counter: 0,
+            dim_off,
+            total_domain,
+            leaves: 0,
+            stats_nodes: 0,
+        };
+        let root = tree.alloc_node();
+        tree.graft(root, slots, records);
+        tree
+    }
+
+    /// Install engine records (record slot 0 at node `root`, leaf rows as
+    /// current row indices) as the subtree rooted at `root`. Every other
+    /// record slot gets a recycled or fresh node first, so the records may
+    /// come in any order; leaves take fresh stamps in record order.
+    fn graft(&mut self, root: u32, slots: usize, records: Vec<(usize, NodeRec)>) {
+        let mut node_of = vec![root; slots];
+        for slot in &mut node_of[1..] {
+            *slot = self.alloc_node();
+        }
         for (slot, rec) in records {
-            let node = match rec {
+            let at = node_of[slot];
+            let (size, kind) = match rec {
                 NodeRec::Internal {
                     decision,
                     left,
                     right,
                     size,
-                } => Node {
-                    parent: NONE,
-                    size,
-                    kind: NodeKind::Internal(InternalNode {
+                } => {
+                    let (left, right) = (node_of[left], node_of[right]);
+                    self.nodes[left as usize].parent = at;
+                    self.nodes[right as usize].parent = at;
+                    let internal = InternalNode {
                         decision,
-                        left: left as u32,
-                        right: right as u32,
+                        left,
+                        right,
                         stats: None,
-                    }),
-                },
+                    };
+                    (size, NodeKind::Internal(internal))
+                }
                 NodeRec::Leaf {
                     rows,
                     lo,
                     hi,
                     counts,
                 } => {
-                    let stamp = stamp_counter;
-                    stamp_counter += 1;
-                    leaves += 1;
-                    Node {
-                        parent: NONE,
-                        size: rows.len(),
-                        kind: NodeKind::Leaf(LeafNode {
-                            rows: rows.into_iter().map(|r| r as u32).collect(),
-                            lo,
-                            hi,
-                            counts,
-                            stamp,
-                        }),
-                    }
+                    self.leaves += 1;
+                    let leaf = LeafNode {
+                        rows: rows.iter().map(|&r| self.id_of[r]).collect(),
+                        lo,
+                        hi,
+                        counts,
+                        stamp: self.next_stamp(),
+                    };
+                    (rows.len(), NodeKind::Leaf(leaf))
                 }
             };
-            nodes[slot] = Some(node);
-        }
-        let mut nodes: Vec<Node> = nodes
-            .into_iter()
-            .map(|n| n.expect("every allocated slot must be recorded"))
-            .collect();
-        // Wire parent links.
-        for slot in 0..nodes.len() {
-            if let NodeKind::Internal(internal) = &nodes[slot].kind {
-                let (l, r) = (internal.left as usize, internal.right as usize);
-                nodes[l].parent = slot as u32;
-                nodes[r].parent = slot as u32;
-            }
-        }
-        PartitionTree {
-            d,
-            m,
-            root: 0,
-            nodes,
-            free: Vec::new(),
-            row_of: (0..n as u32).collect(),
-            id_of: (0..n as u32).collect(),
-            stamp_counter,
-            dim_off,
-            total_domain,
-            leaves,
-            stats_nodes: 0,
+            let node = &mut self.nodes[at as usize];
+            node.size = size;
+            node.kind = kind;
         }
     }
 
@@ -649,9 +646,10 @@ impl PartitionTree {
     ///
     /// # Panics
     ///
-    /// Panics when the records do not describe a well-formed partition of
-    /// `table` (out-of-range slots or rows, empty leaves, unreferenced
-    /// slots). Callers deserializing untrusted bytes must validate first —
+    /// Panics on out-of-range slots or rows. In-range records that do not
+    /// describe a well-formed partition of `table` (empty leaves,
+    /// unreferenced or twice-referenced slots) build a tree that is not
+    /// one, so callers deserializing untrusted bytes must validate first —
     /// `bgkanon-core`'s recovery path does.
     pub fn from_exported(table: &Table, records: Vec<TreeNodeRecord>) -> Self {
         let slots = records.len();
@@ -1305,9 +1303,10 @@ fn replay_from_rows(
 }
 
 /// Rebuild the subtree rooted at `slot` from scratch over `ids` (already in
-/// from-scratch input order) with the reference engine, recycling the old
-/// subtree's slots. Bit-identical to what planting the final table would
-/// put here, because Mondrian's recursion is local to a region's rows.
+/// from-scratch input order) on one worker of the planting engine,
+/// recycling the old subtree's slots. Bit-identical to what planting the
+/// final table would put here, because Mondrian's recursion is local to a
+/// region's rows.
 fn rebuild(
     ctx: &RefreshCtx<'_>,
     tree: &mut PartitionTree,
@@ -1320,108 +1319,9 @@ fn rebuild(
         .iter()
         .map(|&id| tree.row_of[id as usize] as usize)
         .collect();
-    if tree.d > 64 {
-        // The optimized splitter tracks live dimensions in a u64 bitmask;
-        // wider schemas rebuild on the reference path (as planting does).
-        rebuild_reference(ctx, tree, slot, rows);
-        return;
-    }
     let counts = ctx.table.sensitive_counts_in(&rows);
-    // Run the optimized work-stealing splitter single-threaded over the
-    // region — bit-identical to the reference engine (the property
-    // `tests/tests/parallel.rs` maintains), and to what planting the final
-    // table would put here, because Mondrian's recursion is local to a
-    // region's rows.
-    let mut stack = vec![Region {
-        slot: slot as usize,
-        rows,
-        counts,
-        live_dims: crate::mondrian::live_mask(tree.d),
-    }];
-    while let Some(region) = stack.pop() {
-        let slot = region.slot as u32;
-        let size = region.rows.len();
-        match ctx.mondrian.try_split_fast(ctx.table, &region, scratch) {
-            Some((decision, mut left, mut right)) => {
-                let l = tree.alloc_node();
-                let r = tree.alloc_node();
-                tree.nodes[l as usize].parent = slot;
-                tree.nodes[r as usize].parent = slot;
-                let n = &mut tree.nodes[slot as usize];
-                n.size = size;
-                n.kind = NodeKind::Internal(InternalNode {
-                    decision,
-                    left: l,
-                    right: r,
-                    stats: None,
-                });
-                left.slot = l as usize;
-                right.slot = r as usize;
-                stack.push(left);
-                stack.push(right);
-            }
-            None => {
-                // `try_split_fast` left the region's per-dimension min/max
-                // in the scratch, so the leaf's ranges come for free.
-                let (lo, hi) = scratch.ranges();
-                let leaf_ids: Vec<u32> = region.rows.iter().map(|&r| tree.id_of[r]).collect();
-                let stamp = tree.next_stamp();
-                tree.leaves += 1;
-                let n = &mut tree.nodes[slot as usize];
-                n.size = size;
-                n.kind = NodeKind::Leaf(LeafNode {
-                    rows: leaf_ids,
-                    lo,
-                    hi,
-                    counts: region.counts,
-                    stamp,
-                });
-            }
-        }
-    }
-}
-
-/// The reference-engine rebuild used for schemas wider than the bitmask.
-fn rebuild_reference(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, slot: u32, rows: Vec<usize>) {
-    let mut stack = vec![(slot, rows)];
-    while let Some((slot, rows)) = stack.pop() {
-        let size = rows.len();
-        match ctx.mondrian.decide_split(ctx.table, &rows) {
-            Some((decision, left, right)) => {
-                let l = tree.alloc_node();
-                let r = tree.alloc_node();
-                tree.nodes[l as usize].parent = slot;
-                tree.nodes[r as usize].parent = slot;
-                let n = &mut tree.nodes[slot as usize];
-                n.size = size;
-                n.kind = NodeKind::Internal(InternalNode {
-                    decision,
-                    left: l,
-                    right: r,
-                    stats: None,
-                });
-                stack.push((l, left));
-                stack.push((r, right));
-            }
-            None => {
-                let (mut lo, mut hi) = (Vec::new(), Vec::new());
-                ranges_into(ctx.table, rows.iter().copied(), &mut lo, &mut hi);
-                let counts = ctx.table.sensitive_counts_in(&rows);
-                let leaf_ids: Vec<u32> = rows.iter().map(|&r| tree.id_of[r]).collect();
-                let stamp = tree.next_stamp();
-                tree.leaves += 1;
-                let n = &mut tree.nodes[slot as usize];
-                n.size = size;
-                n.kind = NodeKind::Leaf(LeafNode {
-                    rows: leaf_ids,
-                    lo,
-                    hi,
-                    counts,
-                    stamp,
-                });
-            }
-        }
-    }
+    let (slots, records) = ctx.mondrian.records(ctx.table, rows, counts, 1, scratch);
+    tree.graft(slot, slots, records);
 }
 
 /// Build the node's histogram from its current (pre-delta) membership —
@@ -1648,7 +1548,7 @@ mod tests {
     fn plant_matches_anonymize_for_both_engines() {
         let t = adult::generate(600, 3);
         let m = mondrian_k(5);
-        let direct = m.anonymize(&t);
+        let direct = m.plant_reference(&t).to_anonymized(&t);
         for par in [Parallelism::Serial, Parallelism::threads(3)] {
             let tree = m.plant_with(&t, par);
             let viewed = tree.to_anonymized(&t);

@@ -13,12 +13,12 @@
 //!
 //! | scenario | what it measures |
 //! |---|---|
-//! | `baseline` | Mondrian publish (Fig. 4(a)) and the §V.A audit against the kernel `Adv(0.25·1)` and the t-closeness adversary, serial reference engines vs the parallel batched engines |
+//! | `baseline` | Mondrian publish (Fig. 4(a)) and the §V.A audit against the kernel `Adv(0.25·1)` and the t-closeness adversary, the engines on one worker (`serial_*`) vs one worker per core (`parallel_*`), publications checked against [`Mondrian::plant_reference`] and audits against [`Auditor::tuple_risks_reference`] |
 //! | `incremental` | a [`PublishSession`] absorbing 1% deltas plus its cached re-audit, vs a from-scratch publish + audit of the same table |
 //! | `estimate` | P̂pri estimation (Fig. 4(b)): dense all-pairs reference vs the sparse engine — at `Adv(0.25·1)` and at a bandwidth whose queries take the estimator's inverted-index fallback — and the hub's carried refresh ([`DeletedRows::gather`], [`FoldedTable::evolve`], [`PriorEstimator::refresh_folded`]) vs re-estimation |
 //! | `concurrent` | tenants × reader/writer threads through a [`SessionHub`](bgkanon::SessionHub) vs the serial one-session loop |
 //! | `recovery` | cold `SessionHub::open`: WAL-only replay vs checkpoint + WAL-tail resume |
-//! | `scale` | the serial publish → estimate → audit pipeline at 1M and 10M rows, audits checked against [`Auditor::tuple_risks_reference`] |
+//! | `scale` | the one-worker publish → estimate → audit pipeline at 1M and 10M rows, publications checked against [`Mondrian::plant_reference`] and audits against [`Auditor::tuple_risks_reference`] |
 //! | `fleet` | 10k Zipfian tenants replayed under resident-memory budgets of ½, ¼ and ⅛ of the unbounded peak |
 //! | `strategies` | Mondrian, bucketization and full-domain refresh through 1% deltas vs a from-scratch publish |
 //!
@@ -47,11 +47,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use bgkanon::anon::Mondrian;
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
 use bgkanon::knowledge::{
     Adversary, Bandwidth, DeletedRows, FoldedTable, PriorEstimator, PriorModel,
 };
-use bgkanon::privacy::Auditor;
+use bgkanon::privacy::{Auditor, KAnonymity};
 use bgkanon::stats::{BeliefDistance, SmoothedJs};
 use bgkanon::{Algorithm, PublishSession, Publisher};
 use bgkanon_bench::gate::Json;
@@ -261,9 +262,9 @@ struct Pipeline {
     auditors: [Auditor; 2],
 }
 
-/// Generate `rows` rows, publish them under `K`-anonymity on each engine
-/// (min over `reps`; every engine must publish the same partition), and
-/// estimate the kernel prior (min over `estimate_reps`).
+/// Generate `rows` rows, publish them under `K`-anonymity on each knob
+/// (min over `reps`; every publication must equal the reference plant's),
+/// and estimate the kernel prior (min over `estimate_reps`).
 fn pipeline(rows: usize, engines: &[Parallelism], reps: usize, estimate_reps: usize) -> Pipeline {
     let table = adult::generate(rows, SEED);
     let mut publications = Vec::new();
@@ -274,12 +275,16 @@ fn pipeline(rows: usize, engines: &[Parallelism], reps: usize, estimate_reps: us
         publications.push(outcome.anonymized);
         publish_ms.push(ms);
     }
-    // The recorded speedup must never be bought with drift.
-    assert!(
-        publications.windows(2).all(|w| w[0] == w[1]),
-        "engines disagree on the publication"
-    );
-    let groups = publications[0].row_groups();
+    // The recorded times must never be bought with drift.
+    let reference = Mondrian::new(Arc::new(KAnonymity::new(K)))
+        .plant_reference(&table)
+        .to_anonymized(&table);
+    for (engine, published) in engines.iter().zip(&publications) {
+        if let Some(drift) = reference.first_difference(published) {
+            panic!("{engine:?} publication differs from the reference plant: {drift}");
+        }
+    }
+    let groups = reference.row_groups();
     let measure = measure(&table);
     let (kernel, estimate_ms) = best_ms(estimate_reps, || {
         kernel_auditor(&table, Arc::clone(&measure))
@@ -322,7 +327,13 @@ fn run_baseline_mode(cfg: &mut Config) -> Vec<Json> {
             let audit = |auditor: &Auditor, what| {
                 let (table, groups) = (&p.table, &p.groups);
                 let engine = |e| move || auditor.tuple_risks_with(table, groups, e);
-                audit_pair(reps, what, engine(engines[0]), engine(engines[1]))
+                let timed = audit_pair(reps, what, engine(engines[0]), engine(engines[1]));
+                let reference = auditor.tuple_risks_reference(table, groups);
+                assert!(
+                    same_bits(&timed.0, &reference),
+                    "{what} audit diverges from the reference"
+                );
+                timed
             };
             let (risks, serial_kernel, parallel_kernel) = audit(&p.auditors[0], "kernel");
             let (_, serial_tcl, parallel_tcl) = audit(&p.auditors[1], "t-closeness");
@@ -374,8 +385,8 @@ fn run_scale_mode(cfg: &mut Config) -> Vec<Json> {
                 );
             }
             let audit = |auditor: &Auditor, what| {
-                let flat = || auditor.tuple_risks_with(table, &p.groups, Parallelism::Serial);
-                audit_pair(reps, what, flat, || {
+                let inline = || auditor.tuple_risks_with(table, &p.groups, Parallelism::Serial);
+                audit_pair(reps, what, inline, || {
                     auditor.tuple_risks_reference(table, &p.groups)
                 })
             };
@@ -630,8 +641,8 @@ fn run_incremental_mode(cfg: &mut Config) -> Vec<Json> {
 }
 
 /// Every [`Algorithm`] behind the session API refreshing through 1% deltas
-/// vs a from-scratch publish of the same table, serial engines on both
-/// sides so the comparison isolates the retained-state advantage.
+/// vs a from-scratch publish of the same table, one worker on both sides
+/// so the comparison isolates the retained-state advantage.
 fn run_strategies_mode(cfg: &mut Config) -> Vec<Json> {
     cfg.set("requirement", "4-anonymity ∧ distinct 3-diversity");
     let sizes = cfg.picks("sizes", &[1_000], &[10_000, 100_000]);
@@ -873,8 +884,8 @@ fn fallback_row(rows: usize, reps: usize) -> Json {
 
 /// N tenants × M reader/writer threads through a [`SessionHub`](bgkanon::SessionHub), against
 /// the **serial one-session loop** — one thread processing every tenant
-/// sequentially through the single-owner session engine with the serial
-/// reference engines and a fresh (uncached) audit per release, the pre-hub
+/// sequentially through the single-owner session engine on one worker
+/// and a fresh (uncached) audit per release, the pre-hub
 /// way of serving the same workload. Both sides apply the identical
 /// per-tenant delta sequences; every tenant's final table, publication and
 /// final audit report are compared bit for bit across the two. Rows: the

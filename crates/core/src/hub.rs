@@ -1296,16 +1296,23 @@ mod tests {
     }
 
     /// The from-scratch reference for a k = 4 tenant's `snap`: its
-    /// publication must equal a fresh publish, whose `Adv(b′)` audit at
-    /// t = 0.2 is returned. Serial engines, so the reference does not run
-    /// the batched audit engine the hub serves with.
+    /// publication must equal a fresh publish, and its audit against a
+    /// newly estimated `Adv(b′)` at t = 0.2 by `Auditor::report_reference`
+    /// — the §V.A transcription, which shares no code path with the
+    /// hub's `SharedAuditSession` — is returned.
     fn fresh_audit(snap: &TenantSnapshot, b_prime: f64) -> AuditReport {
-        let fresh = Publisher::new()
+        let table = snap.table();
+        Publisher::new()
             .k_anonymity(4)
-            .parallelism(Parallelism::Serial)
-            .verify(snap.table(), snap.anonymized())
+            .verify(table, snap.anonymized())
             .unwrap();
-        fresh.audit_against(snap.table(), b_prime, 0.2).unwrap()
+        let bandwidth = Bandwidth::uniform(b_prime, table.qi_count()).unwrap();
+        let measure = SmoothedJs::paper_default(table.schema().sensitive_distance());
+        Auditor::new(
+            Arc::new(Adversary::kernel(table, bandwidth)),
+            Arc::new(measure),
+        )
+        .report_reference(table, &snap.anonymized().row_groups(), 0.2)
     }
 
     fn delta_for(table: &Table, deletes: &[usize], inserts: usize, donor_seed: u64) -> Delta {
@@ -1428,7 +1435,8 @@ mod tests {
         hub.apply("a", &d).unwrap();
         let cached = hub.audit_with("a", &auditor, 0.2).unwrap();
         let snap = hub.snapshot("a").unwrap();
-        let reference = auditor.report(snap.table(), &snap.anonymized().row_groups(), 0.2);
+        let reference =
+            auditor.report_reference(snap.table(), &snap.anonymized().row_groups(), 0.2);
         assert_eq!(cached.first_difference(&reference), None);
         assert!(first.worst_case >= first.mean);
     }

@@ -244,11 +244,14 @@ impl Publisher {
         self
     }
 
-    /// Select the execution engine for anonymization and the audits run off
-    /// this publisher's outcome. [`Parallelism::Serial`] runs every stage
-    /// on the calling thread; the default [`Parallelism::Auto`]
-    /// runs the batched engines with one worker per core. Output is
-    /// bit-identical either way.
+    /// Select how many workers anonymization, prior estimation and the
+    /// audits run off this publisher's outcome use. Every knob runs the
+    /// same engines: [`Parallelism::Serial`] on one worker, on the calling
+    /// thread; the default [`Parallelism::Auto`] with one worker per core.
+    /// Output is bit-identical either way, and equal to each stage's
+    /// reference: `Mondrian::plant_reference` for the Mondrian partition,
+    /// `PriorEstimator::estimate_reference` for `Adv(b)` and
+    /// `Auditor::report_reference` for the audit.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self

@@ -131,9 +131,9 @@ fn expect_consumed(lines: &[String], consumed: usize) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// Semantic validation of an exported tree against its table, so malformed
-/// checkpoints surface as recovery errors instead of panics inside
-/// [`PartitionTree::from_exported`] (which documents that it panics on
-/// inputs this function rejects).
+/// checkpoints surface as recovery errors instead of panics or malformed
+/// trees inside [`PartitionTree::from_exported`] (which documents what it
+/// requires of its input).
 fn validate_tree_records(records: &[TreeNodeRecord], table: &Table) -> Result<(), String> {
     if records.is_empty() {
         return Err("empty tree".into());

@@ -37,13 +37,16 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Degree of parallelism for a publishing or auditing run.
+/// Degree of parallelism for a publishing or auditing run: how many
+/// workers a stage's engine runs on, and nothing else.
 ///
-/// `Serial` runs a stage on the calling thread: Mondrian's single-threaded
-/// reference implementation, the auditor's flat-scan engine, the prior
-/// estimator's sparse engine on one worker. `Auto` and `Threads` select the
-/// batched engines; every knob is guaranteed to produce bit-identical
-/// output.
+/// Every stage has one production engine, and every knob runs it:
+/// [`effective_threads`](Self::effective_threads) workers, where one worker
+/// runs on the calling thread with no pool dispatch. `Serial` is that
+/// one-worker run. Every knob produces bit-identical output; each stage's
+/// paper transcription (`Mondrian::plant_reference`,
+/// `Auditor::tuple_risks_reference`, `PriorEstimator::estimate_reference`)
+/// is the reference the engines are tested against.
 ///
 /// ```
 /// use bgkanon_data::Parallelism;
@@ -56,12 +59,12 @@ use std::thread::JoinHandle;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded, on the calling thread.
+    /// One worker, on the calling thread.
     Serial,
-    /// The batched engine with one worker per available core.
+    /// One worker per available core.
     #[default]
     Auto,
-    /// The batched engine with an explicit worker count.
+    /// An explicit worker count.
     Threads(NonZeroUsize),
 }
 
@@ -86,11 +89,6 @@ impl Parallelism {
                 .unwrap_or(1),
             Parallelism::Threads(n) => n.get(),
         }
-    }
-
-    /// True when this knob runs single-threaded, on the calling thread.
-    pub fn is_serial(self) -> bool {
-        matches!(self, Parallelism::Serial)
     }
 }
 
@@ -254,20 +252,17 @@ mod tests {
     #[test]
     fn serial_is_one_thread() {
         assert_eq!(Parallelism::Serial.effective_threads(), 1);
-        assert!(Parallelism::Serial.is_serial());
     }
 
     #[test]
     fn explicit_thread_count_is_respected() {
         assert_eq!(Parallelism::threads(3).effective_threads(), 3);
-        assert!(!Parallelism::threads(3).is_serial());
     }
 
     #[test]
     fn auto_is_positive_and_default() {
         assert!(Parallelism::Auto.effective_threads() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::Auto);
-        assert!(!Parallelism::Auto.is_serial());
     }
 
     #[test]

@@ -7,24 +7,23 @@
 //! **vulnerable tuples** (risk above the threshold `t`) — the quantity
 //! plotted in Fig. 1.
 //!
-//! Three execution paths compute the same risks, bit for bit:
+//! Two paths compute the same risks, bit for bit:
 //!
-//! * [`Auditor::tuple_risks_reference`] — the per-group **reference**
-//!   path, a direct transcription of §V.A: one prior lookup and one
-//!   posterior per row;
-//! * [`Auditor::tuple_risks`] / [`Auditor::report`] — the **flat-scan**
-//!   serial engine: it enumerates the distinct QI points once with the
-//!   counting-sort spine, resolves each point's prior once, and solves
-//!   every group through the batched engine's allocation-free kernels;
+//! * [`Auditor::tuple_risks_reference`] / [`Auditor::report_reference`] —
+//!   the per-group **reference** path, a direct transcription of §V.A: one
+//!   prior lookup and one posterior per row;
 //! * [`Auditor::tuple_risks_with`] / [`Auditor::report_with`] — the
 //!   **batched** engine: groups are distributed over worker jobs on the
 //!   process-wide [`shared_pool`](bgkanon_data::shared_pool)
 //!   that share the one `Arc<Adversary>` prior model, and the Ω-estimate
 //!   and the distance run through the group-risk kernel the (B,t) checks
-//!   share, with per-worker scratch buffers. Risks are bit-identical to the
-//!   reference path; `tests/tests/parallel.rs` asserts this.
+//!   share, with per-worker scratch buffers. One worker
+//!   ([`Parallelism::Serial`], and so [`Auditor::report`]) runs on the
+//!   calling thread over the borrowed groups. Risks are bit-identical to
+//!   the reference path; `tests/tests/parallel.rs` asserts this.
 //!
-//! Every engine handles a group the same way: **prepare** (resolve each
+//! The engine and [`SharedAuditSession`] handle a group the same way:
+//! **prepare** (resolve each
 //! member's prior and the sensitive histogram), **solve** (the group-risk
 //! kernel, which evaluates each distinct prior of the group once) and emit.
 //! No cache spans groups. Mondrian and full-domain releases split and
@@ -182,7 +181,7 @@ pub enum RiskDrift {
 /// let groups = bgkanon_data::toy::hospital_groups();
 /// // The batched engine returns the same risks as the reference path,
 /// // bit for bit.
-/// let reference = auditor.report(&table, &groups, 0.25);
+/// let reference = auditor.report_reference(&table, &groups, 0.25);
 /// let batched = auditor.report_with(&table, &groups, 0.25, Parallelism::Auto);
 /// assert_eq!(reference.first_difference(&batched), None);
 /// ```
@@ -227,95 +226,72 @@ impl Auditor {
         risks
     }
 
-    /// Disclosure risk of every tuple under the published `groups`
-    /// (disjoint row-index sets covering the table), by the flat-scan
-    /// serial engine.
-    ///
-    /// Instead of one hash lookup per *row*, the table's distinct QI
-    /// points are enumerated once with the counting-sort spine
-    /// (`qi_sorted_rows`, sequential passes over the code columns) and
-    /// each distinct point's prior is resolved exactly once; groups then
-    /// read their priors by point id. Each group is then prepared, solved
-    /// by the allocation-free Ω kernels of the batched engine and written
-    /// out — identical inputs, identical arithmetic, so risks are
-    /// bit-identical to
-    /// [`tuple_risks_reference`](Self::tuple_risks_reference).
-    pub fn tuple_risks(&self, table: &Table, groups: &[Vec<usize>]) -> Vec<f64> {
-        let n = table.len();
-        let d = table.qi_count();
-
-        // Row → distinct-point id via one radix pass; `reps[p]` is a
-        // representative row of point `p`.
-        let order = table.qi_sorted_rows();
-        let cols: Vec<_> = (0..d).map(|a| table.qi_col(a)).collect();
-        let mut point_of = vec![0u32; n];
-        let mut reps: Vec<u32> = Vec::new();
-        let mut prev = usize::MAX;
-        for &r in &order {
-            let r = r as usize;
-            if reps.is_empty() || cols.iter().any(|c| c.get(r) != c.get(prev)) {
-                reps.push(r as u32);
-            }
-            point_of[r] = (reps.len() - 1) as u32;
-            prev = r;
-        }
-
-        // One prior resolution per distinct point, not per row.
-        let mut qi = Vec::with_capacity(d);
-        let priors_by_point: Vec<&Dist> = reps
-            .iter()
-            .map(|&r| {
-                table.qi_into(r as usize, &mut qi);
-                self.adversary.prior(&qi)
-            })
-            .collect();
-
-        let mut scratch = AuditScratch::default();
-        let mut risks = vec![f64::NAN; n];
-        for rows in groups {
-            if rows.is_empty() {
-                continue;
-            }
-            scratch.priors.clear();
-            scratch.prior_ids.clear();
-            for &r in rows {
-                let p = priors_by_point[point_of[r] as usize];
-                scratch.priors.push(p);
-                scratch.prior_ids.push(std::ptr::from_ref(p) as u64);
-            }
-            table.sensitive_counts_into(rows, &mut scratch.counts);
-            self.solve_group(rows, &mut scratch, |row, risk| risks[row] = risk);
-        }
-        risks
+    /// [`tuple_risks_reference`](Self::tuple_risks_reference) assembled
+    /// into a report with vulnerability threshold `t`: the ground truth for
+    /// [`report`](Self::report) and [`report_with`](Self::report_with).
+    pub fn report_reference(&self, table: &Table, groups: &[Vec<usize>], t: f64) -> AuditReport {
+        self.assemble_report(self.tuple_risks_reference(table, groups), t)
     }
 
-    /// Full audit with vulnerability threshold `t`.
+    /// Full audit with vulnerability threshold `t`, on one worker on the
+    /// calling thread ([`report_with`](Self::report_with) with
+    /// [`Parallelism::Serial`]).
     pub fn report(&self, table: &Table, groups: &[Vec<usize>], t: f64) -> AuditReport {
-        self.assemble_report(self.tuple_risks(table, groups), t)
+        self.report_with(table, groups, t, Parallelism::Serial)
     }
 
-    /// Disclosure risks with an explicit execution engine.
-    ///
-    /// [`Parallelism::Serial`] runs the flat-scan serial engine
-    /// ([`tuple_risks`](Self::tuple_risks)); any other knob runs the batched
-    /// engine with that many workers, sharing this auditor's
-    /// `Arc<Adversary>` across them; each worker prepares and solves whole
-    /// groups. All paths produce bit-identical risks.
+    /// Disclosure risk of every tuple under the published `groups`
+    /// (disjoint row-index sets covering the table) by the batched engine
+    /// on `parallelism`'s worker count. Worker jobs on the process-wide
+    /// [`shared_pool`](bgkanon_data::shared_pool) claim batches of groups
+    /// from an atomic cursor and prepare, solve and emit each group in
+    /// their own scratch, sharing this auditor's `Arc<Adversary>` and
+    /// nothing else but the cursor. Running on the persistent pool (instead
+    /// of a per-call `std::thread::scope`) means a serving process that
+    /// audits continuously across many sessions pays thread spawns once,
+    /// and concurrent audits interleave on the same workers instead of
+    /// oversubscribing the machine. One worker runs on the calling thread,
+    /// over the borrowed groups. Risks are bit-identical to
+    /// [`tuple_risks_reference`](Self::tuple_risks_reference) for every
+    /// worker count.
     pub fn tuple_risks_with(
         &self,
         table: &Table,
         groups: &[Vec<usize>],
         parallelism: Parallelism,
     ) -> Vec<f64> {
-        if parallelism.is_serial() {
-            self.tuple_risks(table, groups)
-        } else {
-            self.tuple_risks_batched(table, groups, parallelism.effective_threads())
+        let workers = parallelism.effective_threads();
+        let mut risks = vec![f64::NAN; table.len()];
+        if workers <= 1 {
+            let mut scratch = AuditScratch::default();
+            for rows in groups {
+                self.audit_group(table, rows, &mut scratch, |row, risk| risks[row] = risk);
+            }
+            return risks;
         }
+        let shared = Arc::new(BatchState {
+            // O(1): tables share their row buffers.
+            table: table.clone(),
+            // One row-list copy per call — the same shape (and cost) the
+            // `row_groups()` callers already materialize per audit.
+            groups: groups.to_vec(),
+            cursor: AtomicUsize::new(0),
+        });
+        let jobs: Vec<_> = (0..workers)
+            .map(|_| {
+                let auditor = self.clone();
+                let state = Arc::clone(&shared);
+                move || auditor.audit_worker(&state)
+            })
+            .collect();
+        for (row, risk) in bgkanon_data::shared_pool().run(jobs).into_iter().flatten() {
+            risks[row] = risk;
+        }
+        risks
     }
 
-    /// Full audit with an explicit execution engine (see
-    /// [`tuple_risks_with`](Self::tuple_risks_with)).
+    /// Full audit with vulnerability threshold `t` on `parallelism`'s
+    /// worker count (see [`tuple_risks_with`](Self::tuple_risks_with)).
     pub fn report_with(
         &self,
         table: &Table,
@@ -356,43 +332,6 @@ impl Auditor {
         }
     }
 
-    /// The batched engine. Worker jobs on the process-wide
-    /// [`shared_pool`](bgkanon_data::shared_pool) claim batches of groups
-    /// from an atomic cursor and prepare, solve and emit each group in
-    /// their own scratch, sharing nothing but the cursor. Running on
-    /// the persistent pool (instead of a per-call `std::thread::scope`)
-    /// means a serving process that audits continuously across many
-    /// sessions pays thread spawns once, and concurrent audits interleave
-    /// on the same workers instead of oversubscribing the machine.
-    fn tuple_risks_batched(
-        &self,
-        table: &Table,
-        groups: &[Vec<usize>],
-        workers: usize,
-    ) -> Vec<f64> {
-        let shared = Arc::new(BatchState {
-            // O(1): tables share their row buffers.
-            table: table.clone(),
-            // One row-list copy per call — the same shape (and cost) the
-            // `row_groups()` callers already materialize per audit.
-            groups: groups.to_vec(),
-            cursor: AtomicUsize::new(0),
-        });
-        let jobs: Vec<_> = (0..workers)
-            .map(|_| {
-                let auditor = self.clone();
-                let state = Arc::clone(&shared);
-                move || auditor.audit_worker(&state)
-            })
-            .collect();
-        let outputs = bgkanon_data::shared_pool().run(jobs);
-        let mut risks = vec![f64::NAN; table.len()];
-        for (row, risk) in outputs.into_iter().flatten() {
-            risks[row] = risk;
-        }
-        risks
-    }
-
     /// One worker of the batched engine: claims group batches and returns
     /// `(row, risk)` pairs for the rows it audited.
     fn audit_worker(&self, state: &BatchState) -> Vec<(usize, f64)> {
@@ -404,10 +343,9 @@ impl Auditor {
                 return out;
             }
             for rows in &state.groups[start..state.groups.len().min(start + GROUP_BATCH)] {
-                if rows.is_empty() {
-                    continue;
-                }
-                self.audit_group(&state.table, rows, &mut scratch, &mut out);
+                self.audit_group(&state.table, rows, &mut scratch, |row, risk| {
+                    out.push((row, risk));
+                });
             }
         }
     }
@@ -445,17 +383,20 @@ impl Auditor {
         table.sensitive_counts_into(rows, &mut scratch.counts);
     }
 
-    /// Prepare, solve and emit one group of the batched engine as
-    /// `(row, risk)` pairs.
+    /// Prepare and solve one group of the batched engine, handing each
+    /// `(row, risk)` to `emit`. An empty group emits nothing.
     fn audit_group<'a>(
         &'a self,
         table: &Table,
         rows: &[usize],
         scratch: &mut AuditScratch<'a>,
-        out: &mut Vec<(usize, f64)>,
+        emit: impl FnMut(usize, f64),
     ) {
+        if rows.is_empty() {
+            return;
+        }
         self.prepare_group(table, rows, None, scratch);
-        self.solve_group(rows, scratch, |row, risk| out.push((row, risk)));
+        self.solve_group(rows, scratch, emit);
     }
 
     /// Solve the group of `rows` prepared in `scratch` and hand each
@@ -667,7 +608,7 @@ struct ReportMemo {
 ///     Arc::new(SmoothedJs::paper_default(table.schema().sensitive_distance())),
 /// );
 /// let groups = bgkanon_data::toy::hospital_groups();
-/// let fresh = auditor.report(&table, &groups, 0.25);
+/// let fresh = auditor.report_reference(&table, &groups, 0.25);
 ///
 /// let shared = Arc::new(SharedAuditSession::new(auditor));
 /// let slices: Vec<&[usize]> = groups.iter().map(|g| g.as_slice()).collect();
@@ -1119,15 +1060,15 @@ mod tests {
     fn risks_cover_all_rows() {
         let t = toy::hospital_table();
         let a = auditor(&t, 0.3);
-        let risks = a.tuple_risks(&t, &toy::hospital_groups());
+        let risks = a.tuple_risks_with(&t, &toy::hospital_groups(), Parallelism::Serial);
         assert_eq!(risks.len(), t.len());
         assert!(risks.iter().all(|r| !r.is_nan() && *r >= 0.0));
     }
 
     #[test]
-    fn flat_scan_engine_is_bit_identical_to_reference() {
-        // The flat-scan serial path vs the row-at-a-time §V.A
-        // transcription — same table, same groups, bit-identical risks.
+    fn one_worker_engine_is_bit_identical_to_reference() {
+        // The batched engine on the calling thread vs the row-at-a-time
+        // §V.A transcription — same table, same groups, bit-identical risks.
         for seed in [3u64, 11] {
             let t = bgkanon_data::adult::generate(400, seed);
             let groups: Vec<Vec<usize>> = (0..t.len())
@@ -1141,13 +1082,13 @@ mod tests {
                     Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance())),
                 ),
             ] {
-                let flat = a.tuple_risks(&t, &groups);
+                let inline = a.tuple_risks_with(&t, &groups, Parallelism::Serial);
                 let reference = a.tuple_risks_reference(&t, &groups);
-                for (row, (x, y)) in flat.iter().zip(&reference).enumerate() {
+                for (row, (x, y)) in inline.iter().zip(&reference).enumerate() {
                     assert_eq!(
                         x.to_bits(),
                         y.to_bits(),
-                        "flat vs reference diverge at row {row} (seed {seed})"
+                        "one worker vs reference diverge at row {row} (seed {seed})"
                     );
                 }
             }
@@ -1198,11 +1139,11 @@ mod tests {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
         let a = auditor(&t, 0.3);
-        let serial = a.tuple_risks_with(&t, &groups, Parallelism::Serial);
+        let reference = a.tuple_risks_reference(&t, &groups);
         for workers in [1usize, 2, 4] {
             let batched = a.tuple_risks_with(&t, &groups, Parallelism::threads(workers));
-            assert_eq!(serial.len(), batched.len());
-            for (row, (s, b)) in serial.iter().zip(&batched).enumerate() {
+            assert_eq!(reference.len(), batched.len());
+            for (row, (s, b)) in reference.iter().zip(&batched).enumerate() {
                 assert!(
                     s.to_bits() == b.to_bits(),
                     "row {row} diverges at {workers} workers: {s} vs {b}"
@@ -1221,10 +1162,12 @@ mod tests {
         let measure = Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
         let a = Auditor::new(adv, measure);
         let groups = toy::hospital_groups();
-        let serial = a.tuple_risks_with(&t, &groups, Parallelism::Serial);
-        let batched = a.tuple_risks_with(&t, &groups, Parallelism::threads(2));
-        for (s, b) in serial.iter().zip(&batched) {
-            assert_eq!(s.to_bits(), b.to_bits());
+        let reference = a.tuple_risks_reference(&t, &groups);
+        for par in [Parallelism::Serial, Parallelism::threads(2)] {
+            let batched = a.tuple_risks_with(&t, &groups, par);
+            for (s, b) in reference.iter().zip(&batched) {
+                assert_eq!(s.to_bits(), b.to_bits());
+            }
         }
     }
 
@@ -1233,9 +1176,11 @@ mod tests {
         let t = toy::hospital_table();
         let a = auditor(&t, 0.3);
         let groups = toy::hospital_groups();
+        let reference = a.report_reference(&t, &groups, 0.1);
         let serial = a.report(&t, &groups, 0.1);
         let batched = a.report_with(&t, &groups, 0.1, Parallelism::Auto);
-        assert_eq!(serial.first_difference(&batched), None);
+        assert_eq!(reference.first_difference(&serial), None);
+        assert_eq!(reference.first_difference(&batched), None);
     }
 
     #[test]
@@ -1244,7 +1189,7 @@ mod tests {
         let groups = toy::hospital_groups();
         let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         let a = auditor(&t, 0.3);
-        let fresh = a.report(&t, &groups, 0.1);
+        let fresh = a.report_reference(&t, &groups, 0.1);
         let session = SharedAuditSession::new(a);
         let first = session.report_groups(&t, &slices, None, 0.1);
         assert_eq!(session.cached_signatures(), groups.len());
@@ -1274,7 +1219,7 @@ mod tests {
         // Dropping one group evicts its stamp once the grace window has
         // passed; the partial reports stay bit-identical to a fresh audit.
         let fewer = [groups[0].clone(), groups[1].clone()];
-        let reference = auditor(&t, 0.3).report(&t, &fewer, 0.1);
+        let reference = auditor(&t, 0.3).report_reference(&t, &fewer, 0.1);
         for _ in 0..=SharedAuditSession::STAMP_GRACE {
             let partial = session.report_groups(&t, &slices[..2], Some(&stamps[..2]), 0.1);
             assert!(partial.risks[groups[2][0]].is_nan());
@@ -1298,7 +1243,7 @@ mod tests {
         let groups = toy::hospital_groups();
         let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         let a = auditor(&t, 0.3);
-        let fresh = a.report(&t, &groups, 0.1);
+        let fresh = a.report_reference(&t, &groups, 0.1);
         let shared = SharedAuditSession::new(a);
         let stamps = [7u64, 8, 9];
         let first = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
@@ -1316,7 +1261,7 @@ mod tests {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
         let a = auditor(&t, 0.3);
-        let fresh = a.report(&t, &groups, 0.1);
+        let fresh = a.report_reference(&t, &groups, 0.1);
         let shared = Arc::new(SharedAuditSession::new(a));
         let stamps = [1u64, 2, 3];
         // Concurrent readers run as shared-pool jobs (R2: no per-call
@@ -1375,7 +1320,7 @@ mod tests {
         let groups = toy::hospital_groups();
         let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         let stamps = [4u64, 5, 6];
-        let fresh = auditor(&t, 0.3).report(&t, &groups, 0.1);
+        let fresh = auditor(&t, 0.3).report_reference(&t, &groups, 0.1);
         let shared = Arc::new(SharedAuditSession::new(auditor(&t, 0.3)));
         let _ = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
         assert_eq!(shared.cached_stamps(), 3);
@@ -1418,7 +1363,7 @@ mod tests {
                 .map(|start| (start..(start + 5).min(t.len())).collect())
                 .collect();
             let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-            let fresh = auditor.report(&t, &groups, 0.2);
+            let fresh = auditor.report_reference(&t, &groups, 0.2);
 
             let bound = SharedAuditSession::with_row_points(auditor.clone(), row_points.clone());
             assert!(bound.point_priors(&t).is_some());

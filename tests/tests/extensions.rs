@@ -74,7 +74,7 @@ fn exact_audit_agrees_with_omega_within_fig2_bound() {
         return; // group structure too coarse on this seed; nothing to test
     }
     let omega = Auditor::new(Arc::clone(&adversary), Arc::clone(&measure) as _)
-        .tuple_risks(&table, &groups);
+        .tuple_risks_reference(&table, &groups);
     // The exact side by its §III.C definition: each member's exact
     // posterior (matrix-permanent likelihoods), measured against its prior.
     let mut exact = vec![f64::NAN; table.len()];

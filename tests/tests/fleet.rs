@@ -14,6 +14,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use bgkanon::data::{adult, Delta, DeltaBuilder, Table};
 use bgkanon::prelude::*;
 use bgkanon::{DurabilityOptions, SyncPolicy};
+use bgkanon_tests::reference_report;
 
 /// The hub under test: the default, algorithm-dispatching strategy.
 type SessionHub = bgkanon::SessionHub;
@@ -257,8 +258,8 @@ fn in_memory_budget_never_loses_tenants() {
 }
 
 /// A fresh `Adv(b′)` audit of `snapshot`'s version: its publication must
-/// equal a from-scratch publish, whose outcome is audited against a newly
-/// estimated adversary on the serial engines.
+/// equal a from-scratch publish, and it is audited against a newly
+/// estimated adversary by `Auditor::report_reference`.
 fn fresh_adversary_report(
     publisher: &Publisher,
     snapshot: &TenantSnapshot,
@@ -266,9 +267,8 @@ fn fresh_adversary_report(
     t: f64,
 ) -> AuditReport {
     let table = snapshot.table();
-    let serial = publisher.clone().parallelism(Parallelism::Serial);
-    let fresh = serial.verify(table, snapshot.anonymized()).unwrap();
-    fresh.audit_against(table, b_prime, t).unwrap()
+    publisher.verify(table, snapshot.anonymized()).unwrap();
+    reference_report(table, snapshot.anonymized(), b_prime, t)
 }
 
 /// Demotion drops a tenant's carried `Adv(b′)` entry with the rest of its

@@ -80,7 +80,7 @@ proptest! {
             group.truncate(size);
 
             let expect = reference_risks(&adversary, &measure, &table, &group);
-            let risks = auditor.tuple_risks(&table, std::slice::from_ref(&group));
+            let risks = auditor.tuple_risks_with(&table, std::slice::from_ref(&group), Parallelism::Serial);
             for (&row, want) in group.iter().zip(&expect) {
                 prop_assert_eq!(risks[row].to_bits(), want.to_bits(), "row {}", row);
             }

@@ -23,6 +23,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use bgkanon::data::{adult, Delta, DeltaBuilder, Table};
 use bgkanon::knowledge::{Adversary, Bandwidth};
 use bgkanon::prelude::*;
+use bgkanon_tests::reference_report;
 
 /// The hub under test: the default, algorithm-dispatching strategy.
 type SessionHub = bgkanon::SessionHub;
@@ -193,13 +194,14 @@ fn hub_stress_interleaved_deltas_and_audits_match_serial_replay() {
 
     // ---- Serial replay: the single-threaded ground truth. ----------------
     // For each tenant, replay the identical delta sequence through a fresh
-    // session and record the reference risks at every version.
+    // session and record the reference risks (`report_reference`, the §V.A
+    // transcription) at every version.
     let mut reference_risks: Vec<HashMap<u64, Vec<f64>>> = Vec::with_capacity(TENANTS);
     for (i, base) in tables.iter().enumerate() {
         let mut by_version: HashMap<u64, Vec<f64>> = HashMap::new();
         let mut session = publisher.open(base).expect("satisfiable");
         let reference = |session: &PublishSession| {
-            auditors[i].report(
+            auditors[i].report_reference(
                 session.table(),
                 &session.anonymized().row_groups(),
                 THRESHOLD,
@@ -292,19 +294,16 @@ fn hub_readers_pin_versions_while_writers_advance() {
 }
 
 /// A fresh `Adv(B_PRIME)` audit of `snapshot`'s version at threshold `t`:
-/// its publication must equal a from-scratch publish, whose outcome is
-/// audited against a newly estimated adversary on the serial engines — the
-/// reference every carried-forward hub audit must match bit for bit.
+/// its publication must equal a from-scratch publish, and it is audited
+/// against a newly estimated adversary by `Auditor::report_reference` —
+/// the reference every carried-forward hub audit must match bit for bit.
 fn fresh_adversary_report(snapshot: &TenantSnapshot, t: f64) -> AuditReport {
     let table = snapshot.table();
-    let fresh = Publisher::new()
+    Publisher::new()
         .k_anonymity(K)
-        .parallelism(Parallelism::Serial)
         .verify(table, snapshot.anonymized())
         .unwrap_or_else(|e| panic!("version {}: {e}", snapshot.version()));
-    fresh
-        .audit_against(table, B_PRIME, t)
-        .expect("valid bandwidth")
+    reference_report(table, snapshot.anonymized(), B_PRIME, t)
 }
 
 #[test]
@@ -474,7 +473,7 @@ fn memo_bytes(rows: usize) -> usize {
 
 /// `auditor`'s fresh report of `snapshot`'s version at threshold `t`.
 fn fresh_report(auditor: &Auditor, snapshot: &TenantSnapshot, t: f64) -> AuditReport {
-    auditor.report(snapshot.table(), &snapshot.anonymized().row_groups(), t)
+    auditor.report_reference(snapshot.table(), &snapshot.anonymized().row_groups(), t)
 }
 
 #[test]

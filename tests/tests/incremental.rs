@@ -11,9 +11,11 @@ use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Parallelism, Table};
+use bgkanon::data::{Attribute, Schema, TableBuilder};
 use bgkanon::knowledge::{Adversary, Bandwidth};
 use bgkanon::prelude::*;
 use bgkanon::SessionError;
+use bgkanon_tests::reference_report;
 
 /// A pseudo-random delta over `table`: roughly `del_frac` of the rows
 /// deleted and `inserts` fresh synthetic rows appended.
@@ -31,6 +33,30 @@ fn random_delta(table: &Table, rng: &mut SmallRng, del_frac: f64, inserts: usize
             .expect("donor rows share the schema");
     }
     builder.build()
+}
+
+/// QI attributes of the wide schema: one more than the planting engine's
+/// live-dimension bitmask holds, so every plant and every refresh rebuild
+/// of it runs on Mondrian's reference loop.
+const WIDE_QI: usize = 65;
+
+/// A schema of `WIDE_QI` flat categorical QI attributes (2–4 values each)
+/// and a 4-valued sensitive attribute.
+fn wide_schema() -> Arc<Schema> {
+    let labels = ["a", "b", "c", "d"];
+    let qi = (0..WIDE_QI)
+        .map(|i| Attribute::categorical_flat(&format!("q{i}"), &labels[..2 + i % 3]).unwrap())
+        .collect();
+    let sensitive = Attribute::categorical_flat("s", &labels).unwrap();
+    Arc::new(Schema::new(qi, sensitive).unwrap())
+}
+
+/// Random codes for one row of the wide schema.
+fn wide_row(rng: &mut SmallRng) -> (Vec<u32>, u32) {
+    let qi = (0..WIDE_QI)
+        .map(|i| rng.gen_range(0..2 + (i % 3) as u32))
+        .collect();
+    (qi, rng.gen_range(0..4u32))
 }
 
 proptest! {
@@ -155,13 +181,14 @@ proptest! {
             }
             let fresh = publisher.publish(session.table()).expect("satisfiable");
             let incremental = session.audit_with(&auditor, 0.2);
-            let reference = fresh.audit_with(session.table(), &auditor, 0.2);
+            let reference =
+                auditor.report_reference(session.table(), &fresh.anonymized.row_groups(), 0.2);
             prop_assert_eq!(incremental.first_difference(&reference), None, "{}", context);
 
             if audit_mask >> step & 1 == 0 {
                 continue;
             }
-            let reference = fresh.audit_against(session.table(), bandwidth, 0.2).unwrap();
+            let reference = reference_report(session.table(), &fresh.anonymized, bandwidth, 0.2);
             let tracked = session.audit_against(bandwidth, 0.2).expect("valid bandwidth");
             prop_assert_eq!(tracked.first_difference(&reference), None, "{}", context);
             if replay_mask >> step & 1 == 1 {
@@ -266,16 +293,73 @@ fn audit_against_verdict_flip_is_tracked() {
     let after = session.audit_against(0.25, 0.15).unwrap();
     assert_eq!(after.risks.len(), session.len());
     assert!(after.risks.iter().all(|r| !r.is_nan()));
-    let fresh = publisher
-        .clone()
-        .parallelism(Parallelism::Serial)
+    publisher
         .verify(session.table(), session.anonymized())
         .unwrap();
-    let reference = fresh.audit_against(session.table(), 0.25, 0.15).unwrap();
+    let reference = reference_report(session.table(), session.anonymized(), 0.25, 0.15);
     assert_eq!(after.first_difference(&reference), None);
     // A second call on the same state replays bit-identically.
     let replay = session.audit_against(0.25, 0.15).unwrap();
     assert_eq!(after.first_difference(&replay), None);
     // And the pre-delta report stays a valid, distinct artifact.
     assert_eq!(before.risks.len(), base.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Schemas wider than 64 QI attributes plant and rebuild on Mondrian's
+    /// reference loop. Every knob's plant equals `plant_reference`, and a
+    /// tree refreshed through 1–4 deltas equals a from-scratch plant of
+    /// each new table.
+    #[test]
+    fn wide_schema_plants_and_refreshes_like_the_reference(
+        rows in 40usize..160,
+        seed in 0u64..500,
+        k in 2usize..6,
+        steps in 1usize..5,
+    ) {
+        let schema = wide_schema();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut builder = TableBuilder::new(Arc::clone(&schema));
+        for _ in 0..rows {
+            let (qi, s) = wide_row(&mut rng);
+            builder.push_codes(&qi, s).unwrap();
+        }
+        let mut table = builder.build().unwrap();
+        let mondrian = Mondrian::new(Arc::new(KAnonymity::new(k)));
+        let reference = mondrian.plant_reference(&table).to_anonymized(&table);
+        prop_assert!(reference.group_count() > 1, "rows={rows} seed={seed} k={k}");
+        for par in [Parallelism::Serial, Parallelism::threads(1), Parallelism::threads(3)] {
+            let planted = mondrian.plant_with(&table, par).to_anonymized(&table);
+            prop_assert_eq!(reference.first_difference(&planted), None, "{:?}", par);
+        }
+        let mut tree = mondrian.plant(&table);
+        for step in 0..steps {
+            let mut delta = DeltaBuilder::new(Arc::clone(&schema));
+            for row in 0..table.len() {
+                if rng.gen_bool(0.08) {
+                    delta.delete(row);
+                }
+            }
+            for _ in 0..rng.gen_range(0..8usize) {
+                let (qi, s) = wide_row(&mut rng);
+                delta.insert_codes(&qi, s).unwrap();
+            }
+            let delta = delta.build();
+            let next = table.apply_delta(&delta).unwrap();
+            if next.len() < k {
+                break; // no k-anonymous publication of `next` exists
+            }
+            mondrian.refresh(&mut tree, &table, &next, delta.deletes());
+            let fresh = mondrian.plant_reference(&next).to_anonymized(&next);
+            prop_assert_eq!(
+                fresh.first_difference(&tree.to_anonymized(&next)),
+                None,
+                "rows={} seed={} k={} step={}",
+                rows, seed, k, step
+            );
+            table = next;
+        }
+    }
 }

@@ -47,9 +47,11 @@ const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::FullDomain,
 ];
 
-/// `plant_with` under any engine must be bit-identical to the serial plant,
-/// for every strategy — the parallel paths are optimizations, never allowed
-/// to change the published output.
+/// `plant_with` under any knob must be bit-identical to the strategy's
+/// reference, for every strategy — the worker count never changes the
+/// published output. Mondrian's reference is `Mondrian::plant_reference`;
+/// bucketize and full domain have one engine each, which ignores the knob,
+/// so their reference is that engine's `plant`.
 #[test]
 fn plant_with_any_engine_matches_the_serial_plant() {
     let table = adult::generate(240, 41);
@@ -57,25 +59,39 @@ fn plant_with_any_engine_matches_the_serial_plant() {
     let bucketize = Bucketize::new(3);
     let fulldomain = FullDomain::new_monotone(Arc::new(KAnonymity::new(4)));
 
-    fn check<S: AnonymizationStrategy>(strategy: &S, table: &Table) {
-        let serial = strategy
-            .plant_with(table, Parallelism::Serial)
-            .unwrap_or_else(|e| panic!("{}: serial plant: {}", strategy.name(), e.reason));
-        for engine in [Parallelism::Auto, Parallelism::threads(3)] {
+    fn check<S: AnonymizationStrategy>(strategy: &S, reference: S::State, table: &Table) {
+        // Leaf stamps are per-plant identifiers, not part of the
+        // publication; only the published groups must be identical.
+        let (a, _) = reference.snapshot(table);
+        for engine in [
+            Parallelism::Serial,
+            Parallelism::Auto,
+            Parallelism::threads(3),
+        ] {
             let planted = strategy
                 .plant_with(table, engine)
-                .unwrap_or_else(|e| panic!("{}: parallel plant: {}", strategy.name(), e.reason));
-            // Leaf stamps are per-plant identifiers, not part of the
-            // publication; only the published groups must be identical.
-            let (a, _) = serial.snapshot(table);
+                .unwrap_or_else(|e| panic!("{}: {engine:?} plant: {}", strategy.name(), e.reason));
             let (b, _) = planted.snapshot(table);
-            assert_eq!(a.first_difference(&b), None, "{}", strategy.name());
+            assert_eq!(
+                a.first_difference(&b),
+                None,
+                "{} {engine:?}",
+                strategy.name()
+            );
         }
     }
 
-    check(&mondrian, &table);
-    check(&bucketize, &table);
-    check(&fulldomain, &table);
+    check(&mondrian, mondrian.plant_reference(&table), &table);
+    check(
+        &bucketize,
+        bucketize.plant(&table).expect("bucketize plant"),
+        &table,
+    );
+    check(
+        &fulldomain,
+        fulldomain.plant(&table).expect("fulldomain plant"),
+        &table,
+    );
 }
 
 proptest! {

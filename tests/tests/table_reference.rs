@@ -8,7 +8,7 @@
 //! * `apply_delta`'s block copies with a `TableBuilder` rebuilt from the
 //!   survivors plus the inserts;
 //! * `FoldedTable::with_row_points` with `group_by_qi`;
-//! * the flat-scan serial audit with `Auditor::tuple_risks_reference`.
+//! * the one-worker batched audit with `Auditor::tuple_risks_reference`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -68,8 +68,8 @@ fn check_fold(table: &Table) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Publish, then audit with both reference adversaries: the serial
-/// flat-scan engine must reproduce the §V.A transcription bit for bit.
+/// Publish, then audit with both reference adversaries: the batched
+/// engine on one worker must reproduce the §V.A transcription bit for bit.
 fn check_audit(table: &Table) -> Result<(), TestCaseError> {
     let publisher = Publisher::new()
         .k_anonymity(5)
@@ -88,9 +88,9 @@ fn check_audit(table: &Table) -> Result<(), TestCaseError> {
     ];
     for adversary in adversaries {
         let auditor = Auditor::new(Arc::new(adversary), Arc::clone(&measure));
-        let flat = auditor.tuple_risks_with(table, &groups, Parallelism::Serial);
+        let inline = auditor.tuple_risks_with(table, &groups, Parallelism::Serial);
         let reference = auditor.tuple_risks_reference(table, &groups);
-        for (row, (a, b)) in flat.iter().zip(&reference).enumerate() {
+        for (row, (a, b)) in inline.iter().zip(&reference).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "audit risk at row {}", row);
         }
     }
