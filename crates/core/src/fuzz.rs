@@ -1,5 +1,5 @@
 //! Byte-edit mutation shared by the text parsers' fuzz properties
-//! (`recover`'s durable files, `publisher`'s spec lines).
+//! (`recover`'s durable files, `publisher`'s spec blocks).
 
 /// Apply byte edits to `text`: each `(at, byte, op)` overwrites,
 /// deletes or inserts at `at % len`. Bytes are drawn mostly from the

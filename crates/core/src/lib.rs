@@ -51,6 +51,7 @@ pub use bgkanon_privacy as privacy;
 pub use bgkanon_stats as stats;
 pub use bgkanon_utility as utility;
 
+mod format;
 #[cfg(test)]
 mod fuzz;
 pub mod hub;
@@ -59,8 +60,6 @@ pub mod publisher;
 mod readers;
 pub mod recover;
 pub mod session;
-mod strategy;
-mod tokens;
 pub mod wal;
 
 pub use data::Parallelism;

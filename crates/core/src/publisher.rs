@@ -24,9 +24,10 @@ use bgkanon_privacy::{
 };
 use bgkanon_stats::SmoothedJs;
 
-/// Declarative requirement, instantiated at publish time.
+/// Declarative requirement, instantiated at publish time. The genesis
+/// file stores one spec line per requirement ([`crate::format`]).
 #[derive(Debug, Clone)]
-enum Spec {
+pub(crate) enum Spec {
     K(usize),
     DistinctL(usize),
     ProbabilisticL(usize),
@@ -36,7 +37,7 @@ enum Spec {
 }
 
 #[derive(Debug, Clone)]
-enum BandwidthSpec {
+pub(crate) enum BandwidthSpec {
     Uniform(f64),
     Vector(Vec<f64>),
 }
@@ -223,9 +224,9 @@ impl std::error::Error for Drift {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Publisher {
-    specs: Vec<Spec>,
+    pub(crate) specs: Vec<Spec>,
     parallelism: Parallelism,
-    algorithm: Algorithm,
+    pub(crate) algorithm: Algorithm,
 }
 
 impl Publisher {
@@ -493,148 +494,6 @@ impl Publisher {
     pub(crate) fn parallelism_knob(&self) -> Parallelism {
         self.parallelism
     }
-
-    /// Serialize the declarative specs as one text line each — preceded by
-    /// an `algorithm <name>` selector line when the algorithm is not the
-    /// Mondrian default — for the durable hub's genesis file
-    /// ([`crate::recover`]). Floats use `{:.17e}`
-    /// so [`from_spec_lines`](Self::from_spec_lines) reconstructs them
-    /// bit-for-bit; the parallelism knob is deliberately *not* recorded —
-    /// engines are bit-identical across it, so recovered sessions run with
-    /// the default.
-    pub(crate) fn spec_lines(&self) -> Vec<String> {
-        let algorithm = if self.algorithm == Algorithm::Mondrian {
-            // Legacy shape: Mondrian publishers serialize exactly as they
-            // did before the algorithm knob existed, so old genesis files
-            // and new Mondrian ones are byte-identical.
-            None
-        } else {
-            Some(format!("algorithm {}", self.algorithm.name()))
-        };
-        algorithm
-            .into_iter()
-            .chain(self.specs.iter().map(|spec| match spec {
-                Spec::K(k) => format!("spec k {k}"),
-                Spec::DistinctL(l) => format!("spec distinct-l {l}"),
-                Spec::ProbabilisticL(l) => format!("spec probabilistic-l {l}"),
-                Spec::TCloseness(t) => format!("spec t-closeness {t:.17e}"),
-                Spec::Bt {
-                    bandwidth: BandwidthSpec::Uniform(b),
-                    t,
-                } => format!("spec bt-uniform {b:.17e} {t:.17e}"),
-                Spec::Bt {
-                    bandwidth: BandwidthSpec::Vector(v),
-                    t,
-                } => {
-                    let mut line = format!("spec bt-vector {t:.17e}");
-                    for b in v {
-                        line.push_str(&format!(" {b:.17e}"));
-                    }
-                    line
-                }
-                Spec::Skyline(pairs) => {
-                    let mut line = String::from("spec skyline");
-                    for (b, t) in pairs {
-                        line.push_str(&format!(" {b:.17e} {t:.17e}"));
-                    }
-                    line
-                }
-            }))
-            .collect()
-    }
-
-    /// Rebuild a publisher from [`spec_lines`](Self::spec_lines) output.
-    /// Errors carry a human-readable reason; recovery surfaces them as the
-    /// tenant's unrecoverability cause. A value the requirement
-    /// constructors would reject with a panic (k or ℓ of 0, a t-closeness
-    /// threshold outside [0, 1], a negative or non-finite (B,t) threshold)
-    /// is an error here. Bandwidths are checked when the publisher is
-    /// instantiated, which reports a bad one as a typed [`PublishError`].
-    pub(crate) fn from_spec_lines<'a>(
-        lines: impl IntoIterator<Item = &'a str>,
-    ) -> Result<Publisher, String> {
-        fn num<T: std::str::FromStr + PartialOrd>(
-            tok: Option<&str>,
-            what: &str,
-            range: impl std::ops::RangeBounds<T>,
-        ) -> Result<T, String> {
-            let value = tok
-                .ok_or_else(|| format!("missing {what}"))?
-                .parse::<T>()
-                .map_err(|_| format!("unparseable {what}"))?;
-            if !range.contains(&value) {
-                return Err(format!("{what} out of range"));
-            }
-            Ok(value)
-        }
-        // Group sizes and thresholds the requirement constructors accept.
-        let (size, unit, threshold) = (1usize.., 0.0..=1.0, 0.0..=f64::MAX);
-        let mut publisher = Publisher::new();
-        for line in lines {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.first() == Some(&"algorithm") {
-                // Optional selector line; absent (the legacy shape) means
-                // Mondrian.
-                let algorithm = toks
-                    .get(1)
-                    .filter(|_| toks.len() == 2)
-                    .and_then(|name| Algorithm::parse(name))
-                    .ok_or_else(|| format!("unknown algorithm on `{line}`"))?;
-                publisher = publisher.algorithm(algorithm);
-                continue;
-            }
-            if toks.first() != Some(&"spec") || toks.len() < 2 {
-                return Err(format!("expected a `spec <kind> ...` line, got `{line}`"));
-            }
-            let (kind, rest) = (toks[1], &toks[2..]);
-            let arity_ok = match kind {
-                "k" | "distinct-l" | "probabilistic-l" | "t-closeness" => rest.len() == 1,
-                "bt-uniform" => rest.len() == 2,
-                "bt-vector" => rest.len() >= 2,
-                "skyline" => !rest.is_empty() && rest.len() % 2 == 0,
-                other => return Err(format!("unknown spec kind `{other}`")),
-            };
-            if !arity_ok {
-                return Err(format!("wrong number of values on `{line}`"));
-            }
-            let first = rest.first().copied();
-            publisher = match kind {
-                "k" => publisher.k_anonymity(num(first, "k", size.clone())?),
-                "distinct-l" => publisher.distinct_l_diversity(num(first, "l", size.clone())?),
-                "probabilistic-l" => {
-                    publisher.probabilistic_l_diversity(num(first, "l", size.clone())?)
-                }
-                "t-closeness" => publisher.t_closeness(num(first, "t", unit.clone())?),
-                "bt-uniform" => {
-                    let b = num(Some(rest[0]), "bandwidth", ..)?;
-                    publisher.bt_privacy(b, num(Some(rest[1]), "t", threshold.clone())?)
-                }
-                "bt-vector" => {
-                    let t = num(Some(rest[0]), "t", threshold.clone())?;
-                    let v = rest[1..]
-                        .iter()
-                        .map(|tok| num(Some(tok), "bandwidth component", ..))
-                        .collect::<Result<Vec<f64>, String>>()?;
-                    publisher.bt_privacy_vector(v, t)
-                }
-                "skyline" => {
-                    let pairs = rest
-                        .chunks_exact(2)
-                        .map(|p| {
-                            let b = num(Some(p[0]), "skyline bandwidth", ..)?;
-                            Ok((b, num(Some(p[1]), "skyline t", threshold.clone())?))
-                        })
-                        .collect::<Result<Vec<(f64, f64)>, String>>()?;
-                    publisher.skyline(pairs)
-                }
-                _ => unreachable!("kind validated above"),
-            };
-        }
-        if publisher.specs.is_empty() {
-            return Err("genesis file declares no specs".into());
-        }
-        Ok(publisher)
-    }
 }
 
 /// Does the whole `table` satisfy `requirement`? The pre-check sessions run
@@ -864,6 +723,19 @@ mod tests {
         assert_eq!(outcome.anonymized.first_difference(&auto.anonymized), None);
     }
 
+    /// Read spec lines through the genesis file's spec-block reader.
+    fn from_spec_lines<S: AsRef<str>>(lines: &[S]) -> Result<Publisher, String> {
+        let lines: Vec<&str> = lines.iter().map(AsRef::as_ref).collect();
+        let text = format!("specs {}\n{}", lines.len(), lines.join("\n"));
+        crate::format::read_specs(&mut crate::format::Cursor::new(&text))
+    }
+
+    /// The spec lines `publisher` writes, without the block head.
+    fn spec_lines(publisher: &Publisher) -> Vec<String> {
+        let text = crate::format::spec_text(publisher);
+        text.lines().skip(1).map(str::to_owned).collect()
+    }
+
     #[test]
     fn spec_lines_roundtrip_bit_identically() {
         let t = adult::generate(300, 54);
@@ -875,10 +747,9 @@ mod tests {
             .bt_privacy(0.3, 0.25)
             .bt_privacy_vector(vec![0.25, 0.5, 0.125, 0.75, 0.3, 0.6], 0.2)
             .skyline(vec![(0.2, 0.4), (0.4, 0.3)]);
-        let lines = original.spec_lines();
-        let rebuilt =
-            Publisher::from_spec_lines(lines.iter().map(String::as_str)).expect("roundtrip");
-        assert_eq!(rebuilt.spec_lines(), lines);
+        let lines = spec_lines(&original);
+        let rebuilt = from_spec_lines(&lines).expect("roundtrip");
+        assert_eq!(spec_lines(&rebuilt), lines);
         // The rebuilt publisher produces the same publication bit-for-bit.
         let a = original.publish(&t).expect("satisfiable");
         let b = rebuilt.publish(&t).expect("satisfiable");
@@ -901,12 +772,12 @@ mod tests {
             "spec skyline",
         ] {
             assert!(
-                Publisher::from_spec_lines([bad]).is_err(),
+                from_spec_lines(&[bad]).is_err(),
                 "`{bad}` should be rejected"
             );
         }
         assert!(
-            Publisher::from_spec_lines(std::iter::empty::<&str>()).is_err(),
+            from_spec_lines::<&str>(&[]).is_err(),
             "empty spec list should be rejected"
         );
     }
@@ -927,16 +798,16 @@ mod tests {
             "spec bt-vector NaN 0.3 0.3",
             "spec skyline 0.3 0.2 0.4 -0.5",
         ] {
-            let err = Publisher::from_spec_lines([bad]).expect_err(bad);
+            let err = from_spec_lines(&[bad]).expect_err(bad);
             assert!(err.contains("out of range"), "`{bad}`: {err}");
         }
         // The edges of each range still parse.
         let edges = ["spec k 1", "spec t-closeness 0", "spec t-closeness 1"];
-        let publisher = Publisher::from_spec_lines(edges).unwrap();
+        let publisher = from_spec_lines(&edges).unwrap();
         publisher.instantiate(&adult::generate(40, 3)).unwrap();
     }
 
-    /// Valid spec lines of every spec kind and algorithm selector: the
+    /// Valid spec blocks of every spec kind and algorithm selector: the
     /// seeds the fuzz property mutates.
     fn spec_seeds() -> Vec<String> {
         [
@@ -954,27 +825,28 @@ mod tests {
                 .algorithm(Algorithm::Bucketize),
         ]
         .iter()
-        .map(|p| p.spec_lines().join("\n"))
+        .map(crate::format::spec_text)
         .collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// Byte edits of valid spec lines give an error, or a publisher whose
-        /// lines round-trip and which instantiates against a table or
-        /// refuses with a `PublishError` — never a panic.
+        /// Byte edits of valid spec blocks give an error, or a publisher
+        /// whose block round-trips and which instantiates against a table
+        /// or refuses with a `PublishError` — never a panic.
         #[test]
         fn mutated_spec_lines_never_panic(
             pick in 0usize..64,
             edits in proptest::collection::vec((0usize..1 << 16, 0u8..=255, 0u8..3), 1..6),
         ) {
+            use crate::format::{read_specs, spec_text, Cursor};
             let seeds = spec_seeds();
             let text = crate::fuzz::mutate(&seeds[pick % seeds.len()], &edits);
-            if let Ok(publisher) = Publisher::from_spec_lines(text.lines()) {
-                let lines = publisher.spec_lines();
-                let again = Publisher::from_spec_lines(lines.iter().map(String::as_str));
-                proptest::prop_assert_eq!(again.map(|p| p.spec_lines()), Ok(lines));
+            if let Ok(publisher) = read_specs(&mut Cursor::new(&text)) {
+                let written = spec_text(&publisher);
+                let again = read_specs(&mut Cursor::new(&written));
+                proptest::prop_assert_eq!(again.map(|p| spec_text(&p)), Ok(written));
                 let table = adult::generate(40, 3);
                 if let Ok(requirement) = publisher.instantiate(&table) {
                     let _ = publisher.strategy(&requirement);
@@ -1022,20 +894,19 @@ mod tests {
         let original = Publisher::new()
             .distinct_l_diversity(3)
             .algorithm(Algorithm::Bucketize);
-        let lines = original.spec_lines();
+        let lines = spec_lines(&original);
         assert_eq!(lines[0], "algorithm bucketize");
-        let rebuilt =
-            Publisher::from_spec_lines(lines.iter().map(String::as_str)).expect("roundtrip");
-        assert_eq!(rebuilt.spec_lines(), lines);
+        let rebuilt = from_spec_lines(&lines).expect("roundtrip");
+        assert_eq!(spec_lines(&rebuilt), lines);
         // Mondrian publishers serialize without the selector line (the
         // legacy byte shape), and legacy lines parse back as Mondrian.
-        let legacy = Publisher::new().k_anonymity(3).spec_lines();
+        let legacy = spec_lines(&Publisher::new().k_anonymity(3));
         assert!(legacy.iter().all(|l| l.starts_with("spec ")));
-        let parsed = Publisher::from_spec_lines(legacy.iter().map(String::as_str)).unwrap();
-        assert_eq!(parsed.spec_lines(), legacy);
+        let parsed = from_spec_lines(&legacy).unwrap();
+        assert_eq!(spec_lines(&parsed), legacy);
         for bad in ["algorithm warp", "algorithm", "algorithm mondrian extra"] {
             assert!(
-                Publisher::from_spec_lines([bad, "spec k 3"]).is_err(),
+                from_spec_lines(&[bad, "spec k 3"]).is_err(),
                 "`{bad}` should be rejected"
             );
         }

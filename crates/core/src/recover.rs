@@ -1,5 +1,7 @@
 //! Checkpoint and genesis persistence plus crash recovery for the durable
-//! [`SessionHub`](crate::SessionHub).
+//! [`SessionHub`](crate::SessionHub): the file procedure — recovering a
+//! tenant directory, atomic writes, directory names and the WAL file
+//! lifecycle. The text formats themselves live in `crate::format`.
 //!
 //! A durable tenant's directory holds three files:
 //!
@@ -31,37 +33,25 @@
 //! checkpoint is rewritten in place via rename, so unlike the WAL there is
 //! no "torn tail" to salvage — the file is either whole or wrong).
 //!
-//! Recovery per tenant: parse genesis → parse checkpoint (if any) → scan
-//! the WAL, truncating a torn tail → resume the session from the
-//! checkpoint (or open it fresh on the genesis table) → replay every WAL
+//! Recovery per tenant: parse genesis → if a checkpoint exists, rebuild the
+//! genesis requirement and strategy and parse the checkpoint, importing its
+//! state → scan the WAL, truncating a torn tail → resume the session from
+//! the checkpoint (or open it fresh on the genesis table) → replay every WAL
 //! record above the checkpoint version. Any inconsistency — checksum
 //! mismatch, sequence gap, a delta the requirement rejects — reports the
 //! tenant unrecoverable rather than serving reconstructed-but-wrong data.
 
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use bgkanon_anon::AnonymizationStrategy;
-use bgkanon_data::hierarchy::HierarchyBuilder;
-use bgkanon_data::{
-    Attribute, AttributeKind, DistanceMatrix, Hierarchy, Parallelism, Schema, Table, TableBuilder,
-};
+use bgkanon_data::{Parallelism, Table};
 
+use crate::format;
 use crate::publisher::Publisher;
 use crate::session::PublishSession;
-use crate::strategy;
-use crate::tokens::{expect_tag, push_spaced, scan_ints};
-use crate::wal::{self, fnv1a64, DurabilityOptions, SyncPolicy, WalError};
-
-/// Genesis-file magic line (v2: columnar table block, one line per
-/// attribute code vector).
-const GENESIS_MAGIC: &str = "bgkanon-genesis v2";
-/// Checkpoint-file magic line (v3: columnar table block, strategy-tagged
-/// state block).
-const CHECKPOINT_MAGIC: &str = "bgkanon-checkpoint v3";
+use crate::wal::{self, DurabilityOptions, SyncPolicy, WalError};
 
 /// What [`SessionHub::open`](crate::SessionHub::open) found on disk: one
 /// entry per tenant directory, recovered or not.
@@ -118,130 +108,6 @@ pub(crate) struct RecoveredTenant {
     pub(crate) truncated_tail: bool,
 }
 
-// ---------------------------------------------------------------------------
-// Small codecs shared by both file formats.
-// ---------------------------------------------------------------------------
-
-/// Hex-encode a string's UTF-8 bytes — names and labels are stored this way
-/// so the line-oriented format never has to quote whitespace.
-fn hex_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() * 2);
-    for b in s.as_bytes() {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
-/// Decode [`hex_str`] output.
-fn unhex_str(tok: &str) -> Result<String, String> {
-    if !tok.len().is_multiple_of(2) {
-        return Err("odd-length hex string".into());
-    }
-    let mut bytes = Vec::with_capacity(tok.len() / 2);
-    // Pairs are taken as bytes: a pair splitting a non-ASCII character is
-    // not UTF-8 on its own, so it is a bad digit, not a slicing panic.
-    for pair in tok.as_bytes().chunks_exact(2) {
-        let b = std::str::from_utf8(pair)
-            .ok()
-            .and_then(|p| u8::from_str_radix(p, 16).ok())
-            .ok_or_else(|| "bad hex digit".to_owned())?;
-        bytes.push(b);
-    }
-    String::from_utf8(bytes).map_err(|_| "hex string is not UTF-8".into())
-}
-
-fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
-    tok.ok_or_else(|| format!("missing {what}"))?
-        .parse::<T>()
-        .map_err(|_| format!("unparseable {what}"))
-}
-
-/// Line cursor with positions for error messages.
-struct Cursor<'a> {
-    lines: std::str::Lines<'a>,
-    line_no: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Cursor {
-            lines: text.lines(),
-            line_no: 0,
-        }
-    }
-
-    fn next(&mut self, what: &str) -> Result<&'a str, String> {
-        self.line_no += 1;
-        self.lines
-            .next()
-            .ok_or_else(|| format!("unexpected end of file, expected {what}"))
-    }
-
-    /// Next line, already split on whitespace, with its first token checked.
-    fn record(&mut self, tag: &str) -> Result<Vec<&'a str>, String> {
-        let line = self.next(&format!("a `{tag}` line"))?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.first() != Some(&tag) {
-            return Err(format!(
-                "line {}: expected `{tag}`, got `{line}`",
-                self.line_no
-            ));
-        }
-        Ok(toks)
-    }
-
-    /// Next `tag` line of exactly `n` codes. `describe` names the line in
-    /// the count error; `what` names a code in the parse error.
-    fn codes(
-        &mut self,
-        tag: &str,
-        n: usize,
-        describe: &str,
-        what: &str,
-    ) -> Result<Vec<u32>, String> {
-        let line = self.next(&format!("a `{tag}` line"))?;
-        let rest = expect_tag(line, tag, format_args!("line {}", self.line_no))?;
-        let mut codes = Vec::with_capacity(n.min(rest.len()));
-        let (count, parsed) = scan_ints(rest, &mut codes);
-        if count != n {
-            return Err(format!(
-                "line {}: {describe} has {count} codes, expected {n}",
-                self.line_no
-            ));
-        }
-        if !parsed {
-            return Err(format!("unparseable {what}"));
-        }
-        Ok(codes)
-    }
-}
-
-/// Verify and strip the trailing `checksum <hex>` line, returning the body.
-fn check_trailer<'a>(text: &'a str, what: &str) -> Result<&'a str, String> {
-    let idx = text
-        .rfind("\nchecksum ")
-        .map(|i| i + 1)
-        .or_else(|| text.starts_with("checksum ").then_some(0))
-        .ok_or_else(|| format!("{what}: missing checksum trailer"))?;
-    let body = &text[..idx];
-    let stored = text[idx..]
-        .trim_end()
-        .strip_prefix("checksum ")
-        .ok_or_else(|| format!("{what}: malformed checksum trailer"))?;
-    let stored =
-        u64::from_str_radix(stored, 16).map_err(|_| format!("{what}: unparseable checksum"))?;
-    if fnv1a64(body.as_bytes()) != stored {
-        return Err(format!("{what}: checksum mismatch"));
-    }
-    Ok(body)
-}
-
-/// Append the `checksum` trailer over everything written so far.
-fn push_trailer(out: &mut String) {
-    let sum = fnv1a64(out.as_bytes());
-    let _ = writeln!(out, "checksum {sum:016x}");
-}
-
 /// Write `content` to `dir/name` atomically: tmp file, fsync, rename over
 /// the target, fsync the directory.
 fn write_atomic(dir: &Path, name: &str, content: &str) -> std::io::Result<()> {
@@ -270,359 +136,35 @@ pub(crate) fn dir_name_for(tenant: &str) -> String {
     if safe {
         tenant.to_owned()
     } else {
-        format!("x-{}", hex_str(tenant))
+        format!("x-{}", format::hex_str(tenant))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Table and schema blocks.
-// ---------------------------------------------------------------------------
-
-/// The columnar table block: `rows n`, then one `col` line per QI
-/// attribute carrying that attribute's whole code vector, then one `sens`
-/// line. Serialization order matches the in-memory columnar layout, so a
-/// checkpoint of a 10M-row table streams each code vector sequentially
-/// instead of striding across rows.
-fn push_table_block(out: &mut String, table: &Table) {
-    let n = table.len();
-    let _ = writeln!(out, "rows {n}");
-    for a in 0..table.qi_count() {
-        out.push_str("col");
-        for &q in table.qi_col(a).as_slice() {
-            push_spaced(out, u64::from(q));
-        }
-        out.push('\n');
-    }
-    out.push_str("sens");
-    for &s in table.sensitive_col() {
-        push_spaced(out, u64::from(s));
-    }
-    out.push('\n');
-}
-
-/// Parse a columnar table block, validating every code against the schema
-/// through the [`TableBuilder`].
-fn parse_table_block(cur: &mut Cursor<'_>, schema: &Arc<Schema>) -> Result<Table, String> {
-    let head = cur.record("rows")?;
-    let n: usize = parse_num(head.get(1).copied(), "row count")?;
-    let d = schema.qi_count();
-    let mut builder = TableBuilder::new(Arc::clone(schema));
-    let mut cols: Vec<Vec<u32>> = Vec::with_capacity(d);
-    for a in 0..d {
-        cols.push(cur.codes("col", n, &format!("column {a}"), "qi code")?);
-    }
-    let sens = cur.codes("sens", n, "sensitive column", "sensitive code")?;
-    builder
-        .push_chunk(&cols, &sens)
-        .map_err(|e| format!("line {}: invalid table: {e}", cur.line_no))?;
-    builder.build().map_err(|e| format!("invalid table: {e}"))
-}
-
-/// Check a file's magic first line against the one format its kind has.
-fn expect_magic(cur: &mut Cursor<'_>, kind: &str, magic: &str) -> Result<(), String> {
-    match cur.next(&format!("the {kind} magic"))? {
-        line if line == magic => Ok(()),
-        line => Err(format!(
-            "{kind}: unsupported format `{line}` (only `{magic}` is read)"
-        )),
-    }
-}
-
-fn push_hierarchy_block(out: &mut String, h: &Hierarchy) {
-    let _ = writeln!(
-        out,
-        "hierarchy {} {}",
-        h.node_count(),
-        hex_str(h.label(h.root()))
-    );
-    // Every node but the root (node 0) has a parent: ids `1..n` in order.
-    for (node, parent) in (0..h.node_count()).filter_map(|node| Some((node, h.parent(node)?))) {
-        let kind = if h.leaf_code(node).is_some() {
-            "leaf"
-        } else {
-            "internal"
-        };
-        let _ = writeln!(out, "hnode {parent} {kind} {}", hex_str(h.label(node)));
-    }
-}
-
-/// Rebuild a hierarchy from its block. `HierarchyBuilder` assigns node ids
-/// in push order and leaf codes in `leaf()` call order — both monotone — so
-/// replaying nodes `1..n` in id order reproduces every id and leaf code
-/// exactly as the original construction did.
-fn parse_hierarchy_block(cur: &mut Cursor<'_>) -> Result<Hierarchy, String> {
-    let head = cur.record("hierarchy")?;
-    let node_count: usize = parse_num(head.get(1).copied(), "hierarchy node count")?;
-    if node_count == 0 {
-        return Err("hierarchy with zero nodes".into());
-    }
-    let root_label = unhex_str(head.get(2).copied().ok_or("missing root label")?)?;
-    let mut builder = HierarchyBuilder::new(&root_label);
-    for expect_id in 1..node_count {
-        let toks = cur.record("hnode")?;
-        if toks.len() != 4 {
-            return Err(format!("line {}: hnode has wrong arity", cur.line_no));
-        }
-        let parent: usize = parse_num(Some(toks[1]), "hnode parent")?;
-        if parent >= expect_id {
-            return Err(format!(
-                "line {}: hnode parent {parent} not yet defined",
-                cur.line_no
-            ));
-        }
-        let label = unhex_str(toks[3])?;
-        match toks[2] {
-            "leaf" => {
-                builder.leaf(parent, &label);
-            }
-            "internal" => {
-                let id = builder.internal(parent, &label);
-                if id != expect_id {
-                    return Err(format!(
-                        "line {}: hierarchy ids diverged during rebuild",
-                        cur.line_no
-                    ));
-                }
-            }
-            other => {
-                return Err(format!(
-                    "line {}: unknown hnode kind `{other}`",
-                    cur.line_no
-                ))
-            }
-        }
-    }
-    builder
-        .build()
-        .map_err(|e| format!("invalid hierarchy: {e}"))
-}
-
-fn push_attr_block(out: &mut String, attr: &Attribute) {
-    match attr.kind() {
-        AttributeKind::Numeric { values } => {
-            let _ = write!(out, "attr numeric {}", hex_str(attr.name()));
-            for v in values {
-                let _ = write!(out, " {v:.17e}");
-            }
-            out.push('\n');
-        }
-        AttributeKind::Categorical { labels, hierarchy } => {
-            let _ = write!(
-                out,
-                "attr categorical {} {}",
-                hex_str(attr.name()),
-                labels.len()
-            );
-            for label in labels {
-                let _ = write!(out, " {}", hex_str(label));
-            }
-            out.push('\n');
-            push_hierarchy_block(out, hierarchy);
-        }
-    }
-}
-
-fn parse_attr_block(cur: &mut Cursor<'_>) -> Result<Attribute, String> {
-    let toks = cur.record("attr")?;
-    let name = unhex_str(toks.get(2).copied().ok_or("missing attribute name")?)?;
-    match toks.get(1).copied() {
-        Some("numeric") => {
-            let values = toks[3..]
-                .iter()
-                .map(|tok| parse_num(Some(tok), "numeric value"))
-                .collect::<Result<Vec<f64>, String>>()?;
-            Attribute::numeric(&name, values).map_err(|e| format!("invalid attribute: {e}"))
-        }
-        Some("categorical") => {
-            let n_labels: usize = parse_num(toks.get(3).copied(), "label count")?;
-            if toks.len() != 4 + n_labels {
-                return Err(format!("line {}: label count mismatch", cur.line_no));
-            }
-            let labels = toks[4..]
-                .iter()
-                .map(|tok| unhex_str(tok))
-                .collect::<Result<Vec<String>, String>>()?;
-            let hierarchy = parse_hierarchy_block(cur)?;
-            Attribute::categorical(&name, labels, hierarchy)
-                .map_err(|e| format!("invalid attribute: {e}"))
-        }
-        other => Err(format!("unknown attribute kind {other:?}")),
-    }
-}
-
-fn push_schema_block(out: &mut String, schema: &Schema) {
-    let _ = writeln!(out, "schema {}", schema.qi_count());
-    for i in 0..schema.qi_count() {
-        push_attr_block(out, schema.qi_attribute(i));
-    }
-    push_attr_block(out, schema.sensitive_attribute());
-    let sdist = schema.sensitive_distance();
-    let _ = writeln!(out, "sdist {}", sdist.size());
-    for a in 0..sdist.size() as u32 {
-        out.push_str("sdrow");
-        for v in sdist.row(a) {
-            let _ = write!(out, " {v:.17e}");
-        }
-        out.push('\n');
-    }
-}
-
-fn parse_schema_block(cur: &mut Cursor<'_>) -> Result<Arc<Schema>, String> {
-    let head = cur.record("schema")?;
-    let d: usize = parse_num(head.get(1).copied(), "qi count")?;
-    let mut qi = Vec::new();
-    for _ in 0..d {
-        qi.push(parse_attr_block(cur)?);
-    }
-    let sensitive = parse_attr_block(cur)?;
-    let sdist_head = cur.record("sdist")?;
-    let size: usize = parse_num(sdist_head.get(1).copied(), "distance size")?;
-    let mut rows = Vec::new();
-    for _ in 0..size {
-        let toks = cur.record("sdrow")?;
-        if toks.len() != size + 1 {
-            return Err(format!("line {}: sdrow has wrong arity", cur.line_no));
-        }
-        rows.push(
-            toks[1..]
-                .iter()
-                .map(|tok| parse_num(Some(tok), "distance value"))
-                .collect::<Result<Vec<f64>, String>>()?,
-        );
-    }
-    let sdist = DistanceMatrix::from_rows(rows).map_err(|e| format!("invalid sdist: {e}"))?;
-    // `with_sensitive_distance` installs the persisted matrix verbatim —
-    // bit-identical to the original even if the derivation would differ.
-    Schema::with_sensitive_distance(qi, sensitive, sdist)
-        .map(Arc::new)
-        .map_err(|e| format!("invalid schema: {e}"))
-}
-
-// ---------------------------------------------------------------------------
-// Genesis file.
-// ---------------------------------------------------------------------------
-
-/// Serialize and atomically write a tenant's genesis file.
+/// Atomically write a tenant's genesis file.
 pub(crate) fn write_genesis(
     dir: &Path,
     tenant: &str,
     publisher: &Publisher,
     table: &Table,
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{GENESIS_MAGIC}");
-    let _ = writeln!(out, "tenant {}", hex_str(tenant));
-    let specs = publisher.spec_lines();
-    let _ = writeln!(out, "specs {}", specs.len());
-    for line in &specs {
-        let _ = writeln!(out, "{line}");
-    }
-    push_schema_block(&mut out, table.schema());
-    push_table_block(&mut out, table);
-    push_trailer(&mut out);
-    write_atomic(dir, "genesis.tbl", &out)
+    write_atomic(
+        dir,
+        "genesis.tbl",
+        &format::genesis_text(tenant, publisher, table),
+    )
 }
 
-#[derive(Debug)]
-struct Genesis {
-    tenant: String,
-    publisher: Publisher,
-    table: Table,
-}
-
-fn parse_genesis(text: &str) -> Result<Genesis, String> {
-    let body = check_trailer(text, "genesis")?;
-    let mut cur = Cursor::new(body);
-    expect_magic(&mut cur, "genesis", GENESIS_MAGIC)?;
-    let toks = cur.record("tenant")?;
-    let tenant = unhex_str(toks.get(1).copied().ok_or("missing tenant name")?)?;
-    let toks = cur.record("specs")?;
-    let n_specs: usize = parse_num(toks.get(1).copied(), "spec count")?;
-    let mut spec_lines = Vec::new();
-    for _ in 0..n_specs {
-        spec_lines.push(cur.next("a spec line")?);
-    }
-    let publisher = Publisher::from_spec_lines(spec_lines).map_err(|e| format!("genesis: {e}"))?;
-    let schema = parse_schema_block(&mut cur)?;
-    let table = parse_table_block(&mut cur, &schema)?;
-    Ok(Genesis {
-        tenant,
-        publisher,
-        table,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint file.
-// ---------------------------------------------------------------------------
-
-/// Serialize and atomically write a tenant checkpoint at `version`: the
-/// current table and the session strategy's tag and exported state block.
-/// No adversary model is persisted (`priors 0`): audits re-derive them.
+/// Atomically write a tenant checkpoint at `version`.
 pub(crate) fn write_checkpoint(
     dir: &Path,
     version: u64,
     session: &PublishSession,
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{CHECKPOINT_MAGIC}");
-    let _ = writeln!(out, "version {version}");
-    let _ = writeln!(out, "strategy {}", session.strategy().name());
-    push_table_block(&mut out, session.table());
-    let state_lines = strategy::export_state(session.strategy_state());
-    let _ = writeln!(out, "state {}", state_lines.len());
-    for line in &state_lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    let _ = writeln!(out, "priors 0");
-    push_trailer(&mut out);
-    write_atomic(dir, "checkpoint.tbl", &out)
-}
-
-struct Checkpoint {
-    version: u64,
-    /// The strategy tag.
-    strategy: String,
-    table: Table,
-    /// The strategy's state block, verbatim — decoded and validated by
-    /// [`strategy::import_state`] against the session's strategy, not
-    /// here.
-    state_lines: Vec<String>,
-}
-
-fn parse_checkpoint(text: &str, schema: &Arc<Schema>) -> Result<Checkpoint, String> {
-    let body = check_trailer(text, "checkpoint")?;
-    let mut cur = Cursor::new(body);
-    expect_magic(&mut cur, "checkpoint", CHECKPOINT_MAGIC)?;
-    let toks = cur.record("version")?;
-    let version: u64 = parse_num(toks.get(1).copied(), "checkpoint version")?;
-    let toks = cur.record("strategy")?;
-    let strategy = match toks.as_slice() {
-        [_, name] => (*name).to_owned(),
-        _ => return Err("checkpoint: malformed strategy line".into()),
-    };
-    let table = parse_table_block(&mut cur, schema)?;
-    let head = cur.record("state")?;
-    let n: usize = parse_num(head.get(1).copied(), "state line count")?;
-    let mut state_lines = Vec::new();
-    for _ in 0..n {
-        state_lines.push(cur.next("a state line")?.to_owned());
-    }
-    let head = cur.record("priors")?;
-    let n_priors: usize = parse_num(head.get(1).copied(), "prior count")?;
-    if n_priors != 0 {
-        return Err(format!(
-            "checkpoint: unsupported format: `{CHECKPOINT_MAGIC}` with {n_priors} stored \
-             prior-model block(s) (only `priors 0` is read)"
-        ));
-    }
-    Ok(Checkpoint {
-        version,
-        strategy,
-        table,
-        state_lines,
-    })
+    write_atomic(
+        dir,
+        "checkpoint.tbl",
+        &format::checkpoint_text(version, session),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -637,14 +179,27 @@ pub(crate) fn recover_tenant_dir(
 ) -> Result<RecoveredTenant, String> {
     let genesis_text = std::fs::read_to_string(dir.join("genesis.tbl"))
         .map_err(|e| format!("unreadable genesis.tbl: {e}"))?;
-    let genesis = parse_genesis(&genesis_text)?;
+    let genesis = format::parse_genesis(&genesis_text)?;
     let schema = Arc::clone(genesis.table.schema());
 
+    // The requirement is instantiated from the GENESIS table, for a
+    // checkpoint as for a fresh open: several privacy models capture
+    // table-derived reference state at instantiation time, and the live
+    // session instantiated them exactly once, at registration.
     let checkpoint_path = dir.join("checkpoint.tbl");
     let checkpoint = if checkpoint_path.exists() {
         let text = std::fs::read_to_string(&checkpoint_path)
             .map_err(|e| format!("unreadable checkpoint.tbl: {e}"))?;
-        Some(parse_checkpoint(&text, &schema)?)
+        let requirement = genesis
+            .publisher
+            .instantiate(&genesis.table)
+            .map_err(|e| format!("could not re-instantiate the requirement: {e}"))?;
+        let strategy = genesis
+            .publisher
+            .strategy(&requirement)
+            .map_err(|e| format!("could not rebuild the strategy: {e}"))?;
+        let ck = format::parse_checkpoint(&text, &schema, &strategy)?;
+        Some((ck, requirement, strategy))
     } else {
         None
     };
@@ -662,7 +217,7 @@ pub(crate) fn recover_tenant_dir(
             .map_err(|e| format!("could not truncate torn wal.log tail: {e}"))?;
     }
     match &checkpoint {
-        Some(ck) if scan.base > ck.version => {
+        Some((ck, ..)) if scan.base > ck.version => {
             return Err(format!(
                 "wal.log starts at version {} but the checkpoint is older (version {})",
                 scan.base, ck.version
@@ -677,35 +232,14 @@ pub(crate) fn recover_tenant_dir(
         _ => {}
     }
 
-    // The requirement is instantiated from the GENESIS table in both
-    // branches: several privacy models capture table-derived reference
-    // state at instantiation time, and the live session instantiated them
-    // exactly once, at registration.
     let (mut session, mut version, from_checkpoint) = match checkpoint {
-        Some(ck) => {
-            let requirement = genesis
-                .publisher
-                .instantiate(&genesis.table)
-                .map_err(|e| format!("could not re-instantiate the requirement: {e}"))?;
-            let strategy = genesis
-                .publisher
-                .strategy(&requirement)
-                .map_err(|e| format!("could not rebuild the strategy: {e}"))?;
-            if ck.strategy != strategy.name() {
-                return Err(format!(
-                    "checkpoint is tagged strategy `{}` but the genesis publisher selects `{}`",
-                    ck.strategy,
-                    strategy.name()
-                ));
-            }
-            let state = strategy::import_state(&strategy, &ck.table, &ck.state_lines)
-                .map_err(|e| format!("checkpoint: {e}"))?;
+        Some((ck, requirement, strategy)) => {
             let session = PublishSession::resume(
                 ck.table,
                 requirement,
                 Parallelism::Auto,
                 strategy,
-                state,
+                ck.state,
                 ck.version as usize,
             );
             (session, ck.version, Some(ck.version))
@@ -794,8 +328,14 @@ pub(crate) fn reopen_wal(dir: &Path, sync: SyncPolicy) -> std::io::Result<wal::W
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{
+        check_trailer, parse_checkpoint, parse_genesis, push_trailer, unhex_str, Checkpoint,
+        Cursor, CHECKPOINT_MAGIC,
+    };
+    use crate::wal::fnv1a64;
     use bgkanon_anon::AnyStrategy;
-    use bgkanon_data::{adult, toy, DeltaBuilder};
+    use bgkanon_data::{adult, toy, DeltaBuilder, Schema};
+    use bgkanon_privacy::PrivacyRequirement;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -811,7 +351,7 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         for s in ["", "plain", "with space", "uni 🔒 code", "x-already"] {
-            assert_eq!(unhex_str(&hex_str(s)).unwrap(), s);
+            assert_eq!(unhex_str(&format::hex_str(s)).unwrap(), s);
         }
         assert!(unhex_str("abc").is_err());
         assert!(unhex_str("zz").is_err());
@@ -838,7 +378,10 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("genesis.tbl")).unwrap();
         let genesis = parse_genesis(&text).unwrap();
         assert_eq!(genesis.tenant, "tenant one");
-        assert_eq!(genesis.publisher.spec_lines(), publisher.spec_lines());
+        assert_eq!(
+            format::spec_text(&genesis.publisher),
+            format::spec_text(&publisher)
+        );
         assert_eq!(genesis.table.len(), table.len());
         for r in 0..table.len() {
             assert_eq!(genesis.table.qi(r), table.qi(r));
@@ -913,16 +456,21 @@ mod tests {
         write_checkpoint(&dir, 1, &session).unwrap();
 
         let text = std::fs::read_to_string(dir.join("checkpoint.tbl")).unwrap();
-        let ck = parse_checkpoint(&text, table.schema()).unwrap();
-        assert_eq!(ck.version, 1);
-        assert_eq!(ck.strategy, "mondrian");
-        // An audited session still persists no adversary model.
-        assert!(text.contains("\npriors 0\n"));
         let requirement = publisher.instantiate(&table).unwrap();
         let strategy = publisher.strategy(&requirement).unwrap();
-        let state = strategy::import_state(&strategy, &ck.table, &ck.state_lines).unwrap();
-        let mut resumed =
-            PublishSession::resume(ck.table, requirement, Parallelism::Auto, strategy, state, 1);
+        let ck = parse_checkpoint(&text, table.schema(), &strategy).unwrap();
+        assert_eq!(ck.version, 1);
+        assert!(text.contains("\nstrategy mondrian\n"));
+        // An audited session still persists no adversary model.
+        assert!(text.contains("\npriors 0\n"));
+        let mut resumed = PublishSession::resume(
+            ck.table,
+            requirement,
+            Parallelism::Auto,
+            strategy,
+            ck.state,
+            1,
+        );
         // Publication bit-identical…
         assert_eq!(
             session.anonymized().first_difference(resumed.anonymized()),
@@ -994,7 +542,7 @@ mod tests {
             let tenant_dir = dir.join(dir_name_for("t"));
             let genesis = std::fs::read(tenant_dir.join("genesis.tbl")).unwrap();
             let checkpoint = std::fs::read(tenant_dir.join("checkpoint.tbl")).unwrap();
-            let name = publisher.spec_lines().join("; ");
+            let name = format::spec_text(&publisher);
             assert!(checkpoint.starts_with(format!("{CHECKPOINT_MAGIC}\nversion 2\n").as_bytes()));
             assert_eq!(fnv1a64(&genesis), genesis_digest, "{name} genesis bytes");
             assert_eq!(
@@ -1031,7 +579,7 @@ mod tests {
     /// `priors` count, so the table blocks keep their current layout.
     fn retired_shapes(genesis: &str, checkpoint: &str) -> Vec<Retired> {
         let reshape = |text: &str, magic: &str, untag: bool| -> String {
-            let body = check_trailer(text, "file").unwrap();
+            let body = check_trailer(text).unwrap();
             let (_, rest) = body.split_once('\n').unwrap();
             let mut out = format!("{magic}\n");
             for line in rest.lines() {
@@ -1042,7 +590,7 @@ mod tests {
             }
             rewrap(&out)
         };
-        let body = check_trailer(checkpoint, "checkpoint").unwrap();
+        let body = check_trailer(checkpoint).unwrap();
         let with_prior = format!(
             "{}priors 1\nprior-model 3e-1 1\nbgkanon-prior-model v2\n",
             body.strip_suffix("priors 0\n").unwrap()
@@ -1144,39 +692,124 @@ mod tests {
         assert_retired_shape_is_unrecoverable(3);
     }
 
+    /// `body` with the tree records of its state block replaced by what
+    /// `edit` makes of them (each node's tokens after `tnode`), the block
+    /// heads recounted and the checksum recomputed.
+    fn with_tree_nodes(body: &str, edit: impl FnOnce(&mut Vec<Vec<String>>)) -> String {
+        let lines: Vec<&str> = body.lines().collect();
+        let state = lines.iter().position(|l| l.starts_with("state ")).unwrap();
+        let priors = lines.iter().position(|l| l.starts_with("priors ")).unwrap();
+        let mut nodes: Vec<Vec<String>> = lines[state + 2..priors]
+            .iter()
+            .map(|l| l.split_whitespace().skip(1).map(str::to_owned).collect())
+            .collect();
+        edit(&mut nodes);
+        let mut out: String = lines[..state].iter().map(|l| format!("{l}\n")).collect();
+        out += &format!("state {}\ntree {}\n", nodes.len() + 1, nodes.len());
+        for node in &nodes {
+            out += &format!("tnode {}\n", node.join(" "));
+        }
+        out += &(lines[priors..].join("\n") + "\n");
+        rewrap(&out)
+    }
+
+    /// A checkpoint with the `size` of its second internal node set to 1.
+    /// Every record is referenced once and the leaves partition the table;
+    /// only the walk that sums the leaves below each node sees the lie,
+    /// which the first delta routed through the node would trip over.
+    fn with_a_lying_size(body: &str) -> String {
+        with_tree_nodes(body, |nodes| {
+            let node = nodes
+                .iter_mut()
+                .filter(|n| n[0] == "internal")
+                .nth(1)
+                .unwrap();
+            assert_ne!(node[3], "1");
+            node[3] = "1".into();
+        })
+    }
+
+    /// A checkpoint whose tree has a cycle off the root: a node `p` skips
+    /// its internal child `c` and links `c`'s left leaf directly; `c` and
+    /// a new internal twin link each other, and `c`'s right leaf gives
+    /// half of its rows to a new leaf under the twin. Every record is
+    /// still referenced exactly once, the leaves still partition the
+    /// table and the root size is unchanged, but the rows below the cycle
+    /// are not reached from the root.
+    fn with_a_cycle(body: &str) -> String {
+        with_tree_nodes(body, |nodes| {
+            let slot = |tok: &String| tok.parse::<usize>().unwrap();
+            let leaf = |nodes: &[Vec<String>], s: usize| nodes[s][0] == "leaf";
+            let (p, c) = (0..nodes.len())
+                .filter(|&p| nodes[p][0] == "internal")
+                .map(|p| (p, slot(&nodes[p][2])))
+                .find(|&(_, c)| {
+                    nodes[c][0] == "internal"
+                        && leaf(nodes, slot(&nodes[c][1]))
+                        && leaf(nodes, slot(&nodes[c][2]))
+                })
+                .unwrap();
+            let (left, right) = (slot(&nodes[c][1]), slot(&nodes[c][2]));
+            let (twin, split) = (nodes.len(), nodes.len() + 1);
+            nodes[p][2] = left.to_string();
+            nodes[c][1] = twin.to_string();
+            let mut twin_node = nodes[c].clone();
+            twin_node[1] = c.to_string();
+            twin_node[2] = split.to_string();
+            let moved = nodes[right].split_off(2);
+            assert!(!moved.is_empty(), "the right leaf has one row");
+            nodes.push(twin_node);
+            nodes.push(std::iter::once("leaf".to_owned()).chain(moved).collect());
+        })
+    }
+
     #[test]
     fn malformed_checkpoint_trees_are_rejected_not_panicking() {
         let dir = tmp_dir("badtree");
-        let table = adult::generate(60, 8);
+        let table = adult::generate(400, 8);
         let publisher = Publisher::new().k_anonymity(4);
         let session = publisher.open(&table).unwrap();
         write_checkpoint(&dir, 0, &session).unwrap();
         let good = std::fs::read_to_string(dir.join("checkpoint.tbl")).unwrap();
-        // Parsing captures the state block verbatim; the import step is
-        // what must reject it, without panicking.
-        let import = |text: &str| -> Result<(), String> {
-            let ck = parse_checkpoint(text, table.schema())?;
+        // Parsing imports the state block against the checkpointed table,
+        // which must reject it, without panicking.
+        let import = |text: &str| -> Result<Checkpoint, String> {
             let requirement = publisher.instantiate(&table).unwrap();
             let strategy = publisher.strategy(&requirement).unwrap();
-            strategy::import_state(&strategy, &ck.table, &ck.state_lines).map(drop)
+            parse_checkpoint(text, table.schema(), &strategy)
         };
+        let rejected = |text: &str| import(text).err().expect("a malformed tree imported");
         assert!(import(&good).is_ok());
-        let body = check_trailer(&good, "checkpoint").unwrap();
+        let body = check_trailer(&good).unwrap();
         // Duplicate a leaf row.
         let broken = rewrap(&body.replacen("tnode leaf ", "tnode leaf 0 0 ", 1));
-        match import(&broken) {
-            Err(reason) => assert!(reason.contains("partition"), "{reason}"),
-            Ok(_) => panic!("duplicated leaf row accepted"),
-        }
+        let reason = rejected(&broken);
+        assert!(reason.contains("partition"), "{reason}");
         // Point a child link out of range.
-        let broken = rewrap(&body.replacen("tnode internal ", "tnode internal 9999 ", 1));
-        assert!(import(&broken).is_err());
-        // A checkpoint tagged with a strategy the publisher does not select
-        // is rejected by recovery (exercised through the full tenant-dir
-        // path in the recovery integration tests).
+        let broken = with_tree_nodes(body, |nodes| {
+            let node = nodes.iter_mut().find(|n| n[0] == "internal").unwrap();
+            node[1] = "9999".into();
+        });
+        let reason = rejected(&broken);
+        assert!(reason.contains("out of range"), "{reason}");
+        // An internal node whose size is not the rows below it.
+        let reason = rejected(&with_a_lying_size(body));
+        assert!(reason.contains("claims 1 rows"), "{reason}");
+        // A root split that sends every row right, though its left subtree
+        // holds rows: a delete would be routed away from its leaf.
+        let broken = with_tree_nodes(body, |nodes| {
+            nodes[0][5] = "0".into();
+            nodes[0][6] = "0".into();
+        });
+        let reason = rejected(&broken);
+        assert!(reason.contains("wrong side of node 0's split"), "{reason}");
+        // A cycle off the root that loses the rows below it.
+        let reason = rejected(&with_a_cycle(body));
+        assert!(reason.contains("not reached from the root"), "{reason}");
+        // A checkpoint tagged with a strategy the publisher does not select.
         let broken = rewrap(&body.replacen("strategy mondrian", "strategy bucketize", 1));
-        let ck = parse_checkpoint(&broken, table.schema()).unwrap();
-        assert_eq!(ck.strategy, "bucketize");
+        let reason = rejected(&broken);
+        assert!(reason.contains("tagged strategy `bucketize`"), "{reason}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1208,10 +841,7 @@ mod tests {
         }
         let path = dir.join(dir_name_for("t")).join("checkpoint.tbl");
         let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<&str> = check_trailer(&text, "checkpoint")
-            .unwrap()
-            .lines()
-            .collect();
+        let mut lines: Vec<&str> = check_trailer(&text).unwrap().lines().collect();
         let first = lines.iter().position(|l| l.starts_with("bucket ")).unwrap();
         assert!(lines[first + 1].starts_with("bucket "));
         lines.swap(first, first + 1);
@@ -1250,7 +880,7 @@ mod tests {
         // spec line parses, and re-instantiating it must fail typed.
         let path = dir.join(dir_name_for("t")).join("genesis.tbl");
         let text = std::fs::read_to_string(&path).unwrap();
-        let body = check_trailer(&text, "genesis").unwrap();
+        let body = check_trailer(&text).unwrap();
         let body: String = body
             .lines()
             .map(|line| match line.strip_prefix("spec bt-uniform ") {
@@ -1273,13 +903,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A checkpoint the fuzz properties mutate, with the genesis
+    /// requirement of the publisher that wrote it.
+    struct CheckpointSeed {
+        text: String,
+        publisher: Publisher,
+        requirement: Arc<dyn PrivacyRequirement>,
+    }
+
+    impl CheckpointSeed {
+        fn strategy(&self) -> AnyStrategy {
+            self.publisher.strategy(&self.requirement).unwrap()
+        }
+    }
+
     /// Files the fuzz properties mutate: for each strategy a genesis and a
-    /// checkpoint (with the strategy that imports its state), plus the
-    /// retired shapes, which parse to an error.
+    /// checkpoint, plus the retired shapes, which parse to an error.
     struct FuzzSeeds {
         schema: Arc<Schema>,
         genesis: Vec<String>,
-        checkpoints: Vec<(String, AnyStrategy)>,
+        checkpoints: Vec<CheckpointSeed>,
         retired: Vec<String>,
     }
 
@@ -1299,34 +942,35 @@ mod tests {
             ];
             let mut genesis = Vec::new();
             let mut checkpoints = Vec::new();
-            for publisher in &publishers {
+            for publisher in publishers {
                 let dir = tmp_dir("fuzzseed");
-                write_genesis(&dir, "t", publisher, &table).unwrap();
+                write_genesis(&dir, "t", &publisher, &table).unwrap();
                 let session = publisher.open(&table).unwrap();
                 write_checkpoint(&dir, 3, &session).unwrap();
-                let strategy = || {
-                    let requirement = publisher.instantiate(&table).unwrap();
-                    publisher.strategy(&requirement).unwrap()
-                };
                 let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
                 genesis.push(read("genesis.tbl"));
-                checkpoints.push((read("checkpoint.tbl"), strategy()));
+                checkpoints.push(CheckpointSeed {
+                    text: read("checkpoint.tbl"),
+                    requirement: publisher.instantiate(&table).unwrap(),
+                    publisher,
+                });
                 std::fs::remove_dir_all(&dir).ok();
             }
             for text in &genesis {
                 parse_genesis(text).unwrap();
             }
-            for (text, strategy) in &checkpoints {
-                let ck = parse_checkpoint(text, table.schema()).unwrap();
-                strategy::import_state(strategy, &ck.table, &ck.state_lines).unwrap();
+            for seed in &checkpoints {
+                parse_checkpoint(&seed.text, table.schema(), &seed.strategy()).unwrap();
             }
-            let retired: Vec<String> = retired_shapes(&genesis[0], &checkpoints[0].0)
+            let retired: Vec<String> = retired_shapes(&genesis[0], &checkpoints[0].text)
                 .into_iter()
                 .map(|r| r.text)
                 .collect();
             for text in &retired {
                 assert!(parse_genesis(text).is_err());
-                assert!(parse_checkpoint(text, table.schema()).is_err());
+                assert!(
+                    parse_checkpoint(text, table.schema(), &checkpoints[0].strategy()).is_err()
+                );
             }
             FuzzSeeds {
                 schema: Arc::clone(table.schema()),
@@ -1337,11 +981,46 @@ mod tests {
         })
     }
 
-    /// Feed `text` to every parser a durable tenant's files go through.
-    fn parse_everything(text: &str, seeds: &FuzzSeeds, strategy: &AnyStrategy) {
+    /// What an imported checkpoint enables: a resumed session whose
+    /// publication partitions its table, and which takes one small delta
+    /// (every tenth row deleted, two rows inserted) — applied or refused,
+    /// never a panic.
+    fn resume_and_apply(ck: Checkpoint, seed: &CheckpointSeed) {
+        let mut session = PublishSession::resume(
+            ck.table,
+            Arc::clone(&seed.requirement),
+            Parallelism::Serial,
+            seed.strategy(),
+            ck.state,
+            ck.version as usize,
+        );
+        let table = session.table();
+        let n = table.len();
+        let mut seen = vec![false; n];
+        for group in session.anonymized().iter() {
+            for &row in group.rows {
+                assert!(!std::mem::replace(&mut seen[row], true), "row {row} twice");
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "a row is not published");
+        let mut b = DeltaBuilder::new(Arc::clone(table.schema()));
+        for row in (0..n).step_by(10) {
+            b.delete(row);
+        }
+        for row in [n / 2, n - 1] {
+            b.insert_codes(&table.qi(row), table.sensitive_value(row))
+                .unwrap();
+        }
+        let _ = session.apply(&b.build());
+    }
+
+    /// Feed `text` to every parser a durable tenant's files go through,
+    /// reading a checkpoint for `seed`'s strategy; resume and apply a
+    /// delta to whatever imports.
+    fn parse_everything(text: &str, seeds: &FuzzSeeds, seed: &CheckpointSeed) {
         let _ = parse_genesis(text);
-        if let Ok(ck) = parse_checkpoint(text, &seeds.schema) {
-            let _ = strategy::import_state(strategy, &ck.table, &ck.state_lines);
+        if let Ok(ck) = parse_checkpoint(text, &seeds.schema, &seed.strategy()) {
+            resume_and_apply(ck, seed);
         }
     }
 
@@ -1354,7 +1033,7 @@ mod tests {
         let table = adult::generate(60, 21);
         write_genesis(&dir, "t", &Publisher::new().k_anonymity(4), &table).unwrap();
         let text = std::fs::read_to_string(dir.join("genesis.tbl")).unwrap();
-        let body = check_trailer(&text, "genesis").unwrap();
+        let body = check_trailer(&text).unwrap();
         let err = parse_genesis(&rewrap(&body.replace("spec k 4", "spec k 0"))).unwrap_err();
         assert!(err.contains("k out of range"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -1365,7 +1044,9 @@ mod tests {
 
         /// Byte edits of genesis and checkpoint files (every strategy, and
         /// every retired shape), re-checksummed so the edits reach the
-        /// block parsers, give a value or an error — never a panic.
+        /// block parsers, give a value or an error — never a panic; and a
+        /// checkpoint that imports resumes to a partition of its table and
+        /// applies a small delta without a panic.
         #[test]
         fn mutated_durable_files_never_panic(
             pick in 0usize..64,
@@ -1373,35 +1054,41 @@ mod tests {
             rechecksum in 0u8..4,
         ) {
             let seeds = fuzz_seeds();
-            let files: Vec<(&str, &AnyStrategy)> = seeds
+            let files: Vec<(&str, &CheckpointSeed)> = seeds
                 .genesis
                 .iter()
                 .chain(&seeds.retired)
-                .map(|g| (g.as_str(), &seeds.checkpoints[0].1))
-                .chain(seeds.checkpoints.iter().map(|(c, s)| (c.as_str(), s)))
+                .map(|g| (g.as_str(), &seeds.checkpoints[0]))
+                .chain(seeds.checkpoints.iter().map(|c| (c.text.as_str(), c)))
                 .collect();
-            let (text, strategy) = files[pick % files.len()];
-            let body = check_trailer(text, "seed").unwrap();
+            let (text, seed) = files[pick % files.len()];
+            let body = check_trailer(text).unwrap();
             let mutated = crate::fuzz::mutate(body, &edits);
             let text = if rechecksum == 0 { mutated } else { rewrap(&mutated) };
-            parse_everything(&text, seeds, strategy);
+            parse_everything(&text, seeds, seed);
         }
 
-        /// Byte edits of a valid state block, fed straight to every
-        /// strategy's importer against the checkpointed table.
+        /// Byte edits of a valid state block (its head included), fed
+        /// straight to every strategy's reader against the checkpointed
+        /// table; a state that imports resumes and applies a delta.
         #[test]
         fn mutated_state_blocks_never_panic(
             pick in 0usize..64,
             edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..3), 1..6),
         ) {
             let seeds = fuzz_seeds();
-            let (text, _) = &seeds.checkpoints[pick % seeds.checkpoints.len()];
-            let ck = parse_checkpoint(text, &seeds.schema).unwrap();
-            let block = ck.state_lines.join("\n");
-            let lines: Vec<String> =
-                crate::fuzz::mutate(&block, &edits).lines().map(str::to_owned).collect();
-            for (_, strategy) in &seeds.checkpoints {
-                let _ = strategy::import_state(strategy, &ck.table, &lines);
+            let seed = &seeds.checkpoints[pick % seeds.checkpoints.len()];
+            let ck = parse_checkpoint(&seed.text, &seeds.schema, &seed.strategy()).unwrap();
+            let body = check_trailer(&seed.text).unwrap();
+            let start = body.find("\nstate ").unwrap() + 1;
+            let end = body.find("\npriors ").unwrap() + 1;
+            let block = crate::fuzz::mutate(&body[start..end], &edits);
+            for seed in &seeds.checkpoints {
+                let read = format::read_state(&mut Cursor::new(&block), &seed.strategy(), &ck.table);
+                if let Ok(state) = read {
+                    let table = ck.table.clone();
+                    resume_and_apply(Checkpoint { version: 3, table, state }, seed);
+                }
             }
         }
 
@@ -1411,11 +1098,10 @@ mod tests {
             let seeds = fuzz_seeds();
             let text = String::from_utf8_lossy(&noise).into_owned();
             for text in [text.clone(), rewrap(&text)] {
-                parse_everything(&text, seeds, &seeds.checkpoints[0].1);
-                let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-                for (text, strategy) in &seeds.checkpoints {
-                    let ck = parse_checkpoint(text, &seeds.schema).unwrap();
-                    let _ = strategy::import_state(strategy, &ck.table, &lines);
+                parse_everything(&text, seeds, &seeds.checkpoints[0]);
+                for seed in &seeds.checkpoints {
+                    let ck = parse_checkpoint(&seed.text, &seeds.schema, &seed.strategy()).unwrap();
+                    let _ = format::read_state(&mut Cursor::new(&text), &seed.strategy(), &ck.table);
                 }
             }
         }

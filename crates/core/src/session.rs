@@ -306,7 +306,7 @@ impl PublishSession {
     }
 
     /// The retained strategy state (for checkpointing via
-    /// `strategy::export_state`).
+    /// `format::checkpoint_text`).
     pub(crate) fn strategy_state(&self) -> &AnyState {
         &self.state
     }

@@ -292,6 +292,72 @@ fn corrupt_checkpoint_is_never_served() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint whose tree records are well linked and whose leaves
+/// partition the table, but whose second internal node claims 1 row, is
+/// reported unrecoverable at open (the delta refresh sizes its work by
+/// that field), and its neighbour recovers as written.
+#[test]
+fn checkpoint_with_a_lying_tree_size_is_unrecoverable() {
+    let dir = tmp_dir("tree_size");
+    let options = DurabilityOptions {
+        sync: SyncPolicy::Always,
+        checkpoint_every: 2,
+        verify_on_open: false,
+        max_resident_bytes: None,
+    };
+    let publisher = Publisher::new().k_anonymity(4);
+    let (hub, _) = SessionHub::open_with(&dir, options).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0x51_2e);
+    for name in ["good", "bad"] {
+        hub.register(name, &adult::generate(400, 8), &publisher)
+            .unwrap();
+        for _ in 0..2 {
+            let snap = hub.snapshot(name).unwrap();
+            let d = random_delta(snap.table(), &mut rng, 0.02, 4);
+            hub.apply(name, &d).unwrap();
+        }
+    }
+    let good = hub.snapshot("good").unwrap();
+    drop(hub);
+
+    let ckpt = dir.join("bad").join("checkpoint.tbl");
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let body = &text[..text.rfind("checksum ").unwrap()];
+    let mut internal = 0;
+    let mut out = String::new();
+    for line in body.lines() {
+        let mut toks: Vec<&str> = line.split_whitespace().collect();
+        if line.starts_with("tnode internal ") {
+            internal += 1;
+            if internal == 2 {
+                assert_ne!(toks[4], "1");
+                toks[4] = "1";
+            }
+        }
+        out.push_str(&toks.join(" "));
+        out.push('\n');
+    }
+    assert!(internal >= 2, "the tree has two internal nodes");
+    let sum = wal::fnv1a64(out.as_bytes());
+    out.push_str(&format!("checksum {sum:016x}\n"));
+    std::fs::write(&ckpt, out).unwrap();
+
+    let (cold, report) = SessionHub::open_with(&dir, options).unwrap();
+    let failed = report.unrecoverable();
+    assert_eq!(failed.len(), 1, "{:?}", report.tenants);
+    assert_eq!(failed[0].tenant, "bad");
+    let reason = failed[0].error.as_deref().unwrap();
+    assert!(
+        reason.starts_with("checkpoint: ") && reason.contains("claims 1 rows"),
+        "{reason}"
+    );
+    assert!(!cold.contains("bad"));
+    let snap = cold.snapshot("good").unwrap();
+    assert_eq!(snap.version(), good.version());
+    assert_eq!(snap.anonymized().first_difference(good.anonymized()), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
