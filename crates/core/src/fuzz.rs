@@ -25,3 +25,46 @@ pub(crate) fn mutate(text: &str, edits: &[(usize, u8, u8)]) -> String {
     }
     String::from_utf8_lossy(&bytes).into_owned()
 }
+
+/// Overwrite one digit of `text`: the edit `(at, byte, _)` sets the
+/// `at % count`-th digit to `byte % 10`. Every token keeps its shape, so
+/// the edit passes the tokenizer and reaches the checks behind it (row ids,
+/// sizes, splits, levels).
+pub(crate) fn rewrite_digit(text: &str, (at, byte, _): (usize, u8, u8)) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let digits: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i].is_ascii_digit())
+        .collect();
+    if !digits.is_empty() {
+        bytes[digits[at % digits.len()]] = b'0' + byte % 10;
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Swap whole numbers of `text`: each `(at, byte, _)` swaps the
+/// `at % count`-th number token with the one `byte + 1` places after it,
+/// cyclically. The numbers a block holds stay the same multiset, so a
+/// partition of rows stays a partition and the edits test where each row
+/// sits.
+pub(crate) fn swap_numbers(text: &str, edits: &[(usize, u8, u8)]) -> String {
+    let separators = [' ', '\n'];
+    let mut pieces: Vec<(&str, &str)> = text
+        .split_inclusive(separators)
+        .map(|piece| piece.split_at(piece.trim_end_matches(separators).len()))
+        .collect();
+    let numbers: Vec<usize> = (0..pieces.len())
+        .filter(|&i| !pieces[i].0.is_empty() && pieces[i].0.bytes().all(|b| b.is_ascii_digit()))
+        .collect();
+    if numbers.len() > 1 {
+        for &(at, byte, _) in edits {
+            let i = numbers[at % numbers.len()];
+            let j = numbers[(at + 1 + usize::from(byte)) % numbers.len()];
+            let (a, b) = (pieces[i].0, pieces[j].0);
+            (pieces[i].0, pieces[j].0) = (b, a);
+        }
+    }
+    pieces
+        .iter()
+        .flat_map(|&(token, separator)| [token, separator])
+        .collect()
+}

@@ -77,13 +77,13 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use bgkanon_anon::{AnonymizedTable, AnyStrategy};
 use bgkanon_data::{Delta, Parallelism, Table};
-use bgkanon_knowledge::{Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily};
+use bgkanon_knowledge::{Adversary, Bandwidth, FoldedTable, KernelFamily};
 use bgkanon_privacy::{AuditReport, Auditor};
 
 use crate::publisher::Publisher;
 use crate::readers::{relock, AdversaryIntern, AuditTarget, ReaderCaches, READER_CACHE_CAP};
 use crate::recover::{self, RecoveryReport, TenantRecovery};
-use crate::session::{PublishSession, SessionError};
+use crate::session::{PublishSession, SessionError, VersionChange};
 use crate::wal::{encode_record, DurabilityOptions, WalWriter};
 
 /// Registry shard count of every hub.
@@ -102,32 +102,10 @@ pub struct TenantSnapshot {
     table: Table,
     anonymized: AnonymizedTable,
     stamps: Arc<Vec<u64>>,
-    /// What changed from the previous version to this one, when this
-    /// snapshot was published by [`SessionHub::apply`]; `None` for a
-    /// registration, rehydration or recovery snapshot.
+    /// What changed from the previous version to this one: the record of
+    /// the session's last apply, shared with the session. `None` when the
+    /// session has applied nothing since it opened or resumed.
     change: Option<Arc<VersionChange>>,
-}
-
-/// One applied delta as the content it changed: the deleted rows' codes,
-/// gathered from the pre-delta table, plus the delta itself. Recorded on
-/// the snapshot the delta produced, so an `Adv(b′)` entry exactly one
-/// version behind evolves its fold ([`FoldedTable::evolve`]) instead of
-/// re-folding the table. O(delta) to build; it copies no table.
-#[derive(Debug)]
-struct VersionChange {
-    deleted: DeletedRows,
-    delta: Delta,
-}
-
-impl VersionChange {
-    /// Heap bytes held (the hub's accounting convention).
-    fn bytes_accounted(&self) -> usize {
-        let d = self.delta.schema().qi_count();
-        self.deleted.bytes_accounted()
-            + self.delta.delete_count() * 8
-            + self.delta.insert_count() * (d + 1) * 4
-            + 64
-    }
 }
 
 impl TenantSnapshot {
@@ -189,7 +167,7 @@ impl TenantSnapshot {
             anonymized: &self.anonymized,
             stamps: &self.stamps,
             version: self.version,
-            change: self.change.as_deref().map(|c| (&c.deleted, &c.delta)),
+            change: self.change.as_deref(),
         }
     }
 
@@ -596,7 +574,7 @@ impl SessionHub {
                 truncated_tail: recovered.truncated_tail,
                 error: None,
             });
-            let snapshot = Arc::new(Self::snapshot_of(&recovered.name, &recovered.session, None));
+            let snapshot = Arc::new(Self::snapshot_of(&recovered.name, &recovered.session));
             let bytes = recovered.session.bytes_accounted() + snapshot.bytes_accounted();
             let entry = Arc::new(Tenant {
                 name: recovered.name.clone(),
@@ -701,7 +679,7 @@ impl SessionHub {
         } else {
             None
         };
-        let snapshot = Arc::new(Self::snapshot_of(tenant, &session, None));
+        let snapshot = Arc::new(Self::snapshot_of(tenant, &session));
         let bytes = session.bytes_accounted() + snapshot.bytes_accounted();
         let entry = Arc::new(Tenant {
             name: tenant.to_owned(),
@@ -789,11 +767,6 @@ impl SessionHub {
                     "tenant `{tenant}` has no resident session to apply to"
                 )));
             };
-            // Gathered before the apply, while the session still holds the
-            // pre-delta table (O(deletes); nothing is kept if the delta is
-            // rejected).
-            let deleted = DeletedRows::gather(session.table(), delta);
-            let previous = entry.snapshot_opt();
             match (&entry.wal, &self.durability) {
                 (Some(wal), Some(durability)) => {
                     let mut wal = relock(wal.lock());
@@ -840,20 +813,7 @@ impl SessionHub {
                     session.apply(delta)?;
                 }
             }
-            let version = session.deltas_applied() as u64;
-            let change = match previous {
-                // An empty delta publishes the same version again: the
-                // record of how that version came about still holds.
-                Some(previous) if previous.version == version => previous.change.clone(),
-                Some(previous) if previous.version + 1 == version => deleted.map(|deleted| {
-                    Arc::new(VersionChange {
-                        deleted,
-                        delta: delta.clone(),
-                    })
-                }),
-                _ => None,
-            };
-            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session, change));
+            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session));
             *relock(entry.published.write()) = Some(Arc::clone(&snapshot));
             self.charge(
                 &entry.session_bytes,
@@ -897,8 +857,10 @@ impl SessionHub {
     /// but the tenant keeps one cache entry per `b′` and carries it from
     /// version to version instead of re-estimating:
     ///
-    /// * audits of the version the entry holds replay its caches, and from
-    ///   the second audit at one `t` on, copy the report the entry keeps;
+    /// * the entry is bound to one version and keeps all of its risks in
+    ///   one row-indexed vector; audits of that version assemble a report
+    ///   from it, and from the second audit at one `t` on, copy the report
+    ///   the entry keeps;
     /// * the first audit of a newer version needs that version's fold.
     ///   When the entry is exactly one version behind, the entry's fold and
     ///   row → point array are evolved by the change record [`apply`](Self::apply)
@@ -910,10 +872,13 @@ impl SessionHub {
     ///   Otherwise the entry's model is refreshed from the fold difference
     ///   ([`refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)),
     ///   across any number of unaudited deltas — in place when no other
-    ///   tenant or in-flight reader shares it — and the groups the delta left clean (same leaf
-    ///   stamp, no row whose prior changed) keep their cached risks
-    ///   ([`carried`](bgkanon_privacy::SharedAuditSession::carried)). Only a
-    ///   tenant with no entry at this `b′` estimates from scratch;
+    ///   tenant or in-flight reader shares it. On one step, the entry's risk
+    ///   vector is compacted through the delta's deletes
+    ///   ([`step`](bgkanon_privacy::SharedAuditSession::step)), and only the
+    ///   groups under a leaf stamp the previous version did not have or
+    ///   holding a row whose prior the refresh recomputed are solved. Every
+    ///   other case solves every group under the version's model, and a
+    ///   tenant with no entry at this `b′` also estimates from scratch;
     /// * a reader still holding an older version than the entry's audits
     ///   through a one-off session and leaves the entry alone.
     ///
@@ -1048,7 +1013,7 @@ impl SessionHub {
             if let Some(snapshot) = entry.snapshot_opt() {
                 return Ok(snapshot);
             }
-            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session, None));
+            let snapshot = Arc::new(Self::snapshot_of(&entry.name, session));
             *relock(entry.published.write()) = Some(Arc::clone(&snapshot));
             return Ok(snapshot);
         }
@@ -1079,7 +1044,7 @@ impl SessionHub {
             recovered
         };
         debug_assert_eq!(recovered.name, entry.name, "tenant directory mismatch");
-        let snapshot = Arc::new(Self::snapshot_of(&entry.name, &recovered.session, None));
+        let snapshot = Arc::new(Self::snapshot_of(&entry.name, &recovered.session));
         self.charge(
             &entry.session_bytes,
             recovered.session.bytes_accounted() + snapshot.bytes_accounted(),
@@ -1202,11 +1167,7 @@ impl SessionHub {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot_of(
-        tenant: &str,
-        session: &PublishSession,
-        change: Option<Arc<VersionChange>>,
-    ) -> TenantSnapshot {
+    fn snapshot_of(tenant: &str, session: &PublishSession) -> TenantSnapshot {
         TenantSnapshot {
             tenant: tenant.to_owned(),
             version: session.deltas_applied() as u64,
@@ -1214,7 +1175,7 @@ impl SessionHub {
             table: session.table().clone(),
             anonymized: session.anonymized().clone(),
             stamps: Arc::new(session.leaf_stamps().to_vec()),
-            change,
+            change: session.change().cloned(),
         }
     }
 }
@@ -1798,7 +1759,8 @@ mod tests {
         hub.audit_against("b", 0.3, 0.2).unwrap();
         let v0 = adversary_entry_copy(&hub, "a", 0.3);
         assert_eq!(v0.session.row_points().len(), 240);
-        let d = delta_for(hub.snapshot("a").unwrap().table(), &[0, 50, 51], 4, 13);
+        let s0 = hub.snapshot("a").unwrap();
+        let d = delta_for(s0.table(), &[0, 50, 51], 4, 13);
         let v1 = hub.apply("a", &d).unwrap();
 
         // One version behind with a record: the evolved fold and row points
@@ -1811,9 +1773,13 @@ mod tests {
 
         // Row points of the wrong length: no evolution, no panic.
         let short = ReaderCache {
-            session: Arc::new(SharedAuditSession::with_row_points(
+            session: Arc::new(SharedAuditSession::bound(
                 v0.session.auditor().clone(),
+                s0.table(),
+                &s0.target().group_rows(),
+                s0.leaf_stamps(),
                 v0.session.row_points()[..10].to_vec(),
+                None,
             )),
             ..v0
         };
@@ -1872,7 +1838,7 @@ mod tests {
         hub.apply("t0", &delta_for(&table, &[3, 70, 71], 4, 43))
             .unwrap();
         // Touching t1 demotes t0 under the 1-byte budget; auditing t0 then
-        // rehydrates it with no change record and no `Adv(b′)` entry.
+        // rehydrates it with no `Adv(b′)` entry.
         hub.audit_against("t1", 0.3, 0.2).unwrap();
         let rehydrations = hub.memory_stats().rehydrations;
         let report = hub.audit_against("t0", 0.3, 0.2).unwrap();
@@ -1888,8 +1854,16 @@ mod tests {
         let auditor = entry.session.auditor().clone();
         let groups = snapshot.anonymized().row_groups();
         let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-        let bound = SharedAuditSession::with_row_points(auditor.clone(), full_fold_points)
-            .report_groups(table, &slices, Some(snapshot.leaf_stamps()), 0.2);
+        let stamps = snapshot.leaf_stamps();
+        let bound = SharedAuditSession::bound(
+            auditor.clone(),
+            table,
+            &slices,
+            stamps,
+            full_fold_points,
+            None,
+        )
+        .report_groups(table, &slices, Some(stamps), 0.2);
         let unbound = SharedAuditSession::new(auditor.clone()).report_groups(
             table,
             &slices,

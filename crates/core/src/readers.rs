@@ -11,35 +11,41 @@
 //!   stamps replay clean groups across deltas
 //!   ([`external`](ReaderCaches::external));
 //! * the paper's `Adv(b′)` keeps one entry per `b′` and carries it forward:
-//!   the first audit of a newer version folds that version (evolving the
-//!   entry's fold by the version's change record when there is one),
-//!   refreshes the entry's model from the fold difference and replays every
-//!   group the change left clean ([`adversary`](ReaderCaches::adversary)).
+//!   the first audit of a newer version refreshes the entry's model to that
+//!   version and builds a session **bound** to the version, which keeps
+//!   every risk of it in one row-indexed vector
+//!   ([`adversary`](ReaderCaches::adversary)). When the version is exactly
+//!   one delta newer and carries that delta's change record, the fold and
+//!   the previous version's risk vector are stepped across the delta, and
+//!   only the groups under a new leaf stamp or holding a row whose prior
+//!   moved are solved. After a gap of several versions, without a change
+//!   record, under an interned model or for a new `b′`, every group is.
 //!
-//! The hub passes its cross-tenant intern table ([`AdversaryIntern`]) and
-//! the change record [`SessionHub::apply`](crate::SessionHub::apply) left
-//! on each snapshot; a session passes neither and takes the full-fold path.
+//! The hub passes its cross-tenant intern table ([`AdversaryIntern`]); both
+//! the hub's snapshots and a session's own audits carry the change record of
+//! the session's last apply.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
 use bgkanon_anon::AnonymizedTable;
-use bgkanon_data::{Delta, Parallelism, Table};
-use bgkanon_knowledge::{
-    Adversary, Bandwidth, DeletedRows, FoldedTable, KernelFamily, PriorEstimator,
-};
+use bgkanon_data::{Parallelism, Table};
+use bgkanon_knowledge::{Adversary, Bandwidth, FoldedTable, KernelFamily, PriorEstimator};
 use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
 use bgkanon_stats::SmoothedJs;
+
+use crate::session::VersionChange;
 
 /// Audit configurations retained per cache list
 /// ([`SessionHub::MAX_READER_CACHES`](crate::SessionHub::MAX_READER_CACHES),
 /// [`PublishSession::MAX_AUDIT_CACHES`](crate::PublishSession::MAX_AUDIT_CACHES)).
 pub(crate) const READER_CACHE_CAP: usize = 8;
 
-/// Recover a lock from a poisoned peer. The guarded state is kept
-/// consistent at every await-free step (a panicking writer leaves either
-/// the old or the new state, never a torn one), so continuing past a poison
-/// flag is safe — and a serving hub must not let one panicked worker wedge
-/// every other tenant.
+/// Recover a lock from a poisoned peer: a serving hub must not let one
+/// panicked worker wedge every other tenant. This is only as safe as the
+/// guarded state. The reader list, the snapshot slot and the intern table
+/// are swapped whole, so a panic leaves the old or the new value. A
+/// session's strategy state is not: `Mondrian::refresh` can panic halfway
+/// and leave a torn tree behind a recovered writer lock (ROADMAP item 5).
 pub(crate) fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -64,9 +70,9 @@ pub(crate) enum ReaderKey {
 
 /// One retained audit configuration: the shared session whose caches every
 /// audit of this configuration goes through. An `Adv(b′)` entry's session
-/// is bound to the row → point array of `version`'s table
-/// ([`SharedAuditSession::row_points`]), which is carried to the next
-/// version with the fold.
+/// is bound to `version`: it keeps that version's risks, leaf stamps and
+/// row → point array ([`SharedAuditSession::row_points`]), all of which are
+/// stepped to the next version with the fold.
 pub(crate) struct ReaderCache {
     pub(crate) key: ReaderKey,
     /// The version an `Adv(b′)` entry's model was estimated or refreshed to
@@ -82,13 +88,13 @@ impl ReaderCache {
     /// one version behind and the record, the entry's fold and its row
     /// points all agree.
     pub(crate) fn evolved_fold(&self, target: &AuditTarget<'_>) -> Option<(FoldedTable, Vec<u32>)> {
-        let (deleted, delta) = target.change?;
+        let change = target.change?;
         if self.version + 1 != target.version {
             return None;
         }
         let model = self.session.auditor().adversary().prior_model()?;
-        let evolution = model.folded().evolve(deleted, delta)?;
-        let row_points = evolution.row_points(self.session.row_points(), delta)?;
+        let evolution = model.folded().evolve(&change.deleted, &change.delta)?;
+        let row_points = evolution.row_points(self.session.row_points(), &change.delta)?;
         let fold = evolution.into_folded();
         (fold.rows() == target.table.len()).then_some((fold, row_points))
     }
@@ -102,9 +108,9 @@ pub(crate) struct AuditTarget<'a> {
     pub(crate) stamps: &'a [u64],
     /// Number of deltas applied before this version.
     pub(crate) version: u64,
-    /// The deleted rows and delta that led from the previous version to
-    /// this one, when known.
-    pub(crate) change: Option<(&'a DeletedRows, &'a Delta)>,
+    /// The record of the delta that led from the previous version to this
+    /// one, when known.
+    pub(crate) change: Option<&'a VersionChange>,
 }
 
 impl AuditTarget<'_> {
@@ -115,9 +121,9 @@ impl AuditTarget<'_> {
 
     /// Audit this version through `shared`: from the session's report memo
     /// when this `(version, t)` was audited through it twice already,
-    /// otherwise replaying every group it has already solved
-    /// ([`SharedAuditSession::report_version`]) — bit-identical to a fresh
-    /// [`Auditor::report`].
+    /// otherwise from a bound session's risks of the version or an unbound
+    /// one's stamp cache ([`SharedAuditSession::report_version`]) —
+    /// bit-identical to a fresh [`Auditor::report`].
     pub(crate) fn audit(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
         shared.report_version(
             self.version,
@@ -153,7 +159,8 @@ enum AdversaryEntry {
     /// A session for exactly this version.
     Current(Arc<SharedAuditSession>),
     /// The entry of an earlier version, taken out of the list: its model
-    /// is refreshed to the new version and its clean stamps carried.
+    /// is refreshed to the new version, and its risks are stepped when the
+    /// new version is the next one.
     Earlier(ReaderCache),
     /// The list already serves a newer version; this audit runs a one-off
     /// session and leaves the entry alone.
@@ -193,23 +200,26 @@ impl ReaderCaches {
     }
 
     /// The shared `Adv(b′)` session for `target`'s version, with the
-    /// paper's smoothed-JS distance:
+    /// paper's smoothed-JS distance, bound to that version
+    /// ([`SharedAuditSession::bound`]): it is built with every risk of the
+    /// version solved, so the audit that built it only assembles a report.
     ///
-    /// * the entry of exactly this version is replayed;
-    /// * the first audit of a newer version needs that version's fold. When
-    ///   the entry is exactly one version behind and `target` carries its
-    ///   change record, the entry's fold and row → point array are evolved
-    ///   ([`FoldedTable::evolve`]); otherwise the version is folded in
-    ///   full. If `intern` holds a model of identical provenance, it is
-    ///   shared. Otherwise the entry's model is refreshed from the fold
-    ///   difference ([`PriorEstimator::refresh_folded`]) — in place when
-    ///   nothing else shares it — and the groups left clean (same leaf
-    ///   stamp, no row whose prior changed) keep their cached risks
-    ///   ([`SharedAuditSession::carried`]). Only a list with no entry at
-    ///   this `b′` estimates from scratch. Every session built here takes
-    ///   the version's row → point array, so a re-solved group reads its
-    ///   priors by point;
-    /// * an audit of an older version than the entry's runs a one-off
+    /// * The entry of exactly this version is returned as it is.
+    /// * The first audit of a newer version needs that version's fold and
+    ///   model. When the entry is exactly one version behind and `target`
+    ///   carries its change record, the entry's fold and row → point array
+    ///   are evolved ([`FoldedTable::evolve`]) and its risk vector is
+    ///   stepped across the delta ([`SharedAuditSession::step`]);
+    ///   otherwise the version is folded in full. If `intern` holds a model
+    ///   of identical provenance, it is shared. Otherwise the entry's model
+    ///   is refreshed from the fold difference
+    ///   ([`PriorEstimator::refresh_folded`]) — in place when nothing else
+    ///   shares it — and with stepped risks only the groups under a new
+    ///   leaf stamp or holding a row whose prior the refresh recomputed are
+    ///   solved. Every other case solves every group: a gap of several
+    ///   versions, no change record, an interned model, or no entry at this
+    ///   `b′` (which also estimates from scratch).
+    /// * An audit of an older version than the entry's runs a one-off
     ///   session and leaves the entry alone.
     ///
     /// Every path is bit-identical to a fresh [`Auditor`] of the version.
@@ -230,39 +240,48 @@ impl ReaderCaches {
         };
         let table = target.table;
         let family = KernelFamily::Epanechnikov;
-        let (fold, row_points) = earlier
+        let evolved = earlier
             .as_ref()
-            .and_then(|cache| cache.evolved_fold(target))
-            .unwrap_or_else(|| FoldedTable::with_row_points(table));
+            .and_then(|cache| cache.evolved_fold(target));
+        let one_step = evolved.is_some();
+        let (fold, row_points) = evolved.unwrap_or_else(|| FoldedTable::with_row_points(table));
         let measure = Arc::new(SmoothedJs::paper_default(
             table.schema().sensitive_distance(),
         ));
+        let groups = target.group_rows();
+        let bind = |auditor, previous| {
+            SharedAuditSession::bound(auditor, table, &groups, target.stamps, row_points, previous)
+        };
         let session = if let Some(shared) =
             intern.and_then(|intern| intern.find(&fold, &bandwidth, family))
         {
-            SharedAuditSession::with_row_points(Auditor::new(shared, measure), row_points)
+            bind(Auditor::new(shared, measure), None)
         } else {
             let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
             let refreshable = earlier.and_then(|cache| {
-                let carry = cache.session.carry_stamps(target.stamps);
                 let model = cache
                     .session
                     .auditor()
                     .adversary()
                     .prior_model()
                     .map(Arc::clone);
-                // Drop the old entry (and with it, unless another list or
-                // an in-flight reader shares them, the old adversary's
+                // Release the old session (and with it, unless another list
+                // or an in-flight reader shares them, the old adversary's
                 // handle on the model) so the refresh below mutates the
-                // model in place instead of cloning it.
-                drop(cache);
-                model.map(|model| (carry, model))
+                // model in place instead of cloning it; on one step, its
+                // risks come along, moved out when nothing else holds them.
+                let rows = table.len();
+                let step = match target.change {
+                    Some(change) if one_step => cache.session.step(change.delta.deletes(), rows),
+                    _ => None,
+                };
+                model.map(|model| (model, step))
             });
-            let (model, carried) = match refreshable {
-                Some((carry, mut model)) => {
+            let (model, stepped) = match refreshable {
+                Some((mut model, step)) => {
                     let dirty =
                         estimator.refresh_folded(Arc::make_mut(&mut model), fold, parallelism);
-                    (model, Some((carry, dirty)))
+                    (model, step.map(|step| (step, dirty)))
                 }
                 None => (Arc::new(estimator.estimate_folded(fold, parallelism)), None),
             };
@@ -272,18 +291,8 @@ impl ReaderCaches {
                 Some(intern) => intern.insert(adversary),
                 None => Arc::new(adversary),
             };
-            let auditor = Auditor::new(adversary, measure);
-            match carried {
-                Some((carry, dirty)) => SharedAuditSession::carried(
-                    auditor,
-                    carry,
-                    &target.group_rows(),
-                    target.stamps,
-                    row_points,
-                    &dirty,
-                ),
-                None => SharedAuditSession::with_row_points(auditor, row_points),
-            }
+            let (step, dirty) = stepped.unzip();
+            bind(Auditor::new(adversary, measure), step.zip(dirty.as_ref()))
         };
         if newer {
             Arc::new(session)

@@ -1014,6 +1014,14 @@ mod tests {
         let _ = session.apply(&b.build());
     }
 
+    /// The byte range of `body`'s state block, its `state N` head included:
+    /// up to the `priors` head that follows it.
+    fn state_block(body: &str) -> std::ops::Range<usize> {
+        let start = body.find("\nstate ").unwrap() + 1;
+        let end = body.find("\npriors ").unwrap() + 1;
+        start..end
+    }
+
     /// Feed `text` to every parser a durable tenant's files go through,
     /// reading a checkpoint for `seed`'s strategy; resume and apply a
     /// delta to whatever imports.
@@ -1042,32 +1050,6 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
 
-        /// Byte edits of genesis and checkpoint files (every strategy, and
-        /// every retired shape), re-checksummed so the edits reach the
-        /// block parsers, give a value or an error — never a panic; and a
-        /// checkpoint that imports resumes to a partition of its table and
-        /// applies a small delta without a panic.
-        #[test]
-        fn mutated_durable_files_never_panic(
-            pick in 0usize..64,
-            edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..3), 1..6),
-            rechecksum in 0u8..4,
-        ) {
-            let seeds = fuzz_seeds();
-            let files: Vec<(&str, &CheckpointSeed)> = seeds
-                .genesis
-                .iter()
-                .chain(&seeds.retired)
-                .map(|g| (g.as_str(), &seeds.checkpoints[0]))
-                .chain(seeds.checkpoints.iter().map(|c| (c.text.as_str(), c)))
-                .collect();
-            let (text, seed) = files[pick % files.len()];
-            let body = check_trailer(text).unwrap();
-            let mutated = crate::fuzz::mutate(body, &edits);
-            let text = if rechecksum == 0 { mutated } else { rewrap(&mutated) };
-            parse_everything(&text, seeds, seed);
-        }
-
         /// Byte edits of a valid state block (its head included), fed
         /// straight to every strategy's reader against the checkpointed
         /// table; a state that imports resumes and applies a delta.
@@ -1080,9 +1062,7 @@ mod tests {
             let seed = &seeds.checkpoints[pick % seeds.checkpoints.len()];
             let ck = parse_checkpoint(&seed.text, &seeds.schema, &seed.strategy()).unwrap();
             let body = check_trailer(&seed.text).unwrap();
-            let start = body.find("\nstate ").unwrap() + 1;
-            let end = body.find("\npriors ").unwrap() + 1;
-            let block = crate::fuzz::mutate(&body[start..end], &edits);
+            let block = crate::fuzz::mutate(&body[state_block(body)], &edits);
             for seed in &seeds.checkpoints {
                 let read = format::read_state(&mut Cursor::new(&block), &seed.strategy(), &ck.table);
                 if let Ok(state) = read {
@@ -1105,5 +1085,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        // Twice the cases of the other fuzz properties: half of them aim
+        // at checkpoint state blocks, so the untargeted half keeps their
+        // count.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(768))]
+
+        /// Edits of genesis and checkpoint files (every strategy, and every
+        /// retired shape) give a value or an error — never a panic; and a
+        /// checkpoint that imports resumes to a partition of its table and
+        /// applies a small delta without a panic. Half the cases edit any
+        /// file anywhere with byte edits, a quarter of them keeping the
+        /// stale checksum trailer and the rest re-checksummed so the edits
+        /// reach the block parsers. The other half aim at the state block
+        /// of a re-checksummed checkpoint with edits that keep every token:
+        /// one digit rewritten, or whole numbers swapped. Those get past the
+        /// tokenizer to the tree, bucket and frontier checks, and whatever
+        /// passes them reaches the resume-and-apply oracle. (Byte edits of
+        /// state blocks are `mutated_state_blocks_never_panic`'s.)
+        #[test]
+        fn mutated_durable_files_never_panic(
+            pick in 0usize..64,
+            edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..3), 1..6),
+            rechecksum in 0u8..4,
+            aim in 0u8..4,
+        ) {
+            let seeds = fuzz_seeds();
+            let files: Vec<(&str, &CheckpointSeed)> = seeds
+                .genesis
+                .iter()
+                .chain(&seeds.retired)
+                .map(|g| (g.as_str(), &seeds.checkpoints[0]))
+                .chain(seeds.checkpoints.iter().map(|c| (c.text.as_str(), c)))
+                .collect();
+            let (text, seed) = if aim < 2 {
+                let (text, seed) = files[pick % files.len()];
+                let mutated = crate::fuzz::mutate(check_trailer(text).unwrap(), &edits);
+                (if rechecksum == 0 { mutated } else { rewrap(&mutated) }, seed)
+            } else {
+                let seed = &seeds.checkpoints[pick % seeds.checkpoints.len()];
+                let body = check_trailer(&seed.text).unwrap();
+                let range = state_block(body);
+                let block = if aim == 2 {
+                    crate::fuzz::rewrite_digit(&body[range.clone()], edits[0])
+                } else {
+                    crate::fuzz::swap_numbers(&body[range.clone()], &edits)
+                };
+                let text = format!("{}{block}{}", &body[..range.start], &body[range.end..]);
+                (rewrap(&text), seed)
+            };
+            parse_everything(&text, seeds, seed);
+        }
+
     }
 }

@@ -19,14 +19,18 @@
 //!   "reuse the prior across releases" accounting). Session-built
 //!   adversaries `Adv(b′)` ([`audit_against`](PublishSession::audit_against))
 //!   always reflect the audited table: the first audit after any number of
-//!   deltas folds the current table, refreshes the cached prior model from
-//!   the fold difference ([`PriorEstimator::refresh_folded`]) and replays
-//!   every group the deltas left clean. `apply` never touches an adversary;
-//!   the caches are the ones [`SessionHub`](crate::SessionHub) readers go
-//!   through, so both share one implementation. Each configuration also
-//!   keeps a one-slot report memo keyed by the session's version (deltas
-//!   applied) and `t`: from the second audit of one version at one `t`
-//!   on, the report is a copy of the kept one
+//!   deltas refreshes the cached prior model from the fold difference
+//!   ([`PriorEstimator::refresh_folded`]). When exactly one delta separates
+//!   the audit from the previous one, the session's record of that delta
+//!   carries the fold and the previous version's risks one step, and only
+//!   the groups the delta touched are solved; after a gap of several
+//!   deltas the current table is folded in full and every group solved.
+//!   `apply` never touches an adversary; the caches are the ones
+//!   [`SessionHub`](crate::SessionHub) readers go through, so both share one
+//!   implementation. Each configuration also keeps a one-slot report memo
+//!   keyed by the session's version (deltas applied) and `t`: from the
+//!   second audit of one version at one `t` on, the report is a copy of the
+//!   kept one
 //!   ([`SharedAuditSession::report_version`](bgkanon_privacy::SharedAuditSession::report_version)).
 //!
 //! The correctness bar, enforced by `tests/tests/incremental.rs`: after
@@ -44,7 +48,7 @@ use std::time::{Duration, Instant};
 use bgkanon_anon::{AnonymizationStrategy, AnonymizedTable, AnyState, AnyStrategy, StrategyState};
 use bgkanon_data::{Delta, Parallelism, Table};
 use bgkanon_knowledge::bandwidth::BandwidthError;
-use bgkanon_knowledge::Bandwidth;
+use bgkanon_knowledge::{Bandwidth, DeletedRows};
 use bgkanon_privacy::{AuditReport, Auditor, PrivacyRequirement};
 
 use crate::publisher::{whole_table_satisfies, PublishError, PublishOutcome, Publisher};
@@ -129,6 +133,30 @@ impl From<PublishError> for SessionError {
     }
 }
 
+/// One applied delta as the content it changed: the deleted rows' codes,
+/// gathered from the pre-delta table, plus the delta itself. A session keeps
+/// the record of its last apply and the hub publishes it on the snapshot of
+/// that version, so an `Adv(b′)` entry exactly one version behind evolves its
+/// fold ([`FoldedTable::evolve`](bgkanon_knowledge::FoldedTable::evolve)) and
+/// steps its risks instead of re-folding the table and re-solving every
+/// group. O(delta) to build; it copies no table.
+#[derive(Debug)]
+pub(crate) struct VersionChange {
+    pub(crate) deleted: DeletedRows,
+    pub(crate) delta: Delta,
+}
+
+impl VersionChange {
+    /// Heap bytes held (the hub's accounting convention).
+    pub(crate) fn bytes_accounted(&self) -> usize {
+        let d = self.delta.schema().qi_count();
+        self.deleted.bytes_accounted()
+            + self.delta.delete_count() * 8
+            + self.delta.insert_count() * (d + 1) * 4
+            + 64
+    }
+}
+
 /// A retained publish → audit pipeline over an evolving table.
 ///
 /// ```
@@ -168,6 +196,9 @@ pub struct PublishSession {
     state: AnyState,
     anonymized: AnonymizedTable,
     stamps: Vec<u64>,
+    /// The record of the delta that produced the current version; `None`
+    /// before the first apply and after a resume.
+    change: Option<Arc<VersionChange>>,
     readers: ReaderCaches,
     last_elapsed: Duration,
     deltas_applied: usize,
@@ -203,6 +234,7 @@ impl PublishSession {
             state,
             anonymized,
             stamps,
+            change: None,
             readers: ReaderCaches::default(),
             last_elapsed,
             deltas_applied: 0,
@@ -238,6 +270,7 @@ impl PublishSession {
             state,
             anonymized,
             stamps,
+            change: None,
             readers: ReaderCaches::default(),
             last_elapsed: Duration::ZERO,
             deltas_applied,
@@ -270,6 +303,12 @@ impl PublishSession {
             .map_err(PublishError::from)?;
         self.last_elapsed = started.elapsed();
         let (anonymized, stamps) = self.state.snapshot(&next);
+        self.change = DeletedRows::gather(&self.table, delta).map(|deleted| {
+            Arc::new(VersionChange {
+                deleted,
+                delta: delta.clone(),
+            })
+        });
         self.table = next;
         self.anonymized = anonymized;
         self.stamps = stamps;
@@ -321,6 +360,13 @@ impl PublishSession {
         &self.stamps
     }
 
+    /// The record of the delta that produced the current version (kept
+    /// across an empty delta, which republishes the version); `None` before
+    /// the first apply and after a resume.
+    pub(crate) fn change(&self) -> Option<&Arc<VersionChange>> {
+        self.change.as_ref()
+    }
+
     /// Name of the requirement fixed at open time.
     pub fn requirement_name(&self) -> &str {
         &self.requirement_name
@@ -370,12 +416,13 @@ impl PublishSession {
     /// paper's smoothed-JS distance — the session counterpart of
     /// [`PublishOutcome::audit_against`]. The adversary's prior model always
     /// reflects the **current** table: it is estimated at the first call for
-    /// each `b′`, and the first call after any number of deltas folds the
-    /// current table, refreshes the model from the fold difference and
-    /// replays every group the deltas left clean — the same carried entry
+    /// each `b′`, and the first call after any number of deltas refreshes
+    /// the model from the fold difference — the same carried entry
     /// [`SessionHub::audit_against`](crate::SessionHub::audit_against)
-    /// keeps per tenant. Bit-identical to a fresh auditor of the current
-    /// table and publication.
+    /// keeps per tenant. One delta after the previous audit, the previous
+    /// version's risks are stepped across the delta and only the groups it
+    /// touched are solved; after several, every group is. Bit-identical to a
+    /// fresh auditor of the current table and publication.
     ///
     /// A NaN, infinite or non-positive `b′` is a [`SessionError::Bandwidth`].
     pub fn audit_against(&mut self, b_prime: f64, t: f64) -> Result<AuditReport, SessionError> {
@@ -393,9 +440,9 @@ impl PublishSession {
     pub const MAX_AUDIT_CACHES: usize = READER_CACHE_CAP;
 
     /// Heap bytes this session holds resident: the working table, the
-    /// strategy state, the current publication, group stamps, and the
-    /// retained audit caches (risk caches, kept reports and row → point
-    /// arrays, each read from a running total; the
+    /// strategy state, the current publication, group stamps, the record of
+    /// the last delta, and the retained audit caches (risks, kept reports
+    /// and row → point arrays, each read from a running total; the
     /// `Adv(b′)` prior models behind them are not counted). The serving hub
     /// rolls this into per-tenant gauges; shared `Arc` payloads are charged
     /// to every holder, making it a deterministic RSS proxy rather than an
@@ -405,6 +452,7 @@ impl PublishSession {
             + self.state.bytes_accounted()
             + self.anonymized.bytes_accounted()
             + self.stamps.len() * 8
+            + self.change.as_ref().map_or(0, |c| c.bytes_accounted())
             + self.readers.bytes_accounted()
     }
 
@@ -416,16 +464,15 @@ impl PublishSession {
         self.readers.clear();
     }
 
-    /// The current publication as the audit caches see it. The session
-    /// keeps no change record, so a carried `Adv(b′)` entry re-folds the
-    /// table in full.
+    /// The current publication as the audit caches see it, with the record
+    /// of the delta that produced it.
     fn target(&self) -> AuditTarget<'_> {
         AuditTarget {
             table: &self.table,
             anonymized: &self.anonymized,
             stamps: &self.stamps,
             version: self.deltas_applied as u64,
-            change: None,
+            change: self.change.as_deref(),
         }
     }
 }

@@ -34,8 +34,10 @@
 //! workload, such caches replayed no `Adv(b′)` group, 6.8% of
 //! external-auditor groups and 11% of prepared priors, which did not pay
 //! for their hashing, locking and memory.
-//! [`SharedAuditSession`]'s stamp cache is the one group-level cache: it is
-//! keyed by the published group itself, not by its contents.
+//! [`SharedAuditSession`] keeps risks only per published group, never by
+//! contents: an unbound session's stamp cache is keyed by the group's leaf
+//! stamp, and a bound session keeps one version's risks row by row and
+//! steps them to the next version by its change record.
 
 use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
@@ -399,6 +401,31 @@ impl Auditor {
         self.solve_group(rows, scratch, emit);
     }
 
+    /// Prepare and solve every nonempty group that `stale` picks — it is
+    /// given the group's index and the risks so far — into the row-indexed
+    /// `risks`, resolving priors as [`prepare_group`](Self::prepare_group)
+    /// does. Returns the number of groups solved.
+    fn solve_groups<'a>(
+        &'a self,
+        table: &Table,
+        groups: &[&[usize]],
+        points: Option<(&'a PriorModel, &[u32])>,
+        risks: &mut [f64],
+        mut stale: impl FnMut(usize, &[f64]) -> bool,
+    ) -> usize {
+        let mut scratch = AuditScratch::default();
+        let mut solved = 0;
+        for (gi, rows) in groups.iter().enumerate() {
+            if rows.is_empty() || !stale(gi, risks) {
+                continue;
+            }
+            self.prepare_group(table, rows, points, &mut scratch);
+            self.solve_group(rows, &mut scratch, |row, risk| risks[row] = risk);
+            solved += 1;
+        }
+        solved
+    }
+
     /// Solve the group of `rows` prepared in `scratch` and hand each
     /// `(row, risk)` to `emit`, in row order. Arithmetic mirrors the
     /// reference path exactly.
@@ -509,38 +536,86 @@ struct AuditScratch<'a> {
     qi_buf: Vec<u32>,
 }
 
-/// One entry of a [`SharedAuditSession`] cache, tagged with the generation
-/// of the report that last used it so stale entries can be evicted.
+/// One entry of an unbound [`SharedAuditSession`]'s stamp cache, tagged
+/// with the generation of the report that last used it so stale entries can
+/// be evicted.
 struct CacheEntry {
     generation: u64,
     risks: Arc<Vec<f64>>,
 }
 
-/// Stamp-cache entries read out of one [`SharedAuditSession`]
-/// ([`carry_stamps`](SharedAuditSession::carry_stamps)) for a successor
-/// session ([`carried`](SharedAuditSession::carried)): one optional risk
-/// vector per stamp asked for. Holding it does not keep the old session or
-/// its adversary model alive.
+/// A bound [`SharedAuditSession`]'s risks stepped one delta forward
+/// ([`step`](SharedAuditSession::step)), for the session of the next version
+/// ([`bound`](SharedAuditSession::bound)): the risk vector compacted through
+/// the delta's deletes — survivors keep their order and the inserted rows
+/// start as NaN, the row order of [`Table::apply_delta`] — and the leaf
+/// stamps those risks were solved under, sorted. Holding it does not keep
+/// the old session or its adversary model alive.
 #[derive(Debug)]
-pub struct StampCarry {
-    risks: Vec<Option<Arc<Vec<f64>>>>,
+pub struct RiskStep {
+    risks: Vec<f64>,
+    stamps: Vec<u64>,
 }
 
-/// The stamp cache a [`SharedAuditSession`] protects with its `caches`
-/// mutex.
+/// The stamp cache of an unbound [`SharedAuditSession`].
+struct StampCache {
+    caches: Mutex<SharedCaches>,
+    /// Bytes of every entry ([`cache_entry_bytes`]), changed only under the
+    /// `caches` lock.
+    bytes: AtomicUsize,
+}
+
+/// The entries a [`StampCache`] protects with its `caches` mutex.
 struct SharedCaches {
     stamps: WordMap<u64, CacheEntry>,
     generation: u64,
 }
 
 /// The bytes of every entry in `caches`, walked one by one: what the
-/// session's running `cache_bytes` total must equal.
+/// cache's running `bytes` total must equal.
 fn walked_bytes(caches: &SharedCaches) -> usize {
     caches
         .stamps
         .values() // bgk-allow: R3 order-independent byte sum
         .map(|e| cache_entry_bytes(1, e.risks.len()))
         .sum()
+}
+
+impl StampCache {
+    /// The cache guard, poison-tolerant: a reader that panicked while
+    /// holding it may have left the entries half-updated, so a poisoned lock
+    /// is recovered with the entries cleared and the byte total reset. Every
+    /// entry is rebuild-on-miss and replays are bit-identical, so the next
+    /// report simply recomputes — one panicked reader never wedges the
+    /// tenant.
+    fn lock(&self) -> MutexGuard<'_, SharedCaches> {
+        self.caches.lock().unwrap_or_else(|poisoned| {
+            self.caches.clear_poison();
+            let mut caches = poisoned.into_inner();
+            caches.stamps.clear();
+            self.bytes.store(0, Ordering::Relaxed);
+            caches
+        })
+    }
+}
+
+/// The one table version a bound [`SharedAuditSession`] audits, with every
+/// risk of it.
+struct BoundVersion {
+    /// The point of the model's fold each row of the version folds into.
+    row_points: Vec<u32>,
+    /// The version's leaf stamps, aligned with its groups.
+    stamps: Vec<u64>,
+    /// Every row's risk, indexed like the version's table.
+    risks: Vec<f64>,
+}
+
+/// What a [`SharedAuditSession`] keeps between reports.
+enum Retained {
+    /// An unbound session's stamp cache.
+    Stamps(StampCache),
+    /// A bound session's one version.
+    Version(BoundVersion),
 }
 
 /// The one-slot report memo of a [`SharedAuditSession`]
@@ -553,48 +628,90 @@ struct ReportMemo {
     report: Option<Arc<AuditReport>>,
 }
 
+/// The model and row → point array to resolve `table`'s priors through,
+/// when `row_points` has one entry per row of `table` and the auditor's
+/// model a fold of as many rows.
+fn point_priors<'a>(
+    auditor: &'a Auditor,
+    row_points: &'a [u32],
+    table: &Table,
+) -> Option<(&'a PriorModel, &'a [u32])> {
+    let model = auditor.adversary.prior_model()?;
+    let rows = row_points.len();
+    let bound = rows == table.len() && model.folded().rows() == rows;
+    bound.then_some((model.as_ref(), row_points))
+}
+
+/// `risks` of one table version laid out like the next: the entries of the
+/// rows `deletes` removes are dropped, the survivors keep their order, and
+/// NaN fills up to `rows` for the inserted rows — [`Table::apply_delta`]'s
+/// row order. `None` when `deletes` is not strictly ascending within
+/// `risks`, or leaves more than `rows` survivors.
+fn compact(mut risks: Vec<f64>, deletes: &[usize], rows: usize) -> Option<Vec<f64>> {
+    let len = risks.len();
+    let (mut kept, mut start) = (0, 0);
+    for &end in deletes.iter().chain(std::iter::once(&len)) {
+        if end < start || end > len {
+            return None;
+        }
+        risks.copy_within(start..end, kept);
+        kept += end - start;
+        start = end + 1;
+    }
+    if kept > rows {
+        return None;
+    }
+    risks.truncate(kept);
+    risks.resize(rows, f64::NAN);
+    Some(risks)
+}
+
 /// A retained audit state for repeated publications of an evolving table,
 /// which **any number of reader threads share through `&self`** — the read
 /// path of the serving hub, where audits run concurrently against immutable
 /// published snapshots while a writer keeps applying deltas, and the audit
-/// cache of a single-owner publishing session.
+/// cache of a single-owner publishing session. A session is one of two
+/// kinds.
 ///
-/// The wrapped [`Auditor`] embodies one fixed adversary model, and a
-/// **stamp cache** replays group risks **bit-identically** to a fresh audit
-/// (the values cached are exactly the ones a fresh run computes): an opaque
-/// caller-supplied token per group → the group's risks. A stamp must change
-/// whenever the group's membership (row set or order) changes and never
-/// collide between distinct memberships audited by this session.
+/// An **unbound** session ([`new`](Self::new)) serves any number of
+/// versions with one fixed adversary model — the caller's frozen auditor.
+/// Its **stamp cache** replays group risks **bit-identically** to a fresh
+/// audit (the values cached are exactly the ones a fresh run computes): an
+/// opaque caller-supplied token per group → the group's risks. A stamp must
+/// change whenever the group's membership (row set or order) changes and
+/// never collide between distinct memberships audited by this session.
 /// Partition-tree leaf stamps satisfy this *across versions of an evolving
 /// table*, so after a delta only the groups the delta dirtied miss the
 /// cache, no matter which reader thread audited the previous version. A
 /// missed group is prepared, solved and stamped: no cache keyed by group
 /// contents sits behind the stamps (see the [module docs](self) for why).
-///
 /// Entries no recent report used are dropped after a grace window, so
 /// dissolved groups do not accumulate. The session keeps a running total of
 /// the bytes its entries hold, added at each insert and subtracted in the
 /// sweep, so [`bytes_accounted`](Self::bytes_accounted) reads two counters
-/// instead of walking the caches.
+/// instead of walking the cache. Group solving runs outside the lock; the
+/// mutex only guards stamp lookups and inserts, so concurrent readers
+/// contend for microseconds, not for the Ω computation. Two readers racing
+/// on the same cold group may both solve it — they produce identical bits,
+/// and the first insert wins.
 ///
-/// On top of the caches sits a one-slot **report memo** for callers that
-/// audit numbered table versions
-/// ([`report_version`](Self::report_version)): the second audit of one
-/// `(version, t)` keeps its report, and every later one returns a copy of it
-/// without touching the caches.
+/// A **bound** session ([`bound`](Self::bound)) audits exactly one table
+/// version, whose model was estimated or refreshed to that version. It is
+/// built with every risk of the version already solved, and keeps them as
+/// one row-indexed vector beside the version's leaf stamps and the row →
+/// point array of the model's fold, through which each member's prior is
+/// read with no QI gather and no hashing. It holds no stamp cache and never
+/// changes once built; its reports lock only the report memo below. When
+/// the version is exactly one delta after the previous bound session's, the
+/// new session starts from the previous one's vector ([`step`](Self::step))
+/// and re-solves only the groups under a leaf stamp the previous version did
+/// not have or holding a row whose prior the model's refresh recomputed;
+/// every other bound session solves every group.
 ///
-/// A session that audits one fixed table version can be bound to the row →
-/// point array of its model's fold
-/// ([`with_row_points`](Self::with_row_points), [`carried`](Self::carried)):
-/// a re-solved group then reads each member's prior at its row's point,
-/// with no QI gather and no hashing. It finds the same `Dist` the QI lookup
-/// would, so reports do not change.
-///
-/// Group solving runs outside the lock; the mutex only guards stamp
-/// lookups and inserts, so concurrent readers contend for microseconds,
-/// not for the Ω computation. Two readers racing on the same cold group
-/// may both solve it — they produce identical bits, and the first insert
-/// wins.
+/// On top of either sits a one-slot **report memo** for callers that audit
+/// numbered table versions ([`report_version`](Self::report_version)): the
+/// second audit of one `(version, t)` keeps its report, and every later one
+/// returns a copy of it without touching the session's risks.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -619,13 +736,7 @@ struct ReportMemo {
 /// ```
 pub struct SharedAuditSession {
     auditor: Auditor,
-    /// For a bound session, the point of the model's fold each row of the
-    /// audited table folds into; empty otherwise.
-    row_points: Vec<u32>,
-    caches: Mutex<SharedCaches>,
-    /// Bytes of every `caches` entry ([`cache_entry_bytes`]), changed only
-    /// under the `caches` lock.
-    cache_bytes: AtomicUsize,
+    retained: Retained,
     /// Groups this session has solved, over its lifetime.
     solved: AtomicUsize,
     report_memo: Mutex<ReportMemo>,
@@ -641,116 +752,134 @@ impl SharedAuditSession {
     /// moment one report skips it.
     const STAMP_GRACE: u64 = 4;
 
-    /// Open a shared session around `auditor`. The auditor's adversary
+    /// Open an unbound session around `auditor`. The auditor's adversary
     /// model is pinned for the session's lifetime.
     pub fn new(auditor: Auditor) -> Self {
-        Self::with_row_points(auditor, Vec::new())
-    }
-
-    /// Open a session bound to one table version: `row_points[r]` is the
-    /// point of the adversary model's fold that row `r` of that table folds
-    /// into ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)
-    /// of the table the model was estimated or refreshed to). Reports
-    /// resolve priors through it whenever the table has one row per entry
-    /// and the model a fold of as many rows; audit only that table version
-    /// through a bound session.
-    pub fn with_row_points(auditor: Auditor, row_points: Vec<u32>) -> Self {
-        Self::with_stamps(auditor, row_points, WordMap::default(), 0)
-    }
-
-    /// A session whose stamp cache starts as `stamps`, holding `bytes`.
-    fn with_stamps(
-        auditor: Auditor,
-        row_points: Vec<u32>,
-        stamps: WordMap<u64, CacheEntry>,
-        bytes: usize,
-    ) -> Self {
-        SharedAuditSession {
-            auditor,
-            row_points,
+        let cache = StampCache {
             caches: Mutex::new(SharedCaches {
-                stamps,
+                stamps: WordMap::default(),
                 generation: 0,
             }),
-            cache_bytes: AtomicUsize::new(bytes),
-            solved: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
+        };
+        Self::with_retained(auditor, Retained::Stamps(cache), 0)
+    }
+
+    fn with_retained(auditor: Auditor, retained: Retained, solved: usize) -> Self {
+        SharedAuditSession {
+            auditor,
+            retained,
+            solved: AtomicUsize::new(solved),
             report_memo: Mutex::default(),
             memo_bytes: AtomicUsize::new(0),
         }
     }
 
-    /// Open a session for an adversary whose prior model was refreshed from
-    /// the one behind `carry`'s session, seeded with the carried stamp
-    /// entries of every **clean** group: its stamp was cached there and
-    /// none of its rows folds into a point whose prior the refresh
-    /// recomputed. Such a group has the same member tuples (the stamp
-    /// contract) and, member by member, bit-identical priors and sensitive
-    /// histogram, so its risks are exactly the cached ones. Every other
-    /// group misses, and the first report prepares, solves and stamps it.
+    /// Open a session bound to one table version and solve it: `groups`
+    /// and `stamps` are the version's published groups and their leaf
+    /// stamps (the stamp contract above), and `row_points[r]` is the point
+    /// of the auditor's model's fold that row `r` of `table` folds into
+    /// ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)
+    /// of the table the model was estimated or refreshed to).
     ///
-    /// `groups` and `stamps` are the new version's, `row_points[r]` is the
-    /// refreshed fold's point for row `r`
-    /// ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)),
-    /// and `dirty` is what
+    /// `previous` is the previous version's bound session stepped across
+    /// the one delta between the versions ([`step`](Self::step)), with what
     /// [`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)
-    /// returned. The session keeps `row_points` and is bound to the new
-    /// version ([`with_row_points`](Self::with_row_points)).
-    pub fn carried(
+    /// recomputed when it refreshed that session's model to this version. A
+    /// group is then re-solved only when its stamp is new or one of its
+    /// rows is inserted or folds into a dirty point: every other group has
+    /// the same member tuples, and member by member bit-identical priors and
+    /// sensitive histogram, so its risks are exactly the stepped ones.
+    /// Without `previous`, or when the groups or the row → point array do
+    /// not cover `table` row for row, every group is solved.
+    ///
+    /// # Panics
+    ///
+    /// If `stamps` and `groups` differ in length.
+    pub fn bound(
         auditor: Auditor,
-        carry: StampCarry,
+        table: &Table,
         groups: &[&[usize]],
         stamps: &[u64],
         row_points: Vec<u32>,
-        dirty: &DirtyPoints,
+        previous: Option<(RiskStep, &DirtyPoints)>,
     ) -> Self {
-        let mut inherited = WordMap::with_capacity_and_hasher(groups.len(), Default::default());
-        let mut bytes = 0;
-        for ((rows, &stamp), risks) in groups.iter().zip(stamps).zip(carry.risks) {
-            let Some(risks) = risks else {
-                continue;
-            };
-            let clean = risks.len() == rows.len()
-                && rows
-                    .iter()
-                    .all(|&r| row_points.get(r).is_some_and(|&p| !dirty.contains(p)));
-            if clean {
-                if let Entry::Vacant(slot) = inherited.entry(stamp) {
-                    bytes += cache_entry_bytes(1, risks.len());
-                    slot.insert(CacheEntry {
-                        generation: 0,
-                        risks,
-                    });
+        assert_eq!(stamps.len(), groups.len(), "one stamp per group");
+        let (risks, solved) = {
+            let points = point_priors(&auditor, &row_points, table);
+            let covered = groups.iter().map(|rows| rows.len()).sum::<usize>() == table.len();
+            let previous = previous
+                .filter(|(step, _)| covered && points.is_some() && step.risks.len() == table.len());
+            let (mut risks, kept) = match previous {
+                Some((RiskStep { mut risks, stamps }, dirty)) => {
+                    for (risk, &point) in risks.iter_mut().zip(&row_points) {
+                        if dirty.contains(point) {
+                            *risk = f64::NAN;
+                        }
+                    }
+                    (risks, stamps)
                 }
-            }
-        }
-        Self::with_stamps(auditor, row_points, inherited, bytes)
+                None => (vec![f64::NAN; table.len()], Vec::new()),
+            };
+            let solved = auditor.solve_groups(table, groups, points, &mut risks, |gi, risks| {
+                kept.binary_search(&stamps[gi]).is_err()
+                    || groups[gi].iter().any(|&row| risks[row].is_nan())
+            });
+            (risks, solved)
+        };
+        let version = BoundVersion {
+            row_points,
+            stamps: stamps.to_vec(),
+            risks,
+        };
+        Self::with_retained(auditor, Retained::Version(version), solved)
+    }
+
+    /// Step this bound session's risks across one delta, for the session of
+    /// the next version ([`bound`](Self::bound)): `deletes` are the rows the
+    /// delta deletes from this session's version
+    /// ([`Delta::deletes`](bgkanon_data::Delta::deletes)) and `rows` the
+    /// next version's row count. The risks are moved out when this is the
+    /// last handle on the session and copied otherwise; either way the
+    /// handle, and with it this session's hold on its adversary model, is
+    /// released. `None` for an unbound session, or when `deletes` does not
+    /// fit this version.
+    pub fn step(self: Arc<Self>, deletes: &[usize], rows: usize) -> Option<RiskStep> {
+        let (risks, mut stamps) = match Arc::try_unwrap(self) {
+            Ok(session) => match session.retained {
+                Retained::Version(version) => (version.risks, version.stamps),
+                Retained::Stamps(_) => return None,
+            },
+            Err(shared) => match &shared.retained {
+                Retained::Version(version) => (version.risks.clone(), version.stamps.clone()),
+                Retained::Stamps(_) => return None,
+            },
+        };
+        let risks = compact(risks, deletes, rows)?;
+        stamps.sort_unstable();
+        Some(RiskStep { risks, stamps })
     }
 
     /// The row → point array this session is bound to (empty when
     /// unbound).
     pub fn row_points(&self) -> &[u32] {
-        &self.row_points
+        match &self.retained {
+            Retained::Version(version) => &version.row_points,
+            Retained::Stamps(_) => &[],
+        }
     }
 
-    /// The model and row → point array to resolve `table`'s priors
-    /// through, when this session is bound to a table of its length.
-    fn point_priors(&self, table: &Table) -> Option<(&PriorModel, &[u32])> {
-        let model = self.auditor.adversary.prior_model()?;
-        let rows = self.row_points.len();
-        let bound = rows == table.len() && model.folded().rows() == rows;
-        bound.then_some((model.as_ref(), self.row_points.as_slice()))
-    }
-
-    /// The risks this session has cached under each of `group_stamps`
-    /// (`Arc` clones; the session is left as it was), for
-    /// [`carried`](Self::carried) to hand to a successor session.
-    pub fn carry_stamps(&self, group_stamps: &[u64]) -> StampCarry {
-        let caches = self.lock_caches();
-        let risks = group_stamps
-            .iter()
-            .map(|s| caches.stamps.get(s).map(|e| Arc::clone(&e.risks)))
-            .collect();
-        StampCarry { risks }
+    /// A bound session's risks, when `table` and `stamps` are its version's.
+    fn version_risks(&self, table: &Table, stamps: Option<&[u64]>) -> Option<&[f64]> {
+        match &self.retained {
+            Retained::Version(version)
+                if version.risks.len() == table.len()
+                    && stamps == Some(version.stamps.as_slice()) =>
+            {
+                Some(&version.risks)
+            }
+            _ => None,
+        }
     }
 
     /// The wrapped auditor.
@@ -758,51 +887,44 @@ impl SharedAuditSession {
         &self.auditor
     }
 
-    /// Number of groups this session has solved so far — one per group a
-    /// report found neither in the report memo nor under its stamp. The
-    /// count only grows; the difference across a report is that report's
-    /// Ω solves (diagnostics).
+    /// Number of groups this session has solved so far: every group of a
+    /// bound session's version it did not take from the previous version,
+    /// plus one per group a report found neither in the report memo nor
+    /// among the session's retained risks. The count only grows; the
+    /// difference across a report is that report's Ω solves (diagnostics).
     pub fn cached_signatures(&self) -> usize {
         self.solved.load(Ordering::Relaxed)
     }
 
-    /// Number of live stamp-cache entries.
+    /// Number of live stamp-cache entries (0 for a bound session).
     #[cfg(test)]
     fn cached_stamps(&self) -> usize {
-        self.lock_caches().stamps.len()
+        match &self.retained {
+            Retained::Stamps(cache) => cache.lock().stamps.len(),
+            Retained::Version(_) => 0,
+        }
     }
 
-    /// Heap bytes resident in the session — stamp cache, kept report and
-    /// row → point array, a deterministic owned-payload
-    /// estimate read from the running totals without a lock. The adversary
-    /// model behind the auditor is **not** counted here: it is charged to
-    /// its owner (the hub's intern table for `Adv(b')` models, the caller
-    /// for external auditors), so a model shared by many tenants is
-    /// accounted once.
+    /// Heap bytes resident in the session — an unbound session's stamp
+    /// cache; a bound session's risk vector (8 B/row), leaf stamps
+    /// (8 B/group) and row → point array (4 B/row); and either's kept
+    /// report — a deterministic owned-payload estimate read without a lock.
+    /// The adversary model behind the auditor is **not** counted here: it is
+    /// charged to its owner (the hub's intern table for `Adv(b')` models,
+    /// the caller for external auditors), so a model shared by many tenants
+    /// is accounted once.
     pub fn bytes_accounted(&self) -> usize {
-        self.cache_bytes.load(Ordering::Relaxed)
-            + self.memo_bytes.load(Ordering::Relaxed)
-            + self.row_points.len() * 4
-    }
-
-    /// The cache guard, poison-tolerant: a reader that panicked while
-    /// holding it may have left the caches half-updated, so a poisoned lock
-    /// is recovered with the stamp cache cleared and its byte total reset.
-    /// Every entry is rebuild-on-miss and replays are bit-identical, so the
-    /// next report simply recomputes — one panicked reader never wedges the
-    /// tenant.
-    fn lock_caches(&self) -> MutexGuard<'_, SharedCaches> {
-        self.caches.lock().unwrap_or_else(|poisoned| {
-            self.caches.clear_poison();
-            let mut caches = poisoned.into_inner();
-            caches.stamps.clear();
-            self.cache_bytes.store(0, Ordering::Relaxed);
-            caches
-        })
+        let retained = match &self.retained {
+            Retained::Stamps(cache) => cache.bytes.load(Ordering::Relaxed),
+            Retained::Version(version) => {
+                version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
+            }
+        };
+        retained + self.memo_bytes.load(Ordering::Relaxed)
     }
 
     /// The report-memo guard, recovered from a poisoned lock with the slot
-    /// emptied, like [`lock_caches`](Self::lock_caches).
+    /// emptied, like [`StampCache::lock`].
     fn lock_report_memo(&self) -> MutexGuard<'_, ReportMemo> {
         self.report_memo.lock().unwrap_or_else(|poisoned| {
             self.report_memo.clear_poison();
@@ -817,14 +939,15 @@ impl SharedAuditSession {
     /// version, through the session's one-slot report memo. `version`
     /// names the audited table, groups and stamps: every call with one
     /// `version` must pass the same inputs. `groups` is only called when
-    /// the memo misses. The slot is keyed by `(version, t.to_bits())`:
+    /// the memo misses and the session holds no risks of the version. The
+    /// slot is keyed by `(version, t.to_bits())`:
     ///
     /// * the first audit of a key claims the slot and keeps nothing, so a
     ///   caller that audits each version once never copies a report;
     /// * the second audit of the key keeps a copy of its report;
     /// * every later audit of the key returns a copy of the kept report
     ///   (the `Arc` is cloned under the lock, the risks copied outside it)
-    ///   and leaves the caches untouched.
+    ///   and leaves the session's risks untouched.
     ///
     /// A key of a newer version, or of another `t`, claims the slot and
     /// drops the kept report; an audit of an older version than the slot's
@@ -855,7 +978,10 @@ impl SharedAuditSession {
         if let Some(kept) = kept {
             return AuditReport::clone(&kept);
         }
-        let report = self.report_groups(table, &groups(), stamps, t);
+        let report = match self.version_risks(table, stamps) {
+            Some(risks) => self.auditor.assemble_report(risks.to_vec(), t),
+            None => self.report_groups(table, &groups(), stamps, t),
+        };
         if second {
             let copy = Arc::new(report.clone());
             let mut memo = self.lock_report_memo();
@@ -868,12 +994,18 @@ impl SharedAuditSession {
         report
     }
 
-    /// Audit `groups` with threshold `t` through the shared caches —
-    /// bit-identical to [`Auditor::report`] on the same inputs, callable
-    /// from any number of threads concurrently. `stamps`, when given, holds
-    /// one token per group under the stamp contract above; a hit skips the
-    /// group's preparation and solve. A missed group is prepared, solved
-    /// and stamped, taking the lock once, for its stamp insert.
+    /// Audit `groups` with threshold `t` — bit-identical to
+    /// [`Auditor::report`] on the same inputs, callable from any number of
+    /// threads concurrently. `stamps`, when given, holds one token per
+    /// group under the stamp contract above.
+    ///
+    /// An unbound session looks each group up in its stamp cache: a hit
+    /// skips the group's preparation and solve, and a missed group is
+    /// prepared, solved and stamped, taking the lock once, for its stamp
+    /// insert. A bound session copies its retained risks when `table` and
+    /// `stamps` are its version's, and otherwise solves every group, reading
+    /// priors through its row → point array when that covers `table`, and
+    /// keeps nothing.
     pub fn report_groups(
         &self,
         table: &Table,
@@ -884,8 +1016,33 @@ impl SharedAuditSession {
         if let Some(stamps) = stamps {
             assert_eq!(stamps.len(), groups.len(), "one stamp per group");
         }
+        let version = match &self.retained {
+            Retained::Stamps(cache) => return self.report_stamped(cache, table, groups, stamps, t),
+            Retained::Version(version) => version,
+        };
+        if let Some(risks) = self.version_risks(table, stamps) {
+            return self.auditor.assemble_report(risks.to_vec(), t);
+        }
+        let points = point_priors(&self.auditor, &version.row_points, table);
         let mut risks = vec![f64::NAN; table.len()];
-        let points = self.point_priors(table);
+        let solved = self
+            .auditor
+            .solve_groups(table, groups, points, &mut risks, |_, _| true);
+        self.solved.fetch_add(solved, Ordering::Relaxed);
+        self.auditor.assemble_report(risks, t)
+    }
+
+    /// [`report_groups`](Self::report_groups) of an unbound session,
+    /// through its stamp cache.
+    fn report_stamped(
+        &self,
+        cache: &StampCache,
+        table: &Table,
+        groups: &[&[usize]],
+        stamps: Option<&[u64]>,
+        t: f64,
+    ) -> AuditReport {
+        let mut risks = vec![f64::NAN; table.len()];
 
         // Pass 1 (one short lock): bump the generation and collect every
         // stamp hit as an `Arc` clone. Only pointer bumps happen under the
@@ -896,7 +1053,7 @@ impl SharedAuditSession {
         let mut missed: Vec<usize> = Vec::new();
         let mut hits: Vec<(usize, Arc<Vec<f64>>)> = Vec::new();
         {
-            let mut caches = self.lock_caches();
+            let mut caches = cache.lock();
             caches.generation += 1;
             generation = caches.generation;
             for (gi, rows) in groups.iter().enumerate() {
@@ -927,19 +1084,19 @@ impl SharedAuditSession {
         self.solved.fetch_add(missed.len(), Ordering::Relaxed);
         for gi in missed {
             let rows = groups[gi];
-            self.auditor
-                .prepare_group(table, rows, points, &mut scratch);
+            self.auditor.prepare_group(table, rows, None, &mut scratch);
             let mut solved = Vec::with_capacity(rows.len());
             self.auditor.solve_group(rows, &mut scratch, |row, risk| {
                 risks[row] = risk;
                 solved.push(risk);
             });
             if let Some(stamp) = stamps.map(|s| s[gi]) {
-                let mut caches = self.lock_caches();
+                let mut caches = cache.lock();
                 match caches.stamps.entry(stamp) {
                     Entry::Occupied(mut entry) => entry.get_mut().generation = generation,
                     Entry::Vacant(slot) => {
-                        self.cache_bytes
+                        cache
+                            .bytes
                             .fetch_add(cache_entry_bytes(1, solved.len()), Ordering::Relaxed);
                         slot.insert(CacheEntry {
                             generation,
@@ -954,7 +1111,7 @@ impl SharedAuditSession {
         // dissolved groups do not accumulate, while groups a concurrent
         // reader of an adjacent version still replays survive the window.
         {
-            let mut caches = self.lock_caches();
+            let mut caches = cache.lock();
             let generation = caches.generation;
             let mut freed = 0;
             caches.stamps.retain(|_, e| {
@@ -964,9 +1121,9 @@ impl SharedAuditSession {
                 }
                 keep
             });
-            self.cache_bytes.fetch_sub(freed, Ordering::Relaxed);
+            cache.bytes.fetch_sub(freed, Ordering::Relaxed);
             debug_assert_eq!(
-                self.cache_bytes.load(Ordering::Relaxed),
+                cache.bytes.load(Ordering::Relaxed),
                 walked_bytes(&caches),
                 "the running cache byte total drifted from its entries"
             );
@@ -977,12 +1134,14 @@ impl SharedAuditSession {
 
 impl std::fmt::Debug for SharedAuditSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stamps = self.lock_caches().stamps.len();
-        f.debug_struct("SharedAuditSession")
-            .field("auditor", &self.auditor)
-            .field("solved_groups", &self.cached_signatures())
-            .field("cached_stamps", &stamps)
-            .finish()
+        let mut out = f.debug_struct("SharedAuditSession");
+        out.field("auditor", &self.auditor)
+            .field("solved_groups", &self.cached_signatures());
+        match &self.retained {
+            Retained::Stamps(cache) => out.field("cached_stamps", &cache.lock().stamps.len()),
+            Retained::Version(version) => out.field("bound_rows", &version.risks.len()),
+        };
+        out.finish()
     }
 }
 
@@ -1328,91 +1487,285 @@ mod tests {
         // A pooled reader panics while holding the cache lock.
         let poisoner = Arc::clone(&shared);
         let job = move || {
-            let _guard = poisoner.caches.lock();
+            let _guard = stamp_cache(&poisoner).caches.lock();
             panic!("reader panicked while holding the audit caches");
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             bgkanon_data::shared_pool().run(vec![job])
         }));
         assert!(outcome.is_err());
-        assert!(shared.caches.is_poisoned());
+        assert!(stamp_cache(&shared).caches.is_poisoned());
 
         // The next report clears the caches, recomputes, and matches a
         // fresh auditor bit for bit; the lock is healthy again.
         let report = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert!(!shared.caches.is_poisoned());
+        assert!(!stamp_cache(&shared).caches.is_poisoned());
         assert_eq!(report.first_difference(&fresh), None);
         assert_eq!(shared.cached_stamps(), 3);
     }
 
+    /// The stamp cache of an unbound session.
+    fn stamp_cache(session: &SharedAuditSession) -> &StampCache {
+        match &session.retained {
+            Retained::Stamps(cache) => cache,
+            Retained::Version(_) => panic!("a bound session has no stamp cache"),
+        }
+    }
+
+    /// `Adv(b)` on `table`'s fold, with the row → point array of that fold.
+    fn folded_auditor(table: &Table, b: f64) -> (Auditor, Vec<u32>) {
+        use bgkanon_knowledge::{FoldedTable, PriorEstimator};
+        let bandwidth = Bandwidth::uniform(b, table.qi_count()).unwrap();
+        let (fold, row_points) = FoldedTable::with_row_points(table);
+        let model = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone())
+            .estimate_folded(fold, Parallelism::Auto);
+        let adversary = Arc::new(Adversary::from_model("Adv", bandwidth, Arc::new(model)));
+        let measure = Arc::new(SmoothedJs::paper_default(
+            table.schema().sensitive_distance(),
+        ));
+        (Auditor::new(adversary, measure), row_points)
+    }
+
+    /// Groups of `size` consecutive rows over the first `rows` rows.
+    fn runs(rows: usize, size: usize) -> Vec<Vec<usize>> {
+        (0..rows)
+            .step_by(size)
+            .map(|start| (start..(start + size).min(rows)).collect())
+            .collect()
+    }
+
     #[test]
     fn bound_and_unbound_sessions_match_a_fresh_report() {
-        use bgkanon_data::Parallelism;
-        use bgkanon_knowledge::{FoldedTable, PriorEstimator};
         for seed in [5u64, 13] {
             let t = bgkanon_data::adult::generate(300, seed);
-            let bandwidth = Bandwidth::uniform(0.3, t.qi_count()).unwrap();
-            let (fold, row_points) = FoldedTable::with_row_points(&t);
-            let model = PriorEstimator::new(Arc::clone(t.schema()), bandwidth.clone())
-                .estimate_folded(fold, Parallelism::Auto);
-            let adversary = Arc::new(Adversary::from_model("Adv", bandwidth, Arc::new(model)));
-            let measure = Arc::new(SmoothedJs::paper_default(t.schema().sensitive_distance()));
-            let auditor = Auditor::new(adversary, measure);
-            let groups: Vec<Vec<usize>> = (0..t.len())
-                .step_by(5)
-                .map(|start| (start..(start + 5).min(t.len())).collect())
-                .collect();
+            let (auditor, row_points) = folded_auditor(&t, 0.3);
+            let groups = runs(t.len(), 5);
             let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+            let stamps: Vec<u64> = (0..groups.len() as u64).collect();
+            let other: Vec<u64> = stamps.iter().map(|s| s + 1_000).collect();
             let fresh = auditor.report_reference(&t, &groups, 0.2);
 
-            let bound = SharedAuditSession::with_row_points(auditor.clone(), row_points.clone());
-            assert!(bound.point_priors(&t).is_some());
-            let unbound = SharedAuditSession::new(auditor.clone());
-            assert!(unbound.point_priors(&t).is_none());
-            // Row points of another length leave the session on the QI path.
-            let short = SharedAuditSession::with_row_points(
+            let bound = SharedAuditSession::bound(
                 auditor.clone(),
-                row_points[..t.len() - 1].to_vec(),
+                &t,
+                &slices,
+                &stamps,
+                row_points.clone(),
+                None,
             );
-            assert!(short.point_priors(&t).is_none());
-            for session in [&bound, &unbound, &short] {
-                for stamps in [
-                    None,
-                    Some(&(0..groups.len() as u64).collect::<Vec<_>>()[..]),
-                ] {
+            assert!(point_priors(bound.auditor(), bound.row_points(), &t).is_some());
+            // Row points of another length leave the session on the QI path.
+            let short = SharedAuditSession::bound(
+                auditor.clone(),
+                &t,
+                &slices,
+                &stamps,
+                row_points[..t.len() - 1].to_vec(),
+                None,
+            );
+            assert!(point_priors(short.auditor(), short.row_points(), &t).is_none());
+            let unbound = SharedAuditSession::new(auditor.clone());
+            assert!(unbound.row_points().is_empty());
+            for session in [&bound, &short] {
+                assert_eq!(session.cached_signatures(), groups.len());
+                assert_eq!(session.cached_stamps(), 0);
+            }
+            for session in [&bound, &short, &unbound] {
+                for stamps in [None, Some(&stamps[..]), Some(&other[..])] {
                     let report = session.report_groups(&t, &slices, stamps, 0.2);
                     assert_eq!(fresh.first_difference(&report), None, "seed {seed}");
                 }
             }
-            // Both paths solve every group on the unstamped report and again
-            // on the first stamped one.
-            for session in [&bound, &unbound, &short] {
-                assert_eq!(session.cached_signatures(), 2 * groups.len());
+            // A bound session serves its own version's stamps from its risks
+            // and solves every group for any other input, keeping nothing;
+            // the unbound one solves every group once per unseen stamp.
+            for session in [&bound, &short, &unbound] {
+                assert_eq!(session.cached_signatures(), 3 * groups.len());
             }
             assert_eq!(
                 bound.bytes_accounted(),
-                unbound.bytes_accounted() + row_points.len() * 4
+                t.len() * 8 + groups.len() * 8 + t.len() * 4
             );
         }
     }
 
     #[test]
+    fn compact_lays_risks_out_like_apply_delta() {
+        let risks = vec![0.0, 1.0, 2.0, 3.0, 4.0];
+        let out = compact(risks.clone(), &[1, 3], 5).unwrap();
+        assert_eq!(out[..3], [0.0, 2.0, 4.0]);
+        assert!(out[3..].iter().all(|r| r.is_nan()));
+        assert_eq!(compact(risks.clone(), &[], 5), Some(risks.clone()));
+        assert_eq!(
+            compact(risks.clone(), &[0, 4], 3),
+            Some(vec![1.0, 2.0, 3.0])
+        );
+        // Out of order, repeated or past the end; more survivors than rows.
+        for deletes in [&[3usize, 1][..], &[2, 2], &[5]] {
+            assert_eq!(compact(risks.clone(), deletes, 5), None, "{deletes:?}");
+        }
+        assert_eq!(compact(risks, &[0], 3), None);
+    }
+
+    #[test]
+    fn a_stepped_session_resolves_only_new_and_dirty_groups() {
+        use bgkanon_data::DeltaBuilder;
+        use bgkanon_knowledge::{FoldedTable, PriorEstimator};
+        let t0 = bgkanon_data::adult::generate(400, 17);
+        let (auditor0, points0) = folded_auditor(&t0, 0.25);
+        let groups0 = runs(t0.len(), 4);
+        let slices0: Vec<&[usize]> = groups0.iter().map(Vec::as_slice).collect();
+        let stamps0: Vec<u64> = (0..groups0.len() as u64).collect();
+        let v0 = Arc::new(SharedAuditSession::bound(
+            auditor0.clone(),
+            &t0,
+            &slices0,
+            &stamps0,
+            points0,
+            None,
+        ));
+        assert_eq!(v0.cached_signatures(), groups0.len());
+
+        // Delete one row from each of two groups and insert two donor rows.
+        let deletes = [13usize, 241];
+        let donors = bgkanon_data::adult::generate(2, 99);
+        let mut builder = DeltaBuilder::new(Arc::clone(t0.schema()));
+        for &row in &deletes {
+            builder.delete(row);
+        }
+        for row in 0..2 {
+            builder
+                .insert_codes(&donors.qi(row), donors.sensitive_value(row))
+                .unwrap();
+        }
+        let delta = builder.build();
+        let t1 = t0.apply_delta(&delta).unwrap();
+        // Version 1: every group's survivors, renumbered; a group that lost
+        // a row is restamped, and the two inserts form a new group.
+        let renumber = |row: usize| row - deletes.iter().filter(|&&d| d < row).count();
+        let mut groups1 = Vec::new();
+        let mut stamps1 = Vec::new();
+        for (g, rows) in groups0.iter().enumerate() {
+            let survivors: Vec<usize> = rows
+                .iter()
+                .filter(|row| !deletes.contains(row))
+                .map(|&row| renumber(row))
+                .collect();
+            let restamp = if survivors.len() == rows.len() {
+                0
+            } else {
+                1_000
+            };
+            stamps1.push(restamp + g as u64);
+            groups1.push(survivors);
+        }
+        groups1.push(vec![t1.len() - 2, t1.len() - 1]);
+        stamps1.push(2_000);
+        let slices1: Vec<&[usize]> = groups1.iter().map(Vec::as_slice).collect();
+
+        // Refresh version 0's model to version 1.
+        let model = auditor0.adversary().prior_model().unwrap();
+        let mut model = PriorModel::clone(model);
+        let bandwidth = model.bandwidth().clone();
+        let (fold1, points1) = FoldedTable::with_row_points(&t1);
+        let dirty = PriorEstimator::new(Arc::clone(t1.schema()), bandwidth.clone()).refresh_folded(
+            &mut model,
+            fold1,
+            Parallelism::Auto,
+        );
+        let auditor1 = Auditor::new(
+            Arc::new(Adversary::from_model(
+                "Adv",
+                bandwidth.clone(),
+                Arc::new(model),
+            )),
+            Arc::clone(auditor0.measure()),
+        );
+        let expected = slices1
+            .iter()
+            .zip(&stamps1)
+            .filter(|(rows, &stamp)| {
+                stamp >= 1_000 || rows.iter().any(|&row| dirty.contains(points1[row]))
+            })
+            .count();
+        assert!(
+            (1..groups1.len()).contains(&expected),
+            "{expected} of {} groups stale",
+            groups1.len()
+        );
+        let fresh = Auditor::new(
+            Arc::new(Adversary::kernel(&t1, bandwidth)),
+            Arc::clone(auditor0.measure()),
+        )
+        .report_reference(&t1, &groups1, 0.2);
+
+        // A step while another handle holds the session copies its risks;
+        // the last handle's step moves them out. Both patch identically.
+        let copied = Arc::clone(&v0).step(delta.deletes(), t1.len()).unwrap();
+        let moved = v0.step(delta.deletes(), t1.len()).unwrap();
+        for step in [copied, moved] {
+            let v1 = SharedAuditSession::bound(
+                auditor1.clone(),
+                &t1,
+                &slices1,
+                &stamps1,
+                points1.clone(),
+                Some((step, &dirty)),
+            );
+            assert_eq!(v1.cached_signatures(), expected);
+            // The version's report comes from the kept risks: the groups are
+            // never asked for.
+            let report = v1.report_version(1, &t1, Vec::new, Some(&stamps1), 0.2);
+            assert_eq!(report.first_difference(&fresh), None);
+            assert_eq!(v1.cached_signatures(), expected);
+        }
+
+        // Row points that do not cover the table: every group is solved.
+        let stepped = SharedAuditSession::bound(
+            auditor0.clone(),
+            &t0,
+            &slices0,
+            &stamps0,
+            FoldedTable::with_row_points(&t0).1,
+            None,
+        );
+        let step = Arc::new(stepped).step(delta.deletes(), t1.len()).unwrap();
+        let cold = SharedAuditSession::bound(
+            auditor1.clone(),
+            &t1,
+            &slices1,
+            &stamps1,
+            points1[1..].to_vec(),
+            Some((step, &dirty)),
+        );
+        assert_eq!(cold.cached_signatures(), groups1.len());
+        let report = cold.report_groups(&t1, &slices1, Some(&stamps1), 0.2);
+        assert_eq!(report.first_difference(&fresh), None);
+
+        // Only a bound session steps, and only across deletes it can hold.
+        let unbound = Arc::new(SharedAuditSession::new(auditor1.clone()));
+        assert!(unbound.step(&[], t1.len()).is_none());
+        assert!(Arc::new(cold).step(&[t1.len()], t1.len()).is_none());
+    }
+
+    #[test]
     fn running_byte_total_matches_a_walk_of_the_entries() {
-        use bgkanon_data::Parallelism;
         use bgkanon_knowledge::{FoldedTable, PriorEstimator};
         let t = bgkanon_data::adult::generate(240, 3);
-        let auditor = auditor(&t, 0.3);
-        // A refresh to the same fold: no point dirty, so `carried` keeps
-        // every cached stamp of a group whose rows all have a point.
-        let (fold, row_points) = FoldedTable::with_row_points(&t);
+        let (auditor, row_points) = folded_auditor(&t, 0.3);
+        // A refresh to the same fold: no point dirty.
+        let (fold, _) = FoldedTable::with_row_points(&t);
         let estimator = PriorEstimator::new(
             Arc::clone(t.schema()),
             Bandwidth::uniform(0.3, t.qi_count()).unwrap(),
         );
         let mut model = estimator.estimate_folded(fold.clone(), Parallelism::Auto);
         let clean = estimator.refresh_folded(&mut model, fold, Parallelism::Auto);
-        let walk = |session: &SharedAuditSession| {
-            walked_bytes(&session.lock_caches()) + session.row_points.len() * 4
+        let walk = |session: &SharedAuditSession| match &session.retained {
+            Retained::Stamps(cache) => walked_bytes(&cache.lock()),
+            Retained::Version(version) => {
+                version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
+            }
         };
         // xorshift64: the draws only pick the sequence.
         let mut state = 0x6a09_e667_f3bc_c908u64;
@@ -1433,10 +1786,7 @@ mod tests {
                 version += 1;
                 let rows = 20 + draw(t.len() - 20);
                 let size = 2 + draw(6);
-                groups = (0..rows)
-                    .step_by(size)
-                    .map(|start| (start..(start + size).min(rows)).collect::<Vec<usize>>())
-                    .collect();
+                groups = runs(rows, size);
                 stamps = (0..groups.len())
                     .map(|g| {
                         // Only a full group's stamp recurs: equal stamps
@@ -1452,25 +1802,30 @@ mod tests {
             }
             let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
             match draw(10) {
-                // Carry every cached stamp into a successor session.
+                // Bind a session to this version, stepped from the current
+                // one when that is bound, or go back to an unbound one.
                 0 => {
-                    let carry = session.carry_stamps(&stamps);
-                    session = Arc::new(SharedAuditSession::carried(
+                    let previous = Arc::clone(&session).step(&[], t.len());
+                    session = Arc::new(SharedAuditSession::bound(
                         auditor.clone(),
-                        carry,
+                        &t,
                         &slices,
                         &stamps,
                         row_points.clone(),
-                        &clean,
+                        previous.map(|previous| (previous, &clean)),
                     ));
                 }
-                // A reader panics holding the caches: the next lock clears
-                // them and resets the total.
-                1 => {
+                1 => session = Arc::new(SharedAuditSession::new(auditor.clone())),
+                // A reader panics holding a lock: the next lock clears what
+                // it guards and resets its total.
+                2 => {
                     let poisoner = Arc::clone(&session);
                     let job = move || {
-                        let _guard = poisoner.caches.lock();
-                        panic!("reader panicked while holding the audit caches");
+                        let _guard = match &poisoner.retained {
+                            Retained::Stamps(cache) => Ok(cache.caches.lock()),
+                            Retained::Version(_) => Err(poisoner.report_memo.lock()),
+                        };
+                        panic!("reader panicked while holding a session lock");
                     };
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         bgkanon_data::shared_pool().run(vec![job])
@@ -1482,15 +1837,15 @@ mod tests {
                         session.report_version(version, &t, || slices.clone(), Some(&stamps), 0.2);
                 }
             }
-            // The walk locks first: a poisoned lock is recovered (caches
+            // The walk locks first: a poisoned lock is recovered (entries
             // cleared, total reset) before the total is read.
+            let walked = walk(&session);
             let memo = session
                 .lock_report_memo()
                 .report
                 .as_deref()
                 .map_or(0, report_bytes);
-            let walked = walk(&session) + memo;
-            assert_eq!(session.bytes_accounted(), walked, "step {step}");
+            assert_eq!(session.bytes_accounted(), walked + memo, "step {step}");
         }
     }
 

@@ -29,7 +29,7 @@ mod risk;
 pub mod skyline;
 pub mod tclose;
 
-pub use audit::{AuditReport, Auditor, RiskDrift, SharedAuditSession, StampCarry};
+pub use audit::{AuditReport, Auditor, RiskDrift, RiskStep, SharedAuditSession};
 pub use bt::BTPrivacy;
 pub use kanon::KAnonymity;
 pub use ldiv::{DistinctLDiversity, ProbabilisticLDiversity};

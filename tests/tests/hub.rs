@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bgkanon::data::{adult, Delta, DeltaBuilder, Table};
@@ -741,4 +742,106 @@ fn running_byte_totals_survive_random_insert_sweep_carry_and_clear_sequences() {
     audit(2, false, THRESHOLD, "trim r1");
     let cleared = script("script on cleared entries");
     assert_eq!(churned, cleared);
+}
+
+/// One apply of a random schedule and what follows it before the next.
+#[derive(Debug, Clone)]
+struct ScheduledApply {
+    /// Seed of the churn delta.
+    seed: u64,
+    /// Follow with an empty delta, which republishes the version.
+    empty: bool,
+    /// Follow with a delta deleting past the end, which is rejected.
+    rejected: bool,
+    /// The audits that follow, each at the first (`false`) or second of two
+    /// thresholds. None skips the audit of this version, so the next audit
+    /// spans a gap.
+    reads: Vec<bool>,
+}
+
+fn scheduled_apply() -> impl Strategy<Value = ScheduledApply> {
+    (0..u64::MAX, 0u8..4, prop::collection::vec(0u8..2, 0..4)).prop_map(|(seed, follow, reads)| {
+        ScheduledApply {
+            seed,
+            empty: follow & 1 != 0,
+            rejected: follow & 2 != 0,
+            reads: reads.into_iter().map(|read| read == 1).collect(),
+        }
+    })
+}
+
+/// Audit the current version through `hub`'s tenant "stepped" and through
+/// `session`, which has seen the same deltas, and require a fresh
+/// `Adv(B_PRIME)`'s bits from both.
+fn audit_both(hub: &SessionHub, session: &mut PublishSession, second: bool, context: &str) {
+    let t = if second { THRESHOLD / 2.0 } else { THRESHOLD };
+    let snapshot = hub.snapshot("stepped").expect("registered");
+    let served = hub.audit_against("stepped", B_PRIME, t).expect("audit");
+    let fresh = reference_report(snapshot.table(), snapshot.anonymized(), B_PRIME, t);
+    assert_eq!(served.first_difference(&fresh), None, "hub, {context}");
+    let own = session.audit_against(B_PRIME, t).expect("audit");
+    let fresh = reference_report(session.table(), session.anonymized(), B_PRIME, t);
+    assert_eq!(own.first_difference(&fresh), None, "session, {context}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Audits that step the previous version's risks across one delta, and
+    /// the cold re-solves around them, are a fresh adversary's audits. A
+    /// hub tenant and a publishing session run one random schedule of 1–8
+    /// applies, each possibly followed by an empty and a rejected delta and
+    /// by 0–3 audits at two thresholds (no audit leaves a gap before the
+    /// next one); after one apply, a request on a second tenant under the
+    /// 1-byte budget demotes the first tenant's reader entries, and the
+    /// session drops its audit caches.
+    #[test]
+    fn stepped_audits_match_a_fresh_adversary_over_random_schedules(
+        tenant in 20usize..84,
+        first_reads in prop::collection::vec(0u8..2, 0..3),
+        applies in prop::collection::vec(scheduled_apply(), 1..9),
+        evict_after in 0usize..8,
+    ) {
+        let table = tenant_table(tenant);
+        let publisher = Publisher::new().k_anonymity(K);
+        let hub = SessionHub::with_budget(1);
+        hub.register("stepped", &table, &publisher).expect("satisfiable");
+        hub.register("bystander", &tenant_table(tenant + 100), &publisher)
+            .expect("satisfiable");
+        let mut session = publisher.open(&table).expect("satisfiable");
+        for (i, &read) in first_reads.iter().enumerate() {
+            audit_both(&hub, &mut session, read == 1, &format!("version 0, read {i}"));
+        }
+        for (step, apply) in applies.iter().enumerate() {
+            let current = hub.snapshot("stepped").expect("registered");
+            let mut rng = SmallRng::seed_from_u64(apply.seed);
+            let delta = random_delta(current.table(), &mut rng);
+            let published = hub.apply("stepped", &delta).expect("valid delta");
+            session.apply(&delta).expect("valid delta");
+            prop_assert_eq!(published.version(), session.deltas_applied() as u64);
+            if apply.empty {
+                let empty = DeltaBuilder::new(Arc::clone(table.schema())).build();
+                let again = hub.apply("stepped", &empty).expect("empty delta");
+                session.apply(&empty).expect("empty delta");
+                prop_assert_eq!(again.version(), published.version());
+            }
+            if apply.rejected {
+                let mut bad = DeltaBuilder::new(Arc::clone(table.schema()));
+                bad.delete(published.len() + 3);
+                let bad = bad.build();
+                prop_assert!(hub.apply("stepped", &bad).is_err());
+                prop_assert!(session.apply(&bad).is_err());
+            }
+            if step == evict_after % applies.len() {
+                let evictions = hub.memory_stats().evictions;
+                hub.audit_against("bystander", B_PRIME, THRESHOLD).expect("audit");
+                prop_assert!(hub.memory_stats().evictions > evictions);
+                session.evict_audit_caches();
+            }
+            for (i, &second) in apply.reads.iter().enumerate() {
+                let context = format!("version {}, read {i}", published.version());
+                audit_both(&hub, &mut session, second, &context);
+            }
+        }
+    }
 }
