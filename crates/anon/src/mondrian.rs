@@ -10,14 +10,19 @@
 //! median split heuristics, and check if the specific privacy requirement is
 //! satisfied" (§V).
 //!
-//! One engine plants, and one reference checks it:
+//! One split rule decides every production split, one engine plants, and
+//! one reference checks both:
 //!
+//! * `SplitRule` — the rule (widths, candidate order, median, `<`/`≤`
+//!   mode, both halves checked), read through a monomorphized source: a
+//!   region's table rows, re-sorted per attempt by a stable counting sort
+//!   (QI domains are small dense codes) or only counted, or a refresh
+//!   node's joint histogram;
 //! * [`Mondrian::plant_with`] — the **production** engine: worker jobs on
 //!   the process-wide [`shared_pool`](bgkanon_data::shared_pool) steal
-//!   regions from a shared deque, split them
-//!   with a stable counting sort (QI domains are small dense codes), derive
-//!   the right half's sensitive histogram by subtraction from the parent's,
-//!   and reuse per-worker scratch buffers. One worker
+//!   regions from a shared deque, split them by the rule on their ordered
+//!   rows, derive the right half's sensitive histogram by subtraction from
+//!   the parent's, and reuse per-worker scratch buffers. One worker
 //!   ([`Parallelism::Serial`]) runs on the calling thread. Because every
 //!   region is split by the same deterministic rule and the final groups
 //!   are ordered by their first row, the output is bit-identical for every
@@ -25,14 +30,13 @@
 //! * [`Mondrian::plant_reference`] — the **reference**: a direct
 //!   transcription of the algorithm over `decide_split`, kept simple on
 //!   purpose so the engine can be property-tested against it
-//!   (`tests/tests/parallel.rs`). Schemas wider than 64 QI attributes,
-//!   which the engine's live-dimension bitmask cannot track, plant and
-//!   rebuild on it too.
+//!   (`tests/tests/parallel.rs`).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use bgkanon_data::{Parallelism, Table};
+use bgkanon_data::{Parallelism, Schema, Table};
 use bgkanon_privacy::{GroupView, PrivacyRequirement};
 
 use crate::anonymized::AnonymizedTable;
@@ -105,10 +109,11 @@ impl SplitDecision {
     }
 }
 
-/// The threshold of a replayed split: the winning dimension, its median
-/// code and the median mode. A replay leaves its attempt sequence in
-/// [`DecideScratch::attempts`], so a replay that reproduces the retained
-/// [`SplitDecision`] is compared field by field and allocates nothing.
+/// The threshold of a split, without its attempt sequence: the winning
+/// dimension, its median code and the median mode. The split rule leaves
+/// its attempt sequence in [`SplitRule::attempts`], so a refresh replay
+/// that reproduces the retained [`SplitDecision`] is compared field by
+/// field and allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Cut {
     pub(crate) dim: usize,
@@ -117,13 +122,15 @@ pub(crate) struct Cut {
 }
 
 impl Cut {
+    /// How many codes of `dim` go left: those below the median, or up to
+    /// and including it in `le_mode`.
+    fn codes_left(self) -> usize {
+        self.median as usize + usize::from(self.le_mode)
+    }
+
     /// Does a row with code `value` on `dim` go to the left child?
     pub(crate) fn goes_left(self, value: u32) -> bool {
-        if self.le_mode {
-            value <= self.median
-        } else {
-            value < self.median
-        }
+        (value as usize) < self.codes_left()
     }
 }
 
@@ -135,6 +142,8 @@ impl Cut {
 /// Normalized width is monotone under taking subsets (numeric ranges shrink;
 /// a sub-range's LCA in a hierarchy is a descendant-or-self of the range's),
 /// so a dimension observed at zero width never needs to be scanned again.
+/// The mask tracks the first 64 dimensions; any further ones are always
+/// scanned.
 struct Region {
     slot: usize,
     rows: Vec<usize>,
@@ -142,52 +151,379 @@ struct Region {
     live_dims: u64,
 }
 
-/// Reusable buffers for [`Mondrian::decide_only_counts`] and the partition
-/// tree's histogram replay.
+/// The one production copy of Mondrian's split rule, with its buffers.
+///
+/// [`decide`](Self::decide) reads a region through a [`SplitSource`]:
+/// table rows ([`RowSource`]) for the plant, refresh rebuilds and small
+/// refresh replays, a node's joint histogram ([`HistogramSource`]) for
+/// large refresh replays. The reference [`Mondrian::decide_split`] states
+/// the same rule independently.
 #[derive(Default)]
-pub(crate) struct DecideScratch {
-    /// Row indices of the node under replay (translated from ids).
-    pub(crate) rows: Vec<usize>,
-    /// Dimensions tried by the last replay, in order.
-    pub(crate) attempts: Vec<usize>,
-    /// `(dimension, normalized width)` candidates, widest first.
-    pub(crate) widths: Vec<(usize, f64)>,
-    lo: Vec<u32>,
-    hi: Vec<u32>,
-    /// Value counts over one QI domain (the histogram replay keeps every
-    /// dimension's, concatenated at the tree's domain offsets).
-    pub(crate) value_counts: Vec<u32>,
-    /// The node's sensitive histogram.
-    pub(crate) counts_total: Vec<u32>,
-    /// Left half's sensitive histogram.
-    pub(crate) counts_left: Vec<u32>,
-    /// Right half's sensitive histogram (total minus left).
-    pub(crate) counts_right: Vec<u32>,
-}
-
-/// Per-worker scratch buffers for the optimized splitter.
-#[derive(Default)]
-pub(crate) struct SplitScratch {
+pub(crate) struct SplitRule {
     /// `(dimension, normalized width)` candidates, widest first.
     widths: Vec<(usize, f64)>,
-    /// Live dimensions of the current region, as a list.
-    live: Vec<usize>,
-    /// Per-dimension minimum code over the region.
+    /// Dimensions the last decision tried, in order.
+    pub(crate) attempts: Vec<usize>,
+    /// Per-dimension minimum code over the last region.
     lo: Vec<u32>,
-    /// Per-dimension maximum code over the region.
+    /// Per-dimension maximum code over the last region.
     hi: Vec<u32>,
-    /// Counting-sort histogram over one QI domain.
+}
+
+/// What the split rule reads of a region. The rule is generic over it, so
+/// each source's reads compile into the rule's loop.
+pub(crate) trait SplitSource {
+    /// Number of rows in the region (at least one).
+    fn len(&self) -> usize;
+    /// Minimum and maximum code of the region on `dim`.
+    fn bounds(&mut self, dim: usize) -> (u32, u32);
+    /// The region's row count per code of `dim`.
+    fn value_counts(&mut self, dim: usize) -> &[u32];
+    /// Do both halves of `cut` satisfy `requirement`? `left` rows go left.
+    fn halves_satisfy(
+        &mut self,
+        requirement: &dyn PrivacyRequirement,
+        cut: Cut,
+        left: usize,
+    ) -> bool;
+}
+
+impl SplitRule {
+    /// Decide the split of the region `source` reads: candidate dimensions
+    /// by positive normalized width, widest first with ties broken by
+    /// index; on each, the median is the code at sorted position n/2, and
+    /// the left half takes the codes below it — or, when that half would
+    /// be empty, the codes up to and including it; the first candidate
+    /// whose halves both satisfy `requirement` wins. Returns its cut, with
+    /// the tried dimensions in [`attempts`](Self::attempts); `None` when
+    /// no candidate splits. Either way the region's per-dimension bounds
+    /// are left in the rule.
+    pub(crate) fn decide<S: SplitSource>(
+        &mut self,
+        requirement: &dyn PrivacyRequirement,
+        schema: &Schema,
+        source: &mut S,
+    ) -> Option<Cut> {
+        let n = source.len();
+        self.lo.clear();
+        self.hi.clear();
+        self.widths.clear();
+        self.attempts.clear();
+        for dim in 0..schema.qi_count() {
+            let (lo, hi) = source.bounds(dim);
+            self.lo.push(lo);
+            self.hi.push(hi);
+            if hi > lo {
+                let w = schema.qi_distance(dim).get(lo, hi);
+                if w > 0.0 {
+                    self.widths.push((dim, w));
+                }
+            }
+        }
+        self.widths.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        for &(dim, _) in &self.widths {
+            self.attempts.push(dim);
+            let counts = source.value_counts(dim);
+            let (mut below, mut median) = (0usize, 0usize);
+            for (code, &c) in counts.iter().enumerate() {
+                if n / 2 < below + c as usize {
+                    median = code;
+                    break;
+                }
+                below += c as usize;
+            }
+            // A dimension of positive width has codes above its minimum, so
+            // `≤ median` leaves rows on the right whenever `< median` leaves
+            // none on the left.
+            let (left, le_mode) = if below > 0 {
+                (below, false)
+            } else {
+                (counts[median] as usize, true)
+            };
+            let cut = Cut {
+                dim,
+                median: median as u32,
+                le_mode,
+            };
+            if source.halves_satisfy(requirement, cut, left) {
+                return Some(cut);
+            }
+        }
+        None
+    }
+}
+
+/// The buffers a [`SplitSource`] reads a region through.
+#[derive(Default)]
+pub(crate) struct RegionBufs {
+    /// The region's rows; an ordered [`RowSource`] re-sorts them.
+    pub(crate) rows: Vec<usize>,
+    /// Counting-sort output buffer.
+    tmp: Vec<usize>,
+    /// Row counts per code of one dimension (a [`HistogramSource`]: of
+    /// every dimension, concatenated at the tree's domain offsets).
     value_counts: Vec<u32>,
     /// Counting-sort placement cursors.
     cursors: Vec<usize>,
-    /// The region's rows, re-sorted per candidate dimension.
-    sorted: Vec<usize>,
-    /// Counting-sort output buffer.
-    tmp: Vec<usize>,
+    /// The region's sensitive histogram.
+    pub(crate) total: Vec<u32>,
     /// Left half's sensitive histogram.
-    counts_left: Vec<u32>,
-    /// Right half's sensitive histogram (parent minus left).
-    counts_right: Vec<u32>,
+    left: Vec<u32>,
+    /// Right half's sensitive histogram.
+    right: Vec<u32>,
+}
+
+/// A region of table rows, held in [`RegionBufs::rows`], in one of two
+/// modes:
+///
+/// * **unordered**, for counts-decidable requirements: neither the
+///   decision nor a counts check depends on row order, so every read is a
+///   count pass — no sort and no allocation beyond the buffers;
+/// * **ordered**, for row-dependent requirements and for splits that hand
+///   their halves on: each value-count pass also stably re-sorts the rows
+///   by the dimension (a counting sort; the attempts' sorts compose), so
+///   the halves are slices of the rows in the reference's order, checked
+///   on group views.
+pub(crate) struct RowSource<'a> {
+    table: &'a Table,
+    bufs: &'a mut RegionBufs,
+    ordered: bool,
+    /// Live-dimension mask: a dimension clear in it is known constant.
+    live: u64,
+    /// Rows in the left half at the last checked cut (ordered mode).
+    split_at: usize,
+}
+
+impl<'a> RowSource<'a> {
+    /// Count-only reads of the rows in `bufs.rows`.
+    pub(crate) fn unordered(table: &'a Table, bufs: &'a mut RegionBufs) -> Self {
+        RowSource {
+            table,
+            bufs,
+            ordered: false,
+            live: u64::MAX,
+            split_at: 0,
+        }
+    }
+
+    /// Ordered reads of the rows in `bufs.rows`, whose sensitive histogram
+    /// `bufs.total` must hold. Dimensions clear in `live` are known
+    /// constant and read from the first row alone.
+    pub(crate) fn ordered(table: &'a Table, bufs: &'a mut RegionBufs, live: u64) -> Self {
+        RowSource {
+            table,
+            bufs,
+            ordered: true,
+            live,
+            split_at: 0,
+        }
+    }
+
+    /// The rows and sensitive histogram of each half of the last cut whose
+    /// halves satisfied the requirement, left first (ordered mode).
+    fn halves(&self) -> [(&[usize], &[u32]); 2] {
+        let (left, right) = self.bufs.rows.split_at(self.split_at);
+        [(left, &self.bufs.left), (right, &self.bufs.right)]
+    }
+}
+
+impl SplitSource for RowSource<'_> {
+    fn len(&self) -> usize {
+        self.bufs.rows.len()
+    }
+
+    fn bounds(&mut self, dim: usize) -> (u32, u32) {
+        // One pass down the dimension's code vector.
+        let col = self.table.qi_col(dim);
+        let rows = &self.bufs.rows;
+        let first = col.get(rows[0]);
+        if dim < 64 && self.live & (1 << dim) == 0 {
+            return (first, first);
+        }
+        rows[1..].iter().fold((first, first), |(lo, hi), &r| {
+            let v = col.get(r);
+            (lo.min(v), hi.max(v))
+        })
+    }
+
+    fn value_counts(&mut self, dim: usize) -> &[u32] {
+        let domain = self.table.schema().qi_attribute(dim).domain_size() as usize;
+        let col = self.table.qi_col(dim);
+        let b = &mut *self.bufs;
+        b.value_counts.clear();
+        b.value_counts.resize(domain, 0);
+        for &r in &b.rows {
+            b.value_counts[col.get(r) as usize] += 1;
+        }
+        if self.ordered {
+            b.cursors.clear();
+            let mut at = 0usize;
+            b.cursors.extend(b.value_counts.iter().map(|&c| {
+                at += c as usize;
+                at - c as usize
+            }));
+            b.tmp.resize(b.rows.len(), 0);
+            for &r in &b.rows {
+                let cursor = &mut b.cursors[col.get(r) as usize];
+                b.tmp[*cursor] = r;
+                *cursor += 1;
+            }
+            std::mem::swap(&mut b.rows, &mut b.tmp);
+        }
+        &b.value_counts
+    }
+
+    fn halves_satisfy(
+        &mut self,
+        requirement: &dyn PrivacyRequirement,
+        cut: Cut,
+        left: usize,
+    ) -> bool {
+        let table = self.table;
+        let m = table.schema().sensitive_domain_size();
+        let b = &mut *self.bufs;
+        let n = b.rows.len();
+        if !self.ordered {
+            // One pass files each row's sensitive code under its half: the
+            // left half's histogram in the first `m` cells, the right's after.
+            let (col, sensitive) = (table.qi_col(cut.dim), table.sensitive_col());
+            let both = &mut b.left;
+            both.clear();
+            both.resize(2 * m, 0);
+            for &r in &b.rows {
+                let right = usize::from(!cut.goes_left(col.get(r)));
+                both[right * m + sensitive[r] as usize] += 1;
+            }
+            let (counts_l, counts_r) = both.split_at(m);
+            return requirement.is_satisfied_by_counts(left, counts_l)
+                && requirement.is_satisfied_by_counts(n - left, counts_r);
+        }
+        // Count the smaller half; the other histogram is the exact integer
+        // difference from the region's.
+        let (rows_l, rows_r) = b.rows.split_at(left);
+        let count_left = left * 2 <= n;
+        table.sensitive_counts_into(if count_left { rows_l } else { rows_r }, &mut b.left);
+        b.right.clear();
+        b.right
+            .extend(b.total.iter().zip(&b.left).map(|(&all, &half)| all - half));
+        if !count_left {
+            std::mem::swap(&mut b.left, &mut b.right);
+        }
+        self.split_at = left;
+        let view = |rows, sensitive_counts| GroupView {
+            table,
+            rows,
+            sensitive_counts,
+        };
+        requirement.is_satisfied(&view(rows_l, &b.left))
+            && requirement.is_satisfied(&view(rows_r, &b.right))
+    }
+}
+
+/// A region read from its joint histogram: entry `(dim_off[dim] + code) *
+/// m + s` counts the region's rows with `code` on `dim` and sensitive code
+/// `s`. Widths, medians and both halves' histograms all derive from it in
+/// `O(domain · m)`, without the rows; only counts-decidable requirements
+/// can be checked this way.
+pub(crate) struct HistogramSource<'a> {
+    joint: &'a [u32],
+    dim_off: &'a [usize],
+    m: usize,
+    n: usize,
+    bufs: &'a mut RegionBufs,
+}
+
+impl<'a> HistogramSource<'a> {
+    /// Read the region of `joint`, whose dimensions start at `dim_off`,
+    /// over a sensitive domain of `m` codes.
+    pub(crate) fn new(
+        joint: &'a [u32],
+        dim_off: &'a [usize],
+        m: usize,
+        bufs: &'a mut RegionBufs,
+    ) -> Self {
+        // Per-dimension value marginals, concatenated like the histogram.
+        bufs.value_counts.clear();
+        bufs.value_counts
+            .extend(joint.chunks_exact(m).map(|sens| sens.iter().sum::<u32>()));
+        // The region's sensitive histogram: every row has one code on
+        // dimension 0, so summing its slice counts each row once.
+        bufs.total.clear();
+        bufs.total.resize(m, 0);
+        let first_codes = dim_off.get(1).map_or(joint.len(), |&end| end * m);
+        for sens in joint[..first_codes].chunks_exact(m) {
+            for (acc, &x) in bufs.total.iter_mut().zip(sens) {
+                *acc += x;
+            }
+        }
+        let n = bufs.total.iter().map(|&c| c as usize).sum();
+        HistogramSource {
+            joint,
+            dim_off,
+            m,
+            n,
+            bufs,
+        }
+    }
+
+    /// The codes of `dim` in the concatenated domain.
+    fn span(&self, dim: usize) -> Range<usize> {
+        let end = self.dim_off.get(dim + 1).copied();
+        self.dim_off[dim]..end.unwrap_or(self.joint.len() / self.m)
+    }
+}
+
+impl SplitSource for HistogramSource<'_> {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn bounds(&mut self, dim: usize) -> (u32, u32) {
+        let marginal = &self.bufs.value_counts[self.span(dim)];
+        let lo = marginal.iter().position(|&c| c > 0).unwrap_or(0);
+        let hi = marginal.iter().rposition(|&c| c > 0).unwrap_or(0);
+        (lo as u32, hi as u32)
+    }
+
+    fn value_counts(&mut self, dim: usize) -> &[u32] {
+        let span = self.span(dim);
+        &self.bufs.value_counts[span]
+    }
+
+    fn halves_satisfy(
+        &mut self,
+        requirement: &dyn PrivacyRequirement,
+        cut: Cut,
+        left: usize,
+    ) -> bool {
+        let m = self.m;
+        let start = self.dim_off[cut.dim] * m;
+        let b = &mut *self.bufs;
+        b.left.clear();
+        b.left.resize(m, 0);
+        for sens in self.joint[start..start + cut.codes_left() * m].chunks_exact(m) {
+            for (acc, &x) in b.left.iter_mut().zip(sens) {
+                *acc += x;
+            }
+        }
+        b.right.clear();
+        b.right
+            .extend(b.total.iter().zip(&b.left).map(|(&all, &half)| all - half));
+        requirement.is_satisfied_by_counts(left, &b.left)
+            && requirement.is_satisfied_by_counts(self.n - left, &b.right)
+    }
+}
+
+/// The split rule and the buffers its sources read through: one per
+/// plant worker, one per refresh.
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    pub(crate) rule: SplitRule,
+    pub(crate) region: RegionBufs,
 }
 
 impl Mondrian {
@@ -282,9 +618,8 @@ impl Mondrian {
     /// The reference expansion loop: a plain explicit-stack depth-first
     /// walk over [`decide_split`](Self::decide_split) from the region of
     /// `rows` (slot 0), emitting one node record per region in the order it
-    /// is decided. It serves [`plant_reference`](Self::plant_reference) and,
-    /// through [`records`](Self::records), the plants and refresh rebuilds
-    /// of schemas wider than 64 QI attributes.
+    /// is decided. It serves [`plant_reference`](Self::plant_reference)
+    /// alone.
     fn records_reference(&self, table: &Table, rows: Vec<usize>) -> (usize, Vec<(usize, NodeRec)>) {
         let mut records = Vec::new();
         let mut slots = 1usize;
@@ -314,9 +649,7 @@ impl Mondrian {
     /// merged after the jobs join. Tree slots are handed out by an atomic
     /// counter, so slot *numbers* depend on scheduling while the tree
     /// *content* does not. One worker runs on the calling thread, in
-    /// `scratch`. The engine tracks live dimensions in a u64 bitmask, so
-    /// wider schemas (>64 QI attributes) expand on the reference loop
-    /// rather than fail.
+    /// `scratch`.
     pub(crate) fn records(
         &self,
         table: &Table,
@@ -325,14 +658,11 @@ impl Mondrian {
         workers: usize,
         scratch: &mut SplitScratch,
     ) -> (usize, Vec<(usize, NodeRec)>) {
-        if table.qi_count() > 64 {
-            return self.records_reference(table, rows);
-        }
         let root = Region {
             slot: 0,
             rows,
             counts,
-            live_dims: live_mask(table.qi_count()),
+            live_dims: u64::MAX,
         };
         let engine = Engine {
             state: Mutex::new(EngineState {
@@ -387,7 +717,7 @@ impl Mondrian {
                     None => return records,
                 },
             };
-            match self.try_split_fast(table, &region, scratch) {
+            match self.split_region(table, &region, scratch) {
                 Some((decision, mut left, mut right)) => {
                     let l = engine.slots.fetch_add(2, Ordering::Relaxed);
                     left.slot = l;
@@ -405,14 +735,14 @@ impl Mondrian {
                         }
                     }
                 }
-                // try_split_fast left the region's per-dimension min/max in
-                // the scratch, so the leaf's ranges come for free.
+                // The rule left the region's per-dimension min/max in the
+                // scratch, so the leaf's ranges come for free.
                 None => records.push((
                     region.slot,
                     NodeRec::leaf_from_parts(
                         region.rows,
-                        scratch.lo.clone(),
-                        scratch.hi.clone(),
+                        scratch.rule.lo.clone(),
+                        scratch.rule.hi.clone(),
                         region.counts,
                     ),
                 )),
@@ -425,11 +755,13 @@ impl Mondrian {
 
     /// Attempt a median split of `rows`, returning the committed decision
     /// and both halves if some dimension yields halves that both satisfy
-    /// the requirement. This is the reference implementation the optimized
-    /// splitter mirrors — and the replay oracle the incremental refresh
-    /// uses to decide whether a retained split is still exactly what a
-    /// from-scratch run would do.
-    pub(crate) fn decide_split(
+    /// the requirement. The reference statement of the split rule, kept
+    /// simple on purpose (full comparison sorts, materialized halves, every
+    /// check on a fresh [`GroupView`]) and run only by
+    /// [`plant_reference`](Self::plant_reference): the production
+    /// [`SplitRule`] — plant, rebuild and every refresh replay — is tested
+    /// decision-for-decision against it.
+    fn decide_split(
         &self,
         table: &Table,
         rows: &[usize],
@@ -513,312 +845,43 @@ impl Mondrian {
         None
     }
 
-    /// Decision-only replay of the reference procedure for
-    /// counts-decidable requirements: same widths, same candidate order,
-    /// same medians, same requirement booleans — but since neither the
-    /// decision nor a counts-decidable check depends on row order, no
-    /// sorting, no half materialization and no allocation beyond the
-    /// reusable `scratch`, which keeps the attempt sequence of a split
-    /// found. The incremental refresh calls this once per dirty node, so
-    /// the constant matters.
-    pub(crate) fn decide_only_counts(
-        &self,
-        table: &Table,
-        rows: &[usize],
-        scratch: &mut DecideScratch,
-    ) -> Option<Cut> {
-        if rows.len() < 2 {
-            return None;
-        }
-        let n = rows.len();
-        let d = table.qi_count();
-        let schema = table.schema();
-        let m = schema.sensitive_domain_size();
-        scratch.lo.clear();
-        scratch.hi.clear();
-        // One min/max pass per attribute: each pass gathers from a single
-        // code vector (contiguous on columnar tables) instead of striding
-        // across whole rows.
-        for a in 0..d {
-            let col = table.qi_col(a);
-            let mut lo = col.get(rows[0]);
-            let mut hi = lo;
-            for &r in &rows[1..] {
-                let v = col.get(r);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            scratch.lo.push(lo);
-            scratch.hi.push(hi);
-        }
-        scratch.widths.clear();
-        for i in 0..d {
-            if scratch.hi[i] > scratch.lo[i] {
-                let w = schema.qi_distance(i).get(scratch.lo[i], scratch.hi[i]);
-                if w > 0.0 {
-                    scratch.widths.push((i, w));
-                }
-            }
-        }
-        scratch.widths.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        table.sensitive_counts_into(rows, &mut scratch.counts_total);
-        scratch.attempts.clear();
-        for wi in 0..scratch.widths.len() {
-            let (dim, _) = scratch.widths[wi];
-            scratch.attempts.push(dim);
-            let dom = schema.qi_attribute(dim).domain_size() as usize;
-            let col = table.qi_col(dim);
-            scratch.value_counts.clear();
-            scratch.value_counts.resize(dom, 0);
-            for &r in rows {
-                scratch.value_counts[col.get(r) as usize] += 1;
-            }
-            // The value at sorted position n/2 — the reference's median row.
-            let target = n / 2;
-            let mut acc = 0usize;
-            let mut median = 0usize;
-            for (v, &c) in scratch.value_counts.iter().enumerate() {
-                let next = acc + c as usize;
-                if target < next {
-                    median = v;
-                    break;
-                }
-                acc = next;
-            }
-            let lt = acc;
-            let le = lt + scratch.value_counts[median] as usize;
-            let (split_at, le_mode) = if lt > 0 {
-                (lt, false)
-            } else if le < n {
-                (le, true)
-            } else {
-                continue; // All values equal — cannot split here.
-            };
-            let bound = if le_mode {
-                median as u32 + 1
-            } else {
-                median as u32
-            };
-            scratch.counts_left.clear();
-            scratch.counts_left.resize(m, 0);
-            let sens = table.sensitive_col();
-            for &r in rows {
-                if col.get(r) < bound {
-                    scratch.counts_left[sens[r] as usize] += 1;
-                }
-            }
-            scratch.counts_right.clear();
-            scratch.counts_right.extend(
-                scratch
-                    .counts_total
-                    .iter()
-                    .zip(&scratch.counts_left)
-                    .map(|(&t, &l)| t - l),
-            );
-            let requirement = &self.requirement;
-            if requirement.is_satisfied_by_counts(split_at, &scratch.counts_left)
-                && requirement.is_satisfied_by_counts(n - split_at, &scratch.counts_right)
-            {
-                return Some(Cut {
-                    dim,
-                    median: median as u32,
-                    le_mode,
-                });
-            }
-        }
-        None
-    }
-
-    /// The optimized splitter: identical decisions to
-    /// [`decide_split`](Self::decide_split) (same
-    /// dimension order, same median rule, same tie-breaking — counting sort
-    /// is stable exactly like the reference's stable sort), but with a fused
-    /// width scan over live dimensions only, O(|rows| + domain) sorting,
-    /// smaller-half histograms with integer subtraction (exact, so
-    /// bit-identity is unaffected) and zero per-call allocation on the
-    /// failure paths.
-    ///
-    /// On return — `Some` or `None` — `scratch.lo`/`scratch.hi` hold the
-    /// region's per-dimension min/max, which the engine's worker turns into
-    /// a leaf's published ranges without rescanning.
-    fn try_split_fast(
+    /// Split `region` by the rule on its rows, ordered, returning the
+    /// committed decision and both halves as child regions. The halves'
+    /// histograms are the smaller half's count and its exact difference
+    /// from the region's; their live dimensions are those of positive
+    /// width. On `None`, `scratch.rule` holds the region's per-dimension
+    /// min/max, which the worker turns into a leaf's published ranges.
+    fn split_region(
         &self,
         table: &Table,
         region: &Region,
         scratch: &mut SplitScratch,
     ) -> Option<(SplitDecision, Region, Region)> {
-        let rows = &region.rows;
-        let d = table.qi_count();
-        let schema = table.schema();
-
-        // Dead dimensions are constant: their range is the first row's value.
-        scratch.lo.clear();
-        scratch.hi.clear();
-        table.qi_into(rows[0], &mut scratch.lo);
-        scratch.hi.extend_from_slice(&scratch.lo);
-        if rows.len() < 2 {
-            return None;
-        }
-
-        // One min/max pass per live dimension — each pass reads a single
-        // code vector (contiguous on columnar tables) instead of striding
-        // across whole rows.
-        scratch.live.clear();
-        scratch
-            .live
-            .extend((0..d).filter(|i| region.live_dims & (1 << i) != 0));
-        for &i in &scratch.live {
-            let col = table.qi_col(i);
-            let mut lo = scratch.lo[i];
-            let mut hi = scratch.hi[i];
-            for &r in rows.iter() {
-                let v = col.get(r);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            scratch.lo[i] = lo;
-            scratch.hi[i] = hi;
-        }
-        scratch.widths.clear();
-        let mut child_live = 0u64;
-        for &i in &scratch.live {
-            let (lo, hi) = (scratch.lo[i], scratch.hi[i]);
-            if hi > lo {
-                let w = schema.qi_distance(i).get(lo, hi);
-                if w > 0.0 {
-                    scratch.widths.push((i, w));
-                    child_live |= 1 << i;
-                }
-            }
-        }
-        // Widest first; ties broken by attribute index — the reference's
-        // comparator restricted to the positive-width dimensions it would
-        // have visited before breaking on the first zero width.
-        scratch.widths.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
+        let SplitScratch { rule, region: bufs } = scratch;
+        bufs.rows.clear();
+        bufs.rows.extend_from_slice(&region.rows);
+        bufs.total.clear();
+        bufs.total.extend_from_slice(&region.counts);
+        let mut source = RowSource::ordered(table, bufs, region.live_dims);
+        let cut = rule.decide(&*self.requirement, table.schema(), &mut source)?;
+        let live_dims = rule
+            .widths
+            .iter()
+            .filter(|&&(dim, _)| dim < 64)
+            .fold(0, |mask, &(dim, _)| mask | 1 << dim);
+        let [left, right] = source.halves().map(|(rows, counts)| Region {
+            slot: 0, // assigned by the caller
+            rows: rows.to_vec(),
+            counts: counts.to_vec(),
+            live_dims,
         });
-
-        scratch.sorted.clear();
-        scratch.sorted.extend_from_slice(rows);
-        let n = rows.len();
-        let mut attempts = Vec::new();
-        for wi in 0..scratch.widths.len() {
-            let (dim, _) = scratch.widths[wi];
-            attempts.push(dim);
-            // Stable counting sort of `sorted` by the dimension's code,
-            // gathering from that dimension's code vector alone.
-            let dom = schema.qi_attribute(dim).domain_size() as usize;
-            let col = table.qi_col(dim);
-            scratch.value_counts.clear();
-            scratch.value_counts.resize(dom, 0);
-            for &r in &scratch.sorted {
-                scratch.value_counts[col.get(r) as usize] += 1;
-            }
-            scratch.cursors.clear();
-            scratch.cursors.resize(dom, 0);
-            let mut acc = 0usize;
-            for v in 0..dom {
-                scratch.cursors[v] = acc;
-                acc += scratch.value_counts[v] as usize;
-            }
-            scratch.tmp.resize(n, 0);
-            for &r in &scratch.sorted {
-                let v = col.get(r) as usize;
-                scratch.tmp[scratch.cursors[v]] = r;
-                scratch.cursors[v] += 1;
-            }
-            std::mem::swap(&mut scratch.sorted, &mut scratch.tmp);
-
-            // Median rule, answered from the histogram: `lt` rows sort
-            // strictly below the median value, `le` at or below it.
-            let median_value = col.get(scratch.sorted[n / 2]) as usize;
-            let lt: usize = scratch.value_counts[..median_value]
-                .iter()
-                .map(|&c| c as usize)
-                .sum();
-            let le = lt + scratch.value_counts[median_value] as usize;
-            let (split_at, le_mode) = if lt > 0 {
-                (lt, false)
-            } else if le < n {
-                (le, true)
-            } else {
-                continue; // All values equal — cannot split here.
-            };
-
-            // Count the smaller half; the other histogram is the exact
-            // integer difference from the parent's — u32 arithmetic, so
-            // bit-identity is unaffected.
-            let (left, right) = scratch.sorted.split_at(split_at);
-            let (scan, scanned_is_left) = if split_at * 2 <= n {
-                (left, true)
-            } else {
-                (right, false)
-            };
-            table.sensitive_counts_into(scan, &mut scratch.counts_left);
-            scratch.counts_right.clear();
-            scratch.counts_right.extend(
-                region
-                    .counts
-                    .iter()
-                    .zip(&scratch.counts_left)
-                    .map(|(&p, &s)| p - s),
-            );
-            let (counts_l, counts_r) = if scanned_is_left {
-                (&scratch.counts_left, &scratch.counts_right)
-            } else {
-                (&scratch.counts_right, &scratch.counts_left)
-            };
-            let lv = GroupView {
-                table,
-                rows: left,
-                sensitive_counts: counts_l,
-            };
-            let rv = GroupView {
-                table,
-                rows: right,
-                sensitive_counts: counts_r,
-            };
-            if self.requirement.is_satisfied(&lv) && self.requirement.is_satisfied(&rv) {
-                let decision = SplitDecision {
-                    attempts,
-                    dim,
-                    median: median_value as u32,
-                    le_mode,
-                };
-                return Some((
-                    decision,
-                    Region {
-                        slot: 0, // assigned by the caller
-                        rows: left.to_vec(),
-                        counts: counts_l.clone(),
-                        live_dims: child_live,
-                    },
-                    Region {
-                        slot: 0, // assigned by the caller
-                        rows: right.to_vec(),
-                        counts: counts_r.clone(),
-                        live_dims: child_live,
-                    },
-                ));
-            }
-        }
-        None
-    }
-}
-
-/// Bitmask with the lowest `d` bits set — all dimensions live.
-fn live_mask(d: usize) -> u64 {
-    assert!(d <= 64, "at most 64 QI dimensions supported");
-    if d == 64 {
-        u64::MAX
-    } else {
-        (1u64 << d) - 1
+        let decision = SplitDecision {
+            attempts: rule.attempts.clone(),
+            dim: cut.dim,
+            median: cut.median,
+            le_mode: cut.le_mode,
+        };
+        Some((decision, left, right))
     }
 }
 
@@ -885,7 +948,9 @@ impl Engine {
 mod tests {
     use super::*;
     use bgkanon_data::{adult, toy, TableBuilder};
-    use bgkanon_privacy::{And, DistinctLDiversity, KAnonymity};
+    use bgkanon_knowledge::Bandwidth;
+    use bgkanon_privacy::{And, BTPrivacy, DistinctLDiversity, KAnonymity, TCloseness};
+    use proptest::prelude::*;
 
     fn mondrian_k(k: usize) -> Mondrian {
         Mondrian::new(Arc::new(KAnonymity::new(k)))
@@ -1028,6 +1093,127 @@ mod tests {
         let t = toy::hospital_table();
         let m = mondrian_k(100);
         let _ = m.plant_with(&t, Parallelism::threads(2)).to_anonymized(&t);
+    }
+
+    /// The joint value × sensitive histogram of `rows`, laid out as a
+    /// refresh node's, with its dimension offsets.
+    fn joint_histogram(table: &Table, rows: &[usize]) -> (Vec<u32>, Vec<usize>) {
+        let schema = table.schema();
+        let m = schema.sensitive_domain_size();
+        let mut dim_off = Vec::new();
+        let mut total = 0usize;
+        for dim in 0..table.qi_count() {
+            dim_off.push(total);
+            total += schema.qi_attribute(dim).domain_size() as usize;
+        }
+        let mut joint = vec![0u32; total * m];
+        for &r in rows {
+            let s = table.sensitive_value(r) as usize;
+            for (dim, &off) in dim_off.iter().enumerate() {
+                joint[(off + table.qi_value(r, dim) as usize) * m + s] += 1;
+            }
+        }
+        (joint, dim_off)
+    }
+
+    /// Walk the reference recursion from `rows`, checking at every region
+    /// that the split rule decides what `decide_split` decides: through
+    /// the ordered row source (same attempts, cut and halves) for every
+    /// requirement, and through the unordered row source and the histogram
+    /// source for counts-decidable ones. Returns the number of splits.
+    fn check_rule_against_reference(
+        mondrian: &Mondrian,
+        table: &Table,
+        rows: Vec<usize>,
+    ) -> Result<usize, TestCaseError> {
+        let requirement = &**mondrian.requirement();
+        let schema = table.schema();
+        let mut scratch = SplitScratch::default();
+        let SplitScratch { rule, region } = &mut scratch;
+        let mut splits = 0;
+        let mut stack = vec![rows];
+        while let Some(rows) = stack.pop() {
+            let reference = mondrian.decide_split(table, &rows);
+            let expected = reference
+                .as_ref()
+                .map(|(decision, _, _)| (decision.attempts.clone(), decision.cut()));
+
+            region.rows.clone_from(&rows);
+            region.total = table.sensitive_counts_in(&rows);
+            let mut source = RowSource::ordered(table, region, u64::MAX);
+            let cut = rule.decide(requirement, schema, &mut source);
+            prop_assert_eq!(
+                cut.map(|cut| (rule.attempts.clone(), cut)),
+                expected.clone()
+            );
+            if let Some((_, left, right)) = &reference {
+                let [(l, l_counts), (r, r_counts)] = source.halves();
+                prop_assert_eq!(l, &left[..]);
+                prop_assert_eq!(r, &right[..]);
+                prop_assert_eq!(l_counts, &table.sensitive_counts_in(left)[..]);
+                prop_assert_eq!(r_counts, &table.sensitive_counts_in(right)[..]);
+            }
+
+            if requirement.counts_decidable() {
+                region.rows.clone_from(&rows);
+                let cut = rule.decide(
+                    requirement,
+                    schema,
+                    &mut RowSource::unordered(table, region),
+                );
+                let unordered = cut.map(|cut| (rule.attempts.clone(), cut));
+                prop_assert_eq!(&unordered, &expected);
+                let (joint, dim_off) = joint_histogram(table, &rows);
+                let m = schema.sensitive_domain_size();
+                let mut source = HistogramSource::new(&joint, &dim_off, m, region);
+                let cut = rule.decide(requirement, schema, &mut source);
+                prop_assert_eq!(cut.map(|cut| (rule.attempts.clone(), cut)), unordered);
+            }
+
+            if let Some((_, left, right)) = reference {
+                splits += 1;
+                stack.push(left);
+                stack.push(right);
+            }
+        }
+        Ok(splits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The split rule against the reference, on a random subset of a
+        /// small Adult table in a random order, under k-anonymity, distinct
+        /// ℓ-diversity, t-closeness, k ∧ ℓ and k ∧ (B,t).
+        #[test]
+        fn split_rule_decides_like_the_reference(
+            rows in 40usize..160,
+            seed in 0u64..1u64 << 40,
+            keys in prop::collection::vec(0u32..1_000, 160),
+        ) {
+            let table = adult::generate(rows, seed);
+            let mut subset: Vec<usize> = (0..rows).filter(|&r| keys[r] % 4 != 0).collect();
+            subset.sort_by_key(|&r| (keys[r], r));
+            let k = 2 + (seed % 4) as usize;
+            let bandwidth = Bandwidth::uniform(0.3, table.qi_count()).unwrap();
+            let requirements: [Arc<dyn PrivacyRequirement>; 5] = [
+                Arc::new(KAnonymity::new(k)),
+                Arc::new(DistinctLDiversity::new(2)),
+                Arc::new(TCloseness::new(0.4, &table)),
+                Arc::new(And::pair(KAnonymity::new(k), DistinctLDiversity::new(2))),
+                Arc::new(And::pair(
+                    KAnonymity::new(k),
+                    BTPrivacy::new(&table, bandwidth, 0.25),
+                )),
+            ];
+            let mut splits = Vec::new();
+            for requirement in requirements {
+                let mondrian = Mondrian::new(requirement);
+                splits.push(check_rule_against_reference(&mondrian, &table, subset.clone())?);
+            }
+            // k-anonymity alone always splits a region of 30-odd rows.
+            prop_assert!(splits[0] > 0, "splits per requirement: {splits:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! # Incremental refresh, and why it is bit-identical
 //!
 //! [`Mondrian::refresh`] walks the tree top-down along the paths the delta
-//! rows touch. At every dirty node it **replays the reference decision
-//! procedure** on the node's updated membership and compares the outcome
+//! rows touch. At every dirty node it **replays the split rule** — the
+//! plant's own — on the node's updated membership and compares the outcome
 //! with the retained record:
 //!
 //! * replay reproduces the record exactly (same attempt sequence, same
@@ -44,7 +44,7 @@ use std::ops::Range;
 use bgkanon_data::Table;
 
 use crate::anonymized::{AnonymizedTable, PartitionBuilder, QiRange};
-use crate::mondrian::{Cut, DecideScratch, Mondrian, SplitDecision, SplitScratch};
+use crate::mondrian::{Cut, HistogramSource, Mondrian, RowSource, SplitDecision, SplitScratch};
 
 /// Sentinel for "no node" / "no parent".
 const NONE: u32 = u32::MAX;
@@ -197,9 +197,10 @@ struct Node {
 /// let table = bgkanon_data::adult::generate(300, 42);
 /// let mondrian = Mondrian::new(Arc::new(KAnonymity::new(5)));
 /// let tree = mondrian.plant(&table);
-/// // The published table is a view of the tree's leaves.
-/// let published = tree.to_anonymized(&table);
-/// assert_eq!(tree.leaf_count(), published.group_count());
+/// // The published table is a view of the tree's leaves: one group, with
+/// // its leaf stamp, per leaf.
+/// let (published, stamps) = tree.snapshot(&table);
+/// assert_eq!(stamps.len(), published.group_count());
 /// assert_eq!(tree.len(), table.len());
 /// ```
 pub struct PartitionTree {
@@ -322,16 +323,6 @@ impl PartitionTree {
         self.len() == 0
     }
 
-    /// Number of leaves — the published group count.
-    pub fn leaf_count(&self) -> usize {
-        self.leaves
-    }
-
-    /// Number of live nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
     /// Heap bytes of the retained tree: per-node payloads (leaf row lists,
     /// range bounds, histograms; internal split stats) plus the id↔row
     /// maps. A deterministic accounting proxy for the serving hub's
@@ -373,22 +364,6 @@ impl PartitionTree {
             + self.free.len() * 4
             + (self.row_of.len() + self.id_of.len()) * 4
             + 128
-    }
-
-    /// Maximum root-to-leaf depth (root = 0).
-    pub fn depth(&self) -> usize {
-        let mut max = 0usize;
-        let mut stack = vec![(self.root, 0usize)];
-        while let Some((node, depth)) = stack.pop() {
-            match &self.nodes[node as usize].kind {
-                NodeKind::Leaf(_) => max = max.max(depth),
-                NodeKind::Internal(i) => {
-                    stack.push((i.left, depth + 1));
-                    stack.push((i.right, depth + 1));
-                }
-            }
-        }
-        max
     }
 
     /// Project the tree to the published [`AnonymizedTable`] — the same
@@ -792,9 +767,8 @@ struct RefreshScratch {
     stack: Vec<u32>,
     /// The current node's input-order sort chain.
     chain: Vec<usize>,
-    /// Replay buffers; every replay leaves its attempt sequence here.
-    decide: DecideScratch,
-    /// The rebuild splitter's buffers.
+    /// The split rule and its buffers: every replay leaves its attempt
+    /// sequence here, and rebuilds split in it.
     split: SplitScratch,
 }
 
@@ -1013,23 +987,34 @@ fn refresh_internal(
         }
     }
 
-    // Replay the decision procedure. The *decision* (attempt sequence,
-    // winning dimension, median, mode) is a function of the node's row
-    // multiset only — widths come from per-dimension ranges and medians
-    // from value counts — so for counts-decidable requirements the rows
-    // can be gathered in any order and the expensive input-order sort is
-    // deferred until a rebuild actually needs it. Row-dependent
-    // requirements ((B,t)-privacy) evaluate the adversary over the rows,
-    // so their replay materializes the exact from-scratch order.
-    let cut = if use_stats {
-        replay_from_stats(ctx, tree, &mut s.decide, node, new_size)
-    } else {
-        gather_live(tree, s, node, ins.clone(), dels.clone());
-        if !ctx.counts_ok {
-            tree.input_chain(node, &mut s.chain);
-            tree.sort_into_input_order(ctx.table, &s.chain, &mut s.members);
+    // Replay the split rule. The *decision* (attempt sequence, winning
+    // dimension, median, mode) is a function of the node's row multiset
+    // only — widths come from per-dimension ranges and medians from value
+    // counts — so for counts-decidable requirements the rows can be
+    // gathered in any order and the expensive input-order sort is deferred
+    // until a rebuild actually needs it. Row-dependent requirements
+    // ((B,t)-privacy) evaluate the adversary over the rows, so their
+    // replay materializes the exact from-scratch order.
+    let cut = match &tree.nodes[node as usize].kind {
+        NodeKind::Internal(InternalNode {
+            stats: Some(stats), ..
+        }) if use_stats => {
+            let SplitScratch { rule, region } = &mut s.split;
+            let mut source = HistogramSource::new(&stats.joint, &tree.dim_off, tree.m, region);
+            rule.decide(
+                &**ctx.mondrian.requirement(),
+                ctx.table.schema(),
+                &mut source,
+            )
         }
-        replay_from_rows(ctx, tree, &mut s.decide, &s.members)
+        _ => {
+            gather_live(tree, s, node, ins.clone(), dels.clone());
+            if !ctx.counts_ok {
+                tree.input_chain(node, &mut s.chain);
+                tree.sort_into_input_order(ctx.table, &s.chain, &mut s.members);
+            }
+            replay_from_rows(ctx, tree, &mut s.split, &s.members)
+        }
     };
 
     let NodeKind::Internal(internal) = &tree.nodes[node as usize].kind else {
@@ -1037,7 +1022,7 @@ fn refresh_internal(
     };
     let stored = internal.decision.cut();
     let children = (internal.left, internal.right);
-    let same_attempts = s.decide.attempts == internal.decision.attempts;
+    let same_attempts = s.split.rule.attempts == internal.decision.attempts;
     match cut {
         Some(cut) if same_attempts && cut == stored => {
             tree.nodes[node as usize].size = new_size;
@@ -1215,7 +1200,7 @@ fn refresh_leaf(
         }
     }
     debug_assert_eq!(ids.len(), new_size);
-    match replay_from_rows(ctx, tree, &mut s.decide, &ids) {
+    match replay_from_rows(ctx, tree, &mut s.split, &ids) {
         None => {
             // Still a leaf: update membership, ranges, histogram, stamp —
             // all in the leaf's existing buffers, one column pass per
@@ -1273,33 +1258,36 @@ fn gather_live(
     members.extend_from_slice(&ids[ins]);
 }
 
-/// Replay the reference decision procedure on materialized rows:
-/// allocation-free and sort-free for counts-decidable requirements, the
-/// full reference splitter (whose checks see the exact from-scratch row
-/// order) otherwise. A split's attempt sequence is left in
-/// `scratch.attempts`.
+/// Replay the split rule on the rows of `ids`: count passes only for
+/// counts-decidable requirements, and otherwise the ordered source, whose
+/// checks see the rows re-sorted from `ids`' order (the from-scratch input
+/// order) attempt by attempt. A split's attempt sequence is left in
+/// `scratch.rule`.
 fn replay_from_rows(
     ctx: &RefreshCtx<'_>,
     tree: &PartitionTree,
-    scratch: &mut DecideScratch,
+    scratch: &mut SplitScratch,
     ids: &[u32],
 ) -> Option<Cut> {
-    let mut rows = std::mem::take(&mut scratch.rows);
-    rows.clear();
-    rows.extend(ids.iter().map(|&id| tree.row_of[id as usize] as usize));
-    let cut = if ctx.counts_ok {
-        ctx.mondrian.decide_only_counts(ctx.table, &rows, scratch)
+    let SplitScratch { rule, region } = scratch;
+    region.rows.clear();
+    region
+        .rows
+        .extend(ids.iter().map(|&id| tree.row_of[id as usize] as usize));
+    let requirement = &**ctx.mondrian.requirement();
+    let schema = ctx.table.schema();
+    if ctx.counts_ok {
+        rule.decide(
+            requirement,
+            schema,
+            &mut RowSource::unordered(ctx.table, region),
+        )
     } else {
-        ctx.mondrian
-            .decide_split(ctx.table, &rows)
-            .map(|(decision, _, _)| {
-                scratch.attempts.clear();
-                scratch.attempts.extend_from_slice(&decision.attempts);
-                decision.cut()
-            })
-    };
-    scratch.rows = rows;
-    cut
+        ctx.table
+            .sensitive_counts_into(&region.rows, &mut region.total);
+        let mut source = RowSource::ordered(ctx.table, region, u64::MAX);
+        rule.decide(requirement, schema, &mut source)
+    }
 }
 
 /// Rebuild the subtree rooted at `slot` from scratch over `ids` (already in
@@ -1349,9 +1337,11 @@ fn ensure_stats(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, stack: &mut Vec<
             && tree.nodes[child as usize].size >= STATS_THRESHOLD;
         if big_internal {
             ensure_stats(ctx, tree, stack, child);
-            if let NodeKind::Internal(i) = &tree.nodes[child as usize].kind {
-                let child_joint = &i.stats.as_deref().expect("just ensured").joint;
-                for (acc, &c) in joint.iter_mut().zip(child_joint) {
+            if let NodeKind::Internal(InternalNode {
+                stats: Some(stats), ..
+            }) = &tree.nodes[child as usize].kind
+            {
+                for (acc, &c) in joint.iter_mut().zip(&stats.joint) {
                     *acc += c;
                 }
             }
@@ -1371,154 +1361,13 @@ fn ensure_stats(ctx: &RefreshCtx<'_>, tree: &mut PartitionTree, stack: &mut Vec<
     tree.stats_nodes += 1;
 }
 
-/// Replay the full decision procedure from the node's histogram: widths
-/// and candidate order from per-dimension ranges, medians and half sizes
-/// from prefix sums, requirement checks from the derived half histograms.
-/// Mirrors the reference `decide_split` decision-for-decision; only valid
-/// when the requirement is counts-decidable. Works in `scratch` (whose
-/// `value_counts` holds every dimension's marginal at the tree's domain
-/// offsets) and leaves a split's attempt sequence in `scratch.attempts`.
-fn replay_from_stats(
-    ctx: &RefreshCtx<'_>,
-    tree: &PartitionTree,
-    scratch: &mut DecideScratch,
-    node: u32,
-    n: usize,
-) -> Option<Cut> {
-    if n < 2 {
-        return None;
-    }
-    let stats = match &tree.nodes[node as usize].kind {
-        NodeKind::Internal(i) => i.stats.as_deref().expect("ensured by caller"),
-        NodeKind::Leaf(_) => unreachable!("stats replay on a leaf"),
-    };
-    let DecideScratch {
-        attempts,
-        widths,
-        value_counts: marginals,
-        counts_total: node_counts,
-        counts_left,
-        counts_right,
-        ..
-    } = scratch;
-    let schema = ctx.table.schema();
-    let m = tree.m;
-    let span = |dim: usize| {
-        tree.dim_off[dim]
-            ..tree
-                .dim_off
-                .get(dim + 1)
-                .copied()
-                .unwrap_or(tree.total_domain)
-    };
-    // Per-dimension value marginals, concatenated like the histogram, and
-    // the node's sensitive histogram (every row has one value on dimension
-    // 0, so summing its slice counts each row once).
-    marginals.clear();
-    marginals.extend(
-        stats
-            .joint
-            .chunks_exact(m)
-            .map(|sens| sens.iter().sum::<u32>()),
-    );
-    node_counts.clear();
-    node_counts.resize(m, 0);
-    if tree.d > 0 {
-        let first = span(0);
-        for sens in stats.joint[first.start * m..first.end * m].chunks_exact(m) {
-            for (acc, &x) in node_counts.iter_mut().zip(sens) {
-                *acc += x;
-            }
-        }
-    }
-    // Candidate dimensions: positive normalized width, widest first, ties
-    // by index — the reference comparator restricted to the dimensions it
-    // would try before stopping at the first zero width.
-    widths.clear();
-    for dim in 0..tree.d {
-        let marg = &marginals[span(dim)];
-        let lo = marg.iter().position(|&c| c > 0);
-        let hi = marg.iter().rposition(|&c| c > 0);
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            if hi > lo {
-                let w = schema.qi_distance(dim).get(lo as u32, hi as u32);
-                if w > 0.0 {
-                    widths.push((dim, w));
-                }
-            }
-        }
-    }
-    widths.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-
-    let requirement = ctx.mondrian.requirement();
-    attempts.clear();
-    counts_left.clear();
-    counts_left.resize(m, 0);
-    counts_right.clear();
-    counts_right.resize(m, 0);
-    for &(dim, _) in widths.iter() {
-        attempts.push(dim);
-        let marg = &marginals[span(dim)];
-        // The value at sorted position n/2 — the reference's median row.
-        let target = n / 2;
-        let mut acc = 0usize;
-        let mut median = 0usize;
-        for (v, &c) in marg.iter().enumerate() {
-            let next = acc + c as usize;
-            if target < next {
-                median = v;
-                break;
-            }
-            acc = next;
-        }
-        let lt = acc; // rows with value < median (loop left acc there)
-        let le = lt + marg[median] as usize;
-        let (split_at, le_mode) = if lt > 0 {
-            (lt, false)
-        } else if le < n {
-            (le, true)
-        } else {
-            continue; // All values equal — cannot split here.
-        };
-        // Sensitive histograms of both halves from the joint histogram.
-        let bound = if le_mode { median + 1 } else { median };
-        counts_left.fill(0);
-        for v in 0..bound {
-            let base = (tree.dim_off[dim] + v) * m;
-            for (acc, &x) in counts_left.iter_mut().zip(&stats.joint[base..base + m]) {
-                *acc += x;
-            }
-        }
-        for ((r, &total), &l) in counts_right
-            .iter_mut()
-            .zip(&*node_counts)
-            .zip(&*counts_left)
-        {
-            *r = total - l;
-        }
-        let ok_l = requirement.is_satisfied_by_counts(split_at, counts_left);
-        let ok_r = ok_l && requirement.is_satisfied_by_counts(n - split_at, counts_right);
-        if ok_l && ok_r {
-            return Some(Cut {
-                dim,
-                median: median as u32,
-                le_mode,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
     use bgkanon_data::{adult, Delta, DeltaBuilder, Parallelism, Table};
-    use bgkanon_privacy::{And, DistinctLDiversity, KAnonymity, TCloseness};
+    use bgkanon_knowledge::Bandwidth;
+    use bgkanon_privacy::{And, BTPrivacy, DistinctLDiversity, KAnonymity, TCloseness};
 
     use super::*;
 
@@ -1554,8 +1403,7 @@ mod tests {
             let viewed = tree.to_anonymized(&t);
             assert_eq!(direct.first_difference(&viewed), None);
             assert_eq!(tree.len(), t.len());
-            assert!(tree.depth() >= 1);
-            assert!(tree.node_count() >= 2 * tree.leaf_count() - 1);
+            assert!(viewed.group_count() > 1);
         }
     }
 
@@ -1611,9 +1459,9 @@ mod tests {
     }
 
     #[test]
-    fn refresh_is_bit_identical_for_non_counts_requirements() {
-        // t-closeness is counts-decidable; the composite with ℓ-diversity
-        // still is — exercise the stats path with a non-trivial model.
+    fn refresh_is_bit_identical_for_composite_counts_requirements() {
+        // A conjunction of counts-decidable requirements is counts-decidable
+        // too — exercise the stats path with a non-trivial model.
         let table = adult::generate(400, 21);
         let req = And::pair(KAnonymity::new(4), DistinctLDiversity::new(2));
         let m = Mondrian::new(Arc::new(req));
@@ -1623,6 +1471,44 @@ mod tests {
         let next = table.apply_delta(&delta).unwrap();
         m.refresh(&mut tree, &table, &next, delta.deletes());
         assert_trees_agree(&m, &tree, &next);
+    }
+
+    #[test]
+    fn refresh_matches_the_reference_plant_for_row_dependent_requirements() {
+        // (B,t)-privacy is not counts-decidable, so every replay reads the
+        // node's rows in from-scratch input order. The requirement is
+        // instantiated once, on the genesis table, as a session does.
+        let genesis = adult::generate(300, 61);
+        let donors = adult::generate(300, 67);
+        let bandwidth = Bandwidth::uniform(0.3, genesis.qi_count()).unwrap();
+        let bt = BTPrivacy::new(&genesis, bandwidth, 0.25);
+        let m = Mondrian::new(Arc::new(And::pair(KAnonymity::new(4), bt)));
+        let mut tree = m.plant(&genesis);
+        let mut table = genesis;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = |below: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % below
+        };
+        for step in 0..5 {
+            let deletes: Vec<usize> = (0..table.len()).filter(|_| draw(16) == 0).collect();
+            let inserts: Vec<(Vec<u32>, u32)> = (0..10 + 3 * step)
+                .map(|_| {
+                    let r = draw(donors.len());
+                    (donors.qi(r).to_vec(), donors.sensitive_value(r))
+                })
+                .collect();
+            let delta = delta_of(&table, &deletes, &inserts);
+            let next = table.apply_delta(&delta).unwrap();
+            m.refresh(&mut tree, &table, &next, delta.deletes());
+            let reference = m.plant_reference(&next).to_anonymized(&next);
+            let refreshed = tree.to_anonymized(&next);
+            assert!(reference.group_count() > 1, "step {step}");
+            assert_eq!(refreshed.first_difference(&reference), None, "step {step}");
+            table = next;
+        }
     }
 
     #[test]
@@ -1779,7 +1665,7 @@ mod tests {
         let base = adult::generate(64, 5);
         let m = mondrian_k(8);
         let mut tree = m.plant(&base);
-        let groups_before = tree.leaf_count();
+        let groups_before = tree.snapshot(&base).0.group_count();
         // Delete most of the first group.
         let (at, _) = tree.snapshot(&base);
         let victims: Vec<usize> = at.groups()[0].rows.iter().copied().take(6).collect();
@@ -1787,6 +1673,6 @@ mod tests {
         let next = base.apply_delta(&delta).unwrap();
         m.refresh(&mut tree, &base, &next, delta.deletes());
         assert_trees_agree(&m, &tree, &next);
-        assert!(tree.leaf_count() <= groups_before);
+        assert!(tree.snapshot(&next).0.group_count() <= groups_before);
     }
 }

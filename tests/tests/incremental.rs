@@ -308,10 +308,11 @@ fn audit_against_verdict_flip_is_tracked() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Schemas wider than 64 QI attributes plant and rebuild on Mondrian's
-    /// reference loop. Every knob's plant equals `plant_reference`, and a
-    /// tree refreshed through 1–4 deltas equals a from-scratch plant of
-    /// each new table.
+    /// Schemas wider than 64 QI attributes outgrow the engine's
+    /// live-dimension mask, which tracks only the first 64; the rest are
+    /// rescanned at every region. Every knob's plant equals
+    /// `plant_reference`, and a tree refreshed through 1–4 deltas equals a
+    /// from-scratch plant of each new table.
     #[test]
     fn wide_schema_plants_and_refreshes_like_the_reference(
         rows in 40usize..160,
