@@ -253,6 +253,35 @@ impl PartitionBuilder {
         p.sensitive_counts.extend_from_slice(sensitive_counts);
     }
 
+    /// Append `source`'s groups `groups` as they are but for their rows,
+    /// each passed through `row`: one pass per array for the whole run.
+    /// `source` must share this partition's schema.
+    pub(crate) fn push_run(
+        &mut self,
+        source: &AnonymizedTable,
+        groups: std::ops::Range<usize>,
+        row: impl FnMut(usize) -> usize,
+    ) {
+        let (p, s) = (&mut self.partition, &*source.partition);
+        debug_assert_eq!(
+            (p.d, p.m),
+            (s.d, s.m),
+            "runs copy between one schema's partitions"
+        );
+        let (from, to) = (s.offsets[groups.start], s.offsets[groups.end]);
+        let base = p.rows.len();
+        p.offsets.extend(
+            s.offsets[groups.start + 1..=groups.end]
+                .iter()
+                .map(|&end| end - from + base),
+        );
+        p.rows.extend(s.rows[from..to].iter().copied().map(row));
+        p.ranges
+            .extend_from_slice(&s.ranges[groups.start * p.d..groups.end * p.d]);
+        p.sensitive_counts
+            .extend_from_slice(&s.sensitive_counts[groups.start * p.m..groups.end * p.m]);
+    }
+
     /// The publication of `groups` (row lists, in order), each group's box
     /// and histogram scanned from `table`. Callers guarantee the lists
     /// partition the table's rows (debug builds check).

@@ -80,6 +80,27 @@ pub trait StrategyState: Send + Sync + 'static {
     /// contract).
     fn snapshot(&self, table: &Table) -> (AnonymizedTable, Vec<u64>);
 
+    /// [`snapshot`](Self::snapshot) right after a successful
+    /// [`refresh`](AnonymizationStrategy::refresh) from `previous`'s table
+    /// to `table`: `previous` and `previous_stamps` are the snapshot the
+    /// state gave before that refresh, and `deletes` the delta's deletes
+    /// (indices into the pre-delta table). The result must equal
+    /// [`snapshot`](Self::snapshot) bit for bit, stamps included. A state
+    /// that knows which groups the refresh left alone can copy those from
+    /// `previous` instead of deriving every group again — Mondrian's
+    /// [`PartitionTree`] does, from the leaves its last refresh retired and
+    /// stamped. The default derives the publication from scratch.
+    fn carried_snapshot(
+        &self,
+        table: &Table,
+        previous: &AnonymizedTable,
+        previous_stamps: &[u64],
+        deletes: &[usize],
+    ) -> (AnonymizedTable, Vec<u64>) {
+        let _ = (previous, previous_stamps, deletes);
+        self.snapshot(table)
+    }
+
     /// Heap bytes this state holds resident — rolled into the serving
     /// hub's per-tenant memory gauges, same accounting policy as
     /// [`Table::bytes_accounted`].
@@ -200,6 +221,16 @@ impl StrategyState for PartitionTree {
         PartitionTree::snapshot(self, table)
     }
 
+    fn carried_snapshot(
+        &self,
+        table: &Table,
+        previous: &AnonymizedTable,
+        previous_stamps: &[u64],
+        deletes: &[usize],
+    ) -> (AnonymizedTable, Vec<u64>) {
+        PartitionTree::carried_snapshot(self, table, previous, previous_stamps, deletes)
+    }
+
     fn bytes_accounted(&self) -> usize {
         PartitionTree::bytes_accounted(self)
     }
@@ -273,6 +304,22 @@ impl StrategyState for AnyState {
             AnyState::Mondrian(s) => StrategyState::snapshot(s, table),
             AnyState::Bucketize(s) => s.snapshot(table),
             AnyState::FullDomain(s) => s.snapshot(table),
+        }
+    }
+
+    fn carried_snapshot(
+        &self,
+        table: &Table,
+        previous: &AnonymizedTable,
+        previous_stamps: &[u64],
+        deletes: &[usize],
+    ) -> (AnonymizedTable, Vec<u64>) {
+        match self {
+            AnyState::Mondrian(s) => s.carried_snapshot(table, previous, previous_stamps, deletes),
+            AnyState::Bucketize(s) => s.carried_snapshot(table, previous, previous_stamps, deletes),
+            AnyState::FullDomain(s) => {
+                s.carried_snapshot(table, previous, previous_stamps, deletes)
+            }
         }
     }
 

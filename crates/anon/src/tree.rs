@@ -224,6 +224,83 @@ pub struct PartitionTree {
     leaves: usize,
     /// Number of live internal nodes holding a replay histogram.
     stats_nodes: usize,
+    /// The leaves the last refresh retired and stamped, from which
+    /// [`carried_snapshot`](Self::carried_snapshot) derives the refreshed
+    /// publication from the previous one.
+    log: RefreshLog,
+}
+
+/// What one refresh did to the leaves: the stamps it retired (leaves it
+/// restamped or dropped) and the slots of the leaves it stamped. Every
+/// other leaf is exactly as the previous publication showed it. Cleared
+/// when the next refresh starts.
+#[derive(Default)]
+struct RefreshLog {
+    /// Row count of the table the refresh started from.
+    rows_before: usize,
+    /// Stamps of the leaves the refresh restamped or dropped, sorted once
+    /// the refresh ends.
+    retired: Vec<u64>,
+    /// Slots of the leaves the refresh stamped.
+    stamped: Vec<u32>,
+    /// Threshold migrations and subtree rebuilds over the tree's life, so
+    /// tests can tell that a delta sequence exercised both.
+    #[cfg(test)]
+    migrations: usize,
+    #[cfg(test)]
+    rebuilds: usize,
+}
+
+impl RefreshLog {
+    fn start(&mut self, rows_before: usize) {
+        self.rows_before = rows_before;
+        self.retired.clear();
+        self.stamped.clear();
+    }
+}
+
+/// Where each row of a table lands once sorted deletes are removed from
+/// it: one delete bitmask word and one count of the deletes before it per
+/// 64 rows, so a survivor's new index is a rank and a deleted row is one
+/// bit test.
+struct Survivors {
+    dead: Vec<u64>,
+    below: Vec<u32>,
+}
+
+impl Survivors {
+    /// `None` when `deletes` is not ascending and within `rows`.
+    fn new(rows: usize, deletes: &[usize]) -> Option<Self> {
+        let mut dead = vec![0u64; rows.div_ceil(64)];
+        let mut last = None;
+        for &row in deletes {
+            if row >= rows || last.is_some_and(|l| l >= row) {
+                return None;
+            }
+            dead[row / 64] |= 1 << (row % 64);
+            last = Some(row);
+        }
+        let mut below = Vec::with_capacity(dead.len());
+        let mut count = 0u32;
+        for word in &dead {
+            below.push(count);
+            count += word.count_ones();
+        }
+        Some(Survivors { dead, below })
+    }
+
+    /// `row` less the deletes before it — its new index when it survives —
+    /// and 1 when `row` itself is deleted, else 0.
+    #[inline]
+    fn rank(&self, row: usize) -> (usize, u64) {
+        let (word, bit) = (row / 64, row % 64);
+        let dead = self.dead[word];
+        let earlier = (dead & ((1u64 << bit) - 1)).count_ones();
+        (
+            row - (self.below[word] + earlier) as usize,
+            (dead >> bit) & 1,
+        )
+    }
 }
 
 impl PartitionTree {
@@ -255,16 +332,19 @@ impl PartitionTree {
             total_domain,
             leaves: 0,
             stats_nodes: 0,
+            log: RefreshLog::default(),
         };
         let root = tree.alloc_node();
         tree.graft(root, slots, records);
+        tree.log.start(table.len());
         tree
     }
 
     /// Install engine records (record slot 0 at node `root`, leaf rows as
     /// current row indices) as the subtree rooted at `root`. Every other
     /// record slot gets a recycled or fresh node first, so the records may
-    /// come in any order; leaves take fresh stamps in record order.
+    /// come in any order; leaves take fresh stamps in record order, and
+    /// their slots go on the refresh log.
     fn graft(&mut self, root: u32, slots: usize, records: Vec<(usize, NodeRec)>) {
         let mut node_of = vec![root; slots];
         for slot in &mut node_of[1..] {
@@ -297,6 +377,7 @@ impl PartitionTree {
                     counts,
                 } => {
                     self.leaves += 1;
+                    self.log.stamped.push(at);
                     let leaf = LeafNode {
                         rows: rows.iter().map(|&r| self.id_of[r]).collect(),
                         lo,
@@ -394,21 +475,138 @@ impl PartitionTree {
         let mut stamps = Vec::with_capacity(leaves.len());
         for key in order {
             let leaf = leaves[(key & u64::from(u32::MAX)) as usize];
-            builder.push(
-                leaf.rows
-                    .iter()
-                    .map(|&id| self.row_of[id as usize] as usize),
-                leaf.lo
-                    .iter()
-                    .zip(&leaf.hi)
-                    .map(|(&min, &max)| QiRange { min, max }),
-                &leaf.counts,
-            );
+            self.push_leaf(&mut builder, leaf);
             stamps.push(leaf.stamp);
         }
         // The tree's own invariants guarantee the leaves partition the
         // table; `finish` re-checks that in debug builds only.
         (builder.finish(), stamps)
+    }
+
+    /// Append `leaf` to `builder` as a published group.
+    fn push_leaf(&self, builder: &mut PartitionBuilder, leaf: &LeafNode) {
+        builder.push(
+            leaf.rows
+                .iter()
+                .map(|&id| self.row_of[id as usize] as usize),
+            leaf.lo
+                .iter()
+                .zip(&leaf.hi)
+                .map(|(&min, &max)| QiRange { min, max }),
+            &leaf.counts,
+        );
+    }
+
+    /// [`snapshot`](Self::snapshot) after a refresh, derived from the
+    /// publication before it: `previous` and `previous_stamps` are the
+    /// snapshot of the tree as the refresh found it, and `deletes` the
+    /// delta's deletes (indices into the pre-delta table). The previous
+    /// groups are walked in order; a group whose stamp the refresh retired
+    /// is skipped, and every other group is copied — its rows renumbered
+    /// through the deletes, its ranges and histogram as they were — with
+    /// the leaves the refresh stamped merged in by first row. A kept leaf
+    /// has the same rows, ranges, histogram and stamp as before, and the
+    /// renumbering is monotone, so kept groups keep their relative order:
+    /// the result is bit-identical to [`snapshot`](Self::snapshot) by
+    /// construction (debug builds compare the two).
+    ///
+    /// Falls back to [`snapshot`](Self::snapshot) when the inputs do not
+    /// fit the last refresh: `previous` does not cover the pre-delta
+    /// table, a kept group holds a deleted row, or the kept and the newly
+    /// stamped leaves are not all of the tree's leaves.
+    pub(crate) fn carried_snapshot(
+        &self,
+        table: &Table,
+        previous: &AnonymizedTable,
+        previous_stamps: &[u64],
+        deletes: &[usize],
+    ) -> (AnonymizedTable, Vec<u64>) {
+        let Some((published, stamps)) = self.carry(table, previous, previous_stamps, deletes)
+        else {
+            return self.snapshot(table);
+        };
+        #[cfg(debug_assertions)]
+        {
+            let (reference, reference_stamps) = self.snapshot(table);
+            assert_eq!(
+                published.first_difference(&reference),
+                None,
+                "carried snapshot drifted from the tree"
+            );
+            assert_eq!(stamps, reference_stamps, "carried stamps drifted");
+        }
+        (published, stamps)
+    }
+
+    /// The body of [`carried_snapshot`](Self::carried_snapshot); `None`
+    /// for its fallback.
+    fn carry(
+        &self,
+        table: &Table,
+        previous: &AnonymizedTable,
+        previous_stamps: &[u64],
+        deletes: &[usize],
+    ) -> Option<(AnonymizedTable, Vec<u64>)> {
+        let log = &self.log;
+        if previous.len() != log.rows_before || previous_stamps.len() != previous.group_count() {
+            return None;
+        }
+        let survivors = Survivors::new(log.rows_before, deletes)?;
+        // The stamped leaves, by first row.
+        let mut fresh: Vec<(u32, &LeafNode)> = Vec::with_capacity(log.stamped.len());
+        for &slot in &log.stamped {
+            let NodeKind::Leaf(leaf) = &self.nodes[slot as usize].kind else {
+                return None;
+            };
+            let &first = leaf.rows.first()?;
+            fresh.push((self.row_of[first as usize], leaf));
+        }
+        fresh.sort_unstable_by_key(|&(first, _)| first);
+        let mut fresh = fresh.into_iter().peekable();
+        let mut builder = PartitionBuilder::new(table, self.leaves);
+        let mut stamps = Vec::with_capacity(self.leaves);
+        // The first row of kept group `g` in the new table (kept groups
+        // are never empty).
+        let kept_first = |g: usize| {
+            let rows = previous.group(g).rows;
+            rows.first().map(|&row| survivors.rank(row).0)
+        };
+        let kept = |g: usize| log.retired.binary_search(&previous_stamps[g]).is_err();
+        let mut torn = 0u64;
+        let mut g = 0;
+        while g < previous_stamps.len() {
+            if !kept(g) {
+                g += 1;
+                continue;
+            }
+            let first = kept_first(g)?;
+            while let Some((_, leaf)) = fresh.next_if(|&(row, _)| (row as usize) < first) {
+                self.push_leaf(&mut builder, leaf);
+                stamps.push(leaf.stamp);
+            }
+            // Copy the run of kept groups up to the next retired group or
+            // the next stamped leaf, whichever comes first.
+            let before = fresh.peek().map_or(usize::MAX, |&(row, _)| row as usize);
+            let start = g;
+            g += 1;
+            while g < previous_stamps.len() && kept(g) && kept_first(g)? < before {
+                g += 1;
+            }
+            builder.push_run(previous, start..g, |row| {
+                let (index, dead) = survivors.rank(row);
+                torn |= dead;
+                index
+            });
+            stamps.extend_from_slice(&previous_stamps[start..g]);
+        }
+        for (_, leaf) in fresh {
+            self.push_leaf(&mut builder, leaf);
+            stamps.push(leaf.stamp);
+        }
+        if torn != 0 || stamps.len() != self.leaves {
+            return None;
+        }
+        Some((builder.finish(), stamps))
     }
 
     /// Visit the leaves under `from` in emission order (left before
@@ -452,14 +650,18 @@ impl PartitionTree {
     }
 
     /// Release the subtree at `node` for a rebuild: recycle every node
-    /// strictly below it (dropping their payloads) and take the whole
-    /// subtree's leaves and histograms off the running counts. `node`
-    /// itself stays allocated, to be overwritten.
+    /// strictly below it (dropping their payloads), take the whole
+    /// subtree's leaves and histograms off the running counts and retire
+    /// its leaves' stamps. `node` itself stays allocated, to be
+    /// overwritten.
     fn release_subtree(&mut self, node: u32) {
         let mut stack = vec![node];
         while let Some(slot) = stack.pop() {
             match &self.nodes[slot as usize].kind {
-                NodeKind::Leaf(_) => self.leaves -= 1,
+                NodeKind::Leaf(leaf) => {
+                    self.leaves -= 1;
+                    self.log.retired.push(leaf.stamp);
+                }
                 NodeKind::Internal(i) => {
                     stack.push(i.left);
                     stack.push(i.right);
@@ -788,7 +990,10 @@ impl Mondrian {
     /// Afterwards the tree is bit-identical to `self.plant(new_table)`:
     /// same structure, same leaf row order, same ranges and histograms.
     /// Leaves untouched by the delta keep their stamps; every leaf whose
-    /// membership changed gets a fresh one.
+    /// membership changed gets a fresh one. The tree logs the stamps it
+    /// retires and the leaves it stamps, from which
+    /// [`StrategyState::carried_snapshot`](crate::StrategyState::carried_snapshot)
+    /// derives the new publication from the previous one.
     ///
     /// The walk serves every visited node from one set of buffers owned by
     /// the call: routed id lists are ranges of one stack-disciplined id
@@ -813,6 +1018,7 @@ impl Mondrian {
         let survivors = old_table.len() - deletes.len();
         let inserts = new_table.len() - survivors;
         assert!(!new_table.is_empty(), "cannot refresh onto an empty table");
+        tree.log.start(old_table.len());
         // Ids are never reused between compactions (reuse would break the
         // id-order ≡ row-order invariant), so the id space grows by the
         // insert count on every refresh until dead ids outnumber live rows
@@ -827,23 +1033,20 @@ impl Mondrian {
 
         // Capture the removed rows' values, then advance the id maps in
         // place: from the first deleted row on, survivors' ids shift down to
-        // their new row indices (id order of survivors equals their new row
-        // order), and fresh ids — larger than every existing id — are
-        // appended for the inserts.
+        // their new row indices a block between deletes at a time (id order
+        // of survivors equals their new row order), and fresh ids — larger
+        // than every existing id — are appended for the inserts.
         let removed = Removed::capture(tree, old_table, deletes);
         for &id in &removed.ids {
             tree.row_of[id as usize] = DEAD_ROW;
         }
         let first_moved = deletes.first().copied().unwrap_or(old_table.len());
         let mut kept = first_moved;
-        let mut dels = deletes.iter().peekable();
-        for row in first_moved..old_table.len() {
-            if dels.peek() == Some(&&row) {
-                dels.next();
-            } else {
-                tree.id_of[kept] = tree.id_of[row];
-                kept += 1;
-            }
+        let mut start = first_moved;
+        for &end in deletes.iter().chain(std::iter::once(&old_table.len())) {
+            tree.id_of.copy_within(start..end, kept);
+            kept += end - start;
+            start = end + 1;
         }
         tree.id_of.truncate(kept);
         let first_fresh = tree.row_of.len() as u32;
@@ -866,6 +1069,7 @@ impl Mondrian {
         let dels = inserts..scratch.ids.len();
         let root = tree.root;
         process(&ctx, tree, &mut scratch, root, 0..inserts, dels);
+        tree.log.retired.sort_unstable();
     }
 
     /// Pre-build the per-node histograms the delta refresh replays
@@ -1059,6 +1263,10 @@ fn refresh_internal(
                 i.decision.median = cut.median;
                 i.decision.le_mode = cut.le_mode;
             }
+            #[cfg(test)]
+            {
+                tree.log.migrations += 1;
+            }
             route_children(
                 ctx, tree, s, children, stored, cut, ins, dels, to_left, to_right,
             );
@@ -1206,12 +1414,14 @@ fn refresh_leaf(
             // all in the leaf's existing buffers, one column pass per
             // dimension.
             let stamp = tree.next_stamp();
-            let (nodes, row_of) = (&mut tree.nodes, &tree.row_of);
+            let (nodes, row_of, log) = (&mut tree.nodes, &tree.row_of, &mut tree.log);
             let n = &mut nodes[node as usize];
             n.size = new_size;
             let NodeKind::Leaf(leaf) = &mut n.kind else {
                 unreachable!("refresh_leaf on an internal node");
             };
+            log.retired.push(leaf.stamp);
+            log.stamped.push(node);
             leaf.rows = ids;
             leaf.stamp = stamp;
             let rows = leaf.rows.iter().map(|&id| row_of[id as usize] as usize);
@@ -1303,6 +1513,10 @@ fn rebuild(
     ids: &[u32],
 ) {
     tree.release_subtree(slot);
+    #[cfg(test)]
+    {
+        tree.log.rebuilds += 1;
+    }
     let rows: Vec<usize> = ids
         .iter()
         .map(|&id| tree.row_of[id as usize] as usize)
@@ -1368,6 +1582,7 @@ mod tests {
     use bgkanon_data::{adult, Delta, DeltaBuilder, Parallelism, Table};
     use bgkanon_knowledge::Bandwidth;
     use bgkanon_privacy::{And, BTPrivacy, DistinctLDiversity, KAnonymity, TCloseness};
+    use proptest::prelude::*;
 
     use super::*;
 
@@ -1654,6 +1869,76 @@ mod tests {
             m.refresh(&mut tree, &table, &next, delta.deletes());
             assert_trees_agree(&m, &tree, &next);
             table = next;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The carried snapshot against the from-scratch one, refresh after
+        /// refresh, under k-anonymity and k ∧ (B,t). Each delta retires an
+        /// age cohort plus scattered rows and admits donors of another
+        /// cohort, so thresholds migrate, subtrees rebuild and the id space
+        /// is renumbered within every case.
+        #[test]
+        fn carried_snapshots_match_the_tree(
+            rows in 200usize..400,
+            seed in 0u64..1u64 << 40,
+            k in 3usize..7,
+            row_dependent in 0u32..2,
+        ) {
+            let genesis = adult::generate(rows, seed);
+            let donors = adult::generate(rows, seed ^ 0x5eed);
+            let requirement: Arc<dyn bgkanon_privacy::PrivacyRequirement> = if row_dependent == 1 {
+                let bandwidth = Bandwidth::uniform(0.3, genesis.qi_count()).unwrap();
+                Arc::new(And::pair(
+                    KAnonymity::new(k),
+                    BTPrivacy::new(&genesis, bandwidth, 0.25),
+                ))
+            } else {
+                Arc::new(KAnonymity::new(k))
+            };
+            let m = Mondrian::new(requirement);
+            let mut tree = m.plant(&genesis);
+            m.warm_stats(&mut tree, &genesis);
+            let (mut published, mut stamps) = tree.snapshot(&genesis);
+            let mut table = genesis;
+            let mut state = seed | 1;
+            let mut draw = |below: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % below
+            };
+            let band = |t: &Table, r: usize, lo: u32| (lo..lo + 8).contains(&t.qi_value(r, 0));
+            let mut compactions = 0;
+            for step in 0..8 {
+                let lo = draw(60) as u32;
+                let deletes: Vec<usize> = (0..table.len())
+                    .filter(|&r| band(&table, r, lo) || draw(8) == 0)
+                    .collect();
+                let count = deletes.len() + draw(8);
+                let inserts: Vec<(Vec<u32>, u32)> = (0..donors.len())
+                    .filter(|&r| band(&donors, r, (lo + 30) % 60) || draw(6) == 0)
+                    .take(count)
+                    .map(|r| (donors.qi(r).to_vec(), donors.sensitive_value(r)))
+                    .collect();
+                let delta = delta_of(&table, &deletes, &inserts);
+                let next = table.apply_delta(&delta).unwrap();
+                let ids_before = tree.row_of.len();
+                m.refresh(&mut tree, &table, &next, delta.deletes());
+                compactions += usize::from(tree.row_of.len() < ids_before);
+                let carried = tree.carry(&next, &published, &stamps, delta.deletes());
+                prop_assert!(carried.is_some(), "step {step}: the carry fell back");
+                let (carried, carried_stamps) = carried.unwrap();
+                let (reference, reference_stamps) = tree.snapshot(&next);
+                prop_assert_eq!(carried.first_difference(&reference), None, "step {}", step);
+                prop_assert_eq!(&carried_stamps, &reference_stamps, "step {}", step);
+                (published, stamps, table) = (carried, carried_stamps, next);
+            }
+            prop_assert!(compactions > 0, "the id space was never renumbered");
+            prop_assert!(tree.log.migrations > 0, "no threshold migrated");
+            prop_assert!(tree.log.rebuilds > 0, "no subtree was rebuilt");
         }
     }
 

@@ -1765,7 +1765,8 @@ mod tests {
 
         // One version behind with a record: the evolved fold and row points
         // equal a fresh fold of version 1.
-        let (fold, row_points) = v0.evolved_fold(&v1.target()).expect("one step");
+        let (evolution, row_points) = v0.evolved_fold(&v1.target()).expect("one step");
+        let fold = evolution.folded();
         let (fresh, fresh_points) = FoldedTable::with_row_points(v1.table());
         assert!(fold.content_eq(&fresh));
         assert_eq!(fold.content_hash(), fresh.content_hash());

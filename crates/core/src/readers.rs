@@ -29,7 +29,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use bgkanon_anon::AnonymizedTable;
 use bgkanon_data::{Parallelism, Table};
-use bgkanon_knowledge::{Adversary, Bandwidth, FoldedTable, KernelFamily, PriorEstimator};
+use bgkanon_knowledge::{
+    Adversary, Bandwidth, FoldEvolution, FoldedTable, KernelFamily, PriorEstimator,
+};
 use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
 use bgkanon_stats::SmoothedJs;
 
@@ -82,12 +84,15 @@ pub(crate) struct ReaderCache {
 }
 
 impl ReaderCache {
-    /// The fold and row → point array of `target`'s version, carried from
-    /// this entry by the target's change record ([`FoldedTable::evolve`])
-    /// — `None`, for the caller's full fold, unless the entry is exactly
-    /// one version behind and the record, the entry's fold and its row
-    /// points all agree.
-    pub(crate) fn evolved_fold(&self, target: &AuditTarget<'_>) -> Option<(FoldedTable, Vec<u32>)> {
+    /// The fold of `target`'s version, carried from this entry's by the
+    /// target's change record ([`FoldedTable::evolve`]), with the version's
+    /// row → point array — `None`, for the caller's full fold, unless the
+    /// entry is exactly one version behind and the record, the entry's
+    /// fold and its row points all agree.
+    pub(crate) fn evolved_fold(
+        &self,
+        target: &AuditTarget<'_>,
+    ) -> Option<(FoldEvolution, Vec<u32>)> {
         let change = target.change?;
         if self.version + 1 != target.version {
             return None;
@@ -95,8 +100,7 @@ impl ReaderCache {
         let model = self.session.auditor().adversary().prior_model()?;
         let evolution = model.folded().evolve(&change.deleted, &change.delta)?;
         let row_points = evolution.row_points(self.session.row_points(), &change.delta)?;
-        let fold = evolution.into_folded();
-        (fold.rows() == target.table.len()).then_some((fold, row_points))
+        (evolution.folded().rows() == target.table.len()).then_some((evolution, row_points))
     }
 }
 
@@ -151,6 +155,30 @@ pub(crate) trait AdversaryIntern {
     /// Hold `adversary`, or return an equal one another caller inserted
     /// first.
     fn insert(&self, adversary: Adversary) -> Arc<Adversary>;
+}
+
+/// The fold an `Adv(b′)` audit estimates or refreshes its model to: the
+/// previous version's carried one delta forward, or the version folded in
+/// full.
+enum NextFold {
+    Evolved(FoldEvolution),
+    Full(FoldedTable),
+}
+
+impl NextFold {
+    fn fold(&self) -> &FoldedTable {
+        match self {
+            NextFold::Evolved(evolution) => evolution.folded(),
+            NextFold::Full(fold) => fold,
+        }
+    }
+
+    fn into_fold(self) -> FoldedTable {
+        match self {
+            NextFold::Evolved(evolution) => evolution.into_folded(),
+            NextFold::Full(fold) => fold,
+        }
+    }
 }
 
 /// What a cache list holds for `Adv(b′)`, relative to the version being
@@ -240,11 +268,17 @@ impl ReaderCaches {
         };
         let table = target.table;
         let family = KernelFamily::Epanechnikov;
-        let evolved = earlier
+        let (next, row_points) = match earlier
             .as_ref()
-            .and_then(|cache| cache.evolved_fold(target));
-        let one_step = evolved.is_some();
-        let (fold, row_points) = evolved.unwrap_or_else(|| FoldedTable::with_row_points(table));
+            .and_then(|cache| cache.evolved_fold(target))
+        {
+            Some((evolution, row_points)) => (NextFold::Evolved(evolution), row_points),
+            None => {
+                let (fold, row_points) = FoldedTable::with_row_points(table);
+                (NextFold::Full(fold), row_points)
+            }
+        };
+        let one_step = matches!(next, NextFold::Evolved(_));
         let measure = Arc::new(SmoothedJs::paper_default(
             table.schema().sensitive_distance(),
         ));
@@ -253,7 +287,7 @@ impl ReaderCaches {
             SharedAuditSession::bound(auditor, table, &groups, target.stamps, row_points, previous)
         };
         let session = if let Some(shared) =
-            intern.and_then(|intern| intern.find(&fold, &bandwidth, family))
+            intern.and_then(|intern| intern.find(next.fold(), &bandwidth, family))
         {
             bind(Auditor::new(shared, measure), None)
         } else {
@@ -279,11 +313,21 @@ impl ReaderCaches {
             });
             let (model, stepped) = match refreshable {
                 Some((mut model, step)) => {
-                    let dirty =
-                        estimator.refresh_folded(Arc::make_mut(&mut model), fold, parallelism);
+                    let target_model = Arc::make_mut(&mut model);
+                    let dirty = match next {
+                        NextFold::Evolved(evolution) => {
+                            estimator.refresh_evolved(target_model, evolution, parallelism)
+                        }
+                        NextFold::Full(fold) => {
+                            estimator.refresh_folded(target_model, fold, parallelism)
+                        }
+                    };
                     (model, step.map(|step| (step, dirty)))
                 }
-                None => (Arc::new(estimator.estimate_folded(fold, parallelism)), None),
+                None => {
+                    let model = estimator.estimate_folded(next.into_fold(), parallelism);
+                    (Arc::new(model), None)
+                }
             };
             let label = format!("Adv({bandwidth})");
             let adversary = Adversary::from_model(&label, bandwidth, model);

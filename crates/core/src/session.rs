@@ -279,8 +279,9 @@ impl PublishSession {
 
     /// Apply one delta: evolve the table, route the changes through the
     /// retained strategy state (reworking only what the delta dirties), and
-    /// return the new publication. On error the session is unchanged and
-    /// remains usable.
+    /// return the new publication, derived from the previous one where the
+    /// strategy can ([`StrategyState::carried_snapshot`]). On error the
+    /// session is unchanged and remains usable.
     pub fn apply(&mut self, delta: &Delta) -> Result<PublishOutcome, SessionError> {
         if delta.is_empty() {
             // Identity delta: the current publication is already the answer.
@@ -302,7 +303,9 @@ impl PublishSession {
             .refresh(&mut self.state, &self.table, &next, delta.deletes())
             .map_err(PublishError::from)?;
         self.last_elapsed = started.elapsed();
-        let (anonymized, stamps) = self.state.snapshot(&next);
+        let (anonymized, stamps) =
+            self.state
+                .carried_snapshot(&next, &self.anonymized, &self.stamps, delta.deletes());
         self.change = DeletedRows::gather(&self.table, delta).map(|deleted| {
             Arc::new(VersionChange {
                 deleted,

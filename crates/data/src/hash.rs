@@ -5,7 +5,7 @@
 //! the splitmix64 finalizer. Keep the default hasher for keys that come
 //! from outside the program.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier of the word mix (odd, so each step is a bijection of the
@@ -86,3 +86,6 @@ impl Hasher for WordHasher {
 
 /// A `HashMap` hashed with [`WordHasher`].
 pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A `HashSet` hashed with [`WordHasher`].
+pub type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;

@@ -256,8 +256,8 @@ fn shape_hash(qi_count: usize, m: usize) -> u64 {
     avalanche(absorb(0x1319_8a2e_0370_7344, &[qi_count as u32, m as u32]))
 }
 
-/// Point id [`FoldEvolution::new_point`] reports for a point the delta
-/// deleted outright.
+/// [`FoldEvolution`]'s point-map entry for a point the delta deleted
+/// outright.
 const GONE: u32 = u32::MAX;
 
 /// The rows one [`Delta`] deletes, as content: each deleted row's QI codes
@@ -306,13 +306,28 @@ impl DeletedRows {
     }
 }
 
-/// A fold carried across one delta by [`FoldedTable::evolve`]: the new
-/// fold and where each old point landed.
+/// A fold carried to a newer table version, with what changed on the way:
+/// the new fold, where each old point landed, and the QI combinations
+/// whose histogram changed (a combination present on one side only counts
+/// as changed). One delta's evolution comes from
+/// [`FoldedTable::evolve`], which has the changed combinations at hand from
+/// the delta itself; [`PriorEstimator::refresh_folded`] builds one for a
+/// gap of any size by one merge of the two folds. Either way
+/// [`PriorEstimator::refresh_evolved`] moves a model's priors along the
+/// point map and re-estimates only around the changed combinations.
 #[derive(Debug, Clone)]
 pub struct FoldEvolution {
     folded: FoldedTable,
     /// Old point id → new point id, [`GONE`] for a point deleted outright.
+    /// Ascending over the surviving points: both folds are sorted.
     point_map: Vec<u32>,
+    /// The changed QI combinations, ascending, `changes × d` row-major.
+    changed: Vec<u32>,
+    /// Number of changed combinations.
+    changes: usize,
+    /// [`content_hash`](FoldedTable::content_hash) of the fold this one was
+    /// carried from.
+    source: u64,
 }
 
 impl FoldEvolution {
@@ -326,13 +341,10 @@ impl FoldEvolution {
         self.folded
     }
 
-    /// The post-delta id of old point `old`, or `None` when the delta
-    /// deleted it outright (or `old` is out of range).
-    fn new_point(&self, old: u32) -> Option<u32> {
-        self.point_map
-            .get(old as usize)
-            .copied()
-            .filter(|&p| p != GONE)
+    /// The `i`-th changed QI combination.
+    fn changed_key(&self, i: usize) -> &[u32] {
+        let d = self.folded.qi_count;
+        &self.changed[i * d..(i + 1) * d]
     }
 
     /// Carry a row → point array across the delta: `old_row_points` is the
@@ -347,13 +359,23 @@ impl FoldEvolution {
             return None;
         }
         let mut out = Vec::with_capacity(self.folded.rows);
+        // A survivor's point survives, so a GONE (or out-of-range) lookup
+        // means the inputs disagree; it is checked once, after the copy
+        // loops, which then run without a branch per row.
+        let map = self.point_map.as_slice();
+        let mut torn = false;
         let mut start = 0usize;
         let ends = delta.deletes().iter().copied();
         for end in ends.chain(std::iter::once(old_row_points.len())) {
-            for &p in old_row_points.get(start..end)? {
-                out.push(self.new_point(p)?);
-            }
+            out.extend(old_row_points.get(start..end)?.iter().map(|&p| {
+                let q = map.get(p as usize).copied().unwrap_or(GONE);
+                torn |= q == GONE;
+                q
+            }));
             start = end + 1;
+        }
+        if torn {
+            return None;
         }
         for i in 0..delta.insert_count() {
             out.push(self.folded.find(delta.insert_qi(i))? as u32);
@@ -362,11 +384,13 @@ impl FoldEvolution {
     }
 }
 
-/// One point of [`FoldedTable::evolve`]'s net change: its codes and the
-/// signed count change per sensitive value.
-struct NetChange<'a> {
-    qi: &'a [u32],
-    hist: Vec<i64>,
+/// [`FoldedTable::evolve`]'s net change: the touched QI combinations,
+/// sorted, with net-zero ones dropped, and their signed count changes per
+/// sensitive value in one flat buffer.
+struct NetChanges<'a> {
+    keys: Vec<&'a [u32]>,
+    /// `keys.len() × m` signed count changes, row-major.
+    hists: Vec<i64>,
 }
 
 impl FoldedTable {
@@ -620,47 +644,51 @@ impl FoldedTable {
         {
             return None;
         }
-        let touched = self.net_changes(deleted, delta)?;
+        let net = self.net_changes(deleted, delta)?;
+        let touched = net.keys.len();
         let u_old = self.len();
         let mut out = FoldedTable {
             qi_count: d,
             m,
             rows: self.rows,
             sensitive_totals: self.sensitive_totals.clone(),
-            qi: Vec::with_capacity((u_old + touched.len()) * d),
-            counts: Vec::with_capacity(u_old + touched.len()),
-            hists: Vec::with_capacity((u_old + touched.len()) * m),
+            qi: Vec::with_capacity((u_old + touched) * d),
+            counts: Vec::with_capacity(u_old + touched),
+            hists: Vec::with_capacity((u_old + touched) * m),
             hash: self.hash,
         };
         let mut point_map = vec![GONE; u_old];
+        let mut changed = Vec::with_capacity(touched * d);
         let mut scratch = vec![0u32; m];
         let mut next = 0usize;
-        for change in &touched {
-            let at = self.lower_bound(change.qi);
+        for (c, &qi) in net.keys.iter().enumerate() {
+            let change = &net.hists[c * m..(c + 1) * m];
+            changed.extend_from_slice(qi);
+            let at = self.lower_bound(qi);
             out.copy_points(self, next..at, &mut point_map);
             next = at;
-            let existing = at < u_old && self.point_qi(at) == change.qi;
+            let existing = at < u_old && self.point_qi(at) == qi;
             let old_hist = existing.then(|| self.point_hist(at));
             let mut count = 0u32;
-            for (s, (slot, &delta_s)) in scratch.iter_mut().zip(&change.hist).enumerate() {
+            for (s, (slot, &delta_s)) in scratch.iter_mut().zip(change).enumerate() {
                 let before = old_hist.map_or(0, |h| i64::from(h[s]));
                 *slot = u32::try_from(before + delta_s).ok()?;
                 count = count.checked_add(*slot)?;
                 let total = i64::try_from(out.sensitive_totals[s]).ok()? + delta_s;
                 out.sensitive_totals[s] = u64::try_from(total).ok()?;
             }
-            let net: i64 = change.hist.iter().sum();
+            let net: i64 = change.iter().sum();
             out.rows = usize::try_from(i64::try_from(out.rows).ok()? + net).ok()?;
             if let Some(hist) = old_hist {
-                out.hash = out.hash.wrapping_sub(point_hash(change.qi, hist));
+                out.hash = out.hash.wrapping_sub(point_hash(qi, hist));
                 next += 1;
             }
             if count > 0 {
                 if existing {
                     point_map[at] = out.counts.len() as u32;
                 }
-                out.hash = out.hash.wrapping_add(point_hash(change.qi, &scratch));
-                out.qi.extend_from_slice(change.qi);
+                out.hash = out.hash.wrapping_add(point_hash(qi, &scratch));
+                out.qi.extend_from_slice(qi);
                 out.counts.push(count);
                 out.hists.extend_from_slice(&scratch);
             }
@@ -669,18 +697,22 @@ impl FoldedTable {
         Some(FoldEvolution {
             folded: out,
             point_map,
+            changed,
+            changes: touched,
+            source: self.hash,
         })
     }
 
     /// The net change per touched QI combination of `deleted` + `delta`'s
     /// inserts, sorted by codes, net-zero combinations dropped. `None` on a
-    /// sensitive code outside the domain.
+    /// sensitive code outside the domain. Three allocations, however many
+    /// combinations the delta touches.
     fn net_changes<'a>(
         &self,
         deleted: &'a DeletedRows,
         delta: &'a Delta,
-    ) -> Option<Vec<NetChange<'a>>> {
-        let d = self.qi_count;
+    ) -> Option<NetChanges<'a>> {
+        let (d, m) = (self.qi_count, self.m);
         let mut rows: Vec<(&'a [u32], u32, i64)> =
             Vec::with_capacity(deleted.len() + delta.insert_count());
         for (k, &s) in deleted.sensitive.iter().enumerate() {
@@ -689,23 +721,30 @@ impl FoldedTable {
         for i in 0..delta.insert_count() {
             rows.push((delta.insert_qi(i), delta.insert_sensitive(i), 1));
         }
-        if rows.iter().any(|&(_, s, _)| s as usize >= self.m) {
+        if rows.iter().any(|&(_, s, _)| s as usize >= m) {
             return None;
         }
         rows.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut touched: Vec<NetChange<'a>> = Vec::new();
+        let distinct = rows.chunk_by(|a, b| a.0 == b.0).count();
+        let mut keys: Vec<&'a [u32]> = Vec::with_capacity(distinct);
+        let mut hists = vec![0i64; distinct * m];
         for (qi, s, sign) in rows {
-            match touched.last_mut() {
-                Some(last) if last.qi == qi => last.hist[s as usize] += sign,
-                _ => {
-                    let mut hist = vec![0i64; self.m];
-                    hist[s as usize] += sign;
-                    touched.push(NetChange { qi, hist });
-                }
+            if keys.last() != Some(&qi) {
+                keys.push(qi);
+            }
+            hists[(keys.len() - 1) * m + s as usize] += sign;
+        }
+        let mut kept = 0;
+        for i in 0..keys.len() {
+            if hists[i * m..(i + 1) * m].iter().any(|&h| h != 0) {
+                keys[kept] = keys[i];
+                hists.copy_within(i * m..(i + 1) * m, kept * m);
+                kept += 1;
             }
         }
-        touched.retain(|c| c.hist.iter().any(|&h| h != 0));
-        Some(touched)
+        keys.truncate(kept);
+        hists.truncate(kept * m);
+        Some(NetChanges { keys, hists })
     }
 
     /// Append `old`'s points `range` unchanged (one bulk copy per array),
@@ -728,22 +767,18 @@ impl FoldedTable {
             .extend_from_slice(&old.hists[range.start * m..range.end * m]);
     }
 
-    /// One merge of this fold's sorted points with `newer`'s. Returns the
-    /// QI combinations whose histogram differs between the two (a point
-    /// present in only one of them counts as changed), in ascending order,
-    /// and `priors` — aligned with this fold's points — moved to the point
-    /// ids of `newer`: a point `newer` shares with this fold takes its
-    /// prior, a point new in `newer` gets `None`.
-    fn merge_priors<'a>(
-        &'a self,
-        newer: &'a FoldedTable,
-        priors: Vec<Dist>,
-    ) -> (Vec<&'a [u32]>, Vec<Option<Dist>>) {
+    /// The evolution from this fold to `newer`, by one merge of the two
+    /// sorted point arrays: a point `newer` shares with this fold maps to
+    /// its id there, and every QI combination whose histogram differs
+    /// between the two (a point present in only one of them included) is
+    /// changed.
+    fn diff(&self, newer: FoldedTable) -> FoldEvolution {
         use std::cmp::Ordering;
+        let d = self.qi_count;
         let (mut i, mut j) = (0usize, 0usize);
-        let mut changed: Vec<&'a [u32]> = Vec::new();
-        let mut moved: Vec<Option<Dist>> = Vec::with_capacity(newer.len());
-        let mut priors = priors.into_iter();
+        let mut point_map = vec![GONE; self.len()];
+        let mut changed: Vec<u32> = Vec::new();
+        let mut changes = 0usize;
         while i < self.len() || j < newer.len() {
             let order = if i == self.len() {
                 Ordering::Greater
@@ -752,28 +787,36 @@ impl FoldedTable {
             } else {
                 self.point_qi(i).cmp(newer.point_qi(j))
             };
-            match order {
+            let key = match order {
                 Ordering::Less => {
-                    changed.push(self.point_qi(i));
-                    priors.next();
                     i += 1;
+                    Some(self.point_qi(i - 1))
                 }
                 Ordering::Greater => {
-                    changed.push(newer.point_qi(j));
-                    moved.push(None);
                     j += 1;
+                    Some(newer.point_qi(j - 1))
                 }
                 Ordering::Equal => {
-                    if self.point_hist(i) != newer.point_hist(j) {
-                        changed.push(newer.point_qi(j));
-                    }
-                    moved.push(priors.next());
+                    point_map[i] = j as u32;
+                    let differs = self.point_hist(i) != newer.point_hist(j);
                     i += 1;
                     j += 1;
+                    differs.then(|| newer.point_qi(j - 1))
                 }
+            };
+            if let Some(key) = key {
+                changed.extend_from_slice(key);
+                changes += 1;
             }
         }
-        (changed, moved)
+        debug_assert_eq!(changed.len(), changes * d);
+        FoldEvolution {
+            folded: newer,
+            point_map,
+            changed,
+            changes,
+            source: self.hash,
+        }
     }
 }
 
@@ -783,7 +826,7 @@ impl FoldedTable {
 /// prior bit for bit; a group of rows none of which folds into a dirty point
 /// (see [`FoldedTable::with_row_points`]) therefore has the same risks under
 /// the refreshed model as under the old one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyPoints {
     /// Points in the fold the ids index.
     points: usize,
@@ -1870,10 +1913,12 @@ impl PriorEstimator {
     /// Refresh `model` to the table `folded` was built from, however many
     /// deltas separate it from the table the model reflects — no delta log
     /// needed. The model's own fold is diffed against `folded` (one merge
-    /// of two sorted point arrays), then only the kernel neighborhood of
-    /// the changed points is recomputed. The refreshed model is
-    /// **bit-identical** to [`estimate_folded`](Self::estimate_folded) of
-    /// `folded`, and retains `folded` as its fold.
+    /// of two sorted point arrays) into a [`FoldEvolution`], which is then
+    /// applied as [`refresh_evolved`](Self::refresh_evolved) applies one:
+    /// only the kernel neighborhood of the changed points is recomputed.
+    /// The refreshed model is **bit-identical** to
+    /// [`estimate_folded`](Self::estimate_folded) of `folded`, and retains
+    /// `folded` as its fold.
     ///
     /// Returns the points whose prior was recomputed, indexed like
     /// `folded`. A model estimated with another bandwidth or kernel family,
@@ -1913,79 +1958,197 @@ impl PriorEstimator {
         folded: FoldedTable,
         parallelism: Parallelism,
     ) -> DirtyPoints {
-        let old = &model.folded;
-        let same_provenance = model.family == self.family
-            && model.bandwidth == self.bandwidth
-            && old.qi_count == folded.qi_count
-            && old.m == folded.m;
-        if same_provenance {
-            self.refresh_changed(model, folded, parallelism)
+        if self.same_provenance(model, &folded) {
+            let evolution = model.folded.diff(folded);
+            self.refresh_changed(model, evolution, parallelism)
         } else {
             *model = self.estimate_folded(folded, parallelism);
             DirtyPoints::all(model.len())
         }
     }
 
-    /// The refresh core behind [`refresh_folded`](Self::refresh_folded):
-    /// `folded` replaces the fold `model` was estimated on.
-    /// One merge of the two point arrays finds the changed QI combinations
-    /// and moves every surviving prior to its new point id. Compact kernel
+    /// Refresh `model` across `evolution`, the model's own fold carried to
+    /// a newer version ([`FoldedTable::evolve`] of
+    /// [`model.folded()`](PriorModel::folded)): the same result, bit for
+    /// bit, and the same dirty points as
+    /// [`refresh_folded`](Self::refresh_folded) of the evolved fold, without
+    /// the merge that finds what changed — the evolution carries it. An
+    /// evolution of another fold than the model's is diffed like
+    /// [`refresh_folded`](Self::refresh_folded) does.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use bgkanon_data::{DeltaBuilder, Parallelism};
+    /// use bgkanon_knowledge::{Bandwidth, DeletedRows, PriorEstimator};
+    ///
+    /// let table = bgkanon_data::adult::generate(150, 7);
+    /// let estimator = PriorEstimator::new(
+    ///     Arc::clone(table.schema()),
+    ///     Bandwidth::uniform(0.25, table.qi_count()).unwrap(),
+    /// );
+    /// let mut model = estimator.estimate(&table);
+    /// let mut delta = DeltaBuilder::new(Arc::clone(table.schema()));
+    /// delta.delete(3).delete(40);
+    /// let delta = delta.build();
+    /// let deleted = DeletedRows::gather(&table, &delta).unwrap();
+    /// let evolution = model.folded().evolve(&deleted, &delta).unwrap();
+    /// estimator.refresh_evolved(&mut model, evolution, Parallelism::Auto);
+    ///
+    /// let fresh = estimator.estimate(&table.apply_delta(&delta).unwrap());
+    /// for (qi, p) in fresh.iter() {
+    ///     assert_eq!(p, model.prior(qi).unwrap());
+    /// }
+    /// ```
+    pub fn refresh_evolved(
+        &self,
+        model: &mut PriorModel,
+        evolution: FoldEvolution,
+        parallelism: Parallelism,
+    ) -> DirtyPoints {
+        let from_model = evolution.source == model.folded.hash
+            && evolution.point_map.len() == model.folded.len();
+        if from_model && self.same_provenance(model, &evolution.folded) {
+            self.refresh_changed(model, evolution, parallelism)
+        } else {
+            self.refresh_folded(model, evolution.into_folded(), parallelism)
+        }
+    }
+
+    /// Was `model` estimated by this estimator's kernel over folds shaped
+    /// like `folded`?
+    fn same_provenance(&self, model: &PriorModel, folded: &FoldedTable) -> bool {
+        model.family == self.family
+            && model.bandwidth == self.bandwidth
+            && model.folded.qi_count == folded.qi_count
+            && model.folded.m == folded.m
+    }
+
+    /// The refresh core behind [`refresh_folded`](Self::refresh_folded) and
+    /// [`refresh_evolved`](Self::refresh_evolved): `evolution` carries the
+    /// fold `model` was estimated on to its replacement. Compact kernel
     /// support means only priors within the (symmetric) product-kernel
     /// support of a changed combination can move, so exactly those points
-    /// are recomputed, in ascending order, and overwrite their slots;
-    /// combinations deleted outright lose their prior.
+    /// are recomputed, in ascending order. Every other prior moves along
+    /// the point map into the new prior vector; combinations deleted
+    /// outright lose theirs.
     fn refresh_changed(
         &self,
         model: &mut PriorModel,
-        mut folded: FoldedTable,
+        evolution: FoldEvolution,
         parallelism: Parallelism,
     ) -> DirtyPoints {
         model.index = OnceLock::new();
-        let priors = std::mem::take(&mut model.priors);
-        let (changed, mut priors) = model.folded.merge_priors(&folded, priors);
-        let mut dirty = DirtyPoints::none(folded.len());
-        if !changed.is_empty() {
-            let index = self.index(&folded);
+        let mut dirty = DirtyPoints::none(evolution.folded.len());
+        let (folded, ids, dists) = if evolution.changes == 0 {
+            (evolution.folded, Vec::new(), Vec::new())
+        } else {
+            let index = self.index(&evolution.folded);
             let mut scratch = QueryScratch::default();
-            for &key in &changed {
+            for c in 0..evolution.changes {
+                let key = evolution.changed_key(c);
                 // Order is irrelevant for marking — skip the sort.
-                let candidates = self.candidates(&folded, &index, key, &mut scratch, false);
-                self.for_each_weight(key, &folded, candidates, |id, w| {
+                let candidates =
+                    self.candidates(&evolution.folded, &index, key, &mut scratch, false);
+                self.for_each_weight(key, &evolution.folded, candidates, |id, w| {
                     if w > 0.0 {
                         dirty.insert(id);
                     }
                 });
             }
-            let fallback = folded.table_distribution();
-            let (back, fallback, ids, dists) =
-                self.query_points(folded, index, fallback, dirty.ids(), parallelism);
-            for (&id, dist) in ids.iter().zip(dists) {
-                priors[id as usize] = Some(dist);
-            }
-            folded = back;
+            let fallback = evolution.folded.table_distribution();
+            let (folded, fallback, ids, dists) =
+                self.query_points(evolution.folded, index, fallback, dirty.ids(), parallelism);
             model.table_distribution = fallback;
-        }
-        // Every point the merge found no prior for is a changed point, and
-        // a point always lies in its own kernel support, so each slot is
-        // filled; re-estimate in full should that ever not hold.
-        match priors.into_iter().collect::<Option<Vec<Dist>>>() {
-            Some(priors) => {
-                model.priors = priors;
-                model.folded = folded;
-                dirty
-            }
-            None => {
-                *model = self.estimate_folded(folded, parallelism);
-                DirtyPoints::all(model.len())
-            }
+            (folded, ids, dists)
+        };
+        // Every point new to the fold is a changed point, and a point always
+        // lies in its own kernel support, so each is recomputed;
+        // re-estimate in full should that ever not hold.
+        let mut priors = std::mem::take(&mut model.priors);
+        let moved = move_priors(
+            &mut priors,
+            &evolution.point_map,
+            &dirty,
+            &ids,
+            dists,
+            &model.table_distribution,
+        );
+        if moved {
+            model.priors = priors;
+            model.folded = folded;
+            dirty
+        } else {
+            *model = self.estimate_folded(folded, parallelism);
+            DirtyPoints::all(model.len())
         }
     }
+}
+
+/// Lay `priors`, one per point of a fold, out over the points of the fold
+/// it evolved into, in place: the prior of each surviving point that
+/// `dirty` leaves alone moves to its new id along `point_map`, and the
+/// recomputed `dists` (for the ascending `ids`, the dirty points) take
+/// their slots. The other priors — of points deleted outright or
+/// recomputed — are spare slots: the moving priors are packed to the
+/// front in order, the vector is cut or grown to the new point count
+/// (growth clones `filler`), and one walk down from the last new id fills
+/// every slot from above, so no moving prior is overwritten before it
+/// moves. Reusing the vector spares a table-sized allocation per refresh.
+/// `false`, leaving `priors` unspecified, when a new id receives neither a
+/// moved nor a recomputed prior.
+fn move_priors(
+    priors: &mut Vec<Dist>,
+    point_map: &[u32],
+    dirty: &DirtyPoints,
+    ids: &[u32],
+    mut dists: Vec<Dist>,
+    filler: &Dist,
+) -> bool {
+    if priors.len() != point_map.len() || ids.len() != dists.len() {
+        return false;
+    }
+    let moves = |to: u32| to != GONE && !dirty.contains(to);
+    let mut moving = 0;
+    for (old, &to) in point_map.iter().enumerate() {
+        if moves(to) {
+            priors.swap(moving, old);
+            moving += 1;
+        }
+    }
+    let points = dirty.points;
+    if points > priors.len() {
+        priors.resize(points, filler.clone());
+    } else {
+        priors.truncate(points);
+    }
+    let mut targets = point_map
+        .iter()
+        .rev()
+        .copied()
+        .filter(|&to| moves(to))
+        .peekable();
+    let mut fresh = ids.iter().rev().peekable();
+    for slot in (0..points).rev() {
+        if fresh.next_if(|&&id| id as usize == slot).is_some() {
+            match dists.pop() {
+                Some(dist) => priors[slot] = dist,
+                None => return false,
+            }
+        } else if targets.next_if(|&to| to as usize == slot).is_some() {
+            moving -= 1;
+            priors.swap(moving, slot);
+        } else {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgkanon_data::{adult, toy, DeltaBuilder};
+    use proptest::prelude::*;
 
     fn hospital() -> Table {
         toy::hospital_table()
@@ -2117,6 +2280,108 @@ mod tests {
         // `tests/estimation.rs` checks such a schema's estimates against
         // the dense reference.
         assert!(est.index(&FoldedTable::new(&t)).grid.is_none());
+    }
+
+    /// The priors' probabilities as bits, so `0.0` and `-0.0` differ.
+    fn prior_bits(prior: Option<&Dist>) -> Option<Vec<u64>> {
+        prior.map(|p| p.as_slice().iter().map(|x| x.to_bits()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// One-step refreshes against the gap path. Along a chain of random
+        /// deltas, refreshing a model by its fold's evolution gives the
+        /// dense reference's priors on the new table, bit for bit, and the
+        /// same dirty points as refreshing a copy by a merge of the two
+        /// folds.
+        #[test]
+        fn evolved_refreshes_match_the_merge_path(
+            rows in 60usize..240,
+            seed in 0u64..1u64 << 40,
+            tenths in 1u32..8,
+        ) {
+            let mut table = adult::generate(rows, seed);
+            let donors = adult::generate(60, seed ^ 0xd0);
+            let bandwidth = Bandwidth::uniform(f64::from(tenths) / 10.0, table.qi_count()).unwrap();
+            let est = PriorEstimator::new(Arc::clone(table.schema()), bandwidth);
+            let mut stepped = est.estimate(&table);
+            let mut merged = stepped.clone();
+            let mut state = seed | 1;
+            let mut draw = |below: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % below
+            };
+            for step in 0..4 {
+                let mut builder = DeltaBuilder::new(Arc::clone(table.schema()));
+                for row in (0..table.len()).filter(|_| draw(12) == 0) {
+                    builder.delete(row);
+                }
+                // Donors bring new QI combinations; copies of existing rows
+                // with another sensitive value change existing points.
+                for _ in 0..draw(10) {
+                    let r = draw(donors.len());
+                    builder.insert_codes(&donors.qi(r), donors.sensitive_value(r)).unwrap();
+                }
+                for _ in 0..draw(6) {
+                    let r = draw(table.len());
+                    builder.insert_codes(&table.qi(r), draw(table.schema().sensitive_domain_size()) as u32).unwrap();
+                }
+                let delta = builder.build();
+                let deleted = DeletedRows::gather(&table, &delta).unwrap();
+                let evolution = stepped.folded().evolve(&deleted, &delta).unwrap();
+                let next = table.apply_delta(&delta).unwrap();
+                let by_merge =
+                    est.refresh_folded(&mut merged, evolution.folded().clone(), Parallelism::Serial);
+                let by_step = est.refresh_evolved(&mut stepped, evolution, Parallelism::threads(2));
+                prop_assert_eq!(&by_step, &by_merge, "step {}", step);
+                prop_assert!(by_step.len() < stepped.len() || stepped.len() < 8, "step {step}: every point dirty");
+                let reference = est.estimate_reference(&next);
+                prop_assert_eq!(stepped.len(), reference.len(), "step {}", step);
+                for (id, (_, prior)) in reference.iter().enumerate() {
+                    let expected = prior_bits(Some(prior));
+                    prop_assert_eq!(prior_bits(stepped.point_prior(id as u32)), expected.clone(), "step {}, point {}", step, id);
+                    prop_assert_eq!(prior_bits(merged.point_prior(id as u32)), expected, "step {}, point {}", step, id);
+                }
+                table = next;
+            }
+        }
+    }
+
+    #[test]
+    fn an_evolution_of_another_fold_is_diffed() {
+        let t = adult::generate(200, 5);
+        let est = PriorEstimator::new(
+            Arc::clone(t.schema()),
+            Bandwidth::uniform(0.3, t.qi_count()).unwrap(),
+        );
+        let mut model = est.estimate(&t);
+        // An evolution that starts from a fold one delete away from the
+        // model's: its point map does not index the model's points.
+        let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
+        b.delete(4);
+        let first = b.build();
+        let t1 = t.apply_delta(&first).unwrap();
+        let mut b = DeltaBuilder::new(Arc::clone(t.schema()));
+        b.delete(0).delete(90);
+        let second = b.build();
+        let deleted = DeletedRows::gather(&t1, &second).unwrap();
+        let evolution = FoldedTable::new(&t1).evolve(&deleted, &second).unwrap();
+        let t2 = t1.apply_delta(&second).unwrap();
+        let mut merged = model.clone();
+        let by_merge =
+            est.refresh_folded(&mut merged, evolution.folded().clone(), Parallelism::Auto);
+        let dirty = est.refresh_evolved(&mut model, evolution, Parallelism::Auto);
+        assert_eq!(dirty, by_merge);
+        let fresh = est.estimate_reference(&t2);
+        for (id, (_, prior)) in fresh.iter().enumerate() {
+            assert_eq!(
+                prior_bits(model.point_prior(id as u32)),
+                prior_bits(Some(prior))
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bgkanon_data::hash::WordMap;
+use bgkanon_data::hash::{WordMap, WordSet};
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_inference::{omega_posteriors, GroupPriors};
 use bgkanon_knowledge::{Adversary, DirtyPoints, PriorModel};
@@ -401,22 +401,22 @@ impl Auditor {
         self.solve_group(rows, scratch, emit);
     }
 
-    /// Prepare and solve every nonempty group that `stale` picks — it is
-    /// given the group's index and the risks so far — into the row-indexed
-    /// `risks`, resolving priors as [`prepare_group`](Self::prepare_group)
-    /// does. Returns the number of groups solved.
+    /// Prepare and solve every nonempty group that `stale` picks by index
+    /// into the row-indexed `risks`, resolving priors as
+    /// [`prepare_group`](Self::prepare_group) does. Returns the number of
+    /// groups solved.
     fn solve_groups<'a>(
         &'a self,
         table: &Table,
         groups: &[&[usize]],
         points: Option<(&'a PriorModel, &[u32])>,
         risks: &mut [f64],
-        mut stale: impl FnMut(usize, &[f64]) -> bool,
+        mut stale: impl FnMut(usize) -> bool,
     ) -> usize {
         let mut scratch = AuditScratch::default();
         let mut solved = 0;
         for (gi, rows) in groups.iter().enumerate() {
-            if rows.is_empty() || !stale(gi, risks) {
+            if rows.is_empty() || !stale(gi) {
                 continue;
             }
             self.prepare_group(table, rows, points, &mut scratch);
@@ -548,13 +548,15 @@ struct CacheEntry {
 /// ([`step`](SharedAuditSession::step)), for the session of the next version
 /// ([`bound`](SharedAuditSession::bound)): the risk vector compacted through
 /// the delta's deletes — survivors keep their order and the inserted rows
-/// start as NaN, the row order of [`Table::apply_delta`] — and the leaf
-/// stamps those risks were solved under, sorted. Holding it does not keep
-/// the old session or its adversary model alive.
+/// start as NaN, the row order of [`Table::apply_delta`] — and the set of
+/// leaf stamps those risks were solved under. Holding it does not keep the
+/// old session or its adversary model alive.
 #[derive(Debug)]
 pub struct RiskStep {
     risks: Vec<f64>,
-    stamps: Vec<u64>,
+    /// Rows of `risks` that survived the delta; the inserted rows follow.
+    survivors: usize,
+    stamps: WordSet<u64>,
 }
 
 /// The stamp cache of an unbound [`SharedAuditSession`].
@@ -645,9 +647,10 @@ fn point_priors<'a>(
 /// `risks` of one table version laid out like the next: the entries of the
 /// rows `deletes` removes are dropped, the survivors keep their order, and
 /// NaN fills up to `rows` for the inserted rows — [`Table::apply_delta`]'s
-/// row order. `None` when `deletes` is not strictly ascending within
-/// `risks`, or leaves more than `rows` survivors.
-fn compact(mut risks: Vec<f64>, deletes: &[usize], rows: usize) -> Option<Vec<f64>> {
+/// row order. Returns the survivor count with the vector. `None` when
+/// `deletes` is not strictly ascending within `risks`, or leaves more than
+/// `rows` survivors.
+fn compact(mut risks: Vec<f64>, deletes: &[usize], rows: usize) -> Option<(Vec<f64>, usize)> {
     let len = risks.len();
     let (mut kept, mut start) = (0, 0);
     for &end in deletes.iter().chain(std::iter::once(&len)) {
@@ -663,7 +666,25 @@ fn compact(mut risks: Vec<f64>, deletes: &[usize], rows: usize) -> Option<Vec<f6
     }
     risks.truncate(kept);
     risks.resize(rows, f64::NAN);
-    Some(risks)
+    Some((risks, kept))
+}
+
+/// One bit per row of a version's table: set for the inserted rows (from
+/// `survivors` on) and for every row whose point of the model's fold is
+/// `dirty`. Filled a word at a time in one pass over `row_points`.
+fn dirty_rows(row_points: &[u32], dirty: &DirtyPoints, survivors: usize) -> Vec<u64> {
+    let mut bits: Vec<u64> = row_points
+        .chunks(64)
+        .map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |word, (b, &point)| {
+                word | (u64::from(dirty.contains(point)) << b)
+            })
+        })
+        .collect();
+    for row in survivors..row_points.len() {
+        bits[row / 64] |= 1 << (row % 64);
+    }
+    bits
 }
 
 /// A retained audit state for repeated publications of an evolving table,
@@ -811,19 +832,20 @@ impl SharedAuditSession {
             let previous = previous
                 .filter(|(step, _)| covered && points.is_some() && step.risks.len() == table.len());
             let (mut risks, kept) = match previous {
-                Some((RiskStep { mut risks, stamps }, dirty)) => {
-                    for (risk, &point) in risks.iter_mut().zip(&row_points) {
-                        if dirty.contains(point) {
-                            *risk = f64::NAN;
-                        }
-                    }
-                    (risks, stamps)
+                Some((step, dirty)) => {
+                    let rows = dirty_rows(&row_points, dirty, step.survivors);
+                    (step.risks, Some((step.stamps, rows)))
                 }
-                None => (vec![f64::NAN; table.len()], Vec::new()),
+                None => (vec![f64::NAN; table.len()], None),
             };
-            let solved = auditor.solve_groups(table, groups, points, &mut risks, |gi, risks| {
-                kept.binary_search(&stamps[gi]).is_err()
-                    || groups[gi].iter().any(|&row| risks[row].is_nan())
+            let solved = auditor.solve_groups(table, groups, points, &mut risks, |gi| {
+                let Some((kept, dirty_rows)) = &kept else {
+                    return true;
+                };
+                !kept.contains(&stamps[gi])
+                    || groups[gi]
+                        .iter()
+                        .any(|&row| dirty_rows[row / 64] & (1 << (row % 64)) != 0)
             });
             (risks, solved)
         };
@@ -845,19 +867,25 @@ impl SharedAuditSession {
     /// released. `None` for an unbound session, or when `deletes` does not
     /// fit this version.
     pub fn step(self: Arc<Self>, deletes: &[usize], rows: usize) -> Option<RiskStep> {
-        let (risks, mut stamps) = match Arc::try_unwrap(self) {
+        let (risks, stamps) = match Arc::try_unwrap(self) {
             Ok(session) => match session.retained {
-                Retained::Version(version) => (version.risks, version.stamps),
+                Retained::Version(version) => (version.risks, version.stamps.into_iter().collect()),
                 Retained::Stamps(_) => return None,
             },
             Err(shared) => match &shared.retained {
-                Retained::Version(version) => (version.risks.clone(), version.stamps.clone()),
+                Retained::Version(version) => (
+                    version.risks.clone(),
+                    version.stamps.iter().copied().collect(),
+                ),
                 Retained::Stamps(_) => return None,
             },
         };
-        let risks = compact(risks, deletes, rows)?;
-        stamps.sort_unstable();
-        Some(RiskStep { risks, stamps })
+        let (risks, survivors) = compact(risks, deletes, rows)?;
+        Some(RiskStep {
+            risks,
+            survivors,
+            stamps,
+        })
     }
 
     /// The row → point array this session is bound to (empty when
@@ -1027,7 +1055,7 @@ impl SharedAuditSession {
         let mut risks = vec![f64::NAN; table.len()];
         let solved = self
             .auditor
-            .solve_groups(table, groups, points, &mut risks, |_, _| true);
+            .solve_groups(table, groups, points, &mut risks, |_| true);
         self.solved.fetch_add(solved, Ordering::Relaxed);
         self.auditor.assemble_report(risks, t)
     }
@@ -1592,13 +1620,14 @@ mod tests {
     #[test]
     fn compact_lays_risks_out_like_apply_delta() {
         let risks = vec![0.0, 1.0, 2.0, 3.0, 4.0];
-        let out = compact(risks.clone(), &[1, 3], 5).unwrap();
+        let (out, survivors) = compact(risks.clone(), &[1, 3], 5).unwrap();
+        assert_eq!(survivors, 3);
         assert_eq!(out[..3], [0.0, 2.0, 4.0]);
         assert!(out[3..].iter().all(|r| r.is_nan()));
-        assert_eq!(compact(risks.clone(), &[], 5), Some(risks.clone()));
+        assert_eq!(compact(risks.clone(), &[], 5), Some((risks.clone(), 5)));
         assert_eq!(
             compact(risks.clone(), &[0, 4], 3),
-            Some(vec![1.0, 2.0, 3.0])
+            Some((vec![1.0, 2.0, 3.0], 3))
         );
         // Out of order, repeated or past the end; more survivors than rows.
         for deletes in [&[3usize, 1][..], &[2, 2], &[5]] {

@@ -137,9 +137,17 @@ const AUDIT_HALF_CEILING: u64 = 64;
 /// Most allocations a whole one-step `PublishSession::audit_against` may
 /// make beyond one per point whose prior the refresh recomputes (each
 /// refreshed prior is its own `Dist`): the evolved fold, the refresh's
-/// buffers and the audit half. These audits measure about 500 beyond their
-/// 2,900–3,300 re-estimated points.
+/// buffers and the audit half. These audits measure about 120 beyond their
+/// 3,000–3,300 re-estimated points (about 500 when the refresh merged the
+/// two folds again and evolving the fold allocated per touched point).
 const AUDIT_FIXED_CEILING: u64 = 1_000;
+
+/// Most allocations one `FoldedTable::evolve` across a 1% churn delta may
+/// make: the new fold's four arrays, the point map, the changed keys, the
+/// net change's three buffers and one scratch histogram, whatever the
+/// number of QI combinations the delta touches. These calls measure 10
+/// each; with one buffer per touched combination they made 385–388.
+const EVOLVE_CEILING: u64 = 16;
 
 #[test]
 fn one_step_audits_allocate_nothing_per_group() {
@@ -189,10 +197,12 @@ fn one_step_audits_allocate_nothing_per_group() {
         let whole = allocations() - before;
         let report = report.expect("a positive bandwidth");
 
+        let before = allocations();
         let evolution = model
             .folded()
             .evolve(&deleted, &delta)
             .expect("the delta's own record");
+        let evolve = allocations() - before;
         let next_points = evolution
             .row_points(&points, &delta)
             .expect("the delta's own record");
@@ -201,11 +211,8 @@ fn one_step_audits_allocate_nothing_per_group() {
         let stepped = previous.step(delta.deletes(), rows);
         let mut half = allocations() - before;
         let stepped = stepped.expect("a bound session steps across its delta");
-        let dirty = estimator.refresh_folded(
-            Arc::make_mut(&mut model),
-            evolution.into_folded(),
-            Parallelism::Serial,
-        );
+        let dirty =
+            estimator.refresh_evolved(Arc::make_mut(&mut model), evolution, Parallelism::Serial);
         let (table, stamps) = (session.table(), session.leaf_stamps());
         let groups: Vec<&[usize]> = session.anonymized().iter().map(|g| g.rows).collect();
         let auditor = auditor(&model);
@@ -220,7 +227,7 @@ fn one_step_audits_allocate_nothing_per_group() {
         );
         let staged = next.report_version(step as u64 + 1, table, Vec::new, Some(stamps), T);
         half += allocations() - before;
-        counts.push((whole, dirty.len(), half, next.cached_signatures()));
+        counts.push((whole, dirty.len(), half, next.cached_signatures(), evolve));
 
         let fresh = bgkanon_tests::reference_report(table, session.anonymized(), B_PRIME, T);
         assert_eq!(report.first_difference(&fresh), None, "audit {step}");
@@ -229,13 +236,20 @@ fn one_step_audits_allocate_nothing_per_group() {
         previous = Arc::new(next);
         points = next_points;
     }
-    eprintln!("(whole audit, re-estimated points, audit half, re-solved groups): {counts:?}");
-    for (step, &(whole, dirty, half, solved)) in counts.iter().enumerate() {
+    eprintln!(
+        "(whole audit, re-estimated points, audit half, re-solved groups, evolve): {counts:?}"
+    );
+    for (step, &(whole, dirty, half, solved, evolve)) in counts.iter().enumerate() {
         assert!(solved >= 100, "audit {step} re-solved only {solved} groups");
         assert!(
             half <= AUDIT_HALF_CEILING,
             "audit {step}: the audit half made {half} allocations (ceiling \
              {AUDIT_HALF_CEILING}): {counts:?}"
+        );
+        assert!(
+            evolve <= EVOLVE_CEILING,
+            "audit {step}: evolving the fold made {evolve} allocations (ceiling \
+             {EVOLVE_CEILING}): {counts:?}"
         );
         assert!(
             whole <= AUDIT_FIXED_CEILING + dirty as u64,
