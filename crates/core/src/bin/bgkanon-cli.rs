@@ -590,12 +590,23 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // Verification: every tenant's final publication must be bit-identical
-    // to a from-scratch publish of its final table.
-    for name in &names {
+    // to a from-scratch publish of its final table, and its served audit to
+    // a fresh audit of that publication by the tenant's frozen auditor.
+    for (name, auditor) in names.iter().zip(auditors.iter()) {
         let snap = hub.snapshot(name).map_err(|e| e.to_string())?;
         publisher
             .verify(snap.table(), snap.anonymized())
             .map_err(|e| format!("{name}: version {}: {e}", snap.version()))?;
+        let served = hub
+            .audit_with(name, auditor, t)
+            .map_err(|e| e.to_string())?;
+        let fresh = auditor.report(snap.table(), &snap.anonymized().row_groups(), t);
+        if let Some(drift) = served.first_difference(&fresh) {
+            return Err(format!(
+                "{name}: version {}: served audit drifted from a fresh audit: {drift:?}",
+                snap.version()
+            ));
+        }
         eprintln!(
             "  {name}: version {} · {} rows · {} groups · identical to from-scratch ✓",
             snap.version(),
@@ -635,7 +646,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             names.len()
         );
     }
-    println!("serve: {tenants} tenants verified identical to from-scratch publications");
+    println!("serve: {tenants} tenants verified identical to from-scratch publications and audits");
     Ok(())
 }
 

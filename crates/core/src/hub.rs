@@ -24,11 +24,12 @@
 //!   readers never wait on a delta, writers never wait on an audit.
 //! * **Shared audit caches** — reader audits go through
 //!   [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession)s (one
-//!   per tenant × auditor configuration), whose stamp caches are keyed by
-//!   partition-tree leaf stamps. Stamps survive deltas for every group the
-//!   delta did not dirty, so a steady-state audit recomputes Ω only for the
-//!   churned slice of the partition — the same incremental-audit economics
-//!   PR 3 built for one session, now shared by all readers of a tenant.
+//!   per tenant × auditor configuration), each of one kind: bound to one
+//!   version and stepped to the next across one delta. Partition-tree leaf
+//!   stamps survive deltas for every group the delta did not dirty, so an
+//!   audit one delta after the previous one recomputes Ω only for the
+//!   churned slice of the partition; after a gap of several deltas it
+//!   solves every group. All readers of a tenant share these sessions.
 //!
 //! * **Optional durability** — a hub opened with [`SessionHub::open`] gives
 //!   each tenant a directory under its data root: a genesis file, periodic
@@ -828,12 +829,17 @@ impl SessionHub {
 
     /// Audit a tenant's current version with an externally supplied
     /// (caller-frozen) auditor, through the tenant's shared reader caches:
-    /// any number of threads call this concurrently, and across deltas only
-    /// dirtied groups recompute Ω. From the second audit of one version at
-    /// one `t` on, the entry keeps that report, and later audits of the
-    /// version return a copy of it (ARCHITECTURE.md, "The report memo").
-    /// Pass the same `Auditor` (or clones sharing its `Arc`s) to hit the
-    /// cache.
+    /// any number of threads call this concurrently. The tenant keeps one
+    /// entry per auditor, bound to one version like an `Adv(b′)` entry
+    /// ([`audit_against`](Self::audit_against)). The first audit exactly
+    /// one delta after the entry's version steps its risks across the
+    /// snapshot's change record and recomputes Ω only for groups under a
+    /// new leaf stamp or holding an inserted row; after a gap of several
+    /// deltas, or with no change record, it solves every group. From the
+    /// second audit of one version at one `t` on, the entry keeps that
+    /// report, and later audits of the version return a copy of it
+    /// (ARCHITECTURE.md, "The report memo"). Pass the same `Auditor` (or
+    /// clones sharing its `Arc`s) to hit the cache.
     pub fn audit_with(
         &self,
         tenant: &str,
@@ -842,8 +848,9 @@ impl SessionHub {
     ) -> Result<AuditReport, SessionError> {
         let entry = self.tenant(tenant)?;
         let snapshot = self.resident_snapshot(&entry)?;
-        let shared = entry.readers.external(auditor);
-        let report = snapshot.target().audit(&shared, t);
+        let target = snapshot.target();
+        let shared = entry.readers.external(auditor, &target);
+        let report = target.audit(&shared, t);
         self.recount_readers(&entry);
         self.maybe_evict(Some(&entry.name));
         Ok(report)
@@ -1400,6 +1407,90 @@ mod tests {
             auditor.report_reference(snap.table(), &snap.anonymized().row_groups(), 0.2);
         assert_eq!(cached.first_difference(&reference), None);
         assert!(first.worst_case >= first.mean);
+    }
+
+    /// A caller auditor's entry is bound to one version and stepped across
+    /// one delta, re-solving exactly the groups under a stamp the previous
+    /// version lacked; after two unaudited deltas it solves every group, and
+    /// a reader of an older version gets a one-off session.
+    #[test]
+    fn caller_auditor_entry_steps_one_delta_and_solves_a_gap_in_full() {
+        let hub = hub_with(&[("a", 14)], 400, 4);
+        let v0 = hub.snapshot("a").unwrap();
+        let table = v0.table();
+        let auditor = Auditor::new(
+            Arc::new(Adversary::kernel(
+                table,
+                Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
+            )),
+            Arc::new(SmoothedJs::paper_default(
+                table.schema().sensitive_distance(),
+            )),
+        );
+        let key = ReaderKey::External(
+            Arc::as_ptr(auditor.adversary()) as usize,
+            Arc::as_ptr(auditor.measure()) as *const () as usize,
+        );
+        let entry = hub.tenant("a").unwrap();
+        let cached = || {
+            let readers = entry.readers.entries();
+            let cache = readers.iter().find(|c| c.key == key).unwrap();
+            (cache.version, Arc::clone(&cache.session))
+        };
+        let audit = |snapshot: &TenantSnapshot| {
+            let report = hub.audit_with("a", &auditor, 0.2).unwrap();
+            let groups = snapshot.anonymized().row_groups();
+            let fresh = auditor.report_reference(snapshot.table(), &groups, 0.2);
+            assert_eq!(report.first_difference(&fresh), None);
+        };
+        let nonempty = |snapshot: &TenantSnapshot| {
+            let groups = snapshot.anonymized().groups();
+            groups.iter().filter(|g| !g.rows.is_empty()).count()
+        };
+        audit(&v0);
+        let (version, session) = cached();
+        assert_eq!((version, session.cached_signatures()), (0, nonempty(&v0)));
+
+        // One delta: only the groups under a stamp version 0 lacked.
+        let v1 = hub
+            .apply("a", &delta_for(table, &[5, 42, 43], 4, 61))
+            .unwrap();
+        audit(&v1);
+        let old: std::collections::HashSet<u64> = v0.leaf_stamps().iter().copied().collect();
+        let renewed = v1
+            .anonymized()
+            .groups()
+            .iter()
+            .zip(v1.leaf_stamps())
+            .filter(|(group, stamp)| !group.rows.is_empty() && !old.contains(stamp))
+            .count();
+        assert!(
+            0 < renewed && renewed < v1.group_count(),
+            "{renewed} renewed"
+        );
+        let (version, session) = cached();
+        assert_eq!((version, session.cached_signatures()), (1, renewed));
+
+        // Two deltas with no audit between them: every group is solved.
+        let v2 = hub.apply("a", &delta_for(v1.table(), &[7], 2, 62)).unwrap();
+        let v3 = hub
+            .apply("a", &delta_for(v2.table(), &[9, 100], 1, 63))
+            .unwrap();
+        audit(&v3);
+        let (version, session) = cached();
+        assert_eq!((version, session.cached_signatures()), (3, nonempty(&v3)));
+
+        // A reader that pinned version 1 is served by a one-off session;
+        // the entry stays at version 3.
+        let stale = entry.readers.external(&auditor, &v1.target());
+        assert!(!Arc::ptr_eq(&stale, &session));
+        let report = v1.target().audit(&stale, 0.2);
+        let groups = v1.anonymized().row_groups();
+        let fresh = auditor.report_reference(v1.table(), &groups, 0.2);
+        assert_eq!(report.first_difference(&fresh), None);
+        let (version, kept) = cached();
+        assert_eq!(version, 3);
+        assert!(Arc::ptr_eq(&kept, &session));
     }
 
     #[test]

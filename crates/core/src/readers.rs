@@ -4,22 +4,26 @@
 //!
 //! A [`ReaderCaches`] list holds one [`SharedAuditSession`] per audit
 //! configuration, least recently used first and capped at
-//! [`READER_CACHE_CAP`]:
+//! [`READER_CACHE_CAP`]. Every entry is one kind: a session **bound** to one
+//! version, which keeps every risk of it in one row-indexed vector, and is
+//! carried forward to the next version one delta at a time:
 //!
-//! * an externally supplied auditor keeps one session across every version
-//!   — the caller's model is frozen by definition, so partition-tree leaf
-//!   stamps replay clean groups across deltas
-//!   ([`external`](ReaderCaches::external));
-//! * the paper's `Adv(b′)` keeps one entry per `b′` and carries it forward:
-//!   the first audit of a newer version refreshes the entry's model to that
-//!   version and builds a session **bound** to the version, which keeps
-//!   every risk of it in one row-indexed vector
-//!   ([`adversary`](ReaderCaches::adversary)). When the version is exactly
-//!   one delta newer and carries that delta's change record, the fold and
-//!   the previous version's risk vector are stepped across the delta, and
-//!   only the groups under a new leaf stamp or holding a row whose prior
-//!   moved are solved. After a gap of several versions, without a change
-//!   record, under an interned model or for a new `b′`, every group is.
+//! * an externally supplied auditor keeps one entry per auditor
+//!   ([`external`](ReaderCaches::external)). The caller's model is frozen by
+//!   definition, so when the version is exactly one delta newer and carries
+//!   that delta's change record, the previous version's risks are stepped
+//!   across the delta and only the groups under a new leaf stamp or holding
+//!   an inserted row are solved;
+//! * the paper's `Adv(b′)` keeps one entry per `b′`
+//!   ([`adversary`](ReaderCaches::adversary)): the first audit of a newer
+//!   version refreshes the entry's model to that version. When the version
+//!   is exactly one delta newer and carries that delta's change record, the
+//!   fold and the previous version's risk vector are stepped across the
+//!   delta, and only the groups under a new leaf stamp or holding a row
+//!   whose prior moved are solved.
+//!
+//! After a gap of several deltas, or without a change record, every group
+//! is solved — for `Adv(b′)` also under an interned model or for a new `b′`.
 //!
 //! The hub passes its cross-tenant intern table ([`AdversaryIntern`]); both
 //! the hub's snapshots and a session's own audits carry the change record of
@@ -56,11 +60,12 @@ pub(crate) fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 pub(crate) enum ReaderKey {
     /// Externally supplied auditor: adversary + measure instance
-    /// addresses. Valid across versions — the
-    /// caller's model is frozen by definition, so stamp hits replay across
-    /// deltas (the Fig. 1 "reuse the prior across releases" accounting).
-    /// (Addresses are stored as `usize`, not raw pointers: the key is only
-    /// ever compared, and a raw-pointer field would make the cache `!Send`.)
+    /// addresses. One entry per auditor, carried from version to version:
+    /// the caller's model is frozen by definition, so a step across one
+    /// delta re-solves only new and inserted groups (the Fig. 1 "reuse the
+    /// prior across releases" accounting). (Addresses are stored as
+    /// `usize`, not raw pointers: the key is only ever compared, and a
+    /// raw-pointer field would make the cache `!Send`.)
     External(usize, usize),
     /// `Adv(b′)`, keyed by the bandwidth bits alone: one entry per `b′`,
     /// carried forward from version to version. The entry's
@@ -70,15 +75,15 @@ pub(crate) enum ReaderKey {
     Bandwidth(u64),
 }
 
-/// One retained audit configuration: the shared session whose caches every
-/// audit of this configuration goes through. An `Adv(b′)` entry's session
-/// is bound to `version`: it keeps that version's risks, leaf stamps and
-/// row → point array ([`SharedAuditSession::row_points`]), all of which are
-/// stepped to the next version with the fold.
+/// One retained audit configuration: the shared session every audit of
+/// this configuration goes through, bound to `version`. It keeps that
+/// version's risks and leaf stamps, and for `Adv(b′)` the row → point array
+/// of its model's fold ([`SharedAuditSession::row_points`]), all of which
+/// are stepped to the next version.
 pub(crate) struct ReaderCache {
     pub(crate) key: ReaderKey,
-    /// The version an `Adv(b′)` entry's model was estimated or refreshed to
-    /// (0 and unused for external auditors).
+    /// The version the session is bound to — for `Adv(b′)`, the one its
+    /// model was estimated or refreshed to.
     pub(crate) version: u64,
     pub(crate) session: Arc<SharedAuditSession>,
 }
@@ -125,9 +130,10 @@ impl AuditTarget<'_> {
 
     /// Audit this version through `shared`: from the session's report memo
     /// when this `(version, t)` was audited through it twice already,
-    /// otherwise from a bound session's risks of the version or an unbound
-    /// one's stamp cache ([`SharedAuditSession::report_version`]) —
-    /// bit-identical to a fresh [`Auditor::report`].
+    /// otherwise from the session's risks of the version, or by solving
+    /// every group when the session is bound to another one
+    /// ([`SharedAuditSession::report_version`]) — bit-identical to a fresh
+    /// [`Auditor::report`].
     pub(crate) fn audit(&self, shared: &SharedAuditSession, t: f64) -> AuditReport {
         shared.report_version(
             self.version,
@@ -181,22 +187,6 @@ impl NextFold {
     }
 }
 
-/// What a cache list holds for `Adv(b′)`, relative to the version being
-/// audited.
-enum AdversaryEntry {
-    /// A session for exactly this version.
-    Current(Arc<SharedAuditSession>),
-    /// The entry of an earlier version, taken out of the list: its model
-    /// is refreshed to the new version, and its risks are stepped when the
-    /// new version is the next one.
-    Earlier(ReaderCache),
-    /// The list already serves a newer version; this audit runs a one-off
-    /// session and leaves the entry alone.
-    Newer,
-    /// Nothing cached at this `b′`.
-    Missing,
-}
-
 /// The retained audit configurations of one evolving table, least recently
 /// used first. The list lock is only held for lookups and swaps, never
 /// across estimation or auditing.
@@ -206,25 +196,48 @@ pub(crate) struct ReaderCaches {
 }
 
 impl ReaderCaches {
-    /// The shared session for an externally supplied `auditor`, built on
-    /// first use. Pass the same `Auditor` (or clones sharing its `Arc`s)
-    /// to hit it.
-    pub(crate) fn external(&self, auditor: &Auditor) -> Arc<SharedAuditSession> {
+    /// The shared session for an externally supplied `auditor`, bound to
+    /// `target`'s version ([`SharedAuditSession::bound`]). Pass the same
+    /// `Auditor` (or clones sharing its `Arc`s) to hit it. The caller's
+    /// model is frozen, so no prior moves across a delta and priors resolve
+    /// by QI.
+    ///
+    /// * The entry of exactly this version is returned as it is.
+    /// * When the entry is exactly one version behind and `target` carries
+    ///   its change record, its risks are stepped across the delta
+    ///   ([`SharedAuditSession::step`]), and only the groups under a new
+    ///   leaf stamp or holding an inserted row are solved.
+    /// * After a gap of several versions, without a change record, or with
+    ///   no entry for this auditor, every group is solved.
+    /// * An audit of an older version than the entry's runs a one-off
+    ///   session and leaves the entry alone.
+    pub(crate) fn external(
+        &self,
+        auditor: &Auditor,
+        target: &AuditTarget<'_>,
+    ) -> Arc<SharedAuditSession> {
         let key = ReaderKey::External(
             Arc::as_ptr(auditor.adversary()) as usize,
             Arc::as_ptr(auditor.measure()) as *const () as usize,
         );
-        {
-            let mut readers = relock(self.readers.lock());
-            if let Some(idx) = readers.iter().position(|c| c.key == key) {
-                // Move to the back: LRU order for eviction.
-                let entry = readers.remove(idx);
-                let session = Arc::clone(&entry.session);
-                readers.push(entry);
-                return session;
-            }
-        }
-        self.install(key, 0, SharedAuditSession::new(auditor.clone()))
+        self.serve(key, target.version, |earlier| {
+            let step = earlier
+                .filter(|cache| cache.version + 1 == target.version)
+                .zip(target.change)
+                .and_then(|(cache, change)| {
+                    cache
+                        .session
+                        .step(change.delta.deletes(), target.table.len())
+                });
+            SharedAuditSession::bound(
+                auditor.clone(),
+                target.table,
+                &target.group_rows(),
+                target.stamps,
+                Vec::new(),
+                step.map(|step| (step, None)),
+            )
+        })
     }
 
     /// The shared `Adv(b′)` session for `target`'s version, with the
@@ -258,114 +271,46 @@ impl ReaderCaches {
         intern: Option<&dyn AdversaryIntern>,
         parallelism: Parallelism,
     ) -> Arc<SharedAuditSession> {
-        let bits = bandwidth.get(0).to_bits();
-        let found = self.adversary_entry(bits, target.version);
-        let newer = matches!(found, AdversaryEntry::Newer);
-        let earlier = match found {
-            AdversaryEntry::Current(session) => return session,
-            AdversaryEntry::Earlier(cache) => Some(cache),
-            AdversaryEntry::Newer | AdversaryEntry::Missing => None,
-        };
-        let table = target.table;
-        let family = KernelFamily::Epanechnikov;
-        let (next, row_points) = match earlier
-            .as_ref()
-            .and_then(|cache| cache.evolved_fold(target))
-        {
-            Some((evolution, row_points)) => (NextFold::Evolved(evolution), row_points),
-            None => {
-                let (fold, row_points) = FoldedTable::with_row_points(table);
-                (NextFold::Full(fold), row_points)
-            }
-        };
-        let one_step = matches!(next, NextFold::Evolved(_));
-        let measure = Arc::new(SmoothedJs::paper_default(
-            table.schema().sensitive_distance(),
-        ));
-        let groups = target.group_rows();
-        let bind = |auditor, previous| {
-            SharedAuditSession::bound(auditor, table, &groups, target.stamps, row_points, previous)
-        };
-        let session = if let Some(shared) =
-            intern.and_then(|intern| intern.find(next.fold(), &bandwidth, family))
-        {
-            bind(Auditor::new(shared, measure), None)
-        } else {
-            let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
-            let refreshable = earlier.and_then(|cache| {
-                let model = cache
-                    .session
-                    .auditor()
-                    .adversary()
-                    .prior_model()
-                    .map(Arc::clone);
-                // Release the old session (and with it, unless another list
-                // or an in-flight reader shares them, the old adversary's
-                // handle on the model) so the refresh below mutates the
-                // model in place instead of cloning it; on one step, its
-                // risks come along, moved out when nothing else holds them.
-                let rows = table.len();
-                let step = match target.change {
-                    Some(change) if one_step => cache.session.step(change.delta.deletes(), rows),
-                    _ => None,
-                };
-                model.map(|model| (model, step))
-            });
-            let (model, stepped) = match refreshable {
-                Some((mut model, step)) => {
-                    let target_model = Arc::make_mut(&mut model);
-                    let dirty = match next {
-                        NextFold::Evolved(evolution) => {
-                            estimator.refresh_evolved(target_model, evolution, parallelism)
-                        }
-                        NextFold::Full(fold) => {
-                            estimator.refresh_folded(target_model, fold, parallelism)
-                        }
-                    };
-                    (model, step.map(|step| (step, dirty)))
-                }
-                None => {
-                    let model = estimator.estimate_folded(next.into_fold(), parallelism);
-                    (Arc::new(model), None)
-                }
-            };
-            let label = format!("Adv({bandwidth})");
-            let adversary = Adversary::from_model(&label, bandwidth, model);
-            let adversary = match intern {
-                Some(intern) => intern.insert(adversary),
-                None => Arc::new(adversary),
-            };
-            let (step, dirty) = stepped.unzip();
-            bind(Auditor::new(adversary, measure), step.zip(dirty.as_ref()))
-        };
-        if newer {
-            Arc::new(session)
-        } else {
-            self.install(ReaderKey::Bandwidth(bits), target.version, session)
-        }
+        let key = ReaderKey::Bandwidth(bandwidth.get(0).to_bits());
+        self.serve(key, target.version, |earlier| {
+            adversary_session(target, earlier, bandwidth, intern, parallelism)
+        })
     }
 
-    /// The `Adv(b′)` entry at bandwidth bits `bits`, judged against
-    /// `version`. An earlier version's entry is removed from the list and
-    /// handed to the caller, who alone refreshes it; a concurrent reader of
-    /// the same version finds nothing and estimates instead.
-    fn adversary_entry(&self, bits: u64, version: u64) -> AdversaryEntry {
-        let mut readers = relock(self.readers.lock());
-        let key = ReaderKey::Bandwidth(bits);
-        let Some(idx) = readers.iter().position(|c| c.key == key) else {
-            return AdversaryEntry::Missing;
+    /// The session under `key` for `version`. The entry of exactly this
+    /// version is returned as it is. Otherwise `build` makes one: it is
+    /// handed the entry of an earlier version, removed from the list — the
+    /// caller alone carries it forward, and a concurrent reader of the same
+    /// version finds nothing and builds in full — and the session it builds
+    /// is installed. When the list already serves a newer version, `build`
+    /// is handed nothing and its session is a one-off that leaves the entry
+    /// alone.
+    fn serve(
+        &self,
+        key: ReaderKey,
+        version: u64,
+        build: impl FnOnce(Option<ReaderCache>) -> SharedAuditSession,
+    ) -> Arc<SharedAuditSession> {
+        let (earlier, keep) = {
+            let mut readers = relock(self.readers.lock());
+            match readers.iter().position(|c| c.key == key) {
+                None => (None, true),
+                Some(idx) if readers[idx].version == version => {
+                    // Move to the back: LRU order for eviction.
+                    let entry = readers.remove(idx);
+                    let session = Arc::clone(&entry.session);
+                    readers.push(entry);
+                    return session;
+                }
+                Some(idx) if readers[idx].version > version => (None, false),
+                Some(idx) => (Some(readers.remove(idx)), true),
+            }
         };
-        let entry = readers.remove(idx);
-        if entry.version == version {
-            let session = Arc::clone(&entry.session);
-            // Back to the end: LRU order for eviction.
-            readers.push(entry);
-            AdversaryEntry::Current(session)
-        } else if entry.version > version {
-            readers.insert(idx, entry);
-            AdversaryEntry::Newer
+        let session = build(earlier);
+        if keep {
+            self.install(key, version, session)
         } else {
-            AdversaryEntry::Earlier(entry)
+            Arc::new(session)
         }
     }
 
@@ -413,10 +358,10 @@ impl ReaderCaches {
         relock(self.readers.lock()).clear();
     }
 
-    /// Heap bytes held: each session's caches, kept report and row → point
-    /// array (4 B/row). The `Adv(b′)` models are not counted here — the hub
-    /// charges them to its intern table. Each of the at most
-    /// [`READER_CACHE_CAP`] sessions keeps its own running total
+    /// Heap bytes held: each session's risks, leaf stamps, kept report and
+    /// row → point array (4 B/row). The `Adv(b′)` models are not counted
+    /// here — the hub charges them to its intern table. Each of the at most
+    /// [`READER_CACHE_CAP`] sessions reports its own figure
     /// ([`SharedAuditSession::bytes_accounted`]), read under the brief list
     /// guard without taking the session's locks.
     pub(crate) fn bytes_accounted(&self) -> usize {
@@ -430,5 +375,90 @@ impl ReaderCaches {
     #[cfg(test)]
     pub(crate) fn entries(&self) -> std::sync::MutexGuard<'_, Vec<ReaderCache>> {
         relock(self.readers.lock())
+    }
+}
+
+/// The `Adv(b′)` session for `target`'s version, carried forward from the
+/// entry of an `earlier` version when there is one
+/// ([`ReaderCaches::adversary`]).
+fn adversary_session(
+    target: &AuditTarget<'_>,
+    earlier: Option<ReaderCache>,
+    bandwidth: Bandwidth,
+    intern: Option<&dyn AdversaryIntern>,
+    parallelism: Parallelism,
+) -> SharedAuditSession {
+    let table = target.table;
+    let family = KernelFamily::Epanechnikov;
+    let (next, row_points) = match earlier
+        .as_ref()
+        .and_then(|cache| cache.evolved_fold(target))
+    {
+        Some((evolution, row_points)) => (NextFold::Evolved(evolution), row_points),
+        None => {
+            let (fold, row_points) = FoldedTable::with_row_points(table);
+            (NextFold::Full(fold), row_points)
+        }
+    };
+    let one_step = matches!(next, NextFold::Evolved(_));
+    let measure = Arc::new(SmoothedJs::paper_default(
+        table.schema().sensitive_distance(),
+    ));
+    let groups = target.group_rows();
+    let bind = |auditor, previous| {
+        SharedAuditSession::bound(auditor, table, &groups, target.stamps, row_points, previous)
+    };
+    if let Some(shared) = intern.and_then(|intern| intern.find(next.fold(), &bandwidth, family)) {
+        bind(Auditor::new(shared, measure), None)
+    } else {
+        let estimator = PriorEstimator::new(Arc::clone(table.schema()), bandwidth.clone());
+        let refreshable = earlier.and_then(|cache| {
+            let model = cache
+                .session
+                .auditor()
+                .adversary()
+                .prior_model()
+                .map(Arc::clone);
+            // Release the old session (and with it, unless another list
+            // or an in-flight reader shares them, the old adversary's
+            // handle on the model) so the refresh below mutates the
+            // model in place instead of cloning it; on one step, its
+            // risks come along, moved out when nothing else holds them.
+            let rows = table.len();
+            let step = match target.change {
+                Some(change) if one_step => cache.session.step(change.delta.deletes(), rows),
+                _ => None,
+            };
+            model.map(|model| (model, step))
+        });
+        let (model, stepped) = match refreshable {
+            Some((mut model, step)) => {
+                let target_model = Arc::make_mut(&mut model);
+                let dirty = match next {
+                    NextFold::Evolved(evolution) => {
+                        estimator.refresh_evolved(target_model, evolution, parallelism)
+                    }
+                    NextFold::Full(fold) => {
+                        estimator.refresh_folded(target_model, fold, parallelism)
+                    }
+                };
+                (model, step.map(|step| (step, dirty)))
+            }
+            None => {
+                let model = estimator.estimate_folded(next.into_fold(), parallelism);
+                (Arc::new(model), None)
+            }
+        };
+        let label = format!("Adv({bandwidth})");
+        let adversary = Adversary::from_model(&label, bandwidth, model);
+        let adversary = match intern {
+            Some(intern) => intern.insert(adversary),
+            None => Arc::new(adversary),
+        };
+        let (step, dirty) = stepped.unzip();
+        bind(
+            Auditor::new(adversary, measure),
+            step.zip(dirty.as_ref().map(Some)),
+        )
     }
 }

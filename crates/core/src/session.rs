@@ -11,9 +11,10 @@
 //!   generalization-lattice frontier — whichever [`AnyStrategy`] the
 //!   publisher's algorithm selects), so a [`Delta`] reworks only what it
 //!   dirties through [`AnonymizationStrategy::refresh`];
-//! * retained audit caches, one per audit configuration, invalidated by
-//!   leaf stamp — an audit after a delta recomputes Ω only for the groups
-//!   the delta touched. Externally supplied auditors
+//! * retained audit caches, one per audit configuration, each bound to one
+//!   version — an audit one delta after the previous one recomputes Ω only
+//!   for the groups the delta touched, and after a gap of several deltas
+//!   solves every group. Externally supplied auditors
 //!   ([`audit_with`](PublishSession::audit_with)) embody the caller's
 //!   chosen prior model and are never refreshed (the paper's Fig. 1
 //!   "reuse the prior across releases" accounting). Session-built
@@ -397,10 +398,12 @@ impl PublishSession {
     }
 
     /// Audit the current publication with `auditor`, through this session's
-    /// retained audit cache: groups untouched since the last audit with the
-    /// same auditor replay their risks, only dirty groups recompute Ω, and
-    /// a third or later audit of one version at one `t` copies the report
-    /// the second kept. Bit-identical to a fresh
+    /// retained audit cache, bound to one version. One delta after the last
+    /// audit with the same auditor, groups the delta left alone keep their
+    /// risks and only the groups under a new leaf stamp or holding an
+    /// inserted row recompute Ω; after a gap of several deltas every group
+    /// is solved. A third or later audit of one version at one `t` copies
+    /// the report the second kept. Bit-identical to a fresh
     /// [`Auditor::report`](bgkanon_privacy::Auditor::report) on the current
     /// table and groups.
     ///
@@ -411,8 +414,9 @@ impl PublishSession {
     /// retains at most [`MAX_AUDIT_CACHES`](Self::MAX_AUDIT_CACHES)
     /// configurations, evicting the least recently used.
     pub fn audit_with(&mut self, auditor: &Auditor, t: f64) -> AuditReport {
-        let shared = self.readers.external(auditor);
-        self.target().audit(&shared, t)
+        let target = self.target();
+        let shared = self.readers.external(auditor, &target);
+        target.audit(&shared, t)
     }
 
     /// Audit against the adversary `Adv(b′)` with threshold `t`, using the

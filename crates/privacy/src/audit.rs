@@ -34,17 +34,17 @@
 //! workload, such caches replayed no `Adv(b′)` group, 6.8% of
 //! external-auditor groups and 11% of prepared priors, which did not pay
 //! for their hashing, locking and memory.
-//! [`SharedAuditSession`] keeps risks only per published group, never by
-//! contents: an unbound session's stamp cache is keyed by the group's leaf
-//! stamp, and a bound session keeps one version's risks row by row and
-//! steps them to the next version by its change record.
+//! [`SharedAuditSession`] keeps risks only per published version, never by
+//! group contents. Every session is one kind: bound to one version, it
+//! keeps that version's risks row by row and steps them to the next version
+//! by its change record, for `Adv(b′)` and a caller's frozen auditor alike.
+//! After a gap of several deltas, a session solves every group.
 
-use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bgkanon_data::hash::{WordMap, WordSet};
+use bgkanon_data::hash::WordSet;
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_inference::{omega_posteriors, GroupPriors};
 use bgkanon_knowledge::{Adversary, DirtyPoints, PriorModel};
@@ -501,21 +501,13 @@ struct BatchState {
     cursor: AtomicUsize,
 }
 
-/// Estimated owned heap bytes of one stamp-cache entry: the key word, the
-/// shared risk vector payload, and fixed map-entry bookkeeping. An
-/// accounting proxy (shared `Arc`s are charged to every holder), not an
-/// allocator-exact measurement — the hub's memory budget only needs a
-/// consistent, deterministic upper bound.
-const CACHE_ENTRY_OVERHEAD: usize = 48;
-
-fn cache_entry_bytes(key_words: usize, risk_count: usize) -> usize {
-    key_words * 8 + risk_count * 8 + CACHE_ENTRY_OVERHEAD
-}
-
 /// Estimated owned heap bytes of a report kept in a [`ReportMemo`]: its risk
-/// vector plus the same fixed bookkeeping as a cache entry.
+/// vector plus 48 bytes of fixed bookkeeping. An accounting proxy (shared
+/// `Arc`s are charged to every holder), not an allocator-exact measurement —
+/// the hub's memory budget only needs a consistent, deterministic upper
+/// bound.
 fn report_bytes(report: &AuditReport) -> usize {
-    cache_entry_bytes(0, report.risks.len())
+    report.risks.len() * 8 + 48
 }
 
 /// Per-worker scratch buffers of the batched audit engine, borrowing priors
@@ -536,14 +528,6 @@ struct AuditScratch<'a> {
     qi_buf: Vec<u32>,
 }
 
-/// One entry of an unbound [`SharedAuditSession`]'s stamp cache, tagged
-/// with the generation of the report that last used it so stale entries can
-/// be evicted.
-struct CacheEntry {
-    generation: u64,
-    risks: Arc<Vec<f64>>,
-}
-
 /// A bound [`SharedAuditSession`]'s risks stepped one delta forward
 /// ([`step`](SharedAuditSession::step)), for the session of the next version
 /// ([`bound`](SharedAuditSession::bound)): the risk vector compacted through
@@ -559,65 +543,16 @@ pub struct RiskStep {
     stamps: WordSet<u64>,
 }
 
-/// The stamp cache of an unbound [`SharedAuditSession`].
-struct StampCache {
-    caches: Mutex<SharedCaches>,
-    /// Bytes of every entry ([`cache_entry_bytes`]), changed only under the
-    /// `caches` lock.
-    bytes: AtomicUsize,
-}
-
-/// The entries a [`StampCache`] protects with its `caches` mutex.
-struct SharedCaches {
-    stamps: WordMap<u64, CacheEntry>,
-    generation: u64,
-}
-
-/// The bytes of every entry in `caches`, walked one by one: what the
-/// cache's running `bytes` total must equal.
-fn walked_bytes(caches: &SharedCaches) -> usize {
-    caches
-        .stamps
-        .values() // bgk-allow: R3 order-independent byte sum
-        .map(|e| cache_entry_bytes(1, e.risks.len()))
-        .sum()
-}
-
-impl StampCache {
-    /// The cache guard, poison-tolerant: a reader that panicked while
-    /// holding it may have left the entries half-updated, so a poisoned lock
-    /// is recovered with the entries cleared and the byte total reset. Every
-    /// entry is rebuild-on-miss and replays are bit-identical, so the next
-    /// report simply recomputes — one panicked reader never wedges the
-    /// tenant.
-    fn lock(&self) -> MutexGuard<'_, SharedCaches> {
-        self.caches.lock().unwrap_or_else(|poisoned| {
-            self.caches.clear_poison();
-            let mut caches = poisoned.into_inner();
-            caches.stamps.clear();
-            self.bytes.store(0, Ordering::Relaxed);
-            caches
-        })
-    }
-}
-
 /// The one table version a bound [`SharedAuditSession`] audits, with every
 /// risk of it.
 struct BoundVersion {
-    /// The point of the model's fold each row of the version folds into.
+    /// The point of the model's fold each row of the version folds into;
+    /// empty when priors resolve by QI.
     row_points: Vec<u32>,
     /// The version's leaf stamps, aligned with its groups.
     stamps: Vec<u64>,
     /// Every row's risk, indexed like the version's table.
     risks: Vec<f64>,
-}
-
-/// What a [`SharedAuditSession`] keeps between reports.
-enum Retained {
-    /// An unbound session's stamp cache.
-    Stamps(StampCache),
-    /// A bound session's one version.
-    Version(BoundVersion),
 }
 
 /// The one-slot report memo of a [`SharedAuditSession`]
@@ -669,19 +604,23 @@ fn compact(mut risks: Vec<f64>, deletes: &[usize], rows: usize) -> Option<(Vec<f
     Some((risks, kept))
 }
 
-/// One bit per row of a version's table: set for the inserted rows (from
-/// `survivors` on) and for every row whose point of the model's fold is
-/// `dirty`. Filled a word at a time in one pass over `row_points`.
-fn dirty_rows(row_points: &[u32], dirty: &DirtyPoints, survivors: usize) -> Vec<u64> {
-    let mut bits: Vec<u64> = row_points
-        .chunks(64)
-        .map(|chunk| {
-            chunk.iter().enumerate().fold(0u64, |word, (b, &point)| {
-                word | (u64::from(dirty.contains(point)) << b)
+/// One bit per row of a `rows`-row table version: set for the inserted rows
+/// (from `survivors` on) and, given the version's row → point array and the
+/// points the model's refresh recomputed, for every row whose point is
+/// dirty — filled a word at a time in one pass over the array.
+fn dirty_rows(rows: usize, dirty: Option<(&[u32], &DirtyPoints)>, survivors: usize) -> Vec<u64> {
+    let mut bits: Vec<u64> = match dirty {
+        Some((row_points, dirty)) => row_points
+            .chunks(64)
+            .map(|chunk| {
+                chunk.iter().enumerate().fold(0u64, |word, (b, &point)| {
+                    word | (u64::from(dirty.contains(point)) << b)
+                })
             })
-        })
-        .collect();
-    for row in survivors..row_points.len() {
+            .collect(),
+        None => vec![0; rows.div_ceil(64)],
+    };
+    for row in survivors..rows {
         bits[row / 64] |= 1 << (row % 64);
     }
     bits
@@ -691,45 +630,36 @@ fn dirty_rows(row_points: &[u32], dirty: &DirtyPoints, survivors: usize) -> Vec<
 /// which **any number of reader threads share through `&self`** — the read
 /// path of the serving hub, where audits run concurrently against immutable
 /// published snapshots while a writer keeps applying deltas, and the audit
-/// cache of a single-owner publishing session. A session is one of two
-/// kinds.
+/// cache of a single-owner publishing session. There is one kind of
+/// session: bound to at most one table version.
 ///
-/// An **unbound** session ([`new`](Self::new)) serves any number of
-/// versions with one fixed adversary model — the caller's frozen auditor.
-/// Its **stamp cache** replays group risks **bit-identically** to a fresh
-/// audit (the values cached are exactly the ones a fresh run computes): an
-/// opaque caller-supplied token per group → the group's risks. A stamp must
-/// change whenever the group's membership (row set or order) changes and
-/// never collide between distinct memberships audited by this session.
-/// Partition-tree leaf stamps satisfy this *across versions of an evolving
-/// table*, so after a delta only the groups the delta dirtied miss the
-/// cache, no matter which reader thread audited the previous version. A
-/// missed group is prepared, solved and stamped: no cache keyed by group
-/// contents sits behind the stamps (see the [module docs](self) for why).
-/// Entries no recent report used are dropped after a grace window, so
-/// dissolved groups do not accumulate. The session keeps a running total of
-/// the bytes its entries hold, added at each insert and subtracted in the
-/// sweep, so [`bytes_accounted`](Self::bytes_accounted) reads two counters
-/// instead of walking the cache. Group solving runs outside the lock; the
-/// mutex only guards stamp lookups and inserts, so concurrent readers
-/// contend for microseconds, not for the Ω computation. Two readers racing
-/// on the same cold group may both solve it — they produce identical bits,
-/// and the first insert wins.
+/// A session **bound** to a version ([`bound`](Self::bound)) is built with
+/// every risk of the version already solved, and keeps them as one
+/// row-indexed vector beside the version's leaf stamps. A session of
+/// `Adv(b′)`, whose model was estimated or refreshed to the version, also
+/// keeps the row → point array of the model's fold, through which each
+/// member's prior is read with no QI gather and no hashing; a caller's
+/// frozen auditor resolves priors by QI. A session never changes once
+/// built; its reports lock only the report memo below. When the version is
+/// exactly one delta after the previous session's, the new session starts
+/// from the previous one's vector ([`step`](Self::step)) and re-solves only
+/// the groups under a leaf stamp the previous version did not have or
+/// holding a row that is inserted or whose prior the model's refresh
+/// recomputed. A frozen auditor's model does not move, so only the new
+/// stamps and inserted rows count for it. Every other bound session — after
+/// a gap of several deltas, say — solves every group.
 ///
-/// A **bound** session ([`bound`](Self::bound)) audits exactly one table
-/// version, whose model was estimated or refreshed to that version. It is
-/// built with every risk of the version already solved, and keeps them as
-/// one row-indexed vector beside the version's leaf stamps and the row →
-/// point array of the model's fold, through which each member's prior is
-/// read with no QI gather and no hashing. It holds no stamp cache and never
-/// changes once built; its reports lock only the report memo below. When
-/// the version is exactly one delta after the previous bound session's, the
-/// new session starts from the previous one's vector ([`step`](Self::step))
-/// and re-solves only the groups under a leaf stamp the previous version did
-/// not have or holding a row whose prior the model's refresh recomputed;
-/// every other bound session solves every group.
+/// A stamp is an opaque caller-supplied token per group. It must change
+/// whenever the group's membership (row set or order) changes and never
+/// collide between distinct memberships of adjacent versions.
+/// Partition-tree leaf stamps satisfy this across versions of an evolving
+/// table. No cache keyed by group contents sits behind the stamps (see the
+/// [module docs](self) for why).
 ///
-/// On top of either sits a one-slot **report memo** for callers that audit
+/// A session bound to no version ([`new`](Self::new)) solves every group
+/// of each report and keeps nothing but the report memo.
+///
+/// On top of that sits a one-slot **report memo** for callers that audit
 /// numbered table versions ([`report_version`](Self::report_version)): the
 /// second audit of one `(version, t)` keeps its report, and every later one
 /// returns a copy of it without touching the session's risks.
@@ -757,7 +687,8 @@ fn dirty_rows(row_points: &[u32], dirty: &DirtyPoints, survivors: usize) -> Vec<
 /// ```
 pub struct SharedAuditSession {
     auditor: Auditor,
-    retained: Retained,
+    /// The version this session is bound to, if any.
+    version: Option<BoundVersion>,
     /// Groups this session has solved, over its lifetime.
     solved: AtomicUsize,
     report_memo: Mutex<ReportMemo>,
@@ -767,29 +698,17 @@ pub struct SharedAuditSession {
 }
 
 impl SharedAuditSession {
-    /// Generations a stamp entry survives unused. Concurrent readers may
-    /// interleave reports of adjacent versions, so a stamp another
-    /// in-flight reader is about to hit again must not be evicted the
-    /// moment one report skips it.
-    const STAMP_GRACE: u64 = 4;
-
-    /// Open an unbound session around `auditor`. The auditor's adversary
-    /// model is pinned for the session's lifetime.
+    /// Open a session around `auditor` bound to no version: each report
+    /// solves every group. The auditor's adversary model is pinned for the
+    /// session's lifetime.
     pub fn new(auditor: Auditor) -> Self {
-        let cache = StampCache {
-            caches: Mutex::new(SharedCaches {
-                stamps: WordMap::default(),
-                generation: 0,
-            }),
-            bytes: AtomicUsize::new(0),
-        };
-        Self::with_retained(auditor, Retained::Stamps(cache), 0)
+        Self::with_version(auditor, None, 0)
     }
 
-    fn with_retained(auditor: Auditor, retained: Retained, solved: usize) -> Self {
+    fn with_version(auditor: Auditor, version: Option<BoundVersion>, solved: usize) -> Self {
         SharedAuditSession {
             auditor,
-            retained,
+            version,
             solved: AtomicUsize::new(solved),
             report_memo: Mutex::default(),
             memo_bytes: AtomicUsize::new(0),
@@ -798,21 +717,24 @@ impl SharedAuditSession {
 
     /// Open a session bound to one table version and solve it: `groups`
     /// and `stamps` are the version's published groups and their leaf
-    /// stamps (the stamp contract above), and `row_points[r]` is the point
-    /// of the auditor's model's fold that row `r` of `table` folds into
+    /// stamps (the stamp contract above). `row_points[r]` is the point of
+    /// the auditor's model's fold that row `r` of `table` folds into
     /// ([`FoldedTable::with_row_points`](bgkanon_knowledge::FoldedTable::with_row_points)
-    /// of the table the model was estimated or refreshed to).
+    /// of the table the model was estimated or refreshed to); an empty
+    /// array resolves priors by QI.
     ///
-    /// `previous` is the previous version's bound session stepped across
-    /// the one delta between the versions ([`step`](Self::step)), with what
+    /// `previous` is the previous version's session stepped across the one
+    /// delta between the versions ([`step`](Self::step)), with what
     /// [`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)
-    /// recomputed when it refreshed that session's model to this version. A
+    /// recomputed when it refreshed that session's model to this version,
+    /// or `None` when the auditor's model did not change across the step. A
     /// group is then re-solved only when its stamp is new or one of its
     /// rows is inserted or folds into a dirty point: every other group has
     /// the same member tuples, and member by member bit-identical priors and
     /// sensitive histogram, so its risks are exactly the stepped ones.
-    /// Without `previous`, or when the groups or the row → point array do
-    /// not cover `table` row for row, every group is solved.
+    /// Without `previous`, when the groups do not cover `table` row for
+    /// row, or when dirty points come with a row → point array that does
+    /// not cover it, every group is solved.
     ///
     /// # Panics
     ///
@@ -823,17 +745,19 @@ impl SharedAuditSession {
         groups: &[&[usize]],
         stamps: &[u64],
         row_points: Vec<u32>,
-        previous: Option<(RiskStep, &DirtyPoints)>,
+        previous: Option<(RiskStep, Option<&DirtyPoints>)>,
     ) -> Self {
         assert_eq!(stamps.len(), groups.len(), "one stamp per group");
         let (risks, solved) = {
             let points = point_priors(&auditor, &row_points, table);
             let covered = groups.iter().map(|rows| rows.len()).sum::<usize>() == table.len();
-            let previous = previous
-                .filter(|(step, _)| covered && points.is_some() && step.risks.len() == table.len());
+            let previous = previous.filter(|(step, dirty)| {
+                covered && step.risks.len() == table.len() && (dirty.is_none() || points.is_some())
+            });
             let (mut risks, kept) = match previous {
                 Some((step, dirty)) => {
-                    let rows = dirty_rows(&row_points, dirty, step.survivors);
+                    let dirty = dirty.map(|dirty| (row_points.as_slice(), dirty));
+                    let rows = dirty_rows(table.len(), dirty, step.survivors);
                     (step.risks, Some((step.stamps, rows)))
                 }
                 None => (vec![f64::NAN; table.len()], None),
@@ -854,7 +778,7 @@ impl SharedAuditSession {
             stamps: stamps.to_vec(),
             risks,
         };
-        Self::with_retained(auditor, Retained::Version(version), solved)
+        Self::with_version(auditor, Some(version), solved)
     }
 
     /// Step this bound session's risks across one delta, for the session of
@@ -864,21 +788,21 @@ impl SharedAuditSession {
     /// next version's row count. The risks are moved out when this is the
     /// last handle on the session and copied otherwise; either way the
     /// handle, and with it this session's hold on its adversary model, is
-    /// released. `None` for an unbound session, or when `deletes` does not
-    /// fit this version.
+    /// released. `None` for a session bound to no version, or when
+    /// `deletes` does not fit this version.
     pub fn step(self: Arc<Self>, deletes: &[usize], rows: usize) -> Option<RiskStep> {
         let (risks, stamps) = match Arc::try_unwrap(self) {
-            Ok(session) => match session.retained {
-                Retained::Version(version) => (version.risks, version.stamps.into_iter().collect()),
-                Retained::Stamps(_) => return None,
-            },
-            Err(shared) => match &shared.retained {
-                Retained::Version(version) => (
+            Ok(session) => {
+                let version = session.version?;
+                (version.risks, version.stamps.into_iter().collect())
+            }
+            Err(shared) => {
+                let version = shared.version.as_ref()?;
+                (
                     version.risks.clone(),
                     version.stamps.iter().copied().collect(),
-                ),
-                Retained::Stamps(_) => return None,
-            },
+                )
+            }
         };
         let (risks, survivors) = compact(risks, deletes, rows)?;
         Some(RiskStep {
@@ -888,26 +812,22 @@ impl SharedAuditSession {
         })
     }
 
-    /// The row → point array this session is bound to (empty when
-    /// unbound).
+    /// The row → point array this session is bound to (empty when it is
+    /// bound to no version or resolves priors by QI).
     pub fn row_points(&self) -> &[u32] {
-        match &self.retained {
-            Retained::Version(version) => &version.row_points,
-            Retained::Stamps(_) => &[],
-        }
+        self.version
+            .as_ref()
+            .map_or(&[], |version| version.row_points.as_slice())
     }
 
-    /// A bound session's risks, when `table` and `stamps` are its version's.
+    /// The bound version's risks, when `table` and `stamps` are its.
     fn version_risks(&self, table: &Table, stamps: Option<&[u64]>) -> Option<&[f64]> {
-        match &self.retained {
-            Retained::Version(version)
-                if version.risks.len() == table.len()
-                    && stamps == Some(version.stamps.as_slice()) =>
-            {
-                Some(&version.risks)
-            }
-            _ => None,
-        }
+        self.version
+            .as_ref()
+            .filter(|version| {
+                version.risks.len() == table.len() && stamps == Some(version.stamps.as_slice())
+            })
+            .map(|version| version.risks.as_slice())
     }
 
     /// The wrapped auditor.
@@ -915,44 +835,34 @@ impl SharedAuditSession {
         &self.auditor
     }
 
-    /// Number of groups this session has solved so far: every group of a
-    /// bound session's version it did not take from the previous version,
-    /// plus one per group a report found neither in the report memo nor
-    /// among the session's retained risks. The count only grows; the
-    /// difference across a report is that report's Ω solves (diagnostics).
+    /// Number of groups this session has solved so far: every group of the
+    /// bound version it did not take from the previous version, plus every
+    /// group of each report found neither in the report memo nor among the
+    /// session's retained risks. The count only grows; the difference
+    /// across a report is that report's Ω solves (diagnostics).
     pub fn cached_signatures(&self) -> usize {
         self.solved.load(Ordering::Relaxed)
     }
 
-    /// Number of live stamp-cache entries (0 for a bound session).
-    #[cfg(test)]
-    fn cached_stamps(&self) -> usize {
-        match &self.retained {
-            Retained::Stamps(cache) => cache.lock().stamps.len(),
-            Retained::Version(_) => 0,
-        }
-    }
-
-    /// Heap bytes resident in the session — an unbound session's stamp
-    /// cache; a bound session's risk vector (8 B/row), leaf stamps
-    /// (8 B/group) and row → point array (4 B/row); and either's kept
-    /// report — a deterministic owned-payload estimate read without a lock.
-    /// The adversary model behind the auditor is **not** counted here: it is
-    /// charged to its owner (the hub's intern table for `Adv(b')` models,
-    /// the caller for external auditors), so a model shared by many tenants
-    /// is accounted once.
+    /// Heap bytes resident in the session — the bound version's risk vector
+    /// (8 B/row), leaf stamps (8 B/group) and row → point array (4 B/row),
+    /// and the kept report — a deterministic owned-payload estimate read
+    /// without a lock. The adversary model behind the auditor is **not**
+    /// counted here: it is charged to its owner (the hub's intern table for
+    /// `Adv(b')` models, the caller for external auditors), so a model
+    /// shared by many tenants is accounted once.
     pub fn bytes_accounted(&self) -> usize {
-        let retained = match &self.retained {
-            Retained::Stamps(cache) => cache.bytes.load(Ordering::Relaxed),
-            Retained::Version(version) => {
-                version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
-            }
-        };
-        retained + self.memo_bytes.load(Ordering::Relaxed)
+        let version = self.version.as_ref().map_or(0, |version| {
+            version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
+        });
+        version + self.memo_bytes.load(Ordering::Relaxed)
     }
 
-    /// The report-memo guard, recovered from a poisoned lock with the slot
-    /// emptied, like [`StampCache::lock`].
+    /// The report-memo guard, poison-tolerant: a reader that panicked while
+    /// holding it may have left the slot half-updated, so a poisoned lock is
+    /// recovered with the slot emptied and its byte total reset. The memo
+    /// only saves work and replays are bit-identical, so the next audit
+    /// simply recomputes — one panicked reader never wedges the tenant.
     fn lock_report_memo(&self) -> MutexGuard<'_, ReportMemo> {
         self.report_memo.lock().unwrap_or_else(|poisoned| {
             self.report_memo.clear_poison();
@@ -967,7 +877,7 @@ impl SharedAuditSession {
     /// version, through the session's one-slot report memo. `version`
     /// names the audited table, groups and stamps: every call with one
     /// `version` must pass the same inputs. `groups` is only called when
-    /// the memo misses and the session holds no risks of the version. The
+    /// the memo misses and the session is not bound to the version. The
     /// slot is keyed by `(version, t.to_bits())`:
     ///
     /// * the first audit of a key claims the slot and keeps nothing, so a
@@ -1027,13 +937,10 @@ impl SharedAuditSession {
     /// threads concurrently. `stamps`, when given, holds one token per
     /// group under the stamp contract above.
     ///
-    /// An unbound session looks each group up in its stamp cache: a hit
-    /// skips the group's preparation and solve, and a missed group is
-    /// prepared, solved and stamped, taking the lock once, for its stamp
-    /// insert. A bound session copies its retained risks when `table` and
-    /// `stamps` are its version's, and otherwise solves every group, reading
-    /// priors through its row → point array when that covers `table`, and
-    /// keeps nothing.
+    /// When `table` and `stamps` are the bound version's, the report copies
+    /// its retained risks. Otherwise every group is solved, reading priors
+    /// through the session's row → point array when that covers `table`,
+    /// and nothing is kept.
     pub fn report_groups(
         &self,
         table: &Table,
@@ -1044,14 +951,10 @@ impl SharedAuditSession {
         if let Some(stamps) = stamps {
             assert_eq!(stamps.len(), groups.len(), "one stamp per group");
         }
-        let version = match &self.retained {
-            Retained::Stamps(cache) => return self.report_stamped(cache, table, groups, stamps, t),
-            Retained::Version(version) => version,
-        };
         if let Some(risks) = self.version_risks(table, stamps) {
             return self.auditor.assemble_report(risks.to_vec(), t);
         }
-        let points = point_priors(&self.auditor, &version.row_points, table);
+        let points = point_priors(&self.auditor, self.row_points(), table);
         let mut risks = vec![f64::NAN; table.len()];
         let solved = self
             .auditor
@@ -1059,117 +962,18 @@ impl SharedAuditSession {
         self.solved.fetch_add(solved, Ordering::Relaxed);
         self.auditor.assemble_report(risks, t)
     }
-
-    /// [`report_groups`](Self::report_groups) of an unbound session,
-    /// through its stamp cache.
-    fn report_stamped(
-        &self,
-        cache: &StampCache,
-        table: &Table,
-        groups: &[&[usize]],
-        stamps: Option<&[u64]>,
-        t: f64,
-    ) -> AuditReport {
-        let mut risks = vec![f64::NAN; table.len()];
-
-        // Pass 1 (one short lock): bump the generation and collect every
-        // stamp hit as an `Arc` clone. Only pointer bumps happen under the
-        // lock — the per-row copies run after it is released, so readers in
-        // the all-hits steady state contend for microseconds, not for the
-        // O(n) risk scatter.
-        let generation;
-        let mut missed: Vec<usize> = Vec::new();
-        let mut hits: Vec<(usize, Arc<Vec<f64>>)> = Vec::new();
-        {
-            let mut caches = cache.lock();
-            caches.generation += 1;
-            generation = caches.generation;
-            for (gi, rows) in groups.iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                match stamps
-                    .map(|s| s[gi])
-                    .and_then(|s| caches.stamps.get_mut(&s))
-                {
-                    Some(entry) => {
-                        entry.generation = generation;
-                        hits.push((gi, Arc::clone(&entry.risks)));
-                    }
-                    None => missed.push(gi),
-                }
-            }
-        }
-        for (gi, solved) in hits {
-            for (&row, &risk) in groups[gi].iter().zip(solved.iter()) {
-                risks[row] = risk;
-            }
-        }
-
-        // Pass 2: prepare and solve the misses outside the lock; only the
-        // stamp insert takes it.
-        let mut scratch = AuditScratch::default();
-        self.solved.fetch_add(missed.len(), Ordering::Relaxed);
-        for gi in missed {
-            let rows = groups[gi];
-            self.auditor.prepare_group(table, rows, None, &mut scratch);
-            let mut solved = Vec::with_capacity(rows.len());
-            self.auditor.solve_group(rows, &mut scratch, |row, risk| {
-                risks[row] = risk;
-                solved.push(risk);
-            });
-            if let Some(stamp) = stamps.map(|s| s[gi]) {
-                let mut caches = cache.lock();
-                match caches.stamps.entry(stamp) {
-                    Entry::Occupied(mut entry) => entry.get_mut().generation = generation,
-                    Entry::Vacant(slot) => {
-                        cache
-                            .bytes
-                            .fetch_add(cache_entry_bytes(1, solved.len()), Ordering::Relaxed);
-                        slot.insert(CacheEntry {
-                            generation,
-                            risks: Arc::new(solved),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Graced invalidation: stamps no recent report touched are gone —
-        // dissolved groups do not accumulate, while groups a concurrent
-        // reader of an adjacent version still replays survive the window.
-        {
-            let mut caches = cache.lock();
-            let generation = caches.generation;
-            let mut freed = 0;
-            caches.stamps.retain(|_, e| {
-                let keep = e.generation + Self::STAMP_GRACE >= generation;
-                if !keep {
-                    freed += cache_entry_bytes(1, e.risks.len());
-                }
-                keep
-            });
-            cache.bytes.fetch_sub(freed, Ordering::Relaxed);
-            debug_assert_eq!(
-                cache.bytes.load(Ordering::Relaxed),
-                walked_bytes(&caches),
-                "the running cache byte total drifted from its entries"
-            );
-        }
-        self.auditor.assemble_report(risks, t)
-    }
 }
 
 impl std::fmt::Debug for SharedAuditSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = f.debug_struct("SharedAuditSession");
-        out.field("auditor", &self.auditor)
-            .field("solved_groups", &self.cached_signatures());
-        match &self.retained {
-            Retained::Stamps(cache) => out.field("cached_stamps", &cache.lock().stamps.len()),
-            Retained::Version(version) => out.field("bound_rows", &version.risks.len()),
-        };
-        out.finish()
+        f.debug_struct("SharedAuditSession")
+            .field("auditor", &self.auditor)
+            .field("solved_groups", &self.cached_signatures())
+            .field(
+                "bound_rows",
+                &self.version.as_ref().map(|version| version.risks.len()),
+            )
+            .finish()
     }
 }
 
@@ -1380,45 +1184,12 @@ mod tests {
         let session = SharedAuditSession::new(a);
         let first = session.report_groups(&t, &slices, None, 0.1);
         assert_eq!(session.cached_signatures(), groups.len());
-        assert_eq!(session.cached_stamps(), 0);
-        // Without stamps nothing is kept: the replay solves every group
-        // again, to the same bits.
+        // Bound to no version, the session keeps nothing: the replay solves
+        // every group again, to the same bits.
         let replay = session.report_groups(&t, &slices, None, 0.1);
         assert_eq!(session.cached_signatures(), 2 * groups.len());
         assert_eq!(fresh.first_difference(&first), None);
         assert_eq!(fresh.first_difference(&replay), None);
-    }
-
-    #[test]
-    fn audit_session_stamps_bypass_and_invalidate() {
-        let t = toy::hospital_table();
-        let groups = toy::hospital_groups();
-        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-        let session = SharedAuditSession::new(auditor(&t, 0.3));
-        let stamps = [11u64, 22, 33];
-        let first = session.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert_eq!(session.cached_stamps(), 3);
-        assert_eq!(session.cached_signatures(), 3);
-        // Same stamps: served from the stamp cache, same bits, no solve.
-        let hit = session.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert_eq!(session.cached_signatures(), 3);
-        assert_eq!(first.first_difference(&hit), None);
-        // Dropping one group evicts its stamp once the grace window has
-        // passed; the partial reports stay bit-identical to a fresh audit.
-        let fewer = [groups[0].clone(), groups[1].clone()];
-        let reference = auditor(&t, 0.3).report_reference(&t, &fewer, 0.1);
-        for _ in 0..=SharedAuditSession::STAMP_GRACE {
-            let partial = session.report_groups(&t, &slices[..2], Some(&stamps[..2]), 0.1);
-            assert!(partial.risks[groups[2][0]].is_nan());
-            assert_eq!(partial.first_difference(&reference), None);
-        }
-        assert_eq!(session.cached_stamps(), 2);
-        assert_eq!(session.cached_signatures(), 3);
-        // A changed stamp misses the stamp cache: the group is solved once
-        // more, to the same bits.
-        let restamped = session.report_groups(&t, &slices, Some(&[11, 22, 44]), 0.1);
-        assert_eq!(session.cached_signatures(), 4);
-        assert_eq!(first.first_difference(&restamped), None);
     }
 
     #[test]
@@ -1434,10 +1205,9 @@ mod tests {
         let shared = SharedAuditSession::new(a);
         let stamps = [7u64, 8, 9];
         let first = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert_eq!(shared.cached_stamps(), 3);
         assert_eq!(shared.cached_signatures(), 3);
         let replay = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert_eq!(shared.cached_signatures(), 3);
+        assert_eq!(shared.cached_signatures(), 6);
         assert_eq!(fresh.first_difference(&first), None);
         assert_eq!(fresh.first_difference(&replay), None);
         assert!(format!("{shared:?}").contains("SharedAuditSession"));
@@ -1479,65 +1249,47 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_evicts_unused_entries_after_grace() {
-        let t = toy::hospital_table();
-        let groups = toy::hospital_groups();
-        let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-        let shared = SharedAuditSession::new(auditor(&t, 0.3));
-        let _ = shared.report_groups(&t, &slices, Some(&[1, 2, 3]), 0.1);
-        let full_stamps = shared.cached_stamps();
-        assert_eq!(full_stamps, 3);
-        // Keep auditing only the first group; the other two groups' stamps
-        // age out of the grace window, and the first group never re-solves.
-        for _ in 0..=SharedAuditSession::STAMP_GRACE {
-            let partial = shared.report_groups(&t, &slices[..1], Some(&[1]), 0.1);
-            assert!(partial.risks[groups[0][0]].is_finite());
-        }
-        assert_eq!(shared.cached_stamps(), 1);
-        assert_eq!(shared.cached_signatures(), 3);
-        // The evicted groups are solved again, exactly once each.
-        let _ = shared.report_groups(&t, &slices, Some(&[1, 2, 3]), 0.1);
-        assert_eq!(shared.cached_stamps(), 3);
-        assert_eq!(shared.cached_signatures(), 5);
-    }
-
-    #[test]
     fn poisoned_shared_caches_recover_with_fresh_reports() {
         let t = toy::hospital_table();
         let groups = toy::hospital_groups();
         let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         let stamps = [4u64, 5, 6];
         let fresh = auditor(&t, 0.3).report_reference(&t, &groups, 0.1);
-        let shared = Arc::new(SharedAuditSession::new(auditor(&t, 0.3)));
-        let _ = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert_eq!(shared.cached_stamps(), 3);
+        let shared = Arc::new(SharedAuditSession::bound(
+            auditor(&t, 0.3),
+            &t,
+            &slices,
+            &stamps,
+            Vec::new(),
+            None,
+        ));
+        let bound_bytes = shared.bytes_accounted();
+        // The second audit of one version keeps its report.
+        for _ in 0..2 {
+            let _ = shared.report_version(0, &t, || slices.clone(), Some(&stamps), 0.1);
+        }
+        let kept = shared.bytes_accounted();
+        assert!(kept > bound_bytes);
 
-        // A pooled reader panics while holding the cache lock.
+        // A pooled reader panics while holding the report-memo lock.
         let poisoner = Arc::clone(&shared);
         let job = move || {
-            let _guard = stamp_cache(&poisoner).caches.lock();
-            panic!("reader panicked while holding the audit caches");
+            let _guard = poisoner.report_memo.lock();
+            panic!("reader panicked while holding the report memo");
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             bgkanon_data::shared_pool().run(vec![job])
         }));
         assert!(outcome.is_err());
-        assert!(stamp_cache(&shared).caches.is_poisoned());
+        assert!(shared.report_memo.is_poisoned());
 
-        // The next report clears the caches, recomputes, and matches a
-        // fresh auditor bit for bit; the lock is healthy again.
-        let report = shared.report_groups(&t, &slices, Some(&stamps), 0.1);
-        assert!(!stamp_cache(&shared).caches.is_poisoned());
+        // The next report empties the slot, serves the bound risks, and
+        // matches a fresh auditor bit for bit; the lock is healthy again.
+        let report = shared.report_version(0, &t, || slices.clone(), Some(&stamps), 0.1);
+        assert!(!shared.report_memo.is_poisoned());
         assert_eq!(report.first_difference(&fresh), None);
-        assert_eq!(shared.cached_stamps(), 3);
-    }
-
-    /// The stamp cache of an unbound session.
-    fn stamp_cache(session: &SharedAuditSession) -> &StampCache {
-        match &session.retained {
-            Retained::Stamps(cache) => cache,
-            Retained::Version(_) => panic!("a bound session has no stamp cache"),
-        }
+        assert_eq!(shared.bytes_accounted(), bound_bytes);
+        assert_eq!(shared.cached_signatures(), groups.len());
     }
 
     /// `Adv(b)` on `table`'s fold, with the row → point array of that fold.
@@ -1596,7 +1348,6 @@ mod tests {
             assert!(unbound.row_points().is_empty());
             for session in [&bound, &short] {
                 assert_eq!(session.cached_signatures(), groups.len());
-                assert_eq!(session.cached_stamps(), 0);
             }
             for session in [&bound, &short, &unbound] {
                 for stamps in [None, Some(&stamps[..]), Some(&other[..])] {
@@ -1606,7 +1357,7 @@ mod tests {
             }
             // A bound session serves its own version's stamps from its risks
             // and solves every group for any other input, keeping nothing;
-            // the unbound one solves every group once per unseen stamp.
+            // the unbound one solves every group of every report.
             for session in [&bound, &short, &unbound] {
                 assert_eq!(session.cached_signatures(), 3 * groups.len());
             }
@@ -1739,7 +1490,7 @@ mod tests {
                 &slices1,
                 &stamps1,
                 points1.clone(),
-                Some((step, &dirty)),
+                Some((step, Some(&dirty))),
             );
             assert_eq!(v1.cached_signatures(), expected);
             // The version's report comes from the kept risks: the groups are
@@ -1765,11 +1516,47 @@ mod tests {
             &slices1,
             &stamps1,
             points1[1..].to_vec(),
-            Some((step, &dirty)),
+            Some((step, Some(&dirty))),
         );
         assert_eq!(cold.cached_signatures(), groups1.len());
         let report = cold.report_groups(&t1, &slices1, Some(&stamps1), 0.2);
         assert_eq!(report.first_difference(&fresh), None);
+
+        // A frozen auditor across the same step: its priors resolve by QI
+        // and do not move, so only the groups under a new stamp are solved.
+        // Under a stamp of version 0 that version 1 dropped, the group of
+        // inserted rows is still solved, through the inserted-row mask
+        // alone (a stamp reuse the contract rules out, made here to reach
+        // that mask).
+        let reused = (0..groups0.len() as u64)
+            .find(|stamp| !stamps1.contains(stamp))
+            .unwrap();
+        let mut reused_stamps = stamps1.clone();
+        *reused_stamps.last_mut().unwrap() = reused;
+        let frozen_fresh = auditor0.report_reference(&t1, &groups1, 0.2);
+        for stamps in [&stamps1, &reused_stamps] {
+            let frozen0 = Arc::new(SharedAuditSession::bound(
+                auditor0.clone(),
+                &t0,
+                &slices0,
+                &stamps0,
+                Vec::new(),
+                None,
+            ));
+            let step = frozen0.step(delta.deletes(), t1.len()).unwrap();
+            let frozen1 = SharedAuditSession::bound(
+                auditor0.clone(),
+                &t1,
+                &slices1,
+                stamps,
+                Vec::new(),
+                Some((step, None)),
+            );
+            let renewed = stamps1.iter().filter(|&&stamp| stamp >= 1_000).count();
+            assert_eq!(frozen1.cached_signatures(), renewed);
+            let report = frozen1.report_version(1, &t1, Vec::new, Some(stamps), 0.2);
+            assert_eq!(report.first_difference(&frozen_fresh), None);
+        }
 
         // Only a bound session steps, and only across deletes it can hold.
         let unbound = Arc::new(SharedAuditSession::new(auditor1.clone()));
@@ -1790,11 +1577,10 @@ mod tests {
         );
         let mut model = estimator.estimate_folded(fold.clone(), Parallelism::Auto);
         let clean = estimator.refresh_folded(&mut model, fold, Parallelism::Auto);
-        let walk = |session: &SharedAuditSession| match &session.retained {
-            Retained::Stamps(cache) => walked_bytes(&cache.lock()),
-            Retained::Version(version) => {
+        let walk = |session: &SharedAuditSession| {
+            session.version.as_ref().map_or(0, |version| {
                 version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
-            }
+            })
         };
         // xorshift64: the draws only pick the sequence.
         let mut state = 0x6a09_e667_f3bc_c908u64;
@@ -1832,28 +1618,35 @@ mod tests {
             let slices: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
             match draw(10) {
                 // Bind a session to this version, stepped from the current
-                // one when that is bound, or go back to an unbound one.
+                // one when that is bound — through clean points or with the
+                // model unchanged (priors by QI) — or go back to an unbound
+                // one.
                 0 => {
                     let previous = Arc::clone(&session).step(&[], t.len());
+                    let (points, previous) = if draw(2) == 0 {
+                        (
+                            row_points.clone(),
+                            previous.map(|step| (step, Some(&clean))),
+                        )
+                    } else {
+                        (Vec::new(), previous.map(|step| (step, None)))
+                    };
                     session = Arc::new(SharedAuditSession::bound(
                         auditor.clone(),
                         &t,
                         &slices,
                         &stamps,
-                        row_points.clone(),
-                        previous.map(|previous| (previous, &clean)),
+                        points,
+                        previous,
                     ));
                 }
                 1 => session = Arc::new(SharedAuditSession::new(auditor.clone())),
-                // A reader panics holding a lock: the next lock clears what
-                // it guards and resets its total.
+                // A reader panics holding the memo lock: the next lock
+                // empties the slot and resets its total.
                 2 => {
                     let poisoner = Arc::clone(&session);
                     let job = move || {
-                        let _guard = match &poisoner.retained {
-                            Retained::Stamps(cache) => Ok(cache.caches.lock()),
-                            Retained::Version(_) => Err(poisoner.report_memo.lock()),
-                        };
+                        let _guard = poisoner.report_memo.lock();
                         panic!("reader panicked while holding a session lock");
                     };
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1866,15 +1659,18 @@ mod tests {
                         session.report_version(version, &t, || slices.clone(), Some(&stamps), 0.2);
                 }
             }
-            // The walk locks first: a poisoned lock is recovered (entries
-            // cleared, total reset) before the total is read.
-            let walked = walk(&session);
+            // The memo is locked first: a poisoned lock is recovered (slot
+            // emptied, total reset) before the total is read.
             let memo = session
                 .lock_report_memo()
                 .report
                 .as_deref()
                 .map_or(0, report_bytes);
-            assert_eq!(session.bytes_accounted(), walked + memo, "step {step}");
+            assert_eq!(
+                session.bytes_accounted(),
+                walk(&session) + memo,
+                "step {step}"
+            );
         }
     }
 

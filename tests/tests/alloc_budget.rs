@@ -223,7 +223,7 @@ fn one_step_audits_allocate_nothing_per_group() {
             &groups,
             stamps,
             next_points.clone(),
-            Some((stepped, &dirty)),
+            Some((stepped, Some(&dirty))),
         );
         let staged = next.report_version(step as u64 + 1, table, Vec::new, Some(stamps), T);
         half += allocations() - before;

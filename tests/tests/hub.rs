@@ -674,9 +674,7 @@ fn running_byte_totals_survive_random_insert_sweep_carry_and_clear_sequences() {
     // entries (clears), so only the tenant last served holds any. Random
     // applies (new stamps: inserts; old ones age out: sweeps), audit_with
     // and audit_against at two thresholds (memo claims, fills and drops;
-    // carried Adv(b′) entries) churn "r0" between trims. In a debug build
-    // every report also checks each session's running total against a
-    // walk of its entries.
+    // carried entries of both kinds of auditor) churn "r0" between trims.
     let hub = SessionHub::with_budget(1);
     let publisher = Publisher::new().k_anonymity(K);
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0xb17e5);
@@ -718,9 +716,9 @@ fn running_byte_totals_survive_random_insert_sweep_carry_and_clear_sequences() {
             audit(tenant, rng.gen_bool(0.3), t, &format!("step {step}"));
         }
     }
-    // A fixed script on r0: alternating thresholds run a full report each
-    // time, so every entry older than the grace windows is swept; then one
-    // threshold twice keeps a report per configuration. Run once on r0's
+    // A fixed script on r0: alternating thresholds claim each memo slot
+    // every time, so no report is kept; then one threshold twice keeps a
+    // report per configuration. Run once on r0's
     // churned entries and once on entries a trim has just cleared, the
     // script must end on the same bytes — which a running total that
     // drifted anywhere in the churn would not.
@@ -771,9 +769,16 @@ fn scheduled_apply() -> impl Strategy<Value = ScheduledApply> {
 }
 
 /// Audit the current version through `hub`'s tenant "stepped" and through
-/// `session`, which has seen the same deltas, and require a fresh
-/// `Adv(B_PRIME)`'s bits from both.
-fn audit_both(hub: &SessionHub, session: &mut PublishSession, second: bool, context: &str) {
+/// `session`, which has seen the same deltas: against `Adv(B_PRIME)`,
+/// requiring a fresh adversary's bits, and through the frozen caller
+/// `auditor`, requiring its reference report of the current version.
+fn audit_both(
+    hub: &SessionHub,
+    session: &mut PublishSession,
+    auditor: &Auditor,
+    second: bool,
+    context: &str,
+) {
     let t = if second { THRESHOLD / 2.0 } else { THRESHOLD };
     let snapshot = hub.snapshot("stepped").expect("registered");
     let served = hub.audit_against("stepped", B_PRIME, t).expect("audit");
@@ -782,19 +787,35 @@ fn audit_both(hub: &SessionHub, session: &mut PublishSession, second: bool, cont
     let own = session.audit_against(B_PRIME, t).expect("audit");
     let fresh = reference_report(session.table(), session.anonymized(), B_PRIME, t);
     assert_eq!(own.first_difference(&fresh), None, "session, {context}");
+    let served = hub.audit_with("stepped", auditor, t).expect("audit");
+    let fresh = fresh_report(auditor, &snapshot, t);
+    assert_eq!(
+        served.first_difference(&fresh),
+        None,
+        "hub caller, {context}"
+    );
+    let own = session.audit_with(auditor, t);
+    let groups = session.anonymized().row_groups();
+    let fresh = auditor.report_reference(session.table(), &groups, t);
+    assert_eq!(
+        own.first_difference(&fresh),
+        None,
+        "session caller, {context}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Audits that step the previous version's risks across one delta, and
-    /// the cold re-solves around them, are a fresh adversary's audits. A
-    /// hub tenant and a publishing session run one random schedule of 1–8
-    /// applies, each possibly followed by an empty and a rejected delta and
-    /// by 0–3 audits at two thresholds (no audit leaves a gap before the
-    /// next one); after one apply, a request on a second tenant under the
-    /// 1-byte budget demotes the first tenant's reader entries, and the
-    /// session drops its audit caches.
+    /// the cold re-solves around them, are a fresh adversary's audits, and
+    /// so are the audits of one frozen caller auditor. A hub tenant and a
+    /// publishing session run one random schedule of 1–8 applies, each
+    /// possibly followed by an empty and a rejected delta and by 0–3 audits
+    /// at two thresholds (no audit leaves a gap before the next one); after
+    /// one apply, a request on a second tenant under the 1-byte budget
+    /// demotes the first tenant's reader entries, and the session drops its
+    /// audit caches.
     #[test]
     fn stepped_audits_match_a_fresh_adversary_over_random_schedules(
         tenant in 20usize..84,
@@ -809,8 +830,10 @@ proptest! {
         hub.register("bystander", &tenant_table(tenant + 100), &publisher)
             .expect("satisfiable");
         let mut session = publisher.open(&table).expect("satisfiable");
+        let auditor = tenant_auditor(&table);
         for (i, &read) in first_reads.iter().enumerate() {
-            audit_both(&hub, &mut session, read == 1, &format!("version 0, read {i}"));
+            let context = format!("version 0, read {i}");
+            audit_both(&hub, &mut session, &auditor, read == 1, &context);
         }
         for (step, apply) in applies.iter().enumerate() {
             let current = hub.snapshot("stepped").expect("registered");
@@ -840,7 +863,7 @@ proptest! {
             }
             for (i, &second) in apply.reads.iter().enumerate() {
                 let context = format!("version {}, read {i}", published.version());
-                audit_both(&hub, &mut session, second, &context);
+                audit_both(&hub, &mut session, &auditor, second, &context);
             }
         }
     }
