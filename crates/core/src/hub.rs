@@ -25,11 +25,12 @@
 //! * **Shared audit caches** — reader audits go through
 //!   [`SharedAuditSession`](bgkanon_privacy::SharedAuditSession)s (one
 //!   per tenant × auditor configuration), each of one kind: bound to one
-//!   version and stepped to the next across one delta. Partition-tree leaf
-//!   stamps survive deltas for every group the delta did not dirty, so an
-//!   audit one delta after the previous one recomputes Ω only for the
-//!   churned slice of the partition; after a gap of several deltas it
-//!   solves every group. All readers of a tenant share these sessions.
+//!   version, with the session of a later version starting from its
+//!   risks. Partition-tree leaf stamps survive deltas for every group the
+//!   deltas did not dirty, so an audit recomputes Ω only for the churned
+//!   slice of the partition since the entry's version, however many deltas
+//!   back that is (and, for `Adv(b′)`, for groups whose priors moved). All
+//!   readers of a tenant share these sessions.
 //!
 //! * **Optional durability** — a hub opened with [`SessionHub::open`] gives
 //!   each tenant a directory under its data root: a genesis file, periodic
@@ -52,7 +53,7 @@
 //!   adversary per `b′` and carries it forward: the first audit of a new
 //!   version evolves the model's fold by the delta (or re-folds, after a
 //!   gap), refreshes the model from the fold difference instead of
-//!   re-estimating it, and replays every group the delta left clean
+//!   re-estimating it, and replays every group the deltas left clean
 //!   ([`SessionHub::audit_against`]).
 //! * **Content-hash interning** — hub-estimated `Adv(b′)` adversaries are
 //!   interned by a content hash of their provenance (folded table +
@@ -103,6 +104,9 @@ pub struct TenantSnapshot {
     table: Table,
     anonymized: AnonymizedTable,
     stamps: Arc<Vec<u64>>,
+    /// The epoch of the publishing session that published this version
+    /// ([`AuditTarget::epoch`]).
+    epoch: u64,
     /// What changed from the previous version to this one: the record of
     /// the session's last apply, shared with the session. `None` when the
     /// session has applied nothing since it opened or resumed.
@@ -168,6 +172,7 @@ impl TenantSnapshot {
             anonymized: &self.anonymized,
             stamps: &self.stamps,
             version: self.version,
+            epoch: self.epoch,
             change: self.change.as_deref(),
         }
     }
@@ -831,11 +836,11 @@ impl SessionHub {
     /// (caller-frozen) auditor, through the tenant's shared reader caches:
     /// any number of threads call this concurrently. The tenant keeps one
     /// entry per auditor, bound to one version like an `Adv(b′)` entry
-    /// ([`audit_against`](Self::audit_against)). The first audit exactly
-    /// one delta after the entry's version steps its risks across the
-    /// snapshot's change record and recomputes Ω only for groups under a
-    /// new leaf stamp or holding an inserted row; after a gap of several
-    /// deltas, or with no change record, it solves every group. From the
+    /// ([`audit_against`](Self::audit_against)). The first audit of
+    /// another version starts from the entry's risks, however many deltas
+    /// lie between them, and recomputes Ω only for the groups under a leaf
+    /// stamp the entry's version lacked; after a rehydration, whose leaf
+    /// stamps restart, it solves every group. From the
     /// second audit of one version at one `t` on, the entry keeps that
     /// report, and later audits of the version return a copy of it
     /// (ARCHITECTURE.md, "The report memo"). Pass the same `Auditor` (or
@@ -879,13 +884,14 @@ impl SessionHub {
     ///   Otherwise the entry's model is refreshed from the fold difference
     ///   ([`refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)),
     ///   across any number of unaudited deltas — in place when no other
-    ///   tenant or in-flight reader shares it. On one step, the entry's risk
-    ///   vector is compacted through the delta's deletes
+    ///   tenant or in-flight reader shares it. The new session starts from
+    ///   the entry's risks
     ///   ([`step`](bgkanon_privacy::SharedAuditSession::step)), and only the
-    ///   groups under a leaf stamp the previous version did not have or
-    ///   holding a row whose prior the refresh recomputed are solved. Every
-    ///   other case solves every group under the version's model, and a
-    ///   tenant with no entry at this `b′` also estimates from scratch;
+    ///   groups under a leaf stamp the entry's version did not have or
+    ///   holding a row whose prior the refresh recomputed are solved. An
+    ///   interned model, a rehydration (whose leaf stamps restart) or a
+    ///   tenant with no entry at this `b′`, which also estimates from
+    ///   scratch, solves every group;
     /// * a reader still holding an older version than the entry's audits
     ///   through a one-off session and leaves the entry alone.
     ///
@@ -1182,6 +1188,7 @@ impl SessionHub {
             table: session.table().clone(),
             anonymized: session.anonymized().clone(),
             stamps: Arc::new(session.leaf_stamps().to_vec()),
+            epoch: session.epoch(),
             change: session.change().cloned(),
         }
     }
@@ -1409,12 +1416,17 @@ mod tests {
         assert!(first.worst_case >= first.mean);
     }
 
-    /// A caller auditor's entry is bound to one version and stepped across
-    /// one delta, re-solving exactly the groups under a stamp the previous
-    /// version lacked; after two unaudited deltas it solves every group, and
-    /// a reader of an older version gets a one-off session.
+    /// A caller auditor's entry is bound to one version, and the session of
+    /// any later version of the same publishing session starts from its
+    /// risks: one delta on or after a gap, only the groups under a stamp
+    /// the entry's version lacked are solved. A reader of an older version
+    /// gets a one-off session, and an entry of another publishing session
+    /// carries nothing.
     #[test]
-    fn caller_auditor_entry_steps_one_delta_and_solves_a_gap_in_full() {
+    fn caller_auditor_entry_carries_risks_by_stamp_across_steps_and_gaps() {
+        // Another session first, so that this hub's session has an earlier
+        // epoch to fake below.
+        let _earlier = hub_with(&[("z", 1)], 40, 4);
         let hub = hub_with(&[("a", 14)], 400, 4);
         let v0 = hub.snapshot("a").unwrap();
         let table = v0.table();
@@ -1443,6 +1455,16 @@ mod tests {
             let fresh = auditor.report_reference(snapshot.table(), &groups, 0.2);
             assert_eq!(report.first_difference(&fresh), None);
         };
+        // Nonempty groups of `now` under a stamp `then` lacks.
+        let renewed = |now: &TenantSnapshot, then: &TenantSnapshot| {
+            let old: std::collections::HashSet<u64> = then.leaf_stamps().iter().copied().collect();
+            now.anonymized()
+                .groups()
+                .iter()
+                .zip(now.leaf_stamps())
+                .filter(|(group, stamp)| !group.rows.is_empty() && !old.contains(stamp))
+                .count()
+        };
         let nonempty = |snapshot: &TenantSnapshot| {
             let groups = snapshot.anonymized().groups();
             groups.iter().filter(|g| !g.rows.is_empty()).count()
@@ -1456,34 +1478,31 @@ mod tests {
             .apply("a", &delta_for(table, &[5, 42, 43], 4, 61))
             .unwrap();
         audit(&v1);
-        let old: std::collections::HashSet<u64> = v0.leaf_stamps().iter().copied().collect();
-        let renewed = v1
-            .anonymized()
-            .groups()
-            .iter()
-            .zip(v1.leaf_stamps())
-            .filter(|(group, stamp)| !group.rows.is_empty() && !old.contains(stamp))
-            .count();
-        assert!(
-            0 < renewed && renewed < v1.group_count(),
-            "{renewed} renewed"
-        );
+        let one = renewed(&v1, &v0);
+        assert!(0 < one && one < v1.group_count(), "{one} renewed");
         let (version, session) = cached();
-        assert_eq!((version, session.cached_signatures()), (1, renewed));
+        assert_eq!((version, session.cached_signatures()), (1, one));
 
-        // Two deltas with no audit between them: every group is solved.
+        // Two deltas with no audit between them: still only the groups
+        // under a stamp version 1 lacked.
         let v2 = hub.apply("a", &delta_for(v1.table(), &[7], 2, 62)).unwrap();
         let v3 = hub
             .apply("a", &delta_for(v2.table(), &[9, 100], 1, 63))
             .unwrap();
         audit(&v3);
+        let gap = renewed(&v3, &v1);
+        assert!(
+            renewed(&v3, &v2) <= gap && gap < nonempty(&v3),
+            "{gap} renewed"
+        );
         let (version, session) = cached();
-        assert_eq!((version, session.cached_signatures()), (3, nonempty(&v3)));
+        assert_eq!((version, session.cached_signatures()), (3, gap));
 
-        // A reader that pinned version 1 is served by a one-off session;
-        // the entry stays at version 3.
+        // A reader that pinned version 1 is served by a one-off session,
+        // which starts from version 3's risks; the entry stays at version 3.
         let stale = entry.readers.external(&auditor, &v1.target());
         assert!(!Arc::ptr_eq(&stale, &session));
+        assert_eq!(stale.cached_signatures(), renewed(&v1, &v3));
         let report = v1.target().audit(&stale, 0.2);
         let groups = v1.anonymized().row_groups();
         let fresh = auditor.report_reference(v1.table(), &groups, 0.2);
@@ -1491,6 +1510,18 @@ mod tests {
         let (version, kept) = cached();
         assert_eq!(version, 3);
         assert!(Arc::ptr_eq(&kept, &session));
+
+        // An entry of an earlier publishing session (as a reader that
+        // started before a demotion installs it; the resumed session's
+        // stamps restart) carries nothing: every group is solved.
+        assert!(v3.epoch > 0);
+        entry.readers.entries()[0].epoch = v3.epoch - 1;
+        let v4 = hub
+            .apply("a", &delta_for(v3.table(), &[11], 1, 64))
+            .unwrap();
+        audit(&v4);
+        let (version, session) = cached();
+        assert_eq!((version, session.cached_signatures()), (4, nonempty(&v4)));
     }
 
     #[test]
@@ -1808,15 +1839,11 @@ mod tests {
     fn adversary_entry_copy(hub: &SessionHub, name: &str, b: f64) -> ReaderCache {
         let entry = hub.tenant(name).unwrap();
         let readers = entry.readers.entries();
-        let cache = readers
+        readers
             .iter()
             .find(|c| c.key == ReaderKey::Bandwidth(b.to_bits()))
-            .unwrap();
-        ReaderCache {
-            key: cache.key,
-            version: cache.version,
-            session: Arc::clone(&cache.session),
-        }
+            .unwrap()
+            .clone()
     }
 
     #[test]

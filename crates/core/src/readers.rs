@@ -5,38 +5,39 @@
 //! A [`ReaderCaches`] list holds one [`SharedAuditSession`] per audit
 //! configuration, least recently used first and capped at
 //! [`READER_CACHE_CAP`]. Every entry is one kind: a session **bound** to one
-//! version, which keeps every risk of it in one row-indexed vector, and is
-//! carried forward to the next version one delta at a time:
+//! version, which keeps every risk of it in one row-indexed vector beside
+//! each group's rows and leaf stamp. The session of another version starts
+//! from the entry's risks, however many deltas lie between them, and solves
+//! the groups under a leaf stamp the entry's version lacked. When the version
+//! is exactly one delta newer and carries that delta's change record, the
+//! entry's risk vector is compacted through the delta's deletes; otherwise
+//! each kept group's risks are copied through its rows:
 //!
 //! * an externally supplied auditor keeps one entry per auditor
 //!   ([`external`](ReaderCaches::external)). The caller's model is frozen by
-//!   definition, so when the version is exactly one delta newer and carries
-//!   that delta's change record, the previous version's risks are stepped
-//!   across the delta and only the groups under a new leaf stamp or holding
-//!   an inserted row are solved;
+//!   definition, so no other group needs solving;
 //! * the paper's `Adv(b′)` keeps one entry per `b′`
 //!   ([`adversary`](ReaderCaches::adversary)): the first audit of a newer
-//!   version refreshes the entry's model to that version. When the version
-//!   is exactly one delta newer and carries that delta's change record, the
-//!   fold and the previous version's risk vector are stepped across the
-//!   delta, and only the groups under a new leaf stamp or holding a row
-//!   whose prior moved are solved.
+//!   version refreshes the entry's model to that version, and also solves
+//!   the groups holding a row whose prior the refresh recomputed. On one
+//!   step the entry's fold is also stepped across the delta; otherwise the
+//!   version is folded in full.
 //!
-//! After a gap of several deltas, or without a change record, every group
-//! is solved — for `Adv(b′)` also under an interned model or for a new `b′`.
+//! An `Adv(b′)` audit under an interned model or for a new `b′`, and an
+//! audit with no entry of the same publishing session, solves every group.
 //!
 //! The hub passes its cross-tenant intern table ([`AdversaryIntern`]); both
 //! the hub's snapshots and a session's own audits carry the change record of
 //! the session's last apply.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bgkanon_anon::AnonymizedTable;
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_knowledge::{
     Adversary, Bandwidth, FoldEvolution, FoldedTable, KernelFamily, PriorEstimator,
 };
-use bgkanon_privacy::{AuditReport, Auditor, SharedAuditSession};
+use bgkanon_privacy::{AuditReport, Auditor, RiskStep, SharedAuditSession};
 use bgkanon_stats::SmoothedJs;
 
 use crate::session::VersionChange;
@@ -61,8 +62,8 @@ pub(crate) fn relock<G>(result: Result<G, PoisonError<G>>) -> G {
 pub(crate) enum ReaderKey {
     /// Externally supplied auditor: adversary + measure instance
     /// addresses. One entry per auditor, carried from version to version:
-    /// the caller's model is frozen by definition, so a step across one
-    /// delta re-solves only new and inserted groups (the Fig. 1 "reuse the
+    /// the caller's model is frozen by definition, so a later version
+    /// re-solves only the groups under new stamps (the Fig. 1 "reuse the
     /// prior across releases" accounting). (Addresses are stored as
     /// `usize`, not raw pointers: the key is only ever compared, and a
     /// raw-pointer field would make the cache `!Send`.)
@@ -77,18 +78,44 @@ pub(crate) enum ReaderKey {
 
 /// One retained audit configuration: the shared session every audit of
 /// this configuration goes through, bound to `version`. It keeps that
-/// version's risks and leaf stamps, and for `Adv(b′)` the row → point array
-/// of its model's fold ([`SharedAuditSession::row_points`]), all of which
-/// are stepped to the next version.
+/// version's risks, groups and leaf stamps, and for `Adv(b′)` the row →
+/// point array of its model's fold ([`SharedAuditSession::row_points`]),
+/// from which the session of a later version starts.
+#[derive(Clone)]
 pub(crate) struct ReaderCache {
     pub(crate) key: ReaderKey,
+    /// The publishing session whose leaf stamps the session holds
+    /// ([`AuditTarget::epoch`]).
+    pub(crate) epoch: u64,
     /// The version the session is bound to — for `Adv(b′)`, the one its
-    /// model was estimated or refreshed to.
+    /// model was estimated or refreshed to. A reader of another version
+    /// starts from the session's risks when the epochs agree.
     pub(crate) version: u64,
     pub(crate) session: Arc<SharedAuditSession>,
 }
 
 impl ReaderCache {
+    /// The entry's place in the table's history: its publishing session,
+    /// then its version. Epochs grow, so a later pair is a later version.
+    fn at(&self) -> (u64, u64) {
+        (self.epoch, self.version)
+    }
+
+    /// The entry's risks for the session of `target`'s version
+    /// ([`SharedAuditSession::step`]), compacted through the target's change
+    /// record when the entry is exactly one version behind. `None` from
+    /// another publishing session, whose leaf stamps are not the target's.
+    fn risk_step(self, target: &AuditTarget<'_>) -> Option<RiskStep> {
+        if self.epoch != target.epoch {
+            return None;
+        }
+        let next = target
+            .change
+            .filter(|_| self.version + 1 == target.version)
+            .map(|change| (change.delta.deletes(), target.table.len()));
+        self.session.step(next)
+    }
+
     /// The fold of `target`'s version, carried from this entry's by the
     /// target's change record ([`FoldedTable::evolve`]), with the version's
     /// row → point array — `None`, for the caller's full fold, unless the
@@ -117,6 +144,12 @@ pub(crate) struct AuditTarget<'a> {
     pub(crate) stamps: &'a [u64],
     /// Number of deltas applied before this version.
     pub(crate) version: u64,
+    /// The publishing session the version belongs to, drawn from one
+    /// process-wide rising count when the session opens or resumes. Leaf
+    /// stamps are unique within one session only (a resumed session's
+    /// restart from zero), so risks carry by stamp only between versions of
+    /// one epoch.
+    pub(crate) epoch: u64,
     /// The record of the delta that led from the previous version to this
     /// one, when known.
     pub(crate) change: Option<&'a VersionChange>,
@@ -192,7 +225,42 @@ impl NextFold {
 /// across estimation or auditing.
 #[derive(Default)]
 pub(crate) struct ReaderCaches {
-    readers: Mutex<Vec<ReaderCache>>,
+    readers: Mutex<ReaderList>,
+}
+
+/// What the list lock of a [`ReaderCaches`] guards.
+#[derive(Default)]
+pub(crate) struct ReaderList {
+    /// The retained entries, least recently used first.
+    entries: Vec<ReaderCache>,
+    /// The sessions being built, for the readers that wait for them.
+    building: Vec<Building>,
+}
+
+/// A caller auditor's session one reader is building
+/// ([`ReaderCaches::serve`]): the readers of the same auditor and version
+/// wait on `cell` for it.
+struct Building {
+    key: ReaderKey,
+    /// The version's epoch and number ([`ReaderCache::at`]).
+    at: (u64, u64),
+    cell: Arc<OnceLock<Arc<SharedAuditSession>>>,
+}
+
+#[cfg(test)]
+impl std::ops::Deref for ReaderList {
+    type Target = Vec<ReaderCache>;
+
+    fn deref(&self) -> &Vec<ReaderCache> {
+        &self.entries
+    }
+}
+
+#[cfg(test)]
+impl std::ops::DerefMut for ReaderList {
+    fn deref_mut(&mut self) -> &mut Vec<ReaderCache> {
+        &mut self.entries
+    }
 }
 
 impl ReaderCaches {
@@ -203,14 +271,14 @@ impl ReaderCaches {
     /// by QI.
     ///
     /// * The entry of exactly this version is returned as it is.
-    /// * When the entry is exactly one version behind and `target` carries
-    ///   its change record, its risks are stepped across the delta
-    ///   ([`SharedAuditSession::step`]), and only the groups under a new
-    ///   leaf stamp or holding an inserted row are solved.
-    /// * After a gap of several versions, without a change record, or with
-    ///   no entry for this auditor, every group is solved.
-    /// * An audit of an older version than the entry's runs a one-off
-    ///   session and leaves the entry alone.
+    /// * Otherwise the version's session starts from the entry's risks,
+    ///   however many deltas lie between them, and only the groups under a
+    ///   leaf stamp the entry's version lacked are solved
+    ///   ([`SharedAuditSession::step`]). One reader builds the version's
+    ///   session; concurrent readers of the version wait for it.
+    /// * With no entry of this publishing session, every group is solved.
+    /// * A session for an older version than the entry's is a one-off and
+    ///   leaves the entry alone.
     pub(crate) fn external(
         &self,
         auditor: &Auditor,
@@ -220,15 +288,8 @@ impl ReaderCaches {
             Arc::as_ptr(auditor.adversary()) as usize,
             Arc::as_ptr(auditor.measure()) as *const () as usize,
         );
-        self.serve(key, target.version, |earlier| {
-            let step = earlier
-                .filter(|cache| cache.version + 1 == target.version)
-                .zip(target.change)
-                .and_then(|(cache, change)| {
-                    cache
-                        .session
-                        .step(change.delta.deletes(), target.table.len())
-                });
+        self.serve(key, target, |entry| {
+            let step = entry.and_then(|cache| cache.risk_step(target));
             SharedAuditSession::bound(
                 auditor.clone(),
                 target.table,
@@ -250,16 +311,16 @@ impl ReaderCaches {
     ///   model. When the entry is exactly one version behind and `target`
     ///   carries its change record, the entry's fold and row → point array
     ///   are evolved ([`FoldedTable::evolve`]) and its risk vector is
-    ///   stepped across the delta ([`SharedAuditSession::step`]);
-    ///   otherwise the version is folded in full. If `intern` holds a model
-    ///   of identical provenance, it is shared. Otherwise the entry's model
+    ///   compacted through the delta's deletes; otherwise the version is
+    ///   folded in full. If `intern` holds a model of identical provenance,
+    ///   it is shared and every group is solved. Otherwise the entry's model
     ///   is refreshed from the fold difference
     ///   ([`PriorEstimator::refresh_folded`]) — in place when nothing else
-    ///   shares it — and with stepped risks only the groups under a new
-    ///   leaf stamp or holding a row whose prior the refresh recomputed are
-    ///   solved. Every other case solves every group: a gap of several
-    ///   versions, no change record, an interned model, or no entry at this
-    ///   `b′` (which also estimates from scratch).
+    ///   shares it — and the session starts from the entry's risks
+    ///   ([`SharedAuditSession::step`]): only the groups under a leaf stamp
+    ///   the entry's version lacked or holding a row whose prior the refresh
+    ///   recomputed are solved. With no entry at this `b′`, the model is
+    ///   estimated from scratch and every group solved.
     /// * An audit of an older version than the entry's runs a one-off
     ///   session and leaves the entry alone.
     ///
@@ -272,75 +333,113 @@ impl ReaderCaches {
         parallelism: Parallelism,
     ) -> Arc<SharedAuditSession> {
         let key = ReaderKey::Bandwidth(bandwidth.get(0).to_bits());
-        self.serve(key, target.version, |earlier| {
-            adversary_session(target, earlier, bandwidth, intern, parallelism)
+        self.serve(key, target, |entry| {
+            adversary_session(target, entry, bandwidth, intern, parallelism)
         })
     }
 
-    /// The session under `key` for `version`. The entry of exactly this
-    /// version is returned as it is. Otherwise `build` makes one: it is
-    /// handed the entry of an earlier version, removed from the list — the
-    /// caller alone carries it forward, and a concurrent reader of the same
-    /// version finds nothing and builds in full — and the session it builds
-    /// is installed. When the list already serves a newer version, `build`
-    /// is handed nothing and its session is a one-off that leaves the entry
+    /// The session under `key` for `target`'s version. The entry of exactly
+    /// this version is returned as it is. Otherwise `build` makes one from
+    /// what it is handed, and the session it builds is installed unless the
+    /// entry is newer, which makes it a one-off that leaves the entry
     /// alone.
+    ///
+    /// A caller auditor's entry is handed over as a copy and stays listed.
+    /// One reader builds each version's session from it, and every other
+    /// reader of the version that arrives meanwhile waits for that session
+    /// instead of building its own. The wait cannot stall the engine pool:
+    /// such a build runs on the builder's own thread and submits no pool
+    /// work.
+    ///
+    /// An `Adv(b′)` entry is handed over only when it is older, and is then
+    /// taken out of the list: its builder alone refreshes the entry's model,
+    /// in place, and a concurrent reader of the same version finds nothing
+    /// and builds in full.
     fn serve(
         &self,
         key: ReaderKey,
-        version: u64,
+        target: &AuditTarget<'_>,
         build: impl FnOnce(Option<ReaderCache>) -> SharedAuditSession,
     ) -> Arc<SharedAuditSession> {
-        let (earlier, keep) = {
-            let mut readers = relock(self.readers.lock());
-            match readers.iter().position(|c| c.key == key) {
-                None => (None, true),
-                Some(idx) if readers[idx].version == version => {
+        let at = (target.epoch, target.version);
+        let (entry, cell, keep) = {
+            let mut list = relock(self.readers.lock());
+            let found = list.entries.iter().position(|c| c.key == key);
+            let pending = list.building.iter().find(|b| b.key == key && b.at == at);
+            match (found, key) {
+                (Some(idx), _) if list.entries[idx].at() == at => {
                     // Move to the back: LRU order for eviction.
-                    let entry = readers.remove(idx);
+                    let entry = list.entries.remove(idx);
                     let session = Arc::clone(&entry.session);
-                    readers.push(entry);
+                    list.entries.push(entry);
                     return session;
                 }
-                Some(idx) if readers[idx].version > version => (None, false),
-                Some(idx) => (Some(readers.remove(idx)), true),
+                _ if pending.is_some() => (None, pending.map(|b| Arc::clone(&b.cell)), true),
+                (Some(idx), ReaderKey::External(..)) if list.entries[idx].at() > at => {
+                    (Some(list.entries[idx].clone()), None, false)
+                }
+                (Some(idx), ReaderKey::Bandwidth(_)) if list.entries[idx].at() > at => {
+                    (None, None, false)
+                }
+                (_, ReaderKey::External(..)) => {
+                    let entry = found.map(|idx| list.entries[idx].clone());
+                    let cell = Arc::new(OnceLock::new());
+                    // A build of an older version is superseded.
+                    list.building.retain(|b| b.key != key || b.at > at);
+                    list.building.push(Building {
+                        key,
+                        at,
+                        cell: Arc::clone(&cell),
+                    });
+                    (entry, Some(cell), true)
+                }
+                (_, ReaderKey::Bandwidth(_)) => {
+                    (found.map(|idx| list.entries.remove(idx)), None, true)
+                }
             }
         };
-        let session = build(earlier);
+        let session = match cell {
+            // A waiter's closure runs only if the builder panicked.
+            Some(cell) => Arc::clone(cell.get_or_init(|| Arc::new(build(entry)))),
+            None => Arc::new(build(entry)),
+        };
         if keep {
-            self.install(key, version, session)
+            self.install(key, at, session)
         } else {
-            Arc::new(session)
+            session
         }
     }
 
-    /// Cache `session` under `key` at `version`, unless an entry another
-    /// reader built meanwhile is at least as new — then that entry wins for
-    /// its own version, and a `session` for an older version is returned
-    /// unretained.
+    /// Cache `session` under `key` at `at` (epoch, version) and retire the
+    /// version's build, unless an entry another reader built meanwhile is
+    /// at least as new — then that entry wins for its own version, and a
+    /// `session` for an older version is returned unretained.
     fn install(
         &self,
         key: ReaderKey,
-        version: u64,
-        session: SharedAuditSession,
+        at: (u64, u64),
+        session: Arc<SharedAuditSession>,
     ) -> Arc<SharedAuditSession> {
-        let session = Arc::new(session);
-        let mut readers = relock(self.readers.lock());
-        if let Some(idx) = readers.iter().position(|c| c.key == key) {
-            let existing = &readers[idx];
-            if existing.version == version {
+        let mut list = relock(self.readers.lock());
+        list.building.retain(|b| b.key != key || b.at != at);
+        let entries = &mut list.entries;
+        if let Some(idx) = entries.iter().position(|c| c.key == key) {
+            let existing = &entries[idx];
+            if existing.at() == at {
                 return Arc::clone(&existing.session);
             }
-            if existing.version > version {
+            if existing.at() > at {
                 return session;
             }
-            readers.remove(idx);
+            entries.remove(idx);
         }
-        if readers.len() >= READER_CACHE_CAP {
-            readers.remove(0);
+        if entries.len() >= READER_CACHE_CAP {
+            entries.remove(0);
         }
-        readers.push(ReaderCache {
+        let (epoch, version) = at;
+        entries.push(ReaderCache {
             key,
+            epoch,
             version,
             session: Arc::clone(&session),
         });
@@ -349,23 +448,27 @@ impl ReaderCaches {
 
     /// Number of retained configurations.
     pub(crate) fn len(&self) -> usize {
-        relock(self.readers.lock()).len()
+        relock(self.readers.lock()).entries.len()
     }
 
     /// Drop every retained configuration. Every cache is rebuild-on-miss,
-    /// so later audits are bit-identical, just cold.
+    /// so later audits are bit-identical, just cold. A build under way
+    /// still hands its session to the readers waiting for it.
     pub(crate) fn clear(&self) {
-        relock(self.readers.lock()).clear();
+        let mut list = relock(self.readers.lock());
+        list.entries.clear();
+        list.building.clear();
     }
 
-    /// Heap bytes held: each session's risks, leaf stamps, kept report and
-    /// row → point array (4 B/row). The `Adv(b′)` models are not counted
+    /// Heap bytes held: each session's risks, leaf stamps, group rows, kept
+    /// report and row → point array. The `Adv(b′)` models are not counted
     /// here — the hub charges them to its intern table. Each of the at most
     /// [`READER_CACHE_CAP`] sessions reports its own figure
     /// ([`SharedAuditSession::bytes_accounted`]), read under the brief list
     /// guard without taking the session's locks.
     pub(crate) fn bytes_accounted(&self) -> usize {
         relock(self.readers.lock())
+            .entries
             .iter()
             .map(|c| c.session.bytes_accounted() + 128)
             .sum()
@@ -373,7 +476,7 @@ impl ReaderCaches {
 
     /// The retained entries, for tests that inspect them.
     #[cfg(test)]
-    pub(crate) fn entries(&self) -> std::sync::MutexGuard<'_, Vec<ReaderCache>> {
+    pub(crate) fn entries(&self) -> std::sync::MutexGuard<'_, ReaderList> {
         relock(self.readers.lock())
     }
 }
@@ -400,7 +503,6 @@ fn adversary_session(
             (NextFold::Full(fold), row_points)
         }
     };
-    let one_step = matches!(next, NextFold::Evolved(_));
     let measure = Arc::new(SmoothedJs::paper_default(
         table.schema().sensitive_distance(),
     ));
@@ -422,13 +524,8 @@ fn adversary_session(
             // Release the old session (and with it, unless another list
             // or an in-flight reader shares them, the old adversary's
             // handle on the model) so the refresh below mutates the
-            // model in place instead of cloning it; on one step, its
-            // risks come along, moved out when nothing else holds them.
-            let rows = table.len();
-            let step = match target.change {
-                Some(change) if one_step => cache.session.step(change.delta.deletes(), rows),
-                _ => None,
-            };
+            // model in place instead of cloning it; its risks come along.
+            let step = cache.risk_step(target);
             model.map(|model| (model, step))
         });
         let (model, stepped) = match refreshable {
@@ -460,5 +557,77 @@ fn adversary_session(
             Auditor::new(adversary, measure),
             step.zip(dirty.as_ref().map(Some)),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    use bgkanon_knowledge::{Adversary, Bandwidth};
+    use bgkanon_privacy::{Auditor, SharedAuditSession};
+    use bgkanon_stats::SmoothedJs;
+
+    use super::{AuditTarget, ReaderCaches, ReaderKey};
+    use crate::Publisher;
+
+    /// While one reader builds a caller auditor's session of a version, a
+    /// second reader of that version waits for it and gets the same session:
+    /// its own build never runs.
+    #[test]
+    fn a_reader_of_a_version_being_built_waits_for_that_build() {
+        let table = bgkanon_data::adult::generate(120, 5);
+        let session = Publisher::new().k_anonymity(4).open(&table).unwrap();
+        let target = AuditTarget {
+            table: session.table(),
+            anonymized: session.anonymized(),
+            stamps: session.leaf_stamps(),
+            version: 0,
+            epoch: session.epoch(),
+            change: None,
+        };
+        let auditor = Auditor::new(
+            Arc::new(Adversary::kernel(
+                &table,
+                Bandwidth::uniform(0.3, table.qi_count()).unwrap(),
+            )),
+            Arc::new(SmoothedJs::paper_default(
+                table.schema().sensitive_distance(),
+            )),
+        );
+        let caches = ReaderCaches::default();
+        let key = ReaderKey::External(1, 2);
+        let (started, building) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let (caches, target, auditor) = (&caches, &target, &auditor);
+        // bgk-allow: R2 two readers that block on each other; pool jobs may share one worker
+        let (built, waited) = std::thread::scope(|scope| {
+            let builder = scope.spawn(move || {
+                caches.serve(key, target, |_| {
+                    started.send(()).unwrap();
+                    released.recv().unwrap();
+                    let groups = target.group_rows();
+                    SharedAuditSession::bound(
+                        auditor.clone(),
+                        target.table,
+                        &groups,
+                        target.stamps,
+                        Vec::new(),
+                        None,
+                    )
+                })
+            });
+            building.recv().unwrap();
+            let waiter = scope.spawn(move || {
+                caches.serve(key, target, |_| panic!("a second build of the version"))
+            });
+            // Let the waiter reach the build before it finishes.
+            std::thread::sleep(Duration::from_millis(50));
+            release.send(()).unwrap();
+            (builder.join().unwrap(), waiter.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&built, &waited));
+        assert_eq!(caches.len(), 1);
     }
 }

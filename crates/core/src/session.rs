@@ -12,20 +12,20 @@
 //!   publisher's algorithm selects), so a [`Delta`] reworks only what it
 //!   dirties through [`AnonymizationStrategy::refresh`];
 //! * retained audit caches, one per audit configuration, each bound to one
-//!   version — an audit one delta after the previous one recomputes Ω only
-//!   for the groups the delta touched, and after a gap of several deltas
-//!   solves every group. Externally supplied auditors
+//!   version — an audit recomputes Ω only for the groups the deltas since
+//!   the previous audit touched, however many there were. Externally
+//!   supplied auditors
 //!   ([`audit_with`](PublishSession::audit_with)) embody the caller's
 //!   chosen prior model and are never refreshed (the paper's Fig. 1
 //!   "reuse the prior across releases" accounting). Session-built
 //!   adversaries `Adv(b′)` ([`audit_against`](PublishSession::audit_against))
 //!   always reflect the audited table: the first audit after any number of
 //!   deltas refreshes the cached prior model from the fold difference
-//!   ([`PriorEstimator::refresh_folded`]). When exactly one delta separates
-//!   the audit from the previous one, the session's record of that delta
-//!   carries the fold and the previous version's risks one step, and only
-//!   the groups the delta touched are solved; after a gap of several
-//!   deltas the current table is folded in full and every group solved.
+//!   ([`PriorEstimator::refresh_folded`]), and only the groups the deltas
+//!   touched or whose priors the refresh recomputed are solved. When
+//!   exactly one delta separates the audit from the previous one, the
+//!   session's record of that delta carries the fold one step; after a gap
+//!   of several deltas the current table is folded in full.
 //!   `apply` never touches an adversary; the caches are the ones
 //!   [`SessionHub`](crate::SessionHub) readers go through, so both share one
 //!   implementation. Each configuration also keeps a one-slot report memo
@@ -43,6 +43,7 @@
 //! [`PriorEstimator::refresh_folded`]: bgkanon_knowledge::PriorEstimator::refresh_folded
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,6 +159,10 @@ impl VersionChange {
     }
 }
 
+/// The epoch of the next publishing session to open or resume
+/// ([`AuditTarget::epoch`]).
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
+
 /// A retained publish → audit pipeline over an evolving table.
 ///
 /// ```
@@ -201,6 +206,9 @@ pub struct PublishSession {
     /// before the first apply and after a resume.
     change: Option<Arc<VersionChange>>,
     readers: ReaderCaches,
+    /// This session's place among every session opened or resumed in the
+    /// process: its leaf stamps are unique only within it.
+    epoch: u64,
     last_elapsed: Duration,
     deltas_applied: usize,
 }
@@ -237,6 +245,7 @@ impl PublishSession {
             stamps,
             change: None,
             readers: ReaderCaches::default(),
+            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             last_elapsed,
             deltas_applied: 0,
         })
@@ -273,6 +282,7 @@ impl PublishSession {
             stamps,
             change: None,
             readers: ReaderCaches::default(),
+            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             last_elapsed: Duration::ZERO,
             deltas_applied,
         }
@@ -371,6 +381,11 @@ impl PublishSession {
         self.change.as_ref()
     }
 
+    /// The epoch of this session's leaf stamps ([`AuditTarget::epoch`]).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Name of the requirement fixed at open time.
     pub fn requirement_name(&self) -> &str {
         &self.requirement_name
@@ -398,12 +413,11 @@ impl PublishSession {
     }
 
     /// Audit the current publication with `auditor`, through this session's
-    /// retained audit cache, bound to one version. One delta after the last
-    /// audit with the same auditor, groups the delta left alone keep their
-    /// risks and only the groups under a new leaf stamp or holding an
-    /// inserted row recompute Ω; after a gap of several deltas every group
-    /// is solved. A third or later audit of one version at one `t` copies
-    /// the report the second kept. Bit-identical to a fresh
+    /// retained audit cache, bound to one version. Groups the deltas since
+    /// the last audit with the same auditor left alone keep their risks, and
+    /// only the groups under a new leaf stamp recompute Ω, however many
+    /// deltas that spans. A third or later audit of one version at one `t`
+    /// copies the report the second kept. Bit-identical to a fresh
     /// [`Auditor::report`](bgkanon_privacy::Auditor::report) on the current
     /// table and groups.
     ///
@@ -426,10 +440,10 @@ impl PublishSession {
     /// each `b′`, and the first call after any number of deltas refreshes
     /// the model from the fold difference — the same carried entry
     /// [`SessionHub::audit_against`](crate::SessionHub::audit_against)
-    /// keeps per tenant. One delta after the previous audit, the previous
-    /// version's risks are stepped across the delta and only the groups it
-    /// touched are solved; after several, every group is. Bit-identical to a
-    /// fresh auditor of the current table and publication.
+    /// keeps per tenant. The previous audit's risks carry forward, and only
+    /// the groups the deltas since touched or whose priors moved are solved.
+    /// Bit-identical to a fresh auditor of the current table and
+    /// publication.
     ///
     /// A NaN, infinite or non-positive `b′` is a [`SessionError::Bandwidth`].
     pub fn audit_against(&mut self, b_prime: f64, t: f64) -> Result<AuditReport, SessionError> {
@@ -479,6 +493,7 @@ impl PublishSession {
             anonymized: &self.anonymized,
             stamps: &self.stamps,
             version: self.deltas_applied as u64,
+            epoch: self.epoch,
             change: self.change.as_deref(),
         }
     }

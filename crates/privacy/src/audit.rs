@@ -36,15 +36,16 @@
 //! for their hashing, locking and memory.
 //! [`SharedAuditSession`] keeps risks only per published version, never by
 //! group contents. Every session is one kind: bound to one version, it
-//! keeps that version's risks row by row and steps them to the next version
-//! by its change record, for `Adv(b′)` and a caller's frozen auditor alike.
-//! After a gap of several deltas, a session solves every group.
+//! keeps that version's risks row by row with each group's rows and leaf
+//! stamp, and a session of a later version copies the risks of every group
+//! whose stamp survived, for `Adv(b′)` and a caller's frozen auditor alike.
+//! For `Adv(b′)`, a group holding a row whose prior moved is solved again.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bgkanon_data::hash::WordSet;
+use bgkanon_data::hash::WordMap;
 use bgkanon_data::{Parallelism, Table};
 use bgkanon_inference::{omega_posteriors, GroupPriors};
 use bgkanon_knowledge::{Adversary, DirtyPoints, PriorModel};
@@ -401,9 +402,10 @@ impl Auditor {
         self.solve_group(rows, scratch, emit);
     }
 
-    /// Prepare and solve every nonempty group that `stale` picks by index
-    /// into the row-indexed `risks`, resolving priors as
-    /// [`prepare_group`](Self::prepare_group) does. Returns the number of
+    /// Fill the row-indexed `risks` of every nonempty group: `carry(gi,
+    /// risks)` either writes group `gi`'s risks itself and returns true, or
+    /// returns false and the group is prepared and solved, resolving priors
+    /// as [`prepare_group`](Self::prepare_group) does. Returns the number of
     /// groups solved.
     fn solve_groups<'a>(
         &'a self,
@@ -411,12 +413,12 @@ impl Auditor {
         groups: &[&[usize]],
         points: Option<(&'a PriorModel, &[u32])>,
         risks: &mut [f64],
-        mut stale: impl FnMut(usize) -> bool,
+        mut carry: impl FnMut(usize, &mut [f64]) -> bool,
     ) -> usize {
         let mut scratch = AuditScratch::default();
         let mut solved = 0;
         for (gi, rows) in groups.iter().enumerate() {
-            if rows.is_empty() || !stale(gi) {
+            if rows.is_empty() || carry(gi, risks) {
                 continue;
             }
             self.prepare_group(table, rows, points, &mut scratch);
@@ -528,19 +530,27 @@ struct AuditScratch<'a> {
     qi_buf: Vec<u32>,
 }
 
-/// A bound [`SharedAuditSession`]'s risks stepped one delta forward
-/// ([`step`](SharedAuditSession::step)), for the session of the next version
-/// ([`bound`](SharedAuditSession::bound)): the risk vector compacted through
-/// the delta's deletes — survivors keep their order and the inserted rows
-/// start as NaN, the row order of [`Table::apply_delta`] — and the set of
-/// leaf stamps those risks were solved under. Holding it does not keep the
-/// old session or its adversary model alive.
-#[derive(Debug)]
+/// A bound [`SharedAuditSession`]'s risks, carried into the session of a
+/// later version of the same table ([`step`](SharedAuditSession::step),
+/// [`bound`](SharedAuditSession::bound)): every risk of the version with
+/// each group's rows and leaf stamp, shared with the session they came
+/// from. On a step to the next version they are also laid out like that
+/// version's rows, so the groups that carry over need no copy. Holding it
+/// keeps neither that session nor its adversary model alive.
 pub struct RiskStep {
-    risks: Vec<f64>,
-    /// Rows of `risks` that survived the delta; the inserted rows follow.
-    survivors: usize,
-    stamps: WordSet<u64>,
+    version: Arc<BoundVersion>,
+    /// `version`'s risks compacted through the one delta to the next version
+    /// ([`compact`]), with the count of rows that survived it.
+    compacted: Option<(Vec<f64>, usize)>,
+}
+
+impl std::fmt::Debug for RiskStep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RiskStep")
+            .field("groups", &self.version.stamps.len())
+            .field("survivors", &self.compacted.as_ref().map(|(_, kept)| kept))
+            .finish()
+    }
 }
 
 /// The one table version a bound [`SharedAuditSession`] audits, with every
@@ -551,8 +561,27 @@ struct BoundVersion {
     row_points: Vec<u32>,
     /// The version's leaf stamps, aligned with its groups.
     stamps: Vec<u64>,
+    /// The groups' rows, one group after another.
+    members: Vec<u32>,
+    /// Where each group's rows end in `members`.
+    ends: Vec<u32>,
     /// Every row's risk, indexed like the version's table.
     risks: Vec<f64>,
+}
+
+impl BoundVersion {
+    /// The rows of group `g`, in group order.
+    fn members(&self, g: usize) -> &[u32] {
+        let start = g.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.members[start as usize..self.ends[g] as usize]
+    }
+
+    /// Heap bytes of the vectors: 8 B per risk and stamp, 4 B per row
+    /// point, member and group end.
+    fn bytes(&self) -> usize {
+        (self.risks.len() + self.stamps.len()) * 8
+            + (self.row_points.len() + self.members.len() + self.ends.len()) * 4
+    }
 }
 
 /// The one-slot report memo of a [`SharedAuditSession`]
@@ -635,26 +664,28 @@ fn dirty_rows(rows: usize, dirty: Option<(&[u32], &DirtyPoints)>, survivors: usi
 ///
 /// A session **bound** to a version ([`bound`](Self::bound)) is built with
 /// every risk of the version already solved, and keeps them as one
-/// row-indexed vector beside the version's leaf stamps. A session of
-/// `Adv(b′)`, whose model was estimated or refreshed to the version, also
-/// keeps the row → point array of the model's fold, through which each
-/// member's prior is read with no QI gather and no hashing; a caller's
-/// frozen auditor resolves priors by QI. A session never changes once
-/// built; its reports lock only the report memo below. When the version is
-/// exactly one delta after the previous session's, the new session starts
-/// from the previous one's vector ([`step`](Self::step)) and re-solves only
-/// the groups under a leaf stamp the previous version did not have or
-/// holding a row that is inserted or whose prior the model's refresh
-/// recomputed. A frozen auditor's model does not move, so only the new
-/// stamps and inserted rows count for it. Every other bound session — after
-/// a gap of several deltas, say — solves every group.
+/// row-indexed vector beside the version's groups and leaf stamps. A
+/// session of `Adv(b′)`, whose model was estimated or refreshed to the
+/// version, also keeps the row → point array of the model's fold, through
+/// which each member's prior is read with no QI gather and no hashing; a
+/// caller's frozen auditor resolves priors by QI. A session never changes
+/// once built; its reports lock only the report memo below. A session of a
+/// later version starts from an earlier one's risks ([`step`](Self::step)),
+/// however many deltas lie between them: a group under a leaf stamp the
+/// earlier version also had keeps its risks, unless one of its rows folds
+/// into a point whose prior the model's refresh recomputed. A frozen
+/// auditor's model does not move, so only the new stamps count for it.
+/// Across exactly one delta the risk vector is compacted through the
+/// delta's deletes, which puts every kept risk in its new row at once;
+/// across a gap each kept group's risks are copied through its rows.
 ///
 /// A stamp is an opaque caller-supplied token per group. It must change
 /// whenever the group's membership (row set or order) changes and never
-/// collide between distinct memberships of adjacent versions.
-/// Partition-tree leaf stamps satisfy this across versions of an evolving
-/// table. No cache keyed by group contents sits behind the stamps (see the
-/// [module docs](self) for why).
+/// collide between distinct memberships of the versions one chain of
+/// sessions spans. The leaf stamps of one publishing session's strategy
+/// state, a partition tree's say, satisfy this across the versions of an
+/// evolving table. No cache keyed by group contents sits behind the stamps
+/// (see the [module docs](self) for why).
 ///
 /// A session bound to no version ([`new`](Self::new)) solves every group
 /// of each report and keeps nothing but the report memo.
@@ -688,7 +719,7 @@ fn dirty_rows(rows: usize, dirty: Option<(&[u32], &DirtyPoints)>, survivors: usi
 pub struct SharedAuditSession {
     auditor: Auditor,
     /// The version this session is bound to, if any.
-    version: Option<BoundVersion>,
+    version: Option<Arc<BoundVersion>>,
     /// Groups this session has solved, over its lifetime.
     solved: AtomicUsize,
     report_memo: Mutex<ReportMemo>,
@@ -708,7 +739,7 @@ impl SharedAuditSession {
     fn with_version(auditor: Auditor, version: Option<BoundVersion>, solved: usize) -> Self {
         SharedAuditSession {
             auditor,
-            version,
+            version: version.map(Arc::new),
             solved: AtomicUsize::new(solved),
             report_memo: Mutex::default(),
             memo_bytes: AtomicUsize::new(0),
@@ -723,18 +754,22 @@ impl SharedAuditSession {
     /// of the table the model was estimated or refreshed to); an empty
     /// array resolves priors by QI.
     ///
-    /// `previous` is the previous version's session stepped across the one
-    /// delta between the versions ([`step`](Self::step)), with what
+    /// `previous` is the session of an earlier version of the table, any
+    /// number of deltas back, carried forward ([`step`](Self::step); when
+    /// the step compacted its risks, the version right before this one),
+    /// with the points whose prior
     /// [`PriorEstimator::refresh_folded`](bgkanon_knowledge::PriorEstimator::refresh_folded)
     /// recomputed when it refreshed that session's model to this version,
-    /// or `None` when the auditor's model did not change across the step. A
-    /// group is then re-solved only when its stamp is new or one of its
-    /// rows is inserted or folds into a dirty point: every other group has
-    /// the same member tuples, and member by member bit-identical priors and
-    /// sensitive histogram, so its risks are exactly the stepped ones.
-    /// Without `previous`, when the groups do not cover `table` row for
-    /// row, or when dirty points come with a row → point array that does
-    /// not cover it, every group is solved.
+    /// or `None` when the auditor's model did not change. A group keeps the
+    /// earlier version's risks when that version had a group of its stamp
+    /// and size and none of its rows folds into a dirty point: by the stamp
+    /// contract it has the same member tuples in the same order, and member
+    /// by member bit-identical priors and sensitive histogram, so its risks
+    /// are exactly the earlier ones. After a compacted step a group holding
+    /// an inserted row is solved too. Every other group is solved; so is
+    /// every group without `previous`, when the groups do not cover `table`
+    /// row for row, or when dirty points come with a row → point array that
+    /// does not cover it.
     ///
     /// # Panics
     ///
@@ -748,82 +783,116 @@ impl SharedAuditSession {
         previous: Option<(RiskStep, Option<&DirtyPoints>)>,
     ) -> Self {
         assert_eq!(stamps.len(), groups.len(), "one stamp per group");
-        let (risks, solved) = {
+        let (risks, solved, earlier) = {
             let points = point_priors(&auditor, &row_points, table);
             let covered = groups.iter().map(|rows| rows.len()).sum::<usize>() == table.len();
             let previous = previous.filter(|(step, dirty)| {
-                covered && step.risks.len() == table.len() && (dirty.is_none() || points.is_some())
+                let fits = step
+                    .compacted
+                    .as_ref()
+                    .is_none_or(|(risks, _)| risks.len() == table.len());
+                covered && fits && (dirty.is_none() || points.is_some())
             });
-            let (mut risks, kept) = match previous {
-                Some((step, dirty)) => {
+            let (mut risks, carried) = match previous {
+                Some((RiskStep { version, compacted }, dirty)) => {
+                    let (risks, survivors, in_place) = match compacted {
+                        Some((risks, survivors)) => (risks, survivors, true),
+                        None => (vec![f64::NAN; table.len()], table.len(), false),
+                    };
                     let dirty = dirty.map(|dirty| (row_points.as_slice(), dirty));
-                    let rows = dirty_rows(table.len(), dirty, step.survivors);
-                    (step.risks, Some((step.stamps, rows)))
+                    let dirty_rows = dirty_rows(table.len(), dirty, survivors);
+                    let by_stamp: WordMap<u64, usize> = version
+                        .stamps
+                        .iter()
+                        .enumerate()
+                        .map(|(g, &s)| (s, g))
+                        .collect();
+                    (risks, Some((version, by_stamp, dirty_rows, in_place)))
                 }
                 None => (vec![f64::NAN; table.len()], None),
             };
-            let solved = auditor.solve_groups(table, groups, points, &mut risks, |gi| {
-                let Some((kept, dirty_rows)) = &kept else {
-                    return true;
+            let solved = auditor.solve_groups(table, groups, points, &mut risks, |gi, risks| {
+                let Some((earlier, by_stamp, dirty_rows, in_place)) = &carried else {
+                    return false;
                 };
-                !kept.contains(&stamps[gi])
-                    || groups[gi]
-                        .iter()
-                        .any(|&row| dirty_rows[row / 64] & (1 << (row % 64)) != 0)
+                let Some(&g) = by_stamp.get(&stamps[gi]) else {
+                    return false;
+                };
+                let (rows, was) = (groups[gi], earlier.members(g));
+                let stale = rows
+                    .iter()
+                    .any(|&row| dirty_rows[row / 64] & (1 << (row % 64)) != 0);
+                if was.len() != rows.len() || stale {
+                    return false;
+                }
+                if !in_place {
+                    for (&row, &was) in rows.iter().zip(was) {
+                        risks[row] = earlier.risks[was as usize];
+                    }
+                }
+                true
             });
-            (risks, solved)
+            (risks, solved, carried.map(|(earlier, ..)| earlier))
         };
+        // Rows are kept as u32, as the partition tree keeps them, in the
+        // earlier version's buffers when nothing else holds them.
+        let (mut members, mut ends) = earlier
+            .and_then(|earlier| Arc::try_unwrap(earlier).ok())
+            .map_or_else(Default::default, |earlier| (earlier.members, earlier.ends));
+        members.clear();
+        ends.clear();
+        for rows in groups {
+            members.extend(rows.iter().map(|&row| row as u32));
+            ends.push(members.len() as u32);
+        }
         let version = BoundVersion {
             row_points,
             stamps: stamps.to_vec(),
+            members,
+            ends,
             risks,
         };
         Self::with_version(auditor, Some(version), solved)
     }
 
-    /// Step this bound session's risks across one delta, for the session of
-    /// the next version ([`bound`](Self::bound)): `deletes` are the rows the
-    /// delta deletes from this session's version
-    /// ([`Delta::deletes`](bgkanon_data::Delta::deletes)) and `rows` the
-    /// next version's row count. The risks are moved out when this is the
-    /// last handle on the session and copied otherwise; either way the
-    /// handle, and with it this session's hold on its adversary model, is
-    /// released. `None` for a session bound to no version, or when
-    /// `deletes` does not fit this version.
-    pub fn step(self: Arc<Self>, deletes: &[usize], rows: usize) -> Option<RiskStep> {
-        let (risks, stamps) = match Arc::try_unwrap(self) {
-            Ok(session) => {
-                let version = session.version?;
-                (version.risks, version.stamps.into_iter().collect())
-            }
-            Err(shared) => {
-                let version = shared.version.as_ref()?;
-                (
-                    version.risks.clone(),
-                    version.stamps.iter().copied().collect(),
-                )
-            }
+    /// This bound session's risks, for the session of a later version
+    /// ([`bound`](Self::bound)); the handle, and with it this session's hold
+    /// on its adversary model, is released. When the later version is the
+    /// next one, `next` holds the rows its delta deletes from this one
+    /// ([`Delta::deletes`](bgkanon_data::Delta::deletes)) and its row count,
+    /// and the risks are also compacted through them — moved out when
+    /// nothing else holds them, copied otherwise. `None` for a session bound
+    /// to no version, or when the deletes do not fit this version.
+    pub fn step(self: Arc<Self>, next: Option<(&[usize], usize)>) -> Option<RiskStep> {
+        let mut version = match Arc::try_unwrap(self) {
+            Ok(session) => session.version?,
+            Err(shared) => Arc::clone(shared.version.as_ref()?),
         };
-        let (risks, survivors) = compact(risks, deletes, rows)?;
-        Some(RiskStep {
-            risks,
-            survivors,
-            stamps,
-        })
+        let compacted = match next {
+            Some((deletes, rows)) => {
+                let risks = match Arc::get_mut(&mut version) {
+                    Some(owned) => std::mem::take(&mut owned.risks),
+                    None => version.risks.clone(),
+                };
+                Some(compact(risks, deletes, rows)?)
+            }
+            None => None,
+        };
+        Some(RiskStep { version, compacted })
     }
 
     /// The row → point array this session is bound to (empty when it is
     /// bound to no version or resolves priors by QI).
     pub fn row_points(&self) -> &[u32] {
         self.version
-            .as_ref()
+            .as_deref()
             .map_or(&[], |version| version.row_points.as_slice())
     }
 
     /// The bound version's risks, when `table` and `stamps` are its.
     fn version_risks(&self, table: &Table, stamps: Option<&[u64]>) -> Option<&[f64]> {
         self.version
-            .as_ref()
+            .as_deref()
             .filter(|version| {
                 version.risks.len() == table.len() && stamps == Some(version.stamps.as_slice())
             })
@@ -836,7 +905,7 @@ impl SharedAuditSession {
     }
 
     /// Number of groups this session has solved so far: every group of the
-    /// bound version it did not take from the previous version, plus every
+    /// bound version it did not take from the earlier version, plus every
     /// group of each report found neither in the report memo nor among the
     /// session's retained risks. The count only grows; the difference
     /// across a report is that report's Ω solves (diagnostics).
@@ -845,16 +914,15 @@ impl SharedAuditSession {
     }
 
     /// Heap bytes resident in the session — the bound version's risk vector
-    /// (8 B/row), leaf stamps (8 B/group) and row → point array (4 B/row),
-    /// and the kept report — a deterministic owned-payload estimate read
-    /// without a lock. The adversary model behind the auditor is **not**
-    /// counted here: it is charged to its owner (the hub's intern table for
-    /// `Adv(b')` models, the caller for external auditors), so a model
-    /// shared by many tenants is accounted once.
+    /// (8 B/row), leaf stamps (8 B/group), group rows (4 B/row and 4 B/group)
+    /// and row → point array (4 B/row), and the kept report — a
+    /// deterministic owned-payload estimate read without a lock. The
+    /// adversary model behind the auditor is **not** counted here: it is
+    /// charged to its owner (the hub's intern table for `Adv(b')` models,
+    /// the caller for external auditors), so a model shared by many tenants
+    /// is accounted once.
     pub fn bytes_accounted(&self) -> usize {
-        let version = self.version.as_ref().map_or(0, |version| {
-            version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
-        });
+        let version = self.version.as_deref().map_or(0, BoundVersion::bytes);
         version + self.memo_bytes.load(Ordering::Relaxed)
     }
 
@@ -958,7 +1026,7 @@ impl SharedAuditSession {
         let mut risks = vec![f64::NAN; table.len()];
         let solved = self
             .auditor
-            .solve_groups(table, groups, points, &mut risks, |_| true);
+            .solve_groups(table, groups, points, &mut risks, |_, _| false);
         self.solved.fetch_add(solved, Ordering::Relaxed);
         self.auditor.assemble_report(risks, t)
     }
@@ -1361,9 +1429,10 @@ mod tests {
             for session in [&bound, &short, &unbound] {
                 assert_eq!(session.cached_signatures(), 3 * groups.len());
             }
+            // Risks and stamps, row points, and group rows with their ends.
             assert_eq!(
                 bound.bytes_accounted(),
-                t.len() * 8 + groups.len() * 8 + t.len() * 4
+                t.len() * 8 + groups.len() * 8 + t.len() * 4 + t.len() * 4 + groups.len() * 4
             );
         }
     }
@@ -1479,11 +1548,12 @@ mod tests {
         )
         .report_reference(&t1, &groups1, 0.2);
 
-        // A step while another handle holds the session copies its risks;
-        // the last handle's step moves them out. Both patch identically.
-        let copied = Arc::clone(&v0).step(delta.deletes(), t1.len()).unwrap();
-        let moved = v0.step(delta.deletes(), t1.len()).unwrap();
-        for step in [copied, moved] {
+        // A step without the delta carries the risks group by group; one
+        // across it compacts them, copied while another handle holds the
+        // session and moved out by the last handle. All three patch
+        // identically, and the held handle keeps serving version 0.
+        let next = Some((delta.deletes(), t1.len()));
+        let check = |step: RiskStep| {
             let v1 = SharedAuditSession::bound(
                 auditor1.clone(),
                 &t1,
@@ -1498,7 +1568,16 @@ mod tests {
             let report = v1.report_version(1, &t1, Vec::new, Some(&stamps1), 0.2);
             assert_eq!(report.first_difference(&fresh), None);
             assert_eq!(v1.cached_signatures(), expected);
-        }
+        };
+        let held = Arc::clone(&v0);
+        check(Arc::clone(&v0).step(None).unwrap());
+        check(Arc::clone(&v0).step(next).unwrap());
+        let again = held.report_groups(&t0, &slices0, Some(&stamps0), 0.2);
+        let fresh0 = auditor0.report_reference(&t0, &groups0, 0.2);
+        assert_eq!(again.first_difference(&fresh0), None);
+        assert_eq!(held.cached_signatures(), groups0.len());
+        drop(held);
+        check(v0.step(next).unwrap());
 
         // Row points that do not cover the table: every group is solved.
         let stepped = SharedAuditSession::bound(
@@ -1509,7 +1588,7 @@ mod tests {
             FoldedTable::with_row_points(&t0).1,
             None,
         );
-        let step = Arc::new(stepped).step(delta.deletes(), t1.len()).unwrap();
+        let step = Arc::new(stepped).step(next).unwrap();
         let cold = SharedAuditSession::bound(
             auditor1.clone(),
             &t1,
@@ -1522,19 +1601,23 @@ mod tests {
         let report = cold.report_groups(&t1, &slices1, Some(&stamps1), 0.2);
         assert_eq!(report.first_difference(&fresh), None);
 
-        // A frozen auditor across the same step: its priors resolve by QI
-        // and do not move, so only the groups under a new stamp are solved.
-        // Under a stamp of version 0 that version 1 dropped, the group of
-        // inserted rows is still solved, through the inserted-row mask
-        // alone (a stamp reuse the contract rules out, made here to reach
-        // that mask).
+        // A frozen auditor across the same step, group by group or
+        // compacted: its priors resolve by QI and do not move, so only the
+        // groups under a new stamp are solved. Under a stamp of version 0
+        // that version 1 dropped, the two-row group of inserted rows is
+        // still solved, since version 0's group of that stamp has four rows
+        // and the compacted step marks its rows inserted (a stamp reuse the
+        // contract rules out, made here to reach both checks).
         let reused = (0..groups0.len() as u64)
             .find(|stamp| !stamps1.contains(stamp))
             .unwrap();
         let mut reused_stamps = stamps1.clone();
         *reused_stamps.last_mut().unwrap() = reused;
         let frozen_fresh = auditor0.report_reference(&t1, &groups1, 0.2);
-        for stamps in [&stamps1, &reused_stamps] {
+        for (stamps, next) in [&stamps1, &reused_stamps]
+            .into_iter()
+            .flat_map(|stamps| [(stamps, None), (stamps, next)])
+        {
             let frozen0 = Arc::new(SharedAuditSession::bound(
                 auditor0.clone(),
                 &t0,
@@ -1543,7 +1626,7 @@ mod tests {
                 Vec::new(),
                 None,
             ));
-            let step = frozen0.step(delta.deletes(), t1.len()).unwrap();
+            let step = frozen0.step(next).unwrap();
             let frozen1 = SharedAuditSession::bound(
                 auditor0.clone(),
                 &t1,
@@ -1560,8 +1643,10 @@ mod tests {
 
         // Only a bound session steps, and only across deletes it can hold.
         let unbound = Arc::new(SharedAuditSession::new(auditor1.clone()));
-        assert!(unbound.step(&[], t1.len()).is_none());
-        assert!(Arc::new(cold).step(&[t1.len()], t1.len()).is_none());
+        assert!(unbound.step(None).is_none());
+        let cold = Arc::new(cold);
+        assert!(Arc::clone(&cold).step(None).is_some());
+        assert!(cold.step(Some((&[t1.len()], t1.len()))).is_none());
     }
 
     #[test]
@@ -1578,8 +1663,12 @@ mod tests {
         let mut model = estimator.estimate_folded(fold.clone(), Parallelism::Auto);
         let clean = estimator.refresh_folded(&mut model, fold, Parallelism::Auto);
         let walk = |session: &SharedAuditSession| {
-            session.version.as_ref().map_or(0, |version| {
-                version.risks.len() * 8 + version.stamps.len() * 8 + version.row_points.len() * 4
+            session.version.as_deref().map_or(0, |version| {
+                version.risks.len() * 8
+                    + version.stamps.len() * 8
+                    + version.row_points.len() * 4
+                    + version.members.len() * 4
+                    + version.ends.len() * 4
             })
         };
         // xorshift64: the draws only pick the sequence.
@@ -1622,7 +1711,7 @@ mod tests {
                 // model unchanged (priors by QI) — or go back to an unbound
                 // one.
                 0 => {
-                    let previous = Arc::clone(&session).step(&[], t.len());
+                    let previous = Arc::clone(&session).step(None);
                     let (points, previous) = if draw(2) == 0 {
                         (
                             row_points.clone(),

@@ -208,7 +208,7 @@ fn one_step_audits_allocate_nothing_per_group() {
             .expect("the delta's own record");
         let rows = session.table().len();
         let before = allocations();
-        let stepped = previous.step(delta.deletes(), rows);
+        let stepped = previous.step(Some((delta.deletes(), rows)));
         let mut half = allocations() - before;
         let stepped = stepped.expect("a bound session steps across its delta");
         let dirty =

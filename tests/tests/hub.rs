@@ -807,9 +807,10 @@ fn audit_both(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Audits that step the previous version's risks across one delta, and
-    /// the cold re-solves around them, are a fresh adversary's audits, and
-    /// so are the audits of one frozen caller auditor. A hub tenant and a
+    /// Audits that carry an earlier version's risks forward, across one
+    /// delta or a gap, and the cold re-solves around them, are a fresh
+    /// adversary's audits, and so are the audits of one frozen caller
+    /// auditor. A hub tenant and a
     /// publishing session run one random schedule of 1–8 applies, each
     /// possibly followed by an empty and a rejected delta and by 0–3 audits
     /// at two thresholds (no audit leaves a gap before the next one); after
